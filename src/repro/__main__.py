@@ -532,6 +532,24 @@ def cmd_bench_accel(n: int = 4, workers: int = 0,
     return 1 if failures else 0
 
 
+def _explain_inputs(query, plan) -> None:
+    """The inputs XJoin joins — relations, P-C path relations and A-D
+    pair inputs with their cardinalities — and where each twig's
+    structure is validated."""
+    pairs = {pair.name for decomposition in query.decompositions.values()
+             for pair in decomposition.pairs}
+    relations = {relation.name for relation in query.relations}
+    print("  inputs (cardinality):")
+    for edge in query.hypergraph(ad_pairs=True).edges:
+        kind = ("relation" if edge.name in relations
+                else "A-D pair" if edge.name in pairs else "P-C path")
+        print(f"    {edge.name:<28} {kind:<9} {edge.cardinality:>10}")
+    for twig_name, attribute in plan.validation:
+        where = ("skipped (implied by join)" if attribute is None
+                 else f"at level {attribute!r}")
+        print(f"  validation: {twig_name} {where}")
+
+
 def cmd_explain(spec: str = "skewed", workers: int = 0) -> int:
     """Print the adaptive plan for *spec* with estimated vs observed
     per-stage cardinalities (from one instrumented execution), and note
@@ -558,6 +576,8 @@ def cmd_explain(spec: str = "skewed", workers: int = 0) -> int:
     print(f"  operator:   {plan.algorithm}")
     for binding_name, matcher in plan.twig_algorithms:
         print(f"  twig:       {binding_name} via {matcher}")
+    if plan.algorithm == "xjoin":
+        _explain_inputs(query, plan)
     partitions = f"{plan.partitions}"
     if plan.partition_axis is not None:
         partitions += f" on {plan.partition_axis!r}"

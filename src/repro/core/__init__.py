@@ -1,8 +1,9 @@
 """The paper's contribution: multi-model worst-case optimal joins.
 
-Pipeline: decompose twigs into path relations (:mod:`decomposition`),
-compute the combined AGM bound (:mod:`agm`, :mod:`lp`), evaluate with
-XJoin (:mod:`xjoin`) or the traditional baseline (:mod:`baseline`).
+Pipeline: decompose twigs into path relations and A-D pair inputs
+(:mod:`decomposition`), compute the combined AGM bound (:mod:`agm`,
+:mod:`lp`), evaluate with XJoin (:mod:`xjoin`) or the traditional
+baseline (:mod:`baseline`).
 """
 
 from repro.core.agm import (
@@ -28,7 +29,7 @@ from repro.core.hypergraph import Hyperedge, Hypergraph
 from repro.core.lp import LPSolution, minimise_lp, solve_lp
 from repro.core.multimodel import MultiModelQuery, TwigBinding
 from repro.core.planner import attribute_order
-from repro.core.validation import PartialStructureValidator, StructureValidator
+from repro.core.validation import StructureValidator
 from repro.core.xjoin import xjoin
 
 __all__ = [
@@ -38,7 +39,6 @@ __all__ = [
     "Hypergraph",
     "LPSolution",
     "MultiModelQuery",
-    "PartialStructureValidator",
     "PathRelation",
     "StructureValidator",
     "TwigBinding",

@@ -15,6 +15,13 @@ R3(A,B), R4(A,D), R5(C,E), R6(F,H), R7(G) — the paper's exact output.
 The *cardinality* of a path relation over a document is the number of
 distinct value tuples along matching P-C node chains; that is what the
 multi-model AGM bound consumes, and what XJoin's tries index.
+
+The cut A-D edges are not thrown away: each one is kept as a *pair
+input* (:attr:`TwigDecomposition.pairs`), the binary relation of
+(upper value, lower value) over the document's ancestor-descendant node
+pairs. XJoin joins the pair inputs alongside the path relations, so a
+cut edge still connects its two sub-twigs in the join; the paper's size
+bound is computed over the path relations alone.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from repro.relational.relation import Relation
+from repro.xml.accel import axis_pairs
 from repro.xml.columnar import ColumnarDocument, columnar
 from repro.xml.model import XMLDocument, XMLNode
 from repro.xml.twig import Axis, TwigNode, TwigQuery
@@ -54,6 +62,8 @@ class TwigDecomposition:
     twig: TwigQuery
     subtwig_roots: tuple[TwigNode, ...]
     paths: tuple[PathRelation, ...]
+    #: The cut A-D edges, one pair input each (pre-order).
+    pairs: "tuple[EdgeAtom, ...]" = ()
 
     def path_for_attribute(self, name: str) -> tuple[PathRelation, ...]:
         """All path relations binding the given attribute."""
@@ -64,9 +74,10 @@ class TwigDecomposition:
 class EdgeAtom:
     """One twig edge viewed as a binary relational atom.
 
-    The accelerator backend's alternative to the root-leaf path
-    decomposition above: instead of cutting A-D edges and enumerating
-    P-C paths, *every* edge — either axis — becomes one binary atom
+    XJoin's pair inputs are the atoms of the cut A-D edges
+    (:attr:`TwigDecomposition.pairs`). The accelerator backend goes all
+    the way: instead of cutting A-D edges and enumerating P-C paths,
+    *every* edge — either axis — becomes one binary atom
     ``E_parent_child(parent, child)`` over the region labels, with the
     axis kept as a range predicate (materialised by
     :func:`repro.xml.accel.edge_relation`). The twig is then exactly a
@@ -139,8 +150,11 @@ def decompose(twig: TwigQuery) -> TwigDecomposition:
         for node_chain in root_leaf_paths(root):
             name = f"{twig.name}[{'/'.join(n.name for n in node_chain)}]"
             paths.append(PathRelation(name=name, nodes=node_chain))
+    pairs = tuple(
+        EdgeAtom(f"{twig.name}[{upper.name}//{lower.name}]", upper, lower)
+        for upper, lower in twig.ad_edges())
     return TwigDecomposition(twig=twig, subtwig_roots=tuple(roots),
-                             paths=tuple(paths))
+                             paths=tuple(paths), pairs=pairs)
 
 
 def _iter_path_chain_ids(view: ColumnarDocument, path: PathRelation
@@ -193,24 +207,17 @@ def iter_path_chains(document: XMLDocument, path: PathRelation
         yield tuple(nodes_of[nid] for nid in chain)
 
 
-def iter_path_value_rows(document: XMLDocument, path: PathRelation,
-                         structural: frozenset[str] = frozenset()
-                         ) -> Iterator[tuple]:
-    """Value tuples of the path relation (may repeat; tries deduplicate).
-
-    Attributes in *structural* bind valueless nodes by identity
-    (:mod:`repro.core.surrogate`) instead of the conflating ``None``.
-    Rows are read straight from the columnar value/start arrays — the
-    paper's "we do not physically transform them into relational tables"
-    now holds down to the node objects: none are touched.
-    """
+def _value_rows(view: ColumnarDocument, chains, names: tuple[str, ...],
+                structural: frozenset[str]) -> Iterator[tuple]:
+    """The join-value tuple of each node-id chain: typed values, with
+    valueless nodes of *structural* attributes bound by identity
+    (:mod:`repro.core.surrogate`) instead of the conflating ``None``."""
     from repro.core.surrogate import NodeSurrogate
 
-    view = columnar(document)
     values = view.values
     starts = view.starts
-    use_surrogate = [node.name in structural for node in path.nodes]
-    for chain in _iter_path_chain_ids(view, path):
+    use_surrogate = [name in structural for name in names]
+    for chain in chains:
         row = []
         for nid, flag in zip(chain, use_surrogate):
             value = values[nid]
@@ -218,6 +225,41 @@ def iter_path_value_rows(document: XMLDocument, path: PathRelation,
                 value = NodeSurrogate(starts[nid])
             row.append(value)
         yield tuple(row)
+
+
+def iter_path_value_rows(document: XMLDocument, path: PathRelation,
+                         structural: frozenset[str] = frozenset()
+                         ) -> Iterator[tuple]:
+    """Value tuples of the path relation (may repeat; tries deduplicate).
+
+    Rows are read straight from the columnar value/start arrays — the
+    paper's "we do not physically transform them into relational tables"
+    holds down to the node objects: none are touched.
+    """
+    view = columnar(document)
+    return _value_rows(view, _iter_path_chain_ids(view, path),
+                       path.attributes, structural)
+
+
+def iter_pair_value_rows(document: XMLDocument, pair: EdgeAtom,
+                         structural: frozenset[str] = frozenset()
+                         ) -> Iterator[tuple]:
+    """Value pairs of one A-D pair input (may repeat; tries deduplicate).
+
+    The node pairs come from the accelerator's stack-tree merge over the
+    two candidate postings (:func:`repro.xml.accel.axis_pairs`,
+    O(|upper| + |lower| + output), no self pairs on a shared tag); each
+    node is then represented exactly as in the path relations, so the
+    pair trie intersects with the path tries over the same dictionaries.
+    """
+    view = columnar(document)
+    nid_of = view.nid_index
+    pairs = axis_pairs(view.stream(pair.parent), view.stream(pair.child),
+                       view.levels, Axis.DESCENDANT)
+    return _value_rows(view,
+                       ((nid_of[upper], nid_of[lower])
+                        for upper, lower in pairs),
+                       pair.attributes, structural)
 
 
 def materialize_path_relation(document: XMLDocument,
@@ -244,3 +286,10 @@ def path_relation_cardinality(document: XMLDocument,
     algorithm see the same cardinalities.
     """
     return len(set(iter_path_value_rows(document, path, structural)))
+
+
+def pair_relation_cardinality(document: XMLDocument, pair: EdgeAtom,
+                              structural: frozenset[str] = frozenset()
+                              ) -> int:
+    """Distinct value-pair count of one A-D pair input in *document*."""
+    return len(set(iter_pair_value_rows(document, pair, structural)))

@@ -21,6 +21,7 @@ from repro.core.decomposition import (
     TwigDecomposition,
     decompose,
     materialize_path_relation,
+    pair_relation_cardinality,
     path_relation_cardinality,
 )
 from repro.core.hypergraph import Hypergraph
@@ -106,12 +107,18 @@ class MultiModelQuery:
 
     # -- the combined hypergraph and bounds --------------------------------
 
-    def hypergraph(self, *, with_cardinalities: bool = True) -> Hypergraph:
+    def hypergraph(self, *, with_cardinalities: bool = True,
+                   ad_pairs: bool = False) -> Hypergraph:
         """Relation schemas plus decomposed path relations as hyperedges.
 
+        This is the paper's hypergraph, the one :meth:`size_bound` is
+        computed over. With ``ad_pairs`` it also carries one binary edge
+        per cut A-D twig edge — the hypergraph XJoin actually joins and
+        the order policies walk (an A-D edge connects its sub-twigs).
+
         With ``with_cardinalities`` the edges carry instance sizes:
-        relation cardinalities and distinct-value-tuple counts of the path
-        relations.
+        relation cardinalities and distinct-value-tuple counts of the
+        path relations and pair inputs.
         """
         graph = Hypergraph()
         for relation in self.relations:
@@ -128,11 +135,21 @@ class MultiModelQuery:
                     if with_cardinalities else None)
                 graph.add_edge(path.name, path.attributes,
                                cardinality=cardinality)
+            for pair in decomposition.pairs if ad_pairs else ():
+                cardinality = (
+                    pair_relation_cardinality(binding.document, pair,
+                                              structural)
+                    if with_cardinalities else None)
+                graph.add_edge(pair.name, pair.attributes,
+                               cardinality=cardinality)
         return graph
 
     def size_bound(self) -> AGMBound:
         """The instance worst-case size bound (Section 3, via Equation 1's
-        primal form weighted by log cardinalities)."""
+        primal form weighted by log cardinalities) — over relations and
+        P-C path relations only, as in the paper. The A-D pair inputs
+        XJoin also joins can only shrink a stage, so Lemma 3.5 holds
+        against this bound unchanged (it merely gets slacker)."""
         return agm_bound(self.hypergraph())
 
     def symbolic_exponent(self) -> Fraction:

@@ -1,304 +1,222 @@
-"""Twig structure validation for XJoin result tuples.
+"""Twig structure validation for XJoin, pushed into the join.
 
 The value-level join over decomposed path relations is a *relaxation* of
-the twig semantics: it enforces each root-leaf P-C chain but not the A-D
-edges or the requirement that all chains share their branching nodes.
-Algorithm 1 therefore ends with "Filter R by validating structure of Sx":
-each candidate value tuple must admit an actual embedding of the whole
-twig with exactly those values.
+the twig semantics: it enforces each root-leaf P-C chain but not that
+all chains share their branching nodes. (The cut A-D edges are joined
+as pair inputs, see :mod:`repro.core.decomposition`, so they are already
+enforced *pairwise*.) Algorithm 1 therefore filters by "validating
+structure of Sx": a candidate value tuple must admit an actual
+embedding of the whole twig with exactly those values.
 
-:class:`StructureValidator` performs that check, memoised on the tuple of
-twig-attribute values (many result tuples share a twig projection, and
-XJoin's partial-validation mode re-checks prefixes aggressively).
+Three things keep that filter off the hot path:
+
+* it runs **early** — at the expansion level that binds the twig's last
+  attribute (:func:`validation_points`), not once per finished tuple;
+* it is **memoised on the twig's code projection** — an int tuple cut
+  from the kernel's binding, so a repeated projection costs one dict
+  probe and nothing is decoded;
+* it is **skipped** when :func:`join_implies_embedding` proves from the
+  decomposition that every tuple the join produces already embeds.
+
+The search itself (:meth:`StructureValidator.embeds`) reads the columnar
+int arrays and the per-tag value index cached on the view; it never
+touches a node object.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from collections import Counter
+from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
 from repro.core.surrogate import NodeSurrogate
-from repro.instrumentation import JoinStats, ensure_stats
 from repro.relational.schema import Value
-from repro.xml.columnar import columnar
-from repro.xml.model import XMLDocument, XMLNode
-from repro.xml.twig import Axis, TwigNode, TwigQuery
+from repro.xml.columnar import ColumnarDocument, columnar
+from repro.xml.model import XMLDocument
+from repro.xml.twig import Axis, TwigQuery
 
 if TYPE_CHECKING:
-    from repro.core.multimodel import TwigBinding
-
-
-def _node_matches(node: XMLNode, required: Value) -> bool:
-    """Does *node* carry the required binding (value or surrogate)?"""
-    if isinstance(required, NodeSurrogate):
-        return node.start == required.start
-    return node.value == required
+    from repro.core.decomposition import TwigDecomposition
+    from repro.core.multimodel import MultiModelQuery
 
 
 class StructureValidator:
-    """Memoised "does an embedding with these values exist?" oracle."""
+    """Memoised "does an embedding with these join values exist?" oracle.
 
-    def __init__(self, document: XMLDocument, twig: TwigQuery):
-        self.document = document
-        self.twig = twig
-        self._order = twig.nodes()  # pre-order: parents first
-        self._cache: dict[tuple, bool] = {}
-        # Per query node: candidate nodes grouped by value, read from the
-        # columnar arrays (values pre-parsed once per document), so the
-        # search below touches only nodes with the right value.
+    Values (and the codes of :meth:`admits`) are aligned with the twig's
+    pre-order attributes. ``tables`` are the per-attribute decode tables
+    of the instance the validator serves (code -> value).
+    """
+
+    def __init__(self, document: XMLDocument, twig: TwigQuery,
+                 tables: Sequence[Sequence[Value]] = ()):
         view = columnar(document)
-        values = view.values
-        nodes_of = view.nodes
-        self._candidates: dict[str, dict[Value, list[XMLNode]]] = {}
-        for query_node in self._order:
-            by_value: dict[Value, list[XMLNode]] = {}
-            nids, _starts, _ends = view.postings(query_node.tag)
-            for nid in nids:
-                value = values[nid]
-                if query_node.matches_value(value):
-                    by_value.setdefault(value, []).append(nodes_of[nid])
-            self._candidates[query_node.name] = by_value
-        self._by_start: dict[int, XMLNode] = {
-            start: nodes_of[nid]
-            for nid, start in enumerate(view.starts)}
+        nodes = twig.nodes()  # pre-order: parents first
+        position = {q.name: k for k, q in enumerate(nodes)}
+        self._view = view
+        self._tables = tuple(tables)
+        self._memo: dict[tuple[int, ...], bool] = {}
+        self._tids = [view.tag_index.get(q.tag, -1) for q in nodes]
+        self._by_value = [view.value_index(q.tag) for q in nodes]
+        self._up = [-1 if q.parent is None else position[q.parent.name]
+                    for q in nodes]
+        self._down = [[position[c.name] for c in q.children] for q in nodes]
+        self._pc = [q.axis is Axis.CHILD for q in nodes]
+        self._predicated = [(k, q) for k, q in enumerate(nodes)
+                            if q.predicate is not None]
 
-    def validate(self, values: dict[str, Value], *,
-                 stats: JoinStats | None = None) -> bool:
-        """True iff the twig embeds with node values equal to *values*."""
-        stats = ensure_stats(stats)
-        key = tuple(values[q.name] for q in self._order)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        result = self._search(values)
-        self._cache[key] = result
-        if not result:
-            stats.count_filtered()
-        return result
+    def admits(self, codes: tuple[int, ...]) -> bool:
+        """:meth:`embeds` of the decoded *codes*, memoised on the codes."""
+        verdict = self._memo.get(codes)
+        if verdict is None:
+            verdict = self._memo[codes] = self.embeds(
+                [table[code] for table, code in zip(self._tables, codes)])
+        return verdict
 
-    def _search(self, values: dict[str, Value]) -> bool:
-        binding: dict[str, XMLNode] = {}
+    def embeds(self, values: Sequence[Value]) -> bool:
+        """True iff the twig embeds with node join values *values*.
 
-        def candidates_for(query_node: TwigNode):
-            """Axis-directed candidate generation: child-axis nodes come
-            from the bound parent's children (cheap), descendant-axis
-            nodes from the value index filtered by region containment —
-            never a scan of all same-value nodes for child edges."""
-            required = values[query_node.name]
-            parent = query_node.parent
+        The search is anchored at the query node whose value has the
+        fewest candidate nodes and grows from there: downwards each
+        child sub-twig needs *some* image inside its parent's region (a
+        bisect into the value's sorted node ids plus a short run —
+        sibling sub-twigs are independent, so nothing backtracks across
+        them), upwards the parent image is the node's parent (P-C) or
+        one of its ancestors (A-D).
+
+        The anchor and the bisect keep a check independent of how many
+        nodes share a value (a root-first search walks every same-valued
+        root, a scan every same-valued leaf); the only measurement of
+        either is ``benchmarks/bench_ablation_filtering.py``.
+        """
+        for k, q in self._predicated:
+            value = values[k]
+            if not q.matches_value(
+                    None if isinstance(value, NodeSurrogate) else value):
+                return False
+        view = self._view
+        starts, ends, parents = view.starts, view.ends, view.parents
+        up, down, pc = self._up, self._down, self._pc
+
+        images: list[Sequence[int]] = []  # per query node, ascending nids
+        for k, required in enumerate(values):
             if isinstance(required, NodeSurrogate):
-                # Identity binding: exactly one candidate node exists.
-                node = self._by_start.get(required.start)
-                if node is None or node.tag != query_node.tag:
-                    return
-                if parent is not None:
-                    upper = binding[parent.name]
-                    if query_node.axis is Axis.CHILD:
-                        if node.parent is not upper:
-                            return
-                    elif not (upper.start < node.start
-                              and node.end < upper.end):
-                        return
-                yield node
-                return
-            if parent is None:
-                base = self._candidates[query_node.name].get(required, ())
-                # Container roots (e.g. an orderLine with value None) can
-                # have thousands of same-value candidates; derive them
-                # from the most selective child-axis child instead.
-                if len(base) > 8:
-                    for child_q in query_node.children:
-                        if child_q.axis is not Axis.CHILD:
-                            continue
-                        child_required = values[child_q.name]
-                        if isinstance(child_required, NodeSurrogate):
-                            node = self._by_start.get(child_required.start)
-                            child_candidates = ([node] if node is not None
-                                                else [])
-                        else:
-                            child_candidates = self._candidates[
-                                child_q.name].get(child_required, ())
-                        if len(child_candidates) * 4 >= len(base):
-                            continue
-                        derived: list[XMLNode] = []
-                        seen: set[int] = set()
-                        for child_node in child_candidates:
-                            upper = child_node.parent
-                            if (upper is not None
-                                    and id(upper) not in seen
-                                    and upper.tag == query_node.tag
-                                    and upper.value == required):
-                                seen.add(id(upper))
-                                derived.append(upper)
-                        base = derived
-                        break
-                yield from base
-                return
-            upper = binding[parent.name]
-            if query_node.axis is Axis.CHILD:
-                for child in upper.children:
-                    if child.tag == query_node.tag \
-                            and _node_matches(child, required) \
-                            and query_node.matches_value(child.value):
-                        yield child
+                nid = view.nid_index.get(required.start)
+                found = (() if nid is None
+                         or view.tag_ids[nid] != self._tids[k] else (nid,))
             else:
-                for candidate in self._candidates[query_node.name].get(
-                        required, ()):
-                    if upper.start < candidate.start \
-                            and candidate.end < upper.end:
-                        yield candidate
+                found = self._by_value[k].get(required, ())
+            if not found:
+                return False
+            images.append(found)
 
-        def extend(index: int) -> bool:
-            if index == len(self._order):
-                return True
-            query_node = self._order[index]
-            for candidate in candidates_for(query_node):
-                binding[query_node.name] = candidate
-                if extend(index + 1):
-                    return True
-                del binding[query_node.name]
-            return False
+        def below(k: int, upper: int):
+            """Images of query node *k* inside *upper*'s region."""
+            nids = images[k]
+            limit = ends[upper]
+            for i in range(bisect_right(nids, upper), len(nids)):
+                nid = nids[i]
+                if starts[nid] > limit:
+                    return
+                if not pc[k] or parents[nid] == upper:
+                    yield nid
 
-        return extend(0)
+        def above(k: int, nid: int):
+            """Images of *k*'s parent query node over node *nid*."""
+            nids = images[up[k]]
+            upper = parents[nid]
+            while upper >= 0:
+                i = bisect_left(nids, upper)
+                if i < len(nids) and nids[i] == upper:
+                    yield upper
+                if pc[k]:
+                    return
+                upper = parents[upper]
+
+        def supported(k: int, nid: int, skip: int = -1) -> bool:
+            """Do *k*'s child sub-twigs (but *skip*) embed under *nid*?"""
+            return all(any(supported(c, image) for image in below(c, nid))
+                       for c in down[k] if c != skip)
+
+        def lifts(k: int, nid: int) -> bool:
+            """Does the twig outside *k*'s sub-twig embed around *nid*?"""
+            return up[k] < 0 or any(
+                supported(up[k], upper, skip=k) and lifts(up[k], upper)
+                for upper in above(k, nid))
+
+        anchor = min(range(len(images)), key=lambda k: len(images[k]))
+        return any(supported(anchor, nid) and lifts(anchor, nid)
+                   for nid in images[anchor])
 
     @property
     def cache_size(self) -> int:
-        return len(self._cache)
+        """How many distinct code projections have been decided."""
+        return len(self._memo)
 
 
-class ADValueIndex:
-    """Lazily built value-pair index for one A-D twig edge.
+def _identifies_nodes(view: ColumnarDocument, tag: str,
+                      structural: bool) -> bool:
+    """Do distinct *tag* nodes always carry distinct join values?
 
-    Maps upper-node values to the set of lower-node values reachable via
-    the ancestor-descendant axis (and the reverse direction), restricted
-    to nodes matching the query nodes' tags and predicates. XJoin's
-    ``ad_prefilter`` mode consults these to discard candidate values whose
-    A-D counterpart cannot exist ("filtering infeasible intermediate
-    results").
+    Valueless nodes of a structural attribute are bound by identity
+    (:class:`NodeSurrogate`), so only the real values can collide. The
+    verdict is memoised beside the value index it is read from (the
+    planner and the encoder both ask, once per query each).
     """
-
-    def __init__(self, binding: "TwigBinding", upper_name: str,
-                 lower_name: str, structural: frozenset[str] = frozenset()):
-        self._binding = binding
-        self._upper = binding.twig.node(upper_name)
-        self._lower = binding.twig.node(lower_name)
-        self._upper_structural = upper_name in structural
-        self._lower_structural = lower_name in structural
-        self._down: dict[Value, set[Value]] | None = None
-        self._up: dict[Value, set[Value]] | None = None
-
-    def _build(self) -> None:
-        # One parent-array ascent per lower-tag node (O(|lower| * depth))
-        # on the columnar arrays, instead of scanning each upper node's
-        # whole subtree for lower-tag descendants.
-        down: dict[Value, set[Value]] = {}
-        up: dict[Value, set[Value]] = {}
-        view = columnar(self._binding.document)
-        upper_tid = view.tag_index.get(self._upper.tag)
-        lower_tid = view.tag_index.get(self._lower.tag)
-        if upper_tid is None or lower_tid is None:
-            self._down, self._up = down, up
-            return
-        values = view.values
-        starts = view.starts
-        parents = view.parents
-        tag_ids = view.tag_ids
-        for lower_nid in view.tag_nids[lower_tid]:
-            lower_value = values[lower_nid]
-            if not self._lower.matches_value(lower_value):
-                continue
-            lower_key: Value = (
-                NodeSurrogate(starts[lower_nid])
-                if lower_value is None and self._lower_structural
-                else lower_value)
-            ancestor = parents[lower_nid]
-            while ancestor >= 0:
-                if tag_ids[ancestor] == upper_tid:
-                    upper_value = values[ancestor]
-                    if self._upper.matches_value(upper_value):
-                        upper_key: Value = (
-                            NodeSurrogate(starts[ancestor])
-                            if upper_value is None
-                            and self._upper_structural
-                            else upper_value)
-                        down.setdefault(upper_key, set()).add(lower_key)
-                        up.setdefault(lower_key, set()).add(upper_key)
-                ancestor = parents[ancestor]
-        self._down, self._up = down, up
-
-    def lower_values_for(self, upper_value: Value) -> set[Value]:
-        if self._down is None:
-            self._build()
-        assert self._down is not None
-        return self._down.get(upper_value, set())
-
-    def upper_values_for(self, lower_value: Value) -> set[Value]:
-        if self._up is None:
-            self._build()
-        assert self._up is not None
-        return self._up.get(lower_value, set())
+    key = ("identifies_nodes", tag, structural)
+    verdict = view.derived.get(key)
+    if verdict is None:
+        verdict = view.derived[key] = all(
+            len(nids) == 1
+            for value, nids in view.value_index(tag).items()
+            if not (structural and value is None))
+    return verdict
 
 
-class PartialStructureValidator:
-    """Validators for *prefixes* of the twig's attribute set.
+def join_implies_embedding(document: XMLDocument,
+                           decomposition: "TwigDecomposition",
+                           structural: frozenset[str]) -> bool:
+    """The static skip test: does every tuple of the value join embed?
 
-    XJoin's partial-validation extension prunes a partial value binding as
-    soon as the bound attributes of a twig cannot be embedded consistently,
-    rather than waiting for the final filter. For a bound subset S of twig
-    attributes the check is: does an embedding of the *induced upward
-    closure* of S (every bound node plus its query ancestors, with values
-    enforced only on S) exist?
+    Each path or pair row is witnessed by real nodes that satisfy that
+    input's own edges, tags and predicates, and every twig edge lies
+    inside one input. The witnesses glue into one embedding as soon as
+    they agree on the node of every attribute they share — which holds
+    when each attribute bound by two or more inputs is *identity-bound*:
+    its join value names exactly one node (a surrogate, or a value no
+    other node of the tag carries). Unary inputs are ignored: they bind
+    no edge, and the attribute's witness in any wider input already has
+    the right tag and predicate.
+
+    ``article(/year, /journal)`` passes (``article`` is surrogate-
+    bound); ``a(/b, /c)`` with two ``a`` nodes of equal value does not.
     """
+    view = columnar(document)
+    uses = Counter(name
+                   for source in (*decomposition.paths, *decomposition.pairs)
+                   if len(source.attributes) > 1
+                   for name in source.attributes)
+    twig = decomposition.twig
+    return all(_identifies_nodes(view, twig.node(name).tag,
+                                 name in structural)
+               for name, count in uses.items() if count > 1)
 
-    def __init__(self, document: XMLDocument, twig: TwigQuery):
-        self.document = document
-        self.twig = twig
-        self._full = StructureValidator(document, twig)
-        self._cache: dict[tuple, bool] = {}
 
-    def validate_subset(self, values: dict[str, Value]) -> bool:
-        """Check embeddability of the twig restricted to ``values.keys()``.
-
-        Values absent from the dict are unconstrained. Sound (never prunes
-        a tuple that could still succeed) because dropping constraints
-        only enlarges the embedding space.
-        """
-        bound = frozenset(values)
-        key = (bound, tuple(sorted(values.items(),
-                                   key=lambda item: item[0])))
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        order = self.twig.nodes()
-        binding: dict[str, XMLNode] = {}
-
-        def extend(index: int) -> bool:
-            if index == len(order):
-                return True
-            query_node = order[index]
-            required = values.get(query_node.name)
-            nodes = self.document.nodes(query_node.tag)
-            parent = query_node.parent
-            for candidate in nodes:
-                if required is not None and \
-                        not _node_matches(candidate, required):
-                    continue
-                if not query_node.matches_value(candidate.value):
-                    continue
-                if parent is not None:
-                    upper = binding[parent.name]
-                    if query_node.axis is Axis.CHILD:
-                        if candidate.parent is not upper:
-                            continue
-                    else:
-                        if not (upper.start < candidate.start
-                                and candidate.end < upper.end):
-                            continue
-                binding[query_node.name] = candidate
-                if extend(index + 1):
-                    return True
-                del binding[query_node.name]
-            return False
-
-        result = extend(0)
-        self._cache[key] = result
-        return result
+def validation_points(query: "MultiModelQuery", order: Sequence[str]
+                      ) -> dict[str, str | None]:
+    """Per twig input, the attribute at whose expansion level XJoin
+    validates the twig's structure — the last of the twig's attributes
+    in *order* — or None when the check is skipped because the join
+    already implies an embedding (:func:`join_implies_embedding`)."""
+    level = {attribute: index for index, attribute in enumerate(order)}
+    points: dict[str, str | None] = {}
+    for binding in query.twigs:
+        if join_implies_embedding(binding.document,
+                                  query.decompositions[binding.name],
+                                  query.structural_attributes(binding)):
+            points[binding.name] = None
+        else:
+            points[binding.name] = max(binding.twig.attributes,
+                                       key=level.__getitem__)
+    return points

@@ -18,20 +18,31 @@ P-C chains without ever materialising a relation (the paper's "we do
 not physically transform them into relational tables"; only a transient
 distinct-row set feeds the dictionary and trie build) — and invokes the
 registered ``xjoin`` operator
-(:class:`repro.engine.algorithms.XJoinAlgorithm`). The A-D edges and
-cross-path branching are enforced by the final structure-validation
-filter (Algorithm 1's last line).
+(:class:`repro.engine.algorithms.XJoinAlgorithm`).
 
-The paper's "on-going work" extensions are implemented as optional modes:
+Twig structure is part of the join, not a callback after it — the
+paper's "on-going work" ("filtering infeasible intermediate results and
+partially validating the twig structure during the joining"), as the
+one and only path:
 
-* ``ad_prefilter`` — filter candidate values through lazily built
-  ancestor/descendant value-pair indexes of the twig's A-D edges
-  ("filtering infeasible intermediate results");
-* ``partial_validation`` — prune a partial tuple as soon as its bound twig
-  attributes cannot be embedded ("partially validating the twig structure
-  during the joining").
+* every cut A-D edge ``u//l`` is one more encoded input, the (value,
+  value) pair relation of the document's ancestor-descendant node pairs
+  (:func:`repro.core.decomposition.iter_pair_value_rows`), so it prunes
+  by trie intersection like any relation and connects ``u`` and ``l``
+  in the hypergraph the order policies walk;
+* the remaining check — do all paths and pairs share their nodes? —
+  runs at the level that binds the twig's last attribute, memoised on
+  the twig's code projection, over the columnar arrays
+  (:class:`repro.core.validation.StructureValidator`);
+* and it is skipped when the decomposition proves the join already
+  implies an embedding
+  (:func:`repro.core.validation.join_implies_embedding`).
 
-Both modes only shrink intermediate results, so Lemma 3.5 still holds.
+All three only shrink intermediate results, and the size bound is still
+computed over the P-C path relations alone, so Lemma 3.5 holds as
+stated. ``validate_structure=False`` evaluates the paper's plain
+relaxation instead (paths only, no pairs, no check) — the ablation and
+oracle baseline.
 """
 
 from __future__ import annotations
@@ -49,22 +60,17 @@ from repro.relational.relation import Relation
 def xjoin(query: MultiModelQuery,
           order: "str | Sequence[str] | None" = None, *,
           stats: JoinStats | None = None,
-          validate_structure: bool = True,
-          ad_prefilter: bool = False,
-          partial_validation: bool = False) -> Relation:
+          validate_structure: bool = True) -> Relation:
     """Evaluate *query* with the worst-case optimal XJoin algorithm.
 
     ``order`` is Algorithm 1's expansion priority ``PA``: an explicit
     attribute sequence or a planner policy name (see
-    :mod:`repro.core.planner`). ``validate_structure=False`` skips the
-    final twig filter, returning the relaxed value join (ablation only).
+    :mod:`repro.core.planner`). ``validate_structure=False`` returns the
+    relaxed value join over the path relations alone (ablation only).
     """
     stats = ensure_stats(stats)
     expansion = attribute_order(query, order)
     with stats.phase("encode"):
         instance = EncodedInstance.from_query(
-            query, expansion,
-            validate_structure=validate_structure,
-            ad_prefilter=ad_prefilter,
-            partial_validation=partial_validation)
+            query, expansion, validate_structure=validate_structure)
     return XJOIN.run(instance, stats=stats)

@@ -6,9 +6,10 @@ All four algorithm families run through one
 * :class:`GenericJoinAlgorithm` — NPRR-style hashed trie descent;
 * :class:`LeapfrogTriejoinAlgorithm` — LFTJ sorted seeks, now plain int
   comparisons (code order == value order);
-* :class:`XJoinAlgorithm` — the paper's Algorithm 1 over relations and
-  twig path tries together, with the ad-prefilter / partial-validation
-  modes reading *decoded* values through the instance's dictionaries;
+* :class:`XJoinAlgorithm` — the paper's Algorithm 1 over relations, twig
+  path tries and A-D pair tries together; twig structure is validated
+  at the level that completes each twig, memoised on its code
+  projection (values are decoded only on a memo miss);
 * :class:`BaselineJoinAlgorithm` — the traditional dual-engine baseline.
   It deliberately bypasses the encoded tries: it *is* the paper's foil
   (binary relational plans + TwigStack, joined at the end), so it runs
@@ -37,7 +38,7 @@ from repro.engine.interface import register
 from repro.errors import EngineError
 from repro.instrumentation import JoinStats, ensure_stats
 from repro.relational.relation import Relation
-from repro.relational.schema import Schema, Value
+from repro.relational.schema import Schema
 
 
 def _reject_twig_instance(algorithm: str, instance: EncodedInstance) -> None:
@@ -227,9 +228,11 @@ class LeapfrogTriejoinAlgorithm:
 class XJoinAlgorithm:
     """The paper's Algorithm 1 over the combined relational+twig tries.
 
-    Trie descent runs on codes; the twig-side filters (A-D prefilter,
-    partial validation, the final structure filter) see decoded values,
-    looked up per accepted candidate through the level's dictionary.
+    Trie descent runs on codes, and the A-D pair tries prune there like
+    any other input. At a level that binds a twig's last attribute the
+    twig's structure check runs on the code projection of the binding
+    (``instance.twig_filters.checks``); a rejected prefix is never
+    expanded further.
     """
 
     name = "xjoin"
@@ -262,74 +265,29 @@ class XJoinAlgorithm:
 
         participation = instance.participation
         nodes = [trie.root for trie in instance.tries]
-        validators = filters.validators if filters else {}
-        partial_validators = filters.partial_validators if filters else {}
-        ad_indexes = filters.ad_indexes if filters else []
-        twig_attrs = filters.twig_attrs if filters else {}
-        # Decoded bindings are maintained only when a twig filter can ask
-        # for them; pure trie descent never leaves code space.
-        track_values = bool(validators or partial_validators or ad_indexes)
+        checks = filters.checks if filters else [[] for _ in expansion]
 
         stats.start_timer()
-        binding_values: dict[str, Value] = {}
         rows: list[tuple[int, ...]] = []
         binding: list[int] = []
-        alive = [0] * depth
+        alive = [0] * depth  # per level, counted before its checks run
         seeks = 0  # flushed in one bulk count; a call per probe is hot
+        filtered = 0
 
-        def ad_feasible(attribute: str, value: Value) -> bool:
-            """Candidate pruning through the A-D value-pair indexes."""
-            for _twig, upper_name, lower_name, index in ad_indexes:
-                if attribute == lower_name and upper_name in binding_values:
-                    if value not in index.lower_values_for(
-                            binding_values[upper_name]):
-                        return False
-                if attribute == upper_name and lower_name in binding_values:
-                    if value not in index.upper_values_for(
-                            binding_values[lower_name]):
-                        return False
-            return True
-
-        def partially_valid(attribute: str) -> bool:
-            """Prune via embeddability of the bound twig attributes."""
-            for twig_name, attrs in twig_attrs.items():
-                if attribute not in attrs:
-                    continue
-                bound = {a: v for a, v in binding_values.items()
-                         if a in attrs}
-                if not partial_validators[twig_name].validate_subset(bound):
+        def structure_valid(level_checks, codes) -> bool:
+            """Every twig completed at this level embeds with *codes*."""
+            for positions, validator in level_checks:
+                if not validator.admits(
+                        tuple([codes[p] for p in positions])):
                     return False
-            return True
-
-        def structure_valid() -> bool:
-            """Algorithm 1's final filter, as each tuple completes."""
-            for twig_name, validator in validators.items():
-                values = {a: binding_values[a]
-                          for a in twig_attrs[twig_name]}
-                if not validator.validate(values, stats=stats):
-                    return False
-            return True
-
-        def filters_admit(level: int, attribute: str, code: int) -> bool:
-            """Decode the candidate and run the pre-descent twig filters;
-            on success the decoded value stays in ``binding_values``."""
-            value = instance.decode_value(level, code)
-            if ad_indexes and not ad_feasible(attribute, value):
-                stats.count_filtered()
-                return False
-            binding_values[attribute] = value
-            if partial_validators and not partially_valid(attribute):
-                del binding_values[attribute]
-                stats.count_filtered()
-                return False
             return True
 
         def search(level: int) -> None:
-            nonlocal seeks
-            attribute = expansion[level]
+            nonlocal seeks, filtered
             participants = participation[level]
             participant_nodes = [nodes[i] for i in participants]
             seed = min(participant_nodes, key=len)
+            level_checks = checks[level]
             if level + 1 == depth:
                 # Last level: no descent needed, filter + emit in place.
                 prefix = tuple(binding)
@@ -344,15 +302,13 @@ class XJoinAlgorithm:
                             break
                     if not feasible:
                         continue
-                    if track_values and not filters_admit(level, attribute,
-                                                          code):
-                        continue
                     alive[level] += 1
-                    if not validators or structure_valid():
-                        rows.append(prefix + (code,))
-                        stats.count_emitted()
-                    if track_values:
-                        del binding_values[attribute]
+                    row = prefix + (code,)
+                    if level_checks and not structure_valid(level_checks,
+                                                            row):
+                        filtered += 1
+                        continue
+                    rows.append(row)
                 return
             for code in seed.keys:
                 children = []
@@ -366,11 +322,13 @@ class XJoinAlgorithm:
                     children.append(child)
                 if not feasible:
                     continue
-                if track_values and not filters_admit(level, attribute,
-                                                      code):
-                    continue
                 alive[level] += 1
                 binding.append(code)
+                if level_checks and not structure_valid(level_checks,
+                                                        binding):
+                    filtered += 1
+                    binding.pop()
+                    continue
                 for participant, child in zip(participants, children):
                     nodes[participant] = child
                 search(level + 1)
@@ -378,14 +336,14 @@ class XJoinAlgorithm:
                 for participant, old in zip(participants, participant_nodes):
                     nodes[participant] = old
                 binding.pop()
-                if track_values:
-                    del binding_values[attribute]
 
         if depth == 0:
             rows.append(())
         else:
             search(0)
             stats.count_seeks(seeks)
+            stats.count_filtered(filtered)
+            stats.count_emitted(len(rows))
             for level, count in enumerate(alive):
                 stats.record_stage(f"expand {expansion[level]}", count)
         stats.stop_timer()

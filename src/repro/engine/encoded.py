@@ -5,15 +5,16 @@ any :class:`~repro.engine.interface.JoinAlgorithm`. It bundles
 
 * one shared :class:`~repro.engine.dictionary.Dictionary` per attribute,
 * one :class:`EncodedTrie` per input — relations directly, twig
-  path-relations from the document's P-C chains. Path rows are never
-  materialised as :class:`Relation`s (the paper's "we do not physically
-  transform them into relational tables"); a transient distinct-row set
-  is gathered once per path to feed both the shared dictionaries and
-  the trie build,
+  path-relations from the document's P-C chains and one pair input per
+  cut A-D twig edge from the document's ancestor-descendant node pairs.
+  Twig rows are never materialised as :class:`Relation`s (the paper's
+  "we do not physically transform them into relational tables"); a
+  transient distinct-row set is gathered once per input to feed both
+  the shared dictionaries and the trie build,
 * the participation map (which tries bind which level of the global
   attribute order), and
-* for multi-model queries, the twig-side filters (structure validators
-  and A-D prefilter indexes) that XJoin's modes consume.
+* for multi-model queries, the per-level structure checks
+  (:class:`TwigFilters`) XJoin runs as each twig's last attribute binds.
 
 Tries store dense int codes: every level's key list is a sorted typed
 buffer (:mod:`repro.buffers.layout` picks the narrowest ``array``
@@ -47,11 +48,7 @@ from repro.relational.schema import Schema, Value
 
 if TYPE_CHECKING:
     from repro.core.multimodel import MultiModelQuery
-    from repro.core.validation import (
-        ADValueIndex,
-        PartialStructureValidator,
-        StructureValidator,
-    )
+    from repro.core.validation import StructureValidator
 
 
 class EncodedTrieNode:
@@ -259,17 +256,18 @@ class EncodedTrieIterator:
 
 @dataclass
 class TwigFilters:
-    """The twig-side machinery XJoin threads through its expansion:
-    per-twig structure validators (Algorithm 1's final filter), the
-    optional partial validators and A-D value-pair prefilter indexes,
-    and which global attributes belong to which twig."""
+    """Where XJoin validates twig structure during its expansion.
 
-    twig_attrs: dict[str, set[str]] = field(default_factory=dict)
-    validators: "dict[str, StructureValidator]" = field(default_factory=dict)
-    partial_validators: "dict[str, PartialStructureValidator]" = \
-        field(default_factory=dict)
-    ad_indexes: "list[tuple[str, str, str, ADValueIndex]]" = \
+    ``checks[level]`` lists, for every twig whose last attribute binds
+    at that level, the positions of the twig's (pre-order) attributes in
+    the global order and the twig's validator. ``validated_at`` names
+    that attribute per twig — None when the check is skipped because the
+    join already implies an embedding (see
+    :func:`repro.core.validation.join_implies_embedding`)."""
+
+    checks: "list[list[tuple[tuple[int, ...], StructureValidator]]]" = \
         field(default_factory=list)
+    validated_at: "dict[str, str | None]" = field(default_factory=dict)
 
 
 def _global_order(schemas: Sequence[Sequence[str]],
@@ -288,6 +286,18 @@ def _global_order(schemas: Sequence[Sequence[str]],
             f"attribute order {list(order)!r} must be a permutation of the "
             f"query attributes {sorted(all_attrs)!r}")
     return order
+
+
+def _input_trie(name: str, schema: Schema, rows: Iterable[tuple],
+                order: tuple[str, ...],
+                dictionaries: dict[str, Dictionary]) -> EncodedTrie:
+    """Encode one input's distinct *rows* into a trie whose levels
+    follow the global *order* restricted to the input's *schema*."""
+    trie_order = schema.restrict_order(order)
+    encoded = encode_rows(rows, schema.positions(trie_order),
+                          [dictionaries[a] for a in trie_order])
+    bounds = [len(dictionaries[a].values) - 1 for a in trie_order]
+    return EncodedTrie(name, trie_order, encoded, code_bounds=bounds)
 
 
 class EncodedInstance:
@@ -335,15 +345,9 @@ class EncodedInstance:
         for relation in relations:
             builder.add_relation(relation)
         dictionaries = builder.build()
-        tries = []
-        for relation in relations:
-            trie_order = relation.schema.restrict_order(resolved)
-            positions = relation.schema.positions(trie_order)
-            encoded = encode_rows(relation.rows, positions,
-                                  [dictionaries[a] for a in trie_order])
-            bounds = [len(dictionaries[a].values) - 1 for a in trie_order]
-            tries.append(EncodedTrie(relation.name, trie_order, encoded,
-                                     code_bounds=bounds))
+        tries = [_input_trie(relation.name, relation.schema, relation.rows,
+                             resolved, dictionaries)
+                 for relation in relations]
         return cls(name, resolved, dictionaries, tries, relations=relations)
 
     @classmethod
@@ -357,41 +361,49 @@ class EncodedInstance:
     @classmethod
     def from_query(cls, query: "MultiModelQuery",
                    order: Sequence[str], *,
-                   validate_structure: bool = True,
-                   ad_prefilter: bool = False,
-                   partial_validation: bool = False) -> "EncodedInstance":
-        """Encode a multi-model query: relations plus the twigs'
-        decomposed root-leaf path relations, all over shared dictionaries.
+                   validate_structure: bool = True) -> "EncodedInstance":
+        """Encode a multi-model query: relations, the twigs' decomposed
+        root-leaf path relations and their A-D pair inputs, all over
+        shared dictionaries, plus the per-level structure checks.
 
         ``order`` must already be resolved (see
         :func:`repro.core.planner.attribute_order`).
+        ``validate_structure=False`` encodes the paper's relaxed value
+        join instead: path relations only, no pair inputs, no checks.
         """
-        from repro.core.decomposition import iter_path_value_rows
+        from repro.core.decomposition import (
+            iter_pair_value_rows,
+            iter_path_value_rows,
+        )
         from repro.core.validation import (
-            ADValueIndex,
-            PartialStructureValidator,
             StructureValidator,
+            validation_points,
         )
 
         expansion = tuple(order)
         structural = {binding.name: query.structural_attributes(binding)
                       for binding in query.twigs}
 
-        # Gather each path relation's distinct value rows once (a
-        # transient set, not a Relation); both the dictionary builder
-        # and the trie build read them, so a single document walk pays
-        # for both.
-        path_inputs: list[tuple[str, tuple[str, ...], set[tuple]]] = []
+        # Gather each twig input's distinct value rows once (a transient
+        # set, not a Relation); both the dictionary builder and the trie
+        # build read them, so a single document walk pays for both.
+        twig_inputs: list[tuple[str, tuple[str, ...], set[tuple]]] = []
         for binding in query.twigs:
-            for path in query.decompositions[binding.name].paths:
+            decomposition = query.decompositions[binding.name]
+            by_identity = structural[binding.name]
+            for path in decomposition.paths:
                 rows = set(iter_path_value_rows(binding.document, path,
-                                                structural[binding.name]))
-                path_inputs.append((path.name, path.attributes, rows))
+                                                by_identity))
+                twig_inputs.append((path.name, path.attributes, rows))
+            for pair in decomposition.pairs if validate_structure else ():
+                rows = set(iter_pair_value_rows(binding.document, pair,
+                                                by_identity))
+                twig_inputs.append((pair.name, pair.attributes, rows))
 
         builder = DictionaryBuilder()
         for relation in query.relations:
             builder.add_relation(relation)
-        for _name, attributes, rows in path_inputs:
+        for _name, attributes, rows in twig_inputs:
             builder.add_rows(attributes, rows)
         dictionaries = builder.build()
         # Attributes no input binds cannot occur for a valid query, but
@@ -399,44 +411,26 @@ class EncodedInstance:
         for attribute in expansion:
             dictionaries.setdefault(attribute, Dictionary(attribute, ()))
 
-        tries: list[EncodedTrie] = []
-        for relation in query.relations:
-            trie_order = relation.schema.restrict_order(expansion)
-            positions = relation.schema.positions(trie_order)
-            encoded = encode_rows(relation.rows, positions,
-                                  [dictionaries[a] for a in trie_order])
-            bounds = [len(dictionaries[a].values) - 1 for a in trie_order]
-            tries.append(EncodedTrie(relation.name, trie_order, encoded,
-                                     code_bounds=bounds))
-        for path_name, attributes, rows in path_inputs:
-            trie_order = Schema(attributes).restrict_order(expansion)
-            positions = tuple(attributes.index(a) for a in trie_order)
-            encoded = encode_rows(rows, positions,
-                                  [dictionaries[a] for a in trie_order])
-            bounds = [len(dictionaries[a].values) - 1 for a in trie_order]
-            tries.append(EncodedTrie(path_name, trie_order, encoded,
-                                     code_bounds=bounds))
+        tries = [_input_trie(relation.name, relation.schema, relation.rows,
+                             expansion, dictionaries)
+                 for relation in query.relations]
+        tries += [_input_trie(name, Schema(attributes), rows, expansion,
+                              dictionaries)
+                  for name, attributes, rows in twig_inputs]
 
-        filters = TwigFilters(
-            twig_attrs={binding.name: set(binding.twig.attributes)
-                        for binding in query.twigs})
+        filters = TwigFilters(checks=[[] for _ in expansion])
         if validate_structure:
-            filters.validators = {
-                binding.name: StructureValidator(binding.document,
-                                                 binding.twig)
-                for binding in query.twigs}
-        if partial_validation:
-            filters.partial_validators = {
-                binding.name: PartialStructureValidator(binding.document,
-                                                        binding.twig)
-                for binding in query.twigs}
-        if ad_prefilter:
+            filters.validated_at = validation_points(query, expansion)
             for binding in query.twigs:
-                for upper, lower in binding.twig.ad_edges():
-                    filters.ad_indexes.append(
-                        (binding.name, upper.name, lower.name,
-                         ADValueIndex(binding, upper.name, lower.name,
-                                      structural[binding.name])))
+                attribute = filters.validated_at[binding.name]
+                if attribute is None:
+                    continue
+                names = binding.twig.attributes
+                validator = StructureValidator(
+                    binding.document, binding.twig,
+                    [dictionaries[a].values for a in names])
+                filters.checks[expansion.index(attribute)].append(
+                    (tuple(expansion.index(a) for a in names), validator))
 
         return cls(query.name, expansion, dictionaries, tries,
                    relations=query.relations, query=query,

@@ -15,7 +15,10 @@ Order policies, preserved from the pre-engine planner as named strategies:
 * ``domain`` — globally sort by estimated candidate-domain size.
 * ``connected`` — greedy: start from the attribute with the smallest
   candidate domain, then repeatedly pick an attribute sharing a hyperedge
-  with the bound set, avoiding accidental cartesian expansions.
+  with the bound set, avoiding accidental cartesian expansions. The
+  hypergraph it walks includes the twigs' A-D pair inputs (the inputs
+  XJoin actually joins), so a cut ``u//l`` edge still connects ``u`` and
+  ``l``; the paper's size bound stays over the P-C paths alone.
 
 Further policies register themselves through
 :func:`register_order_policy` — the adaptive layer
@@ -232,8 +235,9 @@ def domain_order(query: "MultiModelQuery") -> tuple[str, ...]:
 
 
 def connected_order(query: "MultiModelQuery") -> tuple[str, ...]:
-    """Greedy connected order over the query hypergraph."""
-    graph = query.hypergraph(with_cardinalities=False)
+    """Greedy connected order over the joined hypergraph (relations,
+    path relations and A-D pair inputs)."""
+    graph = query.hypergraph(with_cardinalities=False, ad_pairs=True)
     estimates = statistics_for(query).domain_estimates()
     remaining = set(query.attributes)
     order: list[str] = []
@@ -326,6 +330,12 @@ class QueryPlan:
     twig_algorithms: tuple[tuple[str, str], ...] = ()
     #: (path relation name, estimated cardinality) per decomposed path.
     path_cardinalities: tuple[tuple[str, int], ...] = ()
+    #: (twig name, attribute whose level validates the twig's structure)
+    #: per twig input; None = skipped, the join implies an embedding.
+    #: Informational (``repro explain`` prints it): execution follows
+    #: the encoder, which derives the decision anew from the same
+    #: :func:`repro.core.validation.validation_points`.
+    validation: tuple[tuple[str, str | None], ...] = ()
     #: Morsel count for partition-parallel execution (1 = serial).
     partitions: int = 1
     #: The attribute whose domain the partitions slice (None = serial).
@@ -512,11 +522,17 @@ def plan_query(query: "MultiModelQuery", *,
     path_cardinalities = tuple(
         sorted(statistics_for(query).path_cardinality_estimates().items())
     ) if query.twigs else ()
+    validation: tuple[tuple[str, str | None], ...] = ()
+    if query.twigs and algorithm == "xjoin":
+        from repro.core.validation import validation_points
+
+        validation = tuple(validation_points(query, resolved).items())
     partitions, partition_axis = choose_partitions(
         query, resolved, workers or 1, morsel_factor=morsel_factor)
     return QueryPlan(order=resolved, algorithm=algorithm, policy=policy,
                      twig_algorithms=tuple(twig_algorithms),
                      path_cardinalities=path_cardinalities,
+                     validation=validation,
                      partitions=partitions, partition_axis=partition_axis)
 
 

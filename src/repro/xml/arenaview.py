@@ -330,6 +330,7 @@ def view_from_arena(arena: Any) -> "ColumnarDocument":
     view.pids_by_last_tag = meta["pids_by_last_tag"]
     view.nodes = ArenaNodes(view)
     view.nid_index = LazyNidIndex(view.starts)
+    view.derived = {}
     return view
 
 

@@ -120,7 +120,7 @@ class ColumnarDocument:
                  "parents", "tag_ids", "values", "deweys", "path_ids",
                  "tags", "tag_index", "paths", "path_table", "tag_nids",
                  "tag_starts", "tag_ends", "nids_by_path",
-                 "pids_by_last_tag", "nid_index")
+                 "pids_by_last_tag", "nid_index", "derived")
 
     def __init__(self, document: XMLDocument):
         root = document.root
@@ -209,6 +209,11 @@ class ColumnarDocument:
         #: start label -> node id (starts identify nodes uniquely).
         self.nid_index: dict[int, int] = {
             start: nid for nid, start in enumerate(starts)}
+        #: Indexes derived from the arrays above and memoised per view
+        #: (see :meth:`value_index`). They share the view's lifetime:
+        #: evicted with it, and dropped by :func:`install_columnar`
+        #: whenever the update layer installs the view after a splice.
+        self.derived: dict = {}
 
     @classmethod
     def from_arena(cls, arena) -> "ColumnarDocument":
@@ -261,6 +266,24 @@ class ColumnarDocument:
             starts = pack([starts[i] for i in keep])
             ends = pack([ends[i] for i in keep])
         return TagPosting(nids, starts, ends, label=query_node.name)
+
+    def value_index(self, tag: str) -> "dict[Value | None, list[int]]":
+        """``typed value -> node ids`` (ascending, i.e. document order)
+        of one tag's posting, built once per view.
+
+        XJoin's structure validator finds the nodes carrying a join
+        value here, and its static skip test reads off whether a tag's
+        values identify its nodes (every list a singleton).
+        """
+        key = ("value_index", tag)
+        index = self.derived.get(key)
+        if index is None:
+            index = {}
+            values = self.values
+            for nid in self.postings(tag)[0]:
+                index.setdefault(values[nid], []).append(nid)
+            self.derived[key] = index
+        return index
 
     def ancestry(self, nid: int) -> list[int]:
         """Node ids from the root down to (and including) *nid*."""
@@ -408,8 +431,10 @@ def install_columnar(document: XMLDocument,
     The update layer (:mod:`repro.updates.documents`) patches the view in
     place, bumps the document version, and installs the result here so
     every twig algorithm and XJoin's path gathering read the refreshed
-    arrays without a rebuild.
+    arrays without a rebuild. Indexes derived from the pre-edit arrays
+    (:attr:`ColumnarDocument.derived`) are dropped here.
     """
+    view.derived = {}
     return _install(document, _COLUMNAR_CACHE, _COLUMNAR_LATEST, view)
 
 

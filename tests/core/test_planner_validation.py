@@ -9,10 +9,14 @@ from repro.core.planner import (
     connected_order,
     domain_order,
 )
-from repro.core.validation import PartialStructureValidator, StructureValidator
+from repro.core.surrogate import NodeSurrogate
+from repro.core.validation import (
+    StructureValidator,
+    join_implies_embedding,
+    validation_points,
+)
 from repro.data.synthetic import example34_instance
 from repro.errors import PlanError
-from repro.instrumentation import JoinStats
 from repro.relational.relation import Relation
 from repro.xml.model import XMLDocument, element
 from repro.xml.twig_parser import parse_twig
@@ -82,60 +86,134 @@ def branch_document():
 
 
 class TestStructureValidator:
+    """Values are aligned with the twig's pre-order attributes."""
+
     def test_accepts_real_embedding(self):
         doc = branch_document()
         twig = parse_twig("a(//b)")
         validator = StructureValidator(doc, twig)
-        assert validator.validate({"a": 1, "b": 10})
+        assert validator.embeds((1, 10))
 
     def test_rejects_value_mix(self):
         doc = branch_document()
         twig = parse_twig("a(//b)")
         validator = StructureValidator(doc, twig)
-        assert not validator.validate({"a": 2, "b": 10})
+        assert not validator.embeds((2, 10))
+        assert not validator.embeds((1, 99))
 
     def test_pc_vs_ad_distinction(self):
         doc = branch_document()
         pc_twig = parse_twig("r(/b)")
         validator = StructureValidator(doc, pc_twig)
-        assert not validator.validate({"r": None, "b": 10})
+        assert not validator.embeds((None, 10))
         ad_twig = parse_twig("r(//b)")
         validator = StructureValidator(doc, ad_twig)
-        assert validator.validate({"r": None, "b": 10})
+        assert validator.embeds((None, 10))
 
-    def test_memoisation(self):
+    def test_surrogate_binds_one_node(self):
         doc = branch_document()
+        a1, a2 = doc.nodes("a")
         validator = StructureValidator(doc, parse_twig("a(//b)"))
-        validator.validate({"a": 1, "b": 10})
-        validator.validate({"a": 1, "b": 10})
-        assert validator.cache_size == 1
+        assert validator.embeds((NodeSurrogate(a1.start), 10))
+        assert not validator.embeds((NodeSurrogate(a2.start), 10))
+        # A surrogate of a node with another tag is no image at all.
+        b = doc.nodes("b")[0]
+        assert not validator.embeds((NodeSurrogate(b.start), 10))
 
-    def test_filter_counted_in_stats(self):
+    def test_branches_must_share_their_node(self):
+        root = element("r")
+        root.append(element("a", element("b", text="1"), text="7"))
+        root.append(element("a", element("c", text="2"), text="7"))
+        doc = XMLDocument(root)
+        validator = StructureValidator(doc, parse_twig("a(/b, /c)"))
+        assert not validator.embeds((7, 1, 2))
+        root.append(element("a", element("b", text="1"),
+                            element("c", text="2"), text="7"))
+        doc = XMLDocument(root)
+        validator = StructureValidator(doc, parse_twig("a(/b, /c)"))
+        assert validator.embeds((7, 1, 2))
+
+    def test_value_predicate_is_enforced(self):
+        from repro.xml.twig import TwigNode, TwigQuery
+
         doc = branch_document()
-        validator = StructureValidator(doc, parse_twig("a(//b)"))
-        stats = JoinStats()
-        validator.validate({"a": 2, "b": 10}, stats=stats)
-        assert stats.filtered == 1
+        a = TwigNode("a", tag="a")
+        a.descendant("b", tag="b", predicate=lambda v: v > 10)
+        validator = StructureValidator(doc, TwigQuery(a))
+        assert not validator.embeds((1, 10))
 
-
-class TestPartialStructureValidator:
-    def test_partial_subset_sound(self):
+    def test_admits_decodes_and_memoises_on_codes(self):
         doc = branch_document()
-        twig = parse_twig("a(//b)")
-        validator = PartialStructureValidator(doc, twig)
-        # binding only 'a': both a-values embed (a=1 has b below; a=2 has
-        # no b at all so the full twig cannot embed).
-        assert validator.validate_subset({"a": 1})
-        assert not validator.validate_subset({"a": 2})
+        validator = StructureValidator(doc, parse_twig("a(//b)"),
+                                       tables=[(1, 2), (10,)])
+        assert validator.admits((0, 0))
+        assert validator.admits((0, 0))
+        assert not validator.admits((1, 0))
+        assert validator.cache_size == 2
 
-    def test_empty_subset_checks_satisfiability(self):
-        doc = branch_document()
-        validator = PartialStructureValidator(doc, parse_twig("a(//zz)"))
-        assert not validator.validate_subset({})
+    def test_index_hangs_off_the_view(self):
+        from repro.xml.columnar import columnar
 
-    def test_caches_by_bound_set_and_values(self):
         doc = branch_document()
-        validator = PartialStructureValidator(doc, parse_twig("a(//b)"))
-        assert validator.validate_subset({"b": 10})
-        assert validator.validate_subset({"b": 10})
-        assert not validator.validate_subset({"b": 99})
+        StructureValidator(doc, parse_twig("a(//b)"))
+        view = columnar(doc)
+        index = view.derived[("value_index", "a")]
+        StructureValidator(doc, parse_twig("a(//b)"))
+        assert view.derived[("value_index", "a")] is index
+
+
+class TestStaticSkip:
+    def decision(self, doc, pattern, relations=()):
+        query = MultiModelQuery(list(relations),
+                                [TwigBinding(parse_twig(pattern), doc)])
+        binding = query.twigs[0]
+        return join_implies_embedding(
+            doc, query.decompositions[binding.name],
+            query.structural_attributes(binding))
+
+    def test_surrogate_bound_branching_node_skips(self):
+        root = element("r")
+        for i in range(3):
+            root.append(element("line", element("isbn", text="x"),
+                                element("price", text=str(i % 2))))
+        assert self.decision(XMLDocument(root), "line(/isbn, /price)")
+
+    def test_value_bound_branching_node_with_duplicates_validates(self):
+        root = element("r")
+        root.append(element("a", element("b", text="1"), text="7"))
+        root.append(element("a", element("c", text="2"), text="7"))
+        assert not self.decision(XMLDocument(root), "a(/b, /c)")
+
+    def test_value_bound_branching_node_with_unique_values_skips(self):
+        root = element("r")
+        root.append(element("a", element("b", text="1"), text="7"))
+        root.append(element("a", element("c", text="2"), text="8"))
+        assert self.decision(XMLDocument(root), "a(/b, /c)")
+
+    def test_joined_valueless_node_is_not_identity_bound(self):
+        """Joined with a relation, ``line`` is no longer structural: its
+        None values conflate the nodes again."""
+        root = element("r")
+        for i in range(2):
+            root.append(element("line", element("isbn", text="x"),
+                                element("price", text=str(i))))
+        relation = Relation("R", ("line",), [(None,)])
+        assert not self.decision(XMLDocument(root), "line(/isbn, /price)",
+                                 [relation])
+
+    def test_chain_and_single_ad_edge_skip(self):
+        doc = branch_document()
+        assert self.decision(doc, "r(/a(/b))")
+        assert self.decision(doc, "a(//b)")
+
+    def test_validation_points(self):
+        root = element("r")
+        root.append(element("a", element("b", text="1"), text="7"))
+        root.append(element("a", element("c", text="2"), text="7"))
+        doc = XMLDocument(root)
+        query = MultiModelQuery(
+            [], [TwigBinding(parse_twig("a(/b, /c)", name="T"), doc)])
+        assert validation_points(query, ("c", "a", "b")) == {"T": "b"}
+        query = MultiModelQuery(
+            [], [TwigBinding(parse_twig("a(/b)", name="T"), doc)])
+        assert validation_points(query, ("a", "b")) == {"T": None}

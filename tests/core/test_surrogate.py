@@ -1,6 +1,7 @@
 """Tests for node surrogates (identity bindings for valueless nodes)."""
 
 import pytest
+from pushdown_harness import relaxed_then_naive
 
 from repro.core.baseline import baseline_join
 from repro.core.multimodel import MultiModelQuery, TwigBinding
@@ -126,7 +127,7 @@ class TestSurrogateSemantics:
         assert xjoin(query) == naive
         assert baseline_join(query) == naive
 
-    def test_modes_work_with_surrogates(self):
+    def test_pushdown_works_with_surrogates(self):
         root = XMLNode("r")
         for i in range(4):
             box = root.add("box")
@@ -137,5 +138,9 @@ class TestSurrogateSemantics:
         query = MultiModelQuery([], [TwigBinding(twig, doc)])
         reference = xjoin(query)
         assert len(reference) == 4
-        assert xjoin(query, ad_prefilter=True) == reference
-        assert xjoin(query, partial_validation=True) == reference
+        assert relaxed_then_naive(query) == reference
+        # box//v is one pair input over surrogate-bound boxes: the join
+        # itself pairs each box with its own v, nothing is left to filter.
+        stats = JoinStats()
+        assert xjoin(query, stats=stats) == reference
+        assert stats.max_intermediate == 4 and stats.filtered == 0

@@ -12,6 +12,7 @@ Checked here:
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from pushdown_harness import relaxed_then_naive
 
 from repro.core.baseline import baseline_join, relational_subquery, twig_subquery
 from repro.core.multimodel import MultiModelQuery, TwigBinding
@@ -118,20 +119,24 @@ class TestXJoinModes:
         with pytest.raises(PlanError):
             xjoin(instance.query, "no_such_policy")
 
-    def test_ad_prefilter_same_result(self):
+    def test_pushdown_equals_filtered_relaxed_join(self):
+        """The default path (pair inputs + early validation) against the
+        relaxed join post-filtered by the naive matcher."""
         instance = self.make_instance()
-        assert xjoin(instance.query, ad_prefilter=True) == \
-            xjoin(instance.query)
+        assert xjoin(instance.query) == relaxed_then_naive(instance.query)
 
-    def test_partial_validation_same_result(self):
+    def test_pushdown_equals_filtered_relaxed_join_any_policy(self):
         instance = self.make_instance()
-        assert xjoin(instance.query, partial_validation=True) == \
-            xjoin(instance.query)
+        reference = relaxed_then_naive(instance.query)
+        for policy in ("appearance", "domain", "connected"):
+            assert xjoin(instance.query, policy) == reference
 
-    def test_all_modes_together(self):
+    def test_removed_mode_keywords_are_gone(self):
         instance = self.make_instance()
-        assert xjoin(instance.query, "connected", ad_prefilter=True,
-                     partial_validation=True) == xjoin(instance.query)
+        with pytest.raises(TypeError):
+            xjoin(instance.query, ad_prefilter=True)
+        with pytest.raises(TypeError):
+            xjoin(instance.query, partial_validation=True)
 
     def test_skipping_validation_relaxes(self):
         """Without the final structure filter the result is a superset."""
@@ -254,11 +259,12 @@ def test_xjoin_baseline_naive_agree_on_random_instances(seed):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000))
-def test_xjoin_modes_agree_on_random_instances(seed):
+def test_pushdown_equals_filtered_relaxed_join_on_random_instances(seed):
     query = random_multimodel_instance(seed)
-    reference = xjoin(query)
-    assert xjoin(query, "domain", ad_prefilter=True) == reference
-    assert xjoin(query, "connected", partial_validation=True) == reference
+    reference = relaxed_then_naive(query)
+    assert xjoin(query) == reference
+    assert xjoin(query, "domain") == reference
+    assert xjoin(query, "connected") == reference
 
 
 @settings(max_examples=40, deadline=None)

@@ -10,6 +10,7 @@ import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from pushdown_harness import relaxed_then_naive
 
 from repro.core.multimodel import MultiModelQuery, TwigBinding
 from repro.core.xjoin import xjoin
@@ -30,7 +31,8 @@ def test_twig_only_xjoin_equals_naive(doc_seed, twig_seed):
     query = MultiModelQuery([], [TwigBinding(twig, doc)])
     expected = match_relation(doc, twig).project(query.attributes)
     assert xjoin(query) == expected
-    assert xjoin(query, "connected", ad_prefilter=True) == expected
+    assert xjoin(query, "connected") == expected
+    assert relaxed_then_naive(query) == expected
 
 
 @settings(max_examples=40, deadline=None)

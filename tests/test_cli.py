@@ -67,6 +67,17 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "xjoin" in out
         assert "twig:" in out
+        assert "invoices[orderLine/ISBN]" in out and "P-C path" in out
+        assert "validation: invoices skipped (implied by join)" in out
+
+    def test_explain_lists_ad_pair_inputs(self, capsys):
+        assert main(["explain", "xmark-stream:1"]) == 0
+        out = capsys.readouterr().out
+        pair_line = next(line for line in out.splitlines()
+                         if "X[p//i]" in line)
+        assert "A-D pair" in pair_line
+        assert int(pair_line.split()[-1]) > 0
+        assert "validation: X" in out
 
     def test_explain_unknown_corpus_exits_two(self, capsys):
         assert main(["explain", "nope"]) == 2
