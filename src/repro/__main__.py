@@ -570,9 +570,17 @@ def cmd_explain(spec: str = "skewed", workers: int = 0) -> int:
         return 2
     planner = AdaptivePlanner(store=FeedbackStore())
     plan = planner.plan(query, workers=workers)
+    racer = planner.racer
     print(f"plan for {spec!r}:")
     print(f"  order:      {' -> '.join(plan.order)}  "
           f"(policy {plan.policy!r})")
+    print("  planning:   " + (
+        f"raced ({racer.encodes} encodes, {racer.race_ms:.1f} ms)"
+        if racer.races else "not raced (one candidate)")
+        + f" at epoch {planner.epoch}")
+    print("  generations: " + ", ".join(
+        f"{name}={generation}" for name, generation
+        in planner.store.generations(query).items()))
     print(f"  operator:   {plan.algorithm}")
     for binding_name, matcher in plan.twig_algorithms:
         print(f"  twig:       {binding_name} via {matcher}")
@@ -597,13 +605,18 @@ def cmd_explain(spec: str = "skewed", workers: int = 0) -> int:
         print(f"    {attribute:<12} est {estimate_text:>10}   "
               f"observed {seen_text:>10}")
     print(f"  result: {len(result)} rows")
+    races = racer.races
     replanned = planner.plan(query, workers=workers)
+    # Inherited unless the observation moved the corrections materially
+    # (or, under updates, an input's generation advanced).
+    how = "re-raced" if racer.races > races else "converged, inherited"
     if (replanned.order, replanned.algorithm) != \
             (plan.order, plan.algorithm):
         print(f"  after observation: planner switches to "
-              f"{' -> '.join(replanned.order)} ({replanned.algorithm})")
+              f"{' -> '.join(replanned.order)} ({replanned.algorithm}, "
+              f"{how})")
     else:
-        print("  after observation: plan unchanged (converged)")
+        print(f"  after observation: plan unchanged ({how})")
     return 0
 
 

@@ -14,8 +14,10 @@ subsequent query to a bad plan):
    **version-keyed**: every factor is recorded against the version
    stamps of the query's inputs, and a factor whose input has moved on
    is never consumed. :class:`~repro.updates.session.QuerySession`
-   refreshes the stamps as its maintained statistics refresh (small
-   deltas *inherit* corrections; churn bursts *invalidate* them).
+   reports every delta to the store's per-input *drift ledger*: deltas
+   *inherit* corrections until they add up to a churn fraction of the
+   input (or a document edit forces a rebuild), which advances the
+   input's *generation* and *invalidates* them.
 
 2. **Bound-driven ordering** (:func:`bound_order` / the ``bound``
    policy, plus the correction-aware ``corrected`` policy). A UES/AGM
@@ -31,12 +33,14 @@ subsequent query to a bad plan):
    domain (a :func:`~repro.parallel.slicing.sliced_instance` over the
    first codes of each candidate's own level-0 axis); each round the
    slower half is killed and the survivors re-race on a sample
-   ``growth`` times larger. The winner is cached per query signature
-   and only re-raced when the feedback epoch moves — i.e. when the
-   corrections changed materially — so a converged workload plans in
-   O(1). The service feeds winners into its shared
-   :class:`~repro.service.cache.PlanCache` (keyed by the same epoch)
-   so ``repro serve`` tenants benefit without re-racing.
+   ``growth`` times larger, every round reusing the one
+   :class:`~repro.engine.encoded.EncodedInstance` built per distinct
+   order. The winner is cached per query signature and only re-raced
+   when the feedback epoch moves — corrections changed materially, or
+   an input's generation advanced — so a converged workload plans in
+   O(1), update batches included. The service feeds winners into its
+   shared :class:`~repro.service.cache.PlanCache` (keyed by the same
+   epoch) so ``repro serve`` tenants benefit without re-racing.
 
 Corrections influence *plan choice only*; every ordering policy and
 every raced plan returns byte-identical rows (the parity suites assert
@@ -225,8 +229,10 @@ FACTOR_CLAMP = 64.0
 
 #: An EWMA move below this log-scale distance is immaterial: it neither
 #: bumps the epoch nor triggers a re-race, which is what lets a
-#: converged workload stop paying planning costs.
-EPOCH_TOLERANCE = 0.25
+#: converged workload stop paying planning costs. It sits above
+#: log 1.5: one duplicate key arriving or leaving doubles or halves a
+#: maximum frequency, hence a raw bound, and moves the EWMA by that.
+EPOCH_TOLERANCE = 0.5
 
 
 @dataclass
@@ -261,6 +267,16 @@ class Correction:
         return move
 
 
+@dataclass
+class Drift:
+    """One input's accumulated delta since its generation began."""
+
+    generation: int = 0
+    #: The input's size when the generation began (0 = not yet noted).
+    base: int = 0
+    moved: int = 0
+
+
 class FeedbackStore:
     """Version-keyed cardinality corrections learned from executed plans.
 
@@ -269,8 +285,8 @@ class FeedbackStore:
     observed against superseded data is *never* consumed (it returns
     the neutral factor 1.0 until re-learned or explicitly inherited by
     the update layer). :attr:`epoch` advances only on material changes
-    — first observations, large EWMA moves, invalidations — and is the
-    coupling point for the plan racer and the service plan cache.
+    — first observations, large EWMA moves, generation advances — and
+    is the coupling point for the plan racer and the service plan cache.
     """
 
     def __init__(self, *, smoothing: float = 0.5,
@@ -280,16 +296,18 @@ class FeedbackStore:
         self.epoch_tolerance = epoch_tolerance
         #: How inputs are version-stamped. The default is physical
         #: identity (:func:`input_versions`); the service substitutes a
-        #: logical stamp (the applied-batch count) because its snapshot
+        #: logical stamp (:meth:`generations`) because its snapshot
         #: queries run over detached per-snapshot clones whose object
-        #: identities never recur, while equal batch counts *are* equal
-        #: logical states.
+        #: identities never recur, while states of one generation are
+        #: statistically the same input.
         self._stamp_fn = stamp_fn if stamp_fn is not None \
             else input_versions
         #: (scope, input, attribute, prefix-or-None) -> Correction.
         self._corrections: dict[tuple, Correction] = {}
         #: scope -> input name -> version stamp at observation time.
         self._versions: dict[tuple, dict[str, tuple]] = {}
+        #: (scope, input) -> the input's drift ledger.
+        self._drift: dict[tuple, Drift] = {}
         self.epoch = 0
         self.observations = 0
 
@@ -325,7 +343,10 @@ class FeedbackStore:
                                             estimate.attribute, prefix)
                     self._corrections[key] = correction
                 move = correction.fold(sample, smoothing=self.smoothing)
-                if move > self.epoch_tolerance:
+                # Only the executed prefix's own factor can be news: the
+                # marginal blends every order run so far, so it trails
+                # for many samples whenever the winner changes.
+                if prefix is not None and move > self.epoch_tolerance:
                     material = True
             folded += 1
         self._versions[scope] = self._stamp_fn(query)
@@ -372,50 +393,50 @@ class FeedbackStore:
     # -- update-layer hooks ------------------------------------------------
 
     def note_input_update(self, query: "MultiModelQuery", input_name: str,
-                          *, churn: bool) -> None:
+                          *, moved: int = 0, size: int = 0,
+                          fraction: float = 0.25,
+                          churn: bool = False) -> None:
         """One input of *query* changed: inherit or invalidate.
 
-        A small delta *inherits* — the maintained statistics were
-        patched, not rebuilt, so the learned factors still describe the
-        data and only the version stamp advances. A churn burst
-        *invalidates*: every correction attributed to the input is
-        dropped and the epoch bumps (forcing a re-race)."""
+        *moved* rows (of an input holding *size* before them) join the
+        input's drift ledger. While the deltas since the generation
+        began stay within *fraction* of the size the input had then,
+        the update *inherits* — the maintained statistics were patched,
+        not rebuilt, so the learned factors still describe the data and
+        only the version stamp advances. Crossing it — or *churn*, a
+        document edit that forced a rebuild — *invalidates*: the
+        generation advances, every correction attributed to the input
+        is dropped and the epoch bumps (forcing a re-race)."""
         scope = query_signature(query)
-        if churn:
-            stale = [key for key in self._corrections
-                     if key[0] == scope and key[1] == input_name]
-            for key in stale:
+        drift = self._drift.setdefault((scope, input_name), Drift())
+        drift.base = drift.base or max(1, size)
+        drift.moved += moved
+        recorded = self._versions.get(scope)
+        if churn or drift.moved > fraction * drift.base:
+            self._drift[scope, input_name] = Drift(drift.generation + 1)
+            for key in [key for key in self._corrections
+                        if key[0] == scope and key[1] == input_name]:
                 del self._corrections[key]
-            recorded = self._versions.get(scope)
             if recorded is not None:
                 recorded.pop(input_name, None)
-            if stale or recorded is not None:
-                self.epoch += 1
-            return
-        recorded = self._versions.get(scope)
-        if recorded is not None and input_name in recorded:
+            self.epoch += 1
+        elif recorded is not None and input_name in recorded:
             recorded[input_name] = \
                 self._stamp_fn(query).get(input_name)
 
-    def invalidate(self, query: "MultiModelQuery | None" = None) -> None:
-        """Drop every correction (of *query*'s scope, or all of them)."""
-        if query is None:
-            if self._corrections or self._versions:
-                self.epoch += 1
-            self._corrections.clear()
-            self._versions.clear()
-            return
+    def generations(self, query: "MultiModelQuery") -> dict[str, int]:
+        """Per-input generation of *query*: how many times each input
+        drifted past its churn fraction (the service's version stamp)."""
         scope = query_signature(query)
-        stale = [key for key in self._corrections if key[0] == scope]
-        for key in stale:
-            del self._corrections[key]
-        if self._versions.pop(scope, None) is not None or stale:
-            self.epoch += 1
+        names = [relation.name for relation in query.relations] \
+            + [binding.name for binding in query.twigs]
+        fresh = Drift()
+        return {name: self._drift.get((scope, name), fresh).generation
+                for name in names}
 
     def bump_epoch(self) -> int:
-        """Advance the epoch without touching corrections (the service
-        calls this per applied update batch, keying stale cached plans
-        out of its :class:`~repro.service.cache.PlanCache`)."""
+        """Advance the epoch without touching corrections: forces a
+        re-race by hand (the end-to-end harness does, per batch)."""
         self.epoch += 1
         return self.epoch
 
@@ -552,6 +573,11 @@ HYSTERESIS = 1.25
 #: every candidate finishes in under half a millisecond has none.
 MIN_SIGNAL_MS = 0.5
 
+#: A candidate projected this many times slower than the best of its
+#: round, on sample time above the noise floor, has lost the round by
+#: more than any later code could win back: it stops sampling.
+HOPELESS = 16.0
+
 
 @dataclass(frozen=True)
 class RaceContender:
@@ -570,6 +596,8 @@ class RaceReport:
     contenders: tuple[RaceContender, ...] = ()
     rounds: int = 0
     raced: bool = False
+    #: Encoded instances built: one per distinct contender order.
+    encodes: int = 0
 
 
 class PlanRacer:
@@ -581,7 +609,8 @@ class PlanRacer:
     :func:`~repro.parallel.slicing.sliced_instance` covering the first
     ``sample_codes`` codes of each candidate's own level-0 axis.
     Successive halving kills the slower half each round and grows the
-    sample by ``growth``; the survivor is cached per query signature
+    sample by ``growth``; every round slices the one instance encoded
+    per distinct order. The survivor is cached per query signature
     until the feedback epoch moves.
     """
 
@@ -595,6 +624,9 @@ class PlanRacer:
         #: scope -> (epoch at race time, winning plan).
         self._winners: dict[tuple, tuple[int, QueryPlan]] = {}
         self.races = 0
+        #: Totals over every race: wall time, instances encoded.
+        self.race_ms = 0.0
+        self.encodes = 0
 
     # -- candidate generation ----------------------------------------------
 
@@ -605,7 +637,10 @@ class PlanRacer:
         seen: set[tuple] = set()
         ranked: list[tuple[float, str, QueryPlan]] = []
         for policy in RACE_POLICIES:
-            order = attribute_order(query, policy)
+            # ``corrected`` reads this racer's store; the registered
+            # policy only knows the process-wide default one.
+            order = _bound_driven_order(query, self.store) \
+                if policy == "corrected" else attribute_order(query, policy)
             estimates = estimated_stage_sizes(query, order, self.store)
             worst = max((e.cumulative for e in estimates), default=0.0)
             for operator in operators:
@@ -628,35 +663,50 @@ class PlanRacer:
 
     # -- the race ----------------------------------------------------------
 
-    def _sample_ms(self, query: "MultiModelQuery", plan: QueryPlan,
-                   sample_codes: int) -> float:
-        """Projected full-run milliseconds from a level-0 code sample.
+    def _sample(self, instances: "dict[tuple, EncodedInstance]",
+                alive: "list[QueryPlan]", sample_codes: int) -> list[float]:
+        """Projected full-run milliseconds of each *alive* plan.
 
-        The sample runs the kernel over a
-        :func:`~repro.parallel.slicing.sliced_instance` covering the
-        first ``sample_codes`` codes of the candidate's own level-0
-        axis, then extrapolates linearly to the axis' full code domain.
-        The normalisation matters: candidates root different
-        attributes, so without it a plan with a huge level-0 domain
-        races a tiny fraction of its work against another plan's full
-        run and looks spuriously fast.
+        A plan's kernel runs over :func:`~repro.parallel.slicing.
+        sliced_instance` views (shallow, of the one instance encoded in
+        its order) of the first ``sample_codes`` codes of its own
+        level-0 axis, and its time is extrapolated linearly to the
+        axis' full code domain. The normalisation matters: candidates
+        root different attributes, so without it a plan with a huge
+        level-0 domain races a tiny fraction of its work against
+        another plan's full run and looks spuriously fast.
+
+        The codes are covered in slices growing by ``growth``, all
+        plans in step, and a plan whose projection is :data:`HOPELESS`
+        stops there: kernels cannot be interrupted, so this is what
+        bounds the price of racing a catastrophic order.
         """
         from repro.parallel.slicing import sliced_instance
 
-        instance = EncodedInstance.from_query(query, plan.order)
-        axis = plan.order[0] if plan.order else None
-        dictionary = instance.dictionaries.get(axis) \
-            if axis is not None else None
-        domain = len(dictionary.values) if dictionary is not None else 0
-        sample = sliced_instance(instance, 0, sample_codes)
-        start = time.perf_counter()
-        get_algorithm(plan.algorithm).run(sample)
-        elapsed = (time.perf_counter() - start) * 1e3
-        covered = min(sample_codes, domain)
-        if domain and covered:
-            elapsed *= domain / covered
-        return elapsed
-
+        domains = [len(instances[plan.order].dictionaries[plan.order[0]]
+                       .values) if plan.order else 0 for plan in alive]
+        spent = [0.0] * len(alive)
+        projected = list(spent)
+        running = list(range(len(alive)))
+        lo, width = 0, 1
+        while running and lo < sample_codes:
+            hi = min(lo + width, sample_codes)
+            for index in running:
+                plan = alive[index]
+                view = sliced_instance(instances[plan.order], lo, hi)
+                start = time.perf_counter()
+                get_algorithm(plan.algorithm).run(view)
+                spent[index] += (time.perf_counter() - start) * 1e3
+                covered = min(hi, domains[index])
+                projected[index] = spent[index] * (
+                    domains[index] / covered if covered else 1.0)
+            best = min(projected[index] for index in running)
+            running = [index for index in running
+                       if hi < domains[index] and not (
+                           spent[index] > MIN_SIGNAL_MS
+                           and projected[index] > HOPELESS * best)]
+            lo, width = hi, width * self.growth
+        return projected
 
     def race(self, query: "MultiModelQuery") -> RaceReport:
         """The winning plan for *query* (cached while the epoch holds).
@@ -673,6 +723,7 @@ class PlanRacer:
         if cached is not None and cached[0] == self.store.epoch:
             return RaceReport(winner=cached[1])
         incumbent = cached[1] if cached is not None else None
+        started = time.perf_counter()
         contenders = self.candidates(query)
         if incumbent is not None and \
                 (incumbent.order, incumbent.algorithm) not in {
@@ -689,6 +740,8 @@ class PlanRacer:
                 (other.order, other.algorithm)
 
         self.races += 1
+        instances = {order: EncodedInstance.from_query(query, order)
+                     for order in {plan.order for plan in contenders}}
         sample = self.sample_codes
         alive = list(contenders)
         report: dict[tuple, RaceContender] = {}
@@ -696,8 +749,8 @@ class PlanRacer:
         winner: "QueryPlan | None" = None
         while winner is None:
             rounds += 1
-            timed = [(self._sample_ms(query, plan, sample), index, plan)
-                     for index, plan in enumerate(alive)]
+            timed = [(ms, index, alive[index]) for index, ms in
+                     enumerate(self._sample(instances, alive, sample))]
             timed.sort(key=lambda item: item[:2])
             if timed[-1][0] < MIN_SIGNAL_MS:
                 # All candidates under the noise floor: keep whoever
@@ -731,9 +784,17 @@ class PlanRacer:
             alive = survivors
             sample *= self.growth
         self._winners[scope] = (self.store.epoch, winner)
+        self.encodes += len(instances)
+        self.race_ms += (time.perf_counter() - started) * 1e3
         return RaceReport(winner=winner,
                           contenders=tuple(report.values()),
-                          rounds=rounds, raced=True)
+                          rounds=rounds, raced=True,
+                          encodes=len(instances))
+
+    def stats(self) -> dict[str, float]:
+        """Counters for the service ``stats`` endpoint."""
+        return {"races": self.races, "race_ms": round(self.race_ms, 3),
+                "encodes": self.encodes}
 
 
 # ---------------------------------------------------------------------------

@@ -72,21 +72,24 @@ class ReproService:
         else:
             self.corpus_spec = corpus.name
             query = corpus
-        #: The corpus's current state (and the write path's oracle).
-        self.master = QuerySession(query)
-        self.sessions = SessionManager(quota)
-        self.plan_cache = plan_cache or PlanCache()
         #: The adaptive planner behind un-overridden snapshot queries:
         #: races plans per query signature, learns cardinality
         #: corrections from every executed snapshot query, and keys the
         #: shared plan cache by its feedback epoch. Inputs are stamped
-        #: *logically* (the applied-batch count) because snapshot
-        #: queries run over detached per-snapshot clones: equal batch
-        #: counts are equal logical states, so corrections learned from
-        #: one tenant's snapshot apply to every tenant at that batch
-        #: count — and any applied batch retires them at once.
+        #: *logically* (their drift generation) because snapshot
+        #: queries run over detached per-snapshot clones: corrections
+        #: learned from one tenant's snapshot apply to every tenant
+        #: until the master's deltas add up to a churn burst, which
+        #: advances the generation and retires them (and every cached
+        #: plan) at once. Small batches inherit all of it.
         self.adaptive = AdaptivePlanner(store=FeedbackStore(
             stamp_fn=self._logical_stamps)) if adaptive else None
+        #: The corpus's current state (and the write path's oracle);
+        #: its deltas feed the planner's drift ledger.
+        self.master = QuerySession(
+            query, feedback=self.adaptive.store if adaptive else None)
+        self.sessions = SessionManager(quota)
+        self.plan_cache = plan_cache or PlanCache()
         self.queue_limit = queue_limit
         #: Input-size floor (rows + nodes) above which a detached
         #: snapshot query is evaluated off the event-loop thread.
@@ -105,14 +108,10 @@ class ReproService:
         self._shutdown_event: "asyncio.Event | None" = None
         self._closing = False
 
-    def _logical_stamps(self, query: MultiModelQuery) -> dict[str, tuple]:
-        """Batch-count version stamps for the feedback store (see
+    def _logical_stamps(self, query: MultiModelQuery) -> dict[str, int]:
+        """Per-input generation stamps for the feedback store (see
         ``adaptive`` in ``__init__``)."""
-        stamp = ("batches", self.batches_applied)
-        stamps = {relation.name: stamp for relation in query.relations}
-        for binding in query.twigs:
-            stamps[binding.name] = stamp
-        return stamps
+        return self.adaptive.store.generations(query)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -275,27 +274,23 @@ class ReproService:
                 self._apply_op(session, op)
         self.batches_applied += 1
         self.updates_applied += len(ops)
-        if self.adaptive is not None:
-            # Retire cached plans built against the pre-batch stats:
-            # the epoch is part of every plan-cache key.
-            self.adaptive.store.bump_epoch()
         return self.batches_applied
 
     # -- the read path -----------------------------------------------------
 
-    def _plan_for(self, query: MultiModelQuery, batches: int,
+    def _plan_for(self, query: MultiModelQuery,
                   algorithm: "str | None",
                   order: "str | tuple | None"
                   ) -> tuple[str, tuple, tuple]:
         """(algorithm, order, twig algorithms) via the shared plan cache.
 
-        Keyed by (corpus, batch count, stats epoch, overrides): any two
-        sessions at the same batch count hold identical logical state,
-        so their plans are interchangeable — including across tenants,
-        which is what makes the cache worth sharing. The stats-epoch
-        component (bumped by the feedback loop on material correction
-        changes and by every applied update batch) keys out plans built
-        against drifted statistics instead of serving them forever.
+        Keyed by (corpus, stats epoch, overrides): a plan is correct on
+        any state of the corpus, so sessions, tenants and snapshots —
+        whatever batch they pinned — share it until the statistics
+        drift. The stats epoch (bumped by the feedback loop on material
+        correction changes and by an input's generation advancing, not
+        by the batch counter) keys out plans built against drifted
+        statistics instead of serving them forever.
 
         Un-overridden queries are planned by the adaptive planner — the
         raced winner is what lands in the shared cache, so tenants
@@ -303,7 +298,7 @@ class ReproService:
         """
         order_key = tuple(order) if isinstance(order, list) else order
         epoch = self.adaptive.epoch if self.adaptive is not None else -1
-        key = (self.corpus_spec, batches, epoch, algorithm, order_key)
+        key = (self.corpus_spec, epoch, algorithm, order_key)
         cached = self.plan_cache.get(key)
         if cached is not None:
             return cached
@@ -348,8 +343,7 @@ class ReproService:
         query = snapshot.query()
         adaptive_run = (self.adaptive is not None and algorithm is None
                         and order is None)
-        algorithm, order, twigs = self._plan_for(query, batches, algorithm,
-                                                 order)
+        algorithm, order, twigs = self._plan_for(query, algorithm, order)
         stats = JoinStats() if adaptive_run else None
         if self._query_cost(query) >= self.offload_threshold:
             self.offloaded_queries += 1
@@ -500,9 +494,10 @@ class ReproService:
                             if self._queue is not None else 0),
             "tenants": self.sessions.counts(),
             "plan_cache": self.plan_cache.stats(),
-            "adaptive": (dict(self.adaptive.store.stats(),
-                              races=self.adaptive.racer.races)
-                         if self.adaptive is not None else None),
+            "adaptive": (dict(
+                self.adaptive.store.stats(), **self.adaptive.racer.stats(),
+                generations=self._logical_stamps(self.master.query))
+                if self.adaptive is not None else None),
         }
 
     async def _op_shutdown(self, message: dict[str, Any]) -> dict[str, Any]:

@@ -66,11 +66,12 @@ class QuerySession:
         self.query = query
         self.workers = max(0, workers)
         #: Optional :class:`~repro.engine.adaptive.FeedbackStore`: the
-        #: session refreshes its version stamps exactly when it
-        #: refreshes its maintained statistics — small deltas inherit
-        #: the learned corrections, churn bursts (a relational delta
-        #: above ``feedback_churn_fraction`` of the input, or a document
-        #: edit that forced a columnar rebuild) invalidate them.
+        #: session reports every delta to the store's drift ledger as
+        #: it refreshes its maintained statistics — deltas inherit the
+        #: learned corrections until they add up to
+        #: ``feedback_churn_fraction`` of a relational input (counted
+        #: by the store, across calls) or a document edit forces a
+        #: columnar rebuild; either invalidates them.
         self.feedback = feedback
         self._feedback_churn_fraction = feedback_churn_fraction
         self.version = 0
@@ -138,6 +139,7 @@ class QuerySession:
             raise UpdateError(
                 f"unknown relation {name!r}; "
                 f"choose from {sorted(self.relations)!r}")
+        size = len(versioned.relation)
         delta = versioned.apply(inserted=inserted, deleted=deleted)
         # Swap the fresh Relation object into the live query.
         for position, relation in enumerate(self.query.relations):
@@ -146,10 +148,10 @@ class QuerySession:
         self._propagate(name, versioned.relation.schema.attributes,
                         added=delta.inserted, removed=delta.deleted)
         if self.feedback is not None:
-            moved = len(delta.inserted) + len(delta.deleted)
-            size = max(1, len(versioned.relation))
-            churn = moved > self._feedback_churn_fraction * size
-            self.feedback.note_input_update(self.query, name, churn=churn)
+            self.feedback.note_input_update(
+                self.query, name, size=size,
+                moved=len(delta.inserted) + len(delta.deleted),
+                fraction=self._feedback_churn_fraction)
         return delta
 
     # -- document updates --------------------------------------------------

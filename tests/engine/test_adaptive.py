@@ -10,6 +10,8 @@ and epoch both hold steady once observations match estimates).
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.multimodel import MultiModelQuery
@@ -24,7 +26,12 @@ from repro.engine.adaptive import (
     observed_stage_sizes,
     query_signature,
 )
-from repro.engine.planner import attribute_order, plan_query, run_query
+from repro.engine.planner import (
+    QueryPlan,
+    attribute_order,
+    plan_query,
+    run_query,
+)
 from repro.errors import PlanError
 from repro.instrumentation import JoinStats
 
@@ -106,6 +113,57 @@ class TestFeedbackStore:
                                   last.prefix) == 1.0
         assert store.epoch > epoch
 
+    def test_deltas_accumulate_into_one_generation_advance(self):
+        query = skewed_query()
+        store = FeedbackStore()
+        order = attribute_order(query, "connected")
+        observe_once(store, query, order)
+        last = estimated_stage_sizes(query, order)[-1]
+        learned = store.stage_factor(query, last.source, last.attribute,
+                                     last.prefix)
+        epoch = store.epoch
+        # 25 single rows against 100: each far below the quarter, and
+        # together exactly at it — inherited, stamp and factor intact.
+        for moved in range(25):
+            store.note_input_update(query, last.source, moved=1,
+                                    size=100 + moved)
+        assert store.generations(query)[last.source] == 0
+        assert store.epoch == epoch
+        assert store.stage_factor(query, last.source, last.attribute,
+                                  last.prefix) == learned
+        # The 26th crosses it: one advance, corrections gone.
+        store.note_input_update(query, last.source, moved=1, size=125)
+        assert store.generations(query) == {
+            name: int(name == last.source) for name in "RST"}
+        assert store.epoch == epoch + 1
+        assert store.stage_factor(query, last.source, last.attribute,
+                                  last.prefix) == 1.0
+        # The new generation is measured against the size it began at.
+        for moved in range(31):
+            store.note_input_update(query, last.source, moved=1,
+                                    size=126 + moved)
+        assert store.generations(query)[last.source] == 1
+        store.note_input_update(query, last.source, moved=1, size=157)
+        assert store.generations(query)[last.source] == 2
+
+    def test_marginal_moves_are_not_material(self):
+        # Two orders of the bookstore query share marginal factors
+        # (``invoices.orderLine``: 64 under one, 0.75 under the other).
+        # After a change of winner the marginal trails for many
+        # samples; only the executed prefixes' own factors may count
+        # as news, or every change would drag a tail of re-races.
+        from repro.service.corpus import corpus_query
+
+        query = corpus_query("bookstore:orders=40,users=12")
+        store = FeedbackStore()
+        observe_once(store, query, attribute_order(query, "connected"))
+        winner = attribute_order(query, "appearance")
+        observe_once(store, query, winner)
+        settled = store.epoch
+        for _ in range(4):
+            observe_once(store, query, winner)
+        assert store.epoch == settled
+
     def test_epoch_settles_once_observations_repeat(self):
         query = skewed_query()
         store = FeedbackStore()
@@ -166,6 +224,68 @@ class TestPlanRacer:
         racer.store.bump_epoch()
         racer.race(query)
         assert racer.races == 2
+
+    def test_a_race_encodes_each_distinct_order_once(self):
+        query = skewed_query()
+        racer = PlanRacer(FeedbackStore())
+        report = racer.race(query)
+        assert report.raced and report.rounds >= 1
+        # generic_join and leapfrog share an order's instance, and so
+        # do the successive-halving rounds.
+        assert len(report.contenders) > report.encodes
+        assert report.encodes == \
+            len({contender.plan.order for contender in report.contenders})
+        assert racer.stats()["encodes"] == report.encodes
+        assert racer.stats()["race_ms"] > 0
+        assert racer.race(query).encodes == 0  # cached: nothing built
+
+    def test_corrected_candidate_reads_the_racers_own_store(self):
+        # figure1's corrections flip the bound-driven order; they live
+        # in a private store, so the registered ``corrected`` policy
+        # (process-wide default store) cannot see them — the racer must.
+        from repro.data.scenarios import figure1_query
+        from repro.engine.adaptive import _bound_driven_order
+
+        query = figure1_query()
+        store = FeedbackStore()
+        observe_once(store, query, bound_order(query))
+        flipped = _bound_driven_order(query, store)
+        assert flipped != bound_order(query)
+        assert attribute_order(query, "corrected") == bound_order(query)
+        candidates = PlanRacer(store, top_k=8).candidates(query)
+        assert ("corrected", flipped) in {
+            (plan.policy, plan.order) for plan in candidates}
+
+    def test_a_hopeless_candidate_stops_sampling(self, monkeypatch):
+        # Kernels cannot be interrupted; what bounds the price of a
+        # catastrophic order is that its sample stops after the slice
+        # that showed it hopeless.
+        from repro.engine import adaptive
+        from repro.engine.encoded import EncodedInstance
+
+        query = skewed_query()
+        good, bad = bound_order(query), attribute_order(query, "connected")
+        plans = [QueryPlan(order=order, algorithm="generic_join",
+                           policy="test") for order in (good, bad)]
+        instances = {order: EncodedInstance.from_query(query, order)
+                     for order in (good, bad)}
+        runs = {good: 0, bad: 0}
+        clock = [0.0]
+        kernel = adaptive.get_algorithm("generic_join")
+
+        class Slow:
+            def run(self, instance):
+                runs[instance.order] += 1
+                # The bad order is a thousand times slower per slice.
+                clock[0] += 1.0 if instance.order == bad else 0.001
+                return kernel.run(instance)
+
+        monkeypatch.setattr(adaptive, "get_algorithm", lambda name: Slow())
+        monkeypatch.setattr(adaptive, "time", SimpleNamespace(
+            perf_counter=lambda: clock[0]))
+        projected = PlanRacer(FeedbackStore())._sample(instances, plans, 64)
+        assert runs[bad] == 1 < runs[good]
+        assert projected[1] > adaptive.HOPELESS * projected[0]
 
     def test_candidates_include_static_guard(self):
         query = skewed_query()

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import asyncio
 
+import pytest
+
 from repro.service.server import ReproService
 from repro.service.tenancy import TenantQuota
 
@@ -255,6 +257,7 @@ class TestQuotasAndBackpressure:
         run(scenario)
 
 
+@pytest.mark.usefixtures("rank_decided_races")
 class TestPlanCache:
     def test_plans_are_shared_across_tenants(self):
         async def scenario():
@@ -284,7 +287,7 @@ class TestPlanCache:
             assert stats["adaptive"]["observations"] == 4
         run(scenario)
 
-    def test_epoch_bump_keys_out_cached_plans(self):
+    def test_churn_keys_out_cached_plans(self):
         async def scenario():
             service = ReproService("figure1")
             sid = await open_session(service)
@@ -304,10 +307,17 @@ class TestPlanCache:
                 await snapshot_query()
             stats = await call(service, op="stats")
             assert stats["plan_cache"]["hits"] == 1
-            # A stats-drift epoch bump (what every applied update batch
-            # does) must key the cached plan out: the next identical
-            # query is a miss, not a stale hit.
-            service.adaptive.store.bump_epoch()
+            epoch = stats["adaptive"]["epoch"]
+            # One row into R's three is churn (over a quarter): R's
+            # generation advances, the epoch moves, and the cached plan
+            # is keyed out — the next identical query is a miss, not a
+            # stale hit.
+            applied = await call(service, op="update", tenant="t",
+                                 ops=[dict(INSERT)])
+            assert applied["ok"]
+            stats = await call(service, op="stats")
+            assert stats["adaptive"]["generations"]["R"] == 1
+            assert stats["adaptive"]["epoch"] == epoch + 1
             await snapshot_query()
             stats = await call(service, op="stats")
             assert stats["plan_cache"]["hits"] == 1  # miss — no new hit
@@ -327,4 +337,8 @@ class TestPlanCache:
             assert stats["queries"] == 1
             assert stats["tenants"]["t"]["sessions"] == 1
             assert stats["queue_depth"] == 0
+            assert stats["adaptive"]["generations"] == \
+                {"R": 0, "invoices": 0}
+            assert {"races", "race_ms", "encodes", "epoch"} \
+                <= set(stats["adaptive"])
         run(scenario)
