@@ -7,8 +7,9 @@ subsequent query to a bad plan):
 1. **Feedback corrections** (:class:`FeedbackStore`). After an executed
    query, the per-level ``record_stage`` counters in
    :class:`~repro.instrumentation.JoinStats` are folded back into
-   per-(input, attribute, prefix) cardinality correction factors —
-   observed over estimated, EWMA-smoothed — stored beside the cached
+   per-(input, attribute, bound attribute set) cardinality correction
+   factors — observed over estimated bindings per prefix tuple,
+   EWMA-smoothed — stored beside the cached
    :class:`~repro.relational.statistics.RelationStats` /
    :class:`~repro.xml.columnar.DocumentStats`. Corrections are
    **version-keyed**: every factor is recorded against the version
@@ -50,6 +51,7 @@ never wrong answers.
 
 from __future__ import annotations
 
+import gc
 import math
 import time
 from dataclasses import dataclass, replace
@@ -241,11 +243,14 @@ class Correction:
 
     input_name: str
     attribute: str
-    #: The executed prefix the factor was observed under (None = the
-    #: marginal factor, applied when no exact-prefix sample exists).
-    prefix: "tuple[str, ...] | None"
+    #: The attributes bound when the factor was observed. A stage's
+    #: size depends on the *set* bound so far, not on its order, so the
+    #: factor serves every order that passes through this set.
+    bound: "frozenset[str]"
     factor: float = 1.0
     samples: int = 0
+    #: Dropped by a generation advance: not consumed until re-observed.
+    retired: bool = False
 
     def fold(self, observed_factor: float, *,
              smoothing: float = 0.5) -> float:
@@ -254,7 +259,10 @@ class Correction:
         A first sample's move is its deviation from the neutral factor
         1.0 the planner was already assuming — an observation that
         merely confirms the estimate is not a material change, no
-        matter how new its key is."""
+        matter how new its key is. A retired correction restarts from
+        the sample, but whether the sample is news is judged as if the
+        correction had stayed: re-learning what held before the drift
+        is not."""
         clamped = min(max(observed_factor, 1.0 / FACTOR_CLAMP),
                       FACTOR_CLAMP)
         if self.samples == 0:
@@ -262,7 +270,8 @@ class Correction:
         else:
             updated = (1.0 - smoothing) * self.factor + smoothing * clamped
         move = abs(math.log(updated) - math.log(self.factor))
-        self.factor = updated
+        self.factor = clamped if self.retired else updated
+        self.retired = False
         self.samples += 1
         return move
 
@@ -280,7 +289,7 @@ class Drift:
 class FeedbackStore:
     """Version-keyed cardinality corrections learned from executed plans.
 
-    Keys are per-(input, attribute, prefix); version stamps are held
+    Keys are per-(input, attribute, bound set); version stamps are held
     per query signature and checked on every read, so a correction
     observed against superseded data is *never* consumed (it returns
     the neutral factor 1.0 until re-learned or explicitly inherited by
@@ -302,7 +311,7 @@ class FeedbackStore:
         #: statistically the same input.
         self._stamp_fn = stamp_fn if stamp_fn is not None \
             else input_versions
-        #: (scope, input, attribute, prefix-or-None) -> Correction.
+        #: (scope, input, attribute, bound set) -> Correction.
         self._corrections: dict[tuple, Correction] = {}
         #: scope -> input name -> version stamp at observation time.
         self._versions: dict[tuple, dict[str, tuple]] = {}
@@ -317,7 +326,7 @@ class FeedbackStore:
                 stats: JoinStats) -> int:
         """Fold one executed query's stage counters into corrections.
 
-        Returns the number of (attribute, prefix) levels that produced
+        Returns the number of (attribute, bound set) levels that produced
         a sample. Estimates are the *raw* (uncorrected) bounds, so the
         factors always calibrate the static model rather than chasing
         their own output.
@@ -329,25 +338,24 @@ class FeedbackStore:
         estimates = estimated_stage_sizes(query, order)
         material = False
         folded = 0
+        previous: "int | None" = 1
         for estimate in estimates:
-            size = observed.get(estimate.attribute)
-            if size is None:
-                continue
-            raw = max(estimate.cumulative, 1.0)
-            sample = max(size, 0) / raw
-            for prefix in (estimate.prefix, None):
-                key = (scope, estimate.source, estimate.attribute, prefix)
-                correction = self._corrections.get(key)
-                if correction is None:
-                    correction = Correction(estimate.source,
-                                            estimate.attribute, prefix)
-                    self._corrections[key] = correction
-                move = correction.fold(sample, smoothing=self.smoothing)
-                # Only the executed prefix's own factor can be news: the
-                # marginal blends every order run so far, so it trails
-                # for many samples whenever the winner changes.
-                if prefix is not None and move > self.epoch_tolerance:
-                    material = True
+            size, before = observed.get(estimate.attribute), previous
+            previous = size
+            if size is None or not before:
+                continue  # no live prefix tuples: the level says nothing
+            # Per level, like the bound it corrects: observed over
+            # estimated bindings *per prefix tuple*, so the corrected
+            # cumulative product reproduces the observed sizes.
+            sample = size / before / max(estimate.extension, 1.0)
+            key = (scope, estimate.source, estimate.attribute,
+                   frozenset(estimate.prefix))
+            correction = self._corrections.get(key)
+            if correction is None:
+                correction = self._corrections[key] = Correction(*key[1:])
+            if correction.fold(sample, smoothing=self.smoothing) \
+                    > self.epoch_tolerance:
+                material = True
             folded += 1
         self._versions[scope] = self._stamp_fn(query)
         self.observations += 1
@@ -375,11 +383,10 @@ class FeedbackStore:
         scope = query_signature(query)
         if not self._fresh(scope, query, input_name):
             return 1.0
-        correction = (self._corrections.get(
-                          (scope, input_name, attribute, prefix))
-                      or self._corrections.get(
-                          (scope, input_name, attribute, None)))
-        return correction.factor if correction is not None else 1.0
+        correction = self._corrections.get(
+            (scope, input_name, attribute, frozenset(prefix or ())))
+        return 1.0 if correction is None or correction.retired \
+            else correction.factor
 
     def corrected_domain_estimate(self, query: "MultiModelQuery",
                                   attribute: str, estimate: int) -> int:
@@ -414,9 +421,9 @@ class FeedbackStore:
         recorded = self._versions.get(scope)
         if churn or drift.moved > fraction * drift.base:
             self._drift[scope, input_name] = Drift(drift.generation + 1)
-            for key in [key for key in self._corrections
-                        if key[0] == scope and key[1] == input_name]:
-                del self._corrections[key]
+            for key, correction in self._corrections.items():
+                if key[0] == scope and key[1] == input_name:
+                    correction.retired = True
             if recorded is not None:
                 recorded.pop(input_name, None)
             self.epoch += 1
@@ -445,7 +452,8 @@ class FeedbackStore:
     def stats(self) -> dict[str, int]:
         """Counters for dashboards and the service ``stats`` endpoint."""
         return {
-            "corrections": len(self._corrections),
+            "corrections": sum(not correction.retired for correction
+                               in self._corrections.values()),
             "scopes": len(self._versions),
             "epoch": self.epoch,
             "observations": self.observations,
@@ -573,11 +581,6 @@ HYSTERESIS = 1.25
 #: every candidate finishes in under half a millisecond has none.
 MIN_SIGNAL_MS = 0.5
 
-#: A candidate projected this many times slower than the best of its
-#: round, on sample time above the noise floor, has lost the round by
-#: more than any later code could win back: it stops sampling.
-HOPELESS = 16.0
-
 
 @dataclass(frozen=True)
 class RaceContender:
@@ -677,9 +680,13 @@ class PlanRacer:
         another plan's full run and looks spuriously fast.
 
         The codes are covered in slices growing by ``growth``, all
-        plans in step, and a plan whose projection is :data:`HOPELESS`
-        stops there: kernels cannot be interrupted, so this is what
-        bounds the price of racing a catastrophic order.
+        plans in step, and a plan that has lost the round stops there:
+        were its remaining codes free, the time it has spent (above the
+        noise floor) would still project past the round's best by more
+        than :data:`HYSTERESIS`. Kernels cannot be interrupted, so this
+        bounds the price of racing a bad order. The collector is off
+        meanwhile, as ``timeit`` keeps it: a pause landing in one
+        plan's sample is not that plan's time.
         """
         from repro.parallel.slicing import sliced_instance
 
@@ -689,34 +696,44 @@ class PlanRacer:
         projected = list(spent)
         running = list(range(len(alive)))
         lo, width = 0, 1
-        while running and lo < sample_codes:
-            hi = min(lo + width, sample_codes)
-            for index in running:
-                plan = alive[index]
-                view = sliced_instance(instances[plan.order], lo, hi)
-                start = time.perf_counter()
-                get_algorithm(plan.algorithm).run(view)
-                spent[index] += (time.perf_counter() - start) * 1e3
-                covered = min(hi, domains[index])
-                projected[index] = spent[index] * (
-                    domains[index] / covered if covered else 1.0)
-            best = min(projected[index] for index in running)
-            running = [index for index in running
-                       if hi < domains[index] and not (
-                           spent[index] > MIN_SIGNAL_MS
-                           and projected[index] > HOPELESS * best)]
-            lo, width = hi, width * self.growth
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            while running and lo < sample_codes:
+                hi = min(lo + width, sample_codes)
+                for index in running:
+                    plan = alive[index]
+                    view = sliced_instance(instances[plan.order], lo, hi)
+                    start = time.perf_counter()
+                    get_algorithm(plan.algorithm).run(view)
+                    spent[index] += (time.perf_counter() - start) * 1e3
+                    covered = min(hi, domains[index])
+                    projected[index] = spent[index] * (
+                        domains[index] / covered if covered else 1.0)
+                best = min(projected[index] for index in running)
+                running = [index for index in running
+                           if hi < domains[index] and not (
+                               spent[index] > MIN_SIGNAL_MS
+                               and spent[index] * domains[index]
+                               / min(sample_codes, domains[index])
+                               > HYSTERESIS * best)]
+                lo, width = hi, width * self.growth
+        finally:
+            if collecting:
+                gc.enable()
         return projected
 
     def race(self, query: "MultiModelQuery") -> RaceReport:
         """The winning plan for *query* (cached while the epoch holds).
 
-        A previous winner re-races as the *incumbent* with hysteresis:
-        a challenger must beat it by :data:`HYSTERESIS` on the sample,
-        or the incumbent is re-crowned. Without this, near-tied
-        candidates flip with timing noise on small inputs — and every
-        flip executes a different order, mints new prefix-keyed
-        corrections, bumps the epoch, and forces yet another race.
+        The clock decides only what it can tell apart: plans within
+        :data:`HYSTERESIS` of a round's fastest are tied. A previous
+        winner re-races as the *incumbent* and is re-crowned while it
+        ties; otherwise the best-ranked of the final round's tied plans
+        wins. Were the fastest sample simply crowned, near-tied
+        candidates would flip with timing noise on small inputs — and
+        every flip executes a different order, mints new corrections,
+        bumps the epoch, and forces yet another race.
         """
         scope = query_signature(query)
         cached = self._winners.get(scope)
@@ -752,37 +769,24 @@ class PlanRacer:
             timed = [(ms, index, alive[index]) for index, ms in
                      enumerate(self._sample(instances, alive, sample))]
             timed.sort(key=lambda item: item[:2])
-            if timed[-1][0] < MIN_SIGNAL_MS:
-                # All candidates under the noise floor: keep whoever
-                # already holds the crown, else the best-ranked plan
-                # (``alive`` preserves the candidates' bound ranking
-                # in round one).
-                for ms, _, plan in timed:
-                    report[(plan.order, plan.algorithm)] = \
-                        RaceContender(plan, ms, 0)
-                winner = incumbent if incumbent is not None else alive[0]
-                break
             keep = max(1, len(timed) // 2)
-            survivors = [plan for _, _, plan in timed[:keep]]
-            incumbent_ms = next(
-                (ms for ms, _, plan in timed
-                 if same(plan, incumbent)), None)
             for position, (ms, _, plan) in enumerate(timed):
-                eliminated = 0 if position < keep else rounds
                 report[(plan.order, plan.algorithm)] = RaceContender(
-                    plan, ms, eliminated)
-            if incumbent_ms is not None and not any(
-                    same(plan, incumbent) for plan in survivors):
-                if timed[0][0] * HYSTERESIS >= incumbent_ms:
-                    # A statistical tie: the incumbent stays crowned.
-                    winner = incumbent
-                    break
+                    plan, ms, 0 if position < keep else rounds)
+            # The plans the clock cannot tell from the round's fastest:
+            # within HYSTERESIS of it, or under the noise floor.
+            limit = max(timed[0][0] * HYSTERESIS, MIN_SIGNAL_MS)
+            tied = [plan for ms, _, plan in timed if ms <= limit]
+            if any(same(plan, incumbent) for plan in tied):
+                winner = incumbent  # a statistical tie: it stays crowned
+            elif keep == 1 or len(tied) == len(timed):
+                # Decided: the best-ranked of the tied plans wins
+                # (``contenders`` is in bound-rank order).
+                winner = min(tied, key=contenders.index)
+            else:
                 incumbent = None  # beaten by a clear margin — out
-            if len(survivors) == 1:
-                winner = survivors[0]
-                break
-            alive = survivors
-            sample *= self.growth
+                alive = [plan for _, _, plan in timed[:keep]]
+                sample *= self.growth
         self._winners[scope] = (self.store.epoch, winner)
         self.encodes += len(instances)
         self.race_ms += (time.perf_counter() - started) * 1e3

@@ -10,6 +10,7 @@ and epoch both hold steady once observations match estimates).
 
 from __future__ import annotations
 
+import gc
 from types import SimpleNamespace
 
 import pytest
@@ -146,23 +147,67 @@ class TestFeedbackStore:
         store.note_input_update(query, last.source, moved=1, size=157)
         assert store.generations(query)[last.source] == 2
 
-    def test_marginal_moves_are_not_material(self):
-        # Two orders of the bookstore query share marginal factors
-        # (``invoices.orderLine``: 64 under one, 0.75 under the other).
-        # After a change of winner the marginal trails for many
-        # samples; only the executed prefixes' own factors may count
-        # as news, or every change would drag a tail of re-races.
-        from repro.service.corpus import corpus_query
-
-        query = corpus_query("bookstore:orders=40,users=12")
+    def test_factors_are_per_level_and_do_not_compound(self):
+        # Every level off by a factor within the clamp: the corrected
+        # cumulative product must land on the observed sizes, which it
+        # cannot when each factor is learned against the cumulative
+        # bound and then multiplied level by level.
+        query = skewed_query()
         store = FeedbackStore()
-        observe_once(store, query, attribute_order(query, "connected"))
-        winner = attribute_order(query, "appearance")
-        observe_once(store, query, winner)
-        settled = store.epoch
-        for _ in range(4):
-            observe_once(store, query, winner)
-        assert store.epoch == settled
+        order = attribute_order(query, "connected")
+        raw = estimated_stage_sizes(query, order)
+        sizes = [max(1, int(estimate.cumulative) // (2 * 3 ** level))
+                 for level, estimate in enumerate(raw)]
+        stats = JoinStats()
+        for attribute, size in zip(order, sizes):
+            stats.record_stage(f"level {attribute}", size)
+        store.observe(query, order, stats)
+        corrected = estimated_stage_sizes(query, order, store)
+        assert [round(estimate.cumulative) for estimate in corrected] \
+            == sizes
+
+    def test_factors_are_keyed_by_the_bound_set(self):
+        # A stage's size depends on which attributes are bound, not on
+        # the order they were bound in: the factor serves both orders,
+        # and no other bound set (there is no marginal fallback, which
+        # would carry a factor into prefixes whose raw bound is another
+        # quantity altogether).
+        query = skewed_query()
+        store = FeedbackStore()
+        order = attribute_order(query, "connected")
+        observe_once(store, query, order)
+        last = estimated_stage_sizes(query, order)[-1]
+        learned = store.stage_factor(query, last.source, last.attribute,
+                                     last.prefix)
+        assert learned != 1.0
+        assert store.stage_factor(query, last.source, last.attribute,
+                                  last.prefix[::-1]) == learned
+        assert store.stage_factor(query, last.source, last.attribute,
+                                  last.prefix[:1]) == 1.0
+        assert store.stage_factor(query, last.source, last.attribute,
+                                  None) == 1.0
+
+    def test_relearning_after_a_generation_advance_is_not_news(self):
+        # The advance itself bumps the epoch (one re-race); finding the
+        # same factors again afterwards must not force a second one.
+        query = skewed_query()
+        store = FeedbackStore()
+        order = attribute_order(query, "connected")
+        observe_once(store, query, order)
+        last = estimated_stage_sizes(query, order)[-1]
+        learned = store.stage_factor(query, last.source, last.attribute,
+                                     last.prefix)
+        epoch = store.epoch
+        store.note_input_update(query, last.source, churn=True)
+        assert store.epoch == epoch + 1
+        assert store.stage_factor(query, last.source, last.attribute,
+                                  last.prefix) == 1.0
+        assert store.stats()["corrections"] < len(order)
+        observe_once(store, query, order)
+        assert store.epoch == epoch + 1
+        assert store.stage_factor(query, last.source, last.attribute,
+                                  last.prefix) == learned
+        assert store.stats()["corrections"] == len(order)
 
     def test_epoch_settles_once_observations_repeat(self):
         query = skewed_query()
@@ -239,6 +284,33 @@ class TestPlanRacer:
         assert racer.stats()["race_ms"] > 0
         assert racer.race(query).encodes == 0  # cached: nothing built
 
+    def test_ties_go_to_the_incumbent_then_to_rank(self, monkeypatch):
+        # The clock decides only what it can tell apart: within the
+        # hysteresis band of the fastest sample, the incumbent stays,
+        # else the best-ranked plan wins — never simply the fastest.
+        query = skewed_query()
+        racer = PlanRacer(FeedbackStore())
+        ranked = racer.candidates(query)
+        assert len(ranked) >= 3
+        times = {(plan.order, plan.algorithm): 50.0 for plan in ranked}
+
+        def key(plan):
+            return (plan.order, plan.algorithm)
+
+        monkeypatch.setattr(
+            racer, "_sample", lambda instances, alive, sample:
+            [times[key(plan)] for plan in alive])
+        times[key(ranked[0])], times[key(ranked[1])] = 1.2, 1.0
+        assert key(racer.race(query).winner) == key(ranked[0])
+        # The incumbent keeps its crown while it ties with the fastest,
+        racer.store.bump_epoch()
+        times[key(ranked[0])], times[key(ranked[2])] = 1.2, 1.0
+        assert key(racer.race(query).winner) == key(ranked[0])
+        # and loses it to a clear margin only.
+        racer.store.bump_epoch()
+        times[key(ranked[0])] = 1.3
+        assert key(racer.race(query).winner) == key(ranked[1])
+
     def test_corrected_candidate_reads_the_racers_own_store(self):
         # figure1's corrections flip the bound-driven order; they live
         # in a private store, so the registered ``corrected`` policy
@@ -256,10 +328,10 @@ class TestPlanRacer:
         assert ("corrected", flipped) in {
             (plan.policy, plan.order) for plan in candidates}
 
-    def test_a_hopeless_candidate_stops_sampling(self, monkeypatch):
+    def test_a_plan_that_lost_the_round_stops_sampling(self, monkeypatch):
         # Kernels cannot be interrupted; what bounds the price of a
         # catastrophic order is that its sample stops after the slice
-        # that showed it hopeless.
+        # that cost more than the best plan's whole round.
         from repro.engine import adaptive
         from repro.engine.encoded import EncodedInstance
 
@@ -276,6 +348,7 @@ class TestPlanRacer:
         class Slow:
             def run(self, instance):
                 runs[instance.order] += 1
+                assert not gc.isenabled()  # no pause lands in a sample
                 # The bad order is a thousand times slower per slice.
                 clock[0] += 1.0 if instance.order == bad else 0.001
                 return kernel.run(instance)
@@ -284,8 +357,9 @@ class TestPlanRacer:
         monkeypatch.setattr(adaptive, "time", SimpleNamespace(
             perf_counter=lambda: clock[0]))
         projected = PlanRacer(FeedbackStore())._sample(instances, plans, 64)
+        assert gc.isenabled()
         assert runs[bad] == 1 < runs[good]
-        assert projected[1] > adaptive.HOPELESS * projected[0]
+        assert projected[1] > adaptive.HYSTERESIS * projected[0]
 
     def test_candidates_include_static_guard(self):
         query = skewed_query()
