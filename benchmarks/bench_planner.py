@@ -4,10 +4,10 @@ The acceptance gate of the adaptive planning subsystem: on the skewed
 triangle — built so the static statistics pick a provably bad expansion
 order — the adaptive planner's raced plan must reach a >= 1.5x speedup
 on the steady-state (prebuilt encoded instance) join, and every
-adaptive answer must be byte-identical to the static plan's. The cold
-one-shot path and the XMark multi-model scenario are reported (and
-parity-checked) but not speed-gated: the former is encode-dominated,
-the latter is already well-planned statically.
+adaptive answer must be byte-identical to the static plan's. Warm whole
+``run_query`` calls (inputs are encoded once per version, so repeated
+calls on the same objects are never cold) and the XMark multi-model
+scenario are reported (and parity-checked) but not speed-gated.
 """
 
 from __future__ import annotations

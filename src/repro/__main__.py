@@ -459,7 +459,7 @@ def cmd_bench_planner(n: int = 4096, records: list | None = None) -> int:
     """Race the static planner's plan against the adaptive planner
     (shared with ``benchmarks/bench_planner.py`` through
     :mod:`repro.engine.bench`): the steady-state skewed-triangle join
-    is gated at the speedup target; the cold one-shot path and the
+    is gated at the speedup target; the warm whole-query path and the
     XMark multi-model scenario are reported alongside. Parity failures
     are always fatal."""
     from repro.engine.bench import (
@@ -575,7 +575,7 @@ def cmd_explain(spec: str = "skewed", workers: int = 0) -> int:
     print(f"  order:      {' -> '.join(plan.order)}  "
           f"(policy {plan.policy!r})")
     print("  planning:   " + (
-        f"raced ({racer.encodes} encodes, {racer.race_ms:.1f} ms)"
+        f"raced ({racer.encodes} inputs encoded, {racer.race_ms:.1f} ms)"
         if racer.races else "not raced (one candidate)")
         + f" at epoch {planner.epoch}")
     print("  generations: " + ", ".join(
@@ -594,6 +594,10 @@ def cmd_explain(spec: str = "skewed", workers: int = 0) -> int:
     result = run_query(query, order=plan.order, algorithm=plan.algorithm,
                        stats=stats, workers=workers)
     planner.observe(query, plan.order, stats)
+    if stats.inputs:  # per input: encoded by this run, or found cached
+        print("  encoded inputs: " + ", ".join(
+            f"{name} {'built' if built else 'reused'}"
+            for name, (built, _reused) in stats.inputs.items()))
     observed = observed_stage_sizes(stats, plan.order)
     estimates = dict(plan.stage_estimates)
     print("  stage cardinalities (upper-bound estimate vs observed):")

@@ -28,12 +28,16 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.relational.relation import Relation
 from repro.xml.accel import axis_pairs
 from repro.xml.columnar import ColumnarDocument, columnar
 from repro.xml.model import XMLDocument, XMLNode
 from repro.xml.twig import Axis, TwigNode, TwigQuery
+
+if TYPE_CHECKING:
+    from repro.engine.encoded import EncodedInput
 
 
 @dataclass(frozen=True)
@@ -227,39 +231,48 @@ def _value_rows(view: ColumnarDocument, chains, names: tuple[str, ...],
         yield tuple(row)
 
 
-def iter_path_value_rows(document: XMLDocument, path: PathRelation,
-                         structural: frozenset[str] = frozenset()
-                         ) -> Iterator[tuple]:
-    """Value tuples of the path relation (may repeat; tries deduplicate).
+def twig_input(document: XMLDocument, atom: "PathRelation | EdgeAtom",
+               structural: frozenset[str] = frozenset(),
+               order: "tuple[str, ...] | None" = None
+               ) -> "tuple[EncodedInput, bool]":
+    """(the cached encoded form of one twig input of *document* — a path
+    relation or an A-D pair input — whether this call built it).
 
-    Rows are read straight from the columnar value/start arrays — the
-    paper's "we do not physically transform them into relational tables"
-    holds down to the node objects: none are touched.
+    It hangs in the columnar view's ``derived`` dict (so it lives as
+    long as the view's arrays are current), keyed by what the rows
+    depend on: the atom's kind and name, each query node's tag and
+    predicate, its identity-bound attributes, and the column order —
+    the atom's attributes as they appear in *order*. Rows are read
+    straight from the columnar arrays; a node is represented alike in
+    path and pair rows, so their tries intersect on one dictionary.
     """
+    # Imported lazily: repro.engine imports this package's siblings.
+    from repro.engine.encoded import encoded_input
+
     view = columnar(document)
-    return _value_rows(view, _iter_path_chain_ids(view, path),
-                       path.attributes, structural)
+    names = atom.attributes
+    columns = names if order is None \
+        else tuple(a for a in order if a in names)
+    bound = structural.intersection(names)
+    nodes = atom.nodes if isinstance(atom, PathRelation) \
+        else (atom.parent, atom.child)
+    key = (type(atom), atom.name,
+           tuple((node.tag, node.predicate) for node in nodes), bound)
 
+    def rows() -> set[tuple]:
+        if isinstance(atom, PathRelation):
+            chains = _iter_path_chain_ids(view, atom)
+        else:
+            # The accelerator's stack-tree merge over the two candidate
+            # postings: O(|upper| + |lower| + output), no self pairs.
+            nid_of = view.nid_index
+            chains = ((nid_of[upper], nid_of[lower]) for upper, lower
+                      in axis_pairs(view.stream(atom.parent),
+                                    view.stream(atom.child),
+                                    view.levels, Axis.DESCENDANT))
+        return set(_value_rows(view, chains, names, bound))
 
-def iter_pair_value_rows(document: XMLDocument, pair: EdgeAtom,
-                         structural: frozenset[str] = frozenset()
-                         ) -> Iterator[tuple]:
-    """Value pairs of one A-D pair input (may repeat; tries deduplicate).
-
-    The node pairs come from the accelerator's stack-tree merge over the
-    two candidate postings (:func:`repro.xml.accel.axis_pairs`,
-    O(|upper| + |lower| + output), no self pairs on a shared tag); each
-    node is then represented exactly as in the path relations, so the
-    pair trie intersects with the path tries over the same dictionaries.
-    """
-    view = columnar(document)
-    nid_of = view.nid_index
-    pairs = axis_pairs(view.stream(pair.parent), view.stream(pair.child),
-                       view.levels, Axis.DESCENDANT)
-    return _value_rows(view,
-                       ((nid_of[upper], nid_of[lower])
-                        for upper, lower in pairs),
-                       pair.attributes, structural)
+    return encoded_input(view.derived, key, atom.name, names, columns, rows)
 
 
 def materialize_path_relation(document: XMLDocument,
@@ -267,29 +280,20 @@ def materialize_path_relation(document: XMLDocument,
     """The path relation as an explicit (distinct) value relation.
 
     Used by the baseline, the bound computation and the test oracle; XJoin
-    itself builds tries straight from :func:`iter_path_value_rows` without
+    itself joins the path's cached trie (:func:`twig_input`) without
     materialising a relation (the paper: "we do not physically transform
     them into relational tables").
     """
-    return Relation(path.name, path.attributes,
-                    iter_path_value_rows(document, path))
+    view = columnar(document)
+    return Relation(path.name, path.attributes, _value_rows(
+        view, _iter_path_chain_ids(view, path), path.attributes,
+        frozenset()))
 
 
-def path_relation_cardinality(document: XMLDocument,
-                              path: PathRelation,
+def path_relation_cardinality(document: XMLDocument, path: PathRelation,
                               structural: frozenset[str] = frozenset()
                               ) -> int:
-    """Distinct tuple count of the path relation in *document*.
-
-    With *structural* attributes this counts surrogate-aware tuples —
-    exactly what XJoin's tries store, so Lemma 3.5's bound and the
-    algorithm see the same cardinalities.
-    """
-    return len(set(iter_path_value_rows(document, path, structural)))
-
-
-def pair_relation_cardinality(document: XMLDocument, pair: EdgeAtom,
-                              structural: frozenset[str] = frozenset()
-                              ) -> int:
-    """Distinct value-pair count of one A-D pair input in *document*."""
-    return len(set(iter_pair_value_rows(document, pair, structural)))
+    """Distinct tuple count of the path relation in *document*: the
+    size of the trie XJoin joins (surrogate-aware under *structural*),
+    so Lemma 3.5's bound and the algorithm see the same cardinalities."""
+    return twig_input(document, path, structural)[0].trie.size

@@ -21,8 +21,7 @@ from repro.core.decomposition import (
     TwigDecomposition,
     decompose,
     materialize_path_relation,
-    pair_relation_cardinality,
-    path_relation_cardinality,
+    twig_input,
 )
 from repro.core.hypergraph import Hypergraph
 from repro.errors import QueryError
@@ -128,19 +127,13 @@ class MultiModelQuery:
         for binding in self.twigs:
             decomposition = self.decompositions[binding.name]
             structural = self.structural_attributes(binding)
-            for path in decomposition.paths:
+            for atom in decomposition.paths + (
+                    decomposition.pairs if ad_pairs else ()):
+                # The size of the atom's cached trie: what XJoin joins.
                 cardinality = (
-                    path_relation_cardinality(binding.document, path,
-                                              structural)
-                    if with_cardinalities else None)
-                graph.add_edge(path.name, path.attributes,
-                               cardinality=cardinality)
-            for pair in decomposition.pairs if ad_pairs else ():
-                cardinality = (
-                    pair_relation_cardinality(binding.document, pair,
-                                              structural)
-                    if with_cardinalities else None)
-                graph.add_edge(pair.name, pair.attributes,
+                    twig_input(binding.document, atom, structural)[0]
+                    .trie.size if with_cardinalities else None)
+                graph.add_edge(atom.name, atom.attributes,
                                cardinality=cardinality)
         return graph
 

@@ -10,13 +10,13 @@ partial tuples at any stage never exceeds the worst-case size bound of
 the whole query (Lemma 3.5; property-tested in the suite).
 
 Since the engine refactor this module is the multi-model *front-end*: it
-resolves the expansion order (:mod:`repro.core.planner`), builds one
+resolves the expansion order (:mod:`repro.core.planner`), assembles one
 dictionary-encoded :class:`~repro.engine.encoded.EncodedInstance` —
 relations and path relations indexed as int-coded tries over shared
 per-attribute dictionaries, path rows gathered from the document's
 P-C chains without ever materialising a relation (the paper's "we do
-not physically transform them into relational tables"; only a transient
-distinct-row set feeds the dictionary and trie build) — and invokes the
+not physically transform them into relational tables"; a transient
+row set feeds the one encode per input version) — and invokes the
 registered ``xjoin`` operator
 (:class:`repro.engine.algorithms.XJoinAlgorithm`).
 
@@ -27,7 +27,7 @@ one and only path:
 
 * every cut A-D edge ``u//l`` is one more encoded input, the (value,
   value) pair relation of the document's ancestor-descendant node pairs
-  (:func:`repro.core.decomposition.iter_pair_value_rows`), so it prunes
+  (:func:`repro.core.decomposition.twig_input`), so it prunes
   by trie intersection like any relation and connects ``u`` and ``l``
   in the hypergraph the order policies walk;
 * the remaining check — do all paths and pairs share their nodes? —

@@ -8,8 +8,8 @@ Three layers (see ``docs/architecture.md``):
    comparisons.
 2. **Encoded instances + the operator interface**
    (:mod:`repro.engine.encoded`, :mod:`repro.engine.interface`) — one
-   :class:`EncodedInstance` per query (int-keyed tries, participation
-   map, twig filters) consumed by any registered
+   :class:`EncodedInstance` per query (int-keyed tries cached per input
+   version, participation map, twig filters) consumed by any registered
    :class:`JoinAlgorithm`.
 3. **Stats-driven planning** (:mod:`repro.engine.planner`) — cached
    relation/twig statistics choosing the expansion order and the

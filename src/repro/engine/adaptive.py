@@ -35,10 +35,11 @@ subsequent query to a bad plan):
    first codes of each candidate's own level-0 axis); each round the
    slower half is killed and the survivors re-race on a sample
    ``growth`` times larger, every round reusing the one
-   :class:`~repro.engine.encoded.EncodedInstance` built per distinct
-   order. The winner is cached per query signature and only re-raced
-   when the feedback epoch moves — corrections changed materially, or
-   an input's generation advanced — so a converged workload plans in
+   :class:`~repro.engine.encoded.EncodedInstance` assembled per distinct
+   order (contenders agreeing on an input's column order share its
+   cached trie). The winner is cached per query signature and re-raced
+   only when the feedback epoch moves — corrections changed materially,
+   or an input's generation advanced — so a converged workload plans in
    O(1), update batches included. The service feeds winners into its
    shared :class:`~repro.service.cache.PlanCache` (keyed by the same
    epoch) so ``repro serve`` tenants benefit without re-racing.
@@ -319,6 +320,7 @@ class FeedbackStore:
         self._drift: dict[tuple, Drift] = {}
         self.epoch = 0
         self.observations = 0
+        self.inputs: dict[str, list[int]] = {}  #: name -> [built, reused]
 
     # -- learning ----------------------------------------------------------
 
@@ -331,6 +333,10 @@ class FeedbackStore:
         factors always calibrate the static model rather than chasing
         their own output.
         """
+        for name, (built, reused) in stats.inputs.items():
+            totals = self.inputs.setdefault(name, [0, 0])
+            totals[0] += built
+            totals[1] += reused
         observed = observed_stage_sizes(stats, order)
         if not observed:
             return 0
@@ -457,6 +463,7 @@ class FeedbackStore:
             "scopes": len(self._versions),
             "epoch": self.epoch,
             "observations": self.observations,
+            "inputs": dict(self.inputs),  # name -> [built, reused]
         }
 
     def __repr__(self) -> str:
@@ -599,7 +606,7 @@ class RaceReport:
     contenders: tuple[RaceContender, ...] = ()
     rounds: int = 0
     raced: bool = False
-    #: Encoded instances built: one per distinct contender order.
+    #: Encoded inputs built: one per (input, column order) not cached.
     encodes: int = 0
 
 
@@ -612,7 +619,7 @@ class PlanRacer:
     :func:`~repro.parallel.slicing.sliced_instance` covering the first
     ``sample_codes`` codes of each candidate's own level-0 axis.
     Successive halving kills the slower half each round and grows the
-    sample by ``growth``; every round slices the one instance encoded
+    sample by ``growth``; every round slices the one instance assembled
     per distinct order. The survivor is cached per query signature
     until the feedback epoch moves.
     """
@@ -627,7 +634,7 @@ class PlanRacer:
         #: scope -> (epoch at race time, winning plan).
         self._winners: dict[tuple, tuple[int, QueryPlan]] = {}
         self.races = 0
-        #: Totals over every race: wall time, instances encoded.
+        #: Totals over every race: wall time, encoded inputs built.
         self.race_ms = 0.0
         self.encodes = 0
 
@@ -671,8 +678,8 @@ class PlanRacer:
         """Projected full-run milliseconds of each *alive* plan.
 
         A plan's kernel runs over :func:`~repro.parallel.slicing.
-        sliced_instance` views (shallow, of the one instance encoded in
-        its order) of the first ``sample_codes`` codes of its own
+        sliced_instance` views (shallow, of the one instance assembled
+        in its order) of the first ``sample_codes`` codes of its own
         level-0 axis, and its time is extrapolated linearly to the
         axis' full code domain. The normalisation matters: candidates
         root different attributes, so without it a plan with a huge
@@ -788,12 +795,13 @@ class PlanRacer:
                 alive = [plan for _, _, plan in timed[:keep]]
                 sample *= self.growth
         self._winners[scope] = (self.store.epoch, winner)
-        self.encodes += len(instances)
+        encodes = sum(sum(instance.built)
+                      for instance in instances.values())
+        self.encodes += encodes
         self.race_ms += (time.perf_counter() - started) * 1e3
         return RaceReport(winner=winner,
                           contenders=tuple(report.values()),
-                          rounds=rounds, raced=True,
-                          encodes=len(instances))
+                          rounds=rounds, raced=True, encodes=encodes)
 
     def stats(self) -> dict[str, float]:
         """Counters for the service ``stats`` endpoint."""

@@ -1,26 +1,26 @@
 """Dictionary encoding: dense integer codes per attribute domain.
 
-The engine's first layer. Every attribute of a query gets one
-:class:`Dictionary` mapping the union of the values that *any* input
-(relational column or twig path position) offers for that attribute to
-``0..k-1``. Codes are assigned in the mixed-type total order of
+The engine's first layer. A :class:`Dictionary` maps a set of values to
+``0..k-1`` in the mixed-type total order of
 :func:`repro.relational.schema.sort_key`, so **code order equals value
 order**: trie levels sorted by code are sorted by value, leapfrog seeks
 compare plain ints, and hashed descent probes int-keyed dicts instead of
 hashing heterogeneous Python objects.
 
-Because one dictionary serves every input that binds the attribute, equal
-values encode to equal codes across relations and twig path-relations —
-intersection on codes is exactly intersection on values.
+Every *input* column (relational, or twig path position) owns a
+**local** dictionary over the values it stores, built once per input
+version (:class:`repro.engine.encoded.EncodedInput`). A query's
+**global** dictionary for an attribute is the union of the binders'
+local ones (:func:`merge_dictionaries`): equal values get equal codes
+across inputs, so intersection on codes is intersection on values, and
+the local -> global code map is monotone (both sort by one key).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from operator import itemgetter
 
 from repro.errors import EngineError
-from repro.relational.relation import Relation
 from repro.relational.schema import Value, sort_key
 
 
@@ -34,7 +34,7 @@ class Dictionary:
     1
     """
 
-    __slots__ = ("attribute", "values", "codes")
+    __slots__ = ("attribute", "values", "codes", "_merged")
 
     def __init__(self, attribute: str, domain: Iterable[Value]):
         self.attribute = attribute
@@ -45,6 +45,7 @@ class Dictionary:
         #: The inverse mapping (value -> code).
         self.codes: dict[Value, int] = {
             value: code for code, value in enumerate(self.values)}
+        self._merged = None  #: last merge_dictionaries answer led by this
 
     def encode(self, value: Value) -> int:
         """The code of *value*; raises :class:`EngineError` if unknown."""
@@ -79,27 +80,36 @@ class Dictionary:
         return f"Dictionary({self.attribute!r}, {len(self.values)} values)"
 
 
+def merge_dictionaries(local: "Sequence[Dictionary]") -> Dictionary:
+    """The global dictionary over the union of one attribute's *local*
+    domains (one per input binding it): the first as it stands when all
+    are equal, else a new one. The answer is remembered on the first for
+    exactly these peers — one slot, so changing peers never accumulate —
+    and a repeated merge is a handful of identity checks."""
+    first, peers = local[0], tuple(local[1:])
+    memo = first._merged
+    if memo is not None and memo[0] == peers:  # element-wise identity
+        merged = memo[1]
+    elif all(peer.values == first.values for peer in peers):
+        merged = None
+    else:
+        merged = Dictionary(first.attribute, set(first.values).union(
+            *(peer.values for peer in peers)))
+    # None stands for *first*: a self-reference would be a cycle.
+    first._merged = (peers, merged)
+    return first if merged is None else merged
+
+
 class DictionaryBuilder:
     """Accumulates attribute domains across inputs, then freezes them.
 
-    Feed it every input of a query (relations via :meth:`add_relation`,
-    already-materialised row sets via :meth:`add_rows`) and call
-    :meth:`build` once; the resulting dictionaries are shared by all
-    encoded tries of the query.
+    The from-scratch way to a query's global dictionaries (the engine
+    merges cached local ones, :func:`merge_dictionaries`, and must agree
+    with it): :meth:`add_rows` every input, then :meth:`build` once.
     """
 
     def __init__(self) -> None:
         self._domains: dict[str, set[Value]] = {}
-
-    def add_values(self, attribute: str, values: Iterable[Value]) -> None:
-        """Widen one attribute's domain with *values*."""
-        self._domains.setdefault(attribute, set()).update(values)
-
-    def add_relation(self, relation: Relation) -> None:
-        """Widen every schema attribute's domain with the relation's rows."""
-        for position, attribute in enumerate(relation.schema):
-            domain = self._domains.setdefault(attribute, set())
-            domain.update(map(itemgetter(position), relation.rows))
 
     def add_rows(self, attributes: Sequence[str],
                  rows: Iterable[Sequence[Value]]) -> None:

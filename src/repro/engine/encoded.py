@@ -1,47 +1,58 @@
 """Encoded physical representation of a query: the engine's second layer.
 
-An :class:`EncodedInstance` is built **once** per query and then handed to
-any :class:`~repro.engine.interface.JoinAlgorithm`. It bundles
+An input's encoded form (:class:`EncodedInput`: local dictionaries and
+trie) is built **once per input version** and kept with the input's
+other derived state: in the planner's weak per-relation cache, or the
+columnar view's ``derived`` dict for twig inputs. An
+:class:`EncodedInstance` *assembles* them for one global attribute order
+and is handed to any :class:`~repro.engine.interface.JoinAlgorithm`:
 
-* one shared :class:`~repro.engine.dictionary.Dictionary` per attribute,
-* one :class:`EncodedTrie` per input — relations directly, twig
-  path-relations from the document's P-C chains and one pair input per
-  cut A-D twig edge from the document's ancestor-descendant node pairs.
-  Twig rows are never materialised as :class:`Relation`s (the paper's
-  "we do not physically transform them into relational tables"); a
-  transient distinct-row set is gathered once per input to feed both
-  the shared dictionaries and the trie build,
-* the participation map (which tries bind which level of the global
-  attribute order), and
+* one global :class:`~repro.engine.dictionary.Dictionary` per attribute,
+  merged from the local ones of the inputs binding it,
+* one :class:`EncodedTrie` per input — relations, twig path-relations
+  (never materialised as :class:`Relation`s: the paper's "we do not
+  physically transform them into relational tables") and one pair input
+  per cut A-D twig edge: the cached trie as it stands where the union
+  adds nothing to the input's local domains, else re-keyed (once)
+  through the monotone local -> global code tables. Global orders that
+  agree on an input's column order share its trie,
+* the participation map (which tries bind which level of the order), and
 * for multi-model queries, the per-level structure checks
   (:class:`TwigFilters`) XJoin runs as each twig's last attribute binds.
 
 Tries store dense int codes: every level's key list is a sorted typed
 buffer (:mod:`repro.buffers.layout` picks the narrowest ``array``
 typecode from the level's code bound and widens on demand; code order ==
-value order, see the dictionary layer), so seeks are galloping probes
-over contiguous ints and hashed descent probes int-keyed dicts. Building
-from sorted encoded rows shares prefixes with the previous row, which
-also yields the key buffers already sorted — no per-node sort pass. The
-update layer's ``insert``/``remove`` splice the same buffers in place
-(amortized via the array over-allocation), so delta maintenance never
-forces a repack.
+value order), so seeks are galloping probes over contiguous ints and
+hashed descent probes int-keyed dicts. Building from sorted encoded rows
+shares prefixes with the previous row, which yields the key buffers
+already sorted; rows end in one shared empty leaf node, not one each.
+``insert``/``remove`` splice the same buffers in place (amortized via
+the array over-allocation), so delta maintenance never forces a repack
+— on tries of the update layer's own: cached tries are shared by every
+instance over their input, hence **frozen**, and both raise on them.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from repro.buffers.kernels import gallop
 from repro.buffers.layout import (
     insert_code,
     make,
+    pack,
     remove_code,
     typecode_for,
 )
-from repro.engine.dictionary import Dictionary, DictionaryBuilder, encode_rows
+from repro.engine.dictionary import (
+    Dictionary,
+    encode_rows,
+    merge_dictionaries,
+)
 from repro.errors import EngineError, QueryError
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema, Value
@@ -68,6 +79,10 @@ class EncodedTrieNode:
         return len(self.keys)
 
 
+#: The node every stored row of every trie ends in; never written to.
+_LEAF = EncodedTrieNode("B")
+
+
 class EncodedTrie:
     """A dictionary-encoded input indexed as a trie over ``order``.
 
@@ -76,7 +91,8 @@ class EncodedTrie:
     ``code_bounds`` optionally gives the maximum code per level (the
     builders pass each level dictionary's size) so every node at that
     level packs into the narrowest typecode without a scan; without it
-    the rows are scanned once, column-wise.
+    the rows are scanned once, column-wise. ``_typecodes = None`` marks
+    a *frozen* (cached, attached) trie: ``insert``/``remove`` raise.
     """
 
     __slots__ = ("name", "order", "root", "size", "_typecodes")
@@ -93,8 +109,8 @@ class EncodedTrie:
                       else [0] * len(self.order))
         else:
             bounds = list(code_bounds)
-        # One typecode per level, plus a trailing narrow one so child
-        # creation below the last level never indexes out of range.
+        # One typecode per level, plus a trailing narrow one so a
+        # zero-arity trie still has a root typecode.
         self._typecodes = tuple(typecode_for(max(hi, 0)) for hi in bounds) \
             + ("B",)
         root = EncodedTrieNode(self._typecodes[0])
@@ -103,20 +119,24 @@ class EncodedTrie:
         chain: list[EncodedTrieNode] = [root]
         previous: tuple[int, ...] | None = None
         typecodes = self._typecodes
-        for row in rows:
+        last = len(self.order) - 1
+        for row in rows if self.order else ():
             split = 0
             if previous is not None:
-                limit = len(row)
-                while split < limit and row[split] == previous[split]:
+                # Distinct rows differ at or before the last column.
+                while row[split] == previous[split]:
                     split += 1
             del chain[split + 1:]
             node = chain[split]
-            for level, code in enumerate(row[split:], split):
+            for level in range(split, last):
+                code = row[level]
                 child = EncodedTrieNode(typecodes[level + 1])
                 node.keys.append(code)
                 node.children[code] = child
                 chain.append(child)
                 node = child
+            node.keys.append(row[last])
+            node.children[row[last]] = _LEAF
             previous = row
         self.root = root
 
@@ -127,7 +147,9 @@ class EncodedTrie:
 
     # -- delta maintenance (repro.updates) ---------------------------------
 
-    def _check_arity(self, row: "tuple[int, ...]") -> None:
+    def _check_splice(self, row: "tuple[int, ...]") -> None:
+        if self._typecodes is None:
+            raise EngineError(f"trie {self.name!r} is frozen (shared)")
         if len(row) != len(self.order):
             raise EngineError(
                 f"trie {self.name!r}: row {row!r} has arity {len(row)}, "
@@ -141,17 +163,19 @@ class EncodedTrie:
         when a new code outgrows it), so iterators and seeks keep
         working on the patched trie without a rebuild.
         """
-        self._check_arity(row)
+        self._check_splice(row)
         if not row:  # zero-arity trie: holds the empty tuple or nothing
             present = self.size > 0
             self.size = 1
             return not present
         node = self.root
         created = False
+        last = len(row) - 1
         for level, code in enumerate(row):
             child = node.children.get(code)
             if child is None:
-                child = EncodedTrieNode(self._typecodes[level + 1])
+                child = _LEAF if level == last \
+                    else EncodedTrieNode(self._typecodes[level + 1])
                 node.keys = insert_code(node.keys, code)
                 node.children[code] = child
                 created = True
@@ -163,7 +187,7 @@ class EncodedTrie:
     def remove(self, row: "tuple[int, ...]") -> bool:
         """Remove one encoded row, pruning emptied nodes; returns False
         if the row was not present."""
-        self._check_arity(row)
+        self._check_splice(row)
         if not row:
             if not self.size:
                 return False
@@ -185,8 +209,37 @@ class EncodedTrie:
         self.size -= 1
         return True
 
+    def rekeyed(self, tables: "Sequence[list | None]") -> "EncodedTrie":
+        """A frozen copy with each level's codes mapped through its
+        monotone *table* (None = unchanged): keys stay sorted and
+        grouped, so one pass over the nodes; levels below the deepest
+        mapped one are shared."""
+        last = len(self.order) - 1
+        deepest = max(level for level, table in enumerate(tables) if table)
+
+        def copy(node: EncodedTrieNode, level: int) -> EncodedTrieNode:
+            if level > deepest:
+                return node
+            table = tables[level]
+            out = EncodedTrieNode()
+            out.keys = node.keys if table is None else pack(
+                [table[code] for code in node.keys], hi=table[-1])
+            out.children = dict.fromkeys(out.keys, _LEAF) if level == last \
+                else dict(zip(out.keys, [copy(node.children[code], level + 1)
+                                         for code in node.keys]))
+            return out
+
+        clone = EncodedTrie.__new__(EncodedTrie)
+        clone.name, clone.order, clone.size = self.name, self.order, self.size
+        clone.root = copy(self.root, 0)
+        clone._typecodes = None
+        return clone
+
     def tuples(self):
         """Enumerate stored code tuples in sorted order (for tests)."""
+
+        if not self.size:
+            return  # also the zero-arity trie that holds no ()
 
         def recurse(node: EncodedTrieNode, prefix: tuple[int, ...]):
             if len(prefix) == self.depth:
@@ -288,24 +341,84 @@ def _global_order(schemas: Sequence[Sequence[str]],
     return order
 
 
-def _input_trie(name: str, schema: Schema, rows: Iterable[tuple],
-                order: tuple[str, ...],
-                dictionaries: dict[str, Dictionary]) -> EncodedTrie:
-    """Encode one input's distinct *rows* into a trie whose levels
-    follow the global *order* restricted to the input's *schema*."""
-    trie_order = schema.restrict_order(order)
-    encoded = encode_rows(rows, schema.positions(trie_order),
-                          [dictionaries[a] for a in trie_order])
-    bounds = [len(dictionaries[a].values) - 1 for a in trie_order]
-    return EncodedTrie(name, trie_order, encoded, code_bounds=bounds)
+class EncodedInput:
+    """One input under one column order, cached for the input's version:
+    its own (*local*) ``dictionaries``, one per column of ``trie.order``
+    over exactly the values stored there, and the ``trie`` over their
+    codes. No reference leads back to the relation, document or query,
+    so the artefact dies with them."""
+
+    __slots__ = ("dictionaries", "trie", "_rekeyed")
+
+    def __init__(self, name: str, attributes: Sequence[str],
+                 columns: Sequence[str], rows: "set | frozenset",
+                 local: "dict[str, Dictionary]"):
+        """Encode the distinct *rows* over *attributes*, indexed in the
+        order *columns*. *local* holds the input's dictionaries by
+        attribute, shared by its column orders; missing ones are added."""
+        positions = [attributes.index(a) for a in columns]
+        for attribute, position in zip(columns, positions):
+            if attribute not in local:
+                local[attribute] = Dictionary(
+                    attribute, set(map(itemgetter(position), rows)))
+        self.dictionaries = tuple(local[a] for a in columns)
+        self.trie = EncodedTrie(
+            name, columns, encode_rows(rows, positions, self.dictionaries),
+            code_bounds=[len(d) - 1 for d in self.dictionaries])
+        self.trie._typecodes = None  # frozen: shared from here on
+        self._rekeyed = None  #: last answer of trie_under: (wanted, trie)
+
+    def trie_under(self, dictionaries: "dict[str, Dictionary]"
+                   ) -> EncodedTrie:
+        """The trie keyed by the global *dictionaries* (unions of this
+        input's local ones with its peers'): the cached trie where the
+        unions added nothing, else a re-keyed copy — remembered either
+        way for the next assembly over the same dictionaries."""
+        wanted = tuple(dictionaries[a] for a in self.trie.order)
+        memo = self._rekeyed
+        if memo is None or memo[0] != wanted:  # element-wise identity
+            # A union no larger than the local domain is that domain.
+            tables = [None if len(merged) == len(local)
+                      else list(map(merged.codes.__getitem__, local.values))
+                      for merged, local in zip(wanted, self.dictionaries)]
+            memo = self._rekeyed = (wanted, self.trie.rekeyed(tables)
+                                    if any(tables) else self.trie)
+        return memo[1]
+
+
+def encoded_input(cache: dict, key: tuple, name: str,
+                  attributes: Sequence[str], columns: tuple[str, ...],
+                  rows) -> tuple[EncodedInput, bool]:
+    """(the artefact of input *key* under *columns*, whether this call
+    built it — from ``rows()``, its distinct rows). *cache* lives and
+    dies with the input: its artefact dict, its view's ``derived``."""
+    found = cache.get((*key, columns))
+    if found is not None:
+        return found, False
+    built = cache[(*key, columns)] = EncodedInput(
+        name, attributes, columns, rows(),
+        cache.setdefault((*key, "dictionaries"), {}))
+    return built, True
+
+
+def relation_input(relation: Relation, order: Sequence[str]
+                   ) -> tuple[EncodedInput, bool]:
+    """:func:`encoded_input` of *relation*, columns as in *order*."""
+    # Imported lazily: the planner, which owns the cache, sits above.
+    from repro.engine.planner import relation_artefacts
+
+    return encoded_input(
+        relation_artefacts(relation), (), relation.name,
+        relation.schema.attributes, relation.schema.restrict_order(order),
+        lambda: relation.rows)
 
 
 class EncodedInstance:
-    """Everything a :class:`JoinAlgorithm` needs, built once per query."""
+    """What a :class:`JoinAlgorithm` runs on: cached inputs, assembled."""
 
     __slots__ = ("name", "order", "dictionaries", "tries", "participation",
                  "relations", "query", "twig_filters", "erase_structural",
-                 "_level_values")
+                 "built", "_level_values")
 
     def __init__(self, name: str, order: tuple[str, ...],
                  dictionaries: dict[str, Dictionary],
@@ -322,6 +435,8 @@ class EncodedInstance:
         self.query = query
         self.twig_filters = twig_filters
         self.erase_structural = erase_structural
+        #: Per trie: did assembly build (True) or find (False) its artefact?
+        self.built: tuple[bool, ...] = ()
         #: participation[level] = indexes of the tries binding that level.
         self.participation: list[list[int]] = [[] for _ in order]
         for index, trie in enumerate(tries):
@@ -335,20 +450,34 @@ class EncodedInstance:
     # -- construction ------------------------------------------------------
 
     @classmethod
+    def _assemble(cls, name: str, order: tuple[str, ...],
+                  inputs: "Sequence[tuple[EncodedInput, bool]]",
+                  **carried) -> "EncodedInstance":
+        """The one construction path: merge the inputs' local
+        dictionaries and key every cached trie by the result."""
+        binders: dict[str, list[Dictionary]] = {}
+        for artefact, _built in inputs:
+            for local in artefact.dictionaries:
+                binders.setdefault(local.attribute, []).append(local)
+        dictionaries = {attribute: merge_dictionaries(local)
+                        for attribute, local in binders.items()}
+        instance = cls(name, order, dictionaries,
+                       [artefact.trie_under(dictionaries)
+                        for artefact, _built in inputs], **carried)
+        instance.built = tuple(built for _artefact, built in inputs)
+        return instance
+
+    @classmethod
     def from_relations(cls, relations: Sequence[Relation],
                        order: Sequence[str] | None = None, *,
                        name: str = "Q") -> "EncodedInstance":
         """Encode a purely relational natural-join query."""
         resolved = _global_order([r.schema.attributes for r in relations],
                                  order)
-        builder = DictionaryBuilder()
-        for relation in relations:
-            builder.add_relation(relation)
-        dictionaries = builder.build()
-        tries = [_input_trie(relation.name, relation.schema, relation.rows,
-                             resolved, dictionaries)
-                 for relation in relations]
-        return cls(name, resolved, dictionaries, tries, relations=relations)
+        return cls._assemble(
+            name, resolved,
+            [relation_input(relation, resolved) for relation in relations],
+            relations=relations)
 
     @classmethod
     def reference(cls, query: "MultiModelQuery") -> "EncodedInstance":
@@ -371,10 +500,7 @@ class EncodedInstance:
         ``validate_structure=False`` encodes the paper's relaxed value
         join instead: path relations only, no pair inputs, no checks.
         """
-        from repro.core.decomposition import (
-            iter_pair_value_rows,
-            iter_path_value_rows,
-        )
+        from repro.core.decomposition import twig_input
         from repro.core.validation import (
             StructureValidator,
             validation_points,
@@ -383,40 +509,18 @@ class EncodedInstance:
         expansion = tuple(order)
         structural = {binding.name: query.structural_attributes(binding)
                       for binding in query.twigs}
-
-        # Gather each twig input's distinct value rows once (a transient
-        # set, not a Relation); both the dictionary builder and the trie
-        # build read them, so a single document walk pays for both.
-        twig_inputs: list[tuple[str, tuple[str, ...], set[tuple]]] = []
+        inputs = [relation_input(relation, expansion)
+                  for relation in query.relations]
         for binding in query.twigs:
             decomposition = query.decompositions[binding.name]
-            by_identity = structural[binding.name]
-            for path in decomposition.paths:
-                rows = set(iter_path_value_rows(binding.document, path,
-                                                by_identity))
-                twig_inputs.append((path.name, path.attributes, rows))
-            for pair in decomposition.pairs if validate_structure else ():
-                rows = set(iter_pair_value_rows(binding.document, pair,
-                                                by_identity))
-                twig_inputs.append((pair.name, pair.attributes, rows))
-
-        builder = DictionaryBuilder()
-        for relation in query.relations:
-            builder.add_relation(relation)
-        for _name, attributes, rows in twig_inputs:
-            builder.add_rows(attributes, rows)
-        dictionaries = builder.build()
-        # Attributes no input binds cannot occur for a valid query, but
-        # keep decode total for them anyway.
-        for attribute in expansion:
-            dictionaries.setdefault(attribute, Dictionary(attribute, ()))
-
-        tries = [_input_trie(relation.name, relation.schema, relation.rows,
-                             expansion, dictionaries)
-                 for relation in query.relations]
-        tries += [_input_trie(name, Schema(attributes), rows, expansion,
-                              dictionaries)
-                  for name, attributes, rows in twig_inputs]
+            atoms = decomposition.paths + (
+                decomposition.pairs if validate_structure else ())
+            inputs += [twig_input(binding.document, atom,
+                                  structural[binding.name], expansion)
+                       for atom in atoms]
+        instance = cls._assemble(
+            query.name, expansion, inputs, relations=query.relations,
+            query=query, erase_structural=any(structural.values()))
 
         filters = TwigFilters(checks=[[] for _ in expansion])
         if validate_structure:
@@ -428,14 +532,11 @@ class EncodedInstance:
                 names = binding.twig.attributes
                 validator = StructureValidator(
                     binding.document, binding.twig,
-                    [dictionaries[a].values for a in names])
+                    [instance.dictionaries[a].values for a in names])
                 filters.checks[expansion.index(attribute)].append(
                     (tuple(expansion.index(a) for a in names), validator))
-
-        return cls(query.name, expansion, dictionaries, tries,
-                   relations=query.relations, query=query,
-                   twig_filters=filters,
-                   erase_structural=any(structural.values()))
+        instance.twig_filters = filters
+        return instance
 
     # -- helpers for algorithms -------------------------------------------
 

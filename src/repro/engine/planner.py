@@ -50,20 +50,36 @@ if TYPE_CHECKING:
 # cached statistics
 # ---------------------------------------------------------------------------
 
-#: id(relation) -> (weakref, stats). Keyed by id for O(1) lookup without
-#: hashing the row set; the weakref's eviction callback removes the entry
-#: the moment the relation is collected, so the cache never pins inputs
-#: (and a recycled id can never alias a dead entry).
-_RELATION_STATS_CACHE: "dict[int, tuple[weakref.ref, RelationStats]]" = {}
+#: id(relation) -> (weakref, artefacts of its rows: ``"stats"``, and one
+#: :class:`~repro.engine.encoded.EncodedInput` per column order). Keyed
+#: by id for O(1) lookup without hashing the row set; the weakref's
+#: eviction callback removes the entry the moment the relation (one
+#: *version*: updates mint new objects) is collected, so the cache never
+#: pins inputs (and a recycled id can never alias a dead entry).
+_RELATION_STATS_CACHE: "dict[int, tuple[weakref.ref, dict]]" = {}
 
 
-def cached_relation_stats(relation: Relation) -> RelationStats:
-    """:func:`relation_stats`, memoised per (live) relation object."""
+def relation_artefacts(relation: Relation) -> dict:
+    """The (live) *relation*'s artefact dict, created on first use."""
     key = id(relation)
     entry = _RELATION_STATS_CACHE.get(key)
     if entry is not None and entry[0]() is relation:
         return entry[1]
-    return install_relation_stats(relation, relation_stats(relation))
+
+    def evict(_ref: weakref.ref, key: int = key) -> None:
+        _RELATION_STATS_CACHE.pop(key, None)
+
+    artefacts: dict = {}
+    _RELATION_STATS_CACHE[key] = (weakref.ref(relation, evict), artefacts)
+    return artefacts
+
+
+def cached_relation_stats(relation: Relation) -> RelationStats:
+    """:func:`relation_stats`, memoised per (live) relation object."""
+    artefacts = relation_artefacts(relation)
+    if "stats" not in artefacts:
+        artefacts["stats"] = relation_stats(relation)
+    return artefacts["stats"]
 
 
 def install_relation_stats(relation: Relation,
@@ -73,18 +89,14 @@ def install_relation_stats(relation: Relation,
     The update layer (:mod:`repro.updates.relations`) maintains exact
     statistics from deltas and installs them here, so planning the next
     query over a freshly updated relation never rescans its rows."""
-    key = id(relation)
-
-    def evict(_ref: weakref.ref, key: int = key) -> None:
-        _RELATION_STATS_CACHE.pop(key, None)
-
-    _RELATION_STATS_CACHE[key] = (weakref.ref(relation, evict), stats)
+    relation_artefacts(relation)["stats"] = stats
     return stats
 
 
 def invalidate_relation_stats(relation: Relation) -> None:
-    """Explicitly drop *relation*'s cached statistics (update layer hook:
-    deterministic release instead of relying solely on weakref death)."""
+    """Explicitly drop *relation*'s cached statistics and encoded inputs
+    (update and MVCC layer hook: deterministic release instead of
+    relying solely on weakref death)."""
     _RELATION_STATS_CACHE.pop(id(relation), None)
 
 
@@ -564,6 +576,7 @@ def run_query(query: "MultiModelQuery", *,
     else:
         with stats.phase("encode"):
             instance = EncodedInstance.from_query(query, plan.order)
+        stats.count_inputs(instance)
     result = get_algorithm(plan.algorithm).run(instance, stats=stats)
     # xjoin/baseline already project onto the query attributes; only the
     # relational kernels return rows over the full expansion order.

@@ -39,6 +39,9 @@ class JoinStats:
         self.seeks: int = 0
         self.emitted: int = 0
         self.filtered: int = 0
+        self.inputs_built: int = 0  # encoded inputs built / found cached
+        self.inputs_reused: int = 0
+        self.inputs: dict[str, list[int]] = {}  #: name -> [built, reused]
         self.wall_time: float = 0.0
         self.phase_times: dict[str, float] = {}
         self._start: float | None = None
@@ -65,6 +68,13 @@ class JoinStats:
 
     def count_filtered(self, n: int = 1) -> None:
         self.filtered += n
+
+    def count_inputs(self, instance) -> None:
+        """Record which encoded inputs assembling *instance* built."""
+        for trie, built in zip(instance.tries, instance.built):
+            self.inputs.setdefault(trie.name, [0, 0])[not built] += 1
+            self.inputs_built += built
+            self.inputs_reused += not built
 
     # -- timing ----------------------------------------------------------
 
@@ -106,6 +116,8 @@ class JoinStats:
         self.seeks += int(summary.get("seeks", 0))
         self.emitted += int(summary.get("emitted", 0))
         self.filtered += int(summary.get("filtered", 0))
+        self.inputs_built += int(summary.get("inputs_built", 0))
+        self.inputs_reused += int(summary.get("inputs_reused", 0))
         self.total_intermediate += int(summary.get("total_intermediate", 0))
         peak = int(summary.get("max_intermediate", 0))
         if peak > self.max_intermediate:
@@ -130,6 +142,8 @@ class JoinStats:
             "seeks": self.seeks,
             "emitted": self.emitted,
             "filtered": self.filtered,
+            "inputs_built": self.inputs_built,
+            "inputs_reused": self.inputs_reused,
             "wall_time": self.wall_time,
         }
 
@@ -154,6 +168,9 @@ class _NullStats(JoinStats):
         pass
 
     def count_filtered(self, n: int = 1) -> None:  # noqa: D102
+        pass
+
+    def count_inputs(self, instance) -> None:  # noqa: D102
         pass
 
     def start_timer(self) -> None:  # noqa: D102

@@ -14,8 +14,8 @@ Pinning captures the maintained answer plus the current version vector
 in O(1); the copy cost is paid lazily, by the writer, only for versions
 that are both pinned and superseded. Reclamation is deterministic:
 releasing the last pin on a version drops its retained artifacts and
-explicitly invalidates their cache entries (planner relation stats,
-columnar views, document stats).
+explicitly invalidates their cache entries (relation stats + encoded
+inputs, columnar views + the twig inputs encoded from them, doc stats).
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ if TYPE_CHECKING:
 
 
 def _reclaim_relation(artifact: Relation) -> None:
-    """Chain hook: release a retained relation's installed statistics."""
+    """Chain hook: release a retained relation's stats + encoded inputs."""
     invalidate_relation_stats(artifact)
 
 

@@ -329,6 +329,7 @@ class ParallelExecutor:
             return self._run_baseline(query, stats=stats)
         with stats.phase("encode"):
             instance = EncodedInstance.from_query(query, plan.order)
+        stats.count_inputs(instance)
         result = self.run_join(instance, plan.algorithm, stats=stats,
                                morsels=plan.partitions)
         if result.schema.attributes != query.attributes:

@@ -1,12 +1,12 @@
 """Delta-maintained encoded instances (dictionaries + tries).
 
-The engine builds an :class:`~repro.engine.encoded.EncodedInstance` once
-per query and throws it away; under an update stream that rebuild — the
-dictionary sort plus the full re-encode of every input — dominates the
-cost of a single-tuple change. An :class:`IncrementalInstance` keeps the
-dictionaries (:class:`~repro.updates.dictionary.IncrementalDictionary`,
-append-only code assignment) and the per-input tries alive across
-updates, splicing single encoded rows in and out.
+The engine encodes each input once per *version* (frozen, cached tries);
+a single-tuple change mints a new version, and re-encoding that input —
+dictionary sort plus a full trie build — dominates the cost of the
+change. An :class:`IncrementalInstance` keeps its own dictionaries
+(:class:`~repro.updates.dictionary.IncrementalDictionary`, append-only
+code assignment) and per-input tries alive across updates, splicing
+single encoded rows in and out.
 
 When any attribute's appended-code overflow crosses the remap threshold
 the instance compacts: the dictionary re-sorts and every trie binding

@@ -209,10 +209,10 @@ class ColumnarDocument:
         #: start label -> node id (starts identify nodes uniquely).
         self.nid_index: dict[int, int] = {
             start: nid for nid, start in enumerate(starts)}
-        #: Indexes derived from the arrays above and memoised per view
-        #: (see :meth:`value_index`). They share the view's lifetime:
-        #: evicted with it, and dropped by :func:`install_columnar`
-        #: whenever the update layer installs the view after a splice.
+        #: Derived from the arrays above and memoised per view: value
+        #: indexes (:meth:`value_index`), encoded twig inputs. They share
+        #: the view's lifetime: evicted with it, and dropped by
+        #: :func:`install_columnar` after every update-layer splice.
         self.derived: dict = {}
 
     @classmethod

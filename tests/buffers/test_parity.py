@@ -16,7 +16,7 @@ import pytest
 
 from repro.buffers.layout import as_list, is_buffer, list_backend
 from repro.core.multimodel import MultiModelQuery
-from repro.engine.encoded import EncodedInstance
+from repro.engine.encoded import EncodedInstance, EncodedTrie
 from repro.engine.interface import available_algorithms, get_algorithm
 from repro.instrumentation import JoinStats
 from repro.relational.relation import Relation
@@ -55,7 +55,10 @@ def run_join(instance, algorithm):
     return sorted(result.rows), counters(stats)
 
 
-def build_instance(relations, order, algorithm):
+def build_instance(n, order, algorithm):
+    # Fresh relations per build: encoded inputs are cached per relation
+    # object, so only new objects encode under the backend in force.
+    relations = triangle_relations(n)
     if algorithm == "xjoin":  # xjoin requires the query-carrying build
         query = MultiModelQuery(relations, name="Q")
         return EncodedInstance.from_query(query, order)
@@ -69,12 +72,11 @@ class TestJoinParity:
     @pytest.mark.parametrize("algorithm", JOIN_ALGORITHMS)
     @pytest.mark.parametrize("n", [40, 300])
     def test_rows_and_counters_identical(self, algorithm, n):
-        relations = triangle_relations(n)
         order = ("a", "b", "c")
-        buffered = build_instance(relations, order, algorithm)
+        buffered = build_instance(n, order, algorithm)
         assert is_buffer(buffered.tries[0].root.keys)
         with list_backend():
-            listed = build_instance(relations, order, algorithm)
+            listed = build_instance(n, order, algorithm)
         assert not is_buffer(listed.tries[0].root.keys)
         rows_b, stats_b = run_join(buffered, algorithm)
         rows_l, stats_l = run_join(listed, algorithm)
@@ -83,11 +85,18 @@ class TestJoinParity:
 
     @pytest.mark.parametrize("algorithm", JOIN_ALGORITHMS)
     def test_parity_after_trie_splices(self, algorithm):
-        relations = triangle_relations(60)
         order = ("a", "b", "c")
-        buffered = build_instance(relations, order, algorithm)
+
+        def thawed(instance):
+            # Cached tries are frozen; splice private copies instead.
+            instance.tries = [EncodedTrie(t.name, t.order, t.tuples())
+                              for t in instance.tries]
+            return instance
+
+        buffered = thawed(build_instance(60, order, algorithm))
         with list_backend():
-            listed = build_instance(relations, order, algorithm)
+            listed = thawed(build_instance(60, order, algorithm))
+        assert not is_buffer(listed.tries[0].root.keys)
         # Splice the same rows into both twins through the public
         # insert/remove path (the update layer's trie maintenance).
         for trie_b, trie_l in zip(buffered.tries, listed.tries):

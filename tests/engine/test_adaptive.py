@@ -271,18 +271,30 @@ class TestPlanRacer:
         assert racer.races == 2
 
     def test_a_race_encodes_each_distinct_order_once(self):
+        # ``encodes`` counts encoded *inputs built*: one per distinct
+        # (input, column order) the contenders need, however many
+        # orders, operators and halving rounds share it.
         query = skewed_query()
         racer = PlanRacer(FeedbackStore())
         report = racer.race(query)
         assert report.raced and report.rounds >= 1
-        # generic_join and leapfrog share an order's instance, and so
-        # do the successive-halving rounds.
-        assert len(report.contenders) > report.encodes
-        assert report.encodes == \
-            len({contender.plan.order for contender in report.contenders})
+        orders = {contender.plan.order for contender in report.contenders}
+        assert len(orders) > 1
+        column_orders = {
+            (relation.name, relation.schema.restrict_order(order))
+            for order in orders for relation in query.relations}
+        assert report.encodes == len(column_orders)
+        # Binary inputs have two column orders, the contenders more
+        # global orders than that: some share a cached trie.
+        assert report.encodes < len(orders) * len(query.relations)
         assert racer.stats()["encodes"] == report.encodes
         assert racer.stats()["race_ms"] > 0
         assert racer.race(query).encodes == 0  # cached: nothing built
+        # A re-race over unchanged inputs finds every encoding cached.
+        racer.store.bump_epoch()
+        again = racer.race(query)
+        assert again.raced and again.encodes == 0
+        assert racer.stats()["encodes"] == report.encodes
 
     def test_ties_go_to_the_incumbent_then_to_rank(self, monkeypatch):
         # The clock decides only what it can tell apart: within the

@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.engine.dictionary import Dictionary, DictionaryBuilder, encode_rows
+from repro.engine.dictionary import (
+    Dictionary,
+    DictionaryBuilder,
+    encode_rows,
+    merge_dictionaries,
+)
 from repro.errors import EngineError
 from repro.relational.relation import Relation
 from repro.relational.schema import sort_key
@@ -67,9 +72,8 @@ class TestDictionaryBuilder:
     def test_domains_shared_across_inputs(self):
         r = Relation("R", ("a", "b"), [(1, "x"), (2, "y")])
         builder = DictionaryBuilder()
-        builder.add_relation(r)
-        builder.add_rows(("a",), [(3,), (1,)])
-        builder.add_values("a", [4])
+        builder.add_rows(r.schema.attributes, r.rows)
+        builder.add_rows(("a",), [(3,), (1,), (4,)])
         dictionaries = builder.build()
         assert set(dictionaries) == {"a", "b"}
         assert set(dictionaries["a"].values) == {1, 2, 3, 4}
@@ -81,11 +85,36 @@ class TestDictionaryBuilder:
         r = Relation("R", ("a",), [(1,), (2,)])
         s = Relation("S", ("a",), [(2,), (3,)])
         builder = DictionaryBuilder()
-        builder.add_relation(r)
-        builder.add_relation(s)
+        builder.add_rows(r.schema.attributes, r.rows)
+        builder.add_rows(s.schema.attributes, s.rows)
         d = builder.build()["a"]
         assert d.encode(2) == d.encode(2)
         assert set(d.values) == {1, 2, 3}
+
+
+class TestMergeDictionaries:
+    def test_equal_domains_keep_the_first_dictionary(self):
+        first, peer = Dictionary("a", [1, 2]), Dictionary("a", [2, 1])
+        assert merge_dictionaries([first]) is first
+        assert merge_dictionaries([first, peer]) is first
+
+    def test_union_is_what_the_builder_gives_and_is_remembered(self):
+        first, peer = Dictionary("a", [1, "x"]), Dictionary("a", ["x", 7])
+        merged = merge_dictionaries([first, peer])
+        builder = DictionaryBuilder()
+        builder.add_rows(("a",), [(1,), ("x",), (7,)])
+        assert merged.values == builder.build()["a"].values == (1, 7, "x")
+        assert merge_dictionaries([first, peer]) is merged
+        # One slot: another peer set replaces the remembered answer.
+        other = merge_dictionaries([first, Dictionary("a", [0])])
+        assert other.values == (0, 1, "x")
+        assert merge_dictionaries([first, peer]) is not merged
+
+    def test_local_codes_map_monotonically_into_the_union(self):
+        local = Dictionary("a", [5, "u", None])
+        merged = merge_dictionaries([local, Dictionary("a", [1, 9, "z"])])
+        table = [merged.encode(value) for value in local.values]
+        assert table == sorted(table)
 
 
 class TestEncodeRows:

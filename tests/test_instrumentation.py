@@ -46,7 +46,8 @@ class TestJoinStats:
         summary = JoinStats().summary()
         assert set(summary) == {
             "max_intermediate", "total_intermediate", "comparisons",
-            "seeks", "emitted", "filtered", "wall_time"}
+            "seeks", "emitted", "filtered", "inputs_built",
+            "inputs_reused", "wall_time"}
 
     def test_repr(self):
         assert "max_intermediate=0" in repr(JoinStats())
