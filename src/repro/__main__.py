@@ -600,14 +600,20 @@ def cmd_explain(spec: str = "skewed", workers: int = 0) -> int:
             for name, (built, _reused) in stats.inputs.items()))
     observed = observed_stage_sizes(stats, plan.order)
     estimates = dict(plan.stage_estimates)
-    print("  stage cardinalities (upper-bound estimate vs observed):")
+    # The kernels time each level under its stage label, "<verb> <attr>".
+    level_ms = {label.partition(" ")[2]: seconds * 1e3
+                for label, seconds in stats.phase_times.items()}
+    print("  stage cardinalities (upper-bound estimate vs observed) "
+          "and kernel time:")
     for attribute in plan.order:
         estimate = estimates.get(attribute)
         seen = observed.get(attribute)
+        spent = level_ms.get(attribute)
         estimate_text = "?" if estimate is None else f"{estimate}"
         seen_text = "?" if seen is None else f"{seen}"
+        spent_text = "?" if spent is None else f"{spent:.2f}"
         print(f"    {attribute:<12} est {estimate_text:>10}   "
-              f"observed {seen_text:>10}")
+              f"observed {seen_text:>10}   {spent_text:>8} ms")
     print(f"  result: {len(result)} rows")
     races = racer.races
     replanned = planner.plan(query, workers=workers)

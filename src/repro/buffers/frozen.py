@@ -149,10 +149,10 @@ class _FrozenChildren:
     """The child-lookup mapping of one frozen span.
 
     Satisfies exactly the operations the kernels use on
-    ``EncodedTrieNode.children``: ``get``, ``[]`` and ``in``, keyed by
-    the span's own codes. Lookups gallop the span and follow the offset
-    buffer; the terminal level (no deeper keys) maps every code to a
-    shared empty node.
+    ``EncodedTrieNode.children``: ``get``, ``[]``, ``in``, ``len`` and
+    ``keys()``, keyed by the span's own codes. Lookups gallop the span
+    and follow the offset buffer; the terminal level (no deeper keys)
+    maps every code to a shared empty node.
     """
 
     __slots__ = ("_trie", "_level", "_lo", "_hi")
@@ -194,6 +194,17 @@ class _FrozenChildren:
 
     def __contains__(self, code: int) -> bool:
         return self._find(code) >= 0
+
+    def __len__(self) -> int:
+        return self._hi - self._lo
+
+    def keys(self) -> "set[int]":
+        """The span's codes as a set — what ``dict.keys()`` is to the
+        frontier kernel's C-level intersections. A copy, O(span): the
+        trie is read-only, so it cannot go stale."""
+        levels = self._trie.levels
+        return set(levels[self._level][self._lo:self._hi]) \
+            if self._level < len(levels) else set()
 
 
 def _terminal_node(trie: FrozenTrie) -> FrozenTrieNode:

@@ -60,3 +60,14 @@ def erase_surrogates(row: tuple) -> tuple:
     """Map surrogates back to None (the value-level semantics)."""
     return tuple(None if isinstance(value, NodeSurrogate) else value
                  for value in row)
+
+
+def erased_table(dictionary, values: tuple) -> tuple:
+    """The decode table *values* with surrogates erased, so decoding a
+    column through it erases as it goes. Built once per *dictionary* and
+    remembered on it (a worker's instance shell has none: None)."""
+    if dictionary is None:
+        return erase_surrogates(values)
+    if dictionary._erased is None:
+        dictionary._erased = erase_surrogates(values)
+    return dictionary._erased

@@ -12,9 +12,10 @@ Three things keep that filter off the hot path:
 
 * it runs **early** — at the expansion level that binds the twig's last
   attribute (:func:`validation_points`), not once per finished tuple;
-* it is **memoised on the twig's code projection** — an int tuple cut
-  from the kernel's binding, so a repeated projection costs one dict
-  probe and nothing is decoded;
+* it is **memoised on the twig's code projection** — an int tuple the
+  kernel zips from its frontier's columns and asks about once per
+  distinct value, so a repeated projection costs one dict probe at most
+  and nothing is decoded;
 * it is **skipped** when :func:`join_implies_embedding` proves from the
   decomposition that every tuple the join produces already embeds.
 

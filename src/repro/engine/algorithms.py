@@ -3,42 +3,70 @@
 All four algorithm families run through one
 :class:`~repro.engine.encoded.EncodedInstance`:
 
-* :class:`GenericJoinAlgorithm` — NPRR-style hashed trie descent;
-* :class:`LeapfrogTriejoinAlgorithm` — LFTJ sorted seeks, now plain int
+* :class:`GenericJoinAlgorithm` — NPRR-style attribute-at-a-time
+  expansion over the hashed tries;
+* :class:`LeapfrogTriejoinAlgorithm` — LFTJ sorted seeks, plain int
   comparisons (code order == value order);
 * :class:`XJoinAlgorithm` — the paper's Algorithm 1 over relations, twig
   path tries and A-D pair tries together; twig structure is validated
-  at the level that completes each twig, memoised on its code
-  projection (values are decoded only on a memo miss);
+  at the level that completes each twig, once per distinct code
+  projection of the frontier;
 * :class:`BaselineJoinAlgorithm` — the traditional dual-engine baseline.
   It deliberately bypasses the encoded tries: it *is* the paper's foil
   (binary relational plans + TwigStack, joined at the end), so it runs
   from the source query while sharing the unified invocation surface.
 
-The kernels preserve the stage/emit/filter stats contract of the
-pre-engine implementations (per-level ``record_stage`` sizes — the
-quantity Lemma 3.5 bounds — plus emit and filter counters). Seek counts
-remain per-probe but run slightly lower than the pre-engine numbers: the
-last-level fast paths no longer probe the seeding trie against itself,
-and LFTJ's innermost level now runs as one batch
-:func:`~repro.buffers.kernels.intersect_many` call over the raw key
-buffers (each galloping probe counts as one seek and one comparison),
-so seek totals are comparable across engine algorithms, not across
-engine versions. The hashed kernels (GenericJoin, XJoin) keep dict
-membership probes at the last level: an O(1) hash probe beats a Python
-galloping loop when the non-seed side is a hash map rather than a
-sorted buffer.
+GenericJoin and XJoin are one **level-at-a-time** function,
+:func:`_frontier_join`: Algorithm 1 as the paper writes it, breadth
+first. The frontier — every partial tuple alive after a level — is a
+set of parallel lists: one code column per bound attribute and, per
+trie descended so far, its current ``children`` mappings. A level is a
+handful of C-level passes over them (key-view intersections, ``map``,
+``itertools.chain/repeat/compress``); Python runs per level, never per
+binding. The frontier's length after a level *is* that level's stage
+size — the quantity Lemma 3.5 bounds. A frontier longer than
+:data:`_CHUNK` is cut into slices that are expanded one after the other
+(breadth first inside a chunk, depth first over chunks), so transient
+memory is O(chunk x fan-out x depth) whatever the stage sizes are;
+stage counts and level times are summed across chunks.
+
+LFTJ keeps its sorted-iterator kernel (it is the seek-based family and
+the only one that counts comparisons); its innermost level runs as one
+batch :func:`~repro.buffers.kernels.intersect_many` call over the raw
+key buffers (each galloping probe counts as one seek and one
+comparison).
+
+Counters. Stages (``level <a>`` / ``expand <a>``), ``emitted`` and
+``filtered`` mean what they always did. ``seeks`` of the frontier
+kernel are the *candidates examined*: per level, summed over the
+frontier entries, the size of the smallest candidate set among the
+level's participants (the side the C intersection iterates; tries not
+yet descended share one root and are pooled into one set, intersected
+once). They are computed in bulk, only when a caller collects stats,
+as are the per-level wall times recorded in ``JoinStats.phase_times``
+under each stage's label. Seek totals are comparable across engine
+algorithms, not across engine versions.
 """
 
 from __future__ import annotations
+
+from functools import reduce
+from itertools import chain, compress, repeat
+from operator import and_, attrgetter, getitem, methodcaller
+from time import perf_counter
 
 from repro.buffers.kernels import intersect_many
 from repro.engine.encoded import EncodedInstance, EncodedTrieIterator
 from repro.engine.interface import register
 from repro.errors import EngineError
-from repro.instrumentation import JoinStats, ensure_stats
+from repro.instrumentation import NULL_STATS, JoinStats, ensure_stats
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
+
+#: Frontier entries expanded together; longer frontiers are cut up.
+_CHUNK = 4096
+
+_children = attrgetter("children")
 
 
 def _reject_twig_instance(algorithm: str, instance: EncodedInstance) -> None:
@@ -57,88 +85,155 @@ def _reject_twig_instance(algorithm: str, instance: EncodedInstance) -> None:
             f"one is a trie-less reference instance (baseline only)")
 
 
+def _empty_result(stats: JoinStats, name: str, attributes) -> Relation:
+    """Any empty input empties the whole join; the kernels bail out
+    before expanding (this also keeps Lemma 3.5 exact when the AGM bound
+    is zero — otherwise early attributes could briefly accumulate
+    partial tuples that a later, empty input would discard)."""
+    stats.record_stage("empty input", 0)
+    return Relation(name, Schema(attributes))
+
+
+def _candidates(root):
+    """An undescended trie's candidate set. It is the root's ``keys``
+    buffer: a slice restricts ``keys`` while *sharing* ``children``
+    (:func:`repro.parallel.slicing.sliced_trie`), so only a root whose
+    two agree may stand in its O(1) key view."""
+    children = root.children
+    return children.keys() if len(children) == len(root.keys) \
+        else set(root.keys)
+
+
+def _key_view(trie):
+    """The C-level way to a node's candidate set below *trie*'s root:
+    ``dict.keys`` for hashed nodes, else the adapters' own ``keys()``."""
+    return dict.keys if type(trie.root.children) is dict \
+        else methodcaller("keys")
+
+
+def _spreader(counts, total):
+    """The function repeating each value of an entry-parallel list by
+    the entry's count (*total* is their sum): dead entries are dropped
+    first, in one pass, and single-child chains pass through as is."""
+    positive = list(filter(None, counts))
+    if len(positive) == len(counts) == total:  # every count is 1
+        return lambda values: values
+    return lambda values: list(chain.from_iterable(
+        map(repeat, compress(values, counts), positive)))
+
+
+def _frontier_join(instance: EncodedInstance, stats: JoinStats,
+                   label: str, checks=None) -> "list[list[int]]":
+    """Expand *instance* level at a time (see the module docstring);
+    returns the result as one code column per level of the order.
+
+    ``checks[level]`` are the twig structure checks XJoin runs on the
+    frontier a level produces, after it is counted as the level's stage:
+    once per distinct code projection, then one mask over the columns
+    and node lists. Set-up is O(inputs x depth) — nothing here may touch
+    a whole root, the plan racer extrapolates from 1-code slices — and
+    nothing is remembered on trie nodes (the update layer's tries change
+    between runs).
+    """
+    order, tries = instance.order, instance.tries
+    depth = len(order)
+    if not depth:
+        return []
+    # Below its last level a trie has nothing to read: not descended.
+    last = [order.index(trie.order[-1]) if trie.order else -1
+            for trie in tries]
+    key_views = list(map(_key_view, tries))
+    counting = stats is not NULL_STATS
+    alive, times = [0] * depth, [0.0] * depth
+    seeks = filtered = 0
+    columns: "list[list[int]]" = [[] for _ in order]
+
+    stats.start_timer()
+    # One pending chunk: (a code column per bound level, and per
+    # descended unfinished trie the entries' children mappings).
+    pending = [([], {})]
+    while pending:
+        cols, nodes = pending.pop()
+        level, size = len(cols), (len(cols[0]) if cols else 1)
+        if counting:
+            start = perf_counter()
+        participants = instance.participation[level]
+        held = [i for i in participants if i in nodes]
+        fresh = [i for i in participants if i not in nodes]
+        views = [map(key_views[i], nodes[i]) for i in held]
+        if fresh:  # one root each, shared by every entry: met once, last
+            shared = reduce(and_, [_candidates(tries[i].root) for i in fresh])
+            views.append(repeat(shared, size))
+        commons = list(reduce(lambda met, view: map(and_, met, view), views))
+        counts = list(map(len, commons))
+        codes = list(chain.from_iterable(commons))
+        if counting:
+            sizes = [map(len, nodes[i]) for i in held]
+            if fresh:
+                sizes.append(repeat(len(shared), size))
+            seeks += sum(map(min, *sizes)) if len(sizes) > 1 \
+                else sum(sizes[0])
+        alive[level] += len(codes)
+        spread = _spreader(counts, len(codes))
+        cols = [spread(col) for col in cols] + [codes]
+        after = {}
+        for i, node_list in nodes.items():
+            if i not in participants:
+                after[i] = spread(node_list)
+            elif last[i] > level:
+                after[i] = list(map(_children, map(
+                    getitem, spread(node_list), codes)))
+        for i in fresh:
+            if last[i] > level:
+                after[i] = list(map(_children, map(
+                    tries[i].root.children.__getitem__, codes)))
+        for positions, validator in checks[level] if checks else ():
+            projection = list(zip(*[cols[p] for p in positions]))
+            verdicts = {key: validator.admits(key)
+                        for key in set(projection)}
+            keep = list(map(verdicts.__getitem__, projection))
+            rejected = keep.count(False)
+            if rejected:
+                filtered += rejected
+                cols = [list(compress(col, keep)) for col in cols]
+                after = {i: list(compress(node_list, keep))
+                         for i, node_list in after.items()}
+        if level + 1 == depth:
+            for column, col in zip(columns, cols):
+                column += col
+        else:
+            pending.extend(
+                ([col[lo:lo + _CHUNK] for col in cols],
+                 {i: node_list[lo:lo + _CHUNK]
+                  for i, node_list in after.items()})
+                for lo in range(0, len(cols[level]), _CHUNK))
+        if counting:
+            times[level] += perf_counter() - start
+    stats.stop_timer()
+
+    stats.count_seeks(seeks)
+    stats.count_filtered(filtered)
+    stats.count_emitted(len(columns[0]))
+    for attribute, count, seconds in zip(order, alive, times):
+        stats.record_stage(f"{label} {attribute}", count)
+        stats.record_phase(f"{label} {attribute}", seconds)
+    return columns
+
+
 class GenericJoinAlgorithm:
-    """Attribute-at-a-time expansion with hashed trie descent."""
+    """Attribute-at-a-time expansion over the hashed tries."""
 
     name = "generic_join"
 
     def run(self, instance: EncodedInstance, *,
             stats: JoinStats | None = None) -> Relation:
-        """Evaluate the instance by hashed attribute-at-a-time descent."""
+        """Evaluate the instance level at a time (:func:`_frontier_join`)."""
         _reject_twig_instance(self.name, instance)
         stats = ensure_stats(stats)
-        order = instance.order
-        depth = len(order)
-        participation = instance.participation
-        nodes = [trie.root for trie in instance.tries]
-
-        stats.start_timer()
-        rows: list[tuple[int, ...]] = []
-        binding: list[int] = []
-        alive = [0] * depth
-        seeks = 0  # flushed in one bulk count; a call per probe is hot
-
-        def search(level: int) -> None:
-            nonlocal seeks
-            participants = participation[level]
-            candidate_nodes = [nodes[i] for i in participants]
-            # The relation with the fewest continuations seeds the level.
-            seed = min(candidate_nodes, key=len)
-            if level + 1 == depth:
-                # Last level: no descent needed, emit the intersection.
-                prefix = tuple(binding)
-                produced = 0
-                others = [node.children for node in candidate_nodes
-                          if node is not seed]
-                if others:
-                    for code in seed.keys:
-                        feasible = True
-                        for children in others:
-                            seeks += 1
-                            if code not in children:
-                                feasible = False
-                                break
-                        if feasible:
-                            rows.append(prefix + (code,))
-                            produced += 1
-                else:
-                    seeks += len(seed.keys)
-                    rows.extend(prefix + (code,) for code in seed.keys)
-                    produced = len(seed.keys)
-                alive[level] += produced
-                stats.count_emitted(produced)
-                return
-            for code in seed.keys:
-                children = []
-                feasible = True
-                for node in candidate_nodes:
-                    seeks += 1
-                    child = node.children.get(code)
-                    if child is None:
-                        feasible = False
-                        break
-                    children.append(child)
-                if not feasible:
-                    continue
-                for participant, child in zip(participants, children):
-                    nodes[participant] = child
-                binding.append(code)
-                alive[level] += 1
-                search(level + 1)
-                binding.pop()
-                # candidate_nodes still holds this level's entry state.
-                for participant, old in zip(participants, candidate_nodes):
-                    nodes[participant] = old
-
-        if depth == 0:
-            rows.append(())
-        else:
-            search(0)
-            stats.count_seeks(seeks)
-            for level, count in enumerate(alive):
-                stats.record_stage(f"level {order[level]}", count)
-        stats.stop_timer()
-        return instance.result_relation(rows)
+        if instance.has_empty_input():
+            return _empty_result(stats, instance.name, instance.order)
+        return instance.result_relation(
+            _frontier_join(instance, stats, "level"))
 
 
 class LeapfrogTriejoinAlgorithm:
@@ -151,6 +246,8 @@ class LeapfrogTriejoinAlgorithm:
         """Evaluate the instance by leapfrogging sorted trie iterators."""
         _reject_twig_instance(self.name, instance)
         stats = ensure_stats(stats)
+        if instance.has_empty_input():
+            return _empty_result(stats, instance.name, instance.order)
         order = instance.order
         depth = len(order)
         iterators = [EncodedTrieIterator(trie) for trie in instance.tries]
@@ -212,9 +309,7 @@ class LeapfrogTriejoinAlgorithm:
             for it in its:
                 it.up()
 
-        if depth == 0:
-            rows.append(())
-        else:
+        if depth:
             search(0)
             stats.count_comparisons(comparisons)
             stats.count_seeks(seeks)
@@ -222,7 +317,8 @@ class LeapfrogTriejoinAlgorithm:
             for level, count in enumerate(alive):
                 stats.record_stage(f"level {order[level]}", count)
         stats.stop_timer()
-        return instance.result_relation(rows)
+        return instance.result_relation(
+            list(zip(*rows)) if rows else [()] * depth)
 
 
 class XJoinAlgorithm:
@@ -251,109 +347,13 @@ class XJoinAlgorithm:
             raise EngineError(
                 "'xjoin' needs an encoded instance with tries; this one "
                 "is a trie-less reference instance (baseline only)")
-        filters = instance.twig_filters
-        expansion = instance.order
-        depth = len(expansion)
-
-        # Any empty input empties the whole join; bail out before
-        # expanding (this also keeps Lemma 3.5 exact when the AGM bound
-        # is zero — otherwise early attributes could briefly accumulate
-        # partial tuples that a later, empty input would discard).
         if instance.has_empty_input():
-            stats.record_stage("empty input", 0)
-            return Relation(query.name, Schema(query.attributes))
-
-        participation = instance.participation
-        nodes = [trie.root for trie in instance.tries]
-        checks = filters.checks if filters else [[] for _ in expansion]
-
-        stats.start_timer()
-        rows: list[tuple[int, ...]] = []
-        binding: list[int] = []
-        alive = [0] * depth  # per level, counted before its checks run
-        seeks = 0  # flushed in one bulk count; a call per probe is hot
-        filtered = 0
-
-        def structure_valid(level_checks, codes) -> bool:
-            """Every twig completed at this level embeds with *codes*."""
-            for positions, validator in level_checks:
-                if not validator.admits(
-                        tuple([codes[p] for p in positions])):
-                    return False
-            return True
-
-        def search(level: int) -> None:
-            nonlocal seeks, filtered
-            participants = participation[level]
-            participant_nodes = [nodes[i] for i in participants]
-            seed = min(participant_nodes, key=len)
-            level_checks = checks[level]
-            if level + 1 == depth:
-                # Last level: no descent needed, filter + emit in place.
-                prefix = tuple(binding)
-                others = [node.children for node in participant_nodes
-                          if node is not seed]
-                for code in seed.keys:
-                    feasible = True
-                    for children in others:
-                        seeks += 1
-                        if code not in children:
-                            feasible = False
-                            break
-                    if not feasible:
-                        continue
-                    alive[level] += 1
-                    row = prefix + (code,)
-                    if level_checks and not structure_valid(level_checks,
-                                                            row):
-                        filtered += 1
-                        continue
-                    rows.append(row)
-                return
-            for code in seed.keys:
-                children = []
-                feasible = True
-                for node in participant_nodes:
-                    seeks += 1
-                    child = node.children.get(code)
-                    if child is None:
-                        feasible = False
-                        break
-                    children.append(child)
-                if not feasible:
-                    continue
-                alive[level] += 1
-                binding.append(code)
-                if level_checks and not structure_valid(level_checks,
-                                                        binding):
-                    filtered += 1
-                    binding.pop()
-                    continue
-                for participant, child in zip(participants, children):
-                    nodes[participant] = child
-                search(level + 1)
-                # participant_nodes still holds this level's entry state.
-                for participant, old in zip(participants, participant_nodes):
-                    nodes[participant] = old
-                binding.pop()
-
-        if depth == 0:
-            rows.append(())
-        else:
-            search(0)
-            stats.count_seeks(seeks)
-            stats.count_filtered(filtered)
-            stats.count_emitted(len(rows))
-            for level, count in enumerate(alive):
-                stats.record_stage(f"expand {expansion[level]}", count)
-        stats.stop_timer()
-        result = instance.result_relation(rows, name=query.name)
-        if instance.erase_structural:
-            from repro.core.surrogate import erase_surrogates
-
-            result = Relation(query.name, result.schema,
-                              [erase_surrogates(row) for row in result])
-        return result.project(query.attributes, name=query.name)
+            return _empty_result(stats, query.name, query.attributes)
+        filters = instance.twig_filters
+        return instance.result_relation(
+            _frontier_join(instance, stats, "expand",
+                           filters.checks if filters else None),
+            query.attributes, query.name)
 
 
 class BaselineJoinAlgorithm:

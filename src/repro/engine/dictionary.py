@@ -34,7 +34,7 @@ class Dictionary:
     1
     """
 
-    __slots__ = ("attribute", "values", "codes", "_merged")
+    __slots__ = ("attribute", "values", "codes", "_merged", "_erased")
 
     def __init__(self, attribute: str, domain: Iterable[Value]):
         self.attribute = attribute
@@ -46,6 +46,7 @@ class Dictionary:
         self.codes: dict[Value, int] = {
             value: code for code, value in enumerate(self.values)}
         self._merged = None  #: last merge_dictionaries answer led by this
+        self._erased = None  #: core.surrogate.erased_table of ``values``
 
     def encode(self, value: Value) -> int:
         """The code of *value*; raises :class:`EngineError` if unknown."""

@@ -541,8 +541,10 @@ class EncodedInstance:
     # -- helpers for algorithms -------------------------------------------
 
     def has_empty_input(self) -> bool:
-        """Any empty input (of positive arity) empties the whole join."""
-        return any(trie.depth > 0 and not trie.root.keys
+        """Any empty input empties the whole join — a zero-arity one too:
+        FALSE holds no ``()``, while TRUE (the one row ``()``) is
+        neutral."""
+        return any(not (trie.root.keys if trie.depth else trie.size)
                    for trie in self.tries)
 
     def decode_row(self, codes: Sequence[int]) -> tuple[Value, ...]:
@@ -554,21 +556,32 @@ class EncodedInstance:
         """Decode one code through the named level's dictionary."""
         return self._level_values[level][code]
 
-    def result_relation(self, code_rows: Sequence[Sequence[int]],
+    def result_relation(self, columns: "Sequence[Sequence[int]]",
+                        attributes: "Sequence[str] | None" = None,
                         name: str | None = None) -> Relation:
-        """Decode emitted code rows into a relation over ``order``."""
-        if not self.order:
-            decoded: "Iterable[tuple[Value, ...]]" = [() for _ in code_rows]
-        elif code_rows:
-            # Column-wise decode (transpose, index, transpose back) keeps
-            # the per-value work in C-level loops.
-            columns = [[values[code] for code in column]
-                       for values, column in zip(self._level_values,
-                                                 zip(*code_rows))]
-            decoded = zip(*columns)
-        else:
-            decoded = []
-        return Relation(name or self.name, Schema(self.order), decoded)
+        """Decode a kernel's result — one code column per level of
+        ``order``, parallel — into a relation over *attributes* (a
+        permutation of the order; default: the order itself).
+
+        Column-wise throughout: each picked column is mapped through its
+        level's decode table (surrogates erased there, not row by row,
+        when the instance erases structural attributes) and one C-level
+        transpose makes the rows, whose arity is right by construction.
+        No column at all is the zero-arity join of inputs none of which
+        is empty (:meth:`has_empty_input`): TRUE.
+        """
+        attributes = self.order if attributes is None else tuple(attributes)
+        tables = self._level_values
+        if self.erase_structural:
+            from repro.core.surrogate import erased_table
+
+            tables = [erased_table(self.dictionaries.get(attribute), values)
+                      for attribute, values in zip(self.order, tables)]
+        levels = [self.order.index(attribute) for attribute in attributes]
+        rows = zip(*[map(tables[level].__getitem__, columns[level])
+                     for level in levels]) if levels else [()]
+        return Relation.trusted(name or self.name, Schema(attributes),
+                                frozenset(rows))
 
     def __repr__(self) -> str:
         return (f"EncodedInstance({self.name!r}, order={list(self.order)!r}, "

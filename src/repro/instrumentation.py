@@ -102,14 +102,15 @@ class JoinStats:
 
     # -- merging (parallel workers) ----------------------------------------
 
-    def absorb(self, summary: "dict[str, float]", *,
+    def absorb(self, summary: dict, *,
                stage_label: str | None = None) -> None:
         """Fold one worker's counter ``summary()`` into this object.
 
-        Used by the parallel executor: effort counters add up across
-        morsels, ``max_intermediate`` takes the per-morsel peak (the
-        largest number of partial tuples alive in any one worker), and
-        an optional stage records the morsel's emitted count so stage
+        Used by the parallel executor: effort counters and phase times
+        (the kernels' per-level seconds) add up across morsels,
+        ``max_intermediate`` takes the per-morsel peak (the largest
+        number of partial tuples alive in any one worker), and an
+        optional stage records the morsel's emitted count so stage
         listings show the partition shape.
         """
         self.comparisons += int(summary.get("comparisons", 0))
@@ -122,6 +123,8 @@ class JoinStats:
         peak = int(summary.get("max_intermediate", 0))
         if peak > self.max_intermediate:
             self.max_intermediate = peak
+        for label, seconds in summary.get("phase_times", {}).items():
+            self.record_phase(label, seconds)
         if stage_label is not None:
             # Not record_stage: total_intermediate above already counted
             # the worker's stages; this entry only names the morsel.
@@ -133,8 +136,9 @@ class JoinStats:
     def stage_sizes(self) -> list[int]:
         return [record.size for record in self.stages]
 
-    def summary(self) -> dict[str, float]:
-        """A flat dict for printing in benchmark tables."""
+    def summary(self) -> dict:
+        """The counters as a picklable dict (what a worker reports back);
+        flat but for ``phase_times``, the per-phase seconds by label."""
         return {
             "max_intermediate": self.max_intermediate,
             "total_intermediate": self.total_intermediate,
@@ -145,6 +149,7 @@ class JoinStats:
             "inputs_built": self.inputs_built,
             "inputs_reused": self.inputs_reused,
             "wall_time": self.wall_time,
+            "phase_times": dict(self.phase_times),
         }
 
     def __repr__(self) -> str:
@@ -182,7 +187,7 @@ class _NullStats(JoinStats):
     def record_phase(self, label: str, seconds: float) -> None:  # noqa: D102
         pass
 
-    def absorb(self, summary: "dict[str, float]", *,
+    def absorb(self, summary: dict, *,
                stage_label: str | None = None) -> None:  # noqa: D102
         pass
 

@@ -118,7 +118,7 @@ def _base_streams(shared: tuple) -> dict:
     return _TWIG_STREAMS
 
 
-def _counters(stats: JoinStats) -> dict[str, int | float]:
+def _counters(stats: JoinStats) -> dict:
     """The picklable counter summary a morsel reports back."""
     return stats.summary()
 

@@ -87,13 +87,20 @@ class Relation:
     # core algebra (thin wrappers; heavy lifting in operators.py)
     # ------------------------------------------------------------------
 
+    @classmethod
+    def trusted(cls, name: str, schema: Schema,
+                rows: "frozenset[tuple[Value, ...]]") -> "Relation":
+        """Wrap a row set whose tuples already have *schema*'s arity —
+        no per-row validation, no copy."""
+        relation = cls.__new__(cls)
+        relation.name = name
+        relation.schema = schema
+        relation._rows = rows
+        return relation
+
     def with_name(self, name: str) -> "Relation":
         """Same contents under a different name (no copy of the row set)."""
-        clone = Relation.__new__(Relation)
-        clone.name = name
-        clone.schema = self.schema
-        clone._rows = self._rows
-        return clone
+        return Relation.trusted(name, self.schema, self._rows)
 
     def with_row_changes(self, added: Iterable[Sequence[Value]] = (),
                          removed: Iterable[Sequence[Value]] = ()
@@ -117,11 +124,7 @@ class Relation:
                     f"arity {arity}"
                 )
             rows.add(tup)
-        clone = Relation.__new__(Relation)
-        clone.name = self.name
-        clone.schema = self.schema
-        clone._rows = frozenset(rows)
-        return clone
+        return Relation.trusted(self.name, self.schema, frozenset(rows))
 
     def project(self, attributes: Sequence[str], name: str | None = None) -> "Relation":
         """Projection (with duplicate elimination) onto *attributes*."""

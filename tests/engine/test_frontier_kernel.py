@@ -1,0 +1,407 @@
+"""The level-at-a-time kernel behind ``generic_join`` and ``xjoin``.
+
+``repro.engine.algorithms._frontier_join`` expands a whole frontier per
+level in C-level passes. Its oracle is the depth-first, per-binding form
+of Algorithm 1 it replaced, kept here as :func:`reference_dfs`: rows
+must equal the naive join, and every stage size, ``emitted`` and
+``filtered`` the reference's — unchunked, chunked, sliced, on frozen
+adapters and on the update layer's mutable tries.
+"""
+
+import random
+import tracemalloc
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.buffers.frozen import FrozenTrie, freeze_trie
+from repro.core.multimodel import MultiModelQuery, TwigBinding
+from repro.core.surrogate import NodeSurrogate, erase_surrogates
+from repro.data.random_instances import random_multimodel_instance
+from repro.data.scenarios import figure1_query
+from repro.engine import EncodedInstance, algorithms, get_algorithm, run_query
+from repro.instrumentation import JoinStats
+from repro.parallel.shm import attach_instance, publish_instance
+from repro.parallel.slicing import sliced_instance
+from repro.relational.relation import Relation
+from repro.updates.encodings import IncrementalInstance
+from repro.xml.model import XMLDocument, element
+from repro.xml.twig_parser import parse_twig
+
+ALGORITHMS = ("generic_join", "leapfrog", "xjoin", "baseline")
+
+
+def reference_dfs(instance):
+    """Algorithm 1 depth first, one Python frame per binding: (code rows,
+    per-level stage sizes, filtered). The seed is the participant with
+    the fewest keys; a level's stage counts a binding before the level's
+    structure checks run, and a rejected binding is not expanded."""
+    depth = len(instance.order)
+    filters = instance.twig_filters
+    checks = filters.checks if filters else [[] for _ in instance.order]
+    nodes = [trie.root for trie in instance.tries]
+    alive, rows, filtered = [0] * depth, [], 0
+
+    def search(level, binding):
+        nonlocal filtered
+        if level == depth:
+            rows.append(binding)
+            return
+        participants = instance.participation[level]
+        entry = [nodes[i] for i in participants]
+        for code in min(entry, key=len).keys:
+            children = [node.children.get(code) for node in entry]
+            if None in children:
+                continue
+            alive[level] += 1
+            row = binding + (code,)
+            if not all(validator.admits(tuple(row[p] for p in positions))
+                       for positions, validator in checks[level]):
+                filtered += 1
+                continue
+            for i, child in zip(participants, children):
+                nodes[i] = child
+            search(level + 1, row)
+            for i, node in zip(participants, entry):
+                nodes[i] = node
+
+    if not instance.has_empty_input():
+        search(0, ())
+    return rows, alive, filtered
+
+
+def kernel_run(instance, algorithm):
+    """(rows, stage sizes, emitted, filtered, seeks) of one kernel run."""
+    stats = JoinStats()
+    result = get_algorithm(algorithm).run(instance, stats=stats)
+    return (result, stats.stage_sizes(), stats.emitted, stats.filtered,
+            stats.seeks)
+
+
+def assert_matches_reference(instance, algorithm):
+    """The kernel's rows and counters are the reference's; returns them."""
+    result, stages, emitted, filtered, _seeks = run = \
+        kernel_run(instance, algorithm)
+    code_rows, alive, rejected = reference_dfs(instance)
+    query = instance.query
+    attributes = query.attributes if algorithm == "xjoin" else instance.order
+    expected = set()
+    for codes in code_rows:
+        row = erase_surrogates(instance.decode_row(codes)) \
+            if instance.erase_structural else instance.decode_row(codes)
+        expected.add(tuple(row[instance.order.index(a)] for a in attributes))
+    assert set(result.rows) == expected
+    assert result.schema.attributes == tuple(attributes)
+    if instance.has_empty_input():
+        assert stages == [0] and not result.rows
+    else:
+        assert stages == alive
+        assert (emitted, filtered) == (len(code_rows), rejected)
+    return run
+
+
+# -- strategies ------------------------------------------------------------
+
+@st.composite
+def relational_queries(draw):
+    """1-4 relations over subsets of four attributes with tiny domains:
+    cyclic, acyclic, single-input and (disjoint schemas) cartesian
+    shapes all occur; plus a random global order."""
+    relations = []
+    for index in range(draw(st.integers(1, 4))):
+        schema = draw(st.permutations("abcd"))[:draw(st.integers(1, 3))]
+        rows = draw(st.sets(st.tuples(*[st.integers(0, 3)] * len(schema)),
+                            max_size=12))
+        relations.append(Relation(f"R{index}", tuple(schema), rows))
+    query = MultiModelQuery(relations, name="rel")
+    return query, tuple(draw(st.permutations(query.attributes)))
+
+
+@st.composite
+def multimodel_queries(draw):
+    """A random relations-plus-twig query (``value_range=1`` makes most
+    twig nodes share a value) and a random global order."""
+    query = random_multimodel_instance(
+        draw(st.integers(0, 10 ** 6)), value_range=draw(st.integers(1, 3)))
+    return query, tuple(draw(st.permutations(query.attributes)))
+
+
+def duplicate_branch_query():
+    """``a(/b, /c)`` whose ``a`` nodes all carry value 7, each with only
+    a ``b`` or only a ``c`` child, plus one real match: the value-bound
+    branching node of ``tests/core/test_structure_pushdown.py``."""
+    root = element("r")
+    for i in range(3):
+        root.append(element("a", element("b", text=str(i)), text="7"))
+        root.append(element("a", element("c", text=str(i)), text="7"))
+    root.append(element("a", element("b", text="9"), element("c", text="9"),
+                        text="7"))
+    relation = Relation("R", ("x", "b"),
+                        [(x, b) for x in range(3) for b in (0, 1, 2, 9)])
+    return MultiModelQuery([relation], [TwigBinding(
+        parse_twig("a(/b, /c)", name="T"), XMLDocument(root))])
+
+
+def triangle(n, per_node, seed=1):
+    """The ``rel_triangle`` workload's shape: a uniform random digraph."""
+    rng = random.Random(seed)
+
+    def edges():
+        return {(rng.randrange(n), rng.randrange(n))
+                for _ in range(n * per_node)}
+
+    return MultiModelQuery([Relation("R", ("a", "b"), edges()),
+                            Relation("S", ("b", "c"), edges()),
+                            Relation("T", ("a", "c"), edges())], name="tri")
+
+
+# -- (a) differential, (b) Lemma 3.5 ---------------------------------------
+
+class TestDifferential:
+    @settings(max_examples=120, deadline=None)
+    @given(relational_queries())
+    def test_relational_queries(self, case):
+        query, order = case
+        naive = query.naive_join()
+        instance = EncodedInstance.from_query(query, order)
+        for algorithm in ("generic_join", "xjoin"):
+            result, stages, *_ = assert_matches_reference(instance, algorithm)
+            assert result.project(query.attributes) == naive
+            # Lemma 3.5: no stage outgrows the instance's size bound.
+            assert max(stages) <= query.size_bound().bound_ceiling
+        assert get_algorithm("leapfrog").run(instance) \
+            .project(query.attributes) == naive
+
+    @settings(max_examples=80, deadline=None)
+    @given(multimodel_queries())
+    def test_multimodel_queries(self, case):
+        query, order = case
+        instance = EncodedInstance.from_query(query, order)
+        result, stages, *_ = assert_matches_reference(instance, "xjoin")
+        assert result == query.naive_join()
+        assert max(stages) <= query.size_bound().bound_ceiling
+
+    def test_value_bound_branching_node(self):
+        query = duplicate_branch_query()
+        for order in (("x", "a", "b", "c"), ("a", "b", "c", "x")):
+            instance = EncodedInstance.from_query(query, order)
+            result, _stages, emitted, filtered, _ = \
+                assert_matches_reference(instance, "xjoin")
+            assert result == query.naive_join()
+            assert filtered > emitted > 0  # the check rejects repeats too
+
+
+# -- the zero-arity inputs TRUE and FALSE ----------------------------------
+
+class TestZeroArityInputs:
+    R = Relation("R", ("a",), [(value,) for value in range(64)])
+    FALSE = Relation("E", (), [])
+    TRUE = Relation("U", (), [()])
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_false_empties_the_join_and_true_is_neutral(self, algorithm,
+                                                        workers):
+        def rows(*relations):
+            return set(run_query(MultiModelQuery(relations),
+                                 algorithm=algorithm, workers=workers).rows)
+
+        assert rows(self.R, self.FALSE) == set()
+        assert rows(self.FALSE) == set()
+        assert rows(self.R, self.TRUE) == set(self.R.rows)
+        assert rows(self.TRUE) == {()}
+
+    def test_has_empty_input_sees_false(self):
+        assert EncodedInstance.from_relations(
+            [self.R, self.FALSE]).has_empty_input()
+        assert not EncodedInstance.from_relations(
+            [self.R, self.TRUE]).has_empty_input()
+
+
+# -- per-level times and the candidates-examined counter -------------------
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_levels_are_timed_under_their_stage_labels(workers):
+    query = triangle(200, 4)
+    stats = JoinStats()
+    run_query(query, algorithm="generic_join", order=("a", "b", "c"),
+              stats=stats, workers=workers)
+    levels = {label: seconds for label, seconds in stats.phase_times.items()
+              if label != "encode"}
+    assert sorted(levels) == ["level a", "level b", "level c"]
+    assert all(seconds > 0 for seconds in levels.values())
+    assert sum(levels.values()) <= stats.wall_time * max(workers, 1)
+
+
+def test_seeks_count_the_candidates_examined():
+    """Per level and frontier entry: the smallest participant's set."""
+    r = Relation("R", ("a", "b"), [(0, 0), (0, 1), (0, 2), (1, 0)])
+    s = Relation("S", ("b",), [(0,), (1,), (5,), (6,), (7,)])
+    instance = EncodedInstance.from_relations([r, s], ("a", "b"))
+    *_, seeks = kernel_run(instance, "generic_join")
+    # level a: R's 2 roots; level b: min(3, 5) under a=0, min(1, 5) under 1.
+    assert seeks == 2 + 3 + 1
+
+
+# -- (c) chunk boundaries --------------------------------------------------
+
+@pytest.mark.parametrize("chunk", [1, 2, 7])
+def test_chunked_runs_equal_the_unchunked_run(monkeypatch, chunk):
+    cases = [(EncodedInstance.from_query(query, query.attributes), algorithm)
+             for query, algorithm in (
+                 (triangle(40, 4), "generic_join"),
+                 (figure1_query(), "xjoin"),
+                 (duplicate_branch_query(), "xjoin"),
+                 (random_multimodel_instance(11, value_range=1), "xjoin"))]
+    whole = [kernel_run(instance, algorithm) for instance, algorithm in cases]
+    assert any(max(stages) > 7 for _result, stages, *_ in whole)
+    monkeypatch.setattr(algorithms, "_CHUNK", chunk)
+    assert [kernel_run(instance, algorithm)
+            for instance, algorithm in cases] == whole
+
+
+# -- (d) sliced roots ------------------------------------------------------
+
+@pytest.mark.parametrize("algorithm", ["generic_join", "xjoin"])
+def test_slices_partition_the_result(algorithm):
+    query = triangle(60, 4)
+    instance = EncodedInstance.from_query(query, ("a", "b", "c"))
+    whole, stages, emitted, *_ = kernel_run(instance, algorithm)
+    domain = len(instance.dictionaries["a"])
+    cuts = [0, 1, 2, 17, 18, domain // 2, domain]
+    union, total = set(), 0
+    for lo, hi in zip(cuts, cuts[1:]):
+        view = sliced_instance(instance, lo, hi)
+        # The slice shares the parent's children: only ``keys`` is cut.
+        assert view.tries[0].root.children is instance.tries[0].root.children
+        part, part_stages, part_emitted, *_ = kernel_run(view, algorithm)
+        codes = {instance.dictionaries["a"].encode(row[0]) for row in part}
+        assert all(lo <= code < hi for code in codes)
+        assert part_stages[0] <= hi - lo
+        assert not union & part.rows
+        union |= part.rows
+        total += part_emitted
+    assert union == whole.rows and total == emitted
+
+
+# -- (e) frozen adapters ---------------------------------------------------
+
+def test_frozen_children_view_agrees_with_the_span():
+    instance = EncodedInstance.from_relations(triangle(30, 3).relations)
+    for trie in instance.tries:
+        frozen = FrozenTrie.from_layout(freeze_trie(trie)).root()
+        pairs = [(frozen, trie.root)]
+        while pairs:
+            adapter, node = pairs.pop()
+            view = adapter.children.keys()
+            assert view == set(adapter.keys) == set(node.keys)
+            assert len(adapter.children) == len(node.keys)
+            assert view & {node.keys[0], -1} == {node.keys[0]}
+            pairs += [(adapter.children[code], node.children[code])
+                      for code in node.keys if node.children[code].keys]
+        leaf = frozen.children[frozen.keys[0]].children[
+            frozen.children[frozen.keys[0]].keys[0]]
+        assert leaf.children.keys() == set() and len(leaf.children) == 0
+
+
+@pytest.mark.parametrize("algorithm", ["generic_join", "xjoin"])
+def test_kernel_runs_on_attached_frozen_tries(algorithm):
+    query = triangle(50, 4)
+    instance = EncodedInstance.from_query(query, query.attributes)
+    serial = kernel_run(instance, algorithm)
+    arena = publish_instance(instance, algorithm)
+    try:
+        attached_arena, attached = attach_instance(arena.name)
+        assert kernel_run(attached, algorithm) == serial
+        lo, hi = 3, 11  # a sliced root over the adapters' shared children
+        part = get_algorithm(algorithm).run(sliced_instance(attached, lo, hi))
+        assert part == get_algorithm(algorithm).run(
+            sliced_instance(instance, lo, hi))
+        del attached  # its tries hold views into the attachment
+        attached_arena.close()
+    finally:
+        arena.close()
+        arena.unlink()
+
+
+# -- (f) mutable tries -----------------------------------------------------
+
+def test_mutable_tries_are_read_afresh_every_run():
+    rng = random.Random(3)
+    relations = triangle(12, 3).relations
+    current = {relation.name: set(relation.rows) for relation in relations}
+    maintained = IncrementalInstance("tri", relations)
+    for _ in range(25):
+        name = rng.choice(sorted(current))
+        added = {(rng.randrange(14), rng.randrange(14)) for _ in range(3)}
+        removed = set(rng.sample(sorted(current[name]),
+                                 min(3, len(current[name]))))
+        maintained.apply(name, added=added, removed=removed - added)
+        current[name] = (current[name] - removed) | added
+        expected = MultiModelQuery(
+            [Relation(relation.name, relation.schema, current[relation.name])
+             for relation in relations]).naive_join()
+        instance = maintained.as_encoded()
+        result, *_ = assert_matches_reference(instance, "generic_join")
+        assert result.project(expected.schema.attributes) == expected
+    # ... and a round trip back to the first state gives the first rows.
+    for relation in relations:
+        maintained.apply(relation.name, added=relation.rows,
+                         removed=current[relation.name] - relation.rows)
+    assert maintained.run() == get_algorithm("generic_join").run(
+        EncodedInstance.from_relations(relations, maintained.order))
+
+
+# -- (g) surrogate erasure through the decode tables -----------------------
+
+def test_decode_table_erasure_equals_row_wise_erasure():
+    query = figure1_query()  # orderLine is valueless: bound by surrogate
+    instance = EncodedInstance.from_query(query, query.attributes)
+    assert instance.erase_structural
+    surrogates = [level for level, values in enumerate(instance._level_values)
+                  if any(isinstance(v, NodeSurrogate) for v in values)]
+    assert surrogates
+    code_rows, _alive, _filtered = reference_dfs(instance)
+    result = instance.result_relation(list(zip(*code_rows)),
+                                      query.attributes, query.name)
+    assert set(result.rows) == {
+        erase_surrogates(instance.decode_row(codes)) for codes in code_rows}
+    # Two distinct surrogates under equal values collapse to one row.
+    level = surrogates[0]
+    first, second = [code for code, value
+                     in enumerate(instance._level_values[level])
+                     if isinstance(value, NodeSurrogate)][:2]
+    twins = [list(code_rows[0]), list(code_rows[0])]
+    twins[0][level], twins[1][level] = first, second
+    collapsed = instance.result_relation(list(zip(*twins)))
+    assert len(collapsed) == 1
+    assert next(iter(collapsed))[level] is None
+    # The erased table is built once per dictionary and kept on it.
+    dictionary = instance.dictionaries[instance.order[level]]
+    assert dictionary._erased is not None
+    kept = dictionary._erased
+    instance.result_relation(list(zip(*code_rows)))
+    assert dictionary._erased is kept
+
+
+# -- (h) per-call set-up ---------------------------------------------------
+
+@pytest.mark.parametrize("algorithm", ["generic_join", "xjoin"])
+def test_a_one_code_slice_allocates_nothing_sized_by_a_root(algorithm):
+    """The plan racer times 1-, 2-, 4-code slices and extrapolates: a
+    per-call pass over an unsliced root (8 192 codes here; a list of
+    them is 64 KB, a set 256 KB) would swamp what it measures."""
+    query = triangle(8192, 2)
+    instance = EncodedInstance.from_query(query, ("a", "b", "c"))
+    assert min(len(trie.root.keys) for trie in instance.tries) > 6000
+    kernel = get_algorithm(algorithm)
+    view = sliced_instance(instance, 100, 101)
+    kernel.run(view)  # warm lazy imports
+    tracemalloc.start()
+    try:
+        kernel.run(view)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 1024, peak

@@ -47,7 +47,16 @@ class TestJoinStats:
         assert set(summary) == {
             "max_intermediate", "total_intermediate", "comparisons",
             "seeks", "emitted", "filtered", "inputs_built",
-            "inputs_reused", "wall_time"}
+            "inputs_reused", "wall_time", "phase_times"}
+
+    def test_phase_times_travel_through_summary_and_absorb(self):
+        worker = JoinStats()
+        worker.record_phase("level a", 0.25)
+        merged = JoinStats()
+        merged.record_phase("level a", 0.5)
+        merged.absorb(worker.summary())
+        merged.absorb(worker.summary())
+        assert merged.phase_times == {"level a": 1.0}
 
     def test_repr(self):
         assert "max_intermediate=0" in repr(JoinStats())
