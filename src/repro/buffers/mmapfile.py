@@ -258,11 +258,18 @@ class ColumnWriter:
         return index
 
     def extend(self, values) -> None:
-        """Append every value (flushing full tails as they fill)."""
-        for value in values:
-            self._tail.append(value)
-            if len(self._tail) >= self._chunk:
-                self.flush()
+        """Append every value: one bulk copy, then one flush check.
+
+        ``bytes`` go into a ``"B"`` column as a block copy. The tail
+        outgrows the chunk by at most ``len(values)``, so callers with
+        unbounded input extend in slices.
+        """
+        if self.typecode == "B" and isinstance(values, bytes):
+            self._tail.frombytes(values)
+        else:
+            self._tail.extend(values)
+        if len(self._tail) >= self._chunk:
+            self.flush()
 
     def set_at(self, index: int, value: int) -> None:
         """Backpatch the value at *index* (appended earlier)."""

@@ -1,7 +1,9 @@
 """XML substrate: document model, parser, labelling schemes, twig matching.
 
 Everything the paper's XML side needs, self-contained: a hand-written
-parser/serialiser, region and (extended) Dewey encodings, the twig query
+scanner (:mod:`repro.xml.scanner`, the one grammar under the tree parser
+and the streaming arena builder) and serialiser, region and (extended)
+Dewey encodings, the twig query
 model and pattern language, and the twig-matching algorithms (naive
 navigation, structural-join pipeline, PathStack/TwigStack, TJFast) — all
 running on the columnar document store (:mod:`repro.xml.columnar`) and

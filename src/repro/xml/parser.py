@@ -1,132 +1,21 @@
-"""A hand-written XML parser (no external dependencies).
+"""XML text to the node tree: tree assembly over the token kernel.
 
-Supports the subset needed by the paper's workloads and a bit more:
-elements, attributes (single or double quoted), text with the five
-predefined entities plus numeric character references, comments, CDATA
-sections, processing instructions / the XML declaration, and DOCTYPE
-declarations (skipped). Mixed content is flattened: all text directly
-inside an element is concatenated into ``node.text``.
-
-The parser is iterative (explicit element stack) so arbitrarily deep
-documents do not overflow the Python stack, and it reports line/column in
-every error.
+The grammar — what is supported, the well-formedness rules, entity
+decoding, every positioned error — lives in :mod:`repro.xml.scanner`
+and is shared with the streaming arena builder
+(:mod:`repro.xml.streaming`). This module assembles the kernel's events
+into :class:`~repro.xml.model.XMLNode` trees: mixed content is
+flattened (all text directly inside an element is concatenated into
+``node.text``), iteratively, so deep documents cannot overflow the
+Python stack.
 """
 
 from __future__ import annotations
 
-from repro.errors import XMLParseError
 from repro.xml.model import XMLDocument, XMLNode
+from repro.xml.scanner import decode_entities, iter_events
 
-_ENTITIES = {"amp": "&", "lt": "<", "gt": ">", "quot": '"', "apos": "'"}
-
-_NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_:")
-_NAME_CHARS = _NAME_START | set("0123456789.-")
-
-
-class _Cursor:
-    """Position tracking over the input text."""
-
-    __slots__ = ("text", "pos")
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def error(self, message: str) -> XMLParseError:
-        consumed = self.text[: self.pos]
-        line = consumed.count("\n") + 1
-        column = self.pos - (consumed.rfind("\n") + 1) + 1
-        return XMLParseError(message, position=self.pos, line=line,
-                             column=column)
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def peek(self, n: int = 1) -> str:
-        return self.text[self.pos: self.pos + n]
-
-    def startswith(self, prefix: str) -> bool:
-        return self.text.startswith(prefix, self.pos)
-
-    def advance(self, n: int = 1) -> None:
-        self.pos += n
-
-    def skip_whitespace(self) -> None:
-        text = self.text
-        pos = self.pos
-        while pos < len(text) and text[pos] in " \t\r\n":
-            pos += 1
-        self.pos = pos
-
-    def take_until(self, terminator: str, what: str) -> str:
-        index = self.text.find(terminator, self.pos)
-        if index < 0:
-            raise self.error(f"unterminated {what} (expected {terminator!r})")
-        chunk = self.text[self.pos: index]
-        self.pos = index + len(terminator)
-        return chunk
-
-    def take_name(self) -> str:
-        start = self.pos
-        text = self.text
-        if start >= len(text) or text[start] not in _NAME_START:
-            raise self.error("expected a name")
-        pos = start + 1
-        while pos < len(text) and text[pos] in _NAME_CHARS:
-            pos += 1
-        self.pos = pos
-        return text[start:pos]
-
-
-def decode_entities(text: str, cursor: _Cursor | None = None) -> str:
-    """Replace ``&amp;``-style and numeric references with their characters."""
-    if "&" not in text:
-        return text
-    out: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch != "&":
-            out.append(ch)
-            i += 1
-            continue
-        end = text.find(";", i + 1)
-        if end < 0:
-            raise XMLParseError(f"unterminated entity reference in {text!r}")
-        name = text[i + 1: end]
-        if name.startswith("#x") or name.startswith("#X"):
-            out.append(chr(int(name[2:], 16)))
-        elif name.startswith("#"):
-            out.append(chr(int(name[1:])))
-        elif name in _ENTITIES:
-            out.append(_ENTITIES[name])
-        else:
-            raise XMLParseError(f"unknown entity &{name};")
-        i = end + 1
-    return "".join(out)
-
-
-def _parse_attributes(cursor: _Cursor) -> dict[str, str]:
-    attributes: dict[str, str] = {}
-    while True:
-        cursor.skip_whitespace()
-        nxt = cursor.peek()
-        if nxt in (">", "/", "?", ""):
-            return attributes
-        name = cursor.take_name()
-        cursor.skip_whitespace()
-        if cursor.peek() != "=":
-            raise cursor.error(f"expected '=' after attribute {name!r}")
-        cursor.advance()
-        cursor.skip_whitespace()
-        quote = cursor.peek()
-        if quote not in ("'", '"'):
-            raise cursor.error(f"attribute {name!r} value must be quoted")
-        cursor.advance()
-        raw = cursor.take_until(quote, f"attribute {name!r} value")
-        if name in attributes:
-            raise cursor.error(f"duplicate attribute {name!r}")
-        attributes[name] = decode_entities(raw, cursor)
+__all__ = ["decode_entities", "parse_document", "parse_element_tree"]
 
 
 def parse_document(text: str) -> XMLDocument:
@@ -136,87 +25,20 @@ def parse_document(text: str) -> XMLDocument:
 
 def parse_element_tree(text: str) -> XMLNode:
     """Parse *text* and return the root :class:`XMLNode` (no indexing)."""
-    cursor = _Cursor(text)
     root: XMLNode | None = None
     stack: list[XMLNode] = []
     text_parts: list[list[str]] = []
-
-    while not cursor.at_end():
-        if cursor.peek() != "<":
-            chunk_end = cursor.text.find("<", cursor.pos)
-            if chunk_end < 0:
-                chunk_end = len(cursor.text)
-            raw = cursor.text[cursor.pos: chunk_end]
-            cursor.pos = chunk_end
-            if raw.strip():
-                if not stack:
-                    raise cursor.error("text content outside the root element")
-                text_parts[-1].append(decode_entities(raw, cursor))
-            continue
-
-        if cursor.startswith("<!--"):
-            cursor.advance(4)
-            cursor.take_until("-->", "comment")
-            continue
-        if cursor.startswith("<![CDATA["):
-            cursor.advance(9)
-            raw = cursor.take_until("]]>", "CDATA section")
-            if not stack:
-                raise cursor.error("CDATA outside the root element")
-            text_parts[-1].append(raw)
-            continue
-        if cursor.startswith("<?"):
-            cursor.advance(2)
-            cursor.take_until("?>", "processing instruction")
-            continue
-        if cursor.startswith("<!DOCTYPE") or cursor.startswith("<!doctype"):
-            cursor.advance(2)
-            cursor.take_until(">", "DOCTYPE declaration")
-            continue
-        if cursor.startswith("</"):
-            cursor.advance(2)
-            name = cursor.take_name()
-            cursor.skip_whitespace()
-            if cursor.peek() != ">":
-                raise cursor.error(f"malformed closing tag </{name}>")
-            cursor.advance()
-            if not stack:
-                raise cursor.error(f"closing tag </{name}> with no open element")
-            node = stack.pop()
-            parts = text_parts.pop()
-            if node.tag != name:
-                raise cursor.error(
-                    f"closing tag </{name}> does not match <{node.tag}>")
-            node.text = "".join(parts)
-            continue
-
-        # An opening (or self-closing) tag.
-        cursor.advance()
-        name = cursor.take_name()
-        attributes = _parse_attributes(cursor)
-        cursor.skip_whitespace()
-        if cursor.startswith("/>"):
-            cursor.advance(2)
-            closed = True
-        elif cursor.peek() == ">":
-            cursor.advance()
-            closed = False
-        else:
-            raise cursor.error(f"malformed tag <{name}>")
-
-        node = XMLNode(name, attributes)
-        if stack:
-            stack[-1].append(node)
-        elif root is None:
-            root = node
-        else:
-            raise cursor.error("multiple root elements")
-        if not closed:
+    for kind, payload, attributes in iter_events((text,)):
+        if kind == "text":
+            text_parts[-1].append(payload)
+        elif kind == "start":
+            node = XMLNode(payload, attributes)
+            if stack:
+                stack[-1].append(node)
+            else:
+                root = node
             stack.append(node)
             text_parts.append([])
-
-    if stack:
-        raise cursor.error(f"unclosed element <{stack[-1].tag}>")
-    if root is None:
-        raise cursor.error("document has no root element")
+        else:
+            stack.pop().text = "".join(text_parts.pop())
     return root

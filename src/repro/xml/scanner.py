@@ -1,0 +1,415 @@
+"""The XML token kernel: one grammar under every entry point.
+
+:func:`iter_events` turns chunked XML text into SAX-style events.
+:func:`repro.xml.parser.parse_element_tree` assembles the node tree
+from them and :func:`repro.xml.streaming.stream_document` the columnar
+arena, so the grammar, the well-formedness rules and every error
+message exist once.
+
+A token is one match of a compiled master regex at the window position
+(close tag | open tag with its whole attribute run and optional ``/`` |
+text up to the next ``<``); comments, CDATA, processing instructions
+and the DOCTYPE are delimited with ``str.find``. Text is accepted only
+when it ends inside the buffered window (otherwise more chunks are
+pulled first), and the window is compacted once per pull, never per
+token, so a scan is linear in the input under any chunking. Only when
+no alternative matches does the cold :func:`_tag_error` read the tag
+construct by construct, to say what is wrong and where — or that the
+window merely ends too early.
+
+Supported: elements, attributes (single or double quoted), text with
+the predefined entities and numeric character references, comments,
+CDATA, processing instructions / the XML declaration, and a DOCTYPE,
+skipped as a whole except that the ``<!ENTITY name "text">``
+declarations of its internal subset are honoured. What could recurse or
+reach outside the document — a declared entity referencing another,
+parameter entities, a *reference* to a ``SYSTEM`` / ``PUBLIC`` entity —
+raises :class:`~repro.errors.XMLParseError`; nothing is ever fetched.
+"""
+
+from __future__ import annotations
+
+import re
+from collections.abc import Iterable, Iterator
+from typing import Any
+
+from repro.errors import XMLParseError
+
+#: Characters pulled per window refill (at least; chunks are not split).
+_CHUNK = 1 << 16
+
+_NAME = r"[A-Za-z_:][A-Za-z0-9_:.\-]*"
+_S = r"[ \t\r\n]*"
+_QUOTED = r"\"[^\"]*\"|'[^']*'"
+
+#: Group 1: a close tag's name. Groups 2-4: an open tag's name, its
+#: attribute run and the ``/`` of a self-closing tag. No group: text.
+_TOKEN = re.compile(
+    rf"</({_NAME}){_S}>"
+    rf"|<({_NAME})((?:{_S}{_NAME}{_S}={_S}(?:{_QUOTED}))*){_S}(/?)>"
+    rf"|[^<]+")
+_ATTRIBUTE = re.compile(rf"({_NAME}){_S}={_S}({_QUOTED})")
+_NAME_AT = re.compile(_NAME)
+_SPACE_AT = re.compile(_S)
+
+#: Markup delimited by a fixed terminator: (opener, closer, what).
+_DELIMITED = (("<!--", "-->", "comment"),
+              ("<![CDATA[", "]]>", "CDATA section"),
+              ("<?", "?>", "processing instruction"))
+#: The longest opener: a shorter window cannot be classified yet.
+_LOOKAHEAD = len("<![CDATA[")
+
+#: One step through a DOCTYPE (the alternatives exclude each other by
+#: their first characters: one parse whatever the chunking). Groups:
+#: ``>``, a bare ``%``, ``<`` and, when that opens an entity declaration,
+#: a parameter entity's ``%``, the name, SYSTEM/PUBLIC, the quoted text.
+_DOCTYPE_STEP = re.compile(
+    rf"<!--.*?-->|<\?.*?\?>|{_QUOTED}|[^<>\"'%]+|(>)|(%)"
+    rf"|(<)(?!!--|\?)(?:!ENTITY\s+(%\s+)?({_NAME})\s+"
+    rf"(?:(SYSTEM|PUBLIC)\s|({_QUOTED})))?", re.DOTALL)
+#: What replacement text may not hold: parameter-entity references,
+#: markup, the character references to ``&`` / ``<`` that a conforming
+#: parser would read again as markup, and references to other entities.
+_UNSUPPORTED = re.compile(
+    r"[%<]|&#(?:0*(?:38|60)|[xX]0*(?:26|3[cC]));"
+    r"|&(?!(?:amp|lt|gt|quot|apos|#[0-9]+|#[xX][0-9a-fA-F]+);)[^;&]*;?")
+_CHARACTER = re.compile(r"#(?:([0-9]+)|[xX]([0-9a-fA-F]+))")
+
+_PREDEFINED = {"amp": "&", "lt": "<", "gt": ">", "quot": '"', "apos": "'"}
+
+
+class _BadReference(Exception):
+    """An entity reference that cannot be decoded, *offset* characters
+    into the text handed to :func:`_expand`."""
+
+    def __init__(self, message: str, offset: int):
+        super().__init__(message)
+        self.message = message
+        self.offset = offset
+
+
+def _expand(raw: str, entities: "dict[str, str | None]") -> str:
+    """*raw* with every ``&name;`` / ``&#n;`` / ``&#xh;`` replaced."""
+    head, *pieces = raw.split("&")
+    out = [head]
+    offset = len(head)
+    for piece in pieces:
+        name, semicolon, rest = piece.partition(";")
+        if not semicolon:
+            raise _BadReference("unterminated entity reference", offset)
+        value = entities.get(name)
+        if value is None:
+            reference = _CHARACTER.fullmatch(name)
+            if reference is not None:
+                decimal, hexadecimal = reference.groups()
+                code = int(decimal) if decimal else int(hexadecimal, 16)
+                # The XML 1.0 Char production.
+                if (code in (0x9, 0xA, 0xD) or 0x20 <= code <= 0xD7FF
+                        or 0xE000 <= code <= 0xFFFD
+                        or 0x10000 <= code <= 0x10FFFF):
+                    value = chr(code)
+            if value is None:
+                raise _BadReference(
+                    f"invalid character reference &{name};"
+                    if name.startswith("#") else
+                    f"external entity &{name}; is not supported (nothing "
+                    f"is fetched)" if name in entities else
+                    f"unknown entity &{name};", offset)
+        out.append(value)
+        out.append(rest)
+        offset += len(piece) + 1
+    return "".join(out)
+
+
+class _Window:
+    """The unconsumed tail of chunked text, with absolute positions.
+
+    Consumed text is dropped once per :meth:`refill` (line and column
+    kept for error messages): the whole document is never resident.
+    """
+
+    __slots__ = ("_chunks", "buf", "eof", "_offset", "_lines", "_col")
+
+    def __init__(self, chunks: Iterable[str]):
+        self._chunks = iter(chunks)
+        self.buf = ""
+        self.eof = False
+        self._offset = 0  # absolute offset of buf[0]
+        self._lines = 0   # newlines before buf[0]
+        self._col = 0     # column of buf[0] within its line
+
+    def refill(self, pos: int) -> None:
+        """Drop ``buf[:pos]`` and pull more text behind the rest: at
+        least as much as is kept (and ``_CHUNK``), so a token longer
+        than the window is rescanned a geometric series of times, not
+        once per chunk. Sets :attr:`eof` once the chunks run out."""
+        self._offset, self._lines, self._col = self._locate(pos)
+        pieces = [self.buf[pos:]]
+        wanted = max(_CHUNK, len(pieces[0]))
+        for chunk in self._chunks:
+            pieces.append(chunk)
+            wanted -= len(chunk)
+            if wanted <= 0:
+                break
+        else:
+            self.eof = True
+        self.buf = "".join(pieces)
+
+    def decode(self, raw: str, index: int,
+               entities: "dict[str, str | None]") -> str:
+        """*raw* (found at ``buf[index]``) with its references expanded."""
+        try:
+            return _expand(raw, entities)
+        except _BadReference as bad:
+            raise self.error(bad.message, index + bad.offset) from None
+
+    def _locate(self, index: int) -> "tuple[int, int, int]":
+        """``buf[index]``'s absolute offset, line and column, from 0."""
+        newlines = self.buf.count("\n", 0, index)
+        column = (index - self.buf.rfind("\n", 0, index) - 1 if newlines
+                  else self._col + index)
+        return self._offset + index, self._lines + newlines, column
+
+    def error(self, message: str, index: int) -> XMLParseError:
+        """An :class:`XMLParseError` positioned at ``buf[index]``."""
+        position, line, column = self._locate(index)
+        return XMLParseError(message, position=position, line=line + 1,
+                             column=column + 1)
+
+
+def _tag_error(window: _Window, pos: int) -> XMLParseError | None:
+    """Why the tag at ``buf[pos]`` is not a token.
+
+    Reads the tag construct by construct up to the first thing that
+    cannot belong to one. None while the window ends before that point
+    and more input may still complete the tag.
+    """
+    buf = window.buf
+    size = len(buf)
+
+    def wrong(message: str, decided: int,
+              reported: int | None = None) -> XMLParseError | None:
+        # The verdict needs buf[decided]: None while it is still to come.
+        if decided >= size and not window.eof:
+            return None
+        return window.error(message,
+                            decided if reported is None else reported)
+
+    closing = buf.startswith("/", pos + 1)
+    index = pos + 2 if closing else pos + 1
+    name = _NAME_AT.match(buf, index)
+    if name is None:
+        return wrong("expected a name", index)
+    tag = name.group()
+    index = _SPACE_AT.match(buf, name.end()).end()
+    if closing:
+        return wrong(f"malformed closing tag </{tag}>", index)
+    while index < size and buf[index] not in ">/?":
+        name = _NAME_AT.match(buf, index)
+        if name is None:
+            return wrong("expected a name", index)
+        key = name.group()
+        index = _SPACE_AT.match(buf, name.end()).end()
+        if not buf.startswith("=", index):
+            return wrong(f"expected '=' after attribute {key!r}", index)
+        index = _SPACE_AT.match(buf, index + 1).end()
+        quote = buf[index:index + 1]
+        if quote not in ("'", '"'):
+            return wrong(f"attribute {key!r} value must be quoted", index)
+        close = buf.find(quote, index + 1)
+        if close < 0:
+            return wrong(f"unterminated attribute {key!r} value "
+                         f"(expected {quote!r})", size, index + 1)
+        index = _SPACE_AT.match(buf, close + 1).end()
+    # A lone "/" still waits for its ">".
+    decided = index + 1 if buf.startswith("/", index) else index
+    return wrong(f"malformed tag <{tag}>", decided, index)
+
+
+def _attributes(window: _Window, base: int, run: str,
+                entities: "dict[str, str | None]") -> dict[str, str]:
+    """The attributes of *run* (found at ``buf[base]``) with positions
+    kept: values are decoded and a repeated name is refused."""
+    attributes: dict[str, str] = {}
+    for found in _ATTRIBUTE.finditer(run):
+        key, value = found.groups()
+        if key in attributes:
+            raise window.error(f"duplicate attribute {key!r}",
+                               base + found.end())
+        attributes[key] = window.decode(
+            value[1:-1], base + found.start(2) + 1, entities)
+    return attributes
+
+
+def _doctype(window: _Window, pos: int
+             ) -> "tuple[int, dict[str, str | None]] | None":
+    """The index just past the DOCTYPE at ``buf[pos]`` and the entity
+    table after it; None while the window ends inside the DOCTYPE.
+
+    Angle brackets nest (the internal subset's declarations); quoted
+    literals, comments and PIs are opaque. External entities map to
+    None (never fetched: referencing one is the error). As in XML 1.0
+    a name's first declaration binds, so the predefined entities stay.
+    """
+    buf = window.buf
+    entities: "dict[str, str | None]" = dict(_PREDEFINED)
+    depth = 0
+    while True:
+        step = _DOCTYPE_STEP.match(buf, pos)
+        if step is None:
+            return None
+        pos = step.end()
+        closed, reference, opened, parameter, name, external, quoted = \
+            step.groups()
+        if parameter or reference:
+            raise window.error("parameter entities are not supported",
+                               step.start(4 if parameter else 2))
+        if closed:
+            depth -= 1
+            if not depth:
+                return pos, entities
+        elif opened:
+            depth += 1
+            if external and name not in entities:
+                entities[name] = None
+            elif quoted and name not in entities:
+                at = step.start(7) + 1
+                unsupported = _UNSUPPORTED.search(quoted, 1)
+                if unsupported is not None:
+                    raise window.error(
+                        f"entity {name!r} holds {unsupported.group()!r}: "
+                        f"replacement text is decoded once and may hold "
+                        f"plain text, predefined entities and character "
+                        f"references other than to '&' and '<' only",
+                        at - 1 + unsupported.start())
+                entities[name] = window.decode(quoted[1:-1], at, _PREDEFINED)
+
+
+def iter_events(chunks: Iterable[str]
+                ) -> "Iterator[tuple[str, Any, Any]]":
+    """SAX-style events over chunked XML text.
+
+    Yields ``("start", tag, attributes)``, ``("end", tag, None)`` and
+    ``("text", decoded_text, None)`` in document order and enforces
+    well-formedness as it goes (matching close tags, a single root, no
+    text outside it). Comments, PIs and the DOCTYPE are skipped,
+    whitespace-only text is dropped, CDATA is text verbatim, and a
+    self-closing element emits start + end back to back. Only the
+    unconsumed tail of the input is held, and an
+    :class:`~repro.errors.XMLParseError` carries the same message and
+    position whatever the chunking.
+    """
+    window = _Window(chunks)
+    entities: "dict[str, str | None]" = _PREDEFINED
+    open_tags: list[str] = []
+    saw_root = False
+    match = _TOKEN.match
+    buf = ""
+    pos = size = 0
+
+    while True:
+        token = match(buf, pos)
+        if token is not None:
+            kind = token.lastindex
+            if kind is None:  # text
+                end = token.end()
+                if end < size or window.eof:
+                    raw = token.group()
+                    if not raw.isspace():
+                        if not open_tags:
+                            raise window.error(
+                                "text content outside the root element", end)
+                        if "&" in raw:
+                            raw = window.decode(raw, pos, entities)
+                        yield ("text", raw, None)
+                    pos = end
+                    continue
+                # The text may go on in the next chunk: refill first.
+            elif kind == 4:  # open tag
+                name, run, closed = token.group(2, 3, 4)
+                if run:
+                    pairs = _ATTRIBUTE.findall(run)
+                    attributes = {key: value[1:-1] for key, value in pairs}
+                    if len(attributes) != len(pairs) or "&" in run:
+                        attributes = _attributes(
+                            window, token.start(3), run, entities)
+                else:
+                    attributes = {}
+                pos = token.end()
+                if not open_tags:
+                    if saw_root:
+                        raise window.error("multiple root elements", pos)
+                    saw_root = True
+                yield ("start", name, attributes)
+                if closed:
+                    yield ("end", name, None)
+                else:
+                    open_tags.append(name)
+                continue
+            else:  # close tag
+                name = token.group(1)
+                pos = token.end()
+                if not open_tags:
+                    raise window.error(
+                        f"closing tag </{name}> with no open element", pos)
+                expected = open_tags.pop()
+                if expected != name:
+                    raise window.error(
+                        f"closing tag </{name}> does not match <{expected}>",
+                        pos)
+                yield ("end", name, None)
+                continue
+        elif size - pos >= _LOOKAHEAD or window.eof:
+            # Cold: the input's end, markup that is no tag, or an error.
+            if pos == size:
+                break
+            delimited = next((entry for entry in _DELIMITED
+                              if buf.startswith(entry[0], pos)), None)
+            if delimited is not None:
+                opener, closer, what = delimited
+                start = pos + len(opener)
+                end = buf.find(closer, start)
+                if end >= 0:
+                    pos = end + len(closer)
+                    if opener == "<![CDATA[":
+                        if not open_tags:
+                            raise window.error(
+                                "CDATA outside the root element", pos)
+                        yield ("text", buf[start:end], None)
+                    continue
+                if window.eof:
+                    raise window.error(
+                        f"unterminated {what} (expected {closer!r})", start)
+            elif buf.startswith(("<!DOCTYPE", "<!doctype"), pos):
+                doctype = _doctype(window, pos)
+                if doctype is not None:
+                    pos, entities = doctype
+                    continue
+                if window.eof:
+                    raise window.error(
+                        "unterminated DOCTYPE declaration (expected '>')",
+                        pos + 2)
+            else:
+                error = _tag_error(window, pos)
+                if error is not None:
+                    raise error
+        window.refill(pos)
+        buf = window.buf
+        size = len(buf)
+        pos = 0
+
+    if open_tags:
+        raise window.error(f"unclosed element <{open_tags[-1]}>", pos)
+    if not saw_root:
+        raise window.error("document has no root element", pos)
+
+
+def decode_entities(text: str) -> str:
+    """Replace ``&amp;``-style and numeric references with their
+    characters (the predefined entities; a document's own declarations
+    are known only to the scan that read its DOCTYPE)."""
+    if "&" not in text:
+        return text
+    window = _Window(())
+    window.buf = text
+    return window.decode(text, 0, _PREDEFINED)

@@ -2,47 +2,44 @@
 
 The whole-string path (:func:`repro.xml.parser.parse_document` then
 ``ColumnarDocument``) holds every corpus in memory twice — the node
-tree and the columns. This module replaces it for larger-than-RAM
-corpora: :func:`stream_document` drives an **incremental** tokenizer
-(the same hand-written grammar as :mod:`repro.xml.parser`, fed chunk
-by chunk) and a :class:`StreamingBuilder` that writes the
-``ColumnarDocument`` columns and per-tag/per-path postings directly
-into a bump-allocating :class:`~repro.buffers.mmapfile.ArenaWriter` as
-the events arrive:
+tree and the columns. For larger-than-RAM corpora
+:func:`stream_document` feeds the events of the shared token kernel
+(:func:`repro.xml.scanner.iter_events`, re-exported here) to a
+:class:`StreamingBuilder`, which writes the ``ColumnarDocument``
+columns and postings straight into a bump-allocating
+:class:`~repro.buffers.mmapfile.ArenaWriter`:
 
-* ``starts`` / ``levels`` / ``parents`` / ``tag_ids`` / ``path_ids``
-  append on element *open* (node ids are pre-order, exactly the
-  in-memory build's order); ``ends`` appends a placeholder that is
-  backpatched on element *close* — the one column region encoding
-  cannot emit in order;
+* the eight per-node columns (``starts ends levels parents tag_ids
+  path_ids val_kind val_ref``) grow in lockstep, one row per element
+  *open* in pre-order — the in-memory build's node ids. Rows wait in a
+  bounded row group that is transposed into the columns with one bulk
+  ``extend`` each; ``ends`` and the value pair, known only on element
+  *close*, are patched into the row while it is in the group and
+  through ``ColumnWriter.set_at`` afterwards;
 * per-tag and per-path node-id postings spill to one bucket column
   each and are merged (back-to-back CSR concatenation + offsets) at
   finish, with ``tag_starts`` / ``tag_ends`` gathered from mmap
   snapshots of the label columns — within a tag, nid order *is* start
   order, so the postings come out sorted for free;
-* node values are parsed once on close (the ``XMLNode.value``
-  semantics: stripped text through
-  :func:`~repro.relational.csvio.parse_value`) into typed value
-  columns — a kind/ref pair per node plus per-kind data and a UTF-8
-  string heap — decoded lazily by
+* node values are typed once on close (``XMLNode.value``: stripped
+  text through :func:`~repro.relational.csvio.parse_value`) into
+  per-kind data columns and a UTF-8 string heap, decoded lazily by
   :class:`~repro.xml.arenaview.ArenaValues`.
 
-Peak heap is O(depth + tags + bounded spill tails) — independent of
-document size. The result is byte-identical to
-``ColumnarDocument(parse_document(text))`` row for row (the arena
-parity suite asserts it across every registered twig algorithm), and
-:meth:`ColumnarDocument.from_arena` serves queries straight off the
-file through the page cache.
+Peak heap is O(depth + tags + one row group + bounded spill tails),
+independent of document size, and the columns are identical, row for
+row, to ``ColumnarDocument(parse_document(text))`` (the arena parity
+suite asserts it across every registered twig algorithm).
 """
 
 from __future__ import annotations
 
 from array import array
-from collections.abc import Iterable, Iterator
-from typing import Any
+from collections.abc import Iterable
+from itertools import accumulate
+from string import ascii_letters
 
 from repro.buffers.mmapfile import ArenaWriter, FileArena
-from repro.errors import XMLParseError
 from repro.relational.csvio import parse_value
 from repro.xml.arenaview import (
     VALUE_BIGINT,
@@ -51,286 +48,41 @@ from repro.xml.arenaview import (
     VALUE_NONE,
     VALUE_STR,
 )
-from repro.xml.parser import _NAME_CHARS, _NAME_START, decode_entities
+from repro.xml.scanner import iter_events
 
-_INT64_MIN = -(2 ** 63)
-_INT64_MAX = 2 ** 63 - 1
+_INT64 = 2 ** 63
 
+#: Nodes held as rows before one transposed flush into the columns.
+_ROW_GROUP = 2048
+#: The per-node lockstep columns, in row order.
+_ROW_COLUMNS = (("starts", "I"), ("ends", "I"), ("levels", "I"),
+                ("parents", "i"), ("tag_ids", "I"), ("path_ids", "I"),
+                ("val_kind", "B"), ("val_ref", "I"))
+_END, _VAL_KIND, _VAL_REF = 1, 6, 7  # the row slots patched on close
 
-class _StreamCursor:
-    """Incremental cursor over chunked XML text.
-
-    Holds only the unconsumed window: consumed text is discarded (with
-    line/column accounting for error messages) and more chunks are
-    pulled on demand, so the whole document is never resident. The
-    token grammar is byte-for-byte the one in :mod:`repro.xml.parser`.
-    """
-
-    __slots__ = ("_chunks", "buf", "pos", "_eof", "_offset", "_lines",
-                 "_col")
-
-    def __init__(self, chunks: Iterable[str]):
-        self._chunks = iter(chunks)
-        self.buf = ""
-        self.pos = 0
-        self._eof = False
-        self._offset = 0  # absolute offset of buf[0]
-        self._lines = 0   # newlines before buf[0]
-        self._col = 0     # column of buf[0] within its line
-
-    # -- buffer management -------------------------------------------------
-
-    def _pull(self) -> bool:
-        """Append the next chunk; False once the input is exhausted."""
-        if self._eof:
-            return False
-        for chunk in self._chunks:
-            if chunk:
-                self.buf += chunk
-                return True
-        self._eof = True
-        return False
-
-    def compact(self) -> None:
-        """Discard the consumed prefix (line/column bookkeeping kept)."""
-        if not self.pos:
-            return
-        consumed = self.buf[:self.pos]
-        self._offset += self.pos
-        newlines = consumed.count("\n")
-        if newlines:
-            self._lines += newlines
-            self._col = len(consumed) - consumed.rfind("\n") - 1
-        else:
-            self._col += self.pos
-        self.buf = self.buf[self.pos:]
-        self.pos = 0
-
-    def error(self, message: str) -> XMLParseError:
-        """An :class:`XMLParseError` at the current absolute position."""
-        consumed = self.buf[:self.pos]
-        newlines = consumed.count("\n")
-        if newlines:
-            column = len(consumed) - consumed.rfind("\n") - 1 + 1
-        else:
-            column = self._col + self.pos + 1
-        return XMLParseError(message,
-                             position=self._offset + self.pos,
-                             line=self._lines + newlines + 1,
-                             column=column)
-
-    # -- the parser.py cursor surface, refill-aware ------------------------
-
-    def at_end(self) -> bool:
-        """True once the buffer is consumed and no chunks remain."""
-        while self.pos >= len(self.buf):
-            if not self._pull():
-                return True
-        return False
-
-    def peek(self, n: int = 1) -> str:
-        while len(self.buf) - self.pos < n and self._pull():
-            pass
-        return self.buf[self.pos:self.pos + n]
-
-    def startswith(self, prefix: str) -> bool:
-        while len(self.buf) - self.pos < len(prefix) and self._pull():
-            pass
-        return self.buf.startswith(prefix, self.pos)
-
-    def advance(self, n: int = 1) -> None:
-        self.pos += n
-
-    def skip_whitespace(self) -> None:
-        while True:
-            buf = self.buf
-            pos = self.pos
-            while pos < len(buf) and buf[pos] in " \t\r\n":
-                pos += 1
-            self.pos = pos
-            if pos < len(buf) or not self._pull():
-                return
-
-    def take_until(self, terminator: str, what: str) -> str:
-        while True:
-            index = self.buf.find(terminator, self.pos)
-            if index >= 0:
-                chunk = self.buf[self.pos:index]
-                self.pos = index + len(terminator)
-                return chunk
-            if not self._pull():
-                raise self.error(
-                    f"unterminated {what} (expected {terminator!r})")
-
-    def take_name(self) -> str:
-        if self.at_end() or self.buf[self.pos] not in _NAME_START:
-            raise self.error("expected a name")
-        start = self.pos
-        while True:
-            buf = self.buf
-            pos = self.pos + 1 if self.pos == start else self.pos
-            while pos < len(buf) and buf[pos] in _NAME_CHARS:
-                pos += 1
-            self.pos = pos
-            if pos < len(buf) or not self._pull():
-                return self.buf[start:pos]
-
-    def take_text(self) -> str:
-        """Raw text up to the next ``<`` (or EOF), possibly spanning
-        chunk boundaries."""
-        pieces: list[str] = []
-        while True:
-            index = self.buf.find("<", self.pos)
-            if index >= 0:
-                pieces.append(self.buf[self.pos:index])
-                self.pos = index
-                return "".join(pieces)
-            pieces.append(self.buf[self.pos:])
-            self.pos = len(self.buf)
-            self.compact()
-            if not self._pull():
-                return "".join(pieces)
-
-
-def _parse_attributes(cursor: _StreamCursor) -> dict[str, str]:
-    """Attribute list of an open tag (same grammar as the parser)."""
-    attributes: dict[str, str] = {}
-    while True:
-        cursor.skip_whitespace()
-        nxt = cursor.peek()
-        if nxt in (">", "/", "?", ""):
-            return attributes
-        name = cursor.take_name()
-        cursor.skip_whitespace()
-        if cursor.peek() != "=":
-            raise cursor.error(f"expected '=' after attribute {name!r}")
-        cursor.advance()
-        cursor.skip_whitespace()
-        quote = cursor.peek()
-        if quote not in ("'", '"'):
-            raise cursor.error(f"attribute {name!r} value must be quoted")
-        cursor.advance()
-        raw = cursor.take_until(quote, f"attribute {name!r} value")
-        if name in attributes:
-            raise cursor.error(f"duplicate attribute {name!r}")
-        attributes[name] = decode_entities(raw)
-        cursor.compact()
-
-
-def iter_events(chunks: Iterable[str]
-                ) -> "Iterator[tuple[str, Any, Any]]":
-    """SAX-style events over chunked XML text.
-
-    Yields ``("start", tag, attributes)``, ``("end", tag, None)`` and
-    ``("text", decoded_text, None)`` in document order, enforcing the
-    exact well-formedness rules of :func:`repro.xml.parser.
-    parse_element_tree` (matching close tags, single root, no text
-    outside it; comments, PIs, DOCTYPE skipped; self-closing elements
-    emit start + end back to back; CDATA and entity semantics
-    identical). Only the unconsumed tail of the input is ever held.
-    """
-    cursor = _StreamCursor(chunks)
-    open_tags: list[str] = []
-    saw_root = False
-
-    while not cursor.at_end():
-        cursor.compact()
-        if cursor.peek() != "<":
-            raw = cursor.take_text()
-            if raw.strip():
-                if not open_tags:
-                    raise cursor.error(
-                        "text content outside the root element")
-                yield ("text", decode_entities(raw), None)
-            continue
-
-        if cursor.startswith("<!--"):
-            cursor.advance(4)
-            cursor.take_until("-->", "comment")
-            continue
-        if cursor.startswith("<![CDATA["):
-            cursor.advance(9)
-            raw = cursor.take_until("]]>", "CDATA section")
-            if not open_tags:
-                raise cursor.error("CDATA outside the root element")
-            yield ("text", raw, None)
-            continue
-        if cursor.startswith("<?"):
-            cursor.advance(2)
-            cursor.take_until("?>", "processing instruction")
-            continue
-        if cursor.startswith("<!DOCTYPE") or cursor.startswith("<!doctype"):
-            cursor.advance(2)
-            cursor.take_until(">", "DOCTYPE declaration")
-            continue
-        if cursor.startswith("</"):
-            cursor.advance(2)
-            name = cursor.take_name()
-            cursor.skip_whitespace()
-            if cursor.peek() != ">":
-                raise cursor.error(f"malformed closing tag </{name}>")
-            cursor.advance()
-            if not open_tags:
-                raise cursor.error(
-                    f"closing tag </{name}> with no open element")
-            expected = open_tags.pop()
-            if expected != name:
-                raise cursor.error(
-                    f"closing tag </{name}> does not match <{expected}>")
-            yield ("end", name, None)
-            continue
-
-        # An opening (or self-closing) tag.
-        cursor.advance()
-        name = cursor.take_name()
-        attributes = _parse_attributes(cursor)
-        cursor.skip_whitespace()
-        if cursor.startswith("/>"):
-            cursor.advance(2)
-            closed = True
-        elif cursor.peek() == ">":
-            cursor.advance()
-            closed = False
-        else:
-            raise cursor.error(f"malformed tag <{name}>")
-
-        if not open_tags:
-            if saw_root:
-                raise cursor.error("multiple root elements")
-            saw_root = True
-        yield ("start", name, attributes)
-        if closed:
-            yield ("end", name, None)
-        else:
-            open_tags.append(name)
-
-    if open_tags:
-        raise cursor.error(f"unclosed element <{open_tags[-1]}>")
-    if not saw_root:
-        raise cursor.error("document has no root element")
+#: First characters no ``int()`` / ``float()`` literal starts with: the
+#: ASCII letters but those of ``inf`` / ``nan`` in either case. Such
+#: text is a string without asking :func:`parse_value`, whose answer
+#: costs two raised ``ValueError``s.
+_NEVER_NUMERIC = frozenset(ascii_letters) - frozenset("iInN")
 
 
 class StreamingBuilder:
     """Event consumer writing columnar state into an ArenaWriter.
 
     Carries only the open-element stack, the (small) tag/path intern
-    tables and the writers' bounded spill tails — peak heap is
-    independent of document size. Region labels replay
-    :func:`~repro.xml.encoding.annotate_regions` exactly (one global
-    counter: ``start`` on entry, ``end`` on exit), so node ids, labels
-    and postings are byte-identical to the in-memory build.
+    tables, one row group and the writers' spill tails. Region labels
+    replay :func:`~repro.xml.encoding.annotate_regions` exactly (one
+    global counter: ``start`` on entry, ``end`` on exit), so node ids,
+    labels and postings are byte-identical to the in-memory build.
     """
 
     def __init__(self, writer: ArenaWriter):
         self.writer = writer
-        self._starts = writer.column("starts", "I")
-        self._ends = writer.column("ends", "I")
-        self._levels = writer.column("levels", "I")
-        self._parents = writer.column("parents", "i")
-        self._tag_ids = writer.column("tag_ids", "I")
-        self._path_ids = writer.column("path_ids", "I")
-        self._val_kind = writer.column("val_kind", "B")
-        self._val_ref = writer.column("val_ref", "I")
+        self._columns = [writer.column(name, typecode)
+                         for name, typecode in _ROW_COLUMNS]
+        self._ends, self._val_kind, self._val_ref = (
+            self._columns[slot] for slot in (_END, _VAL_KIND, _VAL_REF))
         self._val_int = writer.column("val_int", "q")
         self._val_float = writer.column("val_float", "d")
         self._val_str_off = writer.column("val_str_off", "Q")
@@ -338,148 +90,155 @@ class StreamingBuilder:
         self._heap = writer.column("val_str_heap", "B")
         self._heap_size = 0
         self._counter = 0  # the region-label counter
-        self._size = 0
+        self._rows: "list[list[int]]" = []  # the nodes from _flushed on
+        self._flushed = 0
         self._tags: list[str] = []
         self._tag_index: dict[str, int] = {}
         self._paths: "list[tuple[str, ...]]" = []
         self._path_table: "dict[tuple[int, int], int]" = {}
         self._tag_buckets: "list" = []   # per-tid spilled nid columns
         self._path_buckets: "list" = []  # per-pid spilled nid columns
-        # Open-element frames: (nid, pid, text parts).
-        self._stack: "list[tuple[int, int, list[str]]]" = []
+        # Open-element frames: (nid, pid, row, text parts).
+        self._stack: "list[tuple[int, int, list[int], list[str]]]" = []
 
     # -- event handlers ----------------------------------------------------
 
     def start(self, tag: str) -> int:
         """Open an element; returns its node id (pre-order)."""
-        nid = self._size
-        self._size += 1
-        parent_nid, parent_pid = (self._stack[-1][:2] if self._stack
-                                  else (-1, -1))
+        stack = self._stack
+        parent_nid, parent_pid = stack[-1][:2] if stack else (-1, -1)
         tid = self._tag_index.get(tag)
         if tid is None:
             tid = self._tag_index[tag] = len(self._tags)
             self._tags.append(tag)
-            self._tag_buckets.append(
-                self.writer.column(f"tag_bucket_{tid}", "I",
-                                   chunk_items=4096, register=False))
+            self._tag_buckets.append(self._bucket(f"tag_bucket_{tid}"))
         key = (parent_pid, tid)
         pid = self._path_table.get(key)
         if pid is None:
             pid = self._path_table[key] = len(self._paths)
             prefix = self._paths[parent_pid] if parent_pid >= 0 else ()
             self._paths.append(prefix + (tag,))
-            self._path_buckets.append(
-                self.writer.column(f"path_bucket_{pid}", "I",
-                                   chunk_items=4096, register=False))
-        self._starts.append(self._counter)
+            self._path_buckets.append(self._bucket(f"path_bucket_{pid}"))
+        if len(self._rows) >= _ROW_GROUP:
+            self._flush_rows()
+        nid = self._flushed + len(self._rows)
+        # ``end`` and the value pair are patched on close.
+        row = [self._counter, 0, len(stack), parent_nid, tid, pid,
+               VALUE_NONE, 0]
         self._counter += 1
-        self._ends.append(0)  # backpatched on close
-        self._levels.append(len(self._stack))
-        self._parents.append(parent_nid)
-        self._tag_ids.append(tid)
-        self._path_ids.append(pid)
-        self._val_kind.append(VALUE_NONE)  # backpatched on close
-        self._val_ref.append(0)
+        self._rows.append(row)
         self._tag_buckets[tid].append(nid)
         self._path_buckets[pid].append(nid)
-        self._stack.append((nid, pid, []))
+        stack.append((nid, pid, row, []))
         return nid
+
+    def _bucket(self, name: str):
+        """A spill-only column of node ids (one per tag, one per path)."""
+        return self.writer.column(name, "I", chunk_items=4096,
+                                  register=False)
 
     def text(self, text: str) -> None:
         """Text content of the innermost open element."""
-        self._stack[-1][2].append(text)
+        self._stack[-1][3].append(text)
 
     def end(self) -> int:
         """Close the innermost element; returns its node id."""
-        nid, _pid, parts = self._stack.pop()
-        self._ends.set_at(nid, self._counter)
-        self._counter += 1
+        nid, _pid, row, parts = self._stack.pop()
         stripped = "".join(parts).strip()
-        if stripped:
-            self._set_value(nid, parse_value(stripped))
+        kind, ref = self._store_value(stripped) if stripped \
+            else (VALUE_NONE, 0)
+        if nid >= self._flushed:  # still in the row group
+            row[_END] = self._counter
+            row[_VAL_KIND] = kind
+            row[_VAL_REF] = ref
+        else:
+            self._ends.set_at(nid, self._counter)
+            if kind != VALUE_NONE:
+                self._val_kind.set_at(nid, kind)
+                self._val_ref.set_at(nid, ref)
+        self._counter += 1
         return nid
 
-    def _set_value(self, nid: int, value) -> None:
-        if isinstance(value, bool):  # parse_value never yields bool
-            value = int(value)
-        if isinstance(value, int):
-            if _INT64_MIN <= value <= _INT64_MAX:
-                self._val_kind.set_at(nid, VALUE_INT)
-                self._val_ref.set_at(nid, self._val_int.append(value))
-            else:
-                self._store_str(nid, str(value), VALUE_BIGINT)
-        elif isinstance(value, float):
-            self._val_kind.set_at(nid, VALUE_FLOAT)
-            self._val_ref.set_at(nid, self._val_float.append(value))
-        else:
-            self._store_str(nid, value, VALUE_STR)
+    def _flush_rows(self) -> None:
+        """Transpose the row group into its columns, one bulk extend
+        each; later backpatches go through ``set_at``."""
+        for column, values in zip(self._columns, zip(*self._rows)):
+            column.extend(values)
+        self._flushed += len(self._rows)
+        self._rows.clear()
 
-    def _store_str(self, nid: int, value: str, kind: int) -> None:
+    def _store_value(self, text: str) -> "tuple[int, int]":
+        """Append the typed value of *text* (the ``XMLNode.value``
+        semantics); its ``(kind, ref)`` pair."""
+        value = text if text[0] in _NEVER_NUMERIC else parse_value(text)
+        if isinstance(value, int):
+            if -_INT64 <= value < _INT64:
+                return VALUE_INT, self._val_int.append(value)
+            return VALUE_BIGINT, self._store_str(str(value))
+        if isinstance(value, float):
+            return VALUE_FLOAT, self._val_float.append(value)
+        return VALUE_STR, self._store_str(value)
+
+    def _store_str(self, value: str) -> int:
         data = value.encode("utf-8")
-        self._val_kind.set_at(nid, kind)
-        self._val_ref.set_at(nid, self._val_str_off.append(self._heap_size))
+        ref = self._val_str_off.append(self._heap_size)
         self._val_str_len.append(len(data))
         self._heap.extend(data)
         self._heap_size += len(data)
+        return ref
 
     # -- assembly ----------------------------------------------------------
 
     def finish(self) -> FileArena:
         """Merge the spilled postings and assemble the owning arena."""
         writer = self.writer
+        self._flush_rows()
+        starts, ends = self._columns[0], self._ends
         tag_starts = writer.column("tag_starts", "I")
         tag_ends = writer.column("tag_ends", "I")
-        tag_offsets = array("Q", [0])
-        with self._starts.snapshot() as starts_v, \
-                self._ends.snapshot() as ends_v:
-            total = 0
+        with starts.snapshot() as starts_v, ends.snapshot() as ends_v:
             for bucket in self._tag_buckets:
                 with bucket.snapshot() as nids_v:
-                    for nid in nids_v:
-                        tag_starts.append(starts_v[nid])
-                        tag_ends.append(ends_v[nid])
-                total += len(bucket)
-                tag_offsets.append(total)
-            path_offsets = array("Q", [0])
-            total = 0
-            for bucket in self._path_buckets:
-                total += len(bucket)
-                path_offsets.append(total)
+                    # Slices keep the gathered tails bounded.
+                    for lo in range(0, len(nids_v), writer.chunk_items):
+                        with nids_v[lo:lo + writer.chunk_items] as nids:
+                            tag_starts.extend(
+                                map(starts_v.__getitem__, nids))
+                            tag_ends.extend(map(ends_v.__getitem__, nids))
         writer.concat("tag_nids", "I", self._tag_buckets)
-        writer.add_buffer("tag_offsets", tag_offsets)
+        writer.add_buffer("tag_offsets", array(
+            "Q", [0, *accumulate(map(len, self._tag_buckets))]))
         writer.concat("path_nids", "I", self._path_buckets)
-        writer.add_buffer("path_offsets", path_offsets)
+        writer.add_buffer("path_offsets", array(
+            "Q", [0, *accumulate(map(len, self._path_buckets))]))
         pids_by_last_tag: "dict[int, list[int]]" = {}
         for (_parent_pid, tid), pid in self._path_table.items():
             pids_by_last_tag.setdefault(tid, []).append(pid)
-        meta = {
+        return writer.finish({
             "kind": "document",
-            "size": self._size,
+            "size": self._flushed,
             "tags": self._tags,
             "tag_index": self._tag_index,
             "paths": self._paths,
             "pids_by_last_tag": pids_by_last_tag,
-        }
-        return writer.finish(meta)
+        })
 
 
 def stream_document(chunks: Iterable[str], *,
                     path: str | None = None) -> FileArena:
     """Build a queryable :class:`FileArena` from chunked XML text.
 
-    The streaming end-to-end: tokenizer events drive the builder
-    straight into an :class:`~repro.buffers.mmapfile.ArenaWriter`; no
-    node-object tree and no whole-document string ever exist. Returns
-    the **owning** attached arena (close + unlink when done); open a
-    view with :meth:`ColumnarDocument.from_arena
-    <repro.xml.columnar.ColumnarDocument.from_arena>` or attach from
-    another process via :func:`repro.parallel.mmapfile.attach_document`.
+    No node-object tree and no whole-document string ever exist.
+    Returns the **owning** attached arena (close + unlink when done);
+    open a view with :meth:`ColumnarDocument.from_arena
+    <repro.xml.columnar.ColumnarDocument.from_arena>` (queries are
+    served off the file through the page cache) or attach from another
+    process via :func:`repro.parallel.mmapfile.attach_document`.
     """
     writer = ArenaWriter(path=path)
     try:
         builder = StreamingBuilder(writer)
-        for kind, payload, extra in iter_events(chunks):
+        for kind, payload, _attributes in iter_events(chunks):
             if kind == "start":
                 builder.start(payload)
             elif kind == "end":

@@ -82,23 +82,28 @@ class TestBasicParsing:
         assert root.tag == "ns:a-b.c_1"
 
 
+#: Malformed documents (tests/xml/test_scanner.py re-scans them under
+#: every chunking).
+MALFORMED = [
+    "",
+    "<a>",
+    "</a>",
+    "<a></b>",
+    "<a><b></a></b>",
+    "<a/><b/>",
+    "<a x=1/>",
+    "<a x/>",
+    '<a x="1" x="2"/>',
+    "<a>&unknown;</a>",
+    "text only",
+    "<a>&broken</a>",
+    "<!-- unterminated",
+    "<a><![CDATA[x</a>",
+]
+
+
 class TestParseErrors:
-    @pytest.mark.parametrize("text", [
-        "",
-        "<a>",
-        "</a>",
-        "<a></b>",
-        "<a><b></a></b>",
-        "<a/><b/>",
-        "<a x=1/>",
-        "<a x/>",
-        '<a x="1" x="2"/>',
-        "<a>&unknown;</a>",
-        "text only",
-        "<a>&broken</a>",
-        "<!-- unterminated",
-        "<a><![CDATA[x</a>",
-    ])
+    @pytest.mark.parametrize("text", MALFORMED)
     def test_malformed_inputs_raise(self, text):
         with pytest.raises(XMLParseError):
             parse_element_tree(text)

@@ -152,16 +152,21 @@ class TestAlgorithmParity:
         assert not leaked_arena_files()
 
 
+#: Malformed documents (tests/xml/test_scanner.py re-scans them under
+#: every chunking).
+MALFORMED = [
+    "<a><b></c></a>",          # mismatched close
+    "<a></a><b></b>",          # multiple roots
+    "<a><b></b>",              # unclosed element
+    "stray<a></a>",            # text outside the root
+    "<a>&bogus;</a>",          # unknown entity
+    "",                        # no root at all
+    "<a", "</a>",              # malformed / close-before-open
+]
+
+
 class TestErrorCases:
-    @pytest.mark.parametrize("text", [
-        "<a><b></c></a>",          # mismatched close
-        "<a></a><b></b>",          # multiple roots
-        "<a><b></b>",              # unclosed element
-        "stray<a></a>",            # text outside the root
-        "<a>&bogus;</a>",          # unknown entity
-        "",                        # no root at all
-        "<a", "</a>",              # malformed / close-before-open
-    ])
+    @pytest.mark.parametrize("text", MALFORMED)
     def test_streaming_matches_tree_parser(self, text):
         with pytest.raises(XMLParseError) as tree_error:
             parse_document(text)

@@ -7,6 +7,9 @@ Three checks, in order:
    :func:`repro.xml.streaming.stream_document` (never materializing
    the node tree) must answer a branching twig with exactly the same
    rows as the in-memory parse-and-columnarize build of the same text.
+   Both inputs open with a real-DBLP-shaped header (XML declaration +
+   a DOCTYPE whose internal subset declares entities), so every build
+   here, the heap-capped one included, goes through the DOCTYPE path.
 
 2. **Bounded memory** — a DBLP-style corpus builds in a fresh
    subprocess whose ``RLIMIT_DATA`` is capped at 1.5x the arena's
@@ -26,6 +29,7 @@ Run from the repo root: ``PYTHONPATH=src python tools/streaming_smoke.py``.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import subprocess
 import sys
@@ -33,23 +37,37 @@ import sys
 _REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(_REPO, "src"))
 
+#: What a real DBLP export opens with (SNIPPETS.md, snippet 1).
+HEADER = """\
+<?xml version="1.0" encoding="UTF-8"?>
+<!DOCTYPE dblp [
+  <!ENTITY uuml "\u00fc">
+  <!ENTITY auml "\u00e4">
+  <!ENTITY ouml "\u00f6">
+  <!ENTITY szlig "\u00df">
+  <!ENTITY Uuml "\u00dc">
+  <!ENTITY Auml "\u00c4">
+  <!ENTITY Ouml "\u00d6">
+]>
+"""
+
 # Runs in a fresh interpreter: cap RLIMIT_DATA, then build one path.
-# argv: <cap-bytes> <records> streamed|inmemory
+# argv: <cap-bytes> <records> streamed|inmemory <header>
 _CAPPED_BUILD = """\
-import resource, sys
+import itertools, resource, sys
 cap = int(sys.argv[1])
 resource.setrlimit(resource.RLIMIT_DATA, (cap, cap))
 from repro.data.dblp import dblp_chunks
-n = int(sys.argv[2])
+chunks = itertools.chain([sys.argv[4]], dblp_chunks(int(sys.argv[2]), seed=0))
 if sys.argv[3] == "streamed":
     from repro.xml.streaming import stream_document
-    arena = stream_document(dblp_chunks(n, seed=0))
+    arena = stream_document(chunks)
     print("built", arena.meta["size"], "nodes under the cap")
     arena.close(); arena.unlink()
 else:
     from repro.xml.columnar import columnar
     from repro.xml.parser import parse_document
-    document = parse_document("".join(dblp_chunks(n, seed=0)))
+    document = parse_document("".join(chunks))
     print("built", columnar(document).size, "nodes under the cap")
 """
 
@@ -64,12 +82,13 @@ def check_parity() -> None:
     from repro.xml.twig_parser import parse_twig
     from repro.xml.xmark import xmark_stream_chunks
 
-    text = "".join(xmark_stream_chunks(4, seed=0))
+    text = HEADER + "".join(xmark_stream_chunks(4, seed=0))
     twig = parse_twig("i=item(/n=name, //c=incategory)")
     matcher = get_twig_algorithm("twigstack")
     serial = matcher.run(parse_document(text), twig)
 
-    arena = stream_document(xmark_stream_chunks(4, seed=0))
+    arena = stream_document(
+        itertools.chain([HEADER], xmark_stream_chunks(4, seed=0)))
     try:
         handle, view = attach_arena_document(arena)
         streamed = matcher.run(handle, twig)
@@ -89,7 +108,8 @@ def check_bounded_memory(records: int) -> None:
     from repro.data.dblp import dblp_chunks
     from repro.xml.streaming import stream_document
 
-    arena = stream_document(dblp_chunks(records, seed=0))
+    arena = stream_document(
+        itertools.chain([HEADER], dblp_chunks(records, seed=0)))
     arena_bytes = os.path.getsize(arena.path)
     nodes = arena.meta["size"]
     arena.close()
@@ -103,7 +123,7 @@ def check_bounded_memory(records: int) -> None:
     def capped(mode: str) -> subprocess.CompletedProcess:
         return subprocess.run(
             [sys.executable, "-c", _CAPPED_BUILD,
-             str(cap), str(records), mode],
+             str(cap), str(records), mode, HEADER],
             env=env, capture_output=True, text=True)
 
     streamed = capped("streamed")
