@@ -44,9 +44,12 @@ _QUOTED = r"\"[^\"]*\"|'[^']*'"
 
 #: Group 1: a close tag's name. Groups 2-4: an open tag's name, its
 #: attribute run and the ``/`` of a self-closing tag. No group: text.
+#: The lookahead keeps the name whole: without it ``<ab="1"/>`` would
+#: backtrack into tag ``a`` with attribute ``b``.
 _TOKEN = re.compile(
     rf"</({_NAME}){_S}>"
-    rf"|<({_NAME})((?:{_S}{_NAME}{_S}={_S}(?:{_QUOTED}))*){_S}(/?)>"
+    rf"|<({_NAME})(?=[ \t\r\n/>])"
+    rf"((?:{_S}{_NAME}{_S}={_S}(?:{_QUOTED}))*){_S}(/?)>"
     rf"|[^<]+")
 _ATTRIBUTE = re.compile(rf"({_NAME}){_S}={_S}({_QUOTED})")
 _NAME_AT = re.compile(_NAME)
@@ -144,8 +147,11 @@ class _Window:
         than the window is rescanned a geometric series of times, not
         once per chunk. Sets :attr:`eof` once the chunks run out."""
         self._offset, self._lines, self._col = self._locate(pos)
-        pieces = [self.buf[pos:]]
-        wanted = max(_CHUNK, len(pieces[0]))
+        kept = self.buf[pos:]
+        # Nothing kept and one chunk pulled: join returns that chunk
+        # itself, so a document handed over whole is never copied.
+        pieces = [kept] if kept else []
+        wanted = max(_CHUNK, len(kept))
         for chunk in self._chunks:
             pieces.append(chunk)
             wanted -= len(chunk)
@@ -236,8 +242,10 @@ def _attributes(window: _Window, base: int, run: str,
         if key in attributes:
             raise window.error(f"duplicate attribute {key!r}",
                                base + found.end())
-        attributes[key] = window.decode(
-            value[1:-1], base + found.start(2) + 1, entities)
+        value = value[1:-1]
+        if "&" in value:
+            value = window.decode(value, base + found.start(2) + 1, entities)
+        attributes[key] = value
     return attributes
 
 
@@ -327,14 +335,8 @@ def iter_events(chunks: Iterable[str]
                 # The text may go on in the next chunk: refill first.
             elif kind == 4:  # open tag
                 name, run, closed = token.group(2, 3, 4)
-                if run:
-                    pairs = _ATTRIBUTE.findall(run)
-                    attributes = {key: value[1:-1] for key, value in pairs}
-                    if len(attributes) != len(pairs) or "&" in run:
-                        attributes = _attributes(
-                            window, token.start(3), run, entities)
-                else:
-                    attributes = {}
+                attributes = _attributes(
+                    window, token.start(3), run, entities) if run else {}
                 pos = token.end()
                 if not open_tags:
                     if saw_root:
