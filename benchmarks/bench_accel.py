@@ -1,16 +1,15 @@
-"""Relational XPath accelerator vs holistic twig matchers.
+"""The columnar twig kernel vs holistic twig matchers.
 
-Races the ``accel`` backend (twigs lowered to edge relations over the
-region labels and executed by the worst-case-optimal join kernel,
-:mod:`repro.xml.accel`) against TJFast and TwigStack on the XMark
+Races the ``accel`` backend (a reducer pass and a level-at-a-time
+frontier expansion over the columnar arrays, :mod:`repro.xml.accel`;
+across workers still lowered to edge relations for the join
+partitioner) against TJFast and TwigStack on the XMark
 factor-4 corpus and on the same corpus streamed into a file-backed
 mmap arena (``xmark-stream``).
 
 Row parity across every matcher — and across the partition-parallel
 accel run at 2 workers — is asserted unconditionally; speedups are
-reported via ``report_table``, not gated, because which side wins is
-twig-dependent (the accelerator pays off when value predicates shrink
-the candidate streams; pure navigation favours the holistic matchers).
+reported via ``report_table``, not gated.
 """
 
 from __future__ import annotations

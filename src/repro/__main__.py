@@ -20,8 +20,8 @@ Commands:
   XMark multi-model scenario; ``--suite corpus`` streams a DBLP-style
   corpus into a file-backed mmap arena and reports build throughput,
   cold-attach query latency and subprocess peak RSS against the
-  in-memory build; ``--suite accel`` races the relational
-  XPath-accelerator backend against TJFast and TwigStack on an XMark
+  in-memory build; ``--suite accel`` races the columnar twig
+  kernel (``accel``) against TJFast and TwigStack on an XMark
   factor-4 document and the streamed ``xmark-stream`` corpus — row
   parity is fatal, speedups are reported, and with ``--workers N``
   the accelerator also runs partition-parallel)
@@ -496,14 +496,13 @@ def cmd_bench_planner(n: int = 4096, records: list | None = None) -> int:
 
 def cmd_bench_accel(n: int = 4, workers: int = 0,
                     records: list | None = None) -> int:
-    """Race the relational XPath-accelerator backend against TJFast and
+    """Race the columnar twig kernel (``accel``) against TJFast and
     TwigStack (shared with ``benchmarks/bench_accel.py`` through
     :mod:`repro.xml.bench`) on an XMark factor-*n* document and the
     streamed ``xmark-stream`` corpus queried from its mmap arena. Row
     parity across every matcher (and, with ``--workers``, between the
     serial and partition-parallel accelerator runs) is fatal; speedups
-    are reported — which side wins depends on how selective the twig's
-    value predicates are."""
+    are reported."""
     from repro.xml.bench import stream_scenario, xmark_scenario
 
     factor = float(max(n, 1))
@@ -512,7 +511,7 @@ def cmd_bench_accel(n: int = 4, workers: int = 0,
                  stream_scenario(factor, workers=workers))
     pool = (f"; accel also partition-parallel on {workers} workers"
             if workers >= 2 else "")
-    print("accel suite: relational accelerator vs holistic matchers "
+    print("accel suite: columnar twig kernel vs holistic matchers "
           f"(parity fatal, speedups reported{pool})")
     for result in scenarios:
         print(f"  {result.title}:")

@@ -3,8 +3,8 @@
 The traditional way to answer a cross-model query: evaluate the relational
 sub-query Q1 and the twig sub-query Q2 *independently*, each with its own
 engine, then join the two result sets. Each sub-query is evaluated
-optimally for its own model — binary join plans for Q1, a planner-chosen
-holistic twig matcher for Q2 (TwigStack/TJFast/PathStack, see
+optimally for its own model — binary join plans for Q1, a standalone
+twig matcher for Q2 (the planner's pick, see
 :func:`repro.engine.planner.choose_twig_algorithm`) —
 but the combination is not worst-case optimal for the whole query: Q2 can
 be as large as its own bound (n^5 in the running example) even when the
@@ -65,8 +65,7 @@ def twig_subquery(query: MultiModelQuery, *,
                   stats: JoinStats | None = None) -> Relation:
     """Q2: join of the per-twig answers.
 
-    Each twig is evaluated by the matcher the engine planner picks from
-    the document's cached statistics
+    Each twig is evaluated by the matcher the engine planner picks
     (:func:`repro.engine.planner.choose_twig_algorithm`), or by
     *twig_algorithm* when the caller forces one (the CLI's
     ``--twig-algorithm`` A/B override).

@@ -390,38 +390,16 @@ def choose_order_policy(query: "MultiModelQuery") -> str:
 
 def choose_twig_algorithm(document: "XMLDocument",
                           twig: "TwigQuery") -> str:
-    """Pick a twig matcher from the twig's shape and the document stats.
+    """The twig matcher to run: ``accel``, for every twig.
 
-    * linear paths → ``pathstack`` (one sweep, optimal for both axes);
-    * branching with two or more value predicates → ``accel`` (the
-      relational accelerator: selective predicates shrink the candidate
-      streams before the edge relations are built, and the worst-case
-      optimal kernel joins the small per-edge pair lists without the
-      holistic matchers' full-stream scans);
-    * branching with any parent-child edge → ``tjfast`` (TwigStack loses
-      optimality on P-C edges; TJFast's per-path matching does not);
-    * A-D-only branching → ``tjfast`` when the leaf streams are the
-      minority of the candidate nodes (it reads only leaves), otherwise
-      ``twigstack`` (holistic-optimal, no path decoding at all).
-
-    See ``docs/twig_algorithms.md`` for the optimality table behind the
-    rule and ``docs/accelerator.md`` for the accelerator's lowering.
+    The measured matcher x shape x corpus matrix
+    (``docs/twig_algorithms.md``) supports no other rule: the
+    level-at-a-time columnar kernel (:mod:`repro.xml.accel`) is the
+    fastest registered matcher on chains and branches, on either axis,
+    with or without value predicates, in memory and on attached arenas.
+    The other matchers stay reachable by name (``--twig-algorithm``).
     """
-    from repro.xml.columnar import document_stats
-    from repro.xml.interface import get_twig_algorithm
-
-    if get_twig_algorithm("pathstack").supports(twig):  # linear path
-        return "pathstack"
-    if sum(1 for q in twig.nodes() if q.predicate is not None) >= 2:
-        return "accel"
-    if twig.pc_edges():
-        return "tjfast"
-    stats = document_stats(document)
-    leaf_input = sum(stats.tag_count(q.tag) for q in twig.leaves())
-    total_input = sum(stats.tag_count(q.tag) for q in twig.nodes())
-    if total_input and 2 * leaf_input <= total_input:
-        return "tjfast"
-    return "twigstack"
+    return "accel"
 
 
 #: Minimum top-level codes per morsel. The batch buffer kernels

@@ -199,21 +199,24 @@ class ParallelExecutor:
 
             algorithm = choose_twig_algorithm(document, twig)
         matcher = get_twig_algorithm(algorithm)
+        if self.workers <= 1:
+            return matcher.run(document, twig, name=name, stats=stats)
         base = columnar(document)
         if algorithm == "accel":
-            # The accelerator compiles the twig to a purely relational
-            # instance, so it rides the *join* partitioner instead of
-            # the root-posting slicing below: the instance's top-level
-            # attribute is the twig root and code order == start-label
-            # order, so the join slicer's top-level code ranges are
-            # exactly the root tag's pre-ranges. The compiled instance
-            # carries no query or documents, which is what lets every
-            # join transport — fork, pickle, shm, mmap — ship it.
+            # Across workers the accelerator ships its compiled form —
+            # the twig lowered to a purely relational instance — and
+            # rides the *join* partitioner instead of the root-posting
+            # slicing below: the instance's top-level attribute is the
+            # twig root and code order == start-label order, so the
+            # join slicer's top-level code ranges are exactly the root
+            # tag's pre-ranges. The compiled instance carries no query
+            # or documents, which is what lets every join transport —
+            # fork, pickle, shm, mmap — ship it.
             return self._run_twig_accel(base, twig, name=name, stats=stats)
         posting = base.stream(twig.nodes()[0])
         count = choose_morsel_count(self.workers, len(posting.nids),
                                     morsel_factor=self.morsel_factor)
-        if self.workers <= 1 or count <= 1:
+        if count <= 1:
             return matcher.run(document, twig, name=name, stats=stats)
         slices = posting_slices(posting, count)
         # Documents are never *pickled* across the pool: twig morsels
@@ -291,12 +294,12 @@ class ParallelExecutor:
                         stats: JoinStats) -> Relation:
         """Partition-parallel accelerator run: lower once, join in morsels.
 
-        The twig is lowered and encoded once in the parent (the same
-        build the serial path performs), handed to :meth:`run_join` —
-        which slices the root attribute's code range across the pool —
-        and the emitted pre-label rows are decoded back to the twig's
-        value tuples here. ``workers <= 1`` degrades inside
-        :meth:`run_join` to the serial kernel call.
+        The twig is lowered and encoded once in the parent
+        (:func:`repro.xml.accel.compile_twig`), handed to
+        :meth:`run_join` — which slices the root attribute's code range
+        across the pool — and the emitted pre-label rows are decoded
+        back to the twig's value tuples here. A serial caller never gets
+        here: :meth:`run_twig` calls the matcher's columnar kernel.
         """
         from repro.xml.accel import ACCEL_KERNEL, compile_twig, project_starts
 

@@ -307,10 +307,9 @@ class ReproService:
             plan = self.adaptive.plan(query)
         else:
             plan = plan_query(query, algorithm=algorithm, order=order)
-        # The twig matchers travel with the cached plan so a hit also
-        # skips choose_twig_algorithm's per-twig stats reads (and the
+        # The twig matchers travel with the cached plan, so the
         # response can report which backend — e.g. ``accel`` — served
-        # each twig input without replanning).
+        # each twig input without replanning.
         resolved = (plan.algorithm, plan.order, plan.twig_algorithms)
         self.plan_cache.put(key, resolved)
         return resolved

@@ -20,12 +20,12 @@ A :class:`DocumentEditor` is the only sanctioned way to mutate an
 * bumps the document version and *installs* the patched artifacts into
   the version-keyed caches, so every twig algorithm, validator and
   planner estimate transparently reads the refreshed state. The
-  relational accelerator (:mod:`repro.xml.accel`) inherits delta
-  maintenance through exactly this path: its per-tag node relations
-  *are* the maintained postings/columns, so each install is a node-
-  relation delta and ``accel`` lowers from the patched arrays with no
-  maintenance code of its own (the update oracle's
-  ``test_accel_tracks_update_stream`` regime checks this per edit).
+  columnar twig kernel (:mod:`repro.xml.accel`) inherits delta
+  maintenance through exactly this path: its inputs *are* the
+  maintained postings and the ``parents`` / region-label columns, so
+  ``accel`` reads the patched arrays with no maintenance code of its
+  own (the update oracle's ``test_accel_tracks_update_stream`` regime
+  checks this per edit).
 
 Past a cumulative churn threshold (fraction of the tree touched since
 the last rebuild) the editor falls back to ``document.reindex()`` and a

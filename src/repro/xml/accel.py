@@ -1,62 +1,63 @@
-"""The relational XPath-accelerator twig backend (``accel``).
+"""The columnar twig backend (``accel``): axes as column lookups.
 
-This module lowers any :class:`~repro.xml.twig.TwigQuery` to ordinary
-relations over the columnar region labels and evaluates the result with
-the registered relational kernels — the DMR-XPath direction: the XML
-side of the library becomes just another client of the dictionary-
-encoded engine.
+A twig over node ids is a tree-shaped conjunctive query, and each of
+its atoms is already an index of the
+:class:`~repro.xml.columnar.ColumnarDocument`:
 
-**Node relations.** Every tag of a
-:class:`~repro.xml.columnar.ColumnarDocument` induces a relation
+* a query node's candidates are its tag's posting, value predicate
+  applied (:meth:`ColumnarDocument.stream`);
+* a parent-child edge *is* the ``parents`` column: the lower posting
+  grouped by ``parents[nid]``;
+* an ancestor-descendant edge *is* a contiguous slice of the lower
+  posting: the entries whose ``start`` lies strictly inside the upper
+  node's region, two ``bisect`` probes.
 
-    ``N_tag(pre, post, level, value)``
+:func:`twig_frontiers` evaluates the query the way Yannakakis
+evaluates an acyclic join, level at a time — the XML-side twin of
+:func:`repro.engine.algorithms._frontier_join`. A **reducer** walks
+the query nodes in post-order and keeps a candidate only if every
+child edge has a live match, so afterwards every live candidate roots
+a complete sub-embedding. An **expansion** then walks them in
+pre-order over a frontier held as one column per bound query node,
+:data:`_CHUNK` root candidates at a time: because the frontier is
+fully reduced it only ever grows, no level exceeds the embedding
+count, and the whole run is O(input + output) with nothing to
+intersect. Both passes are C-level ``map``/``compress``/``chain``
+sweeps: Python runs per query node and per chunk, never per document
+node. No edge relation is materialised and nothing is
+dictionary-encoded.
 
-read zero-copy from the per-tag postings (``tag_starts``/``tag_ends``)
-and the ``levels``/``values`` columns. ``pre`` (the start label)
-identifies a node uniquely, so it doubles as the node's key.
+Delta maintenance and slicing are inherited: candidates are read only
+through ``view.stream``, so the update layer's patched views
+(:mod:`repro.updates.documents`) and the worker slices
+(:class:`~repro.parallel.slicing.SlicedColumnarView`) need no second
+code path.
 
-**Axis lowering.** The axes are range predicates over those columns
-(region encoding, ancestor iff containment):
+**The shippable form.** Under ``workers > 1`` an ``accel`` twig still
+rides the *join* partitioner: :func:`lower_twig` materialises each
+edge's axis predicate as a binary relation ``E_parent_child(pre,
+pre)`` over the region start labels (:func:`axis_pairs`, the
+stack-tree structural join), :func:`compile_twig` encodes them and
+:func:`project_starts` decodes the joined rows — an instance with no
+query object or document, which every join transport can ship (see
+:meth:`repro.parallel.executor.ParallelExecutor.run_twig`).
+:func:`axis_pairs` is also what builds XJoin's A-D pair inputs
+(:mod:`repro.core.decomposition`).
 
-* ``a // d``  ⇔  ``a.pre < d.pre  ∧  d.post < a.post``
-* ``a / c``   ⇔  the above  ∧  ``c.level = a.level + 1``
-
-**Edge relations.** Rather than handing the kernels inequality
-predicates they cannot bind, each twig edge's range predicate is
-materialised as a binary relation ``E_parent_child(parent, child)`` of
-``(pre, pre)`` pairs, enumerated by one stack-based merge over the two
-postings in document order — O(|parent posting| + |child posting| +
-output), the classic stack-tree structural join. The twig then *is* a
-conjunctive query: one binary atom per edge, joined on the shared
-node variables, evaluated by ``generic_join`` (or any registered
-kernel) through the normal :class:`~repro.engine.encoded.EncodedInstance`
-path. Because every non-root query node appears in exactly one edge
-atom as the child and candidate streams carry the tag + value
-predicates, the CQ's solutions are exactly the twig's embeddings.
-
-The backend registers as the ``accel`` :class:`~repro.xml.interface.
-TwigAlgorithm` (see :mod:`repro.xml.algorithms`), so it flows through
-the planner, the ``--twig-algorithm`` override, the parity suites and
-the update oracle unchanged. Delta maintenance is inherited: the
-postings *are* the node relations, and the update layer
-(:mod:`repro.updates.documents`) patches them in place, so ``accel``
-sees every edit the moment the refreshed view is installed. Under the
-parallel executor an ``accel`` twig rides the *join* partitioner — the
-compiled instance is sliced on the root attribute's code range, which
-is the root tag's pre-range — instead of the bespoke root-posting
-slicing of the navigational matchers; see
-:meth:`repro.parallel.executor.ParallelExecutor.run_twig`.
-
-``docs/accelerator.md`` documents the schema, the lowering rules and
-the planner's selection rule.
+``docs/accelerator.md`` documents the kernel, its counters and the
+measured matcher matrix behind the planner's pick.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from collections import deque
+from collections.abc import Iterator, Sequence
+from itertools import chain, compress, count, repeat
+from time import perf_counter
 from typing import TYPE_CHECKING
 
-from repro.instrumentation import JoinStats, ensure_stats
+from repro.instrumentation import NULL_STATS, JoinStats, ensure_stats
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.xml.columnar import ColumnarDocument, TagPosting, columnar
@@ -66,8 +67,119 @@ if TYPE_CHECKING:
     from repro.engine.encoded import EncodedInstance
     from repro.xml.model import XMLDocument, XMLNode
 
-#: The relational kernel the accelerator hands its conjunctive plan to.
-#: Any registered :class:`~repro.engine.interface.JoinAlgorithm` that
+#: Root candidates expanded together: peak memory is one chunk's
+#: embeddings, whatever the answer's size.
+_CHUNK = 4096
+
+
+def _edge_matches(view: ColumnarDocument, upper: TagPosting,
+                  lower: TagPosting, axis: Axis) -> list:
+    """Per candidate of *upper*, its matches along one twig edge as
+    positions in *lower*: a list (P-C, the lower posting grouped by
+    ``parents``) or a range (A-D, the posting slice whose starts lie
+    strictly inside the region — strictly, so a node never pairs with
+    itself when both query nodes share a tag); falsy when there is none.
+    """
+    if axis is Axis.CHILD:
+        # One list per upper candidate, in posting order; every lower
+        # position is appended to its parent's (or to the sink).
+        groups = dict(zip(upper.nids, map(list, repeat(()))))
+        owners = map(groups.get, map(view.parents.__getitem__, lower.nids),
+                     repeat([]))
+        deque(map(list.append, owners, count()), maxlen=0)
+        return list(groups.values())
+    starts = lower.starts
+    return list(map(range,
+                    map(bisect_right, repeat(starts), upper.starts),
+                    map(bisect_left, repeat(starts), upper.ends)))
+
+
+def twig_frontiers(view: ColumnarDocument, twig: TwigQuery,
+                   stats: JoinStats | None = None
+                   ) -> "Iterator[list[Sequence[int]]]":
+    """All embeddings of *twig*, level at a time: yields, per chunk of
+    root candidates, one node-id column per query node (pre-order).
+
+    Counters, all pure functions of the posting contents: a stage
+    ``alive <name>`` per query node (its candidates left by the
+    reducer) and ``expand <name>`` per frontier level (summed over the
+    chunks; reduced first, so never above the embedding count);
+    ``emitted`` embeddings; ``seeks`` candidates examined (postings
+    read, plus one group lookup per P-C and two bisect probes per A-D
+    upper candidate). Level times land in ``phase_times`` under the
+    stage labels. The counters are complete once the iterator is
+    exhausted and cost nothing without a collecting *stats*.
+    """
+    stats = ensure_stats(stats)
+    counting = stats is not NULL_STATS
+    nodes = twig.nodes()
+    names = [q.name for q in nodes]
+    live = {q.name: view.stream(q) for q in nodes}
+    seeks = sum(map(len, live.values()))
+    matches: dict[str, list] = {}
+    times = dict.fromkeys(names, 0.0)
+    start = 0.0
+
+    stats.start_timer()
+    # The reducer, post-order (children sit after parents in pre-order).
+    for q in reversed(nodes):
+        if counting:
+            start = perf_counter()
+        posting = live[q.name]
+        found = [_edge_matches(view, posting, live[c.name], c.axis)
+                 for c in q.children]
+        seeks += sum(len(posting) * (1 if c.axis is Axis.CHILD else 2)
+                     for c in q.children)
+        if not all(map(all, found)):  # some candidate lacks a match
+            keep = found[0] if len(found) == 1 \
+                else list(map(all, zip(*found)))
+            live[q.name] = TagPosting(list(compress(posting.nids, keep)),
+                                      list(compress(posting.starts, keep)),
+                                      list(compress(posting.ends, keep)))
+            found = [list(compress(edge, keep)) for edge in found]
+        matches.update(zip((c.name for c in q.children), found))
+        if counting:
+            stats.record_stage(f"alive {q.name}", len(live[q.name]))
+            stats.record_phase(f"alive {q.name}", perf_counter() - start)
+
+    # The expansion, pre-order, a chunk of live roots at a time.
+    parent_index = [names.index(q.parent.name) for q in nodes[1:]]
+    alive = dict.fromkeys(names, 0)
+    roots = len(live[names[0]])
+    for lo in range(0, roots, _CHUNK):
+        columns: list = [range(lo, min(lo + _CHUNK, roots))]
+        alive[names[0]] += len(columns[0])
+        for name, upper in zip(names[1:], parent_index):
+            if counting:
+                start = perf_counter()
+            found = list(map(matches[name].__getitem__, columns[upper]))
+            grown = list(chain.from_iterable(found))
+            if len(grown) != len(found):  # else one match each: as is
+                counts = list(map(len, found))
+                columns = [list(chain.from_iterable(map(repeat, column,
+                                                        counts)))
+                           for column in columns]
+            columns.append(grown)
+            alive[name] += len(grown)
+            if counting:
+                times[name] += perf_counter() - start
+        yield [list(map(live[name].nids.__getitem__, column))
+               for name, column in zip(names, columns)]
+    stats.stop_timer()
+
+    stats.count_seeks(seeks)
+    stats.count_emitted(alive[names[-1]])
+    for name in names:
+        stats.record_stage(f"expand {name}", alive[name])
+        stats.record_phase(f"expand {name}", times[name])
+
+
+# ---------------------------------------------------------------------------
+# the shippable form: edge relations, for workers and XJoin's pair inputs
+# ---------------------------------------------------------------------------
+
+#: The relational kernel the *shippable* form's compiled instance runs
+#: on. Any registered :class:`~repro.engine.interface.JoinAlgorithm` that
 #: evaluates purely relational instances works (``leapfrog`` included);
 #: hashed generic join is the library's default for relational inputs.
 ACCEL_KERNEL = "generic_join"
@@ -221,19 +333,6 @@ def compile_twig(view: ColumnarDocument, twig: TwigQuery, *,
                                               name=name or twig.name)
 
 
-def accel_starts(view: ColumnarDocument, twig: TwigQuery, *,
-                 name: str | None = None,
-                 stats: JoinStats | None = None):
-    """All embeddings of *twig* as rows of pre labels over its attributes."""
-    stats = ensure_stats(stats)
-    instance = compile_twig(view, twig, name=name, stats=stats)
-    if instance.has_empty_input():
-        return frozenset()
-    from repro.engine.interface import get_algorithm
-
-    return get_algorithm(ACCEL_KERNEL).run(instance, stats=stats).rows
-
-
 def project_starts(view: ColumnarDocument, twig: TwigQuery,
                    start_rows, *, name: str | None = None) -> Relation:
     """Decode pre-label rows into the twig's value-tuple answer."""
@@ -244,14 +343,11 @@ def project_starts(view: ColumnarDocument, twig: TwigQuery,
 
 
 class AccelTwigAlgorithm:
-    """Twig matching compiled to relations over the region labels."""
+    """Twig matching level at a time on the columnar arrays."""
 
     name = "accel"
-    optimal_for = ("selective value predicates (WCOJ over per-edge "
-                   "candidate pairs); anything a relational kernel runs")
-    #: The kernel the conjunctive plan executes on.
-    kernel = ACCEL_KERNEL
-
+    optimal_for = ("every twig: a reducer pass then a frontier that only "
+                   "grows, O(input + output) on either axis")
     def supports(self, twig: TwigQuery) -> bool:
         return True
 
@@ -259,15 +355,19 @@ class AccelTwigAlgorithm:
                    stats: JoinStats | None = None
                    ) -> "list[dict[str, XMLNode]]":
         view = columnar(document)
-        names = twig.attributes
-        nodes, index = view.nodes, view.nid_index
-        return [{attr: nodes[index[start]]
-                 for attr, start in zip(names, row)}
-                for row in accel_starts(view, twig, stats=stats)]
+        names, node_of = twig.attributes, view.nodes.__getitem__
+        out: "list[dict[str, XMLNode]]" = []
+        for columns in twig_frontiers(view, twig, stats):
+            bound = zip(*[map(node_of, column) for column in columns])
+            out.extend(map(dict, map(zip, repeat(names), bound)))
+        return out
 
     def run(self, document: "XMLDocument", twig: TwigQuery, *,
             name: str | None = None,
             stats: JoinStats | None = None) -> Relation:
         view = columnar(document)
-        rows = accel_starts(view, twig, name=name, stats=stats)
-        return project_starts(view, twig, rows, name=name)
+        rows: set[tuple] = set()
+        for columns in twig_frontiers(view, twig, stats):
+            rows.update(zip(*map(view.values_of, columns)))
+        return Relation.trusted(name or twig.name, Schema(twig.attributes),
+                                frozenset(rows))

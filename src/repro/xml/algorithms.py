@@ -12,15 +12,14 @@ All matcher families run on the shared columnar document layer
   branching twigs via :meth:`supports`);
 * ``structural`` — the pre-holistic pipeline of binary structural joins,
   kept as the foil with materialised per-edge pair lists;
-* ``accel`` — the relational XPath accelerator: the twig lowered to
-  edge relations over the region labels and evaluated by the encoded
-  engine's join kernels (:mod:`repro.xml.accel`);
+* ``accel`` — the level-at-a-time columnar kernel: a reducer pass and
+  a frontier expansion over the posting, ``parents`` and region-label
+  arrays (:mod:`repro.xml.accel`); the planner's pick for every twig;
 * ``naive`` — brute-force navigation, the correctness oracle.
 
-``match_twig`` is the planned entry point: it asks the engine planner
-(:func:`repro.engine.planner.choose_twig_algorithm`) to pick a matcher
-from the document's cached :class:`~repro.xml.columnar.DocumentStats`
-unless the caller names one explicitly.
+``match_twig`` is the planned entry point: it runs the engine planner's
+pick (:func:`repro.engine.planner.choose_twig_algorithm`) unless the
+caller names a matcher explicitly.
 """
 
 from __future__ import annotations

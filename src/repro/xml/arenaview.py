@@ -19,7 +19,8 @@ Three lazy adapters keep attachment O(1) in document size:
 * :class:`LazyNidIndex` — the ``start label -> nid`` mapping as a
   binary search over the (pre-order, strictly increasing) ``starts``
   column instead of an O(n) dict built per attachment;
-* :class:`ArenaValues` — typed node values decoded on demand from the
+* :class:`ArenaValues` — typed node values decoded on demand (one at
+  a time, or a whole column of node ids in bulk) from the
   streamed value columns (``val_kind`` / ``val_ref`` / per-kind data +
   a UTF-8 string heap) written by :mod:`repro.xml.streaming`; arenas
   that ship values in the pickled meta (the shm document transport)
@@ -35,6 +36,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Sequence
+from itertools import compress, repeat
+from operator import add
 from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.errors import TransportError
@@ -240,6 +243,40 @@ class ArenaValues(Sequence):
         if kind == VALUE_STR:
             return self._decode_str(ref)
         return int(self._decode_str(ref))  # VALUE_BIGINT
+
+    def gather(self, nids: Sequence[int]) -> list:
+        """``[self[nid] for nid in nids]`` in C-level passes over the
+        value columns: a run of one kind (the usual case — a tag's text
+        is all ints, all strings or all absent) is decoded in order, a
+        mixed one kind by kind, each distinct reference once, into a
+        table the entries then index."""
+        kinds = list(map(self._kind.__getitem__, nids))
+        present = set(kinds)
+        if present <= {VALUE_NONE}:
+            return [None] * len(kinds)
+        refs = list(map(self._ref.__getitem__, nids))
+        if len(present) == 1:
+            return self._decode(kinds[0], refs)
+        table: dict = {}
+        for kind in present:
+            chosen = list(set(compress(refs, map(kind.__eq__, kinds))))
+            table.update(zip(zip(repeat(kind), chosen),
+                             self._decode(kind, chosen)))
+        return list(map(table.__getitem__, zip(kinds, refs)))
+
+    def _decode(self, kind: int, refs: "list[int]") -> list:
+        """The values behind *refs*, all of one *kind*."""
+        if kind == VALUE_NONE:
+            return [None] * len(refs)
+        if kind == VALUE_INT:
+            return list(map(self._int.__getitem__, refs))
+        if kind == VALUE_FLOAT:
+            return list(map(self._float.__getitem__, refs))
+        offs = list(map(self._str_off.__getitem__, refs))
+        ends = map(add, offs, map(self._str_len.__getitem__, refs))
+        texts = map(str, map(self._heap.__getitem__, map(slice, offs, ends)),
+                    repeat("utf-8"))
+        return list(texts if kind == VALUE_STR else map(int, texts))
 
 
 class ArenaDocument:

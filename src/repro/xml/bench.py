@@ -1,24 +1,21 @@
 """Accelerator benchmark scenarios (shared CLI / pytest harness).
 
-Races the relational XPath-accelerator backend (``accel``,
-:mod:`repro.xml.accel`) against the holistic twig matchers it
-complements — TJFast and TwigStack — on two corpora:
+Races the columnar twig kernel (``accel``, :mod:`repro.xml.accel`)
+against the holistic twig matchers TJFast and TwigStack on two corpora:
 
 * an in-memory XMark document at scale factor 4
   (:func:`repro.xml.xmark.xmark_document`), and
 * the streamed ``xmark-stream`` corpus: the same shape built through
   the SAX-streaming builder into a file-backed mmap arena and queried
   *attached* (:func:`repro.xml.arenaview.attach_arena_document`) — the
-  accelerator lowers twigs from the arena view's zero-copy columns
-  exactly as from an in-memory view.
+  kernel reads the arena view's zero-copy columns exactly as an
+  in-memory view's.
 
 Row parity between every matcher is **fatal** (the differential
 harness in ``tests/xml/test_accel_oracle.py`` is the fine-grained
 oracle; the bench re-checks it at benchmark scale). Speedups are
-*reported*, not gated: which side wins depends on the twig — the
-accelerator's edge relations pay off when value predicates shrink the
-candidate streams, and the bench includes both predicate-heavy and
-predicate-free twigs so the trade-off is visible in the numbers.
+*reported*, not gated; the bench includes both predicate-heavy and
+predicate-free twigs.
 
 With ``workers >= 2`` each scenario also times the accelerator under
 the partition-parallel executor (the compiled instance sliced on the
@@ -96,8 +93,7 @@ def bench_twigs() -> list[tuple[str, TwigQuery]]:
          parse_twig("oa=open_auction(//bd=bidder(/pr=personref))")),
     ]
     # High bids by low-numbered bidders: two value predicates on one
-    # branching twig — the choose_twig_algorithm shape that routes to
-    # the accelerator (selective streams -> small edge relations).
+    # branching twig (selective candidate streams).
     root = TwigNode("oa", tag="open_auction")
     bidder = root.descendant("bd", tag="bidder")
     bidder.child("inc", tag="increase",
@@ -158,7 +154,7 @@ def stream_scenario(factor: float = 4.0, *, seed: int = 0,
                     workers: int = 0,
                     repeats: int = REPEATS) -> AccelScenarioResult:
     """The streamed corpus: ``xmark-stream`` built into a file arena
-    and queried attached (accel lowers from the mmap-backed columns)."""
+    and queried attached (accel reads the mmap-backed columns)."""
     from repro.xml.arenaview import attach_arena_document
     from repro.xml.streaming import stream_document
     from repro.xml.xmark import xmark_stream_chunks

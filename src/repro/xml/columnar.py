@@ -36,6 +36,7 @@ from __future__ import annotations
 import weakref
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from itertools import compress
 
 from repro.buffers.kernels import gallop
 from repro.buffers.layout import pack
@@ -254,18 +255,25 @@ class ColumnarDocument:
         """The posting cursor for one twig query node.
 
         Without a value predicate the cursor shares the document's
-        posting arrays (zero copying); with one, filtered parallel
-        arrays are built for this query.
+        posting arrays (zero copying); with one, the posting is
+        filtered for this query by one mask over its values.
         """
         nids, starts, ends = self.postings(query_node.tag)
         if query_node.predicate is not None and len(nids):
-            values = self.values
-            keep = [i for i, nid in enumerate(nids)
-                    if query_node.matches_value(values[nid])]
-            nids = pack([nids[i] for i in keep])
-            starts = pack([starts[i] for i in keep])
-            ends = pack([ends[i] for i in keep])
+            keep = list(map(query_node.predicate, self.values_of(nids)))
+            nids = pack(list(compress(nids, keep)))
+            starts = pack(list(compress(starts, keep)))
+            ends = pack(list(compress(ends, keep)))
         return TagPosting(nids, starts, ends, label=query_node.name)
+
+    def values_of(self, nids: Sequence[int]) -> list:
+        """``values[nid]`` per entry of *nids*, one bulk gather: an
+        attached arena decodes its value columns in C-level passes
+        (:meth:`repro.xml.arenaview.ArenaValues.gather`)."""
+        values = self.values
+        if isinstance(values, list):
+            return list(map(values.__getitem__, nids))
+        return values.gather(nids)
 
     def value_index(self, tag: str) -> "dict[Value | None, list[int]]":
         """``typed value -> node ids`` (ascending, i.e. document order)

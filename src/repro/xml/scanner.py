@@ -25,6 +25,10 @@ declarations of its internal subset are honoured. What could recurse or
 reach outside the document — a declared entity referencing another,
 parameter entities, a *reference* to a ``SYSTEM`` / ``PUBLIC`` entity —
 raises :class:`~repro.errors.XMLParseError`; nothing is ever fetched.
+Declared entities may not amplify the document either: past
+:data:`_AMPLIFICATION_ARMED` characters of replacement text, more than
+:data:`_MAX_AMPLIFICATION` times the characters scanned is refused, at
+the text or attribute value that crosses the line, before it is expanded.
 """
 
 from __future__ import annotations
@@ -77,6 +81,13 @@ _UNSUPPORTED = re.compile(
     r"[%<]|&#(?:0*(?:38|60)|[xX]0*(?:26|3[cC]));"
     r"|&(?!(?:amp|lt|gt|quot|apos|#[0-9]+|#[xX][0-9a-fA-F]+);)[^;&]*;?")
 _CHARACTER = re.compile(r"#(?:([0-9]+)|[xX]([0-9a-fA-F]+))")
+_REFERENCE = re.compile(r"&([^;&]*);")
+
+#: The entity amplification cap (expat's defaults): once declared
+#: entities have expanded to this many characters, they may not exceed
+#: ``_MAX_AMPLIFICATION`` times the characters scanned so far.
+_AMPLIFICATION_ARMED = 8 << 20
+_MAX_AMPLIFICATION = 100
 
 _PREDEFINED = {"amp": "&", "lt": "<", "gt": ">", "quot": '"', "apos": "'"}
 
@@ -131,7 +142,8 @@ class _Window:
     kept for error messages): the whole document is never resident.
     """
 
-    __slots__ = ("_chunks", "buf", "eof", "_offset", "_lines", "_col")
+    __slots__ = ("_chunks", "buf", "eof", "_offset", "_lines", "_col",
+                 "_expanded")
 
     def __init__(self, chunks: Iterable[str]):
         self._chunks = iter(chunks)
@@ -140,6 +152,7 @@ class _Window:
         self._offset = 0  # absolute offset of buf[0]
         self._lines = 0   # newlines before buf[0]
         self._col = 0     # column of buf[0] within its line
+        self._expanded = 0  # characters declared entities expanded to
 
     def refill(self, pos: int) -> None:
         """Drop ``buf[:pos]`` and pull more text behind the rest: at
@@ -164,6 +177,16 @@ class _Window:
     def decode(self, raw: str, index: int,
                entities: "dict[str, str | None]") -> str:
         """*raw* (found at ``buf[index]``) with its references expanded."""
+        if entities is not _PREDEFINED:  # the DOCTYPE declared some
+            self._expanded += sum(map(len, filter(None, map(
+                entities.get, _REFERENCE.findall(raw)))))
+            scanned = self._offset + index + len(raw)
+            if self._expanded > max(_AMPLIFICATION_ARMED,
+                                    _MAX_AMPLIFICATION * scanned):
+                raise self.error(
+                    f"entity references expand to {self._expanded} "
+                    f"characters, more than {_MAX_AMPLIFICATION} times the "
+                    f"{scanned} scanned", index)
         try:
             return _expand(raw, entities)
         except _BadReference as bad:
@@ -275,7 +298,10 @@ def _doctype(window: _Window, pos: int
         if closed:
             depth -= 1
             if not depth:
-                return pos, entities
+                # Without a declaration the table stays the shared one:
+                # no amplification accounting (see ``_Window.decode``).
+                return pos, (entities if len(entities) > len(_PREDEFINED)
+                             else _PREDEFINED)
         elif opened:
             depth += 1
             if external and name not in entities:

@@ -186,7 +186,7 @@ class TestTwigParity:
 
     def test_planner_chosen_matcher(self, document):
         twig = parse_twig("p=person(/nm=name, //i=interest)")
-        serial_rows = get_twig_algorithm("tjfast").run(document, twig)
+        serial_rows = get_twig_algorithm("accel").run(document, twig)
         parallel = executor("serial").run_twig(document, twig)
         assert parallel == serial_rows
 
@@ -226,3 +226,27 @@ class TestAccelTransportParity:
         serial = get_twig_algorithm("accel").run(document, twig)
         parallel = executor(transport).run_twig(document, twig, "accel")
         assert parallel == serial, transport
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    @pytest.mark.parametrize("pattern", TWIG_PATTERNS)
+    def test_one_worker_runs_the_matcher_not_the_lowering(self, document,
+                                                          pattern, workers):
+        """A serial caller pays no lowering + encoding: ``run_twig`` with
+        ``workers <= 1`` is ``matcher.run``, as for every other matcher
+        (the accel branch used to sit above the one-worker check)."""
+        from repro.instrumentation import JoinStats
+
+        twig = parse_twig(pattern)
+        for algorithm in ("accel", None):  # named, and the planner's pick
+            stats = JoinStats()
+            rows = ParallelExecutor(workers).run_twig(
+                document, twig, algorithm, stats=stats)
+            assert rows == get_twig_algorithm("naive").run(document, twig)
+            labels = [record.label for record in stats.stages]
+            assert labels and not [label for label in labels
+                                   if label.startswith(("edge ", "nodes "))]
+            assert "lower" not in stats.phase_times
+            assert "encode" not in stats.phase_times
+        pooled = JoinStats()
+        executor("serial").run_twig(document, twig, "accel", stats=pooled)
+        assert "lower" in pooled.phase_times  # the shippable form, w > 1

@@ -167,8 +167,8 @@ class TestPlannerRouting:
         assert choose_twig_algorithm(document, TwigQuery(root)) \
             == "accel"
 
-    def test_linear_predicates_stay_pathstack(self):
-        """Linear paths keep pathstack even with many predicates."""
+    def test_linear_predicates_plan_accel(self):
+        """Linear paths plan accel too: pathstack wins nowhere."""
         document = xmark_document(0.05, seed=1)
         root = TwigNode("oa", tag="open_auction",
                         predicate=lambda v: True)
@@ -177,4 +177,4 @@ class TestPlannerRouting:
         bd.child("inc", tag="increase",
                  predicate=lambda v: isinstance(v, int))
         assert choose_twig_algorithm(document, TwigQuery(root)) \
-            == "pathstack"
+            == "accel"

@@ -174,37 +174,40 @@ class TestDocumentStats:
 
 
 class TestPlannedTwigAlgorithms:
-    def test_linear_twig_plans_pathstack(self):
+    """One pick for every shape: the matcher matrix supports no other
+    rule (docs/twig_algorithms.md)."""
+
+    def test_linear_twig_plans_accel(self):
         from repro.engine.planner import choose_twig_algorithm
         from repro.xml.twig_parser import parse_twig
 
         document = sample_document()
         assert choose_twig_algorithm(document, parse_twig("a(/b(//c))")) \
-            == "pathstack"
+            == "accel"
 
-    def test_pc_branching_plans_tjfast(self):
+    def test_pc_branching_plans_accel(self):
         from repro.engine.planner import choose_twig_algorithm
         from repro.xml.twig_parser import parse_twig
 
         document = sample_document()
         assert choose_twig_algorithm(document, parse_twig("a(/b, //c)")) \
-            == "tjfast"
+            == "accel"
 
-    def test_ad_only_branching_consults_stats(self):
+    def test_ad_only_branching_plans_accel_whatever_the_stats(self):
         from repro.engine.planner import choose_twig_algorithm
         from repro.xml.twig_parser import parse_twig
 
-        # Leaves are the minority of candidates -> tjfast (leaf streams
-        # only); majority -> twigstack.
-        document = sample_document()  # 3 c leaves vs 3 b internals
-        twig = parse_twig("b(//c1=c, //c2=c)")
-        leaf_heavy = choose_twig_algorithm(document, twig)
-        assert leaf_heavy == "twigstack"
+        # The old rule split these two on the leaf share of the
+        # candidates (twigstack / tjfast); the pick no longer reads
+        # document statistics at all.
+        leaf_heavy = sample_document()  # 3 c leaves vs 3 b internals
+        assert choose_twig_algorithm(
+            leaf_heavy, parse_twig("b(//c1=c, //c2=c)")) == "accel"
         wide = XMLDocument(element("a", *[element("a")
                                           for _ in range(10)],
                                    element("c", element("d", text="1"))))
         assert choose_twig_algorithm(
-            wide, parse_twig("a(//c, //d)")) == "tjfast"
+            wide, parse_twig("a(//c, //d)")) == "accel"
 
     def test_plan_query_carries_twig_plan(self):
         from repro.core.multimodel import MultiModelQuery, TwigBinding
@@ -216,7 +219,7 @@ class TestPlannedTwigAlgorithms:
         query = figure1_query()
         plan = plan_query(query)
         assert plan.algorithm == "xjoin"
-        assert plan.twig_algorithm("invoices") == "tjfast"
+        assert plan.twig_algorithm("invoices") == "accel"
         assert dict(plan.path_cardinalities)  # estimates present
         forced = plan_query(query, twig_algorithm="twigstack")
         assert forced.twig_algorithm("invoices") == "twigstack"

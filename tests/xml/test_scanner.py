@@ -414,6 +414,56 @@ class TestDoctype:
         assert parse_document(text).root.text == "fine"
 
 
+class TestEntityAmplification:
+    """A long replacement text referenced many times expands once per
+    reference; expat's cap (100x the input, armed after 8 MiB of
+    output) bounds it here too."""
+
+    BOMB = ("<!DOCTYPE a [<!ENTITY big '" + "x" * (64 << 10) + "'>]>\n"
+            "<a>" + "<b>&big;</b>" * 200 + "</a>")
+
+    @pytest.mark.parametrize("chunk_size", [1, len(BOMB)])
+    def test_a_64k_entity_referenced_200_times_is_refused(self, chunk_size):
+        chunks = _chunked(self.BOMB, chunk_size)
+        with pytest.raises(XMLParseError) as parsed:
+            parse_document("".join(chunks))
+        with pytest.raises(XMLParseError) as streamed:
+            stream_document(chunks)
+        assert not leaked_arena_files()
+        error = parsed.value
+        assert str(error) == str(streamed.value)
+        assert "more than 100 times" in str(error)
+        # Refused at the reference that crosses 8 MiB, not at the end:
+        # the 129th (128 x 64 KiB is 8 MiB exactly), on line 2.
+        crossing = self.BOMB.index("&big;") + 128 * len("<b>&big;</b>")
+        assert (error.position, error.line) == (crossing, 2)
+
+    def test_an_attribute_value_counts_like_text(self):
+        text = self.BOMB.replace("<b>&big;</b>", "<b c='&big;'/>")
+        with pytest.raises(XMLParseError, match="more than 100 times"):
+            parse_document(text)
+
+    def test_one_text_is_refused_before_it_is_built(self):
+        text = ("<!DOCTYPE a [<!ENTITY big '" + "x" * (64 << 10) + "'>]>"
+                "<a>" + "&big;" * 100_000 + "</a>")  # would be 6.5 GB
+        with pytest.raises(XMLParseError, match="more than 100 times"):
+            parse_document(text)
+
+    def test_proportionate_expansion_is_accepted_past_the_threshold(self):
+        """9 MiB of replacement text in a 1.2 MB document: armed, 8x."""
+        text = ("<!DOCTYPE a [<!ENTITY k '" + "y" * 1024 + "'>]><a>"
+                + ("<b>&k;" + "z" * 120 + "</b>") * 9216 + "</a>")
+        root = parse_document(text).root
+        assert len(root.children) == 9216
+        assert root.children[-1].text == "y" * 1024 + "z" * 120
+
+    def test_small_entities_never_arm_the_cap(self):
+        text = ("<!DOCTYPE a [<!ENTITY uuml '\u00fc'>]><a>"
+                + "&uuml;" * 50_000 + "</a>")
+        assert parse_document(text).root.text == "\u00fc" * 50_000
+        assert_stream_parity(DBLP, len(DBLP))  # snippet 1's header
+
+
 # ---------------------------------------------------------------------------
 # Linear in the input, whatever the chunking
 # ---------------------------------------------------------------------------

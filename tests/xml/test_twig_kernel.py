@@ -1,0 +1,330 @@
+"""The level-at-a-time twig kernel behind ``accel``.
+
+``repro.xml.accel.twig_frontiers`` reduces the candidates bottom-up and
+expands a frontier top-down in C-level passes over the columnar arrays.
+Its oracle is brute-force navigation (``naive``): ``run`` *and*
+``embeddings`` must agree on random twigs x random documents, chunked
+and unchunked, on an attached file arena against its in-memory twin, on
+worker slices — and because the frontier is reduced before it is
+expanded, no ``expand`` stage may exceed the embedding count (the
+twig-side analogue of the Lemma 3.5 check in
+``tests/engine/test_frontier_kernel.py``).
+
+Randomized cases derive from ``REPRO_ACCEL_SEED`` (echoed in the pytest
+header), like the accelerator oracle's.
+"""
+
+from __future__ import annotations
+
+import random
+from bisect import bisect_left
+
+import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+
+from repro.core.baseline import baseline_join
+from repro.data.dblp import dblp_chunks, dblp_document
+from repro.data.synthetic import example34_instance
+from repro.instrumentation import JoinStats
+from repro.parallel.partition import posting_slices
+from repro.parallel.slicing import SlicedColumnarView
+from repro.xml import accel
+from repro.xml.arenaview import ArenaValues, attach_arena_document
+from repro.xml.columnar import columnar
+from repro.xml.generator import chain_document, random_document
+from repro.xml.interface import get_twig_algorithm
+from repro.xml.navigation import match_embeddings, match_relation
+from repro.xml.parser import parse_document
+from repro.xml.streaming import stream_document
+from repro.xml.twig import Axis, TwigNode, TwigQuery
+from repro.xml.twig_parser import parse_twig
+
+from accel_harness import ACCEL_SEED
+from test_accel_oracle import match_set
+
+ACCEL = get_twig_algorithm("accel")
+
+#: Value predicates by name (reprs that mean something in a failure).
+PREDICATES = {
+    "any": None,
+    "low": lambda v: isinstance(v, int) and v <= 1,
+    "high": lambda v: isinstance(v, int) and v >= 3,
+    "none": lambda v: False,
+}
+
+
+def counters(stats):
+    """Everything a run counted, times left out."""
+    return ([(record.label, record.size) for record in stats.stages],
+            stats.emitted, stats.seeks, stats.max_intermediate)
+
+
+def kernel_run(document, twig):
+    """(rows, embeddings as a set, counters) of one ``accel`` evaluation;
+    ``run`` and ``embeddings`` must count alike and list no embedding
+    twice."""
+    ran, listed = JoinStats(), JoinStats()
+    rows = ACCEL.run(document, twig, stats=ran)
+    embeddings = ACCEL.embeddings(document, twig, stats=listed)
+    assert counters(ran) == counters(listed)
+    assert len(embeddings) == len(match_set(embeddings)) == ran.emitted
+    return rows, match_set(embeddings), counters(ran)
+
+
+def assert_matches_naive(document, twig):
+    """Rows and embeddings are the oracle's; the stages obey the bound."""
+    rows, embeddings, (stages, emitted, _seeks, _peak) = run = \
+        kernel_run(document, twig)
+    assert rows == match_relation(document, twig)
+    expected = match_embeddings(document, twig)
+    assert embeddings == match_set(expected)
+    sizes = dict(stages)
+    view = columnar(document)
+    for q in twig.nodes():
+        bound = {id(emb[q.name]) for emb in expected}
+        # Reduced bottom-up only: a live candidate roots a complete
+        # sub-embedding, though maybe under no live parent.
+        assert len(bound) <= sizes[f"alive {q.name}"] \
+            <= len(view.stream(q))
+        # Reduced, then expanded: the frontier only ever grows.
+        assert len(bound) <= sizes[f"expand {q.name}"] <= emitted
+    root, last = twig.attributes[0], twig.attributes[-1]
+    assert sizes[f"alive {root}"] == sizes[f"expand {root}"] \
+        == len({id(emb[root]) for emb in expected})
+    assert sizes[f"expand {last}"] == emitted == len(expected)
+    return run
+
+
+# -- strategies ------------------------------------------------------------
+
+@st.composite
+def twigs(draw):
+    """1-5 query nodes over two present tags and (rarely) an absent
+    one, both axes, value predicates anywhere (the root included). The
+    small alphabet repeats tags along a path all the time."""
+    def node(index, parent=None):
+        tag = draw(st.sampled_from("aaaabbbbz" if index else "ab"))
+        predicate = PREDICATES[draw(st.sampled_from(
+            ["any"] * 7 + ["low", "high", "none"]))]
+        if parent is None:
+            return TwigNode("n0", tag=tag, predicate=predicate)
+        return parent.add(f"n{index}", tag=tag, predicate=predicate,
+                          axis=draw(st.sampled_from(list(Axis))))
+
+    nodes = [node(0)]
+    for index in range(1, draw(st.integers(1, 5))):
+        nodes.append(node(index, draw(st.sampled_from(nodes))))
+    return TwigQuery(nodes[0])
+
+
+@st.composite
+def documents(draw):
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    return random_document(rng, tags="ab", max_children=5, max_nodes=draw(
+        st.sampled_from([1, 20, 60, 150])), value_range=4)
+
+
+# -- (a) differential against naive, (b) the reduced-frontier bound --------
+
+class TestDifferential:
+    @seed(ACCEL_SEED)
+    @settings(max_examples=300, deadline=None)
+    @given(documents(), twigs())
+    def test_random_twigs_on_random_documents(self, document, twig):
+        assert_matches_naive(document, twig)
+
+    @pytest.mark.parametrize("pattern", [
+        "x=a", "x=z",                       # single node; absent tag
+        "x=a(//y=a)", "x=a(/y=a)",          # one tag, both axes
+        "x=a(//y=a(//w=a))", "x=a(/y=a(//w=a(/v=a)))",
+        "x=a(//y=b, //w=b)", "x=a(/y=b(/w=a), //v=a)",
+        "x=b(//y=a(/w=b))", "x=a(//y=z)",   # a dead leaf empties it all
+    ])
+    def test_deep_chains_repeat_one_tag(self, pattern):
+        """Every node nests in every other: the self-pair trap, and the
+        A-D fan-out at its worst."""
+        for tags in (("a",), ("a", "b"), ("a", "a", "b")):
+            assert_matches_naive(chain_document(14, tags=tags, root_tag="a"),
+                                 parse_twig(pattern))
+
+    def test_a_nonstrict_descendant_bound_is_caught(self, monkeypatch):
+        """Mutation check: with a non-strict lower bound a node pairs
+        with itself on ``a(//a)``, and the oracle says so."""
+        document = chain_document(6, tags=("a",), root_tag="a")
+        twig = parse_twig("x=a(//y=a)")
+        assert_matches_naive(document, twig)
+        monkeypatch.setattr(accel, "bisect_right", bisect_left)
+        with pytest.raises(AssertionError):
+            assert_matches_naive(document, twig)
+
+    def test_predicate_on_the_root_and_on_leaves(self):
+        document = random_document(random.Random(20261002), tags="ab",
+                                   max_nodes=300, value_range=4)
+        root = TwigNode("x", tag="a", predicate=PREDICATES["high"])
+        root.descendant("y", tag="b", predicate=PREDICATES["low"])
+        root.child("w", tag="a")
+        rows, *_ = assert_matches_naive(document, TwigQuery(root))
+        assert rows.rows and all(x >= 3 and y <= 1 for x, y, _w in rows)
+
+
+# -- counters --------------------------------------------------------------
+
+class TestCounters:
+    DOCUMENT = parse_document(
+        "<r><a><b>1</b><b>2</b><c>3</c></a><a><b>4</b></a>"
+        "<a><c>5</c><d><c>6</c></d></a></r>")
+
+    def test_stages_emitted_and_seeks(self):
+        twig = parse_twig("x=a(/y=b, //w=c)")
+        stats = JoinStats()
+        rows = ACCEL.run(self.DOCUMENT, twig, stats=stats)
+        assert rows.rows == {(None, 1, 3), (None, 2, 3)}
+        assert [(r.label, r.size) for r in stats.stages] == [
+            ("alive w", 3), ("alive y", 3), ("alive x", 1),
+            ("expand x", 1), ("expand y", 2), ("expand w", 2)]
+        assert stats.emitted == 2 and stats.max_intermediate == 3
+        # Postings read: 3 a + 3 b + 3 c; probes over the 3 a
+        # candidates: one group lookup (P-C) and two bisects (A-D) each.
+        assert stats.seeks == 9 + 3 * 1 + 3 * 2
+        assert sorted(stats.phase_times) == sorted(
+            f"{phase} {name}" for phase in ("alive", "expand")
+            for name in "xyw")
+
+    def test_counting_is_optional(self):
+        twig = parse_twig("x=a(/y=b, //w=c)")
+        assert ACCEL.run(self.DOCUMENT, twig) \
+            == ACCEL.run(self.DOCUMENT, twig, stats=JoinStats())
+
+    def test_the_baseline_foils_peak_stays_the_twig_answer(self):
+        """Figure 3's foil at n = 8 (``core.baseline_max_intermediate``
+        on ``mm_xmark``): the matcher's stages stay under the n^5 twig
+        answer the baseline materialises."""
+        stats = JoinStats()
+        baseline_join(example34_instance(8).query, stats=stats)
+        assert stats.max_intermediate == 8 ** 5
+
+
+# -- (c) chunk boundaries --------------------------------------------------
+
+@pytest.mark.parametrize("chunk", [1, 2, 7])
+def test_chunked_runs_equal_the_unchunked_run(monkeypatch, chunk):
+    rng = random.Random(f"{ACCEL_SEED}:chunks")
+    document = random_document(rng, tags="ab", max_nodes=200,
+                               max_children=6, value_range=3)
+    cases = [(document, parse_twig(pattern)) for pattern in (
+        "x=a", "x=a(//y=b)", "x=a(/y=b, //w=a)", "x=b(//y=a(/w=b), /v=a)")]
+    cases.append((chain_document(12, tags=("a",), root_tag="a"),
+                  parse_twig("x=a(//y=a(//w=a))")))
+    whole = [kernel_run(document, twig) for document, twig in cases]
+    assert any(dict(stages)["alive x"] > 7
+               for _rows, _embeddings, (stages, *_) in whole)
+    monkeypatch.setattr(accel, "_CHUNK", chunk)
+    assert [kernel_run(document, twig) for document, twig in cases] == whole
+
+
+# -- (d) an attached file arena against its in-memory twin -----------------
+
+MIXED = """\
+<library><book><title>Systems</title><year>1999</year>
+<price>12.5</price><isbn>18446744073709551616</isbn><note/></book>
+<book><title>P &amp; Q</title><year>2021</year><price>7</price>
+<isbn>36893488147419103232</isbn><note>n/a</note></book>
+<book><title>1e3</title><year>x</year><price>0.5</price>
+<isbn>7</isbn><note>3</note></book></library>
+"""
+
+
+@pytest.fixture()
+def attached(tmp_path):
+    """attach(chunks, name) -> document handle over a streamed arena."""
+    arenas = []
+
+    def attach(chunks, name):
+        arena = stream_document(chunks, path=str(tmp_path / name))
+        arenas.append(arena)
+        return attach_arena_document(arena)[0]
+
+    yield attach
+    for arena in arenas:
+        arena.close()
+        arena.unlink()
+
+
+class TestAttachedArena:
+    def test_streamed_dblp_against_its_twin(self, attached):
+        records, data_seed = 400, ACCEL_SEED % 1000
+        handle = attached(dblp_chunks(records, seed=data_seed), "dblp")
+        twin = dblp_document(records, seed=data_seed)
+        assert isinstance(columnar(handle).values, ArenaValues)
+        recent = TwigNode("a", tag="article")
+        recent.child("y", tag="year",
+                     predicate=lambda v: isinstance(v, int) and v >= 2015)
+        recent.child("t", tag="title")
+        for twig in (parse_twig("a=article(/y=year, /j=journal)"),
+                     parse_twig("i=inproceedings(/au=author, /b=booktitle)"),
+                     parse_twig("d=dblp(//a=article(/v=volume), //c=crossref)"),
+                     parse_twig("b=bib(//y=year)"), TwigQuery(recent)):
+            rows, embeddings, counted = kernel_run(handle, twig)
+            assert rows.rows  # str, int and None columns, all non-empty
+            assert (rows, embeddings, counted) == kernel_run(twin, twig)
+            assert rows == match_relation(twin, twig)
+
+    def test_gather_decodes_all_five_value_kinds(self, attached):
+        handle = attached([MIXED[:97], MIXED[97:]], "mixed")
+        view, twin = columnar(handle), parse_document(MIXED)
+        values = view.values
+        assert isinstance(values, ArenaValues)
+        expected = [values[nid] for nid in range(view.size)]
+        assert {type(v) for v in expected} == {type(None), int, float, str}
+        assert max(v for v in expected if isinstance(v, int)) > 2 ** 64
+        # Whole document (mixed kinds), with repeats, empty, and each
+        # tag's posting (one kind: none, str, int, float; bigint + int).
+        everything = list(range(view.size))
+        assert values.gather(everything) == expected
+        assert values.gather(everything * 2 + [3, 3]) \
+            == expected * 2 + [expected[3]] * 2
+        assert values.gather([]) == []
+        for nids in view.tag_nids:
+            assert values.gather(nids) == [expected[nid] for nid in nids]
+            assert [type(v) for v in values.gather(nids)] \
+                == [type(expected[nid]) for nid in nids]
+        for pattern in ("b=book(/t=title, /y=year, /p=price, /i=isbn, "
+                        "/n=note)", "l=library(//i=isbn)", "n=note"):
+            twig = parse_twig(pattern)
+            assert kernel_run(handle, twig) == kernel_run(twin, twig)
+            assert_matches_naive(twin, twig)
+
+
+# -- (e) worker slices -----------------------------------------------------
+
+@pytest.mark.parametrize("pattern", [
+    "x=a(//y=b, /w=a)", "x=a(//y=a)", "x=b(/y=a(//w=b))", "x=a"])
+def test_slices_partition_the_embeddings(pattern):
+    """The kernel reads candidates only through ``view.stream``, so a
+    ``SlicedColumnarView`` needs no second code path: the slices'
+    embeddings, each cut to its own root range, partition the whole."""
+    rng = random.Random(f"{ACCEL_SEED}:slices")
+    document = random_document(rng, tags="ab", max_nodes=160,
+                               max_children=5, value_range=3)
+    twig, base = parse_twig(pattern), columnar(document)
+    names = twig.attributes
+    starts = base.starts
+
+    def rooted(view):
+        return [tuple(starts[nid] for nid in row)
+                for columns in accel.twig_frontiers(view, twig)
+                for row in zip(*columns)]
+
+    whole = rooted(base)
+    assert set(whole) == {tuple(emb[name].start for name in names)
+                          for emb in match_embeddings(document, twig)}
+    pieces = posting_slices(base.stream(twig.root), 5)
+    assert len(pieces) > 1
+    union: list = []
+    for piece in pieces:
+        view = SlicedColumnarView(base, twig, piece.lo, piece.hi,
+                                  piece.region_hi)
+        union += [row for row in rooted(view)
+                  if piece.lo <= row[0] < piece.hi]
+    assert sorted(union) == sorted(whole)
