@@ -12,9 +12,7 @@ Commands:
   ``--suite parallel`` races the partition-parallel executor against
   serial execution; ``--suite buffers`` races the batch buffer kernels
   against the list-based leapfrog and the shm spawn transport against
-  serial twig matching; ``--suite service`` measures the multi-tenant
-  query service — queries/sec and p50/p99 snapshot-read latency at
-  1/4/16 concurrent clients under a background update stream;
+  serial twig matching;
   ``--suite planner`` races the static planner's plan against the
   adaptive feedback-driven planner on the skewed triangle and an
   XMark multi-model scenario; ``--suite corpus`` streams a DBLP-style
@@ -42,8 +40,8 @@ Options:
   runs on the multi-model scenarios. Applies to ``figure3``, ``bench``
   and ``selftest``.
 * ``--suite NAME`` — ``bench`` suite: ``engine`` (default), ``twig``,
-  ``updates``, ``parallel``, ``buffers``, ``service``, ``planner``,
-  ``corpus`` or ``accel``.
+  ``updates``, ``parallel``, ``buffers``, ``planner``, ``corpus`` or
+  ``accel``.
 * ``--workers N`` — worker processes for partition-parallel execution
   (default 0 = serial). ``bench --suite parallel`` races serial against
   this pool size; ``bench --suite twig`` and ``bench --suite accel``
@@ -372,34 +370,6 @@ def cmd_bench_buffers(n: int = 3000, records: list | None = None) -> int:
                   f"segments {list(result.leaked)!r}", file=sys.stderr)
             failures += 1
     return 1 if failures else 0
-
-
-def cmd_bench_service(n: int = 12, records: list | None = None) -> int:
-    """Measure the multi-tenant query service (shared with
-    ``benchmarks/bench_service.py`` through :mod:`repro.service.bench`):
-    queries/sec and p50/p99 latency of the full pin -> snapshot query ->
-    release cycle at each client count, while one background writer
-    streams update batches for the whole run."""
-    from repro.service.bench import run_service_bench
-
-    results = run_service_bench(queries_per_client=max(n, 4))
-    print("service suite: pin -> snapshot query -> release under a live "
-          "writer (fresh server per client count):")
-    for result in results:
-        print(f"  {result.clients:>2} client(s)  {result.qps:8.1f} q/s   "
-              f"p50 {result.p50_ms:7.2f}ms   p99 {result.p99_ms:7.2f}ms   "
-              f"({result.queries} queries, {result.batches} update "
-              "batches)")
-        if records is not None:
-            # Base keys match every other suite; qps/p99_ms ride along.
-            records.append({
-                "scenario": result.corpus,
-                "workload": f"{result.clients} clients",
-                "median_ms": round(result.p50_ms, 3),
-                "speedup": None,
-                "qps": round(result.qps, 1),
-                "p99_ms": round(result.p99_ms, 3)})
-    return 0
 
 
 def cmd_bench_corpus(n: int = 8000, records: list | None = None) -> int:
@@ -808,7 +778,7 @@ def main(argv: list[str] | None = None) -> int:
                                twig_algorithm)
         if command == "bench":
             suites = ("engine", "twig", "updates", "parallel", "buffers",
-                      "service", "planner", "corpus", "accel")
+                      "planner", "corpus", "accel")
             if suite not in (None,) + suites:
                 print(f"error: unknown bench suite {suite!r}; choose from "
                       f"{list(suites)!r}", file=sys.stderr)
@@ -827,9 +797,6 @@ def main(argv: list[str] | None = None) -> int:
                     workers or 2, records)
             elif suite == "buffers":
                 rc = cmd_bench_buffers(_int_argument(command, args, 3000),
-                                       records)
-            elif suite == "service":
-                rc = cmd_bench_service(_int_argument(command, args, 12),
                                        records)
             elif suite == "planner":
                 rc = cmd_bench_planner(_int_argument(command, args, 4096),

@@ -33,12 +33,11 @@ argument and tuning guidance.
 from typing import Any
 
 #: Public name -> defining submodule. Resolution is lazy (PEP 562):
-#: importing ``repro.parallel.answers`` (as the serial update layer
-#: does for :class:`PartitionedAnswer`) must not drag the executor and
-#: its multiprocessing machinery into the process — the parallel layer
+#: importing ``repro.parallel.partition`` (as the serial planner does
+#: for ``choose_morsel_count``) must not drag the executor and its
+#: multiprocessing machinery into the process — the parallel layer
 #: sits on top of the stack, never underneath a serial import.
 _EXPORTS = {
-    "PartitionedAnswer": "answers",
     "ParallelExecutor": "executor",
     "available_transports": "executor",
     "default_transport": "executor",

@@ -6,13 +6,11 @@ line-JSON protocol (one JSON object per ``\\n``-terminated line, over
 TCP or stdin). The moving parts:
 
 * :class:`~repro.service.server.ReproService` — the asyncio server. One
-  *master* :class:`~repro.updates.session.QuerySession` holds the
-  corpus's current state; every client session gets a private
-  ``QuerySession`` over cloned documents (one writer may never patch a
-  tree another session's maintained answers walk), synchronized by
-  broadcasting each update batch to the master and every open session
-  in one synchronous step — so a pin always lands on a batch boundary
-  and no snapshot ever observes a torn batch.
+  *master* :class:`~repro.updates.session.QuerySession` is the only
+  copy of the corpus; a client session is a tenant-scoped set of
+  snapshots pinned on it. Each update batch is applied to the master in
+  one synchronous step — so a pin always lands on a batch boundary and
+  no snapshot ever observes a torn batch.
 * a **single-writer queue** — all updates funnel through one bounded
   asyncio queue and one writer task; a full queue surfaces as a
   ``backpressure`` error instead of unbounded memory growth.
@@ -23,9 +21,11 @@ TCP or stdin). The moving parts:
 * :class:`~repro.service.cache.PlanCache` — a shared plan cache with
   frequency-based admission (one-hit wonders never displace residents).
 * **snapshot reads** — ``pin`` takes an MVCC snapshot
-  (:mod:`repro.mvcc`) of the client's session; ``query`` against it is
-  answered at the pinned version vector no matter how many batches have
-  landed since. Heavy snapshot queries are detached (all artifacts
+  (:mod:`repro.mvcc`) of the corpus; ``query`` against it is answered at
+  the pinned version vector no matter how many batches have landed
+  since (a ``query`` naming no snapshot pins one for the request). Pins
+  of several tenants on one version share its frozen artifacts. Heavy
+  snapshot queries are detached (all artifacts
   frozen) and offloaded to a worker thread, optionally fanning out
   through the partition-parallel executor.
 

@@ -18,10 +18,10 @@ Update batches are lists of operation objects:
 * ``{"kind": "delete_subtree", "input": T, "start": S}``
 * ``{"kind": "change_value", "input": T, "start": S, "text": "..."}``
 
-Document nodes are addressed by their region ``start`` label: the delta
-layer keeps region labelings canonical (contiguous pre-order), so the
-same label names the corresponding node in the master state and in
-every session's private clone.
+Document nodes are addressed by their region ``start`` label at the
+corpus's current version: the delta layer keeps region labelings
+canonical (contiguous pre-order), so a label is the node's pre-order
+rank whatever edits came before.
 """
 
 from __future__ import annotations

@@ -3,22 +3,26 @@
 One :class:`ReproService` hosts one corpus. Consistency comes from three
 structural rules, not from locks:
 
-1. **Private trees per session.** A :class:`~repro.updates.session.
-   QuerySession`'s editors patch documents *in place*; sharing one tree
-   between sessions would let one client's write corrupt another's
-   maintained twig answers mid-read. So every session owns clones of the
-   corpus documents (immutable relations are shared), all built with
-   canonical labels, and the service keeps them synchronized by applying
-   every update batch to the master and to every open session.
+1. **One state, one writer.** The master :class:`~repro.updates.session.
+   QuerySession` is the only copy of the corpus, and only the writer
+   task calls its editors (which patch documents *in place*). A wire
+   session holds no data: it is a tenant-scoped set of pins on the
+   master. A reader never watches a tree change under it, because the
+   MVCC layer freezes a pinned version into a clone before the first
+   write that supersedes it — one clone per (document, version), shared
+   by every pin on that version, whichever tenant took it.
 2. **Atomic batches.** A batch is validated against the master, then
-   applied to all sessions in one synchronous step of the single writer
-   task — no ``await`` between the first and last mutation. Snapshots
-   are pinned between steps of the event loop, so a pin always observes
-   a whole number of batches: torn reads are impossible by construction.
+   applied in one synchronous step of the single writer task — no
+   ``await`` between the first and last mutation. Snapshots are pinned
+   between steps of the event loop, so a pin always observes a whole
+   number of batches: torn reads are impossible by construction.
 3. **Detach before offload.** A query may only leave the event-loop
    thread once its snapshot is *detached* (every pinned document frozen
    into a clone, every relation an immutable retained object) and its
    inputs are resolved; the worker thread then races nothing.
+
+Every read is a snapshot read: a ``query`` that names no snapshot pins
+one, answers from it and releases it inside the one request.
 
 The writer queue is bounded: when producers outrun the writer the
 service answers ``backpressure`` instead of buffering without limit, and
@@ -32,12 +36,18 @@ import asyncio
 import sys
 from typing import Any
 
-from repro.core.multimodel import MultiModelQuery, TwigBinding
+from repro.core.multimodel import MultiModelQuery
 from repro.engine.adaptive import AdaptivePlanner, FeedbackStore
 from repro.engine.planner import plan_query, run_query
-from repro.errors import ReproError, ServiceError
+from repro.errors import (
+    EngineError,
+    PlanError,
+    ReproError,
+    ServiceError,
+    TransportError,
+)
 from repro.instrumentation import JoinStats
-from repro.relational.relation import Relation
+from repro.mvcc import Snapshot
 from repro.service.cache import PlanCache
 from repro.service.corpus import corpus_query
 from repro.service.protocol import (
@@ -50,9 +60,8 @@ from repro.service.protocol import (
     validate_request,
     validate_update_ops,
 )
-from repro.service.tenancy import SessionManager, SessionState, TenantQuota
+from repro.service.tenancy import SessionManager, TenantQuota
 from repro.updates.session import QuerySession
-from repro.xml.model import XMLDocument
 from repro.xml.parser import parse_element_tree
 
 
@@ -77,15 +86,16 @@ class ReproService:
         #: corrections from every executed snapshot query, and keys the
         #: shared plan cache by its feedback epoch. Inputs are stamped
         #: *logically* (their drift generation) because snapshot
-        #: queries run over detached per-snapshot clones: corrections
+        #: queries run over detached per-version clones: corrections
         #: learned from one tenant's snapshot apply to every tenant
         #: until the master's deltas add up to a churn burst, which
         #: advances the generation and retires them (and every cached
         #: plan) at once. Small batches inherit all of it.
         self.adaptive = AdaptivePlanner(store=FeedbackStore(
             stamp_fn=self._logical_stamps)) if adaptive else None
-        #: The corpus's current state (and the write path's oracle);
-        #: its deltas feed the planner's drift ledger.
+        #: The corpus: the one state every batch is applied to and
+        #: every snapshot is pinned on; its deltas feed the planner's
+        #: drift ledger.
         self.master = QuerySession(
             query, feedback=self.adaptive.store if adaptive else None)
         self.sessions = SessionManager(quota)
@@ -157,51 +167,22 @@ class ReproService:
             self._writer_task = None
         self._shutdown().set()
 
-    # -- session construction ----------------------------------------------
-
-    def _open_session(self) -> QuerySession:
-        """A private session over the corpus's *current* state.
-
-        Relations are immutable and shared with the master; documents
-        are cloned (fresh canonical labels — identical to the master's,
-        which the delta layer keeps canonical across patches).
-        """
-        master = self.master
-        relations = [master.relations[relation.name].relation
-                     for relation in master.query.relations]
-        clones: dict[int, XMLDocument] = {}
-        twigs = []
-        for binding in master.query.twigs:
-            clone = clones.get(id(binding.document))
-            if clone is None:
-                clone = XMLDocument(binding.document.root.copy())
-                clones[id(binding.document)] = clone
-            twigs.append(TwigBinding(binding.twig, clone))
-        return QuerySession(MultiModelQuery(relations, twigs,
-                                            name=master.query.name))
-
     # -- the update path ---------------------------------------------------
 
-    def _resolve_document_op(self, session: QuerySession,
-                             op: dict[str, Any]):
-        """(document, node) for one document-addressing operation."""
-        document = session.document_of(op["input"])
+    def _resolve_node(self, op: dict[str, Any]):
+        """The node one document-addressing operation names."""
         start = op.get("parent_start", op.get("start"))
-        node = document.node_by_start(start)
+        node = self.master.document_of(op["input"]).node_by_start(start)
         if node is None:
             raise ServiceError(
                 "update",
                 f"input {op['input']!r} has no node with start label "
                 f"{start} at the current version")
-        return document, node
+        return node
 
     def _validate_batch(self, ops: list[dict[str, Any]]) -> None:
-        """All-or-nothing gate: check every op against the master state.
-
-        Sessions are synchronized with the master batch-for-batch and
-        labelings are canonical, so master-validity implies validity in
-        every session — a batch either applies everywhere or nowhere.
-        """
+        """All-or-nothing gate: check every op against the corpus before
+        the first one is applied."""
         master = self.master
         for op in ops:
             kind = op["kind"]
@@ -224,7 +205,7 @@ class ReproService:
                     "update",
                     f"unknown twig input {op['input']!r}; choose from "
                     f"{sorted(master.answers)!r}")
-            _document, node = self._resolve_document_op(master, op)
+            node = self._resolve_node(op)
             if kind == "insert_subtree":
                 try:
                     parse_element_tree(op["xml"])
@@ -243,35 +224,31 @@ class ReproService:
                 raise ServiceError("update",
                                    "cannot delete the document root")
 
-    def _apply_op(self, session: QuerySession, op: dict[str, Any]) -> None:
-        """Apply one validated operation to one session."""
+    def _apply_op(self, op: dict[str, Any]) -> None:
+        """Apply one validated operation to the corpus."""
+        master = self.master
         kind = op["kind"]
         if kind == "insert":
-            session.insert(op["relation"], tuple(op["row"]))
+            master.insert(op["relation"], tuple(op["row"]))
         elif kind == "delete":
-            session.delete(op["relation"], tuple(op["row"]))
+            master.delete(op["relation"], tuple(op["row"]))
         elif kind == "insert_subtree":
-            _document, parent = self._resolve_document_op(session, op)
-            session.insert_subtree(op["input"], parent,
-                                   parse_element_tree(op["xml"]),
-                                   index=op.get("index"))
+            master.insert_subtree(op["input"], self._resolve_node(op),
+                                  parse_element_tree(op["xml"]),
+                                  index=op.get("index"))
         elif kind == "delete_subtree":
-            _document, node = self._resolve_document_op(session, op)
-            session.delete_subtree(op["input"], node)
+            master.delete_subtree(op["input"], self._resolve_node(op))
         else:  # change_value
-            _document, node = self._resolve_document_op(session, op)
-            session.change_value(op["input"], node, op["text"])
+            master.change_value(op["input"], self._resolve_node(op),
+                                op["text"])
 
     def _apply_batch(self, ops: list[dict[str, Any]]) -> int:
-        """Validate, then apply one batch everywhere. Fully synchronous:
-        between the first and last mutation no coroutine runs, so every
-        pin (and every read) sees a whole number of batches."""
+        """Validate, then apply one batch. Fully synchronous: between
+        the first and last mutation no coroutine runs, so every pin
+        (and every read) sees a whole number of batches."""
         self._validate_batch(ops)
-        targets = [self.master] + [state.session
-                                   for state in self.sessions.all_states()]
         for op in ops:
-            for session in targets:
-                self._apply_op(session, op)
+            self._apply_op(op)
         self.batches_applied += 1
         self.updates_applied += len(ops)
         return self.batches_applied
@@ -319,15 +296,17 @@ class ReproService:
         return (sum(len(relation) for relation in query.relations)
                 + sum(binding.document.size() for binding in query.twigs))
 
-    async def _evaluate_snapshot(self, state: SessionState,
-                                 snapshot_id: str,
+    def _pin(self) -> Snapshot:
+        """Pin the corpus's current version, stamped with the number of
+        batches it reflects (clients correlate answers by it)."""
+        snapshot = self.master.pin()
+        snapshot.metadata["batches"] = self.batches_applied
+        return snapshot
+
+    async def _evaluate_snapshot(self, snapshot: Snapshot,
                                  message: dict[str, Any]) -> dict[str, Any]:
-        snapshot = state.snapshots.get(snapshot_id)
-        if snapshot is None:
-            raise ServiceError(
-                "unknown_snapshot",
-                f"session {state.sid!r} has no snapshot {snapshot_id!r}")
-        batches = snapshot.metadata.get("batches", 0)
+        """Answer one ``query`` at *snapshot* — the only read path."""
+        batches = snapshot.metadata["batches"]
         algorithm = message.get("algorithm")
         order = message.get("order")
         if not (message.get("evaluate") or algorithm or order):
@@ -342,19 +321,25 @@ class ReproService:
         query = snapshot.query()
         adaptive_run = (self.adaptive is not None and algorithm is None
                         and order is None)
-        algorithm, order, twigs = self._plan_for(query, algorithm, order)
         stats = JoinStats() if adaptive_run else None
-        if self._query_cost(query) >= self.offload_threshold:
-            self.offloaded_queries += 1
-            relation = await asyncio.to_thread(
-                run_query, query, algorithm=algorithm, order=order,
-                workers=self.workers, stats=stats)
-            offloaded = True
-        else:
-            relation = run_query(query, algorithm=algorithm, order=order,
-                                 stats=stats)
-            offloaded = False
-        if adaptive_run and stats is not None:
+        offloaded = self._query_cost(query) >= self.offload_threshold
+        try:
+            algorithm, order, twigs = self._plan_for(query, algorithm,
+                                                     order)
+            if offloaded:
+                self.offloaded_queries += 1
+                relation = await asyncio.to_thread(
+                    run_query, query, algorithm=algorithm, order=order,
+                    workers=self.workers, stats=stats)
+            else:
+                relation = run_query(query, algorithm=algorithm,
+                                     order=order, stats=stats)
+        except TransportError:
+            raise  # a worker fault, not the client's request
+        except (PlanError, EngineError) as error:
+            # The planner or a kernel refused the client's override.
+            raise ServiceError("bad_request", str(error)) from None
+        if adaptive_run:
             # Close the feedback loop: fold this query's observed stage
             # sizes into the shared correction store.
             self.adaptive.observe(query, tuple(order), stats)
@@ -363,20 +348,6 @@ class ReproService:
                 "version": snapshot.version, "batches": batches,
                 "mode": "run", "algorithm": algorithm,
                 "twigs": dict(twigs), "offloaded": offloaded}
-
-    def _evaluate_live(self, state: SessionState,
-                       message: dict[str, Any]) -> dict[str, Any]:
-        session = state.session
-        if message.get("evaluate") or message.get("algorithm"):
-            relation = session.run(message.get("algorithm"))
-            mode = "run"
-        else:
-            relation = session.answer()
-            mode = "answer"
-        return {"rows": rows_to_wire(relation.rows),
-                "attributes": list(relation.schema.attributes),
-                "version": session.version,
-                "batches": self.batches_applied, "mode": mode}
 
     # -- request dispatch --------------------------------------------------
 
@@ -420,8 +391,8 @@ class ReproService:
 
     async def _op_open(self, message: dict[str, Any]) -> dict[str, Any]:
         tenant = require_field(message, "tenant", str)
-        state = self.sessions.admit_session(tenant, self._open_session())
-        return {"session": state.sid, "version": state.session.version,
+        state = self.sessions.admit_session(tenant)
+        return {"session": state.sid, "version": self.master.version,
                 "batches": self.batches_applied}
 
     async def _op_close(self, message: dict[str, Any]) -> dict[str, Any]:
@@ -435,10 +406,9 @@ class ReproService:
         sid = require_field(message, "session", str)
         state = self.sessions.state(tenant, sid)
         self.sessions.admit_snapshot(state)
-        snapshot = state.session.pin()
-        snapshot.metadata["batches"] = self.batches_applied
-        snapshot_id = state.register_snapshot(snapshot)
-        return {"snapshot": snapshot_id, "version": snapshot.version,
+        snapshot = self._pin()
+        return {"snapshot": state.register_snapshot(snapshot),
+                "version": snapshot.version,
                 "batches": self.batches_applied}
 
     async def _op_release(self, message: dict[str, Any]) -> dict[str, Any]:
@@ -446,12 +416,8 @@ class ReproService:
         sid = require_field(message, "session", str)
         snapshot_id = require_field(message, "snapshot", str)
         state = self.sessions.state(tenant, sid)
-        snapshot = state.snapshots.pop(snapshot_id, None)
-        if snapshot is None:
-            raise ServiceError(
-                "unknown_snapshot",
-                f"session {sid!r} has no snapshot {snapshot_id!r}")
-        snapshot.release()
+        state.snapshot(snapshot_id).release()
+        del state.snapshots[snapshot_id]
         return {"released": snapshot_id}
 
     async def _op_query(self, message: dict[str, Any]) -> dict[str, Any]:
@@ -461,9 +427,10 @@ class ReproService:
         self.queries_served += 1
         snapshot_id = message.get("snapshot")
         if snapshot_id is not None:
-            return await self._evaluate_snapshot(state, snapshot_id,
-                                                 message)
-        return self._evaluate_live(state, message)
+            return await self._evaluate_snapshot(
+                state.snapshot(snapshot_id), message)
+        with self._pin() as snapshot:  # released when the request ends
+            return await self._evaluate_snapshot(snapshot, message)
 
     async def _op_update(self, message: dict[str, Any]) -> dict[str, Any]:
         tenant_name = require_field(message, "tenant", str)
@@ -483,6 +450,12 @@ class ReproService:
         return {"applied": len(ops), "batches": batches}
 
     async def _op_stats(self, message: dict[str, Any]) -> dict[str, Any]:
+        mvcc = self.master.mvcc
+
+        def retained(chains: dict) -> int:
+            return sum(len(chain.retained_versions())
+                       for chain in chains.values())
+
         return {
             "corpus": self.corpus_spec,
             "batches": self.batches_applied,
@@ -492,6 +465,11 @@ class ReproService:
             "queue_depth": (self._queue.qsize()
                             if self._queue is not None else 0),
             "tenants": self.sessions.counts(),
+            "mvcc": {
+                "pins": mvcc.active_count(),
+                "watermark": mvcc.watermark(),
+                "retained_documents": retained(mvcc.document_chains),
+                "retained_relations": retained(mvcc.relation_chains)},
             "plan_cache": self.plan_cache.stats(),
             "adaptive": (dict(
                 self.adaptive.store.stats(), **self.adaptive.racer.stats(),

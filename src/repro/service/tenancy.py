@@ -1,11 +1,12 @@
-"""Per-tenant session pooling, quotas and accounting.
+"""Per-tenant sessions, quotas and accounting.
 
 Tenants are named by the client (the ``tenant`` request field); each
-tenant owns its sessions and snapshots and is accounted against a
-:class:`TenantQuota`. Exceeding a quota raises a
-:class:`~repro.errors.ServiceError` with code ``quota`` — the service
-never silently evicts one tenant's pinned state to admit another's,
-because a pinned snapshot is a consistency promise, not a cache entry.
+tenant owns its sessions — named sets of pins on the service's one
+corpus state — and is accounted against a :class:`TenantQuota`.
+Exceeding a quota raises a :class:`~repro.errors.ServiceError` with
+code ``quota`` — the service never silently evicts one tenant's pinned
+state to admit another's, because a pinned snapshot is a consistency
+promise, not a cache entry.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from repro.errors import ServiceError
 
 if TYPE_CHECKING:
     from repro.mvcc import Snapshot
-    from repro.updates.session import QuerySession
 
 
 @dataclass(frozen=True)
@@ -34,11 +34,11 @@ class TenantQuota:
 
 @dataclass
 class SessionState:
-    """One client session: a private query session plus its snapshots."""
+    """One client session: the snapshots it pinned and has not
+    released. It holds no corpus state — that is the service's."""
 
     sid: str
     tenant: str
-    session: "QuerySession"
     #: snapshot id -> live (unreleased) pinned snapshot.
     snapshots: dict[str, "Snapshot"] = field(default_factory=dict)
     _snapshot_counter: int = 0
@@ -49,6 +49,16 @@ class SessionState:
         snapshot_id = f"{self.sid}.s{self._snapshot_counter}"
         self.snapshots[snapshot_id] = snapshot
         return snapshot_id
+
+    def snapshot(self, snapshot_id: str) -> "Snapshot":
+        """The live snapshot *snapshot_id* (ServiceError
+        ``unknown_snapshot`` if absent)."""
+        snapshot = self.snapshots.get(snapshot_id)
+        if snapshot is None:
+            raise ServiceError(
+                "unknown_snapshot",
+                f"session {self.sid!r} has no snapshot {snapshot_id!r}")
+        return snapshot
 
     def release_all(self) -> None:
         """Release every live snapshot (session teardown)."""
@@ -95,8 +105,7 @@ class SessionManager:
 
     # -- quota-checked transitions ----------------------------------------
 
-    def admit_session(self, tenant_name: str,
-                      session: "QuerySession") -> SessionState:
+    def admit_session(self, tenant_name: str) -> SessionState:
         """Open a session for *tenant_name* (ServiceError ``quota`` when
         the tenant is at its session limit)."""
         tenant = self.tenant(tenant_name)
@@ -106,7 +115,7 @@ class SessionManager:
                 f"tenant {tenant_name!r} is at its session limit "
                 f"({tenant.quota.max_sessions}); close a session first")
         state = SessionState(sid=tenant.next_session_id(),
-                             tenant=tenant_name, session=session)
+                             tenant=tenant_name)
         tenant.sessions[state.sid] = state
         return state
 
@@ -149,7 +158,7 @@ class SessionManager:
         del self.tenant(tenant_name).sessions[state.sid]
 
     def all_states(self) -> list[SessionState]:
-        """Every open session across all tenants (broadcast targets)."""
+        """Every open session across all tenants."""
         return [state for tenant in self.tenants.values()
                 for state in tenant.sessions.values()]
 

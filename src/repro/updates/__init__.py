@@ -2,10 +2,10 @@
 
 Accepts tuple inserts/deletes on relations and subtree insert/delete /
 value-change edits on XML documents, and propagates *deltas* through
-every layer that PRs 1-2 built batch-style: relation statistics and
-per-attribute dictionaries, columnar document views and document
-statistics, engine tries, planner caches, twig answers, and the
-materialized query result itself. See ``docs/updates.md``.
+every layer that PRs 1-2 built batch-style: relation statistics,
+columnar document views and document statistics, planner caches, twig
+answers, and the materialized query result itself. See
+``docs/updates.md``.
 
 Entry points:
 
@@ -15,9 +15,7 @@ Entry points:
 * :class:`~repro.updates.relations.VersionedRelation` — one relation
   under updates (delta log + installed stats);
 * :class:`~repro.updates.documents.DocumentEditor` — one document under
-  updates (patched labels/views/stats, churn-bounded);
-* :class:`~repro.updates.encodings.IncrementalInstance` — maintained
-  dictionaries and tries for the relational kernels.
+  updates (patched labels/views/stats, churn-bounded).
 """
 
 from repro.updates.delta import (
@@ -27,9 +25,7 @@ from repro.updates.delta import (
     DocumentDelta,
     RelationDelta,
 )
-from repro.updates.dictionary import IncrementalDictionary
 from repro.updates.documents import DocumentEditor
-from repro.updates.encodings import IncrementalInstance
 from repro.updates.relations import VersionedRelation
 from repro.updates.session import QuerySession
 from repro.updates.twigs import MaintainedTwigAnswer
@@ -37,8 +33,6 @@ from repro.updates.twigs import MaintainedTwigAnswer
 __all__ = [
     "DocumentDelta",
     "DocumentEditor",
-    "IncrementalDictionary",
-    "IncrementalInstance",
     "MaintainedTwigAnswer",
     "QuerySession",
     "RelationDelta",

@@ -12,9 +12,6 @@ between updates:
   into the version-keyed caches),
 * each twig's answer as a :class:`~repro.updates.twigs.
   MaintainedTwigAnswer` (support-counted, edit-local deltas),
-* one :class:`~repro.updates.encodings.IncrementalInstance` over the
-  relationalized inputs (relations + twig answers) for the relational
-  kernels, and
 * the materialized query answer itself, maintained by classic delta
   rules for natural joins: a deleted input tuple kills exactly the
   result rows that restrict to it; an inserted tuple contributes the
@@ -35,45 +32,36 @@ from repro.engine.planner import choose_algorithm, \
     refresh_query_statistics, run_query
 from repro.errors import UpdateError
 from repro.mvcc import Snapshot, SnapshotManager
-from repro.parallel.answers import PartitionedAnswer
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema, Value
 from repro.updates.delta import DocumentDelta, RelationDelta
 from repro.updates.documents import DocumentEditor
-from repro.updates.encodings import IncrementalInstance
 from repro.updates.relations import VersionedRelation
 from repro.updates.twigs import MaintainedTwigAnswer, candidate_roots
 from repro.xml.model import XMLNode
 
 
-class QuerySession:
-    """One query held open — and kept answered — across updates.
+#: Share of a relational input its deltas may add up to (counted by the
+#: feedback store, across calls) before the learned corrections stop
+#: describing it and the input's generation advances.
+FEEDBACK_CHURN_FRACTION = 0.25
 
-    With ``workers > 1`` the session becomes partition-aware: the
-    initial evaluation runs through the partition-parallel executor and
-    the materialized answer is held in a :class:`~repro.parallel.
-    answers.PartitionedAnswer`, with each delta routed to the bucket(s)
-    owning the affected rows (see ``docs/parallelism.md``). Answers are
-    identical to the serial session's at every version.
-    """
+
+class QuerySession:
+    """One query held open — and kept answered — across updates."""
 
     def __init__(self, query: MultiModelQuery, *,
                  churn_threshold: float = 0.5,
-                 overflow_threshold: float = 0.25,
-                 workers: int = 0,
-                 feedback: "object | None" = None,
-                 feedback_churn_fraction: float = 0.25):
+                 feedback: "object | None" = None):
         self.query = query
-        self.workers = max(0, workers)
         #: Optional :class:`~repro.engine.adaptive.FeedbackStore`: the
         #: session reports every delta to the store's drift ledger as
         #: it refreshes its maintained statistics — deltas inherit the
         #: learned corrections until they add up to
-        #: ``feedback_churn_fraction`` of a relational input (counted
-        #: by the store, across calls) or a document edit forces a
-        #: columnar rebuild; either invalidates them.
+        #: :data:`FEEDBACK_CHURN_FRACTION` of a relational input or a
+        #: document edit forces a columnar rebuild; either invalidates
+        #: them.
         self.feedback = feedback
-        self._feedback_churn_fraction = feedback_churn_fraction
         self.version = 0
         self.relations: dict[str, VersionedRelation] = {
             relation.name: VersionedRelation(relation)
@@ -92,14 +80,9 @@ class QuerySession:
             self._editor_of[binding.name] = editor
             self.answers[binding.name] = MaintainedTwigAnswer(
                 binding.document, binding.twig)
-        self.instance = IncrementalInstance(
-            query.name, self._inputs(),
-            order=query.attributes,
-            overflow_threshold=overflow_threshold)
         self._attributes = query.attributes
-        self._result_rows = PartitionedAnswer(
-            run_query(query, workers=self.workers).rows,
-            partitions=self.workers if self.workers > 1 else 1)
+        self._result_rows: set[tuple[Value, ...]] = set(
+            run_query(query).rows)
         self._answer: Relation | None = None
         #: The MVCC layer over this session's inputs: hooks the
         #: relations' and editors' write paths so superseded versions a
@@ -151,7 +134,7 @@ class QuerySession:
             self.feedback.note_input_update(
                 self.query, name, size=size,
                 moved=len(delta.inserted) + len(delta.deleted),
-                fraction=self._feedback_churn_fraction)
+                fraction=FEEDBACK_CHURN_FRACTION)
         return delta
 
     # -- document updates --------------------------------------------------
@@ -265,35 +248,23 @@ class QuerySession:
                    attributes: "tuple[str, ...]",
                    added: "Sequence[tuple[Value, ...]]",
                    removed: "Sequence[tuple[Value, ...]]") -> None:
-        """Fold one input's row delta into the maintained artifacts.
-
-        Deletions are routed to the partitions that can own affected
-        rows: when the updated input binds the partition attribute (the
-        query's first attribute), each dead tuple names its owner bucket
-        and only those buckets are scanned; otherwise the delete
-        broadcasts. Insertions produce join rows that carry their own
-        partition value, so each lands directly in its owner.
-        """
-        self.instance.apply(input_name, added=added, removed=removed)
-        if added or removed:
+        """Fold one input's row delta into the maintained answer: a
+        removed tuple kills the result rows that restrict to it, an
+        added one contributes its join with the other inputs."""
+        if removed:
             positions = tuple(self._attributes.index(a)
                               for a in attributes)
-            if removed:
-                dead = set(map(tuple, removed))
-                partition_attribute = self._attributes[0]
-                owner_values = None
-                if partition_attribute in attributes:
-                    at = attributes.index(partition_attribute)
-                    owner_values = {row[at] for row in dead}
-                self._result_rows.discard_restricting(
-                    positions, dead, owner_values=owner_values)
-            if added:
-                others = self._other_inputs(input_name)
-                schema = Schema(attributes)
-                for row in added:
-                    self._result_rows.update(
-                        self._delta_join(
-                            Relation(input_name, schema, [row]), others))
+            dead = set(map(tuple, removed))
+            self._result_rows.difference_update(
+                [row for row in self._result_rows
+                 if tuple(row[p] for p in positions) in dead])
+        if added:
+            others = self._other_inputs(input_name)
+            schema = Schema(attributes)
+            for row in added:
+                self._result_rows.update(
+                    self._delta_join(
+                        Relation(input_name, schema, [row]), others))
         self._bump()
 
     def _delta_join(self, seed: Relation,
@@ -326,7 +297,7 @@ class QuerySession:
         if self._answer is None:
             self._answer = Relation(self.query.name,
                                     Schema(self._attributes),
-                                    self._result_rows.rows())
+                                    self._result_rows)
         return self._answer
 
     def pin(self) -> Snapshot:
@@ -339,28 +310,22 @@ class QuerySession:
         """
         return self.mvcc.pin()
 
-    def planned_algorithm(self) -> str:
-        """The planner's kernel choice for the relationalized instance.
+    def _relationalized(self) -> MultiModelQuery:
+        """The purely relational view: relations ⋈ twig answers. Each
+        input is one stable object per version, so the engine's encoded-
+        input cache re-encodes only the inputs an update changed."""
+        return MultiModelQuery(self._inputs(), [], name=self.query.name)
 
-        The maintained instance is purely relational (relations ⋈ twig
-        answers), so :func:`~repro.engine.planner.choose_algorithm` over
-        the relationalized view always yields a relational kernel.
-        """
-        return choose_algorithm(
-            MultiModelQuery(self._inputs(), [], name=self.query.name))
+    def planned_algorithm(self) -> str:
+        """The planner's kernel choice for the relationalized view
+        (always a relational kernel: the view binds no twig)."""
+        return choose_algorithm(self._relationalized())
 
     def run(self, algorithm: str | None = None) -> Relation:
-        """Run a relational kernel over the maintained encoded instance
-        (the relationalized view: relations ⋈ twig answers), decoded and
-        projected like :func:`~repro.engine.planner.run_query`. With no
-        explicit *algorithm* the planner's choice
-        (:meth:`planned_algorithm`) is used, not a hard-coded kernel."""
-        if algorithm is None:
-            algorithm = self.planned_algorithm()
-        result = self.instance.run(algorithm)
-        if result.schema.attributes != self._attributes:
-            result = result.project(self._attributes, name=self.query.name)
-        return result.with_name(self.query.name)
+        """Evaluate the relationalized view with a relational kernel
+        (default: the planner's choice) through
+        :func:`~repro.engine.planner.run_query`."""
+        return run_query(self._relationalized(), algorithm=algorithm)
 
     def __repr__(self) -> str:
         return (f"QuerySession({self.query.name!r}, v{self.version}, "

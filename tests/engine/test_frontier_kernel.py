@@ -5,7 +5,7 @@ level in C-level passes. Its oracle is the depth-first, per-binding form
 of Algorithm 1 it replaced, kept here as :func:`reference_dfs`: rows
 must equal the naive join, and every stage size, ``emitted`` and
 ``filtered`` the reference's — unchunked, chunked, sliced, on frozen
-adapters and on the update layer's mutable tries.
+adapters and on tries spliced in place between runs.
 """
 
 import random
@@ -21,11 +21,12 @@ from repro.core.surrogate import NodeSurrogate, erase_surrogates
 from repro.data.random_instances import random_multimodel_instance
 from repro.data.scenarios import figure1_query
 from repro.engine import EncodedInstance, algorithms, get_algorithm, run_query
+from repro.engine.dictionary import Dictionary
+from repro.engine.encoded import EncodedTrie
 from repro.instrumentation import JoinStats
 from repro.parallel.shm import attach_instance, publish_instance
 from repro.parallel.slicing import sliced_instance
 from repro.relational.relation import Relation
-from repro.updates.encodings import IncrementalInstance
 from repro.xml.model import XMLDocument, element
 from repro.xml.twig_parser import parse_twig
 
@@ -328,29 +329,47 @@ def test_kernel_runs_on_attached_frozen_tries(algorithm):
 # -- (f) mutable tries -----------------------------------------------------
 
 def test_mutable_tries_are_read_afresh_every_run():
+    """``EncodedTrie.insert`` / ``remove`` splice rows into the tries of
+    one instance between runs; over the domain 0..13 a value is its own
+    code, so rows splice in unencoded."""
     rng = random.Random(3)
     relations = triangle(12, 3).relations
     current = {relation.name: set(relation.rows) for relation in relations}
-    maintained = IncrementalInstance("tri", relations)
+    order = ("a", "b", "c")
+    tries = {relation.name: EncodedTrie(relation.name,
+                                        relation.schema.attributes,
+                                        relation.rows)
+             for relation in relations}
+    instance = EncodedInstance(
+        "tri", order, {a: Dictionary(a, range(14)) for a in order},
+        list(tries.values()))
+
+    def splice(name, added, removed):
+        for row in removed:
+            assert tries[name].remove(row)
+        for row in added - current[name]:
+            assert tries[name].insert(row)
+        current[name] = (current[name] - removed) | added
+        assert tries[name].size == len(current[name])
+
     for _ in range(25):
         name = rng.choice(sorted(current))
         added = {(rng.randrange(14), rng.randrange(14)) for _ in range(3)}
         removed = set(rng.sample(sorted(current[name]),
                                  min(3, len(current[name]))))
-        maintained.apply(name, added=added, removed=removed - added)
-        current[name] = (current[name] - removed) | added
+        splice(name, added, removed - added)
         expected = MultiModelQuery(
             [Relation(relation.name, relation.schema, current[relation.name])
              for relation in relations]).naive_join()
-        instance = maintained.as_encoded()
         result, *_ = assert_matches_reference(instance, "generic_join")
         assert result.project(expected.schema.attributes) == expected
     # ... and a round trip back to the first state gives the first rows.
     for relation in relations:
-        maintained.apply(relation.name, added=relation.rows,
-                         removed=current[relation.name] - relation.rows)
-    assert maintained.run() == get_algorithm("generic_join").run(
-        EncodedInstance.from_relations(relations, maintained.order))
+        splice(relation.name, set(relation.rows),
+               current[relation.name] - relation.rows)
+    assert get_algorithm("generic_join").run(instance) == \
+        get_algorithm("generic_join").run(
+            EncodedInstance.from_relations(relations, order))
 
 
 # -- (g) surrogate erasure through the decode tables -----------------------

@@ -11,6 +11,11 @@ import asyncio
 
 import pytest
 
+from repro.engine.interface import available_algorithms
+from repro.engine.planner import run_query
+from repro.errors import EngineError, PlanError
+from repro.service.corpus import corpus_query
+from repro.service.protocol import rows_to_wire
 from repro.service.server import ReproService
 from repro.service.tenancy import TenantQuota
 
@@ -143,6 +148,73 @@ class TestSnapshots:
         run(scenario)
 
 
+async def through_both_doors(service: ReproService, **overrides):
+    """One ``query`` with and without a pinned snapshot (same state)."""
+    sid = await open_session(service)
+    pinned = await call(service, op="pin", tenant="t", session=sid)
+    with_snapshot = await call(service, op="query", tenant="t", session=sid,
+                               snapshot=pinned["snapshot"], **overrides)
+    without = await call(service, op="query", tenant="t", session=sid,
+                         **overrides)
+    await call(service, op="release", tenant="t", session=sid,
+               snapshot=pinned["snapshot"])
+    assert service.master.mvcc.active_count() == 0  # no door leaks a pin
+    return with_snapshot, without
+
+
+@pytest.mark.parametrize("corpus", ["figure1", "triangle:n=8"])
+class TestOneReadPath:
+    """A ``query`` takes the same overrides with and without a
+    ``snapshot`` and answers the same — the library's rows, or
+    ``bad_request`` carrying the library's refusal."""
+
+    @pytest.mark.parametrize("algorithm", available_algorithms())
+    def test_algorithm_override(self, corpus, algorithm):
+        try:
+            expected = {"ok": True, "mode": "run", "algorithm": algorithm,
+                        "rows": rows_to_wire(run_query(
+                            corpus_query(corpus), algorithm=algorithm).rows)}
+        except (PlanError, EngineError) as refusal:
+            expected = {"ok": False, "error": "bad_request",
+                        "message": str(refusal)}
+
+        async def scenario():
+            doors = await through_both_doors(ReproService(corpus),
+                                             algorithm=algorithm)
+            for response in doors:
+                assert expected.items() <= response.items(), response
+            assert doors[0] == doors[1]
+        run(scenario)
+
+    def test_order_override(self, corpus):
+        attributes = list(corpus_query(corpus).attributes)
+
+        async def scenario():
+            service = ReproService(corpus)
+            live = await call(service, op="query", tenant="t",
+                              session=await open_session(service))
+            for order in ("appearance", attributes[::-1]):
+                first, second = await through_both_doors(service,
+                                                         order=order)
+                assert first == second
+                assert first["mode"] == "run"  # the override is honoured
+                assert first["rows"] == live["rows"]
+        run(scenario)
+
+    @pytest.mark.parametrize("override", [
+        {"algorithm": "nested_loops"}, {"order": "alphabetical"},
+        {"order": ["no", "such", "attributes"]}])
+    def test_unknown_names_are_bad_requests(self, corpus, override):
+        async def scenario():
+            first, second = await through_both_doors(ReproService(corpus),
+                                                     **override)
+            assert first == second
+            assert first["error"] == "bad_request"
+            assert "choose from" in first["message"] \
+                or "attributes" in first["message"]
+        run(scenario)
+
+
 class TestAtomicBatches:
     def test_invalid_batch_applies_nowhere(self):
         async def scenario():
@@ -185,7 +257,8 @@ class TestAtomicBatches:
             assert service.batches_applied == 0
         run(scenario)
 
-    def test_batches_broadcast_to_every_open_session(self):
+    def test_sessions_opened_before_and_after_a_batch_read_the_same_state(
+            self):
         async def scenario():
             service = ReproService("figure1")
             first = await open_session(service, "a")

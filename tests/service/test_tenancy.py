@@ -11,7 +11,13 @@ from repro.updates.session import QuerySession
 
 
 def open_session(manager: SessionManager, tenant: str):
-    return manager.admit_session(tenant, QuerySession(figure1_query()))
+    return manager.admit_session(tenant)
+
+
+@pytest.fixture
+def corpus() -> QuerySession:
+    """The one corpus state every session pins on."""
+    return QuerySession(figure1_query())
 
 
 class TestSessionQuota:
@@ -40,26 +46,28 @@ class TestSessionQuota:
 
 
 class TestSnapshotQuota:
-    def test_snapshot_limit_counts_across_sessions(self):
+    def test_snapshot_limit_counts_across_sessions(self, corpus):
         manager = SessionManager(TenantQuota(max_snapshots=2))
         first = open_session(manager, "a")
         second = open_session(manager, "a")
         for state in (first, second):
             manager.admit_snapshot(state)
-            state.register_snapshot(state.session.pin())
+            state.register_snapshot(corpus.pin())
         with pytest.raises(ServiceError) as info:
             manager.admit_snapshot(first)
         assert info.value.code == "quota"
 
-    def test_close_releases_the_snapshots(self):
+    def test_close_releases_the_snapshots(self, corpus):
         manager = SessionManager()
         state = open_session(manager, "a")
-        snapshot = state.session.pin()
+        other = open_session(manager, "b")
+        snapshot = corpus.pin()
         state.register_snapshot(snapshot)
-        session = state.session
+        kept = corpus.pin()
+        other.register_snapshot(kept)
         manager.close_session("a", state.sid)
-        assert snapshot.released
-        assert session.mvcc.active_count() == 0
+        assert snapshot.released and not kept.released
+        assert corpus.mvcc.active_count() == 1
 
 
 class TestUpdateQuota:
@@ -82,11 +90,21 @@ class TestLookup:
             manager.state("a", "a-99")
         assert info.value.code == "unknown_session"
 
-    def test_counts_report_per_tenant(self):
+    def test_unknown_snapshot_has_its_own_code(self, corpus):
+        manager = SessionManager()
+        state = open_session(manager, "a")
+        snapshot = corpus.pin()
+        snapshot_id = state.register_snapshot(snapshot)
+        assert state.snapshot(snapshot_id) is snapshot
+        with pytest.raises(ServiceError) as info:
+            state.snapshot(f"{state.sid}.s99")
+        assert info.value.code == "unknown_snapshot"
+
+    def test_counts_report_per_tenant(self, corpus):
         manager = SessionManager()
         state = open_session(manager, "a")
         manager.admit_snapshot(state)
-        state.register_snapshot(state.session.pin())
+        state.register_snapshot(corpus.pin())
         manager.admit_update("a")
         assert manager.counts() == {
             "a": {"sessions": 1, "snapshots": 1, "pending_updates": 1}}

@@ -1,4 +1,4 @@
-"""Freshness of delta-maintained statistics, dictionaries and caches.
+"""Freshness of delta-maintained statistics and caches.
 
 After every update batch the incrementally maintained artifacts must
 *equal* their rebuild-from-scratch counterparts:
@@ -8,9 +8,6 @@ After every update batch the incrementally maintained artifacts must
   planner cache must serve the maintained object without a rescan);
 * :class:`DocumentEditor`-maintained :class:`DocumentStats` vs stats
   computed on a cloned, freshly indexed document;
-* :class:`IncrementalInstance` dictionaries vs from-scratch engine
-  dictionaries — same domains while appended codes are live, and
-  code-for-code equality after a vacuum;
 * the planner's :class:`QueryStatistics` entry refreshing (not
   dropping) across updates.
 """
@@ -22,7 +19,6 @@ from repro.data.random_instances import (
     random_multimodel_instance,
     random_relation,
 )
-from repro.engine.dictionary import Dictionary, DictionaryBuilder
 from repro.engine.planner import (
     cached_relation_stats,
     refresh_query_statistics,
@@ -30,7 +26,6 @@ from repro.engine.planner import (
 )
 from repro.relational.statistics import relation_stats
 from repro.updates.documents import DocumentEditor
-from repro.updates.encodings import IncrementalInstance
 from repro.updates.relations import VersionedRelation
 from repro.updates.session import QuerySession
 from repro.xml.columnar import document_stats
@@ -89,76 +84,6 @@ def test_document_stats_follow_every_edit():
             scratch = document_stats(clone_document(document))
             assert maintained == scratch, \
                 f"threshold {threshold}, step {step}"
-
-
-def test_dictionary_codes_follow_updates():
-    rng = seeded_rng("dictionary")
-    relations = [random_relation(rng, "R", ["a", "b"], value_range=6),
-                 random_relation(rng, "S", ["b", "c"], value_range=6)]
-    instance = IncrementalInstance("Q", relations,
-                                   overflow_threshold=0.25)
-    current = {r.name: set(r.rows) for r in relations}
-
-    def scratch_dictionaries() -> dict[str, Dictionary]:
-        builder = DictionaryBuilder()
-        for name, rows in current.items():
-            schema = relations[0].schema if name == "R" \
-                else relations[1].schema
-            builder.add_rows(schema.attributes, rows)
-        return builder.build()
-
-    for step in range(30):
-        name = rng.choice(["R", "S"])
-        row = (rng.randint(0, 12), rng.randint(0, 12))  # grows the domain
-        if rng.random() < 0.6 or not current[name]:
-            current[name].add(row)
-            instance.apply(name, added=[row])
-        else:
-            victim = rng.choice(sorted(current[name]))
-            current[name].discard(victim)
-            instance.apply(name, removed=[victim])
-        for attribute, scratch in scratch_dictionaries().items():
-            maintained = instance.dictionaries[attribute]
-            # Maintained domains cover the live values (supersets only
-            # through not-yet-vacuumed deletions)...
-            for value in scratch.values:
-                assert maintained.encode(value) is not None
-            # ...and every maintained code decodes to its own value.
-            for value, code in maintained.codes.items():
-                assert maintained.decode(code) == value
-
-    # After a vacuum, codes equal a from-scratch build, code for code.
-    instance.vacuum()
-    for attribute, scratch in scratch_dictionaries().items():
-        maintained = instance.dictionaries[attribute]
-        assert list(maintained.values) == list(scratch.values), attribute
-        assert maintained.codes == scratch.codes, attribute
-        assert maintained.overflow == 0
-
-
-def test_trie_contents_track_rows_through_compaction():
-    rng = seeded_rng("tries")
-    relation = random_relation(rng, "R", ["a", "b"], value_range=4)
-    instance = IncrementalInstance("Q", [relation],
-                                   overflow_threshold=0.1)
-    rows = set(relation.rows)
-    for step in range(25):
-        row = (rng.randint(0, 30), rng.randint(0, 30))
-        if rng.random() < 0.7 or not rows:
-            rows.add(row)
-            instance.apply("R", added=[row])
-        else:
-            victim = rng.choice(sorted(rows))
-            rows.discard(victim)
-            instance.apply("R", removed=[victim])
-        trie, _positions = instance.tries["R"]
-        decoded = {
-            tuple(instance.dictionaries[a].decode(code)
-                  for a, code in zip(trie.order, encoded_row))
-            for encoded_row in trie.tuples()}
-        assert decoded == rows, f"step {step}"
-        assert trie.size == len(rows)
-    assert instance.compactions > 0  # threshold 0.1 must have tripped
 
 
 def test_trie_delta_rejects_wrong_arity():
