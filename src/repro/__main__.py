@@ -582,7 +582,8 @@ def cmd_explain(spec: str = "skewed", workers: int = 0) -> int:
         seen_text = "?" if seen is None else f"{seen}"
         spent_text = "?" if spent is None else f"{spent:.2f}"
         print(f"    {attribute:<12} est {estimate_text:>10}   "
-              f"observed {seen_text:>10}   {spent_text:>8} ms")
+              f"observed {seen_text:>10}   {spent_text:>8} ms"
+              + ("   tested, not enumerated" * (attribute == plan.tested)))
     print(f"  result: {len(result)} rows")
     races = racer.races
     replanned = planner.plan(query, workers=workers)

@@ -22,12 +22,18 @@ input* (:attr:`TwigDecomposition.pairs`), the binary relation of
 pairs. XJoin joins the pair inputs alongside the path relations, so a
 cut edge still connects its two sub-twigs in the join; the paper's size
 bound is computed over the path relations alone.
+
+Neither kind of input is ever a table of rows: :func:`twig_input` reads
+one column per attribute off the columnar arrays (chain ids from the
+path index and ``parents``, values from the tag's one cached gather,
+node identities as the codes of :mod:`repro.core.surrogate`).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import compress
 from typing import TYPE_CHECKING
 
 from repro.relational.relation import Relation
@@ -93,6 +99,10 @@ class EdgeAtom:
     name: str
     parent: TwigNode
     child: TwigNode
+
+    @property
+    def nodes(self) -> tuple[TwigNode, TwigNode]:
+        return (self.parent, self.child)
 
     @property
     def axis(self) -> Axis:
@@ -161,41 +171,33 @@ def decompose(twig: TwigQuery) -> TwigDecomposition:
                              paths=tuple(paths), pairs=pairs)
 
 
-def _iter_path_chain_ids(view: ColumnarDocument, path: PathRelation
-                         ) -> Iterator[tuple[int, ...]]:
-    """Node-id chains matching the path's P-C pattern, via the columnar
-    path index.
+def _path_chains(view: ColumnarDocument, path: PathRelation
+                 ) -> list[list[int]]:
+    """The node-id chains matching the path's P-C pattern, as one id
+    column per path node (row-parallel), straight off the path index.
 
     A chain of consecutive P-C edges with tags t1/../tk ends at a node
     whose interned root tag path ends with that tag suffix, so the tag
-    structure is checked **once per distinct document path**; per node
-    only the parent-array ascent and the value predicates remain.
+    structure is checked **once per distinct document path**; the upper
+    columns are the ``parents`` column applied to the one below, and a
+    value predicate is one mask over its node's column.
     """
     tags = tuple(node.tag for node in path.nodes)
     k = len(tags)
-    leaf_tid = view.tag_index.get(tags[-1])
-    if leaf_tid is None:
-        return
-    values = view.values
-    parents = view.parents
-    query_nodes = path.nodes
-    predicated = any(q.predicate is not None for q in query_nodes)
-    for pid in view.pids_by_last_tag.get(leaf_tid, ()):
+    leaves: list[int] = []
+    for pid in view.pids_by_last_tag.get(view.tag_index.get(tags[-1]), ()):
         document_path = view.paths[pid]
-        if len(document_path) < k or document_path[-k:] != tags:
-            continue
-        for nid in view.nids_by_path[pid]:
-            chain = [nid]
-            current = nid
-            for _ in range(k - 1):
-                current = parents[current]
-                chain.append(current)
-            chain.reverse()
-            if predicated and not all(
-                    q.matches_value(values[c])
-                    for q, c in zip(query_nodes, chain)):
-                continue
-            yield tuple(chain)
+        if len(document_path) >= k and document_path[-k:] == tags:
+            leaves.extend(view.nids_by_path[pid])
+    columns = [leaves]
+    for _ in range(k - 1):
+        columns.insert(0, list(map(view.parents.__getitem__, columns[0])))
+    for position, node in enumerate(path.nodes):
+        if node.predicate is not None:
+            keep = list(map(node.predicate,
+                            _values_at(view, node.tag, columns[position])))
+            columns = [list(compress(column, keep)) for column in columns]
+    return columns
 
 
 def iter_path_chains(document: XMLDocument, path: PathRelation
@@ -207,28 +209,48 @@ def iter_path_chains(document: XMLDocument, path: PathRelation
     """
     view = columnar(document)
     nodes_of = view.nodes
-    for chain in _iter_path_chain_ids(view, path):
+    for chain in zip(*_path_chains(view, path)):
         yield tuple(nodes_of[nid] for nid in chain)
 
 
-def _value_rows(view: ColumnarDocument, chains, names: tuple[str, ...],
-                structural: frozenset[str]) -> Iterator[tuple]:
-    """The join-value tuple of each node-id chain: typed values, with
-    valueless nodes of *structural* attributes bound by identity
-    (:mod:`repro.core.surrogate`) instead of the conflating ``None``."""
-    from repro.core.surrogate import NodeSurrogate
+def _values_at(view: ColumnarDocument, tag: str, nids: list[int]) -> list:
+    """``values[nid]`` per entry of *nids* (nodes of *tag*, any order,
+    repeats allowed), read off the tag's one cached gather."""
+    value_of = dict(zip(view.postings(tag)[0], view.tag_values(tag)))
+    return list(map(value_of.__getitem__, nids))
 
-    values = view.values
-    starts = view.starts
-    use_surrogate = [name in structural for name in names]
-    for chain in chains:
-        row = []
-        for nid, flag in zip(chain, use_surrogate):
-            value = values[nid]
-            if value is None and flag:
-                value = NodeSurrogate(starts[nid])
-            row.append(value)
-        yield tuple(row)
+
+def _columns(view: ColumnarDocument, atom: "PathRelation | EdgeAtom",
+             bound: frozenset[str]) -> list[list]:
+    """One column per attribute of *atom*, row-parallel (rows may
+    repeat): typed values, or the node's identity code
+    (:class:`repro.core.surrogate.NodeDictionary`) for the attributes in
+    *bound*. A node is represented alike in every input of its twig, so
+    path and pair tries intersect on one code space."""
+    from repro.core.surrogate import node_dictionary
+
+    if isinstance(atom, PathRelation):
+        chains = _path_chains(view, atom)
+    else:
+        # The accelerator's stack-tree merge over the two candidate
+        # postings: O(|upper| + |lower| + output), no self pairs.
+        pairs = axis_pairs(view.stream(atom.parent), view.stream(atom.child),
+                           view.levels, Axis.DESCENDANT)
+        nid_of = view.nid_index.__getitem__
+        chains = [list(map(nid_of, starts)) for starts in zip(*pairs)] \
+            if pairs else [[], []]
+    return [list(map(node_dictionary(view, node.tag).node_codes.__getitem__,
+                     nids))
+            if node.name in bound else _values_at(view, node.tag, nids)
+            for node, nids in zip(atom.nodes, chains)]
+
+
+def _input_key(atom: "PathRelation | EdgeAtom",
+               bound: frozenset[str]) -> tuple:
+    """What a twig input's rows depend on: the atom's kind and name,
+    each query node's tag and predicate, its identity-bound attributes."""
+    return (type(atom), atom.name,
+            tuple((node.tag, node.predicate) for node in atom.nodes), bound)
 
 
 def twig_input(document: XMLDocument, atom: "PathRelation | EdgeAtom",
@@ -239,40 +261,41 @@ def twig_input(document: XMLDocument, atom: "PathRelation | EdgeAtom",
     relation or an A-D pair input — whether this call built it).
 
     It hangs in the columnar view's ``derived`` dict (so it lives as
-    long as the view's arrays are current), keyed by what the rows
-    depend on: the atom's kind and name, each query node's tag and
-    predicate, its identity-bound attributes, and the column order —
-    the atom's attributes as they appear in *order*. Rows are read
-    straight from the columnar arrays; a node is represented alike in
-    path and pair rows, so their tries intersect on one dictionary.
+    long as the view's arrays are current), keyed by :func:`_input_key`
+    and the column order — the atom's attributes as they appear in
+    *order*. Columns are gathered in bulk (:func:`_columns`): a value
+    column is encoded through the input's local dictionary, an
+    identity-bound one already holds its tag's shared node codes.
     """
     # Imported lazily: repro.engine imports this package's siblings.
-    from repro.engine.encoded import encoded_input
+    from repro.core.surrogate import node_dictionary
+    from repro.engine.dictionary import Dictionary
+    from repro.engine.encoded import EncodedInput, encoded_input
 
     view = columnar(document)
     names = atom.attributes
     columns = names if order is None \
         else tuple(a for a in order if a in names)
     bound = structural.intersection(names)
-    nodes = atom.nodes if isinstance(atom, PathRelation) \
-        else (atom.parent, atom.child)
-    key = (type(atom), atom.name,
-           tuple((node.tag, node.predicate) for node in nodes), bound)
+    key = _input_key(atom, bound)
 
-    def rows() -> set[tuple]:
-        if isinstance(atom, PathRelation):
-            chains = _iter_path_chain_ids(view, atom)
-        else:
-            # The accelerator's stack-tree merge over the two candidate
-            # postings: O(|upper| + |lower| + output), no self pairs.
-            nid_of = view.nid_index
-            chains = ((nid_of[upper], nid_of[lower]) for upper, lower
-                      in axis_pairs(view.stream(atom.parent),
-                                    view.stream(atom.child),
-                                    view.levels, Axis.DESCENDANT))
-        return set(_value_rows(view, chains, names, bound))
+    def build(local: dict) -> "EncodedInput":
+        gathered = dict(zip(names, _columns(view, atom, bound)))
+        for node in atom.nodes:
+            name = node.name
+            if name in bound:
+                local[name] = node_dictionary(view, node.tag)
+                continue
+            if name not in local:
+                local[name] = Dictionary(name, set(gathered[name]))
+            gathered[name] = map(local[name].codes.__getitem__,
+                                 gathered[name])
+        rows = set(zip(*[gathered[a] for a in columns]))
+        view.derived[(*key, "size")] = len(rows)
+        return EncodedInput(atom.name, columns,
+                            [local[a] for a in columns], rows)
 
-    return encoded_input(view.derived, key, atom.name, names, columns, rows)
+    return encoded_input(view.derived, key, columns, build)
 
 
 def materialize_path_relation(document: XMLDocument,
@@ -284,16 +307,23 @@ def materialize_path_relation(document: XMLDocument,
     materialising a relation (the paper: "we do not physically transform
     them into relational tables").
     """
-    view = columnar(document)
-    return Relation(path.name, path.attributes, _value_rows(
-        view, _iter_path_chain_ids(view, path), path.attributes,
-        frozenset()))
+    return Relation(path.name, path.attributes,
+                    zip(*_columns(columnar(document), path, frozenset())))
 
 
-def path_relation_cardinality(document: XMLDocument, path: PathRelation,
+def path_relation_cardinality(document: XMLDocument,
+                              atom: "PathRelation | EdgeAtom",
                               structural: frozenset[str] = frozenset()
                               ) -> int:
-    """Distinct tuple count of the path relation in *document*: the
-    size of the trie XJoin joins (surrogate-aware under *structural*),
-    so Lemma 3.5's bound and the algorithm see the same cardinalities."""
-    return twig_input(document, path, structural)[0].trie.size
+    """Distinct tuple count of the path relation (or A-D pair input)
+    *atom* in *document*: the size of the trie XJoin joins
+    (identity-aware under *structural*), so Lemma 3.5's bound and the
+    algorithm see the same cardinalities. :func:`twig_input` notes it
+    under any column order; else it is counted with no trie built."""
+    view = columnar(document)
+    bound = structural.intersection(atom.attributes)
+    key = (*_input_key(atom, bound), "size")
+    size = view.derived.get(key)
+    if size is None:
+        size = view.derived[key] = len(set(zip(*_columns(view, atom, bound))))
+    return size

@@ -21,7 +21,7 @@ from repro.core.decomposition import (
     TwigDecomposition,
     decompose,
     materialize_path_relation,
-    twig_input,
+    path_relation_cardinality,
 )
 from repro.core.hypergraph import Hypergraph
 from repro.errors import QueryError
@@ -129,10 +129,11 @@ class MultiModelQuery:
             structural = self.structural_attributes(binding)
             for atom in decomposition.paths + (
                     decomposition.pairs if ad_pairs else ()):
-                # The size of the atom's cached trie: what XJoin joins.
-                cardinality = (
-                    twig_input(binding.document, atom, structural)[0]
-                    .trie.size if with_cardinalities else None)
+                # The size of the atom's trie, whichever column order
+                # XJoin built it in (else counted, without one).
+                cardinality = path_relation_cardinality(
+                    binding.document, atom, structural) \
+                    if with_cardinalities else None
                 graph.add_edge(atom.name, atom.attributes,
                                cardinality=cardinality)
         return graph

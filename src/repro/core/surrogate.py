@@ -18,11 +18,26 @@ the final result, preserving the value-level query semantics.
 
 The size bound is computed over the same surrogate-aware cardinalities,
 keeping Lemma 3.5 aligned with what the tries actually store.
+
+Inside the engine an identity is an **int code**, never an object: a
+:class:`NodeDictionary` is the code space of one tag of one columnar
+view — the tag's distinct real values, then its valueless nodes in
+document order (the ``sort_key`` order of their surrogates). Every twig
+input binding an attribute by identity reads its codes there, one C-level
+lookup per node id, so a twig's inputs agree without a dictionary merge
+and nothing is hashed or ``repr``-sorted per node. A surrogate *object*
+exists only once somebody decodes an un-erased identity code (the
+structure validator, tests).
 """
 
 from __future__ import annotations
 
-from repro.relational.schema import Value
+from bisect import bisect_left
+from collections.abc import Mapping, Sequence
+from itertools import accumulate, compress
+
+from repro.engine.dictionary import Dictionary
+from repro.relational.schema import Value, sort_key
 from repro.xml.model import XMLNode
 
 
@@ -62,12 +77,90 @@ def erase_surrogates(row: tuple) -> tuple:
                  for value in row)
 
 
-def erased_table(dictionary, values: tuple) -> tuple:
-    """The decode table *values* with surrogates erased, so decoding a
-    column through it erases as it goes. Built once per *dictionary* and
-    remembered on it (a worker's instance shell has none: None)."""
-    if dictionary is None:
-        return erase_surrogates(values)
-    if dictionary._erased is None:
-        dictionary._erased = erase_surrogates(values)
-    return dictionary._erased
+class _SurrogateValues(Sequence):
+    """A decode table: ``head`` (real values), then one surrogate per
+    start label of ``starts``, made when indexed."""
+
+    def __init__(self, head: tuple, starts: Sequence[int]):
+        self.head, self.starts = head, starts
+
+    def __len__(self) -> int:
+        return len(self.head) + len(self.starts)
+
+    def __eq__(self, other: object) -> bool:
+        # Two views built by racing threads give equal tables: merging
+        # their dictionaries must find them equal, not enumerate them.
+        return isinstance(other, _SurrogateValues) and \
+            (self.head, self.starts) == (other.head, other.starts)
+
+    def __getitem__(self, code: int) -> Value:
+        offset = code - len(self.head)
+        return self.head[code] if offset < 0 \
+            else NodeSurrogate(self.starts[offset])
+
+
+class _SurrogateCodes(Mapping):
+    """The inverse of a :class:`_SurrogateValues` table (value -> code)."""
+
+    def __init__(self, values: _SurrogateValues):
+        self.values = values
+        self.head = {value: code for code, value in enumerate(values.head)}
+
+    def __getitem__(self, value: Value) -> int:
+        if not isinstance(value, NodeSurrogate):
+            return self.head[value]
+        starts = self.values.starts
+        offset = bisect_left(starts, value.start)
+        if offset == len(starts) or starts[offset] != value.start:
+            raise KeyError(value)
+        return len(self.head) + offset
+
+    def __iter__(self):
+        return iter(self.values)
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+
+class NodeDictionary(Dictionary):
+    """The identity code space of one tag's nodes (module docstring).
+    ``node_codes`` maps node id -> code; ``values`` / ``codes`` keep the
+    :class:`Dictionary` contract lazily; the erased decode table is
+    ready, so a run that erases allocates no surrogate."""
+
+    __slots__ = ("node_codes",)
+
+    def __init__(self, tag: str, nids: Sequence[int],
+                 starts: Sequence[int], values: Sequence[Value]):
+        """*nids*, *starts* and *values* are the tag's posting columns."""
+        missing = [value is None for value in values]
+        head = tuple(sorted(set(values).difference((None,)), key=sort_key))
+        identities = list(compress(starts, missing))
+        self.attribute = tag
+        self.values = _SurrogateValues(head, identities)
+        self.codes = table = _SurrogateCodes(self.values)
+        if not identities:
+            codes = map(table.head.__getitem__, values)
+        elif not head:
+            codes = range(len(missing))
+        else:
+            first = len(head) - 1  # ranks among the valueless start at 1
+            codes = [first + rank if absent else table.head[value]
+                     for value, absent, rank
+                     in zip(values, missing, accumulate(missing))]
+        self.node_codes: dict[int, int] = dict(zip(nids, codes))
+        self._merged = None
+        self._erased = head + (None,) * len(identities)
+
+
+def node_dictionary(view, tag: str) -> NodeDictionary:
+    """The one :class:`NodeDictionary` of *tag* in the columnar *view*,
+    kept with the view's other derived state."""
+    found = view.derived.get(("node_dictionary", tag))
+    if found is None:
+        nids, starts, _ends = view.postings(tag)
+        # setdefault: threads racing on a first use must agree on one.
+        found = view.derived.setdefault(
+            ("node_dictionary", tag),
+            NodeDictionary(tag, nids, starts, view.tag_values(tag)))
+    return found

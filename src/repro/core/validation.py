@@ -221,3 +221,29 @@ def validation_points(query: "MultiModelQuery", order: Sequence[str]
             points[binding.name] = max(binding.twig.attributes,
                                        key=level.__getitem__)
     return points
+
+
+def tested_attribute(query: "MultiModelQuery", order: Sequence[str],
+                     validated_at: "dict[str, str | None]") -> "str | None":
+    """The last attribute of *order* when XJoin *tests* it instead of
+    enumerating it, else None.
+
+    An attribute is **existential** when it is structural for its twig
+    and every candidate node is valueless: its output column is ``None``
+    throughout, so under set semantics a prefix tuple needs one witness.
+    Expanded last, with no structure check waiting on its code
+    (*validated_at* of its twig is None), its level is a semi-join;
+    anywhere else, or under a scheduled check, it is enumerated.
+    """
+    if not order:
+        return None
+    last = order[-1]
+    for binding in query.twigs:
+        node = next((q for q in binding.twig.nodes() if q.name == last), None)
+        if node is None or validated_at.get(binding.name) is not None:
+            continue
+        real, valueless = columnar(binding.document).domain(node)
+        if valueless and not real \
+                and last in query.structural_attributes(binding):
+            return last
+    return None

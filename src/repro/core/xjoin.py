@@ -13,11 +13,11 @@ Since the engine refactor this module is the multi-model *front-end*: it
 resolves the expansion order (:mod:`repro.core.planner`), assembles one
 dictionary-encoded :class:`~repro.engine.encoded.EncodedInstance` —
 relations and path relations indexed as int-coded tries over shared
-per-attribute dictionaries, path rows gathered from the document's
-P-C chains without ever materialising a relation (the paper's "we do
-not physically transform them into relational tables"; a transient
-row set feeds the one encode per input version) — and invokes the
-registered ``xjoin`` operator
+per-attribute dictionaries, path columns gathered in bulk from the
+columnar arrays without ever materialising a relation (the paper's "we
+do not physically transform them into relational tables"; node
+identities are int codes, :mod:`repro.core.surrogate`) — and invokes
+the registered ``xjoin`` operator
 (:class:`repro.engine.algorithms.XJoinAlgorithm`).
 
 Twig structure is part of the join, not a callback after it — the
@@ -36,9 +36,11 @@ one and only path:
   (:class:`repro.core.validation.StructureValidator`);
 * and it is skipped when the decomposition proves the join already
   implies an embedding
-  (:func:`repro.core.validation.join_implies_embedding`).
+  (:func:`repro.core.validation.join_implies_embedding`) — and then an
+  *existential* node expanded last is tested for one witness, not
+  enumerated (:func:`repro.core.validation.tested_attribute`).
 
-All three only shrink intermediate results, and the size bound is still
+All of these only shrink intermediate results, and the size bound is still
 computed over the P-C path relations alone, so Lemma 3.5 holds as
 stated. ``validate_structure=False`` evaluates the paper's plain
 relaxation instead (paths only, no pairs, no check) — the ablation and

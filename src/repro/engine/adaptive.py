@@ -63,6 +63,8 @@ from repro.engine.interface import get_algorithm
 from repro.engine.planner import (
     QueryPlan,
     attribute_order,
+    existential_last,
+    linked_attributes,
     plan_query,
     register_order_policy,
     run_query,
@@ -142,14 +144,13 @@ def _extension_bound(query: "MultiModelQuery", attribute: str,
     For a relation sharing an already-bound attribute ``b``, at most
     ``max_frequency(b)`` rows — hence distinct *attribute* values —
     extend one prefix tuple; a disconnected input caps extensions at
-    its distinct count. Twig inputs contribute their candidate
-    distinct-value counts (the columnar stats carry no per-pair
-    frequencies, so the twig-side bound is the loose one). The minimum
-    over covering inputs is sound because every covering input must
-    agree on the attribute's value.
+    its distinct count. Twig inputs contribute their candidate-domain
+    sizes (:meth:`QueryStatistics.twig_domains`: a node bound by
+    identity counts one per candidate; the columnar stats carry no
+    per-pair frequencies, so the twig-side bound is the loose one). The
+    minimum over covering inputs is sound because every covering input
+    must agree on the attribute's value.
     """
-    from repro.xml.columnar import columnar
-
     stats = statistics_for(query)
     best = math.inf
     source = ""
@@ -165,16 +166,10 @@ def _extension_bound(query: "MultiModelQuery", attribute: str,
             extension = columns[attribute].distinct
         if extension < best:
             best, source = extension, relation.name
-    for binding in query.twigs:
-        if attribute not in binding.twig.attributes:
-            continue
-        view = columnar(binding.document)
-        for query_node in binding.twig.nodes():
-            if query_node.name != attribute:
-                continue
-            extension = view.distinct_value_count(query_node)
-            if extension < best:
-                best, source = extension, binding.name
+    for (twig, name), (extension, _existential) \
+            in stats.twig_domains().items():
+        if name == attribute and extension < best:
+            best, source = extension, twig
     if best is math.inf:  # unreachable for well-formed queries
         best = 1.0
     return float(best), source
@@ -504,6 +499,17 @@ def _bound_driven_order(query: "MultiModelQuery",
     always via the lexicographic order tie-break.
     """
     attributes = query.attributes
+    # No cross products: a set is extended by the attributes sharing a
+    # joined input with it while there are any — the twig-side bounds
+    # know no per-pair frequencies, so they cannot tell a connected
+    # extension from a cartesian one.
+    linked = linked_attributes(query)
+
+    def extensions(chosen) -> "list[str]":
+        rest = [a for a in attributes if a not in chosen]
+        return [a for a in rest
+                if any(a in linked[b] for b in chosen)] or rest
+
     if len(attributes) > MAX_DP_ATTRIBUTES:
         remaining = set(attributes)
         order: list[str] = []
@@ -518,7 +524,7 @@ def _bound_driven_order(query: "MultiModelQuery",
                         query, source, attribute, tuple(order))
                 return (extension, attribute)
 
-            pick = min(remaining, key=cost)
+            pick = min(extensions(bound), key=cost)
             order.append(pick)
             remaining.discard(pick)
         return tuple(order)
@@ -533,9 +539,7 @@ def _bound_driven_order(query: "MultiModelQuery",
         successors: dict[frozenset,
                          tuple[float, float, tuple[str, ...], float]] = {}
         for subset, (worst, total, order, cumulative) in states.items():
-            for attribute in attributes:
-                if attribute in subset:
-                    continue
+            for attribute in extensions(subset):
                 extension, source = _extension_bound(query, attribute,
                                                      set(subset))
                 if store is not None:
@@ -649,7 +653,8 @@ class PlanRacer:
         for policy in RACE_POLICIES:
             # ``corrected`` reads this racer's store; the registered
             # policy only knows the process-wide default one.
-            order = _bound_driven_order(query, self.store) \
+            order = existential_last(
+                query, _bound_driven_order(query, self.store)) \
                 if policy == "corrected" else attribute_order(query, policy)
             estimates = estimated_stage_sizes(query, order, self.store)
             worst = max((e.cumulative for e in estimates), default=0.0)
@@ -848,7 +853,8 @@ class AdaptivePlanner:
                               workers=workers)
             plan = replace(plan, policy=winner.policy)
         else:
-            order = _bound_driven_order(query, self.store)
+            order = existential_last(
+                query, _bound_driven_order(query, self.store))
             plan = plan_query(query, order=order, workers=workers)
             plan = replace(plan, policy="corrected")
         estimates = estimated_stage_sizes(query, plan.order, self.store)

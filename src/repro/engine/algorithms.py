@@ -28,7 +28,10 @@ size — the quantity Lemma 3.5 bounds. A frontier longer than
 :data:`_CHUNK` is cut into slices that are expanded one after the other
 (breadth first inside a chunk, depth first over chunks), so transient
 memory is O(chunk x fan-out x depth) whatever the stage sizes are;
-stage counts and level times are summed across chunks.
+stage counts and level times are summed across chunks. One level may
+be a *witness test* instead: XJoin's last level, when its attribute is
+existential (``TwigFilters.tested``), keeps the entries whose candidate
+sets share a code without expanding them — stage = survivors.
 
 LFTJ keeps its sorted-iterator kernel (it is the seek-based family and
 the only one that counts comparisons); its innermost level runs as one
@@ -42,10 +45,11 @@ kernel are the *candidates examined*: per level, summed over the
 frontier entries, the size of the smallest candidate set among the
 level's participants (the side the C intersection iterates; tries not
 yet descended share one root and are pooled into one set, intersected
-once). They are computed in bulk, only when a caller collects stats,
-as are the per-level wall times recorded in ``JoinStats.phase_times``
-under each stage's label. Seek totals are comparable across engine
-algorithms, not across engine versions.
+once; a tested level counts the same sets, an upper bound on what its
+short-circuiting probes examine). They are computed in bulk, only when
+a caller collects stats, as are the per-level wall times recorded in
+``JoinStats.phase_times`` under each stage's label. Seek totals are
+comparable across engine algorithms, not across engine versions.
 """
 
 from __future__ import annotations
@@ -123,22 +127,26 @@ def _spreader(counts, total):
 
 
 def _frontier_join(instance: EncodedInstance, stats: JoinStats,
-                   label: str, checks=None) -> "list[list[int]]":
+                   label: str, filters=None) -> "list[list[int]]":
     """Expand *instance* level at a time (see the module docstring);
     returns the result as one code column per level of the order.
 
-    ``checks[level]`` are the twig structure checks XJoin runs on the
-    frontier a level produces, after it is counted as the level's stage:
-    once per distinct code projection, then one mask over the columns
-    and node lists. Set-up is O(inputs x depth) — nothing here may touch
-    a whole root, the plan racer extrapolates from 1-code slices — and
-    nothing is remembered on trie nodes (the update layer's tries change
-    between runs).
+    ``filters.checks[level]`` are the twig structure checks XJoin runs
+    on the frontier a level produces, after it is counted as the level's
+    stage: once per distinct code projection, then one mask over the
+    columns and node lists. A last level that is ``filters.tested`` is
+    not expanded: an entry survives when its candidate sets share a
+    code (its column comes back as zeros; the decoder knows). Set-up is
+    O(inputs x depth) — nothing here may touch a whole root, the plan
+    racer extrapolates from 1-code slices — and nothing is remembered on
+    trie nodes (the update layer's tries change between runs).
     """
     order, tries = instance.order, instance.tries
     depth = len(order)
     if not depth:
         return []
+    checks = filters.checks if filters else None
+    tested = depth - 1 if filters and filters.tested == order[-1] else -1
     # Below its last level a trie has nothing to read: not descended.
     last = [order.index(trie.order[-1]) if trie.order else -1
             for trie in tries]
@@ -164,9 +172,21 @@ def _frontier_join(instance: EncodedInstance, stats: JoinStats,
         if fresh:  # one root each, shared by every entry: met once, last
             shared = reduce(and_, [_candidates(tries[i].root) for i in fresh])
             views.append(repeat(shared, size))
-        commons = list(reduce(lambda met, view: map(and_, met, view), views))
-        counts = list(map(len, commons))
-        codes = list(chain.from_iterable(commons))
+        if level == tested:
+            # A witness test: every view but the last is met as usual,
+            # the last only probed until the first common code. The
+            # counts are the verdicts, 0 or 1 per entry.
+            *rest, final = views
+            counts = list(map(bool, final)) if not rest else [
+                not common.isdisjoint(view) for common, view in zip(
+                    reduce(lambda met, view: map(and_, met, view), rest),
+                    final)]
+            codes = [0] * counts.count(True)
+        else:
+            commons = list(reduce(lambda met, view: map(and_, met, view),
+                                  views))
+            counts = list(map(len, commons))
+            codes = list(chain.from_iterable(commons))
         if counting:
             sizes = [map(len, nodes[i]) for i in held]
             if fresh:
@@ -349,10 +369,8 @@ class XJoinAlgorithm:
                 "is a trie-less reference instance (baseline only)")
         if instance.has_empty_input():
             return _empty_result(stats, query.name, query.attributes)
-        filters = instance.twig_filters
         return instance.result_relation(
-            _frontier_join(instance, stats, "expand",
-                           filters.checks if filters else None),
+            _frontier_join(instance, stats, "expand", instance.twig_filters),
             query.attributes, query.name)
 
 

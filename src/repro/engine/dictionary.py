@@ -46,7 +46,7 @@ class Dictionary:
         self.codes: dict[Value, int] = {
             value: code for code, value in enumerate(self.values)}
         self._merged = None  #: last merge_dictionaries answer led by this
-        self._erased = None  #: core.surrogate.erased_table of ``values``
+        self._erased = None  #: NodeDictionary: ``values``, identities erased
 
     def encode(self, value: Value) -> int:
         """The code of *value*; raises :class:`EngineError` if unknown."""

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from itertools import repeat
 from operator import itemgetter
 from typing import TYPE_CHECKING
 
@@ -316,11 +317,14 @@ class TwigFilters:
     the global order and the twig's validator. ``validated_at`` names
     that attribute per twig — None when the check is skipped because the
     join already implies an embedding (see
-    :func:`repro.core.validation.join_implies_embedding`)."""
+    :func:`repro.core.validation.join_implies_embedding`). ``tested`` is
+    the order's last attribute when its level is a witness test instead
+    of an enumeration (:func:`repro.core.validation.tested_attribute`)."""
 
     checks: "list[list[tuple[tuple[int, ...], StructureValidator]]]" = \
         field(default_factory=list)
     validated_at: "dict[str, str | None]" = field(default_factory=dict)
+    tested: "str | None" = None
 
 
 def _global_order(schemas: Sequence[Sequence[str]],
@@ -344,26 +348,21 @@ def _global_order(schemas: Sequence[Sequence[str]],
 class EncodedInput:
     """One input under one column order, cached for the input's version:
     its own (*local*) ``dictionaries``, one per column of ``trie.order``
-    over exactly the values stored there, and the ``trie`` over their
-    codes. No reference leads back to the relation, document or query,
-    so the artefact dies with them."""
+    — over exactly the values stored there, or a twig tag's shared
+    identity code space (:class:`repro.core.surrogate.NodeDictionary`) —
+    and the ``trie`` over their codes. No reference leads back to the
+    relation, document or query, so the artefact dies with them."""
 
     __slots__ = ("dictionaries", "trie", "_rekeyed")
 
-    def __init__(self, name: str, attributes: Sequence[str],
-                 columns: Sequence[str], rows: "set | frozenset",
-                 local: "dict[str, Dictionary]"):
-        """Encode the distinct *rows* over *attributes*, indexed in the
-        order *columns*. *local* holds the input's dictionaries by
-        attribute, shared by its column orders; missing ones are added."""
-        positions = [attributes.index(a) for a in columns]
-        for attribute, position in zip(columns, positions):
-            if attribute not in local:
-                local[attribute] = Dictionary(
-                    attribute, set(map(itemgetter(position), rows)))
-        self.dictionaries = tuple(local[a] for a in columns)
+    def __init__(self, name: str, columns: Sequence[str],
+                 dictionaries: Sequence[Dictionary],
+                 encoded_rows: "Iterable[tuple[int, ...]]"):
+        """Index the distinct *encoded_rows* (codes of *dictionaries*,
+        one per column) in the order *columns*."""
+        self.dictionaries = tuple(dictionaries)
         self.trie = EncodedTrie(
-            name, columns, encode_rows(rows, positions, self.dictionaries),
+            name, columns, encoded_rows,
             code_bounds=[len(d) - 1 for d in self.dictionaries])
         self.trie._typecodes = None  # frozen: shared from here on
         self._rekeyed = None  #: last answer of trie_under: (wanted, trie)
@@ -386,17 +385,17 @@ class EncodedInput:
         return memo[1]
 
 
-def encoded_input(cache: dict, key: tuple, name: str,
-                  attributes: Sequence[str], columns: tuple[str, ...],
-                  rows) -> tuple[EncodedInput, bool]:
+def encoded_input(cache: dict, key: tuple, columns: tuple[str, ...],
+                  build) -> tuple[EncodedInput, bool]:
     """(the artefact of input *key* under *columns*, whether this call
-    built it — from ``rows()``, its distinct rows). *cache* lives and
-    dies with the input: its artefact dict, its view's ``derived``."""
+    built it — ``build(local)``, *local* being the input's dictionaries
+    by attribute, shared by its column orders and filled as they are
+    made). *cache* lives and dies with the input: its artefact dict,
+    its view's ``derived``."""
     found = cache.get((*key, columns))
     if found is not None:
         return found, False
-    built = cache[(*key, columns)] = EncodedInput(
-        name, attributes, columns, rows(),
+    built = cache[(*key, columns)] = build(
         cache.setdefault((*key, "dictionaries"), {}))
     return built, True
 
@@ -407,10 +406,21 @@ def relation_input(relation: Relation, order: Sequence[str]
     # Imported lazily: the planner, which owns the cache, sits above.
     from repro.engine.planner import relation_artefacts
 
-    return encoded_input(
-        relation_artefacts(relation), (), relation.name,
-        relation.schema.attributes, relation.schema.restrict_order(order),
-        lambda: relation.rows)
+    attributes = relation.schema.attributes
+    columns = relation.schema.restrict_order(order)
+
+    def build(local: "dict[str, Dictionary]") -> EncodedInput:
+        rows = relation.rows
+        positions = [attributes.index(a) for a in columns]
+        for attribute, position in zip(columns, positions):
+            if attribute not in local:
+                local[attribute] = Dictionary(
+                    attribute, set(map(itemgetter(position), rows)))
+        dictionaries = [local[a] for a in columns]
+        return EncodedInput(relation.name, columns, dictionaries,
+                            encode_rows(rows, positions, dictionaries))
+
+    return encoded_input(relation_artefacts(relation), (), columns, build)
 
 
 class EncodedInstance:
@@ -457,10 +467,17 @@ class EncodedInstance:
         dictionaries and key every cached trie by the result."""
         binders: dict[str, list[Dictionary]] = {}
         for artefact, _built in inputs:
-            for local in artefact.dictionaries:
-                binders.setdefault(local.attribute, []).append(local)
-        dictionaries = {attribute: merge_dictionaries(local)
-                        for attribute, local in binders.items()}
+            for attribute, local in zip(artefact.trie.order,
+                                        artefact.dictionaries):
+                known = binders.setdefault(attribute, [])
+                if not any(local is peer for peer in known):
+                    known.append(local)
+        # A twig's inputs share one dictionary per identity-bound
+        # attribute: one binder, nothing to merge.
+        dictionaries = {
+            attribute: local[0] if len(local) == 1
+            else merge_dictionaries(local)
+            for attribute, local in binders.items()}
         instance = cls(name, order, dictionaries,
                        [artefact.trie_under(dictionaries)
                         for artefact, _built in inputs], **carried)
@@ -503,6 +520,7 @@ class EncodedInstance:
         from repro.core.decomposition import twig_input
         from repro.core.validation import (
             StructureValidator,
+            tested_attribute,
             validation_points,
         )
 
@@ -535,6 +553,8 @@ class EncodedInstance:
                     [instance.dictionaries[a].values for a in names])
                 filters.checks[expansion.index(attribute)].append(
                     (tuple(expansion.index(a) for a in names), validator))
+        filters.tested = tested_attribute(query, expansion,
+                                          filters.validated_at)
         instance.twig_filters = filters
         return instance
 
@@ -567,18 +587,22 @@ class EncodedInstance:
         level's decode table (surrogates erased there, not row by row,
         when the instance erases structural attributes) and one C-level
         transpose makes the rows, whose arity is right by construction.
-        No column at all is the zero-arity join of inputs none of which
-        is empty (:meth:`has_empty_input`): TRUE.
+        A *tested* attribute (``twig_filters.tested``) has no codes to
+        decode: its column is ``None`` throughout. No column at all is
+        the zero-arity join of inputs none of which is empty
+        (:meth:`has_empty_input`): TRUE.
         """
         attributes = self.order if attributes is None else tuple(attributes)
         tables = self._level_values
-        if self.erase_structural:
-            from repro.core.surrogate import erased_table
-
-            tables = [erased_table(self.dictionaries.get(attribute), values)
+        if self.erase_structural:  # identities live in NodeDictionary only
+            tables = [getattr(self.dictionaries.get(attribute), "_erased",
+                              None) or values
                       for attribute, values in zip(self.order, tables)]
+        tested = self.twig_filters.tested if self.twig_filters else None
         levels = [self.order.index(attribute) for attribute in attributes]
-        rows = zip(*[map(tables[level].__getitem__, columns[level])
+        rows = zip(*[repeat(None, len(columns[level]))
+                     if self.order[level] == tested
+                     else map(tables[level].__getitem__, columns[level])
                      for level in levels]) if levels else [()]
         return Relation.trusted(name or self.name, Schema(attributes),
                                 frozenset(rows))

@@ -109,8 +109,10 @@ class QueryStatistics:
     one stats source for relational and tree inputs alike.
     ``domain_estimate(a)`` is the smallest number of distinct values any
     input offers for attribute ``a`` — the planner's candidate-domain
-    estimate; ``path_cardinality_estimates`` bounds each decomposed
-    path relation by the document's matching chain count.
+    estimate (a twig node bound by identity offers one value per
+    valueless candidate, as the tries do); ``path_cardinality_estimates``
+    bounds each decomposed path relation by the document's matching
+    chain count.
     """
 
     def __init__(self, query: "MultiModelQuery"):
@@ -119,6 +121,7 @@ class QueryStatistics:
         self._query_ref = weakref.ref(query)
         self._estimates: dict[str, int] | None = None
         self._path_estimates: dict[str, int] | None = None
+        self._twig_domains: dict | None = None
 
     def invalidate(self) -> None:
         """Drop the memoised estimates so the next read re-derives them.
@@ -130,6 +133,7 @@ class QueryStatistics:
         inputs, never from a rescan of rows or a document walk."""
         self._estimates = None
         self._path_estimates = None
+        self._twig_domains = None
 
     @property
     def query(self) -> "MultiModelQuery":
@@ -150,10 +154,29 @@ class QueryStatistics:
 
         return document_stats(document)
 
-    def domain_estimates(self) -> dict[str, int]:
-        """Smallest per-attribute distinct-value count any input offers."""
+    def twig_domains(self) -> dict[tuple[str, str], tuple[int, bool]]:
+        """Per (twig name, attribute): (candidate-domain size, is the
+        node *existential*?). Bound by value a node offers its distinct
+        values; bound by identity — structural for its twig — each
+        valueless candidate besides, and it is existential when it has
+        no other (:func:`repro.core.validation.tested_attribute`)."""
         from repro.xml.columnar import columnar
 
+        if self._twig_domains is None:
+            domains = self._twig_domains = {}
+            for binding in self.query.twigs:
+                view = columnar(binding.document)
+                structural = self.query.structural_attributes(binding)
+                for node in binding.twig.nodes():
+                    real, valueless = view.domain(node)
+                    identity = node.name in structural
+                    domains[binding.name, node.name] = (
+                        real + (valueless if identity else bool(valueless)),
+                        identity and not real and valueless > 0)
+        return self._twig_domains
+
+    def domain_estimates(self) -> dict[str, int]:
+        """Smallest per-attribute distinct-value count any input offers."""
         if self._estimates is not None:
             return self._estimates
         estimates: dict[str, int] = {}
@@ -167,11 +190,9 @@ class QueryStatistics:
             stats = self.relation_stats(relation)
             for attribute, column in stats.columns.items():
                 shrink(attribute, column.distinct)
-        for binding in self.query.twigs:
-            view = columnar(binding.document)
-            for query_node in binding.twig.nodes():
-                shrink(query_node.name,
-                       view.distinct_value_count(query_node))
+        for (_twig, attribute), (count, _existential) \
+                in self.twig_domains().items():
+            shrink(attribute, count)
         self._estimates = estimates
         return estimates
 
@@ -246,31 +267,30 @@ def domain_order(query: "MultiModelQuery") -> tuple[str, ...]:
                         key=lambda a: (estimates.get(a, 0), a)))
 
 
+def linked_attributes(query: "MultiModelQuery") -> dict[str, frozenset[str]]:
+    """Per attribute, the attributes of the inputs XJoin joins on it
+    (relations, path relations, A-D pair inputs), itself included."""
+    graph = query.hypergraph(with_cardinalities=False, ad_pairs=True)
+    return {a: frozenset().union(*(edge.vertices for edge
+                                   in graph.edges_covering(a)))
+            for a in query.attributes}
+
+
 def connected_order(query: "MultiModelQuery") -> tuple[str, ...]:
     """Greedy connected order over the joined hypergraph (relations,
     path relations and A-D pair inputs)."""
-    graph = query.hypergraph(with_cardinalities=False, ad_pairs=True)
+    linked = linked_attributes(query)
     estimates = statistics_for(query).domain_estimates()
     remaining = set(query.attributes)
     order: list[str] = []
-
-    def neighbours(attribute: str) -> set[str]:
-        out: set[str] = set()
-        for edge in graph.edges_covering(attribute):
-            out.update(edge.vertices)
-        out.discard(attribute)
-        return out
-
     connected: set[str] = set()
     while remaining:
-        if connected & remaining:
-            pool = connected & remaining
-        else:
-            pool = remaining  # start (or restart on a disconnected part)
+        # Start (or restart on a disconnected part) from any attribute.
+        pool = (connected & remaining) or remaining
         pick = min(pool, key=lambda a: (estimates.get(a, 0), a))
         order.append(pick)
         remaining.discard(pick)
-        connected.update(neighbours(pick))
+        connected.update(linked[pick])
     return tuple(order)
 
 
@@ -297,13 +317,38 @@ def register_order_policy(name: str,
     ORDER_STRATEGIES[name] = strategy
 
 
+def existential_last(query: "MultiModelQuery",
+                     order: tuple[str, ...]) -> tuple[str, ...]:
+    """*order* with an existential attribute
+    (:meth:`QueryStatistics.twig_domains`) moved to the end when the
+    stage-estimate model puts the worst stage of the order without such
+    attributes at no more than its candidate count: first it would open
+    with the larger stage; last it is a test, not an enumeration
+    (:func:`repro.core.validation.tested_attribute`). Every policy's
+    pick passes through here; an explicit order is obeyed as given."""
+    candidates = {attribute: count for (_twig, attribute), (count, existential)
+                  in statistics_for(query).twig_domains().items()
+                  if existential}
+    if not candidates:
+        return order
+    # Imported lazily: the adaptive layer sits above the planner.
+    from repro.engine.adaptive import estimated_stage_sizes
+
+    rest = tuple(a for a in order if a not in candidates)
+    worst = max((estimate.cumulative for estimate
+                 in estimated_stage_sizes(query, rest)), default=1.0)
+    moved = tuple(a for a in order if a in candidates
+                  and worst <= candidates[a])
+    return tuple(a for a in order if a not in moved) + moved
+
+
 def attribute_order(query: "MultiModelQuery",
                     order: "str | tuple[str, ...] | list[str] | None" = None
                     ) -> tuple[str, ...]:
     """Resolve an order argument: a strategy name, an explicit order, or
     None (the ``appearance`` default)."""
     if order is None:
-        return appearance_order(query)
+        return existential_last(query, appearance_order(query))
     if isinstance(order, str):
         try:
             strategy = ORDER_STRATEGIES[order]
@@ -311,7 +356,7 @@ def attribute_order(query: "MultiModelQuery",
             raise PlanError(
                 f"unknown order policy {order!r}; "
                 f"choose from {sorted(ORDER_STRATEGIES)!r}") from None
-        return strategy(query)
+        return existential_last(query, strategy(query))
     explicit = tuple(order)
     if sorted(explicit) != sorted(query.attributes):
         raise PlanError(
@@ -348,6 +393,10 @@ class QueryPlan:
     #: the encoder, which derives the decision anew from the same
     #: :func:`repro.core.validation.validation_points`.
     validation: tuple[tuple[str, str | None], ...] = ()
+    #: The order's last attribute when XJoin tests it for a witness
+    #: instead of enumerating it (informational, derived like
+    #: ``validation``: :func:`repro.core.validation.tested_attribute`).
+    tested: str | None = None
     #: Morsel count for partition-parallel execution (1 = serial).
     partitions: int = 1
     #: The attribute whose domain the partitions slice (None = serial).
@@ -513,16 +562,19 @@ def plan_query(query: "MultiModelQuery", *,
         sorted(statistics_for(query).path_cardinality_estimates().items())
     ) if query.twigs else ()
     validation: tuple[tuple[str, str | None], ...] = ()
+    tested = None
     if query.twigs and algorithm == "xjoin":
-        from repro.core.validation import validation_points
+        from repro.core.validation import tested_attribute, validation_points
 
-        validation = tuple(validation_points(query, resolved).items())
+        points = validation_points(query, resolved)
+        validation = tuple(points.items())
+        tested = tested_attribute(query, resolved, points)
     partitions, partition_axis = choose_partitions(
         query, resolved, workers or 1, morsel_factor=morsel_factor)
     return QueryPlan(order=resolved, algorithm=algorithm, policy=policy,
                      twig_algorithms=tuple(twig_algorithms),
                      path_cardinalities=path_cardinalities,
-                     validation=validation,
+                     validation=validation, tested=tested,
                      partitions=partitions, partition_axis=partition_axis)
 
 

@@ -210,9 +210,10 @@ class ColumnarDocument:
         #: start label -> node id (starts identify nodes uniquely).
         self.nid_index: dict[int, int] = {
             start: nid for nid, start in enumerate(starts)}
-        #: Derived from the arrays above and memoised per view: value
-        #: indexes (:meth:`value_index`), encoded twig inputs. They share
-        #: the view's lifetime: evicted with it, and dropped by
+        #: Derived from the arrays above and memoised per view: per-tag
+        #: value gathers (:meth:`tag_values`), what is read off them
+        #: (value indexes, domains, node codes), encoded twig inputs.
+        #: They share the view's lifetime: evicted with it, and dropped by
         #: :func:`install_columnar` after every update-layer splice.
         self.derived: dict = {}
 
@@ -260,7 +261,8 @@ class ColumnarDocument:
         """
         nids, starts, ends = self.postings(query_node.tag)
         if query_node.predicate is not None and len(nids):
-            keep = list(map(query_node.predicate, self.values_of(nids)))
+            keep = list(map(query_node.predicate,
+                            self.tag_values(query_node.tag)))
             nids = pack(list(compress(nids, keep)))
             starts = pack(list(compress(starts, keep)))
             ends = pack(list(compress(ends, keep)))
@@ -275,6 +277,17 @@ class ColumnarDocument:
             return list(map(values.__getitem__, nids))
         return values.gather(nids)
 
+    def tag_values(self, tag: str) -> list:
+        """The typed values of *tag*'s posting, parallel to its node
+        ids: **one** :meth:`values_of` gather per tag and view version,
+        shared by :meth:`domain`, :meth:`value_index`, predicate masks
+        and XJoin's twig inputs."""
+        key = ("tag_values", tag)
+        values = self.derived.get(key)
+        if values is None:
+            values = self.derived[key] = self.values_of(self.postings(tag)[0])
+        return values
+
     def value_index(self, tag: str) -> "dict[Value | None, list[int]]":
         """``typed value -> node ids`` (ascending, i.e. document order)
         of one tag's posting, built once per view.
@@ -287,10 +300,10 @@ class ColumnarDocument:
         index = self.derived.get(key)
         if index is None:
             index = {}
-            values = self.values
-            for nid in self.postings(tag)[0]:
-                index.setdefault(values[nid], []).append(nid)
-            self.derived[key] = index
+            for value, nid in zip(self.tag_values(tag),
+                                  self.postings(tag)[0]):
+                index.setdefault(value, []).append(nid)
+            self.derived[key] = index  # whole, or not there: readers race
         return index
 
     def ancestry(self, nid: int) -> list[int]:
@@ -302,18 +315,26 @@ class ColumnarDocument:
         chain.reverse()
         return chain
 
+    def domain(self, query_node: TwigNode) -> tuple[int, int]:
+        """(distinct real values, valueless nodes) among the query
+        node's candidates, memoised per (tag, predicate). Bound by value
+        the valueless are one more value (``None``); bound by identity
+        (:mod:`repro.core.surrogate`), one each."""
+        key = ("domain", query_node.tag, query_node.predicate)
+        found = self.derived.get(key)
+        if found is None:
+            values = self.tag_values(query_node.tag)
+            if query_node.predicate is not None:
+                values = list(filter(query_node.predicate, values))
+            valueless = values.count(None)
+            found = self.derived[key] = (
+                len(set(values)) - bool(valueless), valueless)
+        return found
+
     def distinct_value_count(self, query_node: TwigNode) -> int:
         """Distinct typed values among the query node's candidates."""
-        tid = self.tag_index.get(query_node.tag)
-        if tid is None:
-            return 0
-        values = self.values
-        if query_node.predicate is None:
-            seen = {values[nid] for nid in self.tag_nids[tid]}
-        else:
-            seen = {values[nid] for nid in self.tag_nids[tid]
-                    if query_node.matches_value(values[nid])}
-        return len(seen)
+        real, valueless = self.domain(query_node)
+        return real + bool(valueless)
 
     def __reduce__(self):
         """Columnar views are structurally unpicklable (zero-copy rule).

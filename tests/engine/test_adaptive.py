@@ -324,15 +324,19 @@ class TestPlanRacer:
         assert key(racer.race(query).winner) == key(ranked[1])
 
     def test_corrected_candidate_reads_the_racers_own_store(self):
-        # figure1's corrections flip the bound-driven order; they live
-        # in a private store, so the registered ``corrected`` policy
-        # (process-wide default store) cannot see them — the racer must.
+        # Corrections learned on figure1 flip the bound-driven order;
+        # they live in a private store, so the registered ``corrected``
+        # policy (process-wide default store) cannot see them — the
+        # racer must. The raw bounds are sound upper bounds (orderLine
+        # counts its candidates), so observing the bound order itself
+        # only confirms it: the observed order is another one.
         from repro.data.scenarios import figure1_query
         from repro.engine.adaptive import _bound_driven_order
 
         query = figure1_query()
         store = FeedbackStore()
-        observe_once(store, query, bound_order(query))
+        observe_once(store, query, ("orderID", "userID", "orderLine",
+                                    "price", "ISBN"))
         flipped = _bound_driven_order(query, store)
         assert flipped != bound_order(query)
         assert attribute_order(query, "corrected") == bound_order(query)

@@ -477,6 +477,45 @@ class TestTwigInputIdentity:
         assert stats.inputs == {"R": [1, 0], "X[b/y]": [0, 1]}
 
 
+class TestTwigInputSize:
+    """The bound's cardinalities are the sizes of the tries XJoin
+    joins, read without building one in a second column order."""
+
+    def test_size_bound_after_a_run_builds_and_caches_nothing(
+            self, monkeypatch):
+        from repro.core.decomposition import path_relation_cardinality
+        from repro.data.dblp import dblp_document, dblp_query
+        from repro.engine import encoded
+
+        query = dblp_query(dblp_document(300))
+        stats = JoinStats()
+        run_query(query, stats=stats)
+        assert stats.inputs_built == 3
+        view = columnar(query.twigs[0].document)
+        keys = set(view.derived)
+        built = []
+        monkeypatch.setattr(encoded.EncodedTrie, "__init__",
+                            lambda *args, **kwargs: built.append(args))
+        sizes = {edge.name: edge.cardinality
+                 for edge in query.hypergraph(ad_pairs=True).edges}
+        assert query.size_bound().bound > 0
+        assert not built and set(view.derived) == keys
+        monkeypatch.undo()
+        again = JoinStats()
+        run_query(query, stats=again)
+        assert again.inputs_built == 0
+        articles = len(query.twigs[0].document.nodes("article"))
+        assert sizes == {"eras": 30, "X[a/y]": articles, "X[a/j]": articles}
+        # ... and the same count, from the gather alone, on a cold view.
+        cold = dblp_query(dblp_document(300))
+        structural = cold.structural_attributes(cold.twigs[0])
+        for path in cold.decompositions["X"].paths:
+            assert path_relation_cardinality(
+                cold.twigs[0].document, path, structural) == articles
+        assert not any(isinstance(value, encoded.EncodedInput) for value
+                       in columnar(cold.twigs[0].document).derived.values())
+
+
 # -- (h) concurrent assembly -----------------------------------------------
 
 def test_four_threads_on_one_query_all_return_the_oracle():
@@ -501,6 +540,42 @@ def test_four_threads_on_one_query_all_return_the_oracle():
     assert not any(thread.is_alive() for thread in threads)
     assert not errors
     assert len(results) == 20 and all(r == oracle for r in results)
+
+
+def test_threads_racing_on_a_cold_identity_bound_twig_agree():
+    """A first use from several threads at once: every input of the
+    twig must end up on one code space per identity-bound attribute
+    (two would be merged into a dictionary that erases nothing)."""
+    import sys
+
+    from repro.service.corpus import corpus_query
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(12):
+            query = corpus_query("bookstore:orders=40,users=12")  # cold
+            results, errors = [], []
+            barrier = threading.Barrier(4)
+
+            def worker():
+                try:
+                    barrier.wait(timeout=10)
+                    results.append(run_query(query))
+                except Exception as exc:  # surfaced below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=worker) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not errors
+            oracle = query.naive_join()
+            assert len(results) == 4 and all(r == oracle for r in results)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # -- (i) the shared leaf ---------------------------------------------------

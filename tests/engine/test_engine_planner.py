@@ -125,3 +125,74 @@ class TestPlanChoice:
         query = MultiModelQuery([Relation("E", ("z",)),
                                  Relation("R", ("z",), [(1,)])])
         assert len(run_query(query)) == 0
+
+
+class TestIdentityBoundEstimates:
+    """A twig node bound by identity offers one value per valueless
+    candidate — what the tries store — not the one distinct ``None``."""
+
+    @staticmethod
+    def executed(query):
+        from repro.engine.adaptive import (
+            estimated_stage_sizes,
+            observed_stage_sizes,
+        )
+        from repro.instrumentation import JoinStats
+
+        plan = plan_query(query)
+        stats = JoinStats()
+        run_query(query, order=plan.order, stats=stats)
+        observed = observed_stage_sizes(stats, plan.order)
+        return plan, [(estimate.attribute, estimate.cumulative,
+                       observed[estimate.attribute])
+                      for estimate in estimated_stage_sizes(query,
+                                                            plan.order)]
+
+    def test_dblp_articles_count_their_candidates(self):
+        from repro.data.dblp import dblp_document, dblp_query
+
+        document = dblp_document(2000)
+        query = dblp_query(document)
+        articles = len(document.nodes("article"))
+        assert statistics_for(query).domain_estimate("a") == articles > 1000
+        plan, stages = self.executed(query)
+        assert plan.order[-1] == plan.tested == "a"
+        for attribute, estimated, observed in stages:
+            assert estimated >= observed, attribute
+        assert max(observed for _a, _e, observed in stages) < articles
+
+    def test_bookstore_order_lines_count_their_candidates(self):
+        from repro.service.corpus import corpus_query
+
+        query = corpus_query("bookstore:orders=200,users=40")
+        lines = len(query.twigs[0].document.nodes("orderLine"))
+        assert statistics_for(query).domain_estimate("orderLine") \
+            == lines == 200
+        plan, stages = self.executed(query)
+        # 200 x 200 x 72 without it: enumerated where the policy put it.
+        assert plan.tested is None and plan.order[-1] != "orderLine"
+        for attribute, estimated, observed in stages:
+            assert estimated >= observed, attribute
+
+    def test_mixed_tag_counts_values_and_identities(self):
+        doc = XMLDocument(element(
+            "r", element("x", text="7"), element("x", text="7"),
+            element("x"), element("x")))
+        query = MultiModelQuery([], [TwigBinding(parse_twig("x"), doc)])
+        assert statistics_for(query).domain_estimate("x") == 3
+        assert statistics_for(query).twig_domains()["X", "x"] == (3, False)
+        shared = MultiModelQuery([Relation("R", ("x",), [(7,), (None,)])],
+                                 [TwigBinding(parse_twig("x"), doc)])
+        assert statistics_for(shared).domain_estimate("x") == 2
+
+    def test_an_explicit_order_is_obeyed(self):
+        from repro.data.dblp import dblp_document, dblp_query
+
+        query = dblp_query(dblp_document(300))
+        given = ("a", "j", "y", "era")
+        plan = plan_query(query, order=given)
+        assert plan.order == given and plan.tested is None
+        for policy in ("appearance", "domain", "connected", "bound"):
+            assert plan_query(query, order=policy).order[-1] == "a"
+            assert run_query(query, order=policy) == run_query(
+                query, order=given)

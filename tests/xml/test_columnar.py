@@ -230,3 +230,68 @@ class TestPlannedTwigAlgorithms:
                              sample_document())])
         with pytest.raises(PlanError, match="cannot evaluate"):
             plan_query(branching, twig_algorithm="pathstack")
+
+
+class TestTagValues:
+    """``value_index`` and the domain counts read one cached gather per
+    tag and view version, on every view kind."""
+
+    TEXT = ("<r><a>7</a><a/><a>7</a><a>x</a><b><a/></b>"
+            "<c>1</c><c>2</c></r>")
+
+    @staticmethod
+    def reference(view, tag):
+        index = {}
+        for nid in view.postings(tag)[0]:
+            index.setdefault(view.values[nid], []).append(nid)
+        return index
+
+    def check(self, view):
+        for tag in ("a", "c", "zzz"):
+            index = self.reference(view, tag)
+            assert view.value_index(tag) == index
+            node = TwigNode(tag)
+            assert view.distinct_value_count(node) == len(index)
+            assert view.domain(node) == (
+                len(index) - (None in index), len(index.get(None, ())))
+        odd = TwigNode("c", predicate=lambda v: v == 1)
+        assert view.domain(odd) == (1, 0)
+        assert view.distinct_value_count(odd) == 1
+
+    def test_in_memory_view(self):
+        from repro.xml.parser import parse_document
+
+        self.check(columnar(parse_document(self.TEXT)))
+
+    def test_attached_arena_gathers_once_per_tag(self, monkeypatch):
+        from repro.xml.arenaview import ArenaValues, attach_arena_document
+        from repro.xml.streaming import stream_document
+
+        calls = []
+        gather = ArenaValues.gather
+        monkeypatch.setattr(
+            ArenaValues, "gather",
+            lambda self, nids: calls.append(len(nids)) or gather(self, nids))
+        arena = stream_document([self.TEXT])
+        try:
+            _handle, view = attach_arena_document(arena)
+            self.check(view)
+            self.check(view)
+            assert sorted(calls) == [0, 2, 5]  # zzz, c and a: once each
+        finally:
+            arena.close()
+            arena.unlink()
+
+    def test_patched_view_gathers_afresh(self):
+        from repro.updates.documents import DocumentEditor
+        from repro.xml.parser import parse_document
+
+        document = parse_document(self.TEXT)
+        before = columnar(document)
+        self.check(before)
+        assert before.domain(TwigNode("a")) == (2, 2)
+        DocumentEditor(document).change_value(document.nodes("a")[1], "9")
+        after = columnar(document)
+        assert ("tag_values", "a") not in after.derived
+        self.check(after)
+        assert after.domain(TwigNode("a")) == (3, 1)
