@@ -32,8 +32,7 @@ structure validator, tests).
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from itertools import accumulate, compress
 
 from repro.engine.dictionary import Dictionary
@@ -99,34 +98,12 @@ class _SurrogateValues(Sequence):
             else NodeSurrogate(self.starts[offset])
 
 
-class _SurrogateCodes(Mapping):
-    """The inverse of a :class:`_SurrogateValues` table (value -> code)."""
-
-    def __init__(self, values: _SurrogateValues):
-        self.values = values
-        self.head = {value: code for code, value in enumerate(values.head)}
-
-    def __getitem__(self, value: Value) -> int:
-        if not isinstance(value, NodeSurrogate):
-            return self.head[value]
-        starts = self.values.starts
-        offset = bisect_left(starts, value.start)
-        if offset == len(starts) or starts[offset] != value.start:
-            raise KeyError(value)
-        return len(self.head) + offset
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
 class NodeDictionary(Dictionary):
     """The identity code space of one tag's nodes (module docstring).
-    ``node_codes`` maps node id -> code; ``values`` / ``codes`` keep the
-    :class:`Dictionary` contract lazily; the erased decode table is
-    ready, so a run that erases allocates no surrogate."""
+    ``node_codes`` maps node id -> code; ``values`` decodes lazily and
+    ``codes`` knows the real values only (an identity is never encoded
+    from an object); the erased decode table is ready, so a run that
+    erases allocates no surrogate."""
 
     __slots__ = ("node_codes",)
 
@@ -138,17 +115,12 @@ class NodeDictionary(Dictionary):
         identities = list(compress(starts, missing))
         self.attribute = tag
         self.values = _SurrogateValues(head, identities)
-        self.codes = table = _SurrogateCodes(self.values)
-        if not identities:
-            codes = map(table.head.__getitem__, values)
-        elif not head:
-            codes = range(len(missing))
-        else:
-            first = len(head) - 1  # ranks among the valueless start at 1
-            codes = [first + rank if absent else table.head[value]
-                     for value, absent, rank
-                     in zip(values, missing, accumulate(missing))]
-        self.node_codes: dict[int, int] = dict(zip(nids, codes))
+        self.codes = {value: code for code, value in enumerate(head)}
+        first = len(head) - 1  # ranks among the valueless start at 1
+        self.node_codes: dict[int, int] = dict(zip(nids, (
+            first + rank if absent else self.codes[value]
+            for value, absent, rank
+            in zip(values, missing, accumulate(missing)))))
         self._merged = None
         self._erased = head + (None,) * len(identities)
 

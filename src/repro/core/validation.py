@@ -226,24 +226,17 @@ def validation_points(query: "MultiModelQuery", order: Sequence[str]
 def tested_attribute(query: "MultiModelQuery", order: Sequence[str],
                      validated_at: "dict[str, str | None]") -> "str | None":
     """The last attribute of *order* when XJoin *tests* it instead of
-    enumerating it, else None.
-
-    An attribute is **existential** when it is structural for its twig
-    and every candidate node is valueless: its output column is ``None``
-    throughout, so under set semantics a prefix tuple needs one witness.
-    Expanded last, with no structure check waiting on its code
-    (*validated_at* of its twig is None), its level is a semi-join;
-    anywhere else, or under a scheduled check, it is enumerated.
-    """
-    if not order:
-        return None
-    last = order[-1]
+    enumerating it, else None: it is existential
+    (:meth:`ColumnarDocument.is_existential`, read afresh — a stale
+    verdict would be wrong rows) and no structure check waits on its
+    code (*validated_at* of its twig is None), so its level is a
+    semi-join. Anywhere else, or under a check, it is enumerated."""
+    last = order[-1] if order else None
     for binding in query.twigs:
-        node = next((q for q in binding.twig.nodes() if q.name == last), None)
-        if node is None or validated_at.get(binding.name) is not None:
-            continue
-        real, valueless = columnar(binding.document).domain(node)
-        if valueless and not real \
-                and last in query.structural_attributes(binding):
+        if validated_at.get(binding.name) is None and any(
+                node.name == last
+                and columnar(binding.document).is_existential(node, True)
+                and last in query.structural_attributes(binding)
+                for node in binding.twig.nodes()):
             return last
     return None

@@ -62,7 +62,9 @@ from repro.engine.encoded import EncodedInstance
 from repro.engine.interface import get_algorithm
 from repro.engine.planner import (
     QueryPlan,
+    _extension_bound,
     attribute_order,
+    estimated_stage_sizes,
     existential_last,
     linked_attributes,
     plan_query,
@@ -114,89 +116,6 @@ def input_versions(query: "MultiModelQuery") -> dict[str, tuple]:
         versions[binding.name] = ("doc", id(binding.document),
                                   binding.document.version)
     return versions
-
-
-# ---------------------------------------------------------------------------
-# stage estimates (the UES/AGM-style upper-bound model)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class StageEstimate:
-    """One expansion level's estimated output upper bound.
-
-    ``extension`` is the per-prefix-tuple binding bound contributed by
-    ``source`` (the tightest covering input); ``cumulative`` is the
-    running product — the upper bound on partial tuples alive after
-    this level, the quantity the planner wants small early.
-    """
-
-    attribute: str
-    prefix: tuple[str, ...]
-    source: str
-    extension: float
-    cumulative: float
-
-
-def _extension_bound(query: "MultiModelQuery", attribute: str,
-                     bound: "set[str]") -> tuple[float, str]:
-    """(bound, source input) on bindings of *attribute* per prefix tuple.
-
-    For a relation sharing an already-bound attribute ``b``, at most
-    ``max_frequency(b)`` rows — hence distinct *attribute* values —
-    extend one prefix tuple; a disconnected input caps extensions at
-    its distinct count. Twig inputs contribute their candidate-domain
-    sizes (:meth:`QueryStatistics.twig_domains`: a node bound by
-    identity counts one per candidate; the columnar stats carry no
-    per-pair frequencies, so the twig-side bound is the loose one). The
-    minimum over covering inputs is sound because every covering input
-    must agree on the attribute's value.
-    """
-    stats = statistics_for(query)
-    best = math.inf
-    source = ""
-    for relation in query.relations:
-        if attribute not in relation.schema.attributes:
-            continue
-        columns = stats.relation_stats(relation).columns
-        shared = [b for b in relation.schema.attributes
-                  if b in bound and b != attribute]
-        if shared:
-            extension = min(columns[b].max_frequency for b in shared)
-        else:
-            extension = columns[attribute].distinct
-        if extension < best:
-            best, source = extension, relation.name
-    for (twig, name), (extension, _existential) \
-            in stats.twig_domains().items():
-        if name == attribute and extension < best:
-            best, source = extension, twig
-    if best is math.inf:  # unreachable for well-formed queries
-        best = 1.0
-    return float(best), source
-
-
-def estimated_stage_sizes(query: "MultiModelQuery",
-                          order: "tuple[str, ...]",
-                          store: "FeedbackStore | None" = None
-                          ) -> list[StageEstimate]:
-    """Per-prefix output upper bounds for expanding *query* in *order*.
-
-    With *store* the raw bounds are multiplied by the (version-fresh)
-    learned correction factors, turning upper bounds into calibrated
-    estimates; without it they are the pure UES/AGM-style bounds.
-    """
-    estimates: list[StageEstimate] = []
-    cumulative = 1.0
-    prefix: tuple[str, ...] = ()
-    for attribute in order:
-        extension, source = _extension_bound(query, attribute, set(prefix))
-        if store is not None:
-            extension *= store.stage_factor(query, source, attribute, prefix)
-        cumulative *= extension
-        estimates.append(StageEstimate(attribute, prefix, source,
-                                       extension, cumulative))
-        prefix += (attribute,)
-    return estimates
 
 
 def observed_stage_sizes(stats: JoinStats,

@@ -465,18 +465,16 @@ class EncodedInstance:
                   **carried) -> "EncodedInstance":
         """The one construction path: merge the inputs' local
         dictionaries and key every cached trie by the result."""
-        binders: dict[str, list[Dictionary]] = {}
+        binders: dict[str, dict[int, Dictionary]] = {}
         for artefact, _built in inputs:
             for attribute, local in zip(artefact.trie.order,
                                         artefact.dictionaries):
-                known = binders.setdefault(attribute, [])
-                if not any(local is peer for peer in known):
-                    known.append(local)
+                binders.setdefault(attribute, {})[id(local)] = local
         # A twig's inputs share one dictionary per identity-bound
         # attribute: one binder, nothing to merge.
         dictionaries = {
-            attribute: local[0] if len(local) == 1
-            else merge_dictionaries(local)
+            attribute: merge_dictionaries(list(local.values()))
+            if len(local) > 1 else next(iter(local.values()))
             for attribute, local in binders.items()}
         instance = cls(name, order, dictionaries,
                        [artefact.trie_under(dictionaries)

@@ -20,6 +20,9 @@ Order policies, preserved from the pre-engine planner as named strategies:
   XJoin actually joins), so a cut ``u//l`` edge still connects ``u`` and
   ``l``; the paper's size bound stays over the P-C paths alone.
 
+Both sort by :meth:`QueryStatistics.order_ranks`; every policy's pick
+then passes through :func:`existential_last`.
+
 Further policies register themselves through
 :func:`register_order_policy` — the adaptive layer
 (:mod:`repro.engine.adaptive`) adds ``bound`` (UES/AGM upper-bound
@@ -29,6 +32,7 @@ driven) and ``corrected`` (bounds calibrated by runtime feedback) when
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
@@ -42,6 +46,7 @@ from repro.relational.statistics import RelationStats, relation_stats
 
 if TYPE_CHECKING:
     from repro.core.multimodel import MultiModelQuery
+    from repro.engine.adaptive import FeedbackStore
     from repro.xml.columnar import DocumentStats
     from repro.xml.model import XMLDocument
     from repro.xml.twig import TwigQuery
@@ -122,6 +127,8 @@ class QueryStatistics:
         self._estimates: dict[str, int] | None = None
         self._path_estimates: dict[str, int] | None = None
         self._twig_domains: dict | None = None
+        self._ranks: dict[str, int] | None = None
+        self._demoted: dict[tuple, tuple] = {}  #: existential_last answers
 
     def invalidate(self) -> None:
         """Drop the memoised estimates so the next read re-derives them.
@@ -133,7 +140,8 @@ class QueryStatistics:
         inputs, never from a rescan of rows or a document walk."""
         self._estimates = None
         self._path_estimates = None
-        self._twig_domains = None
+        self._twig_domains = self._ranks = None
+        self._demoted = {}
 
     @property
     def query(self) -> "MultiModelQuery":
@@ -156,10 +164,10 @@ class QueryStatistics:
 
     def twig_domains(self) -> dict[tuple[str, str], tuple[int, bool]]:
         """Per (twig name, attribute): (candidate-domain size, is the
-        node *existential*?). Bound by value a node offers its distinct
-        values; bound by identity — structural for its twig — each
-        valueless candidate besides, and it is existential when it has
-        no other (:func:`repro.core.validation.tested_attribute`)."""
+        node existential — :meth:`ColumnarDocument.is_existential`?).
+        Bound by value a node offers its distinct values; bound by
+        identity (structural for its twig), each valueless candidate
+        besides."""
         from repro.xml.columnar import columnar
 
         if self._twig_domains is None:
@@ -172,7 +180,7 @@ class QueryStatistics:
                     identity = node.name in structural
                     domains[binding.name, node.name] = (
                         real + (valueless if identity else bool(valueless)),
-                        identity and not real and valueless > 0)
+                        view.is_existential(node, identity))
         return self._twig_domains
 
     def domain_estimates(self) -> dict[str, int]:
@@ -199,6 +207,18 @@ class QueryStatistics:
     def domain_estimate(self, attribute: str) -> int:
         """One attribute's candidate-domain estimate (0 if unbound)."""
         return self.domain_estimates().get(attribute, 0)
+
+    def order_ranks(self) -> dict[str, int]:
+        """What ``domain`` and ``connected`` sort by: the domain
+        estimates, an existential attribute first. Bound, it pins every
+        neighbour in its twig to one node's children, so it opens an
+        order — or closes it as a test (:func:`existential_last`)."""
+        if self._ranks is None:
+            self._ranks = dict(self.domain_estimates())
+            self._ranks.update(
+                (attribute, 1) for (_twig, attribute), (_count, opens)
+                in self.twig_domains().items() if opens)
+        return self._ranks
 
     def path_cardinality_estimates(self) -> dict[str, int]:
         """Estimated size of each decomposed path relation, by name.
@@ -252,6 +272,89 @@ def refresh_query_statistics(query: "MultiModelQuery") -> None:
 
 
 # ---------------------------------------------------------------------------
+# stage estimates (the UES/AGM-style upper-bound model)
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class StageEstimate:
+    """One expansion level's estimated output upper bound.
+
+    ``extension`` is the per-prefix-tuple binding bound contributed by
+    ``source`` (the tightest covering input); ``cumulative`` is the
+    running product — the upper bound on partial tuples alive after
+    this level, the quantity the planner wants small early.
+    """
+
+    attribute: str
+    prefix: tuple[str, ...]
+    source: str
+    extension: float
+    cumulative: float
+
+
+def _extension_bound(query: "MultiModelQuery", attribute: str,
+                     bound: "set[str]") -> tuple[float, str]:
+    """(bound, source input) on bindings of *attribute* per prefix tuple.
+
+    For a relation sharing an already-bound attribute ``b``, at most
+    ``max_frequency(b)`` rows — hence distinct *attribute* values —
+    extend one prefix tuple; a disconnected input caps extensions at
+    its distinct count. Twig inputs contribute their candidate-domain
+    sizes (:meth:`QueryStatistics.twig_domains`: a node bound by
+    identity counts one per candidate; the columnar stats carry no
+    per-pair frequencies, so the twig-side bound is the loose one). The
+    minimum over covering inputs is sound because every covering input
+    must agree on the attribute's value.
+    """
+    stats = statistics_for(query)
+    best = math.inf
+    source = ""
+    for relation in query.relations:
+        if attribute not in relation.schema.attributes:
+            continue
+        columns = stats.relation_stats(relation).columns
+        shared = [b for b in relation.schema.attributes
+                  if b in bound and b != attribute]
+        if shared:
+            extension = min(columns[b].max_frequency for b in shared)
+        else:
+            extension = columns[attribute].distinct
+        if extension < best:
+            best, source = extension, relation.name
+    for (twig, name), (extension, _existential) \
+            in stats.twig_domains().items():
+        if name == attribute and extension < best:
+            best, source = extension, twig
+    if best is math.inf:  # unreachable for well-formed queries
+        best = 1.0
+    return float(best), source
+
+
+def estimated_stage_sizes(query: "MultiModelQuery",
+                          order: "tuple[str, ...]",
+                          store: "FeedbackStore | None" = None
+                          ) -> list[StageEstimate]:
+    """Per-prefix output upper bounds for expanding *query* in *order*.
+
+    With *store* the raw bounds are multiplied by the (version-fresh)
+    learned correction factors, turning upper bounds into calibrated
+    estimates; without it they are the pure UES/AGM-style bounds.
+    """
+    estimates: list[StageEstimate] = []
+    cumulative = 1.0
+    prefix: tuple[str, ...] = ()
+    for attribute in order:
+        extension, source = _extension_bound(query, attribute, set(prefix))
+        if store is not None:
+            extension *= store.stage_factor(query, source, attribute, prefix)
+        cumulative *= extension
+        estimates.append(StageEstimate(attribute, prefix, source,
+                                       extension, cumulative))
+        prefix += (attribute,)
+    return estimates
+
+
+# ---------------------------------------------------------------------------
 # order strategies
 # ---------------------------------------------------------------------------
 
@@ -262,7 +365,7 @@ def appearance_order(query: "MultiModelQuery") -> tuple[str, ...]:
 
 def domain_order(query: "MultiModelQuery") -> tuple[str, ...]:
     """Attributes sorted by estimated domain size (smallest first)."""
-    estimates = statistics_for(query).domain_estimates()
+    estimates = statistics_for(query).order_ranks()
     return tuple(sorted(query.attributes,
                         key=lambda a: (estimates.get(a, 0), a)))
 
@@ -280,7 +383,7 @@ def connected_order(query: "MultiModelQuery") -> tuple[str, ...]:
     """Greedy connected order over the joined hypergraph (relations,
     path relations and A-D pair inputs)."""
     linked = linked_attributes(query)
-    estimates = statistics_for(query).domain_estimates()
+    estimates = statistics_for(query).order_ranks()
     remaining = set(query.attributes)
     order: list[str] = []
     connected: set[str] = set()
@@ -326,20 +429,19 @@ def existential_last(query: "MultiModelQuery",
     with the larger stage; last it is a test, not an enumeration
     (:func:`repro.core.validation.tested_attribute`). Every policy's
     pick passes through here; an explicit order is obeyed as given."""
-    candidates = {attribute: count for (_twig, attribute), (count, existential)
-                  in statistics_for(query).twig_domains().items()
-                  if existential}
-    if not candidates:
-        return order
-    # Imported lazily: the adaptive layer sits above the planner.
-    from repro.engine.adaptive import estimated_stage_sizes
-
-    rest = tuple(a for a in order if a not in candidates)
-    worst = max((estimate.cumulative for estimate
-                 in estimated_stage_sizes(query, rest)), default=1.0)
-    moved = tuple(a for a in order if a in candidates
-                  and worst <= candidates[a])
-    return tuple(a for a in order if a not in moved) + moved
+    stats = statistics_for(query)
+    found = stats._demoted.get(order)
+    if found is None:
+        candidates = {attribute: count for (_twig, attribute), (count, opens)
+                      in stats.twig_domains().items() if opens}
+        rest = tuple(a for a in order if a not in candidates)
+        worst = max((estimate.cumulative for estimate
+                     in estimated_stage_sizes(query, rest)), default=1.0)
+        moved = tuple(a for a in order if a in candidates
+                      and worst <= candidates[a])
+        found = stats._demoted[order] = \
+            tuple(a for a in order if a not in moved) + moved
+    return found
 
 
 def attribute_order(query: "MultiModelQuery",
@@ -430,7 +532,7 @@ def choose_order_policy(query: "MultiModelQuery") -> str:
     order; skewed domains (some attribute much more selective than
     another) benefit from expanding small, connected domains first.
     """
-    estimates = statistics_for(query).domain_estimates()
+    estimates = statistics_for(query).order_ranks()
     sizes = [size for size in estimates.values() if size > 0]
     if len(sizes) >= 2 and max(sizes) >= 4 * min(sizes):
         return "connected"

@@ -331,6 +331,13 @@ class ColumnarDocument:
                 len(set(values)) - bool(valueless), valueless)
         return found
 
+    def is_existential(self, query_node: TwigNode, by_identity: bool) -> bool:
+        """Is the node bound *by_identity* with every candidate
+        valueless? Its output column is then ``None`` throughout (the
+        erasure rule), so under set semantics one witness is enough."""
+        real, valueless = self.domain(query_node)
+        return by_identity and valueless > 0 and not real
+
     def distinct_value_count(self, query_node: TwigNode) -> int:
         """Distinct typed values among the query node's candidates."""
         real, valueless = self.domain(query_node)

@@ -173,6 +173,18 @@ class TestIdentityBoundEstimates:
         assert plan.tested is None and plan.order[-1] != "orderLine"
         for attribute, estimated, observed in stages:
             assert estimated >= observed, attribute
+        # ``domain`` and ``connected`` still open with it (it closes an
+        # order or opens one), so the static plan's widest stage is the
+        # count of order lines whatever rows R holds — the served
+        # workloads' ``max_intermediate`` is exact for a seed.
+        assert plan.order[0] == domain_order(query)[0] == "orderLine"
+        assert max(observed for _a, _e, observed in stages) == lines
+        fewer = MultiModelQuery([Relation("R", ("orderID", "userID"),
+                                          sorted(query.relations[0].rows)[:9])],
+                                query.twigs)
+        plan, stages = self.executed(fewer)
+        assert plan.order[0] == "orderLine"
+        assert max(observed for _a, _e, observed in stages) == lines
 
     def test_mixed_tag_counts_values_and_identities(self):
         doc = XMLDocument(element(
