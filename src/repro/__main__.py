@@ -196,8 +196,8 @@ def cmd_bench_twig(n: int = 150, twig_algorithm: str | None = None,
 
     With ``workers >= 2`` every matcher runs through the
     partition-parallel executor instead of its serial entry point
-    (accel rides the join partitioner on the root tag's pre-range, the
-    navigational matchers the root-posting slicer)."""
+    (all of them on the root-posting slicer; a root posting that fits
+    one chunk of the columnar kernel makes the serial call)."""
     from repro.engine.planner import choose_twig_algorithm
     from repro.xml.interface import available_twig_algorithms, \
         get_twig_algorithm
@@ -322,8 +322,9 @@ def cmd_bench_parallel(n: int = 2000, workers: int = 2,
                 _record(records, result.title, timing.label,
                         timing.parallel_ms, timing.speedup)
         if not result.consistent:
-            print(f"error: {result.title}: parallel answer diverged "
-                  "from serial", file=sys.stderr)
+            print(f"error: {result.title}: parallel answer diverged from "
+                  "serial, or the twig never reached the pool",
+                  file=sys.stderr)
             failures += 1
     return 1 if failures else 0
 
@@ -358,8 +359,9 @@ def cmd_bench_buffers(n: int = 3000, records: list | None = None) -> int:
                 _record(records, result.title, timing.label,
                         timing.buffer_ms, timing.speedup)
         if not result.consistent:
-            print(f"error: {result.title}: batch answer diverged from "
-                  "the list foil", file=sys.stderr)
+            print(f"error: {result.title}: batch answer diverged from the "
+                  "list foil, or the twig never reached the pool",
+                  file=sys.stderr)
             failures += 1
         if not result.attach_only:
             print(f"error: {result.title}: a worker received a pickled "
@@ -472,7 +474,8 @@ def cmd_bench_accel(n: int = 4, workers: int = 0,
     streamed ``xmark-stream`` corpus queried from its mmap arena. Row
     parity across every matcher (and, with ``--workers``, between the
     serial and partition-parallel accelerator runs) is fatal; speedups
-    are reported."""
+    are reported, against a repeat match; the first match of a view
+    version (nothing cached) is printed beside it."""
     from repro.xml.bench import stream_scenario, xmark_scenario
 
     factor = float(max(n, 1))
@@ -482,13 +485,14 @@ def cmd_bench_accel(n: int = 4, workers: int = 0,
     pool = (f"; accel also partition-parallel on {workers} workers"
             if workers >= 2 else "")
     print("accel suite: columnar twig kernel vs holistic matchers "
-          f"(parity fatal, speedups reported{pool})")
+          f"(medians; parity fatal, speedups reported{pool})")
     for result in scenarios:
         print(f"  {result.title}:")
         for timing in result.timings:
             print(f"    {timing.label:<22} {timing.rival:<12} "
-                  f"{timing.rival_ms:8.2f}ms   accel "
-                  f"{timing.accel_ms:8.2f}ms   speedup "
+                  f"{timing.rival_ms:8.2f}ms   accel first "
+                  f"{timing.first_ms:6.2f}ms repeat "
+                  f"{timing.accel_ms:6.2f}ms   speedup "
                   f"{timing.speedup:5.2f}x")
             if records is not None:
                 _record(records, result.title,

@@ -169,6 +169,7 @@ def spawn_twig_scenario(factor: float = 4.0, *, workers: int = 2,
     is verified structurally (the columnar view refuses to pickle) and
     the arena must be gone from ``/dev/shm`` afterwards.
     """
+    from repro.instrumentation import JoinStats
     from repro.parallel.executor import ParallelExecutor
     from repro.xml.columnar import columnar
     from repro.xml.interface import get_twig_algorithm
@@ -182,8 +183,13 @@ def spawn_twig_scenario(factor: float = 4.0, *, workers: int = 2,
 
     serial_ms, serial = _best_of(
         lambda: matcher.run(document, twig), repeats)
+    stats = JoinStats()
     shm_ms, parallel = _best_of(
-        lambda: executor.run_twig(document, twig, "twigstack"), repeats)
+        lambda: executor.run_twig(document, twig, "twigstack", stats=stats),
+        repeats)
+    # The race is against a pool only if the posting really was sliced.
+    pooled = any(record.label.startswith("roots [")
+                 for record in stats.stages)
 
     try:
         pickle.dumps(columnar(document))
@@ -195,6 +201,6 @@ def spawn_twig_scenario(factor: float = 4.0, *, workers: int = 2,
               f"({document.size()} nodes, {workers} workers)",
         timings=(KernelTiming("twigstack (spawn, attach-only)",
                               serial_ms, shm_ms, gated=False),),
-        consistent=parallel == serial,
+        consistent=pooled and parallel == serial,
         attach_only=attach_only,
         leaked=leaked_segments())

@@ -85,15 +85,14 @@ class EdgeAtom:
     """One twig edge viewed as a binary relational atom.
 
     XJoin's pair inputs are the atoms of the cut A-D edges
-    (:attr:`TwigDecomposition.pairs`). The accelerator backend goes all
-    the way: instead of cutting A-D edges and enumerating P-C paths,
-    *every* edge — either axis — becomes one binary atom
-    ``E_parent_child(parent, child)`` over the region labels, with the
-    axis kept as a range predicate (materialised by
-    :func:`repro.xml.accel.edge_relation`). The twig is then exactly a
-    tree-shaped conjunctive query: each non-root node appears in one
-    atom as the child, so joining the atoms on the shared node
-    variables yields precisely the embeddings.
+    (:attr:`TwigDecomposition.pairs`). Seen whole, *every* edge —
+    either axis — is one binary atom ``E_parent_child(parent, child)``
+    over the region labels, with the axis a range predicate, and the
+    twig exactly a tree-shaped conjunctive query: each non-root node
+    appears in one atom as the child, so joining the atoms on the
+    shared node variables yields precisely the embeddings. The
+    columnar kernel (:mod:`repro.xml.accel`) evaluates that query
+    without materialising an atom.
     """
 
     name: str
@@ -115,12 +114,6 @@ class EdgeAtom:
     def __repr__(self) -> str:
         return (f"EdgeAtom({self.name}({self.parent.name}, "
                 f"{self.axis}{self.child.name}))")
-
-
-def edge_atoms(twig: TwigQuery) -> tuple[EdgeAtom, ...]:
-    """The accelerator's edge-atom decomposition of *twig* (pre-order)."""
-    return tuple(EdgeAtom(f"E_{parent.name}_{child.name}", parent, child)
-                 for parent, child in twig.edges())
 
 
 def subtwig_root_nodes(twig: TwigQuery) -> list[TwigNode]:

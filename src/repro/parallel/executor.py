@@ -189,9 +189,14 @@ class ParallelExecutor:
         Partitioned by the root query node's posting ranges; each
         morsel's answer is the value projection of the embeddings rooted
         in its slice, so the union is exactly the serial ``run`` answer.
+        Every matcher rides these slices; ``accel``, which works a chunk
+        of root candidates at a time (:data:`repro.xml.accel.CHUNK`),
+        makes the serial call for a root posting that fits one.
         """
+        from repro.xml import accel
         from repro.xml.columnar import columnar
         from repro.xml.interface import get_twig_algorithm
+        from repro.xml.twig import ValueSet
 
         stats = ensure_stats(stats)
         if algorithm is None:
@@ -202,42 +207,32 @@ class ParallelExecutor:
         if self.workers <= 1:
             return matcher.run(document, twig, name=name, stats=stats)
         base = columnar(document)
-        if algorithm == "accel":
-            # Across workers the accelerator ships its compiled form —
-            # the twig lowered to a purely relational instance — and
-            # rides the *join* partitioner instead of the root-posting
-            # slicing below: the instance's top-level attribute is the
-            # twig root and code order == start-label order, so the
-            # join slicer's top-level code ranges are exactly the root
-            # tag's pre-ranges. The compiled instance carries no query
-            # or documents, which is what lets every join transport —
-            # fork, pickle, shm, mmap — ship it.
-            return self._run_twig_accel(base, twig, name=name, stats=stats)
         posting = base.stream(twig.nodes()[0])
         count = choose_morsel_count(self.workers, len(posting.nids),
                                     morsel_factor=self.morsel_factor)
-        if count <= 1:
+        # ``accel`` works a chunk of root candidates at a time, so a
+        # posting that fits one is nothing to hand a second worker (a
+        # 200-person twig: 0.7 ms serial, 16 ms forked). Measured for
+        # ``accel`` only: the other matchers slice as they always did.
+        if count <= 1 or (algorithm == "accel"
+                          and len(posting.nids) <= accel.CHUNK):
             return matcher.run(document, twig, name=name, stats=stats)
         slices = posting_slices(posting, count)
         # Documents are never *pickled* across the pool: twig morsels
         # ride fork (copy-on-write), shm (the columnar buffers publish
-        # once and workers attach zero-copy), mmap (the buffers lay in
-        # a file arena that workers map read-only by path — this is how
-        # larger-than-RAM streamed corpora parallelize) or the
-        # in-process loop. A pickle-configured executor routes through
-        # shm — same spawn start method, no per-worker document
-        # serialization — so twig parallelism works on every platform.
-        # The navigational ``naive`` oracle walks real node objects
-        # under fork; attached, it walks the mmap view's memoised node
-        # stubs — only the shm attachment (a bare cache-key handle)
-        # cannot serve it.
-        if self.transport == "serial":
-            transport = "serial"
-        elif self.transport == "mmap":
-            transport = "mmap"
-        elif self.transport == "fork" and fork_available():
-            transport = "fork"
-        elif algorithm == "naive":
+        # once and workers attach zero-copy), mmap (a file arena that
+        # workers map read-only by path — how larger-than-RAM streamed
+        # corpora parallelize) or the in-process loop; a pickle-configured
+        # executor, or a fork-configured one where there is no fork,
+        # routes through shm — the same spawn start method. The ``naive``
+        # oracle walks real node objects under fork and the mmap view's
+        # memoised node stubs; only the shm attachment (a bare cache-key
+        # handle) cannot serve it.
+        transport = self.transport
+        if transport == "pickle" or (transport == "fork"
+                                     and not fork_available()):
+            transport = "shm"
+        if transport == "shm" and algorithm == "naive":
             if not fork_available():
                 raise TransportError(
                     "the 'naive' twig matcher walks live XMLNode objects "
@@ -246,8 +241,13 @@ class ParallelExecutor:
                     "'serial', workers=1 or a columnar matcher on this "
                     "platform")
             transport = "fork"
-        else:
-            transport = "shm"
+        if transport in ("shm", "mmap"):
+            # Spawned workers receive the twig pickled, and a lambda does
+            # not pickle: each value predicate runs once, here, and what
+            # ships is the set of values it kept.
+            twig = twig.with_predicates({
+                q.name: ValueSet(filter(q.predicate, base.tag_values(q.tag)))
+                for q in twig.nodes() if q.predicate is not None})
 
         payloads = [(piece.lo, piece.hi, piece.region_hi)
                     for piece in slices]
@@ -261,17 +261,16 @@ class ParallelExecutor:
             from repro.buffers.mmapfile import FileArena
             from repro.parallel.mmapfile import publish_document as publish_file
 
+            # A corpus that already is a file arena (streamed build or
+            # prior attachment) re-publishes by path, zero copying; the
+            # caller owns that arena — nothing to unlink here.
             source = getattr(document, "arena", None)
-            if isinstance(source, FileArena):
-                # The corpus is already a file arena (streamed build or
-                # prior attachment): re-publish by path, zero copying.
-                # The caller owns that arena — nothing to unlink here.
-                shared = ("twig_mmap", source.path, twig, algorithm)
-            else:
-                arena = publish_file(base)
-                shared = ("twig_mmap", arena.path, twig, algorithm)
+            if not isinstance(source, FileArena):
+                source = arena = publish_file(base)
+            shared = ("twig_mmap", source.path, twig, algorithm)
         else:
-            shared = ("twig", document, twig, algorithm, base)
+            shared = ("twig", document, twig, algorithm, base,
+                      {q.name: base.stream(q) for q in twig.nodes()})
 
         stats.start_timer()
         try:
@@ -288,27 +287,6 @@ class ParallelExecutor:
             rows.extend(slice_rows)
         stats.stop_timer()
         return Relation(name or twig.name, Schema(twig.attributes), rows)
-
-    def _run_twig_accel(self, view, twig: "TwigQuery", *,
-                        name: str | None,
-                        stats: JoinStats) -> Relation:
-        """Partition-parallel accelerator run: lower once, join in morsels.
-
-        The twig is lowered and encoded once in the parent
-        (:func:`repro.xml.accel.compile_twig`), handed to
-        :meth:`run_join` — which slices the root attribute's code range
-        across the pool — and the emitted pre-label rows are decoded
-        back to the twig's value tuples here. A serial caller never gets
-        here: :meth:`run_twig` calls the matcher's columnar kernel.
-        """
-        from repro.xml.accel import ACCEL_KERNEL, compile_twig, project_starts
-
-        instance = compile_twig(view, twig, name=name or twig.name,
-                                stats=stats)
-        if instance.has_empty_input():
-            return Relation(name or twig.name, Schema(twig.attributes), [])
-        result = self.run_join(instance, ACCEL_KERNEL, stats=stats)
-        return project_starts(view, twig, result.rows, name=name)
 
     # -- whole queries -----------------------------------------------------
 

@@ -132,6 +132,9 @@ class SlicedColumnarView(ColumnarDocument):
         # per job, so per-morsel views never rescan the full posting.
         for slot in ColumnarDocument.__slots__:
             setattr(self, slot, getattr(base, slot))
+        # ... but not what the base has derived: these streams are
+        # restricted, so nothing is kept for (or read off) the whole.
+        self.derived = {}
         self.root_name = twig.nodes()[0].name
         self.root_lo = root_lo
         self.root_hi = root_hi

@@ -40,12 +40,6 @@ from repro.instrumentation import JoinStats
 #: see the ``_run_*`` functions.
 _SHARED: tuple | None = None
 
-#: Per-job memo of the twig's base streams (name -> TagPosting):
-#: predicate filtering scans the full posting, so it runs once per
-#: worker per job, not once per morsel. Cleared by :func:`set_shared`,
-#: the only way a worker ever changes jobs.
-_TWIG_STREAMS: "dict | None" = None
-
 #: id(materialized job) -> shared-memory arenas the job attached, so
 #: :func:`release_shared` closes exactly the attachments belonging to
 #: one job (inline runs nest jobs; a global close would release an
@@ -65,25 +59,18 @@ def _materialize(job: tuple) -> tuple:
     """
     from repro.parallel import mmapfile, shm
 
-    kind = job[0]
-    if kind == "twig_shm":
-        _kind, arena_name, twig, algorithm = job
-        arena, handle, view = shm.attach_document(arena_name)
-        materialized = ("twig", handle, twig, algorithm, view)
-    elif kind == "join_shm":
-        _kind, arena_name, algorithm = job
-        arena, instance = shm.attach_instance(arena_name)
-        materialized = ("join", instance, algorithm)
-    elif kind == "twig_mmap":
-        _kind, path, twig, algorithm = job
-        arena, handle, view = mmapfile.attach_document(path)
-        materialized = ("twig", handle, twig, algorithm, view)
-    elif kind == "join_mmap":
-        _kind, path, algorithm = job
-        arena, instance = mmapfile.attach_instance(path)
-        materialized = ("join", instance, algorithm)
-    else:  # pragma: no cover - guarded by the caller
-        return job
+    kind, where, *rest = job
+    module = shm if kind.endswith("_shm") else mmapfile
+    if kind.startswith("twig"):
+        twig, algorithm = rest
+        arena, handle, view = module.attach_document(where)
+        # Predicate filtering scans the full posting: once per job (per
+        # attached worker), not once per morsel.
+        materialized = ("twig", handle, twig, algorithm, view,
+                        {q.name: view.stream(q) for q in twig.nodes()})
+    else:
+        arena, instance = module.attach_instance(where)
+        materialized = ("join", instance, *rest)
     _JOB_ARENAS[id(materialized)] = [arena]
     return materialized
 
@@ -95,27 +82,17 @@ def release_shared(job: tuple | None) -> None:
 
 
 def set_shared(job: tuple | None) -> None:
-    """Install (or clear) the current job state (and its memos).
+    """Install (or clear) the current job state.
 
     Shared-arena descriptors (``*_shm`` / ``*_mmap`` kinds) are
     materialized here — the one place every transport funnels through —
     so the runners only ever see plain job tuples.
     """
-    global _SHARED, _TWIG_STREAMS
+    global _SHARED
     if job is not None and isinstance(job[0], str) \
             and job[0].endswith(("_shm", "_mmap")):
         job = _materialize(job)
     _SHARED = job
-    _TWIG_STREAMS = None
-
-
-def _base_streams(shared: tuple) -> dict:
-    """The job's per-query-node base streams, memoised per job."""
-    global _TWIG_STREAMS
-    if _TWIG_STREAMS is None:
-        _kind, _document, twig, _algorithm, base = shared
-        _TWIG_STREAMS = {q.name: base.stream(q) for q in twig.nodes()}
-    return _TWIG_STREAMS
 
 
 def _counters(stats: JoinStats) -> dict:
@@ -145,27 +122,24 @@ def run_join_morsel(task: tuple) -> tuple[dict, list]:
 def run_twig_morsel(task: tuple) -> tuple[dict, list]:
     """Evaluate one root-posting slice of a twig match.
 
-    ``task`` is ``(lo, hi, region_hi)``; the document, twig, algorithm
-    name and base columnar view come from :data:`_SHARED` as
-    ``("twig", document, twig, algorithm_name, base_view)`` (twig morsels
-    always ride the fork or serial transport — documents are never
-    shipped). Returns the slice's value rows: the projection of every
-    embedding whose root match starts in ``[lo, hi)``.
+    ``task`` is ``(lo, hi, region_hi)``; the job comes from
+    :data:`_SHARED` as ``("twig", document, twig, algorithm_name,
+    base_view, base_streams)``. Returns the slice's value rows: the
+    projection of every embedding whose root match starts in ``[lo, hi)``.
     """
     from bisect import bisect_left
-    from repro.xml.columnar import install_columnar
+    from repro.xml.columnar import columnar_as
     from repro.xml.interface import get_twig_algorithm
     from repro.xml.navigation import match_embeddings
     from repro.parallel.slicing import SlicedColumnarView
 
     assert _SHARED is not None and _SHARED[0] == "twig"
-    _kind, document, twig, algorithm, base = _SHARED
+    _kind, document, twig, algorithm, base, streams = _SHARED
     lo, hi, region_hi = task
     stats = JoinStats()
     attrs = twig.attributes
     root = twig.nodes()[0]
 
-    streams = _base_streams(_SHARED)
     if algorithm == "naive":
         # The navigational oracle walks node objects, not postings: pin
         # the twig root to each candidate in the slice instead.
@@ -182,16 +156,12 @@ def run_twig_morsel(task: tuple) -> tuple[dict, list]:
 
     view = SlicedColumnarView(base, twig, lo, hi, region_hi,
                               base_streams=streams)
-    # Algorithms resolve the document through the columnar cache; point
-    # it at the slice view for the duration of this morsel. Workers are
-    # forked per job (and the serial transport restores in-line), so the
-    # parent's cache is never left poisoned.
-    install_columnar(document, view)
-    try:
+    # Algorithms resolve the document through the columnar cache: point
+    # it at the slice view for this morsel, then back at the base view
+    # with all it has derived (the serial transport runs in the caller).
+    with columnar_as(document, view):
         embeddings = get_twig_algorithm(algorithm).embeddings(
             document, twig, stats=stats)
-    finally:
-        install_columnar(document, base)
     root_name = root.name
     rows = {tuple(emb[a].value for a in attrs) for emb in embeddings
             if lo <= emb[root_name].start < hi}

@@ -19,7 +19,7 @@ the query nodes in post-order and keeps a candidate only if every
 child edge has a live match, so afterwards every live candidate roots
 a complete sub-embedding. An **expansion** then walks them in
 pre-order over a frontier held as one column per bound query node,
-:data:`_CHUNK` root candidates at a time: because the frontier is
+:data:`CHUNK` root candidates at a time: because the frontier is
 fully reduced it only ever grows, no level exceeds the embedding
 count, and the whole run is O(input + output) with nothing to
 intersect. Both passes are C-level ``map``/``compress``/``chain``
@@ -33,16 +33,15 @@ through ``view.stream``, so the update layer's patched views
 (:class:`~repro.parallel.slicing.SlicedColumnarView`) need no second
 code path.
 
-**The shippable form.** Under ``workers > 1`` an ``accel`` twig still
-rides the *join* partitioner: :func:`lower_twig` materialises each
-edge's axis predicate as a binary relation ``E_parent_child(pre,
-pre)`` over the region start labels (:func:`axis_pairs`, the
-stack-tree structural join), :func:`compile_twig` encodes them and
-:func:`project_starts` decodes the joined rows — an instance with no
-query object or document, which every join transport can ship (see
-:meth:`repro.parallel.executor.ParallelExecutor.run_twig`).
-:func:`axis_pairs` is also what builds XJoin's A-D pair inputs
-(:mod:`repro.core.decomposition`).
+**Paid once per view version.** What the view alone determines is
+kept in ``view.derived`` and dropped with it on every update: an edge's
+match lists whenever both of its sides are the view's own whole
+postings (:func:`_edge_index` — a predicated, reduced or sliced side is
+matched per call), and each tag's value codes
+(:meth:`ColumnarDocument.tag_codes`), on which ``run`` projects: the
+distinct rows of a chunk are a ``set`` of int tuples and only those are
+decoded. :func:`axis_pairs`, the stack-tree structural join, builds
+XJoin's A-D pair inputs (:mod:`repro.core.decomposition`).
 
 ``docs/accelerator.md`` documents the kernel, its counters and the
 measured matcher matrix behind the planner's pick.
@@ -64,12 +63,13 @@ from repro.xml.columnar import ColumnarDocument, TagPosting, columnar
 from repro.xml.twig import Axis, TwigNode, TwigQuery
 
 if TYPE_CHECKING:
-    from repro.engine.encoded import EncodedInstance
     from repro.xml.model import XMLDocument, XMLNode
 
 #: Root candidates expanded together: peak memory is one chunk's
-#: embeddings, whatever the answer's size.
-_CHUNK = 4096
+#: embeddings, whatever the answer's size. Also the least this matcher
+#: is handed a worker pool for
+#: (:meth:`repro.parallel.executor.ParallelExecutor.run_twig`).
+CHUNK = 4096
 
 
 def _edge_matches(view: ColumnarDocument, upper: TagPosting,
@@ -94,11 +94,49 @@ def _edge_matches(view: ColumnarDocument, upper: TagPosting,
                     map(bisect_left, repeat(starts), upper.ends)))
 
 
+def _edge_index(view: ColumnarDocument, q: TwigNode, child: TwigNode,
+                upper: TagPosting, lower: TagPosting) -> list:
+    """:func:`_edge_matches` for the twig edge *q* -> *child*, kept in
+    ``view.derived`` per (upper tag, lower tag, axis) when both sides
+    are the view's own whole postings: then the answer is a function of
+    the view version alone. The test is identity with the view's posting
+    arrays, which no predicate mask, reduction or worker slice keeps.
+    Entries are shared between calls (and threads): read, never edited.
+    """
+    if upper.nids is not view.postings(q.tag)[0] \
+            or lower.nids is not view.postings(child.tag)[0]:
+        return _edge_matches(view, upper, lower, child.axis)
+    key = ("edge", q.tag, child.tag, child.axis)
+    found = view.derived.get(key)
+    if found is None:  # stored whole, or not there: readers race
+        found = view.derived[key] = _edge_matches(view, upper, lower,
+                                                  child.axis)
+    return found
+
+
+def _value_codes(view: ColumnarDocument, q: TwigNode,
+                 posting: TagPosting) -> Sequence[int]:
+    """The value codes (:meth:`ColumnarDocument.tag_codes`) of
+    *posting*'s candidates, parallel to it: the tag's own code column
+    where the posting is the whole one, gathered through the node ids
+    where it has been cut. (Through the node ids throughout — one
+    path, a gather per call — the 20k-record DBLP article twig measures
+    4.8 -> 7.6 ms and XMark's chain and branch shapes +10-17 %; the
+    predicated shape is within spread either way.)"""
+    codes = view.tag_codes(q.tag)[0]
+    if len(posting) == len(codes):
+        return codes
+    return list(map(view.node_codes(q.tag).__getitem__, posting.nids))
+
+
 def twig_frontiers(view: ColumnarDocument, twig: TwigQuery,
-                   stats: JoinStats | None = None
+                   stats: JoinStats | None = None, *, column=None
                    ) -> "Iterator[list[Sequence[int]]]":
     """All embeddings of *twig*, level at a time: yields, per chunk of
-    root candidates, one node-id column per query node (pre-order).
+    root candidates, one column per query node (pre-order) holding, per
+    embedding, the bound candidate's node id — or its entry in
+    ``column(view, query node, live posting)``, a sequence parallel to
+    the posting.
 
     Counters, all pure functions of the posting contents: a stage
     ``alive <name>`` per query node (its candidates left by the
@@ -126,7 +164,7 @@ def twig_frontiers(view: ColumnarDocument, twig: TwigQuery,
         if counting:
             start = perf_counter()
         posting = live[q.name]
-        found = [_edge_matches(view, posting, live[c.name], c.axis)
+        found = [_edge_index(view, q, c, posting, live[c.name])
                  for c in q.children]
         seeks += sum(len(posting) * (1 if c.axis is Axis.CHILD else 2)
                      for c in q.children)
@@ -144,10 +182,12 @@ def twig_frontiers(view: ColumnarDocument, twig: TwigQuery,
 
     # The expansion, pre-order, a chunk of live roots at a time.
     parent_index = [names.index(q.parent.name) for q in nodes[1:]]
+    read = [(column(view, q, live[q.name]) if column
+             else live[q.name].nids).__getitem__ for q in nodes]
     alive = dict.fromkeys(names, 0)
     roots = len(live[names[0]])
-    for lo in range(0, roots, _CHUNK):
-        columns: list = [range(lo, min(lo + _CHUNK, roots))]
+    for lo in range(0, roots, CHUNK):
+        columns: list = [range(lo, min(lo + CHUNK, roots))]
         alive[names[0]] += len(columns[0])
         for name, upper in zip(names[1:], parent_index):
             if counting:
@@ -163,8 +203,8 @@ def twig_frontiers(view: ColumnarDocument, twig: TwigQuery,
             alive[name] += len(grown)
             if counting:
                 times[name] += perf_counter() - start
-        yield [list(map(live[name].nids.__getitem__, column))
-               for name, column in zip(names, columns)]
+        yield [list(map(entry, positions))
+               for entry, positions in zip(read, columns)]
     stats.stop_timer()
 
     stats.count_seeks(seeks)
@@ -175,35 +215,8 @@ def twig_frontiers(view: ColumnarDocument, twig: TwigQuery,
 
 
 # ---------------------------------------------------------------------------
-# the shippable form: edge relations, for workers and XJoin's pair inputs
+# axis pairs, for XJoin's pair inputs
 # ---------------------------------------------------------------------------
-
-#: The relational kernel the *shippable* form's compiled instance runs
-#: on. Any registered :class:`~repro.engine.interface.JoinAlgorithm` that
-#: evaluates purely relational instances works (``leapfrog`` included);
-#: hashed generic join is the library's default for relational inputs.
-ACCEL_KERNEL = "generic_join"
-
-#: Attribute names of one per-tag node relation (see :func:`node_relation`).
-NODE_SCHEMA = ("pre", "post", "level", "value")
-
-
-def node_relation(view: ColumnarDocument, tag: str, *,
-                  name: str | None = None) -> Relation:
-    """The accelerator's node relation ``N_tag(pre, post, level, value)``.
-
-    Rows are read straight from the tag's posting and the shared
-    ``levels``/``values`` columns — no node objects are touched. The
-    edge relations of :func:`lower_twig` are selections/joins over
-    these; this explicit form exists for the property tests, the docs
-    and any external (e.g. SQL) backend that wants the raw schema.
-    """
-    nids, starts, ends = view.postings(tag)
-    levels, values = view.levels, view.values
-    rows = [(starts[i], ends[i], levels[nid], values[nid])
-            for i, nid in enumerate(nids)]
-    return Relation(name or f"N_{tag}", NODE_SCHEMA, rows)
-
 
 def axis_pairs(upper: TagPosting, lower: TagPosting,
                levels, lower_axis: Axis,
@@ -264,84 +277,6 @@ def axis_pairs(upper: TagPosting, lower: TagPosting,
     return pairs
 
 
-def edge_relation(view: ColumnarDocument, parent: TwigNode,
-                  child: TwigNode, *,
-                  stats: JoinStats | None = None) -> Relation:
-    """One twig edge as a binary relation of ``(pre, pre)`` pairs.
-
-    The materialised form of the axis range predicate between the two
-    node relations, restricted to the candidate streams (tag + value
-    predicate already applied by :meth:`ColumnarDocument.stream`).
-    """
-    pairs = axis_pairs(view.stream(parent), view.stream(child),
-                       view.levels, child.axis, stats)
-    return Relation(f"E_{parent.name}_{child.name}",
-                    (parent.name, child.name), pairs)
-
-
-def lower_twig(view: ColumnarDocument, twig: TwigQuery, *,
-               stats: JoinStats | None = None) -> list[Relation]:
-    """Lower *twig* to its conjunctive-query atoms (one per edge).
-
-    A single-node twig has no edges and lowers to one unary relation of
-    the root's candidate pre labels. Each edge relation's size is
-    recorded as a stage — the accelerator's per-edge pair lists are its
-    intermediate results, the quantity the paper's evaluation tracks.
-    """
-    from repro.core.decomposition import edge_atoms
-
-    stats = ensure_stats(stats)
-    atoms = edge_atoms(twig)
-    if not atoms:
-        root = twig.root
-        posting = view.stream(root)
-        relation = Relation(f"E_{root.name}", (root.name,),
-                            [(start,) for start in posting.starts])
-        stats.record_stage(f"nodes {root.name}", len(relation))
-        return [relation]
-    relations = []
-    for atom in atoms:
-        pairs = axis_pairs(view.stream(atom.parent), view.stream(atom.child),
-                           view.levels, atom.axis, stats)
-        relation = Relation(atom.name, atom.attributes, pairs)
-        stats.record_stage(
-            f"edge {atom.parent.name}{atom.axis}{atom.child.name}",
-            len(relation))
-        relations.append(relation)
-    return relations
-
-
-def compile_twig(view: ColumnarDocument, twig: TwigQuery, *,
-                 name: str | None = None,
-                 stats: JoinStats | None = None) -> "EncodedInstance":
-    """Compile *twig* into an encoded relational instance.
-
-    The instance's attribute order is the twig's pre-order attribute
-    tuple, so its first (top-level) attribute is the twig root — which
-    is what lets the parallel executor partition an accel run on the
-    root tag's pre-range through the ordinary join slicer. The returned
-    instance carries no query object or documents, so every join
-    transport (fork, pickle, shm, mmap) can ship it.
-    """
-    from repro.engine.encoded import EncodedInstance
-
-    stats = ensure_stats(stats)
-    with stats.phase("lower"):
-        relations = lower_twig(view, twig, stats=stats)
-    with stats.phase("encode"):
-        return EncodedInstance.from_relations(relations, twig.attributes,
-                                              name=name or twig.name)
-
-
-def project_starts(view: ColumnarDocument, twig: TwigQuery,
-                   start_rows, *, name: str | None = None) -> Relation:
-    """Decode pre-label rows into the twig's value-tuple answer."""
-    values, index = view.values, view.nid_index
-    rows = {tuple(values[index[start]] for start in row)
-            for row in start_rows}
-    return Relation(name or twig.name, Schema(twig.attributes), rows)
-
-
 class AccelTwigAlgorithm:
     """Twig matching level at a time on the columnar arrays."""
 
@@ -366,8 +301,12 @@ class AccelTwigAlgorithm:
             name: str | None = None,
             stats: JoinStats | None = None) -> Relation:
         view = columnar(document)
-        rows: set[tuple] = set()
-        for columns in twig_frontiers(view, twig, stats):
-            rows.update(zip(*map(view.values_of, columns)))
+        coded: set[tuple] = set()  # distinct rows, as value codes
+        for columns in twig_frontiers(view, twig, stats,
+                                      column=_value_codes):
+            coded.update(zip(*columns))
+        tables = [view.tag_codes(q.tag)[1] for q in twig.nodes()]
+        rows = zip(*[map(table.__getitem__, codes)
+                     for table, codes in zip(tables, zip(*coded))])
         return Relation.trusted(name or twig.name, Schema(twig.attributes),
                                 frozenset(rows))

@@ -34,9 +34,12 @@ arrays, through the same weakref cache discipline as
 from __future__ import annotations
 
 import weakref
+from collections import Counter
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
-from itertools import compress
+from contextlib import contextmanager
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import compress, count
 
 from repro.buffers.kernels import gallop
 from repro.buffers.layout import pack
@@ -263,9 +266,12 @@ class ColumnarDocument:
         if query_node.predicate is not None and len(nids):
             keep = list(map(query_node.predicate,
                             self.tag_values(query_node.tag)))
-            nids = pack(list(compress(nids, keep)))
-            starts = pack(list(compress(starts, keep)))
-            ends = pack(list(compress(ends, keep)))
+            # Known bounds (the root's end bounds every label) spare
+            # the packers their scans.
+            label_hi = self.ends[0]
+            nids = pack(list(compress(nids, keep)), hi=self.size - 1, lo=0)
+            starts = pack(list(compress(starts, keep)), hi=label_hi, lo=0)
+            ends = pack(list(compress(ends, keep)), hi=label_hi, lo=0)
         return TagPosting(nids, starts, ends, label=query_node.name)
 
     def values_of(self, nids: Sequence[int]) -> list:
@@ -287,6 +293,32 @@ class ColumnarDocument:
         if values is None:
             values = self.derived[key] = self.values_of(self.postings(tag)[0])
         return values
+
+    def tag_codes(self, tag: str) -> "tuple[list[int], list]":
+        """*tag*'s values dictionary-coded, once per view version:
+        ``(codes, table)`` with ``codes`` parallel to the posting and
+        ``table[code]`` the value — equal values one code, ``None``
+        included. A projection dedupes on the ints and decodes only its
+        distinct rows (:meth:`repro.xml.accel.AccelTwigAlgorithm.run`)."""
+        key = ("tag_codes", tag)
+        found = self.derived.get(key)
+        if found is None:
+            values = self.tag_values(tag)
+            table = list(dict.fromkeys(values))
+            code_of = dict(zip(table, count()))
+            found = self.derived[key] = (
+                list(map(code_of.__getitem__, values)), table)
+        return found
+
+    def node_codes(self, tag: str) -> "dict[int, int]":
+        """``node id -> value code`` (:meth:`tag_codes`) over *tag*'s
+        posting, for readers holding a cut of it."""
+        key = ("node_codes", tag)
+        found = self.derived.get(key)
+        if found is None:
+            found = self.derived[key] = dict(
+                zip(self.postings(tag)[0], self.tag_codes(tag)[0]))
+        return found
 
     def value_index(self, tag: str) -> "dict[Value | None, list[int]]":
         """``typed value -> node ids`` (ascending, i.e. document order)
@@ -474,6 +506,19 @@ def install_columnar(document: XMLDocument,
     return _install(document, _COLUMNAR_CACHE, _COLUMNAR_LATEST, view)
 
 
+@contextmanager
+def columnar_as(document: XMLDocument, view: ColumnarDocument):
+    """Resolve ``columnar(document)`` to *view* inside the block (a
+    worker's slice of the current view), then back to the current view
+    — the same object, ``derived`` and all: nothing was updated."""
+    current = columnar(document)
+    _install(document, _COLUMNAR_CACHE, _COLUMNAR_LATEST, view)
+    try:
+        yield view
+    finally:
+        _install(document, _COLUMNAR_CACHE, _COLUMNAR_LATEST, current)
+
+
 @dataclass(frozen=True)
 class DocumentStats:
     """Planner-facing summary of one document.
@@ -489,11 +534,21 @@ class DocumentStats:
     depth: int
     tag_counts: Mapping[str, int]
     path_counts: Mapping[tuple[str, ...], int]
-    max_fanout: int
+    #: The ``parents`` column as summarised: a copy of an in-memory
+    #: column (updates edit those in place), an arena's mapping as is.
+    parents: Sequence[int] = field(repr=False, compare=False)
 
     @property
     def distinct_paths(self) -> int:
         return len(self.path_counts)
+
+    @cached_property
+    def max_fanout(self) -> int:
+        """The most children under one node, counted on first read: no
+        estimate uses it, and the count is a pass over every node."""
+        children = Counter(self.parents)
+        del children[-1]  # the root's entry
+        return max(children.values(), default=0)
 
     def tag_count(self, tag: str) -> int:
         return self.tag_counts.get(tag, 0)
@@ -518,16 +573,12 @@ def stats_from_view(view: ColumnarDocument) -> DocumentStats:
                   if view.tag_nids[tid]}
     path_counts = {view.paths[pid]: len(nids)
                    for pid, nids in enumerate(view.nids_by_path) if nids}
-    children = [0] * view.size
-    for parent in view.parents:
-        if parent >= 0:
-            children[parent] += 1
     return DocumentStats(
         size=view.size,
         depth=max(view.levels) if view.levels else 0,
         tag_counts=tag_counts,
         path_counts=path_counts,
-        max_fanout=max(children) if children else 0,
+        parents=view.parents[:],  # copies; a memoryview stays a view
     )
 
 

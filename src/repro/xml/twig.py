@@ -14,7 +14,7 @@ implemented over this representation in :mod:`repro.core.decomposition`.
 from __future__ import annotations
 
 import enum
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 
 from repro.errors import TwigError
 from repro.relational.schema import Value
@@ -81,6 +81,21 @@ class TwigNode:
     def __repr__(self) -> str:
         axis = "" if self.parent is None else str(self.axis)
         return f"TwigNode({axis}{self.name})"
+
+
+class ValueSet:
+    """A value predicate given by extension, the values it keeps: pure
+    data, so it pickles where the closure it was read off does not.
+    Values are told apart by ``repr`` — ``1``, ``1.0`` and ``True`` are
+    equal and hash alike, and a NaN equals nothing, itself included."""
+
+    __slots__ = ("kept",)
+
+    def __init__(self, values):
+        self.kept = frozenset(map(repr, values))
+
+    def __call__(self, value: Value | None) -> bool:
+        return repr(value) in self.kept
 
 
 class TwigQuery:
@@ -152,6 +167,17 @@ class TwigQuery:
             chain.append(chain[-1].parent)
         chain.reverse()
         return chain
+
+    def with_predicates(self, predicates: "Mapping[str, Callable]"
+                        ) -> "TwigQuery":
+        """A copy whose nodes named in *predicates* test those instead."""
+        clones: dict[str, TwigNode] = {}
+        for node in self.root.iter():  # pre-order: a parent comes first
+            make = clones[node.parent.name].add if node.parent else TwigNode
+            clones[node.name] = make(
+                node.name, tag=node.tag, axis=node.axis,
+                predicate=predicates.get(node.name, node.predicate))
+        return TwigQuery(clones[self.root.name], name=self.name)
 
     def __repr__(self) -> str:
         return f"TwigQuery({pattern_string(self.root)!r})"

@@ -17,9 +17,11 @@ from repro.engine.encoded import EncodedInstance
 from repro.engine.interface import available_algorithms, get_algorithm
 from repro.engine.planner import attribute_order, plan_query, run_query
 from repro.errors import EngineError
+from repro.instrumentation import JoinStats
 from repro.parallel.executor import ParallelExecutor, available_transports
 from repro.parallel.morsels import fork_available
 from repro.relational.relation import Relation
+from repro.xml import accel
 from repro.xml.interface import available_twig_algorithms, \
     get_twig_algorithm
 from repro.xml.twig_parser import parse_twig
@@ -159,6 +161,12 @@ TWIG_PATTERNS = [
 ]
 
 
+def root_slices(stats):
+    return [record.label for record in stats.stages
+            if record.label.startswith("roots [")]
+
+
+@pytest.mark.usefixtures("small_chunks")
 class TestTwigParity:
     @pytest.fixture(scope="class")
     def document(self):
@@ -173,9 +181,57 @@ class TestTwigParity:
                 continue
             serial = matcher.run(document, twig)
             for transport in TRANSPORTS:
-                parallel = executor(transport).run_twig(document, twig,
-                                                        name)
+                stats = JoinStats()
+                parallel = executor(transport).run_twig(
+                    document, twig, name, stats=stats)
                 assert parallel == serial, (name, pattern, transport)
+                assert len(root_slices(stats)) > 1, (name, transport)
+
+    @pytest.mark.parametrize("name", ["structural", "accel"])
+    def test_in_process_slices_leave_the_views_caches_alone(self, name):
+        """The serial transport swaps a slice view in and the base view
+        back in the caller's own process: what the base has derived
+        (encoded inputs, value gathers, edge matches) must survive, and
+        nothing matched through a slice may join it."""
+        from repro.xml.columnar import columnar
+
+        document = xmark_document(0.5, seed=3)
+        twig = parse_twig("p=person(/nm=name, //i=interest)")
+        view = columnar(document)
+        view.derived["probe"] = "planted"
+        stats = JoinStats()
+        sliced = executor("serial").run_twig(document, twig, name,
+                                             stats=stats)
+        assert len(root_slices(stats)) > 1
+        assert columnar(document) is view
+        assert view.derived["probe"] == "planted"
+        assert not [key for key in view.derived if key[0] == "edge"]
+        naive = get_twig_algorithm("naive").run(document, twig)
+        assert sliced == naive
+        assert get_twig_algorithm("accel").run(document, twig) == naive
+        assert [key for key in view.derived if key[0] == "edge"]
+        assert executor("serial").run_twig(document, twig, name) == naive
+        assert view.derived["probe"] == "planted"
+
+    @pytest.mark.parametrize("name", ["tjfast", "twigstack"])
+    def test_closures_reach_spawned_workers_by_extension(self, document,
+                                                         name):
+        """Whether a matcher reads predicates through the streams
+        (``twigstack``) or value by value (``tjfast``), a closure
+        crosses the spawn transports as the values it kept."""
+        twig = parse_twig("oa=open_auction(//bd=bidder(/inc=increase))")
+        twig.node("inc").predicate = \
+            lambda v: isinstance(v, int) and v > 25
+        serial = get_twig_algorithm(name).run(document, twig)
+        assert serial.rows
+        assert executor("shm").run_twig(document, twig, name) == serial
+        assert twig.node("inc").matches_value(26)  # the caller's, intact
+
+    def test_unknown_transport_is_refused(self, document):
+        """For twigs as for joins (it used to mean ``shm``)."""
+        twig = parse_twig("p=person(/nm=name)")
+        with pytest.raises(EngineError, match="unknown transport"):
+            executor("pigeon").run_twig(document, twig, "structural")
 
     def test_absent_root_tag(self, document):
         twig = parse_twig("z=zeppelin(//q=cabin)")
@@ -192,10 +248,9 @@ class TestTwigParity:
 
 
 class TestAccelTransportParity:
-    """The accelerator rides the *join* partitioner (its compiled
-    instance carries no query or documents), so it is the one twig
-    matcher that must hold parity over every join transport — including
-    pickle/shm/mmap, which reject the navigational matchers' instances."""
+    """``accel`` rides the root-posting slices every matcher rides, over
+    every transport; a twig whose root posting fits one of its kernel's
+    chunks never reaches the pool."""
 
     @pytest.fixture(scope="class")
     def document(self):
@@ -203,17 +258,22 @@ class TestAccelTransportParity:
 
     @pytest.mark.parametrize("transport", available_transports())
     @pytest.mark.parametrize("pattern", TWIG_PATTERNS)
-    def test_accel_every_transport(self, document, pattern, transport):
+    def test_accel_every_transport(self, document, pattern, transport,
+                                   small_chunks):
         twig = parse_twig(pattern)
         serial = get_twig_algorithm("accel").run(document, twig)
-        parallel = executor(transport).run_twig(document, twig, "accel")
+        stats = JoinStats()
+        parallel = executor(transport).run_twig(document, twig, "accel",
+                                                stats=stats)
         assert parallel == serial, (pattern, transport)
+        assert len(root_slices(stats)) > 1
 
     @pytest.mark.parametrize("transport", available_transports())
-    def test_accel_predicate_twig_ships(self, document, transport):
-        """Value predicates (unpicklable lambdas) are applied while
-        lowering in the parent; the shipped instance is pure data, so
-        even the spawn transports run predicate twigs."""
+    def test_accel_predicate_twig_ships(self, document, transport,
+                                        small_chunks):
+        """Value predicates (unpicklable lambdas) are applied in the
+        parent; the twig that ships carries the values they kept, pure
+        data, so even the spawn transports run predicate twigs."""
         from repro.xml.twig import TwigNode, TwigQuery
 
         root = TwigNode("oa", tag="open_auction")
@@ -224,29 +284,33 @@ class TestAccelTransportParity:
                      predicate=lambda v: isinstance(v, int) and v < 10)
         twig = TwigQuery(root)
         serial = get_twig_algorithm("accel").run(document, twig)
-        parallel = executor(transport).run_twig(document, twig, "accel")
+        stats = JoinStats()
+        parallel = executor(transport).run_twig(document, twig, "accel",
+                                                stats=stats)
         assert parallel == serial, transport
+        assert serial.rows and len(root_slices(stats)) > 1
 
-    @pytest.mark.parametrize("workers", [0, 1])
+    @pytest.mark.parametrize("workers", [0, 1, WORKERS])
     @pytest.mark.parametrize("pattern", TWIG_PATTERNS)
-    def test_one_worker_runs_the_matcher_not_the_lowering(self, document,
-                                                          pattern, workers):
-        """A serial caller pays no lowering + encoding: ``run_twig`` with
-        ``workers <= 1`` is ``matcher.run``, as for every other matcher
-        (the accel branch used to sit above the one-worker check)."""
-        from repro.instrumentation import JoinStats
-
+    def test_a_one_chunk_twig_is_the_serial_call(self, document, pattern,
+                                                 workers):
+        """``workers <= 1``, or root candidates that fit one chunk of the
+        kernel: ``run_twig`` is ``matcher.run`` — no slices, no pool.
+        The chunk is ``accel``'s unit of work, nobody else's: the other
+        matchers slice the same posting."""
         twig = parse_twig(pattern)
+        assert len(document.nodes(twig.root.tag)) <= accel.CHUNK
         for algorithm in ("accel", None):  # named, and the planner's pick
-            stats = JoinStats()
+            stats, alone = JoinStats(), JoinStats()
             rows = ParallelExecutor(workers).run_twig(
                 document, twig, algorithm, stats=stats)
+            assert rows == get_twig_algorithm("accel").run(
+                document, twig, stats=alone)
             assert rows == get_twig_algorithm("naive").run(document, twig)
-            labels = [record.label for record in stats.stages]
-            assert labels and not [label for label in labels
-                                   if label.startswith(("edge ", "nodes "))]
-            assert "lower" not in stats.phase_times
-            assert "encode" not in stats.phase_times
-        pooled = JoinStats()
-        executor("serial").run_twig(document, twig, "accel", stats=pooled)
-        assert "lower" in pooled.phase_times  # the shippable form, w > 1
+            assert not root_slices(stats)
+            assert [(record.label, record.size) for record in stats.stages] \
+                == [(record.label, record.size) for record in alone.stages]
+        stats = JoinStats()
+        executor("serial", workers).run_twig(document, twig, "structural",
+                                             stats=stats)
+        assert bool(root_slices(stats)) == (workers > 1)

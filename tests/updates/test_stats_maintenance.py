@@ -84,6 +84,25 @@ def test_document_stats_follow_every_edit():
             scratch = document_stats(clone_document(document))
             assert maintained == scratch, \
                 f"threshold {threshold}, step {step}"
+            # Not a field: counted on first read.
+            assert maintained.max_fanout == scratch.max_fanout
+
+
+def test_a_versions_fanout_is_its_own_whenever_it_is_read():
+    """``max_fanout`` is counted on first read, and the patch path edits
+    the view's ``parents`` column in place: stats taken before an edit
+    must still count the document as it stood."""
+    from repro.xml.model import XMLDocument, element
+
+    document = XMLDocument(element(
+        "r", element("a", element("b"), element("b")), element("a")))
+    editor = DocumentEditor(document, churn_threshold=10.0)
+    before = document_stats(document)  # fan-out not read yet
+    crowded = document.nodes("a")[1]
+    for _ in range(5):
+        editor.insert_subtree(crowded, element("b"))
+    assert document_stats(document).max_fanout == 5
+    assert before.max_fanout == 2
 
 
 def test_trie_delta_rejects_wrong_arity():

@@ -191,12 +191,16 @@ def test_concurrent_readers_pin_staggered_snapshots(churn_threshold):
 def test_accel_tracks_update_stream(churn_threshold):
     """Explicit accelerator enrollment in the update regimes.
 
-    The accelerator's node relations *are* the maintained postings, so
-    it inherits delta maintenance: after every patch (and after forced
-    rebuilds) its relational lowering over the live columnar view must
-    match a rebuilt-from-scratch clone — checked here directly on a
-    value-predicate twig (the planner's accel shape) on top of the full
-    every-backend check of :func:`assert_session_matches_oracle`."""
+    The accelerator's inputs *are* the maintained postings, so it
+    inherits delta maintenance: after every patch (and after forced
+    rebuilds) its answer over the live columnar view must match a
+    rebuilt-from-scratch clone — checked here directly on a
+    value-predicate twig and on the same twig without predicates, whose
+    edges and value codes are cached per view version and so must be
+    gone after every update (``install_columnar`` drops ``derived``) —
+    on top of the full every-backend check of
+    :func:`assert_session_matches_oracle`."""
+    from repro.xml.columnar import columnar
     from repro.xml.twig import TwigNode, TwigQuery
 
     rng = seeded_rng(f"accel-{churn_threshold}")
@@ -208,18 +212,33 @@ def test_accel_tracks_update_stream(churn_threshold):
     bidder.child("pr", tag="personref",
                  predicate=lambda v: isinstance(v, int) and v < 30)
     twig = TwigQuery(root, name="A")
+    plain = parse_twig("oa=open_auction(//bd=bidder(/inc=increase, "
+                       "/pr=personref))")
     query = MultiModelQuery([], [TwigBinding(twig, document)], name="A")
     session = QuerySession(query, churn_threshold=churn_threshold)
     accel = get_twig_algorithm("accel")
+
+    def cached(view):
+        return {key for key in view.derived
+                if key[0] in ("edge", "tag_codes")}
+
+    accel.run(document, plain)
     for step in range(8):
+        # Four code columns and the edges between whole postings (the
+        # oa-bd one only while no bidder lacks a child).
+        assert len(cached(columnar(document))) >= 4 + 2
         op = random_session_op(rng, session,
                                tags=["bidder", "increase", "personref"])
         note = (f"accel churn={churn_threshold} step={step} op={op} "
                 f"(REPRO_UPDATE_SEED={UPDATE_SEED})")
-        reference = match_relation(clone_document(document), twig)
-        live = accel.run(document, twig)
-        assert live.sorted_rows() == reference.sorted_rows(), \
-            f"accel diverged from the rebuilt clone at {note}"
+        assert not cached(columnar(document)), \
+            f"edges or codes of the previous version survived {note}"
+        clone = clone_document(document)
+        for pattern in (twig, plain):
+            reference = match_relation(clone, pattern)
+            live = accel.run(document, pattern)
+            assert live.sorted_rows() == reference.sorted_rows(), \
+                f"accel diverged from the rebuilt clone at {note}"
         assert_session_matches_oracle(session, note)
 
 

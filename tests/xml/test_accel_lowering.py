@@ -1,27 +1,22 @@
-"""Axis-lowering property tests for the accelerator.
+"""Axis-pair property tests.
 
 :func:`repro.xml.accel.axis_pairs` enumerates each twig edge's
-``(pre, pre)`` pairs with a stack merge over two postings. These tests
+``(pre, pre)`` pairs with a stack merge over two postings (XJoin's A-D
+pair inputs are built from it). These tests
 recompute every pair the slow way — walking the columnar ``parents``
 and ``levels`` arrays — and demand set equality on the adversarial
 shapes where stack algorithms break: deep single-tag chains (every
 node nests in every other, the self-pairing trap), deep alternating
 chains, wide flat fans (maximal posting length, zero nesting), and
-branching documents repeating one tag along a path. Node relations are
-checked against the raw arrays the same way, and predicate-filtered
-streams against a value-filtered oracle.
+branching documents repeating one tag along a path; predicate-filtered
+streams are checked against a value-filtered oracle.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.xml.accel import (
-    NODE_SCHEMA,
-    axis_pairs,
-    edge_relation,
-    node_relation,
-)
+from repro.xml.accel import axis_pairs
 from repro.xml.columnar import columnar
 from repro.xml.generator import (
     chain_document,
@@ -128,21 +123,8 @@ class TestAdversarialShapes:
             assert_axes_match_arrays(document, ("a", "b", "c", "d"))
 
 
-class TestNodeAndEdgeRelations:
-    def test_node_relation_mirrors_arrays(self):
-        rng = seeded_rng("nodes")
-        document = random_document(rng, max_nodes=80)
-        view = columnar(document)
-        for tag in ("a", "b", "c", "d"):
-            relation = node_relation(view, tag)
-            assert tuple(relation.schema) == NODE_SCHEMA
-            expected = {(view.starts[nid], view.ends[nid],
-                         view.levels[nid], view.values[nid])
-                        for nid in range(view.size)
-                        if _tag(view, nid) == tag}
-            assert set(relation.rows) == expected, tag
-
-    def test_edge_relation_respects_value_predicates(self):
+class TestPredicatesAndFullRuns:
+    def test_pairs_respect_value_predicates(self):
         """The candidate stream filters before the merge: pairs whose
         child value fails the predicate never appear."""
         document = star_document(60, child_tag="item")
@@ -151,15 +133,15 @@ class TestNodeAndEdgeRelations:
         child = parent.child("it", tag="item",
                              predicate=lambda v: isinstance(v, int)
                              and v < 10)
-        relation = edge_relation(view, parent, child)
-        expected = {(view.starts[parent_nid], view.starts[nid])
+        pairs = axis_pairs(view.stream(parent), view.stream(child),
+                           view.levels, child.axis)
+        expected = {(view.starts[view.parents[nid]], view.starts[nid])
                     for nid in range(view.size)
                     if _tag(view, nid) == "item"
                     and isinstance(view.values[nid], int)
-                    and view.values[nid] < 10
-                    for parent_nid in [view.parents[nid]]}
-        assert set(relation.rows) == expected
-        assert len(relation.rows) == 10
+                    and view.values[nid] < 10}
+        assert set(pairs) == expected
+        assert len(pairs) == 10
 
     def test_accel_matches_oracle_on_adversarial_documents(self):
         """Full accel runs on the stack-hostile shapes."""

@@ -146,6 +146,7 @@ class TestParallelCrossTwig:
     """Every registered matcher agrees with its partition-parallel run
     (the full matrix lives in ``tests/parallel/test_parallel_parity``)."""
 
+    @pytest.mark.usefixtures("small_chunks")
     def test_parallel_matchers_agree(self):
         from repro.parallel.executor import ParallelExecutor
 

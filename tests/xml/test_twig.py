@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import TwigError
-from repro.xml.twig import Axis, TwigNode, TwigQuery, pattern_string
+from repro.xml.twig import Axis, TwigNode, TwigQuery, ValueSet, \
+    pattern_string
 from repro.xml.twig_parser import parse_twig
 from repro.xml.xpath import parse_xpath
 
@@ -73,6 +74,37 @@ class TestTwigModel:
     def test_build_helper(self):
         q = TwigQuery.build("A", lambda a: a.child("B"))
         assert [n.name for n in q.nodes()] == ["A", "B"]
+
+    def test_predicate_by_extension_pickles_and_agrees(self):
+        """``ValueSet`` stands in for a closure where a twig is pickled:
+        it keeps exactly what the closure kept, values that are equal
+        across types and NaN included."""
+        import pickle
+
+        values = [1, 1.0, True, "1", None, float("nan"), 0, 26, "x"]
+        for keep in (lambda v: isinstance(v, float),
+                     lambda v: v is True or v is None,
+                     lambda v: isinstance(v, int) and v > 0,
+                     lambda v: False):
+            shipped = pickle.loads(pickle.dumps(
+                ValueSet(filter(keep, values))))
+            assert [shipped(v) for v in values + [float("nan")]] \
+                == [bool(keep(v)) for v in values + [float("nan")]]
+
+    def test_with_predicates_copies_the_tree(self):
+        twig = self.make_figure2_twig()
+        twig.node("E").predicate = lambda v: v == 1
+        copy = twig.with_predicates({"E": ValueSet([1]),
+                                     "G": ValueSet([])})
+        assert repr(copy) == repr(twig) and copy.name == twig.name
+        assert all(node is not twig.node(node.name)
+                   for node in copy.nodes())
+        assert [(n.name, n.parent and n.parent.name) for n in copy.nodes()] \
+            == [(n.name, n.parent and n.parent.name) for n in twig.nodes()]
+        assert copy.node("E").matches_value(1)
+        assert not copy.node("G").matches_value(1)
+        assert copy.node("B").predicate is None
+        assert twig.node("G").predicate is None
 
 
 class TestPatternParser:

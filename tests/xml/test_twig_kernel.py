@@ -10,6 +10,12 @@ expanded, no ``expand`` stage may exceed the embedding count (the
 twig-side analogue of the Lemma 3.5 check in
 ``tests/engine/test_frontier_kernel.py``).
 
+What the view version determines — an edge's match lists between whole
+postings, a tag's value codes — is kept in ``view.derived``: every
+answer and every counter must read the same with that memo cold, warm
+or on a fresh view, and nothing matched through a predicate, a reduced
+posting or a worker slice may land in it.
+
 Randomized cases derive from ``REPRO_ACCEL_SEED`` (echoed in the pytest
 header), like the accelerator oracle's.
 """
@@ -17,6 +23,8 @@ header), like the accelerator oracle's.
 from __future__ import annotations
 
 import random
+import sys
+import threading
 from bisect import bisect_left
 
 import pytest
@@ -31,7 +39,7 @@ from repro.parallel.partition import posting_slices
 from repro.parallel.slicing import SlicedColumnarView
 from repro.xml import accel
 from repro.xml.arenaview import ArenaValues, attach_arena_document
-from repro.xml.columnar import columnar
+from repro.xml.columnar import columnar, invalidate_document_caches
 from repro.xml.generator import chain_document, random_document
 from repro.xml.interface import get_twig_algorithm
 from repro.xml.navigation import match_embeddings, match_relation
@@ -96,6 +104,24 @@ def assert_matches_naive(document, twig):
     return run
 
 
+def memo_keys(view, kind="edge"):
+    return {key for key in view.derived if key[0] == kind}
+
+
+def assert_memo_is_invisible(document, twig):
+    """The view's first match of *twig*, a second one over whatever the
+    first left in ``view.derived``, and one on a rebuilt view: rows,
+    embeddings and every counter are the oracle's all three times."""
+    first_view = columnar(document)
+    cold = assert_matches_naive(document, twig)
+    assert kernel_run(document, twig) == cold  # warm
+    invalidate_document_caches(document)
+    assert columnar(document) is not first_view
+    assert not columnar(document).derived
+    assert kernel_run(document, twig) == cold  # fresh
+    return cold
+
+
 # -- strategies ------------------------------------------------------------
 
 @st.composite
@@ -132,7 +158,16 @@ class TestDifferential:
     @settings(max_examples=300, deadline=None)
     @given(documents(), twigs())
     def test_random_twigs_on_random_documents(self, document, twig):
-        assert_matches_naive(document, twig)
+        assert_memo_is_invisible(document, twig)
+
+    @seed(ACCEL_SEED)
+    @settings(max_examples=60, deadline=None)
+    @given(documents(), st.lists(twigs(), min_size=2, max_size=4))
+    def test_twigs_sharing_one_view(self, document, batch):
+        """Edges one twig cached are another's input, predicated or not,
+        in either order."""
+        for twig in batch + batch[::-1]:
+            assert_matches_naive(document, twig)
 
     @pytest.mark.parametrize("pattern", [
         "x=a", "x=z",                       # single node; absent tag
@@ -151,12 +186,13 @@ class TestDifferential:
     def test_a_nonstrict_descendant_bound_is_caught(self, monkeypatch):
         """Mutation check: with a non-strict lower bound a node pairs
         with itself on ``a(//a)``, and the oracle says so."""
-        document = chain_document(6, tags=("a",), root_tag="a")
         twig = parse_twig("x=a(//y=a)")
-        assert_matches_naive(document, twig)
+        assert_matches_naive(chain_document(6, tags=("a",), root_tag="a"),
+                             twig)
         monkeypatch.setattr(accel, "bisect_right", bisect_left)
-        with pytest.raises(AssertionError):
-            assert_matches_naive(document, twig)
+        with pytest.raises(AssertionError):  # on a view with no edge cached
+            assert_matches_naive(
+                chain_document(6, tags=("a",), root_tag="a"), twig)
 
     def test_predicate_on_the_root_and_on_leaves(self):
         document = random_document(random.Random(20261002), tags="ab",
@@ -166,6 +202,134 @@ class TestDifferential:
         root.child("w", tag="a")
         rows, *_ = assert_matches_naive(document, TwigQuery(root))
         assert rows.rows and all(x >= 3 and y <= 1 for x, y, _w in rows)
+
+
+# -- the per-version memo --------------------------------------------------
+
+class TestMemo:
+    def document(self):
+        return random_document(random.Random(f"{ACCEL_SEED}:memo"),
+                               tags="ab", max_nodes=300, max_children=5,
+                               value_range=4)
+
+    def test_whole_postings_are_cached_once_per_edge(self):
+        document = self.document()
+        view = columnar(document)
+        assert_matches_naive(document, parse_twig("x=a(/y=b, //w=a)"))
+        assert memo_keys(view) == {("edge", "a", "b", Axis.CHILD),
+                                   ("edge", "a", "a", Axis.DESCENDANT)}
+        cached = {key: view.derived[key] for key in memo_keys(view)}
+        # Another twig over the same edges reads them; a new edge joins.
+        assert_matches_naive(document, parse_twig("p=a(/q=b(//r=b))"))
+        assert all(view.derived[key] is found
+                   for key, found in cached.items())
+        assert memo_keys(view) == set(cached) | {
+            ("edge", "b", "b", Axis.DESCENDANT)}
+        assert memo_keys(view, "tag_codes") == {("tag_codes", "a"),
+                                                ("tag_codes", "b")}
+
+    @pytest.mark.parametrize("unpredicated_first", [True, False])
+    def test_a_predicated_side_is_matched_per_call(self, unpredicated_first):
+        """A predicate on either side of an edge another twig matched
+        without one (and one that keeps every candidate): same tags,
+        same axis, different answer — never the cached one."""
+        document = self.document()
+        view = columnar(document)
+        plain = parse_twig("x=a(/y=b)")
+        low_child = TwigNode("x", tag="a")
+        low_child.child("y", tag="b", predicate=PREDICATES["low"])
+        high_root = TwigNode("x", tag="a", predicate=PREDICATES["high"])
+        high_root.child("y", tag="b")
+        keeps_all = TwigNode("x", tag="a", predicate=lambda v: True)
+        keeps_all.child("y", tag="b", predicate=lambda v: True)
+        predicated = [TwigQuery(low_child), TwigQuery(high_root),
+                      TwigQuery(keeps_all)]
+        if unpredicated_first:
+            assert_matches_naive(document, plain)
+        answers = [assert_matches_naive(document, twig)[0]
+                   for twig in predicated]
+        assert memo_keys(view) == (
+            {("edge", "a", "b", Axis.CHILD)} if unpredicated_first
+            else set())
+        whole = assert_matches_naive(document, plain)[0]
+        assert answers[2] == whole
+        assert answers[0].rows <= whole.rows and answers[1].rows <= whole.rows
+        assert all(y <= 1 for _x, y in answers[0])
+        assert all(x >= 3 for x, _y in answers[1])
+
+    def test_a_reduced_side_is_matched_per_call(self):
+        """``y`` loses candidates to its own child before ``x`` looks at
+        it: the x-y edge is over a reduced posting, the y-w edge over
+        whole ones."""
+        document = parse_document(
+            "<r><a><b><c>1</c></b><b>2</b></a><a><b>3</b></a></r>")
+        view = columnar(document)
+        rows, *_ = assert_matches_naive(document,
+                                        parse_twig("x=a(/y=b(/w=c))"))
+        assert rows.rows == {(None, None, 1)}
+        assert memo_keys(view) == {("edge", "b", "c", Axis.CHILD)}
+        rows, *_ = assert_matches_naive(document, parse_twig("x=a(/y=b)"))
+        assert rows.rows == {(None, None), (None, 2), (None, 3)}
+
+    def test_equal_values_of_different_types_are_one_row(self):
+        """``1``, ``1.0`` and ``True`` are one value to a set of rows and
+        one code to the code column; valueless nodes are ``None``."""
+        document = parse_document(
+            "<r><a><b>1</b><c/></a><a><b>1.0</b><c/></a><a><b>7</b><c/></a>"
+            "<a><b>x</b><c>2</c></a><a><b/><c/></a><a><b/><c>2</c></a></r>")
+        view, twig = columnar(document), parse_twig("x=a(/y=b, /w=c)")
+        seven = view.values.index(7)
+        view.values[seven] = True  # no XML text parses to a bool
+        codes, table = view.tag_codes("b")
+        assert codes == [0, 0, 0, 1, 2, 2] and table == [1, "x", None]
+        expected = {tuple(view.values[view.nid_of(emb[name])]
+                          for name in twig.attributes)
+                    for emb in match_embeddings(document, twig)}
+        assert expected == {(None, 1, None), (None, "x", 2),
+                            (None, None, None), (None, None, 2)}
+        for _ in range(2):  # cold, warm
+            rows, embeddings, _counted = kernel_run(document, twig)
+            assert rows.rows == expected and len(embeddings) == 6
+        view.values[seven] = 7
+        invalidate_document_caches(document)
+        assert_matches_naive(document, twig)
+
+    def test_threads_racing_the_first_match_agree(self):
+        """Entries are stored whole or not at all: whoever loses the
+        race reads a finished list or computes its own."""
+        twig = parse_twig("x=a(/y=b, //w=a(/v=b))")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for round_ in range(5):
+                document = random_document(
+                    random.Random(f"{ACCEL_SEED}:race:{round_}"), tags="ab",
+                    max_nodes=1500, max_children=6, value_range=4)
+                view = columnar(document)
+                barrier, outcomes = threading.Barrier(4, timeout=60), []
+
+                def match():
+                    stats = JoinStats()
+                    barrier.wait()
+                    rows = ACCEL.run(document, twig, stats=stats)
+                    outcomes.append((rows, counters(stats)))
+
+                threads = [threading.Thread(target=match) for _ in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert len(outcomes) == 4
+                assert all(outcome == outcomes[0] for outcome in outcomes)
+                assert outcomes[0][0] == match_relation(document, twig)
+                for key in memo_keys(view):
+                    _kind, upper, lower, axis = key
+                    assert view.derived[key] == accel._edge_matches(
+                        view, view.stream(TwigNode("u", tag=upper)),
+                        view.stream(TwigNode("l", tag=lower)), axis)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 # -- counters --------------------------------------------------------------
@@ -219,7 +383,7 @@ def test_chunked_runs_equal_the_unchunked_run(monkeypatch, chunk):
     whole = [kernel_run(document, twig) for document, twig in cases]
     assert any(dict(stages)["alive x"] > 7
                for _rows, _embeddings, (stages, *_) in whole)
-    monkeypatch.setattr(accel, "_CHUNK", chunk)
+    monkeypatch.setattr(accel, "CHUNK", chunk)
     assert [kernel_run(document, twig) for document, twig in cases] == whole
 
 
@@ -328,3 +492,36 @@ def test_slices_partition_the_embeddings(pattern):
         union += [row for row in rooted(view)
                   if piece.lo <= row[0] < piece.hi]
     assert sorted(union) == sorted(whole)
+
+
+def test_a_slice_neither_fills_nor_reads_the_memo():
+    """Matched through slices first, then whole: a slice's streams are
+    restricted, so what it computes stays out of the base view's
+    ``derived`` (and its own), and the whole-document match that follows
+    is the oracle's."""
+    rng = random.Random(f"{ACCEL_SEED}:slice-memo")
+    twig = parse_twig("x=a(//y=b, /w=a)")
+    while True:  # the generator may stop at a handful of nodes
+        document = random_document(rng, tags="ab", max_nodes=160,
+                                   max_children=5, value_range=3)
+        if len(document.nodes("a")) >= 8:
+            break
+    base = columnar(document)
+    base.derived["probe"] = "kept"
+    pieces = posting_slices(base.stream(twig.root), 4)
+    assert len(pieces) > 1
+    for piece in pieces + pieces[:1]:
+        view = SlicedColumnarView(base, twig, piece.lo, piece.hi,
+                                  piece.region_hi)
+        assert view.derived is not base.derived and not view.derived
+        list(accel.twig_frontiers(view, twig))
+        assert not memo_keys(view) and not memo_keys(base)
+    # One slice spanning everything restricts nothing — and still is
+    # not the view's own posting.
+    everything = SlicedColumnarView(base, twig, 0, base.ends[0] + 1,
+                                    base.ends[0])
+    assert len(everything.stream(twig.root)) == len(base.stream(twig.root))
+    list(accel.twig_frontiers(everything, twig))
+    assert not memo_keys(everything) and not memo_keys(base)
+    assert_matches_naive(document, twig)
+    assert len(memo_keys(base)) == 2 and base.derived["probe"] == "kept"
