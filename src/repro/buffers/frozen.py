@@ -15,9 +15,9 @@ copy into a segment verbatim, and workers rebuild the trie as
 adapters (:class:`FrozenTrieNode`, whose ``children`` satisfies the
 mapping surface the kernels probe) make a frozen trie a drop-in
 ``root`` for :class:`~repro.engine.encoded.EncodedTrie` shells: every
-registered join kernel, the LFTJ iterator and the executor's slicing
-run on them unchanged. Frozen tries are read-only — the update layer
-splices the mutable owner and republishes.
+registered join kernel and the executor's slicing run on them
+unchanged. Frozen tries are read-only — the update layer splices the
+mutable owner and republishes.
 """
 
 from __future__ import annotations
@@ -136,10 +136,6 @@ class FrozenTrieNode:
         self.level = level
         self.lo = lo
         self.hi = hi
-
-    def seek_index(self, code: int) -> int:
-        """Index (within the span) of the first key >= *code*."""
-        return gallop(self.keys, code)
 
     def __len__(self) -> int:
         return self.hi - self.lo

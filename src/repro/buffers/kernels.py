@@ -1,11 +1,11 @@
-"""Batch kernels over sorted code buffers: galloping seek, k-way
-intersection.
+"""Batch kernels over sorted code buffers: galloping seek, 2-way and
+k-way intersection.
 
-Both kernels are representation-agnostic — they index any sorted int
+The kernels are representation-agnostic — they index any sorted int
 sequence (``array``, ``memoryview``, ``list``) — and are the single
-implementation behind :meth:`EncodedTrieIterator.seek`,
-:meth:`TagPosting.seek_start`, the frozen-trie child lookups and the
-innermost level of Leapfrog Triejoin.
+implementation behind :meth:`TagPosting.seek_start`, the frozen-trie
+child lookups and the sorted step of the frontier join kernel
+(``leapfrog``, :mod:`repro.engine.algorithms`).
 
 :func:`gallop` is the exponential-probe + bisect seek: starting from the
 cursor it doubles a probe distance until the target is bracketed, then
@@ -18,16 +18,19 @@ one position).
 leapfrog advancement: it runs the whole multi-way intersection of one
 level's key buffers in a single call, galloping each buffer from its
 own cursor, and returns the emitted codes plus the probe count for the
-stats contract. The acceptance benchmark
-(``benchmarks/bench_buffers.py``) gates it at >= 2x over the
-iterator-protocol :func:`~repro.relational.leapfrog.leapfrog_intersect`
-on a dense triangle workload.
+stats contract. Its 2-way step, :func:`intersect_pair`, is also a
+function of two buffers alone, so ``map`` can drive it over two
+streams of them. The acceptance benchmark
+(``benchmarks/bench_buffers.py``) gates :func:`intersect_many` at >= 2x
+over the iterator-protocol
+:func:`~repro.relational.leapfrog.leapfrog_intersect` on a dense
+triangle workload.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 
 
@@ -57,6 +60,31 @@ def _empty_like(buf: Sequence[int]) -> "array | list":
     return []
 
 
+def intersect_pair(a: Sequence[int], b: Sequence[int]) -> "list[int]":
+    """The sorted intersection of two sorted duplicate-free code buffers,
+    as a list.
+
+    Drives from the smaller buffer and seeks each of its codes in the
+    larger from a moving cursor: every seek is forward-only (the same
+    contract as galloping) while the probe itself stays in the C bisect
+    — no per-step Python pivot bookkeeping. Stops at the first code the
+    larger buffer has nothing at or above.
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    out: "list[int]" = []
+    append = out.append
+    n = len(b)
+    p = 0
+    for code in a:
+        p = bisect_left(b, code, p, n)
+        if p == n:
+            break
+        if b[p] == code:
+            append(code)
+    return out
+
+
 def intersect_many(buffers: "Sequence[Sequence[int]]"
                    ) -> "tuple[Sequence[int], int]":
     """The sorted intersection of k sorted duplicate-free code buffers.
@@ -80,27 +108,15 @@ def intersect_many(buffers: "Sequence[Sequence[int]]"
         src = bufs[0]
         out.extend(src)
         return out, len(src)
+    if len(bufs) == 2:
+        # The dominant case (pairwise posting/adjacency intersection).
+        # A code of the smaller buffer is probed while the larger has
+        # keys at or above it, and the first one beyond stops the scan.
+        small, large = bufs
+        out.extend(intersect_pair(small, large))
+        return out, min(len(small), bisect_right(small, large[-1]) + 1)
     k = len(bufs)
     lens = [len(buf) for buf in bufs]
-    if k == 2:
-        # The dominant case (pairwise posting/adjacency intersection):
-        # drive from the smaller buffer and seek the larger one from a
-        # moving cursor. The cursor keeps every seek forward-only (the
-        # same contract as galloping) while the probe itself stays in
-        # the C bisect — no per-step Python pivot bookkeeping.
-        small, large = bufs
-        n_large = lens[1]
-        append = out.append
-        probes = 0
-        p = 0
-        for code in small:
-            probes += 1
-            p = bisect_left(large, code, p, n_large)
-            if p == n_large:
-                break
-            if large[p] == code:
-                append(code)
-        return out, probes
     pos = [0] * k
     pivot = bufs[0][0]
     agree = 1

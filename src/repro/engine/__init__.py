@@ -26,7 +26,6 @@ from repro.engine.dictionary import Dictionary, DictionaryBuilder
 from repro.engine.encoded import (
     EncodedInstance,
     EncodedTrie,
-    EncodedTrieIterator,
     TwigFilters,
 )
 from repro.engine.interface import (
@@ -61,7 +60,6 @@ __all__ = [
     "DictionaryBuilder",
     "EncodedInstance",
     "EncodedTrie",
-    "EncodedTrieIterator",
     "FeedbackStore",
     "JoinAlgorithm",
     "PlanRacer",

@@ -5,8 +5,9 @@ All four algorithm families run through one
 
 * :class:`GenericJoinAlgorithm` — NPRR-style attribute-at-a-time
   expansion over the hashed tries;
-* :class:`LeapfrogTriejoinAlgorithm` — LFTJ sorted seeks, plain int
-  comparisons (code order == value order);
+* :class:`LeapfrogTriejoinAlgorithm` — LFTJ: the same expansion, each
+  level met by intersecting sorted key buffers (code order == value
+  order);
 * :class:`XJoinAlgorithm` — the paper's Algorithm 1 over relations, twig
   path tries and A-D pair tries together; twig structure is validated
   at the level that completes each twig, once per distinct code
@@ -16,28 +17,30 @@ All four algorithm families run through one
   (binary relational plans + TwigStack, joined at the end), so it runs
   from the source query while sharing the unified invocation surface.
 
-GenericJoin and XJoin are one **level-at-a-time** function,
-:func:`_frontier_join`: Algorithm 1 as the paper writes it, breadth
-first. The frontier — every partial tuple alive after a level — is a
-set of parallel lists: one code column per bound attribute and, per
-trie descended so far, its current ``children`` mappings. A level is a
-handful of C-level passes over them (key-view intersections, ``map``,
-``itertools.chain/repeat/compress``); Python runs per level, never per
-binding. The frontier's length after a level *is* that level's stage
-size — the quantity Lemma 3.5 bounds. A frontier longer than
-:data:`_CHUNK` is cut into slices that are expanded one after the other
-(breadth first inside a chunk, depth first over chunks), so transient
-memory is O(chunk x fan-out x depth) whatever the stage sizes are;
-stage counts and level times are summed across chunks. One level may
-be a *witness test* instead: XJoin's last level, when its attribute is
-existential (``TwigFilters.tested``), keeps the entries whose candidate
-sets share a code without expanding them — stage = survivors.
+All three are one **level-at-a-time** function, :func:`_frontier_join`:
+Algorithm 1 as the paper writes it, breadth first. The frontier — every
+partial tuple alive after a level — is a set of parallel lists: one
+code column per bound attribute and, per trie descended so far, what
+each entry holds of it. A level is a handful of C-level passes over
+them (``map``, ``itertools.chain/repeat/compress``); Python runs per
+level, never per binding. The frontier's length after a level *is* that
+level's stage size — the quantity Lemma 3.5 bounds. A frontier longer
+than :data:`_CHUNK` is cut into slices that are expanded one after the
+other (breadth first inside a chunk, depth first over chunks), so
+transient memory is O(chunk x fan-out x depth) whatever the stage sizes
+are; stage counts and level times are summed across chunks.
 
-LFTJ keeps its sorted-iterator kernel (it is the seek-based family and
-the only one that counts comparisons); its innermost level runs as one
-batch :func:`~repro.buffers.kernels.intersect_many` call over the raw
-key buffers (each galloping probe counts as one seek and one
-comparison).
+Only the per-level *step* — how one level's candidate sets are met —
+depends on the algorithm that calls the kernel (Abo Khamis–Ngo–Suciu
+treat generic join and LFTJ as one family under one bound):
+:class:`_Hashed` (``generic_join``, ``xjoin``) meets key views with
+C-level ``&``, :class:`_Sorted` (``leapfrog``) meets sorted key buffers
+with the forward-only intersections of :mod:`repro.buffers.kernels`.
+
+One level may be a *witness test* instead: XJoin's last level, when its
+attribute is existential (``TwigFilters.tested``), keeps the entries
+whose candidate sets share a code without expanding them — stage =
+survivors.
 
 Counters. Stages (``level <a>`` / ``expand <a>``), ``emitted`` and
 ``filtered`` mean what they always did. ``seeks`` of the frontier
@@ -46,10 +49,14 @@ frontier entries, the size of the smallest candidate set among the
 level's participants (the side the C intersection iterates; tries not
 yet descended share one root and are pooled into one set, intersected
 once; a tested level counts the same sets, an upper bound on what its
-short-circuiting probes examine). They are computed in bulk, only when
-a caller collects stats, as are the per-level wall times recorded in
-``JoinStats.phase_times`` under each stage's label. Seek totals are
-comparable across engine algorithms, not across engine versions.
+short-circuiting probes examine). The sorted step counts the same number
+as ``comparisons`` too — one probe per candidate of the smallest set,
+an upper bound on what :func:`~repro.buffers.kernels.intersect_pair`
+probes (it stops when the larger buffer runs out). Both are computed in
+bulk, only when a caller collects stats, as are the per-level wall
+times recorded in ``JoinStats.phase_times`` under each stage's label.
+Seek totals are comparable across engine algorithms, not across engine
+versions.
 """
 
 from __future__ import annotations
@@ -59,8 +66,8 @@ from itertools import chain, compress, repeat
 from operator import and_, attrgetter, getitem, methodcaller
 from time import perf_counter
 
-from repro.buffers.kernels import intersect_many
-from repro.engine.encoded import EncodedInstance, EncodedTrieIterator
+from repro.buffers.kernels import intersect_many, intersect_pair
+from repro.engine.encoded import EncodedInstance
 from repro.engine.interface import register
 from repro.errors import EngineError
 from repro.instrumentation import NULL_STATS, JoinStats, ensure_stats
@@ -71,6 +78,7 @@ from repro.relational.schema import Schema
 _CHUNK = 4096
 
 _children = attrgetter("children")
+_keys = attrgetter("keys")
 
 
 def _reject_twig_instance(algorithm: str, instance: EncodedInstance) -> None:
@@ -108,11 +116,82 @@ def _candidates(root):
         else set(root.keys)
 
 
-def _key_view(trie):
-    """The C-level way to a node's candidate set below *trie*'s root:
-    ``dict.keys`` for hashed nodes, else the adapters' own ``keys()``."""
-    return dict.keys if type(trie.root.children) is dict \
-        else methodcaller("keys")
+class _Hashed:
+    """Hashed tries: an entry holds a descended trie's ``children``
+    mapping; candidate sets are key views, met with C-level ``&``."""
+
+    counts_comparisons = False
+
+    @staticmethod
+    def view(trie):
+        """The C-level way from a held mapping to its candidate set:
+        ``dict.keys`` for hashed nodes, else the adapters' own
+        ``keys()``."""
+        return dict.keys if type(trie.root.children) is dict \
+            else methodcaller("keys")
+
+    @staticmethod
+    def pool(roots):
+        """The candidate set of undescended tries, met once."""
+        return reduce(and_, map(_candidates, roots))
+
+    @staticmethod
+    def meet(streams):
+        """Per entry, the codes common to its candidate sets."""
+        return list(reduce(lambda met, view: map(and_, met, view), streams))
+
+    @staticmethod
+    def descend(held, codes):
+        """Per entry, what it holds of a trie one level below."""
+        return map(_children, map(getitem, held, codes))
+
+    @staticmethod
+    def enter(root, codes):
+        """Per entry, what it holds of a trie entered at *root*."""
+        return map(_children, map(root.children.__getitem__, codes))
+
+
+class _Sorted:
+    """Sorted key buffers: an entry holds a descended trie's node;
+    candidate sets are its ``keys`` — arrays, the ``memoryview`` spans
+    of frozen CSR tries, lists under
+    :func:`~repro.buffers.layout.list_backend`, a sliced root's
+    restricted keys — met by :func:`~repro.buffers.kernels.intersect_pair`
+    mapped over two buffer streams, or
+    :func:`~repro.buffers.kernels.intersect_many` for three or more."""
+
+    counts_comparisons = True
+
+    @staticmethod
+    def view(trie):
+        """From a held node to its sorted key buffer."""
+        return _keys
+
+    @staticmethod
+    def pool(roots):
+        """The roots' common keys (a lone root's own buffer, uncopied:
+        a sliced root's are its restricted ``keys``)."""
+        return roots[0].keys if len(roots) == 1 \
+            else intersect_many([root.keys for root in roots])[0]
+
+    @staticmethod
+    def meet(streams):
+        """Per entry, the codes common to its key buffers."""
+        if len(streams) == 1:
+            return list(streams[0])
+        if len(streams) == 2:
+            return list(map(intersect_pair, *streams))
+        return [intersect_many(buffers)[0] for buffers in zip(*streams)]
+
+    @staticmethod
+    def descend(held, codes):
+        """Per entry, the node one level below."""
+        return map(getitem, map(_children, held), codes)
+
+    @staticmethod
+    def enter(root, codes):
+        """Per entry, the node below *root*."""
+        return map(root.children.__getitem__, codes)
 
 
 def _spreader(counts, total):
@@ -127,9 +206,11 @@ def _spreader(counts, total):
 
 
 def _frontier_join(instance: EncodedInstance, stats: JoinStats,
-                   label: str, filters=None) -> "list[list[int]]":
-    """Expand *instance* level at a time (see the module docstring);
-    returns the result as one code column per level of the order.
+                   label: str, filters=None,
+                   step=_Hashed) -> "list[list[int]]":
+    """Expand *instance* level at a time (see the module docstring),
+    meeting each level's candidate sets by *step*; returns the result
+    as one code column per level of the order.
 
     ``filters.checks[level]`` are the twig structure checks XJoin runs
     on the frontier a level produces, after it is counted as the level's
@@ -150,7 +231,7 @@ def _frontier_join(instance: EncodedInstance, stats: JoinStats,
     # Below its last level a trie has nothing to read: not descended.
     last = [order.index(trie.order[-1]) if trie.order else -1
             for trie in tries]
-    key_views = list(map(_key_view, tries))
+    views = list(map(step.view, tries))
     counting = stats is not NULL_STATS
     alive, times = [0] * depth, [0.0] * depth
     seeks = filtered = 0
@@ -158,7 +239,7 @@ def _frontier_join(instance: EncodedInstance, stats: JoinStats,
 
     stats.start_timer()
     # One pending chunk: (a code column per bound level, and per
-    # descended unfinished trie the entries' children mappings).
+    # descended unfinished trie what the entries hold of it).
     pending = [([], {})]
     while pending:
         cols, nodes = pending.pop()
@@ -168,23 +249,21 @@ def _frontier_join(instance: EncodedInstance, stats: JoinStats,
         participants = instance.participation[level]
         held = [i for i in participants if i in nodes]
         fresh = [i for i in participants if i not in nodes]
-        views = [map(key_views[i], nodes[i]) for i in held]
+        streams = [map(views[i], nodes[i]) for i in held]
         if fresh:  # one root each, shared by every entry: met once, last
-            shared = reduce(and_, [_candidates(tries[i].root) for i in fresh])
-            views.append(repeat(shared, size))
+            shared = step.pool([tries[i].root for i in fresh])
+            streams.append(repeat(shared, size))
         if level == tested:
             # A witness test: every view but the last is met as usual,
             # the last only probed until the first common code. The
             # counts are the verdicts, 0 or 1 per entry.
-            *rest, final = views
+            *rest, final = streams
             counts = list(map(bool, final)) if not rest else [
-                not common.isdisjoint(view) for common, view in zip(
-                    reduce(lambda met, view: map(and_, met, view), rest),
-                    final)]
+                not common.isdisjoint(view)
+                for common, view in zip(step.meet(rest), final)]
             codes = [0] * counts.count(True)
         else:
-            commons = list(reduce(lambda met, view: map(and_, met, view),
-                                  views))
+            commons = step.meet(streams)
             counts = list(map(len, commons))
             codes = list(chain.from_iterable(commons))
         if counting:
@@ -201,12 +280,10 @@ def _frontier_join(instance: EncodedInstance, stats: JoinStats,
             if i not in participants:
                 after[i] = spread(node_list)
             elif last[i] > level:
-                after[i] = list(map(_children, map(
-                    getitem, spread(node_list), codes)))
+                after[i] = list(step.descend(spread(node_list), codes))
         for i in fresh:
             if last[i] > level:
-                after[i] = list(map(_children, map(
-                    tries[i].root.children.__getitem__, codes)))
+                after[i] = list(step.enter(tries[i].root, codes))
         for positions, validator in checks[level] if checks else ():
             projection = list(zip(*[cols[p] for p in positions]))
             verdicts = {key: validator.admits(key)
@@ -232,6 +309,8 @@ def _frontier_join(instance: EncodedInstance, stats: JoinStats,
     stats.stop_timer()
 
     stats.count_seeks(seeks)
+    if step.counts_comparisons:
+        stats.count_comparisons(seeks)
     stats.count_filtered(filtered)
     stats.count_emitted(len(columns[0]))
     for attribute, count, seconds in zip(order, alive, times):
@@ -257,88 +336,20 @@ class GenericJoinAlgorithm:
 
 
 class LeapfrogTriejoinAlgorithm:
-    """Veldhuizen's LFTJ: leapfrogging sorted trie iterators per level."""
+    """Veldhuizen's LFTJ: sorted key buffers intersected per level."""
 
     name = "leapfrog"
 
     def run(self, instance: EncodedInstance, *,
             stats: JoinStats | None = None) -> Relation:
-        """Evaluate the instance by leapfrogging sorted trie iterators."""
+        """Evaluate the instance level at a time (:func:`_frontier_join`),
+        meeting each level's sorted key buffers."""
         _reject_twig_instance(self.name, instance)
         stats = ensure_stats(stats)
         if instance.has_empty_input():
             return _empty_result(stats, instance.name, instance.order)
-        order = instance.order
-        depth = len(order)
-        iterators = [EncodedTrieIterator(trie) for trie in instance.tries]
-        participants: list[list[EncodedTrieIterator]] = [
-            [iterators[i] for i in level]
-            for level in instance.participation]
-
-        stats.start_timer()
-        rows: list[tuple[int, ...]] = []
-        binding: list[int] = []
-        alive = [0] * depth
-        comparisons = 0  # flushed in bulk; a counter call per key is hot
-        seeks = 0
-
-        def search(level: int) -> None:
-            nonlocal comparisons, seeks
-            its = participants[level]
-            for it in its:
-                it.open()
-            produced = 0
-            if level + 1 == depth:
-                # Innermost level: one batch k-way intersection over the
-                # raw key buffers replaces per-element leapfrogging. Each
-                # galloping probe counts as one seek and one comparison.
-                common, probes = intersect_many(
-                    [it.current_keys() for it in its])
-                seeks += probes
-                comparisons += probes
-                prefix = tuple(binding)
-                rows.extend(prefix + (code,) for code in common)
-                produced = len(common)
-            elif not any(it.at_end() for it in its):
-                its_sorted = sorted(its, key=EncodedTrieIterator.key)
-                count = len(its_sorted)
-                p = 0
-                max_key = its_sorted[-1].key()
-                while True:
-                    it = its_sorted[p]
-                    least = it.key()
-                    comparisons += 1
-                    if least == max_key:
-                        binding.append(least)
-                        produced += 1
-                        search(level + 1)
-                        binding.pop()
-                        it.next()
-                        seeks += 1
-                        if it.at_end():
-                            break
-                        max_key = it.key()
-                    else:
-                        it.seek(max_key)
-                        seeks += 1
-                        if it.at_end():
-                            break
-                        max_key = it.key()
-                    p = (p + 1) % count
-            alive[level] += produced
-            for it in its:
-                it.up()
-
-        if depth:
-            search(0)
-            stats.count_comparisons(comparisons)
-            stats.count_seeks(seeks)
-            stats.count_emitted(len(rows))
-            for level, count in enumerate(alive):
-                stats.record_stage(f"level {order[level]}", count)
-        stats.stop_timer()
         return instance.result_relation(
-            list(zip(*rows)) if rows else [()] * depth)
+            _frontier_join(instance, stats, "level", step=_Sorted))
 
 
 class XJoinAlgorithm:

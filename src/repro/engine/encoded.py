@@ -23,8 +23,8 @@ and is handed to any :class:`~repro.engine.interface.JoinAlgorithm`:
 Tries store dense int codes: every level's key list is a sorted typed
 buffer (:mod:`repro.buffers.layout` picks the narrowest ``array``
 typecode from the level's code bound and widens on demand; code order ==
-value order), so seeks are galloping probes over contiguous ints and
-hashed descent probes int-keyed dicts. Building from sorted encoded rows
+value order), so sorted intersections probe contiguous ints and hashed
+descent probes int-keyed dicts. Building from sorted encoded rows
 shares prefixes with the previous row, which yields the key buffers
 already sorted; rows end in one shared empty leaf node, not one each.
 ``insert``/``remove`` splice the same buffers in place (amortized via
@@ -41,7 +41,6 @@ from itertools import repeat
 from operator import itemgetter
 from typing import TYPE_CHECKING
 
-from repro.buffers.kernels import gallop
 from repro.buffers.layout import (
     insert_code,
     make,
@@ -72,10 +71,6 @@ class EncodedTrieNode:
         self.keys = make(typecode)
         self.children: dict[int, "EncodedTrieNode"] = {}
 
-    def seek_index(self, code: int) -> int:
-        """Index of the first key >= *code*."""
-        return gallop(self.keys, code)
-
     def __len__(self) -> int:
         return len(self.keys)
 
@@ -94,15 +89,18 @@ class EncodedTrie:
     level packs into the narrowest typecode without a scan; without it
     the rows are scanned once, column-wise. ``_typecodes = None`` marks
     a *frozen* (cached, attached) trie: ``insert``/``remove`` raise.
+    ``_weights`` is where the parallel partitioner keeps a frozen
+    trie's rows per root code (:mod:`repro.parallel.partition`).
     """
 
-    __slots__ = ("name", "order", "root", "size", "_typecodes")
+    __slots__ = ("name", "order", "root", "size", "_typecodes", "_weights")
 
     def __init__(self, name: str, order: Sequence[str],
                  encoded_rows: Iterable[tuple[int, ...]], *,
                  code_bounds: Sequence[int] | None = None):
         self.name = name
         self.order = tuple(order)
+        self._weights = None
         rows = sorted(encoded_rows)
         self.size = len(rows)
         if code_bounds is None:
@@ -161,8 +159,8 @@ class EncodedTrie:
         """Insert one encoded row; returns False if it was present.
 
         Keys stay sorted (a sorted buffer splice, widening the typecode
-        when a new code outgrows it), so iterators and seeks keep
-        working on the patched trie without a rebuild.
+        when a new code outgrows it), so the join kernels keep working
+        on the patched trie without a rebuild.
         """
         self._check_splice(row)
         if not row:  # zero-arity trie: holds the empty tuple or nothing
@@ -233,7 +231,7 @@ class EncodedTrie:
         clone = EncodedTrie.__new__(EncodedTrie)
         clone.name, clone.order, clone.size = self.name, self.order, self.size
         clone.root = copy(self.root, 0)
-        clone._typecodes = None
+        clone._typecodes = clone._weights = None
         return clone
 
     def tuples(self):
@@ -250,62 +248,6 @@ class EncodedTrie:
                 yield from recurse(node.children[code], prefix + (code,))
 
         yield from recurse(self.root, ())
-
-
-class EncodedTrieIterator:
-    """The LFTJ iterator interface (open/up/next/seek/key) over int codes.
-
-    The current level's node and position live in flat slots (not at the
-    top of a stack) so the per-comparison methods — ``key``, ``at_end``,
-    ``next``, ``seek`` — touch no list indexing beyond the key array.
-    Position -1 is the virtual root level before the first ``open``.
-    """
-
-    __slots__ = ("_node", "_pos", "_stack")
-
-    def __init__(self, trie: EncodedTrie):
-        self._node = trie.root
-        self._pos = -1
-        self._stack: list[tuple[EncodedTrieNode, int]] = []
-
-    def open(self) -> None:
-        """Descend to the first key of the current key's child level."""
-        node = self._node
-        self._stack.append((node, self._pos))
-        if self._pos >= 0:
-            self._node = node.children[node.keys[self._pos]]
-        self._pos = 0
-
-    def up(self) -> None:
-        """Return to the parent level (the position before ``open``)."""
-        self._node, self._pos = self._stack.pop()
-
-    def at_end(self) -> bool:
-        """Is the cursor past the current level's last key?"""
-        return self._pos >= len(self._node.keys)
-
-    def key(self) -> int:
-        """The code at the cursor (undefined when :meth:`at_end`)."""
-        return self._node.keys[self._pos]
-
-    def next(self) -> None:
-        """Advance the cursor by one key."""
-        self._pos += 1
-
-    def seek(self, code: int) -> None:
-        """Advance the cursor to the first key >= *code* (never back).
-
-        Gallops from the cursor, so a seek costs O(log d) in the
-        distance d actually moved, not in the level's width.
-        """
-        index = gallop(self._node.keys, code, self._pos if self._pos > 0
-                       else 0)
-        if index > self._pos:
-            self._pos = index
-
-    def current_keys(self) -> Sequence[int]:
-        """The current level's full key buffer (batch kernels read it)."""
-        return self._node.keys
 
 
 @dataclass

@@ -110,7 +110,8 @@ class ParallelExecutor:
             return self._run_baseline_instance(instance, stats=stats)
         # Degenerate runs (serial executor, planner said 1 partition)
         # short-circuit before any partitioning work — in particular
-        # before the O(rows) weight walk over the level-0 tries.
+        # before the weight map, an O(rows) walk of every level-0 trie
+        # not yet weighed (frozen tries keep theirs).
         if self.workers <= 1 or (morsels is not None and morsels <= 1):
             return get_algorithm(algorithm).run(instance, stats=stats)
         weights = top_level_weights(instance)

@@ -100,6 +100,22 @@ def _subtree_rows(node) -> int:
     return total
 
 
+def _root_weights(trie) -> dict[int, int]:
+    """Rows beneath each root code of *trie*. A frozen trie
+    (``_typecodes is None``: a cached trie, its re-keyed copy, a slice
+    of either) cannot change, so it is walked once and keeps the map; a
+    slice starts from its parent's, a superset of its own codes. The
+    update layer's mutable tries are walked every time."""
+    weights = getattr(trie, "_weights", None)
+    if weights is None:
+        children = trie.root.children
+        weights = {code: _subtree_rows(children[code])
+                   for code in trie.root.keys}
+        if trie._typecodes is None:
+            trie._weights = weights
+    return weights
+
+
 def top_level_weights(instance: "EncodedInstance") -> dict[int, int]:
     """Per top-level code: total rows beneath it across level-0 tries.
 
@@ -111,10 +127,10 @@ def top_level_weights(instance: "EncodedInstance") -> dict[int, int]:
     if not instance.order:
         return weights
     for trie_index in instance.participation[0]:
-        root = instance.tries[trie_index].root
-        for code in root.keys:
-            weights[code] = weights.get(code, 0) \
-                + _subtree_rows(root.children[code])
+        trie = instance.tries[trie_index]
+        rows = _root_weights(trie)
+        for code in trie.root.keys:
+            weights[code] = weights.get(code, 0) + rows[code]
     return weights
 
 

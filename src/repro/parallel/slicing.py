@@ -67,6 +67,8 @@ def sliced_trie(trie: EncodedTrie, lo: int, hi: int, *,
     clone.order = trie.order
     clone.root = root
     clone._typecodes = getattr(trie, "_typecodes", None)
+    # Rows per root code are the parent's: the children are shared.
+    clone._weights = getattr(trie, "_weights", None)
     # Kernels drive enumeration from the key lists and never read
     # ``size``; keep the parent's value as a documented upper bound.
     clone.size = trie.size if len(root.keys) else 0

@@ -4,9 +4,10 @@ worst-case optimal relational join.
 Two layers: :func:`leapfrog_intersect`, the unary leapfrog over
 :class:`~repro.relational.iterators.LinearIterator` instances, and
 :func:`leapfrog_triejoin`, the full multiway join. The multiway join runs
-through the shared dictionary-encoded engine (:mod:`repro.engine`): with
-per-attribute domains encoded to dense ints in value order, the trie
-seeks compare plain integers instead of materialising
+through the shared dictionary-encoded engine (:mod:`repro.engine`): the
+level-at-a-time frontier kernel, each level met by intersecting sorted
+key buffers of dense ints in value order, so its probes compare plain
+integers instead of materialising
 :func:`~repro.relational.schema.sort_key` tuples per comparison.
 """
 

@@ -1,9 +1,12 @@
-"""The level-at-a-time kernel behind ``generic_join`` and ``xjoin``.
+"""The level-at-a-time kernel behind ``generic_join``, ``leapfrog`` and
+``xjoin``.
 
 ``repro.engine.algorithms._frontier_join`` expands a whole frontier per
-level in C-level passes. Its oracle is the depth-first, per-binding form
-of Algorithm 1 it replaced, kept here as :func:`reference_dfs`: rows
-must equal the naive join, and every stage size, ``emitted`` and
+level in C-level passes; ``leapfrog`` differs from ``generic_join`` only
+in how a level's candidate sets are met (sorted key buffers instead of
+hashed key views). Its oracle is the depth-first, per-binding form of
+Algorithm 1 it replaced, kept here as :func:`reference_dfs`: rows must
+equal the naive join, and every stage size, ``emitted`` and
 ``filtered`` the reference's — unchunked, chunked, sliced, on frozen
 adapters and on tries spliced in place between runs.
 """
@@ -16,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.buffers.frozen import FrozenTrie, freeze_trie
+from repro.buffers.kernels import intersect_many
 from repro.core.multimodel import MultiModelQuery, TwigBinding
 from repro.core.surrogate import NodeSurrogate, erase_surrogates
 from repro.data.random_instances import random_multimodel_instance
@@ -23,6 +27,7 @@ from repro.data.scenarios import figure1_query
 from repro.engine import EncodedInstance, algorithms, get_algorithm, run_query
 from repro.engine.dictionary import Dictionary
 from repro.engine.encoded import EncodedTrie
+from repro.errors import EngineError
 from repro.instrumentation import JoinStats
 from repro.parallel.shm import attach_instance, publish_instance
 from repro.parallel.slicing import sliced_instance
@@ -31,6 +36,8 @@ from repro.xml.model import XMLDocument, element
 from repro.xml.twig_parser import parse_twig
 
 ALGORITHMS = ("generic_join", "leapfrog", "xjoin", "baseline")
+#: The three algorithms that run the frontier kernel.
+KERNELS = ("generic_join", "leapfrog", "xjoin")
 
 
 def reference_dfs(instance):
@@ -78,6 +85,24 @@ def kernel_run(instance, algorithm):
     result = get_algorithm(algorithm).run(instance, stats=stats)
     return (result, stats.stage_sizes(), stats.emitted, stats.filtered,
             stats.seeks)
+
+
+def traced(instance, algorithm):
+    """(result, stats) of one kernel run."""
+    stats = JoinStats()
+    return get_algorithm(algorithm).run(instance, stats=stats), stats
+
+
+def assert_leapfrog_is_the_same_frontier(instance):
+    """``leapfrog`` returns ``generic_join``'s rows through the same
+    frontier: stage labels and sizes level by level, ``emitted`` and
+    ``seeks`` equal, and its ``comparisons`` are those seeks."""
+    rows, hashed = traced(instance, "generic_join")
+    lftj_rows, lftj = traced(instance, "leapfrog")
+    assert lftj_rows == rows
+    assert lftj.stages == hashed.stages
+    assert (lftj.emitted, lftj.seeks) == (hashed.emitted, hashed.seeks)
+    assert lftj.comparisons == lftj.seeks and not hashed.comparisons
 
 
 def assert_matches_reference(instance, algorithm):
@@ -157,6 +182,18 @@ def triangle(n, per_node, seed=1):
                             Relation("T", ("a", "c"), edges())], name="tri")
 
 
+def clique4(n, per_node, seed=2):
+    """Four-cliques over one random digraph: every pair of ``a, b, c, d``
+    is an edge relation, so under that order levels ``c`` and ``d``
+    each meet three tries."""
+    rng = random.Random(seed)
+    edges = {(rng.randrange(n), rng.randrange(n))
+             for _ in range(n * per_node)}
+    return MultiModelQuery(
+        [Relation(f"E{x}{y}", (x, y), edges)
+         for x, y in ("ab", "ac", "ad", "bc", "bd", "cd")], name="k4")
+
+
 # -- (a) differential, (b) Lemma 3.5 ---------------------------------------
 
 class TestDifferential:
@@ -166,13 +203,12 @@ class TestDifferential:
         query, order = case
         naive = query.naive_join()
         instance = EncodedInstance.from_query(query, order)
-        for algorithm in ("generic_join", "xjoin"):
+        for algorithm in KERNELS:
             result, stages, *_ = assert_matches_reference(instance, algorithm)
             assert result.project(query.attributes) == naive
             # Lemma 3.5: no stage outgrows the instance's size bound.
             assert max(stages) <= query.size_bound().bound_ceiling
-        assert get_algorithm("leapfrog").run(instance) \
-            .project(query.attributes) == naive
+        assert_leapfrog_is_the_same_frontier(instance)
 
     @settings(max_examples=80, deadline=None)
     @given(multimodel_queries())
@@ -252,6 +288,8 @@ def test_chunked_runs_equal_the_unchunked_run(monkeypatch, chunk):
     cases = [(EncodedInstance.from_query(query, query.attributes), algorithm)
              for query, algorithm in (
                  (triangle(40, 4), "generic_join"),
+                 (triangle(40, 4), "leapfrog"),
+                 (clique4(12, 5), "leapfrog"),
                  (figure1_query(), "xjoin"),
                  (duplicate_branch_query(), "xjoin"),
                  (random_multimodel_instance(11, value_range=1), "xjoin"))]
@@ -260,12 +298,16 @@ def test_chunked_runs_equal_the_unchunked_run(monkeypatch, chunk):
     monkeypatch.setattr(algorithms, "_CHUNK", chunk)
     assert [kernel_run(instance, algorithm)
             for instance, algorithm in cases] == whole
+    for instance, algorithm in cases:
+        if algorithm == "leapfrog":
+            assert_leapfrog_is_the_same_frontier(instance)
 
 
 # -- (d) sliced roots ------------------------------------------------------
 
-@pytest.mark.parametrize("algorithm", ["generic_join", "xjoin"])
-def test_slices_partition_the_result(algorithm):
+@pytest.mark.parametrize("detach", [False, True])
+@pytest.mark.parametrize("algorithm", KERNELS)
+def test_slices_partition_the_result(algorithm, detach):
     query = triangle(60, 4)
     instance = EncodedInstance.from_query(query, ("a", "b", "c"))
     whole, stages, emitted, *_ = kernel_run(instance, algorithm)
@@ -273,10 +315,15 @@ def test_slices_partition_the_result(algorithm):
     cuts = [0, 1, 2, 17, 18, domain // 2, domain]
     union, total = set(), 0
     for lo, hi in zip(cuts, cuts[1:]):
-        view = sliced_instance(instance, lo, hi)
-        # The slice shares the parent's children: only ``keys`` is cut.
-        assert view.tries[0].root.children is instance.tries[0].root.children
+        view = sliced_instance(instance, lo, hi, detach=detach)
+        # Undetached, the slice shares the parent's children: only
+        # ``keys`` is cut. Detached, the children are cut too.
+        shared = view.tries[0].root.children is \
+            instance.tries[0].root.children
+        assert shared is not detach
         part, part_stages, part_emitted, *_ = kernel_run(view, algorithm)
+        if algorithm == "leapfrog":
+            assert_leapfrog_is_the_same_frontier(view)
         codes = {instance.dictionaries["a"].encode(row[0]) for row in part}
         assert all(lo <= code < hi for code in codes)
         assert part_stages[0] <= hi - lo
@@ -306,7 +353,7 @@ def test_frozen_children_view_agrees_with_the_span():
         assert leaf.children.keys() == set() and len(leaf.children) == 0
 
 
-@pytest.mark.parametrize("algorithm", ["generic_join", "xjoin"])
+@pytest.mark.parametrize("algorithm", KERNELS)
 def test_kernel_runs_on_attached_frozen_tries(algorithm):
     query = triangle(50, 4)
     instance = EncodedInstance.from_query(query, query.attributes)
@@ -406,7 +453,7 @@ def test_decode_table_erasure_equals_row_wise_erasure():
 
 # -- (h) per-call set-up ---------------------------------------------------
 
-@pytest.mark.parametrize("algorithm", ["generic_join", "xjoin"])
+@pytest.mark.parametrize("algorithm", KERNELS)
 def test_a_one_code_slice_allocates_nothing_sized_by_a_root(algorithm):
     """The plan racer times 1-, 2-, 4-code slices and extrapolates: a
     per-call pass over an unsliced root (8 192 codes here; a list of
@@ -424,3 +471,56 @@ def test_a_one_code_slice_allocates_nothing_sized_by_a_root(algorithm):
     finally:
         tracemalloc.stop()
     assert peak < 32 * 1024, peak
+
+
+# -- (i) the sorted step: leapfrog ------------------------------------------
+
+def test_a_trie_is_held_across_a_level_it_does_not_bind():
+    """T(a, c) is descended at ``a`` and carried, unread, through ``b``."""
+    instance = EncodedInstance.from_query(triangle(40, 4), ("a", "b", "c"))
+    held = instance.tries.index(
+        next(t for t in instance.tries if t.order == ("a", "c")))
+    assert held in instance.participation[0]
+    assert held not in instance.participation[1]
+    assert held in instance.participation[2]
+    assert_matches_reference(instance, "leapfrog")
+    assert_leapfrog_is_the_same_frontier(instance)
+
+
+def test_a_four_clique_meets_three_buffers_per_entry(monkeypatch):
+    query = clique4(12, 5)
+    instance = EncodedInstance.from_query(query, ("a", "b", "c", "d"))
+    assert len(instance.participation[3]) == 3
+    calls = []
+    monkeypatch.setattr(algorithms, "intersect_many",
+                        lambda buffers: calls.append(len(buffers))
+                        or intersect_many(buffers))
+    result, *_ = assert_matches_reference(instance, "leapfrog")
+    assert result.rows and result == query.naive_join()
+    assert calls.count(3) > 1  # per frontier entry, inside the kernel
+    assert_leapfrog_is_the_same_frontier(instance)
+
+
+def test_empty_inputs_and_slices_expand_nothing():
+    r = Relation("R", ("a", "b"), [(0, 1), (1, 2)])
+    empty = Relation("E", ("b",), [])
+    stats = JoinStats()
+    result = get_algorithm("leapfrog").run(
+        EncodedInstance.from_relations([r, empty]), stats=stats)
+    assert not result.rows and stats.stage_sizes() == [0]
+    # A slice holding no code is an empty input too ...
+    view = sliced_instance(EncodedInstance.from_relations([r]), 5, 9)
+    assert kernel_run(view, "leapfrog")[1] == [0]
+    # ... while roots with nothing in common meet to an empty level.
+    t = Relation("T", ("a", "c"), [(2, 0), (3, 1)])
+    instance = EncodedInstance.from_relations([r, t], ("a", "b", "c"))
+    result, stages, emitted, *_ = kernel_run(instance, "leapfrog")
+    assert not result.rows and stages == [0, 0, 0] and emitted == 0
+    assert_leapfrog_is_the_same_frontier(instance)
+
+
+def test_leapfrog_rejects_twig_instances():
+    query = figure1_query()
+    instance = EncodedInstance.from_query(query, query.attributes)
+    with pytest.raises(EngineError, match="twig"):
+        get_algorithm("leapfrog").run(instance)

@@ -1,10 +1,15 @@
 """Partition-boundary behavior: slicing, weights, skew, empty ranges."""
 
+import random
+from collections import Counter
+
 import pytest
 
 from repro.data.synthetic import agm_tight_triangle
-from repro.engine.encoded import EncodedInstance
+from repro.engine.encoded import EncodedInstance, EncodedTrie, relation_input
 from repro.engine.interface import get_algorithm
+from repro.parallel import partition
+from repro.parallel.executor import ParallelExecutor
 from repro.parallel.partition import (
     choose_morsel_count,
     code_slices,
@@ -47,6 +52,76 @@ class TestWeights:
         instance = EncodedInstance.from_relations([r])
         assert top_level_weights(instance) == {}
         assert code_slices(instance, 4) == []
+
+
+def walked_weights(instance):
+    """Rows per top-level code, counted from the level-0 tries' rows."""
+    weights = Counter()
+    for index in instance.participation[0]:
+        weights.update(row[0] for row in instance.tries[index].tuples())
+    return dict(weights)
+
+
+def random_relations(seed):
+    """Two inputs binding ``a`` over different domains (so assembly
+    re-keys both tries) and one that does not bind it."""
+    rng = random.Random(seed)
+
+    def rows(lo, hi):
+        return {(rng.randrange(lo, hi), rng.randrange(12))
+                for _ in range(rng.randrange(1, 60))}
+
+    return [Relation("R", ("a", "b"), rows(0, 20)),
+            Relation("T", ("a", "c"), rows(8, 30)),
+            Relation("S", ("b", "c"), rows(0, 12))]
+
+
+class TestCachedWeights:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_weights_equal_the_walk(self, seed):
+        relations = random_relations(seed)
+        order = ("a", "b", "c")
+        instance = EncodedInstance.from_relations(relations, order)
+        cached = relation_input(relations[0], order)[0].trie
+        assert instance.tries[0] is not cached  # a re-keyed copy
+        # Slices first (weighed before and after their parent), then
+        # the whole instance, whose frozen tries keep their maps.
+        codes = sorted(walked_weights(instance))
+        cuts = sorted({0, codes[len(codes) // 3], codes[-1] + 1})
+        for detach in (False, True, False):
+            for lo, hi in zip(cuts, cuts[1:]):
+                view = sliced_instance(instance, lo, hi, detach=detach)
+                assert top_level_weights(view) == walked_weights(view)
+            assert top_level_weights(instance) == walked_weights(instance)
+        assert all(instance.tries[i]._weights is not None
+                   for i in instance.participation[0])
+
+    def test_a_second_run_join_walks_no_trie(self, monkeypatch):
+        calls = Counter()
+        walk = partition._subtree_rows
+
+        def counted(node):
+            calls["walk"] += 1
+            return walk(node)
+
+        monkeypatch.setattr(partition, "_subtree_rows", counted)
+        relations = agm_tight_triangle(30)
+        executor = ParallelExecutor(2, transport="serial")
+        first = executor.run_join(EncodedInstance.from_relations(relations))
+        assert calls["walk"] > 0
+        calls.clear()
+        again = executor.run_join(EncodedInstance.from_relations(relations))
+        assert calls["walk"] == 0 and again == first
+
+    def test_mutable_tries_are_walked_every_time(self):
+        rows = [(0, 1), (0, 2), (3, 1)]
+        trie = EncodedTrie("R", ("a", "b"), rows)
+        instance = EncodedInstance("R", ("a", "b"), {}, [trie])
+        assert top_level_weights(instance) == {0: 2, 3: 1}
+        trie.insert((3, 2))
+        trie.insert((5, 0))
+        assert top_level_weights(instance) == {0: 2, 3: 2, 5: 1}
+        assert trie._weights is None
 
 
 class TestCodeSlices:
