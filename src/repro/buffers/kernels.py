@@ -20,11 +20,10 @@ level's key buffers in a single call, galloping each buffer from its
 own cursor, and returns the emitted codes plus the probe count for the
 stats contract. Its 2-way step, :func:`intersect_pair`, is also a
 function of two buffers alone, so ``map`` can drive it over two
-streams of them. The acceptance benchmark
-(``benchmarks/bench_buffers.py``) gates :func:`intersect_many` at >= 2x
-over the iterator-protocol
-:func:`~repro.relational.leapfrog.leapfrog_intersect` on a dense
-triangle workload.
+streams of them. ``benchmarks/e2e/run.py`` times :func:`intersect_many`
+as ``buffers.intersect_ms`` on ``rel_triangle`` (one intersection per
+edge of the graph) and gates the triangles it closes against the join's
+rows.
 """
 
 from __future__ import annotations

@@ -27,6 +27,7 @@ the worker exits and spam leak warnings). Segment names carry the
 
 from __future__ import annotations
 
+import glob
 import os
 import pickle
 import secrets
@@ -42,6 +43,12 @@ from repro.errors import TransportError
 
 #: Segment-name prefix; the CI smoke greps /dev/shm for leftovers.
 SEGMENT_PREFIX = "repro-buf"
+
+
+def leaked_segments() -> tuple[str, ...]:
+    """Arena segments still visible in ``/dev/shm`` (leak check)."""
+    return tuple(sorted(glob.glob(f"/dev/shm/{SEGMENT_PREFIX}*")))
+
 
 _ALIGN = 16
 _LEN = struct.Struct("<Q")

@@ -12,8 +12,8 @@ combined query's bound is much smaller (n^2).
 
 All intermediate results (every binary-join output, every twig path
 solution and embedding, and the final combination steps) are recorded in
-the shared :class:`~repro.instrumentation.JoinStats`, which is what the
-Figure 3 benchmark compares against XJoin.
+the shared :class:`~repro.instrumentation.JoinStats`, which is what
+Figure 3 compares against XJoin.
 
 The baseline is also registered with the unified engine interface as the
 ``"baseline"`` :class:`~repro.engine.interface.JoinAlgorithm`

@@ -1,8 +1,7 @@
 """Attribute expansion orders for XJoin (Algorithm 1's input ``PA``).
 
 Any attribute order keeps XJoin worst-case optimal (the bound argument is
-order-independent), but constants differ wildly — the ablation benchmark
-``bench_ablation_order`` quantifies this.
+order-independent), but constants differ wildly.
 
 The policies now live in :mod:`repro.engine.planner` as named strategies
 of the stats-driven planner, where the ``domain`` and ``connected``

@@ -88,8 +88,7 @@ class StructureValidator:
 
         The anchor and the bisect keep a check independent of how many
         nodes share a value (a root-first search walks every same-valued
-        root, a scan every same-valued leaf); the only measurement of
-        either is ``benchmarks/bench_ablation_filtering.py``.
+        root, a scan every same-valued leaf).
         """
         for k, q in self._predicated:
             value = values[k]

@@ -130,8 +130,8 @@ def skewed_triangle(n: int, *, b_domain: int | None = None,
     level. Orders starting from ``a`` exploit the functional
     dependencies (one b per a via R, one c per a via T) and touch ~n
     tuples total. The adaptive planner's bound model and plan racer
-    both discover this; the static policy cannot — which is exactly
-    what ``bench --suite planner`` gates on.
+    both discover this; the static policy cannot
+    (``tests/engine/test_adaptive.py``).
 
     Defaults: d = m = max(16, n // 64) — square domains maximise the
     bad order's live-pair count (d*m) relative to |S| = d*m rows of
@@ -153,8 +153,8 @@ def agm_tight_triangle(n: int) -> list[Relation]:
 
     R(a,b), S(b,c), T(a,c), each {0}×[n] ∪ [n]×{0} (2n-1 tuples): the
     triangle join has 3n-2 result tuples, but any binary plan (e.g.
-    R ⋈ S first) materialises a Θ(n^2) intermediate. The substrate
-    benchmark uses it to show WCOJ beating binary joins.
+    R ⋈ S first) materialises a Θ(n^2) intermediate, while WCOJ stages
+    stay linear in n (``tests/engine/test_cross_engine.py``).
     """
     star = [(0, i) for i in range(n)] + [(i, 0) for i in range(n)]
     r = Relation("R", ("a", "b"), star)

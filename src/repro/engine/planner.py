@@ -1,8 +1,8 @@
 """Stats-driven planning: attribute orders and algorithm choice.
 
 Any attribute order keeps the worst-case optimal algorithms optimal (the
-bound argument is order-independent), but constants differ wildly — the
-``bench_ablation_order`` benchmark quantifies this. The planner chooses
+bound argument is order-independent), but constants differ wildly. The
+planner chooses
 both the expansion order and the algorithm from *cached* statistics:
 per-relation :class:`~repro.relational.statistics.RelationStats` (shared
 through a weakref-evicting cache, so repeated planning of the same inputs

@@ -3,7 +3,7 @@
 The paper's headline evaluation (Figure 3) reports two metrics: running
 time and *intermediate result size*. :class:`JoinStats` records both, plus
 lower-level effort counters (comparisons, seeks, emitted tuples) that the
-ablation benchmarks use. Algorithms accept an optional ``stats`` argument;
+end-to-end benchmark's traced pass reports. Algorithms accept an optional ``stats`` argument;
 passing ``None`` costs almost nothing because the null object pattern is
 implemented by a shared :data:`NULL_STATS` instance whose methods are
 no-ops.

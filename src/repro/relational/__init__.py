@@ -20,7 +20,7 @@ from repro.relational.aggregates import (
 from repro.relational.catalog import Database
 from repro.relational.generic_join import generic_join
 from repro.relational.joins import hash_join, sort_merge_join
-from repro.relational.leapfrog import leapfrog_intersect, leapfrog_triejoin
+from repro.relational.leapfrog import leapfrog_triejoin
 from repro.relational.operators import (
     antijoin,
     cartesian_product,
@@ -42,7 +42,6 @@ from repro.relational.plans import (
 from repro.relational.query import ConjunctiveQuery, parse_cq
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema, sort_key, tuple_sort_key
-from repro.relational.trie import Trie, TrieIterator
 
 __all__ = [
     "ConjunctiveQuery",
@@ -50,8 +49,6 @@ __all__ = [
     "PlanNode",
     "Relation",
     "Schema",
-    "Trie",
-    "TrieIterator",
     "agg_avg",
     "agg_count",
     "agg_count_distinct",
@@ -74,7 +71,6 @@ __all__ = [
     "intersection",
     "join_node",
     "leaf",
-    "leapfrog_intersect",
     "leapfrog_triejoin",
     "left_deep_plan",
     "naive_multiway_join",

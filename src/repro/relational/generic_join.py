@@ -8,7 +8,7 @@ generic join (Ngo et al. 2012, 2014).
 
 Unlike :mod:`repro.relational.leapfrog` this implementation uses hashed
 trie descent instead of sorted seeks; the two are cross-checked in tests
-and raced in the triangle benchmark. Both run through the shared
+and raced in the end-to-end ``rel_triangle`` workload. Both run through the shared
 dictionary-encoded engine (:mod:`repro.engine`): this module is a thin
 front-end that encodes the inputs into an
 :class:`~repro.engine.encoded.EncodedInstance` and invokes the registered

@@ -508,7 +508,7 @@ class ReproService:
 
         With ``port=0`` the kernel picks a free port; the actual one is
         printed as ``repro serve: listening on HOST:PORT`` (machine-
-        readable — the CI smoke step and the bench harness parse it).
+        readable — the CI smoke step parses it).
         """
         server = await asyncio.start_server(self._serve_connection,
                                             host, port)

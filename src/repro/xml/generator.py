@@ -1,7 +1,7 @@
 """Synthetic XML document generators.
 
 Random trees for property tests plus shaped generators (deep chains, wide
-stars) used by the twig-algorithm benchmarks. The adversarial documents
+stars) used by the twig-algorithm tests. The adversarial documents
 of the paper's evaluation live in :mod:`repro.data.synthetic`.
 """
 

@@ -4,12 +4,9 @@ The engine path (:mod:`repro.xml.twigstack`, :mod:`repro.xml.tjfast`)
 runs on :class:`~repro.xml.columnar.ColumnarDocument` arrays. This module
 preserves the original implementations that walk :class:`XMLNode`
 objects through :class:`~repro.xml.streams.TagStream` cursors and decode
-extended Dewey labels per element. They exist for two jobs:
-
-* the **regression baseline** of ``benchmarks/bench_twig_columnar.py``
-  (the columnar refactor must beat these on real documents), and
-* an extra **oracle** in the cross-algorithm parity suite (two
-  independently coded matchers agreeing is stronger evidence than one).
+extended Dewey labels per element. They are an extra **oracle** in the
+cross-algorithm parity suite (two independently coded matchers agreeing
+is stronger evidence than one).
 
 They are deliberately *not* registered with the twig-algorithm registry:
 planners should never pick them.
@@ -185,17 +182,6 @@ def reference_twig_stack_embeddings(document: XMLDocument, twig: TwigQuery,
     return reference_merge_path_solutions(twig, solutions, stats=stats)
 
 
-def reference_twig_stack(document: XMLDocument, twig: TwigQuery, *,
-                         name: str | None = None,
-                         stats: JoinStats | None = None) -> Relation:
-    """The node-object TwigStack, end to end."""
-    embeddings = reference_twig_stack_embeddings(document, twig, stats=stats)
-    attrs = twig.attributes
-    rows = [tuple(embedding[a].value for a in attrs)
-            for embedding in embeddings]
-    return Relation(name or twig.name, attrs, rows)
-
-
 def reference_tjfast_path_solutions(
         document: XMLDocument, twig: TwigQuery, *,
         labeler: ExtendedDeweyLabeler | None = None,
@@ -232,13 +218,3 @@ def reference_tjfast_embeddings(document: XMLDocument, twig: TwigQuery, *,
     solutions = reference_tjfast_path_solutions(document, twig, stats=stats)
     return reference_merge_path_solutions(twig, solutions, stats=stats)
 
-
-def reference_tjfast(document: XMLDocument, twig: TwigQuery, *,
-                     name: str | None = None,
-                     stats: JoinStats | None = None) -> Relation:
-    """The per-element extended-Dewey TJFast, end to end."""
-    embeddings = reference_tjfast_embeddings(document, twig, stats=stats)
-    attrs = twig.attributes
-    rows = [tuple(embedding[a].value for a in attrs)
-            for embedding in embeddings]
-    return Relation(name or twig.name, attrs, rows)

@@ -9,8 +9,8 @@ streams.
 The engine-path algorithms now run on the columnar posting cursors of
 :class:`repro.xml.columnar.TagPosting` (shared int arrays, binary-search
 seeks); ``TagStream`` remains the node-object cursor used by the
-reference implementations (:mod:`repro.xml.reference`) that serve as the
-benchmark baseline.
+reference implementations (:mod:`repro.xml.reference`) that serve as a
+second test oracle.
 """
 
 from __future__ import annotations

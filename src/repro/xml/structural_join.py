@@ -9,7 +9,7 @@ related by the axis in one merge pass using a stack of nested ancestors.
 descendant) over node objects — the public binary primitive.
 :func:`structural_join_pipeline` chains binary joins along a twig's
 edges — the pre-holistic way to evaluate twigs, kept here as a baseline
-for the twig-algorithm benchmark — and since the columnar refactor runs
+in the twig matcher matrix — and since the columnar refactor runs
 on :class:`~repro.xml.columnar.ColumnarDocument` postings: the merge
 compares plain ints from the parallel start/end arrays and, when the
 ancestor stack runs empty, *binary-searches* the descendant posting

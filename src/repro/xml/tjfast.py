@@ -17,7 +17,7 @@ internal query nodes consume no input streams — while replacing the
 per-element label decode with a per-path one. The original
 extended-Dewey formulation survives in :mod:`repro.xml.dewey` (the label
 scheme) and :mod:`repro.xml.reference` (the node-object matcher kept as
-the benchmark baseline).
+a test oracle).
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ identities (``start`` labels) and the merge is the registered
 :class:`~repro.instrumentation.JoinStats` contract as relational joins.
 This mirrors the paper's theme of treating tree data relationally. The
 pre-columnar node-object implementation survives in
-:mod:`repro.xml.reference` as the benchmark baseline.
+:mod:`repro.xml.reference` as a test oracle.
 """
 
 from __future__ import annotations

@@ -12,13 +12,13 @@ import pickle
 
 import pytest
 
-from repro.buffers.bench import leaked_segments
 from repro.buffers.layout import as_list, pack
-from repro.buffers.shm import SharedArena
+from repro.buffers.shm import SharedArena, leaked_segments
 from repro.core.multimodel import MultiModelQuery, TwigBinding
 from repro.engine.encoded import EncodedInstance
 from repro.engine.interface import get_algorithm
 from repro.errors import EngineError, TransportError
+from repro.instrumentation import JoinStats
 from repro.parallel import executor as executor_module
 from repro.parallel.executor import (
     ParallelExecutor,
@@ -232,8 +232,13 @@ class TestSpawnPoolSmoke:
         twig = parse_twig("b=book(/t=title)")
         serial = get_twig_algorithm("twigstack").run(document, twig)
         executor = ParallelExecutor(2, transport="shm")
-        parallel = executor.run_twig(document, twig, "twigstack")
+        stats = JoinStats()
+        parallel = executor.run_twig(document, twig, "twigstack",
+                                     stats=stats)
         assert sorted(parallel.rows) == sorted(serial.rows)
+        # A race against the pool only if the root posting was sliced.
+        assert any(record.label.startswith("roots [")
+                   for record in stats.stages)
         assert not leaked_segments()
 
     def test_two_worker_shm_join_parity(self):

@@ -76,14 +76,16 @@ class TestExamplePaperInstances:
             [], [TwigBinding(instance.twig, instance.document)], name="Q2")
         assert len(xjoin(twig_only)) == 2 ** 5
 
+    @pytest.mark.parametrize("policy",
+                             [None, "appearance", "domain", "connected"])
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_lemma35_on_example34(self, n):
-        """XJoin intermediates <= the combined bound (here n^2);
-        the baseline's reach n^5."""
+    def test_lemma35_on_example34(self, n, policy):
+        """XJoin intermediates <= the combined bound (here n^2) under the
+        default order and every order policy; the baseline's reach n^5."""
         instance = example34_instance(n)
         bound = instance.query.size_bound().bound_ceiling
         xstats = JoinStats()
-        xjoin(instance.query, stats=xstats)
+        xjoin(instance.query, policy, stats=xstats)
         assert xstats.max_intermediate <= bound
         bstats = JoinStats()
         baseline_join(instance.query, stats=bstats)
@@ -160,23 +162,28 @@ class TestXJoinModes:
         relaxed = xjoin(query, validate_structure=False)
         assert strict.rows <= relaxed.rows
 
-    def test_validation_actually_filters(self):
-        """A-D edge between branches: the value join alone overcounts."""
-        # Document: two 'a' nodes; only one has a 'b' descendant.
+    @pytest.mark.parametrize("n", [1, 40])
+    def test_validation_actually_filters(self, n):
+        """A-D edge between branches: the value join alone overcounts,
+        and only the pushed-down pair input keeps the stages linear."""
+        # Document: n 'a' nodes, each with its own 'b' descendant one
+        # level down, plus one 'a' without any.
         root = element("r")
-        a1 = element("a", element("b", text="10"), text="1")
-        a2 = element("a", text="2")
-        root.append(a1)
-        root.append(a2)
+        for i in range(n):
+            root.append(element("a", element("m", element("b", text=str(i))),
+                                text=str(i)))
+        root.append(element("a", text=str(n)))
         doc = XMLDocument(root)
         twig = parse_twig("a(//b)")
         query = MultiModelQuery([], [TwigBinding(twig, doc)])
-        strict = xjoin(query)
-        relaxed = xjoin(query, validate_structure=False)
-        # relaxed pairs a=2 with b=10 (cartesian of singleton paths).
-        assert len(relaxed) == 2
-        assert len(strict) == 1
-        assert set(strict) == {(1, 10)}
+        strict_stats, relaxed_stats = JoinStats(), JoinStats()
+        strict = xjoin(query, stats=strict_stats)
+        relaxed = xjoin(query, stats=relaxed_stats, validate_structure=False)
+        # relaxed pairs every a with every b (cartesian of singleton paths).
+        assert len(relaxed) == (n + 1) * n
+        assert set(strict) == {(i, i) for i in range(n)}
+        assert strict_stats.max_intermediate <= n + 1
+        assert relaxed_stats.max_intermediate >= n * n
 
 
 class TestQueryValidation:

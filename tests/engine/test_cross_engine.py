@@ -27,6 +27,7 @@ from repro.engine import (
     run_query,
 )
 from repro.errors import EngineError
+from repro.instrumentation import JoinStats
 from repro.relational.operators import naive_multiway_join
 from repro.relational.relation import Relation
 
@@ -100,14 +101,18 @@ class TestRegistry:
 
 class TestRelationalCrossEngine:
     def test_shared_instance_triangle(self):
-        """One encoded instance, two relational operators, equal output."""
+        """One encoded instance, two relational operators, equal output;
+        both keep every stage linear in n where binary plans are n^2."""
         relations = agm_tight_triangle(25)
         instance = EncodedInstance.from_relations(relations,
                                                   ("a", "b", "c"))
-        gj = get_algorithm("generic_join").run(instance)
-        lftj = get_algorithm("leapfrog").run(instance)
+        gj_stats, lftj_stats = JoinStats(), JoinStats()
+        gj = get_algorithm("generic_join").run(instance, stats=gj_stats)
+        lftj = get_algorithm("leapfrog").run(instance, stats=lftj_stats)
         expected = naive_multiway_join(relations).project(["a", "b", "c"])
         assert gj == lftj == expected
+        assert gj_stats.max_intermediate <= 4 * 25
+        assert lftj_stats.max_intermediate <= 4 * 25
 
     def test_mixed_type_domains(self):
         r = Relation("R", ("a", "b"), [(1, "x"), ("one", "x"), (2.5, "y")])

@@ -7,49 +7,9 @@ from hypothesis import strategies as st
 from repro.errors import QueryError
 from repro.instrumentation import JoinStats
 from repro.relational.generic_join import generic_join
-from repro.relational.iterators import SortedListIterator, materialize
-from repro.relational.leapfrog import leapfrog_intersect, leapfrog_triejoin
+from repro.relational.leapfrog import leapfrog_triejoin
 from repro.relational.operators import naive_multiway_join
 from repro.relational.relation import Relation
-
-
-class TestLeapfrogIntersect:
-    def intersect(self, *sets):
-        iterators = [SortedListIterator(s) for s in sets]
-        return list(leapfrog_intersect(iterators))
-
-    def test_basic_intersection(self):
-        assert self.intersect({1, 3, 5, 7}, {3, 4, 5}, {1, 3, 5}) == [3, 5]
-
-    def test_disjoint(self):
-        assert self.intersect({1, 2}, {3, 4}) == []
-
-    def test_identical(self):
-        assert self.intersect({2, 4}, {2, 4}) == [2, 4]
-
-    def test_single_iterator(self):
-        assert self.intersect({3, 1, 2}) == [1, 2, 3]
-
-    def test_empty_input(self):
-        assert self.intersect(set(), {1, 2}) == []
-
-    def test_no_iterators(self):
-        assert list(leapfrog_intersect([])) == []
-
-    def test_strings(self):
-        assert self.intersect({"a", "b", "c"}, {"b", "c", "d"}) == ["b", "c"]
-
-    @given(st.lists(st.sets(st.integers(0, 30)), min_size=1, max_size=5))
-    def test_random_matches_set_intersection(self, sets):
-        expected = sorted(set.intersection(*sets)) if sets else []
-        assert self.intersect(*sets) == expected
-
-    def test_counts_effort(self):
-        stats = JoinStats()
-        iterators = [SortedListIterator(range(100)),
-                     SortedListIterator(range(0, 200, 2))]
-        list(leapfrog_intersect(iterators, stats=stats))
-        assert stats.seeks > 0 and stats.comparisons > 0
 
 
 def triangle_instance():
@@ -171,16 +131,3 @@ def test_wcoj_algorithms_agree_with_naive(relations):
     assert lftj == expected
     assert gj == expected
 
-
-class TestSortedListIterator:
-    def test_dedups_and_sorts(self):
-        it = SortedListIterator([3, 1, 3, 2])
-        assert materialize(it) == [1, 2, 3]
-
-    def test_seek(self):
-        it = SortedListIterator([1, 4, 9])
-        it.seek(5)
-        assert it.key() == 9
-
-    def test_len(self):
-        assert len(SortedListIterator([1, 1, 2])) == 2

@@ -1,7 +1,5 @@
 """Tests for the ``python -m repro`` demo runner."""
 
-import json
-
 import pytest
 
 from repro.__main__ import main
@@ -31,28 +29,6 @@ class TestCLI:
     def test_selftest(self, capsys):
         assert main(["selftest"]) == 0
         assert "ok" in capsys.readouterr().out
-
-    def test_bench(self, capsys):
-        assert main(["bench", "30"]) == 0
-        out = capsys.readouterr().out
-        assert "generic_join" in out
-        assert "leapfrog" in out
-        assert "xjoin" in out
-
-    def test_bench_json_writes_snapshot(self, capsys, tmp_path,
-                                        monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        assert main(["bench", "30", "--json"]) == 0
-        out = capsys.readouterr().out
-        assert "BENCH_engine.json" in out
-        records = json.loads((tmp_path / "BENCH_engine.json").read_text())
-        assert records and all(r["suite"] == "engine" for r in records)
-        workloads = {r["workload"] for r in records}
-        assert {"generic_join", "leapfrog", "xjoin"} <= workloads
-        for record in records:
-            assert set(record) == {"suite", "scenario", "workload",
-                                   "median_ms", "speedup"}
-            assert record["median_ms"] >= 0
 
     def test_explain_default_is_skewed(self, capsys):
         assert main(["explain"]) == 0
@@ -87,9 +63,42 @@ class TestCLI:
         assert main(["explain", "skewed:n=2048", "--workers", "4"]) == 0
         assert "partitions:" in capsys.readouterr().out
 
-    def test_json_flag_rejected_outside_bench(self, capsys):
-        assert main(["selftest", "--json"]) == 2
-        assert "--json" in capsys.readouterr().err
+    def test_bench_is_an_unknown_command(self, capsys):
+        assert main(["bench"]) == 2
+        assert "unknown command 'bench'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["figure1", "--verbose"],
+                                      ["bounds", "--json"],
+                                      ["selftest", "--json"]])
+    def test_unknown_options_are_rejected(self, capsys, argv):
+        assert main(argv) == 2
+        assert "unknown option" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["figure1"], ["bounds"],
+                                      ["explain", "figure1"], ["serve"]])
+    def test_twig_algorithm_rejected_where_unused(self, capsys, argv):
+        assert main(argv + ["--twig-algorithm", "accel"]) == 2
+        assert "--twig-algorithm" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_figure3_needs_a_positive_size(self, capsys, n):
+        assert main(["figure3", n]) == 2
+        captured = capsys.readouterr()
+        assert "bad argument" in captured.err
+        assert "ratios" not in captured.out
+
+    def test_figure3_disagreement_is_an_error_not_an_assert(
+            self, capsys, monkeypatch):
+        import repro.__main__ as cli
+        from repro.relational.relation import Relation
+
+        monkeypatch.setattr(
+            cli, "baseline_join",
+            lambda query, **kw: Relation("Q", query.attributes))
+        assert main(["figure3", "2"]) == 1
+        captured = capsys.readouterr()
+        assert "disagrees" in captured.err
+        assert "ratios" not in captured.out
 
     def test_unknown_command_shows_usage(self, capsys):
         assert main(["wat"]) == 2
