@@ -1,4 +1,5 @@
-"""Layout helpers and batch kernels: widths, widening, galloping."""
+"""Layout helpers and batch kernels: widths, widening, galloping,
+2-way and k-way intersection."""
 
 import random
 from array import array
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.buffers.kernels import gallop, intersect_many
+from repro.buffers.kernels import gallop, intersect_many, intersect_pair
 from repro.buffers.layout import (
     as_list,
     delete,
@@ -170,3 +171,67 @@ class TestIntersectMany:
     def test_empty_input(self):
         codes, probes = intersect_many([pack([]), pack([1, 2])])
         assert as_list(codes) == [] and probes == 0
+
+    def test_no_buffers(self):
+        codes, probes = intersect_many([])
+        assert as_list(codes) == [] and probes == 0
+
+    def test_three_way_basic(self):
+        codes, probes = intersect_many([pack([1, 3, 5, 7]), pack([3, 4, 5]),
+                                        pack([1, 3, 5])])
+        assert as_list(codes) == [3, 5] and probes > 0
+
+    def test_three_way_disjoint(self):
+        codes, _ = intersect_many([pack([1, 2]), pack([3, 4]),
+                                   pack([1, 2, 3, 4])])
+        assert as_list(codes) == []
+
+    def test_single_buffer_is_copied(self):
+        src = pack([1, 2, 3])
+        codes, probes = intersect_many([src])
+        assert as_list(codes) == [1, 2, 3] and probes == 3
+        assert codes is not src
+
+    def test_two_way_probes_stop_past_the_larger_buffer(self):
+        # 50 lies beyond the larger buffer's last key: the scan stops
+        # there, after probing 1 and 50.
+        codes, probes = intersect_many([pack([1, 50, 60]),
+                                        pack([1, 2, 3, 4])])
+        assert as_list(codes) == [1] and probes == 2
+
+    def test_memoryview_inputs_give_an_array(self):
+        a, b = pack([1, 2, 3]), pack([2, 3, 4, 5])
+        codes, _ = intersect_many([memoryview(a), memoryview(b)])
+        assert isinstance(codes, array) and as_list(codes) == [2, 3]
+
+
+class TestIntersectPair:
+    def test_basic_intersection(self):
+        assert intersect_pair([1, 3, 5, 7], [3, 4, 5]) == [3, 5]
+
+    def test_disjoint(self):
+        assert intersect_pair([1, 2], [3, 4]) == []
+
+    def test_identical(self):
+        assert intersect_pair([2, 4], [2, 4]) == [2, 4]
+
+    def test_empty_side(self):
+        assert intersect_pair([], [1, 2]) == []
+        assert intersect_pair([1, 2], []) == []
+
+    def test_returns_a_list_over_every_representation(self):
+        a, b = [1, 2, 3, 9], [2, 3, 4]
+        for left in (a, pack(a), memoryview(pack(a))):
+            for right in (b, pack(b), memoryview(pack(b))):
+                out = intersect_pair(left, right)
+                assert isinstance(out, list) and out == [2, 3]
+
+    @given(st.lists(st.integers(min_value=0, max_value=80), max_size=40),
+           st.lists(st.integers(min_value=0, max_value=80), max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_set_intersection_either_way_round(self, a, b):
+        a, b = sorted(set(a)), sorted(set(b))
+        expected = sorted(set(a) & set(b))
+        assert intersect_pair(a, b) == expected
+        assert intersect_pair(b, a) == expected
+        assert intersect_pair(pack(a, hi=80), pack(b, hi=80)) == expected

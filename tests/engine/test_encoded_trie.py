@@ -1,0 +1,202 @@
+"""EncodedTrie as a trie: sorted level keys, child descent, enumeration,
+splicing and re-keying; and a relation's trie under a column order
+(:func:`~repro.engine.encoded.relation_input`)."""
+
+import random
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.buffers.layout import as_list
+from repro.engine import EncodedInstance, EncodedTrie
+from repro.engine.encoded import relation_input
+from repro.errors import EngineError, QueryError, SchemaError
+from repro.relational.relation import Relation
+
+ROWS = [(1, 2), (1, 3), (2, 2), (5, 1)]
+
+
+@pytest.fixture
+def trie():
+    return EncodedTrie("R", ("a", "b"), ROWS)
+
+
+def descend(trie, prefix):
+    """The node under *prefix*, or None when the trie has no such path."""
+    node = trie.root
+    for code in prefix:
+        node = node.children.get(code)
+        if node is None:
+            return None
+    return node
+
+
+def decoded(artefact):
+    """An encoded input's rows as values, in its trie's column order."""
+    return {tuple(d.decode(code) for d, code in zip(artefact.dictionaries,
+                                                    row))
+            for row in artefact.trie.tuples()}
+
+
+class TestConstruction:
+    def test_root_keys_sorted(self, trie):
+        assert as_list(trie.root.keys) == [1, 2, 5]
+
+    def test_tuples_enumerates_sorted(self, trie):
+        assert list(trie.tuples()) == ROWS
+
+    def test_rows_need_not_arrive_sorted(self):
+        trie = EncodedTrie("R", ("a", "b"), reversed(ROWS))
+        assert list(trie.tuples()) == ROWS
+
+    def test_builds_from_generator(self):
+        trie = EncodedTrie("T", ("a", "b"), ((i, i % 2) for i in range(4)))
+        assert as_list(trie.root.keys) == [0, 1, 2, 3]
+        assert trie.size == 4
+
+    def test_descend(self, trie):
+        assert as_list(descend(trie, [1]).keys) == [2, 3]
+        assert descend(trie, [1, 9]) is None
+        assert descend(trie, [9]) is None
+
+    def test_node_length_is_its_key_count(self, trie):
+        assert len(trie.root) == 3
+        assert len(descend(trie, [1])) == 2
+        assert len(descend(trie, [5])) == 1
+
+    def test_depth_is_the_arity(self, trie):
+        assert trie.depth == 2
+        assert EncodedTrie("T", ("a", "b", "c"), [(0, 0, 0)]).depth == 3
+
+    def test_empty_rows(self):
+        trie = EncodedTrie("T", ("a",), [])
+        assert trie.size == 0
+        assert not trie.root.children
+        assert list(trie.tuples()) == []
+
+    def test_code_bounds_pick_each_level_typecode(self):
+        trie = EncodedTrie("T", ("a", "b"), [(1, 2)], code_bounds=[10, 300])
+        assert trie.root.keys.typecode == "B"
+        assert trie.root.children[1].keys.typecode == "H"
+
+    def test_without_bounds_each_level_fits_its_codes(self):
+        trie = EncodedTrie("T", ("a", "b"), [(70_000, 1), (2, 3)])
+        assert trie.root.keys.typecode == "I"
+        assert trie.root.children[2].keys.typecode == "B"
+
+
+class TestSplicing:
+    def test_insert_keeps_keys_sorted_and_widens(self, trie):
+        assert trie.root.keys.typecode == "B"
+        assert trie.insert((400, 0))
+        assert trie.insert((3, 7))
+        assert trie.root.keys.typecode == "H"
+        assert as_list(trie.root.keys) == [1, 2, 3, 5, 400]
+        assert list(trie.tuples()) == sorted(ROWS + [(400, 0), (3, 7)])
+        assert trie.size == len(ROWS) + 2
+
+    def test_insert_of_a_present_row_changes_nothing(self, trie):
+        assert not trie.insert((1, 3))
+        assert trie.size == len(ROWS)
+        assert list(trie.tuples()) == ROWS
+
+    def test_remove_prunes_emptied_nodes(self, trie):
+        assert trie.remove((5, 1))
+        assert 5 not in trie.root.children
+        assert as_list(trie.root.keys) == [1, 2]
+        assert trie.remove((1, 2))
+        assert as_list(descend(trie, [1]).keys) == [3]
+        assert trie.size == len(ROWS) - 2
+
+    def test_remove_of_an_absent_row(self, trie):
+        assert not trie.remove((1, 9))
+        assert not trie.remove((9, 9))
+        assert trie.size == len(ROWS)
+
+    def test_arity_mismatch_raises(self, trie):
+        with pytest.raises(EngineError, match="arity"):
+            trie.insert((1,))
+        with pytest.raises(EngineError, match="arity"):
+            trie.remove((1, 2, 3))
+
+
+class TestRekeyed:
+    def test_codes_map_through_the_tables(self, trie):
+        clone = trie.rekeyed([[10 * code for code in range(6)], None])
+        assert list(clone.tuples()) == [(10, 2), (10, 3), (20, 2), (50, 1)]
+        assert clone.size == trie.size
+        assert list(trie.tuples()) == ROWS
+
+    def test_levels_below_the_deepest_table_are_shared(self, trie):
+        clone = trie.rekeyed([[2 * code for code in range(6)], None])
+        assert clone.root is not trie.root
+        assert clone.root.children[2] is trie.root.children[1]
+        deeper = trie.rekeyed([None, [code + 1 for code in range(4)]])
+        assert deeper.root.children[1] is not trie.root.children[1]
+        assert list(deeper.tuples()) == [(1, 3), (1, 4), (2, 3), (5, 2)]
+
+
+class TestRelationInput:
+    def test_columns_follow_the_global_order(self):
+        r = Relation("R", ("a", "b"), [(1, 2), (3, 2)])
+        artefact, _built = relation_input(r, ("b", "a"))
+        trie = artefact.trie
+        assert trie.order == ("b", "a")
+        b, a = artefact.dictionaries
+        assert [b.decode(c) for c in trie.root.keys] == [2]
+        assert [a.decode(c) for c in descend(trie, [b.encode(2)]).keys] \
+            == [1, 3]
+
+    def test_order_must_cover_the_schema(self):
+        r = Relation("R", ("a", "b"), [(1, 2)])
+        with pytest.raises(SchemaError):
+            relation_input(r, ("a", "z"))
+
+    def test_global_order_must_be_a_permutation(self):
+        r = Relation("R", ("a", "b"), [(1, 2)])
+        with pytest.raises(QueryError, match="permutation"):
+            EncodedInstance.from_relations([r], ("a", "z"))
+
+    def test_default_order_is_first_appearance(self):
+        r = Relation("R", ("x", "y"), [(1, 2)])
+        s = Relation("S", ("z", "y"), [(2, 3)])
+        assert EncodedInstance.from_relations([r]).order == ("x", "y")
+        assert EncodedInstance.from_relations([r, s]).order == \
+            ("x", "y", "z")
+
+    def test_size_counts_distinct_rows(self):
+        r = Relation("R", ("a", "b"), [(1, 2), (1, 2), (1, 3)])
+        artefact, _built = relation_input(r, ("a", "b"))
+        assert artefact.trie.size == 2
+
+
+@given(st.sets(st.tuples(st.integers(0, 8), st.integers(0, 8),
+                         st.integers(0, 8)), max_size=40))
+def test_trie_tuples_roundtrip(rows):
+    """Enumerating a trie recovers exactly its rows, sorted."""
+    trie = EncodedTrie("R", ("a", "b", "c"), rows)
+    assert list(trie.tuples()) == sorted(rows)
+    assert trie.size == len(rows)
+
+
+@given(st.sets(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=30),
+       st.randoms(use_true_random=False))
+def test_inserting_row_by_row_equals_the_bulk_build(rows, rng: random.Random):
+    """Splicing rows one at a time, in any order, yields the bulk trie."""
+    spliced = EncodedTrie("R", ("a", "b"), [])
+    for row in rng.sample(sorted(rows), len(rows)):
+        assert spliced.insert(row)
+    bulk = EncodedTrie("R", ("a", "b"), rows)
+    assert list(spliced.tuples()) == list(bulk.tuples())
+    assert spliced.size == bulk.size
+
+
+@given(st.sets(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=30))
+def test_trie_any_order_same_content(rows):
+    """A relation's trie under a permuted order stores permuted rows."""
+    r = Relation("R", ("a", "b"), rows)
+    forward, _built = relation_input(r, ("a", "b"))
+    backward, _built = relation_input(r, ("b", "a"))
+    assert decoded(forward) == set(rows)
+    assert {(a, b) for (b, a) in decoded(backward)} == set(rows)
