@@ -18,9 +18,13 @@ zero-copy slices) and provides the kernels every consumer shares:
 * :mod:`repro.buffers.frozen` — a CSR (keys + child-offset) trie layout
   whose node adapters satisfy the ``EncodedTrieNode`` surface, built for
   publication into shared memory;
-* :mod:`repro.buffers.shm` — the :class:`SharedArena`: one
-  ``multiprocessing.shared_memory`` segment holding a pickled meta blob
-  plus aligned typed buffers, attached zero-copy by workers.
+* :mod:`repro.buffers.shm` — the arena layout, written and read once
+  (a pickled meta blob plus aligned typed buffers, attached zero-copy),
+  and its :class:`SharedArena` backing: one
+  ``multiprocessing.shared_memory`` segment;
+* :mod:`repro.buffers.mmapfile` — the same arena in a file mapped
+  read-only (``FileArena``), and the streaming ``ArenaWriter`` that
+  builds one without holding its columns in memory.
 
 See ``docs/buffers.md`` for the layout and lifecycle story.
 """

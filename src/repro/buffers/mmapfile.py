@@ -1,52 +1,43 @@
 """File-backed mmap arenas: build once on disk, attach zero-copy.
 
-A :class:`FileArena` is the on-disk sibling of
-:class:`~repro.buffers.shm.SharedArena` — byte-for-byte the same
-layout::
-
-    [8-byte little-endian header length]
-    [pickled header: (meta object, directory)]
-    [16-byte-aligned typed buffers, one per directory entry]
-
-but the bytes live in an ordinary file instead of a ``/dev/shm``
-segment. Attachers open a **read-only** ``mmap`` and cast typed
-``memoryview`` windows over it, so a corpus larger than RAM serves
-queries through the page cache: only the pages a query touches are
-ever resident, and the mapping is exempt from ``RLIMIT_DATA`` (which
-is how the CI smoke proves the build+query peak heap stays bounded).
+A :class:`FileArena` is the :mod:`repro.buffers.shm` arena layout —
+reader, views and lifecycle included — in an ordinary file instead of
+a ``/dev/shm`` segment. Attachers open a **read-only** ``mmap`` and
+cast typed ``memoryview`` windows over it, so a corpus larger than RAM
+serves queries through the page cache: only the pages a query touches
+are ever resident, and the mapping is exempt from ``RLIMIT_DATA``
+(which is how the CI smoke proves the build+query peak heap stays
+bounded).
 
 The :class:`ArenaWriter` is the build-once half: a bump-allocating
 writer that streams columns to per-column spill files as values are
 appended (bounded tail buffers, never the whole column in memory),
 supports backpatching already-appended slots (``set_at`` — the
 streaming XML builder patches ``end`` labels when elements close), and
-assembles the final header-first arena file on :meth:`finish`.
+assembles the final header-first arena file on :meth:`finish` through
+the shared :func:`~repro.buffers.shm.arena_image`.
 
-Lifecycle mirrors the shm arena: the publisher (the process that
-called :meth:`ArenaWriter.finish` or :meth:`FileArena.publish`) owns
-the file and must :meth:`close` + :meth:`unlink` it; attachers only
-:meth:`close`. Every temporary path carries the ``repro-arena-``
-prefix so leak checks can assert the temp directory is clean after a
-run (:func:`leaked_arena_files`).
-"""
+The publisher (the process that called :meth:`ArenaWriter.finish` or
+:meth:`FileArena.publish`) owns the file and must ``close`` +
+``unlink`` it; attachers only ``close``. Every temporary path carries
+the ``repro-arena-`` prefix so leak checks can assert the temp
+directory is clean after a run (:func:`leaked_arena_files`)."""
 
 from __future__ import annotations
 
 import glob
 import mmap
 import os
-import pickle
 import secrets
 import shutil
 import tempfile
 from array import array
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from contextlib import contextmanager
+from functools import partial
 from typing import Any
 
-from repro.buffers.layout import typecode_for
-from repro.buffers.shm import _LEN, _aligned
-from repro.errors import TransportError
+from repro.buffers.shm import Arena, arena_image
 
 #: Temp-name prefix for arena files and spill directories; the CI leak
 #: check globs the temp directory for leftovers after every run.
@@ -69,40 +60,23 @@ def leaked_arena_files() -> list[str]:
                                          ARENA_PREFIX + "*")))
 
 
-def _as_array(buf: Any) -> array:
-    """*buf* as an ``array`` (publication needs typecode + bytes)."""
-    if isinstance(buf, array):
-        return buf
-    if isinstance(buf, memoryview):
-        out = array(buf.format)
-        out.extend(buf)
-        return out
-    values = list(buf)
-    hi = max(values, default=0)
-    lo = min(min(values, default=0), 0)
-    return array(typecode_for(hi, lo), values)
+class FileArena(Arena):
+    """An arena in a file, mapped read-only."""
 
+    __slots__ = ("_file", "_mm")
 
-class FileArena:
-    """One published (or attached) file-backed buffer pool."""
+    _kind = "file arena"
+    _transport = "mmap"
 
-    __slots__ = ("path", "owner", "_file", "_mm", "_base", "_meta",
-                 "_directory", "_views", "_data_start", "_closed")
-
-    def __init__(self, path: str, file, mm: mmap.mmap, meta: Any,
-                 directory: dict, *, owner: bool, data_start: int):
-        self.path = path
-        self.owner = owner
+    def __init__(self, path: str, file, mm: mmap.mmap, *, owner: bool):
         self._file = file
         self._mm = mm
-        self._base = memoryview(mm)
-        self._meta = meta
-        self._directory = directory
-        self._views: dict[str, memoryview] = {}
-        self._data_start = data_start
-        self._closed = False
+        super().__init__(path, memoryview(mm), owner=owner)
 
-    # -- construction ------------------------------------------------------
+    @property
+    def path(self) -> str:
+        """The arena file's path (what attachers open)."""
+        return self.address
 
     @classmethod
     def publish(cls, buffers: "Mapping[str, Sequence[int]]",
@@ -127,96 +101,35 @@ class FileArena:
     def attach(cls, path: str, *, owner: bool = False) -> "FileArena":
         """Open *path* read-only and map it (zero-copy attachment).
 
-        A vanished file, or one that is not an arena, raises
-        :class:`~repro.errors.TransportError` naming the path and the
-        owning transport (the error-routing contract of the shm layer).
+        A vanished file, one that is not an arena, or one cut short of
+        its directory raises :class:`~repro.errors.TransportError`
+        naming the path.
         """
         try:
             file = open(path, "rb")
         except FileNotFoundError as exc:
-            raise TransportError(
-                f"file arena {path!r} has vanished or was never "
-                f"published (mmap transport)") from exc
+            raise cls._error(
+                path, "has vanished or was never published") from exc
         try:
             mm = mmap.mmap(file.fileno(), 0, access=mmap.ACCESS_READ)
-            header_len = _LEN.unpack_from(mm, 0)[0]
-            meta, directory = pickle.loads(
-                mm[_LEN.size:_LEN.size + header_len])
-        except TransportError:
+        except (OSError, ValueError) as exc:
             file.close()
-            raise
-        except Exception as exc:
-            file.close()
-            raise TransportError(
-                f"file {path!r} is not a readable arena "
-                f"(mmap transport): {exc}") from exc
-        return cls(path, file, mm, meta, directory, owner=owner,
-                   data_start=_aligned(_LEN.size + header_len))
+            raise cls._error(path, f"is not a readable arena: {exc}"
+                             ) from exc
+        return cls(path, file, mm, owner=owner)
 
-    # -- access ------------------------------------------------------------
-
-    @property
-    def meta(self) -> Any:
-        """The meta object pickled into the arena (once, by the owner)."""
-        return self._meta
-
-    def keys(self) -> list[str]:
-        """The published buffer names."""
-        return list(self._directory)
-
-    def buffer(self, key: str) -> memoryview:
-        """A zero-copy typed ``memoryview`` of one published buffer."""
-        if self._closed:
-            raise TransportError(
-                f"file arena {self.path!r} is closed (mmap transport)")
-        view = self._views.get(key)
-        if view is None:
-            typecode, rel, count = self._directory[key]
-            lo = self._data_start + rel
-            itemsize = array(typecode).itemsize
-            view = self._base[lo:lo + count * itemsize].cast(typecode)
-            self._views[key] = view
-        return view
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def close(self) -> None:
-        """Release every exported view and the process-local mapping."""
-        if self._closed:
-            return
-        self._closed = True
-        for view in self._views.values():
-            view.release()
-        self._views.clear()
-        self._base.release()
+    def _unmap(self) -> None:
         try:
             self._mm.close()
         except BufferError:
-            # Straggler views exported from the mapping keep it alive;
-            # the OS reclaims it at process exit (same discipline as
-            # SharedArena.close).
-            pass
+            pass  # straggler views: the OS reclaims the mapping at exit
         self._file.close()
 
-    def unlink(self) -> None:
-        """Delete the arena file (owner only; attachments just close)."""
-        if self.owner:
-            try:
-                os.unlink(self.path)
-            except FileNotFoundError:
-                pass
-
-    def __enter__(self) -> "FileArena":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
-        if self.owner:
-            self.unlink()
-
-    def __repr__(self) -> str:
-        return (f"FileArena({self.path!r}, {len(self._directory)} "
-                f"buffers, owner={self.owner})")
+    def _remove(self) -> None:
+        try:
+            os.unlink(self.path)
+        except FileNotFoundError:
+            pass
 
 
 class ColumnWriter:
@@ -309,12 +222,11 @@ class ColumnWriter:
             view.release()
             mm.close()
 
-    def write_into(self, out) -> int:
-        """Stream the whole column into *out*; returns bytes written."""
+    def chunks(self) -> "Iterator[bytes]":
+        """The whole column's bytes, read back in 1 MiB pieces."""
         self.flush()
         self._file.seek(0)
-        shutil.copyfileobj(self._file, out, 1024 * 1024)
-        return self._flushed * self.itemsize
+        return iter(partial(self._file.read, 1 << 20), b"")
 
     def discard(self) -> None:
         """Close and delete the spill file."""
@@ -342,11 +254,9 @@ class _ConcatColumns:
     def __len__(self) -> int:
         return sum(len(part) for part in self.parts)
 
-    def write_into(self, out) -> int:
-        total = 0
+    def chunks(self) -> "Iterator[bytes]":
         for part in self.parts:
-            total += part.write_into(out)
-        return total
+            yield from part.chunks()
 
 
 class ArenaWriter:
@@ -385,7 +295,7 @@ class ArenaWriter:
 
     def add_buffer(self, name: str, buf) -> None:
         """Register a small in-memory buffer (array/list/memoryview)."""
-        self._register(name, _as_array(buf))
+        self._register(name, buf)
 
     def concat(self, name: str, typecode: str,
                parts: "list[ColumnWriter]") -> None:
@@ -401,33 +311,10 @@ class ArenaWriter:
         """Assemble the arena file; returns the owning attached arena."""
         if self._finished:
             raise ValueError("ArenaWriter.finish called twice")
-        directory: "dict[str, tuple[str, int, int]]" = {}
-        offset = 0
-        for name, entry in self._entries.items():
-            typecode = entry.typecode
-            count = len(entry)
-            offset = _aligned(offset)
-            directory[name] = (typecode, offset, count)
-            offset += count * array(typecode).itemsize
-        header = pickle.dumps((meta, directory),
-                              protocol=pickle.HIGHEST_PROTOCOL)
-        data_start = _aligned(_LEN.size + len(header))
+        _size, pieces = arena_image(self._entries, meta)
         with open(self.path, "wb") as out:
-            out.write(_LEN.pack(len(header)))
-            out.write(header)
-            position = _LEN.size + len(header)
-            for name, entry in self._entries.items():
-                _tc, rel, _count = directory[name]
-                target = data_start + rel
-                if target > position:
-                    out.write(b"\0" * (target - position))
-                    position = target
-                if isinstance(entry, array):
-                    data = memoryview(entry).cast("B")
-                    out.write(data)
-                    position += len(data)
-                else:
-                    position += entry.write_into(out)
+            for piece in pieces:
+                out.write(piece)
         self._cleanup()
         self._finished = True
         return FileArena.attach(self.path, owner=True)

@@ -1,7 +1,6 @@
-"""The shared-memory arena: publish buffers once, attach zero-copy.
+"""Arenas: typed buffers published once and attached zero-copy.
 
-A :class:`SharedArena` lays one ``multiprocessing.shared_memory``
-segment out as::
+An arena is one mapping laid out as::
 
     [8-byte little-endian header length]
     [pickled header: (meta object, directory)]
@@ -12,17 +11,22 @@ triples (offsets relative to the aligned data region), so an attaching
 process reads the header once and then casts ``memoryview`` windows —
 no per-buffer pickling, no copies. The *meta* object is arbitrary
 picklable state (decode tables, tag/path vocabularies) serialized
-exactly once by the publisher; attachers unpickle it from the segment
+exactly once by the publisher; attachers unpickle it from the arena
 rather than receiving it per-process.
 
-Lifecycle: the publisher owns the segment and must call
-:meth:`close` + :meth:`unlink` when the job finishes; attachers call
-:meth:`close` only. Attaching skips the ``resource_tracker``
-registration entirely (Python 3.12 and earlier auto-register
-attachments, which would otherwise unlink the publisher's segment when
-the worker exits and spam leak warnings). Segment names carry the
-``repro-buf`` prefix so the leak check in the CI smoke can assert
-``/dev/shm`` is clean after a run.
+The layout is written in one place (:func:`arena_image`) and read in
+one place (:class:`Arena`), whatever holds the bytes: a
+:class:`SharedArena` is one ``multiprocessing.shared_memory`` segment,
+a :class:`~repro.buffers.mmapfile.FileArena` a file mapped read-only.
+
+Lifecycle: the publisher owns the backing and must call
+:meth:`~Arena.close` + :meth:`~Arena.unlink` when the job finishes;
+attachers call :meth:`~Arena.close` only. Attaching a segment skips
+the ``resource_tracker`` registration entirely (Python 3.12 and
+earlier auto-register attachments, which would otherwise unlink the
+publisher's segment when the worker exits and spam leak warnings).
+Segment names carry the ``repro-buf`` prefix so the leak check in the
+CI smoke can assert ``/dev/shm`` is clean after a run.
 """
 
 from __future__ import annotations
@@ -34,11 +38,12 @@ import secrets
 import struct
 import threading
 from array import array
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from contextlib import contextmanager
 from multiprocessing import shared_memory
 from typing import Any
 
+from repro.buffers.layout import typecode_for
 from repro.errors import TransportError
 
 #: Segment-name prefix; the CI smoke greps /dev/shm for leftovers.
@@ -128,57 +133,205 @@ def _untracked():
         _ATTACH_DEPTH.depth = depth
 
 
-class SharedArena:
-    """One published (or attached) shared-memory buffer pool."""
+def _as_array(buf: Any) -> array:
+    """*buf* as an ``array`` (publication needs typecode + bytes).
 
-    __slots__ = ("shm", "name", "owner", "_meta", "_directory", "_views",
-                 "_data_start")
+    Typed buffers pass through; memoryviews copy into their format;
+    lists (e.g. under the parity suite's list backend) pack into the
+    narrowest fitting typecode here, outside the
+    :func:`~repro.buffers.layout.pack` switch.
+    """
+    if isinstance(buf, array):
+        return buf
+    if isinstance(buf, memoryview):
+        out = array(buf.format)
+        out.extend(buf)
+        return out
+    values = list(buf)
+    hi = max(values, default=0)
+    lo = min(min(values, default=0), 0)
+    return array(typecode_for(hi, lo), values)
 
-    def __init__(self, shm: shared_memory.SharedMemory, meta: Any,
-                 directory: dict, *, owner: bool, data_start: int = 0):
-        self.shm = shm
-        self.name = shm.name
+
+def arena_image(entries: "Mapping[str, Any]", meta: Any = None,
+                ) -> "tuple[int, Iterator[Any]]":
+    """The arena bytes for *entries* + *meta*: (size, pieces in order).
+
+    An entry is anything with a ``typecode``, a length and — unless it
+    is an ``array`` — a ``chunks()`` iterable of its bytes (the file
+    arena's spilled columns); lists and memoryviews are packed first.
+    The pieces, padding included, concatenate to exactly *size* bytes.
+    """
+    entries = {key: entry if hasattr(entry, "typecode")
+               else _as_array(entry) for key, entry in entries.items()}
+    directory: dict[str, tuple[str, int, int]] = {}
+    offset = 0
+    for key, entry in entries.items():
+        offset = _aligned(offset)
+        directory[key] = (entry.typecode, offset, len(entry))
+        offset += len(entry) * array(entry.typecode).itemsize
+    header = pickle.dumps((meta, directory),
+                          protocol=pickle.HIGHEST_PROTOCOL)
+    data_start = _aligned(_LEN.size + len(header))
+
+    def pieces() -> "Iterator[Any]":
+        yield _LEN.pack(len(header))
+        yield header
+        position = _LEN.size + len(header)
+        for key, entry in entries.items():
+            typecode, rel, count = directory[key]
+            if data_start + rel > position:
+                yield bytes(data_start + rel - position)
+            position = data_start + rel + count * array(typecode).itemsize
+            if isinstance(entry, array):
+                yield memoryview(entry).cast("B")
+            else:
+                yield from entry.chunks()
+
+    return data_start + offset, pieces()
+
+
+class Arena:
+    """The reader of one arena mapping, whatever backs it.
+
+    Parses and bounds-checks the header once, hands out memoised typed
+    views, and owns the close / unlink lifecycle. A backing subclass
+    names itself in errors (``_kind`` / ``_transport``) and supplies
+    ``_unmap`` (release the mapping) and ``_remove`` (destroy the
+    backing, owner only).
+    """
+
+    __slots__ = ("address", "owner", "_base", "_meta", "_directory",
+                 "_data_start", "_views", "_closed")
+
+    def __init__(self, address: str, base: memoryview, *, owner: bool):
+        self.address = address
         self.owner = owner
-        self._meta = meta
-        self._directory = directory
+        self._base = base
         self._views: dict[str, memoryview] = {}
-        self._data_start = data_start
-
-    # -- construction ------------------------------------------------------
+        self._closed = False
+        try:
+            header_end = _LEN.size + _LEN.unpack_from(base, 0)[0]
+            if header_end > len(base):
+                raise ValueError(f"the header ends at byte {header_end}, "
+                                 f"the mapping has {len(base)}")
+            self._meta, self._directory = pickle.loads(
+                base[_LEN.size:header_end])
+            self._data_start = _aligned(header_end)
+            # O(directory): a truncated arena must not attach and serve
+            # a short buffer as if it were the published one.
+            for key, (typecode, rel, count) in self._directory.items():
+                end = (self._data_start + rel
+                       + count * array(typecode).itemsize)
+                if end > len(base):
+                    raise ValueError(
+                        f"buffer {key!r} ends at byte {end}, the mapping "
+                        f"has {len(base)} (truncated)")
+        except Exception as exc:
+            self.close()
+            raise self._error(address, f"is not a readable arena: {exc}"
+                              ) from exc
 
     @classmethod
-    def publish(cls, buffers: "Mapping[str, array]", meta: Any = None,
+    def _error(cls, address: str, what: str) -> TransportError:
+        """A :class:`TransportError` naming this backing and *address*."""
+        return TransportError(
+            f"{cls._kind} {address!r} {what} ({cls._transport} transport)")
+
+    # -- access ------------------------------------------------------------
+
+    @property
+    def meta(self) -> Any:
+        """The meta object pickled into the arena (once, by the owner)."""
+        return self._meta
+
+    def keys(self) -> list[str]:
+        """The published buffer names."""
+        return list(self._directory)
+
+    def buffer(self, key: str) -> memoryview:
+        """A zero-copy typed ``memoryview`` of one published buffer."""
+        view = self._views.get(key)
+        if view is None:
+            if self._closed:
+                raise self._error(self.address, "is closed")
+            typecode, rel, count = self._directory[key]
+            lo = self._data_start + rel
+            itemsize = array(typecode).itemsize
+            view = self._base[lo:lo + count * itemsize].cast(typecode)
+            self._views[key] = view
+        return view
+
+    # -- lifecycle ---------------------------------------------------------
+
+    def close(self) -> None:
+        """Release every exported view and the process-local mapping.
+
+        Straggler views (posting slices or frozen-trie nodes still
+        referenced by a drained job) keep the mapping exported; the
+        backing then leaves it to the OS at process exit.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        for view in self._views.values():
+            view.release()
+        self._views.clear()
+        self._base.release()
+        self._unmap()
+
+    def unlink(self) -> None:
+        """Destroy the backing (owner only; attachments just close)."""
+        if self.owner:
+            self._remove()
+
+    def __enter__(self) -> "Arena":
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        self.close()
+        self.unlink()
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__name__}({self.address!r}, "
+                f"{len(self._directory)} buffers, owner={self.owner})")
+
+
+class SharedArena(Arena):
+    """An arena in one ``multiprocessing.shared_memory`` segment."""
+
+    __slots__ = ("shm",)
+
+    _kind = "shared-memory segment"
+    _transport = "shm"
+
+    def __init__(self, shm: shared_memory.SharedMemory, *, owner: bool):
+        self.shm = shm
+        super().__init__(shm.name, shm.buf, owner=owner)
+
+    @property
+    def name(self) -> str:
+        """The segment name attachers pass to :meth:`attach`."""
+        return self.address
+
+    @classmethod
+    def publish(cls, buffers: "Mapping[str, Any]", meta: Any = None,
                 ) -> "SharedArena":
         """Create a segment holding *buffers* and the pickled *meta*.
 
-        Each buffer must be an ``array.array`` (or expose ``typecode``
-        and the buffer protocol). Returns the owning arena; the caller
-        must eventually :meth:`close` and :meth:`unlink` it.
+        Returns the owning arena; the caller must eventually
+        :meth:`close` and :meth:`unlink` it.
         """
-        directory: dict[str, tuple[str, int, int]] = {}
-        offset = 0
-        for key, buf in buffers.items():
-            offset = _aligned(offset)
-            directory[key] = (buf.typecode, offset, len(buf))
-            offset += len(buf) * buf.itemsize
-        header = pickle.dumps((meta, directory),
-                              protocol=pickle.HIGHEST_PROTOCOL)
-        data_start = _aligned(_LEN.size + len(header))
-        total = max(1, data_start + offset)
+        size, pieces = arena_image(buffers, meta)
         name = (f"{SEGMENT_PREFIX}-{os.getpid()}-"
                 f"{secrets.token_hex(4)}")
-        shm = shared_memory.SharedMemory(create=True, size=total,
+        shm = shared_memory.SharedMemory(create=True, size=size,
                                          name=name)
-        shm.buf[:_LEN.size] = _LEN.pack(len(header))
-        shm.buf[_LEN.size:_LEN.size + len(header)] = header
-        for key, buf in buffers.items():
-            _tc, rel, count = directory[key]
-            if count:
-                lo = data_start + rel
-                nbytes = count * buf.itemsize
-                shm.buf[lo:lo + nbytes] = memoryview(buf).cast("B")
-        return cls(shm, meta, directory, owner=True,
-                   data_start=data_start)
+        position = 0
+        for piece in pieces:
+            shm.buf[position:position + len(piece)] = piece
+            position += len(piece)
+        return cls(shm, owner=True)
 
     @classmethod
     def attach(cls, name: str) -> "SharedArena":
@@ -195,63 +348,17 @@ class SharedArena:
             try:
                 shm = shared_memory.SharedMemory(name=name)
             except FileNotFoundError as exc:
-                raise TransportError(
-                    f"shared-memory segment {name!r} has vanished or "
-                    f"was never published (shm transport)") from exc
-        header_len = _LEN.unpack_from(shm.buf, 0)[0]
-        meta, directory = pickle.loads(
-            bytes(shm.buf[_LEN.size:_LEN.size + header_len]))
-        return cls(shm, meta, directory, owner=False,
-                   data_start=_aligned(_LEN.size + header_len))
+                raise cls._error(
+                    name, "has vanished or was never published") from exc
+        return cls(shm, owner=False)
 
-    # -- access ------------------------------------------------------------
-
-    @property
-    def meta(self) -> Any:
-        """The meta object pickled into the segment (once, by the owner)."""
-        return self._meta
-
-    def keys(self) -> list[str]:
-        """The published buffer names."""
-        return list(self._directory)
-
-    def buffer(self, key: str) -> memoryview:
-        """A zero-copy typed ``memoryview`` of one published buffer."""
-        view = self._views.get(key)
-        if view is None:
-            typecode, rel, count = self._directory[key]
-            lo = self._data_start + rel
-            itemsize = array(typecode).itemsize
-            view = self.shm.buf[lo:lo + count * itemsize].cast(typecode)
-            self._views[key] = view
-        return view
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def close(self) -> None:
-        """Release every exported view and the process-local mapping."""
-        for view in self._views.values():
-            view.release()
-        self._views.clear()
+    def _unmap(self) -> None:
         try:
             self.shm.close()
         except BufferError:
-            # Straggler views (e.g. posting slices or frozen-trie nodes
-            # still referenced by the drained job) keep the mapping
-            # exported; the OS reclaims it at process exit. Disarm the
-            # destructor so interpreter shutdown stays quiet instead of
-            # printing "cannot close exported pointers exist".
+            # Disarm the destructor so interpreter shutdown stays quiet
+            # instead of printing "cannot close exported pointers exist".
             self.shm.close = lambda: None  # type: ignore[method-assign]
 
-    def unlink(self) -> None:
-        """Destroy the segment (owner only; attachments just close)."""
-        if self.owner:
-            self.shm.unlink()
-
-    def __enter__(self) -> "SharedArena":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
-        if self.owner:
-            self.unlink()
+    def _remove(self) -> None:
+        self.shm.unlink()

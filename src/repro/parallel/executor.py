@@ -21,8 +21,11 @@ callers can thread a ``workers`` knob through unconditionally.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import TYPE_CHECKING
 
+from repro.buffers.mmapfile import FileArena
+from repro.buffers.shm import SharedArena
 from repro.errors import TransportError
 from repro.instrumentation import JoinStats, ensure_stats
 from repro.parallel.morsels import fork_available, run_morsels
@@ -43,6 +46,10 @@ if TYPE_CHECKING:
     from repro.engine.encoded import EncodedInstance
     from repro.xml.model import XMLDocument
     from repro.xml.twig import TwigQuery
+
+
+#: The arena each publishing transport lays a job into.
+_ARENAS = {"shm": SharedArena, "mmap": FileArena}
 
 
 def available_transports() -> list[str]:
@@ -131,20 +138,16 @@ class ParallelExecutor:
 
         payloads = [(piece.lo, piece.hi) for piece in slices]
         arena = None
-        if transport == "shm":
-            # The tries freeze into one published arena; workers attach
-            # zero-copy and only the descriptor tuple is ever pickled.
-            from repro.parallel.shm import publish_instance
+        if transport in _ARENAS:
+            # The tries freeze into one published arena (a segment or a
+            # file); workers attach zero-copy and only the descriptor
+            # tuple is ever pickled.
+            from repro.parallel.shm import instance_buffers
 
-            arena = publish_instance(instance, algorithm)
-            shared = ("join_shm", arena.name, algorithm)
-        elif transport == "mmap":
-            # Same frozen-trie publication, file-backed: workers mmap
-            # the arena read-only by path.
-            from repro.parallel.mmapfile import publish_instance
-
-            arena = publish_instance(instance, algorithm)
-            shared = ("join_mmap", arena.path, algorithm)
+            arena = _ARENAS[transport].publish(
+                *instance_buffers(instance, algorithm))
+            shared = ("arena", type(arena), arena.address, "join",
+                      algorithm)
         elif transport == "pickle":
             # The job state is serialized once per worker (not per
             # morsel); strip what workers never read — source relations,
@@ -156,13 +159,9 @@ class ParallelExecutor:
             shared = ("join", instance, algorithm)
 
         stats.start_timer()
-        try:
+        with arena or nullcontext():  # the publisher closes + unlinks
             outcomes = run_morsels("join", payloads, workers=self.workers,
                                    shared=shared, transport=transport)
-        finally:
-            if arena is not None:
-                arena.close()
-                arena.unlink()
         rows: list[tuple] = []
         for piece, (counters, slice_rows) in zip(slices, outcomes):
             stats.absorb(counters,
@@ -220,67 +219,47 @@ class ParallelExecutor:
             return matcher.run(document, twig, name=name, stats=stats)
         slices = posting_slices(posting, count)
         # Documents are never *pickled* across the pool: twig morsels
-        # ride fork (copy-on-write), shm (the columnar buffers publish
-        # once and workers attach zero-copy), mmap (a file arena that
-        # workers map read-only by path — how larger-than-RAM streamed
-        # corpora parallelize) or the in-process loop; a pickle-configured
-        # executor, or a fork-configured one where there is no fork,
-        # routes through shm — the same spawn start method. The ``naive``
-        # oracle walks real node objects under fork and the mmap view's
-        # memoised node stubs; only the shm attachment (a bare cache-key
-        # handle) cannot serve it.
+        # ride fork (copy-on-write), an arena (shm: a segment; mmap: a
+        # file, how larger-than-RAM streamed corpora parallelize) that
+        # workers attach zero-copy as an ArenaDocument — whose node stubs
+        # serve even the ``naive`` oracle — or the in-process loop. A
+        # pickle-configured executor, or a fork-configured one where
+        # there is no fork, routes through shm: the same spawn start
+        # method.
         transport = self.transport
         if transport == "pickle" or (transport == "fork"
                                      and not fork_available()):
             transport = "shm"
-        if transport == "shm" and algorithm == "naive":
-            if not fork_available():
-                raise TransportError(
-                    "the 'naive' twig matcher walks live XMLNode objects "
-                    "and cannot attach a shared-memory view; it needs the "
-                    "'fork' start method — use transport='mmap', "
-                    "'serial', workers=1 or a columnar matcher on this "
-                    "platform")
-            transport = "fork"
-        if transport in ("shm", "mmap"):
+        payloads = [(piece.lo, piece.hi, piece.region_hi)
+                    for piece in slices]
+        arena = None
+        if transport in _ARENAS:
+            from repro.parallel.shm import document_buffers
+
             # Spawned workers receive the twig pickled, and a lambda does
             # not pickle: each value predicate runs once, here, and what
             # ships is the set of values it kept.
             twig = twig.with_predicates({
                 q.name: ValueSet(filter(q.predicate, base.tag_values(q.tag)))
                 for q in twig.nodes() if q.predicate is not None})
-
-        payloads = [(piece.lo, piece.hi, piece.region_hi)
-                    for piece in slices]
-        arena = None
-        if transport == "shm":
-            from repro.parallel.shm import publish_document
-
-            arena = publish_document(base)
-            shared: tuple = ("twig_shm", arena.name, twig, algorithm)
-        elif transport == "mmap":
-            from repro.buffers.mmapfile import FileArena
-            from repro.parallel.mmapfile import publish_document as publish_file
-
-            # A corpus that already is a file arena (streamed build or
-            # prior attachment) re-publishes by path, zero copying; the
-            # caller owns that arena — nothing to unlink here.
+            # A corpus that already is an arena of this backing (a
+            # streamed build or a prior attachment) re-publishes by
+            # address, zero copying; the caller owns that arena —
+            # nothing to unlink here.
+            backing = _ARENAS[transport]
             source = getattr(document, "arena", None)
-            if not isinstance(source, FileArena):
-                source = arena = publish_file(base)
-            shared = ("twig_mmap", source.path, twig, algorithm)
+            if not isinstance(source, backing):
+                source = arena = backing.publish(*document_buffers(base))
+            shared: tuple = ("arena", backing, source.address, "twig",
+                             twig, algorithm)
         else:
             shared = ("twig", document, twig, algorithm, base,
                       {q.name: base.stream(q) for q in twig.nodes()})
 
         stats.start_timer()
-        try:
+        with arena or nullcontext():  # the publisher closes + unlinks
             outcomes = run_morsels("twig", payloads, workers=self.workers,
                                    shared=shared, transport=transport)
-        finally:
-            if arena is not None:
-                arena.close()
-                arena.unlink()
         rows: list[tuple] = []
         for piece, (counters, slice_rows) in zip(slices, outcomes):
             stats.absorb(counters,

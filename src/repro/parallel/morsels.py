@@ -45,8 +45,8 @@ def run_morsels(kind: str, payloads: Sequence[tuple], *,
     ``shared`` is the job state workers receive at startup — by
     copy-on-write inheritance under ``"fork"``, serialized once per
     worker under ``"pickle"``, attached zero-copy from a published
-    shared-memory arena under ``"shm"`` or a file-backed mmap arena
-    under ``"mmap"`` (the descriptor tuple is all that ships),
+    arena — a shared-memory segment under ``"shm"``, a file under
+    ``"mmap"`` (the descriptor tuple is all that ships),
     installed in-process under ``"serial"`` (see
     :mod:`repro.parallel.worker`). The returned list is indexed like
     *payloads* regardless of which worker finished which morsel first.
@@ -131,7 +131,7 @@ def _run_inline(kind: str, payloads: Sequence[tuple],
                 shared: tuple | None) -> list[tuple[dict, list]]:
     """The serial fallback: same runners, same contract, no processes.
 
-    A ``*_shm`` / ``*_mmap`` descriptor materializes in-process (the
+    An arena descriptor materializes in-process (the
     attachment maps the parent's own segment or file) and its views are
     released before the previous job state is restored.
     """

@@ -1,116 +1,67 @@
-"""Zero-copy job publication over shared memory.
+"""Zero-copy job publication: one (buffers, meta) shape, two backings.
 
-The ``shm`` transport is the spawn-safe counterpart of ``fork``: the
-parent lays the job's typed buffers into one
-:class:`~repro.buffers.shm.SharedArena` segment **once**, ships workers
-only a tiny ``(kind, arena_name, ...)`` descriptor, and each worker
-attaches ``memoryview`` windows over the same physical pages. Nothing
-heavy is pickled per worker — the decode tables and vocabularies ride
-the arena's single pickled meta block — which is what unlocks parallel
-twig matching on platforms without ``fork``.
+The ``shm`` and ``mmap`` transports are the spawn-safe counterparts of
+``fork``: the parent lays the job's typed buffers into one arena
+**once** — a :class:`~repro.buffers.shm.SharedArena` segment for
+``shm``, a :class:`~repro.buffers.mmapfile.FileArena` file for
+``mmap`` — ships workers only a tiny descriptor naming the arena, and
+each worker attaches ``memoryview`` windows over the same pages.
+Nothing heavy is pickled per worker: the decode tables and
+vocabularies ride the arena's single pickled meta block. A file arena
+never has to fit in memory; pages fault in through the page cache as
+queries touch them.
 
-Two job families publish here:
+Two job families publish here, into either backing:
 
-* **documents** — :func:`publish_document` flattens a
+* **documents** — :func:`document_buffers` flattens a
   :class:`~repro.xml.columnar.ColumnarDocument` (node columns verbatim;
   the per-tag and per-path posting lists as concatenated data + offset
-  buffers, classic CSR). :func:`attach_document` rebuilds a read-only
-  view via :func:`repro.xml.arenaview.view_from_arena` — zero-copy
-  column casts, memoised node stubs and a bisect-backed nid index
-  (real :class:`~repro.xml.model.XMLNode` objects never cross
-  processes) — and installs it in the columnar cache under a fresh
-  :class:`DocumentHandle`, so every registered twig matcher runs
-  unchanged. Dewey labels are not shipped — no matcher reads them; the
-  update layer owns the mutable original. The file-backed ``mmap``
-  transport (:mod:`repro.parallel.mmapfile`) publishes the same
-  (buffers, meta) shape through :func:`document_buffers`.
-* **encoded instances** — :func:`publish_instance` freezes each
+  buffers, classic CSR). Workers attach with
+  :func:`repro.xml.arenaview.attach_arena_document`, whose
+  :class:`~repro.xml.arenaview.ArenaDocument` carries memoised node
+  stubs, so every registered twig matcher — the navigational ``naive``
+  oracle included — runs unchanged. Dewey labels are not shipped — no
+  matcher reads them; the update layer owns the mutable original.
+* **encoded instances** — :func:`instance_buffers` freezes each
   :class:`~repro.engine.encoded.EncodedTrie` into CSR level/offset
   buffers (:func:`~repro.buffers.frozen.freeze_trie`);
-  :func:`attach_instance` rebuilds trie shells rooted in
+  :func:`instance_from_arena` rebuilds trie shells rooted in
   :class:`~repro.buffers.frozen.FrozenTrieNode` adapters, which every
   registered join kernel and the executor's slicing consume as-is.
 
-Lifecycle: the publisher (the executor) owns the segment and closes +
+Lifecycle: the publisher (the executor) owns the arena and closes +
 unlinks it when the job's morsels drain; attachers only close. See
-:mod:`repro.buffers.shm` for the resource-tracker discipline and the
-``repro-buf`` leak-check prefix.
+:mod:`repro.buffers.shm` for the layout, the resource-tracker
+discipline and the ``repro-buf`` leak-check prefix.
 """
 
 from __future__ import annotations
 
-from array import array
 from collections.abc import Sequence
 from typing import TYPE_CHECKING, Any
 
 from repro.buffers.frozen import FrozenTrie, freeze_trie
-from repro.buffers.layout import typecode_for
 from repro.buffers.shm import SharedArena
 
 if TYPE_CHECKING:
     from repro.engine.encoded import EncodedInstance
     from repro.xml.columnar import ColumnarDocument
 
-
-def _as_array(buf: Sequence[int]) -> array:
-    """*buf* as an ``array`` (publication needs the buffer protocol).
-
-    Typed buffers pass through; lists (e.g. under the parity suite's
-    list backend) pack into the narrowest fitting typecode here, outside
-    the :func:`~repro.buffers.layout.pack` switch.
-    """
-    if isinstance(buf, array):
-        return buf
-    if isinstance(buf, memoryview):
-        out = array(buf.format)
-        out.extend(buf)
-        return out
-    values = list(buf)
-    hi = max(values, default=0)
-    lo = min(min(values, default=0), 0)
-    return array(typecode_for(hi, lo), values)
-
-
-# ---------------------------------------------------------------------------
-# documents
-# ---------------------------------------------------------------------------
-
-class DocumentHandle:
-    """A worker-side stand-in for the publisher's ``XMLDocument``.
-
-    The matchers only ever use the document as a cache key for
-    :func:`~repro.xml.columnar.columnar`; the handle provides exactly
-    that — a weakref-able identity with a ``version`` — so the attached
-    view installs into the regular columnar cache and every algorithm
-    resolves it transparently.
-    """
-
-    __slots__ = ("version", "__weakref__")
-
-    def __init__(self) -> None:
-        self.version = 0
-
-    def __repr__(self) -> str:
-        return "DocumentHandle(shared-memory attachment)"
+#: The node columns a document publishes verbatim.
+_NODE_COLUMNS = ("starts", "ends", "levels", "parents", "tag_ids",
+                 "path_ids")
 
 
 def document_buffers(view: "ColumnarDocument"
-                     ) -> "tuple[dict[str, array], dict]":
+                     ) -> "tuple[dict[str, Sequence[int]], dict]":
     """A columnar view flattened to (buffers, meta) for publication.
 
-    The shared publication shape of the ``shm`` and ``mmap``
-    transports: node columns verbatim, per-tag and per-path postings as
+    Node columns verbatim, per-tag and per-path postings as
     concatenated CSR data + offset buffers, vocabularies and values in
-    the pickled meta block.
+    the pickled meta block; either arena backing packs the buffers.
     """
-    buffers: dict[str, array] = {
-        "starts": _as_array(view.starts),
-        "ends": _as_array(view.ends),
-        "levels": _as_array(view.levels),
-        "parents": _as_array(view.parents),
-        "tag_ids": _as_array(view.tag_ids),
-        "path_ids": _as_array(view.path_ids),
-    }
+    buffers: dict[str, Sequence[int]] = {
+        column: getattr(view, column) for column in _NODE_COLUMNS}
     tag_offsets = [0]
     tag_nids: list[int] = []
     tag_starts: list[int] = []
@@ -120,17 +71,17 @@ def document_buffers(view: "ColumnarDocument"
         tag_starts.extend(view.tag_starts[tid])
         tag_ends.extend(view.tag_ends[tid])
         tag_offsets.append(len(tag_nids))
-    buffers["tag_nids"] = _as_array(tag_nids)
-    buffers["tag_starts"] = _as_array(tag_starts)
-    buffers["tag_ends"] = _as_array(tag_ends)
-    buffers["tag_offsets"] = _as_array(tag_offsets)
+    buffers["tag_nids"] = tag_nids
+    buffers["tag_starts"] = tag_starts
+    buffers["tag_ends"] = tag_ends
+    buffers["tag_offsets"] = tag_offsets
     path_offsets = [0]
     path_nids: list[int] = []
     for nids in view.nids_by_path:
         path_nids.extend(nids)
         path_offsets.append(len(path_nids))
-    buffers["path_nids"] = _as_array(path_nids)
-    buffers["path_offsets"] = _as_array(path_offsets)
+    buffers["path_nids"] = path_nids
+    buffers["path_offsets"] = path_offsets
     meta = {
         "kind": "document",
         "size": view.size,
@@ -144,38 +95,12 @@ def document_buffers(view: "ColumnarDocument"
     return buffers, meta
 
 
-def publish_document(view: "ColumnarDocument") -> SharedArena:
-    """Publish a columnar view's buffers; returns the owning arena."""
-    buffers, meta = document_buffers(view)
-    return SharedArena.publish(buffers, meta)
-
-
-def attach_document(name: str
-                    ) -> "tuple[SharedArena, DocumentHandle, ColumnarDocument]":
-    """Attach a published document; returns (arena, handle, view).
-
-    The view (rebuilt by :func:`repro.xml.arenaview.view_from_arena`:
-    zero-copy casts plus lazy node/index adapters) is installed in the
-    columnar cache under the returned handle, so matchers called with
-    the handle resolve it like any document. The caller owns closing
-    the arena when the job ends.
-    """
-    from repro.xml.arenaview import view_from_arena
-    from repro.xml.columnar import install_columnar
-
-    arena = SharedArena.attach(name)
-    view = view_from_arena(arena)
-    handle = DocumentHandle()
-    install_columnar(handle, view)
-    return arena, handle, view
-
-
 # ---------------------------------------------------------------------------
 # encoded instances
 # ---------------------------------------------------------------------------
 
 def instance_buffers(instance: "EncodedInstance", algorithm: str
-                     ) -> "tuple[dict[str, array], dict]":
+                     ) -> "tuple[dict[str, Sequence[int]], dict]":
     """An encoded instance frozen to (buffers, meta) for publication.
 
     Each trie freezes to CSR level/offset buffers
@@ -183,17 +108,16 @@ def instance_buffers(instance: "EncodedInstance", algorithm: str
     decode tables and participation map once, and for ``xjoin`` the
     query and twig-filter objects (callers guarantee the instance is
     twig-free — validators pin live documents and never serialize).
-    Shared by the ``shm`` and ``mmap`` transports.
     """
-    buffers: dict[str, array] = {}
+    buffers: dict[str, Sequence[int]] = {}
     descriptors: list[dict[str, Any]] = []
     for index, trie in enumerate(instance.tries):
         layout = freeze_trie(trie)
         for level, keys in enumerate(layout.levels):
-            buffers[f"t{index}.l{level}"] = _as_array(keys)
+            buffers[f"t{index}.l{level}"] = keys
         for level, offsets in enumerate(layout.offsets):
             if offsets is not None:
-                buffers[f"t{index}.o{level}"] = _as_array(offsets)
+                buffers[f"t{index}.o{level}"] = offsets
         descriptors.append({"name": trie.name, "order": trie.order,
                             "size": trie.size, "depth": trie.depth})
     meta: dict[str, Any] = {
@@ -213,13 +137,13 @@ def instance_buffers(instance: "EncodedInstance", algorithm: str
 
 def publish_instance(instance: "EncodedInstance",
                      algorithm: str) -> SharedArena:
-    """Publish an encoded instance's tries as frozen CSR buffers."""
+    """Publish an encoded instance's frozen tries into a segment."""
     buffers, meta = instance_buffers(instance, algorithm)
     return SharedArena.publish(buffers, meta)
 
 
 def instance_from_arena(arena) -> "EncodedInstance":
-    """Rebuild an instance shell over an attached arena (shm or mmap).
+    """Rebuild an instance shell over an attached arena (either backing).
 
     Each trie shell's root is a :class:`FrozenTrieNode` over the zero-
     copy level buffers; the kernels and

@@ -13,14 +13,15 @@ job state travels is the pool's *transport*:
   with no source relations or value->code maps). The portable path for
   relational jobs on platforms without ``fork``; twig jobs are
   excluded — documents are never shipped;
-* ``shm`` — the parent publishes the job's typed buffers into one
-  shared-memory arena (:mod:`repro.parallel.shm`) and the ``Process``
-  args carry only a ``("twig_shm" | "join_shm", arena_name, ...)``
-  descriptor. :func:`set_shared` materializes the descriptor on
-  arrival: it attaches the arena zero-copy and rewrites the job into
-  the standard ``("twig", ...)`` / ``("join", ...)`` shape, so the
-  morsel runners below never distinguish transports. Zero instance or
-  document pickling per worker, under a spawn start method.
+* ``shm`` / ``mmap`` — the parent publishes the job's typed buffers
+  into one arena (:mod:`repro.parallel.shm`; a shared-memory segment
+  or a file) and the ``Process`` args carry only an ``("arena",
+  backing, address, "twig" | "join", ...)`` descriptor.
+  :func:`set_shared` materializes the descriptor on arrival: it
+  attaches the arena zero-copy and rewrites the job into the standard
+  ``("twig", ...)`` / ``("join", ...)`` shape, so the morsel runners
+  below never distinguish transports. Zero instance or document
+  pickling per worker, under a spawn start method.
 
 Workers return ``(index, counters, rows)`` per morsel — plain value
 rows, never node objects or tries, so result pickles stay proportional
@@ -40,57 +41,58 @@ from repro.instrumentation import JoinStats
 #: see the ``_run_*`` functions.
 _SHARED: tuple | None = None
 
-#: id(materialized job) -> shared-memory arenas the job attached, so
-#: :func:`release_shared` closes exactly the attachments belonging to
+#: id(materialized job) -> the arena the job attached, so
+#: :func:`release_shared` closes exactly the attachment belonging to
 #: one job (inline runs nest jobs; a global close would release an
 #: outer job's views).
-_JOB_ARENAS: "dict[int, list]" = {}
+_JOB_ARENAS: "dict[int, Any]" = {}
 
 
 def _materialize(job: tuple) -> tuple:
-    """Resolve a shared-memory descriptor into standard job state.
+    """Resolve an arena descriptor into standard job state.
 
-    Attaches the arena(s) zero-copy and rewrites the descriptor into
-    the plain job tuple the morsel runners dispatch on. ``*_shm``
-    descriptors carry a segment name, ``*_mmap`` descriptors a file
-    path (:mod:`repro.parallel.mmapfile`); both funnel into identical
-    job shapes. The attachments are recorded for
+    ``job`` is ``("arena", backing, address, kind, *rest)``: *backing*
+    is the arena class and *address* its segment name or file path.
+    Attaches the arena zero-copy — a document as an
+    :class:`~repro.xml.arenaview.ArenaDocument`, an instance as frozen
+    trie shells — and rewrites the descriptor into the plain job tuple
+    the morsel runners dispatch on. The attachment is recorded for
     :func:`release_shared`.
     """
-    from repro.parallel import mmapfile, shm
+    from repro.parallel.shm import instance_from_arena
+    from repro.xml.arenaview import attach_arena_document
 
-    kind, where, *rest = job
-    module = shm if kind.endswith("_shm") else mmapfile
-    if kind.startswith("twig"):
+    _arena, backing, address, kind, *rest = job
+    arena = backing.attach(address)
+    if kind == "twig":
         twig, algorithm = rest
-        arena, handle, view = module.attach_document(where)
+        document, view = attach_arena_document(arena)
         # Predicate filtering scans the full posting: once per job (per
         # attached worker), not once per morsel.
-        materialized = ("twig", handle, twig, algorithm, view,
+        materialized = ("twig", document, twig, algorithm, view,
                         {q.name: view.stream(q) for q in twig.nodes()})
     else:
-        arena, instance = module.attach_instance(where)
-        materialized = ("join", instance, *rest)
-    _JOB_ARENAS[id(materialized)] = [arena]
+        materialized = ("join", instance_from_arena(arena), *rest)
+    _JOB_ARENAS[id(materialized)] = arena
     return materialized
 
 
 def release_shared(job: tuple | None) -> None:
-    """Close the shared-memory attachments of one materialized job."""
-    for arena in _JOB_ARENAS.pop(id(job), ()):
+    """Close the arena attachment of one materialized job."""
+    arena = _JOB_ARENAS.pop(id(job), None)
+    if arena is not None:
         arena.close()
 
 
 def set_shared(job: tuple | None) -> None:
     """Install (or clear) the current job state.
 
-    Shared-arena descriptors (``*_shm`` / ``*_mmap`` kinds) are
-    materialized here — the one place every transport funnels through —
-    so the runners only ever see plain job tuples.
+    Arena descriptors are materialized here — the one place every
+    transport funnels through — so the runners only ever see plain job
+    tuples.
     """
     global _SHARED
-    if job is not None and isinstance(job[0], str) \
-            and job[0].endswith(("_shm", "_mmap")):
+    if job is not None and job[0] == "arena":
         job = _materialize(job)
     _SHARED = job
 

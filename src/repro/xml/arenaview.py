@@ -1,10 +1,10 @@
-"""Read-only document views over published arenas (shm or mmap file).
+"""Read-only document views over published arenas (segment or file).
 
 :func:`view_from_arena` rebuilds a
 :class:`~repro.xml.columnar.ColumnarDocument` whose columns are
 zero-copy typed ``memoryview`` windows over an arena — either a
 :class:`~repro.buffers.shm.SharedArena` segment or a file-backed
-:class:`~repro.buffers.mmapfile.FileArena` (the two share one layout;
+:class:`~repro.buffers.mmapfile.FileArena` (one layout, one reader;
 this module only needs ``arena.buffer(name)`` + ``arena.meta``). Every
 registered twig matcher, the planner's ``DocumentStats`` and XJoin's
 path gathering run unchanged over the rebuilt view.
@@ -23,13 +23,14 @@ Three lazy adapters keep attachment O(1) in document size:
   a time, or a whole column of node ids in bulk) from the
   streamed value columns (``val_kind`` / ``val_ref`` / per-kind data +
   a UTF-8 string heap) written by :mod:`repro.xml.streaming`; arenas
-  that ship values in the pickled meta (the shm document transport)
-  keep using the plain list.
+  that ship values in the pickled meta (an in-memory view published
+  through :func:`repro.parallel.shm.document_buffers`) keep using the
+  plain list.
 
-:class:`ArenaDocument` is the document stand-in handed to matchers: a
-weakref-able cache key (like the shm transport's ``DocumentHandle``)
-that additionally answers ``nodes(tag)`` / ``size()`` / ``root`` so
-even the navigational ``naive`` oracle can walk an attached corpus.
+:class:`ArenaDocument` is the document stand-in handed to matchers,
+whichever backing holds the arena: a weakref-able cache key that also
+answers ``nodes(tag)`` / ``size()`` / ``root``, so even the
+navigational ``naive`` oracle can walk an attached corpus.
 """
 
 from __future__ import annotations
@@ -287,8 +288,8 @@ class ArenaDocument:
     ``nodes(tag)``, ``size()``, ``root`` — so every registered matcher,
     including the ``naive`` oracle, runs against an attached corpus.
     ``arena`` (set by :func:`attach_arena_document`) is the backing
-    arena when there is one: the parallel executor re-publishes a
-    file-backed corpus to its workers **by path**, with zero copying.
+    arena when there is one: the parallel executor re-publishes it to
+    its workers **by address**, with zero copying.
     """
 
     __slots__ = ("version", "view", "arena", "__weakref__")
@@ -321,10 +322,11 @@ def view_from_arena(arena: Any) -> "ColumnarDocument":
     """Rebuild a read-only :class:`ColumnarDocument` over *arena*.
 
     Works for any arena exposing ``buffer(name)`` + ``meta`` with the
-    document buffer layout (the shm and mmap transports publish the
-    same names). Node values come from ``meta["values"]`` when shipped
-    in the header (the shm path) or from the typed value columns (the
-    streamed-build path); all other columns are zero-copy casts.
+    document buffer layout. Node values come from ``meta["values"]``
+    when shipped in the header (an in-memory view published through
+    :func:`repro.parallel.shm.document_buffers`) or from the typed
+    value columns (the streamed-build path); all other columns are
+    zero-copy casts.
     """
     from repro.xml.columnar import ColumnarDocument
 

@@ -18,7 +18,8 @@ seeks are galloping probes.
 
 Views are **never pickled** (``__reduce__`` raises): the parallel
 transports either fork the address space or publish the buffers once
-through :mod:`repro.parallel.shm` and let workers attach zero-copy.
+into an arena (:mod:`repro.parallel.shm`) and let workers attach
+zero-copy.
 
 The root-to-node *tag paths* are interned as dense path ids (the columnar
 analogue of TJFast's extended Dewey labels): two nodes share a path id
@@ -222,13 +223,14 @@ class ColumnarDocument:
 
     @classmethod
     def from_arena(cls, arena) -> "ColumnarDocument":
-        """A read-only view over a published arena (shm or mmap file).
+        """A read-only view over a published arena (segment or file).
 
         *arena* is anything exposing ``buffer(name)`` + ``meta`` with
         the document buffer layout — a
         :class:`~repro.buffers.shm.SharedArena` segment or a
-        file-backed :class:`~repro.buffers.mmapfile.FileArena` written
-        by the streaming builder (:mod:`repro.xml.streaming`). Columns
+        file-backed :class:`~repro.buffers.mmapfile.FileArena`, either
+        published from a view (:mod:`repro.parallel.shm`) or written by
+        the streaming builder (:mod:`repro.xml.streaming`). Columns
         are zero-copy casts; nodes, the nid index and (for streamed
         arenas) values are lazy adapters, so attachment is O(1) in
         document size. See :mod:`repro.xml.arenaview`.

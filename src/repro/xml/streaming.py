@@ -233,7 +233,9 @@ def stream_document(chunks: Iterable[str], *,
     open a view with :meth:`ColumnarDocument.from_arena
     <repro.xml.columnar.ColumnarDocument.from_arena>` (queries are
     served off the file through the page cache) or attach from another
-    process via :func:`repro.parallel.mmapfile.attach_document`.
+    process with :meth:`FileArena.attach
+    <repro.buffers.mmapfile.FileArena.attach>` and
+    :func:`repro.xml.arenaview.attach_arena_document`.
     """
     writer = ArenaWriter(path=path)
     try:

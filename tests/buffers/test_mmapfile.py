@@ -8,12 +8,16 @@ files, ``set_at`` backpatching, CSR concatenation) produces the same
 bytes as the in-memory publish, broken attachments surface as
 :class:`~repro.errors.TransportError` (never a raw ``OSError``), and
 nothing with the ``repro-arena-`` prefix survives a clean run. The
-shared-memory satellites ride along: ``SharedArena.attach`` error
-routing and the thread-safe resource-tracker shim.
+layout is one implementation for both backings, so the round trip and
+the closed-arena error run over :class:`~repro.buffers.shm.SharedArena`
+too, beside its ``attach`` error routing and the thread-safe
+resource-tracker shim.
 """
 
 from __future__ import annotations
 
+import os
+import re
 import threading
 from array import array
 from concurrent.futures import ThreadPoolExecutor
@@ -26,7 +30,7 @@ from repro.buffers.mmapfile import (
     arena_temp_path,
     leaked_arena_files,
 )
-from repro.buffers.shm import SharedArena
+from repro.buffers.shm import SharedArena, leaked_segments
 from repro.errors import TransportError
 
 #: (typecode, values) pairs hitting both ends of each storage width.
@@ -43,18 +47,36 @@ BOUNDARY_BUFFERS = [
 ]
 
 
+BACKINGS = [SharedArena, FileArena]
+
+
+def assert_no_leaks():
+    assert not leaked_segments()
+    assert not leaked_arena_files()
+
+
 class TestTypecodeBoundaries:
-    def test_all_widths_round_trip(self):
+    @pytest.mark.parametrize("backing", BACKINGS,
+                             ids=lambda backing: backing.__name__)
+    def test_all_widths_round_trip(self, backing):
+        """One layout: every width, and an empty buffer, read back
+        bit-exactly by a second attachment of either backing."""
         buffers = {f"col_{tc}": array(tc, values)
                    for tc, values in BOUNDARY_BUFFERS}
-        with FileArena.publish(buffers, {"kind": "test"}) as arena:
-            assert arena.meta == {"kind": "test"}
-            assert sorted(arena.keys()) == sorted(buffers)
-            for tc, values in BOUNDARY_BUFFERS:
-                view = arena.buffer(f"col_{tc}")
-                assert view.format == tc
-                assert list(view) == values
-        assert not leaked_arena_files()
+        buffers["empty"] = array("I")
+        meta = {"tables": {"x": [1, 2]}, "note": "hello"}
+        with backing.publish(buffers, meta) as arena:
+            attached = backing.attach(arena.address)
+            try:
+                assert attached.meta == meta
+                assert sorted(attached.keys()) == sorted(buffers)
+                for key, buf in buffers.items():
+                    view = attached.buffer(key)
+                    assert view.format == buf.typecode
+                    assert list(view) == list(buf)
+            finally:
+                attached.close()
+        assert_no_leaks()
 
     def test_streamed_columns_match_publish(self):
         """ArenaWriter spill path == in-memory publish, byte for byte."""
@@ -140,19 +162,36 @@ class TestErrorRouting:
         with pytest.raises(TransportError, match="not a readable arena"):
             FileArena.attach(str(bogus))
 
-    def test_buffer_after_close_raises_transport_error(self):
-        arena = FileArena.publish({"c": array("I", [1, 2, 3])})
+    def test_truncated_file_raises_transport_error(self):
+        """A file cut short of its directory must not attach: the last
+        buffer would read back as a prefix of itself."""
+        arena = FileArena.publish({"x": array("I", range(1000)),
+                                   "y": array("I", range(1000))})
         path = arena.path
+        arena.close()
+        try:
+            os.truncate(path, os.path.getsize(path) - 2000)
+            with pytest.raises(TransportError,
+                               match=f"{re.escape(repr(path))}.*truncated"):
+                FileArena.attach(path)
+        finally:
+            arena.unlink()
+        assert not leaked_arena_files()
+
+    @pytest.mark.parametrize("backing", BACKINGS,
+                             ids=lambda backing: backing.__name__)
+    def test_buffer_after_close_raises_transport_error(self, backing):
+        arena = backing.publish({"c": array("I", [1, 2, 3])})
         arena.close()
         with pytest.raises(TransportError, match="closed"):
             arena.buffer("c")
-        reattached = FileArena.attach(path, owner=True)
+        reattached = backing.attach(arena.address)
         try:
             assert list(reattached.buffer("c")) == [1, 2, 3]
         finally:
             reattached.close()
-            reattached.unlink()
-        assert not leaked_arena_files()
+            arena.unlink()
+        assert_no_leaks()
 
     def test_shm_attach_unknown_name_raises_transport_error(self):
         with pytest.raises(TransportError, match="vanished"):

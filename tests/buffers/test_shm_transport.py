@@ -1,9 +1,11 @@
 """Shared-memory arenas, zero-copy attachment and transport routing.
 
-Covers the ``shm`` transport stack bottom-up: the raw
-:class:`~repro.buffers.shm.SharedArena` segment layout, document- and
-instance-level publish/attach round trips, the executor's transport
-routing (including every :class:`~repro.errors.TransportError` case),
+Covers the ``shm`` transport stack bottom-up: a
+:class:`~repro.buffers.shm.SharedArena` attacher never unlinks (the
+layout round trip over both backings is in ``test_mmapfile.py``),
+document- and instance-level publish/attach round trips, the
+executor's transport routing (including every
+:class:`~repro.errors.TransportError` case and ``naive`` on ``shm``),
 the structural zero-pickling guarantee, a 2-worker **spawn** pool smoke
 (twig and join), and the ``/dev/shm`` leak check after every pool run.
 """
@@ -26,12 +28,12 @@ from repro.parallel.executor import (
     default_transport,
 )
 from repro.parallel.shm import (
-    attach_document,
     attach_instance,
-    publish_document,
+    document_buffers,
     publish_instance,
 )
 from repro.relational.relation import Relation
+from repro.xml.arenaview import attach_arena_document
 from repro.xml.columnar import ColumnarDocument, columnar
 from repro.xml.interface import get_twig_algorithm
 from repro.xml.model import XMLDocument, element
@@ -51,6 +53,15 @@ def library_document():
     return XMLDocument(tree)
 
 
+def publish_view(view):
+    return SharedArena.publish(*document_buffers(view))
+
+
+def attach_view(name):
+    arena = SharedArena.attach(name)
+    return (arena, *attach_arena_document(arena))
+
+
 def triangle_instance(n=50, algorithm="generic_join"):
     import random
 
@@ -67,26 +78,6 @@ def triangle_instance(n=50, algorithm="generic_join"):
 
 
 class TestSharedArena:
-    def test_round_trip_all_widths(self):
-        buffers = {
-            "w8": pack([0, 7, 255]),
-            "w16": pack([0, 300, 65_535]),
-            "w32": pack([0, 70_000, 2 ** 32 - 1]),
-            "w64": pack([0, 2 ** 33]),
-            "empty": pack([]),
-        }
-        meta = {"tables": {"x": [1, 2]}, "note": "hello"}
-        with SharedArena.publish(buffers, meta) as arena:
-            attached = SharedArena.attach(arena.name)
-            assert attached.meta == meta
-            assert sorted(attached.keys()) == sorted(buffers)
-            for key, buf in buffers.items():
-                view = attached.buffer(key)
-                assert as_list(view) == as_list(buf)
-                assert view.format == buf.typecode
-            attached.close()
-        assert not leaked_segments()
-
     def test_attacher_never_unlinks(self):
         arena = SharedArena.publish({"k": pack([1, 2, 3])}, None)
         attached = SharedArena.attach(arena.name)
@@ -104,9 +95,9 @@ class TestDocumentRoundTrip:
     def test_attached_view_mirrors_columns_and_postings(self):
         document = library_document()
         base = columnar(document)
-        arena = publish_document(base)
+        arena = publish_view(base)
         try:
-            attached_arena, handle, view = attach_document(arena.name)
+            attached_arena, handle, view = attach_view(arena.name)
             assert view.size == base.size
             for column in ("starts", "ends", "levels", "parents",
                            "tag_ids", "path_ids"):
@@ -132,14 +123,14 @@ class TestDocumentRoundTrip:
         assert not leaked_segments()
 
     @pytest.mark.parametrize("algorithm",
-                             ["twigstack", "tjfast", "structural"])
+                             ["twigstack", "tjfast", "structural", "naive"])
     def test_matchers_run_on_attached_handle(self, algorithm):
         document = library_document()
         twig = parse_twig("b=book(/t=title)")
         serial = get_twig_algorithm(algorithm).run(document, twig)
-        arena = publish_document(columnar(document))
+        arena = publish_view(columnar(document))
         try:
-            attached_arena, handle, _view = attach_document(arena.name)
+            attached_arena, handle, _view = attach_view(arena.name)
             attached = get_twig_algorithm(algorithm).run(handle, twig)
             assert sorted(attached.rows) == sorted(serial.rows)
             attached_arena.close()
@@ -202,15 +193,21 @@ class TestTransportRouting:
         with pytest.raises(TransportError):
             executor.run_join(instance, "xjoin")
 
-    def test_naive_twig_without_fork_raises_transport_error(
-            self, monkeypatch):
+    def test_naive_twig_without_fork_runs_on_shm(self, monkeypatch):
+        # The shm attachment is an ArenaDocument: its node stubs serve
+        # the navigational oracle with no fork to fall back on.
         monkeypatch.setattr(executor_module, "fork_available",
                             lambda: False)
         document = library_document()
         twig = parse_twig("b=book(/t=title)")
-        executor = ParallelExecutor(2, transport="shm")
-        with pytest.raises(TransportError):
-            executor.run_twig(document, twig, "naive")
+        serial = get_twig_algorithm("naive").run(document, twig)
+        stats = JoinStats()
+        parallel = ParallelExecutor(2, transport="shm").run_twig(
+            document, twig, "naive", stats=stats)
+        assert sorted(parallel.rows) == sorted(serial.rows)
+        assert any(record.label.startswith("roots [")
+                   for record in stats.stages)
+        assert not leaked_segments()
 
     def test_pickle_configured_twig_routes_through_shm(self, monkeypatch):
         # Even with fork gone, a pickle-configured executor must still

@@ -1,10 +1,10 @@
 """The file-backed ``mmap`` transport: by-path attachment end to end.
 
 The disk-backed sibling of the shm transport tests: document and
-instance publish/attach round trips through
-:mod:`repro.parallel.mmapfile`, the executor's ``mmap`` routing
-(including the ``naive`` oracle, which the shm transport cannot
-serve), a 2-worker **spawn** pool smoke for twig and join jobs,
+instance round trips through the publication shapes of
+:mod:`repro.parallel.shm` into a file arena, the executor's ``mmap``
+routing (including the navigational ``naive`` oracle), a 2-worker
+**spawn** pool smoke for twig and join jobs,
 zero-copy by-path republication of a streamed arena, and a clean temp
 directory after every run.
 """
@@ -19,11 +19,10 @@ from repro.engine.encoded import EncodedInstance
 from repro.engine.interface import get_algorithm
 from repro.errors import TransportError
 from repro.parallel.executor import ParallelExecutor, available_transports
-from repro.parallel.mmapfile import (
-    attach_document,
-    attach_instance,
-    publish_document,
-    publish_instance,
+from repro.parallel.shm import (
+    document_buffers,
+    instance_buffers,
+    instance_from_arena,
 )
 from repro.relational.relation import Relation
 from repro.xml.arenaview import ArenaDocument, attach_arena_document
@@ -60,9 +59,10 @@ class TestRoundTrip:
         _text, document = stream_corpus()
         twig = parse_twig(ITEM_TWIG)
         serial = get_twig_algorithm("twigstack").run(document, twig)
-        arena = publish_document(columnar(document))
+        arena = FileArena.publish(*document_buffers(columnar(document)))
         try:
-            attached_arena, handle, view = attach_document(arena.path)
+            attached_arena = FileArena.attach(arena.path)
+            handle, view = attach_arena_document(attached_arena)
             assert isinstance(handle, ArenaDocument)
             assert view.size == columnar(document).size
             attached = get_twig_algorithm("twigstack").run(handle, twig)
@@ -76,9 +76,11 @@ class TestRoundTrip:
     def test_instance_by_path(self):
         instance = triangle_instance()
         serial = get_algorithm("generic_join").run(instance)
-        arena = publish_instance(instance, "generic_join")
+        arena = FileArena.publish(*instance_buffers(instance,
+                                                    "generic_join"))
         try:
-            attached_arena, attached = attach_instance(arena.path)
+            attached_arena = FileArena.attach(arena.path)
+            attached = instance_from_arena(attached_arena)
             result = get_algorithm("generic_join").run(attached)
             assert sorted(result.rows) == sorted(serial.rows)
             attached_arena.close()
@@ -89,7 +91,7 @@ class TestRoundTrip:
 
     def test_attach_vanished_path_raises_transport_error(self):
         with pytest.raises(TransportError, match="vanished"):
-            attach_document("/tmp/repro-arena-definitely-missing.arena")
+            FileArena.attach("/tmp/repro-arena-definitely-missing.arena")
 
 
 class TestExecutorRouting:
@@ -118,8 +120,7 @@ class TestSpawnPoolSmoke:
     @pytest.mark.parametrize("algorithm", ["twigstack", "naive"])
     def test_two_worker_mmap_twig_parity(self, algorithm):
         """The pool smoke — and proof the navigational ``naive`` oracle
-        runs attached (the mmap view's node stubs carry it; shm's bare
-        handle cannot)."""
+        runs attached (the view's node stubs carry it)."""
         _text, document = stream_corpus()
         twig = parse_twig(ITEM_TWIG)
         serial = get_twig_algorithm("twigstack").run(document, twig)
