@@ -70,7 +70,6 @@ from repro.engine.planner import (
     plan_query,
     register_order_policy,
     run_query,
-    statistics_for,
 )
 from repro.instrumentation import JoinStats, ensure_stats
 
@@ -308,15 +307,6 @@ class FeedbackStore:
         return 1.0 if correction is None or correction.retired \
             else correction.factor
 
-    def corrected_domain_estimate(self, query: "MultiModelQuery",
-                                  attribute: str, estimate: int) -> int:
-        """*estimate* scaled by the level-0 correction for *attribute*
-        (used by ``choose_partitions`` so morsel counts follow observed,
-        not nominal, cardinalities)."""
-        _extension, source = _extension_bound(query, attribute, set())
-        factor = self.stage_factor(query, source, attribute, ())
-        return max(0, int(round(estimate * factor)))
-
     # -- update-layer hooks ------------------------------------------------
 
     def note_input_update(self, query: "MultiModelQuery", input_name: str,
@@ -385,9 +375,9 @@ class FeedbackStore:
                 f"epoch {self.epoch}, {self.observations} observations)")
 
 
-#: The process-wide default store: the ``corrected`` order policy and
-#: the plain ``run_query`` partition chooser read it; ``repro explain``
-#: and :class:`AdaptivePlanner` write it unless given their own.
+#: The process-wide default store: the ``corrected`` order policy reads
+#: it; ``repro explain`` and :class:`AdaptivePlanner` write it unless
+#: given their own.
 _DEFAULT_STORE = FeedbackStore()
 
 
@@ -741,7 +731,7 @@ class AdaptivePlanner:
     """Feedback loop + bound-driven ordering + plan racing, in one.
 
     ``plan`` returns the raced (or cached) winner with corrected stage
-    estimates and corrected partition counts; ``execute`` runs it and
+    estimates and the static partition count; ``execute`` runs it and
     folds the observed stage sizes back into the store, which bumps the
     epoch — and thereby triggers a future re-race — only when the
     corrections moved materially. The loop therefore *converges*: once
@@ -763,8 +753,9 @@ class AdaptivePlanner:
 
     def plan(self, query: "MultiModelQuery", *,
              workers: int = 0) -> QueryPlan:
-        """The adaptive plan: raced winner, corrected estimates and
-        partition counts, planner-chosen twig matchers."""
+        """The adaptive plan: raced winner, corrected stage estimates,
+        the partition count :func:`~repro.engine.planner.choose_partitions`
+        decides, planner-chosen twig matchers."""
         if self.race:
             winner = self.racer.race(query).winner
             plan = plan_query(query, order=winner.order,
@@ -777,22 +768,8 @@ class AdaptivePlanner:
             plan = plan_query(query, order=order, workers=workers)
             plan = replace(plan, policy="corrected")
         estimates = estimated_stage_sizes(query, plan.order, self.store)
-        plan = replace(plan, stage_estimates=tuple(
+        return replace(plan, stage_estimates=tuple(
             (e.attribute, int(round(e.cumulative))) for e in estimates))
-        if workers > 1 and plan.partition_axis is not None:
-            domain = statistics_for(query).domain_estimate(
-                plan.partition_axis)
-            corrected = self.store.corrected_domain_estimate(
-                query, plan.partition_axis, domain)
-            if corrected != domain:
-                from repro.engine.planner import choose_partitions
-
-                partitions, axis = choose_partitions(
-                    query, plan.order, workers,
-                    domain_estimate=corrected)
-                plan = replace(plan, partitions=partitions,
-                               partition_axis=axis)
-        return plan
 
     def observe(self, query: "MultiModelQuery",
                 order: "tuple[str, ...]", stats: JoinStats) -> int:

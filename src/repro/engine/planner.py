@@ -561,43 +561,28 @@ MIN_CODES_PER_MORSEL = 4
 
 
 def choose_partitions(query: "MultiModelQuery", order: tuple[str, ...],
-                      workers: int, *,
-                      morsel_factor: int = 4,
-                      domain_estimate: int | None = None
-                      ) -> tuple[int, str | None]:
+                      workers: int) -> tuple[int, str | None]:
     """Pick (morsel count, partition axis) from cached statistics.
 
-    The axis is the resolved order's first attribute — the variable the
+    The one place the morsel count of a planned query is decided. The
+    axis is the resolved order's first attribute — the variable the
     parallel executor slices at the top of every trie descent. The
-    morsel count follows the work-stealing sizing rule (``morsel_factor``
-    morsels per worker, capped by the axis' estimated domain): enough
-    pieces that the queue can rebalance skew, never more pieces than the
-    domain has distinct values — and never slices thinner than
-    :data:`MIN_CODES_PER_MORSEL` codes, where the batch kernels' speed
-    makes morsel overhead the dominant cost. One partition means "run
-    serially".
-
-    By default the axis domain is the static estimate scaled by any
-    (version-fresh) correction the default feedback store has learned
-    for the query's first level, so partition counts follow observed —
-    not nominal — cardinalities; pass ``domain_estimate`` to override.
+    morsel count follows the work-stealing sizing rule
+    (:func:`~repro.parallel.partition.choose_morsel_count`: a fixed
+    number of morsels per worker, capped by the axis' static domain
+    estimate): enough pieces that the queue can rebalance skew, never
+    more pieces than the domain has distinct values — and never slices
+    thinner than :data:`MIN_CODES_PER_MORSEL` codes, where the batch
+    kernels' speed makes morsel overhead the dominant cost. One
+    partition means "run serially".
     """
     if workers <= 1 or not order:
         return 1, None
     from repro.parallel.partition import choose_morsel_count
 
     axis = order[0]
-    if domain_estimate is not None:
-        domain = domain_estimate
-    else:
-        domain = statistics_for(query).domain_estimate(axis)
-        # Imported lazily: the adaptive layer sits above the planner.
-        from repro.engine.adaptive import default_feedback
-
-        domain = default_feedback().corrected_domain_estimate(
-            query, axis, domain)
-    count = choose_morsel_count(workers, domain,
-                                morsel_factor=morsel_factor)
+    domain = statistics_for(query).domain_estimate(axis)
+    count = choose_morsel_count(workers, domain)
     count = min(count, max(1, domain // MIN_CODES_PER_MORSEL))
     return (count, axis) if count > 1 else (1, None)
 
@@ -618,8 +603,7 @@ def plan_query(query: "MultiModelQuery", *,
                order: "str | tuple[str, ...] | list[str] | None" = None,
                algorithm: str | None = None,
                twig_algorithm: str | None = None,
-               workers: int | None = None,
-               morsel_factor: int = 4) -> QueryPlan:
+               workers: int | None = None) -> QueryPlan:
     """Resolve order, join operator and twig matchers (explicit args win).
 
     ``twig_algorithm`` forces one matcher for every twig input (the
@@ -674,7 +658,7 @@ def plan_query(query: "MultiModelQuery", *,
         validation = tuple(points.items())
         tested = tested_attribute(query, resolved, points)
     partitions, partition_axis = choose_partitions(
-        query, resolved, workers or 1, morsel_factor=morsel_factor)
+        query, resolved, workers or 1)
     return QueryPlan(order=resolved, algorithm=algorithm, policy=policy,
                      twig_algorithms=tuple(twig_algorithms),
                      path_cardinalities=path_cardinalities,
@@ -698,10 +682,10 @@ def run_query(query: "MultiModelQuery", *,
     stats = ensure_stats(stats)
     if workers > 1:
         # Imported lazily: repro.parallel sits above the planner layer.
-        from repro.parallel.executor import parallel_run_query
+        from repro.parallel.executor import ParallelExecutor
 
-        return parallel_run_query(query, workers=workers, order=order,
-                                  algorithm=algorithm, stats=stats)
+        return ParallelExecutor(workers).run_query(
+            query, order=order, algorithm=algorithm, stats=stats)
     plan = plan_query(query, order=order, algorithm=algorithm)
     if plan.algorithm == "baseline":
         # The baseline evaluates from the source inputs; building the

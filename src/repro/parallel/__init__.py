@@ -13,18 +13,19 @@ splitting the work into independent **partitions**:
   answer;
 * twig matching is sliced by document and by the root query node's
   posting ranges in the :class:`~repro.xml.columnar.ColumnarDocument` —
-  every slice owns the embeddings rooted at its posting interval;
-* the traditional ``baseline`` foil, which evaluates unencoded source
-  inputs, is sliced on decoded *value* segments of its first relational
-  attribute.
+  every slice owns the embeddings rooted at its posting interval.
+
+The traditional ``baseline`` foil, which evaluates unencoded source
+inputs, is never split: it runs serially under any worker count.
 
 Slices travel to a ``multiprocessing`` pool as morsels on a shared
 work-stealing queue (:mod:`repro.parallel.morsels`): idle workers pull
 the next morsel the moment they finish one, so a skewed partition delays
 only the worker holding it. Under the default ``fork`` transport the
-encoded artifacts are shared copy-on-write; the portable ``pickle``
-transport spawns fresh workers and serializes a stripped instance once
-per worker instead.
+encoded artifacts are shared copy-on-write; the portable ``shm`` and
+``mmap`` transports spawn fresh workers that attach one published arena
+(a shared-memory segment or a file) zero-copy, and ``serial`` runs the
+morsels in-process.
 
 See ``docs/parallelism.md`` for the partitioning model, the correctness
 argument and tuning guidance.
@@ -41,7 +42,6 @@ _EXPORTS = {
     "ParallelExecutor": "executor",
     "available_transports": "executor",
     "default_transport": "executor",
-    "parallel_run_query": "executor",
     "CodeSlice": "partition",
     "PostingSlice": "partition",
     "choose_morsel_count": "partition",

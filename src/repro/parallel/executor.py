@@ -10,13 +10,14 @@ work-stealing queue of :mod:`repro.parallel.morsels`:
 * encoded joins (``generic_join``, ``leapfrog``, ``xjoin``) — top-level
   code ranges; slice results concatenate, ordered by slice index (=
   ascending code range), into exactly the serial row set;
-* the ``baseline`` foil — decoded value segments of the first
-  relational attribute;
 * twig matchers — root-posting ranges, with each worker's answer
   filtered to the embeddings rooted in its own slice.
 
-``workers <= 1`` everywhere degrades to the serial algorithm call, so
-callers can thread a ``workers`` knob through unconditionally.
+The ``baseline`` foil, which evaluates the unencoded source inputs, is
+never split: under any ``workers`` it is the serial
+:func:`~repro.core.baseline.baseline_join` call. ``workers <= 1``
+everywhere degrades to the serial algorithm call, so callers can thread
+a ``workers`` knob through unconditionally.
 """
 
 from __future__ import annotations
@@ -30,16 +31,13 @@ from repro.errors import TransportError
 from repro.instrumentation import JoinStats, ensure_stats
 from repro.parallel.morsels import fork_available, run_morsels
 from repro.parallel.partition import (
-    DEFAULT_MORSEL_FACTOR,
     choose_morsel_count,
     code_slices,
     posting_slices,
     top_level_weights,
-    value_segments,
 )
-from repro.parallel.slicing import baseline_partition_attribute
 from repro.relational.relation import Relation
-from repro.relational.schema import Schema, sort_key
+from repro.relational.schema import Schema
 
 if TYPE_CHECKING:
     from repro.core.multimodel import MultiModelQuery
@@ -55,7 +53,7 @@ _ARENAS = {"shm": SharedArena, "mmap": FileArena}
 def available_transports() -> list[str]:
     """Transports usable on this platform, preferred first."""
     out = ["fork"] if fork_available() else []
-    return out + ["shm", "mmap", "pickle", "serial"]
+    return out + ["shm", "mmap", "serial"]
 
 
 def default_transport(workers: int) -> str:
@@ -65,38 +63,22 @@ def default_transport(workers: int) -> str:
     return "fork" if fork_available() else "shm"
 
 
-def _shipping_instance(instance: "EncodedInstance",
-                       algorithm: str) -> "EncodedInstance":
-    """A shallow clone of *instance* stripped for per-worker shipping."""
-    from repro.engine.encoded import EncodedInstance
-
-    clone = EncodedInstance.__new__(EncodedInstance)
-    for slot in EncodedInstance.__slots__:
-        setattr(clone, slot, getattr(instance, slot))
-    clone.relations = []
-    clone.dictionaries = {}
-    if algorithm != "xjoin":
-        clone.query = None
-        clone.twig_filters = None
-    return clone
-
-
 class ParallelExecutor:
     """A reusable configuration for partition-parallel runs.
 
-    ``workers`` is the pool size (0/1 = serial), ``morsel_factor`` the
-    morsels cut per worker (more absorbs skew, fewer lowers overhead)
-    and ``transport`` one of ``"fork"`` / ``"shm"`` / ``"mmap"`` /
-    ``"pickle"`` / ``"serial"`` (default: the platform's best, see
-    :func:`default_transport`).
+    ``workers`` is the pool size (0/1 = serial) and ``transport`` one of
+    :func:`available_transports` (default: the platform's best, see
+    :func:`default_transport`); any other name raises
+    :class:`~repro.errors.TransportError` here, before any work.
     """
 
-    def __init__(self, workers: int, *,
-                 morsel_factor: int = DEFAULT_MORSEL_FACTOR,
-                 transport: str | None = None):
+    def __init__(self, workers: int, *, transport: str | None = None):
         self.workers = max(0, int(workers))
-        self.morsel_factor = morsel_factor
         self.transport = transport or default_transport(self.workers)
+        if self.transport not in available_transports():
+            raise TransportError(
+                f"unknown transport {self.transport!r} on this platform; "
+                f"choose from {available_transports()!r}")
 
     # -- encoded joins -----------------------------------------------------
 
@@ -107,28 +89,27 @@ class ParallelExecutor:
         """Run a registered join algorithm over *instance* in parallel.
 
         Result equality with the serial ``get_algorithm(name).run`` is
-        exact for every registered algorithm; with ``workers <= 1`` the
-        serial call *is* what runs.
+        exact for every registered algorithm; with ``workers <= 1``, and
+        for the ``baseline`` foil, the serial call *is* what runs.
         """
         from repro.engine.interface import get_algorithm
 
         stats = ensure_stats(stats)
-        if algorithm == "baseline":
-            return self._run_baseline_instance(instance, stats=stats)
         # Degenerate runs (serial executor, planner said 1 partition)
         # short-circuit before any partitioning work — in particular
         # before the weight map, an O(rows) walk of every level-0 trie
         # not yet weighed (frozen tries keep theirs).
-        if self.workers <= 1 or (morsels is not None and morsels <= 1):
+        if (algorithm == "baseline" or self.workers <= 1
+                or (morsels is not None and morsels <= 1)):
             return get_algorithm(algorithm).run(instance, stats=stats)
         weights = top_level_weights(instance)
         count = morsels if morsels is not None else choose_morsel_count(
-            self.workers, len(weights), morsel_factor=self.morsel_factor)
+            self.workers, len(weights))
         if count <= 1 or len(weights) <= 1:
             return get_algorithm(algorithm).run(instance, stats=stats)
         transport = self.transport
         has_twigs = instance.query is not None and bool(instance.query.twigs)
-        if transport in ("pickle", "shm", "mmap") and has_twigs:
+        if transport in _ARENAS and has_twigs:
             raise TransportError(
                 f"the {transport!r} transport ships the encoded instance "
                 "across processes and cannot carry twig-bearing instances "
@@ -147,13 +128,6 @@ class ParallelExecutor:
             arena = _ARENAS[transport].publish(
                 *instance_buffers(instance, algorithm))
             shared = ("arena", type(arena), arena.address, "join",
-                      algorithm)
-        elif transport == "pickle":
-            # The job state is serialized once per worker (not per
-            # morsel); strip what workers never read — source relations,
-            # the value->code maps (decode runs on ``_level_values``)
-            # and, for the relational kernels, the query object itself.
-            shared = ("join", _shipping_instance(instance, algorithm),
                       algorithm)
         else:
             shared = ("join", instance, algorithm)
@@ -208,8 +182,7 @@ class ParallelExecutor:
             return matcher.run(document, twig, name=name, stats=stats)
         base = columnar(document)
         posting = base.stream(twig.nodes()[0])
-        count = choose_morsel_count(self.workers, len(posting.nids),
-                                    morsel_factor=self.morsel_factor)
+        count = choose_morsel_count(self.workers, len(posting.nids))
         # ``accel`` works a chunk of root candidates at a time, so a
         # posting that fits one is nothing to hand a second worker (a
         # 200-person twig: 0.7 ms serial, 16 ms forked). Measured for
@@ -222,14 +195,8 @@ class ParallelExecutor:
         # ride fork (copy-on-write), an arena (shm: a segment; mmap: a
         # file, how larger-than-RAM streamed corpora parallelize) that
         # workers attach zero-copy as an ArenaDocument — whose node stubs
-        # serve even the ``naive`` oracle — or the in-process loop. A
-        # pickle-configured executor, or a fork-configured one where
-        # there is no fork, routes through shm: the same spawn start
-        # method.
+        # serve even the ``naive`` oracle — or the in-process loop.
         transport = self.transport
-        if transport == "pickle" or (transport == "fork"
-                                     and not fork_available()):
-            transport = "shm"
         payloads = [(piece.lo, piece.hi, piece.region_hi)
                     for piece in slices]
         arena = None
@@ -277,17 +244,18 @@ class ParallelExecutor:
 
         The planner chooses the partition axis (the resolved order's
         first attribute) and morsel count from cached statistics; the
-        encoded instance is built once and shared with the pool.
+        encoded instance is built once and shared with the pool. The
+        ``baseline`` foil runs serially from the source inputs.
         """
+        from repro.core.baseline import baseline_join
         from repro.engine.encoded import EncodedInstance
         from repro.engine.planner import plan_query
 
         stats = ensure_stats(stats)
         plan = plan_query(query, order=order, algorithm=algorithm,
-                          workers=self.workers,
-                          morsel_factor=self.morsel_factor)
+                          workers=self.workers)
         if plan.algorithm == "baseline":
-            return self._run_baseline(query, stats=stats)
+            return baseline_join(query, stats=stats)
         with stats.phase("encode"):
             instance = EncodedInstance.from_query(query, plan.order)
         stats.count_inputs(instance)
@@ -296,69 +264,3 @@ class ParallelExecutor:
         if result.schema.attributes != query.attributes:
             result = result.project(query.attributes, name=query.name)
         return result
-
-    # -- the baseline foil -------------------------------------------------
-
-    def _run_baseline_instance(self, instance: "EncodedInstance", *,
-                               stats: JoinStats) -> Relation:
-        """Adapter: baseline over an instance (mirrors the serial one)."""
-        from repro.core.multimodel import MultiModelQuery
-
-        query = instance.query
-        if query is None:
-            query = MultiModelQuery(instance.relations, name=instance.name)
-        return self._run_baseline(query, stats=stats)
-
-    def _run_baseline(self, query: "MultiModelQuery", *,
-                      stats: JoinStats) -> Relation:
-        """The unencoded foil, partitioned on decoded value segments."""
-        from repro.core.baseline import baseline_join
-
-        attribute = baseline_partition_attribute(query)
-        domain: set = set()
-        if attribute is not None:
-            for relation in query.relations:
-                if attribute in relation.schema.attributes:
-                    domain.update(relation.distinct_values(attribute))
-        count = choose_morsel_count(self.workers, len(domain),
-                                    morsel_factor=self.morsel_factor)
-        if self.workers <= 1 or attribute is None or count <= 1:
-            return baseline_join(query, stats=stats)
-        segments = value_segments(sorted(domain, key=sort_key), count)
-        if self.transport == "serial":
-            transport = "serial"
-        elif fork_available():
-            transport = "fork"
-        elif not query.twigs:
-            transport = "pickle"  # the query ships once per worker
-        else:
-            raise TransportError(
-                "the parallel baseline needs the 'fork' start method for "
-                "twig-bearing queries (it re-walks the source documents, "
-                "which are never shipped); use transport='serial' or "
-                "workers=1 on this platform")
-
-        stats.start_timer()
-        outcomes = run_morsels(
-            "baseline", [(frozenset(segment),) for segment in segments],
-            workers=self.workers,
-            shared=("baseline", query, attribute),
-            transport=transport)
-        rows: list[tuple] = []
-        for index, (counters, slice_rows) in enumerate(outcomes):
-            stats.absorb(counters, stage_label=f"segment {index}")
-            rows.extend(slice_rows)
-        stats.stop_timer()
-        return Relation(query.name, Schema(query.attributes), rows)
-
-
-def parallel_run_query(query: "MultiModelQuery", *, workers: int,
-                       order=None, algorithm: str | None = None,
-                       morsel_factor: int = DEFAULT_MORSEL_FACTOR,
-                       transport: str | None = None,
-                       stats: JoinStats | None = None) -> Relation:
-    """One-shot convenience wrapper around :class:`ParallelExecutor`."""
-    executor = ParallelExecutor(workers, morsel_factor=morsel_factor,
-                                transport=transport)
-    return executor.run_query(query, order=order, algorithm=algorithm,
-                              stats=stats)

@@ -43,13 +43,13 @@ def run_morsels(kind: str, payloads: Sequence[tuple], *,
     """Execute *payloads* (one morsel each) and return results in order.
 
     ``shared`` is the job state workers receive at startup — by
-    copy-on-write inheritance under ``"fork"``, serialized once per
-    worker under ``"pickle"``, attached zero-copy from a published
-    arena — a shared-memory segment under ``"shm"``, a file under
-    ``"mmap"`` (the descriptor tuple is all that ships),
+    copy-on-write inheritance under ``"fork"``, attached zero-copy from
+    a published arena — a shared-memory segment under ``"shm"``, a file
+    under ``"mmap"`` (the descriptor tuple is all that ships) — or
     installed in-process under ``"serial"`` (see
-    :mod:`repro.parallel.worker`). The returned list is indexed like
-    *payloads* regardless of which worker finished which morsel first.
+    :mod:`repro.parallel.worker`). *transport* is one the executor
+    validated. The returned list is indexed like *payloads* regardless
+    of which worker finished which morsel first.
     """
     if kind not in MORSEL_RUNNERS:
         raise EngineError(f"unknown morsel kind {kind!r}; "
@@ -59,24 +59,13 @@ def run_morsels(kind: str, payloads: Sequence[tuple], *,
     pool_size = min(workers, len(payloads))
     if transport == "serial" or pool_size <= 1:
         return _run_inline(kind, payloads, shared)
-    if transport not in ("fork", "pickle", "shm", "mmap"):
-        raise EngineError(f"unknown transport {transport!r}; choose from "
-                          "['fork', 'mmap', 'pickle', 'shm', 'serial']")
-    if transport == "fork" and not fork_available():
-        raise EngineError(
-            "the 'fork' transport is unavailable on this platform; use "
-            "transport='shm' or 'serial'")
-
-    if transport in ("pickle", "shm", "mmap"):
-        # Spawn even where fork exists: these transports' whole point is
-        # explicitly shipped job state (a serialized instance, or a
-        # shared-memory / file-arena descriptor workers attach), and
-        # riding fork here would let unpicklable additions to the
-        # shipped artifacts pass every Linux test and first break on
-        # spawn-only platforms.
-        context = multiprocessing.get_context("spawn")
-    else:
-        context = multiprocessing.get_context("fork")
+    # The arena transports spawn even where fork exists: their whole
+    # point is explicitly shipped job state (a shared-memory / file-arena
+    # descriptor workers attach), and riding fork here would let
+    # unpicklable additions to the shipped artifacts pass every Linux
+    # test and first break on spawn-only platforms.
+    context = multiprocessing.get_context(
+        "fork" if transport == "fork" else "spawn")
     # Queue (not SimpleQueue): its feeder thread keeps parent-side puts
     # from blocking on the pipe buffer, and get() takes a timeout so a
     # dead worker is detected instead of deadlocking the parent.
@@ -87,8 +76,8 @@ def run_morsels(kind: str, payloads: Sequence[tuple], *,
     try:
         for _ in range(pool_size):
             # Job state rides the Process args: inherited (not
-            # serialized) under a fork start method, pickled exactly
-            # once per worker under spawn.
+            # serialized) under a fork start method; under spawn, only
+            # the arena descriptor is pickled, once per worker.
             process = context.Process(target=worker_loop,
                                       args=(kind, tasks, results, shared),
                                       daemon=True)

@@ -24,7 +24,6 @@ granularity forces.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -32,9 +31,9 @@ if TYPE_CHECKING:
     from repro.engine.encoded import EncodedInstance
     from repro.xml.columnar import TagPosting
 
-#: Morsels issued per worker by default: enough granularity for the
-#: work-stealing queue to absorb moderate skew without drowning the pool
-#: in per-morsel overhead.
+#: Morsels issued per worker: enough granularity for the work-stealing
+#: queue to absorb moderate skew without drowning the pool in per-morsel
+#: overhead.
 DEFAULT_MORSEL_FACTOR = 4
 
 
@@ -72,17 +71,17 @@ class PostingSlice:
                 f"region_hi={self.region_hi}, w={self.weight})")
 
 
-def choose_morsel_count(workers: int, domain: int, *,
-                        morsel_factor: int = DEFAULT_MORSEL_FACTOR) -> int:
+def choose_morsel_count(workers: int, domain: int) -> int:
     """How many morsels to cut for *workers* over a *domain*-sized axis.
 
-    More morsels than workers lets the work-stealing queue rebalance
-    skew; the count never exceeds the domain (a slice needs at least one
-    key) and collapses to 1 when parallelism cannot pay off.
+    :data:`DEFAULT_MORSEL_FACTOR` morsels per worker let the
+    work-stealing queue rebalance skew; the count never exceeds the
+    domain (a slice needs at least one key) and collapses to 1 when
+    parallelism cannot pay off.
     """
     if workers <= 1 or domain <= 1:
         return 1
-    return max(1, min(morsel_factor * workers, domain))
+    return min(DEFAULT_MORSEL_FACTOR * workers, domain)
 
 
 def _subtree_rows(node) -> int:
@@ -222,15 +221,3 @@ def posting_slices(posting: "TagPosting", morsels: int
         slices.append(PostingSlice(index, lo, hi, region_hi,
                                    sum(weights[i:j])))
     return slices
-
-
-def value_segments(values: Sequence, morsels: int) -> list[list]:
-    """Split a sorted value list into at most *morsels* contiguous
-    segments of near-equal length (the ``baseline`` foil's partition
-    axis: decoded values, one segment per morsel)."""
-    n = len(values)
-    if n == 0:
-        return []
-    parts = max(1, min(morsels, n))
-    size = math.ceil(n / parts)
-    return [list(values[i:i + size]) for i in range(0, n, size)]

@@ -1,6 +1,6 @@
 """Slice views: the per-morsel restriction of encoded artifacts.
 
-Three restriction families, all **shallow** — a slice view shares the
+Two restriction families, both **shallow** — a slice view shares the
 parent's arrays/dicts and re-points only the top of the structure, so
 building one costs O(log n) bisects, not a rebuild:
 
@@ -15,16 +15,11 @@ building one costs O(log n) bisects, not a rebuild:
   Algorithms see a *superset* of the slice's embeddings (a region can
   also contain stragglers rooted in an earlier slice); the executor's
   final root-range filter makes the partition exact.
-* :func:`baseline_subqueries` — decoded **value segments** for the
-  unencoded ``baseline`` foil: each morsel evaluates the query with its
-  relational inputs filtered to one segment of the partition attribute's
-  active domain.
 
 ``detach=True`` turns a trie slice self-contained (children restricted
 to the sliced keys), for callers that want to serialize or retain one
 slice's encoded segment without dragging the whole trie along. The
-executor itself never ships slices: slicing happens worker-side, and
-the ``pickle`` transport serializes one stripped instance per worker.
+executor itself never ships slices: slicing happens worker-side.
 """
 
 from __future__ import annotations
@@ -36,7 +31,6 @@ from repro.engine.encoded import EncodedInstance, EncodedTrie, EncodedTrieNode
 from repro.xml.columnar import ColumnarDocument, TagPosting
 
 if TYPE_CHECKING:
-    from repro.core.multimodel import MultiModelQuery
     from repro.xml.twig import TwigNode, TwigQuery
 
 
@@ -163,40 +157,3 @@ class SlicedColumnarView(ColumnarDocument):
             j = bisect_right(posting.starts, self.region_hi)
         return TagPosting(posting.nids[i:j], posting.starts[i:j],
                           posting.ends[i:j], label=posting.label)
-
-
-# ---------------------------------------------------------------------------
-# baseline value segments (the unencoded foil)
-# ---------------------------------------------------------------------------
-
-def baseline_partition_attribute(query: "MultiModelQuery") -> str | None:
-    """The attribute the baseline foil partitions on: the first query
-    attribute bound by at least one relational input (None for twig-only
-    queries, which run as a single morsel)."""
-    for attribute in query.attributes:
-        if any(attribute in relation.schema.attributes
-               for relation in query.relations):
-            return attribute
-    return None
-
-
-def baseline_subquery(query: "MultiModelQuery", attribute: str,
-                      segment: "frozenset") -> "MultiModelQuery":
-    """The query with every relation binding *attribute* filtered to the
-    rows whose value falls in *segment* (twig inputs are untouched).
-
-    Each result row binds exactly one value of *attribute*, so the
-    per-segment results are disjoint and union to the serial answer.
-    """
-    from repro.core.multimodel import MultiModelQuery
-
-    relations = []
-    for relation in query.relations:
-        if attribute in relation.schema.attributes:
-            position = relation.schema.index(attribute)
-            relations.append(relation.with_row_changes(
-                removed=[row for row in relation.rows
-                         if row[position] not in segment]))
-        else:
-            relations.append(relation)
-    return MultiModelQuery(relations, query.twigs, name=query.name)

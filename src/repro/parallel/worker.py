@@ -8,11 +8,6 @@ job state travels is the pool's *transport*:
 * ``fork`` — children inherit the encoded instance / document
   copy-on-write through the forked address space; nothing heavy is
   ever serialized;
-* ``pickle`` — the job state is serialized **once per worker** (as
-  ``Process`` args under a spawn start method; a stripped instance
-  with no source relations or value->code maps). The portable path for
-  relational jobs on platforms without ``fork``; twig jobs are
-  excluded — documents are never shipped;
 * ``shm`` / ``mmap`` — the parent publishes the job's typed buffers
   into one arena (:mod:`repro.parallel.shm`; a shared-memory segment
   or a file) and the ``Process`` args carry only an ``("arena",
@@ -21,7 +16,8 @@ job state travels is the pool's *transport*:
   attaches the arena zero-copy and rewrites the job into the standard
   ``("twig", ...)`` / ``("join", ...)`` shape, so the morsel runners
   below never distinguish transports. Zero instance or document
-  pickling per worker, under a spawn start method.
+  pickling per worker, under a spawn start method;
+* ``serial`` — the same runners in the caller's process.
 
 Workers return ``(index, counters, rows)`` per morsel — plain value
 rows, never node objects or tries, so result pickles stay proportional
@@ -106,9 +102,9 @@ def run_join_morsel(task: tuple) -> tuple[dict, list]:
     """Evaluate one code-range slice ``(lo, hi)`` of an encoded join.
 
     The instance comes from :data:`_SHARED` (``("join", instance,
-    algorithm_name)``) — inherited copy-on-write under fork, shipped
-    once per worker under pickle. Returns the slice's *decoded* result
-    rows.
+    algorithm_name)``) — inherited copy-on-write under fork, attached
+    from the arena under shm / mmap. Returns the slice's *decoded*
+    result rows.
     """
     from repro.engine.interface import get_algorithm
     from repro.parallel.slicing import sliced_instance
@@ -170,34 +166,10 @@ def run_twig_morsel(task: tuple) -> tuple[dict, list]:
     return _counters(stats), list(rows)
 
 
-def run_baseline_morsel(task: tuple) -> tuple[dict, list]:
-    """Evaluate the baseline foil over one value segment.
-
-    ``task`` is ``(segment,)`` — a frozenset of the partition
-    attribute's values; the query and attribute come from :data:`_SHARED`
-    as ``("baseline", query, attribute)``. A ``None`` attribute (twig-only
-    query) means the single morsel evaluates the whole query.
-    """
-    from repro.core.baseline import baseline_join
-    from repro.parallel.slicing import baseline_subquery
-
-    assert _SHARED is not None and _SHARED[0] == "baseline"
-    _kind, query, attribute = _SHARED
-    (segment,) = task
-    stats = JoinStats()
-    if attribute is None:
-        result = baseline_join(query, stats=stats)
-    else:
-        result = baseline_join(
-            baseline_subquery(query, attribute, segment), stats=stats)
-    return _counters(stats), list(result.rows)
-
-
 #: Morsel kind -> executor function (also the worker loop's dispatch).
 MORSEL_RUNNERS = {
     "join": run_join_morsel,
     "twig": run_twig_morsel,
-    "baseline": run_baseline_morsel,
 }
 
 
@@ -207,10 +179,10 @@ def worker_loop(kind: str, tasks: Any, results: Any,
 
     ``shared`` is the job state, passed through ``Process`` args: under
     a ``fork`` start method it arrives by copy-on-write inheritance
-    (nothing is serialized); under ``spawn`` it is pickled exactly once
-    per worker. Each task on the queue is ``(index, payload)``; results
-    are pushed as ``(index, counters, rows)`` or ``(index, None,
-    traceback_text)`` on failure.
+    (nothing is serialized); under ``spawn`` the arena descriptor is
+    pickled exactly once per worker. Each task on the queue is
+    ``(index, payload)``; results are pushed as ``(index, counters,
+    rows)`` or ``(index, None, traceback_text)`` on failure.
     """
     set_shared(shared)
     runner = MORSEL_RUNNERS[kind]

@@ -186,7 +186,7 @@ class TestTransportRouting:
         assert default_transport(1) == "serial"
         assert default_transport(4) in ("fork", "shm")
 
-    @pytest.mark.parametrize("transport", ["pickle", "shm"])
+    @pytest.mark.parametrize("transport", ["shm", "mmap"])
     def test_twig_bearing_join_raises_transport_error(self, transport):
         instance = twig_bearing_instance()
         executor = ParallelExecutor(2, transport=transport)
@@ -209,18 +209,11 @@ class TestTransportRouting:
                    for record in stats.stages)
         assert not leaked_segments()
 
-    def test_pickle_configured_twig_routes_through_shm(self, monkeypatch):
-        # Even with fork gone, a pickle-configured executor must still
-        # parallelize twig matches (satellite: pickle routes via shm).
-        monkeypatch.setattr(executor_module, "fork_available",
-                            lambda: False)
-        document = library_document()
-        twig = parse_twig("b=book(/t=title)")
-        serial = get_twig_algorithm("twigstack").run(document, twig)
-        executor = ParallelExecutor(2, transport="pickle")
-        parallel = executor.run_twig(document, twig, "twigstack")
-        assert sorted(parallel.rows) == sorted(serial.rows)
-        assert not leaked_segments()
+    def test_pickle_transport_is_refused_at_construction(self):
+        # The arena transports ship every spawned job; there is no
+        # ``pickle`` transport to configure.
+        with pytest.raises(TransportError, match="unknown transport"):
+            ParallelExecutor(2, transport="pickle")
 
 
 class TestSpawnPoolSmoke:

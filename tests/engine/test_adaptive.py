@@ -35,6 +35,7 @@ from repro.engine.planner import (
 )
 from repro.errors import PlanError
 from repro.instrumentation import JoinStats
+from repro.relational.relation import Relation
 
 
 def skewed_query(n: int = 512) -> MultiModelQuery:
@@ -423,3 +424,46 @@ class TestConvergence:
             planner.execute(query)
         assert planner.racer.races == settled
         assert planner.epoch == planner.store.epoch
+
+
+def sliver_query() -> MultiModelQuery:
+    """Each pair of relations shares a sliver of its attribute's values:
+    the static domain estimate is 100 codes, the live level 0 holds 8,
+    so one serial run leaves a level-0 correction in the store."""
+    rows = [(i, i) for i in range(100)]
+    shifted = [(i + 92, i + 92) for i in range(100)]
+    return MultiModelQuery([Relation("R", ("a", "b"), rows),
+                            Relation("S", ("b", "c"), shifted),
+                            Relation("T", ("a", "c"), shifted)],
+                           [], name="sliver")
+
+
+class TestPartitions:
+    def test_planned_partition_count_is_the_executed_one(self):
+        query = sliver_query()
+        planner = AdaptivePlanner(store=FeedbackStore())
+        planner.execute(query)
+        plan = planner.plan(query, workers=4)
+        level0 = [estimate for estimate in estimated_stage_sizes(
+            query, plan.order, planner.store)
+            if estimate.attribute == plan.order[0]]
+        assert level0[0].cumulative < 10  # the correction is live
+        stats = JoinStats()
+        assert planner.execute(query, workers=4, stats=stats) \
+            == run_query(query)
+        morsels = [record for record in stats.stages
+                   if record.label.startswith("morsel [")]
+        assert plan.partitions > 1
+        assert len(morsels) == plan.partitions
+
+    def test_partition_count_ignores_learned_corrections(self, monkeypatch):
+        # One decision, from the static estimate: a correction in the
+        # process-wide store does not move plan_query's morsel count.
+        from repro.engine import adaptive
+
+        monkeypatch.setattr(adaptive, "_DEFAULT_STORE", FeedbackStore())
+        query = sliver_query()
+        static = plan_query(query, workers=4).partitions
+        AdaptivePlanner().execute(query)
+        assert adaptive.default_feedback().observations == 1
+        assert plan_query(query, workers=4).partitions == static == 16

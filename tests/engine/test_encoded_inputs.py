@@ -409,7 +409,7 @@ class TestFrozen:
                 sliced_instance(instance, lo, hi))
             get_algorithm("leapfrog").run(
                 sliced_instance(instance, lo, hi, detach=True))
-        for transport in ("fork", "shm", "mmap", "pickle", "serial"):
+        for transport in ("fork", "shm", "mmap", "serial"):
             try:
                 ParallelExecutor(2, transport=transport).run_join(
                     instance, "generic_join")

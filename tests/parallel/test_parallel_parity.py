@@ -6,7 +6,7 @@ cross-algorithm parity suites (``tests/engine/test_cross_engine``,
 every registered twig algorithm, the partition-parallel executor's
 answer equals the serial answer — over the pool (fork transport, the CI
 ``--workers 2`` path), the in-process morsel loop (serial transport) and
-the pickled-segment transport where it applies.
+the arena transports (``shm`` / ``mmap``) where they apply.
 """
 
 import pytest
@@ -16,7 +16,7 @@ from repro.data.synthetic import agm_tight_triangle, example34_instance
 from repro.engine.encoded import EncodedInstance
 from repro.engine.interface import available_algorithms, get_algorithm
 from repro.engine.planner import attribute_order, plan_query, run_query
-from repro.errors import EngineError
+from repro.errors import EngineError, TransportError
 from repro.instrumentation import JoinStats
 from repro.parallel.executor import ParallelExecutor, available_transports
 from repro.parallel.morsels import fork_available
@@ -40,7 +40,7 @@ def executor(transport, workers=WORKERS, **kw):
 # ---------------------------------------------------------------------------
 
 class TestJoinParity:
-    @pytest.mark.parametrize("transport", TRANSPORTS + ["pickle"])
+    @pytest.mark.parametrize("transport", TRANSPORTS)
     @pytest.mark.parametrize("algorithm", ["generic_join", "leapfrog"])
     def test_relational_kernels(self, algorithm, transport):
         instance = EncodedInstance.from_relations(
@@ -86,7 +86,8 @@ class TestJoinParity:
                                            "generic_join") == serial
         assert len(serial) == 0
 
-    def test_pickle_transport_rejects_twig_instances(self):
+    @pytest.mark.parametrize("transport", ["shm", "mmap"])
+    def test_arena_transport_rejects_twig_instances(self, transport):
         # A twig-bearing instance whose leading attribute has a wide
         # domain (so the run would genuinely partition, not degrade to
         # the serial path, which handles twig instances fine).
@@ -100,17 +101,50 @@ class TestJoinParity:
             [Relation("R", ("a", "x"), [(i, i) for i in range(6)])],
             [TwigBinding(parse_twig("x"), document)], name="P")
         encoded = EncodedInstance.from_query(query, attribute_order(query))
-        with pytest.raises(EngineError):
-            executor("pickle").run_join(encoded, "xjoin", morsels=4)
+        with pytest.raises(TransportError):
+            executor(transport).run_join(encoded, "xjoin", morsels=4)
 
-    def test_pickle_transport_serial_degenerate_runs_fine(self):
-        # The same twig-bearing instance with a unit morsel count must
-        # fall back to the serial kernel instead of raising.
+    @pytest.mark.parametrize("transport", ["shm", "mmap"])
+    def test_arena_transport_serial_degenerate_runs_fine(self, transport):
+        # A twig-bearing instance with a unit morsel count must fall
+        # back to the serial kernel instead of raising.
         query = example34_instance(3).query
         encoded = EncodedInstance.from_query(query, attribute_order(query))
         serial = get_algorithm("xjoin").run(encoded)
-        assert executor("pickle").run_join(encoded, "xjoin",
-                                           morsels=1) == serial
+        assert executor(transport).run_join(encoded, "xjoin",
+                                            morsels=1) == serial
+
+    @pytest.mark.parametrize("transport", ["pigeon", "pickle"])
+    def test_unknown_transport_refused_before_any_work(self, transport):
+        """A name outside ``available_transports()`` is refused when the
+        executor is built: a unit morsel count, which never reaches the
+        pool, no longer hides it."""
+        instance = EncodedInstance.from_relations(
+            agm_tight_triangle(10), ("a", "b", "c"))
+        document = xmark_document(0.2, seed=1)
+        twig = parse_twig("p=person(/nm=name)")
+        runs = [lambda run: run.run_join(instance, "generic_join",
+                                         morsels=1),
+                lambda run: run.run_join(instance, "generic_join",
+                                         morsels=4),
+                lambda run: run.run_twig(document, twig, "structural")]
+        for run in runs:
+            with pytest.raises(TransportError, match="unknown transport"):
+                run(executor(transport))
+        assert transport not in available_transports()
+
+    @pytest.mark.parametrize("transport", available_transports())
+    def test_baseline_runs_serially_on_every_transport(self, transport):
+        # The foil is never split: every transport makes the serial call.
+        encoded = EncodedInstance.from_relations(
+            agm_tight_triangle(30), ("a", "b", "c"))
+        serial = get_algorithm("baseline").run(encoded)
+        stats = JoinStats()
+        parallel = executor(transport).run_join(encoded, "baseline",
+                                                stats=stats, morsels=4)
+        assert parallel == serial
+        assert not [record for record in stats.stages
+                    if record.label.startswith(("segment", "morsel ["))]
 
     def test_workers_zero_and_one_run_serially(self):
         instance = EncodedInstance.from_relations(
@@ -144,9 +178,14 @@ class TestQueryParity:
         query = example34_instance(4).query
         serial = run_query(query, algorithm=algorithm)
         for transport in TRANSPORTS:
-            parallel = executor(transport).run_query(query,
-                                                     algorithm=algorithm)
+            stats = JoinStats()
+            parallel = executor(transport).run_query(
+                query, algorithm=algorithm, stats=stats)
             assert parallel == serial, (algorithm, transport)
+            if algorithm == "baseline":
+                # The foil is never split: no value-segment morsels.
+                assert not [record for record in stats.stages
+                            if record.label.startswith("segment")]
 
 
 # ---------------------------------------------------------------------------

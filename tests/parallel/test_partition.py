@@ -15,7 +15,6 @@ from repro.parallel.partition import (
     code_slices,
     posting_slices,
     top_level_weights,
-    value_segments,
 )
 from repro.parallel.slicing import sliced_instance, sliced_trie
 from repro.relational.relation import Relation
@@ -234,10 +233,3 @@ class TestSizing:
     ])
     def test_choose_morsel_count(self, workers, domain, expected):
         assert choose_morsel_count(workers, domain) == expected
-
-    def test_value_segments_partition_the_domain(self):
-        values = list(range(17))
-        segments = value_segments(values, 4)
-        assert [v for segment in segments for v in segment] == values
-        assert len(segments) <= 4
-        assert value_segments([], 4) == []
