@@ -73,11 +73,12 @@ def typecode_for(hi: int, lo: int = 0) -> str:
     raise OverflowError(f"no typecode fits [{lo}, {hi}]")
 
 
-def make(typecode: str = "H") -> "array | list":
-    """A fresh empty buffer of *typecode* (a list under the list backend)."""
+def make(typecode: str = "H", values: Sequence[int] = ()) -> "array | list":
+    """A fresh buffer of *typecode* holding *values*, which must fit it
+    (a list under the list backend)."""
     if _FORCE_LISTS:
-        return []
-    return array(typecode)
+        return list(values)
+    return array(typecode, values)
 
 
 def pack(values: Sequence[int], *, hi: int | None = None,

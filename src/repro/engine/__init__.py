@@ -22,7 +22,7 @@ runtime cardinality corrections fed back from executed queries'
 ``docs/planner.md``.
 """
 
-from repro.engine.dictionary import Dictionary, DictionaryBuilder
+from repro.engine.dictionary import Dictionary
 from repro.engine.encoded import (
     EncodedInstance,
     EncodedTrie,
@@ -57,7 +57,6 @@ from repro.engine.adaptive import (  # noqa: E402  (needs planner above)
 __all__ = [
     "AdaptivePlanner",
     "Dictionary",
-    "DictionaryBuilder",
     "EncodedInstance",
     "EncodedTrie",
     "FeedbackStore",

@@ -9,7 +9,9 @@ hashing heterogeneous Python objects.
 
 Every *input* column (relational, or twig path position) owns a
 **local** dictionary over the values it stores, built once per input
-version (:class:`repro.engine.encoded.EncodedInput`). A query's
+version (:class:`repro.engine.encoded.EncodedInput`; a relation's in
+its one column pass, :func:`repro.engine.encoded.relation_columns`,
+which also yields its code columns and statistics). A query's
 **global** dictionary for an attribute is the union of the binders'
 local ones (:func:`merge_dictionaries`): equal values get equal codes
 across inputs, so intersection on codes is intersection on values, and
@@ -99,45 +101,3 @@ def merge_dictionaries(local: "Sequence[Dictionary]") -> Dictionary:
     # None stands for *first*: a self-reference would be a cycle.
     first._merged = (peers, merged)
     return first if merged is None else merged
-
-
-class DictionaryBuilder:
-    """Accumulates attribute domains across inputs, then freezes them.
-
-    The from-scratch way to a query's global dictionaries (the engine
-    merges cached local ones, :func:`merge_dictionaries`, and must agree
-    with it): :meth:`add_rows` every input, then :meth:`build` once.
-    """
-
-    def __init__(self) -> None:
-        self._domains: dict[str, set[Value]] = {}
-
-    def add_rows(self, attributes: Sequence[str],
-                 rows: Iterable[Sequence[Value]]) -> None:
-        """Widen the named attributes' domains with already-gathered rows."""
-        domains = [self._domains.setdefault(a, set()) for a in attributes]
-        for row in rows:
-            for domain, value in zip(domains, row):
-                domain.add(value)
-
-    def build(self) -> dict[str, Dictionary]:
-        """Freeze the gathered domains into per-attribute dictionaries."""
-        return {attribute: Dictionary(attribute, domain)
-                for attribute, domain in self._domains.items()}
-
-
-def encode_rows(rows: "Sequence[Sequence[Value]] | frozenset | set",
-                positions: Sequence[int],
-                dictionaries: Sequence[Dictionary]) -> list[tuple[int, ...]]:
-    """Encode *rows*, picking column *positions* in order, one dictionary
-    per picked column. Rows are returned as plain int tuples.
-
-    Encoding runs column-wise (one flat comprehension per column, then a
-    C-level transpose) — measurably faster than a per-row generator
-    expression. *rows* must therefore be re-iterable with stable order.
-    """
-    if not positions:
-        return [() for _ in rows]
-    columns = [[d.codes[row[p]] for row in rows]
-               for p, d in zip(positions, dictionaries)]
-    return list(zip(*columns))

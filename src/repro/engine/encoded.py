@@ -24,9 +24,11 @@ Tries store dense int codes: every level's key list is a sorted typed
 buffer (:mod:`repro.buffers.layout` picks the narrowest ``array``
 typecode from the level's code bound and widens on demand; code order ==
 value order), so sorted intersections probe contiguous ints and hashed
-descent probes int-keyed dicts. Building from sorted encoded rows
-shares prefixes with the previous row, which yields the key buffers
-already sorted; rows end in one shared empty leaf node, not one each.
+descent probes int-keyed dicts. A trie is built a level at a time from
+its rows sorted once, one node per distinct prefix; rows end in one
+shared empty leaf node, not one each. A relation's code columns, with
+its dictionaries and statistics, come from one cold pass per version
+(:func:`relation_columns`).
 ``insert``/``remove`` splice the same buffers in place (amortized via
 the array over-allocation), so delta maintenance never forces a repack
 — on tries of the update layer's own: cached tries are shared by every
@@ -35,10 +37,12 @@ instance over their input, hence **frozen**, and both raise on them.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from itertools import repeat
-from operator import itemgetter
+from operator import add, itemgetter, mul
 from typing import TYPE_CHECKING
 
 from repro.buffers.layout import (
@@ -48,11 +52,7 @@ from repro.buffers.layout import (
     remove_code,
     typecode_for,
 )
-from repro.engine.dictionary import (
-    Dictionary,
-    encode_rows,
-    merge_dictionaries,
-)
+from repro.engine.dictionary import Dictionary, merge_dictionaries
 from repro.errors import EngineError, QueryError
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema, Value
@@ -101,43 +101,58 @@ class EncodedTrie:
         self.name = name
         self.order = tuple(order)
         self._weights = None
-        rows = sorted(encoded_rows)
+        rows = list(encoded_rows)
         self.size = len(rows)
+        columns = [list(map(itemgetter(level), rows))
+                   for level in range(len(self.order))] if rows else []
         if code_bounds is None:
-            bounds = ([max(column) for column in zip(*rows)] if rows
+            bounds = ([max(column) for column in columns] if rows
                       else [0] * len(self.order))
         else:
             bounds = list(code_bounds)
         # One typecode per level, plus a trailing narrow one so a
         # zero-arity trie still has a root typecode.
-        self._typecodes = tuple(typecode_for(max(hi, 0)) for hi in bounds) \
-            + ("B",)
-        root = EncodedTrieNode(self._typecodes[0])
-        # Sorted insertion: reuse the chain of nodes shared with the
-        # previous row; new keys always append in sorted position.
-        chain: list[EncodedTrieNode] = [root]
-        previous: tuple[int, ...] | None = None
-        typecodes = self._typecodes
-        last = len(self.order) - 1
-        for row in rows if self.order else ():
-            split = 0
-            if previous is not None:
-                # Distinct rows differ at or before the last column.
-                while row[split] == previous[split]:
-                    split += 1
-            del chain[split + 1:]
-            node = chain[split]
-            for level in range(split, last):
-                code = row[level]
-                child = EncodedTrieNode(typecodes[level + 1])
-                node.keys.append(code)
-                node.children[code] = child
-                chain.append(child)
-                node = child
-            node.keys.append(row[last])
-            node.children[row[last]] = _LEAF
-            previous = row
-        self.root = root
+        typecodes = self._typecodes = tuple(
+            typecode_for(max(hi, 0)) for hi in bounds) + ("B",)
+        self.root = EncodedTrieNode(typecodes[0])
+        if not columns:
+            return
+        # Sorted once, column-wise: a permutation by each row's codes
+        # read as one mixed-radix int. The gathered codes stay the
+        # caller's int objects, so children maps are keyed by the
+        # dictionaries' own ints, not by fresh copies.
+        key = columns[0]
+        for column in columns[1:]:
+            key = list(map(add, map(mul, key, repeat(max(column) + 1)),
+                           column))
+        permutation = sorted(range(len(rows)), key=key.__getitem__)
+        columns = [list(map(column.__getitem__, permutation))
+                   for column in columns]
+        # A level at a time, one node per distinct prefix: a node spans
+        # a run of the sorted rows, and its keys are the runs of the
+        # level's column inside that span.
+        spans = [(self.root, 0, len(rows))]
+        for level, column in enumerate(columns[:-1]):
+            below = []
+            for node, lo, hi in spans:
+                keys, children = [], []
+                while lo < hi:
+                    code = column[lo]
+                    end = bisect_right(column, code, lo, hi)
+                    # Its keys and children are set a level below.
+                    child = EncodedTrieNode.__new__(EncodedTrieNode)
+                    keys.append(code)
+                    children.append(child)
+                    below.append((child, lo, end))
+                    lo = end
+                node.keys = make(typecodes[level], keys)
+                node.children = dict(zip(keys, children))
+            spans = below
+        column = columns[-1]
+        buffer = make(typecodes[-2], column)
+        for node, lo, hi in spans:
+            node.keys = buffer[lo:hi]
+            node.children = dict.fromkeys(column[lo:hi], _LEAF)
 
     @property
     def depth(self) -> int:
@@ -342,25 +357,50 @@ def encoded_input(cache: dict, key: tuple, columns: tuple[str, ...],
     return built, True
 
 
-def relation_input(relation: Relation, order: Sequence[str]
-                   ) -> tuple[EncodedInput, bool]:
-    """:func:`encoded_input` of *relation*, columns as in *order*."""
+def relation_columns(relation: Relation
+                     ) -> "dict[str, tuple[Dictionary, list[int], int]]":
+    """The one cold pass over *relation* (one version), cached with its
+    other artefacts: its rows read column by column, in C, and per
+    attribute (the local dictionary, which every column order's
+    :func:`relation_input` shares; the code column, row-aligned across
+    attributes and made of the dictionary's own int objects; the row
+    count of its most frequent code). The planner's statistics are a
+    view of it (:func:`repro.engine.planner.cached_relation_stats`)."""
     # Imported lazily: the planner, which owns the cache, sits above.
     from repro.engine.planner import relation_artefacts
 
-    attributes = relation.schema.attributes
+    artefacts = relation_artefacts(relation)
+    found = artefacts.get("columns")
+    if found is None:
+        found = {}
+        for position, attribute in enumerate(relation.schema.attributes):
+            values = list(map(itemgetter(position), relation.rows))
+            counts = Counter(values)  # the domain, with each value's rows
+            dictionary = Dictionary(attribute, set(counts))
+            found[attribute] = (
+                dictionary, list(map(dictionary.codes.__getitem__, values)),
+                max(counts.values(), default=0))
+        # Published whole, and the first of racing threads wins.
+        found = artefacts.setdefault("columns", found)
+        artefacts.setdefault(("dictionaries",), {}).update(
+            (attribute, column[0]) for attribute, column in found.items())
+    return found
+
+
+def relation_input(relation: Relation, order: Sequence[str]
+                   ) -> tuple[EncodedInput, bool]:
+    """:func:`encoded_input` of *relation*, columns as in *order*: its
+    :func:`relation_columns` zipped in that order."""
+    from repro.engine.planner import relation_artefacts
+
     columns = relation.schema.restrict_order(order)
 
-    def build(local: "dict[str, Dictionary]") -> EncodedInput:
-        rows = relation.rows
-        positions = [attributes.index(a) for a in columns]
-        for attribute, position in zip(columns, positions):
-            if attribute not in local:
-                local[attribute] = Dictionary(
-                    attribute, set(map(itemgetter(position), rows)))
-        dictionaries = [local[a] for a in columns]
-        return EncodedInput(relation.name, columns, dictionaries,
-                            encode_rows(rows, positions, dictionaries))
+    def build(_local: "dict[str, Dictionary]") -> EncodedInput:
+        coded = list(map(relation_columns(relation).__getitem__, columns))
+        return EncodedInput(
+            relation.name, columns, [column[0] for column in coded],
+            zip(*[column[1] for column in coded]) if columns
+            else [()] * len(relation))
 
     return encoded_input(relation_artefacts(relation), (), columns, build)
 

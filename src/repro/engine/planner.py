@@ -37,12 +37,12 @@ import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from repro.engine.encoded import EncodedInstance
+from repro.engine.encoded import EncodedInstance, relation_columns
 from repro.engine.interface import available_algorithms, get_algorithm
 from repro.errors import PlanError
 from repro.instrumentation import JoinStats, ensure_stats
 from repro.relational.relation import Relation
-from repro.relational.statistics import RelationStats, relation_stats
+from repro.relational.statistics import RelationStats, column_stats_of_domain
 
 if TYPE_CHECKING:
     from repro.core.multimodel import MultiModelQuery
@@ -55,7 +55,8 @@ if TYPE_CHECKING:
 # cached statistics
 # ---------------------------------------------------------------------------
 
-#: id(relation) -> (weakref, artefacts of its rows: ``"stats"``, and one
+#: id(relation) -> (weakref, artefacts of its rows: the one column pass
+#: ``"columns"`` with its dictionaries, ``"stats"``, and one
 #: :class:`~repro.engine.encoded.EncodedInput` per column order). Keyed
 #: by id for O(1) lookup without hashing the row set; the weakref's
 #: eviction callback removes the entry the moment the relation (one
@@ -80,10 +81,17 @@ def relation_artefacts(relation: Relation) -> dict:
 
 
 def cached_relation_stats(relation: Relation) -> RelationStats:
-    """:func:`relation_stats`, memoised per (live) relation object."""
+    """*relation*'s statistics, memoised per (live) relation object: a
+    view of its one cold pass (:func:`relation_columns`), equal to a
+    :func:`~repro.relational.statistics.relation_stats` rescan."""
     artefacts = relation_artefacts(relation)
     if "stats" not in artefacts:
-        artefacts["stats"] = relation_stats(relation)
+        artefacts["stats"] = RelationStats(
+            relation.name, len(relation),
+            {attribute: column_stats_of_domain(attribute, dictionary.values,
+                                               heaviest)
+             for attribute, (dictionary, _codes, heaviest)
+             in relation_columns(relation).items()})
     return artefacts["stats"]
 
 
@@ -434,6 +442,8 @@ def existential_last(query: "MultiModelQuery",
     if found is None:
         candidates = {attribute: count for (_twig, attribute), (count, opens)
                       in stats.twig_domains().items() if opens}
+        if not candidates:
+            return order
         rest = tuple(a for a in order if a not in candidates)
         worst = max((estimate.cumulative for estimate
                      in estimated_stage_sizes(query, rest)), default=1.0)

@@ -1,7 +1,14 @@
-"""Per-relation statistics used by planners and size estimators."""
+"""Per-relation statistics used by planners and size estimators.
+
+The :func:`relation_stats` rescan is the oracle (and the catalog's
+source). The planner reads equal statistics off one cold pass per
+relation version (:func:`column_stats_of_domain`), the update layer
+maintains them from deltas (:func:`stats_from_frequencies`).
+"""
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.relational.relation import Relation
@@ -59,6 +66,17 @@ def column_stats_from_frequencies(attribute: str,
         maximum=max(frequency, key=sort_key),
         max_frequency=max(frequency.values()),
     )
+
+
+def column_stats_of_domain(attribute: str, domain: "Sequence[Value]",
+                           max_frequency: int) -> ColumnStats:
+    """:class:`ColumnStats` of a column whose distinct values are
+    *domain*, already in :func:`sort_key` order (a dictionary's values),
+    and whose most frequent value fills *max_frequency* rows."""
+    if not domain:
+        return ColumnStats(attribute, 0, None, None, 0)
+    return ColumnStats(attribute, len(domain), domain[0], domain[-1],
+                       max_frequency)
 
 
 def column_stats(relation: Relation, attribute: str) -> ColumnStats:

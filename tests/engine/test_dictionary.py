@@ -4,15 +4,35 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.engine.dictionary import (
-    Dictionary,
-    DictionaryBuilder,
-    encode_rows,
-    merge_dictionaries,
-)
+from repro.engine.dictionary import Dictionary, merge_dictionaries
 from repro.errors import EngineError
 from repro.relational.relation import Relation
 from repro.relational.schema import sort_key
+
+
+class DictionaryBuilder:
+    """Accumulates attribute domains across inputs, then freezes them.
+
+    The from-scratch way to a query's global dictionaries, and the
+    reference :func:`merge_dictionaries` (which merges cached local
+    ones) must agree with: :meth:`add_rows` every input, then
+    :meth:`build` once.
+    """
+
+    def __init__(self):
+        self._domains = {}
+
+    def add_rows(self, attributes, rows):
+        """Widen the named attributes' domains with already-gathered rows."""
+        domains = [self._domains.setdefault(a, set()) for a in attributes]
+        for row in rows:
+            for domain, value in zip(domains, row):
+                domain.add(value)
+
+    def build(self):
+        """Freeze the gathered domains into per-attribute dictionaries."""
+        return {attribute: Dictionary(attribute, domain)
+                for attribute, domain in self._domains.items()}
 
 mixed_values = st.one_of(
     st.integers(-50, 50),
@@ -116,16 +136,3 @@ class TestMergeDictionaries:
         table = [merged.encode(value) for value in local.values]
         assert table == sorted(table)
 
-
-class TestEncodeRows:
-    def test_column_selection_and_order(self):
-        d_a = Dictionary("a", [10, 20])
-        d_b = Dictionary("b", ["x", "y"])
-        rows = [(10, "y"), (20, "x")]
-        # Encode in reversed attribute order: positions pick the column.
-        encoded = encode_rows(rows, (1, 0), (d_b, d_a))
-        assert encoded == [(d_b.encode("y"), d_a.encode(10)),
-                           (d_b.encode("x"), d_a.encode(20))]
-
-    def test_zero_arity(self):
-        assert encode_rows([(), ()], (), ()) == [(), ()]

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.buffers.layout import as_list
+from repro.buffers.layout import as_list, list_backend, typecode_for
 from repro.engine import EncodedInstance, EncodedTrie
-from repro.engine.encoded import relation_input
+from repro.engine.encoded import _LEAF, relation_input
 from repro.errors import EngineError, QueryError, SchemaError
 from repro.relational.relation import Relation
 
@@ -180,16 +180,79 @@ def test_trie_tuples_roundtrip(rows):
     assert trie.size == len(rows)
 
 
-@given(st.sets(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=30),
+def assert_same_nodes(bulk, spliced):
+    """*bulk* and *spliced* are equal node by node: keys and their
+    buffer types and typecodes, children keys (the bulk trie's in key
+    order) and the one shared leaf under the last level."""
+    assert bulk.size == spliced.size and bulk.order == spliced.order
+    pairs = [(0, bulk.root, spliced.root)]
+    for level, ours, theirs in pairs:
+        assert type(ours.keys) is type(theirs.keys)
+        assert getattr(ours.keys, "typecode", None) \
+            == getattr(theirs.keys, "typecode", None)
+        assert as_list(ours.keys) == as_list(theirs.keys)
+        assert list(ours.children) == as_list(ours.keys)
+        assert set(ours.children) == set(theirs.children)
+        if level + 1 == bulk.depth:
+            assert all(child is _LEAF for child in ours.children.values())
+            assert all(child is _LEAF for child in theirs.children.values())
+        else:
+            pairs += [(level + 1, child, theirs.children[code])
+                      for code, child in ours.children.items()]
+
+
+def spliced_copy(rows, arity, rng: random.Random):
+    """The trie of *rows* built by :meth:`EncodedTrie.insert` onto an
+    empty one, in a random order, under the bulk build's level bounds."""
+    bounds = [max((row[level] for row in rows), default=0)
+              for level in range(arity)]
+    trie = EncodedTrie("R", "abcdef"[:arity], [], code_bounds=bounds)
+    for row in rng.sample(sorted(rows), len(rows)):
+        assert trie.insert(row)
+    return trie
+
+
+@given(st.integers(1, 4).flatmap(lambda arity: st.sets(
+           st.tuples(*[st.integers(0, 300)] * arity), max_size=40)),
        st.randoms(use_true_random=False))
 def test_inserting_row_by_row_equals_the_bulk_build(rows, rng: random.Random):
-    """Splicing rows one at a time, in any order, yields the bulk trie."""
-    spliced = EncodedTrie("R", ("a", "b"), [])
-    for row in rng.sample(sorted(rows), len(rows)):
-        assert spliced.insert(row)
+    """Splicing rows one at a time, in any order, yields the bulk trie,
+    at every arity and on both sides of the one-byte typecode."""
+    arity = len(next(iter(rows))) if rows else 2
+    bulk = EncodedTrie("R", "abcdef"[:arity], rows)
+    assert_same_nodes(bulk, spliced_copy(rows, arity, rng))
+    assert list(bulk.tuples()) == sorted(rows)
+
+
+@pytest.mark.parametrize("rows", [
+    [(0,)],
+    [(1, 2, 3, 4, 5, 6)],
+    [(i, i, i, i) for i in range(5)],
+    [(7, 1, 2, 3), (7, 1, 2, 4), (7, 1, 9, 0), (8, 0, 0, 0)],
+], ids=["one row", "one deep row", "singleton chains", "shared prefixes"])
+def test_chains_equal_the_spliced_trie(rows):
+    assert_same_nodes(EncodedTrie("R", "abcdef"[:len(rows[0])], rows),
+                      spliced_copy(rows, len(rows[0]), random.Random(0)))
+
+
+@pytest.mark.parametrize("bound", [255, 256, 65_535, 65_536, 2 ** 32 - 1,
+                                   2 ** 32])
+def test_every_typecode_boundary_equals_the_spliced_trie(bound):
+    rows = [(bound, 0), (0, bound), (bound, bound), (1, 1)]
     bulk = EncodedTrie("R", ("a", "b"), rows)
-    assert list(spliced.tuples()) == list(bulk.tuples())
-    assert spliced.size == bulk.size
+    assert bulk.root.keys.typecode == typecode_for(bound)
+    assert_same_nodes(bulk, spliced_copy(rows, 2, random.Random(1)))
+
+
+@given(st.sets(st.tuples(st.integers(0, 9), st.integers(0, 300),
+                         st.integers(0, 9)), max_size=30),
+       st.randoms(use_true_random=False))
+def test_list_backend_equals_the_spliced_trie(rows, rng: random.Random):
+    with list_backend():
+        bulk = EncodedTrie("R", ("a", "b", "c"), rows)
+        spliced = spliced_copy(rows, 3, rng)
+    assert type(bulk.root.keys) is list
+    assert_same_nodes(bulk, spliced)
 
 
 @given(st.sets(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=30))

@@ -197,6 +197,39 @@ class TestIdentityBoundEstimates:
                                  [TwigBinding(parse_twig("x"), doc)])
         assert statistics_for(shared).domain_estimate("x") == 2
 
+    def test_no_existential_attribute_estimates_nothing(self, monkeypatch):
+        """Without an existential attribute there is nothing to move:
+        a relational plan computes no stage estimate under any policy,
+        and its orders are the ones the estimates left unchanged."""
+        from repro.engine import planner
+
+        calls = []
+        original = planner._extension_bound
+
+        def spy(*args):
+            calls.append(args[1])
+            return original(*args)
+
+        monkeypatch.setattr(planner, "_extension_bound", spy)
+        query = MultiModelQuery([
+            Relation("R", ("a", "b"), [(i, i % 13) for i in range(40)]),
+            Relation("S", ("b", "c"), [(i, i % 7) for i in range(0, 40, 2)]),
+            Relation("T", ("c", "d"), [(i % 7, i % 2) for i in range(50)])])
+        orders = {policy: plan_query(query, order=policy).order
+                  for policy in ("appearance", "domain", "connected")}
+        assert orders == {"appearance": ("a", "b", "c", "d"),
+                          "domain": ("d", "c", "b", "a"),
+                          "connected": ("d", "c", "b", "a")}
+        assert plan_query(query).order == ("d", "c", "b", "a")
+        assert calls == []
+
+    def test_dblp_still_tests_its_article_last(self):
+        from repro.data.dblp import dblp_document, dblp_query
+
+        query = dblp_query(dblp_document(300))
+        assert plan_query(query, order="connected").order == \
+            ("j", "y", "era", "a")
+
     def test_an_explicit_order_is_obeyed(self):
         from repro.data.dblp import dblp_document, dblp_query
 
