@@ -24,9 +24,9 @@ cut edge still connects its two sub-twigs in the join; the paper's size
 bound is computed over the path relations alone.
 
 Neither kind of input is ever a table of rows: :func:`twig_input` reads
-one column per attribute off the columnar arrays (chain ids from the
-path index and ``parents``, values from the tag's one cached gather,
-node identities as the codes of :mod:`repro.core.surrogate`).
+one code column per attribute off the columnar arrays (chain ids from
+the path index and ``parents``; per node, its value code in its tag's
+one dictionary or its identity code, :mod:`repro.core.surrogate`).
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from repro.xml.model import XMLDocument, XMLNode
 from repro.xml.twig import Axis, TwigNode, TwigQuery
 
 if TYPE_CHECKING:
+    from repro.engine.dictionary import Dictionary
     from repro.engine.encoded import EncodedInput
 
 
@@ -213,13 +214,28 @@ def _values_at(view: ColumnarDocument, tag: str, nids: list[int]) -> list:
     return list(map(value_of.__getitem__, nids))
 
 
+def _value_dictionary(view: ColumnarDocument, tag: str) -> "Dictionary":
+    """The :class:`~repro.engine.dictionary.Dictionary` of *tag*'s value
+    codes (``view.tag_codes``), one per view version: every input that
+    binds a node of *tag* by value shares it as its local dictionary."""
+    from repro.engine.dictionary import Dictionary
+
+    found = view.derived.get(("value_dictionary", tag))
+    if found is None:
+        values, _codes, valueless = view.tag_dictionary(tag)
+        found = view.derived.setdefault(
+            ("value_dictionary", tag),
+            Dictionary(tag, values + (None,) * bool(valueless)))
+    return found
+
+
 def _columns(view: ColumnarDocument, atom: "PathRelation | EdgeAtom",
-             bound: frozenset[str]) -> list[list]:
-    """One column per attribute of *atom*, row-parallel (rows may
-    repeat): typed values, or the node's identity code
-    (:class:`repro.core.surrogate.NodeDictionary`) for the attributes in
-    *bound*. A node is represented alike in every input of its twig, so
-    path and pair tries intersect on one code space."""
+             bound: frozenset[str]) -> list[list[int]]:
+    """One code column per attribute of *atom*, row-parallel (rows may
+    repeat): the node's value code (``view.node_codes``), or its
+    identity code (:class:`repro.core.surrogate.NodeDictionary`) for
+    the attributes in *bound*. A node is coded alike in every input of
+    its twig, so path and pair tries intersect on one code space."""
     from repro.core.surrogate import node_dictionary
 
     if isinstance(atom, PathRelation):
@@ -232,9 +248,9 @@ def _columns(view: ColumnarDocument, atom: "PathRelation | EdgeAtom",
         nid_of = view.nid_index.__getitem__
         chains = [list(map(nid_of, starts)) for starts in zip(*pairs)] \
             if pairs else [[], []]
-    return [list(map(node_dictionary(view, node.tag).node_codes.__getitem__,
-                     nids))
-            if node.name in bound else _values_at(view, node.tag, nids)
+    return [list(map((node_dictionary(view, node.tag).node_codes
+                      if node.name in bound
+                      else view.node_codes(node.tag)).__getitem__, nids))
             for node, nids in zip(atom.nodes, chains)]
 
 
@@ -256,13 +272,12 @@ def twig_input(document: XMLDocument, atom: "PathRelation | EdgeAtom",
     It hangs in the columnar view's ``derived`` dict (so it lives as
     long as the view's arrays are current), keyed by :func:`_input_key`
     and the column order — the atom's attributes as they appear in
-    *order*. Columns are gathered in bulk (:func:`_columns`): a value
-    column is encoded through the input's local dictionary, an
-    identity-bound one already holds its tag's shared node codes.
+    *order*. Its columns (:func:`_columns`) already hold the codes of
+    its tags' shared dictionaries: value codes
+    (:func:`_value_dictionary`) or node codes.
     """
     # Imported lazily: repro.engine imports this package's siblings.
     from repro.core.surrogate import node_dictionary
-    from repro.engine.dictionary import Dictionary
     from repro.engine.encoded import EncodedInput, encoded_input
 
     view = columnar(document)
@@ -275,14 +290,8 @@ def twig_input(document: XMLDocument, atom: "PathRelation | EdgeAtom",
     def build(local: dict) -> "EncodedInput":
         gathered = dict(zip(names, _columns(view, atom, bound)))
         for node in atom.nodes:
-            name = node.name
-            if name in bound:
-                local[name] = node_dictionary(view, node.tag)
-                continue
-            if name not in local:
-                local[name] = Dictionary(name, set(gathered[name]))
-            gathered[name] = map(local[name].codes.__getitem__,
-                                 gathered[name])
+            local[node.name] = node_dictionary(view, node.tag) \
+                if node.name in bound else _value_dictionary(view, node.tag)
         rows = set(zip(*[gathered[a] for a in columns]))
         view.derived[(*key, "size")] = len(rows)
         return EncodedInput(atom.name, columns,
@@ -300,8 +309,11 @@ def materialize_path_relation(document: XMLDocument,
     materialising a relation (the paper: "we do not physically transform
     them into relational tables").
     """
-    return Relation(path.name, path.attributes,
-                    zip(*_columns(columnar(document), path, frozenset())))
+    view = columnar(document)
+    columns = _columns(view, path, frozenset())
+    return Relation(path.name, path.attributes, zip(*[
+        map(view.tag_codes(node.tag)[1].__getitem__, column)
+        for node, column in zip(path.nodes, columns)]))
 
 
 def path_relation_cardinality(document: XMLDocument,

@@ -33,10 +33,10 @@ structure validator, tests).
 from __future__ import annotations
 
 from collections.abc import Sequence
-from itertools import accumulate, compress
+from itertools import compress, count
 
 from repro.engine.dictionary import Dictionary
-from repro.relational.schema import Value, sort_key
+from repro.relational.schema import Value
 from repro.xml.model import XMLNode
 
 
@@ -99,7 +99,8 @@ class _SurrogateValues(Sequence):
 
 
 class NodeDictionary(Dictionary):
-    """The identity code space of one tag's nodes (module docstring).
+    """The identity code space of one tag's nodes (module docstring):
+    the codes of its ``view.tag_dictionary(tag)`` as they stand.
     ``node_codes`` maps node id -> code; ``values`` decodes lazily and
     ``codes`` knows the real values only (an identity is never encoded
     from an object); the erased decode table is ready, so a run that
@@ -108,19 +109,15 @@ class NodeDictionary(Dictionary):
     __slots__ = ("node_codes",)
 
     def __init__(self, tag: str, nids: Sequence[int],
-                 starts: Sequence[int], values: Sequence[Value]):
-        """*nids*, *starts* and *values* are the tag's posting columns."""
-        missing = [value is None for value in values]
-        head = tuple(sorted(set(values).difference((None,)), key=sort_key))
-        identities = list(compress(starts, missing))
+                 starts: Sequence[int], dictionary: tuple):
+        """*nids* and *starts* are the tag's posting columns,
+        *dictionary* its ``view.tag_dictionary(tag)``."""
+        head, codes, _valueless = dictionary
+        identities = list(compress(starts, map(len(head).__le__, codes)))
         self.attribute = tag
         self.values = _SurrogateValues(head, identities)
-        self.codes = {value: code for code, value in enumerate(head)}
-        first = len(head) - 1  # ranks among the valueless start at 1
-        self.node_codes: dict[int, int] = dict(zip(nids, (
-            first + rank if absent else self.codes[value]
-            for value, absent, rank
-            in zip(values, missing, accumulate(missing)))))
+        self.codes = dict(zip(head, count()))
+        self.node_codes: dict[int, int] = dict(zip(nids, codes))
         self._merged = None
         self._erased = head + (None,) * len(identities)
 
@@ -134,5 +131,5 @@ def node_dictionary(view, tag: str) -> NodeDictionary:
         # setdefault: threads racing on a first use must agree on one.
         found = view.derived.setdefault(
             ("node_dictionary", tag),
-            NodeDictionary(tag, nids, starts, view.tag_values(tag)))
+            NodeDictionary(tag, nids, starts, view.tag_dictionary(tag)))
     return found

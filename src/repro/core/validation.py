@@ -157,21 +157,14 @@ class StructureValidator:
 
 def _identifies_nodes(view: ColumnarDocument, tag: str,
                       structural: bool) -> bool:
-    """Do distinct *tag* nodes always carry distinct join values?
-
-    Valueless nodes of a structural attribute are bound by identity
-    (:class:`NodeSurrogate`), so only the real values can collide. The
-    verdict is memoised beside the value index it is read from (the
-    planner and the encoder both ask, once per query each).
-    """
-    key = ("identifies_nodes", tag, structural)
-    verdict = view.derived.get(key)
-    if verdict is None:
-        verdict = view.derived[key] = all(
-            len(nids) == 1
-            for value, nids in view.value_index(tag).items()
-            if not (structural and value is None))
-    return verdict
+    """Do distinct *tag* nodes always carry distinct join values? Read
+    off the counts of ``view.tag_dictionary(tag)``: each real value is
+    on one node, and the valueless are one value (``None``) held at
+    most once — unless a structural attribute binds each of them by
+    identity (:class:`NodeSurrogate`)."""
+    values, codes, valueless = view.tag_dictionary(tag)
+    return len(values) == len(codes) - valueless \
+        and (structural or valueless <= 1)
 
 
 def join_implies_embedding(document: XMLDocument,

@@ -7,11 +7,13 @@ order**: trie levels sorted by code are sorted by value, leapfrog seeks
 compare plain ints, and hashed descent probes int-keyed dicts instead of
 hashing heterogeneous Python objects.
 
-Every *input* column (relational, or twig path position) owns a
-**local** dictionary over the values it stores, built once per input
-version (:class:`repro.engine.encoded.EncodedInput`; a relation's in
-its one column pass, :func:`repro.engine.encoded.relation_columns`,
-which also yields its code columns and statistics). A query's
+Every *input* column owns a **local** dictionary, built once per input
+version (:class:`repro.engine.encoded.EncodedInput`): a relation's over
+the values it stores, in its one column pass
+(:func:`repro.engine.encoded.relation_columns`, which also yields its
+code columns and statistics); a twig path position's is its tag's,
+shared by every input over the tag (:mod:`repro.core.decomposition`).
+A query's
 **global** dictionary for an attribute is the union of the binders'
 local ones (:func:`merge_dictionaries`): equal values get equal codes
 across inputs, so intersection on codes is intersection on values, and
@@ -21,9 +23,25 @@ the local -> global code map is monotone (both sort by one key).
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from itertools import count
 
 from repro.errors import EngineError
 from repro.relational.schema import Value, sort_key
+
+#: Types ``sorted`` orders among themselves as :func:`sort_key` does:
+#: each set is one of its ranks (``bool`` folds into the numbers).
+_ONE_RANK = (frozenset((bool, int, float)), frozenset((str,)))
+
+
+def sort_values(values: Iterable[Value]) -> list[Value]:
+    """Distinct *values* in :func:`sort_key` order: a plain ``sorted``
+    when all share one rank (all numbers, or all strings), the keyed
+    sort — one ``sort_key`` call per value — only otherwise."""
+    values = list(values)
+    types = set(map(type, values))
+    values.sort(key=None if any(map(types.issubset, _ONE_RANK))
+                else sort_key)
+    return values
 
 
 class Dictionary:
@@ -43,10 +61,9 @@ class Dictionary:
         if not isinstance(domain, (set, frozenset)):
             domain = set(domain)
         #: Domain values, positionally indexed by code, in sort_key order.
-        self.values: tuple[Value, ...] = tuple(sorted(domain, key=sort_key))
+        self.values: tuple[Value, ...] = tuple(sort_values(domain))
         #: The inverse mapping (value -> code).
-        self.codes: dict[Value, int] = {
-            value: code for code, value in enumerate(self.values)}
+        self.codes: dict[Value, int] = dict(zip(self.values, count()))
         self._merged = None  #: last merge_dictionaries answer led by this
         self._erased = None  #: NodeDictionary: ``values``, identities erased
 

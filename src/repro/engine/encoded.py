@@ -225,7 +225,8 @@ class EncodedTrie:
 
     def rekeyed(self, tables: "Sequence[list | None]") -> "EncodedTrie":
         """A frozen copy with each level's codes mapped through its
-        monotone *table* (None = unchanged): keys stay sorted and
+        monotone *table* (None = unchanged; an empty one, a level over
+        an empty dictionary, has no code to map): keys stay sorted and
         grouped, so one pass over the nodes; levels below the deepest
         mapped one are shared."""
         last = len(self.order) - 1
@@ -236,7 +237,7 @@ class EncodedTrie:
                 return node
             table = tables[level]
             out = EncodedTrieNode()
-            out.keys = node.keys if table is None else pack(
+            out.keys = node.keys if not table else pack(
                 [table[code] for code in node.keys], hi=table[-1])
             out.children = dict.fromkeys(out.keys, _LEAF) if level == last \
                 else dict(zip(out.keys, [copy(node.children[code], level + 1)
@@ -305,9 +306,10 @@ def _global_order(schemas: Sequence[Sequence[str]],
 class EncodedInput:
     """One input under one column order, cached for the input's version:
     its own (*local*) ``dictionaries``, one per column of ``trie.order``
-    — over exactly the values stored there, or a twig tag's shared
-    identity code space (:class:`repro.core.surrogate.NodeDictionary`) —
-    and the ``trie`` over their codes. No reference leads back to the
+    — a relation's over exactly the values stored there, a twig
+    column's its tag's, shared by every input over the tag (value codes,
+    or the identity codes of :class:`repro.core.surrogate.NodeDictionary`)
+    — and the ``trie`` over their codes. No reference leads back to the
     relation, document or query, so the artefact dies with them."""
 
     __slots__ = ("dictionaries", "trie", "_rekeyed")

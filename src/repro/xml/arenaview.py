@@ -9,7 +9,7 @@ this module only needs ``arena.buffer(name)`` + ``arena.meta``). Every
 registered twig matcher, the planner's ``DocumentStats`` and XJoin's
 path gathering run unchanged over the rebuilt view.
 
-Three lazy adapters keep attachment O(1) in document size:
+Lazy adapters keep attachment O(1) in document size:
 
 * :class:`ArenaNodes` — **memoised** node stubs (one object per node
   id, created on first access), so identity checks like the structure
@@ -25,7 +25,9 @@ Three lazy adapters keep attachment O(1) in document size:
   a UTF-8 string heap) written by :mod:`repro.xml.streaming`; arenas
   that ship values in the pickled meta (an in-memory view published
   through :func:`repro.parallel.shm.document_buffers`) keep using the
-  plain list.
+  plain list;
+* :func:`stored_dictionaries` — each tag's value dictionary as the
+  streaming builder wrote it, its value table decoded on first use.
 
 :class:`ArenaDocument` is the document stand-in handed to matchers,
 whichever backing holds the arena: a weakref-able cache key that also
@@ -213,14 +215,11 @@ class ArenaValues(Sequence):
     __slots__ = ("_kind", "_ref", "_int", "_float", "_str_off",
                  "_str_len", "_heap")
 
-    def __init__(self, arena):
-        self._kind = arena.buffer("val_kind")
-        self._ref = arena.buffer("val_ref")
-        self._int = arena.buffer("val_int")
-        self._float = arena.buffer("val_float")
-        self._str_off = arena.buffer("val_str_off")
-        self._str_len = arena.buffer("val_str_len")
-        self._heap = arena.buffer("val_str_heap")
+    def __init__(self, buffer):
+        """*buffer* maps a value column's name to its typed view: an
+        arena's ``buffer``, or the streaming builder's snapshots."""
+        (self._kind, self._ref, self._int, self._float, self._str_off,
+         self._str_len, self._heap) = map(buffer, VALUE_COLUMNS)
 
     def __len__(self) -> int:
         return len(self._kind)
@@ -246,16 +245,20 @@ class ArenaValues(Sequence):
         return int(self._decode_str(ref))  # VALUE_BIGINT
 
     def gather(self, nids: Sequence[int]) -> list:
-        """``[self[nid] for nid in nids]`` in C-level passes over the
-        value columns: a run of one kind (the usual case — a tag's text
-        is all ints, all strings or all absent) is decoded in order, a
-        mixed one kind by kind, each distinct reference once, into a
-        table the entries then index."""
-        kinds = list(map(self._kind.__getitem__, nids))
+        """``[self[nid] for nid in nids]``: the nodes' (kind, ref)
+        pairs read in C, then :meth:`decode`."""
+        return self.decode(list(map(self._kind.__getitem__, nids)),
+                           list(map(self._ref.__getitem__, nids)))
+
+    def decode(self, kinds: Sequence[int], refs: Sequence[int]) -> list:
+        """The values behind parallel *kinds* and *refs*, in C-level
+        passes over the value columns: a run of one kind (the usual
+        case — a tag's text is all ints, all strings or all absent) is
+        decoded in order, a mixed one kind by kind, each distinct
+        reference once, into a table the entries then index."""
         present = set(kinds)
         if present <= {VALUE_NONE}:
             return [None] * len(kinds)
-        refs = list(map(self._ref.__getitem__, nids))
         if len(present) == 1:
             return self._decode(kinds[0], refs)
         table: dict = {}
@@ -318,6 +321,22 @@ class ArenaDocument:
         return f"ArenaDocument({self.view.size} nodes, frozen arena view)"
 
 
+def stored_dictionaries(arena: Any, values: ArenaValues):
+    """tid -> the tag's ``ColumnarDocument.tag_dictionary`` as the
+    streaming builder wrote it: the codes are a window on
+    ``tag_codes``, the values are decoded from their (kind, ref) pairs
+    when asked, in O(the tag's distinct values)."""
+    codes, offsets, kinds, refs, bounds, valueless = map(arena.buffer, (
+        "tag_codes", "tag_offsets", "dict_kind", "dict_ref",
+        "dict_offsets", "tag_valueless"))
+
+    def dictionary(tid: int) -> tuple:
+        lo, hi = bounds[tid], bounds[tid + 1]
+        return (tuple(values.decode(kinds[lo:hi], refs[lo:hi])),
+                codes[offsets[tid]:offsets[tid + 1]], valueless[tid])
+    return dictionary
+
+
 def view_from_arena(arena: Any) -> "ColumnarDocument":
     """Rebuild a read-only :class:`ColumnarDocument` over *arena*.
 
@@ -343,10 +362,12 @@ def view_from_arena(arena: Any) -> "ColumnarDocument":
     view.parents = arena.buffer("parents")
     view.tag_ids = arena.buffer("tag_ids")
     view.path_ids = arena.buffer("path_ids")
+    view.stored_dictionary = None
     if "values" in meta:
         view.values = meta["values"]
     else:
-        view.values = ArenaValues(arena)
+        view.values = ArenaValues(arena.buffer)
+        view.stored_dictionary = stored_dictionaries(arena, view.values)
     view.deweys = None  # not shipped; only the update layer reads them
     view.tags = meta["tags"]
     view.tag_index = meta["tag_index"]

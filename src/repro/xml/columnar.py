@@ -36,11 +36,12 @@ from __future__ import annotations
 
 import weakref
 from collections import Counter
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress, count
+from itertools import accumulate, compress, count, filterfalse, repeat
+from operator import add, mul
 
 from repro.buffers.kernels import gallop
 from repro.buffers.layout import pack
@@ -125,7 +126,8 @@ class ColumnarDocument:
                  "parents", "tag_ids", "values", "deweys", "path_ids",
                  "tags", "tag_index", "paths", "path_table", "tag_nids",
                  "tag_starts", "tag_ends", "nids_by_path",
-                 "pids_by_last_tag", "nid_index", "derived")
+                 "pids_by_last_tag", "nid_index", "derived",
+                 "stored_dictionary")
 
     def __init__(self, document: XMLDocument):
         root = document.root
@@ -216,10 +218,13 @@ class ColumnarDocument:
             start: nid for nid, start in enumerate(starts)}
         #: Derived from the arrays above and memoised per view: per-tag
         #: value gathers (:meth:`tag_values`), what is read off them
-        #: (value indexes, domains, node codes), encoded twig inputs.
-        #: They share the view's lifetime: evicted with it, and dropped by
-        #: :func:`install_columnar` after every update-layer splice.
+        #: (value dictionaries and indexes, node codes), encoded twig
+        #: inputs. They share the view's lifetime: evicted with it, and
+        #: dropped by :func:`install_columnar` after every splice.
         self.derived: dict = {}
+        #: tid -> the tag's dictionary as a streamed arena stores it
+        #: (:func:`repro.xml.arenaview.view_from_arena`); None here.
+        self.stored_dictionary = None
 
     @classmethod
     def from_arena(cls, arena) -> "ColumnarDocument":
@@ -288,28 +293,50 @@ class ColumnarDocument:
     def tag_values(self, tag: str) -> list:
         """The typed values of *tag*'s posting, parallel to its node
         ids: **one** :meth:`values_of` gather per tag and view version,
-        shared by :meth:`domain`, :meth:`value_index`, predicate masks
-        and XJoin's twig inputs."""
+        shared by :meth:`value_index`, predicate masks and, where no
+        arena stores it, :meth:`tag_dictionary`."""
         key = ("tag_values", tag)
         values = self.derived.get(key)
         if values is None:
             values = self.derived[key] = self.values_of(self.postings(tag)[0])
         return values
 
+    def tag_dictionary(self, tag: str) -> "tuple[tuple, Sequence[int], int]":
+        """*tag*'s one value dictionary per view version, ``(values,
+        codes, valueless)``: the distinct real values in ``sort_key``
+        order (``1``, ``1.0`` and ``True`` are one); a code per posting
+        entry, i for the i-th value's nodes and k, k+1, … for the
+        valueless in document order (k = ``len(values)``); the valueless
+        count. ``min(code, k)`` is the value-level code (``None`` sorts
+        last). A streamed arena stores it (:mod:`repro.xml.streaming`),
+        any other view derives it once from :meth:`tag_values`; the
+        planner's :meth:`domain`, :mod:`repro.core` and :meth:`tag_codes`
+        read it."""
+        key = ("tag_dictionary", tag)
+        found = self.derived.get(key)
+        if found is None:
+            tid = self.tag_index.get(tag)
+            if self.stored_dictionary is None or tid is None:
+                coder = TagCoder()
+                ids = coder.ids(self.tag_values(tag))[0]
+                found = (coder.table()[0], coder.codes(ids), coder.valueless)
+            else:
+                found = self.stored_dictionary(tid)
+            found = self.derived.setdefault(key, found)
+        return found
+
     def tag_codes(self, tag: str) -> "tuple[list[int], list]":
-        """*tag*'s values dictionary-coded, once per view version:
-        ``(codes, table)`` with ``codes`` parallel to the posting and
-        ``table[code]`` the value — equal values one code, ``None``
-        included. A projection dedupes on the ints and decodes only its
-        distinct rows (:meth:`repro.xml.accel.AccelTwigAlgorithm.run`)."""
+        """*tag*'s value-level codes (:meth:`tag_dictionary`), once per
+        view version: ``(codes, table)`` with ``codes`` parallel to the
+        posting and ``table[code]`` the value, ``None`` last. A
+        projection dedupes on the ints and decodes only its distinct
+        rows (:meth:`repro.xml.accel.AccelTwigAlgorithm.run`)."""
         key = ("tag_codes", tag)
         found = self.derived.get(key)
         if found is None:
-            values = self.tag_values(tag)
-            table = list(dict.fromkeys(values))
-            code_of = dict(zip(table, count()))
+            values, codes, _valueless = self.tag_dictionary(tag)
             found = self.derived[key] = (
-                list(map(code_of.__getitem__, values)), table)
+                list(map(min, codes, repeat(len(values)))), [*values, None])
         return found
 
     def node_codes(self, tag: str) -> "dict[int, int]":
@@ -324,12 +351,8 @@ class ColumnarDocument:
 
     def value_index(self, tag: str) -> "dict[Value | None, list[int]]":
         """``typed value -> node ids`` (ascending, i.e. document order)
-        of one tag's posting, built once per view.
-
-        XJoin's structure validator finds the nodes carrying a join
-        value here, and its static skip test reads off whether a tag's
-        values identify its nodes (every list a singleton).
-        """
+        of one tag's posting, built once per view: where XJoin's
+        structure validator finds the nodes carrying a join value."""
         key = ("value_index", tag)
         index = self.derived.get(key)
         if index is None:
@@ -351,15 +374,19 @@ class ColumnarDocument:
 
     def domain(self, query_node: TwigNode) -> tuple[int, int]:
         """(distinct real values, valueless nodes) among the query
-        node's candidates, memoised per (tag, predicate). Bound by value
-        the valueless are one more value (``None``); bound by identity
-        (:mod:`repro.core.surrogate`), one each."""
+        node's candidates: the sizes of its tag's :meth:`tag_dictionary`,
+        or counted among a predicate's survivors, memoised per (tag,
+        predicate). Bound by value the valueless are one more value
+        (``None``); bound by identity (:mod:`repro.core.surrogate`), one
+        each."""
+        if query_node.predicate is None:
+            values, _codes, valueless = self.tag_dictionary(query_node.tag)
+            return len(values), valueless
         key = ("domain", query_node.tag, query_node.predicate)
         found = self.derived.get(key)
         if found is None:
-            values = self.tag_values(query_node.tag)
-            if query_node.predicate is not None:
-                values = list(filter(query_node.predicate, values))
+            values = list(filter(query_node.predicate,
+                                 self.tag_values(query_node.tag)))
             valueless = values.count(None)
             found = self.derived[key] = (
                 len(set(values)) - bool(valueless), valueless)
@@ -394,6 +421,51 @@ class ColumnarDocument:
     def __repr__(self) -> str:
         return (f"ColumnarDocument({self.size} nodes, {len(self.tags)} "
                 f"tags, {len(self.paths)} paths)")
+
+
+class TagCoder:
+    """Builds one tag's :meth:`ColumnarDocument.tag_dictionary` from its
+    posting's values a chunk at a time, each value seen once:
+    :meth:`ids` numbers them by first appearance (valueless: -1),
+    :meth:`table` sorts the distinct ones, :meth:`codes` maps ids to
+    codes in C. The streaming builder spills the ids between the two,
+    so it holds one tag's distinct values and one chunk."""
+
+    def __init__(self):
+        self._ids: dict = {None: -1}
+        self._firsts: list = []  # per id, the value as its first holder has it
+        self._remap: list[int] = []
+        self.valueless = 0
+
+    def ids(self, values: list) -> "tuple[list[int], list[int]]":
+        """(the ids of *values*; where in *values* the first holders of
+        the values new here sit)."""
+        firsts = dict(zip(reversed(values), range(len(values) - 1, -1, -1)))
+        fresh = list(filterfalse(self._ids.__contains__, firsts))
+        self._ids.update(zip(fresh, count(len(self._firsts))))
+        held = list(map(firsts.__getitem__, fresh))
+        self._firsts += map(values.__getitem__, held)
+        return list(map(self._ids.__getitem__, values)), held
+
+    def table(self) -> "tuple[tuple, list[int]]":
+        """(the distinct values in ``sort_key`` order; the id of each)."""
+        from repro.engine.dictionary import sort_values
+
+        values = tuple(sort_values(self._firsts))
+        code = dict(zip(values, count()))
+        # The valueless' id, -1, reads k: None sorts last.
+        self._remap = [*map(code.__getitem__, self._firsts), len(values)]
+        return values, list(map(self._ids.__getitem__, values))
+
+    def codes(self, ids: "Iterable[int]") -> "list[int]":
+        """One chunk of ids as codes, after :meth:`table`: a valueless
+        node's is k plus the number of valueless before it."""
+        codes = list(map(self._remap.__getitem__, ids))
+        missing = list(map(self._remap[-1].__eq__, codes))
+        ranks = accumulate(missing, initial=self.valueless)
+        codes = list(map(add, codes, map(mul, missing, ranks)))
+        self.valueless += sum(missing)
+        return codes
 
 
 # ---------------------------------------------------------------------------
@@ -533,16 +605,22 @@ class DocumentStats:
     """
 
     size: int
-    depth: int
     tag_counts: Mapping[str, int]
     path_counts: Mapping[tuple[str, ...], int]
-    #: The ``parents`` column as summarised: a copy of an in-memory
-    #: column (updates edit those in place), an arena's mapping as is.
+    #: The ``parents`` and ``levels`` columns as summarised: copies of
+    #: an in-memory view's (updates edit those in place), an arena's
+    #: mappings as they are.
     parents: Sequence[int] = field(repr=False, compare=False)
+    levels: Sequence[int] = field(repr=False, compare=False)
 
     @property
     def distinct_paths(self) -> int:
         return len(self.path_counts)
+
+    @cached_property
+    def depth(self) -> int:
+        """The deepest level, found on first read: no estimate uses it."""
+        return max(self.levels, default=0)
 
     @cached_property
     def max_fanout(self) -> int:
@@ -577,10 +655,11 @@ def stats_from_view(view: ColumnarDocument) -> DocumentStats:
                    for pid, nids in enumerate(view.nids_by_path) if nids}
     return DocumentStats(
         size=view.size,
-        depth=max(view.levels) if view.levels else 0,
         tag_counts=tag_counts,
         path_counts=path_counts,
-        parents=view.parents[:],  # copies; a memoryview stays a view
+        # Copies; a memoryview stays a view.
+        parents=view.parents[:],
+        levels=view.levels[:],
     )
 
 

@@ -24,10 +24,17 @@ columns and postings straight into a bump-allocating
 * node values are typed once on close (``XMLNode.value``: stripped
   text through :func:`~repro.relational.csvio.parse_value`) into
   per-kind data columns and a UTF-8 string heap, decoded lazily by
-  :class:`~repro.xml.arenaview.ArenaValues`.
+  :class:`~repro.xml.arenaview.ArenaValues`;
+* at finish, each tag's value dictionary
+  (:meth:`~repro.xml.columnar.ColumnarDocument.tag_dictionary`):
+  ``tag_codes`` beside ``tag_nids``, each distinct value as its first
+  holder's (kind, ref) pair (``dict_kind`` / ``dict_ref`` /
+  ``dict_offsets``; no second heap) and ``tag_valueless``, so an
+  attached arena plans and encodes without decoding a value.
 
 Peak heap is O(depth + tags + one row group + bounded spill tails),
-independent of document size, and the columns are identical, row for
+plus one tag's distinct values and one chunk while the dictionaries
+are written: independent of document size. The columns are identical, row for
 row, to ``ColumnarDocument(parse_document(text))`` (the arena parity
 suite asserts it across every registered twig algorithm).
 """
@@ -36,6 +43,7 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Iterable
+from contextlib import ExitStack
 from itertools import accumulate
 from string import ascii_letters
 
@@ -43,11 +51,14 @@ from repro.buffers.mmapfile import ArenaWriter, FileArena
 from repro.relational.csvio import parse_value
 from repro.xml.arenaview import (
     VALUE_BIGINT,
+    VALUE_COLUMNS,
     VALUE_FLOAT,
     VALUE_INT,
     VALUE_NONE,
     VALUE_STR,
+    ArenaValues,
 )
+from repro.xml.columnar import TagCoder
 from repro.xml.scanner import iter_events
 
 _INT64 = 2 ** 63
@@ -189,6 +200,49 @@ class StreamingBuilder:
 
     # -- assembly ----------------------------------------------------------
 
+    def _dictionaries(self) -> None:
+        """Write each tag's value dictionary: its posting a chunk at a
+        time through a :class:`~repro.xml.columnar.TagCoder` (each value
+        decoded once into a first-appearance id; the ids spill), one
+        sort, then the spilled ids read back as codes."""
+        writer, chunk = self.writer, self.writer.chunk_items
+        codes_out = writer.column("tag_codes", "I")
+        kinds_out = writer.column("dict_kind", "B")
+        refs_out = writer.column("dict_ref", "I")
+        sizes, valueless = [0], []
+        columns = (self._val_kind, self._val_ref, self._val_int,
+                   self._val_float, self._val_str_off, self._val_str_len,
+                   self._heap)
+        with ExitStack() as stack:
+            views = [stack.enter_context(column.snapshot())
+                     for column in columns]
+            values = ArenaValues(dict(zip(VALUE_COLUMNS, views)).__getitem__)
+            kind_of, ref_of = views[0].__getitem__, views[1].__getitem__
+            for tid, bucket in enumerate(self._tag_buckets):
+                coder, first_kinds, first_refs = TagCoder(), [], []
+                spill = writer.column(f"dict_ids_{tid}", "i", register=False)
+                with bucket.snapshot() as nids_v:
+                    for lo in range(0, len(nids_v), chunk):
+                        with nids_v[lo:lo + chunk] as nids:
+                            kinds = list(map(kind_of, nids))
+                            refs = list(map(ref_of, nids))
+                        ids, held = coder.ids(values.decode(kinds, refs))
+                        spill.extend(ids)
+                        first_kinds += map(kinds.__getitem__, held)
+                        first_refs += map(refs.__getitem__, held)
+                table, order = coder.table()
+                with spill.snapshot() as ids_v:
+                    for lo in range(0, len(ids_v), chunk):
+                        with ids_v[lo:lo + chunk] as ids:
+                            codes_out.extend(coder.codes(ids))
+                spill.discard()
+                kinds_out.extend(map(first_kinds.__getitem__, order))
+                refs_out.extend(map(first_refs.__getitem__, order))
+                sizes.append(sizes[-1] + len(table))
+                valueless.append(coder.valueless)
+        writer.add_buffer("dict_offsets", array("Q", sizes))
+        writer.add_buffer("tag_valueless", array("Q", valueless))
+
     def finish(self) -> FileArena:
         """Merge the spilled postings and assemble the owning arena."""
         writer = self.writer
@@ -205,6 +259,7 @@ class StreamingBuilder:
                             tag_starts.extend(
                                 map(starts_v.__getitem__, nids))
                             tag_ends.extend(map(ends_v.__getitem__, nids))
+        self._dictionaries()
         writer.concat("tag_nids", "I", self._tag_buckets)
         writer.add_buffer("tag_offsets", array(
             "Q", [0, *accumulate(map(len, self._tag_buckets))]))

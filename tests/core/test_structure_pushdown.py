@@ -398,11 +398,11 @@ def test_value_edit_drops_the_indexes_behind_the_spliced_view():
     query = MultiModelQuery([], [TwigBinding(twig, doc)])
     assert validated_at(query) == {"T": None}
     assert len(xjoin(query)) == 0
-    assert ("value_index", "a") in columnar(doc).derived
+    assert ("tag_dictionary", "a") in columnar(doc).derived
 
     second = doc.nodes("a")[1]
     DocumentEditor(doc).change_value(second, "7")  # now a duplicate
-    assert ("value_index", "a") not in columnar(doc).derived
+    assert ("tag_dictionary", "a") not in columnar(doc).derived
     assert validated_at(query) == {"T": "c"}
     assert xjoin(query) == query.naive_join() and len(xjoin(query)) == 0
     assert len(xjoin(query, validate_structure=False)) == 1

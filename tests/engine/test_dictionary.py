@@ -4,7 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.engine.dictionary import Dictionary, merge_dictionaries
+from repro.engine.dictionary import (
+    Dictionary,
+    merge_dictionaries,
+    sort_values,
+)
 from repro.errors import EngineError
 from repro.relational.relation import Relation
 from repro.relational.schema import sort_key
@@ -43,6 +47,23 @@ mixed_values = st.one_of(
     st.none(),
     st.tuples(st.integers(0, 5), st.integers(0, 5)),
 )
+
+
+class TestSortValues:
+    """One sort rule for every dictionary: the plain sort where it
+    agrees with ``sort_key``, the keyed one elsewhere."""
+
+    @given(st.one_of(
+        st.lists(st.integers()), st.lists(st.text()),
+        st.lists(st.one_of(st.booleans(), st.integers(),
+                           st.floats(allow_nan=False))),
+        st.lists(mixed_values)))
+    def test_order_is_sort_keys(self, values):
+        domain = set(values)
+        assert sort_values(domain) == sorted(domain, key=sort_key)
+
+    def test_empty_domain(self):
+        assert sort_values(()) == [] and Dictionary("a", ()).values == ()
 
 
 class TestDictionary:

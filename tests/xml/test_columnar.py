@@ -149,6 +149,25 @@ class TestDocumentStats:
         assert stats.path_counts[("a", "b", "c")] == 1
         assert stats.distinct_paths == 7  # incl. the root path ("a",)
 
+    def test_depth_is_counted_on_first_read(self):
+        """Summarising iterates no level; the depth is read off the
+        kept column when asked."""
+        from repro.xml.columnar import stats_from_view
+
+        class Watched(list):
+            reads = 0
+
+            def __iter__(self):
+                Watched.reads += 1
+                return super().__iter__()
+
+        view = columnar(sample_document())
+        levels = list(view.levels)
+        view.levels = Watched(levels)
+        stats = stats_from_view(view)
+        assert Watched.reads == 0
+        assert stats.depth == max(levels) == 3
+
     def test_chain_count_is_suffix_sum(self):
         stats = document_stats(sample_document())
         # c nodes reachable by a b/c parent-child step: a/b/c and a/b/b/c.
