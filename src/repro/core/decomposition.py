@@ -43,7 +43,6 @@ from repro.xml.model import XMLDocument, XMLNode
 from repro.xml.twig import Axis, TwigNode, TwigQuery
 
 if TYPE_CHECKING:
-    from repro.engine.dictionary import Dictionary
     from repro.engine.encoded import EncodedInput
 
 
@@ -214,21 +213,6 @@ def _values_at(view: ColumnarDocument, tag: str, nids: list[int]) -> list:
     return list(map(value_of.__getitem__, nids))
 
 
-def _value_dictionary(view: ColumnarDocument, tag: str) -> "Dictionary":
-    """The :class:`~repro.engine.dictionary.Dictionary` of *tag*'s value
-    codes (``view.tag_codes``), one per view version: every input that
-    binds a node of *tag* by value shares it as its local dictionary."""
-    from repro.engine.dictionary import Dictionary
-
-    found = view.derived.get(("value_dictionary", tag))
-    if found is None:
-        values, _codes, valueless = view.tag_dictionary(tag)
-        found = view.derived.setdefault(
-            ("value_dictionary", tag),
-            Dictionary(tag, values + (None,) * bool(valueless)))
-    return found
-
-
 def _columns(view: ColumnarDocument, atom: "PathRelation | EdgeAtom",
              bound: frozenset[str]) -> list[list[int]]:
     """One code column per attribute of *atom*, row-parallel (rows may
@@ -273,8 +257,8 @@ def twig_input(document: XMLDocument, atom: "PathRelation | EdgeAtom",
     long as the view's arrays are current), keyed by :func:`_input_key`
     and the column order — the atom's attributes as they appear in
     *order*. Its columns (:func:`_columns`) already hold the codes of
-    its tags' shared dictionaries: value codes
-    (:func:`_value_dictionary`) or node codes.
+    its tags' shared dictionaries: value codes (``view.tag_codes``) or
+    node codes.
     """
     # Imported lazily: repro.engine imports this package's siblings.
     from repro.core.surrogate import node_dictionary
@@ -291,7 +275,7 @@ def twig_input(document: XMLDocument, atom: "PathRelation | EdgeAtom",
         gathered = dict(zip(names, _columns(view, atom, bound)))
         for node in atom.nodes:
             local[node.name] = node_dictionary(view, node.tag) \
-                if node.name in bound else _value_dictionary(view, node.tag)
+                if node.name in bound else view.tag_codes(node.tag)[1]
         rows = set(zip(*[gathered[a] for a in columns]))
         view.derived[(*key, "size")] = len(rows)
         return EncodedInput(atom.name, columns,
@@ -312,7 +296,7 @@ def materialize_path_relation(document: XMLDocument,
     view = columnar(document)
     columns = _columns(view, path, frozenset())
     return Relation(path.name, path.attributes, zip(*[
-        map(view.tag_codes(node.tag)[1].__getitem__, column)
+        map(view.tag_codes(node.tag)[1].values.__getitem__, column)
         for node, column in zip(path.nodes, columns)]))
 
 

@@ -8,12 +8,9 @@ compare plain ints, and hashed descent probes int-keyed dicts instead of
 hashing heterogeneous Python objects.
 
 Every *input* column owns a **local** dictionary, built once per input
-version (:class:`repro.engine.encoded.EncodedInput`): a relation's over
-the values it stores, in its one column pass
-(:func:`repro.engine.encoded.relation_columns`, which also yields its
-code columns and statistics); a twig path position's is its tag's,
-shared by every input over the tag (:mod:`repro.core.decomposition`).
-A query's
+version (:class:`repro.engine.encoded.EncodedInput`): a relation's in
+its one column pass (:func:`repro.engine.encoded.relation_columns`), a
+twig path position's its tag's, shared by every input over it. A query's
 **global** dictionary for an attribute is the union of the binders'
 local ones (:func:`merge_dictionaries`): equal values get equal codes
 across inputs, so intersection on codes is intersection on values, and
@@ -66,6 +63,16 @@ class Dictionary:
         self.codes: dict[Value, int] = dict(zip(self.values, count()))
         self._merged = None  #: last merge_dictionaries answer led by this
         self._erased = None  #: NodeDictionary: ``values``, identities erased
+
+    @classmethod
+    def of_sorted(cls, attribute: str, values: tuple) -> "Dictionary":
+        """Over *values*, distinct and in :func:`sort_key` order already:
+        code i is ``values[i]``, nothing is sorted again."""
+        self = cls.__new__(cls)
+        self.attribute, self.values, self._merged, self._erased = (
+            attribute, values, None, None)
+        self.codes = dict(zip(values, count()))
+        return self
 
     def encode(self, value: Value) -> int:
         """The code of *value*; raises :class:`EngineError` if unknown."""

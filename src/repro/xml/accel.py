@@ -305,7 +305,7 @@ class AccelTwigAlgorithm:
         for columns in twig_frontiers(view, twig, stats,
                                       column=_value_codes):
             coded.update(zip(*columns))
-        tables = [view.tag_codes(q.tag)[1] for q in twig.nodes()]
+        tables = [view.tag_codes(q.tag)[1].values for q in twig.nodes()]
         rows = zip(*[map(table.__getitem__, codes)
                      for table, codes in zip(tables, zip(*coded))])
         return Relation.trusted(name or twig.name, Schema(twig.attributes),

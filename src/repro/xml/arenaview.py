@@ -323,9 +323,8 @@ class ArenaDocument:
 
 def stored_dictionaries(arena: Any, values: ArenaValues):
     """tid -> the tag's ``ColumnarDocument.tag_dictionary`` as the
-    streaming builder wrote it: the codes are a window on
-    ``tag_codes``, the values are decoded from their (kind, ref) pairs
-    when asked, in O(the tag's distinct values)."""
+    streaming builder wrote it: a window on ``tag_codes``, the values
+    decoded from their (kind, ref) pairs in O(distinct values)."""
     codes, offsets, kinds, refs, bounds, valueless = map(arena.buffer, (
         "tag_codes", "tag_offsets", "dict_kind", "dict_ref",
         "dict_offsets", "tag_valueless"))
@@ -362,9 +361,8 @@ def view_from_arena(arena: Any) -> "ColumnarDocument":
     view.parents = arena.buffer("parents")
     view.tag_ids = arena.buffer("tag_ids")
     view.path_ids = arena.buffer("path_ids")
-    view.stored_dictionary = None
     if "values" in meta:
-        view.values = meta["values"]
+        view.values, view.stored_dictionary = meta["values"], None
     else:
         view.values = ArenaValues(arena.buffer)
         view.stored_dictionary = stored_dictionaries(arena, view.values)

@@ -42,12 +42,16 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, compress, count, filterfalse, repeat
 from operator import add, mul
+from typing import TYPE_CHECKING
 
 from repro.buffers.kernels import gallop
 from repro.buffers.layout import pack
 from repro.relational.schema import Value
 from repro.xml.model import XMLDocument, XMLNode
 from repro.xml.twig import TwigNode
+
+if TYPE_CHECKING:
+    from repro.engine.dictionary import Dictionary
 
 
 class TagPosting:
@@ -303,15 +307,11 @@ class ColumnarDocument:
 
     def tag_dictionary(self, tag: str) -> "tuple[tuple, Sequence[int], int]":
         """*tag*'s one value dictionary per view version, ``(values,
-        codes, valueless)``: the distinct real values in ``sort_key``
-        order (``1``, ``1.0`` and ``True`` are one); a code per posting
-        entry, i for the i-th value's nodes and k, k+1, … for the
-        valueless in document order (k = ``len(values)``); the valueless
-        count. ``min(code, k)`` is the value-level code (``None`` sorts
-        last). A streamed arena stores it (:mod:`repro.xml.streaming`),
-        any other view derives it once from :meth:`tag_values`; the
-        planner's :meth:`domain`, :mod:`repro.core` and :meth:`tag_codes`
-        read it."""
+        codes, valueless)``: its distinct real values in ``sort_key``
+        order (``1``, ``1.0``, ``True`` are one); per posting entry, i
+        for the i-th value's nodes, k, k+1, … for the valueless (k =
+        ``len(values)``); their count. A streamed arena stores it, any
+        other view derives it once from :meth:`tag_values`."""
         key = ("tag_dictionary", tag)
         found = self.derived.get(key)
         if found is None:
@@ -325,18 +325,20 @@ class ColumnarDocument:
             found = self.derived.setdefault(key, found)
         return found
 
-    def tag_codes(self, tag: str) -> "tuple[list[int], list]":
-        """*tag*'s value-level codes (:meth:`tag_dictionary`), once per
-        view version: ``(codes, table)`` with ``codes`` parallel to the
-        posting and ``table[code]`` the value, ``None`` last. A
-        projection dedupes on the ints and decodes only its distinct
-        rows (:meth:`repro.xml.accel.AccelTwigAlgorithm.run`)."""
+    def tag_codes(self, tag: str) -> "tuple[list[int], Dictionary]":
+        """(*tag*'s value-level codes ``min(code, k)`` parallel to its
+        posting, their ``Dictionary``: :meth:`tag_dictionary`'s values in
+        its order, then ``None`` if a node is valueless), shared by every
+        twig input binding *tag* by value and by accel's projection."""
+        from repro.engine.dictionary import Dictionary
+
         key = ("tag_codes", tag)
         found = self.derived.get(key)
         if found is None:
-            values, codes, _valueless = self.tag_dictionary(tag)
-            found = self.derived[key] = (
-                list(map(min, codes, repeat(len(values)))), [*values, None])
+            values, codes, valueless = self.tag_dictionary(tag)
+            found = self.derived.setdefault(key, (
+                list(map(min, codes, repeat(len(values)))),
+                Dictionary.of_sorted(tag, values + (None,) * bool(valueless))))
         return found
 
     def node_codes(self, tag: str) -> "dict[int, int]":
@@ -374,11 +376,10 @@ class ColumnarDocument:
 
     def domain(self, query_node: TwigNode) -> tuple[int, int]:
         """(distinct real values, valueless nodes) among the query
-        node's candidates: the sizes of its tag's :meth:`tag_dictionary`,
-        or counted among a predicate's survivors, memoised per (tag,
-        predicate). Bound by value the valueless are one more value
-        (``None``); bound by identity (:mod:`repro.core.surrogate`), one
-        each."""
+        node's candidates (:meth:`tag_dictionary`'s sizes, or counted
+        once per (tag, predicate)). Bound by value the valueless are one
+        more value (``None``); by identity (:mod:`repro.core.surrogate`),
+        one each."""
         if query_node.predicate is None:
             values, _codes, valueless = self.tag_dictionary(query_node.tag)
             return len(values), valueless
@@ -424,12 +425,10 @@ class ColumnarDocument:
 
 
 class TagCoder:
-    """Builds one tag's :meth:`ColumnarDocument.tag_dictionary` from its
-    posting's values a chunk at a time, each value seen once:
-    :meth:`ids` numbers them by first appearance (valueless: -1),
-    :meth:`table` sorts the distinct ones, :meth:`codes` maps ids to
-    codes in C. The streaming builder spills the ids between the two,
-    so it holds one tag's distinct values and one chunk."""
+    """Builds a :meth:`ColumnarDocument.tag_dictionary` a chunk at a
+    time: :meth:`ids` (first-appearance ids, valueless -1), one
+    :meth:`table` sort, then :meth:`codes`. A caller spilling the ids
+    holds one tag's distinct values and one chunk."""
 
     def __init__(self):
         self._ids: dict = {None: -1}
@@ -657,8 +656,7 @@ def stats_from_view(view: ColumnarDocument) -> DocumentStats:
         size=view.size,
         tag_counts=tag_counts,
         path_counts=path_counts,
-        # Copies; a memoryview stays a view.
-        parents=view.parents[:],
+        parents=view.parents[:],  # copies; a memoryview stays a view
         levels=view.levels[:],
     )
 

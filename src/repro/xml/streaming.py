@@ -25,17 +25,14 @@ columns and postings straight into a bump-allocating
   text through :func:`~repro.relational.csvio.parse_value`) into
   per-kind data columns and a UTF-8 string heap, decoded lazily by
   :class:`~repro.xml.arenaview.ArenaValues`;
-* at finish, each tag's value dictionary
-  (:meth:`~repro.xml.columnar.ColumnarDocument.tag_dictionary`):
-  ``tag_codes`` beside ``tag_nids``, each distinct value as its first
-  holder's (kind, ref) pair (``dict_kind`` / ``dict_ref`` /
-  ``dict_offsets``; no second heap) and ``tag_valueless``, so an
-  attached arena plans and encodes without decoding a value.
+* at finish, each tag's value dictionary (``ColumnarDocument.
+  tag_dictionary``): ``tag_codes`` beside ``tag_nids``, each distinct
+  value's first holder's (kind, ref) (``dict_kind`` / ``dict_ref`` /
+  ``dict_offsets``; no second heap) and ``tag_valueless``.
 
-Peak heap is O(depth + tags + one row group + bounded spill tails),
-plus one tag's distinct values and one chunk while the dictionaries
-are written: independent of document size. The columns are identical, row for
-row, to ``ColumnarDocument(parse_document(text))`` (the arena parity
+Peak heap is O(depth + tags + one row group + bounded spill tails, and
+one tag's distinct values + one chunk at finish), independent of
+document size, and the columns are identical, row for row, to ``ColumnarDocument(parse_document(text))`` (the arena parity
 suite asserts it across every registered twig algorithm).
 """
 
@@ -201,21 +198,19 @@ class StreamingBuilder:
     # -- assembly ----------------------------------------------------------
 
     def _dictionaries(self) -> None:
-        """Write each tag's value dictionary: its posting a chunk at a
-        time through a :class:`~repro.xml.columnar.TagCoder` (each value
-        decoded once into a first-appearance id; the ids spill), one
-        sort, then the spilled ids read back as codes."""
+        """Write each tag's value dictionary through a
+        :class:`~repro.xml.columnar.TagCoder`: its posting's values
+        decoded once, a chunk at a time, the ids spilled, then read back
+        as codes."""
         writer, chunk = self.writer, self.writer.chunk_items
         codes_out = writer.column("tag_codes", "I")
         kinds_out = writer.column("dict_kind", "B")
         refs_out = writer.column("dict_ref", "I")
         sizes, valueless = [0], []
-        columns = (self._val_kind, self._val_ref, self._val_int,
-                   self._val_float, self._val_str_off, self._val_str_len,
-                   self._heap)
         with ExitStack() as stack:
-            views = [stack.enter_context(column.snapshot())
-                     for column in columns]
+            views = [stack.enter_context(column.snapshot()) for column in (
+                self._val_kind, self._val_ref, self._val_int, self._val_float,
+                self._val_str_off, self._val_str_len, self._heap)]
             values = ArenaValues(dict(zip(VALUE_COLUMNS, views)).__getitem__)
             kind_of, ref_of = views[0].__getitem__, views[1].__getitem__
             for tid, bucket in enumerate(self._tag_buckets):

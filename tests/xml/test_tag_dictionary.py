@@ -10,6 +10,7 @@ a freshly attached arena decodes none.
 
 from __future__ import annotations
 
+import operator
 import random
 from functools import partial
 from itertools import accumulate, compress
@@ -17,6 +18,11 @@ from itertools import accumulate, compress
 import pytest
 
 from repro.buffers.mmapfile import ArenaWriter, leaked_arena_files
+from repro.core.decomposition import (
+    decompose,
+    materialize_path_relation,
+    twig_input,
+)
 from repro.core.multimodel import MultiModelQuery, TwigBinding
 from repro.core.surrogate import NodeSurrogate, node_dictionary
 from repro.core.validation import _identifies_nodes
@@ -95,11 +101,53 @@ def test_mixed_values():
     assert values == (-3, 1, 18446744073709551616, "x")
     assert type(values[1]) is int  # the first holder's 1, not 1.0
     assert list(codes) == [1, 3, 1, 4, 2, 0, 5] and valueless == 2
-    assert view.tag_codes("n") == (
-        [1, 3, 1, 4, 2, 0, 4], [-3, 1, 18446744073709551616, "x", None])
+    codes, dictionary = view.tag_codes("n")
+    assert codes == [1, 3, 1, 4, 2, 0, 4]
+    assert dictionary.values == (-3, 1, 18446744073709551616, "x", None)
     assert view.tag_dictionary("m")[:2] == ((2, 2.5, "x"), [1, 0, 2])
+    assert view.tag_codes("m")[1].values == (2, 2.5, "x")  # no None: none valueless
     assert view.tag_dictionary("e") == ((), [0, 1], 2)
     assert view.tag_dictionary("absent") == ((), [], 0)
+
+
+#: ``nan`` parses to a float no value equals, itself included, so a
+#: sort of a domain holding it depends on the order it is given in.
+NAN = "<r>" + "".join(f"<a>{i}<n>{text}</n></a>" for i, text in enumerate(
+    ("nan", "1", "nan", "0.5", "", "x", "1", *["nan"] * 6))) + "</r>"
+
+
+@pytest.mark.parametrize("corpus", sorted({**CORPORA, "nan": lambda: NAN}))
+def test_the_value_level_dictionary_is_the_tag_dictionary_as_it_stands(
+        corpus):
+    """``tag_codes``' dictionary holds the tag's values in the tag
+    dictionary's own positions (then ``None``), not sorted again: the
+    codes in the twig inputs' columns decode through it."""
+    text = CORPORA.get(corpus, lambda: NAN)()
+    arena = streaming.stream_document([text])
+    try:
+        _handle, attached = attach_arena_document(arena)
+        for view in (columnar(parse_document(text)), attached):
+            for tag in view.tags:
+                values, codes, valueless = view.tag_dictionary(tag)
+                dictionary = view.tag_codes(tag)[1]
+                expected = (*values, *[None] * bool(valueless))
+                assert len(dictionary.values) == len(expected)
+                assert all(map(operator.is_, dictionary.values, expected))
+    finally:
+        arena.close()
+        arena.unlink()
+
+
+def test_twig_columns_decode_to_each_nodes_own_value():
+    document = parse_document(NAN)
+    view = columnar(document)
+    path = decompose(parse_twig("a(/n)")).paths[0]
+    encoded, _built = twig_input(document, path)
+    assert encoded.dictionaries[1] is view.tag_codes("n")[1]
+    # Tuples compare elementwise by identity first: each nan is itself.
+    assert materialize_path_relation(document, path).rows == {
+        (view.values[view.parents[nid]], view.values[nid])
+        for nid in view.postings("n")[0]}
 
 
 def per_node_construction(nids, starts, values):

@@ -280,8 +280,9 @@ class TestMemo:
         view, twig = columnar(document), parse_twig("x=a(/y=b, /w=c)")
         seven = view.values.index(7)
         view.values[seven] = True  # no XML text parses to a bool
-        codes, table = view.tag_codes("b")
-        assert codes == [0, 0, 0, 1, 2, 2] and table == [1, "x", None]
+        codes, dictionary = view.tag_codes("b")
+        assert codes == [0, 0, 0, 1, 2, 2]
+        assert dictionary.values == (1, "x", None)
         expected = {tuple(view.values[view.nid_of(emb[name])]
                           for name in twig.attributes)
                     for emb in match_embeddings(document, twig)}
