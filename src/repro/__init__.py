@@ -21,8 +21,8 @@ Quickstart::
     query = MultiModelQuery([orders], [TwigBinding(twig, invoices)])
     result = xjoin(query)
 
-See examples/ for runnable end-to-end scripts and DESIGN.md for the
-system inventory.
+See examples/ for runnable end-to-end scripts and docs/architecture.md
+for the system inventory.
 """
 
 from repro.core import (
@@ -41,7 +41,6 @@ from repro.core import (
 from repro.engine import EncodedInstance, plan_query, run_query
 from repro.instrumentation import JoinStats
 from repro.relational import (
-    Database,
     Relation,
     Schema,
     generic_join,
@@ -64,7 +63,6 @@ __version__ = "1.1.0"
 __all__ = [
     "AGMBound",
     "Axis",
-    "Database",
     "EncodedInstance",
     "Hypergraph",
     "JoinStats",

@@ -37,6 +37,7 @@ Options:
   ``127.0.0.1``, port 0 = kernel-chosen, printed on startup).
 * ``--stdio`` — ``serve``: speak the protocol over stdin/stdout
   instead of TCP.
+* ``-h`` / ``--help`` — print this text and exit 0.
 
 An option a command does not use, or any other ``--`` option, is an
 error (exit 2), never silently ignored.
@@ -303,6 +304,9 @@ def _extract_flag(args: list[str], flag: str) -> bool:
 
 def main(argv: list[str] | None = None) -> int:
     args = list(sys.argv[1:] if argv is None else argv)
+    if "-h" in args or "--help" in args:
+        print(__doc__)
+        return 0
     try:
         twig_algorithm = _extract_option(args, "--twig-algorithm")
         workers_option = _extract_option(args, "--workers")

@@ -3,9 +3,8 @@ k-way intersection.
 
 The kernels are representation-agnostic — they index any sorted int
 sequence (``array``, ``memoryview``, ``list``) — and are the single
-implementation behind :meth:`TagPosting.seek_start`, the frozen-trie
-child lookups and the sorted step of the frontier join kernel
-(``leapfrog``, :mod:`repro.engine.algorithms`).
+implementation behind the frozen-trie child lookups and the sorted step
+of the frontier join kernel (``leapfrog``, :mod:`repro.engine.algorithms`).
 
 :func:`gallop` is the exponential-probe + bisect seek: starting from the
 cursor it doubles a probe distance until the target is bracketed, then

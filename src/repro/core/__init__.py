@@ -28,9 +28,9 @@ from repro.core.decomposition import (
 from repro.core.hypergraph import Hyperedge, Hypergraph
 from repro.core.lp import LPSolution, minimise_lp, solve_lp
 from repro.core.multimodel import MultiModelQuery, TwigBinding
-from repro.core.planner import attribute_order
 from repro.core.validation import StructureValidator
 from repro.core.xjoin import xjoin
+from repro.engine.planner import attribute_order
 
 __all__ = [
     "AGMBound",

@@ -30,34 +30,21 @@ from repro.core.multimodel import MultiModelQuery
 from repro.errors import TwigError
 from repro.instrumentation import JoinStats, ensure_stats
 from repro.relational.joins import hash_join
-from repro.relational.plans import (
-    dp_plan,
-    execute_plan,
-    greedy_plan,
-    left_deep_plan,
-)
+from repro.relational.plans import execute_plan, greedy_plan
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.xml.interface import get_twig_algorithm
 
 
 def relational_subquery(query: MultiModelQuery, *,
-                        plan: str = "greedy",
                         stats: JoinStats | None = None) -> Relation:
-    """Q1: join of the relational tables only (binary join plans)."""
+    """Q1: join of the relational tables only, in the greedy binary plan."""
     stats = ensure_stats(stats)
     if not query.relations:
         return Relation("Q1", Schema(()), [()])
     relations = {r.name: r for r in query.relations}
-    if plan == "greedy":
-        tree = greedy_plan(relations)
-    elif plan == "left_deep":
-        tree = left_deep_plan(list(relations))
-    elif plan == "dp":
-        tree = dp_plan(relations)
-    else:
-        raise ValueError(f"unknown plan policy {plan!r}")
-    return execute_plan(tree, relations, stats=stats).with_name("Q1")
+    return execute_plan(greedy_plan(relations), relations,
+                        stats=stats).with_name("Q1")
 
 
 def twig_subquery(query: MultiModelQuery, *,
@@ -98,13 +85,12 @@ def twig_subquery(query: MultiModelQuery, *,
 
 
 def baseline_join(query: MultiModelQuery, *,
-                  plan: str = "greedy",
                   twig_algorithm: str | None = None,
                   stats: JoinStats | None = None) -> Relation:
     """The full baseline: Q1 ⋈ Q2 (Example 3.4's "not optimal" plan)."""
     stats = ensure_stats(stats)
     stats.start_timer()
-    q1 = relational_subquery(query, plan=plan, stats=stats)
+    q1 = relational_subquery(query, stats=stats)
     q2 = twig_subquery(query, twig_algorithm=twig_algorithm, stats=stats)
     if q1.schema.arity == 0:
         combined = q2 if len(q1) else Relation("Q", q2.schema)

@@ -31,7 +31,6 @@ one dictionary or its identity code, :mod:`repro.core.surrogate`).
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import compress
 from typing import TYPE_CHECKING
@@ -39,7 +38,7 @@ from typing import TYPE_CHECKING
 from repro.relational.relation import Relation
 from repro.xml.accel import axis_pairs
 from repro.xml.columnar import ColumnarDocument, columnar
-from repro.xml.model import XMLDocument, XMLNode
+from repro.xml.model import XMLDocument
 from repro.xml.twig import Axis, TwigNode, TwigQuery
 
 if TYPE_CHECKING:
@@ -74,10 +73,6 @@ class TwigDecomposition:
     paths: tuple[PathRelation, ...]
     #: The cut A-D edges, one pair input each (pre-order).
     pairs: "tuple[EdgeAtom, ...]" = ()
-
-    def path_for_attribute(self, name: str) -> tuple[PathRelation, ...]:
-        """All path relations binding the given attribute."""
-        return tuple(p for p in self.paths if name in p.attributes)
 
 
 @dataclass(frozen=True)
@@ -123,11 +118,6 @@ def subtwig_root_nodes(twig: TwigQuery) -> list[TwigNode]:
     """
     return [node for node in twig.nodes()
             if node.parent is None or node.axis is Axis.DESCENDANT]
-
-
-def pc_leaves(node: TwigNode) -> bool:
-    """Is *node* a leaf of its sub-twig (no P-C children)?"""
-    return not any(child.axis is Axis.CHILD for child in node.children)
 
 
 def root_leaf_paths(subtwig_root: TwigNode) -> list[tuple[TwigNode, ...]]:
@@ -191,19 +181,6 @@ def _path_chains(view: ColumnarDocument, path: PathRelation
                             _values_at(view, node.tag, columns[position])))
             columns = [list(compress(column, keep)) for column in columns]
     return columns
-
-
-def iter_path_chains(document: XMLDocument, path: PathRelation
-                     ) -> Iterator[tuple[XMLNode, ...]]:
-    """All node chains in *document* matching the path's P-C pattern.
-
-    A chain instantiates consecutive path nodes as parent/child pairs with
-    matching tags and value predicates.
-    """
-    view = columnar(document)
-    nodes_of = view.nodes
-    for chain in zip(*_path_chains(view, path)):
-        yield tuple(nodes_of[nid] for nid in chain)
 
 
 def _values_at(view: ColumnarDocument, tag: str, nids: list[int]) -> list:
@@ -288,8 +265,9 @@ def materialize_path_relation(document: XMLDocument,
                               path: PathRelation) -> Relation:
     """The path relation as an explicit (distinct) value relation.
 
-    Used by the baseline, the bound computation and the test oracle; XJoin
-    itself joins the path's cached trie (:func:`twig_input`) without
+    It decodes the code columns :func:`twig_input` builds, so tests check
+    those columns against the naive matcher through it. XJoin itself
+    joins the path's cached trie (:func:`twig_input`) without
     materialising a relation (the paper: "we do not physically transform
     them into relational tables").
     """

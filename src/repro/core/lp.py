@@ -40,9 +40,6 @@ class LPSolution:
     objective: Fraction
     x: tuple[Fraction, ...]
 
-    def as_floats(self) -> tuple[float, ...]:
-        return tuple(float(value) for value in self.x)
-
 
 class _Tableau:
     """Dense simplex tableau: rows of constraints plus an objective row."""

@@ -20,7 +20,6 @@ from repro.core.agm import AGMBound, agm_bound, symbolic_exponent, vertex_packin
 from repro.core.decomposition import (
     TwigDecomposition,
     decompose,
-    materialize_path_relation,
     path_relation_cardinality,
 )
 from repro.core.hypergraph import Hypergraph
@@ -80,12 +79,6 @@ class MultiModelQuery:
                 if attribute not in seen:
                     seen.append(attribute)
         return tuple(seen)
-
-    def binding_for(self, twig_name: str) -> TwigBinding:
-        for binding in self.twigs:
-            if binding.name == twig_name:
-                return binding
-        raise QueryError(f"no twig named {twig_name!r} in query")
 
     def structural_attributes(self, binding: TwigBinding) -> frozenset[str]:
         """Twig attributes of *binding* that join with nothing outside it.
@@ -160,16 +153,6 @@ class MultiModelQuery:
         """Each twig's full value-tuple answer (naive matcher)."""
         return [match_relation(binding.document, binding.twig)
                 for binding in self.twigs]
-
-    def path_relations(self) -> list[Relation]:
-        """All decomposed path relations, materialised (for baselines and
-        bound cross-checks; XJoin does not call this)."""
-        out = []
-        for binding in self.twigs:
-            decomposition = self.decompositions[binding.name]
-            for path in decomposition.paths:
-                out.append(materialize_path_relation(binding.document, path))
-        return out
 
     def naive_join(self, *, stats: JoinStats | None = None) -> Relation:
         """Correctness oracle: natural join of the relational tables with

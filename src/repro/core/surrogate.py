@@ -37,7 +37,6 @@ from itertools import compress, count
 
 from repro.engine.dictionary import Dictionary
 from repro.relational.schema import Value
-from repro.xml.model import XMLNode
 
 
 class NodeSurrogate:
@@ -58,16 +57,6 @@ class NodeSurrogate:
 
     def __repr__(self) -> str:
         return f"NodeSurrogate({self.start:012d})"
-
-
-def node_representation(node: XMLNode, use_surrogate: bool) -> Value:
-    """The join-value of *node*: its typed text, or its identity when it
-    has none and the attribute is structural."""
-    value = node.value
-    if value is None and use_surrogate:
-        assert node.start is not None, "document must be indexed"
-        return NodeSurrogate(node.start)
-    return value
 
 
 def erase_surrogates(row: tuple) -> tuple:

@@ -10,7 +10,7 @@ partial tuples at any stage never exceeds the worst-case size bound of
 the whole query (Lemma 3.5; property-tested in the suite).
 
 Since the engine refactor this module is the multi-model *front-end*: it
-resolves the expansion order (:mod:`repro.core.planner`), assembles one
+resolves the expansion order (:mod:`repro.engine.planner`), assembles one
 dictionary-encoded :class:`~repro.engine.encoded.EncodedInstance` —
 relations and path relations indexed as int-coded tries over shared
 per-attribute dictionaries, path columns gathered in bulk from the
@@ -52,9 +52,9 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.core.multimodel import MultiModelQuery
-from repro.core.planner import attribute_order
 from repro.engine.algorithms import XJOIN
 from repro.engine.encoded import EncodedInstance
+from repro.engine.planner import attribute_order
 from repro.instrumentation import JoinStats, ensure_stats
 from repro.relational.relation import Relation
 
@@ -67,7 +67,7 @@ def xjoin(query: MultiModelQuery,
 
     ``order`` is Algorithm 1's expansion priority ``PA``: an explicit
     attribute sequence or a planner policy name (see
-    :mod:`repro.core.planner`). ``validate_structure=False`` returns the
+    :mod:`repro.engine.planner`). ``validate_structure=False`` returns the
     relaxed value join over the path relations alone (ablation only).
     """
     stats = ensure_stats(stats)

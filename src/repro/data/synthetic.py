@@ -94,10 +94,6 @@ class WorstCaseInstance:
     def expected_result_size(self) -> int:
         return self.n
 
-    @property
-    def expected_twig_matches(self) -> int:
-        return self.n ** 5
-
 
 def example34_instance(n: int, *, name: str = "Q") -> WorstCaseInstance:
     """The Figure 3 workload: Example 3.4's query at scale *n*."""

@@ -83,10 +83,6 @@ class Dictionary:
                 f"value {value!r} is not in the encoded domain of "
                 f"attribute {self.attribute!r}") from None
 
-    def encode_or_none(self, value: Value) -> int | None:
-        """The code of *value*, or None when outside the domain."""
-        return self.codes.get(value)
-
     def decode(self, code: int) -> Value:
         """The value behind *code*."""
         try:

@@ -495,7 +495,7 @@ class EncodedInstance:
         shared dictionaries, plus the per-level structure checks.
 
         ``order`` must already be resolved (see
-        :func:`repro.core.planner.attribute_order`).
+        :func:`repro.engine.planner.attribute_order`).
         ``validate_structure=False`` encodes the paper's relaxed value
         join instead: path relations only, no pair inputs, no checks.
         """

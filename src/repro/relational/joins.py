@@ -1,7 +1,7 @@
-"""Binary join algorithms: hash join and sort-merge join.
+"""The binary hash join.
 
-These are the building blocks of the *baseline* evaluator (the paper's Q1:
-a tree of binary joins over the relational tables). Both record the size
+It is the building block of the *baseline* evaluator (the paper's Q1:
+a tree of binary joins over the relational tables). It records the size
 of every produced intermediate in a :class:`~repro.instrumentation.JoinStats`
 so benchmarks can compare against XJoin's intermediates.
 """
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro.instrumentation import JoinStats, ensure_stats
 from repro.relational.relation import Relation
-from repro.relational.schema import Schema, Value, tuple_sort_key
+from repro.relational.schema import Schema, Value
 
 
 def hash_join(left: Relation, right: Relation, *,
@@ -55,59 +55,3 @@ def hash_join(left: Relation, right: Relation, *,
     stats.record_stage(result.name, len(result))
     return result
 
-
-def sort_merge_join(left: Relation, right: Relation, *,
-                    name: str | None = None,
-                    stats: JoinStats | None = None) -> Relation:
-    """Natural sort-merge join on the shared attributes."""
-    stats = ensure_stats(stats)
-    shared = left.schema.common(right.schema)
-    if not shared:
-        # No sort keys: fall back to the counted product via hash_join.
-        return hash_join(left, right, name=name, stats=stats)
-
-    left_pos = left.schema.positions(shared)
-    right_pos = right.schema.positions(shared)
-
-    def left_key(row: tuple[Value, ...]):
-        return tuple_sort_key(tuple(row[p] for p in left_pos))
-
-    def right_key(row: tuple[Value, ...]):
-        return tuple_sort_key(tuple(row[p] for p in right_pos))
-
-    left_sorted = sorted(left.rows, key=left_key)
-    right_sorted = sorted(right.rows, key=right_key)
-
-    extra = tuple(a for a in right.schema if a not in left.schema)
-    extra_pos = right.schema.positions(extra)
-    out_schema = Schema(left.schema.attributes + extra)
-
-    out_rows = []
-    i = j = 0
-    while i < len(left_sorted) and j < len(right_sorted):
-        ki = left_key(left_sorted[i])
-        kj = right_key(right_sorted[j])
-        stats.count_comparisons()
-        if ki < kj:
-            i += 1
-        elif ki > kj:
-            j += 1
-        else:
-            # Gather the equal-key runs on both sides and emit their product.
-            i_end = i
-            while i_end < len(left_sorted) and left_key(left_sorted[i_end]) == ki:
-                i_end += 1
-            j_end = j
-            while j_end < len(right_sorted) and right_key(right_sorted[j_end]) == kj:
-                j_end += 1
-            for li in range(i, i_end):
-                lrow = left_sorted[li]
-                for rj in range(j, j_end):
-                    rrow = right_sorted[rj]
-                    out_rows.append(lrow + tuple(rrow[p] for p in extra_pos))
-                    stats.count_emitted()
-            i, j = i_end, j_end
-
-    result = Relation(name or f"({left.name}⋈{right.name})", out_schema, out_rows)
-    stats.record_stage(result.name, len(result))
-    return result

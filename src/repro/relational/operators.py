@@ -1,89 +1,15 @@
-"""Relational algebra operators beyond the Relation convenience methods.
+"""The natural-join oracle every optimised join is checked against.
 
-All operators are pure functions from relations to a new relation; inputs
-are never mutated. Set semantics throughout (the paper's bounds count
-distinct tuples).
+Set semantics (the paper's bounds count distinct tuples); inputs are
+never mutated.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-from repro.errors import SchemaError
 from repro.relational.relation import Relation
-from repro.relational.schema import Schema, Value
-
-
-def _require_same_schema(left: Relation, right: Relation, op: str) -> None:
-    if left.schema != right.schema:
-        raise SchemaError(
-            f"{op} requires identical schemas, got "
-            f"{left.schema.attributes!r} and {right.schema.attributes!r}"
-        )
-
-
-def union(left: Relation, right: Relation, name: str | None = None) -> Relation:
-    """Set union of two relations with identical schemas."""
-    _require_same_schema(left, right, "union")
-    return Relation(name or f"({left.name}∪{right.name})",
-                    left.schema, left.rows | right.rows)
-
-
-def difference(left: Relation, right: Relation, name: str | None = None) -> Relation:
-    """Set difference ``left - right`` over identical schemas."""
-    _require_same_schema(left, right, "difference")
-    return Relation(name or f"({left.name}-{right.name})",
-                    left.schema, left.rows - right.rows)
-
-
-def intersection(left: Relation, right: Relation, name: str | None = None) -> Relation:
-    """Set intersection over identical schemas."""
-    _require_same_schema(left, right, "intersection")
-    return Relation(name or f"({left.name}∩{right.name})",
-                    left.schema, left.rows & right.rows)
-
-
-def cartesian_product(left: Relation, right: Relation,
-                      name: str | None = None) -> Relation:
-    """Cartesian product; schemas must be attribute-disjoint."""
-    overlap = left.schema.common(right.schema)
-    if overlap:
-        raise SchemaError(
-            f"cartesian product requires disjoint schemas, shared: {overlap!r}"
-        )
-    schema = Schema(left.schema.attributes + right.schema.attributes)
-    rows = [l + r for l in left.rows for r in right.rows]
-    return Relation(name or f"({left.name}×{right.name})", schema, rows)
-
-
-def semijoin(left: Relation, right: Relation, name: str | None = None) -> Relation:
-    """Left semijoin: rows of *left* with a join partner in *right*."""
-    shared = left.schema.common(right.schema)
-    if not shared:
-        # With no shared attributes the semijoin keeps everything iff the
-        # right side is non-empty.
-        rows = left.rows if len(right) else frozenset()
-        return Relation(name or f"({left.name}⋉{right.name})", left.schema, rows)
-    left_pos = left.schema.positions(shared)
-    right_keys = {tuple(row[p] for p in right.schema.positions(shared))
-                  for row in right.rows}
-    rows = [row for row in left.rows
-            if tuple(row[p] for p in left_pos) in right_keys]
-    return Relation(name or f"({left.name}⋉{right.name})", left.schema, rows)
-
-
-def antijoin(left: Relation, right: Relation, name: str | None = None) -> Relation:
-    """Left antijoin: rows of *left* with no join partner in *right*."""
-    shared = left.schema.common(right.schema)
-    if not shared:
-        rows = frozenset() if len(right) else left.rows
-        return Relation(name or f"({left.name}▷{right.name})", left.schema, rows)
-    left_pos = left.schema.positions(shared)
-    right_keys = {tuple(row[p] for p in right.schema.positions(shared))
-                  for row in right.rows}
-    rows = [row for row in left.rows
-            if tuple(row[p] for p in left_pos) not in right_keys]
-    return Relation(name or f"({left.name}▷{right.name})", left.schema, rows)
+from repro.relational.schema import Schema
 
 
 def naive_multiway_join(relations: Sequence[Relation],
@@ -101,10 +27,3 @@ def naive_multiway_join(relations: Sequence[Relation],
         result = result.natural_join(relation)
     return result.with_name(name)
 
-
-def select_in(relation: Relation, attribute: str,
-              values: set[Value], name: str | None = None) -> Relation:
-    """Selection keeping rows whose *attribute* value is in *values*."""
-    position = relation.schema.index(attribute)
-    rows = [row for row in relation.rows if row[position] in values]
-    return Relation(name or relation.name, relation.schema, rows)

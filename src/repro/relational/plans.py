@@ -103,68 +103,6 @@ def greedy_plan(relations: Mapping[str, Relation]) -> PlanNode:
     return node
 
 
-def dp_plan(relations: Mapping[str, Relation]) -> PlanNode:
-    """Selinger-style dynamic programming over connected subsets.
-
-    Finds the bushy plan minimising the sum of estimated intermediate
-    sizes (DPsize enumeration). Exponential in the number of relations —
-    fine for the handful of inputs the baseline's Q1 ever sees; the
-    greedy planner remains the default for larger inputs.
-    """
-    if not relations:
-        raise PlanError("cannot build a plan over zero relations")
-    names = tuple(relations)
-    # best[subset] = (cost, estimated_result, PlanNode, result_relation)
-    best: dict[frozenset[str], tuple[int, int, PlanNode, Relation]] = {}
-    for name in names:
-        relation = relations[name]
-        best[frozenset([name])] = (0, len(relation), leaf(name), relation)
-
-    for size in range(2, len(names) + 1):
-        for subset in _subsets(names, size):
-            candidates = []
-            subset_set = frozenset(subset)
-            for left_set in _proper_nonempty_subsets(subset):
-                right_set = subset_set - left_set
-                if left_set not in best or right_set not in best:
-                    continue
-                lcost, _lsize, lplan, lrel = best[left_set]
-                rcost, _rsize, rplan, rrel = best[right_set]
-                estimate = estimate_join_size(lrel, rrel)
-                # Prefer connected joins: a cartesian product is costed
-                # with a heavy penalty rather than forbidden (queries can
-                # be genuinely disconnected).
-                connected = bool(lrel.schema.common(rrel.schema))
-                penalty = 0 if connected else estimate * 10
-                cost = lcost + rcost + estimate + penalty
-                candidates.append(
-                    (cost, estimate,
-                     join_node(lplan, rplan), lrel.natural_join(rrel)))
-            if candidates:
-                best[subset_set] = min(candidates, key=lambda c: c[0])
-
-    full = frozenset(names)
-    if full not in best:
-        raise PlanError("dynamic programming failed to cover all relations")
-    return best[full][2]
-
-
-def _subsets(names: Sequence[str], size: int):
-    import itertools
-
-    return itertools.combinations(names, size)
-
-
-def _proper_nonempty_subsets(subset: Sequence[str]):
-    import itertools
-
-    out = []
-    for size in range(1, len(subset)):
-        for combo in itertools.combinations(subset, size):
-            out.append(frozenset(combo))
-    return out
-
-
 def execute_plan(plan: PlanNode, relations: Mapping[str, Relation], *,
                  stats: JoinStats | None = None) -> Relation:
     """Evaluate *plan* bottom-up with hash joins, counting intermediates."""

@@ -1,10 +1,9 @@
 """In-memory relations: named sets of tuples over a schema.
 
 A :class:`Relation` stores *distinct* tuples (set semantics, as the paper's
-size bounds assume). Construction validates arity; most algebra lives in
-:mod:`repro.relational.operators`, but the handful of methods used
-pervasively (project, select, rename, natural join) are available directly
-on the class for convenience.
+size bounds assume). Construction validates arity. The algebra the
+library uses (project, select, natural join) lives on the class;
+:mod:`repro.relational.operators` holds the multiway natural-join oracle.
 """
 
 from __future__ import annotations
@@ -140,17 +139,6 @@ class Relation:
                 if predicate(dict(zip(attrs, row)))]
         return Relation(name or self.name, self.schema, keep)
 
-    def select_eq(self, attribute: str, value: Value,
-                  name: str | None = None) -> "Relation":
-        """Selection on a single equality, the common fast path."""
-        position = self.schema.index(attribute)
-        keep = [row for row in self._rows if row[position] == value]
-        return Relation(name or self.name, self.schema, keep)
-
-    def rename(self, mapping: dict[str, str], name: str | None = None) -> "Relation":
-        """Rename attributes via *mapping* (absent attributes unchanged)."""
-        return Relation(name or self.name, self.schema.rename(mapping), self._rows)
-
     def natural_join(self, other: "Relation", name: str | None = None) -> "Relation":
         """Natural join, implemented by hashing on the shared attributes.
 
@@ -184,19 +172,3 @@ class Relation:
         """Rows as attribute->value dicts, in deterministic order."""
         attrs = self.schema.attributes
         return [dict(zip(attrs, row)) for row in self.sorted_rows()]
-
-    @classmethod
-    def from_dicts(cls, name: str, schema: Sequence[str],
-                   dicts: Iterable[Mapping[str, Value]]) -> "Relation":
-        """Build a relation from attribute->value mappings."""
-        schema_obj = Schema(schema)
-        rows = []
-        for mapping in dicts:
-            try:
-                rows.append(tuple(mapping[a] for a in schema_obj))
-            except KeyError as exc:
-                raise RelationError(
-                    f"relation {name!r}: mapping {dict(mapping)!r} missing "
-                    f"attribute {exc.args[0]!r}"
-                ) from None
-        return cls(name, schema_obj, rows)

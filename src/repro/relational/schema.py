@@ -4,7 +4,8 @@ A :class:`Schema` is an immutable, ordered collection of distinct attribute
 names. Tuples of a relation are plain Python tuples positionally aligned
 with the schema. The module also provides :func:`sort_key`, a total order
 over the mixed value domain (ints, floats, strings, ...) used everywhere a
-deterministic order is needed (tries, leapfrog iterators, sorted output).
+deterministic order is needed (tries, leapfrog iterators, sorted output),
+and :func:`parse_value`, which types the text of an XML node.
 """
 
 from __future__ import annotations
@@ -35,6 +36,19 @@ def sort_key(value: Value) -> tuple[int, Value]:
     if rank == 0:  # bool is an int subclass; fold it into the numeric rank
         return (1, int(value))
     return (rank, value)
+
+
+def parse_value(text: str) -> Value:
+    """Revive a text value: int if it looks like an int, else float, else str."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        return float(text)
+    except ValueError:
+        pass
+    return text
 
 
 def tuple_sort_key(row: Sequence[Value]) -> tuple[tuple[int, Value], ...]:
@@ -113,13 +127,6 @@ class Schema:
         for name in attrs:
             self.index(name)  # validates membership
         return Schema(attrs)
-
-    def rename(self, mapping: dict[str, str]) -> "Schema":
-        """A new schema with attributes renamed via *mapping*.
-
-        Attributes absent from the mapping keep their names.
-        """
-        return Schema(mapping.get(a, a) for a in self._attributes)
 
     def positions(self, attributes: Iterable[str]) -> tuple[int, ...]:
         """Positions of each requested attribute, in request order."""

@@ -1,9 +1,9 @@
 """Per-relation statistics used by planners and size estimators.
 
-The :func:`relation_stats` rescan is the oracle (and the catalog's
-source). The planner reads equal statistics off one cold pass per
-relation version (:func:`column_stats_of_domain`), the update layer
-maintains them from deltas (:func:`stats_from_frequencies`).
+The :func:`relation_stats` rescan is the oracle. The planner reads
+equal statistics off one cold pass per relation version
+(:func:`column_stats_of_domain`), the update layer maintains them from
+deltas (:func:`stats_from_frequencies`).
 """
 
 from __future__ import annotations
@@ -24,16 +24,6 @@ class ColumnStats:
     minimum: Value | None
     maximum: Value | None
     max_frequency: int
-
-    @property
-    def selectivity(self) -> float:
-        """Fraction of the domain an equality predicate keeps (1/distinct).
-
-        An empty column carries no information, so its selectivity is the
-        *unknown* estimate 1.0 (keep everything) rather than 0.0 — a zero
-        would make cost models silently drop whole plan subtrees.
-        """
-        return 1.0 / self.distinct if self.distinct else 1.0
 
 
 @dataclass(frozen=True)

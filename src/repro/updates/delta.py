@@ -31,11 +31,6 @@ class RelationDelta:
     inserted: tuple[tuple[Value, ...], ...] = ()
     deleted: tuple[tuple[Value, ...], ...] = ()
 
-    @property
-    def net_rows(self) -> int:
-        """The delta's net cardinality change (inserts minus deletes)."""
-        return len(self.inserted) - len(self.deleted)
-
 
 #: Document delta kinds.
 SUBTREE_INSERT = "subtree_insert"

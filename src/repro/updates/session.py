@@ -28,8 +28,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.core.multimodel import MultiModelQuery
-from repro.engine.planner import choose_algorithm, \
-    refresh_query_statistics, run_query
+from repro.engine.planner import refresh_query_statistics, run_query
 from repro.errors import UpdateError
 from repro.mvcc import Snapshot, SnapshotManager
 from repro.relational.relation import Relation
@@ -315,11 +314,6 @@ class QuerySession:
         input is one stable object per version, so the engine's encoded-
         input cache re-encodes only the inputs an update changed."""
         return MultiModelQuery(self._inputs(), [], name=self.query.name)
-
-    def planned_algorithm(self) -> str:
-        """The planner's kernel choice for the relationalized view
-        (always a relational kernel: the view binds no twig)."""
-        return choose_algorithm(self._relationalized())
 
     def run(self, algorithm: str | None = None) -> Relation:
         """Evaluate the relationalized view with a relational kernel

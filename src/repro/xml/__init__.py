@@ -19,13 +19,7 @@ from repro.xml.columnar import (
     columnar,
     document_stats,
 )
-from repro.xml.dewey import (
-    ExtendedDeweyLabeler,
-    annotate_dewey,
-    common_prefix,
-    dewey_is_ancestor,
-    dewey_is_parent,
-)
+from repro.xml.dewey import ExtendedDeweyLabeler, annotate_dewey
 from repro.xml.encoding import annotate_regions, is_ancestor, is_parent
 from repro.xml.generator import (
     chain_document,
@@ -40,12 +34,7 @@ from repro.xml.interface import (
     register_twig_algorithm,
 )
 from repro.xml.model import XMLDocument, XMLNode, element
-from repro.xml.navigation import (
-    has_embedding_with_values,
-    match_embeddings,
-    match_relation,
-    verify_embedding,
-)
+from repro.xml.navigation import match_embeddings, match_relation
 from repro.xml.parser import parse_document, parse_element_tree
 from repro.xml.pathstack import path_stack, path_stack_relation
 from repro.xml.serializer import serialize
@@ -77,13 +66,9 @@ __all__ = [
     "available_twig_algorithms",
     "chain_document",
     "columnar",
-    "common_prefix",
     "document_stats",
     "get_twig_algorithm",
-    "dewey_is_ancestor",
-    "dewey_is_parent",
     "element",
-    "has_embedding_with_values",
     "is_ancestor",
     "is_parent",
     "layered_document",
@@ -107,6 +92,5 @@ __all__ = [
     "tjfast_embeddings",
     "twig_stack",
     "twig_stack_embeddings",
-    "verify_embedding",
     "xmark_document",
 ]

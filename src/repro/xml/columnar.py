@@ -44,7 +44,6 @@ from itertools import accumulate, compress, count, filterfalse, repeat
 from operator import add, mul
 from typing import TYPE_CHECKING
 
-from repro.buffers.kernels import gallop
 from repro.buffers.layout import pack
 from repro.relational.schema import Value
 from repro.xml.model import XMLDocument, XMLNode
@@ -60,8 +59,7 @@ class TagPosting:
     The columnar replacement for :class:`~repro.xml.streams.TagStream`:
     parallel ``nids``/``starts``/``ends`` arrays, shared with the
     document when the query node has no value predicate (no per-query
-    copy), with binary-search :meth:`seek_start` instead of linear
-    advances where the algorithm allows skipping.
+    copy).
     """
 
     __slots__ = ("nids", "starts", "ends", "position", "label")
@@ -89,17 +87,6 @@ class TagPosting:
 
     def advance(self) -> None:
         self.position += 1
-
-    def seek_start(self, start: int) -> int:
-        """Jump to the first entry with ``start >= start`` (galloping
-        from the cursor); returns the number of entries skipped."""
-        position = gallop(self.starts, start, self.position)
-        skipped = position - self.position
-        self.position = position
-        return skipped
-
-    def reset(self) -> None:
-        self.position = 0
 
     def remaining(self) -> int:
         return len(self.nids) - self.position
@@ -400,11 +387,6 @@ class ColumnarDocument:
         real, valueless = self.domain(query_node)
         return by_identity and valueless > 0 and not real
 
-    def distinct_value_count(self, query_node: TwigNode) -> int:
-        """Distinct typed values among the query node's candidates."""
-        real, valueless = self.domain(query_node)
-        return real + bool(valueless)
-
     def __reduce__(self):
         """Columnar views are structurally unpicklable (zero-copy rule).
 
@@ -612,10 +594,6 @@ class DocumentStats:
     parents: Sequence[int] = field(repr=False, compare=False)
     levels: Sequence[int] = field(repr=False, compare=False)
 
-    @property
-    def distinct_paths(self) -> int:
-        return len(self.path_counts)
-
     @cached_property
     def depth(self) -> int:
         """The deepest level, found on first read: no estimate uses it."""
@@ -628,9 +606,6 @@ class DocumentStats:
         children = Counter(self.parents)
         del children[-1]  # the root's entry
         return max(children.values(), default=0)
-
-    def tag_count(self, tag: str) -> int:
-        return self.tag_counts.get(tag, 0)
 
     def chain_count(self, tags: Sequence[str]) -> int:
         """Number of node chains matching the consecutive P-C tag chain."""

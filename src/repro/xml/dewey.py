@@ -34,28 +34,6 @@ def annotate_dewey(root: XMLNode) -> XMLNode:
     return root
 
 
-def dewey_is_ancestor(ancestor: tuple[int, ...],
-                      descendant: tuple[int, ...]) -> bool:
-    """Proper prefix test on Dewey labels."""
-    return (len(ancestor) < len(descendant)
-            and descendant[: len(ancestor)] == ancestor)
-
-
-def dewey_is_parent(parent: tuple[int, ...],
-                    child: tuple[int, ...]) -> bool:
-    return len(child) == len(parent) + 1 and child[: len(parent)] == parent
-
-
-def common_prefix(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Longest common prefix of two Dewey labels (the LCA's label)."""
-    out = []
-    for x, y in zip(a, b):
-        if x != y:
-            break
-        out.append(x)
-    return tuple(out)
-
-
 class ExtendedDeweyLabeler:
     """Extended Dewey labels for one document.
 

@@ -52,23 +52,3 @@ def is_ancestor(ancestor: XMLNode, descendant: XMLNode) -> bool:
 def is_parent(parent: XMLNode, child: XMLNode) -> bool:
     """True iff *child* is a direct child of *parent* (P-C axis)."""
     return is_ancestor(parent, child) and child.level == parent.level + 1
-
-
-def satisfies_axis(upper: XMLNode, lower: XMLNode, axis: "object") -> bool:
-    """Dispatch on the twig axis (imported lazily to avoid a cycle)."""
-    from repro.xml.twig import Axis
-
-    if axis is Axis.CHILD:
-        return is_parent(upper, lower)
-    return is_ancestor(upper, lower)
-
-
-def document_order(node: XMLNode) -> int:
-    """Sort key for document order (valid after annotate_regions)."""
-    assert node.start is not None, "node has no region label; reindex first"
-    return node.start
-
-
-def region_contains(outer: tuple[int, int], inner: tuple[int, int]) -> bool:
-    """Interval form of the ancestor test, for label-only data."""
-    return outer[0] < inner[0] and inner[1] < outer[1]

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Mapping, Sequence
 
-from repro.relational.csvio import parse_value
+from repro.relational.schema import parse_value
 from repro.relational.schema import Value
 
 

@@ -17,7 +17,6 @@ from collections.abc import Iterator
 
 from repro.instrumentation import JoinStats, ensure_stats
 from repro.relational.relation import Relation
-from repro.xml.encoding import is_ancestor, is_parent
 from repro.xml.model import XMLDocument, XMLNode
 from repro.xml.twig import Axis, TwigNode, TwigQuery
 
@@ -93,51 +92,3 @@ def match_relation(document: XMLDocument, twig: TwigQuery, *,
     rows = [tuple(embedding[a].value for a in attrs)
             for embedding in embeddings]
     return Relation(name or twig.name, attrs, rows)
-
-
-def has_embedding_with_values(document: XMLDocument, twig: TwigQuery,
-                              values: dict[str, object]) -> bool:
-    """Does an embedding exist whose node values equal *values*?
-
-    Used by XJoin's final structure-validation filter. Performs the same
-    recursive search as :func:`match_embeddings` but prunes on values and
-    stops at the first witness.
-    """
-    order = twig.nodes()
-
-    def extend(index: int, binding: dict[str, XMLNode]) -> bool:
-        if index == len(order):
-            return True
-        query_node = order[index]
-        anchor = (binding[query_node.parent.name]
-                  if query_node.parent is not None else None)
-        required = values.get(query_node.name)
-        for candidate in axis_candidates(document, anchor, query_node):
-            if candidate.value != required:
-                continue
-            if not query_node.matches_value(candidate.value):
-                continue
-            binding[query_node.name] = candidate
-            if extend(index + 1, binding):
-                return True
-            del binding[query_node.name]
-        return False
-
-    return extend(0, {})
-
-
-def verify_embedding(embedding: dict[str, XMLNode], twig: TwigQuery) -> bool:
-    """Check one name->node mapping against the twig's constraints."""
-    for query_node in twig.nodes():
-        node = embedding.get(query_node.name)
-        if node is None or node.tag != query_node.tag:
-            return False
-        if not query_node.matches_value(node.value):
-            return False
-        if query_node.parent is not None:
-            upper = embedding[query_node.parent.name]
-            ok = (is_parent(upper, node) if query_node.axis is Axis.CHILD
-                  else is_ancestor(upper, node))
-            if not ok:
-                return False
-    return True

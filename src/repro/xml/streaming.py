@@ -22,7 +22,7 @@ columns and postings straight into a bump-allocating
   snapshots of the label columns — within a tag, nid order *is* start
   order, so the postings come out sorted for free;
 * node values are typed once on close (``XMLNode.value``: stripped
-  text through :func:`~repro.relational.csvio.parse_value`) into
+  text through :func:`~repro.relational.schema.parse_value`) into
   per-kind data columns and a UTF-8 string heap, decoded lazily by
   :class:`~repro.xml.arenaview.ArenaValues`;
 * at finish, each tag's value dictionary (``ColumnarDocument.
@@ -45,7 +45,7 @@ from itertools import accumulate
 from string import ascii_letters
 
 from repro.buffers.mmapfile import ArenaWriter, FileArena
-from repro.relational.csvio import parse_value
+from repro.relational.schema import parse_value
 from repro.xml.arenaview import (
     VALUE_BIGINT,
     VALUE_COLUMNS,

@@ -153,9 +153,6 @@ class TwigQuery:
         return [(node, child) for node in self.root.iter()
                 for child in node.children]
 
-    def pc_edges(self) -> list[tuple[TwigNode, TwigNode]]:
-        return [(p, c) for p, c in self.edges() if c.axis is Axis.CHILD]
-
     def ad_edges(self) -> list[tuple[TwigNode, TwigNode]]:
         return [(p, c) for p, c in self.edges() if c.axis is Axis.DESCENDANT]
 

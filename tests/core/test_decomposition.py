@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.core.decomposition import (
     decompose,
-    iter_path_chains,
     materialize_path_relation,
     path_relation_cardinality,
     root_leaf_paths,
@@ -38,12 +37,6 @@ class TestFigure2:
 
     def test_five_paths(self):
         assert len(decompose(figure2_twig()).paths) == 5
-
-    def test_path_for_attribute(self):
-        decomposition = decompose(figure2_twig())
-        assert [p.attributes for p in
-                decomposition.path_for_attribute("A")] == [
-            ("A", "B"), ("A", "D")]
 
 
 class TestDecompositionStructure:
@@ -110,13 +103,6 @@ class TestPathChains:
             element("b", element("c", text="2"), element("c", text="2")),
         )
         return XMLDocument(tree)
-
-    def test_iter_path_chains(self):
-        doc = self.make_doc()
-        twig = parse_twig("a(/b(/c))")
-        (path,) = decompose(twig).paths
-        chains = list(iter_path_chains(doc, path))
-        assert len(chains) == 3
 
     def test_materialized_relation_dedupes_values(self):
         doc = self.make_doc()

@@ -55,10 +55,6 @@ class TestSolveLP:
         with pytest.raises(LPError):
             solve_lp([1], [[1]], [1, 2])
 
-    def test_as_floats(self):
-        solution = solve_lp([1], [[2]], [1])
-        assert solution.as_floats() == (0.5,)
-
 
 class TestMinimiseLP:
     def test_simple_cover(self):

@@ -31,11 +31,6 @@ class TestAttributes:
         query = MultiModelQuery([r], [TwigBinding(parse_twig("a"), doc)])
         assert query.attributes == ("a", "b")
 
-    def test_binding_lookup(self, instance):
-        assert instance.query.binding_for("X").twig is instance.twig
-        with pytest.raises(QueryError):
-            instance.query.binding_for("nope")
-
 
 class TestHypergraph:
     def test_edges_are_relations_plus_paths(self, instance):
@@ -84,12 +79,6 @@ class TestReferenceEvaluation:
     def test_twig_relations(self, instance):
         (answer,) = instance.query.twig_relations()
         assert len(answer) == 3 ** 5
-
-    def test_path_relations(self, instance):
-        paths = instance.query.path_relations()
-        assert [p.schema.attributes for p in paths] == [
-            ("A", "B"), ("A", "D"), ("C", "E"), ("F", "H"), ("G",)]
-        assert all(len(p) == 3 for p in paths)
 
     def test_naive_join_schema(self, instance):
         out = instance.query.naive_join()

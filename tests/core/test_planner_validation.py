@@ -3,12 +3,6 @@
 import pytest
 
 from repro.core.multimodel import MultiModelQuery, TwigBinding
-from repro.core.planner import (
-    appearance_order,
-    attribute_order,
-    connected_order,
-    domain_order,
-)
 from repro.core.surrogate import NodeSurrogate
 from repro.core.validation import (
     StructureValidator,
@@ -16,6 +10,12 @@ from repro.core.validation import (
     validation_points,
 )
 from repro.data.synthetic import example34_instance
+from repro.engine.planner import (
+    appearance_order,
+    attribute_order,
+    connected_order,
+    domain_order,
+)
 from repro.errors import PlanError
 from repro.relational.relation import Relation
 from repro.xml.model import XMLDocument, element

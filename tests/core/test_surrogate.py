@@ -5,13 +5,13 @@ from pushdown_harness import relaxed_then_naive
 
 from repro.core.baseline import baseline_join
 from repro.core.multimodel import MultiModelQuery, TwigBinding
-from repro.core.surrogate import NodeSurrogate, erase_surrogates, node_representation
+from repro.core.surrogate import NodeSurrogate, erase_surrogates
 from repro.core.xjoin import xjoin
 from repro.data.scenarios import figure1_query
 from repro.instrumentation import JoinStats
 from repro.relational.relation import Relation
 from repro.relational.schema import sort_key
-from repro.xml.model import XMLDocument, XMLNode, element
+from repro.xml.model import XMLDocument, XMLNode
 from repro.xml.twig_parser import parse_twig
 
 
@@ -36,14 +36,6 @@ class TestNodeSurrogate:
 
     def test_repr_zero_padded_for_stable_order(self):
         assert repr(NodeSurrogate(2)) < repr(NodeSurrogate(10))
-
-    def test_node_representation(self):
-        doc = XMLDocument(element("a", element("b", text="5")))
-        a, b = doc.nodes("a")[0], doc.nodes("b")[0]
-        assert node_representation(b, True) == 5     # has a value: kept
-        assert node_representation(b, False) == 5
-        assert node_representation(a, False) is None
-        assert node_representation(a, True) == NodeSurrogate(a.start)
 
     def test_erase_surrogates(self):
         row = (1, NodeSurrogate(3), "x")

@@ -237,16 +237,6 @@ class TestBaselinePieces:
         q2 = twig_subquery(instance.query)
         assert len(q2) == 2 ** 5
 
-    def test_left_deep_plan_policy(self):
-        instance = example33_instance(2)
-        assert baseline_join(instance.query, plan="left_deep") == \
-            baseline_join(instance.query)
-
-    def test_unknown_plan_policy_raises(self):
-        instance = example33_instance(2)
-        with pytest.raises(ValueError):
-            baseline_join(instance.query, plan="zigzag")
-
 
 class TestBookstore:
     def test_scaled_instance_consistency(self):

@@ -69,7 +69,6 @@ class TestExampleRelations:
     def test_example34_instance_metadata(self):
         instance = example34_instance(3)
         assert instance.expected_result_size == 3
-        assert instance.expected_twig_matches == 243
 
     def test_symbolic_exponents(self):
         assert example33_instance(2).query.symbolic_exponent() == \

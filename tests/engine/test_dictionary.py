@@ -89,7 +89,6 @@ class TestDictionary:
         d = Dictionary("a", [1, 2])
         with pytest.raises(EngineError):
             d.encode(99)
-        assert d.encode_or_none(99) is None
 
     def test_out_of_range_code_raises(self):
         d = Dictionary("a", [1])

@@ -164,8 +164,6 @@ class TestLifecycle:
 class TestPlannerDefaultRun:
     def test_run_defaults_to_the_planners_choice(self):
         session = QuerySession(figure1_query())
-        algorithm = session.planned_algorithm()
-        assert algorithm in ("generic_join", "leapfrog")
         default = session.run()
         explicit = session.run("generic_join")
         assert default.sorted_rows() == explicit.sorted_rows()

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.errors import PlanError
 from repro.instrumentation import JoinStats
-from repro.relational.joins import hash_join, sort_merge_join
+from repro.relational.joins import hash_join
 from repro.relational.plans import (
     estimate_join_size,
     execute_plan,
@@ -53,34 +53,6 @@ class TestHashJoin:
         r = Relation("R", ("a", "b"), lrows)
         s = Relation("S", ("b", "c"), rrows)
         assert hash_join(r, s) == r.natural_join(s)
-
-
-class TestSortMergeJoin:
-    def test_matches_reference(self):
-        r = Relation("R", ("a", "b"), [(1, 2), (2, 2), (3, 4)])
-        s = Relation("S", ("b", "c"), [(2, 7), (2, 8), (4, 8)])
-        assert sort_merge_join(r, s) == r.natural_join(s)
-
-    def test_duplicate_key_runs(self):
-        r = Relation("R", ("a", "b"), [(i, 0) for i in range(3)])
-        s = Relation("S", ("b", "c"), [(0, j) for j in range(4)])
-        assert len(sort_merge_join(r, s)) == 12
-
-    def test_disjoint_schema_falls_back_to_product(self):
-        r = Relation("R", ("a",), [(1,)])
-        s = Relation("S", ("c",), [(2,), (3,)])
-        assert len(sort_merge_join(r, s)) == 2
-
-    def test_mixed_type_keys(self):
-        r = Relation("R", ("a", "b"), [(1, "x"), (2, 5)])
-        s = Relation("S", ("b", "c"), [("x", 1), (5, 2)])
-        assert sort_merge_join(r, s) == r.natural_join(s)
-
-    @given(rows2, rows2)
-    def test_random_matches_hash_join(self, lrows, rrows):
-        r = Relation("R", ("a", "b"), lrows)
-        s = Relation("S", ("b", "c"), rrows)
-        assert sort_merge_join(r, s) == hash_join(r, s)
 
 
 class TestPlans:

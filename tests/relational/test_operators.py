@@ -2,98 +2,13 @@
 
 import pytest
 
-from repro.errors import SchemaError
-from repro.relational.operators import (
-    antijoin,
-    cartesian_product,
-    difference,
-    intersection,
-    naive_multiway_join,
-    semijoin,
-    select_in,
-    union,
-)
+from repro.relational.operators import naive_multiway_join
 from repro.relational.relation import Relation
 
 
 @pytest.fixture
 def r():
     return Relation("R", ("a", "b"), [(1, 2), (3, 4)])
-
-
-@pytest.fixture
-def s():
-    return Relation("S", ("a", "b"), [(3, 4), (5, 6)])
-
-
-class TestSetOperators:
-    def test_union(self, r, s):
-        assert set(union(r, s)) == {(1, 2), (3, 4), (5, 6)}
-
-    def test_difference(self, r, s):
-        assert set(difference(r, s)) == {(1, 2)}
-
-    def test_intersection(self, r, s):
-        assert set(intersection(r, s)) == {(3, 4)}
-
-    def test_schema_mismatch_raises(self, r):
-        other = Relation("T", ("a", "c"), [(1, 2)])
-        for op in (union, difference, intersection):
-            with pytest.raises(SchemaError):
-                op(r, other)
-
-    def test_schema_order_matters(self, r):
-        other = Relation("T", ("b", "a"), [(2, 1)])
-        with pytest.raises(SchemaError):
-            union(r, other)
-
-
-class TestCartesianProduct:
-    def test_product_size(self):
-        r = Relation("R", ("a",), [(1,), (2,)])
-        s = Relation("S", ("b",), [(8,), (9,)])
-        assert len(cartesian_product(r, s)) == 4
-
-    def test_product_schema(self):
-        r = Relation("R", ("a",), [(1,)])
-        s = Relation("S", ("b",), [(2,)])
-        assert cartesian_product(r, s).schema.attributes == ("a", "b")
-
-    def test_overlapping_schema_raises(self, r, s):
-        with pytest.raises(SchemaError):
-            cartesian_product(r, s)
-
-
-class TestSemijoinAntijoin:
-    def test_semijoin_keeps_matching(self):
-        r = Relation("R", ("a", "b"), [(1, 2), (3, 4)])
-        s = Relation("S", ("b", "c"), [(2, 0)])
-        assert set(semijoin(r, s)) == {(1, 2)}
-
-    def test_antijoin_keeps_nonmatching(self):
-        r = Relation("R", ("a", "b"), [(1, 2), (3, 4)])
-        s = Relation("S", ("b", "c"), [(2, 0)])
-        assert set(antijoin(r, s)) == {(3, 4)}
-
-    def test_semijoin_disjoint_nonempty_right_keeps_all(self, r):
-        s = Relation("S", ("z",), [(0,)])
-        assert set(semijoin(r, s)) == set(r)
-
-    def test_semijoin_disjoint_empty_right_keeps_none(self, r):
-        s = Relation("S", ("z",))
-        assert len(semijoin(r, s)) == 0
-
-    def test_antijoin_disjoint_empty_right_keeps_all(self, r):
-        s = Relation("S", ("z",))
-        assert set(antijoin(r, s)) == set(r)
-
-    def test_semijoin_antijoin_partition(self):
-        r = Relation("R", ("a", "b"), [(i, i % 3) for i in range(9)])
-        s = Relation("S", ("b",), [(0,), (1,)])
-        kept = set(semijoin(r, s))
-        dropped = set(antijoin(r, s))
-        assert kept | dropped == set(r)
-        assert kept & dropped == set()
 
 
 class TestNaiveMultiwayJoin:
@@ -115,11 +30,3 @@ class TestNaiveMultiwayJoin:
     def test_empty_input_relation_gives_empty_result(self, r):
         empty = Relation("E", ("b", "z"))
         assert len(naive_multiway_join([r, empty])) == 0
-
-
-class TestSelectIn:
-    def test_keeps_only_listed_values(self, r):
-        assert set(select_in(r, "a", {1})) == {(1, 2)}
-
-    def test_empty_value_set(self, r):
-        assert len(select_in(r, "a", set())) == 0

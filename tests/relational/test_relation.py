@@ -39,14 +39,6 @@ class TestConstruction:
         r = Relation("R", (), [()])
         assert len(r) == 1
 
-    def test_from_dicts(self):
-        r = Relation.from_dicts("R", ("a", "b"), [{"a": 1, "b": 2}])
-        assert (1, 2) in r
-
-    def test_from_dicts_missing_key_raises(self):
-        with pytest.raises(RelationError):
-            Relation.from_dicts("R", ("a", "b"), [{"a": 1}])
-
 
 class TestContainerProtocol:
     def test_len(self, r):
@@ -91,14 +83,6 @@ class TestAlgebraMethods:
     def test_select_predicate(self, r):
         kept = r.select(lambda t: t["a"] == 1)
         assert set(kept) == {(1, 10), (1, 20)}
-
-    def test_select_eq(self, r):
-        assert set(r.select_eq("b", 10)) == {(1, 10), (2, 10)}
-
-    def test_rename(self, r):
-        renamed = r.rename({"a": "x"})
-        assert renamed.schema.attributes == ("x", "b")
-        assert set(renamed) == set(r)
 
     def test_distinct_values(self, r):
         assert r.distinct_values("a") == {1, 2}

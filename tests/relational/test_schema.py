@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import SchemaError
-from repro.relational.schema import Schema, sort_key, tuple_sort_key
+from repro.relational.schema import Schema, parse_value, sort_key, tuple_sort_key
 
 
 class TestSchemaConstruction:
@@ -78,14 +78,6 @@ class TestSchemaDerivation:
         with pytest.raises(SchemaError):
             Schema(["a"]).project(["b"])
 
-    def test_rename(self):
-        s = Schema(["a", "b"]).rename({"a": "x"})
-        assert s.attributes == ("x", "b")
-
-    def test_rename_collision_raises(self):
-        with pytest.raises(SchemaError):
-            Schema(["a", "b"]).rename({"a": "b"})
-
     def test_common_in_left_order(self):
         left = Schema(["c", "a", "b"])
         right = Schema(["b", "c"])
@@ -133,3 +125,20 @@ class TestSortKey:
     def test_sort_key_total_order_is_consistent(self, values):
         once = sorted(values, key=sort_key)
         assert sorted(once, key=sort_key) == once
+
+
+class TestParseValue:
+    def test_int(self):
+        assert parse_value("42") == 42
+
+    def test_negative_int(self):
+        assert parse_value("-7") == -7
+
+    def test_float(self):
+        assert parse_value("2.5") == 2.5
+
+    def test_string(self):
+        assert parse_value("978-3-16-1") == "978-3-16-1"
+
+    def test_empty_string(self):
+        assert parse_value("") == ""

@@ -9,6 +9,7 @@ from repro.instrumentation import JoinStats
 from repro.relational.generic_join import generic_join
 from repro.relational.leapfrog import leapfrog_triejoin
 from repro.relational.operators import naive_multiway_join
+from repro.relational.plans import execute_plan, greedy_plan
 from repro.relational.relation import Relation
 
 
@@ -119,7 +120,8 @@ def relations_strategy():
 @settings(max_examples=60, deadline=None)
 @given(relations_strategy())
 def test_wcoj_algorithms_agree_with_naive(relations):
-    """LFTJ == generic join == naive nested-loop join, on random queries."""
+    """LFTJ == generic join == the greedy binary plan == naive nested-loop
+    join, on random queries."""
     attrs = []
     for rel in relations:
         for attribute in rel.schema:
@@ -128,6 +130,9 @@ def test_wcoj_algorithms_agree_with_naive(relations):
     expected = set(naive_multiway_join(relations).project(attrs))
     lftj = set(leapfrog_triejoin(relations, attrs))
     gj = set(generic_join(relations, attrs))
+    named = {r.name: r for r in relations}
+    binary = set(execute_plan(greedy_plan(named), named).project(attrs))
     assert lftj == expected
     assert gj == expected
+    assert binary == expected
 

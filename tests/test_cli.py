@@ -106,6 +106,14 @@ class TestCLI:
         assert "Commands" in captured.out
         assert "unknown command" in captured.err
 
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"],
+                                      ["figure3", "--help"]])
+    def test_help_prints_usage_and_exits_zero(self, capsys, argv):
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert "Commands" in captured.out and "--help" in captured.out
+        assert captured.err == ""
+
     def test_bad_numeric_argument_exits_nonzero(self, capsys):
         assert main(["figure3", "six"]) == 2
         assert "bad argument" in capsys.readouterr().err

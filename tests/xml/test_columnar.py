@@ -9,7 +9,7 @@ from repro.xml.columnar import (
     columnar,
     document_stats,
 )
-from repro.xml.generator import chain_document, random_document
+from repro.xml.generator import random_document
 from repro.xml.model import XMLDocument, element
 from repro.xml.twig import TwigNode
 from repro.xml.xmark import xmark_document
@@ -88,20 +88,9 @@ class TestArrays:
         assert len(stream) == 1
         assert view.values[stream.head_nid()] == 2
 
-    def test_stream_seek_start_binary_searches(self):
-        view = columnar(chain_document(20, tags=("x",)))
-        stream = view.stream(TwigNode("x"))
-        target = stream.starts[10]
-        skipped = stream.seek_start(target)
-        assert skipped == 10
-        assert stream.head_start() == target
-        assert stream.seek_start(10 ** 9) == len(stream) - 10
-        assert stream.eof()
-
     def test_unknown_tag_is_empty(self):
         view = columnar(sample_document())
         assert len(view.stream(TwigNode("zzz"))) == 0
-        assert view.distinct_value_count(TwigNode("zzz")) == 0
 
 
 class TestCaching:
@@ -142,12 +131,11 @@ class TestDocumentStats:
     def test_tag_and_path_counts(self):
         stats = document_stats(sample_document())
         assert stats.size == 7
-        assert stats.tag_count("c") == 3
-        assert stats.tag_count("zzz") == 0
+        assert stats.tag_counts["c"] == 3
+        assert "zzz" not in stats.tag_counts
         assert stats.depth == 3
         assert stats.max_fanout == 2
         assert stats.path_counts[("a", "b", "c")] == 1
-        assert stats.distinct_paths == 7  # incl. the root path ("a",)
 
     def test_depth_is_counted_on_first_read(self):
         """Summarising iterates no level; the depth is read off the
@@ -270,12 +258,10 @@ class TestTagValues:
             index = self.reference(view, tag)
             assert view.value_index(tag) == index
             node = TwigNode(tag)
-            assert view.distinct_value_count(node) == len(index)
             assert view.domain(node) == (
                 len(index) - (None in index), len(index.get(None, ())))
         odd = TwigNode("c", predicate=lambda v: v == 1)
         assert view.domain(odd) == (1, 0)
-        assert view.distinct_value_count(odd) == 1
 
     def test_in_memory_view(self):
         from repro.xml.parser import parse_document

@@ -6,18 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.xml.dewey import (
-    annotate_dewey,
-    common_prefix,
-    dewey_is_ancestor,
-    dewey_is_parent,
-)
-from repro.xml.encoding import (
-    annotate_regions,
-    is_ancestor,
-    is_parent,
-    region_contains,
-)
+from repro.xml.dewey import annotate_dewey
+from repro.xml.encoding import annotate_regions, is_ancestor, is_parent
 from repro.xml.generator import chain_document, random_document, star_document
 from repro.xml.model import XMLDocument, XMLNode, element
 
@@ -121,10 +111,6 @@ class TestRegionEncoding:
         b, c = doc.nodes("b")[0], doc.nodes("c")[0]
         assert not is_ancestor(b, c) and not is_ancestor(c, b)
 
-    def test_region_contains(self):
-        assert region_contains((0, 9), (1, 2))
-        assert not region_contains((0, 9), (0, 9))
-
     def test_starts_are_distinct(self, doc):
         starts = [n.start for n in doc.nodes()]
         assert len(starts) == len(set(starts))
@@ -162,28 +148,19 @@ class TestDewey:
         assert c.dewey == (1,)
         assert doc.nodes("d")[0].dewey == (0, 0)
 
-    def test_dewey_is_ancestor(self):
-        assert dewey_is_ancestor((0,), (0, 1))
-        assert not dewey_is_ancestor((0, 1), (0,))
-        assert not dewey_is_ancestor((0,), (0,))
-        assert not dewey_is_ancestor((1,), (0, 1))
-
-    def test_dewey_is_parent(self):
-        assert dewey_is_parent((0,), (0, 3))
-        assert not dewey_is_parent((0,), (0, 1, 2))
-
-    def test_common_prefix(self):
-        assert common_prefix((0, 1, 2), (0, 1, 5)) == (0, 1)
-        assert common_prefix((1,), (2,)) == ()
-
     @given(st.integers(0, 5_000))
     def test_dewey_matches_region_relations(self, seed):
         doc = random_document(random.Random(seed), max_nodes=20)
         nodes = doc.nodes()
         for x in nodes:
             for y in nodes:
-                assert dewey_is_ancestor(x.dewey, y.dewey) == is_ancestor(x, y)
-                assert dewey_is_parent(x.dewey, y.dewey) == is_parent(x, y)
+                # A Dewey label spells the root path: an ancestor's label
+                # is a proper prefix, a parent's one component shorter.
+                prefix = (len(x.dewey) < len(y.dewey)
+                          and y.dewey[:len(x.dewey)] == x.dewey)
+                assert prefix == is_ancestor(x, y)
+                assert (prefix and len(y.dewey) == len(x.dewey) + 1) \
+                    == is_parent(x, y)
 
 
 class TestGenerators:

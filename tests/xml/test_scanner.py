@@ -32,7 +32,7 @@ import test_streaming
 from repro.buffers.mmapfile import leaked_arena_files
 from repro.data.dblp import dblp_chunks
 from repro.errors import XMLParseError
-from repro.relational.csvio import parse_value
+from repro.relational.schema import parse_value
 from repro.xml import scanner, streaming
 from repro.xml.columnar import ColumnarDocument
 from repro.xml.parser import decode_entities, parse_document

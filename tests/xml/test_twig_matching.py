@@ -16,12 +16,7 @@ from repro.instrumentation import JoinStats
 from repro.xml.dewey import ExtendedDeweyLabeler
 from repro.xml.generator import chain_document, random_document
 from repro.xml.model import XMLDocument, element
-from repro.xml.navigation import (
-    has_embedding_with_values,
-    match_embeddings,
-    match_relation,
-    verify_embedding,
-)
+from repro.xml.navigation import match_embeddings, match_relation
 from repro.xml.pathstack import path_stack, path_stack_relation
 from repro.xml.streams import TagStream
 from repro.xml.structural_join import stack_tree_join, structural_join_pipeline
@@ -87,21 +82,6 @@ class TestNaiveNavigation:
         doc = XMLDocument(tree)
         out = match_relation(doc, parse_twig("x"))
         assert len(out) == 1
-
-    def test_has_embedding_with_values(self):
-        doc = sample_document()
-        q = parse_twig("b(/c)")
-        assert has_embedding_with_values(doc, q, {"b": None, "c": 1})
-        assert not has_embedding_with_values(doc, q, {"b": None, "c": 3})
-
-    def test_verify_embedding(self):
-        doc = sample_document()
-        q = parse_twig("b(/c)")
-        good = match_embeddings(doc, q)[0]
-        assert verify_embedding(good, q)
-        bad = dict(good)
-        bad["c"] = doc.nodes("d")[0]
-        assert not verify_embedding(bad, q)
 
 
 class TestStackTreeJoin:
