@@ -117,3 +117,48 @@ class TestCLI:
     def test_bad_numeric_argument_exits_nonzero(self, capsys):
         assert main(["figure3", "six"]) == 2
         assert "bad argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["figure3", "--twig-algorithm"], "--twig-algorithm needs a value"),
+        (["serve", "--corpus"], "--corpus needs a value"),
+        (["selftest", "--workers", "-1"], "bad value for --workers"),
+        (["selftest", "--workers=two"], "bad value for --workers"),
+        (["serve", "--port", "65536"], "bad value for --port"),
+        (["serve", "--port=http"], "bad value for --port"),
+        (["figure3", "--twig-algorithm", "nope"], "unknown twig algorithm"),
+        (["figure1", "--workers", "2"], "--workers applies to"),
+        (["bounds", "--workers=2"], "--workers applies to"),
+        (["figure1", "--corpus", "figure1"], "apply to 'serve' only"),
+        (["explain", "--host", "localhost"], "apply to 'serve' only"),
+        (["selftest", "--port", "8000"], "apply to 'serve' only"),
+        (["bounds", "--stdio"], "apply to 'serve' only"),
+        (["serve", "--corpus", "nope"], "unknown corpus"),
+        (["figure3", "2", "--twig-algorithm", "pathstack"],
+         "handles linear paths only"),
+    ])
+    def test_argument_errors_exit_two_before_any_output(self, capsys, argv,
+                                                        message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
+    def test_equals_form_of_an_option(self, capsys):
+        assert main(["figure3", "2", "--twig-algorithm=twigstack"]) == 0
+        assert "ratios" in capsys.readouterr().out
+
+    def test_selftest_checks_parallel_parity_with_workers(self, capsys):
+        assert main(["selftest", "--workers", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "selftest: ok" in out and "2-worker parallel parity" in out
+
+    def test_selftest_reports_a_mismatch(self, capsys, monkeypatch):
+        import repro.__main__ as cli
+        from repro.relational.relation import Relation
+
+        monkeypatch.setattr(
+            cli, "baseline_join",
+            lambda query, **kw: Relation("Q", query.attributes))
+        assert main(["selftest"]) == 1
+        out = capsys.readouterr().out
+        assert "MISMATCH at seed" in out and "selftest: FAILED" in out
