@@ -26,15 +26,18 @@ bound is computed over the path relations alone.
 Neither kind of input is ever a table of rows: :func:`twig_input` reads
 one code column per attribute off the columnar arrays (chain ids from
 the path index and ``parents``; per node, its value code in its tag's
-one dictionary or its identity code, :mod:`repro.core.surrogate`).
+one dictionary or its identity code, :mod:`repro.core.surrogate`, read
+at its ``tag_ranks`` entry) and builds the trie from those columns.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import compress
 from typing import TYPE_CHECKING
 
+from repro.buffers.layout import gather
 from repro.relational.relation import Relation
 from repro.xml.accel import axis_pairs
 from repro.xml.columnar import ColumnarDocument, columnar
@@ -155,7 +158,7 @@ def decompose(twig: TwigQuery) -> TwigDecomposition:
 
 
 def _path_chains(view: ColumnarDocument, path: PathRelation
-                 ) -> list[list[int]]:
+                 ) -> "list[Sequence[int]]":
     """The node-id chains matching the path's P-C pattern, as one id
     column per path node (row-parallel), straight off the path index.
 
@@ -163,7 +166,8 @@ def _path_chains(view: ColumnarDocument, path: PathRelation
     whose interned root tag path ends with that tag suffix, so the tag
     structure is checked **once per distinct document path**; the upper
     columns are the ``parents`` column applied to the one below, and a
-    value predicate is one mask over its node's column.
+    value predicate is one mask over its node's column (the tag's value
+    gather read at each node's ``tag_ranks`` entry).
     """
     tags = tuple(node.tag for node in path.nodes)
     k = len(tags)
@@ -174,31 +178,25 @@ def _path_chains(view: ColumnarDocument, path: PathRelation
             leaves.extend(view.nids_by_path[pid])
     columns = [leaves]
     for _ in range(k - 1):
-        columns.insert(0, list(map(view.parents.__getitem__, columns[0])))
+        columns.insert(0, gather(view.parents, columns[0]))
     for position, node in enumerate(path.nodes):
         if node.predicate is not None:
-            keep = list(map(node.predicate,
-                            _values_at(view, node.tag, columns[position])))
+            keep = list(map(node.predicate, gather(
+                view.tag_values(node.tag),
+                gather(view.tag_ranks, columns[position]))))
             columns = [list(compress(column, keep)) for column in columns]
     return columns
 
 
-def _values_at(view: ColumnarDocument, tag: str, nids: list[int]) -> list:
-    """``values[nid]`` per entry of *nids* (nodes of *tag*, any order,
-    repeats allowed), read off the tag's one cached gather."""
-    value_of = dict(zip(view.postings(tag)[0], view.tag_values(tag)))
-    return list(map(value_of.__getitem__, nids))
-
-
 def _columns(view: ColumnarDocument, atom: "PathRelation | EdgeAtom",
-             bound: frozenset[str]) -> list[list[int]]:
+             bound: frozenset[str]) -> "list[Sequence[int]]":
     """One code column per attribute of *atom*, row-parallel (rows may
-    repeat): the node's value code (``view.node_codes``), or its
-    identity code (:class:`repro.core.surrogate.NodeDictionary`) for
-    the attributes in *bound*. A node is coded alike in every input of
-    its twig, so path and pair tries intersect on one code space."""
-    from repro.core.surrogate import node_dictionary
-
+    repeat): the node's value code (``view.tag_codes``), or its
+    identity code (``view.tag_dictionary``'s, the code space of
+    :class:`repro.core.surrogate.NodeDictionary`) for the attributes in
+    *bound*, read at the node's ``tag_ranks`` entry. A node is coded
+    alike in every input of its twig, so path and pair tries intersect
+    on one code space."""
     if isinstance(atom, PathRelation):
         chains = _path_chains(view, atom)
     else:
@@ -209,9 +207,9 @@ def _columns(view: ColumnarDocument, atom: "PathRelation | EdgeAtom",
         nid_of = view.nid_index.__getitem__
         chains = [list(map(nid_of, starts)) for starts in zip(*pairs)] \
             if pairs else [[], []]
-    return [list(map((node_dictionary(view, node.tag).node_codes
-                      if node.name in bound
-                      else view.node_codes(node.tag)).__getitem__, nids))
+    return [gather(view.tag_dictionary(node.tag)[1] if node.name in bound
+                   else view.tag_codes(node.tag)[0],
+                   gather(view.tag_ranks, nids))
             for node, nids in zip(atom.nodes, chains)]
 
 
@@ -253,10 +251,11 @@ def twig_input(document: XMLDocument, atom: "PathRelation | EdgeAtom",
         for node in atom.nodes:
             local[node.name] = node_dictionary(view, node.tag) \
                 if node.name in bound else view.tag_codes(node.tag)[1]
-        rows = set(zip(*[gathered[a] for a in columns]))
-        view.derived[(*key, "size")] = len(rows)
-        return EncodedInput(atom.name, columns,
-                            [local[a] for a in columns], rows)
+        built = EncodedInput(atom.name, columns, [local[a] for a in columns],
+                             [gathered[a] for a in columns],
+                             len(gathered[names[0]]), distinct=False)
+        view.derived[(*key, "size")] = built.trie.size
+        return built
 
     return encoded_input(view.derived, key, columns, build)
 
@@ -286,11 +285,15 @@ def path_relation_cardinality(document: XMLDocument,
     *atom* in *document*: the size of the trie XJoin joins
     (identity-aware under *structural*), so Lemma 3.5's bound and the
     algorithm see the same cardinalities. :func:`twig_input` notes it
-    under any column order; else it is counted with no trie built."""
+    under any column order; else its distinct row keys are counted
+    (:func:`repro.engine.encoded.row_keys`) with no trie built."""
+    from repro.engine.encoded import row_keys
+
     view = columnar(document)
     bound = structural.intersection(atom.attributes)
     key = (*_input_key(atom, bound), "size")
     size = view.derived.get(key)
     if size is None:
-        size = view.derived[key] = len(set(zip(*_columns(view, atom, bound))))
+        size = view.derived[key] = len(set(row_keys(
+            _columns(view, atom, bound))))
     return size

@@ -23,8 +23,8 @@ Inside the engine an identity is an **int code**, never an object: a
 :class:`NodeDictionary` is the code space of one tag of one columnar
 view — the tag's distinct real values, then its valueless nodes in
 document order (the ``sort_key`` order of their surrogates). Every twig
-input binding an attribute by identity reads its codes there, one C-level
-lookup per node id, so a twig's inputs agree without a dictionary merge
+input binding an attribute by identity reads its codes there, at each
+node's ``tag_ranks`` entry, so a twig's inputs agree without a merge
 and nothing is hashed or ``repr``-sorted per node. A surrogate *object*
 exists only once somebody decodes an un-erased identity code (the
 structure validator, tests).
@@ -89,24 +89,22 @@ class _SurrogateValues(Sequence):
 
 class NodeDictionary(Dictionary):
     """The identity code space of one tag's nodes (module docstring):
-    the codes of its ``view.tag_dictionary(tag)`` as they stand.
-    ``node_codes`` maps node id -> code; ``values`` decodes lazily and
-    ``codes`` knows the real values only (an identity is never encoded
-    from an object); the erased decode table is ready, so a run that
-    erases allocates no surrogate."""
+    the codes of its ``view.tag_dictionary(tag)`` as they stand, a
+    node's at its ``view.tag_ranks`` entry. ``values`` decodes lazily
+    and ``codes`` knows the real values only (an identity is never
+    encoded from an object); the erased decode table is ready, so a run
+    that erases allocates no surrogate."""
 
-    __slots__ = ("node_codes",)
+    __slots__ = ()
 
-    def __init__(self, tag: str, nids: Sequence[int],
-                 starts: Sequence[int], dictionary: tuple):
-        """*nids* and *starts* are the tag's posting columns,
-        *dictionary* its ``view.tag_dictionary(tag)``."""
+    def __init__(self, tag: str, starts: Sequence[int], dictionary: tuple):
+        """*starts* is the tag's posting's start column, *dictionary*
+        its ``view.tag_dictionary(tag)``."""
         head, codes, _valueless = dictionary
         identities = list(compress(starts, map(len(head).__le__, codes)))
         self.attribute = tag
         self.values = _SurrogateValues(head, identities)
         self.codes = dict(zip(head, count()))
-        self.node_codes: dict[int, int] = dict(zip(nids, codes))
         self._merged = None
         self._erased = head + (None,) * len(identities)
 
@@ -116,9 +114,9 @@ def node_dictionary(view, tag: str) -> NodeDictionary:
     kept with the view's other derived state."""
     found = view.derived.get(("node_dictionary", tag))
     if found is None:
-        nids, starts, _ends = view.postings(tag)
         # setdefault: threads racing on a first use must agree on one.
         found = view.derived.setdefault(
             ("node_dictionary", tag),
-            NodeDictionary(tag, nids, starts, view.tag_dictionary(tag)))
+            NodeDictionary(tag, view.postings(tag)[1],
+                           view.tag_dictionary(tag)))
     return found

@@ -24,11 +24,13 @@ Tries store dense int codes: every level's key list is a sorted typed
 buffer (:mod:`repro.buffers.layout` picks the narrowest ``array``
 typecode from the level's code bound and widens on demand; code order ==
 value order), so sorted intersections probe contiguous ints and hashed
-descent probes int-keyed dicts. A trie is built a level at a time from
-its rows sorted once, one node per distinct prefix; rows end in one
-shared empty leaf node, not one each. A relation's code columns, with
-its dictionaries and statistics, come from one cold pass per version
-(:func:`relation_columns`).
+descent probes int-keyed dicts. A trie is built from its input's code
+columns, never from row tuples: one keyed permutation sort (duplicate
+rows dropped by key), then a level at a time, one node per distinct
+prefix; rows end in one shared empty leaf node, not one each. A
+relation's code columns, with its dictionaries and statistics, come
+from one cold pass per version (:func:`relation_columns`), a twig
+input's from column gathers (:mod:`repro.core.decomposition`).
 ``insert``/``remove`` splice the same buffers in place (amortized via
 the array over-allocation), so delta maintenance never forces a repack
 — on tries of the update layer's own: cached tries are shared by every
@@ -46,6 +48,7 @@ from operator import add, itemgetter, mul
 from typing import TYPE_CHECKING
 
 from repro.buffers.layout import (
+    gather,
     insert_code,
     make,
     pack,
@@ -82,12 +85,12 @@ _LEAF = EncodedTrieNode("B")
 class EncodedTrie:
     """A dictionary-encoded input indexed as a trie over ``order``.
 
-    ``encoded_rows`` must be *distinct* (encoding a relation's distinct
-    rows, or an already-deduplicated row set, guarantees this).
-    ``code_bounds`` optionally gives the maximum code per level (the
-    builders pass each level dictionary's size) so every node at that
-    level packs into the narrowest typecode without a scan; without it
-    the rows are scanned once, column-wise. ``_typecodes = None`` marks
+    Built from code columns (:meth:`from_columns`); the constructor
+    transposes *distinct* ``encoded_rows`` into them. ``code_bounds``
+    optionally gives the maximum code per level (the builders pass each
+    level dictionary's size) so every node at that level packs into the
+    narrowest typecode without a scan; without it the columns are
+    scanned once. ``_typecodes = None`` marks
     a *frozen* (cached, attached) trie: ``insert``/``remove`` raise.
     ``_weights`` is where the parallel partitioner keeps a frozen
     trie's rows per root code (:mod:`repro.parallel.partition`).
@@ -98,40 +101,55 @@ class EncodedTrie:
     def __init__(self, name: str, order: Sequence[str],
                  encoded_rows: Iterable[tuple[int, ...]], *,
                  code_bounds: Sequence[int] | None = None):
-        self.name = name
-        self.order = tuple(order)
-        self._weights = None
         rows = list(encoded_rows)
-        self.size = len(rows)
-        columns = [list(map(itemgetter(level), rows))
-                   for level in range(len(self.order))] if rows else []
-        if code_bounds is None:
-            bounds = ([max(column) for column in columns] if rows
-                      else [0] * len(self.order))
-        else:
-            bounds = list(code_bounds)
+        self._fill(name, order, list(zip(*rows)) if rows
+                   else [() for _ in order], len(rows), code_bounds, True)
+
+    @classmethod
+    def from_columns(cls, name: str, order: Sequence[str],
+                     columns: "Sequence[Sequence[int]]", count: int,
+                     code_bounds: Sequence[int] | None = None,
+                     distinct: bool = True) -> "EncodedTrie":
+        """The trie of *count* rows given as one code column per level
+        of *order* (row-parallel), never as row tuples; rows may repeat
+        unless *distinct*. A zero-arity trie holds ``()`` iff *count*."""
+        return cls.__new__(cls)._fill(name, order, columns, count,
+                                      code_bounds, distinct)
+
+    def _fill(self, name: str, order: Sequence[str],
+              columns: "Sequence[Sequence[int]]", count: int,
+              code_bounds: Sequence[int] | None, distinct: bool
+              ) -> "EncodedTrie":
+        """The one construction body, from columns."""
+        self.name, self.order, self._weights = name, tuple(order), None
+        bounds = [max(column, default=0) for column in columns] \
+            if code_bounds is None else list(code_bounds)
         # One typecode per level, plus a trailing narrow one so a
         # zero-arity trie still has a root typecode.
         typecodes = self._typecodes = tuple(
             typecode_for(max(hi, 0)) for hi in bounds) + ("B",)
         self.root = EncodedTrieNode(typecodes[0])
-        if not columns:
-            return
+        if not (columns and count):
+            # A zero-arity trie holds () or nothing.
+            self.size = 0 if columns else min(count, 1)
+            return self
         # Sorted once, column-wise: a permutation by each row's codes
-        # read as one mixed-radix int. The gathered codes stay the
-        # caller's int objects, so children maps are keyed by the
+        # read as one mixed-radix int (a repeated row is a repeated key:
+        # the last of its rows stands for it). The gathered codes stay
+        # the caller's int objects, so children maps are keyed by the
         # dictionaries' own ints, not by fresh copies.
-        key = columns[0]
-        for column in columns[1:]:
-            key = list(map(add, map(mul, key, repeat(max(column) + 1)),
-                           column))
-        permutation = sorted(range(len(rows)), key=key.__getitem__)
-        columns = [list(map(column.__getitem__, permutation))
-                   for column in columns]
+        key = row_keys(columns, bounds)
+        if distinct:
+            permutation = sorted(range(count), key=key.__getitem__)
+        else:
+            last = dict(zip(key, range(count)))
+            permutation = gather(last, sorted(last))
+        self.size = len(permutation)
+        columns = [gather(column, permutation) for column in columns]
         # A level at a time, one node per distinct prefix: a node spans
         # a run of the sorted rows, and its keys are the runs of the
         # level's column inside that span.
-        spans = [(self.root, 0, len(rows))]
+        spans = [(self.root, 0, self.size)]
         for level, column in enumerate(columns[:-1]):
             below = []
             for node, lo, hi in spans:
@@ -153,6 +171,7 @@ class EncodedTrie:
         for node, lo, hi in spans:
             node.keys = buffer[lo:hi]
             node.children = dict.fromkeys(column[lo:hi], _LEAF)
+        return self
 
     @property
     def depth(self) -> int:
@@ -266,6 +285,19 @@ class EncodedTrie:
         yield from recurse(self.root, ())
 
 
+def row_keys(columns: "Sequence[Sequence[int]]",
+             bounds: "Sequence[int] | None" = None) -> "Sequence[int]":
+    """Per row of the code *columns* (one or more), its codes read as
+    one mixed-radix int, digit *i* in base ``bounds[i] + 1`` (default:
+    the column's largest code + 1): keys sort as the rows do and are
+    equal iff the rows are, for trie builds and distinct counts."""
+    key = list(columns[0])
+    for level, column in enumerate(columns[1:], 1):
+        radix = (bounds[level] if bounds else max(column, default=0)) + 1
+        key = list(map(add, map(mul, key, repeat(radix)), column))
+    return key
+
+
 @dataclass
 class TwigFilters:
     """Where XJoin validates twig structure during its expansion.
@@ -316,13 +348,15 @@ class EncodedInput:
 
     def __init__(self, name: str, columns: Sequence[str],
                  dictionaries: Sequence[Dictionary],
-                 encoded_rows: "Iterable[tuple[int, ...]]"):
-        """Index the distinct *encoded_rows* (codes of *dictionaries*,
-        one per column) in the order *columns*."""
+                 code_columns: "Sequence[Sequence[int]]", count: int, *,
+                 distinct: bool = True):
+        """Index *count* rows, given as one code column (codes of
+        *dictionaries*) per attribute of *columns*, in that order
+        (:meth:`EncodedTrie.from_columns`)."""
         self.dictionaries = tuple(dictionaries)
-        self.trie = EncodedTrie(
-            name, columns, encoded_rows,
-            code_bounds=[len(d) - 1 for d in self.dictionaries])
+        self.trie = EncodedTrie.from_columns(
+            name, columns, code_columns, count,
+            [len(d) - 1 for d in self.dictionaries], distinct)
         self.trie._typecodes = None  # frozen: shared from here on
         self._rekeyed = None  #: last answer of trie_under: (wanted, trie)
 
@@ -392,7 +426,7 @@ def relation_columns(relation: Relation
 def relation_input(relation: Relation, order: Sequence[str]
                    ) -> tuple[EncodedInput, bool]:
     """:func:`encoded_input` of *relation*, columns as in *order*: its
-    :func:`relation_columns` zipped in that order."""
+    :func:`relation_columns` in that order."""
     from repro.engine.planner import relation_artefacts
 
     columns = relation.schema.restrict_order(order)
@@ -401,8 +435,7 @@ def relation_input(relation: Relation, order: Sequence[str]
         coded = list(map(relation_columns(relation).__getitem__, columns))
         return EncodedInput(
             relation.name, columns, [column[0] for column in coded],
-            zip(*[column[1] for column in coded]) if columns
-            else [()] * len(relation))
+            [column[1] for column in coded], len(relation))
 
     return encoded_input(relation_artefacts(relation), (), columns, build)
 

@@ -49,7 +49,7 @@ if TYPE_CHECKING:
 
 #: The node columns a document publishes verbatim.
 _NODE_COLUMNS = ("starts", "ends", "levels", "parents", "tag_ids",
-                 "path_ids")
+                 "path_ids", "tag_ranks")
 
 
 def document_buffers(view: "ColumnarDocument"

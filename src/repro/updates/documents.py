@@ -13,7 +13,8 @@ A :class:`DocumentEditor` is the only sanctioned way to mutate an
   :mod:`repro.buffers.layout` helpers — splices ride the typed arrays'
   amortized resize, and a label that outgrows a column's typecode comes
   back as a widened copy, which is why every splice site rebinds the
-  view slot (and any local alias) to the helper's return value;
+  view slot (and any local alias) to the helper's return value; the
+  nodes' posting positions (``tag_ranks``) are numbered afresh, in C;
 * refreshes :class:`~repro.xml.columnar.DocumentStats` from the patched
   arrays (tag and path counts read off the maintained postings — no
   tree walk);
@@ -36,8 +37,10 @@ edits degrades to the rebuild cost it would have paid anyway.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from collections import deque
+from itertools import count
 
-from repro.buffers.layout import delete, make, set_at, shift_from, \
+from repro.buffers.layout import delete, make, pack, set_at, shift_from, \
     shift_tail, splice
 from repro.errors import UpdateError
 from repro.updates.delta import (
@@ -127,6 +130,11 @@ class DocumentEditor:
                      else None)
             version = document.bump_version()
             assert view is not None
+            if kind != VALUE_CHANGE:  # postings were spliced: re-rank
+                ranks = [0] * view.size
+                for nids in view.tag_nids:
+                    deque(map(ranks.__setitem__, nids, count()), maxlen=0)
+                view.tag_ranks = pack(ranks, hi=max(view.size - 1, 0))
             install_columnar(document, view)
             if stats is None:
                 stats = stats_from_view(view)

@@ -56,6 +56,7 @@ from itertools import chain, compress, count, repeat
 from time import perf_counter
 from typing import TYPE_CHECKING
 
+from repro.buffers.layout import gather
 from repro.instrumentation import NULL_STATS, JoinStats, ensure_stats
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
@@ -118,15 +119,15 @@ def _value_codes(view: ColumnarDocument, q: TwigNode,
                  posting: TagPosting) -> Sequence[int]:
     """The value codes (:meth:`ColumnarDocument.tag_codes`) of
     *posting*'s candidates, parallel to it: the tag's own code column
-    where the posting is the whole one, gathered through the node ids
-    where it has been cut. (Through the node ids throughout — one
-    path, a gather per call — the 20k-record DBLP article twig measures
-    4.8 -> 7.6 ms and XMark's chain and branch shapes +10-17 %; the
-    predicated shape is within spread either way.)"""
+    where the posting is the whole one, read at each node's
+    ``tag_ranks`` entry where it has been cut. (A gather per call for
+    the whole posting too — one path — measured 4.8 -> 7.6 ms on the
+    20k-record DBLP article twig and +10-17 % on XMark's chain and
+    branch shapes; the predicated shape is within spread either way.)"""
     codes = view.tag_codes(q.tag)[0]
     if len(posting) == len(codes):
         return codes
-    return list(map(view.node_codes(q.tag).__getitem__, posting.nids))
+    return list(map(codes.__getitem__, gather(view.tag_ranks, posting.nids)))
 
 
 def twig_frontiers(view: ColumnarDocument, twig: TwigQuery,

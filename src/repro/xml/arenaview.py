@@ -323,8 +323,9 @@ class ArenaDocument:
 
 def stored_dictionaries(arena: Any, values: ArenaValues):
     """tid -> the tag's ``ColumnarDocument.tag_dictionary`` as the
-    streaming builder wrote it: a window on ``tag_codes``, the values
-    decoded from their (kind, ref) pairs in O(distinct values)."""
+    streaming builder wrote it: its window on ``tag_codes`` as a list
+    (whose ints every column read off it shares), the values decoded
+    from their (kind, ref) pairs in O(distinct values)."""
     codes, offsets, kinds, refs, bounds, valueless = map(arena.buffer, (
         "tag_codes", "tag_offsets", "dict_kind", "dict_ref",
         "dict_offsets", "tag_valueless"))
@@ -332,7 +333,7 @@ def stored_dictionaries(arena: Any, values: ArenaValues):
     def dictionary(tid: int) -> tuple:
         lo, hi = bounds[tid], bounds[tid + 1]
         return (tuple(values.decode(kinds[lo:hi], refs[lo:hi])),
-                codes[offsets[tid]:offsets[tid + 1]], valueless[tid])
+                codes[offsets[tid]:offsets[tid + 1]].tolist(), valueless[tid])
     return dictionary
 
 
@@ -361,6 +362,7 @@ def view_from_arena(arena: Any) -> "ColumnarDocument":
     view.parents = arena.buffer("parents")
     view.tag_ids = arena.buffer("tag_ids")
     view.path_ids = arena.buffer("path_ids")
+    view.tag_ranks = arena.buffer("tag_ranks")
     if "values" in meta:
         view.values, view.stored_dictionary = meta["values"], None
     else:

@@ -106,7 +106,10 @@ class ColumnarDocument:
     ``parents[nid]`` is the parent's node id (-1 for the root);
     ``path_ids[nid]`` interns the root-to-node tag path. Per-tag postings
     (``tag_nids``/``tag_starts``/``tag_ends``) are parallel lists sorted
-    by ``start`` — pre-order construction yields them sorted for free.
+    by ``start`` — pre-order construction yields them sorted for free —
+    and ``tag_ranks[nid]`` is the node's position in its tag's posting
+    (``tag_nids[tag_ids[nid]][tag_ranks[nid]] == nid``), so a column
+    parallel to a posting is read per node id without a lookup table.
     """
 
     # No back-reference to the XMLDocument: the weakref-evicting cache
@@ -116,7 +119,7 @@ class ColumnarDocument:
     __slots__ = ("size", "nodes", "starts", "ends", "levels",
                  "parents", "tag_ids", "values", "deweys", "path_ids",
                  "tags", "tag_index", "paths", "path_table", "tag_nids",
-                 "tag_starts", "tag_ends", "nids_by_path",
+                 "tag_starts", "tag_ends", "tag_ranks", "nids_by_path",
                  "pids_by_last_tag", "nid_index", "derived",
                  "stored_dictionary")
 
@@ -189,8 +192,10 @@ class ColumnarDocument:
         tag_nids: list[list[int]] = [[] for _ in tags]
         tag_starts: list[list[int]] = [[] for _ in tags]
         tag_ends: list[list[int]] = [[] for _ in tags]
+        tag_ranks: list[int] = []
         nids_by_path: list[list[int]] = [[] for _ in paths]
         for nid, tid in enumerate(tag_ids):
+            tag_ranks.append(len(tag_nids[tid]))
             tag_nids[tid].append(nid)
             tag_starts[tid].append(starts[nid])
             tag_ends[tid].append(ends[nid])
@@ -199,6 +204,7 @@ class ColumnarDocument:
         self.tag_nids = [pack(n, hi=nid_hi) for n in tag_nids]
         self.tag_starts = [pack(s, hi=label_hi) for s in tag_starts]
         self.tag_ends = [pack(e, hi=label_hi) for e in tag_ends]
+        self.tag_ranks = pack(tag_ranks, hi=nid_hi)
         self.nids_by_path = [pack(n, hi=nid_hi) for n in nids_by_path]
         pids_by_last_tag: dict[int, list[int]] = {}
         for (_parent_pid, tid), pid in path_table.items():
@@ -209,9 +215,9 @@ class ColumnarDocument:
             start: nid for nid, start in enumerate(starts)}
         #: Derived from the arrays above and memoised per view: per-tag
         #: value gathers (:meth:`tag_values`), what is read off them
-        #: (value dictionaries and indexes, node codes), encoded twig
-        #: inputs. They share the view's lifetime: evicted with it, and
-        #: dropped by :func:`install_columnar` after every splice.
+        #: (value dictionaries and indexes), encoded twig inputs. They
+        #: share the view's lifetime: evicted with it, and dropped by
+        #: :func:`install_columnar` after every splice.
         self.derived: dict = {}
         #: tid -> the tag's dictionary as a streamed arena stores it
         #: (:func:`repro.xml.arenaview.view_from_arena`); None here.
@@ -292,7 +298,7 @@ class ColumnarDocument:
             values = self.derived[key] = self.values_of(self.postings(tag)[0])
         return values
 
-    def tag_dictionary(self, tag: str) -> "tuple[tuple, Sequence[int], int]":
+    def tag_dictionary(self, tag: str) -> "tuple[tuple, list[int], int]":
         """*tag*'s one value dictionary per view version, ``(values,
         codes, valueless)``: its distinct real values in ``sort_key``
         order (``1``, ``1.0``, ``True`` are one); per posting entry, i
@@ -314,9 +320,12 @@ class ColumnarDocument:
 
     def tag_codes(self, tag: str) -> "tuple[list[int], Dictionary]":
         """(*tag*'s value-level codes ``min(code, k)`` parallel to its
-        posting, their ``Dictionary``: :meth:`tag_dictionary`'s values in
-        its order, then ``None`` if a node is valueless), shared by every
-        twig input binding *tag* by value and by accel's projection."""
+        posting — the dictionary's code list itself when no node is
+        valueless —, their ``Dictionary``: :meth:`tag_dictionary`'s
+        values in its order, then ``None`` if a node is valueless),
+        shared by every twig input binding *tag* by value and by accel's
+        projection. A reader holding a cut of the posting reads a node's
+        code at ``codes[tag_ranks[nid]]``."""
         from repro.engine.dictionary import Dictionary
 
         key = ("tag_codes", tag)
@@ -324,18 +333,9 @@ class ColumnarDocument:
         if found is None:
             values, codes, valueless = self.tag_dictionary(tag)
             found = self.derived.setdefault(key, (
-                list(map(min, codes, repeat(len(values)))),
+                list(map(min, codes, repeat(len(values)))) if valueless
+                else codes,
                 Dictionary.of_sorted(tag, values + (None,) * bool(valueless))))
-        return found
-
-    def node_codes(self, tag: str) -> "dict[int, int]":
-        """``node id -> value code`` (:meth:`tag_codes`) over *tag*'s
-        posting, for readers holding a cut of it."""
-        key = ("node_codes", tag)
-        found = self.derived.get(key)
-        if found is None:
-            found = self.derived[key] = dict(
-                zip(self.postings(tag)[0], self.tag_codes(tag)[0]))
         return found
 
     def value_index(self, tag: str) -> "dict[Value | None, list[int]]":

@@ -9,9 +9,11 @@ tree and the columns. For larger-than-RAM corpora
 columns and postings straight into a bump-allocating
 :class:`~repro.buffers.mmapfile.ArenaWriter`:
 
-* the eight per-node columns (``starts ends levels parents tag_ids
-  path_ids val_kind val_ref``) grow in lockstep, one row per element
-  *open* in pre-order — the in-memory build's node ids. Rows wait in a
+* the nine per-node columns (``starts ends levels parents tag_ids
+  path_ids tag_ranks val_kind val_ref``) grow in lockstep, one row per
+  element *open* in pre-order — the in-memory build's node ids; a
+  node's ``tag_ranks`` entry, its position in its tag's posting, is
+  where its tag's bucket appends it. Rows wait in a
   bounded row group that is transposed into the columns with one bulk
   ``extend`` each; ``ends`` and the value pair, known only on element
   *close*, are patched into the row while it is in the group and
@@ -65,8 +67,8 @@ _ROW_GROUP = 2048
 #: The per-node lockstep columns, in row order.
 _ROW_COLUMNS = (("starts", "I"), ("ends", "I"), ("levels", "I"),
                 ("parents", "i"), ("tag_ids", "I"), ("path_ids", "I"),
-                ("val_kind", "B"), ("val_ref", "I"))
-_END, _VAL_KIND, _VAL_REF = 1, 6, 7  # the row slots patched on close
+                ("tag_ranks", "I"), ("val_kind", "B"), ("val_ref", "I"))
+_END, _VAL_KIND, _VAL_REF = 1, 7, 8  # the row slots patched on close
 
 #: First characters no ``int()`` / ``float()`` literal starts with: the
 #: ASCII letters but those of ``inf`` / ``nan`` in either case. Such
@@ -130,12 +132,12 @@ class StreamingBuilder:
         if len(self._rows) >= _ROW_GROUP:
             self._flush_rows()
         nid = self._flushed + len(self._rows)
-        # ``end`` and the value pair are patched on close.
+        # ``end`` and the value pair are patched on close; the tag rank
+        # is where the tag's bucket appends the node.
         row = [self._counter, 0, len(stack), parent_nid, tid, pid,
-               VALUE_NONE, 0]
+               self._tag_buckets[tid].append(nid), VALUE_NONE, 0]
         self._counter += 1
         self._rows.append(row)
-        self._tag_buckets[tid].append(nid)
         self._path_buckets[pid].append(nid)
         stack.append((nid, pid, row, []))
         return nid

@@ -177,7 +177,9 @@ def test_node_dictionary_equals_the_per_node_construction(corpus):
                 head, identities, codes, node_codes = per_node_construction(
                     nids, starts, [view.values[nid] for nid in nids])
                 found = node_dictionary(view, tag)
-                assert found.node_codes == node_codes
+                stored = view.tag_dictionary(tag)[1]
+                assert {nid: stored[view.tag_ranks[nid]]
+                        for nid in nids} == node_codes
                 assert found.codes == codes
                 assert found.values.head == head
                 assert found.values.starts == identities

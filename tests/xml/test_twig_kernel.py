@@ -206,11 +206,22 @@ class TestDifferential:
 
 # -- the per-version memo --------------------------------------------------
 
+def populated_document(rng, **shape):
+    """A ``random_document`` with ten or more nodes of each of its tags,
+    drawn again from *rng* until it has them: the generator draws its
+    own size, and a test's premise (an ``a`` posting a predicate can
+    cut, a root posting to slice) fails on a two-node draw."""
+    while True:
+        document = random_document(rng, **shape)
+        if all(len(document.nodes(tag)) >= 10 for tag in shape["tags"]):
+            return document
+
+
 class TestMemo:
     def document(self):
-        return random_document(random.Random(f"{ACCEL_SEED}:memo"),
-                               tags="ab", max_nodes=300, max_children=5,
-                               value_range=4)
+        return populated_document(random.Random(f"{ACCEL_SEED}:memo"),
+                                  tags="ab", max_nodes=300, max_children=5,
+                                  value_range=4)
 
     def test_whole_postings_are_cached_once_per_edge(self):
         document = self.document()
@@ -470,8 +481,8 @@ def test_slices_partition_the_embeddings(pattern):
     ``SlicedColumnarView`` needs no second code path: the slices'
     embeddings, each cut to its own root range, partition the whole."""
     rng = random.Random(f"{ACCEL_SEED}:slices")
-    document = random_document(rng, tags="ab", max_nodes=160,
-                               max_children=5, value_range=3)
+    document = populated_document(rng, tags="ab", max_nodes=160,
+                                  max_children=5, value_range=3)
     twig, base = parse_twig(pattern), columnar(document)
     names = twig.attributes
     starts = base.starts
