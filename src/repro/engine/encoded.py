@@ -139,6 +139,8 @@ class EncodedTrie:
         # the caller's int objects, so children maps are keyed by the
         # dictionaries' own ints, not by fresh copies.
         key = row_keys(columns, bounds)
+        # Distinct rows (a relation's) skip the dict: deduplicating them
+        # too made a cold rel_triangle query ~15 % slower.
         if distinct:
             permutation = sorted(range(count), key=key.__getitem__)
         else:

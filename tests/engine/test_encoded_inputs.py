@@ -493,12 +493,19 @@ class TestTwigInputSize:
         assert stats.inputs_built == 3
         view = columnar(query.twigs[0].document)
         keys = set(view.derived)
+        cold = dblp_query(dblp_document(300))
+        structural = cold.structural_attributes(cold.twigs[0])
+        # Every trie build, from rows or columns, runs this one body.
         built = []
-        monkeypatch.setattr(encoded.EncodedTrie, "__init__",
+        monkeypatch.setattr(encoded.EncodedTrie, "_fill",
                             lambda *args, **kwargs: built.append(args))
         sizes = {edge.name: edge.cardinality
                  for edge in query.hypergraph(ad_pairs=True).edges}
         assert query.size_bound().bound > 0
+        # ... and the same count, from the gather alone, on a cold view.
+        counts = [path_relation_cardinality(cold.twigs[0].document, path,
+                                            structural)
+                  for path in cold.decompositions["X"].paths]
         assert not built and set(view.derived) == keys
         monkeypatch.undo()
         again = JoinStats()
@@ -506,12 +513,7 @@ class TestTwigInputSize:
         assert again.inputs_built == 0
         articles = len(query.twigs[0].document.nodes("article"))
         assert sizes == {"eras": 30, "X[a/y]": articles, "X[a/j]": articles}
-        # ... and the same count, from the gather alone, on a cold view.
-        cold = dblp_query(dblp_document(300))
-        structural = cold.structural_attributes(cold.twigs[0])
-        for path in cold.decompositions["X"].paths:
-            assert path_relation_cardinality(
-                cold.twigs[0].document, path, structural) == articles
+        assert counts == [articles] * 2
         assert not any(isinstance(value, encoded.EncodedInput) for value
                        in columnar(cold.twigs[0].document).derived.values())
 
