@@ -34,7 +34,7 @@ subsequent query to a bad plan):
    domain (a :func:`~repro.parallel.slicing.sliced_instance` over the
    first codes of each candidate's own level-0 axis); each round the
    slower half is killed and the survivors re-race on a sample
-   ``growth`` times larger, every round reusing the one
+   :data:`GROWTH` times larger, every round reusing the one
    :class:`~repro.engine.encoded.EncodedInstance` assembled per distinct
    order (contenders agreeing on an input's column order share its
    cached trie). The winner is cached per query signature and re-raced
@@ -150,6 +150,9 @@ FACTOR_CLAMP = 64.0
 #: maximum frequency, hence a raw bound, and moves the EWMA by that.
 EPOCH_TOLERANCE = 0.5
 
+#: The EWMA weight of a new sample in a correction factor.
+SMOOTHING = 0.5
+
 
 @dataclass
 class Correction:
@@ -166,8 +169,7 @@ class Correction:
     #: Dropped by a generation advance: not consumed until re-observed.
     retired: bool = False
 
-    def fold(self, observed_factor: float, *,
-             smoothing: float = 0.5) -> float:
+    def fold(self, observed_factor: float) -> float:
         """EWMA the new sample in; returns the absolute log-scale move.
 
         A first sample's move is its deviation from the neutral factor
@@ -182,7 +184,7 @@ class Correction:
         if self.samples == 0:
             updated = clamped
         else:
-            updated = (1.0 - smoothing) * self.factor + smoothing * clamped
+            updated = (1.0 - SMOOTHING) * self.factor + SMOOTHING * clamped
         move = abs(math.log(updated) - math.log(self.factor))
         self.factor = clamped if self.retired else updated
         self.retired = False
@@ -212,11 +214,7 @@ class FeedbackStore:
     is the coupling point for the plan racer and the service plan cache.
     """
 
-    def __init__(self, *, smoothing: float = 0.5,
-                 epoch_tolerance: float = EPOCH_TOLERANCE,
-                 stamp_fn=None):
-        self.smoothing = smoothing
-        self.epoch_tolerance = epoch_tolerance
+    def __init__(self, *, stamp_fn=None):
         #: How inputs are version-stamped. The default is physical
         #: identity (:func:`input_versions`); the service substitutes a
         #: logical stamp (:meth:`generations`) because its snapshot
@@ -272,8 +270,7 @@ class FeedbackStore:
             correction = self._corrections.get(key)
             if correction is None:
                 correction = self._corrections[key] = Correction(*key[1:])
-            if correction.fold(sample, smoothing=self.smoothing) \
-                    > self.epoch_tolerance:
+            if correction.fold(sample) > EPOCH_TOLERANCE:
                 material = True
             folded += 1
         self._versions[scope] = self._stamp_fn(query)
@@ -318,8 +315,8 @@ class FeedbackStore:
         *moved* rows (of an input holding *size* before them) join the
         input's drift ledger. While the deltas since the generation
         began stay within *fraction* of the size the input had then,
-        the update *inherits* — the maintained statistics were patched,
-        not rebuilt, so the learned factors still describe the data and
+        the update *inherits* — the inputs were patched, not rebuilt,
+        so the learned factors still describe the data and
         only the version stamp advances. Crossing it — or *churn*, a
         document edit that forced a rebuild — *invalidates*: the
         generation advances, every correction attributed to the input
@@ -501,6 +498,15 @@ HYSTERESIS = 1.25
 #: every candidate finishes in under half a millisecond has none.
 MIN_SIGNAL_MS = 0.5
 
+#: How many of the ranked candidates race (the static pick joins them).
+TOP_K = 3
+
+#: A race's first round covers this many level-0 codes per plan ...
+SAMPLE_CODES = 64
+
+#: ... and each round (and each slice within one) grows by this factor.
+GROWTH = 4
+
 
 @dataclass(frozen=True)
 class RaceContender:
@@ -527,23 +533,18 @@ class PlanRacer:
     """Races the top-K candidate plans on budgeted key-domain samples.
 
     Candidates are every distinct (order policy pick, operator) pair,
-    ranked by their corrected worst-stage bound; the top ``top_k``
+    ranked by their corrected worst-stage bound; the top :data:`TOP_K`
     (plus the static planner's own choice, as a guard) race on a
     :func:`~repro.parallel.slicing.sliced_instance` covering the first
-    ``sample_codes`` codes of each candidate's own level-0 axis.
+    :data:`SAMPLE_CODES` codes of each candidate's own level-0 axis.
     Successive halving kills the slower half each round and grows the
-    sample by ``growth``; every round slices the one instance assembled
+    sample by :data:`GROWTH`; every round slices the one instance assembled
     per distinct order. The survivor is cached per query signature
     until the feedback epoch moves.
     """
 
-    def __init__(self, store: "FeedbackStore | None" = None, *,
-                 top_k: int = 3, sample_codes: int = 64,
-                 growth: int = 4):
+    def __init__(self, store: "FeedbackStore | None" = None):
         self.store = store if store is not None else default_feedback()
-        self.top_k = max(1, top_k)
-        self.sample_codes = max(1, sample_codes)
-        self.growth = max(2, growth)
         #: scope -> (epoch at race time, winning plan).
         self._winners: dict[tuple, tuple[int, QueryPlan]] = {}
         self.races = 0
@@ -576,7 +577,7 @@ class PlanRacer:
                                  policy=policy)
                 ranked.append((worst, policy, plan))
         ranked.sort(key=lambda item: (item[0], item[1]))
-        top = [plan for _, _, plan in ranked[:self.top_k]]
+        top = [plan for _, _, plan in ranked[:TOP_K]]
         static = plan_query(query)
         if (static.order, static.algorithm) not in {
                 (plan.order, plan.algorithm) for plan in top}:
@@ -600,7 +601,7 @@ class PlanRacer:
         level-0 domain races a tiny fraction of its work against
         another plan's full run and looks spuriously fast.
 
-        The codes are covered in slices growing by ``growth``, all
+        The codes are covered in slices growing by :data:`GROWTH`, all
         plans in step, and a plan that has lost the round stops there:
         were its remaining codes free, the time it has spent (above the
         noise floor) would still project past the round's best by more
@@ -638,7 +639,7 @@ class PlanRacer:
                                and spent[index] * domains[index]
                                / min(sample_codes, domains[index])
                                > HYSTERESIS * best)]
-                lo, width = hi, width * self.growth
+                lo, width = hi, width * GROWTH
         finally:
             if collecting:
                 gc.enable()
@@ -680,7 +681,7 @@ class PlanRacer:
         self.races += 1
         instances = {order: EncodedInstance.from_query(query, order)
                      for order in {plan.order for plan in contenders}}
-        sample = self.sample_codes
+        sample = SAMPLE_CODES
         alive = list(contenders)
         report: dict[tuple, RaceContender] = {}
         rounds = 0
@@ -707,7 +708,7 @@ class PlanRacer:
             else:
                 incumbent = None  # beaten by a clear margin — out
                 alive = [plan for _, _, plan in timed[:keep]]
-                sample *= self.growth
+                sample *= GROWTH
         self._winners[scope] = (self.store.epoch, winner)
         encodes = sum(sum(instance.built)
                       for instance in instances.values())
@@ -738,13 +739,9 @@ class AdaptivePlanner:
     observations match estimates, planning is a cache hit.
     """
 
-    def __init__(self, store: "FeedbackStore | None" = None, *,
-                 race: bool = True, top_k: int = 3,
-                 sample_codes: int = 64):
+    def __init__(self, store: "FeedbackStore | None" = None):
         self.store = store if store is not None else default_feedback()
-        self.race = race
-        self.racer = PlanRacer(self.store, top_k=top_k,
-                               sample_codes=sample_codes)
+        self.racer = PlanRacer(self.store)
 
     @property
     def epoch(self) -> int:
@@ -756,17 +753,10 @@ class AdaptivePlanner:
         """The adaptive plan: raced winner, corrected stage estimates,
         the partition count :func:`~repro.engine.planner.choose_partitions`
         decides, planner-chosen twig matchers."""
-        if self.race:
-            winner = self.racer.race(query).winner
-            plan = plan_query(query, order=winner.order,
-                              algorithm=winner.algorithm,
-                              workers=workers)
-            plan = replace(plan, policy=winner.policy)
-        else:
-            order = existential_last(
-                query, _bound_driven_order(query, self.store))
-            plan = plan_query(query, order=order, workers=workers)
-            plan = replace(plan, policy="corrected")
+        winner = self.racer.race(query).winner
+        plan = plan_query(query, order=winner.order,
+                          algorithm=winner.algorithm, workers=workers)
+        plan = replace(plan, policy=winner.policy)
         estimates = estimated_stage_sizes(query, plan.order, self.store)
         return replace(plan, stage_estimates=tuple(
             (e.attribute, int(round(e.cumulative))) for e in estimates))
@@ -789,4 +779,4 @@ class AdaptivePlanner:
 
     def __repr__(self) -> str:
         return (f"AdaptivePlanner(epoch {self.epoch}, "
-                f"{self.racer.races} races, race={self.race})")
+                f"{self.racer.races} races)")

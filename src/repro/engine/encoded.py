@@ -2,8 +2,8 @@
 
 An input's encoded form (:class:`EncodedInput`: local dictionaries and
 trie) is built **once per input version** and kept with the input's
-other derived state: in the planner's weak per-relation cache, or the
-columnar view's ``derived`` dict for twig inputs. An
+other derived state: the relation's ``artefacts``, or the columnar
+view's ``derived`` dict for twig inputs. An
 :class:`EncodedInstance` *assembles* them for one global attribute order
 and is handed to any :class:`~repro.engine.interface.JoinAlgorithm`:
 
@@ -395,6 +395,19 @@ def encoded_input(cache: dict, key: tuple, columns: tuple[str, ...],
     return built, True
 
 
+def relation_artefacts(relation: Relation) -> dict:
+    """*relation*'s artefact dict (``relation.artefacts``), created on
+    first use: the artefacts of its rows — the one column pass
+    ``"columns"`` with its dictionaries, ``"stats"``, and one
+    :class:`EncodedInput` per column order. They live exactly as long
+    as the relation (one *version*: updates mint new objects), and none
+    refers back to it."""
+    artefacts = relation.artefacts
+    if artefacts is None:
+        artefacts = relation.artefacts = {}
+    return artefacts
+
+
 def relation_columns(relation: Relation
                      ) -> "dict[str, tuple[Dictionary, list[int], int]]":
     """The one cold pass over *relation* (one version), cached with its
@@ -404,9 +417,6 @@ def relation_columns(relation: Relation
     attributes and made of the dictionary's own int objects; the row
     count of its most frequent code). The planner's statistics are a
     view of it (:func:`repro.engine.planner.cached_relation_stats`)."""
-    # Imported lazily: the planner, which owns the cache, sits above.
-    from repro.engine.planner import relation_artefacts
-
     artefacts = relation_artefacts(relation)
     found = artefacts.get("columns")
     if found is None:
@@ -429,8 +439,6 @@ def relation_input(relation: Relation, order: Sequence[str]
                    ) -> tuple[EncodedInput, bool]:
     """:func:`encoded_input` of *relation*, columns as in *order*: its
     :func:`relation_columns` in that order."""
-    from repro.engine.planner import relation_artefacts
-
     columns = relation.schema.restrict_order(order)
 
     def build(_local: "dict[str, Dictionary]") -> EncodedInput:

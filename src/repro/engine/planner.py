@@ -4,9 +4,9 @@ Any attribute order keeps the worst-case optimal algorithms optimal (the
 bound argument is order-independent), but constants differ wildly. The
 planner chooses
 both the expansion order and the algorithm from *cached* statistics:
-per-relation :class:`~repro.relational.statistics.RelationStats` (shared
-through a weakref-evicting cache, so repeated planning of the same inputs
-never rescans ``distinct_values`` and dropped inputs are never pinned)
+per-relation :class:`~repro.relational.statistics.RelationStats` (kept
+on the relation with its other artefacts, so repeated planning of the
+same inputs never rescans ``distinct_values``, and they die with it)
 plus per-twig-node candidate counts.
 
 Order policies, preserved from the pre-engine planner as named strategies:
@@ -37,7 +37,8 @@ import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from repro.engine.encoded import EncodedInstance, relation_columns
+from repro.engine.encoded import EncodedInstance, relation_artefacts, \
+    relation_columns
 from repro.engine.interface import available_algorithms, get_algorithm
 from repro.errors import PlanError
 from repro.instrumentation import JoinStats, ensure_stats
@@ -55,31 +56,6 @@ if TYPE_CHECKING:
 # cached statistics
 # ---------------------------------------------------------------------------
 
-#: id(relation) -> (weakref, artefacts of its rows: the one column pass
-#: ``"columns"`` with its dictionaries, ``"stats"``, and one
-#: :class:`~repro.engine.encoded.EncodedInput` per column order). Keyed
-#: by id for O(1) lookup without hashing the row set; the weakref's
-#: eviction callback removes the entry the moment the relation (one
-#: *version*: updates mint new objects) is collected, so the cache never
-#: pins inputs (and a recycled id can never alias a dead entry).
-_RELATION_STATS_CACHE: "dict[int, tuple[weakref.ref, dict]]" = {}
-
-
-def relation_artefacts(relation: Relation) -> dict:
-    """The (live) *relation*'s artefact dict, created on first use."""
-    key = id(relation)
-    entry = _RELATION_STATS_CACHE.get(key)
-    if entry is not None and entry[0]() is relation:
-        return entry[1]
-
-    def evict(_ref: weakref.ref, key: int = key) -> None:
-        _RELATION_STATS_CACHE.pop(key, None)
-
-    artefacts: dict = {}
-    _RELATION_STATS_CACHE[key] = (weakref.ref(relation, evict), artefacts)
-    return artefacts
-
-
 def cached_relation_stats(relation: Relation) -> RelationStats:
     """*relation*'s statistics, memoised per (live) relation object: a
     view of its one cold pass (:func:`relation_columns`), equal to a
@@ -95,30 +71,12 @@ def cached_relation_stats(relation: Relation) -> RelationStats:
     return artefacts["stats"]
 
 
-def install_relation_stats(relation: Relation,
-                           stats: RelationStats) -> RelationStats:
-    """Seed the statistics cache for *relation* with precomputed *stats*.
-
-    The update layer (:mod:`repro.updates.relations`) maintains exact
-    statistics from deltas and installs them here, so planning the next
-    query over a freshly updated relation never rescans its rows."""
-    relation_artefacts(relation)["stats"] = stats
-    return stats
-
-
-def invalidate_relation_stats(relation: Relation) -> None:
-    """Explicitly drop *relation*'s cached statistics and encoded inputs
-    (update and MVCC layer hook: deterministic release instead of
-    relying solely on weakref death)."""
-    _RELATION_STATS_CACHE.pop(id(relation), None)
-
-
 class QueryStatistics:
     """Cached per-input statistics for one multi-model query.
 
-    Relation columns come from the shared :func:`cached_relation_stats`
-    cache; the twig side reads the weakref-cached columnar views and
-    :class:`~repro.xml.columnar.DocumentStats` of the bound documents —
+    Relation columns come from :func:`cached_relation_stats`; the twig
+    side reads the columnar views and
+    :class:`~repro.xml.columnar.DocumentStats` the bound documents hold —
     one stats source for relational and tree inputs alike.
     ``domain_estimate(a)`` is the smallest number of distinct values any
     input offers for attribute ``a`` — the planner's candidate-domain
@@ -141,11 +99,10 @@ class QueryStatistics:
     def invalidate(self) -> None:
         """Drop the memoised estimates so the next read re-derives them.
 
-        Called by the update layer after it patches the per-input
-        artifacts (relation stats, columnar views, document stats): the
-        cache entry itself survives the update — only the derived
-        estimates refresh, and they refresh *from* the delta-maintained
-        inputs, never from a rescan of rows or a document walk."""
+        Called by the update layer after it patches the inputs (new
+        relation versions, patched columnar views): the cache entry
+        itself survives the update — only the derived estimates
+        refresh, from what the new versions hold."""
         self._estimates = None
         self._path_estimates = None
         self._twig_domains = self._ranks = None
@@ -165,7 +122,7 @@ class QueryStatistics:
         return cached_relation_stats(relation)
 
     def document_stats(self, document) -> "DocumentStats":
-        """The bound document's cached summary (tags, paths, fan-out)."""
+        """The bound document's cached summary (tag and path counts)."""
         from repro.xml.columnar import document_stats
 
         return document_stats(document)
@@ -178,8 +135,11 @@ class QueryStatistics:
         besides."""
         from repro.xml.columnar import columnar
 
-        if self._twig_domains is None:
-            domains = self._twig_domains = {}
+        domains = self._twig_domains
+        if domains is None:
+            # Filled, then published whole: a planner racing on the same
+            # cold query reads a finished dict or builds its own.
+            domains = {}
             for binding in self.query.twigs:
                 view = columnar(binding.document)
                 structural = self.query.structural_attributes(binding)
@@ -189,12 +149,13 @@ class QueryStatistics:
                     domains[binding.name, node.name] = (
                         real + (valueless if identity else bool(valueless)),
                         view.is_existential(node, identity))
-        return self._twig_domains
+            self._twig_domains = domains
+        return domains
 
     def domain_estimates(self) -> dict[str, int]:
         """Smallest per-attribute distinct-value count any input offers."""
-        if self._estimates is not None:
-            return self._estimates
+        if (found := self._estimates) is not None:
+            return found
         estimates: dict[str, int] = {}
 
         def shrink(attribute: str, count: int) -> None:
@@ -221,12 +182,14 @@ class QueryStatistics:
         estimates, an existential attribute first. Bound, it pins every
         neighbour in its twig to one node's children, so it opens an
         order — or closes it as a test (:func:`existential_last`)."""
-        if self._ranks is None:
-            self._ranks = dict(self.domain_estimates())
-            self._ranks.update(
+        ranks = self._ranks
+        if ranks is None:
+            ranks = dict(self.domain_estimates())
+            ranks.update(
                 (attribute, 1) for (_twig, attribute), (_count, opens)
                 in self.twig_domains().items() if opens)
-        return self._ranks
+            self._ranks = ranks
+        return ranks
 
     def path_cardinality_estimates(self) -> dict[str, int]:
         """Estimated size of each decomposed path relation, by name.
@@ -235,8 +198,8 @@ class QueryStatistics:
         cached path index — an upper bound on the distinct value tuples
         the path relation holds, with no document walk per query.
         """
-        if self._path_estimates is not None:
-            return self._path_estimates
+        if (found := self._path_estimates) is not None:
+            return found
         estimates: dict[str, int] = {}
         for binding in self.query.twigs:
             stats = self.document_stats(binding.document)
@@ -247,23 +210,23 @@ class QueryStatistics:
         return estimates
 
 
-#: Same weakref-evicting scheme as the relation cache: entries vanish
-#: with their query, so nothing is pinned across queries.
-_QUERY_STATS_CACHE: "dict[int, tuple[weakref.ref, QueryStatistics]]" = {}
+#: id(query) -> (weakref, its statistics): entries vanish with their
+#: query, so nothing is pinned across queries.
+_STATISTICS_BY_QUERY: "dict[int, tuple[weakref.ref, QueryStatistics]]" = {}
 
 
 def statistics_for(query: "MultiModelQuery") -> QueryStatistics:
     """The (memoised) :class:`QueryStatistics` of *query*."""
     key = id(query)
-    entry = _QUERY_STATS_CACHE.get(key)
+    entry = _STATISTICS_BY_QUERY.get(key)
     if entry is not None and entry[0]() is query:
         return entry[1]
     stats = QueryStatistics(query)
 
     def evict(_ref: weakref.ref, key: int = key) -> None:
-        _QUERY_STATS_CACHE.pop(key, None)
+        _STATISTICS_BY_QUERY.pop(key, None)
 
-    _QUERY_STATS_CACHE[key] = (weakref.ref(query, evict), stats)
+    _STATISTICS_BY_QUERY[key] = (weakref.ref(query, evict), stats)
     return stats
 
 
@@ -271,10 +234,10 @@ def refresh_query_statistics(query: "MultiModelQuery") -> None:
     """Refresh the memoised estimates of *query* after an update.
 
     The entry is kept (not dropped): its derived estimates are
-    invalidated and will re-read the delta-maintained per-input caches
-    on the next plan. A query that was never planned has nothing cached
+    invalidated and will re-read the inputs' current versions on the
+    next plan. A query that was never planned has nothing cached
     and nothing to refresh."""
-    entry = _QUERY_STATS_CACHE.get(id(query))
+    entry = _STATISTICS_BY_QUERY.get(id(query))
     if entry is not None and entry[0]() is query:
         entry[1].invalidate()
 

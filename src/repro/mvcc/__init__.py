@@ -1,12 +1,12 @@
 """MVCC snapshot layer: consistent reads under concurrent updates.
 
-The update subsystem (PR 3) already maintains implicit versions
-everywhere — :class:`~repro.updates.relations.VersionedRelation` delta
-logs, ``(document id, reindex version)``-keyed columnar caches,
-``QuerySession``'s session version. This package makes that versioning
-explicit and readable: a :class:`Snapshot` pins one consistent
-``(relation versions, document versions)`` vector and keeps answering
-reads at that vector while writers keep appending deltas.
+The update subsystem already maintains implicit versions everywhere —
+:class:`~repro.updates.relations.VersionedRelation` delta logs, the
+documents' ``version`` counters, ``QuerySession``'s session version.
+This package makes that versioning explicit and readable: a
+:class:`Snapshot` pins one consistent ``(relation versions, document
+versions)`` vector and keeps answering reads at that vector while
+writers keep appending deltas.
 
 The machinery is copy-on-write at the version granularity:
 
@@ -14,12 +14,11 @@ The machinery is copy-on-write at the version granularity:
   objects; nothing is copied while the writer stays away;
 * the first write over a *pinned* version preserves it — the superseded
   immutable :class:`~repro.relational.relation.Relation` object is
-  retained (with its installed statistics), and a pinned document is
+  retained (with the artefacts it holds), and a pinned document is
   frozen into a clone *before* the in-place columnar patch lands;
 * reclamation is watermark-driven — when the last pin on a version is
-  released, its retained artifacts are dropped and their cache entries
-  (planner statistics, columnar views, document stats) are explicitly
-  invalidated.
+  released, its retained artifacts are dropped, a clone's columnar view
+  (and all derived from it) at once.
 
 :class:`VersionChain` holds the per-resource pin counts and retained
 artifacts, :class:`SnapshotManager` coordinates the chains of one

@@ -5,9 +5,9 @@ input, or one document). Snapshots pin the resource at its current
 version; the writer, before superseding a pinned version, *retains* the
 frozen artifact for that version in the chain. Retained artifacts stay
 resident while any pin at their version is live and are reclaimed —
-through an optional ``reclaim`` hook, so caches release deterministically
-— as soon as the last pin goes (the chain's watermark advancing past
-them).
+through an optional ``reclaim`` hook, for what reference counting
+alone would not free — as soon as the last pin goes (the chain's
+watermark advancing past them).
 
 Pins only ever land on the resource's *current* version, so a retained
 version whose pin count hits zero can never be pinned again: reclaiming
@@ -98,9 +98,8 @@ class VersionChain:
     def reclaim_unpinned(self) -> None:
         """Drop every retained artifact whose version holds no pin.
 
-        Runs the ``reclaim`` hook per dropped artifact (deterministic
-        cache release, mirroring the update layer's explicit
-        invalidation style rather than waiting for weakref death).
+        Runs the ``reclaim`` hook per dropped artifact, so what it holds
+        is released now rather than at the next collection.
         """
         for version in sorted(self._retained):
             if version not in self._pins:

@@ -13,9 +13,10 @@ patch supersedes it).
 Pinning captures the maintained answer plus the current version vector
 in O(1); the copy cost is paid lazily, by the writer, only for versions
 that are both pinned and superseded. Reclamation is deterministic:
-releasing the last pin on a version drops its retained artifacts and
-explicitly invalidates their cache entries (relation stats + encoded
-inputs, columnar views + the twig inputs encoded from them, doc stats).
+releasing the last pin on a version drops its retained artifacts. A
+relation is acyclic, so reference counting frees it with everything
+derived from it; a clone's tree is cyclic, so its columnar view (with
+the twig inputs and stats derived from it) is dropped explicitly.
 """
 
 from __future__ import annotations
@@ -23,16 +24,10 @@ from __future__ import annotations
 import weakref
 from typing import TYPE_CHECKING
 
-from repro.engine.planner import invalidate_relation_stats
 from repro.errors import SnapshotError
 from repro.mvcc.chain import VersionChain
 from repro.mvcc.snapshot import Snapshot
 from repro.relational.relation import Relation
-from repro.xml.columnar import (
-    invalidate_document_caches,
-    pin_document_version,
-    release_document_version,
-)
 from repro.xml.model import XMLDocument
 
 if TYPE_CHECKING:
@@ -40,15 +35,10 @@ if TYPE_CHECKING:
     from repro.updates.session import QuerySession
 
 
-def _reclaim_relation(artifact: Relation) -> None:
-    """Chain hook: release a retained relation's stats + encoded inputs."""
-    invalidate_relation_stats(artifact)
-
-
 def _reclaim_clone(clone: XMLDocument) -> None:
-    """Chain hook: unpin and drop a frozen clone's cache entries."""
-    release_document_version(clone, clone.version)
-    invalidate_document_caches(clone)
+    """Chain hook: drop a frozen clone's view. The tree is cyclic, so
+    only the collector frees the clone; its view goes now."""
+    clone.view = None
 
 
 class SnapshotManager:
@@ -63,8 +53,7 @@ class SnapshotManager:
         self._versioned = dict(session.relations)
         self.relation_chains: dict[str, VersionChain] = {}
         for name, versioned in self._versioned.items():
-            chain = VersionChain(f"relation:{name}",
-                                 reclaim=_reclaim_relation)
+            chain = VersionChain(f"relation:{name}")
             versioned.chain = chain
             self.relation_chains[name] = chain
         self._bindings = list(session.query.twigs)
@@ -149,7 +138,6 @@ class SnapshotManager:
         """Clone the live document and retain it at its current version."""
         live = self._documents[ident]
         clone = XMLDocument(live.root.copy())
-        pin_document_version(clone)
         return self.document_chains[ident].retain(live.version, clone)
 
     # -- snapshot resolution -----------------------------------------------

@@ -154,7 +154,7 @@ def run_twig_morsel(task: tuple) -> tuple[dict, list]:
 
     view = SlicedColumnarView(base, twig, lo, hi, region_hi,
                               base_streams=streams)
-    # Algorithms resolve the document through the columnar cache: point
+    # Algorithms resolve the document's view through ``columnar``: point
     # it at the slice view for this morsel, then back at the base view
     # with all it has derived (the serial transport runs in the caller).
     with columnar_as(document, view):

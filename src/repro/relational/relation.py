@@ -25,9 +25,10 @@ class Relation:
     [(1,)]
     """
 
-    # __weakref__ lets the engine's statistics cache hold relations
-    # weakly (repro.engine.planner.cached_relation_stats).
-    __slots__ = ("name", "schema", "_rows", "__weakref__")
+    # ``artefacts``: what the engine derives from the rows (statistics,
+    # dictionaries, encoded inputs; repro.engine.encoded.relation_artefacts),
+    # None until first used. It dies with the relation.
+    __slots__ = ("name", "schema", "_rows", "artefacts", "__weakref__")
 
     def __init__(self, name: str, schema: Schema | Sequence[str],
                  rows: Iterable[Sequence[Value]] = ()):
@@ -46,6 +47,7 @@ class Relation:
                 )
             frozen.add(tup)
         self._rows = frozenset(frozen)
+        self.artefacts = None
 
     # ------------------------------------------------------------------
     # container protocol
@@ -95,6 +97,7 @@ class Relation:
         relation.name = name
         relation.schema = schema
         relation._rows = rows
+        relation.artefacts = None
         return relation
 
     def with_name(self, name: str) -> "Relation":

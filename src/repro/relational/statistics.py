@@ -2,14 +2,15 @@
 
 The :func:`relation_stats` rescan is the oracle. The planner reads
 equal statistics off one cold pass per relation version
-(:func:`column_stats_of_domain`), the update layer maintains them from
-deltas (:func:`stats_from_frequencies`).
+(:func:`column_stats_of_domain`).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from repro.relational.relation import Relation
 from repro.relational.schema import Value, sort_key
@@ -38,26 +39,6 @@ class RelationStats:
         return self.columns[attribute].distinct
 
 
-def column_stats_from_frequencies(attribute: str,
-                                  frequency: "dict[Value, int]"
-                                  ) -> ColumnStats:
-    """:class:`ColumnStats` from a value -> occurrence-count map.
-
-    Shared by the from-scratch scan below and the delta-maintained
-    frequency maps of :mod:`repro.updates.relations`, so incrementally
-    maintained statistics are equal (not merely equivalent) to a rescan.
-    """
-    if not frequency:
-        return ColumnStats(attribute, 0, None, None, 0)
-    return ColumnStats(
-        attribute=attribute,
-        distinct=len(frequency),
-        minimum=min(frequency, key=sort_key),
-        maximum=max(frequency, key=sort_key),
-        max_frequency=max(frequency.values()),
-    )
-
-
 def column_stats_of_domain(attribute: str, domain: "Sequence[Value]",
                            max_frequency: int) -> ColumnStats:
     """:class:`ColumnStats` of a column whose distinct values are
@@ -72,11 +53,16 @@ def column_stats_of_domain(attribute: str, domain: "Sequence[Value]",
 def column_stats(relation: Relation, attribute: str) -> ColumnStats:
     """Compute distinct count, min/max and the heaviest-hitter frequency."""
     position = relation.schema.index(attribute)
-    frequency: dict[Value, int] = {}
-    for row in relation.rows:
-        value = row[position]
-        frequency[value] = frequency.get(value, 0) + 1
-    return column_stats_from_frequencies(attribute, frequency)
+    frequency = Counter(map(itemgetter(position), relation.rows))
+    if not frequency:
+        return ColumnStats(attribute, 0, None, None, 0)
+    return ColumnStats(
+        attribute=attribute,
+        distinct=len(frequency),
+        minimum=min(frequency, key=sort_key),
+        maximum=max(frequency, key=sort_key),
+        max_frequency=max(frequency.values()),
+    )
 
 
 def relation_stats(relation: Relation) -> RelationStats:
@@ -85,17 +71,4 @@ def relation_stats(relation: Relation) -> RelationStats:
         name=relation.name,
         cardinality=len(relation),
         columns={a: column_stats(relation, a) for a in relation.schema},
-    )
-
-
-def stats_from_frequencies(name: str, cardinality: int,
-                           frequencies: "dict[str, dict[Value, int]]"
-                           ) -> RelationStats:
-    """Full statistics from per-column frequency maps (the update layer's
-    delta-maintained state), identical to a :func:`relation_stats` rescan."""
-    return RelationStats(
-        name=name,
-        cardinality=cardinality,
-        columns={a: column_stats_from_frequencies(a, freq)
-                 for a, freq in frequencies.items()},
     )

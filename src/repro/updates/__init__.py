@@ -2,10 +2,9 @@
 
 Accepts tuple inserts/deletes on relations and subtree insert/delete /
 value-change edits on XML documents, and propagates *deltas* through
-every layer that PRs 1-2 built batch-style: relation statistics,
-columnar document views and document statistics, planner caches, twig
-answers, and the materialized query result itself. See
-``docs/updates.md``.
+the layers built batch-style: new relation versions, columnar
+document views patched in place, planner estimates, twig answers, and
+the materialized query result itself. See ``docs/updates.md``.
 
 Entry points:
 
@@ -13,9 +12,9 @@ Entry points:
   :class:`~repro.core.multimodel.MultiModelQuery` open across an update
   stream and re-answer it incrementally;
 * :class:`~repro.updates.relations.VersionedRelation` — one relation
-  under updates (delta log + installed stats);
+  under updates (delta log, one ``Relation`` per version);
 * :class:`~repro.updates.documents.DocumentEditor` — one document under
-  updates (patched labels/views/stats, churn-bounded).
+  updates (patched labels and view, churn-bounded).
 """
 
 from repro.updates.delta import (

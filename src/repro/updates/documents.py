@@ -7,21 +7,19 @@ A :class:`DocumentEditor` is the only sanctioned way to mutate an
 * patches the region labels (``start``/``end``/``level``) and Dewey
   labels on the node objects — a suffix shift plus an ancestor-chain
   fix-up, never a whole-tree re-annotation;
-* splices the same change into the cached
-  :class:`~repro.xml.columnar.ColumnarDocument` buffers (node columns,
-  per-tag postings, per-path node lists) in place, through the
+* splices the same change into the buffers of the document's
+  :class:`~repro.xml.columnar.ColumnarDocument` (``document.view``:
+  node columns, per-tag postings, per-path node lists) in place, through the
   :mod:`repro.buffers.layout` helpers — splices ride the typed arrays'
   amortized resize, and a label that outgrows a column's typecode comes
   back as a widened copy, which is why every splice site rebinds the
   view slot (and any local alias) to the helper's return value; the
   nodes' posting positions (``tag_ranks``) are numbered afresh, in C;
-* refreshes :class:`~repro.xml.columnar.DocumentStats` from the patched
-  arrays (tag and path counts read off the maintained postings — no
-  tree walk);
-* bumps the document version and *installs* the patched artifacts into
-  the version-keyed caches, so every twig algorithm, validator and
-  planner estimate transparently reads the refreshed state. The
-  columnar twig kernel (:mod:`repro.xml.accel`) inherits delta
+* bumps the document version and resets what the view has derived
+  (:class:`~repro.xml.columnar.DocumentStats` included: the next read
+  summarises the maintained postings, no tree walk), so every twig
+  algorithm, validator and planner estimate reads the patched state.
+  The columnar twig kernel (:mod:`repro.xml.accel`) inherits delta
   maintenance through exactly this path: its inputs *are* the
   maintained postings and the ``parents`` / region-label columns, so
   ``accel`` reads the patched arrays with no maintenance code of its
@@ -49,16 +47,7 @@ from repro.updates.delta import (
     VALUE_CHANGE,
     DocumentDelta,
 )
-from repro.xml.columnar import (
-    ColumnarDocument,
-    DocumentStats,
-    columnar,
-    document_stats,
-    install_columnar,
-    install_document_stats,
-    invalidate_document_caches,
-    stats_from_view,
-)
+from repro.xml.columnar import ColumnarDocument, columnar
 from repro.xml.model import XMLDocument, XMLNode
 
 
@@ -113,40 +102,24 @@ class DocumentEditor:
                 ) -> DocumentDelta:
         document = self.document
         if rebuilt:
-            # Drop the superseded artifacts explicitly, reindex (which
-            # bumps the version), and let the caches rebuild lazily.
-            invalidate_document_caches(document)
-            document.reindex()
+            document.reindex()  # bumps the version, drops the view
             self._churn = 0
             self.rebuilds += 1
-            version = document.version
         else:
             self._churn += touched
             self.patches += 1
-            # No DocumentStats field depends on node values, so a value
-            # edit carries the current stats object forward unchanged
-            # (read before the bump, while the cache key still matches).
-            stats = (document_stats(document) if kind == VALUE_CHANGE
-                     else None)
-            version = document.bump_version()
+            document.bump_version()
             assert view is not None
             if kind != VALUE_CHANGE:  # postings were spliced: re-rank
                 ranks = [0] * view.size
                 for nids in view.tag_nids:
                     deque(map(ranks.__setitem__, nids, count()), maxlen=0)
                 view.tag_ranks = pack(ranks, hi=max(view.size - 1, 0))
-            install_columnar(document, view)
-            if stats is None:
-                stats = stats_from_view(view)
-            install_document_stats(document, stats)
-        delta = DocumentDelta(kind=kind, version=version, nodes=touched,
-                              start=start, rebuilt=rebuilt)
+            view.derived = {}
+        delta = DocumentDelta(kind=kind, version=document.version,
+                              nodes=touched, start=start, rebuilt=rebuilt)
         self.log.append(delta)
         return delta
-
-    def stats(self) -> DocumentStats:
-        """The document's current (delta-maintained) statistics."""
-        return document_stats(self.document)
 
     # -- operations --------------------------------------------------------
 
@@ -163,7 +136,7 @@ class DocumentEditor:
     def insert_subtree(self, parent: XMLNode, subtree: XMLNode, *,
                        index: int | None = None) -> DocumentDelta:
         """Attach *subtree* as a child of *parent* at *index* (default:
-        last), patching labels, arrays, postings and stats in place."""
+        last), patching labels, arrays and postings in place."""
         if subtree.parent is not None:
             raise UpdateError(
                 f"subtree root <{subtree.tag}> is already attached")

@@ -1,27 +1,22 @@
-"""Version-stamped relations with delta logs and incremental statistics.
+"""Version-stamped relations with delta logs.
 
 A :class:`VersionedRelation` owns the current :class:`Relation` object
 for one input and accepts single-tuple inserts/deletes (or batches).
 Each applied batch produces a fresh immutable ``Relation`` (built by the
-delta constructor, so only changed rows are validated), appends a
-:class:`~repro.updates.delta.RelationDelta` to the log, and maintains
-exact per-column frequency maps from which
-:class:`~repro.relational.statistics.RelationStats` are derived without
-rescanning rows. The maintained stats are installed into the planner's
-cache (:func:`repro.engine.planner.install_relation_stats`), so planning
-after an update never pays a statistics rescan.
+delta constructor, so only changed rows are validated) and appends a
+:class:`~repro.updates.delta.RelationDelta` to the log. What the engine
+derives from a version (statistics, dictionaries, encoded inputs) lives
+on that ``Relation`` object
+(:func:`repro.engine.encoded.relation_artefacts`) and dies with it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from repro.engine.planner import install_relation_stats, \
-    invalidate_relation_stats
 from repro.errors import UpdateError
 from repro.relational.relation import Relation
 from repro.relational.schema import Value
-from repro.relational.statistics import RelationStats, stats_from_frequencies
 from repro.updates.delta import RelationDelta
 
 
@@ -37,17 +32,6 @@ class VersionedRelation:
         #: superseded Relation object there instead of releasing it.
         self.chain = None
         self.log: list[RelationDelta] = []
-        #: attribute -> value -> occurrence count, maintained per delta.
-        self._frequencies: dict[str, dict[Value, int]] = {
-            attribute: {} for attribute in relation.schema}
-        positions = [(attribute, relation.schema.index(attribute))
-                     for attribute in relation.schema]
-        for row in relation.rows:
-            for attribute, position in positions:
-                frequency = self._frequencies[attribute]
-                value = row[position]
-                frequency[value] = frequency.get(value, 0) + 1
-        self._stats: RelationStats | None = None
 
     @property
     def name(self) -> str:
@@ -101,34 +85,10 @@ class VersionedRelation:
                               inserted=tuple(added), deleted=tuple(dropped))
         self.log.append(delta)
 
-        positions = [(a, previous.schema.index(a))
-                     for a in previous.schema]
-        for tup in dropped:
-            for attribute, position in positions:
-                frequency = self._frequencies[attribute]
-                value = tup[position]
-                count = frequency[value] - 1
-                if count:
-                    frequency[value] = count
-                else:
-                    del frequency[value]
-        for tup in added:
-            for attribute, position in positions:
-                frequency = self._frequencies[attribute]
-                value = tup[position]
-                frequency[value] = frequency.get(value, 0) + 1
-
-        self._stats = None
-        # The superseded Relation object is either retained — a snapshot
-        # pins its version, so it must stay readable (with its installed
-        # stats) until the pin is released — or its cached stats are
-        # released explicitly (not left to weakref death). Either way the
-        # new object's cache entry is seeded from maintained frequencies.
+        # A snapshot pinning the superseded version keeps it readable;
+        # otherwise it (and its artefacts) is freed with its last reader.
         if self.chain is not None and self.chain.pinned(self.version - 1):
             self.chain.retain(self.version - 1, previous)
-        else:
-            invalidate_relation_stats(previous)
-        install_relation_stats(self.relation, self.stats())
         return delta
 
     def insert(self, row: Sequence[Value]) -> RelationDelta:
@@ -138,17 +98,6 @@ class VersionedRelation:
     def delete(self, row: Sequence[Value]) -> RelationDelta:
         """Delete one tuple (convenience over :meth:`apply`)."""
         return self.apply(deleted=[row])
-
-    # -- maintained statistics --------------------------------------------
-
-    def stats(self) -> RelationStats:
-        """Exact statistics derived from the maintained frequency maps —
-        equal to :func:`repro.relational.statistics.relation_stats` on
-        the current rows, with no rescan."""
-        if self._stats is None:
-            self._stats = stats_from_frequencies(
-                self.name, len(self.relation), self._frequencies)
-        return self._stats
 
     def __repr__(self) -> str:
         return (f"VersionedRelation({self.name!r}, v{self.version}, "

@@ -5,11 +5,9 @@ MultiModelQuery` and keeps every expensive per-query artifact alive
 between updates:
 
 * each relational input as a :class:`~repro.updates.relations.
-  VersionedRelation` (delta log + stats installed into the planner
-  cache),
+  VersionedRelation` (delta log; a new ``Relation`` per version),
 * each bound document behind a :class:`~repro.updates.documents.
-  DocumentEditor` (columnar view + stats patched in place and installed
-  into the version-keyed caches),
+  DocumentEditor` (the document's columnar view patched in place),
 * each twig's answer as a :class:`~repro.updates.twigs.
   MaintainedTwigAnswer` (support-counted, edit-local deltas),
 * the materialized query answer itself, maintained by classic delta
@@ -54,9 +52,8 @@ class QuerySession:
                  feedback: "object | None" = None):
         self.query = query
         #: Optional :class:`~repro.engine.adaptive.FeedbackStore`: the
-        #: session reports every delta to the store's drift ledger as
-        #: it refreshes its maintained statistics — deltas inherit the
-        #: learned corrections until they add up to
+        #: session reports every delta to the store's drift ledger —
+        #: deltas inherit the learned corrections until they add up to
         #: :data:`FEEDBACK_CHURN_FRACTION` of a relational input or a
         #: document edit forces a columnar rebuild; either invalidates
         #: them.

@@ -30,9 +30,10 @@ Lazy adapters keep attachment O(1) in document size:
   streaming builder wrote it, its value table decoded on first use.
 
 :class:`ArenaDocument` is the document stand-in handed to matchers,
-whichever backing holds the arena: a weakref-able cache key that also
-answers ``nodes(tag)`` / ``size()`` / ``root``, so even the
-navigational ``naive`` oracle can walk an attached corpus.
+whichever backing holds the arena: it holds the view (``.view``, what
+:func:`repro.xml.columnar.columnar` reads) and answers
+``nodes(tag)`` / ``size()`` / ``root``, so even the navigational
+``naive`` oracle can walk an attached corpus.
 """
 
 from __future__ import annotations
@@ -286,8 +287,9 @@ class ArenaValues(Sequence):
 class ArenaDocument:
     """The document stand-in for an attached arena view.
 
-    A weakref-able identity with a ``version`` (the columnar-cache
-    key contract) that also answers the navigational document surface —
+    Holds its view, as an ``XMLDocument`` does, and a ``version``
+    (always 0: the view is frozen); it also answers the navigational
+    document surface —
     ``nodes(tag)``, ``size()``, ``root`` — so every registered matcher,
     including the ``naive`` oracle, runs against an attached corpus.
     ``arena`` (set by :func:`attach_arena_document`) is the backing
@@ -295,7 +297,7 @@ class ArenaDocument:
     its workers **by address**, with zero copying.
     """
 
-    __slots__ = ("version", "view", "arena", "__weakref__")
+    __slots__ = ("version", "view", "arena")
 
     def __init__(self, view: "ColumnarDocument", arena: Any = None):
         self.version = 0
@@ -398,14 +400,10 @@ def attach_arena_document(arena: Any
                           ) -> "tuple[ArenaDocument, ColumnarDocument]":
     """Attach *arena* as a queryable document: (handle, view).
 
-    The view is installed in the columnar cache under the returned
-    handle, so matchers called with the handle resolve it like any
-    document (and the planner's ``DocumentStats`` derive from the same
-    arrays). The caller owns closing the arena when done.
+    The handle holds the view, so matchers called with the handle
+    resolve it like any document (and the planner's ``DocumentStats``
+    derive from the same arrays). The caller owns closing the arena
+    when done.
     """
-    from repro.xml.columnar import install_columnar
-
     view = view_from_arena(arena)
-    handle = ArenaDocument(view, arena)
-    install_columnar(handle, view)
-    return handle, view
+    return ArenaDocument(view, arena), view

@@ -1,8 +1,8 @@
 """Columnar document store: the XML side of the encoded engine.
 
-A :class:`ColumnarDocument` is built **once** per document (and cached
-weakref-style, like the engine's relation statistics) and holds the whole
-tree as parallel typed buffers over dense int node ids — ``starts``,
+A :class:`ColumnarDocument` is built **once** per document version,
+is held by the document (``document.view``), and holds the whole tree
+as parallel typed buffers over dense int node ids — ``starts``,
 ``ends``, ``levels``, ``parents``, ``tag_ids``, pre-parsed typed
 ``values``, Dewey labels, and per-tag postings sorted by document order.
 The int columns are packed through :func:`repro.buffers.layout.pack`
@@ -27,19 +27,15 @@ iff their root tag paths are equal, so path-pattern matching runs once
 per distinct document path instead of once per node.
 
 :class:`DocumentStats` summarises a document for the planner — tag
-counts, distinct-path cardinalities, depth and fan-out — from the same
-arrays, through the same weakref cache discipline as
-:func:`repro.engine.planner.cached_relation_stats`.
+counts and distinct-path cardinalities — from the same arrays, as one
+more entry of the view's ``derived``.
 """
 
 from __future__ import annotations
 
-import weakref
-from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from itertools import accumulate, compress, count, filterfalse, repeat
 from operator import add, mul
 from typing import TYPE_CHECKING
@@ -112,10 +108,9 @@ class ColumnarDocument:
     parallel to a posting is read per node id without a lookup table.
     """
 
-    # No back-reference to the XMLDocument: the weakref-evicting cache
-    # below relies on the view not pinning the document it was built
-    # from (the node list keeps the *tree* alive, which dies with the
-    # evicted view).
+    # No back-reference to the XMLDocument: the document holds its view
+    # (``document.view``), never the other way round, so a dropped view
+    # is freed by reference count.
     __slots__ = ("size", "nodes", "starts", "ends", "levels",
                  "parents", "tag_ids", "values", "deweys", "path_ids",
                  "tags", "tag_index", "paths", "path_table", "tag_nids",
@@ -215,9 +210,9 @@ class ColumnarDocument:
             start: nid for nid, start in enumerate(starts)}
         #: Derived from the arrays above and memoised per view: per-tag
         #: value gathers (:meth:`tag_values`), what is read off them
-        #: (value dictionaries and indexes), encoded twig inputs. They
-        #: share the view's lifetime: evicted with it, and dropped by
-        #: :func:`install_columnar` after every splice.
+        #: (value dictionaries and indexes), encoded twig inputs, the
+        #: :class:`DocumentStats`. They share the view's lifetime, and
+        #: the update layer resets them after every splice.
         self.derived: dict = {}
         #: tid -> the tag's dictionary as a streamed arena stores it
         #: (:func:`repro.xml.arenaview.view_from_arena`); None here.
@@ -449,116 +444,13 @@ class TagCoder:
         return codes
 
 
-# ---------------------------------------------------------------------------
-# weakref-cached accessors (one build per live document version)
-# ---------------------------------------------------------------------------
-
-#: (id(document), document.version) -> (weakref, cached value). Keying on
-#: the reindex version (not just the id) guarantees a stale view can never
-#: be returned for a document object that was mutated and reindexed: the
-#: lookup key itself changes with every version bump. ``_LATEST`` tracks
-#: the version cached per id so superseded entries are dropped eagerly
-#: (one live entry per document per cache) and the eviction callback can
-#: clear both maps when the document is collected.
-_COLUMNAR_CACHE: "dict[tuple[int, int], tuple[weakref.ref, ColumnarDocument]]" = {}
-_COLUMNAR_LATEST: "dict[int, int]" = {}
-_STATS_CACHE: "dict[tuple[int, int], tuple[weakref.ref, DocumentStats]]" = {}
-_STATS_LATEST: "dict[int, int]" = {}
-
-#: (id(document), version) -> pin count. A pinned entry survives both
-#: the eager supersede-eviction in :func:`_install` and an explicit
-#: :func:`invalidate_document_caches`; it is purged when the last pin is
-#: released (the MVCC watermark advancing past it). Only *frozen*
-#: documents — the snapshot layer's clones, which no editor will ever
-#: patch — may be pinned: a live document's superseded entry aliases the
-#: in-place-mutated view and MUST stay eagerly evicted.
-_PINNED_VERSIONS: "dict[tuple[int, int], int]" = {}
-
-
-def pin_document_version(document: XMLDocument,
-                         version: int | None = None) -> None:
-    """Keep *document*'s cache entries at *version* (default: current)
-    resident across supersession and explicit invalidation.
-
-    Pin only frozen documents (see :data:`_PINNED_VERSIONS`); the MVCC
-    layer (:mod:`repro.mvcc`) pins each retained clone exactly once.
-    """
-    key = (id(document), document.version if version is None else version)
-    _PINNED_VERSIONS[key] = _PINNED_VERSIONS.get(key, 0) + 1
-
-
-def release_document_version(document: XMLDocument,
-                             version: int | None = None) -> None:
-    """Drop one pin; at zero pins a *superseded* entry is purged.
-
-    An entry still at the document's cached latest version stays under
-    the normal weakref discipline — only entries that outlived their
-    version solely because of the pin are reclaimed here. Unbalanced
-    releases are ignored (idempotent teardown).
-    """
-    key = (id(document), document.version if version is None else version)
-    count = _PINNED_VERSIONS.get(key)
-    if count is None:
-        return
-    if count > 1:
-        _PINNED_VERSIONS[key] = count - 1
-        return
-    del _PINNED_VERSIONS[key]
-    for cache, latest in ((_COLUMNAR_CACHE, _COLUMNAR_LATEST),
-                          (_STATS_CACHE, _STATS_LATEST)):
-        if latest.get(key[0]) != key[1]:
-            cache.pop(key, None)
-
-
-def _install(document: XMLDocument, cache: dict, latest: dict, value):
-    ident = id(document)
-    version = getattr(document, "version", 0)
-    previous = latest.get(ident)
-    if previous is not None and previous != version \
-            and (ident, previous) not in _PINNED_VERSIONS:
-        cache.pop((ident, previous), None)
-    key = (ident, version)
-
-    # The maps are bound as defaults so eviction still works during
-    # interpreter shutdown, when module globals may already be None.
-    def evict(_ref: weakref.ref, key: "tuple[int, int]" = key,
-              cache: dict = cache, latest: dict = latest) -> None:
-        cache.pop(key, None)
-        if latest.get(key[0]) == key[1]:
-            latest.pop(key[0], None)
-
-    cache[key] = (weakref.ref(document, evict), value)
-    latest[ident] = version
-    return value
-
-
-def _cached_per_document(document: XMLDocument, cache: dict, latest: dict,
-                         build):
-    key = (id(document), getattr(document, "version", 0))
-    entry = cache.get(key)
-    if entry is not None and entry[0]() is document:
-        return entry[1]
-    return _install(document, cache, latest, build(document))
-
-
 def columnar(document: XMLDocument) -> ColumnarDocument:
-    """The (memoised) columnar view of *document*."""
-    return _cached_per_document(document, _COLUMNAR_CACHE, _COLUMNAR_LATEST,
-                                ColumnarDocument)
-
-
-def install_columnar(document: XMLDocument,
-                     view: ColumnarDocument) -> ColumnarDocument:
-    """Install a delta-maintained view for *document*'s current version.
-
-    The update layer (:mod:`repro.updates.documents`) patches the view in
-    place, bumps the document version, and installs the result here so
-    every twig algorithm and XJoin's path gathering read the refreshed
-    arrays without a rebuild. Indexes derived from the pre-edit arrays
-    (:attr:`ColumnarDocument.derived`) are dropped here.
-    """
-    view.derived = {}
-    return _install(document, _COLUMNAR_CACHE, _COLUMNAR_LATEST, view)
+    """*document*'s columnar view, ``document.view``, built on first use
+    (``reindex`` drops it; an arena handle is born with one)."""
+    view = document.view
+    if view is None:
+        view = document.view = ColumnarDocument(document)
+    return view
 
 
 @contextmanager
@@ -567,11 +459,11 @@ def columnar_as(document: XMLDocument, view: ColumnarDocument):
     worker's slice of the current view), then back to the current view
     — the same object, ``derived`` and all: nothing was updated."""
     current = columnar(document)
-    _install(document, _COLUMNAR_CACHE, _COLUMNAR_LATEST, view)
+    document.view = view
     try:
         yield view
     finally:
-        _install(document, _COLUMNAR_CACHE, _COLUMNAR_LATEST, current)
+        document.view = current
 
 
 @dataclass(frozen=True)
@@ -588,24 +480,6 @@ class DocumentStats:
     size: int
     tag_counts: Mapping[str, int]
     path_counts: Mapping[tuple[str, ...], int]
-    #: The ``parents`` and ``levels`` columns as summarised: copies of
-    #: an in-memory view's (updates edit those in place), an arena's
-    #: mappings as they are.
-    parents: Sequence[int] = field(repr=False, compare=False)
-    levels: Sequence[int] = field(repr=False, compare=False)
-
-    @cached_property
-    def depth(self) -> int:
-        """The deepest level, found on first read: no estimate uses it."""
-        return max(self.levels, default=0)
-
-    @cached_property
-    def max_fanout(self) -> int:
-        """The most children under one node, counted on first read: no
-        estimate uses it, and the count is a pass over every node."""
-        children = Counter(self.parents)
-        del children[-1]  # the root's entry
-        return max(children.values(), default=0)
 
     def chain_count(self, tags: Sequence[str]) -> int:
         """Number of node chains matching the consecutive P-C tag chain."""
@@ -631,42 +505,14 @@ def stats_from_view(view: ColumnarDocument) -> DocumentStats:
         size=view.size,
         tag_counts=tag_counts,
         path_counts=path_counts,
-        parents=view.parents[:],  # copies; a memoryview stays a view
-        levels=view.levels[:],
     )
 
 
 def document_stats(document: XMLDocument) -> DocumentStats:
-    """The (memoised) :class:`DocumentStats` of *document*."""
-    return _cached_per_document(
-        document, _STATS_CACHE, _STATS_LATEST,
-        lambda doc: stats_from_view(columnar(doc)))
-
-
-def install_document_stats(document: XMLDocument,
-                           stats: DocumentStats) -> DocumentStats:
-    """Install delta-maintained stats for *document*'s current version."""
-    return _install(document, _STATS_CACHE, _STATS_LATEST, stats)
-
-
-def invalidate_document_caches(document: XMLDocument) -> None:
-    """Explicitly drop *document*'s cached view and statistics.
-
-    The update layer calls this on its rebuild fallback instead of
-    relying solely on weakref death (or on the version-keyed lookup
-    missing) to release superseded entries. Pinned entries (see
-    :func:`pin_document_version`) survive: they are reclaimed when the
-    last pin is released, not before — closing the read-after-evict
-    window where a snapshot still pinning the version would otherwise
-    pay a rebuild against a reclaimed (or, worse, reassigned) entry.
-    """
-    ident = id(document)
-    for cache, latest in ((_COLUMNAR_CACHE, _COLUMNAR_LATEST),
-                          (_STATS_CACHE, _STATS_LATEST)):
-        version = latest.get(ident)
-        if version is None:
-            continue
-        if (ident, version) in _PINNED_VERSIONS:
-            continue
-        del latest[ident]
-        cache.pop((ident, version), None)
+    """*document*'s :class:`DocumentStats`: one more entry of its view's
+    ``derived``, summarised on first read."""
+    view = columnar(document)
+    stats = view.derived.get("stats")
+    if stats is None:
+        stats = view.derived.setdefault("stats", stats_from_view(view))
+    return stats

@@ -132,14 +132,16 @@ class XMLDocument:
     Construction freezes the tree: region encodings, Dewey labels and tag
     streams are computed once. Mutate the tree only through
     :meth:`reindex`, which recomputes everything — or through the delta
-    layer (:mod:`repro.updates.documents`), which patches the labels and
-    indexes in place and calls :meth:`bump_version` so version-keyed
-    caches pick up the patched artifacts it installs.
+    layer (:mod:`repro.updates.documents`), which patches the labels,
+    indexes and :attr:`view` in place and calls :meth:`bump_version`.
     """
 
     def __init__(self, root: XMLNode):
         self.root = root
         self.version = 0
+        #: The columnar view (:func:`repro.xml.columnar.columnar`), built
+        #: on first use and dropped by :meth:`reindex`.
+        self.view = None
         self._by_tag: dict[str, list[XMLNode]] = {}
         self._by_start: list[XMLNode] = []
         self.reindex()
@@ -147,10 +149,11 @@ class XMLDocument:
     def reindex(self) -> None:
         """(Re)compute labels and indexes after tree mutation.
 
-        Bumps :attr:`version`, which invalidates the weakref-cached
-        columnar views and statistics (:mod:`repro.xml.columnar`).
+        Bumps :attr:`version` and drops :attr:`view` with all it has
+        derived (:mod:`repro.xml.columnar`).
         """
         self.version += 1
+        self.view = None
         # Imported here to avoid a cycle: encoding works on raw nodes.
         from repro.xml.dewey import annotate_dewey
         from repro.xml.encoding import annotate_regions
@@ -168,10 +171,10 @@ class XMLDocument:
     def bump_version(self) -> int:
         """Advance :attr:`version` without recomputing anything.
 
-        For the update layer only: it patches labels and the ``_by_*``
-        indexes itself, then bumps the version so the (id, version)-keyed
-        caches in :mod:`repro.xml.columnar` accept its installed
-        artifacts and can never serve a pre-mutation entry.
+        For the update layer only: it patches labels, the ``_by_*``
+        indexes and :attr:`view` itself, then bumps the version so a
+        version stamp (the adaptive planner's drift ledger) never
+        matches a pre-mutation one.
         """
         self.version += 1
         return self.version

@@ -324,7 +324,8 @@ class TestPlanRacer:
         times[key(ranked[0])] = 1.3
         assert key(racer.race(query).winner) == key(ranked[1])
 
-    def test_corrected_candidate_reads_the_racers_own_store(self):
+    def test_corrected_candidate_reads_the_racers_own_store(self,
+                                                            monkeypatch):
         # Corrections learned on figure1 flip the bound-driven order;
         # they live in a private store, so the registered ``corrected``
         # policy (process-wide default store) cannot see them — the
@@ -332,6 +333,7 @@ class TestPlanRacer:
         # counts its candidates), so observing the bound order itself
         # only confirms it: the observed order is another one.
         from repro.data.scenarios import figure1_query
+        from repro.engine import adaptive
         from repro.engine.adaptive import _bound_driven_order
 
         query = figure1_query()
@@ -341,7 +343,8 @@ class TestPlanRacer:
         flipped = _bound_driven_order(query, store)
         assert flipped != bound_order(query)
         assert attribute_order(query, "corrected") == bound_order(query)
-        candidates = PlanRacer(store, top_k=8).candidates(query)
+        monkeypatch.setattr(adaptive, "TOP_K", 8)
+        candidates = PlanRacer(store).candidates(query)
         assert ("corrected", flipped) in {
             (plan.policy, plan.order) for plan in candidates}
 

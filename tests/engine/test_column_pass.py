@@ -114,6 +114,20 @@ class TestOnePass:
         assert all(p is q for p, q in zip(
             passes, [relation_columns(r) for r in query.relations]))
 
+    def test_each_version_starts_without_artefacts(self):
+        """Artefacts are made on first use and never carried over: a
+        new relation object runs its own cold pass."""
+        relation = Relation("R", ("a", "b"), [(1, 2), (3, 4)])
+        assert relation.artefacts is None
+        stats = cached_relation_stats(relation)
+        assert relation.artefacts is relation_artefacts(relation)
+        assert relation.artefacts["stats"] is stats
+        for successor in (relation.with_row_changes(added=[(5, 6)]),
+                          relation.with_name("S")):
+            assert successor.artefacts is None
+            assert cached_relation_stats(successor) \
+                == relation_stats(successor)
+
     def test_the_code_columns_are_row_aligned(self):
         relation = Relation("R", ("a", "b"), [(5, "x"), (7, "y"), (5, "y")])
         columns = relation_columns(relation)

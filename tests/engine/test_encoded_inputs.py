@@ -30,8 +30,7 @@ from repro.engine import (
     get_algorithm,
     run_query,
 )
-from repro.engine.encoded import _LEAF, relation_input
-from repro.engine.planner import _RELATION_STATS_CACHE
+from repro.engine.encoded import _LEAF, relation_artefacts, relation_input
 from repro.errors import EngineError, TransportError
 from repro.instrumentation import JoinStats
 from repro.parallel.executor import ParallelExecutor
@@ -39,7 +38,7 @@ from repro.parallel.slicing import sliced_instance
 from repro.relational.operators import naive_multiway_join
 from repro.relational.relation import Relation
 from repro.updates.session import QuerySession
-from repro.xml.columnar import _COLUMNAR_CACHE, columnar
+from repro.xml.columnar import columnar
 from repro.xml.model import XMLDocument, element
 from repro.xml.twig import TwigNode, TwigQuery
 from repro.xml.twig_parser import parse_twig
@@ -88,6 +87,12 @@ class Probe:
 
 def planted(view):
     probe = view.derived["probe"] = Probe()
+    return weakref.ref(probe)
+
+
+def planted_on(relation):
+    """A probe in *relation*'s artefact dict: dies when that dict does."""
+    probe = relation_artefacts(relation)["probe"] = Probe()
     return weakref.ref(probe)
 
 
@@ -340,15 +345,16 @@ class TestInvalidation:
         clone = snapshot.query().twigs[0].document
         assert clone is not session.document_of("X")
         snapshot.run()
-        relation_key, clone_key = id(pinned_relation), id(clone)
         assert relation_input(pinned_relation, ("x", "y"))[1] is False
         assert columnar(clone).derived
         derived = planted(columnar(clone))
+        artefacts = planted_on(pinned_relation)
+        del pinned_relation
         gc.disable()  # reclamation must not lean on the collector
         try:
             snapshot.release()
-            assert relation_key not in _RELATION_STATS_CACHE
-            assert not any(key[0] == clone_key for key in _COLUMNAR_CACHE)
+            assert artefacts() is None
+            assert clone.view is None
             assert derived() is None
         finally:
             gc.enable()
@@ -360,8 +366,8 @@ class TestLifetime:
     def test_artefacts_die_with_their_inputs(self):
         query = bookstore_query()
         run_query(query)
-        relation_keys = [id(r) for r in query.relations]
-        assert all(key in _RELATION_STATS_CACHE for key in relation_keys)
+        assert all(relation.artefacts for relation in query.relations)
+        artefacts = [planted_on(relation) for relation in query.relations]
         view = columnar(query.twigs[0].document)
         assert any(isinstance(key, tuple) and "dictionaries" in key
                    for key in view.derived)
@@ -373,8 +379,7 @@ class TestLifetime:
             del query
             # Relations are freed by reference count alone: no artefact
             # refers back to its input.
-            assert not any(key in _RELATION_STATS_CACHE
-                           for key in relation_keys)
+            assert all(probe() is None for probe in artefacts)
         finally:
             gc.enable()
         gc.collect()  # documents are cyclic trees: one collection

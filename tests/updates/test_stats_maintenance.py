@@ -1,13 +1,13 @@
-"""Freshness of delta-maintained statistics and caches.
+"""Freshness of statistics across updates.
 
-After every update batch the incrementally maintained artifacts must
-*equal* their rebuild-from-scratch counterparts:
+After every update batch the statistics the planner reads must *equal*
+their rebuild-from-scratch counterparts:
 
-* :class:`VersionedRelation` stats vs a full
-  :func:`~repro.relational.statistics.relation_stats` rescan (and the
-  planner cache must serve the maintained object without a rescan);
-* :class:`DocumentEditor`-maintained :class:`DocumentStats` vs stats
-  computed on a cloned, freshly indexed document;
+* a :class:`VersionedRelation`'s current relation's
+  :func:`~repro.engine.planner.cached_relation_stats` vs a full
+  :func:`~repro.relational.statistics.relation_stats` rescan;
+* the :class:`DocumentStats` of a :class:`DocumentEditor`-patched
+  document vs stats computed on a cloned, freshly indexed document;
 * the planner's :class:`QueryStatistics` entry refreshing (not
   dropping) across updates.
 """
@@ -44,11 +44,10 @@ def test_relation_stats_follow_every_batch():
             versioned.insert(row)
         else:
             versioned.delete(row)
-        rescan = relation_stats(versioned.relation)
-        assert versioned.stats() == rescan, f"step {step}"
-        # The planner cache serves the installed (maintained) object.
-        assert cached_relation_stats(versioned.relation) \
-            is versioned.stats()
+        stats = cached_relation_stats(versioned.relation)
+        assert stats == relation_stats(versioned.relation), f"step {step}"
+        # Memoised on the version: a second read is the same object.
+        assert cached_relation_stats(versioned.relation) is stats
 
 
 def test_relation_stats_batch_and_noop_filtering():
@@ -60,7 +59,8 @@ def test_relation_stats_batch_and_noop_filtering():
         deleted=[(123, 456)])
     assert delta.inserted == ((9, 9),)
     assert delta.deleted == ()
-    assert versioned.stats() == relation_stats(versioned.relation)
+    assert cached_relation_stats(versioned.relation) \
+        == relation_stats(versioned.relation)
 
 
 def test_document_stats_follow_every_edit():
@@ -84,25 +84,27 @@ def test_document_stats_follow_every_edit():
             scratch = document_stats(clone_document(document))
             assert maintained == scratch, \
                 f"threshold {threshold}, step {step}"
-            # Not a field: counted on first read.
-            assert maintained.max_fanout == scratch.max_fanout
 
 
-def test_a_versions_fanout_is_its_own_whenever_it_is_read():
-    """``max_fanout`` is counted on first read, and the patch path edits
-    the view's ``parents`` column in place: stats taken before an edit
-    must still count the document as it stood."""
+def test_a_versions_stats_are_its_own_whenever_they_are_read():
+    """The patch path edits the view's postings in place: stats taken
+    before an edit must still count the document as it stood, and the
+    next read counts it as it stands."""
     from repro.xml.model import XMLDocument, element
 
     document = XMLDocument(element(
         "r", element("a", element("b"), element("b")), element("a")))
     editor = DocumentEditor(document, churn_threshold=10.0)
-    before = document_stats(document)  # fan-out not read yet
+    before = document_stats(document)
+    view = document.view
     crowded = document.nodes("a")[1]
     for _ in range(5):
         editor.insert_subtree(crowded, element("b"))
-    assert document_stats(document).max_fanout == 5
-    assert before.max_fanout == 2
+    assert document.view is view  # patched, not rebuilt
+    assert document_stats(document).tag_counts["b"] == 7
+    assert document_stats(document).path_counts[("r", "a", "b")] == 7
+    assert before.tag_counts["b"] == 2
+    assert before.path_counts[("r", "a", "b")] == 2
 
 
 def test_trie_delta_rejects_wrong_arity():
@@ -139,32 +141,3 @@ def test_query_statistics_refresh_not_drop():
     assert stats.path_cardinality_estimates() == \
         fresh.path_cardinality_estimates()
     del before
-
-
-def test_explicit_invalidate_hooks():
-    from repro.engine.planner import (
-        _RELATION_STATS_CACHE,
-        invalidate_relation_stats,
-    )
-    from repro.xml.columnar import (
-        _COLUMNAR_CACHE,
-        _STATS_CACHE,
-        columnar,
-        invalidate_document_caches,
-    )
-
-    rng = seeded_rng("invalidate")
-    relation = random_relation(rng, "R", ["a"])
-    cached_relation_stats(relation)
-    assert id(relation) in _RELATION_STATS_CACHE
-    invalidate_relation_stats(relation)
-    assert id(relation) not in _RELATION_STATS_CACHE
-
-    document = random_multimodel_instance(0).twigs[0].document
-    columnar(document)
-    document_stats(document)
-    assert any(key[0] == id(document) for key in _COLUMNAR_CACHE)
-    assert any(key[0] == id(document) for key in _STATS_CACHE)
-    invalidate_document_caches(document)
-    assert not any(key[0] == id(document) for key in _COLUMNAR_CACHE)
-    assert not any(key[0] == id(document) for key in _STATS_CACHE)

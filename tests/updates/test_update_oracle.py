@@ -197,7 +197,7 @@ def test_accel_tracks_update_stream(churn_threshold):
     rebuilt-from-scratch clone — checked here directly on a
     value-predicate twig and on the same twig without predicates, whose
     edges and value codes are cached per view version and so must be
-    gone after every update (``install_columnar`` drops ``derived``) —
+    gone after every update (the editor resets ``derived``) —
     on top of the full every-backend check of
     :func:`assert_session_matches_oracle`."""
     from repro.xml.columnar import columnar

@@ -133,28 +133,31 @@ class TestDocumentStats:
         assert stats.size == 7
         assert stats.tag_counts["c"] == 3
         assert "zzz" not in stats.tag_counts
-        assert stats.depth == 3
-        assert stats.max_fanout == 2
         assert stats.path_counts[("a", "b", "c")] == 1
 
-    def test_depth_is_counted_on_first_read(self):
-        """Summarising iterates no level; the depth is read off the
-        kept column when asked."""
-        from repro.xml.columnar import stats_from_view
+    def test_stats_are_an_entry_of_the_views_derived(self):
+        document = sample_document()
+        stats = document_stats(document)
+        assert columnar(document).derived["stats"] is stats
+        columnar(document).derived.clear()  # a cold read summarises again
+        assert document_stats(document) == stats
+        assert document_stats(document) is not stats
 
-        class Watched(list):
-            reads = 0
+    def test_an_attached_arena_holds_its_view(self):
+        from repro.xml.arenaview import attach_arena_document
+        from repro.xml.serializer import serialize
+        from repro.xml.streaming import stream_document
 
-            def __iter__(self):
-                Watched.reads += 1
-                return super().__iter__()
-
-        view = columnar(sample_document())
-        levels = list(view.levels)
-        view.levels = Watched(levels)
-        stats = stats_from_view(view)
-        assert Watched.reads == 0
-        assert stats.depth == max(levels) == 3
+        document = sample_document()
+        arena = stream_document([serialize(document)])
+        try:
+            handle, view = attach_arena_document(arena)
+            assert handle.view is view and columnar(handle) is view
+            assert document_stats(handle) is view.derived["stats"]
+            assert document_stats(handle) == document_stats(document)
+        finally:
+            arena.close()
+            arena.unlink()
 
     def test_chain_count_is_suffix_sum(self):
         stats = document_stats(sample_document())

@@ -39,7 +39,7 @@ from repro.parallel.partition import posting_slices
 from repro.parallel.slicing import SlicedColumnarView
 from repro.xml import accel
 from repro.xml.arenaview import ArenaValues, attach_arena_document
-from repro.xml.columnar import columnar, invalidate_document_caches
+from repro.xml.columnar import columnar
 from repro.xml.generator import chain_document, random_document
 from repro.xml.interface import get_twig_algorithm
 from repro.xml.navigation import match_embeddings, match_relation
@@ -115,7 +115,7 @@ def assert_memo_is_invisible(document, twig):
     first_view = columnar(document)
     cold = assert_matches_naive(document, twig)
     assert kernel_run(document, twig) == cold  # warm
-    invalidate_document_caches(document)
+    document.reindex()  # drops the view
     assert columnar(document) is not first_view
     assert not columnar(document).derived
     assert kernel_run(document, twig) == cold  # fresh
@@ -302,8 +302,7 @@ class TestMemo:
         for _ in range(2):  # cold, warm
             rows, embeddings, _counted = kernel_run(document, twig)
             assert rows.rows == expected and len(embeddings) == 6
-        view.values[seven] = 7
-        invalidate_document_caches(document)
+        document.reindex()  # a view rebuilt from the tree: 7 again
         assert_matches_naive(document, twig)
 
     def test_threads_racing_the_first_match_agree(self):
