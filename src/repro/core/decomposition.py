@@ -176,7 +176,8 @@ def _path_chains(view: ColumnarDocument, path: PathRelation
         document_path = view.paths[pid]
         if len(document_path) >= k and document_path[-k:] == tags:
             leaves.extend(view.nids_by_path[pid])
-    columns = [leaves]
+    posting = view.postings(tags[-1])[0]  # if all are leaves: in order
+    columns = [posting if len(leaves) == len(posting) else leaves]
     for _ in range(k - 1):
         columns.insert(0, gather(view.parents, columns[0]))
     for position, node in enumerate(path.nodes):
@@ -194,9 +195,9 @@ def _columns(view: ColumnarDocument, atom: "PathRelation | EdgeAtom",
     repeat): the node's value code (``view.tag_codes``), or its
     identity code (``view.tag_dictionary``'s, the code space of
     :class:`repro.core.surrogate.NodeDictionary`) for the attributes in
-    *bound*, read at the node's ``tag_ranks`` entry. A node is coded
-    alike in every input of its twig, so path and pair tries intersect
-    on one code space."""
+    *bound*, read at the node's ``tag_ranks`` entry (a whole posting:
+    the code list itself; a valueless tag's identities: the ranks). A
+    node is coded alike in every input of its twig, on one code space."""
     if isinstance(atom, PathRelation):
         chains = _path_chains(view, atom)
     else:
@@ -207,10 +208,15 @@ def _columns(view: ColumnarDocument, atom: "PathRelation | EdgeAtom",
         nid_of = view.nid_index.__getitem__
         chains = [list(map(nid_of, starts)) for starts in zip(*pairs)] \
             if pairs else [[], []]
-    return [gather(view.tag_dictionary(node.tag)[1] if node.name in bound
-                   else view.tag_codes(node.tag)[0],
-                   gather(view.tag_ranks, nids))
-            for node, nids in zip(atom.nodes, chains)]
+    columns = []
+    for node, nids in zip(atom.nodes, chains):
+        values, codes, _valueless = view.tag_dictionary(node.tag)
+        codes = codes if node.name in bound else view.tag_codes(node.tag)[0]
+        columns.append(codes if nids is view.postings(node.tag)[0]
+                       else gather(view.tag_ranks, nids)
+                       if node.name in bound and not values
+                       else gather(codes, gather(view.tag_ranks, nids)))
+    return columns
 
 
 def _input_key(atom: "PathRelation | EdgeAtom",
@@ -233,7 +239,8 @@ def twig_input(document: XMLDocument, atom: "PathRelation | EdgeAtom",
     and the column order — the atom's attributes as they appear in
     *order*. Its columns (:func:`_columns`) already hold the codes of
     its tags' shared dictionaries: value codes (``view.tag_codes``) or
-    node codes.
+    node codes, in document order, where a leaf identity column already
+    ascends and the trie build skips its pass.
     """
     # Imported lazily: repro.engine imports this package's siblings.
     from repro.core.surrogate import node_dictionary
@@ -253,7 +260,7 @@ def twig_input(document: XMLDocument, atom: "PathRelation | EdgeAtom",
                 if node.name in bound else view.tag_codes(node.tag)[1]
         built = EncodedInput(atom.name, columns, [local[a] for a in columns],
                              [gathered[a] for a in columns],
-                             len(gathered[names[0]]), distinct=False)
+                             len(gathered[names[0]]))
         view.derived[(*key, "size")] = built.trie.size
         return built
 

@@ -101,7 +101,8 @@ class NodeDictionary(Dictionary):
         """*starts* is the tag's posting's start column, *dictionary*
         its ``view.tag_dictionary(tag)``."""
         head, codes, _valueless = dictionary
-        identities = list(compress(starts, map(len(head).__le__, codes)))
+        identities = list(compress(starts, map(len(head).__le__, codes))) \
+            if head else starts  # no real value: every node, in order
         self.attribute = tag
         self.values = _SurrogateValues(head, identities)
         self.codes = dict(zip(head, count()))

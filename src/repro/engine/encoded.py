@@ -25,9 +25,9 @@ buffer (:mod:`repro.buffers.layout` picks the narrowest ``array``
 typecode from the level's code bound and widens on demand; code order ==
 value order), so sorted intersections probe contiguous ints and hashed
 descent probes int-keyed dicts. A trie is built from its input's code
-columns, never from row tuples: one keyed permutation sort (duplicate
-rows dropped by key), then a level at a time, one node per distinct
-prefix; rows end in one shared empty leaf node, not one each. A
+columns, never from row tuples: sorted by distribution into code
+buckets, then a level at a time, one node per distinct prefix; rows
+end (repeats dropped) in one shared empty leaf node, not one each. A
 relation's code columns, with its dictionaries and statistics, come
 from one cold pass per version (:func:`relation_columns`), a twig
 input's from column gathers (:mod:`repro.core.decomposition`).
@@ -40,11 +40,11 @@ instance over their input, hence **frozen**, and both raise on them.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter
+from collections import Counter, deque
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from itertools import repeat
-from operator import add, itemgetter, mul
+from itertools import accumulate, chain, groupby, islice, repeat
+from operator import add, itemgetter, le, mul
 from typing import TYPE_CHECKING
 
 from repro.buffers.layout import (
@@ -81,17 +81,19 @@ class EncodedTrieNode:
 #: The node every stored row of every trie ends in; never written to.
 _LEAF = EncodedTrieNode("B")
 
+_SPARSE = 4  #: code bound / row count above which a pass sorts by key
+
 
 class EncodedTrie:
     """A dictionary-encoded input indexed as a trie over ``order``.
 
     Built from code columns (:meth:`from_columns`); the constructor
-    transposes *distinct* ``encoded_rows`` into them. ``code_bounds``
-    optionally gives the maximum code per level (the builders pass each
-    level dictionary's size) so every node at that level packs into the
-    narrowest typecode without a scan; without it the columns are
-    scanned once. ``_typecodes = None`` marks
-    a *frozen* (cached, attached) trie: ``insert``/``remove`` raise.
+    transposes ``encoded_rows`` (a repeat is stored once) into them.
+    ``code_bounds`` optionally gives the maximum code per level (the
+    builders pass each level dictionary's size), which sizes each
+    level's typecode and sorting buckets; without it the columns are
+    scanned once. ``_typecodes = None`` marks a *frozen* (cached,
+    attached) trie: ``insert``/``remove`` raise.
     ``_weights`` is where the parallel partitioner keeps a frozen
     trie's rows per root code (:mod:`repro.parallel.partition`).
     """
@@ -103,23 +105,22 @@ class EncodedTrie:
                  code_bounds: Sequence[int] | None = None):
         rows = list(encoded_rows)
         self._fill(name, order, list(zip(*rows)) if rows
-                   else [() for _ in order], len(rows), code_bounds, True)
+                   else [() for _ in order], len(rows), code_bounds)
 
     @classmethod
     def from_columns(cls, name: str, order: Sequence[str],
                      columns: "Sequence[Sequence[int]]", count: int,
-                     code_bounds: Sequence[int] | None = None,
-                     distinct: bool = True) -> "EncodedTrie":
+                     code_bounds: Sequence[int] | None = None
+                     ) -> "EncodedTrie":
         """The trie of *count* rows given as one code column per level
-        of *order* (row-parallel), never as row tuples; rows may repeat
-        unless *distinct*. A zero-arity trie holds ``()`` iff *count*."""
+        of *order* (row-parallel), never as row tuples; rows may repeat.
+        A zero-arity trie holds ``()`` iff *count*."""
         return cls.__new__(cls)._fill(name, order, columns, count,
-                                      code_bounds, distinct)
+                                      code_bounds)
 
     def _fill(self, name: str, order: Sequence[str],
               columns: "Sequence[Sequence[int]]", count: int,
-              code_bounds: Sequence[int] | None, distinct: bool
-              ) -> "EncodedTrie":
+              code_bounds: Sequence[int] | None) -> "EncodedTrie":
         """The one construction body, from columns."""
         self.name, self.order, self._weights = name, tuple(order), None
         bounds = [max(column, default=0) for column in columns] \
@@ -133,27 +134,43 @@ class EncodedTrie:
             # A zero-arity trie holds () or nothing.
             self.size = 0 if columns else min(count, 1)
             return self
-        # Sorted once, column-wise: a permutation by each row's codes
-        # read as one mixed-radix int (a repeated row is a repeated key:
-        # the last of its rows stands for it). The gathered codes stay
-        # the caller's int objects, so children maps are keyed by the
-        # dictionaries' own ints, not by fresh copies.
-        key = row_keys(columns, bounds)
-        # Distinct rows (a relation's) skip the dict: deduplicating them
-        # too made a cold rel_triangle query ~15 % slower.
-        if distinct:
-            permutation = sorted(range(count), key=key.__getitem__)
-        else:
-            last = dict(zip(key, range(count)))
-            permutation = gather(last, sorted(last))
-        self.size = len(permutation)
-        columns = [gather(column, permutation) for column in columns]
+        # An LSD counting sort: stable distributions into one bucket per
+        # code, last column first, skipping a column already in order (a
+        # sparse one sorts by key). Row indexes move, never the codes.
+        permutation = None
+        for level in range(len(columns) - 1, -1, -1):
+            codes, rows = (columns[level], range(count)) \
+                if permutation is None \
+                else (gather(columns[level], permutation), permutation)
+            if (level or len(columns) == 1) \
+                    and all(map(le, codes, islice(codes, 1, None))):
+                continue
+            if bounds[level] > _SPARSE * count:
+                key = columns[level].__getitem__
+                runs = [list(run) for _key, run
+                        in groupby(sorted(rows, key=key), key)]
+            else:
+                runs = [[] for _ in range(bounds[level] + 1)]
+                deque(map(list.append, map(runs.__getitem__, codes), rows), 0)
+                runs = list(filter(None, runs))
+            permutation = list(chain.from_iterable(runs))
+        spans, first = [(self.root, 0, count)], int(len(columns) > 1)
+        if first:
+            keys = list(map(columns[0].__getitem__, map(itemgetter(0), runs)))
+            children = list(map(EncodedTrieNode.__new__,
+                                repeat(EncodedTrieNode, len(keys))))
+            self.root.keys = make(typecodes[0], keys)
+            self.root.children = dict(zip(keys, children))
+            ends = [0, *accumulate(map(len, runs))]
+            spans = list(zip(children, ends, ends[1:]))
+        if permutation is not None:
+            columns = [*columns[:first], *(gather(column, permutation)
+                                           for column in columns[first:])]
         # A level at a time, one node per distinct prefix: a node spans
         # a run of the sorted rows, and its keys are the runs of the
         # level's column inside that span.
-        spans = [(self.root, 0, self.size)]
-        for level, column in enumerate(columns[:-1]):
-            below = []
+        for level in range(first, len(columns) - 1):
+            column, below = columns[level], []
             for node, lo, hi in spans:
                 keys, children = [], []
                 while lo < hi:
@@ -168,11 +185,14 @@ class EncodedTrie:
                 node.keys = make(typecodes[level], keys)
                 node.children = dict(zip(keys, children))
             spans = below
+        # The last level: the children dict drops a repeated row's key.
         column = columns[-1]
         buffer = make(typecodes[-2], column)
         for node, lo, hi in spans:
-            node.keys = buffer[lo:hi]
-            node.children = dict.fromkeys(column[lo:hi], _LEAF)
+            children = node.children = dict.fromkeys(column[lo:hi], _LEAF)
+            node.keys = buffer[lo:hi] if len(children) == hi - lo \
+                else make(typecodes[-2], children)
+        self.size = sum(len(node.children) for node, _lo, _hi in spans)
         return self
 
     @property
@@ -287,15 +307,13 @@ class EncodedTrie:
         yield from recurse(self.root, ())
 
 
-def row_keys(columns: "Sequence[Sequence[int]]",
-             bounds: "Sequence[int] | None" = None) -> "Sequence[int]":
+def row_keys(columns: "Sequence[Sequence[int]]") -> "Sequence[int]":
     """Per row of the code *columns* (one or more), its codes read as
-    one mixed-radix int, digit *i* in base ``bounds[i] + 1`` (default:
-    the column's largest code + 1): keys sort as the rows do and are
-    equal iff the rows are, for trie builds and distinct counts."""
+    one mixed-radix int, digit *i* in base the column's largest code +
+    1: keys are equal iff the rows are, a distinct count without tries."""
     key = list(columns[0])
-    for level, column in enumerate(columns[1:], 1):
-        radix = (bounds[level] if bounds else max(column, default=0)) + 1
+    for column in columns[1:]:
+        radix = max(column, default=0) + 1
         key = list(map(add, map(mul, key, repeat(radix)), column))
     return key
 
@@ -350,15 +368,14 @@ class EncodedInput:
 
     def __init__(self, name: str, columns: Sequence[str],
                  dictionaries: Sequence[Dictionary],
-                 code_columns: "Sequence[Sequence[int]]", count: int, *,
-                 distinct: bool = True):
+                 code_columns: "Sequence[Sequence[int]]", count: int):
         """Index *count* rows, given as one code column (codes of
         *dictionaries*) per attribute of *columns*, in that order
         (:meth:`EncodedTrie.from_columns`)."""
         self.dictionaries = tuple(dictionaries)
         self.trie = EncodedTrie.from_columns(
             name, columns, code_columns, count,
-            [len(d) - 1 for d in self.dictionaries], distinct)
+            [len(d) - 1 for d in self.dictionaries])
         self.trie._typecodes = None  # frozen: shared from here on
         self._rekeyed = None  #: last answer of trie_under: (wanted, trie)
 

@@ -1,15 +1,18 @@
 """EncodedTrie as a trie: sorted level keys, child descent, enumeration,
-splicing and re-keying; and a relation's trie under a column order
+splicing and re-keying; the build's stable distribution passes; and a
+relation's trie under a column order
 (:func:`~repro.engine.encoded.relation_input`)."""
 
+import contextlib
 import random
+import time
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.buffers.layout import as_list, list_backend, typecode_for
-from repro.engine import EncodedInstance, EncodedTrie
+from repro.engine import EncodedInstance, EncodedTrie, encoded
 from repro.engine.encoded import _LEAF, relation_input
 from repro.errors import EngineError, QueryError, SchemaError
 from repro.relational.relation import Relation
@@ -74,6 +77,16 @@ class TestConstruction:
         assert trie.size == 0
         assert not trie.root.children
         assert list(trie.tuples()) == []
+
+    def test_a_repeated_row_is_stored_once(self):
+        rows = [(1, 2), (1, 2), (0, 5)]
+        trie = EncodedTrie("T", ("a", "b"), rows)
+        assert trie.size == 2
+        assert list(trie.tuples()) == [(0, 5), (1, 2)]
+        assert as_list(descend(trie, [1]).keys) == [2]
+        assert list(descend(trie, [1]).children) == [2]
+        assert_same_nodes(trie, spliced_copy(set(rows), 2,
+                                             random.Random(0)))
 
     def test_code_bounds_pick_each_level_typecode(self):
         trie = EncodedTrie("T", ("a", "b"), [(1, 2)], code_bounds=[10, 300])
@@ -263,3 +276,89 @@ def test_trie_any_order_same_content(rows):
     backward, _built = relation_input(r, ("b", "a"))
     assert decoded(forward) == set(rows)
     assert {(a, b) for (b, a) in decoded(backward)} == set(rows)
+
+
+# -- the build: stable distributions, last column first -----------------------
+
+#: Codes on both sides of the one- and two-byte typecodes.
+BOUNDARY_CODES = st.one_of(st.integers(0, 9), st.integers(250, 260),
+                           st.integers(65_530, 65_540))
+
+
+def suffix_sorted(rows, ordered):
+    """*rows* with each of their last *ordered* columns sorted on its
+    own: those columns are non-decreasing in input order, so the build
+    skips their passes (all of them when *ordered* is the arity)."""
+    if not rows or not ordered:
+        return list(rows)
+    columns = [list(column) for column in zip(*rows)]
+    for level in range(len(columns) - ordered, len(columns)):
+        columns[level].sort()
+    return list(zip(*columns))
+
+
+@given(st.integers(1, 4).flatmap(lambda arity: st.tuples(
+           st.just(arity),
+           st.lists(st.tuples(*[BOUNDARY_CODES] * arity), max_size=40),
+           st.integers(0, arity))),
+       st.integers(0, 2), st.booleans(), st.booleans())
+@pytest.mark.parametrize("sparse", [float("inf"), -1],
+                         ids=["distributed", "keyed"])
+def test_the_built_trie_is_the_spliced_one(sparse, case, slack, backwards,
+                                           listed):
+    """Any arity, rows repeated or not, in drawn or reversed order, with
+    0 to all of their trailing columns already in order, codes on both
+    sides of the typecode boundaries, exact or loose bounds, typed or
+    list buffers; every pass a distribution, or every pass a keyed
+    sort: the trie ``insert`` splices together, keyed by the caller's
+    ints."""
+    arity, drawn, ordered = case
+    rows = suffix_sorted(drawn, ordered)
+    if backwards:
+        rows.reverse()
+    order = "abcd"[:arity]
+    bounds = [max((row[level] for row in rows), default=0) + slack
+              for level in range(arity)]
+    columns = [[int(str(code)) for code in column]  # fresh int objects
+               for column in zip(*rows)] if rows else [[] for _ in order]
+    with list_backend() if listed else contextlib.nullcontext(), \
+            pytest.MonkeyPatch.context() as patch:
+        patch.setattr(encoded, "_SPARSE", sparse)
+        built = EncodedTrie.from_columns("R", order, columns, len(rows),
+                                         bounds)
+        spliced = EncodedTrie("R", order, [], code_bounds=bounds)
+        for row in rows:
+            spliced.insert(row)
+    assert list(built.tuples()) == sorted(set(rows))
+    assert_same_nodes(built, spliced)
+    pairs = [(0, built.root)]
+    for level, node in pairs:
+        held = {id(code) for code in columns[level]}
+        assert all(id(code) in held for code in node.children)
+        if level + 1 < arity:
+            pairs += [(level + 1, child) for child in node.children.values()]
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_sparse_codes_sort_by_key(arity):
+    """Codes up to 2**32 - 1 under loose bounds: no bucket per code."""
+    rng = random.Random(arity)
+    rows = [tuple(rng.choice((0, 7, 2 ** 31, 2 ** 32 - 1))
+                  for _ in range(arity)) for _ in range(50)]
+    started = time.perf_counter()
+    trie = EncodedTrie("R", "abc"[:arity], rows,
+                       code_bounds=[2 ** 32 - 1] * arity)
+    assert time.perf_counter() - started < 0.5
+    assert list(trie.tuples()) == sorted(set(rows))
+    assert trie.root.keys.typecode == typecode_for(2 ** 32 - 1)
+
+
+def test_dense_codes_distribute(monkeypatch):
+    """Dictionary-dense codes never take the keyed sort."""
+    monkeypatch.setattr(encoded, "sorted", lambda *args, **kwargs: pytest.fail(
+        "a dense column was sorted by key"), raising=False)
+    rng = random.Random(5)
+    rows = [(rng.randrange(40), rng.randrange(3), rng.randrange(40))
+            for _ in range(60)]
+    trie = EncodedTrie("R", ("a", "b", "c"), rows, code_bounds=[39, 2, 39])
+    assert list(trie.tuples()) == sorted(set(rows))

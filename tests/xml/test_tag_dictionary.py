@@ -182,7 +182,7 @@ def test_node_dictionary_equals_the_per_node_construction(corpus):
                         for nid in nids} == node_codes
                 assert found.codes == codes
                 assert found.values.head == head
-                assert found.values.starts == identities
+                assert list(found.values.starts) == identities
                 assert list(found.values) == [
                     *head, *map(NodeSurrogate, identities)]
                 assert found._erased == head + (None,) * len(identities)

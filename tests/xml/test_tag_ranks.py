@@ -114,12 +114,11 @@ def test_from_columns_is_the_inserted_trie(case, slack):
     assert list(expected.tuples()) == sorted(distinct)
     assert_same_nodes(expected, EncodedTrie("R", order, distinct,
                                             code_bounds=bounds))
-    for given_rows, is_distinct in ((rows, False), (distinct, False),
-                                    (distinct, True)):
+    for given_rows in (rows, distinct, distinct[::-1]):
         columns = [fresh_ints(column) for column in zip(*given_rows)] \
             if given_rows else [[] for _ in order]
         built = EncodedTrie.from_columns("R", order, columns,
-                                         len(given_rows), bounds, is_distinct)
+                                         len(given_rows), bounds)
         assert_same_nodes(expected, built)
         for level, node in nodes(built) if arity else ():
             held = {id(code) for code in columns[level]}
@@ -128,7 +127,7 @@ def test_from_columns_is_the_inserted_trie(case, slack):
 
 def test_zero_arity_holds_the_empty_row_once():
     for count in (0, 1, 3):
-        trie = EncodedTrie.from_columns("R", (), [], count, distinct=False)
+        trie = EncodedTrie.from_columns("R", (), [], count)
         assert list(trie.tuples()) == [()] * bool(count)
 
 
