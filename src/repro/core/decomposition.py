@@ -195,9 +195,9 @@ def _columns(view: ColumnarDocument, atom: "PathRelation | EdgeAtom",
     repeat): the node's value code (``view.tag_codes``), or its
     identity code (``view.tag_dictionary``'s, the code space of
     :class:`repro.core.surrogate.NodeDictionary`) for the attributes in
-    *bound*, read at the node's ``tag_ranks`` entry (a whole posting:
-    the code list itself; a valueless tag's identities: the ranks). A
-    node is coded alike in every input of its twig, on one code space."""
+    *bound*, read at the node's ``tag_ranks`` entry (a whole posting
+    reads the code list as it is). A node is coded alike in every input
+    of its twig, on one code space."""
     if isinstance(atom, PathRelation):
         chains = _path_chains(view, atom)
     else:
@@ -208,15 +208,11 @@ def _columns(view: ColumnarDocument, atom: "PathRelation | EdgeAtom",
         nid_of = view.nid_index.__getitem__
         chains = [list(map(nid_of, starts)) for starts in zip(*pairs)] \
             if pairs else [[], []]
-    columns = []
-    for node, nids in zip(atom.nodes, chains):
-        values, codes, _valueless = view.tag_dictionary(node.tag)
-        codes = codes if node.name in bound else view.tag_codes(node.tag)[0]
-        columns.append(codes if nids is view.postings(node.tag)[0]
-                       else gather(view.tag_ranks, nids)
-                       if node.name in bound and not values
-                       else gather(codes, gather(view.tag_ranks, nids)))
-    return columns
+    codes = [view.tag_dictionary(node.tag)[1] if node.name in bound
+             else view.tag_codes(node.tag)[0] for node in atom.nodes]
+    return [column if nids is view.postings(node.tag)[0]
+            else gather(column, gather(view.tag_ranks, nids))
+            for node, nids, column in zip(atom.nodes, chains, codes)]
 
 
 def _input_key(atom: "PathRelation | EdgeAtom",

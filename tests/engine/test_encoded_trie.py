@@ -5,7 +5,6 @@ relation's trie under a column order
 
 import contextlib
 import random
-import time
 
 import pytest
 from hypothesis import given
@@ -340,17 +339,26 @@ def test_the_built_trie_is_the_spliced_one(sparse, case, slack, backwards,
 
 
 @pytest.mark.parametrize("arity", [1, 2, 3])
-def test_sparse_codes_sort_by_key(arity):
-    """Codes up to 2**32 - 1 under loose bounds: no bucket per code."""
+def test_sparse_codes_sort_by_key(arity, monkeypatch):
+    """Codes up to 2**32 - 1 under loose bounds: every pass is a keyed
+    sort, never a bucket per code."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return sorted(*args, **kwargs)
+
+    monkeypatch.setattr(encoded, "sorted", counted, raising=False)
     rng = random.Random(arity)
-    rows = [tuple(rng.choice((0, 7, 2 ** 31, 2 ** 32 - 1))
-                  for _ in range(arity)) for _ in range(50)]
-    started = time.perf_counter()
-    trie = EncodedTrie("R", "abc"[:arity], rows,
-                       code_bounds=[2 ** 32 - 1] * arity)
-    assert time.perf_counter() - started < 0.5
-    assert list(trie.tuples()) == sorted(set(rows))
-    assert trie.root.keys.typecode == typecode_for(2 ** 32 - 1)
+    for top in (10 ** 6, 2 ** 32 - 1):  # a leak at 10**6 fails cheaply
+        rows = [tuple(rng.choice((0, 7, top // 2, top))
+                      for _ in range(arity)) for _ in range(50)]
+        calls.clear()
+        trie = EncodedTrie("R", "abc"[:arity], rows,
+                           code_bounds=[top] * arity)
+        assert calls == [50] * arity
+        assert list(trie.tuples()) == sorted(set(rows))
+        assert trie.root.keys.typecode == typecode_for(top)
 
 
 def test_dense_codes_distribute(monkeypatch):
