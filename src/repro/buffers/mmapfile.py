@@ -144,7 +144,7 @@ class ColumnWriter:
     """
 
     __slots__ = ("name", "typecode", "itemsize", "path", "_file",
-                 "_tail", "_flushed", "_chunk")
+                 "tail", "_flushed", "_chunk")
 
     def __init__(self, name: str, typecode: str, spill_dir: str,
                  chunk_items: int = DEFAULT_CHUNK_ITEMS):
@@ -155,20 +155,12 @@ class ColumnWriter:
         # Unbuffered: set_at's pwrite must never interleave with
         # buffered tail flushes.
         self._file = open(self.path, "w+b", buffering=0)
-        self._tail = array(typecode)
+        self.tail = array(typecode)
         self._flushed = 0
         self._chunk = max(1, chunk_items)
 
     def __len__(self) -> int:
-        return self._flushed + len(self._tail)
-
-    def append(self, value: int) -> int:
-        """Append *value*; returns its index in the column."""
-        index = self._flushed + len(self._tail)
-        self._tail.append(value)
-        if len(self._tail) >= self._chunk:
-            self.flush()
-        return index
+        return self._flushed + len(self.tail)
 
     def extend(self, values) -> None:
         """Append every value: one bulk copy, then one flush check.
@@ -178,16 +170,21 @@ class ColumnWriter:
         unbounded input extend in slices.
         """
         if self.typecode == "B" and isinstance(values, bytes):
-            self._tail.frombytes(values)
+            self.tail.frombytes(values)
         else:
-            self._tail.extend(values)
-        if len(self._tail) >= self._chunk:
+            self.tail.extend(values)
+        self.spill()
+
+    def spill(self) -> None:
+        """Flush the tail if it holds a chunk or more: a caller appending
+        to ``tail`` directly calls this often enough to keep it bounded."""
+        if len(self.tail) >= self._chunk:
             self.flush()
 
     def set_at(self, index: int, value: int) -> None:
         """Backpatch the value at *index* (appended earlier)."""
         if index >= self._flushed:
-            self._tail[index - self._flushed] = value
+            self.tail[index - self._flushed] = value
         else:
             os.pwrite(self._file.fileno(),
                       array(self.typecode, [value]).tobytes(),
@@ -195,10 +192,10 @@ class ColumnWriter:
 
     def flush(self) -> None:
         """Spill the in-memory tail to the column file."""
-        if self._tail:
-            self._file.write(self._tail.tobytes())
-            self._flushed += len(self._tail)
-            del self._tail[:]
+        if self.tail:
+            self._file.write(self.tail.tobytes())
+            self._flushed += len(self.tail)
+            del self.tail[:]
 
     @contextmanager
     def snapshot(self):

@@ -1,21 +1,22 @@
 """The XML token kernel: one grammar under every entry point.
 
-:func:`iter_events` turns chunked XML text into SAX-style events.
-:func:`repro.xml.parser.parse_element_tree` assembles the node tree
-from them and :func:`repro.xml.streaming.stream_document` the columnar
-arena, so the grammar, the well-formedness rules and every error
-message exist once.
+:func:`scan_windows`, the one scan loop, calls a consumer's handlers:
+:func:`repro.xml.parser.parse_element_tree` builds the node tree and
+:func:`repro.xml.streaming.stream_document` the columnar arena through
+them, and :func:`iter_events` records them as SAX-style events. So the
+grammar, the well-formedness rules and every error message exist once.
 
 A token is one match of a compiled master regex at the window position
-(close tag | open tag with its whole attribute run and optional ``/`` |
-text up to the next ``<``); comments, CDATA, processing instructions
-and the DOCTYPE are delimited with ``str.find``. Text is accepted only
-when it ends inside the buffered window (otherwise more chunks are
-pulled first), and the window is compacted once per pull, never per
-token, so a scan is linear in the input under any chunking. Only when
-no alternative matches does the cold :func:`_tag_error` read the tag
-construct by construct, to say what is wrong and where — or that the
-window merely ends too early.
+(close tag | open tag with its whole attribute run and ``/>``, or ``>``
+and, for a *leaf*, its text and matching close tag | text up to the
+next ``<``); comments, CDATA, processing instructions and the DOCTYPE
+are delimited with ``str.find``. A leaf is decoded as its three tokens
+would be. Text is accepted only when it ends inside the buffered window
+(otherwise more chunks are pulled first), and the window is compacted
+once per pull, never per token, so a scan is linear in the input under
+any chunking. Only when no alternative matches does the cold
+:func:`_tag_error` read the tag construct by construct, to say what is
+wrong and where — or that the window merely ends too early.
 
 Supported: elements, attributes (single or double quoted), text with
 the predefined entities and numeric character references, comments,
@@ -39,21 +40,24 @@ from typing import Any
 
 from repro.errors import XMLParseError
 
-#: Characters pulled per window refill (at least; chunks are not split).
-_CHUNK = 1 << 16
+#: Characters pulled per window refill (at least; the scan splits no chunk).
+#: Small: :func:`iter_events` holds one window's events.
+_CHUNK = 1 << 12
 
 _NAME = r"[A-Za-z_:][A-Za-z0-9_:.\-]*"
 _S = r"[ \t\r\n]*"
 _QUOTED = r"\"[^\"]*\"|'[^']*'"
 
-#: Group 1: a close tag's name. Groups 2-4: an open tag's name, its
-#: attribute run and the ``/`` of a self-closing tag. No group: text.
-#: The lookahead keeps the name whole: without it ``<ab="1"/>`` would
-#: backtrack into tag ``a`` with attribute ``b``.
+#: Group 1: a close tag's name. Groups 2-3: an open tag's name and its
+#: attribute run, then 4: the ``/`` of a self-closing tag, or 5: a leaf's
+#: text (before its close tag). No group: text. The lookahead keeps the
+#: name whole: without it ``<ab="1"/>`` would backtrack into tag ``a``
+#: with attribute ``b``.
 _TOKEN = re.compile(
     rf"</({_NAME}){_S}>"
     rf"|<({_NAME})(?=[ \t\r\n/>])"
-    rf"((?:{_S}{_NAME}{_S}={_S}(?:{_QUOTED}))*){_S}(/?)>"
+    rf"((?:[ \t\r\n]+{_NAME}{_S}={_S}(?:{_QUOTED}))*){_S}"
+    rf"(?:(/)>|>(?:([^<]*)</\2{_S}>)?)"
     rf"|[^<]+")
 _ATTRIBUTE = re.compile(rf"({_NAME}){_S}={_S}({_QUOTED})")
 _NAME_AT = re.compile(_NAME)
@@ -233,11 +237,15 @@ def _tag_error(window: _Window, pos: int) -> XMLParseError | None:
     index = _SPACE_AT.match(buf, name.end()).end()
     if closing:
         return wrong(f"malformed closing tag </{tag}>", index)
+    glued = -1  # just past an attribute value
     while index < size and buf[index] not in ">/?":
         name = _NAME_AT.match(buf, index)
         if name is None:
             return wrong("expected a name", index)
         key = name.group()
+        if index == glued:
+            return wrong(f"expected whitespace before attribute {key!r}",
+                         index)
         index = _SPACE_AT.match(buf, name.end()).end()
         if not buf.startswith("=", index):
             return wrong(f"expected '=' after attribute {key!r}", index)
@@ -249,7 +257,8 @@ def _tag_error(window: _Window, pos: int) -> XMLParseError | None:
         if close < 0:
             return wrong(f"unterminated attribute {key!r} value "
                          f"(expected {quote!r})", size, index + 1)
-        index = _SPACE_AT.match(buf, close + 1).end()
+        glued = close + 1
+        index = _SPACE_AT.match(buf, glued).end()
     # A lone "/" still waits for its ">".
     decided = index + 1 if buf.startswith("/", index) else index
     return wrong(f"malformed tag <{tag}>", decided, index)
@@ -319,20 +328,21 @@ def _doctype(window: _Window, pos: int
                 entities[name] = window.decode(quoted[1:-1], at, _PREDEFINED)
 
 
-def iter_events(chunks: Iterable[str]
-                ) -> "Iterator[tuple[str, Any, Any]]":
-    """SAX-style events over chunked XML text.
+def scan_windows(chunks: Iterable[str], consumer: Any) -> Iterator[None]:
+    """Scan chunked XML text into *consumer*'s handlers, yielding before
+    each window refill: ``start(name, attributes)``, ``text(decoded)``,
+    ``end()``, and ``leaf(name, attributes, decoded)`` for an element
+    that is one token (*decoded* is "" if it is blank or self-closing).
 
-    Yields ``("start", tag, attributes)``, ``("end", tag, None)`` and
-    ``("text", decoded_text, None)`` in document order and enforces
-    well-formedness as it goes (matching close tags, a single root, no
-    text outside it). Comments, PIs and the DOCTYPE are skipped,
-    whitespace-only text is dropped, CDATA is text verbatim, and a
-    self-closing element emits start + end back to back. Only the
-    unconsumed tail of the input is held, and an
+    Enforces well-formedness as it goes (matching close tags, a single
+    root, no text outside it). Comments, PIs and the DOCTYPE are
+    skipped, whitespace-only text is dropped and CDATA is text verbatim.
+    Only the unconsumed tail of the input is held, and an
     :class:`~repro.errors.XMLParseError` carries the same message and
     position whatever the chunking.
     """
+    on_start, on_text, on_end, on_leaf = (
+        consumer.start, consumer.text, consumer.end, consumer.leaf)
     window = _Window(chunks)
     entities: "dict[str, str | None]" = _PREDEFINED
     open_tags: list[str] = []
@@ -355,24 +365,35 @@ def iter_events(chunks: Iterable[str]
                                 "text content outside the root element", end)
                         if "&" in raw:
                             raw = window.decode(raw, pos, entities)
-                        yield ("text", raw, None)
+                        on_text(raw)
                     pos = end
                     continue
                 # The text may go on in the next chunk: refill first.
-            elif kind == 4:  # open tag
-                name, run, closed = token.group(2, 3, 4)
+            elif kind != 1:  # an open tag: 3, self-closing 4, leaf 5
+                name, run = token.group(2, 3)
                 attributes = _attributes(
                     window, token.start(3), run, entities) if run else {}
-                pos = token.end()
                 if not open_tags:
                     if saw_root:
-                        raise window.error("multiple root elements", pos)
+                        raise window.error(
+                            "multiple root elements",
+                            token.start(5) if kind == 5 else token.end())
                     saw_root = True
-                yield ("start", name, attributes)
-                if closed:
-                    yield ("end", name, None)
-                else:
+                pos = token.end()
+                if kind == 3:
+                    on_start(name, attributes)
                     open_tags.append(name)
+                    continue
+                raw = token.group(5) or ""
+                if raw.isspace():
+                    raw = ""
+                elif "&" in raw:
+                    try:
+                        raw = window.decode(raw, token.start(5), entities)
+                    except XMLParseError:
+                        on_start(name, attributes)  # opened, as 3 tokens
+                        raise
+                on_leaf(name, attributes, raw)
                 continue
             else:  # close tag
                 name = token.group(1)
@@ -385,7 +406,7 @@ def iter_events(chunks: Iterable[str]
                     raise window.error(
                         f"closing tag </{name}> does not match <{expected}>",
                         pos)
-                yield ("end", name, None)
+                on_end()
                 continue
         elif size - pos >= _LOOKAHEAD or window.eof:
             # Cold: the input's end, markup that is no tag, or an error.
@@ -403,7 +424,7 @@ def iter_events(chunks: Iterable[str]
                         if not open_tags:
                             raise window.error(
                                 "CDATA outside the root element", pos)
-                        yield ("text", buf[start:end], None)
+                        on_text(buf[start:end])
                     continue
                 if window.eof:
                     raise window.error(
@@ -421,6 +442,7 @@ def iter_events(chunks: Iterable[str]
                 error = _tag_error(window, pos)
                 if error is not None:
                     raise error
+        yield
         window.refill(pos)
         buf = window.buf
         size = len(buf)
@@ -430,6 +452,48 @@ def iter_events(chunks: Iterable[str]
         raise window.error(f"unclosed element <{open_tags[-1]}>", pos)
     if not saw_root:
         raise window.error("document has no root element", pos)
+
+
+class _Events(list):
+    """:func:`iter_events`' handlers: each call as event triples."""
+
+    def __init__(self):
+        super().__init__()
+        self.open: list[str] = []
+
+    def start(self, name: str, attributes: dict[str, str]) -> None:
+        self.append(("start", name, attributes))
+        self.open.append(name)
+
+    def text(self, decoded: str) -> None:
+        self.append(("text", decoded, None))
+
+    def end(self) -> None:
+        self.append(("end", self.open.pop(), None))
+
+    def leaf(self, name: str, attributes: dict, decoded: str) -> None:
+        self.append(("start", name, attributes))
+        if decoded:
+            self.append(("text", decoded, None))
+        self.append(("end", name, None))
+
+
+def iter_events(chunks: Iterable[str]
+                ) -> "Iterator[tuple[str, Any, Any]]":
+    """SAX-style ``("start", tag, attributes)``, ``("text", decoded,
+    None)`` and ``("end", tag, None)`` events: :func:`scan_windows`'
+    calls, one window at a time (longer chunks are cut to a window)."""
+    events = _Events()
+    pieces = (chunk[lo:lo + _CHUNK] for chunk in chunks
+              for lo in range(0, len(chunk), _CHUNK))
+    try:
+        for _window in scan_windows(pieces, events):
+            yield from events
+            events.clear()
+    except XMLParseError:
+        yield from events
+        raise
+    yield from events
 
 
 def decode_entities(text: str) -> str:

@@ -3,19 +3,20 @@
 The whole-string path (:func:`repro.xml.parser.parse_document` then
 ``ColumnarDocument``) holds every corpus in memory twice — the node
 tree and the columns. For larger-than-RAM corpora
-:func:`stream_document` feeds the events of the shared token kernel
-(:func:`repro.xml.scanner.iter_events`, re-exported here) to a
-:class:`StreamingBuilder`, which writes the ``ColumnarDocument``
-columns and postings straight into a bump-allocating
+:func:`stream_document` hands a :class:`StreamingBuilder` to the shared
+token kernel (:func:`repro.xml.scanner.scan_windows`), which calls its
+handlers; the builder writes the ``ColumnarDocument`` columns and
+postings straight into a bump-allocating
 :class:`~repro.buffers.mmapfile.ArenaWriter`:
 
 * the nine per-node columns (``starts ends levels parents tag_ids
   path_ids tag_ranks val_kind val_ref``) grow in lockstep, one row per
   element *open* in pre-order — the in-memory build's node ids; a
-  node's ``tag_ranks`` entry, its position in its tag's posting, is
-  where its tag's bucket appends it. Rows wait in a
-  bounded row group that is transposed into the columns with one bulk
-  ``extend`` each; ``ends`` and the value pair, known only on element
+  node's ``tag_ranks`` entry, its position in its tag's posting, comes
+  from a per-tag counter. Rows wait in a bounded row group that is
+  transposed into the columns with one bulk ``extend`` each. A leaf's
+  row is written whole (end label = start label + 1); for an element
+  with children, ``ends`` and the value pair, known only on element
   *close*, are patched into the row while it is in the group and
   through ``ColumnWriter.set_at`` afterwards;
 * per-tag and per-path node-id postings spill to one bucket column
@@ -25,7 +26,8 @@ columns and postings straight into a bump-allocating
   order, so the postings come out sorted for free;
 * node values are typed once on close (``XMLNode.value``: stripped
   text through :func:`~repro.relational.schema.parse_value`) into
-  per-kind data columns and a UTF-8 string heap, decoded lazily by
+  per-kind data columns and a UTF-8 string heap (a row group's strings
+  encoded at its flush), decoded lazily by
   :class:`~repro.xml.arenaview.ArenaValues`;
 * at finish, each tag's value dictionary (``ColumnarDocument.
   tag_dictionary``): ``tag_codes`` beside ``tag_nids``, each distinct
@@ -34,8 +36,10 @@ columns and postings straight into a bump-allocating
 
 Peak heap is O(depth + tags + one row group + bounded spill tails, and
 one tag's distinct values + one chunk at finish), independent of
-document size, and the columns are identical, row for row, to ``ColumnarDocument(parse_document(text))`` (the arena parity
-suite asserts it across every registered twig algorithm).
+document size (bucket and value appends go straight to the columns'
+tails, spilled once per row group). The columns are identical, row for
+row, to ``ColumnarDocument(parse_document(text))``; the arena parity
+suite asserts it across every registered twig algorithm.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from __future__ import annotations
 from array import array
 from collections.abc import Iterable
 from contextlib import ExitStack
-from itertools import accumulate
+from itertools import accumulate, chain
 from string import ascii_letters
 
 from repro.buffers.mmapfile import ArenaWriter, FileArena
@@ -58,7 +62,8 @@ from repro.xml.arenaview import (
     ArenaValues,
 )
 from repro.xml.columnar import TagCoder
-from repro.xml.scanner import iter_events
+from repro.xml.scanner import iter_events  # noqa: F401 (re-exported)
+from repro.xml.scanner import scan_windows
 
 _INT64 = 2 ** 63
 
@@ -78,10 +83,11 @@ _NEVER_NUMERIC = frozenset(ascii_letters) - frozenset("iInN")
 
 
 class StreamingBuilder:
-    """Event consumer writing columnar state into an ArenaWriter.
+    """Scan handlers writing columnar state into an ArenaWriter.
 
     Carries only the open-element stack, the (small) tag/path intern
-    tables, one row group and the writers' spill tails. Region labels
+    tables, one row group (and its strings) and the writers' spill
+    tails. Region labels
     replay :func:`~repro.xml.encoding.annotate_regions` exactly (one
     global counter: ``start`` on entry, ``end`` on exit), so node ids,
     labels and postings are byte-identical to the in-memory build.
@@ -93,19 +99,22 @@ class StreamingBuilder:
                          for name, typecode in _ROW_COLUMNS]
         self._ends, self._val_kind, self._val_ref = (
             self._columns[slot] for slot in (_END, _VAL_KIND, _VAL_REF))
-        self._val_int = writer.column("val_int", "q")
-        self._val_float = writer.column("val_float", "d")
-        self._val_str_off = writer.column("val_str_off", "Q")
-        self._val_str_len = writer.column("val_str_len", "I")
-        self._heap = writer.column("val_str_heap", "B")
+        self._values = [writer.column(name, typecode) for name, typecode in (
+            ("val_int", "q"), ("val_float", "d"), ("val_str_off", "Q"),
+            ("val_str_len", "I"), ("val_str_heap", "B"))]
+        self._int_tail, self._float_tail = (column.tail
+                                            for column in self._values[:2])
+        self._ints = self._floats = self._strs = 0  # values stored per kind
+        self._strings: list[str] = []  # those since the last flush
         self._heap_size = 0
         self._counter = 0  # the region-label counter
-        self._rows: "list[list[int]]" = []  # the nodes from _flushed on
+        self._rows: "list" = []  # nodes from _flushed on; open ones: lists
         self._flushed = 0
         self._tags: list[str] = []
         self._tag_index: dict[str, int] = {}
+        self._ranks: list[int] = []  # per tid: nodes so far, the next rank
         self._paths: "list[tuple[str, ...]]" = []
-        self._path_table: "dict[tuple[int, int], int]" = {}
+        self._ids: "dict[tuple[int, str], tuple[int, int]]" = {}
         self._tag_buckets: "list" = []   # per-tid spilled nid columns
         self._path_buckets: "list" = []  # per-pid spilled nid columns
         # Open-element frames: (nid, pid, row, text parts).
@@ -113,39 +122,36 @@ class StreamingBuilder:
 
     # -- event handlers ----------------------------------------------------
 
-    def start(self, tag: str) -> int:
-        """Open an element; returns its node id (pre-order)."""
-        stack = self._stack
-        parent_nid, parent_pid = stack[-1][:2] if stack else (-1, -1)
+    def _intern(self, parent_pid: int, tag: str) -> "tuple[int, int]":
+        """The (tid, pid) of a first *tag* child on path *parent_pid*."""
         tid = self._tag_index.get(tag)
         if tid is None:
             tid = self._tag_index[tag] = len(self._tags)
             self._tags.append(tag)
+            self._ranks.append(0)
             self._tag_buckets.append(self._bucket(f"tag_bucket_{tid}"))
-        key = (parent_pid, tid)
-        pid = self._path_table.get(key)
-        if pid is None:
-            pid = self._path_table[key] = len(self._paths)
-            prefix = self._paths[parent_pid] if parent_pid >= 0 else ()
-            self._paths.append(prefix + (tag,))
-            self._path_buckets.append(self._bucket(f"path_bucket_{pid}"))
-        if len(self._rows) >= _ROW_GROUP:
-            self._flush_rows()
-        nid = self._flushed + len(self._rows)
-        # ``end`` and the value pair are patched on close; the tag rank
-        # is where the tag's bucket appends the node.
-        row = [self._counter, 0, len(stack), parent_nid, tid, pid,
-               self._tag_buckets[tid].append(nid), VALUE_NONE, 0]
-        self._counter += 1
-        self._rows.append(row)
-        self._path_buckets[pid].append(nid)
-        stack.append((nid, pid, row, []))
-        return nid
+        pid = len(self._paths)
+        prefix = self._paths[parent_pid] if parent_pid >= 0 else ()
+        self._paths.append(prefix + (tag,))
+        self._path_buckets.append(self._bucket(f"path_bucket_{pid}"))
+        self._ids[parent_pid, tag] = tid, pid
+        return tid, pid
 
     def _bucket(self, name: str):
         """A spill-only column of node ids (one per tag, one per path)."""
         return self.writer.column(name, "I", chunk_items=4096,
                                   register=False)
+
+    def start(self, tag: str, attributes: "dict[str, str]") -> int:
+        """Open an element as a valueless leaf, its end label taken back
+        (``end`` patches it and the value); returns its node id."""
+        self.leaf(tag, attributes, "")
+        self._counter -= 1
+        rows = self._rows
+        rows[-1] = row = list(rows[-1])
+        nid = self._flushed + len(rows) - 1
+        self._stack.append((nid, row[5], row, []))
+        return nid
 
     def text(self, text: str) -> None:
         """Text content of the innermost open element."""
@@ -169,33 +175,65 @@ class StreamingBuilder:
         self._counter += 1
         return nid
 
+    def leaf(self, tag: str, _attributes: dict, text: str) -> None:
+        """An element with no child element: its whole row at once."""
+        text = text.strip()
+        kind, ref = self._store_value(text) if text else (VALUE_NONE, 0)
+        stack = self._stack
+        parent_nid, parent_pid = stack[-1][:2] if stack else (-1, -1)
+        tid, pid = self._ids.get((parent_pid, tag)) \
+            or self._intern(parent_pid, tag)
+        rows = self._rows
+        if len(rows) >= _ROW_GROUP:
+            self._flush_rows()
+        nid = self._flushed + len(rows)
+        rank = self._ranks[tid]
+        self._ranks[tid] = rank + 1
+        label = self._counter
+        self._counter = label + 2
+        rows.append((label, label + 1, len(stack), parent_nid, tid, pid,
+                     rank, kind, ref))
+        self._tag_buckets[tid].tail.append(nid)
+        self._path_buckets[pid].tail.append(nid)
+
     def _flush_rows(self) -> None:
         """Transpose the row group into its columns, one bulk extend
-        each; later backpatches go through ``set_at``."""
+        each (later backpatches go through ``set_at``), encode its
+        strings into the heap, and spill every tail appended to directly
+        that holds a chunk."""
         for column, values in zip(self._columns, zip(*self._rows)):
             column.extend(values)
         self._flushed += len(self._rows)
         self._rows.clear()
+        data = [text.encode("utf-8") for text in self._strings]
+        self._strings.clear()
+        sizes = list(map(len, data))
+        offsets = list(accumulate(sizes, initial=self._heap_size))
+        self._heap_size = offsets.pop()
+        for column, values in zip(self._values[2:],
+                                  (offsets, sizes, b"".join(data))):
+            column.extend(values)
+        for column in chain(self._values, self._tag_buckets,
+                            self._path_buckets):
+            column.spill()
 
     def _store_value(self, text: str) -> "tuple[int, int]":
         """Append the typed value of *text* (the ``XMLNode.value``
         semantics); its ``(kind, ref)`` pair."""
         value = text if text[0] in _NEVER_NUMERIC else parse_value(text)
-        if isinstance(value, int):
+        if value is not text:  # a number
+            if isinstance(value, float):
+                self._float_tail.append(value)
+                self._floats += 1
+                return VALUE_FLOAT, self._floats - 1
             if -_INT64 <= value < _INT64:
-                return VALUE_INT, self._val_int.append(value)
-            return VALUE_BIGINT, self._store_str(str(value))
-        if isinstance(value, float):
-            return VALUE_FLOAT, self._val_float.append(value)
-        return VALUE_STR, self._store_str(value)
-
-    def _store_str(self, value: str) -> int:
-        data = value.encode("utf-8")
-        ref = self._val_str_off.append(self._heap_size)
-        self._val_str_len.append(len(data))
-        self._heap.extend(data)
-        self._heap_size += len(data)
-        return ref
+                self._int_tail.append(value)
+                self._ints += 1
+                return VALUE_INT, self._ints - 1
+            text = str(value)  # a bigint, stored as its digits
+        self._strings.append(text)
+        self._strs += 1
+        return VALUE_STR if value is text else VALUE_BIGINT, self._strs - 1
 
     # -- assembly ----------------------------------------------------------
 
@@ -211,8 +249,7 @@ class StreamingBuilder:
         sizes, valueless = [0], []
         with ExitStack() as stack:
             views = [stack.enter_context(column.snapshot()) for column in (
-                self._val_kind, self._val_ref, self._val_int, self._val_float,
-                self._val_str_off, self._val_str_len, self._heap)]
+                self._val_kind, self._val_ref, *self._values)]
             values = ArenaValues(dict(zip(VALUE_COLUMNS, views)).__getitem__)
             kind_of, ref_of = views[0].__getitem__, views[1].__getitem__
             for tid, bucket in enumerate(self._tag_buckets):
@@ -264,8 +301,9 @@ class StreamingBuilder:
         writer.add_buffer("path_offsets", array(
             "Q", [0, *accumulate(map(len, self._path_buckets))]))
         pids_by_last_tag: "dict[int, list[int]]" = {}
-        for (_parent_pid, tid), pid in self._path_table.items():
-            pids_by_last_tag.setdefault(tid, []).append(pid)
+        for pid, path in enumerate(self._paths):
+            pids_by_last_tag.setdefault(
+                self._tag_index[path[-1]], []).append(pid)
         return writer.finish({
             "kind": "document",
             "size": self._flushed,
@@ -292,13 +330,8 @@ def stream_document(chunks: Iterable[str], *,
     writer = ArenaWriter(path=path)
     try:
         builder = StreamingBuilder(writer)
-        for kind, payload, _attributes in iter_events(chunks):
-            if kind == "start":
-                builder.start(payload)
-            elif kind == "end":
-                builder.end()
-            else:
-                builder.text(payload)
+        for _window in scan_windows(chunks, builder):
+            pass
         return builder.finish()
     except BaseException:
         writer.abort()

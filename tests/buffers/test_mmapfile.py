@@ -101,7 +101,8 @@ class TestColumnWriter:
         writer = ArenaWriter(chunk_items=8)
         column = writer.column("c", "H")
         for value in range(21):  # 2 full spills + a 5-item tail
-            column.append(value)
+            column.tail.append(value)
+            column.spill()
         assert len(column) == 21
         with writer.finish(None) as arena:
             assert list(arena.buffer("c")) == list(range(21))
@@ -111,7 +112,8 @@ class TestColumnWriter:
         writer = ArenaWriter(chunk_items=4)
         column = writer.column("c", "I")
         for value in range(10):
-            column.append(value)
+            column.tail.append(value)
+            column.spill()
         column.set_at(1, 101)   # flushed region -> pwrite
         column.set_at(9, 109)   # in-memory tail -> mutation
         with writer.finish(None) as arena:

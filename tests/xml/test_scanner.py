@@ -247,6 +247,8 @@ MALFORMED = sorted({
     # "=" is where a name was expected (not tag "a", attribute "b").
     '<ab="1"/>', "<a:b='1'>", '<a><item.id="3"/></a>', '<a-="1"/>',
     "<a.b.c='1'></a.b.c>", '<a x="1"/><ab="2"/>',
+    # Attributes with no whitespace between them.
+    '<a x="1"y="2"/>', "<a x='1'y='2'>t</a>", '<a x="1"\ty="2" z="3"z="4">',
 })
 
 
@@ -282,6 +284,23 @@ class TestErrorsIgnoreChunking:
             assert failure(chunks, window=1)[:2] == (message, position)
         with pytest.raises(expat.ExpatError):
             expat_summary(text)
+
+    @pytest.mark.parametrize("text, position", [
+        ('<a x="1"y="2"/>', 8), ("<a x='1'y='2'>t</a>", 8),
+        ('<a x="1"y="2">', 8), ('<r><a k="v"x="1">t</a></r>', 11),
+    ])
+    def test_attributes_need_whitespace_between(self, text, position):
+        """expat refuses an attribute glued to the previous value
+        ("not well-formed (invalid token)") at the second name, and so
+        does this kernel, whichever token the element would have been."""
+        with pytest.raises(expat.ExpatError) as expat_error:
+            expat_summary(text)
+        assert expat_error.value.offset == position
+        message = (f"expected whitespace before attribute "
+                   f"{text[position]!r} (line 1, column {position + 1})")
+        for chunks in chunkings(text):
+            assert failure(chunks)[:2] == (message, position)
+            assert failure(chunks, window=1)[:2] == (message, position)
 
     def test_position_counts_lines_across_refills(self):
         text = "<a>\n" + "<b>text</b>\n" * 50 + "<c></d>\n</a>"
