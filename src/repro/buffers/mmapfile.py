@@ -176,8 +176,7 @@ class ColumnWriter:
         self.spill()
 
     def spill(self) -> None:
-        """Flush the tail if it holds a chunk or more: a caller appending
-        to ``tail`` directly calls this often enough to keep it bounded."""
+        """Flush the tail once it holds a chunk (for appends to ``tail``)."""
         if len(self.tail) >= self._chunk:
             self.flush()
 

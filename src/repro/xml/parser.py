@@ -27,20 +27,17 @@ class _TreeBuilder(list):
     """The token kernel's handlers: a stack of (open node, its text
     parts); each node is attached to its parent as it opens."""
 
-    root: XMLNode | None = None
-
     def start(self, name: str, attributes: dict[str, str]) -> None:
         self.append((self.leaf(name, attributes, ""), []))
 
     def text(self, decoded: str) -> None:
         self[-1][1].append(decoded)
 
-    def end(self) -> None:
+    def end(self, _name: str) -> None:
         node, parts = self.pop()
         node.text = "".join(parts)
 
-    def leaf(self, name: str, attributes: dict[str, str],
-             decoded: str) -> XMLNode:
+    def leaf(self, name: str, attributes: dict, decoded: str) -> XMLNode:
         node = XMLNode(name, attributes, decoded)
         if self:
             self[-1][0].append(node)

@@ -41,18 +41,16 @@ from typing import Any
 from repro.errors import XMLParseError
 
 #: Characters pulled per window refill (at least; the scan splits no chunk).
-#: Small: :func:`iter_events` holds one window's events.
-_CHUNK = 1 << 12
+_CHUNK = 1 << 16
 
 _NAME = r"[A-Za-z_:][A-Za-z0-9_:.\-]*"
 _S = r"[ \t\r\n]*"
 _QUOTED = r"\"[^\"]*\"|'[^']*'"
 
 #: Group 1: a close tag's name. Groups 2-3: an open tag's name and its
-#: attribute run, then 4: the ``/`` of a self-closing tag, or 5: a leaf's
-#: text (before its close tag). No group: text. The lookahead keeps the
-#: name whole: without it ``<ab="1"/>`` would backtrack into tag ``a``
-#: with attribute ``b``.
+#: attribute run, then 4: a self-closing ``/`` or 5: a leaf's text. No
+#: group: text. The lookahead keeps the name whole: without it
+#: ``<ab="1"/>`` would backtrack into tag ``a`` with attribute ``b``.
 _TOKEN = re.compile(
     rf"</({_NAME}){_S}>"
     rf"|<({_NAME})(?=[ \t\r\n/>])"
@@ -331,7 +329,7 @@ def _doctype(window: _Window, pos: int
 def scan_windows(chunks: Iterable[str], consumer: Any) -> Iterator[None]:
     """Scan chunked XML text into *consumer*'s handlers, yielding before
     each window refill: ``start(name, attributes)``, ``text(decoded)``,
-    ``end()``, and ``leaf(name, attributes, decoded)`` for an element
+    ``end(name)``, and ``leaf(name, attributes, decoded)`` for an element
     that is one token (*decoded* is "" if it is blank or self-closing).
 
     Enforces well-formedness as it goes (matching close tags, a single
@@ -406,7 +404,7 @@ def scan_windows(chunks: Iterable[str], consumer: Any) -> Iterator[None]:
                     raise window.error(
                         f"closing tag </{name}> does not match <{expected}>",
                         pos)
-                on_end()
+                on_end(name)
                 continue
         elif size - pos >= _LOOKAHEAD or window.eof:
             # Cold: the input's end, markup that is no tag, or an error.
@@ -457,19 +455,14 @@ def scan_windows(chunks: Iterable[str], consumer: Any) -> Iterator[None]:
 class _Events(list):
     """:func:`iter_events`' handlers: each call as event triples."""
 
-    def __init__(self):
-        super().__init__()
-        self.open: list[str] = []
-
     def start(self, name: str, attributes: dict[str, str]) -> None:
         self.append(("start", name, attributes))
-        self.open.append(name)
 
     def text(self, decoded: str) -> None:
         self.append(("text", decoded, None))
 
-    def end(self) -> None:
-        self.append(("end", self.open.pop(), None))
+    def end(self, name: str) -> None:
+        self.append(("end", name, None))
 
     def leaf(self, name: str, attributes: dict, decoded: str) -> None:
         self.append(("start", name, attributes))
@@ -482,10 +475,10 @@ def iter_events(chunks: Iterable[str]
                 ) -> "Iterator[tuple[str, Any, Any]]":
     """SAX-style ``("start", tag, attributes)``, ``("text", decoded,
     None)`` and ``("end", tag, None)`` events: :func:`scan_windows`'
-    calls, one window at a time (longer chunks are cut to a window)."""
+    calls, a window at a time (chunks cut to a fixed 64 Ki characters)."""
     events = _Events()
-    pieces = (chunk[lo:lo + _CHUNK] for chunk in chunks
-              for lo in range(0, len(chunk), _CHUNK))
+    pieces = (chunk[lo:lo + 65536] for chunk in chunks
+              for lo in range(0, len(chunk), 65536))
     try:
         for _window in scan_windows(pieces, events):
             yield from events

@@ -26,8 +26,7 @@ postings straight into a bump-allocating
   order, so the postings come out sorted for free;
 * node values are typed once on close (``XMLNode.value``: stripped
   text through :func:`~repro.relational.schema.parse_value`) into
-  per-kind data columns and a UTF-8 string heap (a row group's strings
-  encoded at its flush), decoded lazily by
+  per-kind data columns and a UTF-8 string heap, decoded lazily by
   :class:`~repro.xml.arenaview.ArenaValues`;
 * at finish, each tag's value dictionary (``ColumnarDocument.
   tag_dictionary``): ``tag_codes`` beside ``tag_nids``, each distinct
@@ -62,8 +61,7 @@ from repro.xml.arenaview import (
     ArenaValues,
 )
 from repro.xml.columnar import TagCoder
-from repro.xml.scanner import iter_events  # noqa: F401 (re-exported)
-from repro.xml.scanner import scan_windows
+from repro.xml.scanner import iter_events, scan_windows  # noqa: F401
 
 _INT64 = 2 ** 63
 
@@ -87,10 +85,10 @@ class StreamingBuilder:
 
     Carries only the open-element stack, the (small) tag/path intern
     tables, one row group (and its strings) and the writers' spill
-    tails. Region labels
-    replay :func:`~repro.xml.encoding.annotate_regions` exactly (one
-    global counter: ``start`` on entry, ``end`` on exit), so node ids,
-    labels and postings are byte-identical to the in-memory build.
+    tails. Region labels replay
+    :func:`~repro.xml.encoding.annotate_regions` exactly (one global
+    counter: ``start`` on entry, ``end`` on exit), so node ids, labels
+    and postings are byte-identical to the in-memory build.
     """
 
     def __init__(self, writer: ArenaWriter):
@@ -102,15 +100,10 @@ class StreamingBuilder:
         self._values = [writer.column(name, typecode) for name, typecode in (
             ("val_int", "q"), ("val_float", "d"), ("val_str_off", "Q"),
             ("val_str_len", "I"), ("val_str_heap", "B"))]
-        self._int_tail, self._float_tail = (column.tail
-                                            for column in self._values[:2])
-        self._ints = self._floats = self._strs = 0  # values stored per kind
-        self._strings: list[str] = []  # those since the last flush
-        self._heap_size = 0
+        self._strings: list[str] = []  # the strings since the last flush
         self._counter = 0  # the region-label counter
         self._rows: "list" = []  # nodes from _flushed on; open ones: lists
         self._flushed = 0
-        self._tags: list[str] = []
         self._tag_index: dict[str, int] = {}
         self._ranks: list[int] = []  # per tid: nodes so far, the next rank
         self._paths: "list[tuple[str, ...]]" = []
@@ -126,8 +119,7 @@ class StreamingBuilder:
         """The (tid, pid) of a first *tag* child on path *parent_pid*."""
         tid = self._tag_index.get(tag)
         if tid is None:
-            tid = self._tag_index[tag] = len(self._tags)
-            self._tags.append(tag)
+            tid = self._tag_index[tag] = len(self._tag_index)
             self._ranks.append(0)
             self._tag_buckets.append(self._bucket(f"tag_bucket_{tid}"))
         pid = len(self._paths)
@@ -142,23 +134,20 @@ class StreamingBuilder:
         return self.writer.column(name, "I", chunk_items=4096,
                                   register=False)
 
-    def start(self, tag: str, attributes: "dict[str, str]") -> int:
-        """Open an element as a valueless leaf, its end label taken back
-        (``end`` patches it and the value); returns its node id."""
+    def start(self, tag: str, attributes: "dict[str, str]") -> None:
+        """Open an element as a leaf; ``end`` patches its end and value."""
         self.leaf(tag, attributes, "")
         self._counter -= 1
         rows = self._rows
         rows[-1] = row = list(rows[-1])
-        nid = self._flushed + len(rows) - 1
-        self._stack.append((nid, row[5], row, []))
-        return nid
+        self._stack.append((self._flushed + len(rows) - 1, row[5], row, []))
 
     def text(self, text: str) -> None:
         """Text content of the innermost open element."""
         self._stack[-1][3].append(text)
 
-    def end(self) -> int:
-        """Close the innermost element; returns its node id."""
+    def end(self, _tag: str) -> None:
+        """Close the innermost element."""
         nid, _pid, row, parts = self._stack.pop()
         stripped = "".join(parts).strip()
         kind, ref = self._store_value(stripped) if stripped \
@@ -173,7 +162,6 @@ class StreamingBuilder:
                 self._val_kind.set_at(nid, kind)
                 self._val_ref.set_at(nid, ref)
         self._counter += 1
-        return nid
 
     def leaf(self, tag: str, _attributes: dict, text: str) -> None:
         """An element with no child element: its whole row at once."""
@@ -197,10 +185,8 @@ class StreamingBuilder:
         self._path_buckets[pid].tail.append(nid)
 
     def _flush_rows(self) -> None:
-        """Transpose the row group into its columns, one bulk extend
-        each (later backpatches go through ``set_at``), encode its
-        strings into the heap, and spill every tail appended to directly
-        that holds a chunk."""
+        """Transpose the row group into its columns (one bulk extend
+        each; ``set_at`` patches later), encode its strings and spill."""
         for column, values in zip(self._columns, zip(*self._rows)):
             column.extend(values)
         self._flushed += len(self._rows)
@@ -208,11 +194,10 @@ class StreamingBuilder:
         data = [text.encode("utf-8") for text in self._strings]
         self._strings.clear()
         sizes = list(map(len, data))
-        offsets = list(accumulate(sizes, initial=self._heap_size))
-        self._heap_size = offsets.pop()
-        for column, values in zip(self._values[2:],
-                                  (offsets, sizes, b"".join(data))):
-            column.extend(values)
+        offsets, lengths, heap = self._values[2:]
+        offsets.extend(list(accumulate(sizes, initial=len(heap)))[:-1])
+        lengths.extend(sizes)
+        heap.extend(b"".join(data))
         for column in chain(self._values, self._tag_buckets,
                             self._path_buckets):
             column.spill()
@@ -222,18 +207,18 @@ class StreamingBuilder:
         semantics); its ``(kind, ref)`` pair."""
         value = text if text[0] in _NEVER_NUMERIC else parse_value(text)
         if value is not text:  # a number
+            ints, floats = self._values[:2]
             if isinstance(value, float):
-                self._float_tail.append(value)
-                self._floats += 1
-                return VALUE_FLOAT, self._floats - 1
+                floats.tail.append(value)
+                return VALUE_FLOAT, len(floats) - 1
             if -_INT64 <= value < _INT64:
-                self._int_tail.append(value)
-                self._ints += 1
-                return VALUE_INT, self._ints - 1
+                ints.tail.append(value)
+                return VALUE_INT, len(ints) - 1
             text = str(value)  # a bigint, stored as its digits
-        self._strings.append(text)
-        self._strs += 1
-        return VALUE_STR if value is text else VALUE_BIGINT, self._strs - 1
+        strings = self._strings
+        strings.append(text)
+        return (VALUE_STR if value is text else VALUE_BIGINT,
+                len(self._values[3]) + len(strings) - 1)
 
     # -- assembly ----------------------------------------------------------
 
@@ -301,13 +286,12 @@ class StreamingBuilder:
         writer.add_buffer("path_offsets", array(
             "Q", [0, *accumulate(map(len, self._path_buckets))]))
         pids_by_last_tag: "dict[int, list[int]]" = {}
-        for pid, path in enumerate(self._paths):
-            pids_by_last_tag.setdefault(
-                self._tag_index[path[-1]], []).append(pid)
+        for tid, pid in self._ids.values():
+            pids_by_last_tag.setdefault(tid, []).append(pid)
         return writer.finish({
             "kind": "document",
             "size": self._flushed,
-            "tags": self._tags,
+            "tags": list(self._tag_index),
             "tag_index": self._tag_index,
             "paths": self._paths,
             "pids_by_last_tag": pids_by_last_tag,

@@ -120,8 +120,11 @@ class TestLeafEdgeCases:
                                    side_effect=decode) as spy:
                 scan(chunks, window=1)
             window = spy.call_args.args[0]
+            # The document's text and attribute values: a DOCTYPE split
+            # across windows decodes its replacement texts once per try.
             seen.add((window._expanded, tuple(
-                call.args[1] for call in spy.call_args_list)))
+                call.args[1] for call in spy.call_args_list
+                if call.args[3] is not scanner._PREDEFINED)))
         assert len(seen) == 1
         # Once a DOCTYPE declares entities, every named reference counts
         # its replacement's length (one character each here).
@@ -205,7 +208,7 @@ class Calls(Counter):
     def text(self, *_args):
         self["text"] += 1
 
-    def end(self):
+    def end(self, *_args):
         self["end"] += 1
 
     def leaf(self, *_args):
