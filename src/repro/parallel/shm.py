@@ -20,8 +20,7 @@ Two job families publish here, into either backing:
   :func:`repro.xml.arenaview.attach_arena_document`, whose
   :class:`~repro.xml.arenaview.ArenaDocument` carries memoised node
   stubs, so every registered twig matcher — the navigational ``naive``
-  oracle included — runs unchanged. Dewey labels are not shipped — no
-  matcher reads them; the update layer owns the mutable original.
+  oracle included — runs unchanged.
 * **encoded instances** — :func:`instance_buffers` freezes each
   :class:`~repro.engine.encoded.EncodedTrie` into CSR level/offset
   buffers (:func:`~repro.buffers.frozen.freeze_trie`);

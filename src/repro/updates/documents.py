@@ -4,9 +4,9 @@ A :class:`DocumentEditor` is the only sanctioned way to mutate an
 :class:`~repro.xml.model.XMLDocument` without paying a full
 ``reindex()`` + columnar rebuild per change. For a localized edit it
 
-* patches the region labels (``start``/``end``/``level``) and Dewey
-  labels on the node objects — a suffix shift plus an ancestor-chain
-  fix-up, never a whole-tree re-annotation;
+* patches the region labels (``start``/``end``/``level``) on the node
+  objects — a suffix shift plus an ancestor-chain fix-up, never a
+  whole-tree re-annotation;
 * splices the same change into the buffers of the document's
   :class:`~repro.xml.columnar.ColumnarDocument` (``document.view``:
   node columns, per-tag postings, per-path node lists) in place, through the
@@ -34,7 +34,7 @@ edits degrades to the rebuild cost it would have paid anyway.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from collections import deque
 from itertools import count
 
@@ -48,6 +48,7 @@ from repro.updates.delta import (
     DocumentDelta,
 )
 from repro.xml.columnar import ColumnarDocument, columnar
+from repro.xml.encoding import annotate_regions
 from repro.xml.model import XMLDocument, XMLNode
 
 
@@ -215,33 +216,10 @@ class DocumentEditor:
                 view.nids_by_path[pid] = shift_tail(nids, pos, m)
 
         # 3. Attach and label the subtree: regions from s0, levels below
-        # the parent, Dewey under the parent's label at *index*.
+        # the parent.
         subtree.parent = parent
         parent.children.insert(index, subtree)
-        counter = s0
-        base_level = parent.level + 1  # type: ignore[operator]
-        label_stack: list[tuple[XMLNode, int, int]] = [(subtree,
-                                                        base_level, 0)]
-        while label_stack:
-            node, level, child_index = label_stack.pop()
-            if child_index == 0:
-                node.start = counter
-                node.level = level
-                counter += 1
-            if child_index < len(node.children):
-                label_stack.append((node, level, child_index + 1))
-                label_stack.append((node.children[child_index],
-                                    level + 1, 0))
-            else:
-                node.end = counter
-                counter += 1
-        subtree.dewey = parent.dewey + (index,)  # type: ignore[operator]
-        dewey_stack = [subtree]
-        while dewey_stack:
-            node = dewey_stack.pop()
-            for position, child in enumerate(node.children):
-                child.dewey = node.dewey + (position,)
-                dewey_stack.append(child)
+        annotate_regions(subtree, start=s0, level=parent.level + 1)
 
         # 4. Build the subtree's columns (pre-order == [q, q + m)) and
         # splice them into the node-level arrays.
@@ -249,7 +227,7 @@ class DocumentEditor:
                       for offset, node in enumerate(sub_nodes)}
         sub_starts, sub_ends, sub_levels = [], [], []
         sub_parents, sub_tag_ids, sub_values = [], [], []
-        sub_deweys, sub_path_ids = [], []
+        sub_path_ids = []
         by_tid: dict[int, list[int]] = {}
         by_pid: dict[int, list[int]] = {}
         for offset, node in enumerate(sub_nodes):
@@ -269,7 +247,6 @@ class DocumentEditor:
                 view.tag_ends.append(make("B"))
             sub_tag_ids.append(tid)
             sub_values.append(node.value)
-            sub_deweys.append(node.dewey)
             parent_pid = (view.path_ids[parent_nid] if node is subtree
                           else sub_path_ids[
                               nid_of_sub[id(node.parent)] - q])
@@ -291,7 +268,6 @@ class DocumentEditor:
         view.parents = splice(view.parents, q, q, sub_parents)
         view.tag_ids = splice(view.tag_ids, q, q, sub_tag_ids)
         view.values[q:q] = sub_values
-        view.deweys[q:q] = sub_deweys
         view.path_ids = splice(view.path_ids, q, q, sub_path_ids)
         view.size += m
 
@@ -314,23 +290,6 @@ class DocumentEditor:
         view.nid_index = {start: nid
                           for nid, start in enumerate(starts)}
 
-        # 6. Dewey surgery on the following siblings: their component at
-        # the parent's depth moves up by one.
-        depth = len(parent.dewey)  # type: ignore[arg-type]
-        for sibling in parent.children[index + 1:]:
-            for node in sibling.iter():
-                label = node.dewey
-                node.dewey = (label[:depth] + (label[depth] + 1,)
-                              + label[depth + 1:])
-                view.deweys[view.nid_index[node.start]] = node.dewey
-
-        # 7. Document-level indexes.
-        self.document._by_start[q:q] = sub_nodes
-        by_tag = self.document._by_tag
-        for node in sub_nodes:
-            insort(by_tag.setdefault(node.tag, []), node,
-                   key=lambda n: n.start)
-
         return self._finish(SUBTREE_INSERT, m, s0, rebuilt=False, view=view)
 
     def delete_subtree(self, node: XMLNode) -> DocumentDelta:
@@ -352,7 +311,6 @@ class DocumentEditor:
         shift = 2 * m
         parent_nid = view.parents[q]
         ancestors = self._ancestor_nids(view, parent_nid)
-        sub_nodes = view.nodes[q:q + m]
         starts, ends = view.starts, view.ends
 
         # 1. Postings and path lists: drop the dead block, shift the
@@ -405,34 +363,14 @@ class DocumentEditor:
         view.parents = shift_from(parents, q, q + m, -m)
         view.tag_ids = delete(view.tag_ids, q, q + m)
         del view.values[q:q + m]
-        del view.deweys[q:q + m]
         view.path_ids = delete(view.path_ids, q, q + m)
         view.size -= m
         view.nid_index = {start: nid
                           for nid, start in enumerate(starts)}
 
-        # 4. Detach; Dewey surgery on the following siblings.
-        index = parent.children.index(node)
-        parent.children.pop(index)
+        # 4. Detach.
+        parent.children.remove(node)
         node.parent = None
-        depth = len(parent.dewey)  # type: ignore[arg-type]
-        for sibling in parent.children[index:]:
-            for survivor in sibling.iter():
-                label = survivor.dewey
-                survivor.dewey = (label[:depth] + (label[depth] - 1,)
-                                  + label[depth + 1:])
-                view.deweys[view.nid_index[survivor.start]] = survivor.dewey
-
-        # 5. Document-level indexes.
-        del self.document._by_start[q:q + m]
-        dead = {id(dead_node) for dead_node in sub_nodes}
-        by_tag = self.document._by_tag
-        for tag in {dead_node.tag for dead_node in sub_nodes}:
-            kept = [n for n in by_tag[tag] if id(n) not in dead]
-            if kept:
-                by_tag[tag] = kept
-            else:
-                del by_tag[tag]
 
         return self._finish(SUBTREE_DELETE, m, s0, rebuilt=False, view=view)
 

@@ -2,13 +2,12 @@
 
 Everything the paper's XML side needs, self-contained: a hand-written
 scanner (:mod:`repro.xml.scanner`, the one grammar under the tree parser
-and the streaming arena builder) and serialiser, region and (extended)
-Dewey encodings, the twig query
-model and pattern language, and the twig-matching algorithms (naive
-navigation, structural-join pipeline, PathStack/TwigStack, TJFast) — all
-running on the columnar document store (:mod:`repro.xml.columnar`) and
-registered with the unified :class:`TwigAlgorithm` interface
-(:mod:`repro.xml.interface`).
+and the streaming arena builder) and serialiser, the region encoding
+(the tree's only labels), the twig query model and pattern language, and
+the twig-matching algorithms (naive navigation, structural-join
+pipeline, PathStack/TwigStack, TJFast) — all running on the columnar
+document store (:mod:`repro.xml.columnar`) and registered with the
+unified :class:`TwigAlgorithm` interface (:mod:`repro.xml.interface`).
 """
 
 from repro.xml.algorithms import match_twig
@@ -19,7 +18,6 @@ from repro.xml.columnar import (
     columnar,
     document_stats,
 )
-from repro.xml.dewey import ExtendedDeweyLabeler, annotate_dewey
 from repro.xml.encoding import annotate_regions, is_ancestor, is_parent
 from repro.xml.generator import (
     chain_document,
@@ -38,7 +36,6 @@ from repro.xml.navigation import match_embeddings, match_relation
 from repro.xml.parser import parse_document, parse_element_tree
 from repro.xml.pathstack import path_stack, path_stack_relation
 from repro.xml.serializer import serialize
-from repro.xml.streams import TagStream
 from repro.xml.structural_join import stack_tree_join, structural_join_pipeline
 from repro.xml.tjfast import tjfast, tjfast_embeddings
 from repro.xml.twig import Axis, TwigNode, TwigQuery, pattern_string
@@ -51,9 +48,7 @@ __all__ = [
     "Axis",
     "ColumnarDocument",
     "DocumentStats",
-    "ExtendedDeweyLabeler",
     "TagPosting",
-    "TagStream",
     "TwigAlgorithm",
     "TwigNode",
     "TwigQuery",
@@ -61,7 +56,6 @@ __all__ = [
     "XMLNode",
     "XMarkScale",
     "XPathQuery",
-    "annotate_dewey",
     "annotate_regions",
     "available_twig_algorithms",
     "chain_document",

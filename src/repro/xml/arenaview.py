@@ -370,7 +370,6 @@ def view_from_arena(arena: Any) -> "ColumnarDocument":
     else:
         view.values = ArenaValues(arena.buffer)
         view.stored_dictionary = stored_dictionaries(arena, view.values)
-    view.deweys = None  # not shipped; only the update layer reads them
     view.tags = meta["tags"]
     view.tag_index = meta["tag_index"]
     view.paths = [tuple(path) for path in meta["paths"]]

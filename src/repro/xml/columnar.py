@@ -4,7 +4,7 @@ A :class:`ColumnarDocument` is built **once** per document version,
 is held by the document (``document.view``), and holds the whole tree
 as parallel typed buffers over dense int node ids — ``starts``,
 ``ends``, ``levels``, ``parents``, ``tag_ids``, pre-parsed typed
-``values``, Dewey labels, and per-tag postings sorted by document order.
+``values``, and per-tag postings sorted by document order.
 The int columns are packed through :func:`repro.buffers.layout.pack`
 into the narrowest ``array`` typecode their label range needs (signed
 for ``parents``, whose root entry is -1), so a document's index is
@@ -52,8 +52,7 @@ if TYPE_CHECKING:
 class TagPosting:
     """A forward cursor over one sorted posting (document order).
 
-    The columnar replacement for :class:`~repro.xml.streams.TagStream`:
-    parallel ``nids``/``starts``/``ends`` arrays, shared with the
+    Parallel ``nids``/``starts``/``ends`` arrays, shared with the
     document when the query node has no value predicate (no per-query
     copy).
     """
@@ -112,7 +111,7 @@ class ColumnarDocument:
     # (``document.view``), never the other way round, so a dropped view
     # is freed by reference count.
     __slots__ = ("size", "nodes", "starts", "ends", "levels",
-                 "parents", "tag_ids", "values", "deweys", "path_ids",
+                 "parents", "tag_ids", "values", "path_ids",
                  "tags", "tag_index", "paths", "path_table", "tag_nids",
                  "tag_starts", "tag_ends", "tag_ranks", "nids_by_path",
                  "pids_by_last_tag", "nid_index", "derived",
@@ -128,7 +127,6 @@ class ColumnarDocument:
         parents: list[int] = []
         tag_ids: list[int] = []
         values: list[Value | None] = []
-        deweys: list[tuple[int, ...]] = []
         path_ids: list[int] = []
         tags: list[str] = []
         tag_index: dict[str, int] = {}
@@ -152,7 +150,6 @@ class ColumnarDocument:
                 tags.append(node.tag)
             tag_ids.append(tid)
             values.append(node.value)  # typed text, parsed exactly once
-            deweys.append(node.dewey or ())
             parent_pid = path_ids[parent_nid] if parent_nid >= 0 else -1
             key = (parent_pid, tid)
             pid = path_table.get(key)
@@ -175,7 +172,6 @@ class ColumnarDocument:
         self.parents = pack(parents)
         self.tag_ids = pack(tag_ids, hi=max(len(tags) - 1, 0))
         self.values = values
-        self.deweys = deweys
         self.path_ids = pack(path_ids, hi=max(len(paths) - 1, 0))
         self.tags = tags
         self.tag_index = tag_index

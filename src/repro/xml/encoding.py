@@ -19,15 +19,19 @@ from __future__ import annotations
 from repro.xml.model import XMLNode
 
 
-def annotate_regions(root: XMLNode) -> XMLNode:
+def annotate_regions(root: XMLNode, *, start: int = 0,
+                     level: int = 0) -> XMLNode:
     """Assign ``start``/``end``/``level`` to every node of the subtree.
 
+    The subtree's labels run from *start* and its root sits at *level*:
+    the defaults label a whole document, and the update layer labels an
+    inserted subtree in place inside its parent's label range.
     Iterative DFS so pathological deep documents do not hit the Python
     recursion limit. Returns *root* for chaining.
     """
-    counter = 0
+    counter = start
     # Stack of (node, level, child_index); child_index tracks progress.
-    stack: list[tuple[XMLNode, int, int]] = [(root, 0, 0)]
+    stack: list[tuple[XMLNode, int, int]] = [(root, level, 0)]
     while stack:
         node, level, child_index = stack.pop()
         if child_index == 0:

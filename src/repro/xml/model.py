@@ -1,10 +1,10 @@
 """The XML document model.
 
 A document is a tree of :class:`XMLNode` elements. Nodes carry a tag, an
-attribute dict, text content, and children. Label fields (``start``,
-``end``, ``level``, ``dewey``) are filled in by the encoders in
-:mod:`repro.xml.encoding` and :mod:`repro.xml.dewey`; they default to
-``None`` until a document is frozen via :meth:`XMLDocument.reindex`.
+attribute dict, text content, and children. The region label fields
+(``start``, ``end``, ``level``) are filled in by
+:func:`repro.xml.encoding.annotate_regions`; they default to ``None``
+until a document is frozen via :meth:`XMLDocument.reindex`.
 
 Node *values*: the paper joins XML elements with relational attributes on
 the element's typed text content (Figure 1: ``ISBN: 978-3-16-1``,
@@ -14,6 +14,7 @@ text revived as int/float when it looks numeric.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Iterator, Mapping, Sequence
 
 from repro.relational.schema import parse_value
@@ -24,7 +25,7 @@ class XMLNode:
     """One element of an XML tree."""
 
     __slots__ = ("tag", "attributes", "text", "children", "parent",
-                 "start", "end", "level", "dewey")
+                 "start", "end", "level")
 
     def __init__(self, tag: str, attributes: Mapping[str, str] | None = None,
                  text: str = "", children: Sequence["XMLNode"] = ()):
@@ -36,7 +37,6 @@ class XMLNode:
         self.start: int | None = None
         self.end: int | None = None
         self.level: int | None = None
-        self.dewey: tuple[int, ...] | None = None
         for child in children:
             self.append(child)
 
@@ -127,13 +127,15 @@ class XMLNode:
 
 
 class XMLDocument:
-    """A rooted XML tree plus per-tag indexes and structural labels.
+    """A rooted XML tree plus its region labels.
 
-    Construction freezes the tree: region encodings, Dewey labels and tag
-    streams are computed once. Mutate the tree only through
-    :meth:`reindex`, which recomputes everything — or through the delta
-    layer (:mod:`repro.updates.documents`), which patches the labels,
-    indexes and :attr:`view` in place and calls :meth:`bump_version`.
+    Construction freezes the tree: every node gets its region label
+    once. The document keeps no per-node index of its own — the tree is
+    one, and the columnar :attr:`view` is the other. Mutate the tree
+    only through :meth:`reindex`, which relabels everything — or
+    through the delta layer (:mod:`repro.updates.documents`), which
+    patches the labels and :attr:`view` in place and calls
+    :meth:`bump_version`.
     """
 
     def __init__(self, root: XMLNode):
@@ -142,12 +144,10 @@ class XMLDocument:
         #: The columnar view (:func:`repro.xml.columnar.columnar`), built
         #: on first use and dropped by :meth:`reindex`.
         self.view = None
-        self._by_tag: dict[str, list[XMLNode]] = {}
-        self._by_start: list[XMLNode] = []
         self.reindex()
 
     def reindex(self) -> None:
-        """(Re)compute labels and indexes after tree mutation.
+        """(Re)compute the region labels after tree mutation.
 
         Bumps :attr:`version` and drops :attr:`view` with all it has
         derived (:mod:`repro.xml.columnar`).
@@ -155,44 +155,36 @@ class XMLDocument:
         self.version += 1
         self.view = None
         # Imported here to avoid a cycle: encoding works on raw nodes.
-        from repro.xml.dewey import annotate_dewey
         from repro.xml.encoding import annotate_regions
 
         annotate_regions(self.root)
-        annotate_dewey(self.root)
-        self._by_tag = {}
-        self._by_start = []
-        for node in self.root.iter():
-            self._by_tag.setdefault(node.tag, []).append(node)
-            self._by_start.append(node)
-        # Pre-order already yields document order, so streams are sorted
-        # by start position by construction.
 
     def bump_version(self) -> int:
         """Advance :attr:`version` without recomputing anything.
 
-        For the update layer only: it patches labels, the ``_by_*``
-        indexes and :attr:`view` itself, then bumps the version so a
-        version stamp (the adaptive planner's drift ledger) never
-        matches a pre-mutation one.
+        For the update layer only: it patches the labels and
+        :attr:`view` itself, then bumps the version so a version stamp
+        (the adaptive planner's drift ledger) never matches a
+        pre-mutation one.
         """
         self.version += 1
         return self.version
 
-    # -- indexes ---------------------------------------------------------
-
-    @property
-    def tags(self) -> tuple[str, ...]:
-        return tuple(self._by_tag)
+    # -- accessors ---------------------------------------------------------
 
     def nodes(self, tag: str | None = None) -> list[XMLNode]:
-        """All nodes in document order, optionally restricted to *tag*."""
+        """All nodes in document order, optionally restricted to *tag*.
+
+        A walk of the tree, not a read of :attr:`view`: the ``naive``
+        oracle enumerates through here and stays independent of the
+        columnar state it checks.
+        """
         if tag is None:
-            return list(self._by_start)
-        return list(self._by_tag.get(tag, ()))
+            return list(self.root.iter())
+        return self.root.find_all(tag)
 
     def tag_count(self, tag: str) -> int:
-        return len(self._by_tag.get(tag, ()))
+        return len(self.nodes(tag))
 
     def node_by_start(self, start: int) -> XMLNode | None:
         """The node whose region ``start`` label equals *start*, or None.
@@ -202,22 +194,25 @@ class XMLDocument:
         pre-order), so the same label addresses the corresponding node
         in any rebuild or clone of the same logical version — the query
         service's wire-level node addressing relies on exactly this.
+        Descends from the root into the last child starting at or
+        before *start* — in pre-order that child is the wanted node or
+        its ancestor; a label no node starts at runs out of children.
         """
-        from bisect import bisect_left
-
-        nodes = self._by_start
-        position = bisect_left(nodes, start, key=lambda node: node.start)
-        if position < len(nodes) and nodes[position].start == start:
-            return nodes[position]
-        return None
+        node = self.root
+        while node.start != start:
+            position = bisect_right(node.children, start,
+                                    key=lambda child: child.start)
+            if position == 0:
+                return None
+            node = node.children[position - 1]
+        return node
 
     def size(self) -> int:
-        """Total number of elements."""
-        return len(self._by_start)
+        """Total number of elements (the root spans ``2 * size`` labels)."""
+        return (self.root.end + 1) // 2
 
     def __repr__(self) -> str:
-        return (f"XMLDocument(root=<{self.root.tag}>, {self.size()} nodes, "
-                f"{len(self._by_tag)} tags)")
+        return f"XMLDocument(root=<{self.root.tag}>, {self.size()} nodes)"
 
 
 def element(tag: str, *children: XMLNode, text: str = "",

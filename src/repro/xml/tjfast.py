@@ -1,23 +1,25 @@
 """TJFast-style twig matching on root tag paths (Lu et al. 2005).
 
 TJFast reads only the streams of the twig's *leaf* query nodes. The
-extended Dewey label of a leaf element encodes its entire root tag path,
-so the root-to-leaf query path can be matched against the label alone;
-the matched ancestor elements are then recovered from the Dewey prefixes.
-Finally the per-leaf path solutions are merged exactly like TwigStack's
-phase 2 (through the encoded engine).
+paper labels every element with an *extended Dewey* label: the label of
+the i-th child with tag t under a parent whose child-tag alphabet (from
+the DTD) has size m is the parent's label plus one component k with
+``k mod m == index of t``. A leaf's label therefore encodes its entire
+root tag path, so the root-to-leaf query path is matched against the
+label alone, and the matched ancestor elements are recovered from the
+label's prefixes. Finally the per-leaf path solutions are merged exactly
+like TwigStack's phase 2 (through the encoded engine).
 
-Since the columnar refactor the label machinery is the document's
-interned *path ids* (:class:`~repro.xml.columnar.ColumnarDocument`):
-two leaves share a path id iff their root tag paths are equal, so the
-query path is matched **once per distinct document path** instead of
-once per leaf element, and ancestors are recovered by walking the
-columnar ``parents`` array. This keeps the defining property of TJFast —
+Here the label machinery is the document's interned *path ids*
+(:class:`~repro.xml.columnar.ColumnarDocument`): two leaves share a
+path id iff their root tag paths are equal, so the query path is
+matched **once per distinct document path** instead of once per leaf
+element, and ancestors are recovered by walking the columnar
+``parents`` array. This keeps the defining property of TJFast —
 internal query nodes consume no input streams — while replacing the
-per-element label decode with a per-path one. The original
-extended-Dewey formulation survives in :mod:`repro.xml.dewey` (the label
-scheme) and :mod:`repro.xml.reference` (the node-object matcher kept as
-a test oracle).
+per-element label decode with a per-path one. The per-element
+formulation (labeler and node-object matcher) is kept under ``tests/``
+as a second oracle.
 """
 
 from __future__ import annotations

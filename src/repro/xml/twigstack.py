@@ -19,8 +19,8 @@ identities (``start`` labels) and the merge is the registered
 ``generic_join`` operator, so merge stats land in the same
 :class:`~repro.instrumentation.JoinStats` contract as relational joins.
 This mirrors the paper's theme of treating tree data relationally. The
-pre-columnar node-object implementation survives in
-:mod:`repro.xml.reference` as a test oracle.
+pre-columnar node-object implementation is kept under ``tests/`` as a
+second oracle.
 """
 
 from __future__ import annotations

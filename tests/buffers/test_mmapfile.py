@@ -28,9 +28,8 @@ from repro.buffers.mmapfile import (
     ArenaWriter,
     FileArena,
     arena_temp_path,
-    leaked_arena_files,
 )
-from repro.buffers.shm import SharedArena, leaked_segments
+from repro.buffers.shm import SharedArena
 from repro.errors import TransportError
 
 #: (typecode, values) pairs hitting both ends of each storage width.
@@ -50,15 +49,15 @@ BOUNDARY_BUFFERS = [
 BACKINGS = [SharedArena, FileArena]
 
 
-def assert_no_leaks():
-    assert not leaked_segments()
-    assert not leaked_arena_files()
+def assert_no_leaks(leaks):
+    assert not leaks.segments()
+    assert not leaks.arena_files()
 
 
 class TestTypecodeBoundaries:
     @pytest.mark.parametrize("backing", BACKINGS,
                              ids=lambda backing: backing.__name__)
-    def test_all_widths_round_trip(self, backing):
+    def test_all_widths_round_trip(self, leaks, backing):
         """One layout: every width, and an empty buffer, read back
         bit-exactly by a second attachment of either backing."""
         buffers = {f"col_{tc}": array(tc, values)
@@ -76,9 +75,9 @@ class TestTypecodeBoundaries:
                     assert list(view) == list(buf)
             finally:
                 attached.close()
-        assert_no_leaks()
+        assert_no_leaks(leaks)
 
-    def test_streamed_columns_match_publish(self):
+    def test_streamed_columns_match_publish(self, leaks):
         """ArenaWriter spill path == in-memory publish, byte for byte."""
         values = list(range(-50, 50))
         direct = FileArena.publish({"c": array("i", values)})
@@ -92,11 +91,11 @@ class TestTypecodeBoundaries:
             for arena in (direct, streamed):
                 arena.close()
                 arena.unlink()
-        assert not leaked_arena_files()
+        assert not leaks.arena_files()
 
 
 class TestColumnWriter:
-    def test_partial_final_tail(self):
+    def test_partial_final_tail(self, leaks):
         """A column whose length is not a multiple of the chunk."""
         writer = ArenaWriter(chunk_items=8)
         column = writer.column("c", "H")
@@ -106,7 +105,7 @@ class TestColumnWriter:
         assert len(column) == 21
         with writer.finish(None) as arena:
             assert list(arena.buffer("c")) == list(range(21))
-        assert not leaked_arena_files()
+        assert not leaks.arena_files()
 
     def test_set_at_backpatches_tail_and_flushed(self):
         writer = ArenaWriter(chunk_items=4)
@@ -121,14 +120,14 @@ class TestColumnWriter:
         assert got[1] == 101 and got[9] == 109
         assert got[0] == 0 and got[8] == 8
 
-    def test_snapshot_reads_everything_appended(self):
+    def test_snapshot_reads_everything_appended(self, leaks):
         writer = ArenaWriter(chunk_items=4)
         column = writer.column("c", "I", register=False)
         column.extend(range(11))
         with column.snapshot() as view:
             assert list(view) == list(range(11))
         writer.abort()
-        assert not leaked_arena_files()
+        assert not leaks.arena_files()
 
     def test_concat_streams_buckets_in_order(self):
         writer = ArenaWriter(chunk_items=4)
@@ -142,21 +141,21 @@ class TestColumnWriter:
             expected = [*range(0, 6), *range(100, 106), *range(200, 206)]
             assert list(arena.buffer("csr")) == expected
 
-    def test_duplicate_buffer_name_rejected(self):
+    def test_duplicate_buffer_name_rejected(self, leaks):
         writer = ArenaWriter()
         writer.column("c", "I")
         with pytest.raises(ValueError):
             writer.add_buffer("c", array("I", [1]))
         writer.abort()
-        assert not leaked_arena_files()
+        assert not leaks.arena_files()
 
 
 class TestErrorRouting:
-    def test_vanished_file_raises_transport_error(self):
+    def test_vanished_file_raises_transport_error(self, leaks):
         missing = arena_temp_path()
         with pytest.raises(TransportError, match="vanished"):
             FileArena.attach(missing)
-        assert not leaked_arena_files()
+        assert not leaks.arena_files()
 
     def test_non_arena_file_raises_transport_error(self, tmp_path):
         bogus = tmp_path / "not-an-arena.bin"
@@ -164,7 +163,7 @@ class TestErrorRouting:
         with pytest.raises(TransportError, match="not a readable arena"):
             FileArena.attach(str(bogus))
 
-    def test_truncated_file_raises_transport_error(self):
+    def test_truncated_file_raises_transport_error(self, leaks):
         """A file cut short of its directory must not attach: the last
         buffer would read back as a prefix of itself."""
         arena = FileArena.publish({"x": array("I", range(1000)),
@@ -178,11 +177,11 @@ class TestErrorRouting:
                 FileArena.attach(path)
         finally:
             arena.unlink()
-        assert not leaked_arena_files()
+        assert not leaks.arena_files()
 
     @pytest.mark.parametrize("backing", BACKINGS,
                              ids=lambda backing: backing.__name__)
-    def test_buffer_after_close_raises_transport_error(self, backing):
+    def test_buffer_after_close_raises_transport_error(self, leaks, backing):
         arena = backing.publish({"c": array("I", [1, 2, 3])})
         arena.close()
         with pytest.raises(TransportError, match="closed"):
@@ -193,7 +192,7 @@ class TestErrorRouting:
         finally:
             reattached.close()
             arena.unlink()
-        assert_no_leaks()
+        assert_no_leaks(leaks)
 
     def test_shm_attach_unknown_name_raises_transport_error(self):
         with pytest.raises(TransportError, match="vanished"):

@@ -15,7 +15,7 @@ import pickle
 import pytest
 
 from repro.buffers.layout import as_list, pack
-from repro.buffers.shm import SharedArena, leaked_segments
+from repro.buffers.shm import SharedArena
 from repro.core.multimodel import MultiModelQuery, TwigBinding
 from repro.engine.encoded import EncodedInstance
 from repro.engine.interface import get_algorithm
@@ -78,7 +78,7 @@ def triangle_instance(n=50, algorithm="generic_join"):
 
 
 class TestSharedArena:
-    def test_attacher_never_unlinks(self):
+    def test_attacher_never_unlinks(self, leaks):
         arena = SharedArena.publish({"k": pack([1, 2, 3])}, None)
         attached = SharedArena.attach(arena.name)
         attached.close()
@@ -88,11 +88,11 @@ class TestSharedArena:
         again.close()
         arena.close()
         arena.unlink()
-        assert not leaked_segments()
+        assert not leaks.segments()
 
 
 class TestDocumentRoundTrip:
-    def test_attached_view_mirrors_columns_and_postings(self):
+    def test_attached_view_mirrors_columns_and_postings(self, leaks):
         document = library_document()
         base = columnar(document)
         arena = publish_view(base)
@@ -120,7 +120,7 @@ class TestDocumentRoundTrip:
         finally:
             arena.close()
             arena.unlink()
-        assert not leaked_segments()
+        assert not leaks.segments()
 
     @pytest.mark.parametrize("algorithm",
                              ["twigstack", "tjfast", "structural", "naive"])
@@ -142,7 +142,7 @@ class TestDocumentRoundTrip:
 class TestInstanceRoundTrip:
     @pytest.mark.parametrize("algorithm",
                              ["generic_join", "leapfrog", "xjoin"])
-    def test_kernels_run_on_attached_instance(self, algorithm):
+    def test_kernels_run_on_attached_instance(self, leaks, algorithm):
         instance = triangle_instance(50, algorithm)
         serial = get_algorithm(algorithm).run(instance)
         arena = publish_instance(instance, algorithm)
@@ -154,7 +154,7 @@ class TestInstanceRoundTrip:
         finally:
             arena.close()
             arena.unlink()
-        assert not leaked_segments()
+        assert not leaks.segments()
 
 
 class TestZeroPickling:
@@ -193,7 +193,7 @@ class TestTransportRouting:
         with pytest.raises(TransportError):
             executor.run_join(instance, "xjoin")
 
-    def test_naive_twig_without_fork_runs_on_shm(self, monkeypatch):
+    def test_naive_twig_without_fork_runs_on_shm(self, leaks, monkeypatch):
         # The shm attachment is an ArenaDocument: its node stubs serve
         # the navigational oracle with no fork to fall back on.
         monkeypatch.setattr(executor_module, "fork_available",
@@ -207,7 +207,7 @@ class TestTransportRouting:
         assert sorted(parallel.rows) == sorted(serial.rows)
         assert any(record.label.startswith("roots [")
                    for record in stats.stages)
-        assert not leaked_segments()
+        assert not leaks.segments()
 
     def test_pickle_transport_is_refused_at_construction(self):
         # The arena transports ship every spawned job; there is no
@@ -217,7 +217,7 @@ class TestTransportRouting:
 
 
 class TestSpawnPoolSmoke:
-    def test_two_worker_shm_twig_parity(self):
+    def test_two_worker_shm_twig_parity(self, leaks):
         document = library_document()
         twig = parse_twig("b=book(/t=title)")
         serial = get_twig_algorithm("twigstack").run(document, twig)
@@ -229,12 +229,12 @@ class TestSpawnPoolSmoke:
         # A race against the pool only if the root posting was sliced.
         assert any(record.label.startswith("roots [")
                    for record in stats.stages)
-        assert not leaked_segments()
+        assert not leaks.segments()
 
-    def test_two_worker_shm_join_parity(self):
+    def test_two_worker_shm_join_parity(self, leaks):
         instance = triangle_instance(60)
         serial = get_algorithm("leapfrog").run(instance)
         executor = ParallelExecutor(2, transport="shm")
         parallel = executor.run_join(instance, "leapfrog")
         assert sorted(parallel.rows) == sorted(serial.rows)
-        assert not leaked_segments()
+        assert not leaks.segments()

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.buffers.mmapfile import FileArena, leaked_arena_files
+from repro.buffers.mmapfile import FileArena
 from repro.core.multimodel import MultiModelQuery
 from repro.engine.encoded import EncodedInstance
 from repro.engine.interface import get_algorithm
@@ -55,7 +55,7 @@ ITEM_TWIG = "i=item(/n=name, //c=incategory)"
 
 
 class TestRoundTrip:
-    def test_document_by_path(self):
+    def test_document_by_path(self, leaks):
         _text, document = stream_corpus()
         twig = parse_twig(ITEM_TWIG)
         serial = get_twig_algorithm("twigstack").run(document, twig)
@@ -71,9 +71,9 @@ class TestRoundTrip:
         finally:
             arena.close()
             arena.unlink()
-        assert not leaked_arena_files()
+        assert not leaks.arena_files()
 
-    def test_instance_by_path(self):
+    def test_instance_by_path(self, leaks):
         instance = triangle_instance()
         serial = get_algorithm("generic_join").run(instance)
         arena = FileArena.publish(*instance_buffers(instance,
@@ -87,7 +87,7 @@ class TestRoundTrip:
         finally:
             arena.close()
             arena.unlink()
-        assert not leaked_arena_files()
+        assert not leaks.arena_files()
 
     def test_attach_vanished_path_raises_transport_error(self):
         with pytest.raises(TransportError, match="vanished"):
@@ -118,7 +118,7 @@ class TestExecutorRouting:
 
 class TestSpawnPoolSmoke:
     @pytest.mark.parametrize("algorithm", ["twigstack", "naive"])
-    def test_two_worker_mmap_twig_parity(self, algorithm):
+    def test_two_worker_mmap_twig_parity(self, leaks, algorithm):
         """The pool smoke — and proof the navigational ``naive`` oracle
         runs attached (the view's node stubs carry it)."""
         _text, document = stream_corpus()
@@ -127,19 +127,19 @@ class TestSpawnPoolSmoke:
         executor = ParallelExecutor(2, transport="mmap")
         parallel = executor.run_twig(document, twig, algorithm)
         assert sorted(parallel.rows) == sorted(serial.rows)
-        assert not leaked_arena_files()
+        assert not leaks.arena_files()
 
-    def test_two_worker_mmap_join_parity(self):
+    def test_two_worker_mmap_join_parity(self, leaks):
         instance = triangle_instance()
         serial = get_algorithm("generic_join").run(instance)
         executor = ParallelExecutor(2, transport="mmap")
         parallel = executor.run_join(instance, "generic_join")
         assert sorted(parallel.rows) == sorted(serial.rows)
-        assert not leaked_arena_files()
+        assert not leaks.arena_files()
 
 
 class TestStreamedArenaByPath:
-    def test_streamed_corpus_republishes_zero_copy(self):
+    def test_streamed_corpus_republishes_zero_copy(self, leaks):
         """A streamed-build arena served through the pool by its own
         path: the executor must not copy, not unlink the caller-owned
         file, and the rows must match the in-memory build."""
@@ -159,4 +159,4 @@ class TestStreamedArenaByPath:
         finally:
             arena.close()
             arena.unlink()
-        assert not leaked_arena_files()
+        assert not leaks.arena_files()

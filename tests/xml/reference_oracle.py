@@ -1,30 +1,154 @@
-"""Node-object twig matchers: the pre-columnar reference implementations.
+"""The node-object twig oracle: a second opinion against ``naive``.
 
 The engine path (:mod:`repro.xml.twigstack`, :mod:`repro.xml.tjfast`)
-runs on :class:`~repro.xml.columnar.ColumnarDocument` arrays. This module
-preserves the original implementations that walk :class:`XMLNode`
-objects through :class:`~repro.xml.streams.TagStream` cursors and decode
-extended Dewey labels per element. They are an extra **oracle** in the
-cross-algorithm parity suite (two independently coded matchers agreeing
-is stronger evidence than one).
+runs on :class:`~repro.xml.columnar.ColumnarDocument` arrays. The
+matchers here are the original implementations that walk
+:class:`~repro.xml.model.XMLNode` objects through :class:`TagStream`
+cursors and decode extended Dewey labels (:class:`ExtendedDeweyLabeler`)
+per element. The cross-algorithm parity suites run them beside the
+registered matchers: two independently coded matchers agreeing is
+stronger evidence than one. They are not registered, so no planner
+picks them.
 
-They are deliberately *not* registered with the twig-algorithm registry:
-planners should never pick them.
+Extended Dewey (Lu et al. 2005, "TJFast") encodes a child's *tag* into
+its label component, using a per-parent-tag alphabet of child tags (the
+paper derives it from a DTD; :class:`ExtendedDeweyLabeler` derives it
+from the document, which keeps the decoding property). Component ``k``
+of a child under a parent whose alphabet has size ``m`` satisfies
+``k mod m == index of the child's tag``, so a node's root tag path
+decodes from its label alone.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 
+from repro.errors import TwigError
 from repro.instrumentation import JoinStats, ensure_stats
 from repro.relational.operators import naive_multiway_join
 from repro.relational.relation import Relation
-from repro.xml.dewey import ExtendedDeweyLabeler
 from repro.xml.encoding import is_ancestor, is_parent
 from repro.xml.model import XMLDocument, XMLNode
-from repro.xml.streams import TagStream
 from repro.xml.tjfast import match_path_against_tags
 from repro.xml.twig import Axis, TwigNode, TwigQuery
+
+
+class TagStream:
+    """A forward cursor over document-ordered nodes."""
+
+    __slots__ = ("nodes", "position", "label")
+
+    def __init__(self, nodes: Sequence[XMLNode], label: str = ""):
+        self.nodes = list(nodes)
+        self.position = 0
+        self.label = label
+
+    @classmethod
+    def for_query_node(cls, document: XMLDocument,
+                       query_node: TwigNode) -> "TagStream":
+        """The stream of candidate nodes for one twig query node."""
+        nodes = [node for node in document.nodes(query_node.tag)
+                 if query_node.matches_value(node.value)]
+        return cls(nodes, label=query_node.name)
+
+    def eof(self) -> bool:
+        return self.position >= len(self.nodes)
+
+    def head(self) -> XMLNode:
+        """The current node; undefined at EOF."""
+        return self.nodes[self.position]
+
+    def advance(self) -> None:
+        self.position += 1
+
+    def reset(self) -> None:
+        self.position = 0
+
+    def remaining(self) -> int:
+        return len(self.nodes) - self.position
+
+    def __len__(self) -> int:
+        return len(self.nodes)
+
+    def __repr__(self) -> str:
+        return (f"TagStream({self.label!r}, {self.position}/"
+                f"{len(self.nodes)})")
+
+
+class ExtendedDeweyLabeler:
+    """Extended Dewey labels for one document.
+
+    The per-parent-tag child alphabets are derived from the document (a
+    stand-in for the DTD the original paper assumes). Labels are tuples of
+    non-negative ints; :meth:`decode` recovers the full tag path of a node
+    from its label alone, and :meth:`label` maps a node to its label.
+    """
+
+    def __init__(self, document: XMLDocument):
+        self.document = document
+        self.root_tag = document.root.tag
+        # alphabet[parent_tag] = ordered distinct child tags.
+        self.alphabet: dict[str, list[str]] = {}
+        for node in document.root.iter():
+            slots = self.alphabet.setdefault(node.tag, [])
+            for child in node.children:
+                if child.tag not in slots:
+                    slots.append(child.tag)
+        self._labels: dict[int, tuple[int, ...]] = {}
+        self._assign()
+
+    def _assign(self) -> None:
+        root = self.document.root
+        assert root.start is not None, "document must be indexed"
+        self._labels[root.start] = ()
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            label = self._labels[node.start]  # type: ignore[index]
+            slots = self.alphabet.get(node.tag, [])
+            width = max(len(slots), 1)
+            # Per-tag running counters so k mod width == tag index.
+            seen: dict[str, int] = {}
+            for child in node.children:
+                tag_index = slots.index(child.tag)
+                repetition = seen.get(child.tag, 0)
+                seen[child.tag] = repetition + 1
+                component = repetition * width + tag_index
+                self._labels[child.start] = label + (component,)
+                stack.append(child)
+
+    def label(self, node: XMLNode) -> tuple[int, ...]:
+        """The extended Dewey label of *node*."""
+        assert node.start is not None
+        try:
+            return self._labels[node.start]
+        except KeyError:
+            raise TwigError(
+                f"node <{node.tag}> is not part of the labelled document"
+            ) from None
+
+    def decode(self, label: tuple[int, ...]) -> list[str]:
+        """Recover the root-to-node tag path from a label alone."""
+        path = [self.root_tag]
+        current = self.root_tag
+        for component in label:
+            slots = self.alphabet.get(current, [])
+            if not slots:
+                raise TwigError(
+                    f"cannot decode {label!r}: tag {current!r} has no "
+                    f"children in the derived alphabet"
+                )
+            tag = slots[component % len(slots)]
+            path.append(tag)
+            current = tag
+        return path
+
+    def leaf_labels(self, tag: str) -> Iterator[tuple[XMLNode, tuple[int, ...]]]:
+        """(node, label) pairs for all nodes with *tag*, document order."""
+        for node in self.document.nodes(tag):
+            yield node, self.label(node)
+
 
 _INFINITY = math.inf
 
@@ -217,4 +341,3 @@ def reference_tjfast_embeddings(document: XMLDocument, twig: TwigQuery, *,
                                 ) -> list[dict[str, XMLNode]]:
     solutions = reference_tjfast_path_solutions(document, twig, stats=stats)
     return reference_merge_path_solutions(twig, solutions, stats=stats)
-

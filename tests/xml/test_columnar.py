@@ -38,7 +38,6 @@ class TestArrays:
                 assert view.ends[nid] == node.end
                 assert view.levels[nid] == node.level
                 assert view.values[nid] == node.value
-                assert view.deweys[nid] == node.dewey
                 assert view.tags[view.tag_ids[nid]] == node.tag
                 parent = view.parents[nid]
                 if node.parent is None:

@@ -2,7 +2,7 @@
 
 The registry-level companion to ``test_twig_matching``: all registered
 :class:`TwigAlgorithm` implementations (and the node-object reference
-implementations kept for benchmarking) must produce identical match sets
+matchers of ``reference_oracle``) must produce identical match sets
 over random twigs × XMark documents, including the P-C-only and A-D-only
 edge cases where their optimality properties differ.
 """
@@ -17,13 +17,14 @@ from repro.xml.interface import (
     get_twig_algorithm,
 )
 from repro.xml.navigation import match_embeddings, match_relation
-from repro.xml.reference import (
-    reference_tjfast_embeddings,
-    reference_twig_stack_embeddings,
-)
 from repro.xml.twig import Axis, TwigNode, TwigQuery
 from repro.xml.twig_parser import parse_twig
 from repro.xml.xmark import xmark_document
+
+from reference_oracle import (
+    reference_tjfast_embeddings,
+    reference_twig_stack_embeddings,
+)
 
 XMARK_TAGS = ["open_auction", "bidder", "personref", "itemref", "increase",
               "person", "profile", "interest", "item", "incategory",

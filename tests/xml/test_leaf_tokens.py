@@ -17,7 +17,6 @@ from xml.parsers import expat
 
 import pytest
 
-from repro.buffers.mmapfile import leaked_arena_files
 from repro.data.dblp import dblp_chunks
 from repro.errors import XMLParseError
 from repro.xml import scanner
@@ -45,14 +44,14 @@ def arena_digest(chunks, path):
 
 
 class TestArenaBytes:
-    def test_the_streamed_dblp_arena_is_pinned(self, tmp_path):
+    def test_the_streamed_dblp_arena_is_pinned(self, leaks, tmp_path):
         chunks = dblp_chunks(2000, seed=1)
         assert arena_digest(chunks, tmp_path / "records.arena") \
             == (ARENA_SHA1, ARENA_BYTES)
         text = "".join(dblp_chunks(2000, seed=1))
         assert arena_digest(_chunked(text, 997), tmp_path / "odd.arena") \
             == (ARENA_SHA1, ARENA_BYTES)
-        assert not leaked_arena_files()
+        assert not leaks.arena_files()
 
 
 # ---------------------------------------------------------------------------
@@ -95,14 +94,14 @@ def splits(text):
 
 class TestLeafEdgeCases:
     @pytest.mark.parametrize("text, events", LEAVES)
-    def test_events_at_every_split_point(self, text, events):
+    def test_events_at_every_split_point(self, leaks, text, events):
         assert scan([text]) == events
         expected = expat_summary(text)
         for chunks in splits(text):
             assert scan(chunks, window=1) == events, chunks
             assert summary(scan(chunks, window=1)) == expected, chunks
-        assert_stream_parity(text, 1)
-        assert_stream_parity(text, len(text))
+        assert_stream_parity(text, 1, leaks)
+        assert_stream_parity(text, len(text), leaks)
 
     @pytest.mark.parametrize("text", [
         f"{DECLARED}<a>&uuml;&amp;&#252;&uuml;</a>",

@@ -1,4 +1,4 @@
-"""Tests for the XML document model and region/Dewey encodings."""
+"""Tests for the XML document model and its region encoding."""
 
 import random
 
@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.xml.dewey import annotate_dewey
 from repro.xml.encoding import annotate_regions, is_ancestor, is_parent
 from repro.xml.generator import chain_document, random_document, star_document
 from repro.xml.model import XMLDocument, XMLNode, element
@@ -67,7 +66,6 @@ class TestModel:
 
     def test_document_indexes(self, doc):
         assert doc.size() == 4
-        assert set(doc.tags) == {"a", "b", "c", "d"}
         assert doc.tag_count("b") == 1
         assert doc.tag_count("zzz") == 0
 
@@ -119,6 +117,14 @@ class TestRegionEncoding:
         doc = chain_document(5000)
         assert doc.nodes()[-1].level == 5000
 
+    def test_subtree_labels_from_an_offset(self, doc):
+        # Labelling a copy of b at b's own start and level reproduces
+        # the labels the whole-document pass gave b's subtree.
+        b = doc.nodes("b")[0]
+        twin = annotate_regions(b.copy(), start=b.start, level=b.level)
+        assert [(n.start, n.end, n.level) for n in twin.iter()] == \
+            [(n.start, n.end, n.level) for n in b.iter()]
+
 
 class TestRegionEncodingProperties:
     @given(st.integers(0, 10_000))
@@ -136,31 +142,6 @@ class TestRegionEncodingProperties:
             for y in nodes:
                 if is_ancestor(x, y):
                     assert id(y) in descendants
-
-
-class TestDewey:
-    def test_root_label_empty(self, doc):
-        assert doc.root.dewey == ()
-
-    def test_child_labels(self, doc):
-        b, c = doc.nodes("b")[0], doc.nodes("c")[0]
-        assert b.dewey == (0,)
-        assert c.dewey == (1,)
-        assert doc.nodes("d")[0].dewey == (0, 0)
-
-    @given(st.integers(0, 5_000))
-    def test_dewey_matches_region_relations(self, seed):
-        doc = random_document(random.Random(seed), max_nodes=20)
-        nodes = doc.nodes()
-        for x in nodes:
-            for y in nodes:
-                # A Dewey label spells the root path: an ancestor's label
-                # is a proper prefix, a parent's one component shorter.
-                prefix = (len(x.dewey) < len(y.dewey)
-                          and y.dewey[:len(x.dewey)] == x.dewey)
-                assert prefix == is_ancestor(x, y)
-                assert (prefix and len(y.dewey) == len(x.dewey) + 1) \
-                    == is_parent(x, y)
 
 
 class TestGenerators:

@@ -29,7 +29,6 @@ from hypothesis import strategies as st
 
 import test_parser_serializer
 import test_streaming
-from repro.buffers.mmapfile import leaked_arena_files
 from repro.data.dblp import dblp_chunks
 from repro.errors import XMLParseError
 from repro.relational.schema import parse_value
@@ -382,10 +381,10 @@ class TestDoctype:
         assert summary(scan([DBLP])) == expat_summary(DBLP)
 
     @pytest.mark.parametrize("chunk_size", [1, 7, len(DBLP)])
-    def test_dblp_header_streams_like_it_parses(self, chunk_size):
-        assert_stream_parity(DBLP, chunk_size)
+    def test_dblp_header_streams_like_it_parses(self, leaks, chunk_size):
+        assert_stream_parity(DBLP, chunk_size, leaks)
         with mock.patch.object(scanner, "_CHUNK", 1):
-            assert_stream_parity(DBLP, chunk_size)
+            assert_stream_parity(DBLP, chunk_size, leaks)
 
     def test_subset_is_skipped_quote_and_bracket_aware(self):
         text = ("<!DOCTYPE a SYSTEM 'x]>.dtd' [\n"
@@ -442,13 +441,14 @@ class TestEntityAmplification:
             "<a>" + "<b>&big;</b>" * 200 + "</a>")
 
     @pytest.mark.parametrize("chunk_size", [1, len(BOMB)])
-    def test_a_64k_entity_referenced_200_times_is_refused(self, chunk_size):
+    def test_a_64k_entity_referenced_200_times_is_refused(self, leaks,
+                                                          chunk_size):
         chunks = _chunked(self.BOMB, chunk_size)
         with pytest.raises(XMLParseError) as parsed:
             parse_document("".join(chunks))
         with pytest.raises(XMLParseError) as streamed:
             stream_document(chunks)
-        assert not leaked_arena_files()
+        assert not leaks.arena_files()
         error = parsed.value
         assert str(error) == str(streamed.value)
         assert "more than 100 times" in str(error)
@@ -476,11 +476,11 @@ class TestEntityAmplification:
         assert len(root.children) == 9216
         assert root.children[-1].text == "y" * 1024 + "z" * 120
 
-    def test_small_entities_never_arm_the_cap(self):
+    def test_small_entities_never_arm_the_cap(self, leaks):
         text = ("<!DOCTYPE a [<!ENTITY uuml '\u00fc'>]><a>"
                 + "&uuml;" * 50_000 + "</a>")
         assert parse_document(text).root.text == "\u00fc" * 50_000
-        assert_stream_parity(DBLP, len(DBLP))  # snippet 1's header
+        assert_stream_parity(DBLP, len(DBLP), leaks)  # snippet 1's header
 
 
 # ---------------------------------------------------------------------------
@@ -595,18 +595,18 @@ class TestRowGroups:
             "</i></h>deep</g>after</a>")
 
     @pytest.mark.parametrize("group", [1, 2, 3, 2048])
-    def test_closes_arriving_after_the_flush_backpatch(self, group):
+    def test_closes_arriving_after_the_flush_backpatch(self, leaks, group):
         """Outer elements close — and get their value — long after
         their rows left the group: ``set_at`` must patch the columns."""
         with mock.patch.object(streaming, "_ROW_GROUP", group):
-            assert_stream_parity(self.DEEP, 5)
+            assert_stream_parity(self.DEEP, 5, leaks)
             assert streamed_values(self.DEEP)[:4] \
                 == ["1after", "two", "3.5tail", 4]
 
-    def test_nesting_deeper_than_many_groups(self):
+    def test_nesting_deeper_than_many_groups(self, leaks):
         depth = 300
         text = "".join(f"<n{level % 7}>{level}" for level in range(depth)) \
             + "".join(f"</n{level % 7}>" for level in reversed(range(depth)))
         with mock.patch.object(streaming, "_ROW_GROUP", 2):
-            assert_stream_parity(text, 31)
-        assert not leaked_arena_files()
+            assert_stream_parity(text, 31, leaks)
+        assert not leaks.arena_files()

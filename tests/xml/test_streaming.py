@@ -15,7 +15,6 @@ from __future__ import annotations
 import pytest
 
 from repro.buffers.layout import list_backend
-from repro.buffers.mmapfile import leaked_arena_files
 from repro.errors import XMLParseError
 from repro.instrumentation import JoinStats
 from repro.xml.arenaview import attach_arena_document
@@ -67,7 +66,7 @@ def _counters(stats):
             if "time" not in key}
 
 
-def assert_stream_parity(text, chunk_size):
+def assert_stream_parity(text, chunk_size, leaks):
     live = columnar(parse_document(text))
     arena = stream_document(_chunked(text, chunk_size))
     try:
@@ -76,25 +75,25 @@ def assert_stream_parity(text, chunk_size):
     finally:
         arena.close()
         arena.unlink()
-    assert not leaked_arena_files()
+    assert not leaks.arena_files()
 
 
 class TestColumnParity:
     @pytest.mark.parametrize("chunk_size", [1, 3, 17, 4096])
-    def test_mixed_document_any_chunking(self, chunk_size):
+    def test_mixed_document_any_chunking(self, leaks, chunk_size):
         """Entities, CDATA, comments, PIs, bigints, self-closing tags —
         identical columns whatever the chunk boundaries cut through."""
-        assert_stream_parity(DOCUMENT, chunk_size)
+        assert_stream_parity(DOCUMENT, chunk_size, leaks)
 
-    def test_xmark_stream_corpus(self):
+    def test_xmark_stream_corpus(self, leaks):
         text = "".join(xmark_stream_chunks(1, seed=4))
-        assert_stream_parity(text, 113)
+        assert_stream_parity(text, 113, leaks)
 
-    def test_dblp_corpus(self):
+    def test_dblp_corpus(self, leaks):
         from repro.data.dblp import dblp_chunks
 
         text = "".join(dblp_chunks(120, seed=9))
-        assert_stream_parity(text, 59)
+        assert_stream_parity(text, 59, leaks)
 
     def test_typed_value_columns(self):
         """None / int / float / str / bigint all decode through the
@@ -127,7 +126,7 @@ class TestColumnParity:
 
 
 class TestAlgorithmParity:
-    def test_rows_and_counters_for_every_algorithm(self):
+    def test_rows_and_counters_for_every_algorithm(self, leaks):
         text = "".join(xmark_stream_chunks(0.5, seed=2))
         document = parse_document(text)
         twig = parse_twig("i=item(/n=name, //c=incategory)")
@@ -149,7 +148,7 @@ class TestAlgorithmParity:
         finally:
             arena.close()
             arena.unlink()
-        assert not leaked_arena_files()
+        assert not leaks.arena_files()
 
 
 #: Malformed documents (tests/xml/test_scanner.py re-scans them under
@@ -175,7 +174,7 @@ class TestErrorCases:
                 pass
         assert str(stream_error.value) == str(tree_error.value)
 
-    def test_failed_build_leaves_no_temp_files(self):
+    def test_failed_build_leaves_no_temp_files(self, leaks):
         with pytest.raises(XMLParseError):
             stream_document(["<a><b>text</b>"])  # unclosed root
-        assert not leaked_arena_files()
+        assert not leaks.arena_files()

@@ -17,7 +17,7 @@ from itertools import accumulate, compress
 
 import pytest
 
-from repro.buffers.mmapfile import ArenaWriter, leaked_arena_files
+from repro.buffers.mmapfile import ArenaWriter
 from repro.core.decomposition import (
     decompose,
     materialize_path_relation,
@@ -74,7 +74,7 @@ def comparable(dictionary):
 
 @pytest.mark.parametrize("chunk_items", [1, 7, None])
 @pytest.mark.parametrize("corpus", sorted(CORPORA))
-def test_stored_equals_derived_for_every_tag(corpus, chunk_items,
+def test_stored_equals_derived_for_every_tag(leaks, corpus, chunk_items,
                                              monkeypatch):
     text = CORPORA[corpus]()
     live = columnar(parse_document(text))
@@ -92,7 +92,7 @@ def test_stored_equals_derived_for_every_tag(corpus, chunk_items,
     finally:
         arena.close()
         arena.unlink()
-    assert not leaked_arena_files()
+    assert not leaks.arena_files()
 
 
 def test_mixed_values():

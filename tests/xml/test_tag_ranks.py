@@ -30,7 +30,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.buffers.layout import as_list
-from repro.buffers.mmapfile import ArenaWriter, leaked_arena_files
+from repro.buffers.mmapfile import ArenaWriter
 from repro.core.decomposition import (
     _columns,
     path_relation_cardinality,
@@ -151,7 +151,8 @@ def assert_ranked(view):
 
 @pytest.mark.parametrize("chunk", [1, 7, None])
 @pytest.mark.parametrize("corpus", sorted(CORPORA))
-def test_streamed_ranks_are_the_in_memory_ones(corpus, chunk, monkeypatch):
+def test_streamed_ranks_are_the_in_memory_ones(leaks, corpus, chunk,
+                                               monkeypatch):
     text = CORPORA[corpus]()
     live = columnar(parse_document(text))
     assert_ranked(live)
@@ -166,7 +167,7 @@ def test_streamed_ranks_are_the_in_memory_ones(corpus, chunk, monkeypatch):
     finally:
         arena.close()
         arena.unlink()
-    assert not leaked_arena_files()
+    assert not leaks.arena_files()
 
 
 @pytest.mark.parametrize("seed", range(6))

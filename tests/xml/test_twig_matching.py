@@ -13,17 +13,17 @@ from hypothesis import strategies as st
 
 from repro.errors import TwigError
 from repro.instrumentation import JoinStats
-from repro.xml.dewey import ExtendedDeweyLabeler
 from repro.xml.generator import chain_document, random_document
 from repro.xml.model import XMLDocument, element
 from repro.xml.navigation import match_embeddings, match_relation
 from repro.xml.pathstack import path_stack, path_stack_relation
-from repro.xml.streams import TagStream
 from repro.xml.structural_join import stack_tree_join, structural_join_pipeline
 from repro.xml.tjfast import match_path_against_tags, tjfast, tjfast_embeddings
 from repro.xml.twig import Axis, TwigNode, TwigQuery
 from repro.xml.twig_parser import parse_twig
 from repro.xml.twigstack import twig_stack, twig_stack_embeddings
+
+from reference_oracle import ExtendedDeweyLabeler, TagStream
 
 
 def sample_document():

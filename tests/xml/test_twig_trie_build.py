@@ -20,7 +20,6 @@ import random
 
 import pytest
 
-from repro.buffers.mmapfile import leaked_arena_files
 from repro.core.decomposition import _columns, twig_input
 from repro.core.multimodel import MultiModelQuery, TwigBinding
 from repro.engine import run_query
@@ -93,7 +92,7 @@ def test_in_memory_view(name):
 
 
 @pytest.mark.parametrize("name", sorted(DOCUMENTS))
-def test_streamed_arena(name):
+def test_streamed_arena(leaks, name):
     arena = streaming.stream_document([DOCUMENTS[name]])
     try:
         handle, _view = attach_arena_document(arena)
@@ -101,4 +100,4 @@ def test_streamed_arena(name):
     finally:
         arena.close()
         arena.unlink()
-    assert not leaked_arena_files()
+    assert not leaks.arena_files()

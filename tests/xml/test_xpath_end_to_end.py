@@ -112,7 +112,6 @@ class TestDocumentEdgeCases:
         doc = XMLDocument(element("only", text="1"))
         assert doc.size() == 1
         assert doc.root.start == 0 and doc.root.end == 1
-        assert doc.root.dewey == ()
 
     def test_wide_document_levels(self):
         root = element("r", *[element("c", text=str(i))

@@ -19,7 +19,8 @@ module count, function-local ones included; ``src/`` uses absolute
 imports only, so relative ones are not followed.
 
 Exit 1 listing every non-``__init__`` module that no entry point
-reaches and that :data:`ALLOWED` does not name; exit 0 otherwise.
+reaches; exit 0 otherwise. There is no allow-list: a module only tests
+use belongs under ``tests/``.
 
 Run from the repo root: ``python tools/check_reachable.py``.
 """
@@ -33,12 +34,6 @@ from pathlib import Path
 
 _REPO = Path(__file__).resolve().parent.parent
 _SRC = _REPO / "src"
-
-#: Modules that no entry point reaches but tests use to check other code.
-ALLOWED = {
-    "repro.xml.reference": "node-object twig matcher kept as the twig matchers' test oracle",
-    "repro.xml.streams": "per-tag node streams of the reference matcher, its only user",
-}
 
 ENTRY_MODULES = ("repro.engine.planner", "repro.__main__", "repro.service.server")
 
@@ -146,20 +141,15 @@ def reachable() -> set[str]:
 
 
 def main() -> int:
-    """Print the unreached modules; 1 if any is not allow-listed."""
+    """Print the unreached modules; 1 if there is any."""
     reached = reachable()
     unreached = [name for name in MODULES
                  if name not in reached and not _is_package(name)]
-    stale = [name for name in ALLOWED if name in reached or name not in MODULES]
-    failing = [name for name in unreached if name not in ALLOWED]
-    for name in failing:
+    for name in unreached:
         print(f"unreached: {MODULES[name].relative_to(_REPO)}")
-    for name in stale:
-        print(f"stale allow-list entry: {name}")
-    if failing or stale:
+    if unreached:
         return 1
-    print(f"{len(reached)} modules reached; allowed unreached: "
-          + ", ".join(sorted(ALLOWED)))
+    print(f"{len(reached)} modules reached")
     return 0
 
 

@@ -20,8 +20,9 @@ Three checks, in order:
    ``MemoryError``. That asymmetry is the whole point of the
    subsystem: corpora bounded by disk, not by RAM.
 
-3. **No leaks** — nothing matching the ``repro-arena-`` temp-file
-   convention survives the run.
+3. **No leaks** — no file matching the ``repro-arena-`` temp-file
+   convention that the run created survives it (files already there
+   when it started, an earlier killed run's, are not its leaks).
 
 Run from the repo root: ``PYTHONPATH=src python tools/streaming_smoke.py``.
 """
@@ -72,9 +73,16 @@ else:
 """
 
 
-def check_parity() -> None:
-    """XMark factor 4, streamed vs in-memory: identical twig rows."""
+def assert_no_new_arena_files(before: set[str]) -> None:
+    """Fail on ``repro-arena-`` temp files that are not in *before*."""
     from repro.buffers.mmapfile import leaked_arena_files
+
+    leaked = [path for path in leaked_arena_files() if path not in before]
+    assert not leaked, leaked
+
+
+def check_parity(before: set[str]) -> None:
+    """XMark factor 4, streamed vs in-memory: identical twig rows."""
     from repro.xml.arenaview import attach_arena_document
     from repro.xml.interface import get_twig_algorithm
     from repro.xml.parser import parse_document
@@ -99,12 +107,11 @@ def check_parity() -> None:
     finally:
         arena.close()
         arena.unlink()
-    assert not leaked_arena_files(), leaked_arena_files()
+    assert_no_new_arena_files(before)
 
 
-def check_bounded_memory(records: int) -> None:
+def check_bounded_memory(records: int, before: set[str]) -> None:
     """Streamed build fits under a heap cap the in-memory build cannot."""
-    from repro.buffers.mmapfile import leaked_arena_files
     from repro.data.dblp import dblp_chunks
     from repro.xml.streaming import stream_document
 
@@ -140,7 +147,7 @@ def check_bounded_memory(records: int) -> None:
         "so the cap proves nothing — raise --records")
     print("negative control ok: in-memory build of the same corpus "
           "dies with MemoryError under that cap")
-    assert not leaked_arena_files(), leaked_arena_files()
+    assert_no_new_arena_files(before)
 
 
 def main() -> int:
@@ -149,8 +156,11 @@ def main() -> int:
                         help="DBLP records for the capped build "
                              "(default: 30000)")
     arguments = parser.parse_args()
-    check_parity()
-    check_bounded_memory(arguments.records)
+    from repro.buffers.mmapfile import leaked_arena_files
+
+    before = set(leaked_arena_files())
+    check_parity(before)
+    check_bounded_memory(arguments.records, before)
     print("streaming smoke ok")
     return 0
 
