@@ -27,9 +27,10 @@ Options:
   ``selftest``.
 * ``--workers N`` — worker processes for partition-parallel execution
   (default 0 = serial). ``selftest`` additionally checks
-  parallel/serial parity for every random instance; ``serve`` offloads
-  heavy queries to this pool; ``explain`` shows the partition count the
-  adaptive planner would choose for this pool size.
+  parallel/serial parity for every random instance; ``explain`` shows
+  the partition count the adaptive planner would choose for this pool
+  size. ``serve`` takes no pool: it evaluates every query on its event
+  loop over the pinned inputs.
 * ``--corpus SPEC`` — ``serve``: the hosted corpus, e.g. ``figure1``
   (default), ``bookstore:orders=40,users=12``, ``triangle:n=8``,
   ``dblp:5000`` or ``xmark-stream:4``.
@@ -208,8 +209,7 @@ def cmd_explain(spec: str = "skewed", workers: int = 0) -> int:
     return 0
 
 
-def cmd_serve(corpus: str, host: str, port: int, stdio: bool,
-              workers: int = 0) -> int:
+def cmd_serve(corpus: str, host: str, port: int, stdio: bool) -> int:
     """Host *corpus* behind the line-JSON query service until EOF /
     a ``shutdown`` request / Ctrl-C (protocol: ``docs/service.md``)."""
     import asyncio
@@ -218,7 +218,7 @@ def cmd_serve(corpus: str, host: str, port: int, stdio: bool,
     from repro.service.server import ReproService
 
     try:
-        service = ReproService(corpus, workers=workers)
+        service = ReproService(corpus)
     except ServiceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -353,9 +353,9 @@ def main(argv: list[str] | None = None) -> int:
         print("error: --twig-algorithm applies to 'figure3' and "
               "'selftest' only", file=sys.stderr)
         return 2
-    if workers and command not in ("selftest", "serve", "explain"):
-        print("error: --workers applies to 'selftest', 'serve' and "
-              "'explain' only", file=sys.stderr)
+    if workers and command not in ("selftest", "explain"):
+        print("error: --workers applies to 'selftest' and 'explain' only",
+              file=sys.stderr)
         return 2
     if command != "serve" and (corpus is not None or host is not None
                                or port_option is not None or stdio):
@@ -375,7 +375,7 @@ def main(argv: list[str] | None = None) -> int:
                                workers)
         if command == "serve":
             return cmd_serve(corpus or "figure1", host or "127.0.0.1",
-                             port, stdio, workers)
+                             port, stdio)
         if command == "selftest":
             return cmd_selftest(twig_algorithm, workers)
     except _BadArgument:

@@ -183,7 +183,7 @@ class SnapshotManager:
             for binding in self._bindings]
         return MultiModelQuery(relations, twigs, name=self._name)
 
-    # -- detachment (off-thread evaluation) --------------------------------
+    # -- detachment --------------------------------------------------------
 
     def is_detached(self, snapshot: Snapshot) -> bool:
         """True when every pinned document resolves to a frozen clone."""
@@ -195,8 +195,8 @@ class SnapshotManager:
         """Freeze every still-live pinned document of *snapshot* now.
 
         After this, no read of the snapshot touches an object the writer
-        will ever mutate, so evaluation may run off the writer's thread
-        (the service's heavy-query offload requires it).
+        will mutate. A tree copy per document: the service never calls
+        it, only the MVCC tests and the e2e harness's library replay.
         """
         for ident, version in snapshot.document_versions.items():
             chain = self.document_chains[ident]

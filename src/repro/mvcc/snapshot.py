@@ -105,19 +105,17 @@ class Snapshot:
 
     @property
     def detached(self) -> bool:
-        """True when no read of this snapshot touches a live document.
-
-        A detached snapshot is safe to evaluate off the writer's thread
-        (the service offloads heavy queries this way): every document
-        resolves to a frozen clone and every relation to an immutable
-        retained object.
-        """
+        """True when every pinned document resolves to a frozen clone
+        (relations are immutable either way). The service never needs
+        it: it evaluates on the writer's loop."""
         if self.released:
             return True
         return self.manager.is_detached(self)
 
     def detach(self) -> None:
-        """Force-freeze every still-live pinned document into its clone."""
+        """Force-freeze every still-live pinned document into its clone:
+        a full tree copy, called only by the MVCC tests and the e2e
+        harness's traced library replay, never by a served read."""
         self._check_live()
         self.manager.detach(self)
 

@@ -24,10 +24,10 @@ TCP or stdin). The moving parts:
   (:mod:`repro.mvcc`) of the corpus; ``query`` against it is answered at
   the pinned version vector no matter how many batches have landed
   since (a ``query`` naming no snapshot pins one for the request). Pins
-  of several tenants on one version share its frozen artifacts. Heavy
-  snapshot queries are detached (all artifacts
-  frozen) and offloaded to a worker thread, optionally fanning out
-  through the partition-parallel executor.
+  of several tenants on one version share its frozen artifacts. Every
+  query is evaluated on the event loop over the pinned inputs: the live
+  objects while the version is current, the writer's retained clone
+  once a batch has superseded it — a read never copies the corpus.
 
 See ``docs/service.md`` for the protocol reference and lifecycle rules.
 """

@@ -10,16 +10,19 @@ structural rules, not from locks:
    master. A reader never watches a tree change under it, because the
    MVCC layer freezes a pinned version into a clone before the first
    write that supersedes it — one clone per (document, version), shared
-   by every pin on that version, whichever tenant took it.
+   by every pin on that version, whichever tenant took it. A pin whose
+   version is still current clones nothing: it reads the live objects.
 2. **Atomic batches.** A batch is validated against the master, then
    applied in one synchronous step of the single writer task — no
    ``await`` between the first and last mutation. Snapshots are pinned
    between steps of the event loop, so a pin always observes a whole
    number of batches: torn reads are impossible by construction.
-3. **Detach before offload.** A query may only leave the event-loop
-   thread once its snapshot is *detached* (every pinned document frozen
-   into a clone, every relation an immutable retained object) and its
-   inputs are resolved; the worker thread then races nothing.
+3. **Evaluate on the loop.** Every query is evaluated inline on the
+   event loop over its snapshot's own inputs: the live objects while
+   the pinned version is current, the writer's retained clone once a
+   batch has superseded it. Nothing awaits between resolving the inputs
+   and the end of the evaluation, and the writer runs on the same loop,
+   so no mutation can land mid-evaluate.
 
 Every read is a snapshot read: a ``query`` that names no snapshot pins
 one, answers from it and releases it inside the one request.
@@ -44,7 +47,6 @@ from repro.errors import (
     PlanError,
     ReproError,
     ServiceError,
-    TransportError,
 )
 from repro.instrumentation import JoinStats
 from repro.mvcc import Snapshot
@@ -71,8 +73,6 @@ class ReproService:
     def __init__(self, corpus: "str | MultiModelQuery" = "figure1", *,
                  quota: TenantQuota | None = None,
                  queue_limit: int = 32,
-                 offload_threshold: int = 4096,
-                 workers: int = 0,
                  plan_cache: PlanCache | None = None,
                  adaptive: bool = True):
         if isinstance(corpus, str):
@@ -85,12 +85,13 @@ class ReproService:
         #: races plans per query signature, learns cardinality
         #: corrections from every executed snapshot query, and keys the
         #: shared plan cache by its feedback epoch. Inputs are stamped
-        #: *logically* (their drift generation) because snapshot
-        #: queries run over detached per-version clones: corrections
-        #: learned from one tenant's snapshot apply to every tenant
-        #: until the master's deltas add up to a churn burst, which
-        #: advances the generation and retires them (and every cached
-        #: plan) at once. Small batches inherit all of it.
+        #: *logically* (their drift generation) because a snapshot query
+        #: reads the live objects or, once a batch supersedes its pin,
+        #: the writer's retained clone: corrections learned from either
+        #: apply to every tenant until the master's deltas add up to a
+        #: churn burst, which advances the generation and retires them
+        #: (and every cached plan) at once. Small batches inherit all
+        #: of it.
         self.adaptive = AdaptivePlanner(store=FeedbackStore(
             stamp_fn=self._logical_stamps)) if adaptive else None
         #: The corpus: the one state every batch is applied to and
@@ -101,18 +102,12 @@ class ReproService:
         self.sessions = SessionManager(quota)
         self.plan_cache = plan_cache or PlanCache()
         self.queue_limit = queue_limit
-        #: Input-size floor (rows + nodes) above which a detached
-        #: snapshot query is evaluated off the event-loop thread.
-        self.offload_threshold = offload_threshold
-        #: Worker processes for offloaded queries (0 = in-thread).
-        self.workers = workers
         #: Whole update batches applied since startup; every snapshot
         #: records the value at pin time, so clients can correlate an
         #: answer with the exact prefix of the update stream it reflects.
         self.batches_applied = 0
         self.updates_applied = 0
         self.queries_served = 0
-        self.offloaded_queries = 0
         self._queue: "asyncio.Queue | None" = None
         self._writer_task: "asyncio.Task | None" = None
         self._shutdown_event: "asyncio.Event | None" = None
@@ -291,11 +286,6 @@ class ReproService:
         self.plan_cache.put(key, resolved)
         return resolved
 
-    def _query_cost(self, query: MultiModelQuery) -> int:
-        """A cheap input-size proxy deciding thread offload."""
-        return (sum(len(relation) for relation in query.relations)
-                + sum(binding.document.size() for binding in query.twigs))
-
     def _pin(self) -> Snapshot:
         """Pin the corpus's current version, stamped with the number of
         batches it reflects (clients correlate answers by it)."""
@@ -303,9 +293,13 @@ class ReproService:
         snapshot.metadata["batches"] = self.batches_applied
         return snapshot
 
-    async def _evaluate_snapshot(self, snapshot: Snapshot,
-                                 message: dict[str, Any]) -> dict[str, Any]:
-        """Answer one ``query`` at *snapshot* — the only read path."""
+    def _evaluate_snapshot(self, snapshot: Snapshot,
+                           message: dict[str, Any]) -> dict[str, Any]:
+        """Answer one ``query`` at *snapshot* — the only read path.
+
+        Synchronous: no coroutine, the writer included, runs until the
+        answer is built, so the pinned inputs cannot change under it.
+        """
         batches = snapshot.metadata["batches"]
         algorithm = message.get("algorithm")
         order = message.get("order")
@@ -315,27 +309,16 @@ class ReproService:
                     "attributes": list(relation.schema.attributes),
                     "version": snapshot.version, "batches": batches,
                     "mode": "answer"}
-        # Resolve inputs and plan on the loop thread; offload only once
-        # the snapshot no longer touches anything the writer mutates.
-        snapshot.detach()
+        # Over the pinned inputs: live, or the writer's retained clone.
         query = snapshot.query()
         adaptive_run = (self.adaptive is not None and algorithm is None
                         and order is None)
         stats = JoinStats() if adaptive_run else None
-        offloaded = self._query_cost(query) >= self.offload_threshold
         try:
             algorithm, order, twigs = self._plan_for(query, algorithm,
                                                      order)
-            if offloaded:
-                self.offloaded_queries += 1
-                relation = await asyncio.to_thread(
-                    run_query, query, algorithm=algorithm, order=order,
-                    workers=self.workers, stats=stats)
-            else:
-                relation = run_query(query, algorithm=algorithm,
-                                     order=order, stats=stats)
-        except TransportError:
-            raise  # a worker fault, not the client's request
+            relation = run_query(query, algorithm=algorithm, order=order,
+                                 stats=stats)
         except (PlanError, EngineError) as error:
             # The planner or a kernel refused the client's override.
             raise ServiceError("bad_request", str(error)) from None
@@ -347,7 +330,7 @@ class ReproService:
                 "attributes": list(relation.schema.attributes),
                 "version": snapshot.version, "batches": batches,
                 "mode": "run", "algorithm": algorithm,
-                "twigs": dict(twigs), "offloaded": offloaded}
+                "twigs": dict(twigs)}
 
     # -- request dispatch --------------------------------------------------
 
@@ -427,10 +410,10 @@ class ReproService:
         self.queries_served += 1
         snapshot_id = message.get("snapshot")
         if snapshot_id is not None:
-            return await self._evaluate_snapshot(
-                state.snapshot(snapshot_id), message)
+            return self._evaluate_snapshot(state.snapshot(snapshot_id),
+                                           message)
         with self._pin() as snapshot:  # released when the request ends
-            return await self._evaluate_snapshot(snapshot, message)
+            return self._evaluate_snapshot(snapshot, message)
 
     async def _op_update(self, message: dict[str, Any]) -> dict[str, Any]:
         tenant_name = require_field(message, "tenant", str)
@@ -461,7 +444,8 @@ class ReproService:
             "batches": self.batches_applied,
             "updates": self.updates_applied,
             "queries": self.queries_served,
-            "offloaded": self.offloaded_queries,
+            # Always 0 (no query leaves the loop); the e2e harness reads it.
+            "offloaded": 0,
             "queue_depth": (self._queue.qsize()
                             if self._queue is not None else 0),
             "tenants": self.sessions.counts(),

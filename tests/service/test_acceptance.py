@@ -126,7 +126,7 @@ async def reader_client(host: str, port: int, tenant: str,
             observed.append(batches)
             expected = answers[batches]
             # Both read paths: the O(1) maintained answer and a full
-            # re-evaluation over the pinned inputs (offload-eligible).
+            # re-evaluation over the pinned inputs, on the loop.
             answer = await client.query(tenant, sid,
                                         snapshot=pinned["snapshot"])
             assert answer["batches"] == batches

@@ -131,22 +131,6 @@ class TestSnapshots:
             assert gone["error"] == "unknown_snapshot"
         run(scenario)
 
-    def test_offload_path_answers_identically(self):
-        async def scenario():
-            service = ReproService("figure1", offload_threshold=0)
-            sid = await open_session(service)
-            pinned = await call(service, op="pin", tenant="t", session=sid)
-            inline = await call(service, op="query", tenant="t",
-                                session=sid, snapshot=pinned["snapshot"])
-            offloaded = await call(service, op="query", tenant="t",
-                                   session=sid,
-                                   snapshot=pinned["snapshot"],
-                                   evaluate=True)
-            assert offloaded["offloaded"] is True
-            assert offloaded["rows"] == inline["rows"]
-            assert service.offloaded_queries == 1
-        run(scenario)
-
 
 async def through_both_doors(service: ReproService, **overrides):
     """One ``query`` with and without a pinned snapshot (same state)."""

@@ -2,18 +2,20 @@
 
 The master :class:`QuerySession` is the only copy of the corpus: a wire
 session is a tenant-scoped set of pins on it, a batch is applied once
-however many sessions are open, and pins of several tenants on one
-version share one frozen clone — retained until the last of them goes.
+however many sessions are open, a read of a still-current version
+evaluates the live objects in place, and pins of several tenants on a
+superseded version share the one frozen clone the writer took —
+retained until the last of them goes.
 """
 
 from __future__ import annotations
 
 import asyncio
 import gc
-import sys
 import weakref
 
 from repro.engine.planner import run_query
+from repro.mvcc.manager import SnapshotManager
 from repro.service.corpus import corpus_query
 from repro.service.protocol import rows_to_wire
 from repro.service.server import ReproService
@@ -193,15 +195,15 @@ def test_close_releases_only_that_sessions_pins():
     asyncio.run(scenario())
 
 
-def test_concurrent_offloaded_reads_of_one_version():
-    """Several tenants evaluate one pinned version on worker threads at
-    once: the clone's lazily built caches (columnar view, encoded
-    inputs) see a concurrent first use."""
+def test_concurrent_inline_reads_of_one_version():
+    """Several tenants evaluate one pinned version at once. Each evaluate
+    runs on the loop over the live inputs, so the pins share them and no
+    clone is taken while no batch supersedes the version."""
     tenants = ("a", "b", "c", "d")
     spec = "bookstore:orders=40,users=12"
 
     async def scenario():
-        service = ReproService(spec, offload_threshold=0)
+        service = ReproService(spec)
         sessions = {tenant: await open_session(service, tenant)
                     for tenant in tenants}
         oracle = QuerySession(corpus_query(spec))
@@ -210,18 +212,16 @@ def test_concurrent_offloaded_reads_of_one_version():
             expected = rows_to_wire(run_query(oracle.query).rows)
             pins = {tenant: await pin(service, tenant, sid)
                     for tenant, sid in sessions.items()}
-            responses = await asyncio.wait_for(asyncio.gather(*(
+            responses = await asyncio.gather(*(
                 read(service, tenant, sessions[tenant], pins[tenant],
-                     evaluate=True) for tenant in tenants)), timeout=60)
-            assert all(response["offloaded"] for response in responses)
+                     evaluate=True) for tenant in tenants))
             assert [response["rows"] for response in responses] \
                 == [expected] * len(tenants), round_number
-            assert len(the_document_chain(service).retained_versions()) == 1
+            assert the_document_chain(service).retained_versions() == ()
             for tenant in tenants:
                 await call(service, op="release", tenant=tenant,
                            session=sessions[tenant], snapshot=pins[tenant])
-            assert the_document_chain(service).retained_versions() == ()
-            # The next round reads a new version through a new clone.
+            # The next round reads the new version, still in place.
             text = str(50 + round_number)
             await call(service, op="update", tenant="w", ops=[{
                 "kind": "change_value", "input": "invoices",
@@ -229,12 +229,71 @@ def test_concurrent_offloaded_reads_of_one_version():
             oracle.change_value(
                 "invoices",
                 oracle.document_of("invoices").node_by_start(price), text)
-        assert service.offloaded_queries == 4 * len(tenants)
         await service.aclose()
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # interleave the worker threads finely
-    try:
-        asyncio.run(scenario())
-    finally:
-        sys.setswitchinterval(interval)
+    asyncio.run(scenario())
+
+
+def test_an_evaluate_on_a_current_pin_clones_nothing(monkeypatch):
+    frozen = counting(monkeypatch, SnapshotManager, "_freeze_document")
+
+    async def scenario():
+        service = ReproService("bookstore:orders=40,users=12")
+        sid = await open_session(service, "a")
+        snapshot = await pin(service, "a", sid)
+        answer = await read(service, "a", sid, snapshot)
+        for pinned in (snapshot, None):
+            evaluated = await read(service, "a", sid, pinned, evaluate=True)
+            assert evaluated["rows"] == answer["rows"]
+        assert (await call(service, op="stats"))["mvcc"][
+            "retained_documents"] == 0
+        await service.aclose()
+
+    asyncio.run(scenario())
+    assert frozen == []
+
+
+def test_a_pin_before_a_batch_reads_the_writers_one_clone(monkeypatch):
+    frozen = counting(monkeypatch, SnapshotManager, "_freeze_document")
+
+    async def scenario():
+        service = ReproService("figure1")
+        sid = await open_session(service, "a")
+        snapshot = await pin(service, "a", sid)
+        before = await read(service, "a", sid, snapshot, evaluate=True)
+        assert frozen == []
+        await call(service, op="update", tenant="w", ops=[INSERT, REPRICE])
+        assert len(frozen) == 1  # taken by before_document_write
+        chain = the_document_chain(service)
+        assert len(chain.retained_versions()) == 1
+        for extra in ({}, {"evaluate": True}):
+            after = await read(service, "a", sid, snapshot, **extra)
+            assert after["rows"] == before["rows"] \
+                and after["batches"] == 0, extra
+        assert (await read(service, "a", sid, evaluate=True))["rows"] \
+            != before["rows"]
+        assert len(frozen) == 1
+        await call(service, op="release", tenant="a", session=sid,
+                   snapshot=snapshot)
+        assert chain.retained_versions() == ()
+        assert (await call(service, op="stats"))["mvcc"][
+            "retained_documents"] == 0
+        await service.aclose()
+
+    asyncio.run(scenario())
+
+
+def test_a_served_dblp_evaluate_copies_no_tree(monkeypatch):
+    copied = counting(monkeypatch, XMLNode, "copy")
+
+    async def scenario():
+        service = ReproService("dblp:2000")
+        sid = await open_session(service, "a")
+        snapshot = await pin(service, "a", sid)
+        answer = await read(service, "a", sid, snapshot)
+        evaluated = await read(service, "a", sid, snapshot, evaluate=True)
+        assert evaluated["rows"] == answer["rows"]
+        await service.aclose()
+
+    asyncio.run(scenario())
+    assert copied == []

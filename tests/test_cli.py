@@ -128,6 +128,8 @@ class TestCLI:
         (["figure3", "--twig-algorithm", "nope"], "unknown twig algorithm"),
         (["figure1", "--workers", "2"], "--workers applies to"),
         (["bounds", "--workers=2"], "--workers applies to"),
+        (["serve", "--workers", "2"],
+         "--workers applies to 'selftest' and 'explain' only"),
         (["figure1", "--corpus", "figure1"], "apply to 'serve' only"),
         (["explain", "--host", "localhost"], "apply to 'serve' only"),
         (["selftest", "--port", "8000"], "apply to 'serve' only"),
