@@ -218,7 +218,8 @@ def _columns(view: ColumnarDocument, atom: "PathRelation | EdgeAtom",
 def _input_key(atom: "PathRelation | EdgeAtom",
                bound: frozenset[str]) -> tuple:
     """What a twig input's rows depend on: the atom's kind and name,
-    each query node's tag and predicate, its identity-bound attributes."""
+    each query node's tag and predicate, its identity-bound attributes
+    (``ColumnarDocument.forget_values`` reads the tags off it)."""
     return (type(atom), atom.name,
             tuple((node.tag, node.predicate) for node in atom.nodes), bound)
 

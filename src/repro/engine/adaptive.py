@@ -218,9 +218,10 @@ class FeedbackStore:
         #: How inputs are version-stamped. The default is physical
         #: identity (:func:`input_versions`); the service substitutes a
         #: logical stamp (:meth:`generations`) because its snapshot
-        #: queries run over detached per-snapshot clones whose object
-        #: identities never recur, while states of one generation are
-        #: statistically the same input.
+        #: queries read the live inputs or the writer's retained clone,
+        #: and every batch mints relation objects and document versions:
+        #: physical stamps never recur, while states of one generation
+        #: are statistically the same input.
         self._stamp_fn = stamp_fn if stamp_fn is not None \
             else input_versions
         #: (scope, input, attribute, bound set) -> Correction.

@@ -420,12 +420,29 @@ def relation_artefacts(relation: Relation) -> dict:
     first use: the artefacts of its rows — the one column pass
     ``"columns"`` with its dictionaries, ``"stats"``, and one
     :class:`EncodedInput` per column order. They live exactly as long
-    as the relation (one *version*: updates mint new objects), and none
-    refers back to it."""
+    as the relation (one *version*: updates mint new objects, holding
+    ``"inherited"`` until their pass, :func:`inherit_dictionaries`), and
+    none refers back to it."""
     artefacts = relation.artefacts
     if artefacts is None:
         artefacts = relation.artefacts = {}
     return artefacts
+
+
+def inherit_dictionaries(successor: Relation, predecessor: Relation
+                         ) -> None:
+    """Hand *successor*, the next version of *predecessor*, the
+    predecessor's column dictionaries — only those: no code column, no
+    trie — for :func:`relation_columns` to reuse where a column's domain
+    is unchanged. A predecessor that was never encoded passes on what it
+    inherited, so a burst of writes with no read between them still
+    carries them."""
+    artefacts = predecessor.artefacts or {}
+    columns = artefacts.get("columns")
+    inherited = artefacts.get("inherited") if columns is None else {
+        attribute: column[0] for attribute, column in columns.items()}
+    if inherited:
+        relation_artefacts(successor)["inherited"] = inherited
 
 
 def relation_columns(relation: Relation
@@ -435,21 +452,28 @@ def relation_columns(relation: Relation
     attribute (the local dictionary, which every column order's
     :func:`relation_input` shares; the code column, row-aligned across
     attributes and made of the dictionary's own int objects; the row
-    count of its most frequent code). The planner's statistics are a
-    view of it (:func:`repro.engine.planner.cached_relation_stats`)."""
+    count of its most frequent code); a dictionary inherited over the
+    same domain (:func:`inherit_dictionaries`) is kept as it stands.
+    The planner's statistics are a view of it
+    (:func:`repro.engine.planner.cached_relation_stats`)."""
     artefacts = relation_artefacts(relation)
     found = artefacts.get("columns")
     if found is None:
+        inherited = artefacts.get("inherited", {})
         found = {}
         for position, attribute in enumerate(relation.schema.attributes):
             values = list(map(itemgetter(position), relation.rows))
             counts = Counter(values)  # the domain, with each value's rows
-            dictionary = Dictionary(attribute, set(counts))
+            dictionary = inherited.get(attribute)
+            if dictionary is None or len(dictionary) != len(counts) \
+                    or not all(map(dictionary.codes.__contains__, counts)):
+                dictionary = Dictionary(attribute, set(counts))
             found[attribute] = (
                 dictionary, list(map(dictionary.codes.__getitem__, values)),
                 max(counts.values(), default=0))
         # Published whole, and the first of racing threads wins.
         found = artefacts.setdefault("columns", found)
+        artefacts.pop("inherited", None)
         artefacts.setdefault(("dictionaries",), {}).update(
             (attribute, column[0]) for attribute, column in found.items())
     return found

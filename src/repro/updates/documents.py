@@ -17,8 +17,10 @@ A :class:`DocumentEditor` is the only sanctioned way to mutate an
   nodes' posting positions (``tag_ranks``) are numbered afresh, in C;
 * bumps the document version and resets what the view has derived
   (:class:`~repro.xml.columnar.DocumentStats` included: the next read
-  summarises the maintained postings, no tree walk), so every twig
-  algorithm, validator and planner estimate reads the patched state.
+  summarises the maintained postings, no tree walk; a value edit drops
+  only what reads the edited tag's values, ``view.forget_values``), so
+  every twig algorithm, validator and planner estimate reads the
+  patched state.
   The columnar twig kernel (:mod:`repro.xml.accel`) inherits delta
   maintenance through exactly this path: its inputs *are* the
   maintained postings and the ``parents`` / region-label columns, so
@@ -116,7 +118,7 @@ class DocumentEditor:
                 for nids in view.tag_nids:
                     deque(map(ranks.__setitem__, nids, count()), maxlen=0)
                 view.tag_ranks = pack(ranks, hi=max(view.size - 1, 0))
-            view.derived = {}
+                view.derived = {}
         delta = DocumentDelta(kind=kind, version=document.version,
                               nodes=touched, start=start, rebuilt=rebuilt)
         self.log.append(delta)
@@ -132,6 +134,7 @@ class DocumentEditor:
         self._notify_before_change()
         node.text = text
         view.values[nid] = node.value
+        view.forget_values(node.tag)  # labels and postings stand
         return self._finish(VALUE_CHANGE, 1, start, rebuilt=False, view=view)
 
     def insert_subtree(self, parent: XMLNode, subtree: XMLNode, *,

@@ -7,13 +7,16 @@ delta constructor, so only changed rows are validated) and appends a
 :class:`~repro.updates.delta.RelationDelta` to the log. What the engine
 derives from a version (statistics, dictionaries, encoded inputs) lives
 on that ``Relation`` object
-(:func:`repro.engine.encoded.relation_artefacts`) and dies with it.
+(:func:`repro.engine.encoded.relation_artefacts`) and dies with it,
+but for its column dictionaries: the next version inherits them
+(:func:`repro.engine.encoded.inherit_dictionaries`).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
+from repro.engine.encoded import inherit_dictionaries
 from repro.errors import UpdateError
 from repro.relational.relation import Relation
 from repro.relational.schema import Value
@@ -80,6 +83,7 @@ class VersionedRelation:
         previous = self.relation
         self.relation = previous.with_row_changes(added=added,
                                                   removed=dropped)
+        inherit_dictionaries(self.relation, previous)
         self.version += 1
         delta = RelationDelta(self.name, self.version,
                               inserted=tuple(added), deleted=tuple(dropped))

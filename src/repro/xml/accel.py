@@ -34,7 +34,8 @@ through ``view.stream``, so the update layer's patched views
 code path.
 
 **Paid once per view version.** What the view alone determines is
-kept in ``view.derived`` and dropped with it on every update: an edge's
+kept in ``view.derived``, reset with it on every splice (a value edit
+drops only the edited tag's codes, edges stay): an edge's
 match lists whenever both of its sides are the view's own whole
 postings (:func:`_edge_index` — a predicated, reduced or sliced side is
 matched per call), and each tag's value codes

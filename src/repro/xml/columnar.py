@@ -49,6 +49,12 @@ if TYPE_CHECKING:
     from repro.engine.dictionary import Dictionary
 
 
+#: The kinds of :attr:`ColumnarDocument.derived` entries keyed ``(kind,
+#: tag, …)`` that are read off the tag's values.
+_VALUE_ENTRIES = frozenset(("tag_values", "tag_dictionary", "tag_codes",
+                            "value_index", "node_dictionary", "domain"))
+
+
 class TagPosting:
     """A forward cursor over one sorted posting (document order).
 
@@ -207,8 +213,9 @@ class ColumnarDocument:
         #: Derived from the arrays above and memoised per view: per-tag
         #: value gathers (:meth:`tag_values`), what is read off them
         #: (value dictionaries and indexes), encoded twig inputs, the
-        #: :class:`DocumentStats`. They share the view's lifetime, and
-        #: the update layer resets them after every splice.
+        #: :class:`DocumentStats`. They share the view's lifetime; the
+        #: update layer resets them after every splice and drops what
+        #: reads a tag's values after a value edit (:meth:`forget_values`).
         self.derived: dict = {}
         #: tid -> the tag's dictionary as a streamed arena stores it
         #: (:func:`repro.xml.arenaview.view_from_arena`); None here.
@@ -342,6 +349,22 @@ class ColumnarDocument:
                 index.setdefault(value, []).append(nid)
             self.derived[key] = index  # whole, or not there: readers race
         return index
+
+    def forget_values(self, tag: str) -> None:
+        """Drop the :attr:`derived` entries that read *tag*'s values: the
+        tag's own (:data:`_VALUE_ENTRIES`) and every twig input keyed
+        ``(atom class, name, ((tag, predicate), …), …)`` with a node of
+        *tag* (:func:`repro.core.decomposition.twig_input`). The stats,
+        the edges and every other tag's entries stay."""
+        def reads(key) -> bool:
+            if not isinstance(key, tuple):
+                return False
+            if isinstance(key[0], type):
+                return any(node_tag == tag for node_tag, _ in key[2])
+            return key[0] in _VALUE_ENTRIES and key[1] == tag
+
+        self.derived = {key: entry for key, entry in self.derived.items()
+                        if not reads(key)}
 
     def ancestry(self, nid: int) -> list[int]:
         """Node ids from the root down to (and including) *nid*."""

@@ -11,6 +11,7 @@ shared leaf of :class:`~repro.engine.encoded.EncodedTrie`.
 """
 
 import gc
+import operator
 import random
 import threading
 import weakref
@@ -30,7 +31,8 @@ from repro.engine import (
     get_algorithm,
     run_query,
 )
-from repro.engine.encoded import _LEAF, relation_artefacts, relation_input
+from repro.engine.encoded import _LEAF, relation_artefacts, \
+    relation_columns, relation_input
 from repro.errors import EngineError, TransportError
 from repro.instrumentation import JoinStats
 from repro.parallel.executor import ParallelExecutor
@@ -94,6 +96,16 @@ def planted_on(relation):
     """A probe in *relation*'s artefact dict: dies when that dict does."""
     probe = relation_artefacts(relation)["probe"] = Probe()
     return weakref.ref(probe)
+
+
+def relation_dictionaries(relation):
+    """*relation*'s column dictionaries in schema order (its column
+    pass, run here if nothing has read this version yet)."""
+    return tuple(column[0] for column in relation_columns(relation).values())
+
+
+def same_objects(left, right):
+    return len(left) == len(right) and all(map(operator.is_, left, right))
 
 
 def decoded(instance):
@@ -317,11 +329,75 @@ class TestInvalidation:
                         element("year", text="1850")))
         stats = JoinStats()
         result = run_query(session.query, stats=stats)
-        assert stats.inputs["R"] == [0, 1]
-        assert all(counts == [1, 0] for name, counts
-                   in stats.inputs.items() if name != "R")
+        if edit == "change_value":
+            # Only the input with a year node read the edited values.
+            assert stats.inputs == {"R": [0, 1], "X[b/t]": [0, 1],
+                                    "X[b/y]": [1, 0]}
+        else:  # a splice moves labels and postings: all of X is new
+            assert stats.inputs == {"R": [0, 1], "X[b/t]": [1, 0],
+                                    "X[b/y]": [1, 0]}
         assert result == session.answer() == session.query.naive_join()
         assert (3, ) in result.project(["x"]).rows  # the new 1850 joins
+
+    def test_an_insert_of_held_values_keeps_the_dictionaries(self):
+        session = QuerySession(bookstore_query())
+        query = session.query
+        before = EncodedInstance.from_query(query, query.attributes)
+        dictionaries = relation_dictionaries(query.relations[0])
+        session.insert("R", (1, 2001))  # x = 1 and y = 2001 are held
+        relation = query.relations[0]
+        assert (1, 2001) in relation.rows
+        assert same_objects(relation_dictionaries(relation), dictionaries)
+        after = EncodedInstance.from_query(query, query.attributes)
+        assert after.built == (True, False, False)  # R's trie only
+        # The peer twig tries, re-keyed by the merged year dictionary,
+        # are the very objects of before the write.
+        assert all(a is b for a, b in zip(before.tries[1:],
+                                          after.tries[1:]))
+        assert after.dictionaries["y"] is before.dictionaries["y"]
+        assert run_query(query) == session.answer() == query.naive_join()
+
+    def test_an_insert_of_a_new_value_rebuilds_only_its_dictionary(self):
+        session = QuerySession(bookstore_query())
+        query = session.query
+        x, y = relation_dictionaries(query.relations[0])
+        session.insert("R", (4, 2001))  # x = 4 is new
+        new_x, new_y = relation_dictionaries(query.relations[0])
+        assert new_y is y
+        assert new_x is not x and new_x.values == (1, 2, 3, 4)
+        assert run_query(query) == session.answer() == query.naive_join()
+
+    def test_writes_with_no_read_between_them_carry_the_dictionaries(self):
+        session = QuerySession(bookstore_query())
+        query = session.query
+        dictionaries = relation_dictionaries(query.relations[0])
+        for insert, row in [(True, (1, 2001)), (False, (1, 2001)),
+                            (True, (2, 1999)), (False, (3, 1850)),
+                            (True, (3, 1850))]:
+            (session.insert if insert else session.delete)("R", row)
+            # Nothing read this version: its column pass never ran.
+            assert "columns" not in query.relations[0].artefacts
+        assert same_objects(relation_dictionaries(query.relations[0]),
+                            dictionaries)
+        assert len(session.relations["R"].log) == 5
+        assert run_query(query) == session.answer() == query.naive_join()
+
+    def test_a_pin_before_the_write_reads_its_rows(self):
+        session = QuerySession(bookstore_query())
+        query = session.query
+        before, rows = session.answer(), query.relations[0].rows
+        dictionaries = relation_dictionaries(query.relations[0])
+        snapshot = session.pin()
+        # Every value stays held, so the dictionaries carry over too.
+        session.insert("R", (2, 1999))
+        session.insert("R", (3, 2001))
+        session.delete("R", (2, 2001))
+        assert same_objects(relation_dictionaries(query.relations[0]),
+                            dictionaries)
+        assert snapshot.relation("R").rows == rows
+        assert snapshot.run() == before != session.answer()
+        assert run_query(query) == session.answer() == query.naive_join()
+        snapshot.release()
 
     def test_a_pinned_snapshot_still_reads_its_version(self):
         session = QuerySession(bookstore_query())

@@ -3,8 +3,9 @@
 ``columnar(document)`` builds it on first use and ``reindex()`` drops
 it, so a document object reused after a mutation can never be served a
 stale view. The update layer's patch path keeps the one view, spliced
-in place, and resets what it derived (the stats included), so a patch
-can never serve stale stats or stale derived indexes either.
+in place: a splice resets everything it derived (the stats included),
+a value edit drops what reads the edited tag's values, so a patch can
+never serve stale stats or stale derived indexes either.
 """
 
 from __future__ import annotations
@@ -12,10 +13,14 @@ from __future__ import annotations
 import gc
 import weakref
 
+from repro.core.decomposition import decompose, twig_input
 from repro.updates.documents import DocumentEditor
 from repro.xml.columnar import ColumnarDocument, columnar, columnar_as, \
     document_stats
+from repro.xml.interface import get_twig_algorithm
 from repro.xml.model import XMLDocument, element
+from repro.xml.twig import Axis, TwigNode
+from repro.xml.twig_parser import parse_twig
 from harness import clone_document
 
 
@@ -34,6 +39,32 @@ class Probe:
 def planted(view: ColumnarDocument) -> "weakref.ref":
     probe = view.derived["probe"] = Probe()
     return weakref.ref(probe)
+
+
+def key_parts(key) -> set:
+    """The atoms of a ``derived`` key, nested tuples flattened."""
+    if not isinstance(key, tuple):
+        return {key}
+    return set().union(*map(key_parts, key))
+
+
+def derive_everything(document: XMLDocument) -> ColumnarDocument:
+    """*document*'s view with an entry of every kind derived: per-tag
+    values, dictionaries, indexes and domains, the edges, the stats and
+    the twig inputs of a twig with a P-C path and an A-D edge (its node
+    names are not tags, so a key names a tag only as a tag)."""
+    view = columnar(document)
+    twig = parse_twig("r=a(/x=b(/y=c), //z=d)")
+    get_twig_algorithm("accel").run(document, twig)
+    decomposition = decompose(twig)
+    for atom in decomposition.paths + decomposition.pairs:
+        twig_input(document, atom, frozenset({"r", "z"}))
+        twig_input(document, atom, order=("z", "y", "x", "r"))
+    for tag in view.tags:
+        view.value_index(tag)
+        view.domain(TwigNode("q", tag=tag, predicate=bool))
+    document_stats(document)
+    return view
 
 
 class TestReindex:
@@ -84,19 +115,39 @@ class TestReindex:
 
 class TestPatch:
     def test_a_patch_keeps_the_view_and_resets_what_it_derived(self):
+        """A value edit on ``d`` drops exactly what reads ``d``'s values;
+        every other entry, the edges and the stats stay the same
+        objects. A subtree insert moves labels: everything is reset."""
         document = build_document()
         editor = DocumentEditor(document, churn_threshold=10.0)
-        view = columnar(document)
+        view = derive_everything(document)
         stats = document_stats(document)
         values = view.tag_values("d")
         derived = planted(view)
+        before = dict(view.derived)
         version = document.version
         editor.change_value(document.nodes("d")[0], "5")
         assert document.view is view and document.version == version + 1
-        assert derived() is None
+        gone = set(before) - set(view.derived)
+        assert not set(view.derived) - set(before)
+        assert gone == {key for key in before
+                        if "d" in key_parts(key) and key[0] != "edge"}
+        assert {key[0] for key in gone if isinstance(key[0], str)} == {
+            "tag_values", "tag_dictionary", "tag_codes", "value_index",
+            "node_dictionary", "domain"}
+        assert sum(isinstance(key[0], type) for key in gone) >= 6
+        assert all(view.derived[key] is before[key] for key in view.derived)
+        assert ("edge", "a", "d", Axis.DESCENDANT) in view.derived
+        assert ("value_index", "c") in view.derived
+        assert document_stats(document) is stats
+        assert derived() is not None
         assert view.tag_values("d") == [5] != values
+        assert view.value_index("d") \
+            == columnar(clone_document(document)).value_index("d")
+        del before  # holds the probe
         editor.insert_subtree(document.root, element("d", text="6"))
         assert document.view is view
+        assert view.derived == {} and derived() is None
         assert view.tag_values("d") == [5, 6]
         assert document_stats(document) is not stats
         assert document_stats(document).tag_counts["d"] == 2

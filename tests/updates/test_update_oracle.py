@@ -196,11 +196,14 @@ def test_accel_tracks_update_stream(churn_threshold):
     rebuilds) its answer over the live columnar view must match a
     rebuilt-from-scratch clone — checked here directly on a
     value-predicate twig and on the same twig without predicates, whose
-    edges and value codes are cached per view version and so must be
-    gone after every update (the editor resets ``derived``) —
-    on top of the full every-backend check of
+    edges and value codes are cached per view version. A splice or a
+    rebuild drops them all; a value edit drops the edited tag's codes
+    and keeps the rest, and every entry kept equals what a fresh view of
+    a clone derives — on top of the full every-backend check of
     :func:`assert_session_matches_oracle`."""
-    from repro.xml.columnar import columnar
+    from repro.updates.delta import VALUE_CHANGE
+    from repro.xml.accel import _edge_matches
+    from repro.xml.columnar import TagPosting, columnar
     from repro.xml.twig import TwigNode, TwigQuery
 
     rng = seeded_rng(f"accel-{churn_threshold}")
@@ -216,11 +219,24 @@ def test_accel_tracks_update_stream(churn_threshold):
                        "/pr=personref))")
     query = MultiModelQuery([], [TwigBinding(twig, document)], name="A")
     session = QuerySession(query, churn_threshold=churn_threshold)
+    editor = session._editor_of["A"]
     accel = get_twig_algorithm("accel")
 
     def cached(view):
-        return {key for key in view.derived
+        return {key: entry for key, entry in view.derived.items()
                 if key[0] in ("edge", "tag_codes")}
+
+    def comparable(key, entry):
+        return (list(entry[0]), entry[1].values) \
+            if key[0] == "tag_codes" else entry
+
+    def derived_afresh(view, key):
+        """The entry *key* as *view* derives it, computed here."""
+        if key[0] == "tag_codes":
+            return comparable(key, view.tag_codes(key[1]))
+        _edge, upper, lower, axis = key
+        return _edge_matches(view, TagPosting(*view.postings(upper)),
+                             TagPosting(*view.postings(lower)), axis)
 
     accel.run(document, plain)
     for step in range(8):
@@ -231,9 +247,22 @@ def test_accel_tracks_update_stream(churn_threshold):
                                tags=["bidder", "increase", "personref"])
         note = (f"accel churn={churn_threshold} step={step} op={op} "
                 f"(REPRO_UPDATE_SEED={UPDATE_SEED})")
-        assert not cached(columnar(document)), \
-            f"edges or codes of the previous version survived {note}"
+        view = columnar(document)
+        kept = cached(view)
+        delta = editor.log[-1]
+        if delta.kind == VALUE_CHANGE:
+            edited = view.nodes[view.nid_index[delta.start]].tag
+            assert not [key for key in view.derived
+                        if isinstance(key, tuple) and key[0] != "edge"
+                        and key[1] == edited], \
+                f"an entry of the edited tag survived {note}"
+        else:
+            assert not kept, f"edges or codes survived a splice {note}"
         clone = clone_document(document)
+        fresh = columnar(clone)
+        for key, entry in kept.items():
+            assert comparable(key, entry) == derived_afresh(fresh, key), \
+                f"a kept {key[0]} entry went stale at {note}"
         for pattern in (twig, plain):
             reference = match_relation(clone, pattern)
             live = accel.run(document, pattern)
