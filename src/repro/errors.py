@@ -78,7 +78,7 @@ class ServiceError(ReproError):
     """A service request is invalid or cannot be admitted.
 
     ``code`` is the wire-level error code (``bad_request``, ``quota``,
-    ``backpressure``, ``unknown_session``, ...) echoed to clients by the
+    ``update``, ``unknown_session``, ...) echoed to clients by the
     line-JSON protocol (:mod:`repro.service.protocol`).
     """
 

@@ -1,12 +1,12 @@
 """MVCC snapshot layer: consistent reads under concurrent updates.
 
 The update subsystem already maintains implicit versions everywhere —
-:class:`~repro.updates.relations.VersionedRelation` delta logs, the
+:class:`~repro.updates.relations.VersionedRelation` versions, the
 documents' ``version`` counters, ``QuerySession``'s session version.
 This package makes that versioning explicit and readable: a
 :class:`Snapshot` pins one consistent ``(relation versions, document
 versions)`` vector and keeps answering reads at that vector while
-writers keep appending deltas.
+writers keep applying deltas.
 
 The machinery is copy-on-write at the version granularity:
 

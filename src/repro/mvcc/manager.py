@@ -185,12 +185,6 @@ class SnapshotManager:
 
     # -- detachment --------------------------------------------------------
 
-    def is_detached(self, snapshot: Snapshot) -> bool:
-        """True when every pinned document resolves to a frozen clone."""
-        return all(
-            self.document_chains[ident].artifact(version) is not None
-            for ident, version in snapshot.document_versions.items())
-
     def detach(self, snapshot: Snapshot) -> None:
         """Freeze every still-live pinned document of *snapshot* now.
 

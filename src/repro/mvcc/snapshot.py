@@ -103,15 +103,6 @@ class Snapshot:
 
     # -- lifecycle ---------------------------------------------------------
 
-    @property
-    def detached(self) -> bool:
-        """True when every pinned document resolves to a frozen clone
-        (relations are immutable either way). The service never needs
-        it: it evaluates on the writer's loop."""
-        if self.released:
-            return True
-        return self.manager.is_detached(self)
-
     def detach(self) -> None:
         """Force-freeze every still-live pinned document into its clone:
         a full tree copy, called only by the MVCC tests and the e2e

@@ -8,12 +8,9 @@ TCP or stdin). The moving parts:
 * :class:`~repro.service.server.ReproService` — the asyncio server. One
   *master* :class:`~repro.updates.session.QuerySession` is the only
   copy of the corpus; a client session is a tenant-scoped set of
-  snapshots pinned on it. Each update batch is applied to the master in
-  one synchronous step — so a pin always lands on a batch boundary and
-  no snapshot ever observes a torn batch.
-* a **single-writer queue** — all updates funnel through one bounded
-  asyncio queue and one writer task; a full queue surfaces as a
-  ``backpressure`` error instead of unbounded memory growth.
+  snapshots pinned on it. Each update batch is applied to the master
+  inside its own request, in one synchronous step — so a pin always
+  lands on a batch boundary and no snapshot ever observes a torn batch.
 * :class:`~repro.service.tenancy.SessionManager` — per-tenant session
   and snapshot accounting against a :class:`~repro.service.tenancy.
   TenantQuota` (``quota`` errors, never silent eviction of another
@@ -26,8 +23,8 @@ TCP or stdin). The moving parts:
   since (a ``query`` naming no snapshot pins one for the request). Pins
   of several tenants on one version share its frozen artifacts. Every
   query is evaluated on the event loop over the pinned inputs: the live
-  objects while the version is current, the writer's retained clone
-  once a batch has superseded it — a read never copies the corpus.
+  objects while the version is current, the retained clone once a
+  batch has superseded it — a read never copies the corpus.
 
 See ``docs/service.md`` for the protocol reference and lifecycle rules.
 """

@@ -7,8 +7,9 @@ request carries an ``op`` (see :data:`OPERATIONS`) and an optional
 either ``{"id": ..., "ok": true, ...fields}`` or
 ``{"id": ..., "ok": false, "error": code, "message": text}`` with
 *code* from :class:`~repro.errors.ServiceError` (``bad_request``,
-``quota``, ``backpressure``, ``unknown_session``, ``unknown_snapshot``,
-``internal``).
+``quota``, ``unknown_session``, ``unknown_snapshot``, ``update``,
+``internal``). An ``update`` is applied inside its own request: its
+response reports the batch already applied.
 
 Update batches are lists of operation objects:
 

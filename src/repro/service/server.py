@@ -1,36 +1,32 @@
-"""The asyncio query service: snapshot reads under a single writer.
+"""The asyncio query service: snapshot reads beside in-request updates.
 
 One :class:`ReproService` hosts one corpus. Consistency comes from three
 structural rules, not from locks:
 
-1. **One state, one writer.** The master :class:`~repro.updates.session.
-   QuerySession` is the only copy of the corpus, and only the writer
-   task calls its editors (which patch documents *in place*). A wire
+1. **One state.** The master :class:`~repro.updates.session.
+   QuerySession` is the only copy of the corpus, and only an ``update``
+   request calls its editors (which patch documents *in place*). A wire
    session holds no data: it is a tenant-scoped set of pins on the
    master. A reader never watches a tree change under it, because the
    MVCC layer freezes a pinned version into a clone before the first
    write that supersedes it — one clone per (document, version), shared
    by every pin on that version, whichever tenant took it. A pin whose
    version is still current clones nothing: it reads the live objects.
-2. **Atomic batches.** A batch is validated against the master, then
-   applied in one synchronous step of the single writer task — no
-   ``await`` between the first and last mutation. Snapshots are pinned
-   between steps of the event loop, so a pin always observes a whole
+2. **Atomic batches.** An ``update`` validates its batch against the
+   master, then applies it inside its own request, in one synchronous
+   step — no ``await`` between the first and last mutation. Snapshots
+   are pinned by other requests, so a pin always observes a whole
    number of batches: torn reads are impossible by construction.
 3. **Evaluate on the loop.** Every query is evaluated inline on the
    event loop over its snapshot's own inputs: the live objects while
-   the pinned version is current, the writer's retained clone once a
-   batch has superseded it. Nothing awaits between resolving the inputs
-   and the end of the evaluation, and the writer runs on the same loop,
-   so no mutation can land mid-evaluate.
+   the pinned version is current, the retained clone once a batch has
+   superseded it. Nothing awaits between resolving the inputs and the
+   end of the evaluation, so no mutation can land mid-evaluate.
 
+Every ``_op_*`` handler is a plain method, so rules 2 and 3 hold by the
+handlers' type: no request can interleave with a batch or an evaluate.
 Every read is a snapshot read: a ``query`` that names no snapshot pins
 one, answers from it and releases it inside the one request.
-
-The writer queue is bounded: when producers outrun the writer the
-service answers ``backpressure`` instead of buffering without limit, and
-per-tenant ``pending_updates`` quotas stop one tenant from filling the
-shared queue.
 """
 
 from __future__ import annotations
@@ -68,11 +64,10 @@ from repro.xml.parser import parse_element_tree
 
 
 class ReproService:
-    """One corpus, many tenants, one writer, snapshot-consistent reads."""
+    """One corpus, many tenants, snapshot-consistent reads."""
 
     def __init__(self, corpus: "str | MultiModelQuery" = "figure1", *,
                  quota: TenantQuota | None = None,
-                 queue_limit: int = 32,
                  plan_cache: PlanCache | None = None,
                  adaptive: bool = True):
         if isinstance(corpus, str):
@@ -87,7 +82,7 @@ class ReproService:
         #: shared plan cache by its feedback epoch. Inputs are stamped
         #: *logically* (their drift generation) because a snapshot query
         #: reads the live objects or, once a batch supersedes its pin,
-        #: the writer's retained clone: corrections learned from either
+        #: the retained clone: corrections learned from either
         #: apply to every tenant until the master's deltas add up to a
         #: churn burst, which advances the generation and retires them
         #: (and every cached plan) at once. Small batches inherit all
@@ -101,15 +96,12 @@ class ReproService:
             query, feedback=self.adaptive.store if adaptive else None)
         self.sessions = SessionManager(quota)
         self.plan_cache = plan_cache or PlanCache()
-        self.queue_limit = queue_limit
         #: Whole update batches applied since startup; every snapshot
         #: records the value at pin time, so clients can correlate an
         #: answer with the exact prefix of the update stream it reflects.
         self.batches_applied = 0
         self.updates_applied = 0
         self.queries_served = 0
-        self._queue: "asyncio.Queue | None" = None
-        self._writer_task: "asyncio.Task | None" = None
         self._shutdown_event: "asyncio.Event | None" = None
         self._closing = False
 
@@ -125,42 +117,16 @@ class ReproService:
             self._shutdown_event = asyncio.Event()
         return self._shutdown_event
 
-    def _ensure_writer(self) -> asyncio.Queue:
-        """The single-writer queue (task spawned on first update)."""
-        if self._queue is None:
-            self._queue = asyncio.Queue(maxsize=self.queue_limit)
-            self._writer_task = asyncio.get_running_loop().create_task(
-                self._writer_loop())
-        return self._queue
-
-    async def _writer_loop(self) -> None:
-        """Drain the update queue, one atomic batch per step."""
-        assert self._queue is not None
-        while True:
-            ops, tenant, future = await self._queue.get()
-            try:
-                if not future.cancelled():
-                    future.set_result(self._apply_batch(ops))
-            except Exception as error:  # surfaced to the one requester
-                if not future.cancelled():
-                    future.set_exception(error)
-            finally:
-                tenant.pending_updates -= 1
-                self._queue.task_done()
-
-    async def aclose(self) -> None:
-        """Release every session and stop the writer task."""
+    def close(self) -> None:
+        """Release every session and wake the serving transport."""
         self._closing = True
         for state in self.sessions.all_states():
             state.release_all()
-        if self._writer_task is not None:
-            self._writer_task.cancel()
-            try:
-                await self._writer_task
-            except asyncio.CancelledError:
-                pass
-            self._writer_task = None
         self._shutdown().set()
+
+    async def aclose(self) -> None:
+        """:meth:`close`, for callers that await the service's lifecycle."""
+        self.close()
 
     # -- the update path ---------------------------------------------------
 
@@ -297,7 +263,7 @@ class ReproService:
                            message: dict[str, Any]) -> dict[str, Any]:
         """Answer one ``query`` at *snapshot* — the only read path.
 
-        Synchronous: no coroutine, the writer included, runs until the
+        Synchronous: no coroutine, an update included, runs until the
         answer is built, so the pinned inputs cannot change under it.
         """
         batches = snapshot.metadata["batches"]
@@ -309,7 +275,7 @@ class ReproService:
                     "attributes": list(relation.schema.attributes),
                     "version": snapshot.version, "batches": batches,
                     "mode": "answer"}
-        # Over the pinned inputs: live, or the writer's retained clone.
+        # Over the pinned inputs: live, or the retained clone.
         query = snapshot.query()
         adaptive_run = (self.adaptive is not None and algorithm is None
                         and order is None)
@@ -341,7 +307,7 @@ class ReproService:
         try:
             op = validate_request(message)
             handler = getattr(self, f"_op_{op}")
-            fields = await handler(message)
+            fields = handler(message)
             return ok_response(request_id, **fields)
         except Exception as error:  # noqa: BLE001 — becomes the envelope
             return error_response(request_id, error)
@@ -354,12 +320,13 @@ class ReproService:
             return encode_message(error_response(None, error))
         return encode_message(await self.handle_request(message))
 
-    # Each _op_* returns the success-envelope fields for one operation.
+    # Each _op_* returns the success-envelope fields for one operation;
+    # none is a coroutine, so no request runs inside another.
 
-    async def _op_ping(self, message: dict[str, Any]) -> dict[str, Any]:
+    def _op_ping(self, message: dict[str, Any]) -> dict[str, Any]:
         return {"pong": True, "batches": self.batches_applied}
 
-    async def _op_corpus(self, message: dict[str, Any]) -> dict[str, Any]:
+    def _op_corpus(self, message: dict[str, Any]) -> dict[str, Any]:
         master = self.master
         return {
             "corpus": self.corpus_spec,
@@ -372,19 +339,19 @@ class ReproService:
             "batches": self.batches_applied,
         }
 
-    async def _op_open(self, message: dict[str, Any]) -> dict[str, Any]:
+    def _op_open(self, message: dict[str, Any]) -> dict[str, Any]:
         tenant = require_field(message, "tenant", str)
         state = self.sessions.admit_session(tenant)
         return {"session": state.sid, "version": self.master.version,
                 "batches": self.batches_applied}
 
-    async def _op_close(self, message: dict[str, Any]) -> dict[str, Any]:
+    def _op_close(self, message: dict[str, Any]) -> dict[str, Any]:
         tenant = require_field(message, "tenant", str)
         sid = require_field(message, "session", str)
         self.sessions.close_session(tenant, sid)
         return {"closed": sid}
 
-    async def _op_pin(self, message: dict[str, Any]) -> dict[str, Any]:
+    def _op_pin(self, message: dict[str, Any]) -> dict[str, Any]:
         tenant = require_field(message, "tenant", str)
         sid = require_field(message, "session", str)
         state = self.sessions.state(tenant, sid)
@@ -394,7 +361,7 @@ class ReproService:
                 "version": snapshot.version,
                 "batches": self.batches_applied}
 
-    async def _op_release(self, message: dict[str, Any]) -> dict[str, Any]:
+    def _op_release(self, message: dict[str, Any]) -> dict[str, Any]:
         tenant = require_field(message, "tenant", str)
         sid = require_field(message, "session", str)
         snapshot_id = require_field(message, "snapshot", str)
@@ -403,7 +370,7 @@ class ReproService:
         del state.snapshots[snapshot_id]
         return {"released": snapshot_id}
 
-    async def _op_query(self, message: dict[str, Any]) -> dict[str, Any]:
+    def _op_query(self, message: dict[str, Any]) -> dict[str, Any]:
         tenant = require_field(message, "tenant", str)
         sid = require_field(message, "session", str)
         state = self.sessions.state(tenant, sid)
@@ -415,24 +382,12 @@ class ReproService:
         with self._pin() as snapshot:  # released when the request ends
             return self._evaluate_snapshot(snapshot, message)
 
-    async def _op_update(self, message: dict[str, Any]) -> dict[str, Any]:
-        tenant_name = require_field(message, "tenant", str)
+    def _op_update(self, message: dict[str, Any]) -> dict[str, Any]:
+        require_field(message, "tenant", str)
         ops = validate_update_ops(message.get("ops"))
-        queue = self._ensure_writer()
-        tenant = self.sessions.admit_update(tenant_name)
-        future = asyncio.get_running_loop().create_future()
-        try:
-            queue.put_nowait((ops, tenant, future))
-        except asyncio.QueueFull:
-            tenant.pending_updates -= 1
-            raise ServiceError(
-                "backpressure",
-                f"the update queue is full ({self.queue_limit} batches); "
-                f"retry after in-flight updates drain") from None
-        batches = await future
-        return {"applied": len(ops), "batches": batches}
+        return {"applied": len(ops), "batches": self._apply_batch(ops)}
 
-    async def _op_stats(self, message: dict[str, Any]) -> dict[str, Any]:
+    def _op_stats(self, message: dict[str, Any]) -> dict[str, Any]:
         mvcc = self.master.mvcc
 
         def retained(chains: dict) -> int:
@@ -444,10 +399,10 @@ class ReproService:
             "batches": self.batches_applied,
             "updates": self.updates_applied,
             "queries": self.queries_served,
-            # Always 0 (no query leaves the loop); the e2e harness reads it.
+            # Always 0 (no query leaves the loop, no update waits in a
+            # queue); the e2e harness reads both.
             "offloaded": 0,
-            "queue_depth": (self._queue.qsize()
-                            if self._queue is not None else 0),
+            "queue_depth": 0,
             "tenants": self.sessions.counts(),
             "mvcc": {
                 "pins": mvcc.active_count(),
@@ -461,8 +416,8 @@ class ReproService:
                 if self.adaptive is not None else None),
         }
 
-    async def _op_shutdown(self, message: dict[str, Any]) -> dict[str, Any]:
-        await self.aclose()
+    def _op_shutdown(self, message: dict[str, Any]) -> dict[str, Any]:
+        self.close()
         return {"bye": True}
 
     # -- transports --------------------------------------------------------
@@ -508,7 +463,7 @@ class ReproService:
         while not self._closing:
             line = await loop.run_in_executor(None, sys.stdin.readline)
             if not line:
-                await self.aclose()
+                self.close()
                 break
             sys.stdout.buffer.write(await self.handle_line(line))
             sys.stdout.buffer.flush()

@@ -28,8 +28,6 @@ class TenantQuota:
     max_sessions: int = 8
     #: Concurrently pinned (unreleased) snapshots per tenant.
     max_snapshots: int = 32
-    #: Update batches a tenant may have queued but not yet applied.
-    max_pending_updates: int = 64
 
 
 @dataclass
@@ -68,14 +66,12 @@ class SessionState:
 
 
 class Tenant:
-    """One tenant's sessions and pending-update accounting."""
+    """One tenant's sessions."""
 
     def __init__(self, name: str, quota: TenantQuota):
         self.name = name
         self.quota = quota
         self.sessions: dict[str, SessionState] = {}
-        #: Update batches enqueued by this tenant, not yet applied.
-        self.pending_updates = 0
         self._session_counter = 0
 
     def next_session_id(self) -> str:
@@ -128,18 +124,6 @@ class SessionManager:
                 f"tenant {state.tenant!r} is at its snapshot limit "
                 f"({tenant.quota.max_snapshots}); release snapshots first")
 
-    def admit_update(self, tenant_name: str) -> Tenant:
-        """Check (and count) one queued update batch for *tenant_name*."""
-        tenant = self.tenant(tenant_name)
-        if tenant.pending_updates >= tenant.quota.max_pending_updates:
-            raise ServiceError(
-                "quota",
-                f"tenant {tenant_name!r} has "
-                f"{tenant.pending_updates} update batches in flight "
-                f"(limit {tenant.quota.max_pending_updates})")
-        tenant.pending_updates += 1
-        return tenant
-
     # -- lookup / teardown -------------------------------------------------
 
     def state(self, tenant_name: str, sid: str) -> SessionState:
@@ -165,6 +149,5 @@ class SessionManager:
     def counts(self) -> dict[str, dict[str, int]]:
         """Per-tenant accounting for the ``stats`` endpoint."""
         return {name: {"sessions": len(tenant.sessions),
-                       "snapshots": tenant.snapshot_count(),
-                       "pending_updates": tenant.pending_updates}
+                       "snapshots": tenant.snapshot_count()}
                 for name, tenant in self.tenants.items()}

@@ -12,7 +12,7 @@ Entry points:
   :class:`~repro.core.multimodel.MultiModelQuery` open across an update
   stream and re-answer it incrementally;
 * :class:`~repro.updates.relations.VersionedRelation` — one relation
-  under updates (delta log, one ``Relation`` per version);
+  under updates (one ``Relation`` per version);
 * :class:`~repro.updates.documents.DocumentEditor` — one document under
   updates (patched labels and view, churn-bounded).
 """

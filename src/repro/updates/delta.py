@@ -1,12 +1,12 @@
-"""Delta records: the version-stamped log entries of the update layer.
+"""Delta records: what one write of the update layer changed.
 
-Every mutation accepted by the update subsystem is recorded as one
-immutable delta — single tuples on the relational side, single subtrees
-or value edits on the XML side. Logs serve three purposes: they document
-*what* changed (the differential test harness replays them against a
-rebuild-from-scratch oracle), they let downstream caches refresh from
-the change instead of rescanning the input, and they carry the version
-stamp that ties a delta to the input state it produced.
+Every mutation accepted by the update subsystem returns one immutable
+delta — single tuples on the relational side, single subtrees or value
+edits on the XML side. A delta says *what* changed, so downstream state
+(the maintained answer, the planner's drift ledger) refreshes from the
+change instead of rescanning the input, and it carries the version
+stamp that ties the change to the input state it produced. Nothing
+keeps the deltas: the caller that applied a write owns its record.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ class RelationDelta:
     ``version`` is the version of the relation *after* the batch;
     ``inserted``/``deleted`` hold only rows that actually changed
     membership (inserting a present row or deleting an absent one is
-    filtered out before logging, so replaying a log is idempotent).
+    filtered out before the record is built).
     """
 
     relation: str

@@ -63,7 +63,6 @@ class DocumentEditor:
         #: Fraction of the tree that may churn before a full rebuild.
         self.churn_threshold = churn_threshold
         self._churn = 0  # nodes touched since the last rebuild
-        self.log: list[DocumentDelta] = []
         self.patches = 0
         self.rebuilds = 0
         #: Optional write-barrier, called with the document *before* the
@@ -119,10 +118,8 @@ class DocumentEditor:
                     deque(map(ranks.__setitem__, nids, count()), maxlen=0)
                 view.tag_ranks = pack(ranks, hi=max(view.size - 1, 0))
                 view.derived = {}
-        delta = DocumentDelta(kind=kind, version=document.version,
-                              nodes=touched, start=start, rebuilt=rebuilt)
-        self.log.append(delta)
-        return delta
+        return DocumentDelta(kind=kind, version=document.version,
+                             nodes=touched, start=start, rebuilt=rebuilt)
 
     # -- operations --------------------------------------------------------
 

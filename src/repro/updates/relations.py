@@ -1,10 +1,10 @@
-"""Version-stamped relations with delta logs.
+"""Version-stamped relations under tuple updates.
 
 A :class:`VersionedRelation` owns the current :class:`Relation` object
 for one input and accepts single-tuple inserts/deletes (or batches).
 Each applied batch produces a fresh immutable ``Relation`` (built by the
-delta constructor, so only changed rows are validated) and appends a
-:class:`~repro.updates.delta.RelationDelta` to the log. What the engine
+delta constructor, so only changed rows are validated) and returns a
+:class:`~repro.updates.delta.RelationDelta`. What the engine
 derives from a version (statistics, dictionaries, encoded inputs) lives
 on that ``Relation`` object
 (:func:`repro.engine.encoded.relation_artefacts`) and dies with it,
@@ -34,7 +34,6 @@ class VersionedRelation:
         #: pins the current version, the write path retains the
         #: superseded Relation object there instead of releasing it.
         self.chain = None
-        self.log: list[RelationDelta] = []
 
     @property
     def name(self) -> str:
@@ -49,7 +48,7 @@ class VersionedRelation:
         """Apply one batch (deletes first, then inserts; set semantics).
 
         No-op rows — deleting an absent tuple, inserting a present one —
-        are filtered before the delta is logged, so the returned record
+        are filtered before the delta is built, so the returned record
         holds exactly the membership changes. Raises
         :class:`~repro.errors.UpdateError` on an arity mismatch.
         """
@@ -85,15 +84,12 @@ class VersionedRelation:
                                                   removed=dropped)
         inherit_dictionaries(self.relation, previous)
         self.version += 1
-        delta = RelationDelta(self.name, self.version,
-                              inserted=tuple(added), deleted=tuple(dropped))
-        self.log.append(delta)
-
         # A snapshot pinning the superseded version keeps it readable;
         # otherwise it (and its artefacts) is freed with its last reader.
         if self.chain is not None and self.chain.pinned(self.version - 1):
             self.chain.retain(self.version - 1, previous)
-        return delta
+        return RelationDelta(self.name, self.version,
+                             inserted=tuple(added), deleted=tuple(dropped))
 
     def insert(self, row: Sequence[Value]) -> RelationDelta:
         """Insert one tuple (convenience over :meth:`apply`)."""
@@ -105,4 +101,4 @@ class VersionedRelation:
 
     def __repr__(self) -> str:
         return (f"VersionedRelation({self.name!r}, v{self.version}, "
-                f"{len(self.relation)} rows, {len(self.log)} deltas)")
+                f"{len(self.relation)} rows)")

@@ -5,7 +5,7 @@ MultiModelQuery` and keeps every expensive per-query artifact alive
 between updates:
 
 * each relational input as a :class:`~repro.updates.relations.
-  VersionedRelation` (delta log; a new ``Relation`` per version),
+  VersionedRelation` (a new ``Relation`` per version),
 * each bound document behind a :class:`~repro.updates.documents.
   DocumentEditor` (the document's columnar view patched in place),
 * each twig's answer as a :class:`~repro.updates.twigs.

@@ -379,7 +379,7 @@ class TestInvalidation:
             assert "columns" not in query.relations[0].artefacts
         assert same_objects(relation_dictionaries(query.relations[0]),
                             dictionaries)
-        assert len(session.relations["R"].log) == 5
+        assert session.relations["R"].version == 5
         assert run_query(query) == session.answer() == query.naive_join()
 
     def test_a_pin_before_the_write_reads_its_rows(self):

@@ -47,7 +47,10 @@ class TestCopyOnWrite:
                    for chain in session.mvcc.document_chains.values())
         # Unsuperseded pins read the live objects.
         assert snapshot.relation("R") is session.relations["R"].relation
-        assert not snapshot.detached
+        document = session.document_of("invoices")
+        chain = session.mvcc.document_chains[id(document)]
+        assert chain.artifact(document.version) is None
+        assert snapshot.document(id(document)) is document
         snapshot.release()
 
     def test_relational_write_preserves_the_pinned_version(self):
@@ -133,12 +136,17 @@ class TestLifecycle:
     def test_detach_freezes_live_documents(self):
         session = QuerySession(figure1_query())
         snapshot = session.pin()
-        assert not snapshot.detached
-        snapshot.detach()
-        assert snapshot.detached
         document = session.document_of("invoices")
-        # Detached reads resolve to the clone even before any write.
-        assert snapshot.document(id(document)) is not document
+        chain = session.mvcc.document_chains[id(document)]
+        version = snapshot.document_versions[id(document)]
+        assert chain.artifact(version) is None
+        snapshot.detach()
+        # One frozen clone per pinned document, before any write.
+        assert chain.retained_versions() == (version,)
+        clone = chain.artifact(version)
+        assert clone is not None and clone is not document
+        # Detached reads resolve to the clone.
+        assert snapshot.document(id(document)) is clone
         frozen = oracle_at(session)
         session.delete_subtree("invoices",
                                document.nodes("orderLine")[0])
@@ -153,7 +161,12 @@ class TestLifecycle:
         session = QuerySession(query)
         snapshot = session.pin()
         frozen = oracle_at(session)
-        assert snapshot.detached  # no documents to freeze
+        # No documents: nothing to freeze, detach or not.
+        assert snapshot.document_versions == {}
+        assert session.mvcc.document_chains == {}
+        snapshot.detach()
+        assert all(chain.retained_versions() == ()
+                   for chain in session.mvcc.relation_chains.values())
         session.delete("R", (1, 2))
         session.insert("S", (3, 8))
         assert snapshot.answer().sorted_rows() == frozen.sorted_rows()

@@ -148,9 +148,7 @@ def test_eight_concurrent_readers_under_an_update_stream():
 
     async def scenario():
         service = ReproService(
-            CORPUS, queue_limit=64,
-            quota=TenantQuota(max_sessions=2, max_snapshots=4,
-                              max_pending_updates=64))
+            CORPUS, quota=TenantQuota(max_sessions=2, max_snapshots=4))
         server = await asyncio.start_server(service._serve_connection,
                                             "127.0.0.1", 0)
         port = server.sockets[0].getsockname()[1]

@@ -2,7 +2,7 @@
 
 Every test drives :meth:`ReproService.handle_request` directly inside
 one event loop, so the full dispatch path — validation, quotas, the
-single-writer queue, snapshot evaluation — is exercised without TCP.
+in-request update, snapshot evaluation — is exercised without TCP.
 """
 
 from __future__ import annotations
@@ -262,7 +262,7 @@ class TestAtomicBatches:
         run(scenario)
 
 
-class TestQuotasAndBackpressure:
+class TestQuotas:
     def test_session_quota_surfaces_on_the_wire(self):
         async def scenario():
             service = ReproService(
@@ -285,32 +285,6 @@ class TestQuotasAndBackpressure:
                        snapshot=first["snapshot"])
             again = await call(service, op="pin", tenant="t", session=sid)
             assert again["ok"]
-        run(scenario)
-
-    def test_full_queue_answers_backpressure(self):
-        async def scenario():
-            service = ReproService("figure1", queue_limit=1)
-            queue = service._ensure_writer()
-            blocker = asyncio.get_running_loop().create_future()
-            tenant = service.sessions.admit_update("t")
-            queue.put_nowait(([dict(INSERT)], tenant, blocker))
-            # No await between the fill above and the request below, so
-            # the writer task cannot drain first: the queue is full.
-            denied = await call(service, op="update", tenant="t",
-                                ops=[dict(INSERT)])
-            assert denied["error"] == "backpressure"
-            assert tenant.pending_updates == 1  # the rejected batch undone
-            assert await blocker == 1           # the queued batch applied
-            await service.aclose()
-        run(scenario)
-
-    def test_pending_update_quota(self):
-        async def scenario():
-            service = ReproService(
-                "figure1", quota=TenantQuota(max_pending_updates=0))
-            denied = await call(service, op="update", tenant="t",
-                                ops=[dict(INSERT)])
-            assert denied["error"] == "quota"
         run(scenario)
 
 

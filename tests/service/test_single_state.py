@@ -177,8 +177,7 @@ def test_close_releases_only_that_sessions_pins():
         await call(service, op="close", tenant="a", session=a)
         stats = await call(service, op="stats")
         assert stats["mvcc"]["pins"] == 1
-        assert stats["tenants"]["a"] == {
-            "sessions": 0, "snapshots": 0, "pending_updates": 0}
+        assert stats["tenants"]["a"] == {"sessions": 0, "snapshots": 0}
         assert stats["tenants"]["b"]["snapshots"] == 1
         gone = await service.handle_request(
             {"op": "query", "tenant": "a", "session": a, "snapshot": a_pin})

@@ -70,19 +70,6 @@ class TestSnapshotQuota:
         assert corpus.mvcc.active_count() == 1
 
 
-class TestUpdateQuota:
-    def test_pending_updates_are_bounded(self):
-        manager = SessionManager(TenantQuota(max_pending_updates=2))
-        manager.admit_update("a")
-        manager.admit_update("a")
-        with pytest.raises(ServiceError) as info:
-            manager.admit_update("a")
-        assert info.value.code == "quota"
-        # Draining (the writer's decrement) reopens the gate.
-        manager.tenant("a").pending_updates -= 1
-        manager.admit_update("a")
-
-
 class TestLookup:
     def test_unknown_session_has_its_own_code(self):
         manager = SessionManager()
@@ -105,7 +92,5 @@ class TestLookup:
         state = open_session(manager, "a")
         manager.admit_snapshot(state)
         state.register_snapshot(corpus.pin())
-        manager.admit_update("a")
-        assert manager.counts() == {
-            "a": {"sessions": 1, "snapshots": 1, "pending_updates": 1}}
+        assert manager.counts() == {"a": {"sessions": 1, "snapshots": 1}}
         assert len(manager.all_states()) == 1

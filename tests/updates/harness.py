@@ -62,8 +62,9 @@ def random_subtree(rng: random.Random, tags: "list[str]", *,
 
 
 def random_session_op(rng: random.Random, session, *,
-                      tags: "list[str]", value_range: int = 3) -> str:
-    """Apply one random update through *session*; returns a label."""
+                      tags: "list[str]", value_range: int = 3):
+    """Apply one random update through *session*; returns a label and
+    the delta the write returned."""
     choices = []
     if session.relations:
         choices.extend(["rel_insert", "rel_delete"])
@@ -78,21 +79,21 @@ def random_session_op(rng: random.Random, session, *,
         else:
             row = tuple(rng.randint(0, value_range)
                         for _ in relation.schema)
-        (session.insert if kind == "rel_insert" else session.delete)(
-            name, row)
-        return f"{kind}:{name}{row!r}"
+        delta = (session.insert if kind == "rel_insert"
+                 else session.delete)(name, row)
+        return f"{kind}:{name}{row!r}", delta
     twig_name = rng.choice(sorted(session.answers))
     document = session._editor_of[twig_name].document
     nodes = document.nodes()
     if kind == "doc_insert":
         parent = rng.choice(nodes)
-        session.insert_subtree(
+        delta = session.insert_subtree(
             twig_name, parent, random_subtree(rng, tags),
             index=rng.randint(0, len(parent.children)))
     elif kind == "doc_delete" and len(nodes) > 1:
-        session.delete_subtree(twig_name, rng.choice(nodes[1:]))
+        delta = session.delete_subtree(twig_name, rng.choice(nodes[1:]))
     else:
-        session.change_value(twig_name, rng.choice(nodes),
-                             str(rng.randint(0, value_range)))
+        delta = session.change_value(twig_name, rng.choice(nodes),
+                                     str(rng.randint(0, value_range)))
         kind = "doc_value"
-    return f"{kind}:{twig_name}"
+    return f"{kind}:{twig_name}", delta

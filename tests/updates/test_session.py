@@ -46,10 +46,10 @@ class TestRelationalUpdates:
     def test_versioned_logs_and_swapped_relation(self):
         query = small_query()
         session = QuerySession(query)
-        session.insert("Orders", (4, 9))
+        delta = session.insert("Orders", (4, 9))
         versioned = session.relations["Orders"]
         assert versioned.version == 1
-        assert len(versioned.log) == 1
+        assert delta.version == versioned.version
         # The live query now holds the new Relation object.
         assert query.relations[0] is versioned.relation
         assert (4, 9) in versioned.relation.rows

@@ -90,7 +90,7 @@ def test_random_instances_under_interleaved_updates(churn_threshold):
         query = random_multimodel_instance(rng.randrange(10_000))
         session = QuerySession(query, churn_threshold=churn_threshold)
         for step in range(6):
-            op = random_session_op(rng, session, tags=["x", "y", "z"])
+            op, _ = random_session_op(rng, session, tags=["x", "y", "z"])
             assert_session_matches_oracle(
                 session,
                 f"churn={churn_threshold} trial={trial} "
@@ -103,7 +103,7 @@ def test_relation_only_session_under_updates():
     query = MultiModelQuery(instance.relations, name="R-only")
     session = QuerySession(query)
     for step in range(12):
-        op = random_session_op(rng, session, tags=[])
+        op, _ = random_session_op(rng, session, tags=[])
         assert_session_matches_oracle(session, f"step={step} op={op}")
 
 
@@ -157,7 +157,7 @@ def test_concurrent_readers_pin_staggered_snapshots(churn_threshold):
             if step % 2 == 0:  # K=4 snapshots at versions 0,2,4,6
                 oracle = clone_query(session.query).naive_join()
                 readers.append((session.pin(), oracle.sorted_rows()))
-            op = random_session_op(rng, session, tags=["x", "y", "z"])
+            op, _ = random_session_op(rng, session, tags=["x", "y", "z"])
             note = (f"churn={churn_threshold} trial={trial} "
                     f"step={step} op={op} "
                     f"(REPRO_UPDATE_SEED={UPDATE_SEED})")
@@ -219,7 +219,6 @@ def test_accel_tracks_update_stream(churn_threshold):
                        "/pr=personref))")
     query = MultiModelQuery([], [TwigBinding(twig, document)], name="A")
     session = QuerySession(query, churn_threshold=churn_threshold)
-    editor = session._editor_of["A"]
     accel = get_twig_algorithm("accel")
 
     def cached(view):
@@ -243,13 +242,12 @@ def test_accel_tracks_update_stream(churn_threshold):
         # Four code columns and the edges between whole postings (the
         # oa-bd one only while no bidder lacks a child).
         assert len(cached(columnar(document))) >= 4 + 2
-        op = random_session_op(rng, session,
-                               tags=["bidder", "increase", "personref"])
+        op, delta = random_session_op(
+            rng, session, tags=["bidder", "increase", "personref"])
         note = (f"accel churn={churn_threshold} step={step} op={op} "
                 f"(REPRO_UPDATE_SEED={UPDATE_SEED})")
         view = columnar(document)
         kept = cached(view)
-        delta = editor.log[-1]
         if delta.kind == VALUE_CHANGE:
             edited = view.nodes[view.nid_index[delta.start]].tag
             assert not [key for key in view.derived
@@ -288,5 +286,5 @@ def test_two_twigs_sharing_one_document():
         name="shared")
     session = QuerySession(query, churn_threshold=10.0)
     for step in range(6):
-        op = random_session_op(rng, session, tags=["x", "y", "z"])
+        op, _ = random_session_op(rng, session, tags=["x", "y", "z"])
         assert_session_matches_oracle(session, f"shared step={step} op={op}")
