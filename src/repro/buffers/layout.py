@@ -9,9 +9,9 @@ views, e.g. shared-memory attachments) and plain ``list`` — because the
 parity suite builds list-backed twins through the same call sites (see
 :func:`list_backend`).
 
-Mutating helpers (:func:`splice`, :func:`insert_code`,
-:func:`shift_tail`, ...) follow one contract: they mutate in place when
-the typecode still fits and **return the buffer to use afterwards** —
+Mutating helpers (:func:`splice`, :func:`shift_tail`, ...) follow one
+contract: they mutate in place when the typecode still fits and
+**return the buffer to use afterwards** —
 a widened copy when a value overflowed the current width. Callers must
 always rebind (``buf = splice(buf, ...)``); growth inside one width
 rides CPython's over-allocating ``array`` resize, so repeated splices
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import contextlib
 from array import array
-from bisect import bisect_left
 from collections.abc import Iterator, Sequence
 from operator import itemgetter
 
@@ -155,19 +154,6 @@ def splice(buf: "array | list", lo: int, hi: int,
 def delete(buf: "array | list", lo: int, hi: int) -> "array | list":
     """Delete ``buf[lo:hi]`` in place; returns the buffer (for rebinds)."""
     del buf[lo:hi]
-    return buf
-
-
-def insert_code(buf: "array | list", code: int) -> "array | list":
-    """Insert *code* at its sorted position; returns the live buffer."""
-    buf = _fit(buf, (code,))
-    buf.insert(bisect_left(buf, code), code)
-    return buf
-
-
-def remove_code(buf: "array | list", code: int) -> "array | list":
-    """Remove one occurrence of *code* (which must be present)."""
-    del buf[bisect_left(buf, code)]
     return buf
 
 

@@ -245,10 +245,7 @@ class FeedbackStore:
         factors always calibrate the static model rather than chasing
         their own output.
         """
-        for name, (built, reused) in stats.inputs.items():
-            totals = self.inputs.setdefault(name, [0, 0])
-            totals[0] += built
-            totals[1] += reused
+        self.count_inputs(stats)
         observed = observed_stage_sizes(stats, order)
         if not observed:
             return 0
@@ -357,6 +354,14 @@ class FeedbackStore:
 
     # -- reporting ---------------------------------------------------------
 
+    def count_inputs(self, stats: JoinStats) -> None:
+        """Add *stats*' per-input built/reused counts to :attr:`inputs`
+        (an executed query's, or a race's encodes)."""
+        for name, (built, reused) in stats.inputs.items():
+            totals = self.inputs.setdefault(name, [0, 0])
+            totals[0] += built
+            totals[1] += reused
+
     def stats(self) -> dict[str, int]:
         """Counters for dashboards and the service ``stats`` endpoint."""
         return {
@@ -365,7 +370,9 @@ class FeedbackStore:
             "scopes": len(self._versions),
             "epoch": self.epoch,
             "observations": self.observations,
-            "inputs": dict(self.inputs),  # name -> [built, reused]
+            # name -> [built, reused], copied: the totals keep moving.
+            "inputs": {name: list(counts)
+                       for name, counts in self.inputs.items()},
         }
 
     def __repr__(self) -> str:
@@ -711,8 +718,11 @@ class PlanRacer:
                 alive = [plan for _, _, plan in timed[:keep]]
                 sample *= GROWTH
         self._winners[scope] = (self.store.epoch, winner)
-        encodes = sum(sum(instance.built)
-                      for instance in instances.values())
+        encoded = JoinStats()
+        for instance in instances.values():
+            encoded.count_inputs(instance)
+        self.store.count_inputs(encoded)
+        encodes = encoded.inputs_built
         self.encodes += encodes
         self.race_ms += (time.perf_counter() - started) * 1e3
         return RaceReport(winner=winner,

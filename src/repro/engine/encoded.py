@@ -31,10 +31,8 @@ end (repeats dropped) in one shared empty leaf node, not one each. A
 relation's code columns, with its dictionaries and statistics, come
 from one cold pass per version (:func:`relation_columns`), a twig
 input's from column gathers (:mod:`repro.core.decomposition`).
-``insert``/``remove`` splice the same buffers in place (amortized via
-the array over-allocation), so delta maintenance never forces a repack
-— on tries of the update layer's own: cached tries are shared by every
-instance over their input, hence **frozen**, and both raise on them.
+A trie is immutable once built: an update builds the next version's
+trie, and cached tries are shared by every instance over their input.
 """
 
 from __future__ import annotations
@@ -47,14 +45,7 @@ from itertools import accumulate, chain, groupby, islice, repeat
 from operator import add, itemgetter, le, mul
 from typing import TYPE_CHECKING
 
-from repro.buffers.layout import (
-    gather,
-    insert_code,
-    make,
-    pack,
-    remove_code,
-    typecode_for,
-)
+from repro.buffers.layout import gather, make, pack, typecode_for
 from repro.engine.dictionary import Dictionary, merge_dictionaries
 from repro.errors import EngineError, QueryError
 from repro.relational.relation import Relation
@@ -95,18 +86,20 @@ class EncodedTrie:
     ``code_bounds`` optionally gives the maximum code per level (the
     builders pass each level dictionary's size), which sizes each
     level's typecode and sorting buckets; without it the columns are
-    scanned once. ``_typecodes = None`` marks a *frozen* (cached,
-    attached) trie: ``insert``/``remove`` raise.
-    ``_weights`` is where the parallel partitioner keeps a frozen
-    trie's rows per root code (:mod:`repro.parallel.partition`).
+    scanned once. ``_weights`` is where the parallel partitioner keeps
+    the trie's rows per root code (:mod:`repro.parallel.partition`).
     """
 
-    __slots__ = ("name", "order", "root", "size", "_typecodes", "_weights")
+    __slots__ = ("name", "order", "root", "size", "_weights")
 
     def __init__(self, name: str, order: Sequence[str],
                  encoded_rows: Iterable[tuple[int, ...]], *,
                  code_bounds: Sequence[int] | None = None):
         rows = list(encoded_rows)
+        if any(len(row) != len(order) for row in rows):
+            raise EngineError(
+                f"trie {name!r}: every row must have the arity of its "
+                f"order {list(order)!r}")
         self._fill(name, order, list(zip(*rows)) if rows
                    else [() for _ in order], len(rows), code_bounds)
 
@@ -130,7 +123,7 @@ class EncodedTrie:
             if code_bounds is None else list(code_bounds)
         # One typecode per level, plus a trailing narrow one so a
         # zero-arity trie still has a root typecode.
-        typecodes = self._typecodes = tuple(
+        typecodes = tuple(
             typecode_for(max(hi, 0)) for hi in bounds) + ("B",)
         self.root = EncodedTrieNode(typecodes[0])
         if not (columns and count):
@@ -203,72 +196,8 @@ class EncodedTrie:
         """The trie's level count (= the arity of its rows)."""
         return len(self.order)
 
-    # -- delta maintenance (repro.updates) ---------------------------------
-
-    def _check_splice(self, row: "tuple[int, ...]") -> None:
-        if self._typecodes is None:
-            raise EngineError(f"trie {self.name!r} is frozen (shared)")
-        if len(row) != len(self.order):
-            raise EngineError(
-                f"trie {self.name!r}: row {row!r} has arity {len(row)}, "
-                f"trie order {list(self.order)!r} has arity "
-                f"{len(self.order)}")
-
-    def insert(self, row: "tuple[int, ...]") -> bool:
-        """Insert one encoded row; returns False if it was present.
-
-        Keys stay sorted (a sorted buffer splice, widening the typecode
-        when a new code outgrows it), so the join kernels keep working
-        on the patched trie without a rebuild.
-        """
-        self._check_splice(row)
-        if not row:  # zero-arity trie: holds the empty tuple or nothing
-            present = self.size > 0
-            self.size = 1
-            return not present
-        node = self.root
-        created = False
-        last = len(row) - 1
-        for level, code in enumerate(row):
-            child = node.children.get(code)
-            if child is None:
-                child = _LEAF if level == last \
-                    else EncodedTrieNode(self._typecodes[level + 1])
-                node.keys = insert_code(node.keys, code)
-                node.children[code] = child
-                created = True
-            node = child
-        if created:
-            self.size += 1
-        return created
-
-    def remove(self, row: "tuple[int, ...]") -> bool:
-        """Remove one encoded row, pruning emptied nodes; returns False
-        if the row was not present."""
-        self._check_splice(row)
-        if not row:
-            if not self.size:
-                return False
-            self.size = 0
-            return True
-        path: list[tuple[EncodedTrieNode, int]] = []
-        node = self.root
-        for code in row:
-            child = node.children.get(code)
-            if child is None:
-                return False
-            path.append((node, code))
-            node = child
-        for node, code in reversed(path):
-            if len(node.children[code].keys):
-                break
-            del node.children[code]
-            node.keys = remove_code(node.keys, code)
-        self.size -= 1
-        return True
-
     def rekeyed(self, tables: "Sequence[list | None]") -> "EncodedTrie":
-        """A frozen copy with each level's codes mapped through its
+        """A copy with each level's codes mapped through its
         monotone *table* (None = unchanged; an empty one, a level over
         an empty dictionary, has no code to map): keys stay sorted and
         grouped, so one pass over the nodes; levels below the deepest
@@ -291,7 +220,7 @@ class EncodedTrie:
         clone = EncodedTrie.__new__(EncodedTrie)
         clone.name, clone.order, clone.size = self.name, self.order, self.size
         clone.root = copy(self.root, 0)
-        clone._typecodes = clone._weights = None
+        clone._weights = None
         return clone
 
     def tuples(self):
@@ -379,7 +308,6 @@ class EncodedInput:
         self.trie = EncodedTrie.from_columns(
             name, columns, code_columns, count,
             [len(d) - 1 for d in self.dictionaries])
-        self.trie._typecodes = None  # frozen: shared from here on
         self._rekeyed = None  #: last answer of trie_under: (wanted, trie)
 
     def trie_under(self, dictionaries: "dict[str, Dictionary]"

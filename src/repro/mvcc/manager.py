@@ -1,22 +1,20 @@
-"""The snapshot manager: one session's version chains, coordinated.
+"""The snapshot manager: one session's pins and document clones.
 
 A :class:`SnapshotManager` is owned by a
-:class:`~repro.updates.session.QuerySession`. At construction it wires
-one :class:`~repro.mvcc.chain.VersionChain` per relational input (hooked
-into the input's :class:`~repro.updates.relations.VersionedRelation`, so
-the write path retains superseded pinned relations) and one per distinct
-document (hooked into the input's
-:class:`~repro.updates.documents.DocumentEditor` ``on_before_change``,
-so a pinned document is frozen into a clone *before* the first in-place
-patch supersedes it).
+:class:`~repro.updates.session.QuerySession`. A snapshot holds what it
+reads: the :class:`~repro.relational.relation.Relation` objects current
+at pin time, and one :class:`DocumentVersion` per distinct document.
 
-Pinning captures the maintained answer plus the current version vector
-in O(1); the copy cost is paid lazily, by the writer, only for versions
-that are both pinned and superseded. Reclamation is deterministic:
-releasing the last pin on a version drops its retained artifacts. A
-relation is acyclic, so reference counting frees it with everything
-derived from it; a clone's tree is cyclic, so its columnar view (with
-the twig inputs and stats derived from it) is dropped explicitly.
+A relation version is an immutable object, so the snapshot's reference
+keeps a superseded version (and the artefacts it holds) alive until
+release, and nothing else does. A document is patched in place, so the
+manager keeps one :class:`DocumentVersion` record per document for its
+current version, hooked into the input's
+:class:`~repro.updates.documents.DocumentEditor` ``on_before_change``:
+the first write over a pinned version freezes it into the record's one
+clone, shared by every pin on that version. The last release drops the
+clone's view at once (the clone's tree is cyclic, so only the collector
+frees the tree itself).
 """
 
 from __future__ import annotations
@@ -25,9 +23,7 @@ import weakref
 from typing import TYPE_CHECKING
 
 from repro.errors import SnapshotError
-from repro.mvcc.chain import VersionChain
 from repro.mvcc.snapshot import Snapshot
-from repro.relational.relation import Relation
 from repro.xml.model import XMLDocument
 
 if TYPE_CHECKING:
@@ -35,36 +31,57 @@ if TYPE_CHECKING:
     from repro.updates.session import QuerySession
 
 
-def _reclaim_clone(clone: XMLDocument) -> None:
-    """Chain hook: drop a frozen clone's view. The tree is cyclic, so
-    only the collector frees the clone; its view goes now."""
-    clone.view = None
+class DocumentVersion:
+    """One document version's pin count and, once a write superseded it
+    while pinned (or a snapshot detached), its frozen clone."""
+
+    __slots__ = ("document", "version", "pins", "clone")
+
+    def __init__(self, document: XMLDocument):
+        self.document = document
+        self.version = document.version
+        self.pins = 0
+        self.clone: XMLDocument | None = None
+
+    def read(self) -> XMLDocument:
+        """The document serving reads at this version."""
+        if self.clone is not None:
+            return self.clone
+        if self.document.version != self.version:
+            raise SnapshotError(
+                f"document {self.document.root.tag!r} at version "
+                f"{self.version} was never preserved (current version "
+                f"{self.document.version}); writes must go through the "
+                "owning session")
+        return self.document
+
+    def freeze(self) -> None:
+        """Clone the live document, still at this version."""
+        self.clone = XMLDocument(self.document.root.copy())
+
+    def unpin(self) -> None:
+        """Drop one pin; the last one drops the clone and its view."""
+        self.pins -= 1
+        if not self.pins and self.clone is not None:
+            self.clone.view = None
+            self.clone = None
 
 
 class SnapshotManager:
-    """Pins, preserves and reclaims versions for one query session."""
+    """Pins versions and freezes pinned documents for one query session."""
 
     def __init__(self, session: "QuerySession"):
         # Weak, in the planner-cache style: the manager must never keep
         # a dropped session (and its documents) alive through itself.
         self._session_ref = weakref.ref(session)
         self._name = session.query.name
-        self._relation_names = [r.name for r in session.query.relations]
         self._versioned = dict(session.relations)
-        self.relation_chains: dict[str, VersionChain] = {}
-        for name, versioned in self._versioned.items():
-            chain = VersionChain(f"relation:{name}")
-            versioned.chain = chain
-            self.relation_chains[name] = chain
         self._bindings = list(session.query.twigs)
-        self._documents: dict[int, XMLDocument] = {}
-        self.document_chains: dict[int, VersionChain] = {}
+        #: id(document) -> the record of its current version.
+        self._current: dict[int, DocumentVersion] = {}
         for editor in session.editors.values():
-            ident = id(editor.document)
-            self._documents[ident] = editor.document
-            self.document_chains[ident] = VersionChain(
-                f"document:{editor.document.root.tag}",
-                reclaim=_reclaim_clone)
+            self._current[id(editor.document)] = DocumentVersion(
+                editor.document)
             editor.on_before_change = self.before_document_write
         self._active: dict[int, Snapshot] = {}
 
@@ -80,19 +97,20 @@ class SnapshotManager:
     # -- pinning -----------------------------------------------------------
 
     def pin(self) -> Snapshot:
-        """Pin the session's current version vector; O(1), no copies."""
+        """Pin the session's current versions; O(1), no copies."""
         session = self.session
-        answer = session.answer()
-        relation_versions = {name: versioned.version
-                             for name, versioned in self._versioned.items()}
-        document_versions = {ident: document.version
-                             for ident, document in self._documents.items()}
-        snapshot = Snapshot(self, session.version, relation_versions,
-                            document_versions, answer)
-        for name, version in relation_versions.items():
-            self.relation_chains[name].pin(version)
-        for ident, version in document_versions.items():
-            self.document_chains[ident].pin(version)
+        documents = {}
+        for ident, record in self._current.items():
+            if record.version != record.document.version:
+                record = self._current[ident] = DocumentVersion(
+                    record.document)
+            record.pins += 1
+            documents[ident] = record
+        snapshot = Snapshot(
+            self, session.version,
+            {name: versioned.relation
+             for name, versioned in self._versioned.items()},
+            documents, session.answer())
         self._active[id(snapshot)] = snapshot
         return snapshot
 
@@ -100,10 +118,8 @@ class SnapshotManager:
         """Release a snapshot's pins (called by ``Snapshot.release``)."""
         if self._active.pop(id(snapshot), None) is None:
             return
-        for name, version in snapshot.relation_versions.items():
-            self.relation_chains[name].release(version)
-        for ident, version in snapshot.document_versions.items():
-            self.document_chains[ident].release(version)
+        for record in snapshot.documents.values():
+            record.unpin()
 
     def active_count(self) -> int:
         """The number of live (unreleased) snapshots."""
@@ -115,75 +131,47 @@ class SnapshotManager:
             return None
         return min(snapshot.version for snapshot in self._active.values())
 
-    # -- write-path hooks --------------------------------------------------
+    def stats(self) -> dict[str, "int | None"]:
+        """Live pins, the watermark, and the superseded versions kept
+        only because a live snapshot reads them: document clones and
+        relation objects no longer current."""
+        snapshots = self._active.values()
+        current = {id(versioned.relation)
+                   for versioned in self._versioned.values()}
+        relations = {id(relation) for snapshot in snapshots
+                     for relation in snapshot.relations.values()}
+        clones = {id(record) for snapshot in snapshots
+                  for record in snapshot.documents.values()
+                  if record.clone is not None}
+        return {"pins": len(self._active), "watermark": self.watermark(),
+                "retained_documents": len(clones),
+                "retained_relations": len(relations - current)}
+
+    # -- the write-path hook -----------------------------------------------
 
     def before_document_write(self, document: XMLDocument) -> None:
-        """Preserve *document*'s current version if a snapshot pins it.
+        """Freeze *document*'s current version if a snapshot pins it.
 
         Wired into the editors' ``on_before_change``: runs before any
         label patch, array splice, or rebuild fallback mutates the tree,
-        so the frozen clone is taken from fully consistent state. At
-        most one clone per (document, version) — later writes at the
-        same (already superseded) version find the artifact retained.
+        so the clone is taken from fully consistent state. At most one
+        clone per (document, version): later writes find it made.
         """
-        ident = id(document)
-        chain = self.document_chains.get(ident)
-        if chain is None:
-            return
-        version = document.version
-        if chain.pinned(version) and chain.artifact(version) is None:
-            self._freeze_document(ident)
-
-    def _freeze_document(self, ident: int) -> XMLDocument:
-        """Clone the live document and retain it at its current version."""
-        live = self._documents[ident]
-        clone = XMLDocument(live.root.copy())
-        return self.document_chains[ident].retain(live.version, clone)
+        record = self._current.get(id(document))
+        if record is not None and record.pins and record.clone is None:
+            record.freeze()
 
     # -- snapshot resolution -----------------------------------------------
-
-    def relation_at(self, name: str, version: int) -> Relation:
-        """The relation object serving reads of *name* at *version*."""
-        versioned = self._versioned[name]
-        if versioned.version == version:
-            return versioned.relation
-        artifact = self.relation_chains[name].artifact(version)
-        if artifact is None:
-            raise SnapshotError(
-                f"relation {name!r} at version {version} was never "
-                f"preserved (current version {versioned.version}); "
-                "writes must go through the owning session")
-        return artifact
-
-    def document_at(self, ident: int, version: int) -> XMLDocument:
-        """The document object serving reads of *ident* at *version*."""
-        artifact = self.document_chains[ident].artifact(version)
-        if artifact is not None:
-            return artifact
-        live = self._documents[ident]
-        if live.version == version:
-            return live
-        raise SnapshotError(
-            f"document {self.document_chains[ident].label!r} at version "
-            f"{version} was never preserved (current version "
-            f"{live.version}); writes must go through the owning session")
 
     def query_at(self, snapshot: Snapshot) -> "MultiModelQuery":
         """The session's query re-bound to *snapshot*'s pinned inputs."""
         from repro.core.multimodel import MultiModelQuery, TwigBinding
 
-        relations = [
-            self.relation_at(name, snapshot.relation_versions[name])
-            for name in self._relation_names]
-        twigs = [
-            TwigBinding(binding.twig,
-                        self.document_at(id(binding.document),
-                                         snapshot.document_versions[
-                                             id(binding.document)]))
-            for binding in self._bindings]
-        return MultiModelQuery(relations, twigs, name=self._name)
-
-    # -- detachment --------------------------------------------------------
+        twigs = [TwigBinding(binding.twig,
+                             snapshot.documents[id(binding.document)].read())
+                 for binding in self._bindings]
+        return MultiModelQuery(list(snapshot.relations.values()), twigs,
+                               name=self._name)
 
     def detach(self, snapshot: Snapshot) -> None:
         """Freeze every still-live pinned document of *snapshot* now.
@@ -192,20 +180,13 @@ class SnapshotManager:
         will mutate. A tree copy per document: the service never calls
         it, only the MVCC tests and the e2e harness's library replay.
         """
-        for ident, version in snapshot.document_versions.items():
-            chain = self.document_chains[ident]
-            if chain.artifact(version) is not None:
-                continue
-            live = self._documents[ident]
-            if live.version != version:
-                raise SnapshotError(
-                    f"document {chain.label!r} moved to version "
-                    f"{live.version} without preserving pinned version "
-                    f"{version}")
-            self._freeze_document(ident)
+        for record in snapshot.documents.values():
+            if record.clone is None:
+                record.read()  # refuses a version moved unpreserved
+                record.freeze()
 
     def __repr__(self) -> str:
         return (f"SnapshotManager({self._name!r}, "
                 f"{len(self._active)} snapshots, "
-                f"{len(self.relation_chains)} relations, "
-                f"{len(self.document_chains)} documents)")
+                f"{len(self._versioned)} relations, "
+                f"{len(self._current)} documents)")

@@ -1,17 +1,18 @@
-"""Reader-facing snapshot handles over a pinned version vector.
+"""Reader-facing snapshot handles over pinned versions.
 
 A :class:`Snapshot` is produced by
 :meth:`~repro.mvcc.manager.SnapshotManager.pin` (or the convenience
-``QuerySession.pin()``). It records the session version, the per-input
-version vector, and the maintained answer at pin time; every read then
-resolves each input to either the live object (if the writer has not
-moved past the pinned version) or the frozen artifact the write path
-preserved in the input's :class:`~repro.mvcc.chain.VersionChain`.
+``QuerySession.pin()``). It holds what it reads: the session version,
+the maintained answer at pin time, the relation objects current then,
+and per document the :class:`~repro.mvcc.manager.DocumentVersion`
+record that resolves to the live document or, once a write superseded
+the pinned version, its frozen clone.
 
-Reads never block writes and writes never corrupt reads: relations are
-immutable objects retained per version, and a pinned document is cloned
-before the first in-place patch supersedes it. ``release()`` (or leaving
-the ``with`` block) drops the pins and lets the chains reclaim.
+Reads never block writes and writes never corrupt reads: a relation
+version is an immutable object the snapshot references, and a pinned
+document is cloned before the first in-place patch supersedes it.
+``release()`` (or leaving the ``with`` block) drops the pins and every
+reference, so superseded versions die with their last reader.
 """
 
 from __future__ import annotations
@@ -23,27 +24,27 @@ from repro.relational.relation import Relation
 
 if TYPE_CHECKING:
     from repro.core.multimodel import MultiModelQuery
-    from repro.mvcc.manager import SnapshotManager
+    from repro.mvcc.manager import DocumentVersion, SnapshotManager
     from repro.xml.model import XMLDocument
 
 
 class Snapshot:
     """One consistent read view of a query session's inputs."""
 
-    __slots__ = ("manager", "version", "relation_versions",
-                 "document_versions", "_answer", "released", "metadata")
+    __slots__ = ("manager", "version", "relations", "documents", "_answer",
+                 "released", "metadata")
 
     def __init__(self, manager: "SnapshotManager", version: int,
-                 relation_versions: dict[str, int],
-                 document_versions: dict[int, int],
+                 relations: dict[str, Relation],
+                 documents: "dict[int, DocumentVersion]",
                  answer: Relation):
         self.manager = manager
         #: The session version at pin time.
         self.version = version
-        #: relation name -> pinned :class:`VersionedRelation` version.
-        self.relation_versions = dict(relation_versions)
-        #: id(document) -> pinned document (reindex) version.
-        self.document_versions = dict(document_versions)
+        #: relation name -> the Relation object current at pin time.
+        self.relations = relations
+        #: id(live document) -> its pinned version's record.
+        self.documents = documents
         self._answer = answer
         self.released = False
         #: Free-form annotations (the service stores its batch sequence
@@ -64,15 +65,14 @@ class Snapshot:
         return self._answer
 
     def relation(self, name: str) -> Relation:
-        """One pinned relational input (live or retained object)."""
+        """One pinned relational input."""
         self._check_live()
-        return self.manager.relation_at(name, self.relation_versions[name])
+        return self.relations[name]
 
     def document(self, ident: int) -> "XMLDocument":
         """One pinned document by ``id(document)`` (live or frozen clone)."""
         self._check_live()
-        return self.manager.document_at(ident,
-                                        self.document_versions[ident])
+        return self.documents[ident].read()
 
     # -- evaluation --------------------------------------------------------
 
@@ -89,7 +89,7 @@ class Snapshot:
     def run(self, *, algorithm: str | None = None,
             order: "str | tuple[str, ...] | None" = None,
             workers: int = 0) -> Relation:
-        """Fully evaluate the query at the pinned version vector.
+        """Fully evaluate the query at the pinned versions.
 
         Plans and runs through :func:`repro.engine.planner.run_query`
         over the pinned inputs — byte-identical to a rebuild-from-scratch
@@ -111,12 +111,13 @@ class Snapshot:
         self.manager.detach(self)
 
     def release(self) -> None:
-        """Drop the pins; idempotent. Retained artifacts whose last pin
-        this was are reclaimed (watermark advance)."""
+        """Drop the pins and the pinned objects; idempotent. A
+        superseded version this was the last reader of dies now."""
         if self.released:
             return
         self.released = True
         self.manager.unpin(self)
+        self.relations, self.documents, self._answer = {}, {}, None
 
     def __enter__(self) -> "Snapshot":
         self._check_live()
@@ -128,5 +129,5 @@ class Snapshot:
     def __repr__(self) -> str:
         state = "released" if self.released else "pinned"
         return (f"Snapshot(v{self.version}, {state}, "
-                f"{len(self.relation_versions)} relations, "
-                f"{len(self.document_versions)} documents)")
+                f"{len(self.relations)} relations, "
+                f"{len(self.documents)} documents)")

@@ -100,18 +100,14 @@ def _subtree_rows(node) -> int:
 
 
 def _root_weights(trie) -> dict[int, int]:
-    """Rows beneath each root code of *trie*. A frozen trie
-    (``_typecodes is None``: a cached trie, its re-keyed copy, a slice
-    of either) cannot change, so it is walked once and keeps the map; a
-    slice starts from its parent's, a superset of its own codes. The
-    update layer's mutable tries are walked every time."""
+    """Rows beneath each root code of *trie*. A trie cannot change, so
+    it is walked once and keeps the map; a slice starts from its
+    parent's, a superset of its own codes."""
     weights = getattr(trie, "_weights", None)
     if weights is None:
         children = trie.root.children
-        weights = {code: _subtree_rows(children[code])
-                   for code in trie.root.keys}
-        if trie._typecodes is None:
-            trie._weights = weights
+        weights = trie._weights = {code: _subtree_rows(children[code])
+                                   for code in trie.root.keys}
     return weights
 
 

@@ -167,7 +167,6 @@ def instance_from_arena(arena) -> "EncodedInstance":
         trie.order = tuple(descriptor["order"])
         trie.size = descriptor["size"]
         trie.root = frozen.root()
-        trie._typecodes = None  # frozen shells never insert/remove
         tries.append(trie)
     instance = EncodedInstance.__new__(EncodedInstance)
     instance.name = meta["name"]

@@ -60,7 +60,6 @@ def sliced_trie(trie: EncodedTrie, lo: int, hi: int, *,
     clone.name = trie.name
     clone.order = trie.order
     clone.root = root
-    clone._typecodes = getattr(trie, "_typecodes", None)
     # Rows per root code are the parent's: the children are shared.
     clone._weights = getattr(trie, "_weights", None)
     # Kernels drive enumeration from the key lists and never read

@@ -109,7 +109,7 @@ def corpus_query(spec: str) -> MultiModelQuery:
         factor = _take(parameters, "factor", _take(parameters, "_", 2))
         seed = _take(parameters, "seed", 0)
         fanout = _take(parameters, "fanout", 8)
-        # Service sessions clone live trees per client, so the stream
+        # A write over a pinned version clones the tree, so the stream
         # parses into memory here; the streamed-arena build path serves
         # the same chunks through ``repro.xml.streaming`` instead.
         document = parse_document(

@@ -31,6 +31,7 @@ import json
 from typing import Any
 
 from repro.errors import ServiceError
+from repro.relational.schema import sort_key
 
 #: Every operation the service understands.
 OPERATIONS = frozenset({
@@ -108,13 +109,21 @@ def error_response(request_id: Any, error: Exception) -> dict[str, Any]:
 
 def rows_to_wire(rows: Any) -> list[list[Any]]:
     """A relation's row set as sorted JSON-ready lists (deterministic
-    order, so byte-comparing two answers is meaningful)."""
-    return [list(row) for row in sorted(rows)]
+    order, so byte-comparing two answers is meaningful). A column that
+    mixes types (a number inserted beside strings) sorts by
+    :func:`~repro.relational.schema.sort_key`, as the engine does."""
+    try:
+        ordered = sorted(rows)
+    except TypeError:
+        ordered = sorted(rows, key=lambda row: tuple(map(sort_key, row)))
+    return [list(row) for row in ordered]
 
 
 def validate_update_ops(ops: Any) -> list[dict[str, Any]]:
-    """Check an ``update`` request's batch shape (not its semantics —
-    unknown relations/nodes surface as ``update`` errors at apply time)."""
+    """Check an ``update`` request's batch shape: field types, and row
+    values that are JSON scalars (not its semantics — unknown
+    relations/nodes surface as ``update`` errors before the batch is
+    applied)."""
     if not isinstance(ops, list) or not ops:
         raise ServiceError("bad_request",
                            "'ops' must be a non-empty list of operations")
@@ -131,11 +140,18 @@ def validate_update_ops(ops: Any) -> list[dict[str, Any]]:
                 f"choose from {sorted(UPDATE_KINDS)!r}")
         if kind in ("insert", "delete"):
             require_field(op, "relation", str)
-            require_field(op, "row", list)
+            for value in require_field(op, "row", list):
+                if not isinstance(value, (str, int, float, bool,
+                                          type(None))):
+                    raise ServiceError(
+                        "bad_request",
+                        f"row values must be JSON scalars, got {value!r}")
         elif kind == "insert_subtree":
             require_field(op, "input", str)
             require_field(op, "parent_start", int)
             require_field(op, "xml", str)
+            if op.get("index") is not None:
+                require_field(op, "index", int)
         elif kind == "delete_subtree":
             require_field(op, "input", str)
             require_field(op, "start", int)

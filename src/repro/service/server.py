@@ -143,8 +143,13 @@ class ReproService:
 
     def _validate_batch(self, ops: list[dict[str, Any]]) -> None:
         """All-or-nothing gate: check every op against the corpus before
-        the first one is applied."""
+        the first one is applied.
+
+        Labels are checked at the pre-batch version, so no op may
+        follow a subtree insert or delete of its document: the splice
+        would move the labels it names."""
         master = self.master
+        spliced: set[int] = set()
         for op in ops:
             kind = op["kind"]
             if kind in ("insert", "delete"):
@@ -166,6 +171,15 @@ class ReproService:
                     "update",
                     f"unknown twig input {op['input']!r}; choose from "
                     f"{sorted(master.answers)!r}")
+            document = id(master.document_of(op["input"]))
+            if document in spliced:
+                raise ServiceError(
+                    "update",
+                    f"a {kind} on input {op['input']!r} follows a subtree "
+                    "insert or delete of its document in the same batch; "
+                    "send it in the next batch")
+            if kind in ("insert_subtree", "delete_subtree"):
+                spliced.add(document)
             node = self._resolve_node(op)
             if kind == "insert_subtree":
                 try:
@@ -174,9 +188,8 @@ class ReproService:
                     raise ServiceError(
                         "update", f"invalid subtree XML: {error}") from None
                 index = op.get("index")
-                if index is not None and not (
-                        isinstance(index, int)
-                        and 0 <= index <= len(node.children)):
+                if index is not None and not \
+                        0 <= index <= len(node.children):
                     raise ServiceError(
                         "update",
                         f"insert index {index!r} out of range for a node "
@@ -388,12 +401,6 @@ class ReproService:
         return {"applied": len(ops), "batches": self._apply_batch(ops)}
 
     def _op_stats(self, message: dict[str, Any]) -> dict[str, Any]:
-        mvcc = self.master.mvcc
-
-        def retained(chains: dict) -> int:
-            return sum(len(chain.retained_versions())
-                       for chain in chains.values())
-
         return {
             "corpus": self.corpus_spec,
             "batches": self.batches_applied,
@@ -404,11 +411,7 @@ class ReproService:
             "offloaded": 0,
             "queue_depth": 0,
             "tenants": self.sessions.counts(),
-            "mvcc": {
-                "pins": mvcc.active_count(),
-                "watermark": mvcc.watermark(),
-                "retained_documents": retained(mvcc.document_chains),
-                "retained_relations": retained(mvcc.relation_chains)},
+            "mvcc": self.master.mvcc.stats(),
             "plan_cache": self.plan_cache.stats(),
             "adaptive": (dict(
                 self.adaptive.store.stats(), **self.adaptive.racer.stats(),

@@ -9,7 +9,9 @@ derives from a version (statistics, dictionaries, encoded inputs) lives
 on that ``Relation`` object
 (:func:`repro.engine.encoded.relation_artefacts`) and dies with it,
 but for its column dictionaries: the next version inherits them
-(:func:`repro.engine.encoded.inherit_dictionaries`).
+(:func:`repro.engine.encoded.inherit_dictionaries`). A superseded
+version lives on only while a reader, such as a pinned
+:class:`~repro.mvcc.snapshot.Snapshot`, references it.
 """
 
 from __future__ import annotations
@@ -29,11 +31,6 @@ class VersionedRelation:
     def __init__(self, relation: Relation):
         self.relation = relation
         self.version = 0
-        #: Optional :class:`~repro.mvcc.chain.VersionChain` (set by a
-        #: :class:`~repro.mvcc.manager.SnapshotManager`): when a snapshot
-        #: pins the current version, the write path retains the
-        #: superseded Relation object there instead of releasing it.
-        self.chain = None
 
     @property
     def name(self) -> str:
@@ -84,10 +81,6 @@ class VersionedRelation:
                                                   removed=dropped)
         inherit_dictionaries(self.relation, previous)
         self.version += 1
-        # A snapshot pinning the superseded version keeps it readable;
-        # otherwise it (and its artefacts) is freed with its last reader.
-        if self.chain is not None and self.chain.pinned(self.version - 1):
-            self.chain.retain(self.version - 1, previous)
         return RelationDelta(self.name, self.version,
                              inserted=tuple(added), deleted=tuple(dropped))
 

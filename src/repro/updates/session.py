@@ -81,8 +81,8 @@ class QuerySession:
             run_query(query).rows)
         self._answer: Relation | None = None
         #: The MVCC layer over this session's inputs: hooks the
-        #: relations' and editors' write paths so superseded versions a
-        #: snapshot pins are preserved instead of reclaimed.
+        #: editors' write path so a document version a snapshot pins is
+        #: cloned before a write supersedes it.
         self.mvcc = SnapshotManager(self)
 
     # -- current inputs ----------------------------------------------------

@@ -13,12 +13,10 @@ from repro.buffers.kernels import gallop, intersect_many, intersect_pair
 from repro.buffers.layout import (
     as_list,
     delete,
-    insert_code,
     is_buffer,
     list_backend,
     make,
     pack,
-    remove_code,
     set_at,
     shift_from,
     shift_tail,
@@ -84,11 +82,9 @@ class TestWidening:
         again = splice(out, 0, 1, [0])
         assert again is out
 
-    def test_insert_code_and_set_at_widen(self):
-        buf = pack([3, 9])
-        wide = insert_code(buf, 400)
-        assert wide.typecode == "H" and as_list(wide) == [3, 9, 400]
-        wider = set_at(wide, 0, 100_000)
+    def test_set_at_widens(self):
+        buf = pack([3, 9, 400])
+        wider = set_at(buf, 0, 100_000)
         assert wider.typecode == "I" and wider[0] == 100_000
 
     def test_shift_helpers(self):
@@ -100,19 +96,14 @@ class TestWidening:
         buf = shift_tail(buf, 3, 300)  # widens B -> H
         assert buf.typecode == "H" and buf[3] == 340
 
-    def test_delete_and_remove(self):
+    def test_delete(self):
         buf = pack([1, 2, 3, 4, 5])
         buf = delete(buf, 1, 3)
         assert as_list(buf) == [1, 4, 5]
-        buf = remove_code(buf, 4)
-        assert as_list(buf) == [1, 5]
 
     def test_helpers_accept_lists(self):
         buf = [1, 2, 3]
         assert splice(buf, 1, 2, [7, 8]) == [1, 7, 8, 3]
-        buf = [1, 3, 5]
-        assert insert_code(buf, 4) == [1, 3, 4, 5]
-        assert remove_code(buf, 3) == [1, 4, 5]
         assert shift_tail([1, 2], 0, 10) == [11, 12]
         assert shift_from([5, 1, 7], 0, 5, 2) == [7, 1, 9]
         assert set_at([1, 2], 1, 9) == [1, 9]

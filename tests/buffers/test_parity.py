@@ -7,7 +7,8 @@ and nothing else. :func:`~repro.buffers.layout.list_backend` forces
 inside the context yields a list-backed twin through identical call
 sites — every registered join and twig algorithm must then produce
 identical rows **and identical instrumentation counters** on both,
-including after update splices and across typecode-width boundaries.
+including on tries rebuilt after rows change and across typecode-width
+boundaries.
 """
 
 import random
@@ -84,34 +85,45 @@ class TestJoinParity:
         assert stats_b == stats_l
 
     @pytest.mark.parametrize("algorithm", JOIN_ALGORITHMS)
-    def test_parity_after_trie_splices(self, algorithm):
+    def test_parity_after_tries_are_rebuilt(self, algorithm):
+        """An update rebuilds a changed input's trie from its rows
+        (never patches it): the same rows removed, then restored, in
+        both twins' rebuilt tries."""
         order = ("a", "b", "c")
 
-        def thawed(instance):
-            # Cached tries are frozen; splice private copies instead.
-            instance.tries = [EncodedTrie(t.name, t.order, t.tuples())
+        def rebuild(instance, rows_of):
+            instance.tries = [EncodedTrie(t.name, t.order, rows_of(t))
                               for t in instance.tries]
-            return instance
 
-        buffered = thawed(build_instance(60, order, algorithm))
+        buffered = build_instance(60, order, algorithm)
         with list_backend():
-            listed = thawed(build_instance(60, order, algorithm))
+            listed = build_instance(60, order, algorithm)
+        victims = {trie.name: set(list(trie.tuples())[::7][:5])
+                   for trie in buffered.tries}
+
+        def removed(trie):
+            return [row for row in trie.tuples()
+                    if row not in victims[trie.name]]
+
+        def restored(trie):
+            return [*trie.tuples(), *victims[trie.name]]
+
+        full = run_join(buffered, algorithm)
+        rebuild(buffered, removed)
+        with list_backend():
+            rebuild(listed, removed)
+        assert is_buffer(buffered.tries[0].root.keys)
         assert not is_buffer(listed.tries[0].root.keys)
-        # Splice the same rows into both twins through the public
-        # insert/remove path (the update layer's trie maintenance).
-        for trie_b, trie_l in zip(buffered.tries, listed.tries):
-            rows = list(trie_b.tuples())
-            victims = rows[:: max(1, len(rows) // 7)][:5]
-            for row in victims:
-                trie_b.remove(row)
-                trie_l.remove(row)
-            for row in victims[::-1]:
-                trie_b.insert(row)
-                trie_l.insert(row)
         rows_b, stats_b = run_join(buffered, algorithm)
         rows_l, stats_l = run_join(listed, algorithm)
         assert rows_b == rows_l
         assert stats_b == stats_l
+        assert len(rows_b) < len(full[0])
+        rebuild(buffered, restored)
+        with list_backend():
+            rebuild(listed, restored)
+        assert run_join(buffered, algorithm) == full
+        assert run_join(listed, algorithm) == full
 
 
 def sample_document():

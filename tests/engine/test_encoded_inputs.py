@@ -6,8 +6,7 @@ an assembly that merges the local dictionaries and re-keys a trie only
 where its domain differs from the union. These tests pin down reuse,
 sharing across global orders, the translation path against a
 from-scratch encode of fresh inputs, invalidation by the update layer,
-lifetime without the cycle collector, the frozen-trie rule, and the
-shared leaf of :class:`~repro.engine.encoded.EncodedTrie`.
+lifetime without the cycle collector, and the shared leaf of :class:`~repro.engine.encoded.EncodedTrie`.
 """
 
 import gc
@@ -33,7 +32,7 @@ from repro.engine import (
 )
 from repro.engine.encoded import _LEAF, relation_artefacts, \
     relation_columns, relation_input
-from repro.errors import EngineError, TransportError
+from repro.errors import TransportError
 from repro.instrumentation import JoinStats
 from repro.parallel.executor import ParallelExecutor
 from repro.parallel.slicing import sliced_instance
@@ -511,16 +510,6 @@ class TestFrozen:
         assert not any(again.built)
         assert [list(trie.tuples()) for trie in again.tries] == before
 
-    def test_splicing_a_cached_trie_raises(self):
-        instance = EncodedInstance.from_relations(
-            [Relation("R", ("a",), [(1,), (2,)]),
-             Relation("S", ("a",), [(2,), (3,)])])
-        for trie in instance.tries:  # one cached as built, one re-keyed
-            with pytest.raises(EngineError, match="frozen"):
-                trie.insert((0,))
-            with pytest.raises(EngineError, match="frozen"):
-                trie.remove((0,))
-
 
 # -- (g) predicates are part of a twig input's identity --------------------
 
@@ -669,21 +658,23 @@ class TestSharedLeaf:
         [(1, 2), (1, 3), (2, 2)],
         [(0, 0, 0), (0, 0, 1), (0, 1, 0), (5, 5, 5)],
     ])
-    def test_insert_remove_round_trip(self, rows):
+    def test_rebuild_round_trip(self, rows):
+        """An update rebuilds a trie from its rows: one row more, every
+        row removed, and back, each build leaving the leaf untouched."""
         arity = len(rows[0])
-        trie = EncodedTrie("T", tuple("abc"[:arity]), rows)
+        order = tuple("abc"[:arity])
+        trie = EncodedTrie("T", order, rows)
         stored = sorted(rows)
         assert list(trie.tuples()) == stored and trie.size == len(rows)
         extra = tuple([9] * arity)
-        assert trie.insert(extra) and not trie.insert(extra)
-        assert trie.size == len(rows) + 1
-        assert list(trie.tuples()) == stored + [extra]
-        for row in [extra, *rows]:
-            assert trie.remove(row) and not trie.remove(row)
-        assert trie.size == 0 and not len(trie.root.keys)
-        for row in rows:
-            assert trie.insert(row)
-        assert list(trie.tuples()) == stored and trie.size == len(rows)
+        grown = EncodedTrie("T", order, [*trie.tuples(), extra, extra])
+        assert grown.size == len(rows) + 1
+        assert list(grown.tuples()) == stored + [extra]
+        emptied = EncodedTrie("T", order, [])
+        assert emptied.size == 0 and not len(emptied.root.keys)
+        back = EncodedTrie("T", order, [row for row in grown.tuples()
+                                        if row != extra])
+        assert list(back.tuples()) == stored and back.size == len(rows)
         assert not len(_LEAF.keys) and not _LEAF.children
 
     def test_rows_end_in_the_one_leaf(self):
@@ -691,10 +682,9 @@ class TestSharedLeaf:
         leaves = {id(leaf) for node in trie.root.children.values()
                   for leaf in node.children.values()}
         assert leaves == {id(_LEAF)}
-        trie.insert((7, 7))
-        assert trie.root.children[7].children[7] is _LEAF
+        assert not len(_LEAF.keys) and not _LEAF.children
 
     def test_zero_arity_trie(self):
-        empty = EncodedTrie("T", (), [])
-        assert empty.size == 0 and empty.insert(()) and empty.size == 1
-        assert list(EncodedTrie("T", (), [()]).tuples()) == [()]
+        assert EncodedTrie("T", (), []).size == 0
+        full = EncodedTrie("T", (), [(), ()])
+        assert full.size == 1 and list(full.tuples()) == [()]

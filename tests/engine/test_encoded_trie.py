@@ -1,5 +1,6 @@
-"""EncodedTrie as a trie: sorted level keys, child descent, enumeration,
-splicing and re-keying; the build's stable distribution passes; and a
+"""EncodedTrie as a trie: sorted level keys, child descent, enumeration
+and re-keying; the build's stable distribution passes, against a trie
+assembled node by node; and a
 relation's trie under a column order
 (:func:`~repro.engine.encoded.relation_input`)."""
 
@@ -10,10 +11,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.buffers.layout import as_list, list_backend, typecode_for
+from repro.buffers.layout import as_list, list_backend, make, typecode_for
 from repro.engine import EncodedInstance, EncodedTrie, encoded
-from repro.engine.encoded import _LEAF, relation_input
-from repro.errors import EngineError, QueryError, SchemaError
+from repro.engine.encoded import _LEAF, EncodedTrieNode, relation_input
+from repro.errors import QueryError, SchemaError
 from repro.relational.relation import Relation
 
 ROWS = [(1, 2), (1, 3), (2, 2), (5, 1)]
@@ -84,8 +85,7 @@ class TestConstruction:
         assert list(trie.tuples()) == [(0, 5), (1, 2)]
         assert as_list(descend(trie, [1]).keys) == [2]
         assert list(descend(trie, [1]).children) == [2]
-        assert_same_nodes(trie, spliced_copy(set(rows), 2,
-                                             random.Random(0)))
+        assert_same_nodes(trie, reference_trie(rows, 2))
 
     def test_code_bounds_pick_each_level_typecode(self):
         trie = EncodedTrie("T", ("a", "b"), [(1, 2)], code_bounds=[10, 300])
@@ -96,41 +96,6 @@ class TestConstruction:
         trie = EncodedTrie("T", ("a", "b"), [(70_000, 1), (2, 3)])
         assert trie.root.keys.typecode == "I"
         assert trie.root.children[2].keys.typecode == "B"
-
-
-class TestSplicing:
-    def test_insert_keeps_keys_sorted_and_widens(self, trie):
-        assert trie.root.keys.typecode == "B"
-        assert trie.insert((400, 0))
-        assert trie.insert((3, 7))
-        assert trie.root.keys.typecode == "H"
-        assert as_list(trie.root.keys) == [1, 2, 3, 5, 400]
-        assert list(trie.tuples()) == sorted(ROWS + [(400, 0), (3, 7)])
-        assert trie.size == len(ROWS) + 2
-
-    def test_insert_of_a_present_row_changes_nothing(self, trie):
-        assert not trie.insert((1, 3))
-        assert trie.size == len(ROWS)
-        assert list(trie.tuples()) == ROWS
-
-    def test_remove_prunes_emptied_nodes(self, trie):
-        assert trie.remove((5, 1))
-        assert 5 not in trie.root.children
-        assert as_list(trie.root.keys) == [1, 2]
-        assert trie.remove((1, 2))
-        assert as_list(descend(trie, [1]).keys) == [3]
-        assert trie.size == len(ROWS) - 2
-
-    def test_remove_of_an_absent_row(self, trie):
-        assert not trie.remove((1, 9))
-        assert not trie.remove((9, 9))
-        assert trie.size == len(ROWS)
-
-    def test_arity_mismatch_raises(self, trie):
-        with pytest.raises(EngineError, match="arity"):
-            trie.insert((1,))
-        with pytest.raises(EngineError, match="arity"):
-            trie.remove((1, 2, 3))
 
 
 class TestRekeyed:
@@ -192,12 +157,12 @@ def test_trie_tuples_roundtrip(rows):
     assert trie.size == len(rows)
 
 
-def assert_same_nodes(bulk, spliced):
-    """*bulk* and *spliced* are equal node by node: keys and their
+def assert_same_nodes(bulk, reference):
+    """*bulk* and *reference* are equal node by node: keys and their
     buffer types and typecodes, children keys (the bulk trie's in key
     order) and the one shared leaf under the last level."""
-    assert bulk.size == spliced.size and bulk.order == spliced.order
-    pairs = [(0, bulk.root, spliced.root)]
+    assert bulk.size == reference.size and bulk.order == reference.order
+    pairs = [(0, bulk.root, reference.root)]
     for level, ours, theirs in pairs:
         assert type(ours.keys) is type(theirs.keys)
         assert getattr(ours.keys, "typecode", None) \
@@ -213,26 +178,41 @@ def assert_same_nodes(bulk, spliced):
                       for code, child in ours.children.items()]
 
 
-def spliced_copy(rows, arity, rng: random.Random):
-    """The trie of *rows* built by :meth:`EncodedTrie.insert` onto an
-    empty one, in a random order, under the bulk build's level bounds."""
-    bounds = [max((row[level] for row in rows), default=0)
-              for level in range(arity)]
-    trie = EncodedTrie("R", "abcdef"[:arity], [], code_bounds=bounds)
-    for row in rng.sample(sorted(rows), len(rows)):
-        assert trie.insert(row)
+def reference_trie(rows, arity, bounds=None):
+    """The trie of *rows* assembled node by node from the sorted distinct
+    rows, one typecode per level from *bounds* (default: the bulk
+    build's, each level's largest code); no column pass involved."""
+    order = "abcdef"[:arity]
+    if bounds is None:
+        bounds = [max((row[level] for row in rows), default=0)
+                  for level in range(arity)]
+    trie = EncodedTrie("R", order, [], code_bounds=bounds)
+    distinct = sorted(set(rows))
+    trie.size = len(distinct)
+
+    def fill(node, level, group):
+        keys = list(dict.fromkeys(row[level] for row in group))
+        node.keys = make(typecode_for(bounds[level]), keys)
+        for key in keys:
+            if level + 1 == arity:
+                node.children[key] = _LEAF
+            else:
+                child = node.children[key] = EncodedTrieNode()
+                fill(child, level + 1,
+                     [row for row in group if row[level] == key])
+
+    if arity and distinct:
+        fill(trie.root, 0, distinct)
     return trie
 
 
 @given(st.integers(1, 4).flatmap(lambda arity: st.sets(
-           st.tuples(*[st.integers(0, 300)] * arity), max_size=40)),
-       st.randoms(use_true_random=False))
-def test_inserting_row_by_row_equals_the_bulk_build(rows, rng: random.Random):
-    """Splicing rows one at a time, in any order, yields the bulk trie,
-    at every arity and on both sides of the one-byte typecode."""
+           st.tuples(*[st.integers(0, 300)] * arity), max_size=40)))
+def test_the_bulk_build_equals_the_reference_trie(rows):
+    """At every arity and on both sides of the one-byte typecode."""
     arity = len(next(iter(rows))) if rows else 2
     bulk = EncodedTrie("R", "abcdef"[:arity], rows)
-    assert_same_nodes(bulk, spliced_copy(rows, arity, rng))
+    assert_same_nodes(bulk, reference_trie(rows, arity))
     assert list(bulk.tuples()) == sorted(rows)
 
 
@@ -242,29 +222,28 @@ def test_inserting_row_by_row_equals_the_bulk_build(rows, rng: random.Random):
     [(i, i, i, i) for i in range(5)],
     [(7, 1, 2, 3), (7, 1, 2, 4), (7, 1, 9, 0), (8, 0, 0, 0)],
 ], ids=["one row", "one deep row", "singleton chains", "shared prefixes"])
-def test_chains_equal_the_spliced_trie(rows):
+def test_chains_equal_the_reference_trie(rows):
     assert_same_nodes(EncodedTrie("R", "abcdef"[:len(rows[0])], rows),
-                      spliced_copy(rows, len(rows[0]), random.Random(0)))
+                      reference_trie(rows, len(rows[0])))
 
 
 @pytest.mark.parametrize("bound", [255, 256, 65_535, 65_536, 2 ** 32 - 1,
                                    2 ** 32])
-def test_every_typecode_boundary_equals_the_spliced_trie(bound):
+def test_every_typecode_boundary_equals_the_reference_trie(bound):
     rows = [(bound, 0), (0, bound), (bound, bound), (1, 1)]
     bulk = EncodedTrie("R", ("a", "b"), rows)
     assert bulk.root.keys.typecode == typecode_for(bound)
-    assert_same_nodes(bulk, spliced_copy(rows, 2, random.Random(1)))
+    assert_same_nodes(bulk, reference_trie(rows, 2))
 
 
 @given(st.sets(st.tuples(st.integers(0, 9), st.integers(0, 300),
-                         st.integers(0, 9)), max_size=30),
-       st.randoms(use_true_random=False))
-def test_list_backend_equals_the_spliced_trie(rows, rng: random.Random):
+                         st.integers(0, 9)), max_size=30))
+def test_list_backend_equals_the_reference_trie(rows):
     with list_backend():
         bulk = EncodedTrie("R", ("a", "b", "c"), rows)
-        spliced = spliced_copy(rows, 3, rng)
+        reference = reference_trie(rows, 3)
     assert type(bulk.root.keys) is list
-    assert_same_nodes(bulk, spliced)
+    assert_same_nodes(bulk, reference)
 
 
 @given(st.sets(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=30))
@@ -303,13 +282,13 @@ def suffix_sorted(rows, ordered):
        st.integers(0, 2), st.booleans(), st.booleans())
 @pytest.mark.parametrize("sparse", [float("inf"), -1],
                          ids=["distributed", "keyed"])
-def test_the_built_trie_is_the_spliced_one(sparse, case, slack, backwards,
-                                           listed):
+def test_the_built_trie_is_the_reference_one(sparse, case, slack,
+                                             backwards, listed):
     """Any arity, rows repeated or not, in drawn or reversed order, with
     0 to all of their trailing columns already in order, codes on both
     sides of the typecode boundaries, exact or loose bounds, typed or
     list buffers; every pass a distribution, or every pass a keyed
-    sort: the trie ``insert`` splices together, keyed by the caller's
+    sort: the trie assembled node by node, keyed by the caller's
     ints."""
     arity, drawn, ordered = case
     rows = suffix_sorted(drawn, ordered)
@@ -325,11 +304,9 @@ def test_the_built_trie_is_the_spliced_one(sparse, case, slack, backwards,
         patch.setattr(encoded, "_SPARSE", sparse)
         built = EncodedTrie.from_columns("R", order, columns, len(rows),
                                          bounds)
-        spliced = EncodedTrie("R", order, [], code_bounds=bounds)
-        for row in rows:
-            spliced.insert(row)
+        reference = reference_trie(rows, arity, bounds)
     assert list(built.tuples()) == sorted(set(rows))
-    assert_same_nodes(built, spliced)
+    assert_same_nodes(built, reference)
     pairs = [(0, built.root)]
     for level, node in pairs:
         held = {id(code) for code in columns[level]}

@@ -7,8 +7,8 @@ in how a level's candidate sets are met (sorted key buffers instead of
 hashed key views). Its oracle is the depth-first, per-binding form of
 Algorithm 1 it replaced, kept here as :func:`reference_dfs`: rows must
 equal the naive join, and every stage size, ``emitted`` and
-``filtered`` the reference's — unchunked, chunked, sliced, on frozen
-adapters and on tries spliced in place between runs.
+``filtered`` the reference's — unchunked, chunked, sliced and on frozen
+adapters.
 """
 
 import random
@@ -24,9 +24,9 @@ from repro.core.multimodel import MultiModelQuery, TwigBinding
 from repro.core.surrogate import NodeSurrogate, erase_surrogates
 from repro.data.random_instances import random_multimodel_instance
 from repro.data.scenarios import figure1_query
-from repro.engine import EncodedInstance, algorithms, get_algorithm, run_query
+from repro.engine import EncodedInstance, EncodedTrie, algorithms, \
+    get_algorithm, run_query
 from repro.engine.dictionary import Dictionary
-from repro.engine.encoded import EncodedTrie
 from repro.errors import EngineError
 from repro.instrumentation import JoinStats
 from repro.parallel.shm import attach_instance, publish_instance
@@ -373,53 +373,7 @@ def test_kernel_runs_on_attached_frozen_tries(algorithm):
         arena.unlink()
 
 
-# -- (f) mutable tries -----------------------------------------------------
-
-def test_mutable_tries_are_read_afresh_every_run():
-    """``EncodedTrie.insert`` / ``remove`` splice rows into the tries of
-    one instance between runs; over the domain 0..13 a value is its own
-    code, so rows splice in unencoded."""
-    rng = random.Random(3)
-    relations = triangle(12, 3).relations
-    current = {relation.name: set(relation.rows) for relation in relations}
-    order = ("a", "b", "c")
-    tries = {relation.name: EncodedTrie(relation.name,
-                                        relation.schema.attributes,
-                                        relation.rows)
-             for relation in relations}
-    instance = EncodedInstance(
-        "tri", order, {a: Dictionary(a, range(14)) for a in order},
-        list(tries.values()))
-
-    def splice(name, added, removed):
-        for row in removed:
-            assert tries[name].remove(row)
-        for row in added - current[name]:
-            assert tries[name].insert(row)
-        current[name] = (current[name] - removed) | added
-        assert tries[name].size == len(current[name])
-
-    for _ in range(25):
-        name = rng.choice(sorted(current))
-        added = {(rng.randrange(14), rng.randrange(14)) for _ in range(3)}
-        removed = set(rng.sample(sorted(current[name]),
-                                 min(3, len(current[name]))))
-        splice(name, added, removed - added)
-        expected = MultiModelQuery(
-            [Relation(relation.name, relation.schema, current[relation.name])
-             for relation in relations]).naive_join()
-        result, *_ = assert_matches_reference(instance, "generic_join")
-        assert result.project(expected.schema.attributes) == expected
-    # ... and a round trip back to the first state gives the first rows.
-    for relation in relations:
-        splice(relation.name, set(relation.rows),
-               current[relation.name] - relation.rows)
-    assert get_algorithm("generic_join").run(instance) == \
-        get_algorithm("generic_join").run(
-            EncodedInstance.from_relations(relations, order))
-
-
-# -- (g) surrogate erasure through the decode tables -----------------------
+# -- (f) surrogate erasure through the decode tables -----------------------
 
 def test_decode_table_erasure_equals_row_wise_erasure():
     query = figure1_query()  # orderLine is valueless: bound by surrogate
@@ -451,7 +405,7 @@ def test_decode_table_erasure_equals_row_wise_erasure():
     assert dictionary._erased is kept
 
 
-# -- (h) per-call set-up ---------------------------------------------------
+# -- (g) per-call set-up ---------------------------------------------------
 
 @pytest.mark.parametrize("algorithm", KERNELS)
 def test_a_one_code_slice_allocates_nothing_sized_by_a_root(algorithm):
@@ -473,7 +427,7 @@ def test_a_one_code_slice_allocates_nothing_sized_by_a_root(algorithm):
     assert peak < 32 * 1024, peak
 
 
-# -- (i) the sorted step: leapfrog ------------------------------------------
+# -- (h) the sorted step: leapfrog ------------------------------------------
 
 def test_a_trie_is_held_across_a_level_it_does_not_bind():
     """T(a, c) is descended at ``a`` and carried, unread, through ``b``."""
@@ -524,3 +478,47 @@ def test_leapfrog_rejects_twig_instances():
     instance = EncodedInstance.from_query(query, query.attributes)
     with pytest.raises(EngineError, match="twig"):
         get_algorithm("leapfrog").run(instance)
+
+
+# -- (i) rebuilt tries -----------------------------------------------------
+
+def test_rebuilt_tries_are_read_afresh_every_run():
+    """An update rebuilds a changed input's trie from its rows; here the
+    tries of one instance are swapped for rebuilt ones between runs.
+    Over the domain 0..13 a value is its own code, so rows go in
+    unencoded."""
+    rng = random.Random(3)
+    relations = triangle(12, 3).relations
+    current = {relation.name: set(relation.rows) for relation in relations}
+    order = ("a", "b", "c")
+    slots = {relation.name: index for index, relation in enumerate(relations)}
+    instance = EncodedInstance(
+        "tri", order, {a: Dictionary(a, range(14)) for a in order},
+        [EncodedTrie(relation.name, relation.schema.attributes, relation.rows)
+         for relation in relations])
+
+    def rebuild(name, added, removed):
+        current[name] = (current[name] - removed) | added
+        trie = EncodedTrie(name, instance.tries[slots[name]].order,
+                           current[name])
+        assert trie.size == len(current[name])
+        instance.tries[slots[name]] = trie
+
+    for _ in range(25):
+        name = rng.choice(sorted(current))
+        added = {(rng.randrange(14), rng.randrange(14)) for _ in range(3)}
+        removed = set(rng.sample(sorted(current[name]),
+                                 min(3, len(current[name]))))
+        rebuild(name, added, removed - added)
+        expected = MultiModelQuery(
+            [Relation(relation.name, relation.schema, current[relation.name])
+             for relation in relations]).naive_join()
+        result, *_ = assert_matches_reference(instance, "generic_join")
+        assert result.project(expected.schema.attributes) == expected
+    # ... and a round trip back to the first state gives the first rows.
+    for relation in relations:
+        rebuild(relation.name, set(relation.rows),
+                current[relation.name] - relation.rows)
+    assert get_algorithm("generic_join").run(instance) == \
+        get_algorithm("generic_join").run(
+            EncodedInstance.from_relations(relations, order))

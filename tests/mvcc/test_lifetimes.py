@@ -125,12 +125,16 @@ class TestRelations:
         artefacts = planted(relation_artefacts(pinned))
         session.insert("R", (99, "zed"))
         assert session.query.relations[0] is not pinned
+        superseded = weakref.ref(pinned)
         del pinned
         gc.disable()
         try:
-            assert artefacts() is not None  # the snapshot still reads it
+            # The snapshot still reads it, and nothing else holds it.
+            assert superseded() is not None and artefacts() is not None
             snapshot.release()
-            assert artefacts() is None
+            # The caller still holds the released snapshot.
+            assert snapshot.released
+            assert superseded() is None and artefacts() is None
         finally:
             gc.enable()
 

@@ -12,6 +12,7 @@ import pytest
 from repro.core.multimodel import MultiModelQuery, TwigBinding
 from repro.data.scenarios import figure1_query
 from repro.errors import SnapshotError
+from repro.mvcc.manager import DocumentVersion
 from repro.relational.relation import Relation
 from repro.updates.session import QuerySession
 from repro.xml.model import XMLDocument, XMLNode
@@ -29,6 +30,12 @@ def oracle_at(session: QuerySession) -> Relation:
     return clone.naive_join()
 
 
+def retained(session: QuerySession) -> tuple[int, int]:
+    """(document clones, superseded relations) live snapshots keep."""
+    stats = session.mvcc.stats()
+    return stats["retained_documents"], stats["retained_relations"]
+
+
 def order_line(order_id: int) -> XMLNode:
     line = XMLNode("orderLine")
     line.add("orderID", text=str(order_id))
@@ -41,15 +48,10 @@ class TestCopyOnWrite:
     def test_pin_is_lazy_nothing_retained_until_a_write(self):
         session = QuerySession(figure1_query())
         snapshot = session.pin()
-        assert all(chain.retained_versions() == ()
-                   for chain in session.mvcc.relation_chains.values())
-        assert all(chain.retained_versions() == ()
-                   for chain in session.mvcc.document_chains.values())
+        assert retained(session) == (0, 0)
         # Unsuperseded pins read the live objects.
         assert snapshot.relation("R") is session.relations["R"].relation
         document = session.document_of("invoices")
-        chain = session.mvcc.document_chains[id(document)]
-        assert chain.artifact(document.version) is None
         assert snapshot.document(id(document)) is document
         snapshot.release()
 
@@ -57,14 +59,16 @@ class TestCopyOnWrite:
         session = QuerySession(figure1_query())
         snapshot = session.pin()
         frozen = oracle_at(session)
+        pinned = snapshot.relation("R")
         session.insert("R", (10963, "eve"))
-        chain = session.mvcc.relation_chains["R"]
-        assert chain.retained_versions() == (0,)
+        assert session.relations["R"].relation is not pinned
+        assert snapshot.relation("R") is pinned
+        assert retained(session) == (0, 1)
         assert snapshot.answer().sorted_rows() == frozen.sorted_rows()
         assert snapshot.run().sorted_rows() == frozen.sorted_rows()
         assert session.answer().sorted_rows() != frozen.sorted_rows()
         snapshot.release()
-        assert chain.retained_versions() == ()
+        assert retained(session) == (0, 0)
 
     def test_document_write_freezes_a_clone_first(self):
         session = QuerySession(figure1_query())
@@ -73,8 +77,7 @@ class TestCopyOnWrite:
         document = session.document_of("invoices")
         live_price = document.nodes("price")[0]
         session.change_value("invoices", live_price, "999")
-        chain = session.mvcc.document_chains[id(document)]
-        assert chain.retained_versions() != ()
+        assert retained(session) == (1, 0)
         # The snapshot reads the clone, never the patched live tree.
         pinned_doc = snapshot.document(id(document))
         assert pinned_doc is not document
@@ -83,7 +86,16 @@ class TestCopyOnWrite:
         assert session.answer().sorted_rows() != frozen.sorted_rows()
         snapshot.release()
 
-    def test_one_clone_serves_many_writes_at_one_version(self):
+    def test_one_clone_serves_many_writes_at_one_version(self,
+                                                         monkeypatch):
+        frozen = []
+        freeze = DocumentVersion.freeze
+
+        def counted(record: DocumentVersion) -> None:
+            frozen.append(record)
+            freeze(record)
+
+        monkeypatch.setattr(DocumentVersion, "freeze", counted)
         session = QuerySession(figure1_query())
         snapshot = session.pin()
         document = session.document_of("invoices")
@@ -91,9 +103,9 @@ class TestCopyOnWrite:
         session.insert_subtree("invoices", root, order_line(50_001))
         session.insert_subtree("invoices", root, order_line(50_002))
         session.change_value("invoices", document.nodes("price")[0], "7")
-        chain = session.mvcc.document_chains[id(document)]
-        assert len(chain.retained_versions()) == 1
+        assert len(frozen) == 1 and retained(session) == (1, 0)
         snapshot.release()
+        assert frozen[0].clone is None and retained(session) == (0, 0)
 
     def test_staggered_snapshots_each_see_their_own_version(self):
         session = QuerySession(figure1_query())
@@ -109,10 +121,13 @@ class TestCopyOnWrite:
             assert snapshot.answer().sorted_rows() == frozen.sorted_rows()
             assert snapshot.run().sorted_rows() == frozen.sorted_rows()
         assert session.mvcc.watermark() == 0
+        # One superseded relation object and one clone per pin.
+        assert retained(session) == (3, 3)
         for snapshot, _frozen in pinned:
             snapshot.release()
         assert session.mvcc.watermark() is None
         assert session.mvcc.active_count() == 0
+        assert retained(session) == (0, 0)
 
 
 class TestLifecycle:
@@ -137,15 +152,13 @@ class TestLifecycle:
         session = QuerySession(figure1_query())
         snapshot = session.pin()
         document = session.document_of("invoices")
-        chain = session.mvcc.document_chains[id(document)]
-        version = snapshot.document_versions[id(document)]
-        assert chain.artifact(version) is None
+        assert snapshot.document(id(document)) is document
         snapshot.detach()
         # One frozen clone per pinned document, before any write.
-        assert chain.retained_versions() == (version,)
-        clone = chain.artifact(version)
-        assert clone is not None and clone is not document
-        # Detached reads resolve to the clone.
+        assert retained(session) == (1, 0)
+        clone = snapshot.document(id(document))
+        assert clone is not document
+        snapshot.detach()  # already frozen: no second clone
         assert snapshot.document(id(document)) is clone
         frozen = oracle_at(session)
         session.delete_subtree("invoices",
@@ -162,11 +175,9 @@ class TestLifecycle:
         snapshot = session.pin()
         frozen = oracle_at(session)
         # No documents: nothing to freeze, detach or not.
-        assert snapshot.document_versions == {}
-        assert session.mvcc.document_chains == {}
+        assert snapshot.documents == {}
         snapshot.detach()
-        assert all(chain.retained_versions() == ()
-                   for chain in session.mvcc.relation_chains.values())
+        assert retained(session) == (0, 0)
         session.delete("R", (1, 2))
         session.insert("S", (3, 8))
         assert snapshot.answer().sorted_rows() == frozen.sorted_rows()

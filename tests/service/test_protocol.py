@@ -79,14 +79,23 @@ class TestRows:
         rows = {(2, "b"), (1, "a"), (1, "Z")}
         assert rows_to_wire(rows) == [[1, "Z"], [1, "a"], [2, "b"]]
 
+    def test_a_mixed_type_column_sorts_numbers_first(self):
+        rows = {(1, "u1"), (2, 7), (3, "u0")}
+        assert rows_to_wire(rows) == [[1, "u1"], [2, 7], [3, "u0"]]
+        assert rows_to_wire({("u1", 1), (7, 2), (1.5, 3)}) \
+            == [[1.5, 3], [7, 2], ["u1", 1]]
+
 
 class TestUpdateOps:
     def test_every_kind_validates(self):
         ops = [
             {"kind": "insert", "relation": "R", "row": [1, 2]},
-            {"kind": "delete", "relation": "R", "row": [1, 2]},
+            {"kind": "delete", "relation": "R",
+             "row": ["a", 1.5, True, None]},
             {"kind": "insert_subtree", "input": "T", "parent_start": 0,
              "xml": "<e/>"},
+            {"kind": "insert_subtree", "input": "T", "parent_start": 0,
+             "xml": "<e/>", "index": 0},
             {"kind": "delete_subtree", "input": "T", "start": 3},
             {"kind": "change_value", "input": "T", "start": 3, "text": "x"},
         ]
@@ -99,6 +108,13 @@ class TestUpdateOps:
         [{"kind": "insert", "relation": "R", "row": 5}],  # row not a list
         [{"kind": "change_value", "input": "T", "start": "3", "text": "x"}],
         [{"kind": "delete_subtree", "input": "T", "start": True}],
+        # Row values are JSON scalars; an index is an int, not a bool.
+        [{"kind": "insert", "relation": "R", "row": [1, [2]]}],
+        [{"kind": "delete", "relation": "R", "row": [{"a": 1}, 2]}],
+        [{"kind": "insert_subtree", "input": "T", "parent_start": 0,
+          "xml": "<e/>", "index": True}],
+        [{"kind": "insert_subtree", "input": "T", "parent_start": 0,
+          "xml": "<e/>", "index": "1"}],
     ])
     def test_bad_shapes_are_bad_request(self, ops):
         with pytest.raises(ServiceError) as info:

@@ -192,3 +192,26 @@ def test_a_snapshot_pinned_before_the_burst_keeps_its_rows():
         assert live["batches"] == 1 and live["rows"] == after
         await harness.service.aclose()
     run(scenario)
+
+
+def test_a_race_counts_the_inputs_it_encodes():
+    async def scenario():
+        harness = await Harness("bookstore:orders=20,users=8").open()
+        await harness.evaluate()
+        before = (await harness.stats())["adaptive"]
+        # 12 rows on R's 20: a churn burst, so the next evaluate re-races
+        # and the race encodes R's new version.
+        await harness.update(fresh_rows(12, "churn"))
+        await harness.evaluate()
+        after = (await harness.stats())["adaptive"]
+        assert after["races"] == before["races"] + 1
+        assert after["inputs"]["R"][0] > before["inputs"]["R"][0]
+
+        def built(adaptive: dict) -> int:
+            return sum(built for built, _ in adaptive["inputs"].values())
+
+        # The run reuses what the race built, so every build is an encode.
+        assert built(after) - built(before) \
+            == after["encodes"] - before["encodes"] > 0
+        await harness.service.aclose()
+    run(scenario)

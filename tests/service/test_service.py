@@ -241,6 +241,45 @@ class TestAtomicBatches:
             assert service.batches_applied == 0
         run(scenario)
 
+    @pytest.mark.parametrize("ops, code", [
+        ([{"kind": "insert", "relation": "R", "row": [10001, "ok"]},
+          {"kind": "insert", "relation": "R", "row": [[1], "bad"]}],
+         "bad_request"),
+        # Start 198 names a node before the delete, another one after.
+        ([{"kind": "delete_subtree", "input": "invoices", "start": 1},
+          {"kind": "change_value", "input": "invoices", "start": 198,
+           "text": "x"}],
+         "update"),
+    ], ids=["non-scalar-row", "edit-after-splice"])
+    def test_a_refused_batch_leaves_no_trace(self, ops, code):
+        async def scenario():
+            service = ReproService("bookstore:orders=20,users=8")
+            document = service.master.document_of("invoices")
+            before = await call(service, op="corpus")
+            version = document.version
+            response = await call(service, op="update", tenant="t",
+                                  ops=ops)
+            assert response["error"] == code, response
+            after = await call(service, op="corpus")
+            assert after["relations"] == before["relations"] == {"R": 20}
+            assert after["inputs"] == before["inputs"]
+            assert document.version == version
+            assert (await call(service, op="stats"))["batches"] == 0
+        run(scenario)
+
+    def test_a_splice_may_follow_edits_of_its_document(self):
+        async def scenario():
+            service = ReproService("bookstore:orders=20,users=8")
+            size = service.master.document_of("invoices").size()
+            response = await call(service, op="update", tenant="t", ops=[
+                {"kind": "change_value", "input": "invoices", "start": 198,
+                 "text": "x"},
+                {"kind": "delete_subtree", "input": "invoices", "start": 1},
+                INSERT])
+            assert response["ok"] and response["batches"] == 1, response
+            assert service.master.document_of("invoices").size() < size
+        run(scenario)
+
     def test_sessions_opened_before_and_after_a_batch_read_the_same_state(
             self):
         async def scenario():
@@ -259,6 +298,26 @@ class TestAtomicBatches:
             late = await call(service, op="query", tenant="c",
                               session=third)
             assert late["rows"] == one["rows"]
+        run(scenario)
+
+
+class TestMixedTypes:
+    def test_a_number_beside_strings_breaks_no_query(self):
+        """R's ``userID`` holds strings; one numeric value must not break
+        the sorted wire form of any later answer."""
+        async def scenario():
+            service = ReproService("bookstore:orders=20,users=8")
+            response = await call(service, op="update", tenant="w", ops=[
+                {"kind": "insert", "relation": "R", "row": [10001, 7]}])
+            assert response["ok"], response
+            for tenant in ("a", "b"):
+                sid = await open_session(service, tenant)
+                answer = await call(service, op="query", tenant=tenant,
+                                    session=sid)
+                evaluated = await call(service, op="query", tenant=tenant,
+                                       session=sid, evaluate=True)
+                assert answer["ok"] and evaluated["ok"], (answer, evaluated)
+                assert answer["rows"] and answer["rows"] == evaluated["rows"]
         run(scenario)
 
 

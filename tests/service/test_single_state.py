@@ -15,7 +15,7 @@ import gc
 import weakref
 
 from repro.engine.planner import run_query
-from repro.mvcc.manager import SnapshotManager
+from repro.mvcc.manager import DocumentVersion
 from repro.service.corpus import corpus_query
 from repro.service.protocol import rows_to_wire
 from repro.service.server import ReproService
@@ -52,11 +52,6 @@ async def read(service: ReproService, tenant: str, sid: str,
         fields["snapshot"] = snapshot
     return await call(service, op="query", tenant=tenant, session=sid,
                       **fields)
-
-
-def the_document_chain(service: ReproService):
-    (chain,) = service.master.mvcc.document_chains.values()
-    return chain
 
 
 def counting(monkeypatch, owner, name: str) -> list:
@@ -96,7 +91,13 @@ def test_sessions_build_nothing_and_a_batch_is_applied_once(monkeypatch):
     asyncio.run(scenario())
 
 
-def test_two_tenants_share_one_clone_until_the_last_release():
+async def retained_documents(service: ReproService) -> int:
+    return (await call(service, op="stats"))["mvcc"]["retained_documents"]
+
+
+def test_two_tenants_share_one_clone_until_the_last_release(monkeypatch):
+    frozen = counting(monkeypatch, DocumentVersion, "freeze")
+
     async def scenario():
         service = ReproService("figure1")
         sessions = {tenant: await open_session(service, tenant)
@@ -108,9 +109,9 @@ def test_two_tenants_share_one_clone_until_the_last_release():
             "pins": 2, "watermark": 0,
             "retained_documents": 0, "retained_relations": 0}
 
+        assert frozen == []
         await call(service, op="update", tenant="w", ops=[INSERT, REPRICE])
-        chain = the_document_chain(service)
-        (version,) = chain.retained_versions()
+        assert len(frozen) == 1  # one clone, made by the superseding write
         assert (await call(service, op="stats"))["mvcc"] == {
             "pins": 2, "watermark": 0,
             "retained_documents": 1, "retained_relations": 1}
@@ -125,14 +126,16 @@ def test_two_tenants_share_one_clone_until_the_last_release():
 
         await reads_pre_write("a")
         await reads_pre_write("b")
-        assert chain.retained_versions() == (version,)  # still one clone
+        assert len(frozen) == 1 and await retained_documents(service) == 1
 
         await call(service, op="release", tenant="a",
                    session=sessions["a"], snapshot=pins["a"])
         await reads_pre_write("b")
         assert (await call(service, op="stats"))["mvcc"]["pins"] == 1
 
-        clone = chain.artifact(version)
+        held = service.sessions.state("b", sessions["b"]).snapshot(pins["b"])
+        clone = held.document(id(service.master.document_of("invoices")))
+        assert clone is frozen[0].clone
         document_stats(clone)
         assert columnar(clone).derived  # the evaluates' encoded inputs
 
@@ -146,7 +149,7 @@ def test_two_tenants_share_one_clone_until_the_last_release():
         try:
             await call(service, op="release", tenant="b",
                        session=sessions["b"], snapshot=pins["b"])
-            assert chain.retained_versions() == ()
+            assert frozen[0].clone is None
             assert clone.view is None  # stats and tries went with it
             assert derived() is None
         finally:
@@ -216,7 +219,7 @@ def test_concurrent_inline_reads_of_one_version():
                      evaluate=True) for tenant in tenants))
             assert [response["rows"] for response in responses] \
                 == [expected] * len(tenants), round_number
-            assert the_document_chain(service).retained_versions() == ()
+            assert await retained_documents(service) == 0
             for tenant in tenants:
                 await call(service, op="release", tenant=tenant,
                            session=sessions[tenant], snapshot=pins[tenant])
@@ -234,7 +237,7 @@ def test_concurrent_inline_reads_of_one_version():
 
 
 def test_an_evaluate_on_a_current_pin_clones_nothing(monkeypatch):
-    frozen = counting(monkeypatch, SnapshotManager, "_freeze_document")
+    frozen = counting(monkeypatch, DocumentVersion, "freeze")
 
     async def scenario():
         service = ReproService("bookstore:orders=40,users=12")
@@ -244,8 +247,7 @@ def test_an_evaluate_on_a_current_pin_clones_nothing(monkeypatch):
         for pinned in (snapshot, None):
             evaluated = await read(service, "a", sid, pinned, evaluate=True)
             assert evaluated["rows"] == answer["rows"]
-        assert (await call(service, op="stats"))["mvcc"][
-            "retained_documents"] == 0
+        assert await retained_documents(service) == 0
         await service.aclose()
 
     asyncio.run(scenario())
@@ -253,7 +255,7 @@ def test_an_evaluate_on_a_current_pin_clones_nothing(monkeypatch):
 
 
 def test_a_pin_before_a_batch_reads_the_writers_one_clone(monkeypatch):
-    frozen = counting(monkeypatch, SnapshotManager, "_freeze_document")
+    frozen = counting(monkeypatch, DocumentVersion, "freeze")
 
     async def scenario():
         service = ReproService("figure1")
@@ -263,8 +265,7 @@ def test_a_pin_before_a_batch_reads_the_writers_one_clone(monkeypatch):
         assert frozen == []
         await call(service, op="update", tenant="w", ops=[INSERT, REPRICE])
         assert len(frozen) == 1  # taken by before_document_write
-        chain = the_document_chain(service)
-        assert len(chain.retained_versions()) == 1
+        assert await retained_documents(service) == 1
         for extra in ({}, {"evaluate": True}):
             after = await read(service, "a", sid, snapshot, **extra)
             assert after["rows"] == before["rows"] \
@@ -274,9 +275,8 @@ def test_a_pin_before_a_batch_reads_the_writers_one_clone(monkeypatch):
         assert len(frozen) == 1
         await call(service, op="release", tenant="a", session=sid,
                    snapshot=snapshot)
-        assert chain.retained_versions() == ()
-        assert (await call(service, op="stats"))["mvcc"][
-            "retained_documents"] == 0
+        assert frozen[0].clone is None
+        assert await retained_documents(service) == 0
         await service.aclose()
 
     asyncio.run(scenario())

@@ -107,18 +107,17 @@ def test_a_versions_stats_are_its_own_whenever_they_are_read():
     assert before.path_counts[("r", "a", "b")] == 2
 
 
-def test_trie_delta_rejects_wrong_arity():
-    """Regression: a short row must not descend a shared prefix and
-    silently corrupt the size counter."""
+def test_trie_rows_reject_wrong_arity():
+    """Regression: a short or long row must not be cut to the shortest
+    column and silently corrupt the trie and its size."""
     from repro.engine.encoded import EncodedTrie
     from repro.errors import EngineError
     import pytest
 
+    for rows in ([(1, 2), (1,)], [(1,), (1, 2)], [(1, 2), (1, 2, 3)]):
+        with pytest.raises(EngineError, match="arity"):
+            EncodedTrie("R", ("a", "b"), rows)
     trie = EncodedTrie("R", ("a", "b"), [(1, 2), (1, 3)])
-    with pytest.raises(EngineError):
-        trie.remove((1,))
-    with pytest.raises(EngineError):
-        trie.insert((1, 2, 3))
     assert trie.size == 2
     assert list(trie.tuples()) == [(1, 2), (1, 3)]
 

@@ -7,8 +7,9 @@ read at ``view.tag_ranks[nid]``, its position in its tag's posting,
 which the streaming builder writes, every other view fills while it
 builds its postings and the update layer keeps exact:
 
-* (a) ``from_columns`` builds, node for node, the trie ``insert``
-  splices together row by row, keyed by the caller's int objects;
+* (a) ``from_columns`` builds, node for node, the trie of the distinct
+  rows, however the columns repeat or order them, keyed by the caller's
+  int objects;
 * (b) ``tag_ranks`` is the same on a streamed arena and on its
   in-memory parse, however the builder is chunked, and stays exact
   through seeded edits;
@@ -87,33 +88,22 @@ def fresh_ints(column):
     return [int(str(code)) for code in column]
 
 
-def inserted(rows, order, bounds):
-    """The trie of *rows* spliced in one at a time by ``insert`` onto an
-    empty trie under level bounds *bounds*: no column build involved."""
-    trie = EncodedTrie("R", order, [], code_bounds=bounds)
-    for row in rows:
-        trie.insert(row)
-    return trie
-
-
 @given(st.integers(0, 4).flatmap(lambda arity: st.tuples(
            st.just(arity), st.lists(st.tuples(*[CODES] * arity),
                                     max_size=40))),
        st.integers(0, 3))
-def test_from_columns_is_the_inserted_trie(case, slack):
+def test_from_columns_is_the_trie_of_the_distinct_rows(case, slack):
     """Repeats or not, empty, zero-arity, one column or four, with or
-    without (loose) code bounds: the trie ``insert`` builds row by row,
-    keyed by the caller's own ints at every level."""
+    without (loose) code bounds: the trie of the distinct rows, keyed
+    by the caller's own ints at every level."""
     arity, rows = case
     order = "abcd"[:arity]
     exact = [max((row[level] for row in rows), default=0) + slack
              for level in range(arity)]
     bounds = exact if slack else None
     distinct = list(dict.fromkeys(rows))  # in the order drawn
-    expected = inserted(rows, order, exact)
+    expected = EncodedTrie("R", order, sorted(distinct), code_bounds=exact)
     assert list(expected.tuples()) == sorted(distinct)
-    assert_same_nodes(expected, EncodedTrie("R", order, distinct,
-                                            code_bounds=bounds))
     for given_rows in (rows, distinct, distinct[::-1]):
         columns = [fresh_ints(column) for column in zip(*given_rows)] \
             if given_rows else [[] for _ in order]
