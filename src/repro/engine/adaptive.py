@@ -40,9 +40,11 @@ subsequent query to a bad plan):
    cached trie). The winner is cached per query signature and re-raced
    only when the feedback epoch moves — corrections changed materially,
    or an input's generation advanced — so a converged workload plans in
-   O(1), update batches included. The service feeds winners into its
-   shared :class:`~repro.service.cache.PlanCache` (keyed by the same
-   epoch) so ``repro serve`` tenants benefit without re-racing.
+   O(1), update batches included. The service keeps the adaptive plan
+   in its shared :class:`~repro.service.cache.PlanCache`, keyed by the
+   same epoch, so ``repro serve`` tenants benefit without re-racing;
+   beside a resident plan it keeps the plan's prepared read
+   (:class:`~repro.engine.planner.PreparedQuery`) until the next batch.
 
 Corrections influence *plan choice only*; every ordering policy and
 every raced plan returns byte-identical rows (the parity suites assert
@@ -68,6 +70,7 @@ from repro.engine.planner import (
     existential_last,
     linked_attributes,
     plan_query,
+    query_signature,
     register_order_policy,
     run_query,
 )
@@ -75,28 +78,12 @@ from repro.instrumentation import JoinStats, ensure_stats
 
 if TYPE_CHECKING:
     from repro.core.multimodel import MultiModelQuery
+    from repro.engine.planner import PreparedQuery
     from repro.relational.relation import Relation
 
 # ---------------------------------------------------------------------------
-# query signatures and input version stamps
+# input version stamps
 # ---------------------------------------------------------------------------
-
-def query_signature(query: "MultiModelQuery") -> tuple:
-    """A structural key for *query*: input names, schemas, twig shapes.
-
-    Two queries with the same signature are *candidates* for sharing
-    corrections and race winners; whether a stored correction actually
-    applies is decided by the version stamps (:func:`input_versions`),
-    never by the signature alone.
-    """
-    relations = tuple((relation.name, relation.schema.attributes)
-                      for relation in query.relations)
-    twigs = tuple(
-        (binding.name,
-         tuple((node.name, node.tag) for node in binding.twig.nodes()))
-        for binding in query.twigs)
-    return (query.name, relations, twigs)
-
 
 def input_versions(query: "MultiModelQuery") -> dict[str, tuple]:
     """Per-input version stamps at this instant.
@@ -237,20 +224,22 @@ class FeedbackStore:
     # -- learning ----------------------------------------------------------
 
     def observe(self, query: "MultiModelQuery", order: "tuple[str, ...]",
-                stats: JoinStats) -> int:
+                stats: JoinStats,
+                prepared: "PreparedQuery | None" = None) -> int:
         """Fold one executed query's stage counters into corrections.
 
         Returns the number of (attribute, bound set) levels that produced
         a sample. Estimates are the *raw* (uncorrected) bounds, so the
         factors always calibrate the static model rather than chasing
-        their own output.
+        their own output (the run's *prepared* query holds them).
         """
         self.count_inputs(stats)
         observed = observed_stage_sizes(stats, order)
         if not observed:
             return 0
-        scope = query_signature(query)
-        estimates = estimated_stage_sizes(query, order)
+        scope, estimates = (prepared.signature, prepared.estimates) \
+            if prepared else (query_signature(query),
+                              estimated_stage_sizes(query, order))
         material = False
         folded = 0
         previous: "int | None" = 1
@@ -773,9 +762,10 @@ class AdaptivePlanner:
             (e.attribute, int(round(e.cumulative))) for e in estimates))
 
     def observe(self, query: "MultiModelQuery",
-                order: "tuple[str, ...]", stats: JoinStats) -> int:
+                order: "tuple[str, ...]", stats: JoinStats,
+                prepared: "PreparedQuery | None" = None) -> int:
         """Fold one executed plan's counters into the store."""
-        return self.store.observe(query, order, stats)
+        return self.store.observe(query, order, stats, prepared)
 
     def execute(self, query: "MultiModelQuery", *, workers: int = 0,
                 stats: JoinStats | None = None) -> "Relation":

@@ -504,7 +504,9 @@ class EncodedInstance:
     @classmethod
     def from_query(cls, query: "MultiModelQuery",
                    order: Sequence[str], *,
-                   validate_structure: bool = True) -> "EncodedInstance":
+                   validate_structure: bool = True,
+                   points: "dict[str, str | None] | None" = None,
+                   tested: "str | None" = None) -> "EncodedInstance":
         """Encode a multi-model query: relations, the twigs' decomposed
         root-leaf path relations and their A-D pair inputs, all over
         shared dictionaries, plus the per-level structure checks.
@@ -513,6 +515,8 @@ class EncodedInstance:
         :func:`repro.engine.planner.attribute_order`).
         ``validate_structure=False`` encodes the paper's relaxed value
         join instead: path relations only, no pair inputs, no checks.
+        ``points`` and ``tested``, a plan's ``validation`` and
+        ``tested`` for this query and order, are derived if not given.
         """
         from repro.core.decomposition import twig_input
         from repro.core.validation import (
@@ -539,7 +543,8 @@ class EncodedInstance:
 
         filters = TwigFilters(checks=[[] for _ in expansion])
         if validate_structure:
-            filters.validated_at = validation_points(query, expansion)
+            filters.validated_at = validation_points(query, expansion) \
+                if points is None else points
             for binding in query.twigs:
                 attribute = filters.validated_at[binding.name]
                 if attribute is None:
@@ -550,8 +555,9 @@ class EncodedInstance:
                     [instance.dictionaries[a].values for a in names])
                 filters.checks[expansion.index(attribute)].append(
                     (tuple(expansion.index(a) for a in names), validator))
-        filters.tested = tested_attribute(query, expansion,
-                                          filters.validated_at)
+        filters.tested = tested_attribute(
+            query, expansion, filters.validated_at) \
+            if points is None else tested
         instance.twig_filters = filters
         return instance
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable
 
 from repro.engine.encoded import EncodedInstance, relation_artefacts, \
@@ -240,6 +241,24 @@ def refresh_query_statistics(query: "MultiModelQuery") -> None:
     entry = _STATISTICS_BY_QUERY.get(id(query))
     if entry is not None and entry[0]() is query:
         entry[1].invalidate()
+
+
+def query_signature(query: "MultiModelQuery") -> tuple:
+    """A structural key for *query*: input names, schemas, twig shapes.
+
+    Two queries with the same signature are *candidates* for sharing
+    corrections and race winners; whether a stored correction actually
+    applies is decided by the version stamps
+    (:func:`repro.engine.adaptive.input_versions`), never by the
+    signature alone.
+    """
+    relations = tuple((relation.name, relation.schema.attributes)
+                      for relation in query.relations)
+    twigs = tuple(
+        (binding.name,
+         tuple((node.name, node.tag) for node in binding.twig.nodes()))
+        for binding in query.twigs)
+    return (query.name, relations, twigs)
 
 
 # ---------------------------------------------------------------------------
@@ -463,14 +482,13 @@ class QueryPlan:
     #: (path relation name, estimated cardinality) per decomposed path.
     path_cardinalities: tuple[tuple[str, int], ...] = ()
     #: (twig name, attribute whose level validates the twig's structure)
-    #: per twig input; None = skipped, the join implies an embedding.
-    #: Informational (``repro explain`` prints it): execution follows
-    #: the encoder, which derives the decision anew from the same
-    #: :func:`repro.core.validation.validation_points`.
+    #: per twig input; None = skipped, the join implies an embedding
+    #: (:func:`repro.core.validation.validation_points`, read off the
+    #: inputs' current version: :class:`PreparedQuery` encodes with it).
     validation: tuple[tuple[str, str | None], ...] = ()
     #: The order's last attribute when XJoin tests it for a witness
-    #: instead of enumerating it (informational, derived like
-    #: ``validation``: :func:`repro.core.validation.tested_attribute`).
+    #: instead of enumerating it (derived like ``validation``:
+    #: :func:`repro.core.validation.tested_attribute`).
     tested: str | None = None
     #: Morsel count for partition-parallel execution (1 = serial).
     partitions: int = 1
@@ -639,12 +657,56 @@ def plan_query(query: "MultiModelQuery", *,
                      partitions=partitions, partition_axis=partition_axis)
 
 
+class PreparedQuery:
+    """*plan* — :func:`plan_query`'s for *query*, whose validation
+    points it carries — bound to the query's inputs at this version:
+    the kernel and the encoded instance, made once, and on first use
+    the raw stage estimates and signature that
+    :meth:`~repro.engine.adaptive.FeedbackStore.observe` folds samples
+    against. :meth:`run` runs again while the inputs hold; a document
+    is patched in place, so a holder drops it at the first write."""
+
+    def __init__(self, query: "MultiModelQuery", plan: QueryPlan):
+        self.query, self.plan = query, plan
+        self.kernel = get_algorithm(plan.algorithm)
+        # The baseline evaluates from the source inputs: no tries.
+        self.instance = EncodedInstance.reference(query) \
+            if plan.algorithm == "baseline" else EncodedInstance.from_query(
+                query, plan.order, tested=plan.tested,
+                points=dict(plan.validation) if plan.validation else None)
+
+    @cached_property
+    def estimates(self) -> list[StageEstimate]:
+        """The raw (uncorrected) stage bounds of the plan's order."""
+        return estimated_stage_sizes(self.query, self.plan.order)
+
+    @cached_property
+    def signature(self) -> tuple:
+        """:func:`query_signature` of the query."""
+        return query_signature(self.query)
+
+    def run(self, stats: JoinStats | None = None) -> Relation:
+        """Run the kernel; a re-run counts every input as reused."""
+        stats = ensure_stats(stats)
+        stats.count_inputs(self.instance)
+        self.instance.built = (False,) * len(self.instance.tries)
+        result = self.kernel.run(self.instance, stats=stats)
+        # Only the relational kernels return the whole expansion order.
+        if result.schema.attributes != self.query.attributes:
+            result = result.project(self.query.attributes,
+                                    name=self.query.name)
+        return result
+
+
+prepare = PreparedQuery  #: ``prepare(query, plan).run(stats)``
+
+
 def run_query(query: "MultiModelQuery", *,
               order: "str | tuple[str, ...] | list[str] | None" = None,
               algorithm: str | None = None,
               stats: JoinStats | None = None,
               workers: int = 0) -> Relation:
-    """Plan and evaluate *query* through the encoded engine.
+    """Plan, prepare and run *query* through the encoded engine.
 
     With ``workers > 1`` execution is delegated to the partition-parallel
     executor (:mod:`repro.parallel.executor`): the instance is still
@@ -660,17 +722,6 @@ def run_query(query: "MultiModelQuery", *,
         return ParallelExecutor(workers).run_query(
             query, order=order, algorithm=algorithm, stats=stats)
     plan = plan_query(query, order=order, algorithm=algorithm)
-    if plan.algorithm == "baseline":
-        # The baseline evaluates from the source inputs; building the
-        # encoded tries would be pure wasted (and misattributed) work.
-        instance = EncodedInstance.reference(query)
-    else:
-        with stats.phase("encode"):
-            instance = EncodedInstance.from_query(query, plan.order)
-        stats.count_inputs(instance)
-    result = get_algorithm(plan.algorithm).run(instance, stats=stats)
-    # xjoin/baseline already project onto the query attributes; only the
-    # relational kernels return rows over the full expansion order.
-    if result.schema.attributes != query.attributes:
-        result = result.project(query.attributes, name=query.name)
-    return result
+    with stats.phase("encode"):
+        prepared = prepare(query, plan)
+    return prepared.run(stats)

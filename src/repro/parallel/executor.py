@@ -247,17 +247,13 @@ class ParallelExecutor:
         encoded instance is built once and shared with the pool. The
         ``baseline`` foil runs serially from the source inputs.
         """
-        from repro.core.baseline import baseline_join
-        from repro.engine.encoded import EncodedInstance
-        from repro.engine.planner import plan_query
+        from repro.engine.planner import plan_query, prepare
 
         stats = ensure_stats(stats)
         plan = plan_query(query, order=order, algorithm=algorithm,
                           workers=self.workers)
-        if plan.algorithm == "baseline":
-            return baseline_join(query, stats=stats)
         with stats.phase("encode"):
-            instance = EncodedInstance.from_query(query, plan.order)
+            instance = prepare(query, plan).instance
         stats.count_inputs(instance)
         result = self.run_join(instance, plan.algorithm, stats=stats,
                                morsels=plan.partitions)

@@ -30,7 +30,9 @@ from __future__ import annotations
 import json
 from typing import Any
 
+from repro.engine.encoded import relation_artefacts
 from repro.errors import ServiceError
+from repro.relational.relation import Relation
 from repro.relational.schema import sort_key
 
 #: Every operation the service understands.
@@ -45,10 +47,28 @@ UPDATE_KINDS = frozenset({
 })
 
 
+def _dumps(value: Any) -> bytes:
+    return json.dumps(value, separators=(",", ":"),
+                      ensure_ascii=False).encode("utf-8")
+
+
+class WireRows(list):
+    """Rows in wire order with their JSON bytes (:func:`answer_rows`),
+    shared by every response at their version: read-only."""
+
+    __slots__ = ("encoded",)
+
+
 def encode_message(message: dict[str, Any]) -> bytes:
-    """Serialize one protocol message to a ``\\n``-terminated line."""
-    return (json.dumps(message, separators=(",", ":"),
-                       ensure_ascii=False) + "\n").encode("utf-8")
+    """Serialize one protocol message to a ``\\n``-terminated line,
+    splicing :class:`WireRows` in as encoded."""
+    rows = message.get("rows")
+    if not isinstance(rows, WireRows):
+        return _dumps(message) + b"\n"
+    rest = _dumps({key: value for key, value in message.items()
+                   if key != "rows"})
+    return b"".join((rest[:-1], b"," if len(rest) > 2 else b"",
+                     b'"rows":', rows.encoded, b"}\n"))
 
 
 def decode_message(line: bytes | str) -> dict[str, Any]:
@@ -117,6 +137,36 @@ def rows_to_wire(rows: Any) -> list[list[Any]]:
     except TypeError:
         ordered = sorted(rows, key=lambda row: tuple(map(sort_key, row)))
     return [list(row) for row in ordered]
+
+
+def answer_rows(relation: Relation) -> WireRows:
+    """:func:`rows_to_wire` of a maintained answer, with its encoding:
+    made once per answer version and kept in the relation's artefacts,
+    so every tenant at the version shares them and they die with it."""
+    artefacts = relation_artefacts(relation)
+    rows = artefacts.get("wire")
+    if rows is None:
+        rows = artefacts["wire"] = WireRows(rows_to_wire(relation.rows))
+        rows.encoded = _dumps(rows)
+    return rows
+
+
+def query_options(message: dict[str, Any]) -> tuple:
+    """A ``query``'s (algorithm, order as a tuple, evaluate), checked:
+    ServiceError ``bad_request`` unless ``algorithm`` is a string,
+    ``order`` a string or a list of strings and ``evaluate`` a bool."""
+    algorithm, order, evaluate = map(message.get,
+                                     ("algorithm", "order", "evaluate"))
+    if isinstance(order, list) and all(isinstance(a, str) for a in order):
+        order = tuple(order)
+    if not all(value is None or isinstance(value, kinds) for value, kinds
+               in ((algorithm, str), (order, (str, tuple)),
+                   (evaluate, bool))):
+        raise ServiceError(
+            "bad_request", "query fields: 'algorithm' must be a string, "
+            "'order' a string or a list of strings, 'evaluate' a bool; "
+            f"got {algorithm!r}, {order!r}, {evaluate!r}")
+    return algorithm, order, bool(evaluate)
 
 
 def validate_update_ops(ops: Any) -> list[dict[str, Any]]:

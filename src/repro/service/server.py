@@ -33,11 +33,12 @@ from __future__ import annotations
 
 import asyncio
 import sys
+from contextlib import nullcontext
 from typing import Any
 
 from repro.core.multimodel import MultiModelQuery
 from repro.engine.adaptive import AdaptivePlanner, FeedbackStore
-from repro.engine.planner import plan_query, run_query
+from repro.engine.planner import PreparedQuery, plan_query, prepare
 from repro.errors import (
     EngineError,
     PlanError,
@@ -49,10 +50,12 @@ from repro.mvcc import Snapshot
 from repro.service.cache import PlanCache
 from repro.service.corpus import corpus_query
 from repro.service.protocol import (
+    answer_rows,
     decode_message,
     encode_message,
     error_response,
     ok_response,
+    query_options,
     require_field,
     rows_to_wire,
     validate_request,
@@ -95,7 +98,12 @@ class ReproService:
         self.master = QuerySession(
             query, feedback=self.adaptive.store if adaptive else None)
         self.sessions = SessionManager(quota)
-        self.plan_cache = plan_cache or PlanCache()
+        self.plan_cache = plan_cache if plan_cache is not None \
+            else PlanCache()  # an empty cache is falsy
+        #: Plan-cache key -> its prepared read at the current version
+        #: (``_plan_for``); every batch drops them all.
+        self._prepared: dict[tuple, PreparedQuery] = {}
+        self.prepared_builds = self.prepared_hits = 0
         #: Whole update batches applied since startup; every snapshot
         #: records the value at pin time, so clients can correlate an
         #: answer with the exact prefix of the update stream it reflects.
@@ -221,6 +229,7 @@ class ReproService:
         the first and last mutation no coroutine runs, so every pin
         (and every read) sees a whole number of batches."""
         self._validate_batch(ops)
+        self._prepared.clear()  # they read the live documents
         for op in ops:
             self._apply_op(op)
         self.batches_applied += 1
@@ -229,41 +238,46 @@ class ReproService:
 
     # -- the read path -----------------------------------------------------
 
-    def _plan_for(self, query: MultiModelQuery,
-                  algorithm: "str | None",
-                  order: "str | tuple | None"
-                  ) -> tuple[str, tuple, tuple]:
-        """(algorithm, order, twig algorithms) via the shared plan cache.
+    def _plan_for(self, snapshot: Snapshot, algorithm: "str | None",
+                  order: "str | tuple | None") -> PreparedQuery:
+        """The prepared read of one ``query`` at *snapshot*: a plan
+        from the shared plan cache, bound to the snapshot's inputs.
 
-        Keyed by (corpus, stats epoch, overrides): a plan is correct on
-        any state of the corpus, so sessions, tenants and snapshots —
-        whatever batch they pinned — share it until the statistics
-        drift. The stats epoch (bumped by the feedback loop on material
-        correction changes and by an input's generation advancing, not
-        by the batch counter) keys out plans built against drifted
-        statistics instead of serving them forever.
-
-        Un-overridden queries are planned by the adaptive planner — the
-        raced winner is what lands in the shared cache, so tenants
-        hitting the cache benefit from a race they never ran.
+        The cache is keyed by (corpus, stats epoch, overrides): a plan
+        is correct on any state of the corpus, so every tenant and
+        snapshot shares it until the statistics drift and the epoch
+        (not the batch counter) moves. Un-overridden queries are
+        planned by the adaptive planner, so tenants hitting the cache
+        benefit from a race they never ran. The version-bound half is
+        kept under the same key only while *snapshot* pins the current
+        version: the next batch patches the documents it reads.
         """
-        order_key = tuple(order) if isinstance(order, list) else order
         epoch = self.adaptive.epoch if self.adaptive is not None else -1
-        key = (self.corpus_spec, epoch, algorithm, order_key)
-        cached = self.plan_cache.get(key)
-        if cached is not None:
-            return cached
-        if self.adaptive is not None and algorithm is None \
-                and order is None:
-            plan = self.adaptive.plan(query)
+        key = (self.corpus_spec, epoch, algorithm, order)
+        plan = self.plan_cache.get(key)
+        current = snapshot.version == self.master.version
+        prepared = self._prepared.get(key) if current else None
+        if prepared is not None:
+            self.prepared_hits += 1
         else:
-            plan = plan_query(query, algorithm=algorithm, order=order)
-        # The twig matchers travel with the cached plan, so the
-        # response can report which backend — e.g. ``accel`` — served
-        # each twig input without replanning.
-        resolved = (plan.algorithm, plan.order, plan.twig_algorithms)
-        self.plan_cache.put(key, resolved)
-        return resolved
+            query = snapshot.query()
+            if plan is not None:  # cached: re-derived at this version
+                fresh = plan_query(query, algorithm=plan.algorithm,
+                                   order=plan.order)
+            elif self.adaptive is not None and algorithm is None \
+                    and order is None:
+                fresh = self.adaptive.plan(query)
+            else:
+                fresh = plan_query(query, algorithm=algorithm, order=order)
+            prepared = prepare(query, fresh)
+            self.prepared_builds += 1
+            if current:
+                self._prepared[key] = prepared
+                if len(self._prepared) > self.plan_cache.capacity:
+                    del self._prepared[next(iter(self._prepared))]
+        if plan is None:
+            self.plan_cache.put(key, prepared.plan)
+        return prepared
 
     def _pin(self) -> Snapshot:
         """Pin the corpus's current version, stamped with the number of
@@ -280,36 +294,34 @@ class ReproService:
         answer is built, so the pinned inputs cannot change under it.
         """
         batches = snapshot.metadata["batches"]
-        algorithm = message.get("algorithm")
-        order = message.get("order")
-        if not (message.get("evaluate") or algorithm or order):
+        algorithm, order, evaluate = query_options(message)
+        if not (evaluate or algorithm or order):
             relation = snapshot.answer()
-            return {"rows": rows_to_wire(relation.rows),
+            return {"rows": answer_rows(relation),
                     "attributes": list(relation.schema.attributes),
                     "version": snapshot.version, "batches": batches,
                     "mode": "answer"}
-        # Over the pinned inputs: live, or the retained clone.
-        query = snapshot.query()
         adaptive_run = (self.adaptive is not None and algorithm is None
                         and order is None)
         stats = JoinStats() if adaptive_run else None
         try:
-            algorithm, order, twigs = self._plan_for(query, algorithm,
-                                                     order)
-            relation = run_query(query, algorithm=algorithm, order=order,
-                                 stats=stats)
+            # Over the pinned inputs: live, or the retained clone.
+            prepared = self._plan_for(snapshot, algorithm, order)
+            relation = prepared.run(stats)
         except (PlanError, EngineError) as error:
             # The planner or a kernel refused the client's override.
             raise ServiceError("bad_request", str(error)) from None
+        plan = prepared.plan
         if adaptive_run:
             # Close the feedback loop: fold this query's observed stage
             # sizes into the shared correction store.
-            self.adaptive.observe(query, tuple(order), stats)
+            self.adaptive.observe(prepared.query, plan.order, stats,
+                                  prepared)
         return {"rows": rows_to_wire(relation.rows),
                 "attributes": list(relation.schema.attributes),
                 "version": snapshot.version, "batches": batches,
-                "mode": "run", "algorithm": algorithm,
-                "twigs": dict(twigs)}
+                "mode": "run", "algorithm": plan.algorithm,
+                "twigs": dict(plan.twig_algorithms)}
 
     # -- request dispatch --------------------------------------------------
 
@@ -387,13 +399,13 @@ class ReproService:
         tenant = require_field(message, "tenant", str)
         sid = require_field(message, "session", str)
         state = self.sessions.state(tenant, sid)
-        self.queries_served += 1
         snapshot_id = message.get("snapshot")
-        if snapshot_id is not None:
-            return self._evaluate_snapshot(state.snapshot(snapshot_id),
-                                           message)
-        with self._pin() as snapshot:  # released when the request ends
-            return self._evaluate_snapshot(snapshot, message)
+        # Without a snapshot, one is pinned for the request and released.
+        with self._pin() if snapshot_id is None \
+                else nullcontext(state.snapshot(snapshot_id)) as snapshot:
+            response = self._evaluate_snapshot(snapshot, message)
+        self.queries_served += 1  # answered ones only
+        return response
 
     def _op_update(self, message: dict[str, Any]) -> dict[str, Any]:
         require_field(message, "tenant", str)
@@ -413,6 +425,8 @@ class ReproService:
             "tenants": self.sessions.counts(),
             "mvcc": self.master.mvcc.stats(),
             "plan_cache": self.plan_cache.stats(),
+            "prepared": {"builds": self.prepared_builds,
+                         "hits": self.prepared_hits},
             "adaptive": (dict(
                 self.adaptive.store.stats(), **self.adaptive.racer.stats(),
                 generations=self._logical_stamps(self.master.query))

@@ -12,6 +12,7 @@ on it.
 
 from __future__ import annotations
 
+import asyncio
 import gc
 import random
 import weakref
@@ -19,6 +20,7 @@ import weakref
 from repro.data.scenarios import bookstore_instance, figure1_query
 from repro.engine.encoded import relation_artefacts
 from repro.engine.planner import run_query
+from repro.service.server import ReproService
 from repro.updates.session import QuerySession
 from repro.xml.columnar import columnar, document_stats
 from repro.xml.model import element
@@ -137,6 +139,48 @@ class TestRelations:
             assert superseded() is None and artefacts() is None
         finally:
             gc.enable()
+
+
+class TestServedReads:
+    def test_a_superseded_relation_dies_though_evaluates_ran_on_it(self):
+        """A prepared read holds the current version's relations; the
+        batch that supersedes them drops it, so after the release of
+        the last pin nothing holds them: not the prepared reads, not
+        the plan cache, not the feedback store."""
+        async def request(service: ReproService, **message) -> dict:
+            response = await service.handle_request(message)
+            assert response["ok"], response
+            return response
+
+        async def scenario():
+            service = ReproService("bookstore:orders=20,users=8")
+            sid = (await request(service, op="open", tenant="t"))["session"]
+            snapshot = (await request(service, op="pin", tenant="t",
+                                      session=sid))["snapshot"]
+            for fields in ({}, {"algorithm": "xjoin"}):
+                for _ in range(3):
+                    await request(service, op="query", tenant="t",
+                                  session=sid, snapshot=snapshot,
+                                  evaluate=True, **fields)
+            assert service._prepared
+            superseded = weakref.ref(service.master.relations["R"].relation)
+            artefacts = planted(relation_artefacts(superseded()))
+            gc.disable()
+            try:
+                await request(service, op="update", tenant="w", ops=[
+                    {"kind": "insert", "relation": "R",
+                     "row": [10005, "eve"]}])
+                # The pin still reads it, and evaluates on it keep nothing.
+                await request(service, op="query", tenant="t", session=sid,
+                              snapshot=snapshot, evaluate=True)
+                assert superseded() is not None
+                await request(service, op="release", tenant="t",
+                              session=sid, snapshot=snapshot)
+                assert superseded() is None and artefacts() is None
+            finally:
+                gc.enable()
+
+        asyncio.run(scenario())
 
 
 class TestUnpinnedStream:

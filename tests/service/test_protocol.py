@@ -5,11 +5,16 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ServiceError
+from repro.relational.relation import Relation
+from repro.relational.schema import Schema
 from repro.service.protocol import (
+    WireRows,
+    answer_rows,
     decode_message,
     encode_message,
     error_response,
     ok_response,
+    query_options,
     require_field,
     rows_to_wire,
     validate_request,
@@ -34,6 +39,27 @@ class TestFraming:
         with pytest.raises(ServiceError) as info:
             decode_message(b"[1,2]\n")
         assert info.value.code == "bad_request"
+
+    @pytest.mark.parametrize("fields", [
+        {}, {"id": 3}, {"id": None, "ok": True, "note": "é", "batches": 2}])
+    def test_spliced_rows_round_trip(self, fields):
+        relation = Relation("Q", Schema(("a", "b")),
+                            [(2, "ü"), (1, None), (1, 1.5)])
+        rows = answer_rows(relation)
+        assert isinstance(rows, WireRows)
+        assert rows == rows_to_wire(relation.rows)
+        message = {**fields, "rows": rows}
+        line = encode_message(message)
+        assert line.endswith(b"\n") and line.count(b"\n") == 1
+        assert decode_message(line) == message
+        # The same body as plain lists encodes to an equal message.
+        assert decode_message(encode_message(
+            {**fields, "rows": list(rows)})) == message
+
+    def test_answer_rows_are_made_once_per_relation(self):
+        relation = Relation("Q", Schema(("a",)), [(1,), (2,)])
+        assert answer_rows(relation) is answer_rows(relation)
+        assert relation.artefacts["wire"] is answer_rows(relation)
 
 
 class TestValidation:
@@ -119,4 +145,23 @@ class TestUpdateOps:
     def test_bad_shapes_are_bad_request(self, ops):
         with pytest.raises(ServiceError) as info:
             validate_update_ops(ops)
+        assert info.value.code == "bad_request"
+
+
+class TestQueryOptions:
+    def test_valid_overrides_pass(self):
+        assert query_options({}) == (None, None, False)
+        assert query_options({"algorithm": "xjoin", "order": ["b", "a"],
+                              "evaluate": True}) \
+            == ("xjoin", ("b", "a"), True)
+        assert query_options({"order": "domain", "evaluate": False}) \
+            == (None, "domain", False)
+
+    @pytest.mark.parametrize("fields", [
+        {"order": [["a"]]}, {"order": {"a": 1}}, {"order": 5},
+        {"order": ["a", 1]}, {"algorithm": ["x"]}, {"algorithm": 3},
+        {"evaluate": "yes"}, {"evaluate": 1}])
+    def test_bad_shapes_are_bad_request(self, fields):
+        with pytest.raises(ServiceError) as info:
+            query_options(fields)
         assert info.value.code == "bad_request"
