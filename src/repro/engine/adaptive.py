@@ -40,11 +40,11 @@ subsequent query to a bad plan):
    cached trie). The winner is cached per query signature and re-raced
    only when the feedback epoch moves — corrections changed materially,
    or an input's generation advanced — so a converged workload plans in
-   O(1), update batches included. The service keeps the adaptive plan
-   in its shared :class:`~repro.service.cache.PlanCache`, keyed by the
-   same epoch, so ``repro serve`` tenants benefit without re-racing;
-   beside a resident plan it keeps the plan's prepared read
-   (:class:`~repro.engine.planner.PreparedQuery`) until the next batch.
+   O(1), update batches included. The service holds the adaptive plan,
+   dated by the same epoch, so ``repro serve`` tenants benefit without
+   re-racing; beside it, it keeps the plan's prepared read
+   (:class:`~repro.engine.planner.PreparedQuery`) until the next batch,
+   and a re-race that crowns the same order and algorithm keeps it.
 
 Corrections influence *plan choice only*; every ordering policy and
 every raced plan returns byte-identical rows (the parity suites assert
@@ -198,7 +198,7 @@ class FeedbackStore:
     the neutral factor 1.0 until re-learned or explicitly inherited by
     the update layer). :attr:`epoch` advances only on material changes
     — first observations, large EWMA moves, generation advances — and
-    is the coupling point for the plan racer and the service plan cache.
+    is the coupling point for the plan racer and the service's held plans.
     """
 
     def __init__(self, *, stamp_fn=None):
@@ -745,7 +745,7 @@ class AdaptivePlanner:
 
     @property
     def epoch(self) -> int:
-        """The store's current epoch (plan-cache key component)."""
+        """The store's current epoch (dates the service's held plans)."""
         return self.store.epoch
 
     def plan(self, query: "MultiModelQuery", *,

@@ -15,8 +15,9 @@ TCP or stdin). The moving parts:
   and snapshot accounting against a :class:`~repro.service.tenancy.
   TenantQuota` (``quota`` errors, never silent eviction of another
   tenant's state).
-* :class:`~repro.service.cache.PlanCache` — a shared plan cache with
-  frequency-based admission (one-hit wonders never displace residents).
+* **held plans** — one plan per query override, shared by every tenant
+  and re-planned only when the adaptive planner's feedback epoch moves;
+  beside it, while the version is current, its prepared read.
 * **snapshot reads** — ``pin`` takes an MVCC snapshot
   (:mod:`repro.mvcc`) of the corpus; ``query`` against it is answered at
   the pinned version vector no matter how many batches have landed
@@ -29,14 +30,12 @@ TCP or stdin). The moving parts:
 See ``docs/service.md`` for the protocol reference and lifecycle rules.
 """
 
-from repro.service.cache import PlanCache
 from repro.service.client import ServiceClient
 from repro.service.corpus import available_corpora, corpus_query
 from repro.service.server import ReproService
 from repro.service.tenancy import SessionManager, TenantQuota
 
 __all__ = [
-    "PlanCache",
     "ReproService",
     "ServiceClient",
     "SessionManager",

@@ -116,7 +116,7 @@ class ServiceClient:
         return await self.request("update", tenant=tenant, ops=ops)
 
     async def stats(self) -> dict[str, Any]:
-        """Service-wide counters (tenants, mvcc, plan cache)."""
+        """Service-wide counters (tenants, mvcc, held plans)."""
         return await self.request("stats")
 
     async def shutdown(self) -> None:

@@ -34,11 +34,12 @@ from __future__ import annotations
 import asyncio
 import sys
 from contextlib import nullcontext
+from dataclasses import dataclass
 from typing import Any
 
 from repro.core.multimodel import MultiModelQuery
 from repro.engine.adaptive import AdaptivePlanner, FeedbackStore
-from repro.engine.planner import PreparedQuery, plan_query, prepare
+from repro.engine.planner import PreparedQuery, QueryPlan, plan_query, prepare
 from repro.errors import (
     EngineError,
     PlanError,
@@ -47,7 +48,6 @@ from repro.errors import (
 )
 from repro.instrumentation import JoinStats
 from repro.mvcc import Snapshot
-from repro.service.cache import PlanCache
 from repro.service.corpus import corpus_query
 from repro.service.protocol import (
     answer_rows,
@@ -65,14 +65,25 @@ from repro.service.tenancy import SessionManager, TenantQuota
 from repro.updates.session import QuerySession
 from repro.xml.parser import parse_element_tree
 
+#: Plans held at once: clients choose the override keys (any ``order``
+#: permutation is one), so past this bound the oldest goes first.
+HELD_PLANS = 64
+
+
+@dataclass
+class _HeldPlan:
+    """An override key's plan, the feedback epoch it was planned at
+    and, while its version is current, its prepared read."""
+    epoch: int
+    plan: QueryPlan
+    prepared: "PreparedQuery | None" = None
+
 
 class ReproService:
     """One corpus, many tenants, snapshot-consistent reads."""
 
     def __init__(self, corpus: "str | MultiModelQuery" = "figure1", *,
-                 quota: TenantQuota | None = None,
-                 plan_cache: PlanCache | None = None,
-                 adaptive: bool = True):
+                 quota: TenantQuota | None = None):
         if isinstance(corpus, str):
             self.corpus_spec = corpus
             query = corpus_query(corpus)
@@ -81,28 +92,26 @@ class ReproService:
             query = corpus
         #: The adaptive planner behind un-overridden snapshot queries:
         #: races plans per query signature, learns cardinality
-        #: corrections from every executed snapshot query, and keys the
-        #: shared plan cache by its feedback epoch. Inputs are stamped
+        #: corrections from every executed snapshot query, and dates
+        #: every held plan by its feedback epoch. Inputs are stamped
         #: *logically* (their drift generation) because a snapshot query
         #: reads the live objects or, once a batch supersedes its pin,
         #: the retained clone: corrections learned from either
         #: apply to every tenant until the master's deltas add up to a
         #: churn burst, which advances the generation and retires them
-        #: (and every cached plan) at once. Small batches inherit all
-        #: of it.
+        #: (and re-plans every held plan) at once. Small batches inherit
+        #: all of it.
         self.adaptive = AdaptivePlanner(store=FeedbackStore(
-            stamp_fn=self._logical_stamps)) if adaptive else None
+            stamp_fn=lambda query: self.adaptive.store.generations(query)))
         #: The corpus: the one state every batch is applied to and
         #: every snapshot is pinned on; its deltas feed the planner's
         #: drift ledger.
-        self.master = QuerySession(
-            query, feedback=self.adaptive.store if adaptive else None)
+        self.master = QuerySession(query, feedback=self.adaptive.store)
         self.sessions = SessionManager(quota)
-        self.plan_cache = plan_cache if plan_cache is not None \
-            else PlanCache()  # an empty cache is falsy
-        #: Plan-cache key -> its prepared read at the current version
-        #: (``_plan_for``); every batch drops them all.
-        self._prepared: dict[tuple, PreparedQuery] = {}
+        #: A query's overrides (algorithm, order) -> its held plan
+        #: (``_plan_for``); every batch drops the prepared halves.
+        self._plans: dict[tuple, _HeldPlan] = {}
+        self.plan_hits = self.plan_misses = 0
         self.prepared_builds = self.prepared_hits = 0
         #: Whole update batches applied since startup; every snapshot
         #: records the value at pin time, so clients can correlate an
@@ -112,11 +121,6 @@ class ReproService:
         self.queries_served = 0
         self._shutdown_event: "asyncio.Event | None" = None
         self._closing = False
-
-    def _logical_stamps(self, query: MultiModelQuery) -> dict[str, int]:
-        """Per-input generation stamps for the feedback store (see
-        ``adaptive`` in ``__init__``)."""
-        return self.adaptive.store.generations(query)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -229,7 +233,8 @@ class ReproService:
         the first and last mutation no coroutine runs, so every pin
         (and every read) sees a whole number of batches."""
         self._validate_batch(ops)
-        self._prepared.clear()  # they read the live documents
+        for held in self._plans.values():
+            held.prepared = None  # it reads the live documents
         for op in ops:
             self._apply_op(op)
         self.batches_applied += 1
@@ -240,43 +245,46 @@ class ReproService:
 
     def _plan_for(self, snapshot: Snapshot, algorithm: "str | None",
                   order: "str | tuple | None") -> PreparedQuery:
-        """The prepared read of one ``query`` at *snapshot*: a plan
-        from the shared plan cache, bound to the snapshot's inputs.
+        """The prepared read of one ``query`` at *snapshot*: the held
+        plan of its overrides, bound to the snapshot's inputs.
 
-        The cache is keyed by (corpus, stats epoch, overrides): a plan
-        is correct on any state of the corpus, so every tenant and
-        snapshot shares it until the statistics drift and the epoch
-        (not the batch counter) moves. Un-overridden queries are
-        planned by the adaptive planner, so tenants hitting the cache
-        benefit from a race they never ran. The version-bound half is
-        kept under the same key only while *snapshot* pins the current
-        version: the next batch patches the documents it reads.
-        """
-        epoch = self.adaptive.epoch if self.adaptive is not None else -1
-        key = (self.corpus_spec, epoch, algorithm, order)
-        plan = self.plan_cache.get(key)
-        current = snapshot.version == self.master.version
-        prepared = self._prepared.get(key) if current else None
-        if prepared is not None:
-            self.prepared_hits += 1
+        A plan is correct on any state of the corpus, so every tenant
+        and snapshot shares it until the feedback epoch (not the batch
+        counter) moves; then it is planned again — un-overridden queries
+        by the adaptive planner — and a re-plan that keeps the order and
+        algorithm keeps the prepared read. That is held only while
+        *snapshot* pins the current version: the next batch patches the
+        documents it reads."""
+        key = (algorithm, order)
+        epoch = self.adaptive.epoch
+        held, plan = self._plans.get(key), None
+        if held is not None and held.epoch == epoch:
+            self.plan_hits += 1
         else:
+            self.plan_misses += 1
             query = snapshot.query()
-            if plan is not None:  # cached: re-derived at this version
-                fresh = plan_query(query, algorithm=plan.algorithm,
-                                   order=plan.order)
-            elif self.adaptive is not None and algorithm is None \
-                    and order is None:
-                fresh = self.adaptive.plan(query)
-            else:
-                fresh = plan_query(query, algorithm=algorithm, order=order)
-            prepared = prepare(query, fresh)
-            self.prepared_builds += 1
-            if current:
-                self._prepared[key] = prepared
-                if len(self._prepared) > self.plan_cache.capacity:
-                    del self._prepared[next(iter(self._prepared))]
-        if plan is None:
-            self.plan_cache.put(key, prepared.plan)
+            plan = self.adaptive.plan(query) if key == (None, None) \
+                else plan_query(query, algorithm=algorithm, order=order)
+            if held is None:
+                if len(self._plans) >= HELD_PLANS:
+                    del self._plans[next(iter(self._plans))]
+                held = self._plans[key] = _HeldPlan(epoch, plan)
+            elif (plan.order, plan.algorithm) != \
+                    (held.plan.order, held.plan.algorithm):
+                held.prepared = None  # it runs the superseded plan
+            held.epoch, held.plan = epoch, plan
+        current = snapshot.version == self.master.version
+        if current and held.prepared is not None:
+            self.prepared_hits += 1
+            return held.prepared
+        if plan is None:  # the held plan, re-derived at this version
+            query = snapshot.query()
+            plan = plan_query(query, algorithm=held.plan.algorithm,
+                              order=held.plan.order)
+        prepared = prepare(query, plan)
+        self.prepared_builds += 1
+        if current:
+            held.prepared = prepared
         return prepared
 
     def _pin(self) -> Snapshot:
@@ -301,8 +309,7 @@ class ReproService:
                     "attributes": list(relation.schema.attributes),
                     "version": snapshot.version, "batches": batches,
                     "mode": "answer"}
-        adaptive_run = (self.adaptive is not None and algorithm is None
-                        and order is None)
+        adaptive_run = algorithm is None and order is None
         stats = JoinStats() if adaptive_run else None
         try:
             # Over the pinned inputs: live, or the retained clone.
@@ -424,13 +431,15 @@ class ReproService:
             "queue_depth": 0,
             "tenants": self.sessions.counts(),
             "mvcc": self.master.mvcc.stats(),
-            "plan_cache": self.plan_cache.stats(),
+            # ``rejected`` is 0 (every plan is held); the harness reads it.
+            "plan_cache": {"size": len(self._plans), "hits": self.plan_hits,
+                           "misses": self.plan_misses, "rejected": 0},
             "prepared": {"builds": self.prepared_builds,
                          "hits": self.prepared_hits},
-            "adaptive": (dict(
+            "adaptive": dict(
                 self.adaptive.store.stats(), **self.adaptive.racer.stats(),
-                generations=self._logical_stamps(self.master.query))
-                if self.adaptive is not None else None),
+                generations=self.adaptive.store.generations(
+                    self.master.query)),
         }
 
     def _op_shutdown(self, message: dict[str, Any]) -> dict[str, Any]:

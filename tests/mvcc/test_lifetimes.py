@@ -146,7 +146,7 @@ class TestServedReads:
         """A prepared read holds the current version's relations; the
         batch that supersedes them drops it, so after the release of
         the last pin nothing holds them: not the prepared reads, not
-        the plan cache, not the feedback store."""
+        the held plans, not the feedback store."""
         async def request(service: ReproService, **message) -> dict:
             response = await service.handle_request(message)
             assert response["ok"], response
@@ -162,7 +162,7 @@ class TestServedReads:
                     await request(service, op="query", tenant="t",
                                   session=sid, snapshot=snapshot,
                                   evaluate=True, **fields)
-            assert service._prepared
+            assert any(held.prepared for held in service._plans.values())
             superseded = weakref.ref(service.master.relations["R"].relation)
             artefacts = planted(relation_artefacts(superseded()))
             gc.disable()

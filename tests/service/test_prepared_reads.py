@@ -1,8 +1,8 @@
 """Prepared reads: a served query does its per-version work once.
 
-An evaluate's plan comes from the shared plan cache; its version-bound
-half — the re-bound query, the encoded instance, the raw stage
-estimates — is kept beside the resident plan while the pinned version
+An evaluate's plan is the service's held plan for its overrides; its
+version-bound half — the re-bound query, the encoded instance, the raw
+stage estimates — is kept beside the held plan while the pinned version
 is current, and the next batch drops it. A maintained answer's wire
 body is made once per answer version and shared by every tenant.
 """
@@ -10,13 +10,13 @@ body is made once per answer version and shared by every tenant.
 from __future__ import annotations
 
 import asyncio
+import itertools
 
 import pytest
 
 from repro.engine import adaptive, planner
 from repro.engine.planner import run_query
 from repro.service import server
-from repro.service.cache import PlanCache
 from repro.service.protocol import decode_message, encode_message, \
     rows_to_wire
 from repro.service.server import ReproService
@@ -54,6 +54,12 @@ def expected_rows(service: ReproService) -> list:
     return rows_to_wire(run_query(service.master.query).rows)
 
 
+def held_reads(service: ReproService) -> dict:
+    """Override key -> the prepared read held beside its plan."""
+    return {key: held.prepared for key, held in service._plans.items()
+            if held.prepared is not None}
+
+
 @pytest.fixture
 def plan_calls(monkeypatch) -> list:
     """Every ``plan_query`` call, whichever module's name made it."""
@@ -78,19 +84,12 @@ def test_evaluates_at_one_version_plan_once(plan_calls):
                                     algorithm="xjoin") for _ in range(5)]
         assert len(plan_calls) == 1
         assert await prepared_stats(service) == {"builds": 1, "hits": 4}
-        # The plan cache still counts every request; the second one
-        # admits the plan.
+        # The first request plans; the other four reuse the held plan.
         cache = (await call(service, op="stats"))["plan_cache"]
-        assert (cache["misses"], cache["hits"], cache["admitted"]) \
-            == (2, 3, 1)
+        assert (cache["misses"], cache["hits"], cache["size"]) == (1, 4, 1)
         assert all(response["rows"] == expected_rows(service)
                    for response in responses)
     asyncio.run(scenario())
-
-
-def test_the_service_keeps_the_plan_cache_it_is_given():
-    cache = PlanCache(capacity=4)  # empty, hence falsy
-    assert ReproService(CORPUS, plan_cache=cache).plan_cache is cache
 
 
 def test_the_next_version_plans_once_more(plan_calls, rank_decided_races):
@@ -99,7 +98,7 @@ def test_the_next_version_plans_once_more(plan_calls, rank_decided_races):
     async def scenario():
         service = ReproService(CORPUS)
         sid, _ = await open_pin(service, "t")
-        for _ in range(4):  # the epoch settles, the plan is admitted
+        for _ in range(4):  # the epoch settles
             await evaluate(service, "t", sid)
         await call(service, op="update", tenant="w", ops=[INSERT])
         before = len(plan_calls)
@@ -117,16 +116,17 @@ def test_a_write_between_two_evaluates_gets_a_new_prepared_read(
         sid, _ = await open_pin(service, "t")
         for _ in range(4):
             first = await evaluate(service, "t", sid)
-        held = dict(service._prepared)
+        held = held_reads(service)
         assert held and (await prepared_stats(service))["hits"]
         counts = await prepared_stats(service)
         await call(service, op="update", tenant="w", ops=[INSERT])
-        assert not service._prepared  # the batch dropped them
+        assert not held_reads(service)  # the batch dropped them
+        assert service._plans  # but not the plans
         second = await evaluate(service, "t", sid)
         assert await prepared_stats(service) == {
             "builds": counts["builds"] + 1, "hits": counts["hits"]}
-        assert service._prepared.keys() <= held.keys()  # a plan survived
-        assert not set(map(id, service._prepared.values())) \
+        assert held_reads(service).keys() <= held.keys()  # a plan survived
+        assert not set(map(id, held_reads(service).values())) \
             & set(map(id, held.values()))
         assert second["rows"] == expected_rows(service)
         assert [10005, "eve"] in [row[:2] for row in second["rows"]]
@@ -139,7 +139,7 @@ def test_three_evaluates_at_one_pin_build_once_and_reuse_inputs(
     async def scenario():
         service = ReproService(CORPUS)
         sid, snapshot = await open_pin(service, "t")
-        for _ in range(3):  # settle: the plan is resident
+        for _ in range(3):  # settle: the epoch holds
             await evaluate(service, "t", sid, snapshot)
         await call(service, op="update", tenant="w", ops=[INSERT])
         sid, snapshot = await open_pin(service, "u")
@@ -168,9 +168,53 @@ def test_a_superseded_pin_builds_its_own_and_keeps_nothing():
         for _ in range(2):
             stale = await evaluate(service, "t", sid, snapshot)
             assert stale["rows"] == before["rows"]
-            assert not service._prepared
+            assert not held_reads(service)
         assert await prepared_stats(service) == {
             "builds": counts["builds"] + 2, "hits": counts["hits"]}
+    asyncio.run(scenario())
+
+
+def test_a_re_race_that_keeps_the_plan_keeps_the_prepared_read(
+        rank_decided_races):
+    """The epoch moving re-races the adaptive plan; when the race
+    crowns the same order and algorithm, the held prepared read stays."""
+    async def scenario():
+        service = ReproService(CORPUS)
+        sid, snapshot = await open_pin(service, "t")
+        responses = [await evaluate(service, "t", sid, snapshot)]
+        before = await call(service, op="stats")
+        service.adaptive.store.bump_epoch()
+        for _ in range(2):
+            responses.append(await evaluate(service, "t", sid, snapshot))
+        after = await call(service, op="stats")
+        assert after["adaptive"]["races"] == before["adaptive"]["races"] + 1
+        assert after["prepared"]["builds"] == before["prepared"]["builds"]
+        assert all(response["rows"] == expected_rows(service)
+                   for response in responses)
+    asyncio.run(scenario())
+
+
+def test_held_plans_stay_within_their_bound():
+    """Clients choose the override keys: every order permutation is
+    one, and the oldest held plan goes first at the bound."""
+    async def scenario():
+        service = ReproService(CORPUS)
+        sid, snapshot = await open_pin(service, "t")
+        orders = list(itertools.permutations(service.master.query.attributes))
+        assert len(orders) == 120 > server.HELD_PLANS
+        expected = expected_rows(service)
+        assert (await evaluate(service, "t", sid, snapshot))["rows"] \
+            == expected
+        for order in orders:
+            response = await evaluate(service, "t", sid, snapshot,
+                                      order=list(order))
+            assert response["rows"] == expected, order
+            assert len(service._plans) <= server.HELD_PLANS
+        assert (await call(service, op="stats"))["plan_cache"]["size"] \
+            == server.HELD_PLANS
+        assert (None, None) not in service._plans  # the oldest went
+        assert (await evaluate(service, "t", sid, snapshot))["rows"] \
+            == expected
     asyncio.run(scenario())
 
 

@@ -130,23 +130,25 @@ def test_a_burst_re_races_exactly_once():
         harness = await Harness().open()
         warm = await harness.warm_up()
         service = harness.service
-        old_key = (service.corpus_spec, warm["adaptive"]["epoch"], None, None)
-        old_requests = service.plan_cache._seen[old_key]
         # One batch growing R (40 rows) by more than a quarter.
         await harness.update(fresh_rows(11, "burst"))
         burst = await harness.stats()
         assert burst["adaptive"]["generations"] == {"R": 1, "invoices": 0}
         assert burst["adaptive"]["epoch"] == warm["adaptive"]["epoch"] + 1
         assert burst["adaptive"]["races"] == warm["adaptive"]["races"]
-        for _ in range(4):  # a miss + race, a miss + admit, then hits
+        for _ in range(4):  # a miss + race, then hits
             response = await harness.evaluate()
             assert response["rows"] == harness.expected()
         stats = await harness.stats()
         assert stats["adaptive"]["races"] == warm["adaptive"]["races"] + 1
         assert stats["adaptive"]["epoch"] == burst["adaptive"]["epoch"]
-        assert stats["plan_cache"]["hits"] == warm["plan_cache"]["hits"] + 2
-        # The pre-burst key was never asked for again.
-        assert service.plan_cache._seen[old_key] == old_requests
+        assert stats["plan_cache"]["hits"] == warm["plan_cache"]["hits"] + 3
+        assert stats["plan_cache"]["misses"] == \
+            warm["plan_cache"]["misses"] + 1
+        # One plan is held, dated by the burst's epoch: no pre-burst
+        # plan stays beside it.
+        assert stats["plan_cache"]["size"] == 1
+        assert service._plans[None, None].epoch == burst["adaptive"]["epoch"]
         await service.aclose()
     run(scenario)
 

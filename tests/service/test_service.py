@@ -348,7 +348,7 @@ class TestQuotas:
 
 
 @pytest.mark.usefixtures("rank_decided_races")
-class TestPlanCache:
+class TestHeldPlans:
     def test_plans_are_shared_across_tenants(self):
         async def scenario():
             service = ReproService("figure1")
@@ -368,12 +368,12 @@ class TestPlanCache:
             stats = await call(service, op="stats")
             cache = stats["plan_cache"]
             # The first executed query's feedback bumps the stats epoch
-            # (keys are epoch-stamped), after which identical
-            # observations keep it stable; admission threshold 2 then
-            # gives miss, miss, miss+admit, hit — the fourth
-            # tenant-request is served from the shared cache.
-            assert cache["hits"] == 1
-            assert cache["admitted"] == 1
+            # (a held plan records the epoch it was planned at), after
+            # which identical observations keep it stable: miss, miss
+            # (re-planned at the new epoch), hit, hit — the last two
+            # tenant-requests reuse the one held plan.
+            assert (cache["misses"], cache["hits"]) == (2, 2)
+            assert cache["size"] == 1
             assert stats["adaptive"]["observations"] == 4
         run(scenario)
 
@@ -396,11 +396,11 @@ class TestPlanCache:
             for _ in range(4):  # converge to a cache hit (see above)
                 await snapshot_query()
             stats = await call(service, op="stats")
-            assert stats["plan_cache"]["hits"] == 1
+            assert stats["plan_cache"]["hits"] == 2
             epoch = stats["adaptive"]["epoch"]
             # One row into R's three is churn (over a quarter): R's
-            # generation advances, the epoch moves, and the cached plan
-            # is keyed out — the next identical query is a miss, not a
+            # generation advances, the epoch moves, and the held plan
+            # is re-planned — the next identical query is a miss, not a
             # stale hit.
             applied = await call(service, op="update", tenant="t",
                                  ops=[dict(INSERT)])
@@ -410,12 +410,12 @@ class TestPlanCache:
             assert stats["adaptive"]["epoch"] == epoch + 1
             await snapshot_query()
             stats = await call(service, op="stats")
-            assert stats["plan_cache"]["hits"] == 1  # miss — no new hit
-            # With the epoch stable again the cache re-converges.
+            assert stats["plan_cache"]["hits"] == 2  # miss — no new hit
+            # With the epoch stable again the held plan is reused.
             await snapshot_query()
             await snapshot_query()
             stats = await call(service, op="stats")
-            assert stats["plan_cache"]["hits"] == 2
+            assert stats["plan_cache"]["hits"] == 4
         run(scenario)
 
     def test_stats_shape(self):
