@@ -36,6 +36,14 @@ treat generic join and LFTJ as one family under one bound):
 :class:`_Hashed` (``generic_join``, ``xjoin``) meets key views with
 C-level ``&``, :class:`_Sorted` (``leapfrog``) meets sorted key buffers
 with the forward-only intersections of :mod:`repro.buffers.kernels`.
+A hashed run meets the order's last level with :class:`_Masked` when
+that level is expanded (not level 0), has two or more participants and
+every one is masked (:func:`_masked`): each trie's last-level nodes
+carry ``bits``, an int with bit *c* set iff *c* is a child key, built
+once per trie the first time a run meets it there, and only if they
+spend at most :data:`_MASK_BITS` bits per stored row. The frontier
+then holds those ints, ANDs them per entry, counts survivors with
+``int.bit_count`` and decodes only the non-empty masks.
 
 One level may be a *witness test* instead: XJoin's last level, when its
 attribute is existential (``TwigFilters.tested``), keeps the entries
@@ -52,9 +60,11 @@ once; a tested level counts the same sets, an upper bound on what its
 short-circuiting probes examine). The sorted step counts the same number
 as ``comparisons`` too — one probe per candidate of the smallest set,
 an upper bound on what :func:`~repro.buffers.kernels.intersect_pair`
-probes (it stops when the larger buffer runs out). Both are computed in
-bulk, only when a caller collects stats, as are the per-level wall
-times recorded in ``JoinStats.phase_times`` under each stage's label.
+probes (it stops when the larger buffer runs out). A masked level
+counts each mask's set bits: the same sets, the same seeks. Both are
+computed in bulk, only when a caller collects stats, as are the
+per-level wall times recorded in ``JoinStats.phase_times`` under each
+stage's label.
 Seek totals are comparable across engine algorithms, not across engine
 versions.
 """
@@ -77,8 +87,15 @@ from repro.relational.schema import Schema
 #: Frontier entries expanded together; longer frontiers are cut up.
 _CHUNK = 4096
 
+#: Mask bits a trie may spend per stored row: a trie whose last-level
+#: nodes' masks (largest key + 1 bits each) add up to more stays
+#: unmasked (see :func:`_masked`).
+_MASK_BITS = 256
+
 _children = attrgetter("children")
 _keys = attrgetter("keys")
+_bits = attrgetter("bits")
+_bit = (1).__lshift__
 
 
 def _reject_twig_instance(algorithm: str, instance: EncodedInstance) -> None:
@@ -194,6 +211,76 @@ class _Sorted:
         return map(root.children.__getitem__, codes)
 
 
+class _Masked:
+    """The last level of a hashed run whose participants all carry
+    masks (:func:`_masked`): an entry holds a last-level node's
+    ``bits``, read as it is descended into; candidate sets are those
+    ints, met by :meth:`_Hashed.meet` (C-level ``&`` takes ints as it
+    takes key views)."""
+
+    @staticmethod
+    def pool(roots):
+        """The masks of undescended tries, met once."""
+        return reduce(and_, map(_bits, roots))
+
+    @staticmethod
+    def descend(held, codes):
+        """Per entry, the mask of the trie's last-level node below."""
+        return map(_bits, map(getitem, held, codes))
+
+    @staticmethod
+    def enter(root, codes):
+        """Per entry, the mask of the last-level node below *root*."""
+        return map(_bits, map(root.children.__getitem__, codes))
+
+    @staticmethod
+    def decode(masks, counts):
+        """The codes of the masks' set bits, entry by entry, ascending;
+        an empty mask is skipped and a one-bit mask's code is its
+        ``bit_length() - 1``."""
+        codes = []
+        for mask, count in zip(compress(masks, counts), filter(None, counts)):
+            if count == 1:
+                codes.append(mask.bit_length() - 1)
+                continue
+            while mask:
+                low = mask & -mask
+                codes.append(low.bit_length() - 1)
+                mask ^= low
+        return codes
+
+
+def _build_masks(trie) -> bool:
+    """Give every last-level node of *trie* its ``bits`` unless they
+    would spend more than :data:`_MASK_BITS` per stored row; returns
+    whether it did. The walk follows ``children``, so a slice (which
+    shares them) masks its whole parent."""
+    nodes = [trie.root]
+    for _ in range(trie.depth - 1):
+        nodes = list(chain.from_iterable(
+            map(dict.values, map(_children, nodes))))
+    rows = sum(map(len, nodes))
+    if sum(node.keys[-1] + 1 for node in nodes) > _MASK_BITS * rows:
+        return False
+    for node in nodes:
+        node.bits = sum(map(_bit, node.children))
+    return True
+
+
+def _masked(trie) -> bool:
+    """Whether *trie*'s last-level nodes carry ``bits``, built by
+    :func:`_build_masks` the first time a run asks. A trie is immutable
+    once built, so the answer is recorded on it, in ``trie._masks`` (a
+    slice shares its parent's record, a re-keyed copy starts its own);
+    the frozen CSR adapters have no record and are never masked."""
+    record = getattr(trie, "_masks", None)
+    if record is None or type(trie.root.children) is not dict:
+        return False
+    if record[0] is None:
+        record[0] = _build_masks(trie)
+    return record[0]
+
+
 def _spreader(counts, total):
     """The function repeating each value of an entry-parallel list by
     the entry's count (*total* is their sum): dead entries are dropped
@@ -219,8 +306,10 @@ def _frontier_join(instance: EncodedInstance, stats: JoinStats,
     not expanded: an entry survives when its candidate sets share a
     code (its column comes back as zeros; the decoder knows). Set-up is
     O(inputs x depth) — nothing here may touch a whole root, the plan
-    racer extrapolates from 1-code slices — and nothing is remembered on
-    trie nodes (the update layer's tries change between runs).
+    racer extrapolates from 1-code slices — but once per trie: the first
+    hashed run to meet a trie at an order's last level builds its
+    last-level masks (:func:`_masked`), which every later run reads.
+    Tries are immutable once built, so a mask cannot go stale.
     """
     order, tries = instance.order, instance.tries
     depth = len(order)
@@ -232,6 +321,19 @@ def _frontier_join(instance: EncodedInstance, stats: JoinStats,
     last = [order.index(trie.order[-1]) if trie.order else -1
             for trie in tries]
     views = list(map(step.view, tries))
+    # The mask path: at an expanded last level that two or more masked
+    # tries meet, the entries hold those tries' ``bits``, read where each
+    # trie descends into its last level (``lands``). Never at level 0:
+    # a slice's root there is a new node, its keys cut over the parent's
+    # children, with no mask of its own.
+    masked, lands = -1, [-1] * len(tries)
+    finals = instance.participation[-1]
+    if step is _Hashed and 0 < depth - 1 != tested and len(finals) > 1 \
+            and all(_masked(tries[i]) for i in finals):
+        masked = depth - 1
+        for i in finals:
+            if tries[i].depth > 1:
+                lands[i] = order.index(tries[i].order[-2])
     counting = stats is not NULL_STATS
     alive, times = [0] * depth, [0.0] * depth
     seeks = filtered = 0
@@ -249,11 +351,19 @@ def _frontier_join(instance: EncodedInstance, stats: JoinStats,
         participants = instance.participation[level]
         held = [i for i in participants if i in nodes]
         fresh = [i for i in participants if i not in nodes]
-        streams = [map(views[i], nodes[i]) for i in held]
+        if level == masked:  # the entries hold ints: no view to take
+            streams = [nodes[i] for i in held]
+        else:
+            streams = [map(views[i], nodes[i]) for i in held]
         if fresh:  # one root each, shared by every entry: met once, last
-            shared = step.pool([tries[i].root for i in fresh])
+            shared = (_Masked if level == masked else step).pool(
+                [tries[i].root for i in fresh])
             streams.append(repeat(shared, size))
-        if level == tested:
+        if level == masked:
+            commons = step.meet(streams)
+            counts = list(map(int.bit_count, commons))
+            codes = _Masked.decode(commons, counts)
+        elif level == tested:
             # A witness test: every view but the last is met as usual,
             # the last only probed until the first common code. The
             # counts are the verdicts, 0 or 1 per entry.
@@ -267,9 +377,10 @@ def _frontier_join(instance: EncodedInstance, stats: JoinStats,
             counts = list(map(len, commons))
             codes = list(chain.from_iterable(commons))
         if counting:
-            sizes = [map(len, nodes[i]) for i in held]
+            size_of = int.bit_count if level == masked else len
+            sizes = [map(size_of, nodes[i]) for i in held]
             if fresh:
-                sizes.append(repeat(len(shared), size))
+                sizes.append(repeat(size_of(shared), size))
             seeks += sum(map(min, *sizes)) if len(sizes) > 1 \
                 else sum(sizes[0])
         alive[level] += len(codes)
@@ -280,10 +391,12 @@ def _frontier_join(instance: EncodedInstance, stats: JoinStats,
             if i not in participants:
                 after[i] = spread(node_list)
             elif last[i] > level:
-                after[i] = list(step.descend(spread(node_list), codes))
+                after[i] = list((_Masked if lands[i] == level else step)
+                                .descend(spread(node_list), codes))
         for i in fresh:
             if last[i] > level:
-                after[i] = list(step.enter(tries[i].root, codes))
+                after[i] = list((_Masked if lands[i] == level else step)
+                                .enter(tries[i].root, codes))
         for positions, validator in checks[level] if checks else ():
             projection = list(zip(*[cols[p] for p in positions]))
             verdicts = {key: validator.admits(key)

@@ -57,9 +57,13 @@ if TYPE_CHECKING:
 
 
 class EncodedTrieNode:
-    """One trie level: a sorted typed code buffer plus child pointers."""
+    """One trie level: a sorted typed code buffer plus child pointers.
 
-    __slots__ = ("keys", "children")
+    A last-level node of a trie the frontier kernel masks also holds
+    ``bits``, an int whose bit *c* is set iff code *c* is a child key
+    (:func:`repro.engine.algorithms._masked`); no other node sets it."""
+
+    __slots__ = ("keys", "children", "bits")
 
     def __init__(self, typecode: str = "H") -> None:
         self.keys = make(typecode)
@@ -87,10 +91,14 @@ class EncodedTrie:
     builders pass each level dictionary's size), which sizes each
     level's typecode and sorting buckets; without it the columns are
     scanned once. ``_weights`` is where the parallel partitioner keeps
-    the trie's rows per root code (:mod:`repro.parallel.partition`).
+    the trie's rows per root code (:mod:`repro.parallel.partition`);
+    ``_masks`` is where the frontier kernel records whether the trie's
+    last-level nodes carry ``bits``: a one-item list, None until a
+    hashed run first meets the trie at an order's last level, shared
+    with the trie's slices (:func:`repro.engine.algorithms._masked`).
     """
 
-    __slots__ = ("name", "order", "root", "size", "_weights")
+    __slots__ = ("name", "order", "root", "size", "_weights", "_masks")
 
     def __init__(self, name: str, order: Sequence[str],
                  encoded_rows: Iterable[tuple[int, ...]], *,
@@ -119,6 +127,7 @@ class EncodedTrie:
               code_bounds: Sequence[int] | None) -> "EncodedTrie":
         """The one construction body, from columns."""
         self.name, self.order, self._weights = name, tuple(order), None
+        self._masks = [None]
         bounds = [max(column, default=0) for column in columns] \
             if code_bounds is None else list(code_bounds)
         # One typecode per level, plus a trailing narrow one so a
@@ -220,7 +229,7 @@ class EncodedTrie:
         clone = EncodedTrie.__new__(EncodedTrie)
         clone.name, clone.order, clone.size = self.name, self.order, self.size
         clone.root = copy(self.root, 0)
-        clone._weights = None
+        clone._weights, clone._masks = None, [None]
         return clone
 
     def tuples(self):

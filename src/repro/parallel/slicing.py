@@ -60,8 +60,12 @@ def sliced_trie(trie: EncodedTrie, lo: int, hi: int, *,
     clone.name = trie.name
     clone.order = trie.order
     clone.root = root
-    # Rows per root code are the parent's: the children are shared.
+    # Rows per root code are the parent's: the children are shared, and
+    # so are the last-level masks and the record of them (a detached
+    # slice's nodes are a subset: it starts from what the parent knows).
     clone._weights = getattr(trie, "_weights", None)
+    masks = getattr(trie, "_masks", None)
+    clone._masks = [masks[0]] if detach and masks else masks
     # Kernels drive enumeration from the key lists and never read
     # ``size``; keep the parent's value as a documented upper bound.
     clone.size = trie.size if len(root.keys) else 0

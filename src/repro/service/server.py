@@ -243,10 +243,11 @@ class ReproService:
 
     # -- the read path -----------------------------------------------------
 
-    def _plan_for(self, snapshot: Snapshot, algorithm: "str | None",
-                  order: "str | tuple | None") -> PreparedQuery:
-        """The prepared read of one ``query`` at *snapshot*: the held
-        plan of its overrides, bound to the snapshot's inputs.
+    def _plan_for(self, snapshot: Snapshot, key: tuple
+                  ) -> "tuple[PreparedQuery, _HeldPlan, bool]":
+        """The prepared read of one ``query`` at *snapshot*: the plan of
+        its overrides *key*, bound to the snapshot's inputs; with the
+        entry that holds them and whether the read was built here.
 
         A plan is correct on any state of the corpus, so every tenant
         and snapshot shares it until the feedback epoch (not the batch
@@ -254,8 +255,9 @@ class ReproService:
         by the adaptive planner — and a re-plan that keeps the order and
         algorithm keeps the prepared read. That is held only while
         *snapshot* pins the current version: the next batch patches the
-        documents it reads."""
-        key = (algorithm, order)
+        documents it reads. A new key's entry is not held yet: only a
+        read that has run is (:meth:`_hold`), so an override the planner
+        or a kernel refuses leaves nothing behind."""
         epoch = self.adaptive.epoch
         held, plan = self._plans.get(key), None
         if held is not None and held.epoch == epoch:
@@ -263,12 +265,11 @@ class ReproService:
         else:
             self.plan_misses += 1
             query = snapshot.query()
+            algorithm, order = key
             plan = self.adaptive.plan(query) if key == (None, None) \
                 else plan_query(query, algorithm=algorithm, order=order)
             if held is None:
-                if len(self._plans) >= HELD_PLANS:
-                    del self._plans[next(iter(self._plans))]
-                held = self._plans[key] = _HeldPlan(epoch, plan)
+                held = _HeldPlan(epoch, plan)
             elif (plan.order, plan.algorithm) != \
                     (held.plan.order, held.plan.algorithm):
                 held.prepared = None  # it runs the superseded plan
@@ -276,16 +277,25 @@ class ReproService:
         current = snapshot.version == self.master.version
         if current and held.prepared is not None:
             self.prepared_hits += 1
-            return held.prepared
+            return held.prepared, held, False
         if plan is None:  # the held plan, re-derived at this version
             query = snapshot.query()
             plan = plan_query(query, algorithm=held.plan.algorithm,
                               order=held.plan.order)
         prepared = prepare(query, plan)
-        self.prepared_builds += 1
         if current:
             held.prepared = prepared
-        return prepared
+        return prepared, held, True
+
+    def _hold(self, key: tuple, held: _HeldPlan, built: bool) -> None:
+        """Keep *held*, whose read has run, under *key* (past
+        :data:`HELD_PLANS` keys the oldest goes first), and count the
+        read if :meth:`_plan_for` built it."""
+        self.prepared_builds += built
+        if key not in self._plans:
+            if len(self._plans) >= HELD_PLANS:
+                del self._plans[next(iter(self._plans))]
+            self._plans[key] = held
 
     def _pin(self) -> Snapshot:
         """Pin the corpus's current version, stamped with the number of
@@ -309,15 +319,17 @@ class ReproService:
                     "attributes": list(relation.schema.attributes),
                     "version": snapshot.version, "batches": batches,
                     "mode": "answer"}
-        adaptive_run = algorithm is None and order is None
+        key = (algorithm, order)
+        adaptive_run = key == (None, None)
         stats = JoinStats() if adaptive_run else None
         try:
             # Over the pinned inputs: live, or the retained clone.
-            prepared = self._plan_for(snapshot, algorithm, order)
+            prepared, held, built = self._plan_for(snapshot, key)
             relation = prepared.run(stats)
         except (PlanError, EngineError) as error:
             # The planner or a kernel refused the client's override.
             raise ServiceError("bad_request", str(error)) from None
+        self._hold(key, held, built)
         plan = prepared.plan
         if adaptive_run:
             # Close the feedback loop: fold this query's observed stage

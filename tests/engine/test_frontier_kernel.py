@@ -8,7 +8,8 @@ hashed key views). Its oracle is the depth-first, per-binding form of
 Algorithm 1 it replaced, kept here as :func:`reference_dfs`: rows must
 equal the naive join, and every stage size, ``emitted`` and
 ``filtered`` the reference's — unchunked, chunked, sliced and on frozen
-adapters.
+adapters. A hashed run meets a last level of masked tries with bit
+masks; its oracle is the same run with the mask gate at 0.
 """
 
 import random
@@ -22,16 +23,19 @@ from repro.buffers.frozen import FrozenTrie, freeze_trie
 from repro.buffers.kernels import intersect_many
 from repro.core.multimodel import MultiModelQuery, TwigBinding
 from repro.core.surrogate import NodeSurrogate, erase_surrogates
+from repro.data.dblp import dblp_document, dblp_query
 from repro.data.random_instances import random_multimodel_instance
 from repro.data.scenarios import figure1_query
 from repro.engine import EncodedInstance, EncodedTrie, algorithms, \
-    get_algorithm, run_query
+    get_algorithm, plan_query, run_query
 from repro.engine.dictionary import Dictionary
+from repro.engine.encoded import relation_input
 from repro.errors import EngineError
 from repro.instrumentation import JoinStats
 from repro.parallel.shm import attach_instance, publish_instance
 from repro.parallel.slicing import sliced_instance
 from repro.relational.relation import Relation
+from repro.updates.relations import VersionedRelation
 from repro.xml.model import XMLDocument, element
 from repro.xml.twig_parser import parse_twig
 
@@ -522,3 +526,246 @@ def test_rebuilt_tries_are_read_afresh_every_run():
     assert get_algorithm("generic_join").run(instance) == \
         get_algorithm("generic_join").run(
             EncodedInstance.from_relations(relations, order))
+
+
+# -- (j) last-level bit masks ----------------------------------------------
+
+def cycle4(n, per_node, seed=4):
+    """R(a,b) S(b,c) T(c,d) U(d,a): level ``d`` meets T and U."""
+    rng = random.Random(seed)
+
+    def edges():
+        return {(rng.randrange(n), rng.randrange(n))
+                for _ in range(n * per_node)}
+
+    return MultiModelQuery([Relation("R", ("a", "b"), edges()),
+                            Relation("S", ("b", "c"), edges()),
+                            Relation("T", ("c", "d"), edges()),
+                            Relation("U", ("d", "a"), edges())], name="c4")
+
+
+def with_unary_tail(query, seed=5):
+    """*query* plus a unary relation on its last attribute ``c``: an
+    undescended participant, met through its root's mask."""
+    rng = random.Random(seed)
+    return MultiModelQuery([*query.relations, Relation(
+        "V", ("c",), {(rng.randrange(60),) for _ in range(40)})])
+
+
+def fresh(query):
+    """*query* over new relation objects, so none of its relations' tries
+    is encoded or masked yet (twig inputs stay cached on the document)."""
+    return MultiModelQuery(
+        [Relation(r.name, r.schema, r.rows) for r in query.relations],
+        [TwigBinding(t.twig, t.document) for t in query.twigs],
+        name=query.name)
+
+
+def masked_tries(instance):
+    """The tries of *instance*'s last level that carry masks."""
+    return [instance.tries[i] for i in instance.participation[-1]
+            if instance.tries[i]._masks == [True]]
+
+
+def assert_masks_change_nothing(monkeypatch, make, algorithm,
+                                masks=True):
+    """The run over ``make()`` (a fresh instance) equals the run with
+    the gate at 0 (no trie masked) in rows and every counter; *masks*
+    says whether the first run's last level was met by masks."""
+    instance = make()
+    run = kernel_run(instance, algorithm)
+    assert (len(masked_tries(instance))
+            == len(instance.participation[-1]) > 1) is masks
+    with monkeypatch.context() as patch:
+        patch.setattr(algorithms, "_MASK_BITS", 0)
+        fallback = make()
+        assert kernel_run(fallback, algorithm) == run
+        assert not masked_tries(fallback)
+    return instance, run
+
+
+class TestMaskParity:
+    @pytest.mark.parametrize("algorithm", ["generic_join", "xjoin"])
+    @pytest.mark.parametrize("shape", [triangle(60, 4), cycle4(30, 4),
+                                       with_unary_tail(triangle(60, 4))])
+    def test_masked_last_levels_match_the_fallback(self, monkeypatch,
+                                                   shape, algorithm):
+        instance, (result, *_counters) = assert_masks_change_nothing(
+            monkeypatch,
+            lambda: EncodedInstance.from_query(fresh(shape),
+                                               shape.attributes),
+            algorithm)
+        assert result.rows and result.project(shape.attributes) \
+            == shape.naive_join()
+        assert_matches_reference(instance, algorithm)
+
+    def test_a_unary_participant_is_met_by_its_root_mask(self):
+        query = with_unary_tail(triangle(60, 4))
+        instance = EncodedInstance.from_query(query, ("a", "b", "c"))
+        kernel_run(instance, "generic_join")
+        unary = next(t for t in instance.tries if t.order == ("c",))
+        assert unary.root.bits == sum(1 << code for code in unary.root.keys)
+        assert len(masked_tries(instance)) == 3
+
+    def test_one_too_sparse_participant_falls_back(self, monkeypatch):
+        """S's last-level nodes are dense in ``c``; T's 400 hold one
+        code each near the top of the 2 000-code domain."""
+        s_rows = {(b, c) for b in range(4) for c in range(2000)}
+        t_rows = {(a, 1990 + a % 10) for a in range(400)}
+        r_rows = {(a, a % 4) for a in range(400)}
+
+        def make():
+            return EncodedInstance.from_relations(
+                [Relation("R", ("a", "b"), r_rows),
+                 Relation("S", ("b", "c"), s_rows),
+                 Relation("T", ("a", "c"), t_rows)], ("a", "b", "c"))
+
+        decoded = []
+        monkeypatch.setattr(algorithms._Masked, "decode", lambda *args:
+                            decoded.append(args) or [])
+        instance, (result, *_counters) = assert_masks_change_nothing(
+            monkeypatch, make, "generic_join", masks=False)
+        s, t = instance.tries[1], instance.tries[2]
+        assert (s._masks, t._masks) == ([True], [False])
+        assert not hasattr(t.root.children[0], "bits")
+        assert len(result) == 400 and not decoded
+
+    def test_re_keyed_tries_build_their_own_masks(self, monkeypatch):
+        """T's ``c`` values extend S's, so the union re-keys S."""
+        rng = random.Random(6)
+        s_rows = {(rng.randrange(40), 2 * rng.randrange(40))
+                  for _ in range(160)}
+        t_rows = {(rng.randrange(40), rng.randrange(80))
+                  for _ in range(160)}
+        r_rows = {(rng.randrange(40), rng.randrange(40))
+                  for _ in range(160)}
+        relations = [Relation("R", ("a", "b"), r_rows),
+                     Relation("S", ("b", "c"), s_rows),
+                     Relation("T", ("a", "c"), t_rows)]
+
+        def make():
+            return EncodedInstance.from_relations(
+                [Relation(r.name, r.schema, r.rows) for r in relations],
+                ("a", "b", "c"))
+
+        instance, _run = assert_masks_change_nothing(
+            monkeypatch, make, "generic_join")
+        cached = relation_input(instance.relations[1], ("a", "b", "c"))[0]
+        clone = instance.tries[1]
+        assert clone is not cached.trie and clone._masks == [True]
+        assert cached.trie._masks == [None]  # never met at a last level
+
+    @pytest.mark.parametrize("algorithm", ["generic_join", "xjoin"])
+    def test_slices_and_two_workers_match_the_fallback(self, monkeypatch,
+                                                       algorithm):
+        query = triangle(60, 4)
+
+        def make():
+            return EncodedInstance.from_query(fresh(query), ("a", "b", "c"))
+
+        for lo, hi in ((0, 30), (30, 60)):
+            assert_masks_change_nothing(
+                monkeypatch, lambda: sliced_instance(make(), lo, hi),
+                algorithm)
+
+        def parallel():
+            stats = JoinStats()
+            result = run_query(fresh(query), algorithm=algorithm,
+                               order=("a", "b", "c"), stats=stats,
+                               workers=2)
+            return (result, stats.stage_sizes(), stats.seeks,
+                    stats.emitted, stats.filtered)
+
+        masked = parallel()
+        monkeypatch.setattr(algorithms, "_MASK_BITS", 0)
+        assert parallel() == masked
+
+    def test_a_tested_last_level_is_not_masked(self, monkeypatch):
+        query = dblp_query(dblp_document(300, seed=7))
+        order = plan_query(query).order
+        assert_masks_change_nothing(
+            monkeypatch, lambda: EncodedInstance.from_query(fresh(query),
+                                                            order),
+            "xjoin", masks=False)
+        instance = EncodedInstance.from_query(query, order)
+        assert instance.twig_filters.tested == order[-1]
+        assert len(instance.participation[-1]) > 1
+        assert all(instance.tries[i]._masks == [None]
+                   for i in instance.participation[-1])
+
+    @pytest.mark.parametrize("algorithm", ["generic_join", "xjoin"])
+    def test_frozen_adapters_carry_no_masks(self, monkeypatch, algorithm):
+        query = triangle(50, 4)
+        instance, run = assert_masks_change_nothing(
+            monkeypatch,
+            lambda: EncodedInstance.from_query(fresh(query),
+                                               query.attributes),
+            algorithm)
+        arena = publish_instance(instance, algorithm)
+        try:
+            attached_arena, attached = attach_instance(arena.name)
+            assert kernel_run(attached, algorithm) == run
+            assert not any(algorithms._masked(t) for t in attached.tries)
+            del attached  # its tries hold views into the attachment
+            attached_arena.close()
+        finally:
+            arena.close()
+            arena.unlink()
+
+
+class TestMasksAreBuiltOnce:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The tries :func:`algorithms._build_masks` is called on."""
+        calls = []
+        original = algorithms._build_masks
+        monkeypatch.setattr(algorithms, "_build_masks", lambda trie:
+                            calls.append(trie) or original(trie))
+        return calls
+
+    def test_a_second_run_builds_no_mask(self, builds):
+        query = triangle(60, 4)
+        for algorithm in ("generic_join", "xjoin", "generic_join"):
+            run_query(query, algorithm=algorithm, order=("a", "b", "c"))
+            assert len(builds) == 2
+        run_query(query, algorithm="leapfrog", order=("a", "b", "c"))
+        assert len(builds) == 2
+
+    def test_a_slice_reuses_its_source_tries_masks(self, builds):
+        instance = EncodedInstance.from_query(triangle(60, 4),
+                                              ("a", "b", "c"))
+        kernel = get_algorithm("generic_join")
+        kernel.run(sliced_instance(instance, 0, 20))
+        assert len(builds) == 2  # a slice shares its parent's record
+        kernel.run(sliced_instance(instance, 20, 60))
+        kernel.run(instance)
+        assert len(builds) == 2
+        detached = sliced_instance(instance, 0, 20, detach=True)
+        kernel.run(detached)
+        assert len(builds) == 2
+        assert all(t._masks == [True] for t in masked_tries(detached))
+
+    def test_a_successor_version_builds_its_own_masks(self, builds):
+        relations = triangle(60, 4).relations
+        versioned = VersionedRelation(relations[1])
+        run_query(MultiModelQuery(relations), order=("a", "b", "c"),
+                  algorithm="generic_join")
+        assert len(builds) == 2
+        versioned.insert((0, 59))
+        run_query(MultiModelQuery([relations[0], versioned.relation,
+                                   relations[2]]),
+                  order=("a", "b", "c"), algorithm="generic_join")
+        assert len(builds) == 3 and builds[2] not in builds[:2]
+        assert builds[2].name == "S" and builds[2]._masks == [True]
+
+    def test_codes_spread_over_a_million_never_get_bits(self):
+        rows = [(0, 0), (0, 10 ** 6), (1, 999_999), (2, 500_000)]
+        trie = EncodedTrie("S", ("b", "c"), rows)
+        assert not algorithms._masked(trie)
+        assert trie._masks == [False]
+        assert not any(hasattr(node, "bits")
+                       for node in trie.root.children.values())
+        dense = EncodedTrie("T", ("b", "c"), [(0, 0), (0, 7), (1, 3)])
+        assert algorithms._masked(dense)
+        assert dense.root.children[0].bits == 0b10000001
+        assert not hasattr(dense.root, "bits")

@@ -324,6 +324,50 @@ class TestBound:
         run(scenario)
 
 
+class TestRefusedOverrides:
+    """An override the planner or a kernel refuses holds nothing: the
+    corpus has twig inputs, which ``leapfrog`` cannot evaluate."""
+
+    async def refuse(self, service: ReproService, sid: str,
+                     snapshot: str) -> None:
+        response = await service.handle_request(dict(
+            op="query", tenant="t", session=sid, snapshot=snapshot,
+            evaluate=True, algorithm="leapfrog"))
+        assert not response["ok"]
+        assert response["error"] == "bad_request"
+
+    def test_a_refused_override_leaves_no_held_entry(self):
+        async def scenario():
+            service = ReproService(CORPUS)
+            sid, snapshot = await open_pin(service, "t")
+            await evaluate(service, sid, snapshot)
+            before = await counters(service)
+            for _ in range(3):
+                await self.refuse(service, sid, snapshot)
+            after = await counters(service)
+            assert (after["size"], after["builds"]) \
+                == (before["size"], before["builds"]) == (1, 1)
+            assert list(service._plans) == [(None, None)]
+        run(scenario)
+
+    def test_refused_overrides_do_not_evict_the_adaptive_plan(
+            self, monkeypatch):
+        monkeypatch.setattr(server, "HELD_PLANS", 1)
+
+        async def scenario():
+            service = ReproService(CORPUS)
+            sid, snapshot = await open_pin(service, "t")
+            await evaluate(service, sid, snapshot)
+            held = service._plans[(None, None)]
+            for _ in range(3):
+                await self.refuse(service, sid, snapshot)
+            assert service._plans == {(None, None): held}
+            response = await evaluate(service, sid, snapshot)
+            assert response["rows"] == expected_rows(service)
+            assert (await counters(service))["prepared_hits"] == 1
+        run(scenario)
+
+
 class TestRemovedKnobs:
     @pytest.mark.parametrize("knob", ["plan_cache", "adaptive"])
     def test_the_service_takes_only_a_corpus_and_a_quota(self, knob):
