@@ -67,9 +67,9 @@ from repro.engine.planner import (
     _extension_bound,
     attribute_order,
     estimated_stage_sizes,
-    existential_last,
     linked_attributes,
     plan_query,
+    policy_order,
     query_signature,
     register_order_policy,
     run_query,
@@ -560,7 +560,7 @@ class PlanRacer:
         for policy in RACE_POLICIES:
             # ``corrected`` reads this racer's store; the registered
             # policy only knows the process-wide default one.
-            order = existential_last(
+            order = policy_order(
                 query, _bound_driven_order(query, self.store)) \
                 if policy == "corrected" else attribute_order(query, policy)
             estimates = estimated_stage_sizes(query, order, self.store)

@@ -62,9 +62,10 @@ as ``comparisons`` too — one probe per candidate of the smallest set,
 an upper bound on what :func:`~repro.buffers.kernels.intersect_pair`
 probes (it stops when the larger buffer runs out). A masked level
 counts each mask's set bits: the same sets, the same seeks. Both are
-computed in bulk, only when a caller collects stats, as are the
-per-level wall times recorded in ``JoinStats.phase_times`` under each
-stage's label.
+computed in bulk, only for a stats object that asks for them
+(``JoinStats.counting``: not the null object, not a
+:class:`~repro.instrumentation.StageStats`), as are the per-level wall
+times recorded in ``JoinStats.phase_times`` under each stage's label.
 Seek totals are comparable across engine algorithms, not across engine
 versions.
 """
@@ -80,7 +81,7 @@ from repro.buffers.kernels import intersect_many, intersect_pair
 from repro.engine.encoded import EncodedInstance
 from repro.engine.interface import register
 from repro.errors import EngineError
-from repro.instrumentation import NULL_STATS, JoinStats, ensure_stats
+from repro.instrumentation import JoinStats, ensure_stats
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 
@@ -334,7 +335,7 @@ def _frontier_join(instance: EncodedInstance, stats: JoinStats,
         for i in finals:
             if tries[i].depth > 1:
                 lands[i] = order.index(tries[i].order[-2])
-    counting = stats is not NULL_STATS
+    counting = stats.counting
     alive, times = [0] * depth, [0.0] * depth
     seeks = filtered = 0
     columns: "list[list[int]]" = [[] for _ in order]
@@ -428,7 +429,8 @@ def _frontier_join(instance: EncodedInstance, stats: JoinStats,
     stats.count_emitted(len(columns[0]))
     for attribute, count, seconds in zip(order, alive, times):
         stats.record_stage(f"{label} {attribute}", count)
-        stats.record_phase(f"{label} {attribute}", seconds)
+        if counting:
+            stats.record_phase(f"{label} {attribute}", seconds)
     return columns
 
 

@@ -595,9 +595,10 @@ class EncodedInstance:
         ``order``, parallel — into a relation over *attributes* (a
         permutation of the order; default: the order itself).
 
-        Column-wise throughout: each picked column is mapped through its
-        level's decode table (surrogates erased there, not row by row,
-        when the instance erases structural attributes) and one C-level
+        Column-wise throughout: each picked column is one
+        :func:`~repro.buffers.layout.gather` from its level's decode
+        table (surrogates erased there, not row by row, when the
+        instance erases structural attributes) and one C-level
         transpose makes the rows, whose arity is right by construction.
         A *tested* attribute (``twig_filters.tested``) has no codes to
         decode: its column is ``None`` throughout. No column at all is
@@ -614,7 +615,7 @@ class EncodedInstance:
         levels = [self.order.index(attribute) for attribute in attributes]
         rows = zip(*[repeat(None, len(columns[level]))
                      if self.order[level] == tested
-                     else map(tables[level].__getitem__, columns[level])
+                     else gather(tables[level], columns[level])
                      for level in levels]) if levels else [()]
         return Relation.trusted(name or self.name, Schema(attributes),
                                 frozenset(rows))

@@ -21,7 +21,8 @@ Order policies, preserved from the pre-engine planner as named strategies:
   ``l``; the paper's size bound stays over the P-C paths alone.
 
 Both sort by :meth:`QueryStatistics.order_ranks`; every policy's pick
-then passes through :func:`existential_last`.
+then passes through :func:`existential_last` and :func:`functional_next`
+(:func:`policy_order`).
 
 Further policies register themselves through
 :func:`register_order_policy` — the adaptive layer
@@ -96,6 +97,7 @@ class QueryStatistics:
         self._twig_domains: dict | None = None
         self._ranks: dict[str, int] | None = None
         self._demoted: dict[tuple, tuple] = {}  #: existential_last answers
+        self._functional: dict[tuple, tuple] = {}  #: functional_next answers
 
     def invalidate(self) -> None:
         """Drop the memoised estimates so the next read re-derives them.
@@ -108,6 +110,7 @@ class QueryStatistics:
         self._path_estimates = None
         self._twig_domains = self._ranks = None
         self._demoted = {}
+        self._functional = {}
 
     @property
     def query(self) -> "MultiModelQuery":
@@ -418,7 +421,8 @@ def existential_last(query: "MultiModelQuery",
     attributes at no more than its candidate count: first it would open
     with the larger stage; last it is a test, not an enumeration
     (:func:`repro.core.validation.tested_attribute`). Every policy's
-    pick passes through here; an explicit order is obeyed as given."""
+    pick passes through here (:func:`policy_order`); an explicit order
+    is obeyed as given."""
     stats = statistics_for(query)
     found = stats._demoted.get(order)
     if found is None:
@@ -436,13 +440,78 @@ def existential_last(query: "MultiModelQuery",
     return found
 
 
+def functional_next(query: "MultiModelQuery",
+                    order: tuple[str, ...]) -> tuple[str, ...]:
+    """*order* with each functional twig child moved to right after its
+    parent: a node on a child (``/``) edge, not existential
+    (:meth:`QueryStatistics.twig_domains`), whose parent's every element
+    has at most one child of its tag
+    (:meth:`~repro.xml.columnar.ColumnarDocument.fan_out`). Bound there,
+    it extends each prefix tuple by at most one value; bound later,
+    every level between pays for the entries it would have joined.
+
+    Only a child bound after its parent moves. One already in place —
+    only ``/`` children of the parent between the two: the parent's
+    *run* — stays with its parent, and the moved ones follow the run in
+    their relative order, so the rewrite of its own output changes
+    nothing. Only a child that could move has its fan-out read: DBLP's
+    ``j`` and ``y``, bound before the tested ``a``, cost no scan."""
+    stats = statistics_for(query)
+    found = stats._functional.get(order)
+    if found is None:
+        from repro.xml.columnar import columnar
+        from repro.xml.twig import Axis
+
+        position = {attribute: i for i, attribute in enumerate(order)}
+        domains = stats.twig_domains()
+        edges = sorted(
+            ((position[node.name], binding, node)
+             for binding in query.twigs for node in binding.twig.nodes()[1:]
+             if node.axis is Axis.CHILD
+             and position[node.name] > position[node.parent.name]),
+            key=lambda edge: edge[0])
+        follow: dict[str, list[str]] = {}  # parent -> its run, then moved
+        following: set[str] = set()
+        for at, binding, node in edges:
+            parent = node.parent
+            if node.name in following:
+                continue  # bound in another twig too: placed once
+            run = {child.name for child in parent.children
+                   if child.axis is Axis.CHILD}
+            if run.issuperset(order[position[parent.name] + 1:at]) or (
+                    not domains[binding.name, node.name][1]
+                    and columnar(binding.document).fan_out(
+                        parent.tag, node.tag) <= 1):
+                follow.setdefault(parent.name, []).append(node.name)
+                following.add(node.name)
+        placed: list[str] = []
+
+        def place(attribute: str) -> None:
+            placed.append(attribute)
+            for child in follow.get(attribute, ()):
+                place(child)
+
+        for attribute in order:
+            if attribute not in following:
+                place(attribute)
+        found = stats._functional[order] = tuple(placed)
+    return found
+
+
+def policy_order(query: "MultiModelQuery",
+                 pick: tuple[str, ...]) -> tuple[str, ...]:
+    """An order policy's *pick* as it runs: :func:`existential_last`,
+    then :func:`functional_next`."""
+    return functional_next(query, existential_last(query, pick))
+
+
 def attribute_order(query: "MultiModelQuery",
                     order: "str | tuple[str, ...] | list[str] | None" = None
                     ) -> tuple[str, ...]:
     """Resolve an order argument: a strategy name, an explicit order, or
     None (the ``appearance`` default)."""
     if order is None:
-        return existential_last(query, appearance_order(query))
+        return policy_order(query, appearance_order(query))
     if isinstance(order, str):
         try:
             strategy = ORDER_STRATEGIES[order]
@@ -450,7 +519,7 @@ def attribute_order(query: "MultiModelQuery",
             raise PlanError(
                 f"unknown order policy {order!r}; "
                 f"choose from {sorted(ORDER_STRATEGIES)!r}") from None
-        return existential_last(query, strategy(query))
+        return policy_order(query, strategy(query))
     explicit = tuple(order)
     if sorted(explicit) != sorted(query.attributes):
         raise PlanError(

@@ -31,6 +31,11 @@ class JoinStats:
     number of partial tuples alive at any stage of the algorithm.
     """
 
+    #: Does a kernel compute its effort counters (seeks, comparisons)
+    #: and per-level timers for this object? Stages, ``emitted``,
+    #: ``filtered`` and input counts are recorded either way.
+    counting = True
+
     def __init__(self) -> None:
         self.stages: list[StageRecord] = []
         self.max_intermediate: int = 0
@@ -157,8 +162,19 @@ class JoinStats:
                 f"stages={len(self.stages)}, comparisons={self.comparisons})")
 
 
+class StageStats(JoinStats):
+    """A JoinStats for a caller that reads only stage sizes and input
+    counts (the feedback loop's :meth:`~repro.engine.adaptive.
+    FeedbackStore.observe`): kernels skip the effort counters and the
+    level timers for it."""
+
+    counting = False
+
+
 class _NullStats(JoinStats):
     """A JoinStats whose mutators are no-ops; shared default instance."""
+
+    counting = False
 
     def record_stage(self, label: str, size: int) -> None:  # noqa: D102
         pass

@@ -46,7 +46,7 @@ from repro.errors import (
     ReproError,
     ServiceError,
 )
-from repro.instrumentation import JoinStats
+from repro.instrumentation import StageStats
 from repro.mvcc import Snapshot
 from repro.service.corpus import corpus_query
 from repro.service.protocol import (
@@ -321,7 +321,8 @@ class ReproService:
                     "mode": "answer"}
         key = (algorithm, order)
         adaptive_run = key == (None, None)
-        stats = JoinStats() if adaptive_run else None
+        # The feedback loop reads stage sizes only: no seek counting.
+        stats = StageStats() if adaptive_run else None
         try:
             # Over the pinned inputs: live, or the retained clone.
             prepared, held, built = self._plan_for(snapshot, key)

@@ -308,7 +308,7 @@ class AccelTwigAlgorithm:
                                       column=_value_codes):
             coded.update(zip(*columns))
         tables = [view.tag_codes(q.tag)[1].values for q in twig.nodes()]
-        rows = zip(*[map(table.__getitem__, codes)
+        rows = zip(*[gather(table, codes)
                      for table, codes in zip(tables, zip(*coded))])
         return Relation.trusted(name or twig.name, Schema(twig.attributes),
                                 frozenset(rows))

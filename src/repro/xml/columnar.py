@@ -33,14 +33,15 @@ more entry of the view's ``derived``.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import accumulate, compress, count, filterfalse, repeat
-from operator import add, mul
+from operator import add, eq, mul
 from typing import TYPE_CHECKING
 
-from repro.buffers.layout import pack
+from repro.buffers.layout import gather, pack
 from repro.relational.schema import Value
 from repro.xml.model import XMLDocument, XMLNode
 from repro.xml.twig import TwigNode
@@ -213,9 +214,10 @@ class ColumnarDocument:
         #: Derived from the arrays above and memoised per view: per-tag
         #: value gathers (:meth:`tag_values`), what is read off them
         #: (value dictionaries and indexes), encoded twig inputs, the
-        #: :class:`DocumentStats`. They share the view's lifetime; the
-        #: update layer resets them after every splice and drops what
-        #: reads a tag's values after a value edit (:meth:`forget_values`).
+        #: :class:`DocumentStats`, tag-pair fan-outs (:meth:`fan_out`).
+        #: They share the view's lifetime; the update layer resets them
+        #: after every splice and drops what reads a tag's values after
+        #: a value edit (:meth:`forget_values`).
         self.derived: dict = {}
         #: tid -> the tag's dictionary as a streamed arena stores it
         #: (:func:`repro.xml.arenaview.view_from_arena`); None here.
@@ -349,6 +351,25 @@ class ColumnarDocument:
                 index.setdefault(value, []).append(nid)
             self.derived[key] = index  # whole, or not there: readers race
         return index
+
+    def fan_out(self, parent_tag: str, child_tag: str) -> int:
+        """The most *child_tag* children one *parent_tag* element has (0
+        if none has any): 1 is a functional dependency, each parent
+        element determines its one child. Two gathers, ``parents`` of
+        the child posting and ``tag_ids`` of those, once per view
+        version; a value edit keeps it."""
+        key = ("fan_out", parent_tag, child_tag)
+        found = self.derived.get(key)
+        if found is None:
+            tid = self.tag_index.get(parent_tag)
+            nids = self.postings(child_tag)[0]
+            if len(nids) and nids[0] == 0:  # the root: no parent
+                nids = nids[1:]
+            parents = gather(self.parents, nids)
+            counts = Counter(compress(parents, map(
+                eq, gather(self.tag_ids, parents), repeat(tid))))
+            found = self.derived[key] = max(counts.values(), default=0)
+        return found
 
     def forget_values(self, tag: str) -> None:
         """Drop the :attr:`derived` entries that read *tag*'s values: the

@@ -9,12 +9,13 @@ from repro.core.validation import (
     join_implies_embedding,
     validation_points,
 )
-from repro.data.synthetic import example34_instance
+from repro.data.synthetic import example34_instance, example34_relations
 from repro.engine.planner import (
     appearance_order,
     attribute_order,
     connected_order,
     domain_order,
+    functional_next,
 )
 from repro.errors import PlanError
 from repro.relational.relation import Relation
@@ -54,12 +55,26 @@ class TestPlanner:
             bound.add(attribute)
 
     def test_attribute_order_dispatch(self, instance):
+        # Each C has one E child and each F one H child: both functional
+        # children move to right after their parent. A has three D
+        # children, so D stays.
+        assert appearance_order(instance.query) == \
+            ("A", "B", "C", "D", "E", "F", "G", "H")
         assert attribute_order(instance.query) == \
-            appearance_order(instance.query)
+            ("A", "B", "C", "E", "D", "F", "H", "G")
         assert attribute_order(instance.query, "domain") == \
-            domain_order(instance.query)
+            functional_next(instance.query, domain_order(instance.query))
         explicit = tuple(reversed(instance.query.attributes))
         assert attribute_order(instance.query, explicit) == explicit
+
+    def test_attribute_order_without_functional_children(self, instance):
+        # D sits after the A-D edge's parent with C between, but A has
+        # three D children: the default is the raw appearance order.
+        query = MultiModelQuery(
+            example34_relations(3)[:1],
+            [TwigBinding(parse_twig("A(/B, //C, /D)"), instance.document)])
+        assert attribute_order(query) == appearance_order(query) == \
+            ("A", "B", "C", "D")
 
     def test_bad_policy_raises(self, instance):
         with pytest.raises(PlanError):

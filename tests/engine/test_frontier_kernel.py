@@ -409,6 +409,50 @@ def test_decode_table_erasure_equals_row_wise_erasure():
     assert dictionary._erased is kept
 
 
+def reference_decode(instance, columns, attributes):
+    """The result's rows decoded one row at a time."""
+    tested = instance.twig_filters.tested if instance.twig_filters else None
+    rows = set()
+    for codes in zip(*columns):
+        row = instance.decode_row(codes)
+        if instance.erase_structural:
+            row = erase_surrogates(row)
+        values = dict(zip(instance.order, row))
+        rows.add(tuple(None if attribute == tested else values[attribute]
+                       for attribute in attributes))
+    return rows
+
+
+@pytest.mark.parametrize("case", ["tested", "erased", "relational"])
+@pytest.mark.parametrize("rows", [0, 1, None])
+@pytest.mark.parametrize("permuted", [False, True])
+def test_column_decode_equals_the_row_decode(case, rows, permuted):
+    """Each column is one ``gather`` through its decode table: a tested
+    column, erased surrogates, 0 / 1 / all rows (``gather``'s short
+    branch and its ``itemgetter``) and a permuted projection."""
+    if case == "tested":
+        query = dblp_query(dblp_document(200, seed=3))
+        order = plan_query(query).order
+    elif case == "erased":
+        query = figure1_query()
+        order = query.attributes
+    else:
+        query = triangle(40, 3)
+        order = ("a", "b", "c")
+    instance = EncodedInstance.from_query(query, order)
+    assert (instance.twig_filters.tested is not None) == (case == "tested")
+    assert instance.erase_structural == (case != "relational")
+    columns = algorithms._frontier_join(
+        instance, JoinStats(), "expand", instance.twig_filters)
+    assert len(columns[0]) > 1
+    columns = [column[:rows] for column in columns]
+    attributes = tuple(reversed(order)) if permuted else order
+    result = instance.result_relation(columns, attributes)
+    assert result.schema.attributes == attributes
+    assert set(result.rows) == reference_decode(instance, columns,
+                                                attributes)
+
+
 # -- (g) per-call set-up ---------------------------------------------------
 
 @pytest.mark.parametrize("algorithm", KERNELS)

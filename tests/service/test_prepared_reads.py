@@ -16,6 +16,7 @@ import pytest
 
 from repro.engine import adaptive, planner
 from repro.engine.planner import run_query
+from repro.instrumentation import JoinStats, StageStats
 from repro.service import server
 from repro.service.protocol import decode_message, encode_message, \
     rows_to_wire
@@ -259,3 +260,50 @@ def test_only_answered_queries_are_counted():
                    snapshot=snapshot)
         assert (await call(service, op="stats"))["queries"] == 1
     asyncio.run(scenario())
+
+
+def test_an_adaptive_evaluate_records_stages_only(monkeypatch):
+    """The feedback loop reads stage sizes: the kernel counts no seeks
+    and times no level for it."""
+    observed = []
+    observe = adaptive.AdaptivePlanner.observe
+
+    def spy(self, query, order, stats, prepared=None):
+        observed.append(stats)
+        return observe(self, query, order, stats, prepared)
+
+    monkeypatch.setattr(adaptive.AdaptivePlanner, "observe", spy)
+
+    async def scenario():
+        service = ReproService(CORPUS)
+        sid, snapshot = await open_pin(service, "t")
+        await evaluate(service, "t", sid, snapshot)
+        (stats,) = observed
+        assert type(stats) is StageStats and not stats.counting
+        assert stats.stage_sizes() and stats.inputs
+        assert (stats.seeks, stats.comparisons, stats.phase_times) == \
+            (0, 0, {})
+    asyncio.run(scenario())
+
+
+def test_stage_only_stats_fold_the_same_samples(monkeypatch,
+                                                rank_decided_races):
+    """``observe`` learns the same corrections from a stages-only run as
+    from a fully counted one: ``stats["adaptive"]`` is unchanged."""
+    async def served(stats_class) -> tuple:
+        monkeypatch.setattr(server, "StageStats", stats_class)
+        service = ReproService(CORPUS)
+        sid, snapshot = await open_pin(service, "t")
+        for _ in range(3):
+            await evaluate(service, "t", sid, snapshot)
+        await call(service, op="update", tenant="w", ops=[INSERT])
+        sid, snapshot = await open_pin(service, "u")
+        await evaluate(service, "u", sid, snapshot)
+        learned = (await call(service, op="stats"))["adaptive"]
+        learned.pop("race_ms")
+        corrections = {key[1:]: (correction.factor, correction.samples)
+                       for key, correction
+                       in service.adaptive.store._corrections.items()}
+        return learned, corrections
+
+    assert asyncio.run(served(StageStats)) == asyncio.run(served(JoinStats))
