@@ -61,7 +61,8 @@ short-circuiting probes examine). The sorted step counts the same number
 as ``comparisons`` too — one probe per candidate of the smallest set,
 an upper bound on what :func:`~repro.buffers.kernels.intersect_pair`
 probes (it stops when the larger buffer runs out). A masked level
-counts each mask's set bits: the same sets, the same seeks. Both are
+counts each mask's set bits, kept with the mask as its node's child
+count (:class:`_Mask`): the same sets, the same seeks. Both are
 computed in bulk, only for a stats object that asks for them
 (``JoinStats.counting``: not the null object, not a
 :class:`~repro.instrumentation.StageStats`), as are the per-level wall
@@ -97,6 +98,16 @@ _children = attrgetter("children")
 _keys = attrgetter("keys")
 _bits = attrgetter("bits")
 _bit = (1).__lshift__
+
+
+class _Mask(int):
+    """A last-level node's ``bits`` with its child count, ``size``: a
+    counted run takes a masked level's seeks from it, not from
+    ``int.bit_count`` over masks thousands of bits wide. ``&`` of two
+    masks is a plain ``int``."""
+
+
+_size = attrgetter("size")
 
 
 def _reject_twig_instance(algorithm: str, instance: EncodedInstance) -> None:
@@ -263,8 +274,14 @@ def _build_masks(trie) -> bool:
     rows = sum(map(len, nodes))
     if sum(node.keys[-1] + 1 for node in nodes) > _MASK_BITS * rows:
         return False
+    # Every code's bit made once and shared by the sums, where that
+    # table (top^2 / 2 bits) fits the budget the masks themselves have.
+    top = max(node.keys[-1] for node in nodes) + 1
+    bit = [1 << code for code in range(top)].__getitem__ \
+        if top * top <= 2 * _MASK_BITS * rows else _bit
     for node in nodes:
-        node.bits = sum(map(_bit, node.children))
+        node.bits = _Mask(sum(map(bit, node.children)))
+        node.bits.size = len(node.children)
     return True
 
 
@@ -378,10 +395,11 @@ def _frontier_join(instance: EncodedInstance, stats: JoinStats,
             counts = list(map(len, commons))
             codes = list(chain.from_iterable(commons))
         if counting:
-            size_of = int.bit_count if level == masked else len
+            size_of = _size if level == masked else len
             sizes = [map(size_of, nodes[i]) for i in held]
             if fresh:
-                sizes.append(repeat(size_of(shared), size))
+                sizes.append(repeat(shared.bit_count() if level == masked
+                                    else len(shared), size))
             seeks += sum(map(min, *sizes)) if len(sizes) > 1 \
                 else sum(sizes[0])
         alive[level] += len(codes)

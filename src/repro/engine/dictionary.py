@@ -103,18 +103,30 @@ class Dictionary:
         return f"Dictionary({self.attribute!r}, {len(self.values)} values)"
 
 
+def _holds_the_rest(widest: Dictionary,
+                    local: "Sequence[Dictionary]") -> bool:
+    """Whether *widest* holds every value of the other *local* ones."""
+    holds = widest.codes.__contains__
+    return all(all(map(holds, other.values)) for other in local
+               if other is not widest)
+
+
 def merge_dictionaries(local: "Sequence[Dictionary]") -> Dictionary:
     """The global dictionary over the union of one attribute's *local*
-    domains (one per input binding it): the first as it stands when all
-    are equal, else a new one. The answer is remembered on the first for
-    exactly these peers — one slot, so changing peers never accumulate —
-    and a repeated merge is a handful of identity checks."""
+    domains (one per input binding it): a local one that already holds
+    the union as it stands, else a new one, so a union that adds
+    nothing keeps the codes (and the tries keyed by them) of the input
+    that holds it. The answer is remembered on the first for exactly
+    these peers — one slot, so changing peers never accumulate — and a
+    repeated merge is a handful of identity checks."""
     first, peers = local[0], tuple(local[1:])
     memo = first._merged
     if memo is not None and memo[0] == peers:  # element-wise identity
         merged = memo[1]
     elif all(peer.values == first.values for peer in peers):
         merged = None
+    elif _holds_the_rest(widest := max(local, key=len), local):
+        merged = None if widest is first else widest
     else:
         merged = Dictionary(first.attribute, set(first.values).union(
             *(peer.values for peer in peers)))

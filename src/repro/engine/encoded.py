@@ -60,7 +60,8 @@ class EncodedTrieNode:
     """One trie level: a sorted typed code buffer plus child pointers.
 
     A last-level node of a trie the frontier kernel masks also holds
-    ``bits``, an int whose bit *c* is set iff code *c* is a child key
+    ``bits``, an int whose bit *c* is set iff code *c* is a child key,
+    carrying the child count as ``bits.size``
     (:func:`repro.engine.algorithms._masked`); no other node sets it."""
 
     __slots__ = ("keys", "children", "bits")
@@ -322,10 +323,13 @@ class EncodedInput:
     def trie_under(self, dictionaries: "dict[str, Dictionary]"
                    ) -> EncodedTrie:
         """The trie keyed by the global *dictionaries* (unions of this
-        input's local ones with its peers'): the cached trie where the
-        unions added nothing, else a re-keyed copy — remembered either
-        way for the next assembly over the same dictionaries."""
+        input's local ones with its peers'): the cached trie where they
+        are its own, else a re-keyed copy — remembered for the next
+        assembly over the same dictionaries. Asking for its own leaves
+        that memo as it was."""
         wanted = tuple(dictionaries[a] for a in self.trie.order)
+        if wanted == self.dictionaries:  # element-wise identity
+            return self.trie
         memo = self._rekeyed
         if memo is None or memo[0] != wanted:  # element-wise identity
             # A union no larger than the local domain is that domain.

@@ -105,8 +105,9 @@ class ReproService:
             stamp_fn=lambda query: self.adaptive.store.generations(query)))
         #: The corpus: the one state every batch is applied to and
         #: every snapshot is pinned on; its deltas feed the planner's
-        #: drift ledger.
-        self.master = QuerySession(query, feedback=self.adaptive.store)
+        #: drift ledger, and the answer a document edit leaves stale is
+        #: derived again in the order the planner crowns.
+        self.master = QuerySession(query, planner=self.adaptive)
         self.sessions = SessionManager(quota)
         #: A query's overrides (algorithm, order) -> its held plan
         #: (``_plan_for``); every batch drops the prepared halves.
@@ -178,11 +179,11 @@ class ReproService:
                         f"{versioned.relation.schema.arity}, row "
                         f"{op['row']!r} has {len(op['row'])}")
                 continue
-            if op["input"] not in master.answers:
+            if op["input"] not in master.twig_editors:
                 raise ServiceError(
                     "update",
                     f"unknown twig input {op['input']!r}; choose from "
-                    f"{sorted(master.answers)!r}")
+                    f"{sorted(master.twig_editors)!r}")
             document = id(master.document_of(op["input"]))
             if document in spliced:
                 raise ServiceError(
@@ -378,9 +379,8 @@ class ReproService:
             "attributes": list(master.query.attributes),
             "relations": {name: len(versioned.relation)
                           for name, versioned in master.relations.items()},
-            "inputs": {name: answer.document.size() if hasattr(
-                answer, "document") else 0
-                for name, answer in master.answers.items()},
+            "inputs": {name: editor.document.size()
+                       for name, editor in master.twig_editors.items()},
             "batches": self.batches_applied,
         }
 

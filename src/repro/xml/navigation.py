@@ -46,7 +46,7 @@ def match_embeddings(document: XMLDocument, twig: TwigQuery, *,
     """All embeddings of *twig* into *document* as name->node dicts.
 
     With *root* given, the twig root is pinned to that document node
-    (the update layer's edit-local re-enumeration); the node must still
+    (the parallel executor's per-root morsels); the node must still
     satisfy the root's tag and value predicate, else no embedding exists.
     """
     stats = ensure_stats(stats)

@@ -150,6 +150,17 @@ class TestMergeDictionaries:
         assert other.values == (0, 1, "x")
         assert merge_dictionaries([first, peer]) is not merged
 
+    def test_a_local_that_holds_the_union_is_the_union(self):
+        held = Dictionary("a", [1, 2, 3, "x"])
+        for local in ([Dictionary("a", [2, "x"]), held],
+                      [held, Dictionary("a", [3])],
+                      [Dictionary("a", [1]), Dictionary("a", [2]), held]):
+            assert merge_dictionaries(local) is held
+            assert merge_dictionaries(local) is held  # remembered
+        # A value no local holds needs a new one.
+        assert merge_dictionaries([Dictionary("a", [0]), held]).values \
+            == (0, 1, 2, 3, "x")
+
     def test_local_codes_map_monotonically_into_the_union(self):
         local = Dictionary("a", [5, "u", None])
         merged = merge_dictionaries([local, Dictionary("a", [1, 9, "z"])])

@@ -30,6 +30,7 @@ from repro.engine import (
     get_algorithm,
     run_query,
 )
+from repro.engine.dictionary import Dictionary
 from repro.engine.encoded import _LEAF, relation_artefacts, \
     relation_columns, relation_input
 from repro.errors import TransportError
@@ -355,6 +356,17 @@ class TestInvalidation:
                                           after.tries[1:]))
         assert after.dictionaries["y"] is before.dictionaries["y"]
         assert run_query(query) == session.answer() == query.naive_join()
+
+    def test_a_trie_asked_for_its_own_dictionaries_keeps_its_memo(self):
+        relation = Relation("R", ("a",), [(1,), (2,)])
+        artefact, _built = relation_input(relation, ("a",))
+        wider = Dictionary("a", [0, 1, 2])
+        rekeyed = artefact.trie_under({"a": wider})
+        assert rekeyed is not artefact.trie
+        own = {"a": artefact.dictionaries[0]}
+        assert artefact.trie_under(own) is artefact.trie
+        # The re-keyed copy is still remembered for the wider union.
+        assert artefact.trie_under({"a": wider}) is rekeyed
 
     def test_an_insert_of_a_new_value_rebuilds_only_its_dictionary(self):
         session = QuerySession(bookstore_query())

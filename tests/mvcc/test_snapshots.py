@@ -11,6 +11,7 @@ import pytest
 
 from repro.core.multimodel import MultiModelQuery, TwigBinding
 from repro.data.scenarios import figure1_query
+from repro.engine.planner import run_query
 from repro.errors import SnapshotError
 from repro.mvcc.manager import DocumentVersion
 from repro.relational.relation import Relation
@@ -188,8 +189,8 @@ class TestLifecycle:
 class TestPlannerDefaultRun:
     def test_run_defaults_to_the_planners_choice(self):
         session = QuerySession(figure1_query())
-        default = session.run()
-        explicit = session.run("generic_join")
+        default = run_query(session.query)
+        explicit = run_query(session.query, algorithm="baseline")
         assert default.sorted_rows() == explicit.sorted_rows()
 
     def test_parity_holds_across_updates(self):
@@ -198,6 +199,7 @@ class TestPlannerDefaultRun:
         session.change_value(
             "invoices",
             session.document_of("invoices").nodes("price")[0], "55")
-        assert session.run().sorted_rows() \
-            == session.run("generic_join").sorted_rows() \
+        assert run_query(session.query).sorted_rows() \
+            == run_query(session.query,
+                         algorithm="baseline").sorted_rows() \
             == session.answer().sorted_rows()

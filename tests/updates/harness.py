@@ -68,7 +68,7 @@ def random_session_op(rng: random.Random, session, *,
     choices = []
     if session.relations:
         choices.extend(["rel_insert", "rel_delete"])
-    if session.answers:
+    if session.twig_editors:
         choices.extend(["doc_insert", "doc_delete", "doc_value"])
     kind = rng.choice(choices)
     if kind in ("rel_insert", "rel_delete"):
@@ -82,8 +82,8 @@ def random_session_op(rng: random.Random, session, *,
         delta = (session.insert if kind == "rel_insert"
                  else session.delete)(name, row)
         return f"{kind}:{name}{row!r}", delta
-    twig_name = rng.choice(sorted(session.answers))
-    document = session._editor_of[twig_name].document
+    twig_name = rng.choice(sorted(session.twig_editors))
+    document = session.twig_editors[twig_name].document
     nodes = document.nodes()
     if kind == "doc_insert":
         parent = rng.choice(nodes)

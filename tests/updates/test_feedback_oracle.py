@@ -60,7 +60,7 @@ class TestRelationalRegime:
     def test_small_delta_inherits_corrections(self):
         store = FeedbackStore()
         query = skewed_query()
-        session = QuerySession(query, feedback=store)
+        session = QuerySession(query, planner=AdaptivePlanner(store=store))
         estimates = learn(store, query)
         last = estimates[-1]
         learned = store.stage_factor(query, last.source, last.attribute,
@@ -78,7 +78,7 @@ class TestRelationalRegime:
     def test_churn_burst_invalidates_corrections(self):
         store = FeedbackStore()
         query = skewed_query()
-        session = QuerySession(query, feedback=store)
+        session = QuerySession(query, planner=AdaptivePlanner(store=store))
         estimates = learn(store, query)
         last = estimates[-1]
         assert store.stage_factor(query, last.source, last.attribute,
@@ -99,7 +99,7 @@ class TestRelationalRegime:
     def test_post_churn_plans_stay_row_identical(self):
         store = FeedbackStore()
         query = skewed_query()
-        session = QuerySession(query, feedback=store)
+        session = QuerySession(query, planner=AdaptivePlanner(store=store))
         planner = AdaptivePlanner(store=store)
         planner.execute(query)
         rows = [(300_000 + i, (i * 3) % 16) for i in range(120)]
@@ -113,7 +113,7 @@ class TestRelationalRegime:
         assert planner.execute(query).rows == session.answer().rows
 
     def test_unnotified_store_is_safe_by_version_keys(self):
-        # Even *without* the session hooks (feedback=None), a store
+        # Even *without* the session hooks (planner=None), a store
         # observed against the old version never leaks factors into the
         # updated query: the relation object changed, the stamp
         # mismatches, every read is neutral.
@@ -135,7 +135,7 @@ class TestDocumentRegime:
         query = doc_query()
         # Default churn_threshold: a single value edit patches the
         # columnar view in place (inherit).
-        session = QuerySession(query, feedback=store)
+        session = QuerySession(query, planner=AdaptivePlanner(store=store))
         learn(store, query)
         epoch = store.epoch
         isbn = query.twigs[0].document.root.children[0].children[0]
@@ -148,7 +148,8 @@ class TestDocumentRegime:
         # churn_threshold=0 forces a columnar rebuild on any structural
         # edit: the maintained statistics were reconstructed wholesale,
         # so the learned corrections must go.
-        session = QuerySession(query, churn_threshold=0.0, feedback=store)
+        session = QuerySession(query, churn_threshold=0.0,
+                               planner=AdaptivePlanner(store=store))
         learn(store, query)
         epoch = store.epoch
         book = element("book", element("isbn", text="8"),

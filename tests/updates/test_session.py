@@ -6,11 +6,13 @@ import pytest
 
 from repro.core.multimodel import MultiModelQuery, TwigBinding
 from repro.data.random_instances import random_multimodel_instance
+from repro.engine.planner import run_query
 from repro.errors import UpdateError
 from repro.relational.relation import Relation
 from repro.updates.delta import SUBTREE_INSERT, VALUE_CHANGE
 from repro.updates.session import QuerySession
 from repro.xml.model import XMLDocument, XMLNode, element
+from repro.xml.navigation import match_relation
 from repro.xml.twig import TwigQuery
 
 from harness import random_subtree, seeded_rng
@@ -53,6 +55,17 @@ class TestRelationalUpdates:
         # The live query now holds the new Relation object.
         assert query.relations[0] is versioned.relation
         assert (4, 9) in versioned.relation.rows
+
+    def test_a_nullary_relation_gates_the_answer(self):
+        query = small_query()
+        query.relations.append(Relation("Gate", (), [()]))
+        session = QuerySession(query)
+        full = session.answer()
+        assert full
+        session.delete("Gate", ())
+        assert not session.answer()
+        session.insert("Gate", ())
+        assert session.answer() == full == query.naive_join()
 
     def test_unknown_relation_rejected(self):
         session = QuerySession(small_query())
@@ -134,7 +147,8 @@ class TestDocumentUpdates:
             session.insert_subtree("book", document.root, stray.root)
         # The sanctioned form: insert a detached structural copy.
         session.insert_subtree("book", document.root, stray.root.copy())
-        assert (None, 5, 1) in session.answers["book"].relation().rows
+        assert (None, 5, 1) in match_relation(document,
+                                              query.twigs[0].twig).rows
         assert stray.root.parent is None  # foreign tree untouched
         assert stray.root.start == 0  # and keeps its own labels
 
@@ -157,7 +171,7 @@ class TestDocumentUpdates:
         delta = session.insert_subtree(
             "book", query.twigs[0].document.root, book)
         assert delta.rebuilt
-        editor = session._editor_of["book"]
+        editor = session.twig_editors["book"]
         assert editor.rebuilds == 1 and editor.patches == 0
         assert (3, 8, None, 99) in session.answer().rows
 
@@ -196,5 +210,5 @@ class TestSessionState:
         session = QuerySession(query)
         session.insert("Orders", (9, 7))
         expected = query.naive_join()
-        assert session.run("generic_join") == expected
-        assert session.run("leapfrog") == expected
+        assert run_query(query, algorithm="xjoin") == expected
+        assert run_query(query, algorithm="baseline") == expected
