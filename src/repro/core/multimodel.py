@@ -44,6 +44,16 @@ class TwigBinding:
         return self.twig.name
 
 
+def _decomposition(twig: TwigQuery) -> TwigDecomposition:
+    """*twig*'s decomposition, made once per twig object and kept on it:
+    a query re-bound to new inputs over the same twigs (a session's
+    delta query, a snapshot's) shares its source query's."""
+    found = twig.decomposition
+    if found is None:
+        found = twig.decomposition = decompose(twig)
+    return found
+
+
 class MultiModelQuery:
     """A conjunctive query over relational tables and XML twigs.
 
@@ -62,7 +72,8 @@ class MultiModelQuery:
         if len(names) != len(set(names)):
             raise QueryError(f"duplicate input names in query: {names!r}")
         self.decompositions: dict[str, TwigDecomposition] = {
-            binding.name: decompose(binding.twig) for binding in self.twigs}
+            binding.name: _decomposition(binding.twig)
+            for binding in self.twigs}
 
     # -- attributes ------------------------------------------------------
 

@@ -50,8 +50,19 @@ attribute is existential (``TwigFilters.tested``), keeps the entries
 whose candidate sets share a code without expanding them — stage =
 survivors.
 
+The last level may come back *unexpanded*: where a plain meet
+(:class:`_Hashed`, :class:`_Sorted`; not masked, not tested) binds it
+and no structure check runs there, a chunk whose rows per live entry
+reach :data:`_FAN_OUT` hands back its prefix code columns, the
+per-entry candidate sets and their sizes instead of spreading every
+prefix column to every row; the decoder makes the rows entry by entry
+(:meth:`~repro.engine.encoded.EncodedInstance.result_relation`). A
+chunk below the crossover is expanded as any other level.
+
 Counters. Stages (``level <a>`` / ``expand <a>``), ``emitted`` and
-``filtered`` mean what they always did. ``seeks`` of the frontier
+``filtered`` mean what they always did; an unexpanded last level's
+stage and ``emitted`` are its summed candidate-set sizes, its seeks
+and time are counted as an expanded level's. ``seeks`` of the frontier
 kernel are the *candidates examined*: per level, summed over the
 frontier entries, the size of the smallest candidate set among the
 level's participants (the side the C intersection iterates; tries not
@@ -93,6 +104,16 @@ _CHUNK = 4096
 #: nodes' masks (largest key + 1 bits each) add up to more stays
 #: unmasked (see :func:`_masked`).
 _MASK_BITS = 256
+
+#: Rows per live entry from which a chunk's last level is left
+#: unexpanded (:func:`_frontier_join`) and its rows are made entry by
+#: entry. Measured in process on R(a, b) ... S(b, c) chains, 1 000
+#: entries a run, median of 300 alternating runs: with one prefix
+#: column the per-entry build breaks even at ~12 rows per entry (-6 %
+#: at 8), with two at ~4 (+12 % at 8), with three at ~2.5 (+20 % at
+#: 8). ``mm_xmark``'s last level makes 11.4 rows per entry; Figure 3's,
+#: ``rel_triangle``'s and the served bookstore query's 1.0-1.06.
+_FAN_OUT = 8
 
 _children = attrgetter("children")
 _keys = attrgetter("keys")
@@ -312,10 +333,12 @@ def _spreader(counts, total):
 
 def _frontier_join(instance: EncodedInstance, stats: JoinStats,
                    label: str, filters=None,
-                   step=_Hashed) -> "list[list[int]]":
+                   step=_Hashed) -> "tuple[list[list[int]], list[tuple]]":
     """Expand *instance* level at a time (see the module docstring),
     meeting each level's candidate sets by *step*; returns the result
-    as one code column per level of the order.
+    as (one code column per level of the order, the chunks whose last
+    level is left unexpanded: (their prefix code columns, per entry
+    the last level's candidate set, its size)).
 
     ``filters.checks[level]`` are the twig structure checks XJoin runs
     on the frontier a level produces, after it is counted as the level's
@@ -332,7 +355,7 @@ def _frontier_join(instance: EncodedInstance, stats: JoinStats,
     order, tries = instance.order, instance.tries
     depth = len(order)
     if not depth:
-        return []
+        return [], []
     checks = filters.checks if filters else None
     tested = depth - 1 if filters and filters.tested == order[-1] else -1
     # Below its last level a trie has nothing to read: not descended.
@@ -352,10 +375,15 @@ def _frontier_join(instance: EncodedInstance, stats: JoinStats,
         for i in finals:
             if tries[i].depth > 1:
                 lands[i] = order.index(tries[i].order[-2])
+    # The last level a plain meet expands, with no check on its rows,
+    # is handed back unexpanded where its fan-out reaches _FAN_OUT.
+    unexpanded = depth - 1 if masked != depth - 1 != tested \
+        and not (checks and checks[-1]) else -1
     counting = stats.counting
     alive, times = [0] * depth, [0.0] * depth
     seeks = filtered = 0
     columns: "list[list[int]]" = [[] for _ in order]
+    factored: "list[tuple]" = []
 
     stats.start_timer()
     # One pending chunk: (a code column per bound level, and per
@@ -393,7 +421,9 @@ def _frontier_join(instance: EncodedInstance, stats: JoinStats,
         else:
             commons = step.meet(streams)
             counts = list(map(len, commons))
-            codes = list(chain.from_iterable(commons))
+            codes = None if level == unexpanded and sum(counts) >= \
+                _FAN_OUT * (len(counts) - counts.count(0)) \
+                else list(chain.from_iterable(commons))
         if counting:
             size_of = _size if level == masked else len
             sizes = [map(size_of, nodes[i]) for i in held]
@@ -402,6 +432,12 @@ def _frontier_join(instance: EncodedInstance, stats: JoinStats,
                                     else len(shared), size))
             seeks += sum(map(min, *sizes)) if len(sizes) > 1 \
                 else sum(sizes[0])
+        if codes is None:  # rows are made per entry, when decoded
+            alive[level] += sum(counts)
+            factored.append((cols, commons, counts))
+            if counting:
+                times[level] += perf_counter() - start
+            continue
         alive[level] += len(codes)
         spread = _spreader(counts, len(codes))
         cols = [spread(col) for col in cols] + [codes]
@@ -444,12 +480,13 @@ def _frontier_join(instance: EncodedInstance, stats: JoinStats,
     if step.counts_comparisons:
         stats.count_comparisons(seeks)
     stats.count_filtered(filtered)
-    stats.count_emitted(len(columns[0]))
+    stats.count_emitted(len(columns[0]) + sum(
+        sum(counts) for _cols, _commons, counts in factored))
     for attribute, count, seconds in zip(order, alive, times):
         stats.record_stage(f"{label} {attribute}", count)
         if counting:
             stats.record_phase(f"{label} {attribute}", seconds)
-    return columns
+    return columns, factored
 
 
 class GenericJoinAlgorithm:

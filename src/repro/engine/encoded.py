@@ -41,7 +41,8 @@ from bisect import bisect_right
 from collections import Counter, deque
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, groupby, islice, repeat
+from itertools import accumulate, chain, compress, groupby, islice, \
+    product, repeat
 from operator import add, itemgetter, le, mul
 from typing import TYPE_CHECKING
 
@@ -592,12 +593,14 @@ class EncodedInstance:
         """Decode one code through the named level's dictionary."""
         return self._level_values[level][code]
 
-    def result_relation(self, columns: "Sequence[Sequence[int]]",
+    def result_relation(self, result: "tuple[Sequence[Sequence[int]], list]",
                         attributes: "Sequence[str] | None" = None,
                         name: str | None = None) -> Relation:
-        """Decode a kernel's result — one code column per level of
-        ``order``, parallel — into a relation over *attributes* (a
-        permutation of the order; default: the order itself).
+        """Decode a kernel's result — (one code column per level of
+        ``order``, parallel; the chunks left unexpanded at the last
+        level, see :func:`repro.engine.algorithms._frontier_join`) —
+        into a relation over *attributes* (a permutation of the order;
+        default: the order itself).
 
         Column-wise throughout: each picked column is one
         :func:`~repro.buffers.layout.gather` from its level's decode
@@ -608,6 +611,13 @@ class EncodedInstance:
         decode: its column is ``None`` throughout. No column at all is
         the zero-arity join of inputs none of which is empty
         (:meth:`has_empty_input`): TRUE.
+
+        An unexpanded chunk (its fan-out reached the kernel's
+        ``_FAN_OUT`` crossover) is built entry by entry: each prefix
+        column is gathered once over the live entries, the last level's
+        codes once in a row and cut per entry, and one
+        ``itertools.product`` per entry makes its rows, in the order of
+        *attributes*, straight into the one ``frozenset``.
         """
         attributes = self.order if attributes is None else tuple(attributes)
         tables = self._level_values
@@ -617,12 +627,26 @@ class EncodedInstance:
                       for attribute, values in zip(self.order, tables)]
         tested = self.twig_filters.tested if self.twig_filters else None
         levels = [self.order.index(attribute) for attribute in attributes]
+        columns, factored = result
         rows = zip(*[repeat(None, len(columns[level]))
                      if self.order[level] == tested
                      else gather(tables[level], columns[level])
                      for level in levels]) if levels else [()]
+        blocks, last = [rows], len(self.order) - 1
+        for prefix, commons, counts in factored:
+            if 0 in counts:  # a dead entry makes no row: not decoded
+                prefix = [list(compress(col, counts)) for col in prefix]
+                counts = list(filter(None, counts))
+            # One gather of the last level's codes, cut per entry.
+            ends = list(accumulate(counts))
+            decoded = map(gather(tables[last], list(chain.from_iterable(
+                commons))).__getitem__, map(slice, [0, *ends], ends))
+            blocks.append(chain.from_iterable(map(product, *[
+                decoded if level == last
+                else zip(gather(tables[level], prefix[level]))
+                for level in levels])))
         return Relation.trusted(name or self.name, Schema(attributes),
-                                frozenset(rows))
+                                frozenset(chain.from_iterable(blocks)))
 
     def __repr__(self) -> str:
         return (f"EncodedInstance({self.name!r}, order={list(self.order)!r}, "

@@ -117,6 +117,9 @@ class TwigQuery:
                 f"duplicated: {duplicates!r}"
             )
         self._by_name = {node.name: node for node in root.iter()}
+        #: The twig's decomposition, kept by the first query over it
+        #: (:mod:`repro.core.multimodel`).
+        self.decomposition = None
 
     @classmethod
     def build(cls, root_name: str,

@@ -9,7 +9,9 @@ Algorithm 1 it replaced, kept here as :func:`reference_dfs`: rows must
 equal the naive join, and every stage size, ``emitted`` and
 ``filtered`` the reference's — unchunked, chunked, sliced and on frozen
 adapters. A hashed run meets a last level of masked tries with bit
-masks; its oracle is the same run with the mask gate at 0.
+masks; its oracle is the same run with the mask gate at 0. A last level
+left unexpanded has its rows made entry by entry when decoded; its
+oracle is the same run with the fan-out crossover out of reach.
 """
 
 import random
@@ -26,6 +28,7 @@ from repro.core.surrogate import NodeSurrogate, erase_surrogates
 from repro.data.dblp import dblp_document, dblp_query
 from repro.data.random_instances import random_multimodel_instance
 from repro.data.scenarios import figure1_query
+from repro.data.synthetic import example34_instance
 from repro.engine import EncodedInstance, EncodedTrie, algorithms, \
     get_algorithm, plan_query, run_query
 from repro.engine.dictionary import Dictionary
@@ -38,6 +41,7 @@ from repro.relational.relation import Relation
 from repro.updates.relations import VersionedRelation
 from repro.xml.model import XMLDocument, element
 from repro.xml.twig_parser import parse_twig
+from repro.xml.xmark import xmark_document
 
 ALGORITHMS = ("generic_join", "leapfrog", "xjoin", "baseline")
 #: The three algorithms that run the frontier kernel.
@@ -387,7 +391,7 @@ def test_decode_table_erasure_equals_row_wise_erasure():
                   if any(isinstance(v, NodeSurrogate) for v in values)]
     assert surrogates
     code_rows, _alive, _filtered = reference_dfs(instance)
-    result = instance.result_relation(list(zip(*code_rows)),
+    result = instance.result_relation((list(zip(*code_rows)), []),
                                       query.attributes, query.name)
     assert set(result.rows) == {
         erase_surrogates(instance.decode_row(codes)) for codes in code_rows}
@@ -398,14 +402,14 @@ def test_decode_table_erasure_equals_row_wise_erasure():
                      if isinstance(value, NodeSurrogate)][:2]
     twins = [list(code_rows[0]), list(code_rows[0])]
     twins[0][level], twins[1][level] = first, second
-    collapsed = instance.result_relation(list(zip(*twins)))
+    collapsed = instance.result_relation((list(zip(*twins)), []))
     assert len(collapsed) == 1
     assert next(iter(collapsed))[level] is None
     # The erased table is built once per dictionary and kept on it.
     dictionary = instance.dictionaries[instance.order[level]]
     assert dictionary._erased is not None
     kept = dictionary._erased
-    instance.result_relation(list(zip(*code_rows)))
+    instance.result_relation((list(zip(*code_rows)), []))
     assert dictionary._erased is kept
 
 
@@ -426,10 +430,12 @@ def reference_decode(instance, columns, attributes):
 @pytest.mark.parametrize("case", ["tested", "erased", "relational"])
 @pytest.mark.parametrize("rows", [0, 1, None])
 @pytest.mark.parametrize("permuted", [False, True])
-def test_column_decode_equals_the_row_decode(case, rows, permuted):
+def test_column_decode_equals_the_row_decode(monkeypatch, case, rows,
+                                             permuted):
     """Each column is one ``gather`` through its decode table: a tested
     column, erased surrogates, 0 / 1 / all rows (``gather``'s short
     branch and its ``itemgetter``) and a permuted projection."""
+    monkeypatch.setattr(algorithms, "_FAN_OUT", float("inf"))
     if case == "tested":
         query = dblp_query(dblp_document(200, seed=3))
         order = plan_query(query).order
@@ -442,12 +448,12 @@ def test_column_decode_equals_the_row_decode(case, rows, permuted):
     instance = EncodedInstance.from_query(query, order)
     assert (instance.twig_filters.tested is not None) == (case == "tested")
     assert instance.erase_structural == (case != "relational")
-    columns = algorithms._frontier_join(
+    columns, factored = algorithms._frontier_join(
         instance, JoinStats(), "expand", instance.twig_filters)
-    assert len(columns[0]) > 1
+    assert len(columns[0]) > 1 and not factored
     columns = [column[:rows] for column in columns]
     attributes = tuple(reversed(order)) if permuted else order
-    result = instance.result_relation(columns, attributes)
+    result = instance.result_relation((columns, []), attributes)
     assert result.schema.attributes == attributes
     assert set(result.rows) == reference_decode(instance, columns,
                                                 attributes)
@@ -813,3 +819,196 @@ class TestMasksAreBuiltOnce:
         assert algorithms._masked(dense)
         assert dense.root.children[0].bits == 0b10000001
         assert not hasattr(dense.root, "bits")
+
+
+# -- (k) a last level left unexpanded ---------------------------------------
+
+def xmark_query(factor, seed=1):
+    """An XMark twig joined with a fan-out relation on ``i``: ~11 ``x``
+    per interest, so the last level fans out ~11 rows per entry."""
+    rng = random.Random(seed)
+    document = xmark_document(factor, seed=seed)
+    categories = sorted({node.value for node in document.nodes("interest")})
+    relation = Relation("R", ("x", "i"),
+                        [(x, category) for x in range(12)
+                         for category in categories if rng.random() < 0.95])
+    return MultiModelQuery([relation], [TwigBinding(
+        parse_twig("p=person(/nm=name, //i=interest)"), document)],
+        name="XQ")
+
+
+def fanned_chain(n=5000, dense=4096, fan=12):
+    """R(a, b) S(b, c): ``b`` below *dense* has one ``c``, above it
+    *fan*; *n* > ``_CHUNK`` cuts the last level into chunks on both
+    sides of the crossover."""
+    return MultiModelQuery([
+        Relation("R", ("a", "b"), [(i, i) for i in range(n)]),
+        Relation("S", ("b", "c"), [(b, f"c{b}-{k}") for b in range(n)
+                                   for k in range(1 if b < dense else fan)])],
+        name="chain")
+
+
+def disjoint_tail():
+    """R(a, b) S(b, c) U(c): U shares no ``c`` with S, so every entry of
+    the last level dies there."""
+    return MultiModelQuery([
+        Relation("R", ("a", "b"), [(i, i % 5) for i in range(40)]),
+        Relation("S", ("b", "c"), [(b, c) for b in range(5)
+                                   for c in range(10)]),
+        Relation("U", ("c",), [(c,) for c in range(10, 20)])], name="dead")
+
+
+def serial(query, algorithm, order=None):
+    """A runner of *algorithm* over *query*'s instance under *order*
+    (the planner's by default), built once."""
+    order = order or plan_query(query).order
+    instance = EncodedInstance.from_query(query, order)
+    return lambda stats: get_algorithm(algorithm).run(instance, stats=stats)
+
+
+def unmasked(query, algorithm):
+    """:func:`serial`, its tries' masks refused before the first run."""
+    instance = EncodedInstance.from_query(query, plan_query(query).order)
+    gate, algorithms._MASK_BITS = algorithms._MASK_BITS, 0
+    try:
+        assert not any([algorithms._masked(trie) for trie in instance.tries])
+    finally:
+        algorithms._MASK_BITS = gate
+    return lambda stats: get_algorithm(algorithm).run(instance, stats=stats)
+
+
+def parallel(query, algorithm):
+    """A runner of *algorithm* over *query* on two workers."""
+    return lambda stats: run_query(query, algorithm=algorithm, stats=stats,
+                                   workers=2)
+
+
+#: (runner, whether the kernel may leave the last level unexpanded).
+UNEXPANDED_CASES = {
+    "mm_xmark-0.25": (lambda: serial(xmark_query(0.25), "xjoin"), True),
+    "mm_xmark-1": (lambda: serial(xmark_query(1.0), "xjoin"), True),
+    # Figure 3's last level is masked; unmasked, it fans out 1 per entry.
+    "figure3": (lambda: serial(example34_instance(12).query, "xjoin"),
+                False),
+    "figure3-unmasked": (lambda: unmasked(example34_instance(12).query,
+                                          "xjoin"), True),
+    "checks": (lambda: serial(duplicate_branch_query(), "xjoin",
+                              ("x", "a", "b", "c")), False),
+    "tested": (lambda: serial(dblp_query(dblp_document(200, seed=3)),
+                              "xjoin"), False),
+    "masked": (lambda: serial(triangle(60, 4), "generic_join",
+                              ("a", "b", "c")), False),
+    "chunked": (lambda: serial(fanned_chain(), "generic_join",
+                               ("a", "b", "c")), True),
+    "chunked-sorted": (lambda: serial(fanned_chain(), "leapfrog",
+                                      ("a", "b", "c")), True),
+    "erased": (lambda: serial(figure1_query(), "xjoin",
+                              ("orderLine", "orderID", "userID", "ISBN",
+                               "price")), True),
+    "permuted": (lambda: serial(xmark_query(0.25), "xjoin",
+                                ("nm", "p", "i", "x")), True),
+    "workers-2": (lambda: parallel(xmark_query(0.25), "xjoin"), None),
+    "empty": (lambda: serial(disjoint_tail(), "leapfrog",
+                             ("a", "b", "c")), True),
+}
+
+
+def run_with_fan_out(monkeypatch, run, fan_out):
+    """(rows and every counter, what each kernel call returned) of
+    ``run(stats)`` with the crossover at *fan_out*; phase labels, not
+    their times."""
+    returned = []
+    original = algorithms._frontier_join
+
+    def spy(*args, **kwargs):
+        returned.append(original(*args, **kwargs))
+        return returned[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(algorithms, "_FAN_OUT", fan_out)
+        patch.setattr(algorithms, "_frontier_join", spy)
+        stats = JoinStats()
+        result = run(stats)
+    return (result, [(r.label, r.size) for r in stats.stages], stats.emitted,
+            stats.filtered, stats.seeks, stats.comparisons,
+            sorted(stats.phase_times)), returned
+
+
+def unexpanded(returned):
+    """The chunks the kernel calls left unexpanded."""
+    return sum(len(factored) for _columns, factored in returned)
+
+
+class TestUnexpandedLastLevel:
+    @pytest.mark.parametrize("case", sorted(UNEXPANDED_CASES))
+    def test_rows_and_counters_equal_the_expanded_run(self, monkeypatch,
+                                                      case):
+        make, eligible = UNEXPANDED_CASES[case]
+        run = make()
+        expanded, none = run_with_fan_out(monkeypatch, run, float("inf"))
+        forced, some = run_with_fan_out(monkeypatch, run, 0)
+        default, _ = run_with_fan_out(monkeypatch, run, algorithms._FAN_OUT)
+        assert forced == expanded == default
+        assert unexpanded(none) == 0
+        if eligible is not None:
+            assert (unexpanded(some) > 0) is eligible
+        if case == "empty":
+            assert not expanded[0].rows and expanded[1][-1][1] == 0
+
+    def test_the_crossover_splits_chunks_by_their_fan_out(self,
+                                                          monkeypatch):
+        """Figure 3's last level, unmasked (one row per entry), is
+        expanded; the chain's ~4 000 single-row entries are, its
+        fan-out-12 ones are not; mm_xmark's ~11 rows per entry are not."""
+        assert algorithms._FAN_OUT > 1
+        blocks = {}
+        for case in ("figure3-unmasked", "chunked", "mm_xmark-0.25"):
+            make, _eligible = UNEXPANDED_CASES[case]
+            _run, ((columns, factored),) = run_with_fan_out(
+                monkeypatch, make(), algorithms._FAN_OUT)
+            blocks[case] = (len(columns[-1]), len(factored))
+        assert blocks["figure3-unmasked"][1] == 0
+        assert blocks["chunked"][0] >= 4000 and blocks["chunked"][1] > 0
+        assert blocks["mm_xmark-0.25"] == (0, 1)
+
+    @pytest.mark.parametrize("permuted", [False, True])
+    def test_per_entry_decode_equals_the_row_decode(self, monkeypatch,
+                                                    permuted):
+        """Rows come out in the caller's attribute order: ``x``, the
+        last level's attribute, is first in the query's."""
+        query = xmark_query(0.25)
+        instance = EncodedInstance.from_query(query, plan_query(query).order)
+        assert instance.order[-1] == "x" != query.attributes[-1]
+        monkeypatch.setattr(algorithms, "_FAN_OUT", 0)
+        columns, factored = algorithms._frontier_join(
+            instance, JoinStats(), "expand", instance.twig_filters)
+        assert factored and not columns[0]
+        monkeypatch.setattr(algorithms, "_FAN_OUT", float("inf"))
+        expanded, none = algorithms._frontier_join(
+            instance, JoinStats(), "expand", instance.twig_filters)
+        assert not none
+        attributes = tuple(reversed(instance.order)) if permuted \
+            else query.attributes
+        result = instance.result_relation((columns, factored), attributes)
+        assert set(result.rows) == reference_decode(instance, expanded,
+                                                    attributes)
+
+    def test_equal_erased_prefixes_collapse_to_one_row(self):
+        """Two entries whose prefixes differ only in a surrogate make
+        the same rows: one, after erasure."""
+        query = figure1_query()
+        order = ("orderLine", "orderID", "userID", "ISBN", "price")
+        instance = EncodedInstance.from_query(query, order)
+        code_rows, _alive, _filtered = reference_dfs(instance)
+        first, second = [code for code, value
+                         in enumerate(instance._level_values[0])
+                         if isinstance(value, NodeSurrogate)][:2]
+        prefix = [[first, second], *([code, code]
+                                     for code in code_rows[0][1:-1])]
+        last = code_rows[0][-1]
+        collapsed = instance.result_relation(
+            ([[] for _ in order], [(prefix, [(last,), (last,)], [1, 1])]),
+            query.attributes)
+        assert len(collapsed) == 1
+        assert next(iter(collapsed))[query.attributes.index(
+            "orderLine")] is None

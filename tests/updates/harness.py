@@ -20,9 +20,10 @@ from repro.xml.model import XMLDocument, XMLNode
 UPDATE_SEED = int(os.environ.get("REPRO_UPDATE_SEED", "20260728"))
 
 
-def seeded_rng(salt: object) -> random.Random:
-    """A generator derived from the suite seed and a per-site salt."""
-    return random.Random(f"{UPDATE_SEED}:{salt}")
+def seeded_rng(salt: object, seed: int = UPDATE_SEED) -> random.Random:
+    """A generator derived from the suite seed (or a pinned *seed*) and
+    a per-site salt."""
+    return random.Random(f"{seed}:{salt}")
 
 
 # -- deep copies for the rebuild-from-scratch oracle ------------------------

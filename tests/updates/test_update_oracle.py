@@ -179,9 +179,11 @@ def test_concurrent_readers_pin_staggered_snapshots(churn_threshold):
             session, f"mvcc trial={trial} post-release")
 
 
-@pytest.mark.parametrize("churn_threshold", [10.0, 0.0],
-                         ids=["patch", "rebuild"])
-def test_accel_tracks_update_stream(churn_threshold):
+@pytest.mark.parametrize(
+    "churn_threshold, seed",
+    [(10.0, UPDATE_SEED), (0.0, UPDATE_SEED), (10.0, 44444), (0.0, 44444)],
+    ids=["patch", "rebuild", "patch-seed44444", "rebuild-seed44444"])
+def test_accel_tracks_update_stream(churn_threshold, seed):
     """Explicit accelerator enrollment in the update regimes.
 
     The accelerator's inputs *are* the maintained postings, so it
@@ -193,13 +195,16 @@ def test_accel_tracks_update_stream(churn_threshold):
     rebuild drops them all; a value edit drops the edited tag's codes
     and keeps the rest, and every entry kept equals what a fresh view of
     a clone derives — on top of the full every-backend check of
-    :func:`assert_session_matches_oracle`."""
+    :func:`assert_session_matches_oracle`. A ``fan_out`` entry reads
+    structure only, so a value edit keeps it like an edge. Seed 44444
+    is pinned: it edits ``bidder`` values under kept ``fan_out``
+    entries."""
     from repro.updates.delta import VALUE_CHANGE
     from repro.xml.accel import _edge_matches
     from repro.xml.columnar import TagPosting, columnar
     from repro.xml.twig import TwigNode, TwigQuery
 
-    rng = seeded_rng(f"accel-{churn_threshold}")
+    rng = seeded_rng(f"accel-{churn_threshold}", seed)
     document = xmark_document(0.1, rng=rng)
     root = TwigNode("oa", tag="open_auction")
     bidder = root.descendant("bd", tag="bidder")
@@ -216,7 +221,7 @@ def test_accel_tracks_update_stream(churn_threshold):
 
     def cached(view):
         return {key: entry for key, entry in view.derived.items()
-                if key[0] in ("edge", "tag_codes")}
+                if key[0] in ("edge", "tag_codes", "fan_out")}
 
     def comparable(key, entry):
         return (list(entry[0]), entry[1].values) \
@@ -226,6 +231,8 @@ def test_accel_tracks_update_stream(churn_threshold):
         """The entry *key* as *view* derives it, computed here."""
         if key[0] == "tag_codes":
             return comparable(key, view.tag_codes(key[1]))
+        if key[0] == "fan_out":
+            return view.fan_out(*key[1:])
         _edge, upper, lower, axis = key
         return _edge_matches(view, TagPosting(*view.postings(upper)),
                              TagPosting(*view.postings(lower)), axis)
@@ -238,13 +245,14 @@ def test_accel_tracks_update_stream(churn_threshold):
         op, delta = random_session_op(
             rng, session, tags=["bidder", "increase", "personref"])
         note = (f"accel churn={churn_threshold} step={step} op={op} "
-                f"(REPRO_UPDATE_SEED={UPDATE_SEED})")
+                f"(seed {seed})")
         view = columnar(document)
         kept = cached(view)
         if delta.kind == VALUE_CHANGE:
             edited = view.nodes[view.nid_index[delta.start]].tag
             assert not [key for key in view.derived
-                        if isinstance(key, tuple) and key[0] != "edge"
+                        if isinstance(key, tuple)
+                        and key[0] not in ("edge", "fan_out")
                         and key[1] == edited], \
                 f"an entry of the edited tag survived {note}"
         else:

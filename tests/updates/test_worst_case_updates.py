@@ -112,3 +112,25 @@ def test_the_session_takes_two_options():
     assert [name for name, parameter in parameters.items()
             if parameter.kind is parameter.KEYWORD_ONLY] \
         == ["churn_threshold", "planner"]
+
+
+def test_derived_queries_share_the_sessions_decompositions(monkeypatch):
+    """A delta query and a snapshot's query are the session's query over
+    other inputs: they reuse its twig decompositions, never decompose."""
+    from repro.core import decomposition, multimodel
+
+    session = QuerySession(example34_instance(8).query)
+    session.answer()
+    calls = []
+    original = decomposition.decompose
+    for module in (decomposition, multimodel):
+        monkeypatch.setattr(module, "decompose", lambda twig: calls.append(
+            twig) or original(twig))
+    session.insert("R1", (0, 1, 2, 3))
+    with session.pin() as snapshot:
+        evaluated = snapshot.run()
+        shared = snapshot.query().decompositions
+        assert all(shared[name] is decomposed for name, decomposed
+                   in session.query.decompositions.items())
+    assert evaluated == run_query(session.query)
+    assert calls == []
