@@ -32,8 +32,10 @@ at its ``tag_ranks`` entry) and builds the trie from those columns.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 from typing import TYPE_CHECKING
 
@@ -55,7 +57,7 @@ class PathRelation:
     name: str
     nodes: tuple[TwigNode, ...]
 
-    @property
+    @cached_property
     def attributes(self) -> tuple[str, ...]:
         return tuple(node.name for node in self.nodes)
 
@@ -76,6 +78,19 @@ class TwigDecomposition:
     paths: tuple[PathRelation, ...]
     #: The cut A-D edges, one pair input each (pre-order).
     pairs: "tuple[EdgeAtom, ...]" = ()
+
+    @cached_property
+    def attributes(self) -> tuple[str, ...]:
+        """The twig's attributes, pre-order, as it was decomposed."""
+        return self.twig.attributes
+
+    @cached_property
+    def shared(self) -> tuple[str, ...]:
+        """The attributes two or more of its inputs of arity > 1 bind."""
+        uses = Counter(name for atom in (*self.paths, *self.pairs)
+                       if len(atom.attributes) > 1
+                       for name in atom.attributes)
+        return tuple(name for name, count in uses.items() if count > 1)
 
 
 @dataclass(frozen=True)
@@ -105,7 +120,7 @@ class EdgeAtom:
     def axis(self) -> Axis:
         return self.child.axis
 
-    @property
+    @cached_property
     def attributes(self) -> tuple[str, str]:
         return (self.parent.name, self.child.name)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from repro.core.agm import AGMBound, agm_bound, symbolic_exponent, vertex_packing
 from repro.core.decomposition import (
@@ -80,16 +81,10 @@ class MultiModelQuery:
     @property
     def attributes(self) -> tuple[str, ...]:
         """All attributes, relational first, in first-appearance order."""
-        seen: list[str] = []
-        for relation in self.relations:
-            for attribute in relation.schema:
-                if attribute not in seen:
-                    seen.append(attribute)
-        for binding in self.twigs:
-            for attribute in binding.twig.attributes:
-                if attribute not in seen:
-                    seen.append(attribute)
-        return tuple(seen)
+        return tuple(dict.fromkeys(chain(
+            *[relation.schema.attributes for relation in self.relations],
+            *[self.decompositions[binding.name].attributes
+              for binding in self.twigs])))
 
     def structural_attributes(self, binding: TwigBinding) -> frozenset[str]:
         """Twig attributes of *binding* that join with nothing outside it.
@@ -99,14 +94,11 @@ class MultiModelQuery:
         and in no other twig, so only this twig's own path relations ever
         intersect on them.
         """
-        outside: set[str] = set()
-        for relation in self.relations:
-            outside.update(relation.schema.attributes)
-        for other in self.twigs:
-            if other.name != binding.name:
-                outside.update(other.twig.attributes)
-        return frozenset(a for a in binding.twig.attributes
-                         if a not in outside)
+        twigs = self.decompositions
+        return frozenset(twigs[binding.name].attributes).difference(
+            *[relation.schema.attributes for relation in self.relations],
+            *[twigs[other.name].attributes for other in self.twigs
+              if other.name != binding.name])
 
     # -- the combined hypergraph and bounds --------------------------------
 

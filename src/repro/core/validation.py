@@ -27,7 +27,6 @@ touches a node object.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
@@ -186,14 +185,10 @@ def join_implies_embedding(document: XMLDocument,
     bound); ``a(/b, /c)`` with two ``a`` nodes of equal value does not.
     """
     view = columnar(document)
-    uses = Counter(name
-                   for source in (*decomposition.paths, *decomposition.pairs)
-                   if len(source.attributes) > 1
-                   for name in source.attributes)
     twig = decomposition.twig
     return all(_identifies_nodes(view, twig.node(name).tag,
                                  name in structural)
-               for name, count in uses.items() if count > 1)
+               for name in decomposition.shared)
 
 
 def validation_points(query: "MultiModelQuery", order: Sequence[str]

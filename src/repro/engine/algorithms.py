@@ -53,9 +53,10 @@ survivors.
 The last level may come back *unexpanded*: where a plain meet
 (:class:`_Hashed`, :class:`_Sorted`; not masked, not tested) binds it
 and no structure check runs there, a chunk whose rows per live entry
-reach :data:`_FAN_OUT` hands back its prefix code columns, the
-per-entry candidate sets and their sizes instead of spreading every
-prefix column to every row; the decoder makes the rows entry by entry
+reach the crossover of its prefix width (:data:`_FAN_OUT`) hands back
+its prefix code columns, the per-entry candidate sets and their sizes
+instead of spreading every prefix column to every row; the decoder
+makes the rows entry by entry
 (:meth:`~repro.engine.encoded.EncodedInstance.result_relation`). A
 chunk below the crossover is expanded as any other level.
 
@@ -107,13 +108,15 @@ _MASK_BITS = 256
 
 #: Rows per live entry from which a chunk's last level is left
 #: unexpanded (:func:`_frontier_join`) and its rows are made entry by
-#: entry. Measured in process on R(a, b) ... S(b, c) chains, 1 000
-#: entries a run, median of 300 alternating runs: with one prefix
-#: column the per-entry build breaks even at ~12 rows per entry (-6 %
-#: at 8), with two at ~4 (+12 % at 8), with three at ~2.5 (+20 % at
-#: 8). ``mm_xmark``'s last level makes 11.4 rows per entry; Figure 3's,
+#: entry, with one prefix column; with *w* the crossover is
+#: ``_FAN_OUT / w ** 1.5`` (12, 4.2, 2.3 for 1, 2, 3 columns and more;
+#: ``inf`` never, 0 always). Measured in process on R(a, b) ... S(b, c)
+#: chains, 1 000 entries a run, median of 300 alternating runs: with one
+#: prefix column the per-entry build breaks even at ~12 rows per entry,
+#: with two at ~4, with three at ~2.5. ``mm_xmark``'s last level makes
+#: 11.4 rows per entry over three columns; Figure 3's,
 #: ``rel_triangle``'s and the served bookstore query's 1.0-1.06.
-_FAN_OUT = 8
+_FAN_OUT = 12
 
 _children = attrgetter("children")
 _keys = attrgetter("keys")
@@ -137,7 +140,7 @@ def _reject_twig_instance(algorithm: str, instance: EncodedInstance) -> None:
     them on a twig-bearing instance would silently return wrong tuples.
     A trie-less reference instance (the baseline's) is equally unusable —
     the kernels would take the 0-ary branch and emit a bogus TRUE."""
-    if instance.query is not None and instance.query.twigs:
+    if instance.twigs:
         raise EngineError(
             f"{algorithm!r} cannot evaluate twig inputs (the instance "
             f"carries twig structure filters); use the 'xjoin' algorithm")
@@ -376,9 +379,11 @@ def _frontier_join(instance: EncodedInstance, stats: JoinStats,
             if tries[i].depth > 1:
                 lands[i] = order.index(tries[i].order[-2])
     # The last level a plain meet expands, with no check on its rows,
-    # is handed back unexpanded where its fan-out reaches _FAN_OUT.
+    # is handed back unexpanded where its fan-out reaches the crossover.
     unexpanded = depth - 1 if masked != depth - 1 != tested \
         and not (checks and checks[-1]) else -1
+    # Measured to three prefix columns; a wider prefix keeps that one.
+    fan_out = _FAN_OUT / min(max(depth - 1, 1), 3) ** 1.5
     counting = stats.counting
     alive, times = [0] * depth, [0.0] * depth
     seeks = filtered = 0
@@ -422,7 +427,7 @@ def _frontier_join(instance: EncodedInstance, stats: JoinStats,
             commons = step.meet(streams)
             counts = list(map(len, commons))
             codes = None if level == unexpanded and sum(counts) >= \
-                _FAN_OUT * (len(counts) - counts.count(0)) \
+                fan_out * (len(counts) - counts.count(0)) \
                 else list(chain.from_iterable(commons))
         if counting:
             size_of = _size if level == masked else len
@@ -539,20 +544,16 @@ class XJoinAlgorithm:
         """Evaluate the combined relational+twig instance (Algorithm 1),
         projected onto the query attributes with surrogates erased."""
         stats = ensure_stats(stats)
-        query = instance.query
-        if query is None:
+        if instance.twig_filters is None:
             raise EngineError(
                 "xjoin needs an instance built with EncodedInstance."
-                "from_query (it carries the twig-side filters)")
-        if not instance.tries and (query.relations or query.twigs):
-            raise EngineError(
-                "'xjoin' needs an encoded instance with tries; this one "
-                "is a trie-less reference instance (baseline only)")
+                "from_query (it carries the twig-side filters); a "
+                "trie-less reference instance is the baseline's only")
         if instance.has_empty_input():
-            return _empty_result(stats, query.name, query.attributes)
+            return _empty_result(stats, instance.name, instance.attributes)
         return instance.result_relation(
             _frontier_join(instance, stats, "expand", instance.twig_filters),
-            query.attributes, query.name)
+            instance.attributes)
 
 
 class BaselineJoinAlgorithm:
@@ -570,10 +571,9 @@ class BaselineJoinAlgorithm:
         from repro.core.baseline import baseline_join
         from repro.core.multimodel import MultiModelQuery
 
-        query = instance.query
-        if query is None:
-            query = MultiModelQuery(instance.relations, name=instance.name)
-        return baseline_join(query, stats=stats)
+        return baseline_join(MultiModelQuery(
+            instance.relations, instance.twigs, name=instance.name),
+            stats=stats)
 
 
 GENERIC_JOIN = register(GenericJoinAlgorithm())

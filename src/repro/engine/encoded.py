@@ -53,7 +53,7 @@ from repro.relational.relation import Relation
 from repro.relational.schema import Schema, Value
 
 if TYPE_CHECKING:
-    from repro.core.multimodel import MultiModelQuery
+    from repro.core.multimodel import MultiModelQuery, TwigBinding
     from repro.core.validation import StructureValidator
 
 
@@ -437,25 +437,31 @@ def relation_input(relation: Relation, order: Sequence[str]
 
 
 class EncodedInstance:
-    """What a :class:`JoinAlgorithm` runs on: cached inputs, assembled."""
+    """What a :class:`JoinAlgorithm` runs on: cached inputs, assembled.
+    Of its query it keeps ``name``, the output ``attributes`` (default:
+    the order), the ``relations`` and twig bindings (``twigs``: the
+    baseline reads them; the relational kernels refuse any), never the
+    query object: one a query's statistics hold never pins it."""
 
-    __slots__ = ("name", "order", "dictionaries", "tries", "participation",
-                 "relations", "query", "twig_filters", "erase_structural",
-                 "built", "_level_values")
+    __slots__ = ("name", "order", "attributes", "dictionaries", "tries",
+                 "participation", "relations", "twigs", "twig_filters",
+                 "erase_structural", "built", "_level_values")
 
     def __init__(self, name: str, order: tuple[str, ...],
                  dictionaries: dict[str, Dictionary],
                  tries: list[EncodedTrie], *,
                  relations: Sequence[Relation] = (),
-                 query: "MultiModelQuery | None" = None,
+                 attributes: "Sequence[str] | None" = None,
+                 twigs: "Sequence[TwigBinding]" = (),
                  twig_filters: TwigFilters | None = None,
                  erase_structural: bool = False):
         self.name = name
         self.order = order
+        self.attributes = order if attributes is None else tuple(attributes)
         self.dictionaries = dictionaries
         self.tries = tries
         self.relations = list(relations)
-        self.query = query
+        self.twigs = tuple(twigs)
         self.twig_filters = twig_filters
         self.erase_structural = erase_structural
         #: Per trie: did assembly build (True) or find (False) its artefact?
@@ -510,10 +516,10 @@ class EncodedInstance:
     @classmethod
     def reference(cls, query: "MultiModelQuery") -> "EncodedInstance":
         """A trie-less instance for operators that evaluate from the
-        source inputs (the baseline foil): carries the query, builds no
-        dictionaries or tries."""
+        source inputs (the baseline foil): carries the query's inputs,
+        builds no dictionaries or tries."""
         return cls(query.name, (), {}, [], relations=query.relations,
-                   query=query)
+                   attributes=query.attributes, twigs=query.twigs)
 
     @classmethod
     def from_query(cls, query: "MultiModelQuery",
@@ -553,7 +559,8 @@ class EncodedInstance:
                        for atom in atoms]
         instance = cls._assemble(
             query.name, expansion, inputs, relations=query.relations,
-            query=query, erase_structural=any(structural.values()))
+            attributes=query.attributes, twigs=query.twigs,
+            erase_structural=any(structural.values()))
 
         filters = TwigFilters(checks=[[] for _ in expansion])
         if validate_structure:

@@ -366,10 +366,16 @@ def domain_order(query: "MultiModelQuery") -> tuple[str, ...]:
 def linked_attributes(query: "MultiModelQuery") -> dict[str, frozenset[str]]:
     """Per attribute, the attributes of the inputs XJoin joins on it
     (relations, path relations, A-D pair inputs), itself included."""
-    graph = query.hypergraph(with_cardinalities=False, ad_pairs=True)
-    return {a: frozenset().union(*(edge.vertices for edge
-                                   in graph.edges_covering(a)))
-            for a in query.attributes}
+    edges = [relation.schema.attributes for relation in query.relations]
+    for binding in query.twigs:
+        decomposition = query.decompositions[binding.name]
+        edges += [atom.attributes for atom
+                  in decomposition.paths + decomposition.pairs]
+    linked: dict[str, frozenset[str]] = {}
+    for edge in edges:
+        for attribute in edge:
+            linked[attribute] = linked.get(attribute, frozenset()).union(edge)
+    return linked
 
 
 def connected_order(query: "MultiModelQuery") -> tuple[str, ...]:
@@ -377,13 +383,14 @@ def connected_order(query: "MultiModelQuery") -> tuple[str, ...]:
     path relations and A-D pair inputs)."""
     linked = linked_attributes(query)
     estimates = statistics_for(query).order_ranks()
-    remaining = set(query.attributes)
+    rank = {a: (estimates.get(a, 0), a) for a in query.attributes}
+    remaining = set(rank)
     order: list[str] = []
     connected: set[str] = set()
     while remaining:
         # Start (or restart on a disconnected part) from any attribute.
         pool = (connected & remaining) or remaining
-        pick = min(pool, key=lambda a: (estimates.get(a, 0), a))
+        pick = min(pool, key=rank.__getitem__)
         order.append(pick)
         remaining.discard(pick)
         connected.update(linked[pick])
@@ -761,9 +768,9 @@ class PreparedQuery:
         self.instance.built = (False,) * len(self.instance.tries)
         result = self.kernel.run(self.instance, stats=stats)
         # Only the relational kernels return the whole expansion order.
-        if result.schema.attributes != self.query.attributes:
-            result = result.project(self.query.attributes,
-                                    name=self.query.name)
+        attributes = self.instance.attributes
+        if result.schema.attributes != attributes:
+            result = result.project(attributes, name=self.instance.name)
         return result
 
 

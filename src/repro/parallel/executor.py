@@ -108,8 +108,7 @@ class ParallelExecutor:
         if count <= 1 or len(weights) <= 1:
             return get_algorithm(algorithm).run(instance, stats=stats)
         transport = self.transport
-        has_twigs = instance.query is not None and bool(instance.query.twigs)
-        if transport in _ARENAS and has_twigs:
+        if transport in _ARENAS and instance.twigs:
             raise TransportError(
                 f"the {transport!r} transport ships the encoded instance "
                 "across processes and cannot carry twig-bearing instances "
@@ -142,15 +141,11 @@ class ParallelExecutor:
                          stage_label=f"morsel [{piece.lo},{piece.hi})")
             rows.extend(slice_rows)
         stats.stop_timer()
-        if algorithm == "xjoin" and instance.query is not None:
-            # xjoin already projects (and surrogate-erases) per slice.
-            schema = Schema(instance.query.attributes)
-            name = instance.query.name
-        else:
-            # The relational kernels emit rows over the full order.
-            schema = Schema(instance.order)
-            name = instance.name
-        return Relation(name, schema, rows)
+        # xjoin already projects (and surrogate-erases) per slice; the
+        # relational kernels emit rows over the full order.
+        return Relation(instance.name, Schema(
+            instance.attributes if algorithm == "xjoin" else instance.order),
+            rows)
 
     # -- twig matching -----------------------------------------------------
 

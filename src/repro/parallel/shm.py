@@ -104,9 +104,10 @@ def instance_buffers(instance: "EncodedInstance", algorithm: str
 
     Each trie freezes to CSR level/offset buffers
     (``t{i}.l{level}`` / ``t{i}.o{level}``); the meta block carries the
-    decode tables and participation map once, and for ``xjoin`` the
-    query and twig-filter objects (callers guarantee the instance is
-    twig-free — validators pin live documents and never serialize).
+    decode tables, participation map and output attributes once, and
+    for ``xjoin`` the twig-filter object (callers guarantee the instance
+    is twig-free — validators pin live documents and never serialize);
+    never the query or its relations' rows.
     """
     buffers: dict[str, Sequence[int]] = {}
     descriptors: list[dict[str, Any]] = []
@@ -123,12 +124,12 @@ def instance_buffers(instance: "EncodedInstance", algorithm: str
         "kind": "instance",
         "name": instance.name,
         "order": instance.order,
+        "attributes": instance.attributes,
         "participation": instance.participation,
         "level_values": instance._level_values,
         "tries": descriptors,
     }
     if algorithm == "xjoin":
-        meta["query"] = instance.query
         meta["twig_filters"] = instance.twig_filters
         meta["erase_structural"] = instance.erase_structural
     return buffers, meta
@@ -171,10 +172,11 @@ def instance_from_arena(arena) -> "EncodedInstance":
     instance = EncodedInstance.__new__(EncodedInstance)
     instance.name = meta["name"]
     instance.order = tuple(meta["order"])
+    instance.attributes = tuple(meta["attributes"])
     instance.dictionaries = {}
     instance.tries = tries
     instance.relations = []
-    instance.query = meta.get("query")
+    instance.twigs = ()
     instance.twig_filters = meta.get("twig_filters")
     instance.erase_structural = meta.get("erase_structural", False)
     instance.participation = meta["participation"]

@@ -86,12 +86,13 @@ def sliced_instance(instance: EncodedInstance, lo: int, hi: int, *,
     clone = EncodedInstance.__new__(EncodedInstance)
     clone.name = instance.name
     clone.order = instance.order
+    clone.attributes = instance.attributes
     clone.dictionaries = instance.dictionaries
     clone.tries = [
         sliced_trie(trie, lo, hi, detach=detach) if index in level0 else trie
         for index, trie in enumerate(instance.tries)]
     clone.relations = instance.relations
-    clone.query = instance.query
+    clone.twigs = instance.twigs
     clone.twig_filters = instance.twig_filters
     clone.erase_structural = instance.erase_structural
     clone.participation = instance.participation

@@ -16,6 +16,7 @@ from repro.engine.planner import (
     connected_order,
     domain_order,
     functional_next,
+    linked_attributes,
 )
 from repro.errors import PlanError
 from repro.relational.relation import Relation
@@ -53,6 +54,20 @@ class TestPlanner:
                 for edge in graph.edges_covering(attribute))
             assert touches, f"{attribute} expanded disconnected"
             bound.add(attribute)
+
+    def test_linked_attributes_read_the_joined_hypergraph(self, instance):
+        """Per attribute, the union of the edges of
+        ``hypergraph(ad_pairs=True)`` that cover it: relations, P-C
+        paths and the A-D pair inputs."""
+        for query in (instance.query, MultiModelQuery(
+                [Relation("R", ("x", "i"), [(1, 2)])],
+                [TwigBinding(parse_twig("p=person(/nm=name, //i=interest)"),
+                             XMLDocument(element("person")))])):
+            graph = query.hypergraph(with_cardinalities=False, ad_pairs=True)
+            assert linked_attributes(query) == {
+                a: frozenset().union(*(edge.vertices
+                                       for edge in graph.edges_covering(a)))
+                for a in query.attributes}
 
     def test_attribute_order_dispatch(self, instance):
         # Each C has one E child and each F one H child: both functional

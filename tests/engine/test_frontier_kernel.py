@@ -118,8 +118,8 @@ def assert_matches_reference(instance, algorithm):
     result, stages, emitted, filtered, _seeks = run = \
         kernel_run(instance, algorithm)
     code_rows, alive, rejected = reference_dfs(instance)
-    query = instance.query
-    attributes = query.attributes if algorithm == "xjoin" else instance.order
+    attributes = instance.attributes if algorithm == "xjoin" \
+        else instance.order
     expected = set()
     for codes in code_rows:
         row = erase_surrogates(instance.decode_row(codes)) \
@@ -970,6 +970,28 @@ class TestUnexpandedLastLevel:
         assert blocks["figure3-unmasked"][1] == 0
         assert blocks["chunked"][0] >= 4000 and blocks["chunked"][1] > 0
         assert blocks["mm_xmark-0.25"] == (0, 1)
+
+    @pytest.mark.parametrize("width, below, above",
+                             [(1, 11, 12), (2, 4, 5), (3, 2, 3)])
+    def test_the_crossover_falls_with_the_prefix_width(self, width, below,
+                                                       above):
+        """With *width* prefix columns a chunk is left unexpanded from
+        ``_FAN_OUT / width ** 1.5`` rows per live entry on: 12, 4.2 and
+        2.3. The form is read off the kernel's ``factored``; the
+        counters cannot see it."""
+        assert algorithms._FAN_OUT == 12
+        prefix = tuple(f"p{i}" for i in range(width))
+        for fan_out, left in ((below, False), (above, True)):
+            relation = Relation("R", (*prefix, "z"), [
+                (*[entry] * width, value)
+                for entry in range(50) for value in range(fan_out)])
+            columns, factored = algorithms._frontier_join(
+                EncodedInstance.from_relations([relation]), JoinStats(),
+                "level")
+            assert bool(factored) is left, (width, fan_out)
+            assert len(columns[-1]) + sum(
+                sum(counts) for _cols, _commons, counts in factored) \
+                == len(relation)
 
     @pytest.mark.parametrize("permuted", [False, True])
     def test_per_entry_decode_equals_the_row_decode(self, monkeypatch,
