@@ -52,7 +52,8 @@ import time
 
 from repro.core.baseline import baseline_join
 from repro.core.decomposition import decompose
-from repro.core.multimodel import MultiModelQuery, TwigBinding
+from repro.core.multimodel import MultiModelQuery, TwigBinding, \
+    _decomposition
 from repro.core.xjoin import xjoin
 from repro.data.scenarios import figure1_query
 from repro.data.synthetic import (
@@ -114,8 +115,8 @@ def _explain_inputs(query, plan) -> None:
     """The inputs XJoin joins — relations, P-C path relations and A-D
     pair inputs with their cardinalities — and where each twig's
     structure is validated."""
-    pairs = {pair.name for decomposition in query.decompositions.values()
-             for pair in decomposition.pairs}
+    pairs = {pair.name for binding in query.twigs
+             for pair in _decomposition(binding.twig).pairs}
     relations = {relation.name for relation in query.relations}
     print("  inputs (cardinality):")
     for edge in query.hypergraph(ad_pairs=True).edges:
@@ -130,13 +131,8 @@ def _explain_inputs(query, plan) -> None:
 
 def cmd_explain(spec: str = "skewed", workers: int = 0) -> int:
     """Print the adaptive plan for *spec* with estimated vs observed
-    per-stage cardinalities (from one instrumented execution), and note
-    any re-planned choice once the observation is folded back."""
-    from repro.engine.adaptive import (
-        AdaptivePlanner,
-        FeedbackStore,
-        observed_stage_sizes,
-    )
+    per-stage cardinalities (from one instrumented execution)."""
+    from repro.engine.adaptive import AdaptivePlanner, observed_stage_sizes
     from repro.engine.planner import run_query
     from repro.errors import ServiceError
     from repro.service.corpus import corpus_query
@@ -146,7 +142,7 @@ def cmd_explain(spec: str = "skewed", workers: int = 0) -> int:
     except ServiceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    planner = AdaptivePlanner(store=FeedbackStore())
+    planner = AdaptivePlanner()
     plan = planner.plan(query, workers=workers)
     racer = planner.racer
     print(f"plan for {spec!r}:")
@@ -171,7 +167,6 @@ def cmd_explain(spec: str = "skewed", workers: int = 0) -> int:
     stats = JoinStats()
     result = run_query(query, order=plan.order, algorithm=plan.algorithm,
                        stats=stats, workers=workers)
-    planner.observe(query, plan.order, stats)
     if stats.inputs:  # per input: encoded by this run, or found cached
         print("  encoded inputs: " + ", ".join(
             f"{name} {'built' if built else 'reused'}"
@@ -194,18 +189,6 @@ def cmd_explain(spec: str = "skewed", workers: int = 0) -> int:
               f"observed {seen_text:>10}   {spent_text:>8} ms"
               + ("   tested, not enumerated" * (attribute == plan.tested)))
     print(f"  result: {len(result)} rows")
-    races = racer.races
-    replanned = planner.plan(query, workers=workers)
-    # Inherited unless the observation moved the corrections materially
-    # (or, under updates, an input's generation advanced).
-    how = "re-raced" if racer.races > races else "converged, inherited"
-    if (replanned.order, replanned.algorithm) != \
-            (plan.order, plan.algorithm):
-        print(f"  after observation: planner switches to "
-              f"{' -> '.join(replanned.order)} ({replanned.algorithm}, "
-              f"{how})")
-    else:
-        print(f"  after observation: plan unchanged ({how})")
     return 0
 
 

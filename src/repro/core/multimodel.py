@@ -72,9 +72,6 @@ class MultiModelQuery:
         names = [r.name for r in self.relations] + [t.name for t in self.twigs]
         if len(names) != len(set(names)):
             raise QueryError(f"duplicate input names in query: {names!r}")
-        self.decompositions: dict[str, TwigDecomposition] = {
-            binding.name: _decomposition(binding.twig)
-            for binding in self.twigs}
 
     # -- attributes ------------------------------------------------------
 
@@ -83,7 +80,7 @@ class MultiModelQuery:
         """All attributes, relational first, in first-appearance order."""
         return tuple(dict.fromkeys(chain(
             *[relation.schema.attributes for relation in self.relations],
-            *[self.decompositions[binding.name].attributes
+            *[_decomposition(binding.twig).attributes
               for binding in self.twigs])))
 
     def structural_attributes(self, binding: TwigBinding) -> frozenset[str]:
@@ -94,10 +91,9 @@ class MultiModelQuery:
         and in no other twig, so only this twig's own path relations ever
         intersect on them.
         """
-        twigs = self.decompositions
-        return frozenset(twigs[binding.name].attributes).difference(
+        return frozenset(_decomposition(binding.twig).attributes).difference(
             *[relation.schema.attributes for relation in self.relations],
-            *[twigs[other.name].attributes for other in self.twigs
+            *[_decomposition(other.twig).attributes for other in self.twigs
               if other.name != binding.name])
 
     # -- the combined hypergraph and bounds --------------------------------
@@ -121,7 +117,7 @@ class MultiModelQuery:
                 relation.name, relation.schema.attributes,
                 cardinality=len(relation) if with_cardinalities else None)
         for binding in self.twigs:
-            decomposition = self.decompositions[binding.name]
+            decomposition = _decomposition(binding.twig)
             structural = self.structural_attributes(binding)
             for atom in decomposition.paths + (
                     decomposition.pairs if ad_pairs else ()):

@@ -30,6 +30,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
+from repro.core import multimodel
 from repro.core.surrogate import NodeSurrogate
 from repro.relational.schema import Value
 from repro.xml.columnar import ColumnarDocument, columnar
@@ -201,7 +202,7 @@ def validation_points(query: "MultiModelQuery", order: Sequence[str]
     points: dict[str, str | None] = {}
     for binding in query.twigs:
         if join_implies_embedding(binding.document,
-                                  query.decompositions[binding.name],
+                                  multimodel._decomposition(binding.twig),
                                   query.structural_attributes(binding)):
             points[binding.name] = None
         else:

@@ -15,11 +15,10 @@ Three layers (see ``docs/architecture.md``):
    relation/twig statistics choosing the expansion order and the
    algorithm, with the historical policies preserved as named strategies.
 
-On top sits the **adaptive layer** (:mod:`repro.engine.adaptive`):
-runtime cardinality corrections fed back from executed queries'
-``JoinStats``, the ``bound``/``corrected`` upper-bound order policies
-(registered here at import time), and plan racing with early kill. See
-``docs/planner.md``.
+On top sits the **adaptive layer** (:mod:`repro.engine.adaptive`): the
+``bound`` upper-bound order policy (registered here at import time),
+plan racing with early kill, and the drift ledger that dates a race's
+winner. See ``docs/planner.md``.
 """
 
 from repro.engine.dictionary import Dictionary
@@ -45,13 +44,12 @@ from repro.engine.planner import (
     statistics_for,
 )
 
-# Importing the adaptive layer registers the "bound" and "corrected"
-# order policies alongside the static ones.
+# Importing the adaptive layer registers the "bound" order policy
+# alongside the static ones.
 from repro.engine.adaptive import (  # noqa: E402  (needs planner above)
     AdaptivePlanner,
     FeedbackStore,
     PlanRacer,
-    default_feedback,
 )
 
 __all__ = [
@@ -68,7 +66,6 @@ __all__ = [
     "available_algorithms",
     "cached_relation_stats",
     "choose_twig_algorithm",
-    "default_feedback",
     "get_algorithm",
     "plan_query",
     "register",

@@ -1,61 +1,46 @@
-"""Adaptive feedback-driven planning: corrections, bounds, plan racing.
+"""Adaptive planning: bounds, plan racing and the drift ledger.
 
-Three cooperating pieces close the loop the static planner leaves open
-(mis-estimates on skewed or update-churned data silently pinning every
-subsequent query to a bad plan):
+XJoin is worst-case optimal in every attribute order, so a plan only
+picks constants. Three pieces pick them:
 
-1. **Feedback corrections** (:class:`FeedbackStore`). After an executed
-   query, the per-level ``record_stage`` counters in
-   :class:`~repro.instrumentation.JoinStats` are folded back into
-   per-(input, attribute, bound attribute set) cardinality correction
-   factors — observed over estimated bindings per prefix tuple,
-   EWMA-smoothed — stored beside the cached
-   :class:`~repro.relational.statistics.RelationStats` /
-   :class:`~repro.xml.columnar.DocumentStats`. Corrections are
-   **version-keyed**: every factor is recorded against the version
-   stamps of the query's inputs, and a factor whose input has moved on
-   is never consumed. :class:`~repro.updates.session.QuerySession`
-   reports every delta to the store's per-input *drift ledger*: deltas
-   *inherit* corrections until they add up to a churn fraction of the
-   input (or a document edit forces a rebuild), which advances the
-   input's *generation* and *invalidates* them.
+1. **Bound-driven ordering** (:func:`bound_order` / the ``bound``
+   policy). A UES/AGM style estimate: the number of bindings a new
+   attribute adds per prefix tuple is upper-bounded, per input, by the
+   input's maximum per-value frequency on any already-bound attribute
+   (or its distinct count when disconnected). A subset DP picks the
+   order minimising the worst per-prefix output bound — the quantity
+   Lemma 3.5 bounds — with the cumulative product as tie-break.
 
-2. **Bound-driven ordering** (:func:`bound_order` / the ``bound``
-   policy, plus the correction-aware ``corrected`` policy). A UES/AGM
-   style estimate: the number of bindings a new attribute adds per
-   prefix tuple is upper-bounded, per input, by the input's maximum
-   per-value frequency on any already-bound attribute (or its distinct
-   count when disconnected). A subset DP picks the order minimising
-   the worst per-prefix output bound — the quantity Lemma 3.5 bounds —
-   with the cumulative product as tie-break.
+2. **Plan racing** (:class:`PlanRacer`). The top-K candidate plans
+   (order policy x operator), ranked by that bound, race on a budgeted
+   sample of the key domain (a :func:`~repro.parallel.slicing.
+   sliced_instance` over the first codes of each candidate's own
+   level-0 axis); each round the slower half is killed and the
+   survivors re-race on a sample :data:`GROWTH` times larger, every
+   round reusing the one :class:`~repro.engine.encoded.EncodedInstance`
+   assembled per distinct order (contenders agreeing on an input's
+   column order share its cached trie).
 
-3. **Plan racing** (:class:`PlanRacer`). The top-K candidate plans
-   (order policy x operator) race on a budgeted sample of the key
-   domain (a :func:`~repro.parallel.slicing.sliced_instance` over the
-   first codes of each candidate's own level-0 axis); each round the
-   slower half is killed and the survivors re-race on a sample
-   :data:`GROWTH` times larger, every round reusing the one
-   :class:`~repro.engine.encoded.EncodedInstance` assembled per distinct
-   order (contenders agreeing on an input's column order share its
-   cached trie). The winner is cached per query signature and re-raced
-   only when the feedback epoch moves — corrections changed materially,
-   or an input's generation advanced — so a converged workload plans in
-   O(1), update batches included. The service holds the adaptive plan,
-   dated by the same epoch, so ``repro serve`` tenants benefit without
-   re-racing; beside it, it keeps the plan's prepared read
-   (:class:`~repro.engine.planner.PreparedQuery`) until the next batch,
-   and a re-race that crowns the same order and algorithm keeps it.
+3. **The drift ledger** (:class:`FeedbackStore`).
+   :class:`~repro.updates.session.QuerySession` reports every delta to
+   it; deltas add up per input until they reach a churn fraction of
+   the input (or a document edit forces a rebuild), which advances the
+   input's *generation* and moves the *epoch*. The racer's winner is
+   cached per query signature until the epoch moves, so a read-only
+   workload races once and an update stream re-races only on drift.
+   The service holds the adaptive plan, dated by the same epoch, so
+   ``repro serve`` tenants share it; beside it, it keeps the plan's
+   prepared read (:class:`~repro.engine.planner.PreparedQuery`) until
+   the next batch, and a re-race that crowns the same order and
+   algorithm keeps it.
 
-Corrections influence *plan choice only*; every ordering policy and
-every raced plan returns byte-identical rows (the parity suites assert
-this), so a stale-but-undetected correction can cost milliseconds,
-never wrong answers.
+A plan influences speed only: every ordering policy and every raced
+plan returns byte-identical rows (the parity suites assert this).
 """
 
 from __future__ import annotations
 
 import gc
-import math
 import time
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterable
@@ -69,7 +54,6 @@ from repro.engine.planner import (
     estimated_stage_sizes,
     linked_attributes,
     plan_query,
-    policy_order,
     query_signature,
     register_order_policy,
     run_query,
@@ -78,30 +62,7 @@ from repro.instrumentation import JoinStats, ensure_stats
 
 if TYPE_CHECKING:
     from repro.core.multimodel import MultiModelQuery
-    from repro.engine.planner import PreparedQuery
     from repro.relational.relation import Relation
-
-# ---------------------------------------------------------------------------
-# input version stamps
-# ---------------------------------------------------------------------------
-
-def input_versions(query: "MultiModelQuery") -> dict[str, tuple]:
-    """Per-input version stamps at this instant.
-
-    Immutable relations are replaced wholesale on update (the update
-    layer builds a fresh object per version), so object identity plus
-    cardinality stamps a relational version; documents are patched in
-    place but bump :attr:`~repro.xml.model.XMLDocument.version` on
-    every edit, so (identity, version) stamps a document. Stamps are
-    compared for equality only — a mismatch means "do not consume".
-    """
-    versions: dict[str, tuple] = {}
-    for relation in query.relations:
-        versions[relation.name] = ("rel", id(relation), len(relation))
-    for binding in query.twigs:
-        versions[binding.name] = ("doc", id(binding.document),
-                                  binding.document.version)
-    return versions
 
 
 def observed_stage_sizes(stats: JoinStats,
@@ -123,61 +84,8 @@ def observed_stage_sizes(stats: JoinStats,
 
 
 # ---------------------------------------------------------------------------
-# the feedback store
+# the drift ledger
 # ---------------------------------------------------------------------------
-
-#: Correction factors are clamped to this band: a single wild sample
-#: (e.g. an estimate floored at 1) must not poison the store forever.
-FACTOR_CLAMP = 64.0
-
-#: An EWMA move below this log-scale distance is immaterial: it neither
-#: bumps the epoch nor triggers a re-race, which is what lets a
-#: converged workload stop paying planning costs. It sits above
-#: log 1.5: one duplicate key arriving or leaving doubles or halves a
-#: maximum frequency, hence a raw bound, and moves the EWMA by that.
-EPOCH_TOLERANCE = 0.5
-
-#: The EWMA weight of a new sample in a correction factor.
-SMOOTHING = 0.5
-
-
-@dataclass
-class Correction:
-    """One learned cardinality correction factor (observed/estimated)."""
-
-    input_name: str
-    attribute: str
-    #: The attributes bound when the factor was observed. A stage's
-    #: size depends on the *set* bound so far, not on its order, so the
-    #: factor serves every order that passes through this set.
-    bound: "frozenset[str]"
-    factor: float = 1.0
-    samples: int = 0
-    #: Dropped by a generation advance: not consumed until re-observed.
-    retired: bool = False
-
-    def fold(self, observed_factor: float) -> float:
-        """EWMA the new sample in; returns the absolute log-scale move.
-
-        A first sample's move is its deviation from the neutral factor
-        1.0 the planner was already assuming — an observation that
-        merely confirms the estimate is not a material change, no
-        matter how new its key is. A retired correction restarts from
-        the sample, but whether the sample is news is judged as if the
-        correction had stayed: re-learning what held before the drift
-        is not."""
-        clamped = min(max(observed_factor, 1.0 / FACTOR_CLAMP),
-                      FACTOR_CLAMP)
-        if self.samples == 0:
-            updated = clamped
-        else:
-            updated = (1.0 - SMOOTHING) * self.factor + SMOOTHING * clamped
-        move = abs(math.log(updated) - math.log(self.factor))
-        self.factor = clamped if self.retired else updated
-        self.retired = False
-        self.samples += 1
-        return move
-
 
 @dataclass
 class Drift:
@@ -190,106 +98,24 @@ class Drift:
 
 
 class FeedbackStore:
-    """Version-keyed cardinality corrections learned from executed plans.
+    """The drift ledger: per-input generations and the epoch they move.
 
-    Keys are per-(input, attribute, bound set); version stamps are held
-    per query signature and checked on every read, so a correction
-    observed against superseded data is *never* consumed (it returns
-    the neutral factor 1.0 until re-learned or explicitly inherited by
-    the update layer). :attr:`epoch` advances only on material changes
-    — first observations, large EWMA moves, generation advances — and
-    is the coupling point for the plan racer and the service's held plans.
+    :class:`~repro.updates.session.QuerySession` reports every delta
+    here. Deltas add up per input until they reach a churn fraction of
+    the input's size (or a document edit forces a rebuild); then the
+    input's *generation* advances and the :attr:`epoch` moves. The epoch
+    moves otherwise only by hand (:meth:`bump_epoch`). It dates the
+    racer's winners and the service's held plans: a plan is re-raced
+    when its inputs drifted, never per update batch. The store also
+    counts executed runs and the encoded inputs they built or reused.
     """
 
-    def __init__(self, *, stamp_fn=None):
-        #: How inputs are version-stamped. The default is physical
-        #: identity (:func:`input_versions`); the service substitutes a
-        #: logical stamp (:meth:`generations`) because its snapshot
-        #: queries read the live inputs or the writer's retained clone,
-        #: and every batch mints relation objects and document versions:
-        #: physical stamps never recur, while states of one generation
-        #: are statistically the same input.
-        self._stamp_fn = stamp_fn if stamp_fn is not None \
-            else input_versions
-        #: (scope, input, attribute, bound set) -> Correction.
-        self._corrections: dict[tuple, Correction] = {}
-        #: scope -> input name -> version stamp at observation time.
-        self._versions: dict[tuple, dict[str, tuple]] = {}
+    def __init__(self):
         #: (scope, input) -> the input's drift ledger.
         self._drift: dict[tuple, Drift] = {}
         self.epoch = 0
         self.observations = 0
         self.inputs: dict[str, list[int]] = {}  #: name -> [built, reused]
-
-    # -- learning ----------------------------------------------------------
-
-    def observe(self, query: "MultiModelQuery", order: "tuple[str, ...]",
-                stats: JoinStats,
-                prepared: "PreparedQuery | None" = None) -> int:
-        """Fold one executed query's stage counters into corrections.
-
-        Returns the number of (attribute, bound set) levels that produced
-        a sample. Estimates are the *raw* (uncorrected) bounds, so the
-        factors always calibrate the static model rather than chasing
-        their own output (the run's *prepared* query holds them).
-        """
-        self.count_inputs(stats)
-        observed = observed_stage_sizes(stats, order)
-        if not observed:
-            return 0
-        scope, estimates = (prepared.signature, prepared.estimates) \
-            if prepared else (query_signature(query),
-                              estimated_stage_sizes(query, order))
-        material = False
-        folded = 0
-        previous: "int | None" = 1
-        for estimate in estimates:
-            size, before = observed.get(estimate.attribute), previous
-            previous = size
-            if size is None or not before:
-                continue  # no live prefix tuples: the level says nothing
-            # Per level, like the bound it corrects: observed over
-            # estimated bindings *per prefix tuple*, so the corrected
-            # cumulative product reproduces the observed sizes.
-            sample = size / before / max(estimate.extension, 1.0)
-            key = (scope, estimate.source, estimate.attribute,
-                   frozenset(estimate.prefix))
-            correction = self._corrections.get(key)
-            if correction is None:
-                correction = self._corrections[key] = Correction(*key[1:])
-            if correction.fold(sample) > EPOCH_TOLERANCE:
-                material = True
-            folded += 1
-        self._versions[scope] = self._stamp_fn(query)
-        self.observations += 1
-        if material:
-            self.epoch += 1
-        return folded
-
-    # -- reading (version-key checked) -------------------------------------
-
-    def _fresh(self, scope: tuple, query: "MultiModelQuery",
-               input_name: str) -> bool:
-        """Is the stored stamp for *input_name* the input's current one?"""
-        recorded = self._versions.get(scope)
-        if recorded is None or input_name not in recorded:
-            return False
-        return recorded[input_name] == \
-            self._stamp_fn(query).get(input_name)
-
-    def stage_factor(self, query: "MultiModelQuery", input_name: str,
-                     attribute: str,
-                     prefix: "tuple[str, ...]") -> float:
-        """The learned factor for one expansion level (1.0 if unknown
-        **or stale** — the version-key check that keeps post-churn
-        plans from consuming superseded corrections)."""
-        scope = query_signature(query)
-        if not self._fresh(scope, query, input_name):
-            return 1.0
-        correction = self._corrections.get(
-            (scope, input_name, attribute, frozenset(prefix or ())))
-        return 1.0 if correction is None or correction.retired \
-            else correction.factor
 
     # -- update-layer hooks ------------------------------------------------
 
@@ -297,37 +123,26 @@ class FeedbackStore:
                           *, moved: int = 0, size: int = 0,
                           fraction: float = 0.25,
                           churn: bool = False) -> None:
-        """One input of *query* changed: inherit or invalidate.
+        """One input of *query* changed: count it against its generation.
 
         *moved* rows (of an input holding *size* before them) join the
         input's drift ledger. While the deltas since the generation
         began stay within *fraction* of the size the input had then,
-        the update *inherits* — the inputs were patched, not rebuilt,
-        so the learned factors still describe the data and
-        only the version stamp advances. Crossing it — or *churn*, a
-        document edit that forced a rebuild — *invalidates*: the
-        generation advances, every correction attributed to the input
-        is dropped and the epoch bumps (forcing a re-race)."""
+        nothing else happens: the inputs were patched, and the plans
+        raced over them still fit. Crossing it — or *churn*, a document
+        edit that forced a rebuild — advances the input's generation and
+        bumps the epoch (forcing a re-race)."""
         scope = query_signature(query)
         drift = self._drift.setdefault((scope, input_name), Drift())
         drift.base = drift.base or max(1, size)
         drift.moved += moved
-        recorded = self._versions.get(scope)
         if churn or drift.moved > fraction * drift.base:
             self._drift[scope, input_name] = Drift(drift.generation + 1)
-            for key, correction in self._corrections.items():
-                if key[0] == scope and key[1] == input_name:
-                    correction.retired = True
-            if recorded is not None:
-                recorded.pop(input_name, None)
             self.epoch += 1
-        elif recorded is not None and input_name in recorded:
-            recorded[input_name] = \
-                self._stamp_fn(query).get(input_name)
 
     def generations(self, query: "MultiModelQuery") -> dict[str, int]:
         """Per-input generation of *query*: how many times each input
-        drifted past its churn fraction (the service's version stamp)."""
+        drifted past its churn fraction."""
         scope = query_signature(query)
         names = [relation.name for relation in query.relations] \
             + [binding.name for binding in query.twigs]
@@ -336,8 +151,8 @@ class FeedbackStore:
                 for name in names}
 
     def bump_epoch(self) -> int:
-        """Advance the epoch without touching corrections: forces a
-        re-race by hand (the end-to-end harness does, per batch)."""
+        """Advance the epoch: forces a re-race by hand (the end-to-end
+        harness does, per batch)."""
         self.epoch += 1
         return self.epoch
 
@@ -354,9 +169,6 @@ class FeedbackStore:
     def stats(self) -> dict[str, int]:
         """Counters for dashboards and the service ``stats`` endpoint."""
         return {
-            "corrections": sum(not correction.retired for correction
-                               in self._corrections.values()),
-            "scopes": len(self._versions),
             "epoch": self.epoch,
             "observations": self.observations,
             # name -> [built, reused], copied: the totals keep moving.
@@ -365,23 +177,12 @@ class FeedbackStore:
         }
 
     def __repr__(self) -> str:
-        return (f"FeedbackStore({len(self._corrections)} corrections, "
-                f"epoch {self.epoch}, {self.observations} observations)")
-
-
-#: The process-wide default store: the ``corrected`` order policy reads
-#: it; ``repro explain`` and :class:`AdaptivePlanner` write it unless
-#: given their own.
-_DEFAULT_STORE = FeedbackStore()
-
-
-def default_feedback() -> FeedbackStore:
-    """The process-wide default :class:`FeedbackStore`."""
-    return _DEFAULT_STORE
+        return (f"FeedbackStore(epoch {self.epoch}, "
+                f"{self.observations} observations)")
 
 
 # ---------------------------------------------------------------------------
-# bound-driven ordering (the ``bound`` and ``corrected`` policies)
+# bound-driven ordering (the ``bound`` policy)
 # ---------------------------------------------------------------------------
 
 #: Above this many attributes the subset DP (O(2^n * n)) yields to the
@@ -389,10 +190,9 @@ def default_feedback() -> FeedbackStore:
 MAX_DP_ATTRIBUTES = 12
 
 
-def _bound_driven_order(query: "MultiModelQuery",
-                        store: "FeedbackStore | None"
-                        ) -> tuple[str, ...]:
-    """The order minimising (max per-prefix bound, total, lexicographic).
+def bound_order(query: "MultiModelQuery") -> tuple[str, ...]:
+    """The ``bound`` policy: the order minimising (max per-prefix bound,
+    total, lexicographic).
 
     Subset DP: the bound on extending a bound set ``S`` by ``x``
     depends only on ``S``, so states are subsets carrying the best
@@ -414,22 +214,11 @@ def _bound_driven_order(query: "MultiModelQuery",
                 if any(a in linked[b] for b in chosen)] or rest
 
     if len(attributes) > MAX_DP_ATTRIBUTES:
-        remaining = set(attributes)
         order: list[str] = []
-        while remaining:
+        while len(order) < len(attributes):
             bound = set(order)
-
-            def cost(attribute: str) -> tuple[float, str]:
-                extension, source = _extension_bound(query, attribute,
-                                                     bound)
-                if store is not None:
-                    extension *= store.stage_factor(
-                        query, source, attribute, tuple(order))
-                return (extension, attribute)
-
-            pick = min(extensions(bound), key=cost)
-            order.append(pick)
-            remaining.discard(pick)
+            order.append(min(extensions(bound), key=lambda attribute: (
+                _extension_bound(query, attribute, bound)[0], attribute)))
         return tuple(order)
 
     # DP over subsets: state value = (max stage bound, stage sum,
@@ -443,11 +232,8 @@ def _bound_driven_order(query: "MultiModelQuery",
                          tuple[float, float, tuple[str, ...], float]] = {}
         for subset, (worst, total, order, cumulative) in states.items():
             for attribute in extensions(subset):
-                extension, source = _extension_bound(query, attribute,
-                                                     set(subset))
-                if store is not None:
-                    extension *= store.stage_factor(query, source,
-                                                    attribute, order)
+                extension, _source = _extension_bound(query, attribute,
+                                                      set(subset))
                 stage = cumulative * extension
                 candidate = (max(worst, stage), total + stage,
                              order + (attribute,), stage)
@@ -460,19 +246,7 @@ def _bound_driven_order(query: "MultiModelQuery",
     return order
 
 
-def bound_order(query: "MultiModelQuery") -> tuple[str, ...]:
-    """The ``bound`` policy: pure upper-bound-driven ordering."""
-    return _bound_driven_order(query, None)
-
-
-def corrected_order(query: "MultiModelQuery") -> tuple[str, ...]:
-    """The ``corrected`` policy: bound-driven ordering calibrated by the
-    default feedback store's (version-fresh) correction factors."""
-    return _bound_driven_order(query, default_feedback())
-
-
 register_order_policy("bound", bound_order)
-register_order_policy("corrected", corrected_order)
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +254,7 @@ register_order_policy("corrected", corrected_order)
 # ---------------------------------------------------------------------------
 
 #: Order policies whose (deduplicated) picks seed the candidate grid.
-RACE_POLICIES = ("appearance", "domain", "connected", "bound", "corrected")
+RACE_POLICIES = ("appearance", "domain", "connected", "bound")
 
 #: A challenger must beat the incumbent winner by this factor on the
 #: race sample to dethrone it — hysteresis against timing noise.
@@ -530,18 +304,18 @@ class PlanRacer:
     """Races the top-K candidate plans on budgeted key-domain samples.
 
     Candidates are every distinct (order policy pick, operator) pair,
-    ranked by their corrected worst-stage bound; the top :data:`TOP_K`
+    ranked by their worst-stage bound; the top :data:`TOP_K`
     (plus the static planner's own choice, as a guard) race on a
     :func:`~repro.parallel.slicing.sliced_instance` covering the first
     :data:`SAMPLE_CODES` codes of each candidate's own level-0 axis.
     Successive halving kills the slower half each round and grows the
     sample by :data:`GROWTH`; every round slices the one instance assembled
     per distinct order. The survivor is cached per query signature
-    until the feedback epoch moves.
+    until the store's epoch moves.
     """
 
     def __init__(self, store: "FeedbackStore | None" = None):
-        self.store = store if store is not None else default_feedback()
+        self.store = store if store is not None else FeedbackStore()
         #: scope -> (epoch at race time, winning plan).
         self._winners: dict[tuple, tuple[int, QueryPlan]] = {}
         self.races = 0
@@ -552,18 +326,14 @@ class PlanRacer:
     # -- candidate generation ----------------------------------------------
 
     def candidates(self, query: "MultiModelQuery") -> list[QueryPlan]:
-        """The top-K candidate plans, ranked by corrected bound."""
+        """The top-K candidate plans, ranked by worst-stage bound."""
         operators = ["xjoin"] if query.twigs \
             else ["generic_join", "leapfrog"]
         seen: set[tuple] = set()
         ranked: list[tuple[float, str, QueryPlan]] = []
         for policy in RACE_POLICIES:
-            # ``corrected`` reads this racer's store; the registered
-            # policy only knows the process-wide default one.
-            order = policy_order(
-                query, _bound_driven_order(query, self.store)) \
-                if policy == "corrected" else attribute_order(query, policy)
-            estimates = estimated_stage_sizes(query, order, self.store)
+            order = attribute_order(query, policy)
+            estimates = estimated_stage_sizes(query, order)
             worst = max((e.cumulative for e in estimates), default=0.0)
             for operator in operators:
                 key = (order, operator)
@@ -650,9 +420,9 @@ class PlanRacer:
         winner re-races as the *incumbent* and is re-crowned while it
         ties; otherwise the best-ranked of the final round's tied plans
         wins. Were the fastest sample simply crowned, near-tied
-        candidates would flip with timing noise on small inputs — and
-        every flip executes a different order, mints new corrections,
-        bumps the epoch, and forces yet another race.
+        candidates would flip with timing noise on small inputs, and
+        every re-race could crown another plan, which a held read then
+        has to be rebuilt for.
         """
         scope = query_signature(query)
         cached = self._winners.get(scope)
@@ -729,18 +499,17 @@ class PlanRacer:
 # ---------------------------------------------------------------------------
 
 class AdaptivePlanner:
-    """Feedback loop + bound-driven ordering + plan racing, in one.
+    """Plan racing dated by the drift ledger, in one.
 
-    ``plan`` returns the raced (or cached) winner with corrected stage
-    estimates and the static partition count; ``execute`` runs it and
-    folds the observed stage sizes back into the store, which bumps the
-    epoch — and thereby triggers a future re-race — only when the
-    corrections moved materially. The loop therefore *converges*: once
-    observations match estimates, planning is a cache hit.
+    ``plan`` returns the raced (or cached) winner with its raw stage
+    bounds and the static partition count; ``execute`` runs it. A plan
+    is a function of the inputs' statistics and the race's clock: the
+    winner holds until an input drifts past its churn fraction (or the
+    epoch is bumped by hand), so a read-only workload races once.
     """
 
     def __init__(self, store: "FeedbackStore | None" = None):
-        self.store = store if store is not None else default_feedback()
+        self.store = store if store is not None else FeedbackStore()
         self.racer = PlanRacer(self.store)
 
     @property
@@ -750,22 +519,23 @@ class AdaptivePlanner:
 
     def plan(self, query: "MultiModelQuery", *,
              workers: int = 0) -> QueryPlan:
-        """The adaptive plan: raced winner, corrected stage estimates,
+        """The adaptive plan: raced winner, raw stage bounds,
         the partition count :func:`~repro.engine.planner.choose_partitions`
         decides, planner-chosen twig matchers."""
         winner = self.racer.race(query).winner
         plan = plan_query(query, order=winner.order,
                           algorithm=winner.algorithm, workers=workers)
         plan = replace(plan, policy=winner.policy)
-        estimates = estimated_stage_sizes(query, plan.order, self.store)
+        estimates = estimated_stage_sizes(query, plan.order)
         return replace(plan, stage_estimates=tuple(
             (e.attribute, int(round(e.cumulative))) for e in estimates))
 
     def observe(self, query: "MultiModelQuery",
-                order: "tuple[str, ...]", stats: JoinStats,
-                prepared: "PreparedQuery | None" = None) -> int:
-        """Fold one executed plan's counters into the store."""
-        return self.store.observe(query, order, stats, prepared)
+                order: "tuple[str, ...]", stats: JoinStats) -> None:
+        """Count one executed run of *query* in *order* and the encoded
+        inputs *stats* says it built or reused; it plans nothing."""
+        self.store.observations += 1
+        self.store.count_inputs(stats)
 
     def execute(self, query: "MultiModelQuery", *, workers: int = 0,
                 stats: JoinStats | None = None) -> "Relation":

@@ -47,6 +47,7 @@ from operator import add, itemgetter, le, mul
 from typing import TYPE_CHECKING
 
 from repro.buffers.layout import gather, make, pack, typecode_for
+from repro.core import multimodel
 from repro.engine.dictionary import Dictionary, merge_dictionaries
 from repro.errors import EngineError, QueryError
 from repro.relational.relation import Relation
@@ -551,7 +552,7 @@ class EncodedInstance:
         inputs = [relation_input(relation, expansion)
                   for relation in query.relations]
         for binding in query.twigs:
-            decomposition = query.decompositions[binding.name]
+            decomposition = multimodel._decomposition(binding.twig)
             atoms = decomposition.paths + (
                 decomposition.pairs if validate_structure else ())
             inputs += [twig_input(binding.document, atom,

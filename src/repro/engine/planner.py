@@ -27,8 +27,7 @@ then passes through :func:`existential_last` and :func:`functional_next`
 Further policies register themselves through
 :func:`register_order_policy` — the adaptive layer
 (:mod:`repro.engine.adaptive`) adds ``bound`` (UES/AGM upper-bound
-driven) and ``corrected`` (bounds calibrated by runtime feedback) when
-:mod:`repro.engine` is imported.
+driven) when :mod:`repro.engine` is imported.
 """
 
 from __future__ import annotations
@@ -36,9 +35,9 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
-from functools import cached_property
 from typing import TYPE_CHECKING, Callable
 
+from repro.core import multimodel
 from repro.engine.encoded import EncodedInstance, relation_artefacts, \
     relation_columns
 from repro.engine.interface import available_algorithms, get_algorithm
@@ -49,7 +48,6 @@ from repro.relational.statistics import RelationStats, column_stats_of_domain
 
 if TYPE_CHECKING:
     from repro.core.multimodel import MultiModelQuery
-    from repro.engine.adaptive import FeedbackStore
     from repro.xml.columnar import DocumentStats
     from repro.xml.model import XMLDocument
     from repro.xml.twig import TwigQuery
@@ -73,6 +71,18 @@ def cached_relation_stats(relation: Relation) -> RelationStats:
     return artefacts["stats"]
 
 
+def _input_stamp(query: "MultiModelQuery") -> tuple:
+    """What *query*'s statistics are derived from: each relation and twig
+    binding, held weakly (a relation version is a new object, and so is
+    a binding swapped into the query), and each document's version (a
+    document is patched in place). A live reference equals another only
+    for the same object or an equal one, whose statistics are the
+    same."""
+    return (*map(weakref.ref, query.relations),
+            *map(weakref.ref, query.twigs),
+            *[binding.document.version for binding in query.twigs])
+
+
 class QueryStatistics:
     """Cached per-input statistics for one multi-model query.
 
@@ -92,25 +102,18 @@ class QueryStatistics:
         # Held weakly so the memoised statistics never pin a dropped
         # query (and its documents) in the module-level cache.
         self._query_ref = weakref.ref(query)
+        self._restamp(query)
+
+    def _restamp(self, query: "MultiModelQuery") -> None:
+        """Empty the memo and stamp it with the inputs it will read
+        (:func:`_input_stamp`)."""
+        self._stamp = _input_stamp(query)
         self._estimates: dict[str, int] | None = None
         self._path_estimates: dict[str, int] | None = None
         self._twig_domains: dict | None = None
         self._ranks: dict[str, int] | None = None
         self._demoted: dict[tuple, tuple] = {}  #: existential_last answers
         self._functional: dict[tuple, tuple] = {}  #: functional_next answers
-
-    def invalidate(self) -> None:
-        """Drop the memoised estimates so the next read re-derives them.
-
-        Called by the update layer after it patches the inputs (new
-        relation versions, patched columnar views): the cache entry
-        itself survives the update — only the derived estimates
-        refresh, from what the new versions hold."""
-        self._estimates = None
-        self._path_estimates = None
-        self._twig_domains = self._ranks = None
-        self._demoted = {}
-        self._functional = {}
 
     @property
     def query(self) -> "MultiModelQuery":
@@ -207,7 +210,7 @@ class QueryStatistics:
         estimates: dict[str, int] = {}
         for binding in self.query.twigs:
             stats = self.document_stats(binding.document)
-            for path in self.query.decompositions[binding.name].paths:
+            for path in multimodel._decomposition(binding.twig).paths:
                 tags = [node.tag for node in path.nodes]
                 estimates[path.name] = stats.chain_count(tags)
         self._path_estimates = estimates
@@ -220,11 +223,15 @@ _STATISTICS_BY_QUERY: "dict[int, tuple[weakref.ref, QueryStatistics]]" = {}
 
 
 def statistics_for(query: "MultiModelQuery") -> QueryStatistics:
-    """The (memoised) :class:`QueryStatistics` of *query*."""
+    """The (memoised) :class:`QueryStatistics` of *query*, derived again
+    in place when an input was swapped or a document edited since."""
     key = id(query)
     entry = _STATISTICS_BY_QUERY.get(key)
     if entry is not None and entry[0]() is query:
-        return entry[1]
+        stats = entry[1]
+        if stats._stamp != _input_stamp(query):
+            stats._restamp(query)
+        return stats
     stats = QueryStatistics(query)
 
     def evict(_ref: weakref.ref, key: int = key) -> None:
@@ -234,26 +241,12 @@ def statistics_for(query: "MultiModelQuery") -> QueryStatistics:
     return stats
 
 
-def refresh_query_statistics(query: "MultiModelQuery") -> None:
-    """Refresh the memoised estimates of *query* after an update.
-
-    The entry is kept (not dropped): its derived estimates are
-    invalidated and will re-read the inputs' current versions on the
-    next plan. A query that was never planned has nothing cached
-    and nothing to refresh."""
-    entry = _STATISTICS_BY_QUERY.get(id(query))
-    if entry is not None and entry[0]() is query:
-        entry[1].invalidate()
-
-
 def query_signature(query: "MultiModelQuery") -> tuple:
     """A structural key for *query*: input names, schemas, twig shapes.
 
-    Two queries with the same signature are *candidates* for sharing
-    corrections and race winners; whether a stored correction actually
-    applies is decided by the version stamps
-    (:func:`repro.engine.adaptive.input_versions`), never by the
-    signature alone.
+    Queries with the same signature share a race winner and a drift
+    ledger (:mod:`repro.engine.adaptive`): a snapshot's or a rebuilt
+    query over the same inputs is planned like its source.
     """
     relations = tuple((relation.name, relation.schema.attributes)
                       for relation in query.relations)
@@ -324,22 +317,14 @@ def _extension_bound(query: "MultiModelQuery", attribute: str,
 
 
 def estimated_stage_sizes(query: "MultiModelQuery",
-                          order: "tuple[str, ...]",
-                          store: "FeedbackStore | None" = None
-                          ) -> list[StageEstimate]:
-    """Per-prefix output upper bounds for expanding *query* in *order*.
-
-    With *store* the raw bounds are multiplied by the (version-fresh)
-    learned correction factors, turning upper bounds into calibrated
-    estimates; without it they are the pure UES/AGM-style bounds.
-    """
+                          order: "tuple[str, ...]") -> list[StageEstimate]:
+    """Per-prefix output upper bounds (UES/AGM-style) for expanding
+    *query* in *order*."""
     estimates: list[StageEstimate] = []
     cumulative = 1.0
     prefix: tuple[str, ...] = ()
     for attribute in order:
         extension, source = _extension_bound(query, attribute, set(prefix))
-        if store is not None:
-            extension *= store.stage_factor(query, source, attribute, prefix)
         cumulative *= extension
         estimates.append(StageEstimate(attribute, prefix, source,
                                        extension, cumulative))
@@ -368,7 +353,7 @@ def linked_attributes(query: "MultiModelQuery") -> dict[str, frozenset[str]]:
     (relations, path relations, A-D pair inputs), itself included."""
     edges = [relation.schema.attributes for relation in query.relations]
     for binding in query.twigs:
-        decomposition = query.decompositions[binding.name]
+        decomposition = multimodel._decomposition(binding.twig)
         edges += [atom.attributes for atom
                   in decomposition.paths + decomposition.pairs]
     linked: dict[str, frozenset[str]] = {}
@@ -736,11 +721,9 @@ def plan_query(query: "MultiModelQuery", *,
 class PreparedQuery:
     """*plan* — :func:`plan_query`'s for *query*, whose validation
     points it carries — bound to the query's inputs at this version:
-    the kernel and the encoded instance, made once, and on first use
-    the raw stage estimates and signature that
-    :meth:`~repro.engine.adaptive.FeedbackStore.observe` folds samples
-    against. :meth:`run` runs again while the inputs hold; a document
-    is patched in place, so a holder drops it at the first write."""
+    the kernel and the encoded instance, made once. :meth:`run` runs
+    again while the inputs hold; a document is patched in place, so a
+    holder drops it at the first write."""
 
     def __init__(self, query: "MultiModelQuery", plan: QueryPlan):
         self.query, self.plan = query, plan
@@ -750,16 +733,6 @@ class PreparedQuery:
             if plan.algorithm == "baseline" else EncodedInstance.from_query(
                 query, plan.order, tested=plan.tested,
                 points=dict(plan.validation) if plan.validation else None)
-
-    @cached_property
-    def estimates(self) -> list[StageEstimate]:
-        """The raw (uncorrected) stage bounds of the plan's order."""
-        return estimated_stage_sizes(self.query, self.plan.order)
-
-    @cached_property
-    def signature(self) -> tuple:
-        """:func:`query_signature` of the query."""
-        return query_signature(self.query)
 
     def run(self, stats: JoinStats | None = None) -> Relation:
         """Run the kernel; a re-run counts every input as reused."""

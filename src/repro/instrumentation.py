@@ -164,9 +164,9 @@ class JoinStats:
 
 class StageStats(JoinStats):
     """A JoinStats for a caller that reads only stage sizes and input
-    counts (the feedback loop's :meth:`~repro.engine.adaptive.
-    FeedbackStore.observe`): kernels skip the effort counters and the
-    level timers for it."""
+    counts (a served evaluate's :meth:`~repro.engine.adaptive.
+    AdaptivePlanner.observe`, a session's re-derived answer): kernels
+    skip the effort counters and the level timers for it."""
 
     counting = False
 

@@ -16,7 +16,7 @@ TCP or stdin). The moving parts:
   TenantQuota` (``quota`` errors, never silent eviction of another
   tenant's state).
 * **held plans** — one plan per query override, shared by every tenant
-  and re-planned only when the adaptive planner's feedback epoch moves;
+  and re-planned only when the adaptive planner's drift epoch moves;
   beside it, while the version is current, its prepared read.
 * **snapshot reads** — ``pin`` takes an MVCC snapshot
   (:mod:`repro.mvcc`) of the corpus; ``query`` against it is answered at

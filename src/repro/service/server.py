@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.core.multimodel import MultiModelQuery
-from repro.engine.adaptive import AdaptivePlanner, FeedbackStore
+from repro.engine.adaptive import AdaptivePlanner
 from repro.engine.planner import PreparedQuery, QueryPlan, plan_query, prepare
 from repro.errors import (
     EngineError,
@@ -72,7 +72,7 @@ HELD_PLANS = 64
 
 @dataclass
 class _HeldPlan:
-    """An override key's plan, the feedback epoch it was planned at
+    """An override key's plan, the drift epoch it was planned at
     and, while its version is current, its prepared read."""
     epoch: int
     plan: QueryPlan
@@ -91,18 +91,14 @@ class ReproService:
             self.corpus_spec = corpus.name
             query = corpus
         #: The adaptive planner behind un-overridden snapshot queries:
-        #: races plans per query signature, learns cardinality
-        #: corrections from every executed snapshot query, and dates
-        #: every held plan by its feedback epoch. Inputs are stamped
-        #: *logically* (their drift generation) because a snapshot query
-        #: reads the live objects or, once a batch supersedes its pin,
-        #: the retained clone: corrections learned from either
-        #: apply to every tenant until the master's deltas add up to a
-        #: churn burst, which advances the generation and retires them
-        #: (and re-plans every held plan) at once. Small batches inherit
-        #: all of it.
-        self.adaptive = AdaptivePlanner(store=FeedbackStore(
-            stamp_fn=lambda query: self.adaptive.store.generations(query)))
+        #: races plans per query signature, and dates every held plan by
+        #: the epoch of its drift ledger. A snapshot query reads the live
+        #: objects or, once a batch supersedes its pin, the retained
+        #: clone; either shares the race winner until the master's
+        #: deltas add up to a churn burst, which advances an input's
+        #: generation and re-plans every held plan at once. Small
+        #: batches keep them.
+        self.adaptive = AdaptivePlanner()
         #: The corpus: the one state every batch is applied to and
         #: every snapshot is pinned on; its deltas feed the planner's
         #: drift ledger, and the answer a document edit leaves stale is
@@ -251,7 +247,7 @@ class ReproService:
         entry that holds them and whether the read was built here.
 
         A plan is correct on any state of the corpus, so every tenant
-        and snapshot shares it until the feedback epoch (not the batch
+        and snapshot shares it until the drift epoch (not the batch
         counter) moves; then it is planned again — un-overridden queries
         by the adaptive planner — and a re-plan that keeps the order and
         algorithm keeps the prepared read. That is held only while
@@ -322,7 +318,7 @@ class ReproService:
                     "mode": "answer"}
         key = (algorithm, order)
         adaptive_run = key == (None, None)
-        # The feedback loop reads stage sizes only: no seek counting.
+        # Only the input counts are read: no seek counting.
         stats = StageStats() if adaptive_run else None
         try:
             # Over the pinned inputs: live, or the retained clone.
@@ -334,10 +330,8 @@ class ReproService:
         self._hold(key, held, built)
         plan = prepared.plan
         if adaptive_run:
-            # Close the feedback loop: fold this query's observed stage
-            # sizes into the shared correction store.
-            self.adaptive.observe(prepared.query, plan.order, stats,
-                                  prepared)
+            # Count the run and the inputs it built or reused.
+            self.adaptive.observe(prepared.query, plan.order, stats)
         return {"rows": rows_to_wire(relation.rows),
                 "attributes": list(relation.schema.attributes),
                 "version": snapshot.version, "batches": batches,

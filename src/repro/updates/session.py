@@ -35,7 +35,6 @@ from repro.engine.planner import (
     QueryPlan,
     plan_query,
     prepare,
-    refresh_query_statistics,
     run_query,
 )
 from repro.errors import UpdateError
@@ -50,8 +49,8 @@ from repro.xml.model import XMLNode
 
 
 #: Share of a relational input its deltas may add up to (counted by the
-#: feedback store, across calls) before the learned corrections stop
-#: describing it and the input's generation advances.
+#: drift ledger, across calls) before the input's generation advances
+#: and the planner races again.
 FEEDBACK_CHURN_FRACTION = 0.25
 
 
@@ -65,10 +64,10 @@ class QuerySession:
         #: Optional :class:`~repro.engine.adaptive.AdaptivePlanner`: it
         #: plans every re-derivation of the answer, and the session
         #: reports every delta to its store's drift ledger — deltas
-        #: inherit the learned corrections until they add up to
+        #: keep the raced plan until they add up to
         #: :data:`FEEDBACK_CHURN_FRACTION` of a relational input or a
-        #: document edit forces a columnar rebuild; either invalidates
-        #: them.
+        #: document edit forces a columnar rebuild; either advances the
+        #: input's generation, and the planner races again.
         self.planner = planner
         self.version = 0
         self.relations: dict[str, VersionedRelation] = {
@@ -211,7 +210,7 @@ class QuerySession:
         if self.planner is not None:
             # A rebuild means the columnar view (and its statistics)
             # were reconstructed wholesale — churn; an in-place patch
-            # inherits the corrections under the new document version.
+            # keeps the input's generation.
             churn = editor.rebuilds > rebuilds
             for binding in self.query.twigs:
                 if binding.document is editor.document:
@@ -246,7 +245,6 @@ class QuerySession:
 
     def _bump(self) -> None:
         self.version += 1
-        refresh_query_statistics(self.query)
 
     # -- answers -----------------------------------------------------------
 

@@ -164,7 +164,8 @@ class XMLDocument:
 
         For the update layer only: it patches the labels and
         :attr:`view` itself, then bumps the version so a version stamp
-        (the adaptive planner's drift ledger) never matches a
+        (the planner's memoised :class:`~repro.engine.planner.
+        QueryStatistics`, a session's held delta plans) never matches a
         pre-mutation one.
         """
         self.version += 1

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.multimodel import MultiModelQuery, TwigBinding
+from repro.core.multimodel import MultiModelQuery, TwigBinding, \
+    _decomposition
 from repro.core.surrogate import NodeSurrogate
 from repro.core.validation import (
     StructureValidator,
@@ -198,7 +199,7 @@ class TestStaticSkip:
                                 [TwigBinding(parse_twig(pattern), doc)])
         binding = query.twigs[0]
         return join_implies_embedding(
-            doc, query.decompositions[binding.name],
+            doc, _decomposition(binding.twig),
             query.structural_attributes(binding))
 
     def test_surrogate_bound_branching_node_skips(self):

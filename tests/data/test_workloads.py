@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.multimodel import MultiModelQuery, TwigBinding
+from repro.core.multimodel import MultiModelQuery, TwigBinding, \
+    _decomposition
 from repro.data.random_instances import (
     random_multimodel_instance,
     random_relation,
@@ -145,7 +146,7 @@ class TestRandomInstances:
         graph = query.hypergraph()
         assert set(query.attributes) >= set(query.twigs[0].twig.attributes)
         assert len(graph.edges) == len(query.relations) + len(
-            query.decompositions[query.twigs[0].name].paths)
+            _decomposition(query.twigs[0].twig).paths)
 
     def test_random_instance_deterministic(self):
         a = random_multimodel_instance(123)

@@ -1,11 +1,11 @@
-"""Adaptive planner behaviour: store mechanics, bounds, racing,
+"""Adaptive planner behaviour: the drift ledger, bounds, racing,
 convergence.
 
 The convergence test is the subsystem's acceptance property: on the
 skewed triangle — whose static statistics pick a provably bad expansion
-order — the feedback loop must move the planner off that order within a
-bounded number of executed queries, and then *stop* re-planning (races
-and epoch both hold steady once observations match estimates).
+order — the first race must move the planner off that order, and then
+*stop* re-planning (races and epoch both hold steady while no input
+drifts).
 """
 
 from __future__ import annotations
@@ -20,12 +20,10 @@ from repro.data.synthetic import skewed_triangle
 from repro.engine.adaptive import (
     AdaptivePlanner,
     FeedbackStore,
+    RACE_POLICIES,
     PlanRacer,
     bound_order,
     estimated_stage_sizes,
-    input_versions,
-    observed_stage_sizes,
-    query_signature,
 )
 from repro.engine.planner import (
     QueryPlan,
@@ -42,194 +40,78 @@ def skewed_query(n: int = 512) -> MultiModelQuery:
     return MultiModelQuery(skewed_triangle(n), [], name="skewed")
 
 
-def observe_once(store: FeedbackStore, query: MultiModelQuery,
-                 order: tuple[str, ...]) -> int:
-    """Execute *query* in *order* and fold the stats into *store*."""
-    stats = JoinStats()
-    run_query(query, order=order, stats=stats)
-    return store.observe(query, order, stats)
-
-
 class TestFeedbackStore:
-    def test_observation_learns_stage_factors(self):
+    def test_an_observation_counts_the_run_and_moves_no_epoch(self):
         query = skewed_query()
-        store = FeedbackStore()
+        planner = AdaptivePlanner(store=FeedbackStore())
         order = attribute_order(query, "connected")  # the bad order
-        folded = observe_once(store, query, order)
-        assert folded == len(order)
-        assert store.observations == 1
-        # The 'a' level is wildly over-estimated on the skewed instance
-        # (bound d*m*caps vs ~n live tuples), so its factor is < 1.
-        estimates = estimated_stage_sizes(query, order)
-        last = estimates[-1]
-        factor = store.stage_factor(query, last.source, last.attribute,
-                                    last.prefix)
-        assert factor < 1.0
+        for _ in range(3):
+            stats = JoinStats()
+            run_query(query, order=order, stats=stats)
+            planner.observe(query, order, stats)
+        store = planner.store
+        assert store.observations == 3
+        assert store.epoch == 0 and planner.racer.races == 0
+        # The first run built each input's trie; the other two reused it.
+        assert store.inputs == {name: [1, 2] for name in "RST"}
 
-    def test_corrected_estimates_match_observations(self):
+    def test_churn_advances_the_generation_and_the_epoch(self):
         query = skewed_query()
         store = FeedbackStore()
-        order = attribute_order(query, "connected")
-        observe_once(store, query, order)
-        stats = JoinStats()
-        run_query(query, order=order, stats=stats)
-        observed = observed_stage_sizes(stats, order)
-        corrected = estimated_stage_sizes(query, order, store)
-        for estimate in corrected:
-            assert estimate.cumulative == \
-                pytest.approx(observed[estimate.attribute], rel=0.01)
-
-    def test_stale_version_returns_neutral_factor(self):
-        query = skewed_query()
-        store = FeedbackStore()
-        order = attribute_order(query, "connected")
-        observe_once(store, query, order)
-        estimates = estimated_stage_sizes(query, order)
-        last = estimates[-1]
-        assert store.stage_factor(query, last.source, last.attribute,
-                                  last.prefix) != 1.0
-        # A rebuilt instance shares the signature but not the version
-        # stamps (fresh Relation objects): corrections must not leak.
-        rebuilt = skewed_query()
-        assert query_signature(rebuilt) == query_signature(query)
-        assert input_versions(rebuilt) != input_versions(query)
-        assert store.stage_factor(rebuilt, last.source, last.attribute,
-                                  last.prefix) == 1.0
-
-    def test_inherit_refreshes_stamp_churn_invalidates(self):
-        query = skewed_query()
-        store = FeedbackStore()
-        order = attribute_order(query, "connected")
-        observe_once(store, query, order)
-        estimates = estimated_stage_sizes(query, order)
-        last = estimates[-1]
-        learned = store.stage_factor(query, last.source, last.attribute,
-                                     last.prefix)
-        rebuilt = skewed_query()
-        store.note_input_update(rebuilt, last.source, churn=False)
-        assert store.stage_factor(rebuilt, last.source, last.attribute,
-                                  last.prefix) == learned
-        epoch = store.epoch
-        store.note_input_update(rebuilt, last.source, churn=True)
-        assert store.stage_factor(rebuilt, last.source, last.attribute,
-                                  last.prefix) == 1.0
-        assert store.epoch > epoch
+        store.note_input_update(query, "R", churn=False)
+        assert store.generations(query) == {"R": 0, "S": 0, "T": 0}
+        assert store.epoch == 0
+        store.note_input_update(query, "R", churn=True)
+        assert store.generations(query) == {"R": 1, "S": 0, "T": 0}
+        assert store.epoch == 1
 
     def test_deltas_accumulate_into_one_generation_advance(self):
         query = skewed_query()
         store = FeedbackStore()
-        order = attribute_order(query, "connected")
-        observe_once(store, query, order)
-        last = estimated_stage_sizes(query, order)[-1]
-        learned = store.stage_factor(query, last.source, last.attribute,
-                                     last.prefix)
         epoch = store.epoch
         # 25 single rows against 100: each far below the quarter, and
-        # together exactly at it — inherited, stamp and factor intact.
+        # together exactly at it — the generation holds.
         for moved in range(25):
-            store.note_input_update(query, last.source, moved=1,
-                                    size=100 + moved)
-        assert store.generations(query)[last.source] == 0
+            store.note_input_update(query, "R", moved=1, size=100 + moved)
+        assert store.generations(query)["R"] == 0
         assert store.epoch == epoch
-        assert store.stage_factor(query, last.source, last.attribute,
-                                  last.prefix) == learned
-        # The 26th crosses it: one advance, corrections gone.
-        store.note_input_update(query, last.source, moved=1, size=125)
+        # The 26th crosses it: one advance.
+        store.note_input_update(query, "R", moved=1, size=125)
         assert store.generations(query) == {
-            name: int(name == last.source) for name in "RST"}
+            name: int(name == "R") for name in "RST"}
         assert store.epoch == epoch + 1
-        assert store.stage_factor(query, last.source, last.attribute,
-                                  last.prefix) == 1.0
         # The new generation is measured against the size it began at.
         for moved in range(31):
-            store.note_input_update(query, last.source, moved=1,
-                                    size=126 + moved)
-        assert store.generations(query)[last.source] == 1
-        store.note_input_update(query, last.source, moved=1, size=157)
-        assert store.generations(query)[last.source] == 2
+            store.note_input_update(query, "R", moved=1, size=126 + moved)
+        assert store.generations(query)["R"] == 1
+        store.note_input_update(query, "R", moved=1, size=157)
+        assert store.generations(query)["R"] == 2
 
-    def test_factors_are_per_level_and_do_not_compound(self):
-        # Every level off by a factor within the clamp: the corrected
-        # cumulative product must land on the observed sizes, which it
-        # cannot when each factor is learned against the cumulative
-        # bound and then multiplied level by level.
+    def test_ledgers_are_scoped_by_the_query_signature(self):
+        # A rebuilt query over the same inputs shares the ledger; a
+        # query of another name over the same relations keeps its own.
         query = skewed_query()
         store = FeedbackStore()
-        order = attribute_order(query, "connected")
-        raw = estimated_stage_sizes(query, order)
-        sizes = [max(1, int(estimate.cumulative) // (2 * 3 ** level))
-                 for level, estimate in enumerate(raw)]
-        stats = JoinStats()
-        for attribute, size in zip(order, sizes):
-            stats.record_stage(f"level {attribute}", size)
-        store.observe(query, order, stats)
-        corrected = estimated_stage_sizes(query, order, store)
-        assert [round(estimate.cumulative) for estimate in corrected] \
-            == sizes
+        store.note_input_update(query, "S", churn=True)
+        assert store.generations(skewed_query()) == {"R": 0, "S": 1, "T": 0}
+        other = MultiModelQuery(query.relations, [], name="other")
+        assert store.generations(other) == {"R": 0, "S": 0, "T": 0}
+        store.note_input_update(other, "S", churn=True)
+        assert store.generations(query)["S"] == 1
+        assert store.epoch == 2
 
-    def test_factors_are_keyed_by_the_bound_set(self):
-        # A stage's size depends on which attributes are bound, not on
-        # the order they were bound in: the factor serves both orders,
-        # and no other bound set (there is no marginal fallback, which
-        # would carry a factor into prefixes whose raw bound is another
-        # quantity altogether).
+    def test_stats_reports_the_ledgers_counters_by_copy(self):
         query = skewed_query()
-        store = FeedbackStore()
-        order = attribute_order(query, "connected")
-        observe_once(store, query, order)
-        last = estimated_stage_sizes(query, order)[-1]
-        learned = store.stage_factor(query, last.source, last.attribute,
-                                     last.prefix)
-        assert learned != 1.0
-        assert store.stage_factor(query, last.source, last.attribute,
-                                  last.prefix[::-1]) == learned
-        assert store.stage_factor(query, last.source, last.attribute,
-                                  last.prefix[:1]) == 1.0
-        assert store.stage_factor(query, last.source, last.attribute,
-                                  None) == 1.0
-
-    def test_relearning_after_a_generation_advance_is_not_news(self):
-        # The advance itself bumps the epoch (one re-race); finding the
-        # same factors again afterwards must not force a second one.
-        query = skewed_query()
-        store = FeedbackStore()
-        order = attribute_order(query, "connected")
-        observe_once(store, query, order)
-        last = estimated_stage_sizes(query, order)[-1]
-        learned = store.stage_factor(query, last.source, last.attribute,
-                                     last.prefix)
-        epoch = store.epoch
-        store.note_input_update(query, last.source, churn=True)
-        assert store.epoch == epoch + 1
-        assert store.stage_factor(query, last.source, last.attribute,
-                                  last.prefix) == 1.0
-        assert store.stats()["corrections"] < len(order)
-        observe_once(store, query, order)
-        assert store.epoch == epoch + 1
-        assert store.stage_factor(query, last.source, last.attribute,
-                                  last.prefix) == learned
-        assert store.stats()["corrections"] == len(order)
-
-    def test_epoch_settles_once_observations_repeat(self):
-        query = skewed_query()
-        store = FeedbackStore()
-        order = attribute_order(query, "connected")
-        observe_once(store, query, order)
-        settled = store.epoch
-        for _ in range(3):
-            observe_once(store, query, order)
-        assert store.epoch == settled
-
-    def test_confirming_first_sample_is_not_material(self):
-        # An observation matching the raw estimate must not bump the
-        # epoch, however new its key is — otherwise every first contact
-        # with a well-estimated query would force a re-race.
-        query = MultiModelQuery(skewed_triangle(512), [], name="skewed")
-        store = FeedbackStore()
-        order = bound_order(query)  # estimates are exact on this order
-        epoch = store.epoch
-        observe_once(store, query, order)
-        assert store.epoch == epoch
+        planner = AdaptivePlanner(store=FeedbackStore())
+        planner.execute(query)
+        report = planner.store.stats()
+        assert set(report) == {"epoch", "observations", "inputs"}
+        assert report["epoch"] == 0 and report["observations"] == 1
+        planner.execute(query)
+        # The report is a snapshot: later runs move the store's totals,
+        # not the counts already handed out.
+        assert report["inputs"] != planner.store.stats()["inputs"]
+        assert report["observations"] == 1
 
 
 class TestBoundOrder:
@@ -247,7 +129,8 @@ class TestBoundOrder:
     def test_policies_registered(self):
         query = skewed_query()
         assert attribute_order(query, "bound") == bound_order(query)
-        assert attribute_order(query, "corrected")  # resolves, non-empty
+        with pytest.raises(PlanError):
+            attribute_order(query, "corrected")
 
     def test_policy_name_collision_rejected(self):
         from repro.engine.planner import register_order_policy
@@ -270,6 +153,13 @@ class TestPlanRacer:
         racer.store.bump_epoch()
         racer.race(query)
         assert racer.races == 2
+
+    def test_candidates_come_from_the_race_policies(self):
+        query = skewed_query()
+        candidates = PlanRacer(FeedbackStore()).candidates(query)
+        assert candidates
+        assert {plan.policy for plan in candidates} <= set(RACE_POLICIES)
+        assert "corrected" not in RACE_POLICIES
 
     def test_a_race_encodes_each_distinct_order_once(self):
         # ``encodes`` counts encoded *inputs built*: one per distinct
@@ -323,30 +213,6 @@ class TestPlanRacer:
         racer.store.bump_epoch()
         times[key(ranked[0])] = 1.3
         assert key(racer.race(query).winner) == key(ranked[1])
-
-    def test_corrected_candidate_reads_the_racers_own_store(self,
-                                                            monkeypatch):
-        # Corrections learned on figure1 flip the bound-driven order;
-        # they live in a private store, so the registered ``corrected``
-        # policy (process-wide default store) cannot see them — the
-        # racer must. The raw bounds are sound upper bounds (orderLine
-        # counts its candidates), so observing the bound order itself
-        # only confirms it: the observed order is another one.
-        from repro.data.scenarios import figure1_query
-        from repro.engine import adaptive
-        from repro.engine.adaptive import _bound_driven_order
-
-        query = figure1_query()
-        store = FeedbackStore()
-        observe_once(store, query, ("orderID", "userID", "orderLine",
-                                    "price", "ISBN"))
-        flipped = _bound_driven_order(query, store)
-        assert flipped != bound_order(query)
-        assert attribute_order(query, "corrected") == bound_order(query)
-        monkeypatch.setattr(adaptive, "TOP_K", 8)
-        candidates = PlanRacer(store).candidates(query)
-        assert ("corrected", flipped) in {
-            (plan.policy, plan.order) for plan in candidates}
 
     def test_a_plan_that_lost_the_round_stops_sampling(self, monkeypatch):
         # Kernels cannot be interrupted; what bounds the price of a
@@ -404,35 +270,43 @@ class TestConvergence:
             result = planner.execute(query)
             assert result == oracle  # parity at every step
             orders.append(planner.plan(query).order)
-        # Within the budget the planner has left the static order...
-        assert orders[-1] != static.order
-        # ...for one that beats it under its own calibrated model...
-        store = planner.store
+        # The first race has left the static order...
+        assert orders[0] != static.order
+        # ...for one that beats it under the raw bounds...
         final_worst = max(e.cumulative for e in
-                          estimated_stage_sizes(query, orders[-1], store))
+                          estimated_stage_sizes(query, orders[-1]))
         static_worst = max(e.cumulative for e in
-                           estimated_stage_sizes(query, static.order,
-                                                 store))
+                           estimated_stage_sizes(query, static.order))
         assert final_worst < static_worst
-        # ...and it stays there: the last plans are identical.
-        assert orders[-1] == orders[-2] == orders[-3]
+        # ...and it stays there: no input drifted, so no plan moves.
+        assert len(set(orders)) == 1
+
+    def test_a_bumped_epoch_re_races_once(self):
+        query = skewed_query(1024)
+        planner = AdaptivePlanner(store=FeedbackStore())
+        planner.execute(query)
+        assert planner.racer.races == 1
+        planner.store.bump_epoch()
+        for _ in range(3):
+            planner.execute(query)
+        assert planner.racer.races == 2
+        assert planner.epoch == 1
 
     def test_races_stop_once_converged(self):
         query = skewed_query(4096)
         planner = AdaptivePlanner(store=FeedbackStore())
         for _ in range(4):
             planner.execute(query)
-        settled = planner.racer.races
+        assert planner.racer.races == 1
         for _ in range(3):
             planner.execute(query)
-        assert planner.racer.races == settled
-        assert planner.epoch == planner.store.epoch
+        assert planner.racer.races == 1
+        assert planner.epoch == planner.store.epoch == 0
 
 
 def sliver_query() -> MultiModelQuery:
     """Each pair of relations shares a sliver of its attribute's values:
-    the static domain estimate is 100 codes, the live level 0 holds 8,
-    so one serial run leaves a level-0 correction in the store."""
+    the static domain estimate is 100 codes, the live level 0 holds 8."""
     rows = [(i, i) for i in range(100)]
     shifted = [(i + 92, i + 92) for i in range(100)]
     return MultiModelQuery([Relation("R", ("a", "b"), rows),
@@ -445,12 +319,8 @@ class TestPartitions:
     def test_planned_partition_count_is_the_executed_one(self):
         query = sliver_query()
         planner = AdaptivePlanner(store=FeedbackStore())
-        planner.execute(query)
         plan = planner.plan(query, workers=4)
-        level0 = [estimate for estimate in estimated_stage_sizes(
-            query, plan.order, planner.store)
-            if estimate.attribute == plan.order[0]]
-        assert level0[0].cumulative < 10  # the correction is live
+        assert plan.partitions == plan_query(query, workers=4).partitions
         stats = JoinStats()
         assert planner.execute(query, workers=4, stats=stats) \
             == run_query(query)
@@ -458,15 +328,3 @@ class TestPartitions:
                    if record.label.startswith("morsel [")]
         assert plan.partitions > 1
         assert len(morsels) == plan.partitions
-
-    def test_partition_count_ignores_learned_corrections(self, monkeypatch):
-        # One decision, from the static estimate: a correction in the
-        # process-wide store does not move plan_query's morsel count.
-        from repro.engine import adaptive
-
-        monkeypatch.setattr(adaptive, "_DEFAULT_STORE", FeedbackStore())
-        query = sliver_query()
-        static = plan_query(query, workers=4).partitions
-        AdaptivePlanner().execute(query)
-        assert adaptive.default_feedback().observations == 1
-        assert plan_query(query, workers=4).partitions == static == 16

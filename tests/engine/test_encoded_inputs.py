@@ -20,7 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.decomposition import twig_input
-from repro.core.multimodel import MultiModelQuery, TwigBinding
+from repro.core.multimodel import MultiModelQuery, TwigBinding, \
+    _decomposition
 from repro.data.random_instances import random_multimodel_instance
 from repro.data.synthetic import example34_instance
 from repro.engine import (
@@ -537,8 +538,8 @@ class TestTwigInputIdentity:
         new = self.twig(lambda v: v >= 2000)
         q_old = MultiModelQuery([], [TwigBinding(old, document)])
         q_new = MultiModelQuery([], [TwigBinding(new, document)])
-        path_old = q_old.decompositions["X"].paths[0]
-        path_new = q_new.decompositions["X"].paths[0]
+        path_old = _decomposition(old).paths[0]
+        path_new = _decomposition(new).paths[0]
         assert path_old.name == path_new.name
         first, built_first = twig_input(document, path_old)
         second, built_second = twig_input(document, path_new)
@@ -587,7 +588,7 @@ class TestTwigInputSize:
         # ... and the same count, from the gather alone, on a cold view.
         counts = [path_relation_cardinality(cold.twigs[0].document, path,
                                             structural)
-                  for path in cold.decompositions["X"].paths]
+                  for path in _decomposition(cold.twigs[0].twig).paths]
         assert not built and set(view.derived) == keys
         monkeypatch.undo()
         again = JoinStats()

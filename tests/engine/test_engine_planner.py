@@ -62,6 +62,69 @@ class TestCachedStatistics:
         assert statistics_for(query).domain_estimate("x") == 2
 
 
+class TestStatisticsStamp:
+    """The memo is stamped with the inputs it read: it holds while they
+    hold and is derived again, in place, when one is swapped or a
+    document's version moves."""
+
+    def test_the_memo_holds_while_its_inputs_hold(self):
+        query = MultiModelQuery([Relation("R", ("a", "b"),
+                                          [(1, 2), (1, 3)])])
+        stats = statistics_for(query)
+        first = stats.domain_estimates()
+        assert statistics_for(query) is stats
+        assert statistics_for(query).domain_estimates() is first
+
+    def test_a_swapped_relation_is_derived_again(self):
+        query = MultiModelQuery([Relation("R", ("a", "b"),
+                                          [(1, 2), (1, 3)])])
+        stats = statistics_for(query)
+        assert stats.domain_estimates() == {"a": 1, "b": 2}
+        query.relations[0] = Relation("R", ("a", "b"),
+                                      [(1, 2), (2, 2), (3, 2)])
+        assert statistics_for(query) is stats  # refreshed, not dropped
+        assert stats.domain_estimates() == {"a": 3, "b": 1}
+
+    def test_a_swapped_binding_is_derived_again(self):
+        doc = XMLDocument(element("r", element("x", text="7"),
+                                  element("x", text="8"),
+                                  element("y", text="9")))
+        query = MultiModelQuery([], [TwigBinding(parse_twig("x"), doc)])
+        stats = statistics_for(query)
+        assert [attribute for _twig, attribute
+                in stats.twig_domains()] == ["x"]
+        query.twigs[0] = TwigBinding(parse_twig("y"), doc)
+        assert [attribute for _twig, attribute
+                in statistics_for(query).twig_domains()] == ["y"]
+        assert stats.domain_estimate("y") == 1
+
+    def test_a_document_version_derives_the_paths_again(self):
+        doc = XMLDocument(element("r", element("x", text="7"),
+                                  element("x", text="8")))
+        query = MultiModelQuery([], [TwigBinding(parse_twig("r(/x)"),
+                                                 doc)])
+        stats = statistics_for(query)
+        first = stats.path_cardinality_estimates()
+        assert statistics_for(query).path_cardinality_estimates() is first
+        doc.bump_version()
+        again = statistics_for(query).path_cardinality_estimates()
+        assert again is not first and again == first
+
+    def test_the_stamp_pins_no_swapped_relation(self):
+        """The stamp holds its inputs weakly: a relation swapped out of
+        the query is freed even before the memo is read again."""
+        import gc
+        import weakref
+
+        query = MultiModelQuery([Relation("R", ("a",), [(1,), (2,)])])
+        statistics_for(query).domain_estimates()
+        swapped = weakref.ref(query.relations[0])
+        query.relations[0] = Relation("R", ("a",), [(3,)])
+        gc.collect()
+        assert swapped() is None
+        assert statistics_for(query).domain_estimates() == {"a": 1}
+
+
 class TestOrderPolicies:
     def test_domain_order_empty_relation_first(self):
         """Empty domains (estimate 0) sort first — the join is empty and

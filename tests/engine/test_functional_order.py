@@ -139,12 +139,9 @@ class TestTheRule:
                 order = attribute_order(query, policy)
                 assert functional_next(query, order) == order
 
-    def test_the_racers_corrected_candidate_is_rewritten(self, monkeypatch):
+    def test_the_racers_candidates_are_rewritten(self, monkeypatch):
         query = people_query(people())
-        fresh = adaptive._bound_driven_order
-        monkeypatch.setattr(
-            adaptive, "_bound_driven_order",
-            lambda q, store: RAW if store is not None else fresh(q, store))
+        monkeypatch.setitem(ORDER_STRATEGIES, "bound", lambda q: RAW)
         monkeypatch.setattr(adaptive, "TOP_K", 10)
         orders = {plan.order
                   for plan in PlanRacer(FeedbackStore()).candidates(query)}
@@ -286,5 +283,5 @@ def test_a_fan_out_is_computed_once_per_view_version(fan_outs):
     for _ in range(2):
         for policy in ORDER_STRATEGIES:
             attribute_order(query, policy)
-        statistics_for(query).invalidate()
+        query.twigs[0].document.bump_version()
     assert fan_outs == Counter({("person", "name"): 1})

@@ -142,6 +142,45 @@ class TestFresh:
         assert result == query.naive_join()
         assert {row[0] for row in result.rows} == {5}
 
+    # Every algorithm that evaluates twig inputs.
+    @pytest.mark.parametrize("algorithm", ["xjoin", "baseline"])
+    def test_a_binding_swapped_in_place(self, algorithm):
+        """The query reads its twigs' decompositions off the bindings it
+        holds now, not those it was built with."""
+        untitled = XMLDocument(element(
+            "lib",
+            element("book", element("title", text="a"),
+                    element("year", text="1999")),
+            element("book", element("title", text="b"),
+                    element("year", text="2001")),
+            element("book", element("year", text="1850"))))
+        relation = bookstore_query().relations[0]
+        query = MultiModelQuery(
+            [relation], [TwigBinding(parse_twig("b=book(/t=title, /y=year)"),
+                                     untitled)], name="books")
+        assert {row[0] for row in run_query(query).rows} == {1, 2}
+        query.twigs[0] = TwigBinding(parse_twig("b=book(/y=year)"), untitled)
+        result = self.check(query, algorithm=algorithm)
+        assert result.schema.attributes == query.attributes == ("x", "y", "b")
+        assert result == query.naive_join()
+        assert {row[0] for row in result.rows} == {1, 2, 3}  # untitled 3
+
+    def test_a_relation_swapped_in_place_is_planned_afresh(self):
+        """The planner's memoised statistics are stamped with the inputs
+        they read: a swapped relation is planned as a rebuilt query's."""
+        cs = [(b, c) for b in range(60) for c in range(3)]
+        ac = [(a, c) for a in range(50) for c in range(3)]
+        query = MultiModelQuery([
+            Relation("R", ("a", "b"), [(a, b) for a in range(50)
+                                       for b in range(2)]),
+            Relation("S", ("b", "c"), cs), Relation("T", ("a", "c"), ac)],
+            name="triangle")
+        assert plan_query(query).order == ("b", "c", "a")
+        query.relations[0] = Relation("R", ("a", "b"), [
+            (a, b) for a in range(2) for b in range(60)])
+        assert plan_query(query) == plan_query(rebuilt(query))
+        assert plan_query(query).order == ("a", "c", "b")
+
     def test_an_edit_outside_any_session(self):
         query = bookstore_query()
         run_query(query)

@@ -1,7 +1,7 @@
 """Every ordering policy yields byte-identical rows.
 
-The adaptive layer's safety property: corrections, bounds and raced
-winners influence *plan choice only*. Whatever order policy picks the
+The adaptive layer's safety property: bounds and raced winners
+influence *plan choice only*. Whatever order policy picks the
 expansion order — and whatever operator runs it — the decoded result
 must equal the naive oracle on every cross-algorithm scenario,
 including the skewed instance built to fool the static statistics.
@@ -22,7 +22,7 @@ from repro.data.synthetic import (
 from repro.engine.adaptive import AdaptivePlanner, FeedbackStore
 from repro.engine.planner import attribute_order, run_query
 
-POLICIES = ("appearance", "domain", "connected", "bound", "corrected")
+POLICIES = ("appearance", "domain", "connected", "bound")
 
 
 def scenarios() -> list[tuple[str, MultiModelQuery]]:
@@ -50,5 +50,5 @@ class TestOrderParity:
     def test_adaptive_execute_matches_the_naive_oracle(self, label, query):
         oracle = query.naive_join()
         planner = AdaptivePlanner(store=FeedbackStore())
-        for _ in range(2):  # raced plan, then the post-feedback plan
+        for _ in range(2):  # raced plan, then the held winner
             assert planner.execute(query) == oracle, label

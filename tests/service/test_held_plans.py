@@ -1,4 +1,4 @@
-"""Held plans: one plan per query override, dated by the feedback epoch.
+"""Held plans: one plan per query override, dated by the drift epoch.
 
 The service holds one entry per override key ``(algorithm, order)``:
 the epoch it was planned at, its plan (which survives batches) and,

@@ -1,7 +1,7 @@
 """Plans follow statistical drift, not the batch counter.
 
 The service's plan validity is the feedback store's drift ledger: small
-update batches *inherit* race winners, cached plans and corrections;
+update batches *inherit* race winners and cached plans;
 only deltas adding up to a churn burst (25 % of an input since its
 generation began) advance the input's generation, bump the epoch and
 re-race — once. Every answer along the way must equal the serial
@@ -88,6 +88,24 @@ def fresh_rows(count: int, tag: str) -> "list[dict]":
 
 def run(scenario):
     return asyncio.run(scenario())
+
+
+def test_a_read_only_corpus_races_once():
+    """An executed evaluate moves no epoch: with no write, the first
+    evaluate races and every later one is served the held plan."""
+    async def scenario():
+        harness = await Harness().open()
+        for _ in range(6):
+            response = await harness.evaluate()
+            assert response["rows"] == harness.expected()
+        stats = await harness.stats()
+        assert stats["adaptive"]["races"] == 1
+        assert stats["adaptive"]["epoch"] == 0
+        assert stats["adaptive"]["observations"] == 6
+        assert (stats["plan_cache"]["misses"],
+                stats["plan_cache"]["hits"]) == (1, 5)
+        await harness.service.aclose()
+    run(scenario)
 
 
 def test_small_batches_inherit_the_plan():

@@ -36,7 +36,8 @@ class TestCLI:
         assert "plan for 'skewed'" in out
         assert "order:" in out and "operator:" in out
         assert "observed" in out
-        assert "after observation" in out
+        assert "raced (" in out and "generations: R=0, S=0, T=0" in out
+        assert "after observation" not in out
 
     def test_explain_multimodel_spec(self, capsys):
         assert main(["explain", "figure1"]) == 0

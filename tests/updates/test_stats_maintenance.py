@@ -21,7 +21,6 @@ from repro.data.random_instances import (
 )
 from repro.engine.planner import (
     cached_relation_stats,
-    refresh_query_statistics,
     statistics_for,
 )
 from repro.relational.statistics import relation_stats

@@ -118,6 +118,7 @@ def test_derived_queries_share_the_sessions_decompositions(monkeypatch):
     """A delta query and a snapshot's query are the session's query over
     other inputs: they reuse its twig decompositions, never decompose."""
     from repro.core import decomposition, multimodel
+    from repro.core.multimodel import _decomposition
 
     session = QuerySession(example34_instance(8).query)
     session.answer()
@@ -129,8 +130,8 @@ def test_derived_queries_share_the_sessions_decompositions(monkeypatch):
     session.insert("R1", (0, 1, 2, 3))
     with session.pin() as snapshot:
         evaluated = snapshot.run()
-        shared = snapshot.query().decompositions
-        assert all(shared[name] is decomposed for name, decomposed
-                   in session.query.decompositions.items())
+        assert all(_decomposition(mine.twig) is _decomposition(its.twig)
+                   for mine, its in zip(snapshot.query().twigs,
+                                        session.query.twigs))
     assert evaluated == run_query(session.query)
     assert calls == []

@@ -37,7 +37,8 @@ from repro.core.decomposition import (
     path_relation_cardinality,
     twig_input,
 )
-from repro.core.multimodel import MultiModelQuery, TwigBinding
+from repro.core.multimodel import MultiModelQuery, TwigBinding, \
+    _decomposition
 from repro.data.dblp import dblp_chunks, dblp_query
 from repro.engine import run_query
 from repro.engine.encoded import _LEAF, EncodedTrie
@@ -210,7 +211,7 @@ def twig_tries(query):
     dictionaries' values."""
     found = {}
     for binding in query.twigs:
-        decomposition = query.decompositions[binding.name]
+        decomposition = _decomposition(binding.twig)
         structural = query.structural_attributes(binding)
         for atom in decomposition.paths + decomposition.pairs:
             artefact, _built = twig_input(binding.document, atom, structural)
@@ -260,7 +261,7 @@ def test_cardinality_is_the_distinct_row_count(seed):
         "x=a(/y=b)", "x=a(/y=b(/w=a), //v=b)", "x=b(//y=a(/w=b))",
         "x=a(/y=a, /w=b)"))), document)])
     binding = query.twigs[0]
-    decomposition = query.decompositions[binding.name]
+    decomposition = _decomposition(binding.twig)
     for structural in (frozenset(), binding.twig.attributes):
         bound = frozenset(structural)
         for atom in decomposition.paths + decomposition.pairs:

@@ -21,7 +21,8 @@ import random
 import pytest
 
 from repro.core.decomposition import _columns, twig_input
-from repro.core.multimodel import MultiModelQuery, TwigBinding
+from repro.core.multimodel import MultiModelQuery, TwigBinding, \
+    _decomposition
 from repro.engine import run_query
 from repro.relational.relation import Relation
 from repro.xml import streaming
@@ -64,7 +65,7 @@ def check(document):
     for pattern in TWIGS:
         for query in queries(document, pattern):
             binding = query.twigs[0]
-            decomposition = query.decompositions[binding.name]
+            decomposition = _decomposition(binding.twig)
             structural = query.structural_attributes(binding)
             for atom in decomposition.paths + decomposition.pairs:
                 bound = structural.intersection(atom.attributes)
