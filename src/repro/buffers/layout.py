@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import contextlib
 from array import array
-from collections.abc import Iterator, Sequence
-from operator import itemgetter
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import repeat
+from operator import add, floordiv, itemgetter, mod, mul
 
 #: Width ladders, narrowest first. Bounds derive from the platform's
 #: actual itemsizes (C guarantees minimums, not exact widths).
@@ -109,6 +110,30 @@ def gather(buf: "Sequence", indexes: "Sequence[int]") -> "Sequence":
     if len(indexes) > 1:
         return itemgetter(*indexes)(buf)
     return [buf[index] for index in indexes]
+
+
+def row_keys(columns: "Sequence[Sequence[int]]",
+             radices: "Sequence[int] | None" = None) -> "Iterable[int]":
+    """Per row of the code *columns* (one or more), its codes read as
+    one mixed-radix int, digit *i* (> 0) in base ``radices[i]`` or the
+    column's largest code + 1: keys are equal iff the rows are."""
+    key = columns[0]
+    for i, column in enumerate(columns[1:], 1):
+        radix = radices[i] if radices else max(column, default=0) + 1
+        key = map(add, map(mul, key, repeat(radix)), column)
+    return key
+
+
+def key_columns(keys: "Iterable[int]",
+                radices: "Sequence[int]") -> "list[Sequence[int]]":
+    """The code columns behind non-empty *keys* (:func:`row_keys` under
+    *radices*), row-parallel in *keys*' iteration order."""
+    columns: list = []
+    for radix in reversed(radices[1:]):  # a set iterates alike twice
+        columns.append(list(map(mod, keys, repeat(radix))))
+        keys = list(map(floordiv, keys, repeat(radix)))
+    columns.append(keys)
+    return columns[::-1]
 
 
 def as_list(buf: "Sequence[int]") -> list[int]:

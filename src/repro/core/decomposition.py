@@ -39,7 +39,7 @@ from functools import cached_property
 from itertools import compress
 from typing import TYPE_CHECKING
 
-from repro.buffers.layout import gather
+from repro.buffers.layout import gather, row_keys
 from repro.relational.relation import Relation
 from repro.xml.accel import axis_pairs
 from repro.xml.columnar import ColumnarDocument, columnar
@@ -305,9 +305,7 @@ def path_relation_cardinality(document: XMLDocument,
     (identity-aware under *structural*), so Lemma 3.5's bound and the
     algorithm see the same cardinalities. :func:`twig_input` notes it
     under any column order; else its distinct row keys are counted
-    (:func:`repro.engine.encoded.row_keys`) with no trie built."""
-    from repro.engine.encoded import row_keys
-
+    (:func:`repro.buffers.layout.row_keys`) with no trie built."""
     view = columnar(document)
     bound = structural.intersection(atom.attributes)
     key = (*_input_key(atom, bound), "size")

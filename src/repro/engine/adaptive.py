@@ -57,11 +57,13 @@ from repro.engine.planner import (
     query_signature,
     register_order_policy,
     run_query,
+    statistics_for,
 )
 from repro.instrumentation import JoinStats, ensure_stats
 
 if TYPE_CHECKING:
     from repro.core.multimodel import MultiModelQuery
+    from repro.engine.planner import QueryStatistics
     from repro.relational.relation import Relation
 
 
@@ -190,7 +192,8 @@ class FeedbackStore:
 MAX_DP_ATTRIBUTES = 12
 
 
-def bound_order(query: "MultiModelQuery") -> tuple[str, ...]:
+def bound_order(query: "MultiModelQuery",
+                stats: "QueryStatistics | None" = None) -> tuple[str, ...]:
     """The ``bound`` policy: the order minimising (max per-prefix bound,
     total, lexicographic).
 
@@ -201,6 +204,7 @@ def bound_order(query: "MultiModelQuery") -> tuple[str, ...]:
     criterion whenever extensions are monotone, and deterministic
     always via the lexicographic order tie-break.
     """
+    stats = stats or statistics_for(query)
     attributes = query.attributes
     # No cross products: a set is extended by the attributes sharing a
     # joined input with it while there are any — the twig-side bounds
@@ -218,7 +222,8 @@ def bound_order(query: "MultiModelQuery") -> tuple[str, ...]:
         while len(order) < len(attributes):
             bound = set(order)
             order.append(min(extensions(bound), key=lambda attribute: (
-                _extension_bound(query, attribute, bound)[0], attribute)))
+                _extension_bound(query, attribute, bound, stats)[0],
+                attribute)))
         return tuple(order)
 
     # DP over subsets: state value = (max stage bound, stage sum,
@@ -233,7 +238,7 @@ def bound_order(query: "MultiModelQuery") -> tuple[str, ...]:
         for subset, (worst, total, order, cumulative) in states.items():
             for attribute in extensions(subset):
                 extension, _source = _extension_bound(query, attribute,
-                                                      set(subset))
+                                                      set(subset), stats)
                 stage = cumulative * extension
                 candidate = (max(worst, stage), total + stage,
                              order + (attribute,), stage)

@@ -43,7 +43,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, groupby, islice, \
     product, repeat
-from operator import add, itemgetter, le, mul
+from operator import itemgetter, le
 from typing import TYPE_CHECKING
 
 from repro.buffers.layout import gather, make, pack, typecode_for
@@ -249,17 +249,6 @@ class EncodedTrie:
                 yield from recurse(node.children[code], prefix + (code,))
 
         yield from recurse(self.root, ())
-
-
-def row_keys(columns: "Sequence[Sequence[int]]") -> "Sequence[int]":
-    """Per row of the code *columns* (one or more), its codes read as
-    one mixed-radix int, digit *i* in base the column's largest code +
-    1: keys are equal iff the rows are, a distinct count without tries."""
-    key = list(columns[0])
-    for column in columns[1:]:
-        radix = max(column, default=0) + 1
-        key = list(map(add, map(mul, key, repeat(radix)), column))
-    return key
 
 
 @dataclass

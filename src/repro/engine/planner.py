@@ -279,7 +279,8 @@ class StageEstimate:
 
 
 def _extension_bound(query: "MultiModelQuery", attribute: str,
-                     bound: "set[str]") -> tuple[float, str]:
+                     bound: "set[str]", stats: QueryStatistics
+                     ) -> tuple[float, str]:
     """(bound, source input) on bindings of *attribute* per prefix tuple.
 
     For a relation sharing an already-bound attribute ``b``, at most
@@ -292,7 +293,6 @@ def _extension_bound(query: "MultiModelQuery", attribute: str,
     minimum over covering inputs is sound because every covering input
     must agree on the attribute's value.
     """
-    stats = statistics_for(query)
     best = math.inf
     source = ""
     for relation in query.relations:
@@ -316,15 +316,18 @@ def _extension_bound(query: "MultiModelQuery", attribute: str,
     return float(best), source
 
 
-def estimated_stage_sizes(query: "MultiModelQuery",
-                          order: "tuple[str, ...]") -> list[StageEstimate]:
+def estimated_stage_sizes(query: "MultiModelQuery", order: "tuple[str, ...]",
+                          stats: QueryStatistics | None = None
+                          ) -> list[StageEstimate]:
     """Per-prefix output upper bounds (UES/AGM-style) for expanding
     *query* in *order*."""
+    stats = stats or statistics_for(query)
     estimates: list[StageEstimate] = []
     cumulative = 1.0
     prefix: tuple[str, ...] = ()
     for attribute in order:
-        extension, source = _extension_bound(query, attribute, set(prefix))
+        extension, source = _extension_bound(query, attribute, set(prefix),
+                                             stats)
         cumulative *= extension
         estimates.append(StageEstimate(attribute, prefix, source,
                                        extension, cumulative))
@@ -336,14 +339,16 @@ def estimated_stage_sizes(query: "MultiModelQuery",
 # order strategies
 # ---------------------------------------------------------------------------
 
-def appearance_order(query: "MultiModelQuery") -> tuple[str, ...]:
+def appearance_order(query: "MultiModelQuery",
+                     stats: QueryStatistics | None = None) -> tuple[str, ...]:
     """Relational attributes first, then twig attributes, as they appear."""
     return query.attributes
 
 
-def domain_order(query: "MultiModelQuery") -> tuple[str, ...]:
+def domain_order(query: "MultiModelQuery",
+                 stats: QueryStatistics | None = None) -> tuple[str, ...]:
     """Attributes sorted by estimated domain size (smallest first)."""
-    estimates = statistics_for(query).order_ranks()
+    estimates = (stats or statistics_for(query)).order_ranks()
     return tuple(sorted(query.attributes,
                         key=lambda a: (estimates.get(a, 0), a)))
 
@@ -363,11 +368,12 @@ def linked_attributes(query: "MultiModelQuery") -> dict[str, frozenset[str]]:
     return linked
 
 
-def connected_order(query: "MultiModelQuery") -> tuple[str, ...]:
+def connected_order(query: "MultiModelQuery",
+                    stats: QueryStatistics | None = None) -> tuple[str, ...]:
     """Greedy connected order over the joined hypergraph (relations,
     path relations and A-D pair inputs)."""
     linked = linked_attributes(query)
-    estimates = statistics_for(query).order_ranks()
+    estimates = (stats or statistics_for(query)).order_ranks()
     rank = {a: (estimates.get(a, 0), a) for a in query.attributes}
     remaining = set(rank)
     order: list[str] = []
@@ -382,7 +388,7 @@ def connected_order(query: "MultiModelQuery") -> tuple[str, ...]:
     return tuple(order)
 
 
-ORDER_STRATEGIES: dict[str, Callable[["MultiModelQuery"],
+ORDER_STRATEGIES: dict[str, Callable[["MultiModelQuery", QueryStatistics],
                                      tuple[str, ...]]] = {
     "appearance": appearance_order,
     "domain": domain_order,
@@ -391,22 +397,23 @@ ORDER_STRATEGIES: dict[str, Callable[["MultiModelQuery"],
 
 
 def register_order_policy(name: str,
-                          strategy: Callable[["MultiModelQuery"],
+                          strategy: Callable[["MultiModelQuery",
+                                              QueryStatistics],
                                              tuple[str, ...]]) -> None:
     """Register an order policy under *name* (idempotent re-registration
     of the same callable is allowed; name collisions are an error).
 
-    Registered policies are first-class: ``attribute_order`` resolves
-    them, ``run_query(order=name)`` executes them, and the CLI's
-    ``--order`` flag accepts them."""
+    Registered policies are first-class: ``attribute_order`` calls them
+    as ``strategy(query, statistics)``, ``run_query(order=name)``
+    executes them, and the CLI's ``--order`` flag accepts them."""
     current = ORDER_STRATEGIES.get(name)
     if current is not None and current is not strategy:
         raise PlanError(f"order policy {name!r} is already registered")
     ORDER_STRATEGIES[name] = strategy
 
 
-def existential_last(query: "MultiModelQuery",
-                     order: tuple[str, ...]) -> tuple[str, ...]:
+def existential_last(query: "MultiModelQuery", order: tuple[str, ...],
+                     stats: QueryStatistics | None = None) -> tuple[str, ...]:
     """*order* with an existential attribute
     (:meth:`QueryStatistics.twig_domains`) moved to the end when the
     stage-estimate model puts the worst stage of the order without such
@@ -415,7 +422,7 @@ def existential_last(query: "MultiModelQuery",
     (:func:`repro.core.validation.tested_attribute`). Every policy's
     pick passes through here (:func:`policy_order`); an explicit order
     is obeyed as given."""
-    stats = statistics_for(query)
+    stats = stats or statistics_for(query)
     found = stats._demoted.get(order)
     if found is None:
         candidates = {attribute: count for (_twig, attribute), (count, opens)
@@ -424,7 +431,8 @@ def existential_last(query: "MultiModelQuery",
             return order
         rest = tuple(a for a in order if a not in candidates)
         worst = max((estimate.cumulative for estimate
-                     in estimated_stage_sizes(query, rest)), default=1.0)
+                     in estimated_stage_sizes(query, rest, stats)),
+                    default=1.0)
         moved = tuple(a for a in order if a in candidates
                       and worst <= candidates[a])
         found = stats._demoted[order] = \
@@ -432,8 +440,8 @@ def existential_last(query: "MultiModelQuery",
     return found
 
 
-def functional_next(query: "MultiModelQuery",
-                    order: tuple[str, ...]) -> tuple[str, ...]:
+def functional_next(query: "MultiModelQuery", order: tuple[str, ...],
+                    stats: QueryStatistics | None = None) -> tuple[str, ...]:
     """*order* with each functional twig child moved to right after its
     parent: a node on a child (``/``) edge, not existential
     (:meth:`QueryStatistics.twig_domains`), whose parent's every element
@@ -448,7 +456,7 @@ def functional_next(query: "MultiModelQuery",
     their relative order, so the rewrite of its own output changes
     nothing. Only a child that could move has its fan-out read: DBLP's
     ``j`` and ``y``, bound before the tested ``a``, cost no scan."""
-    stats = statistics_for(query)
+    stats = stats or statistics_for(query)
     found = stats._functional.get(order)
     if found is None:
         from repro.xml.columnar import columnar
@@ -490,20 +498,21 @@ def functional_next(query: "MultiModelQuery",
     return found
 
 
-def policy_order(query: "MultiModelQuery",
-                 pick: tuple[str, ...]) -> tuple[str, ...]:
+def policy_order(query: "MultiModelQuery", pick: tuple[str, ...],
+                 stats: QueryStatistics | None = None) -> tuple[str, ...]:
     """An order policy's *pick* as it runs: :func:`existential_last`,
     then :func:`functional_next`."""
-    return functional_next(query, existential_last(query, pick))
+    return functional_next(query, existential_last(query, pick, stats), stats)
 
 
 def attribute_order(query: "MultiModelQuery",
-                    order: "str | tuple[str, ...] | list[str] | None" = None
+                    order: "str | tuple[str, ...] | list[str] | None" = None,
+                    stats: QueryStatistics | None = None
                     ) -> tuple[str, ...]:
     """Resolve an order argument: a strategy name, an explicit order, or
     None (the ``appearance`` default)."""
     if order is None:
-        return policy_order(query, appearance_order(query))
+        order = "appearance"
     if isinstance(order, str):
         try:
             strategy = ORDER_STRATEGIES[order]
@@ -511,7 +520,7 @@ def attribute_order(query: "MultiModelQuery",
             raise PlanError(
                 f"unknown order policy {order!r}; "
                 f"choose from {sorted(ORDER_STRATEGIES)!r}") from None
-        return policy_order(query, strategy(query))
+        return policy_order(query, strategy(query, stats), stats)
     explicit = tuple(order)
     if sorted(explicit) != sorted(query.attributes):
         raise PlanError(
@@ -577,14 +586,15 @@ class QueryPlan:
                 f"order={list(self.order)!r}{twigs}{parallel})")
 
 
-def choose_order_policy(query: "MultiModelQuery") -> str:
+def choose_order_policy(query: "MultiModelQuery",
+                        stats: QueryStatistics | None = None) -> str:
     """Pick an order policy from the domain-size spread.
 
     Uniform domains gain nothing from reordering, so keep the appearance
     order; skewed domains (some attribute much more selective than
     another) benefit from expanding small, connected domains first.
     """
-    estimates = statistics_for(query).order_ranks()
+    estimates = (stats or statistics_for(query)).order_ranks()
     sizes = [size for size in estimates.values() if size > 0]
     if len(sizes) >= 2 and max(sizes) >= 4 * min(sizes):
         return "connected"
@@ -613,7 +623,8 @@ MIN_CODES_PER_MORSEL = 4
 
 
 def choose_partitions(query: "MultiModelQuery", order: tuple[str, ...],
-                      workers: int) -> tuple[int, str | None]:
+                      workers: int, stats: QueryStatistics | None = None
+                      ) -> tuple[int, str | None]:
     """Pick (morsel count, partition axis) from cached statistics.
 
     The one place the morsel count of a planned query is decided. The
@@ -633,7 +644,7 @@ def choose_partitions(query: "MultiModelQuery", order: tuple[str, ...],
     from repro.parallel.partition import choose_morsel_count
 
     axis = order[0]
-    domain = statistics_for(query).domain_estimate(axis)
+    domain = (stats or statistics_for(query)).domain_estimate(axis)
     count = choose_morsel_count(workers, domain)
     count = min(count, max(1, domain // MIN_CODES_PER_MORSEL))
     return (count, axis) if count > 1 else (1, None)
@@ -664,6 +675,7 @@ def plan_query(query: "MultiModelQuery", *,
     ``workers`` the plan also carries a partition count and axis for the
     parallel executor (see :func:`choose_partitions`).
     """
+    stats = statistics_for(query)
     if algorithm is None:
         algorithm = choose_algorithm(query)
     elif algorithm not in available_algorithms():
@@ -671,11 +683,11 @@ def plan_query(query: "MultiModelQuery", *,
             f"unknown join algorithm {algorithm!r}; "
             f"choose from {available_algorithms()!r}")
     if order is None:
-        policy = choose_order_policy(query)
-        resolved = attribute_order(query, policy)
+        policy = choose_order_policy(query, stats)
+        resolved = attribute_order(query, policy, stats)
     else:
         policy = order if isinstance(order, str) else "given"
-        resolved = attribute_order(query, order)
+        resolved = attribute_order(query, order, stats)
 
     twig_algorithms: list[tuple[str, str]] = []
     if query.twigs:
@@ -699,7 +711,7 @@ def plan_query(query: "MultiModelQuery", *,
                     f"twig)")
             twig_algorithms.append((binding.name, name))
     path_cardinalities = tuple(
-        sorted(statistics_for(query).path_cardinality_estimates().items())
+        sorted(stats.path_cardinality_estimates().items())
     ) if query.twigs else ()
     validation: tuple[tuple[str, str | None], ...] = ()
     tested = None
@@ -710,7 +722,7 @@ def plan_query(query: "MultiModelQuery", *,
         validation = tuple(points.items())
         tested = tested_attribute(query, resolved, points)
     partitions, partition_axis = choose_partitions(
-        query, resolved, workers or 1)
+        query, resolved, workers or 1, stats)
     return QueryPlan(order=resolved, algorithm=algorithm, policy=policy,
                      twig_algorithms=tuple(twig_algorithms),
                      path_cardinalities=path_cardinalities,

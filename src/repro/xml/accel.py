@@ -7,7 +7,8 @@ its atoms is already an index of the
 * a query node's candidates are its tag's posting, value predicate
   applied (:meth:`ColumnarDocument.stream`);
 * a parent-child edge *is* the ``parents`` column: the lower posting
-  grouped by ``parents[nid]``;
+  grouped by ``parents[nid]`` (one position per upper candidate where
+  the edge is functional, :meth:`ColumnarDocument.fan_out` <= 1);
 * an ancestor-descendant edge *is* a contiguous slice of the lower
   posting: the entries whose ``start`` lies strictly inside the upper
   node's region, two ``bisect`` probes.
@@ -36,11 +37,12 @@ code path.
 **Paid once per view version.** What the view alone determines is
 kept in ``view.derived``, reset with it on every splice (a value edit
 drops only the edited tag's codes, edges stay): an edge's
-match lists whenever both of its sides are the view's own whole
+matches whenever both of its sides are the view's own whole
 postings (:func:`_edge_index` — a predicated, reduced or sliced side is
-matched per call), and each tag's value codes
-(:meth:`ColumnarDocument.tag_codes`), on which ``run`` projects: the
-distinct rows of a chunk are a ``set`` of int tuples and only those are
+grouped per call), and each tag's value codes
+(:meth:`ColumnarDocument.tag_codes`), on which ``run`` projects: a
+chunk's rows are packed into mixed-radix ints of its varying columns
+(:func:`~repro.buffers.layout.row_keys`), and only the distinct keys are
 decoded. :func:`axis_pairs`, the stack-tree structural join, builds
 XJoin's A-D pair inputs (:mod:`repro.core.decomposition`).
 
@@ -54,10 +56,11 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from collections.abc import Iterator, Sequence
 from itertools import chain, compress, count, repeat
+from operator import ne
 from time import perf_counter
 from typing import TYPE_CHECKING
 
-from repro.buffers.layout import gather
+from repro.buffers.layout import gather, key_columns, row_keys
 from repro.instrumentation import NULL_STATS, JoinStats, ensure_stats
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
@@ -75,14 +78,23 @@ CHUNK = 4096
 
 
 def _edge_matches(view: ColumnarDocument, upper: TagPosting,
-                  lower: TagPosting, axis: Axis) -> list:
+                  lower: TagPosting, axis: Axis) -> Sequence:
     """Per candidate of *upper*, its matches along one twig edge as
     positions in *lower*: a list (P-C, the lower posting grouped by
     ``parents``) or a range (A-D, the posting slice whose starts lie
     strictly inside the region — strictly, so a node never pairs with
     itself when both query nodes share a tag); falsy when there is none.
+    A functional P-C edge (:meth:`ColumnarDocument.fan_out` <= 1)
+    between two whole postings is one **tuple** instead: per upper
+    candidate its one match, -1 for none.
     """
     if axis is Axis.CHILD:
+        whole = [view.tag_ids[p.nids[0]] for p in (upper, lower) if len(p)
+                 and p.nids is view.tag_nids[view.tag_ids[p.nids[0]]]]
+        if len(whole) == 2 and view.fan_out(
+                *map(view.tags.__getitem__, whole)) <= 1:
+            owned = dict(zip(gather(view.parents, lower.nids), count()))
+            return tuple(map(owned.get, upper.nids, repeat(-1)))
         # One list per upper candidate, in posting order; every lower
         # position is appended to its parent's (or to the sink).
         groups = dict(zip(upper.nids, map(list, repeat(()))))
@@ -97,7 +109,7 @@ def _edge_matches(view: ColumnarDocument, upper: TagPosting,
 
 
 def _edge_index(view: ColumnarDocument, q: TwigNode, child: TwigNode,
-                upper: TagPosting, lower: TagPosting) -> list:
+                upper: TagPosting, lower: TagPosting) -> Sequence:
     """:func:`_edge_matches` for the twig edge *q* -> *child*, kept in
     ``view.derived`` per (upper tag, lower tag, axis) when both sides
     are the view's own whole postings: then the answer is a function of
@@ -117,15 +129,18 @@ def _edge_index(view: ColumnarDocument, q: TwigNode, child: TwigNode,
 
 
 def _value_codes(view: ColumnarDocument, q: TwigNode,
-                 posting: TagPosting) -> Sequence[int]:
+                 posting: TagPosting) -> "Sequence[int] | None":
     """The value codes (:meth:`ColumnarDocument.tag_codes`) of
-    *posting*'s candidates, parallel to it: the tag's own code column
+    *posting*'s candidates, parallel to it (None for a constant column:
+    the tag's dictionary holds one value): the tag's own code column
     where the posting is the whole one, read at each node's
     ``tag_ranks`` entry where it has been cut. (A gather per call for
     the whole posting too — one path — measured 4.8 -> 7.6 ms on the
     20k-record DBLP article twig and +10-17 % on XMark's chain and
     branch shapes; the predicated shape is within spread either way.)"""
-    codes = view.tag_codes(q.tag)[0]
+    codes, dictionary = view.tag_codes(q.tag)
+    if len(dictionary.values) < 2:
+        return None
     if len(posting) == len(codes):
         return codes
     return list(map(codes.__getitem__, gather(view.tag_ranks, posting.nids)))
@@ -138,7 +153,7 @@ def twig_frontiers(view: ColumnarDocument, twig: TwigQuery,
     root candidates, one column per query node (pre-order) holding, per
     embedding, the bound candidate's node id — or its entry in
     ``column(view, query node, live posting)``, a sequence parallel to
-    the posting.
+    the posting (None: the node's column is left out).
 
     Counters, all pure functions of the posting contents: a stage
     ``alive <name>`` per query node (its candidates left by the
@@ -156,7 +171,7 @@ def twig_frontiers(view: ColumnarDocument, twig: TwigQuery,
     names = [q.name for q in nodes]
     live = {q.name: view.stream(q) for q in nodes}
     seeks = sum(map(len, live.values()))
-    matches: dict[str, list] = {}
+    matches: dict[str, Sequence] = {}
     times = dict.fromkeys(names, 0.0)
     start = 0.0
 
@@ -170,13 +185,17 @@ def twig_frontiers(view: ColumnarDocument, twig: TwigQuery,
                  for c in q.children]
         seeks += sum(len(posting) * (1 if c.axis is Axis.CHILD else 2)
                      for c in q.children)
-        if not all(map(all, found)):  # some candidate lacks a match
-            keep = found[0] if len(found) == 1 \
-                else list(map(all, zip(*found)))
+        # A functional edge (a tuple) holds -1 where a match lacks.
+        masks = [list(map(ne, edge, repeat(-1))) if isinstance(edge, tuple)
+                 else edge for edge in found
+                 if not isinstance(edge, tuple) or -1 in edge]
+        if not all(map(all, masks)):  # some candidate lacks a match
+            keep = masks[0] if len(masks) == 1 \
+                else list(map(all, zip(*masks)))
             live[q.name] = TagPosting(list(compress(posting.nids, keep)),
                                       list(compress(posting.starts, keep)),
                                       list(compress(posting.ends, keep)))
-            found = [list(compress(edge, keep)) for edge in found]
+            found = [type(edge)(compress(edge, keep)) for edge in found]
         matches.update(zip((c.name for c in q.children), found))
         if counting:
             stats.record_stage(f"alive {q.name}", len(live[q.name]))
@@ -184,8 +203,8 @@ def twig_frontiers(view: ColumnarDocument, twig: TwigQuery,
 
     # The expansion, pre-order, a chunk of live roots at a time.
     parent_index = [names.index(q.parent.name) for q in nodes[1:]]
-    read = [(column(view, q, live[q.name]) if column
-             else live[q.name].nids).__getitem__ for q in nodes]
+    read = [column(view, q, live[q.name]) if column
+            else live[q.name].nids for q in nodes]
     alive = dict.fromkeys(names, 0)
     roots = len(live[names[0]])
     for lo in range(0, roots, CHUNK):
@@ -194,19 +213,26 @@ def twig_frontiers(view: ColumnarDocument, twig: TwigQuery,
         for name, upper in zip(names[1:], parent_index):
             if counting:
                 start = perf_counter()
-            found = list(map(matches[name].__getitem__, columns[upper]))
-            grown = list(chain.from_iterable(found))
-            if len(grown) != len(found):  # else one match each: as is
-                counts = list(map(len, found))
-                columns = [list(chain.from_iterable(map(repeat, column,
-                                                        counts)))
-                           for column in columns]
+            edge, bound = matches[name], columns[upper]
+            if isinstance(edge, tuple):  # functional: one match each
+                # (the root's column is a range until an edge repeats it)
+                grown = edge[bound.start:bound.stop] \
+                    if isinstance(bound, range) else gather(edge, bound)
+            else:
+                found = list(map(edge.__getitem__, bound))
+                grown = list(chain.from_iterable(found))
+                if len(grown) != len(found):  # else one match each: as is
+                    counts = list(map(len, found))
+                    columns = [list(chain.from_iterable(map(repeat, column,
+                                                            counts)))
+                               for column in columns]
             columns.append(grown)
             alive[name] += len(grown)
             if counting:
                 times[name] += perf_counter() - start
-        yield [list(map(entry, positions))
-               for entry, positions in zip(read, columns)]
+        yield [list(map(entry.__getitem__, positions))
+               for entry, positions in zip(read, columns)
+               if entry is not None]
     stats.stop_timer()
 
     stats.count_seeks(seeks)
@@ -303,12 +329,16 @@ class AccelTwigAlgorithm:
             name: str | None = None,
             stats: JoinStats | None = None) -> Relation:
         view = columnar(document)
-        coded: set[tuple] = set()  # distinct rows, as value codes
+        tables = [view.tag_codes(q.tag)[1].values for q in twig.nodes()]
+        radices = [len(table) for table in tables if len(table) > 1]
+        keys: set[int] = set()  # distinct rows, as packed value codes
         for columns in twig_frontiers(view, twig, stats,
                                       column=_value_codes):
-            coded.update(zip(*columns))
-        tables = [view.tag_codes(q.tag)[1].values for q in twig.nodes()]
-        rows = zip(*[gather(table, codes)
-                     for table, codes in zip(tables, zip(*coded))])
+            # A chunk has embeddings: with every column constant, one.
+            keys.update(row_keys(columns, radices) if columns else (0,))
+        varying = iter(key_columns(keys, radices) if keys else ())
+        rows = zip(*[gather(table, next(varying)) if len(table) > 1
+                     else repeat(table[0], len(keys))  # a constant column
+                     for table in tables]) if keys else ()
         return Relation.trusted(name or twig.name, Schema(twig.attributes),
                                 frozenset(rows))

@@ -101,6 +101,7 @@ class StreamingBuilder:
             ("val_int", "q"), ("val_float", "d"), ("val_str_off", "Q"),
             ("val_str_len", "I"), ("val_str_heap", "B"))]
         self._strings: list[str] = []  # the strings since the last flush
+        self._stored = 0  # the strings stored so far, flushed or not
         self._counter = 0  # the region-label counter
         self._rows: "list" = []  # nodes from _flushed on; open ones: lists
         self._flushed = 0
@@ -215,10 +216,10 @@ class StreamingBuilder:
                 ints.tail.append(value)
                 return VALUE_INT, len(ints) - 1
             text = str(value)  # a bigint, stored as its digits
-        strings = self._strings
-        strings.append(text)
+        self._strings.append(text)
+        self._stored += 1
         return (VALUE_STR if value is text else VALUE_BIGINT,
-                len(self._values[3]) + len(strings) - 1)
+                self._stored - 1)
 
     # -- assembly ----------------------------------------------------------
 

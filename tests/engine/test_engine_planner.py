@@ -124,6 +124,28 @@ class TestStatisticsStamp:
         assert swapped() is None
         assert statistics_for(query).domain_estimates() == {"a": 1}
 
+    @pytest.mark.parametrize("order", [
+        None, "appearance", "domain", "connected", "bound",
+        ("orderLine", "price", "ISBN", "orderID", "userID")])
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_one_stamp_per_plan(self, monkeypatch, order, workers):
+        """``plan_query`` checks the stamp once and hands the statistics
+        to every policy function: one :func:`_input_stamp` per plan,
+        cold or warm."""
+        import repro.engine.adaptive  # noqa: F401  (registers "bound")
+        from repro.engine import planner
+        from repro.service.corpus import corpus_query
+
+        query = corpus_query("bookstore:orders=40,users=8")
+        stamps = []
+        stamp = planner._input_stamp
+        monkeypatch.setattr(planner, "_input_stamp",
+                            lambda query: stamps.append(1) or stamp(query))
+        for _ in range(2):  # the statistics built, then memoised
+            stamps.clear()
+            plan_query(query, order=order, workers=workers)
+            assert len(stamps) == 1
+
 
 class TestOrderPolicies:
     def test_domain_order_empty_relation_first(self):

@@ -141,7 +141,7 @@ class TestTheRule:
 
     def test_the_racers_candidates_are_rewritten(self, monkeypatch):
         query = people_query(people())
-        monkeypatch.setitem(ORDER_STRATEGIES, "bound", lambda q: RAW)
+        monkeypatch.setitem(ORDER_STRATEGIES, "bound", lambda q, stats: RAW)
         monkeypatch.setattr(adaptive, "TOP_K", 10)
         orders = {plan.order
                   for plan in PlanRacer(FeedbackStore()).candidates(query)}

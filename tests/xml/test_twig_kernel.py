@@ -480,9 +480,13 @@ def test_slices_partition_the_embeddings(pattern):
     ``SlicedColumnarView`` needs no second code path: the slices'
     embeddings, each cut to its own root range, partition the whole."""
     rng = random.Random(f"{ACCEL_SEED}:slices")
-    document = populated_document(rng, tags="ab", max_nodes=160,
-                                  max_children=5, value_range=3)
-    twig, base = parse_twig(pattern), columnar(document)
+    assert_slices_partition(populated_document(
+        rng, tags="ab", max_nodes=160, max_children=5, value_range=3),
+        parse_twig(pattern))
+
+
+def assert_slices_partition(document, twig):
+    base = columnar(document)
     names = twig.attributes
     starts = base.starts
 
@@ -536,3 +540,186 @@ def test_a_slice_neither_fills_nor_reads_the_memo():
     assert not memo_keys(everything) and not memo_keys(base)
     assert_matches_naive(document, twig)
     assert len(memo_keys(base)) == 2 and base.derived["probe"] == "kept"
+
+
+# -- (f) functional P-C edges ----------------------------------------------
+
+def functional_document(rng, roots):
+    """*roots* ``a`` elements under ``r``: each has at most one ``b``
+    and at most one ``c`` child, some none, some valueless, and some
+    one ``a`` child of their own — so ``a/b``, ``a/c`` and ``a/a`` are
+    functional (fan-out 1) and ``a//b``, ``a//a`` are not."""
+    def leaf(tag, values):
+        return f"<{tag}>{rng.randrange(values)}</{tag}>" \
+            if rng.random() < 0.8 else f"<{tag}/>"
+
+    def element(depth):
+        return "".join([
+            "<a>",
+            leaf("b", 4) if rng.random() < 0.8 else "",
+            leaf("c", 3) if rng.random() < 0.7 else "",
+            element(depth + 1) if depth < 2 and rng.random() < 0.3 else "",
+            "</a>"])
+
+    return parse_document(
+        "<r>" + "".join(element(0) for _ in range(roots)) + "</r>")
+
+
+def flat_entry(view, upper, lower):
+    """The ``(upper, lower)`` P-C edge as kept: asserted to be the flat
+    form, and each position checked against the ``parents`` column."""
+    entry = view.derived[("edge", upper, lower, Axis.CHILD)]
+    assert isinstance(entry, tuple)
+    children = list(view.postings(lower)[0])
+    assert entry == tuple(
+        next((rank for rank, child in enumerate(children)
+              if view.parents[child] == nid), -1)
+        for nid in view.postings(upper)[0])
+    return entry
+
+
+class TestFunctionalEdges:
+    """A P-C edge whose upper tag has at most one child of the lower tag
+    per element (``ColumnarDocument.fan_out`` <= 1) is kept as one lower
+    position per upper candidate, -1 for none: sliced per chunk while
+    the root column is a range, gathered once an earlier edge repeated
+    it. Everything else — A-D edges, wider fan-outs, cut postings — is
+    grouped as before."""
+
+    def document(self, roots=60):
+        return functional_document(
+            random.Random(f"{ACCEL_SEED}:functional:{roots}"), roots)
+
+    def test_whole_functional_edges_are_one_position_each(self):
+        document = self.document()
+        view = columnar(document)
+        assert view.fan_out("a", "b") == view.fan_out("a", "c") == 1
+        assert_memo_is_invisible(document, parse_twig("x=a(/y=b, /w=c)"))
+        view = columnar(document)
+        assert_matches_naive(document, parse_twig("x=a(/y=b, /w=c)"))
+        assert -1 in flat_entry(view, "a", "b")
+        flat_entry(view, "a", "c")
+
+    @pytest.mark.parametrize("pattern,flat", [
+        ("n0=a(//n1=a, /n2=a)", "a"), ("n0=a(//n1=b, /n2=b)", "b"),
+        ("n0=a(//n1=b, /n2=c, /n3=a(/n4=b))", "c"),
+        ("n0=a(/n1=a(//n2=b), /n3=c)", "c")])
+    def test_a_repeating_edge_before_a_functional_one(self, pattern, flat):
+        """An A-D edge expanded first repeats the root column: the
+        functional edge ``a/flat`` after it must gather through the
+        repeated column, not slice the chunk's range."""
+        twig = parse_twig(pattern)
+        for document in (chain_document(5, tags=("a",), root_tag="a"),
+                         chain_document(9, tags=("b", "a", "c"),
+                                        root_tag="a"),
+                         self.document()):
+            rows, *_ = assert_matches_naive(document, twig)
+            if rows.rows:
+                flat_entry(columnar(document), "a", flat)
+
+    def test_roots_missing_a_child(self):
+        document = parse_document(
+            "<r><a><b>1</b></a><a><c>5</c></a><a><b>2</b><c>6</c></a>"
+            "<a/></r>")
+        view = columnar(document)
+        rows, _embeddings, (stages, *_) = assert_matches_naive(
+            document, parse_twig("x=a(/y=b)"))
+        assert rows.rows == {(None, 1), (None, 2)}
+        assert dict(stages)["alive x"] == 2
+        assert flat_entry(view, "a", "b") == (0, -1, 1, -1)
+        rows, *_ = assert_matches_naive(document,
+                                        parse_twig("x=a(/y=b, /w=c)"))
+        assert rows.rows == {(None, 2, 6)}
+        assert flat_entry(view, "a", "c") == (-1, 0, 1, -1)
+
+    @pytest.mark.parametrize("side", ["upper", "lower", "both"])
+    def test_predicates_on_either_side(self, side):
+        """A predicated side is cut: grouped per call, never cached, and
+        the whole edge another twig keeps is left as it was."""
+        document = self.document()
+        view = columnar(document)
+        assert_matches_naive(document, parse_twig("x=a(/y=b, /w=c)"))
+        kept = flat_entry(view, "a", "b")
+        root = TwigNode("x", tag="a", predicate=(
+            (lambda v: v is None) if side != "lower" else None))
+        root.child("y", tag="b", predicate=(
+            PREDICATES["low"] if side != "upper" else None))
+        root.child("w", tag="c")
+        rows, *_ = assert_matches_naive(document, TwigQuery(root))
+        assert rows.rows
+        assert view.derived[("edge", "a", "b", Axis.CHILD)] is kept
+        assert memo_keys(view) == {("edge", "a", "b", Axis.CHILD),
+                                   ("edge", "a", "c", Axis.CHILD)}
+
+    @pytest.mark.parametrize("pattern", [
+        "x=a(/y=b, /w=c)", "x=a(//y=a, /w=b)", "x=a(/y=a(/w=b), /v=c)"])
+    def test_more_roots_than_a_chunk(self, pattern):
+        document = self.document(accel.CHUNK + 300)
+        assert len(document.nodes("a")) > accel.CHUNK
+        assert_matches_naive(document, parse_twig(pattern))
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_small_chunks_slice_and_gather(self, monkeypatch, chunk):
+        document = self.document()
+        cases = [parse_twig(pattern) for pattern in (
+            "x=a(/y=b, /w=c)", "x=a(//y=b, /w=c)", "x=a(/y=a(/w=b), /v=c)")]
+        whole = [kernel_run(document, twig) for twig in cases]
+        monkeypatch.setattr(accel, "CHUNK", chunk)
+        assert [kernel_run(document, twig) for twig in cases] == whole
+
+    def test_valueless_tags(self):
+        """A constant code column is not read: it is filled in at
+        decode — including when every node of the twig is valueless."""
+        document = parse_document(
+            "<r><a><b/><c/></a><a><b/></a><a><c>1</c></a><a><b/><c>2</c>"
+            "</a></r>")
+        view = columnar(document)
+        for pattern, expected in (
+                ("x=a", {(None,)}),
+                ("x=a(/y=b)", {(None, None)}),
+                ("x=r(/y=a(/w=b))", {(None, None, None)}),
+                ("x=a(/y=b, /w=c)", {(None, None, None), (None, None, 2)}),
+                ("x=a(/y=c)", {(None, None), (None, 1), (None, 2)}),
+                ("x=b(/y=c)", set()), ("x=a(/y=z)", set())):
+            rows, *_ = assert_matches_naive(document, parse_twig(pattern))
+            assert rows.rows == expected, pattern
+        assert flat_entry(view, "a", "b") == (0, 1, -1, 2)
+        assert view.tag_codes("b")[1].values == (None,)
+
+    @pytest.mark.parametrize("pattern", [
+        "x=a(/y=b, /w=c)", "x=a(//y=a, /w=b)", "x=a(/y=a(/w=b), /v=c)"])
+    def test_worker_slices(self, pattern):
+        """A slice's postings are cut: its edges are grouped per call and
+        kept nowhere, and the slices still partition the whole."""
+        document = self.document()
+        base = columnar(document)
+        assert_slices_partition(document, parse_twig(pattern))
+        flat_entry(base, "a", parse_twig(pattern).nodes()[2].tag)
+
+    def test_a_value_edit_keeps_the_entry_and_a_splice_drops_it(self):
+        from repro.updates.documents import DocumentEditor
+        from repro.xml.model import XMLNode
+
+        document = self.document()
+        twig = parse_twig("x=a(/y=b, /w=c)")
+        editor = DocumentEditor(document, churn_threshold=float("inf"))
+        view = columnar(document)
+        assert_matches_naive(document, twig)
+        kept = flat_entry(view, "a", "b")
+        b = next(node for node in document.nodes("b")
+                 if node.parent.children[-1].tag == "c")
+        editor.change_value(b, "17")
+        assert columnar(document) is view
+        assert view.derived[("edge", "a", "b", Axis.CHILD)] is kept
+        rows, *_ = assert_matches_naive(document, twig)
+        assert any(row[1] == 17 for row in rows)
+        # A second b under one a: the splice drops the entry, and the
+        # edge is no longer functional.
+        editor.insert_subtree(b.parent, XMLNode("b", text="9"))
+        assert columnar(document) is view
+        assert ("edge", "a", "b", Axis.CHILD) not in view.derived
+        rows, *_ = assert_matches_naive(document, twig)
+        assert any(row[1] == 9 for row in rows)
+        assert view.fan_out("a", "b") == 2
+        assert isinstance(view.derived[("edge", "a", "b", Axis.CHILD)],
+                          list)
