@@ -9,7 +9,7 @@ views, e.g. shared-memory attachments) and plain ``list`` — because the
 parity suite builds list-backed twins through the same call sites (see
 :func:`list_backend`).
 
-Mutating helpers (:func:`splice`, :func:`shift_tail`, ...) follow one
+Mutating helpers (:func:`splice`, :func:`set_at`) follow one
 contract: they mutate in place when the typecode still fits and
 **return the buffer to use afterwards** —
 a widened copy when a value overflowed the current width. Callers must
@@ -164,9 +164,9 @@ def splice(buf: "array | list", lo: int, hi: int,
     """Replace ``buf[lo:hi]`` with *values*; returns the live buffer.
 
     The workhorse of the update layer's delta maintenance: posting
-    splices, column splices and block deletes all come through here.
-    In-place when the typecode fits; otherwise the returned buffer is a
-    widened copy and the caller must rebind.
+    splices, column splices and block deletes (empty *values*) all come
+    through here. In-place when the typecode fits; otherwise the
+    returned buffer is a widened copy and the caller must rebind.
     """
     if isinstance(buf, array):
         buf = _fit(buf, values)
@@ -174,36 +174,6 @@ def splice(buf: "array | list", lo: int, hi: int,
         return buf
     buf[lo:hi] = values
     return buf
-
-
-def delete(buf: "array | list", lo: int, hi: int) -> "array | list":
-    """Delete ``buf[lo:hi]`` in place; returns the buffer (for rebinds)."""
-    del buf[lo:hi]
-    return buf
-
-
-def shift_tail(buf: "array | list", start: int,
-               delta: int) -> "array | list":
-    """Add *delta* to every entry from index *start* on; returns the
-    live buffer (widened when the shifted labels outgrow the width)."""
-    if start >= len(buf):
-        return buf
-    shifted = [value + delta for value in buf[start:]]
-    return splice(buf, start, len(buf), shifted)
-
-
-def shift_from(buf: "array | list", start: int, threshold: int,
-               delta: int) -> "array | list":
-    """From index *start* on, add *delta* to entries ``>= threshold``.
-
-    The parent-pointer fix-up: a block insert/delete at node id ``q``
-    shifts only references to nodes at or past ``q``.
-    """
-    if start >= len(buf):
-        return buf
-    shifted = [value + delta if value >= threshold else value
-               for value in buf[start:]]
-    return splice(buf, start, len(buf), shifted)
 
 
 def set_at(buf: "array | list", index: int, value: int) -> "array | list":

@@ -24,8 +24,8 @@ picks constants. Three pieces pick them:
 3. **The drift ledger** (:class:`FeedbackStore`).
    :class:`~repro.updates.session.QuerySession` reports every delta to
    it; deltas add up per input until they reach a churn fraction of
-   the input (or a document edit forces a rebuild), which advances the
-   input's *generation* and moves the *epoch*. The racer's winner is
+   the input (rows of a relation, nodes of a document), which advances
+   the input's *generation* and moves the *epoch*. The racer's winner is
    cached per query signature until the epoch moves, so a read-only
    workload races once and an update stream re-races only on drift.
    The service holds the adaptive plan, dated by the same epoch, so
@@ -104,12 +104,12 @@ class FeedbackStore:
 
     :class:`~repro.updates.session.QuerySession` reports every delta
     here. Deltas add up per input until they reach a churn fraction of
-    the input's size (or a document edit forces a rebuild); then the
-    input's *generation* advances and the :attr:`epoch` moves. The epoch
-    moves otherwise only by hand (:meth:`bump_epoch`). It dates the
-    racer's winners and the service's held plans: a plan is re-raced
-    when its inputs drifted, never per update batch. The store also
-    counts executed runs and the encoded inputs they built or reused.
+    the input's size; then the input's *generation* advances and the
+    :attr:`epoch` moves. The epoch moves otherwise only by hand
+    (:meth:`bump_epoch`). It dates the racer's winners and the service's
+    held plans: a plan is re-raced when its inputs drifted, never per
+    update batch. The store also counts executed runs and the encoded
+    inputs they built or reused.
     """
 
     def __init__(self):
@@ -123,22 +123,20 @@ class FeedbackStore:
 
     def note_input_update(self, query: "MultiModelQuery", input_name: str,
                           *, moved: int = 0, size: int = 0,
-                          fraction: float = 0.25,
-                          churn: bool = False) -> None:
+                          fraction: float = 0.25) -> None:
         """One input of *query* changed: count it against its generation.
 
-        *moved* rows (of an input holding *size* before them) join the
-        input's drift ledger. While the deltas since the generation
-        began stay within *fraction* of the size the input had then,
-        nothing else happens: the inputs were patched, and the plans
-        raced over them still fit. Crossing it — or *churn*, a document
-        edit that forced a rebuild — advances the input's generation and
-        bumps the epoch (forcing a re-race)."""
+        *moved* rows or nodes (of an input holding *size* before them)
+        join the input's drift ledger. While the deltas since the
+        generation began stay within *fraction* of the size the input
+        had then, nothing else happens: the inputs were patched, and the
+        plans raced over them still fit. Crossing it advances the
+        input's generation and bumps the epoch (forcing a re-race)."""
         scope = query_signature(query)
         drift = self._drift.setdefault((scope, input_name), Drift())
         drift.base = drift.base or max(1, size)
         drift.moved += moved
-        if churn or drift.moved > fraction * drift.base:
+        if drift.moved > fraction * drift.base:
             self._drift[scope, input_name] = Drift(drift.generation + 1)
             self.epoch += 1
 

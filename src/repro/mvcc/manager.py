@@ -153,9 +153,9 @@ class SnapshotManager:
         """Freeze *document*'s current version if a snapshot pins it.
 
         Wired into the editors' ``on_before_change``: runs before any
-        label patch, array splice, or rebuild fallback mutates the tree,
-        so the clone is taken from fully consistent state. At most one
-        clone per (document, version): later writes find it made.
+        label patch or array splice mutates the tree, so the clone is
+        taken from fully consistent state. At most one clone per
+        (document, version): later writes find it made.
         """
         record = self._current.get(id(document))
         if record is not None and record.pins and record.clone is None:

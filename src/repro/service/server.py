@@ -95,9 +95,9 @@ class ReproService:
         #: the epoch of its drift ledger. A snapshot query reads the live
         #: objects or, once a batch supersedes its pin, the retained
         #: clone; either shares the race winner until the master's
-        #: deltas add up to a churn burst, which advances an input's
-        #: generation and re-plans every held plan at once. Small
-        #: batches keep them.
+        #: deltas add up to a churn burst (a quarter of an input's rows
+        #: or nodes), which advances an input's generation and re-plans
+        #: every held plan at once. Small batches keep them.
         self.adaptive = AdaptivePlanner()
         #: The corpus: the one state every batch is applied to and
         #: every snapshot is pinned on; its deltas feed the planner's

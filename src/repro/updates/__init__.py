@@ -17,7 +17,7 @@ Entry points:
 * :class:`~repro.updates.relations.VersionedRelation` — one relation
   under updates (one ``Relation`` per version);
 * :class:`~repro.updates.documents.DocumentEditor` — one document under
-  updates (patched labels and view, churn-bounded).
+  updates (labels and view spliced in place).
 """
 
 from repro.updates.delta import (

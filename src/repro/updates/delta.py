@@ -43,15 +43,13 @@ class DocumentDelta:
     """One structural or value edit applied to a document.
 
     ``version`` is the document version after the edit; ``nodes`` is the
-    number of tree nodes the edit touched (the churn unit that drives the
-    rebuild fallback); ``start`` locates the edit by the pre-edit region
-    label of the subtree root / edited node; ``rebuilt`` records whether
-    the edit was applied as an in-place patch (False) or fell back to a
-    full reindex + view rebuild (True).
+    number of tree nodes the edit touched (a structural edit's count the
+    drift ledger adds up against the document's size); ``start`` locates
+    the edit by the pre-edit region label of the subtree root / edited
+    node.
     """
 
     kind: str
     version: int
     nodes: int
     start: int
-    rebuilt: bool = False

@@ -2,36 +2,39 @@
 
 A :class:`DocumentEditor` is the only sanctioned way to mutate an
 :class:`~repro.xml.model.XMLDocument` without paying a full
-``reindex()`` + columnar rebuild per change. For a localized edit it
+``reindex()`` + columnar rebuild per change. A subtree insert or delete
+attaches or detaches the tree node, then :func:`_splice` replaces the
+view's node block ``[q, q + removed)`` with the new subtree's rows
+(none for a delete), in place:
 
-* patches the region labels (``start``/``end``/``level``) on the node
-  objects — a suffix shift plus an ancestor-chain fix-up, never a
-  whole-tree re-annotation;
-* splices the same change into the buffers of the document's
-  :class:`~repro.xml.columnar.ColumnarDocument` (``document.view``:
-  node columns, per-tag postings, per-path node lists) in place, through the
-  :mod:`repro.buffers.layout` helpers — splices ride the typed arrays'
-  amortized resize, and a label that outgrows a column's typecode comes
-  back as a widened copy, which is why every splice site rebinds the
-  view slot (and any local alias) to the helper's return value; the
-  nodes' posting positions (``tag_ranks``) are numbered afresh, in C;
-* bumps the document version and resets what the view has derived
-  (:class:`~repro.xml.columnar.DocumentStats` included: the next read
-  summarises the maintained postings, no tree walk; a value edit drops
-  only what reads the edited tag's values, ``view.forget_values``), so
-  every twig algorithm, validator and planner estimate reads the
-  patched state.
-  The columnar twig kernel (:mod:`repro.xml.accel`) inherits delta
-  maintenance through exactly this path: its inputs *are* the
-  maintained postings and the ``parents`` / region-label columns, so
-  ``accel`` reads the patched arrays with no maintenance code of its
-  own (the update oracle's ``test_accel_tracks_update_stream`` regime
-  checks this per edit).
+* the region labels (``start``/``end``/``level``) on the node objects —
+  a suffix shift plus an ancestor-chain fix-up, never a whole-tree
+  re-annotation;
+* the buffers of the document's :class:`~repro.xml.columnar.
+  ColumnarDocument` (``document.view``: node columns, per-tag postings,
+  per-path node lists, ``parents``), each through one
+  :func:`repro.buffers.layout.splice` of the block plus its shifted
+  tail — splices ride the typed arrays' amortized resize, and a label
+  that outgrows a column's typecode comes back as a widened copy, which
+  is why every splice site rebinds the view slot to the helper's return
+  value; the nodes' posting positions (``tag_ranks``) are numbered
+  afresh, in C.
 
-Past a cumulative churn threshold (fraction of the tree touched since
-the last rebuild) the editor falls back to ``document.reindex()`` and a
-fresh build — label gaps never accumulate, and a sequence of large
-edits degrades to the rebuild cost it would have paid anyway.
+The inserted rows come from the walk that builds a whole view
+(:func:`repro.xml.columnar.node_rows`), so tags and paths new with the
+subtree are interned exactly as a fresh build interns them.
+
+Every edit bumps the document version and resets what the view has
+derived (:class:`~repro.xml.columnar.DocumentStats` included: the next
+read summarises the maintained postings, no tree walk; a value edit
+drops only what reads the edited tag's values, ``view.forget_values``),
+so every twig algorithm, validator and planner estimate reads the
+patched state. The columnar twig kernel (:mod:`repro.xml.accel`)
+inherits delta maintenance through exactly this path: its inputs *are*
+the maintained postings and the ``parents`` / region-label columns, so
+``accel`` reads the patched arrays with no maintenance code of its own
+(the update oracle's ``test_accel_tracks_update_stream`` regime checks
+this per edit).
 """
 
 from __future__ import annotations
@@ -40,8 +43,7 @@ from bisect import bisect_left
 from collections import deque
 from itertools import count
 
-from repro.buffers.layout import delete, make, pack, set_at, shift_from, \
-    shift_tail, splice
+from repro.buffers.layout import make, pack, set_at, splice
 from repro.errors import UpdateError
 from repro.updates.delta import (
     SUBTREE_DELETE,
@@ -49,22 +51,19 @@ from repro.updates.delta import (
     VALUE_CHANGE,
     DocumentDelta,
 )
-from repro.xml.columnar import ColumnarDocument, columnar
+from repro.xml.columnar import ColumnarDocument, columnar, node_rows
 from repro.xml.encoding import annotate_regions
 from repro.xml.model import XMLDocument, XMLNode
+
+#: The rows a delete splices in: none.
+_NO_ROWS = ((),) * 8
 
 
 class DocumentEditor:
     """Applies subtree inserts/deletes and value edits as deltas."""
 
-    def __init__(self, document: XMLDocument, *,
-                 churn_threshold: float = 0.5):
+    def __init__(self, document: XMLDocument):
         self.document = document
-        #: Fraction of the tree that may churn before a full rebuild.
-        self.churn_threshold = churn_threshold
-        self._churn = 0  # nodes touched since the last rebuild
-        self.patches = 0
-        self.rebuilds = 0
         #: Optional write-barrier, called with the document *before* the
         #: first mutation of every edit (labels, arrays and tree still in
         #: the pre-edit state). The MVCC layer
@@ -88,38 +87,9 @@ class DocumentEditor:
                 f"node <{node.tag}> does not belong to the edited document")
         return nid
 
-    def _ancestor_nids(self, view: ColumnarDocument, nid: int) -> list[int]:
-        chain = []
-        while nid >= 0:
-            chain.append(nid)
-            nid = view.parents[nid]
-        return chain
-
-    def _should_rebuild(self, touched: int) -> bool:
-        size = max(self.document.size(), 1)
-        return self._churn + touched > self.churn_threshold * size
-
-    def _finish(self, kind: str, touched: int, start: int, *,
-                rebuilt: bool, view: ColumnarDocument | None = None,
-                ) -> DocumentDelta:
-        document = self.document
-        if rebuilt:
-            document.reindex()  # bumps the version, drops the view
-            self._churn = 0
-            self.rebuilds += 1
-        else:
-            self._churn += touched
-            self.patches += 1
-            document.bump_version()
-            assert view is not None
-            if kind != VALUE_CHANGE:  # postings were spliced: re-rank
-                ranks = [0] * view.size
-                for nids in view.tag_nids:
-                    deque(map(ranks.__setitem__, nids, count()), maxlen=0)
-                view.tag_ranks = pack(ranks, hi=max(view.size - 1, 0))
-                view.derived = {}
-        return DocumentDelta(kind=kind, version=document.version,
-                             nodes=touched, start=start, rebuilt=rebuilt)
+    def _finish(self, kind: str, nodes: int, start: int) -> DocumentDelta:
+        return DocumentDelta(kind=kind, version=self.document.bump_version(),
+                             nodes=nodes, start=start)
 
     # -- operations --------------------------------------------------------
 
@@ -127,17 +97,16 @@ class DocumentEditor:
         """Replace *node*'s text content; labels and structure unchanged."""
         view = columnar(self.document)
         nid = self._nid_of(view, node)
-        start = node.start
         self._notify_before_change()
         node.text = text
         view.values[nid] = node.value
         view.forget_values(node.tag)  # labels and postings stand
-        return self._finish(VALUE_CHANGE, 1, start, rebuilt=False, view=view)
+        return self._finish(VALUE_CHANGE, 1, node.start)
 
     def insert_subtree(self, parent: XMLNode, subtree: XMLNode, *,
                        index: int | None = None) -> DocumentDelta:
         """Attach *subtree* as a child of *parent* at *index* (default:
-        last), patching labels, arrays and postings in place."""
+        last), splicing its rows into the view in place."""
         if subtree.parent is not None:
             raise UpdateError(
                 f"subtree root <{subtree.tag}> is already attached")
@@ -158,222 +127,131 @@ class DocumentEditor:
             raise UpdateError(
                 f"insert index {index} out of range for <{parent.tag}> "
                 f"with {len(parent.children)} children")
-        sub_nodes = list(subtree.iter())  # pre-order
-        m = len(sub_nodes)
         self._notify_before_change()
-        if self._should_rebuild(m):
-            subtree.parent = parent
-            parent.children.insert(index, subtree)
-            anchor = parent.start if parent.start is not None else 0
-            return self._finish(SUBTREE_INSERT, m, anchor, rebuilt=True)
-
-        # Label space: the new subtree takes [s0, s0 + 2m); every
-        # existing label >= s0 shifts up by 2m. In pre-order terms the
-        # subtree takes node ids [q, q + m).
-        if index < len(parent.children):
-            s0 = parent.children[index].start
-        else:
-            s0 = parent.end
-        assert s0 is not None
-        shift = 2 * m
-        starts, ends = view.starts, view.ends
-        q = bisect_left(starts, s0)
-        ancestors = self._ancestor_nids(view, parent_nid)
-
-        # 1. Region labels: suffix shift on nodes at nid >= q, plus the
-        # end labels of the insertion point's ancestors (their intervals
-        # grow to contain the new subtree).
-        for node in view.nodes[q:]:
-            node.start += shift
-            node.end += shift
-        view.starts = starts = shift_tail(starts, q, shift)
-        ends = shift_tail(ends, q, shift)
-        for a in ancestors:
-            view.nodes[a].end += shift
-            ends = set_at(ends, a, ends[a] + shift)
-        view.ends = ends
-        view.parents = shift_from(view.parents, q, q, m)
-
-        # 2. Per-tag postings and per-path node lists: shift entries at
-        # nid >= q; fix the ancestors' end entries individually.
-        for tid in range(len(view.tags)):
-            nids = view.tag_nids[tid]
-            pos = bisect_left(nids, q)
-            if pos < len(nids):
-                view.tag_nids[tid] = shift_tail(nids, pos, m)
-                view.tag_starts[tid] = shift_tail(view.tag_starts[tid],
-                                                  pos, shift)
-                view.tag_ends[tid] = shift_tail(view.tag_ends[tid],
-                                                pos, shift)
-        for a in ancestors:
-            tid = view.tag_ids[a]
-            pos = bisect_left(view.tag_nids[tid], a)
-            column = view.tag_ends[tid]
-            view.tag_ends[tid] = set_at(column, pos, column[pos] + shift)
-        for pid, nids in enumerate(view.nids_by_path):
-            pos = bisect_left(nids, q)
-            if pos < len(nids):
-                view.nids_by_path[pid] = shift_tail(nids, pos, m)
-
-        # 3. Attach and label the subtree: regions from s0, levels below
-        # the parent.
+        # The subtree takes the labels from s0 on, and the node ids from
+        # q on, of the nodes it goes before.
+        s0 = parent.children[index].start if index < len(parent.children) \
+            else parent.end
+        q = bisect_left(view.starts, s0)
         subtree.parent = parent
         parent.children.insert(index, subtree)
         annotate_regions(subtree, start=s0, level=parent.level + 1)
-
-        # 4. Build the subtree's columns (pre-order == [q, q + m)) and
-        # splice them into the node-level arrays.
-        nid_of_sub = {id(node): q + offset
-                      for offset, node in enumerate(sub_nodes)}
-        sub_starts, sub_ends, sub_levels = [], [], []
-        sub_parents, sub_tag_ids, sub_values = [], [], []
-        sub_path_ids = []
-        by_tid: dict[int, list[int]] = {}
-        by_pid: dict[int, list[int]] = {}
-        for offset, node in enumerate(sub_nodes):
-            nid = q + offset
-            sub_starts.append(node.start)
-            sub_ends.append(node.end)
-            sub_levels.append(node.level)
-            sub_parents.append(parent_nid if node is subtree
-                               else nid_of_sub[id(node.parent)])
-            tid = view.tag_index.get(node.tag)
-            if tid is None:
-                tid = view.tag_index[node.tag] = len(view.tags)
-                view.tags.append(node.tag)
-                # Narrow empties; the splices below widen them to fit.
-                view.tag_nids.append(make("B"))
-                view.tag_starts.append(make("B"))
-                view.tag_ends.append(make("B"))
-            sub_tag_ids.append(tid)
-            sub_values.append(node.value)
-            parent_pid = (view.path_ids[parent_nid] if node is subtree
-                          else sub_path_ids[
-                              nid_of_sub[id(node.parent)] - q])
-            key = (parent_pid, tid)
-            pid = view.path_table.get(key)
-            if pid is None:
-                pid = view.path_table[key] = len(view.paths)
-                prefix = view.paths[parent_pid] if parent_pid >= 0 else ()
-                view.paths.append(prefix + (node.tag,))
-                view.nids_by_path.append(make("B"))
-                view.pids_by_last_tag.setdefault(tid, []).append(pid)
-            sub_path_ids.append(pid)
-            by_tid.setdefault(tid, []).append(nid)
-            by_pid.setdefault(pid, []).append(nid)
-        view.nodes[q:q] = sub_nodes
-        view.starts = starts = splice(starts, q, q, sub_starts)
-        view.ends = ends = splice(ends, q, q, sub_ends)
-        view.levels = splice(view.levels, q, q, sub_levels)
-        view.parents = splice(view.parents, q, q, sub_parents)
-        view.tag_ids = splice(view.tag_ids, q, q, sub_tag_ids)
-        view.values[q:q] = sub_values
-        view.path_ids = splice(view.path_ids, q, q, sub_path_ids)
-        view.size += m
-
-        # 5. Insert the new posting/path entries: the new nids form one
-        # contiguous sorted block per tag and per path.
-        for tid, new_nids in by_tid.items():
-            nids = view.tag_nids[tid]
-            pos = bisect_left(nids, q)
-            view.tag_nids[tid] = splice(nids, pos, pos, new_nids)
-            view.tag_starts[tid] = splice(
-                view.tag_starts[tid], pos, pos,
-                [starts[n] for n in new_nids])
-            view.tag_ends[tid] = splice(
-                view.tag_ends[tid], pos, pos,
-                [ends[n] for n in new_nids])
-        for pid, new_nids in by_pid.items():
-            nids = view.nids_by_path[pid]
-            pos = bisect_left(nids, q)
-            view.nids_by_path[pid] = splice(nids, pos, pos, new_nids)
-        view.nid_index = {start: nid
-                          for nid, start in enumerate(starts)}
-
-        return self._finish(SUBTREE_INSERT, m, s0, rebuilt=False, view=view)
+        rows = node_rows(subtree, view.tags, view.tag_index, view.paths,
+                         view.path_table, first_nid=q,
+                         parent_nid=parent_nid,
+                         parent_pid=view.path_ids[parent_nid])
+        _splice(view, q, 0, rows)
+        return self._finish(SUBTREE_INSERT, len(rows[0]), s0)
 
     def delete_subtree(self, node: XMLNode) -> DocumentDelta:
-        """Detach *node*'s whole subtree, patching everything in place."""
+        """Detach *node*'s whole subtree, splicing its rows out of the
+        view in place."""
         if node.parent is None:
             raise UpdateError("cannot delete the document root")
         view = columnar(self.document)
         q = self._nid_of(view, node)
-        m = (node.end - node.start + 1) // 2  # type: ignore[operator]
-        s0 = node.start
-        assert s0 is not None
-        parent = node.parent
+        start = node.start
         self._notify_before_change()
-        if self._should_rebuild(m):
-            parent.children.remove(node)
-            node.parent = None
-            return self._finish(SUBTREE_DELETE, m, s0, rebuilt=True)
-
-        shift = 2 * m
-        parent_nid = view.parents[q]
-        ancestors = self._ancestor_nids(view, parent_nid)
-        starts, ends = view.starts, view.ends
-
-        # 1. Postings and path lists: drop the dead block, shift the
-        # suffix, fix the ancestors' end entries.
-        for tid in range(len(view.tags)):
-            nids = view.tag_nids[tid]
-            lo = bisect_left(nids, q)
-            hi = bisect_left(nids, q + m, lo)
-            if hi > lo:
-                nids = delete(nids, lo, hi)
-                view.tag_nids[tid] = nids
-                view.tag_starts[tid] = delete(view.tag_starts[tid], lo, hi)
-                view.tag_ends[tid] = delete(view.tag_ends[tid], lo, hi)
-            if lo < len(nids):
-                view.tag_nids[tid] = shift_tail(nids, lo, -m)
-                view.tag_starts[tid] = shift_tail(view.tag_starts[tid],
-                                                  lo, -shift)
-                view.tag_ends[tid] = shift_tail(view.tag_ends[tid],
-                                                lo, -shift)
-        for a in ancestors:
-            tid = view.tag_ids[a]
-            pos = bisect_left(view.tag_nids[tid], a)
-            column = view.tag_ends[tid]
-            view.tag_ends[tid] = set_at(column, pos, column[pos] - shift)
-        for pid, nids in enumerate(view.nids_by_path):
-            lo = bisect_left(nids, q)
-            hi = bisect_left(nids, q + m, lo)
-            if hi > lo:
-                nids = delete(nids, lo, hi)
-                view.nids_by_path[pid] = nids
-            if lo < len(nids):
-                view.nids_by_path[pid] = shift_tail(nids, lo, -m)
-
-        # 2. Region labels of the survivors.
-        for survivor in view.nodes[q + m:]:
-            survivor.start -= shift
-            survivor.end -= shift
-        for a in ancestors:
-            view.nodes[a].end -= shift
-            ends = set_at(ends, a, ends[a] - shift)
-
-        # 3. Node-level arrays.
-        del view.nodes[q:q + m]
-        starts = delete(starts, q, q + m)
-        view.starts = starts = shift_tail(starts, q, -shift)
-        ends = delete(ends, q, q + m)
-        view.ends = ends = shift_tail(ends, q, -shift)
-        view.levels = delete(view.levels, q, q + m)
-        parents = delete(view.parents, q, q + m)
-        view.parents = shift_from(parents, q, q + m, -m)
-        view.tag_ids = delete(view.tag_ids, q, q + m)
-        del view.values[q:q + m]
-        view.path_ids = delete(view.path_ids, q, q + m)
-        view.size -= m
-        view.nid_index = {start: nid
-                          for nid, start in enumerate(starts)}
-
-        # 4. Detach.
-        parent.children.remove(node)
+        removed = (node.end - start + 1) // 2  # type: ignore[operator]
+        _splice(view, q, removed, _NO_ROWS)
+        node.parent.children.remove(node)
         node.parent = None
-
-        return self._finish(SUBTREE_DELETE, m, s0, rebuilt=False, view=view)
+        return self._finish(SUBTREE_DELETE, removed, start)
 
     def __repr__(self) -> str:
-        return (f"DocumentEditor({self.document!r}, {self.patches} patches, "
-                f"{self.rebuilds} rebuilds, churn={self._churn})")
+        return f"DocumentEditor({self.document!r})"
+
+
+def _splice_shift(buf, lo: int, hi: int, block, delta: int):
+    """*buf* with ``buf[lo:hi]`` replaced by *block* and every entry
+    past it moved by *delta*: one splice; returns the live buffer."""
+    return splice(buf, lo, len(buf),
+                  [*block, *[value + delta for value in buf[hi:]]])
+
+
+def _splice(view: ColumnarDocument, q: int, removed: int, rows) -> None:
+    """Replace *view*'s node block ``[q, q + removed)`` with *rows*
+    (:func:`~repro.xml.columnar.node_rows`' lists, numbered from *q*):
+    the tree labels past the block and the block's ancestors' ends,
+    the node columns, per-tag postings and per-path node lists, all
+    moved by one signed shift; then the posting ranks are renumbered
+    and what the view derived is reset."""
+    nodes, starts, ends, levels, parents, tag_ids, values, path_ids = rows
+    end = q + removed
+    moved = len(nodes) - removed  # node ids past the block move by it
+    shift = 2 * moved  # and region labels by twice it
+    # The block hangs under the removed root's parent, or the new one's.
+    ancestors = view.ancestry(view.parents[q] if removed else parents[0])
+
+    # Tree labels: the nodes past the block move, the ancestors' regions
+    # stretch or shrink around it.
+    for node in view.nodes[end:]:
+        node.start += shift
+        node.end += shift
+    for nid in ancestors:
+        view.nodes[nid].end += shift
+
+    # Node columns.
+    view.starts = _splice_shift(view.starts, q, end, starts, shift)
+    column = _splice_shift(view.ends, q, end, ends, shift)
+    for nid in ancestors:
+        column = set_at(column, nid, column[nid] + shift)
+    view.ends = column
+    tail = [nid + moved if nid >= q else nid for nid in view.parents[end:]]
+    view.parents = splice(view.parents, q, len(view.parents),
+                          [*parents, *tail])
+    view.levels = splice(view.levels, q, end, levels)
+    view.tag_ids = splice(view.tag_ids, q, end, tag_ids)
+    view.path_ids = splice(view.path_ids, q, end, path_ids)
+    view.nodes[q:end] = nodes
+    view.values[q:end] = values
+    view.size += moved
+
+    # Postings and path lists: each replaces its entries in the block
+    # with the new block's (one contiguous sorted run) and moves the
+    # entries past it. Tags and paths new with the block start empty —
+    # narrow, the splices widen them to fit.
+    for _ in range(len(view.tag_nids), len(view.tags)):
+        view.tag_nids.append(make("B"))
+        view.tag_starts.append(make("B"))
+        view.tag_ends.append(make("B"))
+    for pid in range(len(view.nids_by_path), len(view.paths)):
+        view.nids_by_path.append(make("B"))
+        view.pids_by_last_tag.setdefault(
+            view.tag_index[view.paths[pid][-1]], []).append(pid)
+    by_tag: dict[int, list[int]] = {}
+    by_path: dict[int, list[int]] = {}
+    for nid, tid, pid in zip(count(q), tag_ids, path_ids):
+        by_tag.setdefault(tid, []).append(nid)
+        by_path.setdefault(pid, []).append(nid)
+    for tid, nids in enumerate(view.tag_nids):
+        lo = bisect_left(nids, q)
+        new = by_tag.get(tid, ())
+        if lo == len(nids) and not new:
+            continue
+        hi = bisect_left(nids, end, lo)
+        view.tag_nids[tid] = _splice_shift(nids, lo, hi, new, moved)
+        view.tag_starts[tid] = _splice_shift(
+            view.tag_starts[tid], lo, hi, [starts[nid - q] for nid in new],
+            shift)
+        view.tag_ends[tid] = _splice_shift(
+            view.tag_ends[tid], lo, hi, [ends[nid - q] for nid in new],
+            shift)
+    for nid in ancestors:  # before the block: their ranks stand
+        tid, rank = view.tag_ids[nid], view.tag_ranks[nid]
+        column = view.tag_ends[tid]
+        view.tag_ends[tid] = set_at(column, rank, column[rank] + shift)
+    for pid, nids in enumerate(view.nids_by_path):
+        lo = bisect_left(nids, q)
+        new = by_path.get(pid, ())
+        if lo == len(nids) and not new:
+            continue
+        view.nids_by_path[pid] = _splice_shift(
+            nids, lo, bisect_left(nids, end, lo), new, moved)
+
+    view.nid_index = dict(zip(view.starts, count()))
+    ranks = [0] * view.size
+    for nids in view.tag_nids:
+        deque(map(ranks.__setitem__, nids, count()), maxlen=0)
+    view.tag_ranks = pack(ranks, hi=max(view.size - 1, 0))
+    view.derived = {}

@@ -42,15 +42,15 @@ from repro.instrumentation import StageStats
 from repro.mvcc import Snapshot, SnapshotManager
 from repro.relational.relation import Relation
 from repro.relational.schema import Value
-from repro.updates.delta import DocumentDelta, RelationDelta
+from repro.updates.delta import VALUE_CHANGE, DocumentDelta, RelationDelta
 from repro.updates.documents import DocumentEditor
 from repro.updates.relations import VersionedRelation
 from repro.xml.model import XMLNode
 
 
-#: Share of a relational input its deltas may add up to (counted by the
-#: drift ledger, across calls) before the input's generation advances
-#: and the planner races again.
+#: Share of an input its deltas may add up to (counted by the drift
+#: ledger, across calls) before the input's generation advances and the
+#: planner races again: rows of a relation, nodes of a document.
 FEEDBACK_CHURN_FRACTION = 0.25
 
 
@@ -58,16 +58,14 @@ class QuerySession:
     """One query held open — and kept answered — across updates."""
 
     def __init__(self, query: MultiModelQuery, *,
-                 churn_threshold: float = 0.5,
                  planner: "object | None" = None):
         self.query = query
         #: Optional :class:`~repro.engine.adaptive.AdaptivePlanner`: it
         #: plans every re-derivation of the answer, and the session
         #: reports every delta to its store's drift ledger — deltas
         #: keep the raced plan until they add up to
-        #: :data:`FEEDBACK_CHURN_FRACTION` of a relational input or a
-        #: document edit forces a columnar rebuild; either advances the
-        #: input's generation, and the planner races again.
+        #: :data:`FEEDBACK_CHURN_FRACTION` of an input, which advances
+        #: the input's generation, and the planner races again.
         self.planner = planner
         self.version = 0
         self.relations: dict[str, VersionedRelation] = {
@@ -81,8 +79,7 @@ class QuerySession:
         for binding in query.twigs:
             editor = self.editors.get(id(binding.document))
             if editor is None:
-                editor = DocumentEditor(binding.document,
-                                        churn_threshold=churn_threshold)
+                editor = DocumentEditor(binding.document)
                 self.editors[id(binding.document)] = editor
             self.twig_editors[binding.name] = editor
         #: The answer, one immutable object per version it changed at;
@@ -203,19 +200,19 @@ class QuerySession:
     def _document_edit(self, editor: DocumentEditor,
                        edit_fn) -> DocumentDelta:
         """Run one edit; the answer goes stale until the next read."""
-        rebuilds = editor.rebuilds
+        size = editor.document.size()
         delta = edit_fn()
         self._answer = None
         self._bump()
         if self.planner is not None:
-            # A rebuild means the columnar view (and its statistics)
-            # were reconstructed wholesale — churn; an in-place patch
-            # keeps the input's generation.
-            churn = editor.rebuilds > rebuilds
+            # A structural edit moves its subtree's nodes; a value edit
+            # moves none.
+            moved = 0 if delta.kind == VALUE_CHANGE else delta.nodes
             for binding in self.query.twigs:
                 if binding.document is editor.document:
                     self.planner.store.note_input_update(
-                        self.query, binding.name, churn=churn)
+                        self.query, binding.name, size=size, moved=moved,
+                        fraction=FEEDBACK_CHURN_FRACTION)
         return delta
 
     def insert_subtree(self, twig_name: str, parent: XMLNode,

@@ -127,46 +127,14 @@ class ColumnarDocument:
     def __init__(self, document: XMLDocument):
         root = document.root
         assert root.start is not None, "document must be indexed"
-        nodes: list[XMLNode] = []
-        starts: list[int] = []
-        ends: list[int] = []
-        levels: list[int] = []
-        parents: list[int] = []
-        tag_ids: list[int] = []
-        values: list[Value | None] = []
-        path_ids: list[int] = []
         tags: list[str] = []
         tag_index: dict[str, int] = {}
         paths: list[tuple[str, ...]] = []
         # (parent path id, tag id) -> path id: interning makes path-level
         # work (TJFast, DocumentStats) linear in *distinct* paths.
         path_table: dict[tuple[int, int], int] = {}
-
-        stack: list[tuple[XMLNode, int]] = [(root, -1)]
-        while stack:
-            node, parent_nid = stack.pop()
-            nid = len(nodes)
-            nodes.append(node)
-            starts.append(node.start)  # type: ignore[arg-type]
-            ends.append(node.end)  # type: ignore[arg-type]
-            levels.append(node.level)  # type: ignore[arg-type]
-            parents.append(parent_nid)
-            tid = tag_index.get(node.tag)
-            if tid is None:
-                tid = tag_index[node.tag] = len(tags)
-                tags.append(node.tag)
-            tag_ids.append(tid)
-            values.append(node.value)  # typed text, parsed exactly once
-            parent_pid = path_ids[parent_nid] if parent_nid >= 0 else -1
-            key = (parent_pid, tid)
-            pid = path_table.get(key)
-            if pid is None:
-                pid = path_table[key] = len(paths)
-                prefix = paths[parent_pid] if parent_pid >= 0 else ()
-                paths.append(prefix + (node.tag,))
-            path_ids.append(pid)
-            for child in reversed(node.children):
-                stack.append((child, nid))
+        nodes, starts, ends, levels, parents, tag_ids, values, path_ids = \
+            node_rows(root, tags, tag_index, paths, path_table)
 
         self.size = len(nodes)
         self.nodes = nodes
@@ -183,8 +151,8 @@ class ColumnarDocument:
         self.tags = tags
         self.tag_index = tag_index
         self.paths = paths
-        # Kept for the update layer: interning new paths during a delta
-        # patch (repro.updates.documents) without re-deriving the table.
+        # Kept for the update layer: interning a spliced subtree's new
+        # paths (repro.updates.documents) without re-deriving the table.
         self.path_table = path_table
 
         tag_nids: list[list[int]] = [[] for _ in tags]
@@ -439,6 +407,56 @@ class ColumnarDocument:
     def __repr__(self) -> str:
         return (f"ColumnarDocument({self.size} nodes, {len(self.tags)} "
                 f"tags, {len(self.paths)} paths)")
+
+
+def node_rows(root: XMLNode, tags: list[str], tag_index: dict[str, int],
+              paths: "list[tuple[str, ...]]",
+              path_table: "dict[tuple[int, int], int]", *,
+              first_nid: int = 0, parent_nid: int = -1,
+              parent_pid: int = -1) -> tuple[list, ...]:
+    """The rows of *root*'s (labelled) subtree in pre-order, numbered
+    from *first_nid*: ``(nodes, starts, ends, levels, parents, tag_ids,
+    values, path_ids)``, one list each. *root* hangs under *parent_nid*
+    at path *parent_pid* (-1 for a document root). Tags and paths are
+    interned into the given tables, which grow by the new ones.
+
+    The one node walk: :class:`ColumnarDocument` builds a whole view
+    from it, and :class:`~repro.updates.documents.DocumentEditor` the
+    block an inserted subtree splices into one."""
+    nodes: list[XMLNode] = []
+    starts: list[int] = []
+    ends: list[int] = []
+    levels: list[int] = []
+    parents: list[int] = []
+    tag_ids: list[int] = []
+    values: list[Value | None] = []
+    path_ids: list[int] = []
+    nid = first_nid - 1
+    stack: list[tuple[XMLNode, int, int]] = [(root, parent_nid, parent_pid)]
+    while stack:
+        node, parent_nid, parent_pid = stack.pop()
+        nid += 1
+        nodes.append(node)
+        starts.append(node.start)  # type: ignore[arg-type]
+        ends.append(node.end)  # type: ignore[arg-type]
+        levels.append(node.level)  # type: ignore[arg-type]
+        parents.append(parent_nid)
+        tid = tag_index.get(node.tag)
+        if tid is None:
+            tid = tag_index[node.tag] = len(tags)
+            tags.append(node.tag)
+        tag_ids.append(tid)
+        values.append(node.value)  # typed text, parsed exactly once
+        key = (parent_pid, tid)
+        pid = path_table.get(key)
+        if pid is None:
+            pid = path_table[key] = len(paths)
+            prefix = paths[parent_pid] if parent_pid >= 0 else ()
+            paths.append(prefix + (node.tag,))
+        path_ids.append(pid)
+        for child in reversed(node.children):
+            stack.append((child, nid, pid))
+    return nodes, starts, ends, levels, parents, tag_ids, values, path_ids
 
 
 class TagCoder:

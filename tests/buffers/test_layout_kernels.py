@@ -12,14 +12,11 @@ from hypothesis import strategies as st
 from repro.buffers.kernels import gallop, intersect_many, intersect_pair
 from repro.buffers.layout import (
     as_list,
-    delete,
     is_buffer,
     list_backend,
     make,
     pack,
     set_at,
-    shift_from,
-    shift_tail,
     splice,
     typecode_for,
 )
@@ -87,25 +84,15 @@ class TestWidening:
         wider = set_at(buf, 0, 100_000)
         assert wider.typecode == "I" and wider[0] == 100_000
 
-    def test_shift_helpers(self):
-        buf = pack([10, 20, 30, 40])
-        buf = shift_tail(buf, 2, +5)
-        assert as_list(buf) == [10, 20, 35, 45]
-        buf = shift_from(buf, 0, 35, -5)
-        assert as_list(buf) == [10, 20, 30, 40]
-        buf = shift_tail(buf, 3, 300)  # widens B -> H
-        assert buf.typecode == "H" and buf[3] == 340
-
     def test_delete(self):
         buf = pack([1, 2, 3, 4, 5])
-        buf = delete(buf, 1, 3)
+        assert splice(buf, 1, 3, ()) is buf
         assert as_list(buf) == [1, 4, 5]
 
     def test_helpers_accept_lists(self):
         buf = [1, 2, 3]
         assert splice(buf, 1, 2, [7, 8]) == [1, 7, 8, 3]
-        assert shift_tail([1, 2], 0, 10) == [11, 12]
-        assert shift_from([5, 1, 7], 0, 5, 2) == [7, 1, 9]
+        assert splice(buf, 0, 2, ()) == [8, 3]
         assert set_at([1, 2], 1, 9) == [1, 9]
 
 

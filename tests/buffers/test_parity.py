@@ -178,7 +178,7 @@ class TestTwigParity:
         twin = sample_document()
 
         def edit(doc):
-            editor = DocumentEditor(doc, churn_threshold=1.0)
+            editor = DocumentEditor(doc)
             subtree = element("book", element("title", text="zz"))
             editor.insert_subtree(doc.root.children[1], subtree)
             editor.delete_subtree(doc.root.children[0].children[1])
@@ -195,7 +195,7 @@ class TestTwigParity:
         twin = sample_document()
 
         def edit(doc):
-            editor = DocumentEditor(doc, churn_threshold=1.0)
+            editor = DocumentEditor(doc)
             subtree = element("book", element("title", text="zz"),
                               element("year", text="2024"))
             editor.insert_subtree(doc.root.children[0], subtree, index=1)

@@ -58,10 +58,10 @@ class TestFeedbackStore:
     def test_churn_advances_the_generation_and_the_epoch(self):
         query = skewed_query()
         store = FeedbackStore()
-        store.note_input_update(query, "R", churn=False)
+        store.note_input_update(query, "R", moved=0, size=100)
         assert store.generations(query) == {"R": 0, "S": 0, "T": 0}
         assert store.epoch == 0
-        store.note_input_update(query, "R", churn=True)
+        store.note_input_update(query, "R", moved=26, size=100)
         assert store.generations(query) == {"R": 1, "S": 0, "T": 0}
         assert store.epoch == 1
 
@@ -92,11 +92,11 @@ class TestFeedbackStore:
         # query of another name over the same relations keeps its own.
         query = skewed_query()
         store = FeedbackStore()
-        store.note_input_update(query, "S", churn=True)
+        store.note_input_update(query, "S", moved=26, size=100)
         assert store.generations(skewed_query()) == {"R": 0, "S": 1, "T": 0}
         other = MultiModelQuery(query.relations, [], name="other")
         assert store.generations(other) == {"R": 0, "S": 0, "T": 0}
-        store.note_input_update(other, "S", churn=True)
+        store.note_input_update(other, "S", moved=26, size=100)
         assert store.generations(query)["S"] == 1
         assert store.epoch == 2
 

@@ -2,10 +2,10 @@
 
 ``columnar(document)`` builds it on first use and ``reindex()`` drops
 it, so a document object reused after a mutation can never be served a
-stale view. The update layer's patch path keeps the one view, spliced
-in place: a splice resets everything it derived (the stats included),
-a value edit drops what reads the edited tag's values, so a patch can
-never serve stale stats or stale derived indexes either.
+stale view. The update layer keeps the one view, spliced in place: a
+splice resets everything it derived (the stats included), a value edit
+drops what reads the edited tag's values, so an edit can never serve
+stale stats or stale derived indexes either.
 """
 
 from __future__ import annotations
@@ -119,7 +119,7 @@ class TestPatch:
         every other entry, the edges and the stats stay the same
         objects. A subtree insert moves labels: everything is reset."""
         document = build_document()
-        editor = DocumentEditor(document, churn_threshold=10.0)
+        editor = DocumentEditor(document)
         view = derive_everything(document)
         stats = document_stats(document)
         values = view.tag_values("d")
@@ -152,32 +152,29 @@ class TestPatch:
         assert document_stats(document) is not stats
         assert document_stats(document).tag_counts["d"] == 2
 
-    def test_neither_path_serves_a_stale_view_or_stale_stats(self):
-        """After every edit, on the patch and the rebuild path, the view
-        and stats read now are a fresh clone's, and a value index read
-        before the edit is not served after it."""
-        for threshold in (10.0, 0.0):
-            document = build_document()
-            editor = DocumentEditor(document, churn_threshold=threshold)
-            for step in range(6):
-                before = columnar(document).value_index("c")
-                if step % 3 == 0:
-                    editor.change_value(document.nodes("c")[0], str(step))
-                elif step % 3 == 1:
-                    editor.insert_subtree(document.nodes("b")[0],
-                                          element("c", text=str(step)))
-                else:
-                    editor.delete_subtree(document.nodes("c")[-1])
-                fresh = clone_document(document)
-                view = columnar(document)
-                assert view.value_index("c") is not before
-                assert view.value_index("c") \
-                    == columnar(fresh).value_index("c"), (threshold, step)
-                assert list(view.starts) == list(columnar(fresh).starts)
-                assert document_stats(document) == document_stats(fresh)
-            # A value edit is always a patch.
-            assert (editor.rebuilds, editor.patches) == (
-                (4, 2) if threshold == 0.0 else (0, 6))
+    def test_no_edit_serves_a_stale_view_or_stale_stats(self):
+        """After every edit the view and stats read now are a fresh
+        clone's, and a value index read before the edit is not served
+        after it."""
+        document = build_document()
+        editor = DocumentEditor(document)
+        view = columnar(document)
+        for step in range(6):
+            before = view.value_index("c")
+            if step % 3 == 0:
+                editor.change_value(document.nodes("c")[0], str(step))
+            elif step % 3 == 1:
+                editor.insert_subtree(document.nodes("b")[0],
+                                      element("c", text=str(step)))
+            else:
+                editor.delete_subtree(document.nodes("c")[-1])
+            fresh = clone_document(document)
+            assert columnar(document) is view
+            assert view.value_index("c") is not before
+            assert view.value_index("c") \
+                == columnar(fresh).value_index("c"), step
+            assert list(view.starts) == list(columnar(fresh).starts)
+            assert document_stats(document) == document_stats(fresh)
 
 
 class TestColumnarAs:

@@ -4,9 +4,10 @@ The property under test: a :class:`~repro.updates.session.QuerySession`
 wired to an :class:`~repro.engine.adaptive.AdaptivePlanner` reports
 every delta to its store's drift ledger. Small deltas keep each
 input's generation and the epoch, so the raced plan holds; churn
-bursts advance the generation and move the epoch once, so the planner
-races again. Plans stay row-identical to the session's maintained
-answer throughout.
+bursts (a quarter of a relation's rows or of a document's nodes)
+advance the generation and move the epoch once, so the planner races
+again. Plans stay row-identical to the session's maintained answer
+throughout.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 from repro.core.multimodel import MultiModelQuery, TwigBinding
 from repro.data.synthetic import skewed_triangle
 from repro.engine.adaptive import AdaptivePlanner, FeedbackStore
+from repro.engine.planner import run_query
 from repro.relational.relation import Relation
 from repro.updates.session import QuerySession
 from repro.xml.model import XMLDocument, element
@@ -89,27 +91,44 @@ class TestRelationalRegime:
 
 
 class TestDocumentRegime:
-    def test_in_place_patch_inherits_rebuild_invalidates(self):
+    """A document follows the relations' drift rule: a structural edit
+    moves its subtree's nodes against the document's size before it,
+    and a value edit moves none."""
+
+    def session(self):
         store = FeedbackStore()
-        query = doc_query()
-        # Default churn_threshold: a single value edit patches the
-        # columnar view in place (inherit).
+        query = doc_query()  # a 7-node document
         session = QuerySession(query, planner=AdaptivePlanner(store=store))
+        return store, query, session
+
+    def test_a_value_edit_keeps_the_generation(self):
+        store, query, session = self.session()
         isbn = query.twigs[0].document.root.children[0].children[0]
-        session.change_value("book", isbn, "8")
+        for text in ("8", "9", "10"):
+            session.change_value("book", isbn, text)
         assert store.generations(query) == {"Orders": 0, "book": 0}
         assert store.epoch == 0
 
-    def test_forced_rebuild_is_churn(self):
-        store = FeedbackStore()
-        query = doc_query()
-        # churn_threshold=0 forces a columnar rebuild on any structural
-        # edit: the maintained statistics were reconstructed wholesale,
-        # so the twig input's generation advances.
-        session = QuerySession(query, churn_threshold=0.0,
-                               planner=AdaptivePlanner(store=store))
+    def test_a_small_structural_edit_keeps_the_generation(self):
+        store, query, session = self.session()
+        # One node against 7: within the quarter.
+        session.insert_subtree("book", query.twigs[0].document.root,
+                               element("book"))
+        assert store.generations(query) == {"Orders": 0, "book": 0}
+        assert store.epoch == 0
+
+    def test_a_large_structural_edit_advances_the_generation_once(self):
+        store, query, session = self.session()
+        document = query.twigs[0].document
+        # Three nodes against 7: past the quarter.
         book = element("book", element("isbn", text="8"),
                        element("price", text="99"))
-        session.insert_subtree("book", query.twigs[0].document.root, book)
+        session.insert_subtree("book", document.root, book)
         assert store.generations(query) == {"Orders": 0, "book": 1}
         assert store.epoch == 1
+        # The new generation counts from the 10 nodes it began at.
+        session.change_value("book", book.children[0], "5")
+        session.delete_subtree("book", book.children[1])
+        assert store.generations(query) == {"Orders": 0, "book": 1}
+        assert store.epoch == 1
+        assert session.answer().rows == run_query(query).rows

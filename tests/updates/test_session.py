@@ -1,11 +1,10 @@
-"""QuerySession behaviour: API contracts, logs, versioning, fallbacks."""
+"""QuerySession behaviour: API contracts, logs, versioning."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core.multimodel import MultiModelQuery, TwigBinding
-from repro.data.random_instances import random_multimodel_instance
 from repro.engine.planner import run_query
 from repro.errors import UpdateError
 from repro.relational.relation import Relation
@@ -14,8 +13,6 @@ from repro.updates.session import QuerySession
 from repro.xml.model import XMLDocument, XMLNode, element
 from repro.xml.navigation import match_relation
 from repro.xml.twig import TwigQuery
-
-from harness import random_subtree, seeded_rng
 
 
 def small_query() -> MultiModelQuery:
@@ -89,7 +86,7 @@ class TestDocumentUpdates:
         book.add("price", text="99")
         library = query.twigs[0].document.root
         delta = session.insert_subtree("book", library, book)
-        assert delta.kind == SUBTREE_INSERT and not delta.rebuilt
+        assert delta.kind == SUBTREE_INSERT
         assert (3, 8, None, 99) in session.answer().rows
         session.delete_subtree("book", book)
         assert (3, 8, None, 99) not in session.answer().rows
@@ -161,34 +158,6 @@ class TestDocumentUpdates:
         session.delete_subtree("book", book)
         session.insert_subtree("book", document.root, book, index=0)
         assert session.answer() == baseline
-
-    def test_churn_fallback_rebuilds(self):
-        query = small_query()
-        session = QuerySession(query, churn_threshold=0.0)
-        book = XMLNode("book")
-        book.add("isbn", text="8")
-        book.add("price", text="99")
-        delta = session.insert_subtree(
-            "book", query.twigs[0].document.root, book)
-        assert delta.rebuilt
-        editor = session.twig_editors["book"]
-        assert editor.rebuilds == 1 and editor.patches == 0
-        assert (3, 8, None, 99) in session.answer().rows
-
-    def test_patch_and_rebuild_paths_agree(self):
-        rng = seeded_rng("paths-agree")
-        patched = QuerySession(random_multimodel_instance(11),
-                               churn_threshold=10.0)
-        rebuilt = QuerySession(random_multimodel_instance(11),
-                               churn_threshold=0.0)
-        for session in (patched, rebuilt):
-            binding = session.query.twigs[0]
-            anchor = binding.document.root
-            sub = random_subtree(seeded_rng("paths-agree-sub"),
-                                 ["x", "y", "z"])
-            session.insert_subtree(binding.name, anchor, sub, index=0)
-        assert patched.answer().sorted_rows() \
-            == rebuilt.answer().sorted_rows()
 
 
 class TestSessionState:

@@ -12,10 +12,7 @@ state must be byte-identical to a rebuild-from-scratch oracle:
   oracle — the relational kernels only on twig-free queries: they
   reject twig-bearing instances by design;
 * every registered :class:`TwigAlgorithm` matching on the *live*
-  (patched) document against the naive matcher on a cloned document.
-
-All three churn regimes are exercised: pure patching, mixed, and the
-forced rebuild fallback.
+  (spliced) document against the naive matcher on a cloned document.
 """
 
 from __future__ import annotations
@@ -47,8 +44,7 @@ RELATIONAL_KERNELS = ("generic_join", "leapfrog")
 def assert_session_matches_oracle(session: QuerySession, context: str):
     """The full differential check after one update."""
     query = session.query
-    rebuilt = clone_query(query)
-    oracle = rebuilt.naive_join()
+    oracle = clone_query(query).naive_join()
     note = f"{context} (REPRO_UPDATE_SEED={UPDATE_SEED})"
 
     maintained = session.answer()
@@ -74,19 +70,15 @@ def assert_session_matches_oracle(session: QuerySession, context: str):
                 f"twig algorithm {name!r} diverged at {note}"
 
 
-@pytest.mark.parametrize("churn_threshold", [10.0, 0.3, 0.0],
-                         ids=["patch", "mixed", "rebuild"])
-def test_random_instances_under_interleaved_updates(churn_threshold):
-    rng = seeded_rng(f"oracle-{churn_threshold}")
-    for trial in range(6):
+def test_random_instances_under_interleaved_updates():
+    rng = seeded_rng("oracle")
+    for trial in range(12):
         query = random_multimodel_instance(rng.randrange(10_000))
-        session = QuerySession(query, churn_threshold=churn_threshold)
+        session = QuerySession(query)
         for step in range(6):
             op, _ = random_session_op(rng, session, tags=["x", "y", "z"])
             assert_session_matches_oracle(
-                session,
-                f"churn={churn_threshold} trial={trial} "
-                f"step={step} op={op}")
+                session, f"trial={trial} step={step} op={op}")
 
 
 def test_relation_only_session_under_updates():
@@ -104,7 +96,7 @@ def test_xmark_document_under_updates():
     document = xmark_document(0.12, rng=rng)
     twig = parse_twig("p=person(/nm=name, //i=interest)")
     query = MultiModelQuery([], [TwigBinding(twig, document)], name="X")
-    session = QuerySession(query, churn_threshold=0.5)
+    session = QuerySession(query)
     people = document.nodes("people")[0]
     inserted = []
     for step in range(4):
@@ -131,19 +123,17 @@ def random_subtree_person(rng, step: int):
     return person
 
 
-@pytest.mark.parametrize("churn_threshold", [10.0, 0.0],
-                         ids=["patch", "rebuild"])
-def test_concurrent_readers_pin_staggered_snapshots(churn_threshold):
+def test_concurrent_readers_pin_staggered_snapshots():
     """The MVCC differential regime: K pinned snapshots at staggered
     versions, each held open while updates continue, each byte-identical
     to a rebuild-from-scratch clone captured at its pin point — through
     both the O(1) maintained answer and a full re-evaluation over the
     pinned inputs. Releases are staggered too, so retained artifacts are
     reclaimed at different watermarks while other pins stay live."""
-    rng = seeded_rng(f"mvcc-readers-{churn_threshold}")
-    for trial in range(3):
+    rng = seeded_rng("mvcc-readers")
+    for trial in range(6):
         query = random_multimodel_instance(rng.randrange(10_000))
-        session = QuerySession(query, churn_threshold=churn_threshold)
+        session = QuerySession(query)
         readers = []  # (snapshot, frozen oracle rows at pin time)
         records = []  # every pinned document version
         for step in range(8):
@@ -152,8 +142,7 @@ def test_concurrent_readers_pin_staggered_snapshots(churn_threshold):
                 readers.append((session.pin(), oracle.sorted_rows()))
                 records.extend(readers[-1][0].documents.values())
             op, _ = random_session_op(rng, session, tags=["x", "y", "z"])
-            note = (f"churn={churn_threshold} trial={trial} "
-                    f"step={step} op={op} "
+            note = (f"trial={trial} step={step} op={op} "
                     f"(REPRO_UPDATE_SEED={UPDATE_SEED})")
             for snapshot, frozen in readers:
                 assert snapshot.answer().sorted_rows() == frozen, \
@@ -179,23 +168,20 @@ def test_concurrent_readers_pin_staggered_snapshots(churn_threshold):
             session, f"mvcc trial={trial} post-release")
 
 
-@pytest.mark.parametrize(
-    "churn_threshold, seed",
-    [(10.0, UPDATE_SEED), (0.0, UPDATE_SEED), (10.0, 44444), (0.0, 44444)],
-    ids=["patch", "rebuild", "patch-seed44444", "rebuild-seed44444"])
-def test_accel_tracks_update_stream(churn_threshold, seed):
+@pytest.mark.parametrize("seed", [UPDATE_SEED, 44444],
+                         ids=["patch", "patch-seed44444"])
+def test_accel_tracks_update_stream(seed):
     """Explicit accelerator enrollment in the update regimes.
 
     The accelerator's inputs *are* the maintained postings, so it
-    inherits delta maintenance: after every patch (and after forced
-    rebuilds) its answer over the live columnar view must match a
-    rebuilt-from-scratch clone — checked here directly on a
-    value-predicate twig and on the same twig without predicates, whose
-    edges and value codes are cached per view version. A splice or a
-    rebuild drops them all; a value edit drops the edited tag's codes
-    and keeps the rest, and every entry kept equals what a fresh view of
-    a clone derives — on top of the full every-backend check of
-    :func:`assert_session_matches_oracle`. A ``fan_out`` entry reads
+    inherits delta maintenance: after every edit its answer over the
+    live columnar view must match a from-scratch clone — checked here
+    directly on a value-predicate twig and on the same twig without
+    predicates, whose edges and value codes are cached per view
+    version. A splice drops them all; a value edit drops the edited
+    tag's codes and keeps the rest, and every entry kept equals what a
+    fresh view of a clone derives — on top of the full every-backend
+    check of :func:`assert_session_matches_oracle`. A ``fan_out`` entry reads
     structure only, so a value edit keeps it like an edge. Seed 44444
     is pinned: it edits ``bidder`` values under kept ``fan_out``
     entries."""
@@ -204,7 +190,7 @@ def test_accel_tracks_update_stream(churn_threshold, seed):
     from repro.xml.columnar import TagPosting, columnar
     from repro.xml.twig import TwigNode, TwigQuery
 
-    rng = seeded_rng(f"accel-{churn_threshold}", seed)
+    rng = seeded_rng("accel-10.0", seed)  # 44444 is pinned with this salt
     document = xmark_document(0.1, rng=rng)
     root = TwigNode("oa", tag="open_auction")
     bidder = root.descendant("bd", tag="bidder")
@@ -216,7 +202,7 @@ def test_accel_tracks_update_stream(churn_threshold, seed):
     plain = parse_twig("oa=open_auction(//bd=bidder(/inc=increase, "
                        "/pr=personref))")
     query = MultiModelQuery([], [TwigBinding(twig, document)], name="A")
-    session = QuerySession(query, churn_threshold=churn_threshold)
+    session = QuerySession(query)
     accel = get_twig_algorithm("accel")
 
     def cached(view):
@@ -244,8 +230,7 @@ def test_accel_tracks_update_stream(churn_threshold, seed):
         assert len(cached(columnar(document))) >= 4 + 2
         op, delta = random_session_op(
             rng, session, tags=["bidder", "increase", "personref"])
-        note = (f"accel churn={churn_threshold} step={step} op={op} "
-                f"(seed {seed})")
+        note = f"accel step={step} op={op} (seed {seed})"
         view = columnar(document)
         kept = cached(view)
         if delta.kind == VALUE_CHANGE:
@@ -266,7 +251,7 @@ def test_accel_tracks_update_stream(churn_threshold, seed):
             reference = match_relation(clone, pattern)
             live = accel.run(document, pattern)
             assert live.sorted_rows() == reference.sorted_rows(), \
-                f"accel diverged from the rebuilt clone at {note}"
+                f"accel diverged from the from-scratch clone at {note}"
         assert_session_matches_oracle(session, note)
 
 
@@ -285,7 +270,7 @@ def test_two_twigs_sharing_one_document():
         instance.relations,
         [binding, TwigBinding(second, binding.document)],
         name="shared")
-    session = QuerySession(query, churn_threshold=10.0)
+    session = QuerySession(query)
     for step in range(6):
         op, _ = random_session_op(rng, session, tags=["x", "y", "z"])
         assert_session_matches_oracle(session, f"shared step={step} op={op}")

@@ -61,8 +61,7 @@ def test_a_large_instance_opens_and_updates_in_seconds():
 
 def test_a_seeded_stream_stays_within_the_full_querys_stages(stages):
     rng = seeded_rng("worst-case-stream")
-    session = QuerySession(example34_instance(8).query,
-                           churn_threshold=0.3)
+    session = QuerySession(example34_instance(8).query)
     kinds = set()
     for step in range(30):
         stages.clear()
@@ -107,11 +106,10 @@ def test_a_delete_and_an_insert_after_a_read_are_deltas(stages):
     assert_oracle(session, "delete, then re-insert")
 
 
-def test_the_session_takes_two_options():
+def test_the_session_takes_one_option():
     parameters = inspect.signature(QuerySession).parameters
     assert [name for name, parameter in parameters.items()
-            if parameter.kind is parameter.KEYWORD_ONLY] \
-        == ["churn_threshold", "planner"]
+            if parameter.kind is parameter.KEYWORD_ONLY] == ["planner"]
 
 
 def test_derived_queries_share_the_sessions_decompositions(monkeypatch):

@@ -166,7 +166,7 @@ def test_ranks_stay_exact_through_edits(seed):
     rng = random.Random(seed)
     document = random_document(rng, tags="abc", max_nodes=120,
                                value_range=4)
-    editor = DocumentEditor(document, churn_threshold=float("inf"))
+    editor = DocumentEditor(document)
     kinds = set()
     for _ in range(12):
         nodes_now = list(document.root.iter())
@@ -186,7 +186,6 @@ def test_ranks_stay_exact_through_edits(seed):
         assert_ranked(view)
         assert list(view.tag_ranks) \
             == list(ColumnarDocument(document).tag_ranks)
-    assert editor.rebuilds == 0 and editor.patches == 12
     assert kinds == {"insert", "delete", "change"}
 
 

@@ -702,7 +702,7 @@ class TestFunctionalEdges:
 
         document = self.document()
         twig = parse_twig("x=a(/y=b, /w=c)")
-        editor = DocumentEditor(document, churn_threshold=float("inf"))
+        editor = DocumentEditor(document)
         view = columnar(document)
         assert_matches_naive(document, twig)
         kept = flat_entry(view, "a", "b")
