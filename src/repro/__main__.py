@@ -156,8 +156,6 @@ def cmd_explain(spec: str = "skewed", workers: int = 0) -> int:
         f"{name}={generation}" for name, generation
         in planner.store.generations(query).items()))
     print(f"  operator:   {plan.algorithm}")
-    for binding_name, matcher in plan.twig_algorithms:
-        print(f"  twig:       {binding_name} via {matcher}")
     if plan.algorithm == "xjoin":
         _explain_inputs(query, plan)
     partitions = f"{plan.partitions}"

@@ -15,13 +15,11 @@ solution and embedding, and the final combination steps) are recorded in
 the shared :class:`~repro.instrumentation.JoinStats`, which is what
 Figure 3 compares against XJoin.
 
-The baseline is also registered with the unified engine interface as the
-``"baseline"`` :class:`~repro.engine.interface.JoinAlgorithm`
-(:class:`repro.engine.algorithms.BaselineJoinAlgorithm`), so planners and
-benchmarks can race it against the encoded operators over one
-:class:`~repro.engine.encoded.EncodedInstance`. It intentionally does not
-execute on the encoded tries — being the unencoded dual-engine stack is
-what makes it the paper's foil.
+The baseline is not a registered
+:class:`~repro.engine.interface.JoinAlgorithm`: it never executes on the
+encoded tries — being the unencoded dual-engine stack is what makes it
+the paper's foil — so nothing plans it. It is called directly, as the
+foil (``repro figure3``, the benchmark) and as the tests' oracle.
 """
 
 from __future__ import annotations

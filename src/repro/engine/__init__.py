@@ -15,10 +15,9 @@ Three layers (see ``docs/architecture.md``):
    relation/twig statistics choosing the expansion order and the
    algorithm, with the historical policies preserved as named strategies.
 
-On top sits the **adaptive layer** (:mod:`repro.engine.adaptive`): the
-``bound`` upper-bound order policy (registered here at import time),
-plan racing with early kill, and the drift ledger that dates a race's
-winner. See ``docs/planner.md``.
+On top sits the **adaptive layer** (:mod:`repro.engine.adaptive`): plan
+racing with early kill over the order policies, and the drift ledger
+that dates a race's winner. See ``docs/planner.md``.
 """
 
 from repro.engine.dictionary import Dictionary
@@ -39,14 +38,10 @@ from repro.engine.planner import (
     cached_relation_stats,
     choose_twig_algorithm,
     plan_query,
-    register_order_policy,
     run_query,
     statistics_for,
 )
-
-# Importing the adaptive layer registers the "bound" order policy
-# alongside the static ones.
-from repro.engine.adaptive import (  # noqa: E402  (needs planner above)
+from repro.engine.adaptive import (
     AdaptivePlanner,
     FeedbackStore,
     PlanRacer,
@@ -69,7 +64,6 @@ __all__ = [
     "get_algorithm",
     "plan_query",
     "register",
-    "register_order_policy",
     "run_query",
     "statistics_for",
 ]

@@ -3,13 +3,14 @@
 XJoin is worst-case optimal in every attribute order, so a plan only
 picks constants. Three pieces pick them:
 
-1. **Bound-driven ordering** (:func:`bound_order` / the ``bound``
-   policy). A UES/AGM style estimate: the number of bindings a new
-   attribute adds per prefix tuple is upper-bounded, per input, by the
-   input's maximum per-value frequency on any already-bound attribute
-   (or its distinct count when disconnected). A subset DP picks the
-   order minimising the worst per-prefix output bound — the quantity
-   Lemma 3.5 bounds — with the cumulative product as tie-break.
+1. **Bound-driven ordering** (the ``bound`` policy,
+   :func:`~repro.engine.planner.bound_order`). A UES/AGM style
+   estimate: the number of bindings a new attribute adds per prefix
+   tuple is upper-bounded, per input, by the input's maximum per-value
+   frequency on any already-bound attribute (or its distinct count when
+   disconnected). A subset DP picks the order minimising the worst
+   per-prefix output bound — the quantity Lemma 3.5 bounds — with the
+   cumulative product as tie-break.
 
 2. **Plan racing** (:class:`PlanRacer`). The top-K candidate plans
    (order policy x operator), ranked by that bound, race on a budgeted
@@ -49,21 +50,16 @@ from repro.engine.encoded import EncodedInstance
 from repro.engine.interface import get_algorithm
 from repro.engine.planner import (
     QueryPlan,
-    _extension_bound,
     attribute_order,
     estimated_stage_sizes,
-    linked_attributes,
     plan_query,
     query_signature,
-    register_order_policy,
     run_query,
-    statistics_for,
 )
 from repro.instrumentation import JoinStats, ensure_stats
 
 if TYPE_CHECKING:
     from repro.core.multimodel import MultiModelQuery
-    from repro.engine.planner import QueryStatistics
     from repro.relational.relation import Relation
 
 
@@ -107,7 +103,7 @@ class FeedbackStore:
     the input's size; then the input's *generation* advances and the
     :attr:`epoch` moves. The epoch moves otherwise only by hand
     (:meth:`bump_epoch`). It dates the racer's winners and the service's
-    held plans: a plan is re-raced when its inputs drifted, never per
+    held plan: a plan is re-raced when its inputs drifted, never per
     update batch. The store also counts executed runs and the encoded
     inputs they built or reused.
     """
@@ -179,77 +175,6 @@ class FeedbackStore:
     def __repr__(self) -> str:
         return (f"FeedbackStore(epoch {self.epoch}, "
                 f"{self.observations} observations)")
-
-
-# ---------------------------------------------------------------------------
-# bound-driven ordering (the ``bound`` policy)
-# ---------------------------------------------------------------------------
-
-#: Above this many attributes the subset DP (O(2^n * n)) yields to the
-#: greedy smallest-extension heuristic.
-MAX_DP_ATTRIBUTES = 12
-
-
-def bound_order(query: "MultiModelQuery",
-                stats: "QueryStatistics | None" = None) -> tuple[str, ...]:
-    """The ``bound`` policy: the order minimising (max per-prefix bound,
-    total, lexicographic).
-
-    Subset DP: the bound on extending a bound set ``S`` by ``x``
-    depends only on ``S``, so states are subsets carrying the best
-    (worst-stage, sum-of-stages, cumulative, order) found — a heuristic
-    DP (the cumulative is path-dependent) that is exact on the max
-    criterion whenever extensions are monotone, and deterministic
-    always via the lexicographic order tie-break.
-    """
-    stats = stats or statistics_for(query)
-    attributes = query.attributes
-    # No cross products: a set is extended by the attributes sharing a
-    # joined input with it while there are any — the twig-side bounds
-    # know no per-pair frequencies, so they cannot tell a connected
-    # extension from a cartesian one.
-    linked = linked_attributes(query)
-
-    def extensions(chosen) -> "list[str]":
-        rest = [a for a in attributes if a not in chosen]
-        return [a for a in rest
-                if any(a in linked[b] for b in chosen)] or rest
-
-    if len(attributes) > MAX_DP_ATTRIBUTES:
-        order: list[str] = []
-        while len(order) < len(attributes):
-            bound = set(order)
-            order.append(min(extensions(bound), key=lambda attribute: (
-                _extension_bound(query, attribute, bound, stats)[0],
-                attribute)))
-        return tuple(order)
-
-    # DP over subsets: state value = (max stage bound, stage sum,
-    # order tuple) minimised lexicographically; cumulative rides along.
-    start: tuple[float, float, tuple[str, ...], float] = \
-        (0.0, 0.0, (), 1.0)
-    states: dict[frozenset, tuple[float, float, tuple[str, ...], float]] = {
-        frozenset(): start}
-    for _ in attributes:
-        successors: dict[frozenset,
-                         tuple[float, float, tuple[str, ...], float]] = {}
-        for subset, (worst, total, order, cumulative) in states.items():
-            for attribute in extensions(subset):
-                extension, _source = _extension_bound(query, attribute,
-                                                      set(subset), stats)
-                stage = cumulative * extension
-                candidate = (max(worst, stage), total + stage,
-                             order + (attribute,), stage)
-                key = subset | {attribute}
-                incumbent = successors.get(key)
-                if incumbent is None or candidate[:3] < incumbent[:3]:
-                    successors[key] = candidate
-        states = successors
-    (_worst, _total, order, _cumulative), = states.values()
-    return order
-
-
-register_order_policy("bound", bound_order)
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +276,7 @@ class PlanRacer:
         static = plan_query(query)
         if (static.order, static.algorithm) not in {
                 (plan.order, plan.algorithm) for plan in top}:
-            top.append(replace(static, twig_algorithms=(),
-                               path_cardinalities=(),
-                               partitions=1, partition_axis=None))
+            top.append(replace(static, partitions=1, partition_axis=None))
         return top
 
     # -- the race ----------------------------------------------------------
@@ -517,14 +440,14 @@ class AdaptivePlanner:
 
     @property
     def epoch(self) -> int:
-        """The store's current epoch (dates the service's held plans)."""
+        """The store's current epoch (dates the service's held plan)."""
         return self.store.epoch
 
     def plan(self, query: "MultiModelQuery", *,
              workers: int = 0) -> QueryPlan:
-        """The adaptive plan: raced winner, raw stage bounds,
+        """The adaptive plan: raced winner, raw stage bounds and
         the partition count :func:`~repro.engine.planner.choose_partitions`
-        decides, planner-chosen twig matchers."""
+        decides."""
         winner = self.racer.race(query).winner
         plan = plan_query(query, order=winner.order,
                           algorithm=winner.algorithm, workers=workers)

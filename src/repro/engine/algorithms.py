@@ -1,6 +1,6 @@
 """The built-in :class:`JoinAlgorithm` implementations.
 
-All four algorithm families run through one
+All three algorithm families run through one
 :class:`~repro.engine.encoded.EncodedInstance`:
 
 * :class:`GenericJoinAlgorithm` — NPRR-style attribute-at-a-time
@@ -11,11 +11,12 @@ All four algorithm families run through one
 * :class:`XJoinAlgorithm` — the paper's Algorithm 1 over relations, twig
   path tries and A-D pair tries together; twig structure is validated
   at the level that completes each twig, once per distinct code
-  projection of the frontier;
-* :class:`BaselineJoinAlgorithm` — the traditional dual-engine baseline.
-  It deliberately bypasses the encoded tries: it *is* the paper's foil
-  (binary relational plans + TwigStack, joined at the end), so it runs
-  from the source query while sharing the unified invocation surface.
+  projection of the frontier.
+
+The paper's foil, the traditional dual-engine plan (binary relational
+plans + a twig matcher, joined at the end), is not one of them: it runs
+from the source query, not from encoded tries, as
+:func:`~repro.core.baseline.baseline_join`.
 
 All three are one **level-at-a-time** function, :func:`_frontier_join`:
 Algorithm 1 as the paper writes it, breadth first. The frontier — every
@@ -137,17 +138,11 @@ _size = attrgetter("size")
 def _reject_twig_instance(algorithm: str, instance: EncodedInstance) -> None:
     """The relational kernels evaluate the *value* join only: they know
     nothing of twig structure validation or surrogate erasure, so running
-    them on a twig-bearing instance would silently return wrong tuples.
-    A trie-less reference instance (the baseline's) is equally unusable —
-    the kernels would take the 0-ary branch and emit a bogus TRUE."""
+    them on a twig-bearing instance would silently return wrong tuples."""
     if instance.twigs:
         raise EngineError(
             f"{algorithm!r} cannot evaluate twig inputs (the instance "
             f"carries twig structure filters); use the 'xjoin' algorithm")
-    if not instance.tries and instance.relations:
-        raise EngineError(
-            f"{algorithm!r} needs an encoded instance with tries; this "
-            f"one is a trie-less reference instance (baseline only)")
 
 
 def _empty_result(stats: JoinStats, name: str, attributes) -> Relation:
@@ -547,8 +542,7 @@ class XJoinAlgorithm:
         if instance.twig_filters is None:
             raise EngineError(
                 "xjoin needs an instance built with EncodedInstance."
-                "from_query (it carries the twig-side filters); a "
-                "trie-less reference instance is the baseline's only")
+                "from_query (it carries the twig-side filters)")
         if instance.has_empty_input():
             return _empty_result(stats, instance.name, instance.attributes)
         return instance.result_relation(
@@ -556,27 +550,6 @@ class XJoinAlgorithm:
             instance.attributes)
 
 
-class BaselineJoinAlgorithm:
-    """Adapter: the traditional dual-engine plan behind the unified
-    interface. Evaluates the relational sub-query with binary join plans
-    and each twig with TwigStack, then joins the two results — on the
-    *source* inputs, since being unencoded is the point of the foil."""
-
-    name = "baseline"
-
-    def run(self, instance: EncodedInstance, *,
-            stats: JoinStats | None = None) -> Relation:
-        """Evaluate the source query with the traditional dual-engine
-        plan (binary joins + TwigStack, joined at the end)."""
-        from repro.core.baseline import baseline_join
-        from repro.core.multimodel import MultiModelQuery
-
-        return baseline_join(MultiModelQuery(
-            instance.relations, instance.twigs, name=instance.name),
-            stats=stats)
-
-
 GENERIC_JOIN = register(GenericJoinAlgorithm())
 LEAPFROG = register(LeapfrogTriejoinAlgorithm())
 XJOIN = register(XJoinAlgorithm())
-BASELINE = register(BaselineJoinAlgorithm())

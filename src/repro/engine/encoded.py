@@ -429,18 +429,17 @@ def relation_input(relation: Relation, order: Sequence[str]
 class EncodedInstance:
     """What a :class:`JoinAlgorithm` runs on: cached inputs, assembled.
     Of its query it keeps ``name``, the output ``attributes`` (default:
-    the order), the ``relations`` and twig bindings (``twigs``: the
-    baseline reads them; the relational kernels refuse any), never the
-    query object: one a query's statistics hold never pins it."""
+    the order) and the twig bindings (``twigs``: the relational kernels
+    refuse any), never the query object: one a query's statistics hold
+    never pins it."""
 
     __slots__ = ("name", "order", "attributes", "dictionaries", "tries",
-                 "participation", "relations", "twigs", "twig_filters",
+                 "participation", "twigs", "twig_filters",
                  "erase_structural", "built", "_level_values")
 
     def __init__(self, name: str, order: tuple[str, ...],
                  dictionaries: dict[str, Dictionary],
                  tries: list[EncodedTrie], *,
-                 relations: Sequence[Relation] = (),
                  attributes: "Sequence[str] | None" = None,
                  twigs: "Sequence[TwigBinding]" = (),
                  twig_filters: TwigFilters | None = None,
@@ -450,7 +449,6 @@ class EncodedInstance:
         self.attributes = order if attributes is None else tuple(attributes)
         self.dictionaries = dictionaries
         self.tries = tries
-        self.relations = list(relations)
         self.twigs = tuple(twigs)
         self.twig_filters = twig_filters
         self.erase_structural = erase_structural
@@ -500,16 +498,7 @@ class EncodedInstance:
                                  order)
         return cls._assemble(
             name, resolved,
-            [relation_input(relation, resolved) for relation in relations],
-            relations=relations)
-
-    @classmethod
-    def reference(cls, query: "MultiModelQuery") -> "EncodedInstance":
-        """A trie-less instance for operators that evaluate from the
-        source inputs (the baseline foil): carries the query's inputs,
-        builds no dictionaries or tries."""
-        return cls(query.name, (), {}, [], relations=query.relations,
-                   attributes=query.attributes, twigs=query.twigs)
+            [relation_input(relation, resolved) for relation in relations])
 
     @classmethod
     def from_query(cls, query: "MultiModelQuery",
@@ -548,7 +537,7 @@ class EncodedInstance:
                                   structural[binding.name], expansion)
                        for atom in atoms]
         instance = cls._assemble(
-            query.name, expansion, inputs, relations=query.relations,
+            query.name, expansion, inputs,
             attributes=query.attributes, twigs=query.twigs,
             erase_structural=any(structural.values()))
 

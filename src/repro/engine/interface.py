@@ -2,11 +2,10 @@
 
 A :class:`JoinAlgorithm` consumes an
 :class:`~repro.engine.encoded.EncodedInstance` and produces a decoded
-:class:`~repro.relational.relation.Relation`. All four algorithm families
-of the library — generic join, leapfrog triejoin, the traditional
-baseline, and XJoin — register here under stable names, so planners and
-benchmarks can pick an algorithm by name and race implementations over
-the *same* encoded instance.
+:class:`~repro.relational.relation.Relation`. The library's three
+operators — generic join, leapfrog triejoin and XJoin — register here
+under stable names, so planners and benchmarks can pick an algorithm by
+name and race implementations over the *same* encoded instance.
 """
 
 from __future__ import annotations

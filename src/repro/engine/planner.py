@@ -9,7 +9,7 @@ on the relation with its other artefacts, so repeated planning of the
 same inputs never rescans ``distinct_values``, and they die with it)
 plus per-twig-node candidate counts.
 
-Order policies, preserved from the pre-engine planner as named strategies:
+Order policies, named strategies in :data:`ORDER_STRATEGIES`:
 
 * ``appearance`` — relational schemas first, then twig pre-order (default).
 * ``domain`` — globally sort by estimated candidate-domain size.
@@ -19,15 +19,12 @@ Order policies, preserved from the pre-engine planner as named strategies:
   hypergraph it walks includes the twigs' A-D pair inputs (the inputs
   XJoin actually joins), so a cut ``u//l`` edge still connects ``u`` and
   ``l``; the paper's size bound stays over the P-C paths alone.
+* ``bound`` — the order minimising the worst per-prefix output bound of
+  the UES/AGM-style stage estimates (:func:`bound_order`).
 
-Both sort by :meth:`QueryStatistics.order_ranks`; every policy's pick
-then passes through :func:`existential_last` and :func:`functional_next`
-(:func:`policy_order`).
-
-Further policies register themselves through
-:func:`register_order_policy` — the adaptive layer
-(:mod:`repro.engine.adaptive`) adds ``bound`` (UES/AGM upper-bound
-driven) when :mod:`repro.engine` is imported.
+``domain`` and ``connected`` sort by :meth:`QueryStatistics.order_ranks`;
+every policy's pick then passes through :func:`existential_last` and
+:func:`functional_next` (:func:`policy_order`).
 """
 
 from __future__ import annotations
@@ -48,7 +45,6 @@ from repro.relational.statistics import RelationStats, column_stats_of_domain
 
 if TYPE_CHECKING:
     from repro.core.multimodel import MultiModelQuery
-    from repro.xml.columnar import DocumentStats
     from repro.xml.model import XMLDocument
     from repro.xml.twig import TwigQuery
 
@@ -87,15 +83,12 @@ class QueryStatistics:
     """Cached per-input statistics for one multi-model query.
 
     Relation columns come from :func:`cached_relation_stats`; the twig
-    side reads the columnar views and
-    :class:`~repro.xml.columnar.DocumentStats` the bound documents hold —
-    one stats source for relational and tree inputs alike.
+    side reads the columnar views the bound documents hold — one stats
+    source for relational and tree inputs alike.
     ``domain_estimate(a)`` is the smallest number of distinct values any
     input offers for attribute ``a`` — the planner's candidate-domain
     estimate (a twig node bound by identity offers one value per
-    valueless candidate, as the tries do); ``path_cardinality_estimates``
-    bounds each decomposed path relation by the document's matching
-    chain count.
+    valueless candidate, as the tries do).
     """
 
     def __init__(self, query: "MultiModelQuery"):
@@ -109,7 +102,6 @@ class QueryStatistics:
         (:func:`_input_stamp`)."""
         self._stamp = _input_stamp(query)
         self._estimates: dict[str, int] | None = None
-        self._path_estimates: dict[str, int] | None = None
         self._twig_domains: dict | None = None
         self._ranks: dict[str, int] | None = None
         self._demoted: dict[tuple, tuple] = {}  #: existential_last answers
@@ -127,12 +119,6 @@ class QueryStatistics:
     def relation_stats(self, relation: Relation) -> RelationStats:
         """One input relation's cached column statistics."""
         return cached_relation_stats(relation)
-
-    def document_stats(self, document) -> "DocumentStats":
-        """The bound document's cached summary (tag and path counts)."""
-        from repro.xml.columnar import document_stats
-
-        return document_stats(document)
 
     def twig_domains(self) -> dict[tuple[str, str], tuple[int, bool]]:
         """Per (twig name, attribute): (candidate-domain size, is the
@@ -197,24 +183,6 @@ class QueryStatistics:
                 in self.twig_domains().items() if opens)
             self._ranks = ranks
         return ranks
-
-    def path_cardinality_estimates(self) -> dict[str, int]:
-        """Estimated size of each decomposed path relation, by name.
-
-        The estimate is the document's matching P-C chain count from the
-        cached path index — an upper bound on the distinct value tuples
-        the path relation holds, with no document walk per query.
-        """
-        if (found := self._path_estimates) is not None:
-            return found
-        estimates: dict[str, int] = {}
-        for binding in self.query.twigs:
-            stats = self.document_stats(binding.document)
-            for path in multimodel._decomposition(binding.twig).paths:
-                tags = [node.tag for node in path.nodes]
-                estimates[path.name] = stats.chain_count(tags)
-        self._path_estimates = estimates
-        return estimates
 
 
 #: id(query) -> (weakref, its statistics): entries vanish with their
@@ -388,28 +356,77 @@ def connected_order(query: "MultiModelQuery",
     return tuple(order)
 
 
+#: Above this many attributes the subset DP (O(2^n * n)) yields to the
+#: greedy smallest-extension heuristic.
+MAX_DP_ATTRIBUTES = 12
+
+
+def bound_order(query: "MultiModelQuery",
+                stats: QueryStatistics | None = None) -> tuple[str, ...]:
+    """The ``bound`` policy: the order minimising (max per-prefix bound,
+    total, lexicographic).
+
+    Subset DP: the bound on extending a bound set ``S`` by ``x``
+    depends only on ``S``, so states are subsets carrying the best
+    (worst-stage, sum-of-stages, cumulative, order) found — a heuristic
+    DP (the cumulative is path-dependent) that is exact on the max
+    criterion whenever extensions are monotone, and deterministic
+    always via the lexicographic order tie-break.
+    """
+    stats = stats or statistics_for(query)
+    attributes = query.attributes
+    # No cross products: a set is extended by the attributes sharing a
+    # joined input with it while there are any — the twig-side bounds
+    # know no per-pair frequencies, so they cannot tell a connected
+    # extension from a cartesian one.
+    linked = linked_attributes(query)
+
+    def extensions(chosen) -> "list[str]":
+        rest = [a for a in attributes if a not in chosen]
+        return [a for a in rest
+                if any(a in linked[b] for b in chosen)] or rest
+
+    if len(attributes) > MAX_DP_ATTRIBUTES:
+        order: list[str] = []
+        while len(order) < len(attributes):
+            bound = set(order)
+            order.append(min(extensions(bound), key=lambda attribute: (
+                _extension_bound(query, attribute, bound, stats)[0],
+                attribute)))
+        return tuple(order)
+
+    # DP over subsets: state value = (max stage bound, stage sum,
+    # order tuple) minimised lexicographically; cumulative rides along.
+    start: tuple[float, float, tuple[str, ...], float] = \
+        (0.0, 0.0, (), 1.0)
+    states: dict[frozenset, tuple[float, float, tuple[str, ...], float]] = {
+        frozenset(): start}
+    for _ in attributes:
+        successors: dict[frozenset,
+                         tuple[float, float, tuple[str, ...], float]] = {}
+        for subset, (worst, total, order, cumulative) in states.items():
+            for attribute in extensions(subset):
+                extension, _source = _extension_bound(query, attribute,
+                                                      set(subset), stats)
+                stage = cumulative * extension
+                candidate = (max(worst, stage), total + stage,
+                             order + (attribute,), stage)
+                key = subset | {attribute}
+                incumbent = successors.get(key)
+                if incumbent is None or candidate[:3] < incumbent[:3]:
+                    successors[key] = candidate
+        states = successors
+    (_worst, _total, order, _cumulative), = states.values()
+    return order
+
+
 ORDER_STRATEGIES: dict[str, Callable[["MultiModelQuery", QueryStatistics],
                                      tuple[str, ...]]] = {
     "appearance": appearance_order,
     "domain": domain_order,
     "connected": connected_order,
+    "bound": bound_order,
 }
-
-
-def register_order_policy(name: str,
-                          strategy: Callable[["MultiModelQuery",
-                                              QueryStatistics],
-                                             tuple[str, ...]]) -> None:
-    """Register an order policy under *name* (idempotent re-registration
-    of the same callable is allowed; name collisions are an error).
-
-    Registered policies are first-class: ``attribute_order`` calls them
-    as ``strategy(query, statistics)``, ``run_query(order=name)``
-    executes them, and the CLI's ``--order`` flag accepts them."""
-    current = ORDER_STRATEGIES.get(name)
-    if current is not None and current is not strategy:
-        raise PlanError(f"order policy {name!r} is already registered")
-    ORDER_STRATEGIES[name] = strategy
 
 
 def existential_last(query: "MultiModelQuery", order: tuple[str, ...],
@@ -535,22 +552,15 @@ def attribute_order(query: "MultiModelQuery",
 
 @dataclass(frozen=True)
 class QueryPlan:
-    """One planned execution for a multi-model query.
-
-    Everything comes from a single stats source (cached relation stats +
-    cached document stats): the expansion order, the join operator, the
-    per-twig matching algorithm (consumed by the baseline's twig
-    sub-query and the CLI's A/B override), and the path-relation
-    cardinality estimates that justify the order.
+    """One planned execution for a multi-model query: an expansion
+    order and the join operator that expands it, both chosen from one
+    stats source (:func:`statistics_for`), plus what running them at the
+    inputs' current version needs.
     """
 
     order: tuple[str, ...]
     algorithm: str
     policy: str
-    #: (twig name, twig algorithm name) per twig input.
-    twig_algorithms: tuple[tuple[str, str], ...] = ()
-    #: (path relation name, estimated cardinality) per decomposed path.
-    path_cardinalities: tuple[tuple[str, int], ...] = ()
     #: (twig name, attribute whose level validates the twig's structure)
     #: per twig input; None = skipped, the join implies an embedding
     #: (:func:`repro.core.validation.validation_points`, read off the
@@ -569,21 +579,12 @@ class QueryPlan:
     #: plain static plans.
     stage_estimates: tuple[tuple[str, int], ...] = ()
 
-    def twig_algorithm(self, twig_name: str) -> str | None:
-        """The planned matcher for one twig input (None if unknown)."""
-        for name, algorithm in self.twig_algorithms:
-            if name == twig_name:
-                return algorithm
-        return None
-
     def __repr__(self) -> str:
-        twigs = (f", twigs={dict(self.twig_algorithms)!r}"
-                 if self.twig_algorithms else "")
         parallel = (f", partitions={self.partitions} "
                     f"on {self.partition_axis!r}"
                     if self.partitions > 1 else "")
         return (f"QueryPlan({self.algorithm!r}, policy={self.policy!r}, "
-                f"order={list(self.order)!r}{twigs}{parallel})")
+                f"order={list(self.order)!r}{parallel})")
 
 
 def choose_order_policy(query: "MultiModelQuery",
@@ -665,15 +666,11 @@ def choose_algorithm(query: "MultiModelQuery") -> str:
 def plan_query(query: "MultiModelQuery", *,
                order: "str | tuple[str, ...] | list[str] | None" = None,
                algorithm: str | None = None,
-               twig_algorithm: str | None = None,
                workers: int | None = None) -> QueryPlan:
-    """Resolve order, join operator and twig matchers (explicit args win).
+    """Resolve the order and the join operator (explicit args win).
 
-    ``twig_algorithm`` forces one matcher for every twig input (the
-    CLI's ``--twig-algorithm`` A/B override); by default each twig gets
-    the :func:`choose_twig_algorithm` pick for its document. With
-    ``workers`` the plan also carries a partition count and axis for the
-    parallel executor (see :func:`choose_partitions`).
+    With ``workers`` the plan also carries a partition count and axis
+    for the parallel executor (see :func:`choose_partitions`).
     """
     stats = statistics_for(query)
     if algorithm is None:
@@ -689,30 +686,6 @@ def plan_query(query: "MultiModelQuery", *,
         policy = order if isinstance(order, str) else "given"
         resolved = attribute_order(query, order, stats)
 
-    twig_algorithms: list[tuple[str, str]] = []
-    if query.twigs:
-        from repro.xml.interface import (
-            available_twig_algorithms,
-            get_twig_algorithm,
-        )
-
-        if twig_algorithm is not None \
-                and twig_algorithm not in available_twig_algorithms():
-            raise PlanError(
-                f"unknown twig algorithm {twig_algorithm!r}; "
-                f"choose from {available_twig_algorithms()!r}")
-        for binding in query.twigs:
-            name = twig_algorithm or choose_twig_algorithm(binding.document,
-                                                           binding.twig)
-            if not get_twig_algorithm(name).supports(binding.twig):
-                raise PlanError(
-                    f"twig algorithm {name!r} cannot evaluate twig "
-                    f"{binding.name!r} (e.g. 'pathstack' on a branching "
-                    f"twig)")
-            twig_algorithms.append((binding.name, name))
-    path_cardinalities = tuple(
-        sorted(stats.path_cardinality_estimates().items())
-    ) if query.twigs else ()
     validation: tuple[tuple[str, str | None], ...] = ()
     tested = None
     if query.twigs and algorithm == "xjoin":
@@ -724,8 +697,6 @@ def plan_query(query: "MultiModelQuery", *,
     partitions, partition_axis = choose_partitions(
         query, resolved, workers or 1, stats)
     return QueryPlan(order=resolved, algorithm=algorithm, policy=policy,
-                     twig_algorithms=tuple(twig_algorithms),
-                     path_cardinalities=path_cardinalities,
                      validation=validation, tested=tested,
                      partitions=partitions, partition_axis=partition_axis)
 
@@ -740,11 +711,9 @@ class PreparedQuery:
     def __init__(self, query: "MultiModelQuery", plan: QueryPlan):
         self.query, self.plan = query, plan
         self.kernel = get_algorithm(plan.algorithm)
-        # The baseline evaluates from the source inputs: no tries.
-        self.instance = EncodedInstance.reference(query) \
-            if plan.algorithm == "baseline" else EncodedInstance.from_query(
-                query, plan.order, tested=plan.tested,
-                points=dict(plan.validation) if plan.validation else None)
+        self.instance = EncodedInstance.from_query(
+            query, plan.order, tested=plan.tested,
+            points=dict(plan.validation) if plan.validation else None)
 
     def run(self, stats: JoinStats | None = None) -> Relation:
         """Run the kernel; a re-run counts every input as reused."""

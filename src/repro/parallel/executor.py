@@ -13,11 +13,8 @@ work-stealing queue of :mod:`repro.parallel.morsels`:
 * twig matchers — root-posting ranges, with each worker's answer
   filtered to the embeddings rooted in its own slice.
 
-The ``baseline`` foil, which evaluates the unencoded source inputs, is
-never split: under any ``workers`` it is the serial
-:func:`~repro.core.baseline.baseline_join` call. ``workers <= 1``
-everywhere degrades to the serial algorithm call, so callers can thread
-a ``workers`` knob through unconditionally.
+``workers <= 1`` everywhere degrades to the serial algorithm call, so
+callers can thread a ``workers`` knob through unconditionally.
 """
 
 from __future__ import annotations
@@ -89,24 +86,25 @@ class ParallelExecutor:
         """Run a registered join algorithm over *instance* in parallel.
 
         Result equality with the serial ``get_algorithm(name).run`` is
-        exact for every registered algorithm; with ``workers <= 1``, and
-        for the ``baseline`` foil, the serial call *is* what runs.
+        exact for every registered algorithm; with ``workers <= 1`` the
+        serial call *is* what runs. A name the registry does not know is
+        refused here, before any arena is published or worker started.
         """
         from repro.engine.interface import get_algorithm
 
+        kernel = get_algorithm(algorithm)
         stats = ensure_stats(stats)
         # Degenerate runs (serial executor, planner said 1 partition)
         # short-circuit before any partitioning work — in particular
         # before the weight map, an O(rows) walk of every level-0 trie
         # not yet weighed (frozen tries keep theirs).
-        if (algorithm == "baseline" or self.workers <= 1
-                or (morsels is not None and morsels <= 1)):
-            return get_algorithm(algorithm).run(instance, stats=stats)
+        if self.workers <= 1 or (morsels is not None and morsels <= 1):
+            return kernel.run(instance, stats=stats)
         weights = top_level_weights(instance)
         count = morsels if morsels is not None else choose_morsel_count(
             self.workers, len(weights))
         if count <= 1 or len(weights) <= 1:
-            return get_algorithm(algorithm).run(instance, stats=stats)
+            return kernel.run(instance, stats=stats)
         transport = self.transport
         if transport in _ARENAS and instance.twigs:
             raise TransportError(
@@ -239,8 +237,7 @@ class ParallelExecutor:
 
         The planner chooses the partition axis (the resolved order's
         first attribute) and morsel count from cached statistics; the
-        encoded instance is built once and shared with the pool. The
-        ``baseline`` foil runs serially from the source inputs.
+        encoded instance is built once and shared with the pool.
         """
         from repro.engine.planner import plan_query, prepare
 

@@ -175,7 +175,6 @@ def instance_from_arena(arena) -> "EncodedInstance":
     instance.attributes = tuple(meta["attributes"])
     instance.dictionaries = {}
     instance.tries = tries
-    instance.relations = []
     instance.twigs = ()
     instance.twig_filters = meta.get("twig_filters")
     instance.erase_structural = meta.get("erase_structural", False)

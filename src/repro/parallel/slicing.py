@@ -91,7 +91,6 @@ def sliced_instance(instance: EncodedInstance, lo: int, hi: int, *,
     clone.tries = [
         sliced_trie(trie, lo, hi, detach=detach) if index in level0 else trie
         for index, trie in enumerate(instance.tries)]
-    clone.relations = instance.relations
     clone.twigs = instance.twigs
     clone.twig_filters = instance.twig_filters
     clone.erase_structural = instance.erase_structural

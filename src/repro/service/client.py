@@ -95,19 +95,13 @@ class ServiceClient:
 
     async def query(self, tenant: str, session: str, *,
                     snapshot: str | None = None,
-                    evaluate: bool = False,
-                    algorithm: str | None = None,
-                    order: "str | list | None" = None) -> dict[str, Any]:
+                    evaluate: bool = False) -> dict[str, Any]:
         """Query the live session, or a pinned snapshot of it."""
         fields: dict[str, Any] = {"tenant": tenant, "session": session}
         if snapshot is not None:
             fields["snapshot"] = snapshot
         if evaluate:
             fields["evaluate"] = True
-        if algorithm is not None:
-            fields["algorithm"] = algorithm
-        if order is not None:
-            fields["order"] = order
         return await self.request("query", **fields)
 
     async def update(self, tenant: str,
@@ -116,7 +110,7 @@ class ServiceClient:
         return await self.request("update", tenant=tenant, ops=ops)
 
     async def stats(self) -> dict[str, Any]:
-        """Service-wide counters (tenants, mvcc, held plans)."""
+        """Service-wide counters (tenants, mvcc, the held plan)."""
         return await self.request("stats")
 
     async def shutdown(self) -> None:

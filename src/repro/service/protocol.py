@@ -151,22 +151,21 @@ def answer_rows(relation: Relation) -> WireRows:
     return rows
 
 
-def query_options(message: dict[str, Any]) -> tuple:
-    """A ``query``'s (algorithm, order as a tuple, evaluate), checked:
-    ServiceError ``bad_request`` unless ``algorithm`` is a string,
-    ``order`` a string or a list of strings and ``evaluate`` a bool."""
-    algorithm, order, evaluate = map(message.get,
-                                     ("algorithm", "order", "evaluate"))
-    if isinstance(order, list) and all(isinstance(a, str) for a in order):
-        order = tuple(order)
-    if not all(value is None or isinstance(value, kinds) for value, kinds
-               in ((algorithm, str), (order, (str, tuple)),
-                   (evaluate, bool))):
+def query_evaluate(message: dict[str, Any]) -> bool:
+    """A ``query``'s ``evaluate`` flag, checked: ServiceError
+    ``bad_request`` unless it is a bool, or if the request names
+    ``algorithm`` or ``order`` (the service runs its one plan)."""
+    named = [field for field in ("algorithm", "order") if field in message]
+    if named:
         raise ServiceError(
-            "bad_request", "query fields: 'algorithm' must be a string, "
-            "'order' a string or a list of strings, 'evaluate' a bool; "
-            f"got {algorithm!r}, {order!r}, {evaluate!r}")
-    return algorithm, order, bool(evaluate)
+            "bad_request", f"query field {named[0]!r} is not accepted: "
+            "every evaluate runs the service's adaptive plan")
+    evaluate = message.get("evaluate")
+    if evaluate is not None and not isinstance(evaluate, bool):
+        raise ServiceError(
+            "bad_request",
+            f"query field 'evaluate' must be a bool, got {evaluate!r}")
+    return bool(evaluate)
 
 
 def validate_update_ops(ops: Any) -> list[dict[str, Any]]:

@@ -34,18 +34,12 @@ from __future__ import annotations
 import asyncio
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass
 from typing import Any
 
 from repro.core.multimodel import MultiModelQuery
 from repro.engine.adaptive import AdaptivePlanner
 from repro.engine.planner import PreparedQuery, QueryPlan, plan_query, prepare
-from repro.errors import (
-    EngineError,
-    PlanError,
-    ReproError,
-    ServiceError,
-)
+from repro.errors import ReproError, ServiceError
 from repro.instrumentation import StageStats
 from repro.mvcc import Snapshot
 from repro.service.corpus import corpus_query
@@ -55,7 +49,7 @@ from repro.service.protocol import (
     encode_message,
     error_response,
     ok_response,
-    query_options,
+    query_evaluate,
     require_field,
     rows_to_wire,
     validate_request,
@@ -64,20 +58,6 @@ from repro.service.protocol import (
 from repro.service.tenancy import SessionManager, TenantQuota
 from repro.updates.session import QuerySession
 from repro.xml.parser import parse_element_tree
-
-#: Plans held at once: clients choose the override keys (any ``order``
-#: permutation is one), so past this bound the oldest goes first.
-HELD_PLANS = 64
-
-
-@dataclass
-class _HeldPlan:
-    """An override key's plan, the drift epoch it was planned at
-    and, while its version is current, its prepared read."""
-    epoch: int
-    plan: QueryPlan
-    prepared: "PreparedQuery | None" = None
-
 
 class ReproService:
     """One corpus, many tenants, snapshot-consistent reads."""
@@ -90,14 +70,14 @@ class ReproService:
         else:
             self.corpus_spec = corpus.name
             query = corpus
-        #: The adaptive planner behind un-overridden snapshot queries:
-        #: races plans per query signature, and dates every held plan by
-        #: the epoch of its drift ledger. A snapshot query reads the live
-        #: objects or, once a batch supersedes its pin, the retained
-        #: clone; either shares the race winner until the master's
-        #: deltas add up to a churn burst (a quarter of an input's rows
-        #: or nodes), which advances an input's generation and re-plans
-        #: every held plan at once. Small batches keep them.
+        #: The adaptive planner behind every evaluate: races plans per
+        #: query signature, and dates the held plan by the epoch of its
+        #: drift ledger. A snapshot query reads the live objects or,
+        #: once a batch supersedes its pin, the retained clone; either
+        #: shares the race winner until the master's deltas add up to a
+        #: churn burst (a quarter of an input's rows or nodes), which
+        #: advances an input's generation and re-plans the held plan.
+        #: Small batches keep it.
         self.adaptive = AdaptivePlanner()
         #: The corpus: the one state every batch is applied to and
         #: every snapshot is pinned on; its deltas feed the planner's
@@ -105,9 +85,12 @@ class ReproService:
         #: derived again in the order the planner crowns.
         self.master = QuerySession(query, planner=self.adaptive)
         self.sessions = SessionManager(quota)
-        #: A query's overrides (algorithm, order) -> its held plan
-        #: (``_plan_for``); every batch drops the prepared halves.
-        self._plans: dict[tuple, _HeldPlan] = {}
+        #: The held plan (``_prepared_for``), the drift epoch it was
+        #: planned at and, while the master's version is current, its
+        #: prepared read, which every batch drops.
+        self._plan: "QueryPlan | None" = None
+        self._plan_epoch = -1
+        self._prepared: "PreparedQuery | None" = None
         self.plan_hits = self.plan_misses = 0
         self.prepared_builds = self.prepared_hits = 0
         #: Whole update batches applied since startup; every snapshot
@@ -230,8 +213,7 @@ class ReproService:
         the first and last mutation no coroutine runs, so every pin
         (and every read) sees a whole number of batches."""
         self._validate_batch(ops)
-        for held in self._plans.values():
-            held.prepared = None  # it reads the live documents
+        self._prepared = None  # it reads the live documents
         for op in ops:
             self._apply_op(op)
         self.batches_applied += 1
@@ -240,59 +222,40 @@ class ReproService:
 
     # -- the read path -----------------------------------------------------
 
-    def _plan_for(self, snapshot: Snapshot, key: tuple
-                  ) -> "tuple[PreparedQuery, _HeldPlan, bool]":
-        """The prepared read of one ``query`` at *snapshot*: the plan of
-        its overrides *key*, bound to the snapshot's inputs; with the
-        entry that holds them and whether the read was built here.
+    def _prepared_for(self, snapshot: Snapshot) -> PreparedQuery:
+        """The prepared read of an evaluate at *snapshot*: the held plan,
+        bound to the snapshot's inputs.
 
         A plan is correct on any state of the corpus, so every tenant
         and snapshot shares it until the drift epoch (not the batch
-        counter) moves; then it is planned again — un-overridden queries
-        by the adaptive planner — and a re-plan that keeps the order and
-        algorithm keeps the prepared read. That is held only while
-        *snapshot* pins the current version: the next batch patches the
-        documents it reads. A new key's entry is not held yet: only a
-        read that has run is (:meth:`_hold`), so an override the planner
-        or a kernel refuses leaves nothing behind."""
-        epoch = self.adaptive.epoch
-        held, plan = self._plans.get(key), None
-        if held is not None and held.epoch == epoch:
+        counter) moves; then the adaptive planner plans again, and a
+        re-plan that keeps the order and algorithm keeps the prepared
+        read. That is held only while *snapshot* pins the current
+        version: the next batch patches the documents it reads."""
+        epoch, plan = self.adaptive.epoch, None
+        if self._plan_epoch == epoch:  # -1 until the first plan
             self.plan_hits += 1
         else:
             self.plan_misses += 1
             query = snapshot.query()
-            algorithm, order = key
-            plan = self.adaptive.plan(query) if key == (None, None) \
-                else plan_query(query, algorithm=algorithm, order=order)
-            if held is None:
-                held = _HeldPlan(epoch, plan)
-            elif (plan.order, plan.algorithm) != \
-                    (held.plan.order, held.plan.algorithm):
-                held.prepared = None  # it runs the superseded plan
-            held.epoch, held.plan = epoch, plan
+            plan = self.adaptive.plan(query)
+            if self._plan is None or (plan.order, plan.algorithm) != \
+                    (self._plan.order, self._plan.algorithm):
+                self._prepared = None  # it runs the superseded plan
+            self._plan, self._plan_epoch = plan, epoch
         current = snapshot.version == self.master.version
-        if current and held.prepared is not None:
+        if current and self._prepared is not None:
             self.prepared_hits += 1
-            return held.prepared, held, False
+            return self._prepared
         if plan is None:  # the held plan, re-derived at this version
             query = snapshot.query()
-            plan = plan_query(query, algorithm=held.plan.algorithm,
-                              order=held.plan.order)
+            plan = plan_query(query, algorithm=self._plan.algorithm,
+                              order=self._plan.order)
         prepared = prepare(query, plan)
+        self.prepared_builds += 1
         if current:
-            held.prepared = prepared
-        return prepared, held, True
-
-    def _hold(self, key: tuple, held: _HeldPlan, built: bool) -> None:
-        """Keep *held*, whose read has run, under *key* (past
-        :data:`HELD_PLANS` keys the oldest goes first), and count the
-        read if :meth:`_plan_for` built it."""
-        self.prepared_builds += built
-        if key not in self._plans:
-            if len(self._plans) >= HELD_PLANS:
-                del self._plans[next(iter(self._plans))]
-            self._plans[key] = held
+            self._prepared = prepared
+        return prepared
 
     def _pin(self) -> Snapshot:
         """Pin the corpus's current version, stamped with the number of
@@ -302,41 +265,30 @@ class ReproService:
         return snapshot
 
     def _evaluate_snapshot(self, snapshot: Snapshot,
-                           message: dict[str, Any]) -> dict[str, Any]:
+                           evaluate: bool) -> dict[str, Any]:
         """Answer one ``query`` at *snapshot* — the only read path.
 
         Synchronous: no coroutine, an update included, runs until the
         answer is built, so the pinned inputs cannot change under it.
         """
         batches = snapshot.metadata["batches"]
-        algorithm, order, evaluate = query_options(message)
-        if not (evaluate or algorithm or order):
+        if not evaluate:
             relation = snapshot.answer()
             return {"rows": answer_rows(relation),
                     "attributes": list(relation.schema.attributes),
                     "version": snapshot.version, "batches": batches,
                     "mode": "answer"}
-        key = (algorithm, order)
-        adaptive_run = key == (None, None)
+        # Over the pinned inputs: live, or the retained clone.
+        prepared = self._prepared_for(snapshot)
         # Only the input counts are read: no seek counting.
-        stats = StageStats() if adaptive_run else None
-        try:
-            # Over the pinned inputs: live, or the retained clone.
-            prepared, held, built = self._plan_for(snapshot, key)
-            relation = prepared.run(stats)
-        except (PlanError, EngineError) as error:
-            # The planner or a kernel refused the client's override.
-            raise ServiceError("bad_request", str(error)) from None
-        self._hold(key, held, built)
-        plan = prepared.plan
-        if adaptive_run:
-            # Count the run and the inputs it built or reused.
-            self.adaptive.observe(prepared.query, plan.order, stats)
+        stats = StageStats()
+        relation = prepared.run(stats)
+        # Count the run and the inputs it built or reused.
+        self.adaptive.observe(prepared.query, prepared.plan.order, stats)
         return {"rows": rows_to_wire(relation.rows),
                 "attributes": list(relation.schema.attributes),
                 "version": snapshot.version, "batches": batches,
-                "mode": "run", "algorithm": plan.algorithm,
-                "twigs": dict(plan.twig_algorithms)}
+                "mode": "run", "algorithm": prepared.plan.algorithm}
 
     # -- request dispatch --------------------------------------------------
 
@@ -414,10 +366,11 @@ class ReproService:
         sid = require_field(message, "session", str)
         state = self.sessions.state(tenant, sid)
         snapshot_id = message.get("snapshot")
+        evaluate = query_evaluate(message)  # checked before any pin
         # Without a snapshot, one is pinned for the request and released.
         with self._pin() if snapshot_id is None \
                 else nullcontext(state.snapshot(snapshot_id)) as snapshot:
-            response = self._evaluate_snapshot(snapshot, message)
+            response = self._evaluate_snapshot(snapshot, evaluate)
         self.queries_served += 1  # answered ones only
         return response
 
@@ -438,8 +391,9 @@ class ReproService:
             "queue_depth": 0,
             "tenants": self.sessions.counts(),
             "mvcc": self.master.mvcc.stats(),
-            # ``rejected`` is 0 (every plan is held); the harness reads it.
-            "plan_cache": {"size": len(self._plans), "hits": self.plan_hits,
+            # ``rejected`` is 0 (the one plan is always held); the
+            # harness reads it.
+            "plan_cache": {"hits": self.plan_hits,
                            "misses": self.plan_misses, "rejected": 0},
             "prepared": {"builds": self.prepared_builds,
                          "hits": self.prepared_hits},

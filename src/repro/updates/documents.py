@@ -22,7 +22,9 @@ view's node block ``[q, q + removed)`` with the new subtree's rows
 
 The inserted rows come from the walk that builds a whole view
 (:func:`repro.xml.columnar.node_rows`), so tags and paths new with the
-subtree are interned exactly as a fresh build interns them.
+subtree are interned exactly as a fresh build interns them; a delete
+that empties a tag or a path renumbers the rest without it
+(:func:`_forget_empty`), since a fresh build holds no empty one.
 
 Every edit bumps the document version and resets what the view has
 derived (:class:`~repro.xml.columnar.DocumentStats` included: the next
@@ -43,7 +45,7 @@ from bisect import bisect_left
 from collections import deque
 from itertools import count
 
-from repro.buffers.layout import make, pack, set_at, splice
+from repro.buffers.layout import gather, make, pack, set_at, splice
 from repro.errors import UpdateError
 from repro.updates.delta import (
     SUBTREE_DELETE,
@@ -51,7 +53,12 @@ from repro.updates.delta import (
     VALUE_CHANGE,
     DocumentDelta,
 )
-from repro.xml.columnar import ColumnarDocument, columnar, node_rows
+from repro.xml.columnar import (
+    ColumnarDocument,
+    columnar,
+    node_rows,
+    paths_by_last_tag,
+)
 from repro.xml.encoding import annotate_regions
 from repro.xml.model import XMLDocument, XMLNode
 
@@ -174,8 +181,9 @@ def _splice(view: ColumnarDocument, q: int, removed: int, rows) -> None:
     (:func:`~repro.xml.columnar.node_rows`' lists, numbered from *q*):
     the tree labels past the block and the block's ancestors' ends,
     the node columns, per-tag postings and per-path node lists, all
-    moved by one signed shift; then the posting ranks are renumbered
-    and what the view derived is reset."""
+    moved by one signed shift; then the tags and paths a delete emptied
+    are forgotten, the posting ranks are renumbered and what the view
+    derived is reset."""
     nodes, starts, ends, levels, parents, tag_ids, values, path_ids = rows
     end = q + removed
     moved = len(nodes) - removed  # node ids past the block move by it
@@ -248,6 +256,8 @@ def _splice(view: ColumnarDocument, q: int, removed: int, rows) -> None:
             continue
         view.nids_by_path[pid] = _splice_shift(
             nids, lo, bisect_left(nids, end, lo), new, moved)
+    if removed:
+        _forget_empty(view)
 
     view.nid_index = dict(zip(view.starts, count()))
     ranks = [0] * view.size
@@ -255,3 +265,38 @@ def _splice(view: ColumnarDocument, q: int, removed: int, rows) -> None:
         deque(map(ranks.__setitem__, nids, count()), maxlen=0)
     view.tag_ranks = pack(ranks, hi=max(view.size - 1, 0))
     view.derived = {}
+
+
+def _forget_empty(view: ColumnarDocument) -> None:
+    """Drop the tags and paths whose postings are empty, renumbering
+    the rest in order: ``tag_ids`` and ``path_ids`` are gathered through
+    the remap tables, and the interning table (``path_table``) and
+    ``pids_by_last_tag`` follow. A path of an empty tag is empty, and so
+    is every extension of an empty path, so no path left refers to a
+    forgotten one."""
+    tags = [tid for tid, nids in enumerate(view.tag_nids) if len(nids)]
+    paths = [pid for pid, nids in enumerate(view.nids_by_path) if len(nids)]
+    if len(tags) == len(view.tags) and len(paths) == len(view.paths):
+        return
+    tag_map, path_map = [-1] * len(view.tags), [-1] * len(view.paths)
+    for new, tid in enumerate(tags):
+        tag_map[tid] = new
+    for new, pid in enumerate(paths):
+        path_map[pid] = new
+    view.tags = [view.tags[tid] for tid in tags]
+    view.tag_index = dict(zip(view.tags, count()))
+    view.tag_nids, view.tag_starts, view.tag_ends = (
+        [postings[tid] for tid in tags] for postings
+        in (view.tag_nids, view.tag_starts, view.tag_ends))
+    view.tag_ids = pack(gather(tag_map, view.tag_ids),
+                        hi=max(len(tags) - 1, 0))
+    view.paths = [view.paths[pid] for pid in paths]
+    view.nids_by_path = [view.nids_by_path[pid] for pid in paths]
+    view.path_ids = pack(gather(path_map, view.path_ids),
+                         hi=max(len(paths) - 1, 0))
+    view.path_table = {
+        (parent if parent < 0 else path_map[parent], tag_map[tid]):
+            path_map[pid]
+        for (parent, tid), pid in view.path_table.items()
+        if path_map[pid] >= 0}
+    view.pids_by_last_tag = paths_by_last_tag(view.path_table)

@@ -6,7 +6,7 @@ zero-copy typed ``memoryview`` windows over an arena — either a
 :class:`~repro.buffers.shm.SharedArena` segment or a file-backed
 :class:`~repro.buffers.mmapfile.FileArena` (one layout, one reader;
 this module only needs ``arena.buffer(name)`` + ``arena.meta``). Every
-registered twig matcher, the planner's ``DocumentStats`` and XJoin's
+registered twig matcher, the planner's twig statistics and XJoin's
 path gathering run unchanged over the rebuilt view.
 
 Lazy adapters keep attachment O(1) in document size:
@@ -400,7 +400,7 @@ def attach_arena_document(arena: Any
     """Attach *arena* as a queryable document: (handle, view).
 
     The handle holds the view, so matchers called with the handle
-    resolve it like any document (and the planner's ``DocumentStats``
+    resolve it like any document (and the planner's twig statistics
     derive from the same arrays). The caller owns closing the arena
     when done.
     """

@@ -172,10 +172,7 @@ class ColumnarDocument:
         self.tag_ends = [pack(e, hi=label_hi) for e in tag_ends]
         self.tag_ranks = pack(tag_ranks, hi=nid_hi)
         self.nids_by_path = [pack(n, hi=nid_hi) for n in nids_by_path]
-        pids_by_last_tag: dict[int, list[int]] = {}
-        for (_parent_pid, tid), pid in path_table.items():
-            pids_by_last_tag.setdefault(tid, []).append(pid)
-        self.pids_by_last_tag = pids_by_last_tag
+        self.pids_by_last_tag = paths_by_last_tag(path_table)
         #: start label -> node id (starts identify nodes uniquely).
         self.nid_index: dict[int, int] = {
             start: nid for nid, start in enumerate(starts)}
@@ -459,6 +456,16 @@ def node_rows(root: XMLNode, tags: list[str], tag_index: dict[str, int],
     return nodes, starts, ends, levels, parents, tag_ids, values, path_ids
 
 
+def paths_by_last_tag(path_table: "dict[tuple[int, int], int]"
+                      ) -> dict[int, list[int]]:
+    """Per tag id, the ids of the paths ending in it, ascending: read
+    off the interning table :func:`node_rows` fills."""
+    found: dict[int, list[int]] = {}
+    for (_parent_pid, tid), pid in path_table.items():
+        found.setdefault(tid, []).append(pid)
+    return found
+
+
 class TagCoder:
     """Builds a :meth:`ColumnarDocument.tag_dictionary` a chunk at a
     time: :meth:`ids` (first-appearance ids, valueless -1), one
@@ -526,39 +533,22 @@ def columnar_as(document: XMLDocument, view: ColumnarDocument):
 
 @dataclass(frozen=True)
 class DocumentStats:
-    """Planner-facing summary of one document.
-
-    ``path_counts`` maps each distinct root tag path to its node count —
-    the cardinality source for path-relation estimates: the number of
-    document chains matching a P-C tag chain is the sum over paths
-    ending in that chain (an upper bound on the distinct value tuples
-    the decomposed path relation holds).
-    """
+    """Summary of one document: its node count, and the node count of
+    each tag and of each distinct root tag path (``path_counts``)."""
 
     size: int
     tag_counts: Mapping[str, int]
     path_counts: Mapping[tuple[str, ...], int]
 
-    def chain_count(self, tags: Sequence[str]) -> int:
-        """Number of node chains matching the consecutive P-C tag chain."""
-        suffix = tuple(tags)
-        k = len(suffix)
-        if k == 0:
-            return 0
-        return sum(count for path, count in self.path_counts.items()
-                   if len(path) >= k and path[-k:] == suffix)
-
 
 def stats_from_view(view: ColumnarDocument) -> DocumentStats:
-    """:class:`DocumentStats` derived from a (possibly delta-maintained)
-    columnar view. Tags and paths whose postings emptied out under
-    deletions are filtered, so the summary always equals one computed
-    from scratch on the current tree."""
+    """:class:`DocumentStats` derived from a (possibly spliced) columnar
+    view; a splice forgets the tags and paths it empties, so the summary
+    equals one computed from scratch on the current tree."""
     tag_counts = {tag: len(view.tag_nids[tid])
-                  for tag, tid in view.tag_index.items()
-                  if view.tag_nids[tid]}
+                  for tag, tid in view.tag_index.items()}
     path_counts = {view.paths[pid]: len(nids)
-                   for pid, nids in enumerate(view.nids_by_path) if nids}
+                   for pid, nids in enumerate(view.nids_by_path)}
     return DocumentStats(
         size=view.size,
         tag_counts=tag_counts,

@@ -31,8 +31,7 @@ from repro.xml.parser import parse_document
 from repro.xml.serializer import serialize
 from repro.xml.twig_parser import parse_twig
 
-JOIN_ALGORITHMS = [name for name in available_algorithms()
-                   if name != "baseline"]  # baseline never touches tries
+JOIN_ALGORITHMS = available_algorithms()
 
 
 def triangle_relations(n, *, seed=5):

@@ -22,12 +22,14 @@ from repro.engine.adaptive import (
     FeedbackStore,
     RACE_POLICIES,
     PlanRacer,
-    bound_order,
     estimated_stage_sizes,
 )
+from repro.engine import planner
 from repro.engine.planner import (
+    ORDER_STRATEGIES,
     QueryPlan,
     attribute_order,
+    bound_order,
     plan_query,
     run_query,
 )
@@ -132,11 +134,11 @@ class TestBoundOrder:
         with pytest.raises(PlanError):
             attribute_order(query, "corrected")
 
-    def test_policy_name_collision_rejected(self):
-        from repro.engine.planner import register_order_policy
-
-        with pytest.raises(PlanError):
-            register_order_policy("bound", lambda query: ())
+    def test_bound_is_a_plain_policy(self):
+        assert ORDER_STRATEGIES["bound"] is bound_order
+        assert list(ORDER_STRATEGIES) == [
+            "appearance", "domain", "connected", "bound"]
+        assert not hasattr(planner, "register_order_policy")
 
 
 class TestPlanRacer:

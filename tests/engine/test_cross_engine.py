@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.baseline import baseline_join
 from repro.core.multimodel import MultiModelQuery
 from repro.data.random_instances import random_multimodel_instance
 from repro.data.scenarios import figure1_query
@@ -52,9 +53,12 @@ class TestEncodedTrie:
 
 
 class TestRegistry:
-    def test_all_four_algorithms_registered(self):
-        assert set(available_algorithms()) >= {
-            "generic_join", "leapfrog", "xjoin", "baseline"}
+    def test_the_three_operators_are_registered(self):
+        """The baseline foil is ``baseline_join``, not an operator."""
+        assert available_algorithms() == ["generic_join", "leapfrog",
+                                          "xjoin"]
+        with pytest.raises(EngineError):
+            get_algorithm("baseline")
 
     def test_unknown_algorithm_raises(self):
         with pytest.raises(EngineError):
@@ -78,15 +82,19 @@ class TestRegistry:
         with pytest.raises(EngineError):
             run_query(query, algorithm=algorithm)
 
-    @pytest.mark.parametrize("algorithm",
-                             ["generic_join", "leapfrog", "xjoin"])
-    def test_kernels_reject_trieless_reference_instances(self, algorithm):
-        """EncodedInstance.reference carries no tries; every trie-walking
-        kernel must refuse it rather than emit a bogus 0-ary result."""
-        query = MultiModelQuery([Relation("R", ("a",), [(1,)])],
-                                name="rel")
-        with pytest.raises(EngineError):
-            get_algorithm(algorithm).run(EncodedInstance.reference(query))
+    @pytest.mark.parametrize("algorithm", available_algorithms())
+    def test_every_operator_answers_as_the_foil(self, algorithm):
+        """Each registered operator agrees with ``baseline_join`` on a
+        twig-free query, the empty-result case included."""
+        relations = agm_tight_triangle(12)
+        query = MultiModelQuery(relations, name="triangle")
+        assert run_query(query, algorithm=algorithm) == \
+            baseline_join(query)
+        emptied = MultiModelQuery(
+            relations[:2] + [Relation("T", ("a", "c"), [])], name="empty")
+        result = run_query(emptied, algorithm=algorithm)
+        assert result == baseline_join(emptied)
+        assert len(result) == 0
 
     @pytest.mark.parametrize("algorithm", ["generic_join", "leapfrog"])
     def test_relational_instances_from_query_still_run(self, algorithm):
@@ -137,7 +145,7 @@ class TestMultiModelCrossEngine:
         query = SCENARIOS[scenario]()
         instance = EncodedInstance.from_query(query, query.attributes)
         xj = get_algorithm("xjoin").run(instance)
-        base = get_algorithm("baseline").run(instance)
+        base = baseline_join(query)
         naive = query.naive_join()
         assert xj == naive
         assert base.project(query.attributes) == naive
@@ -149,8 +157,7 @@ class TestMultiModelCrossEngine:
 
     def test_explicit_algorithm_override(self):
         query = figure1_query()
-        assert run_query(query, algorithm="baseline") == \
-            run_query(query, algorithm="xjoin")
+        assert baseline_join(query) == run_query(query, algorithm="xjoin")
 
 
 @settings(max_examples=25, deadline=None)

@@ -98,16 +98,16 @@ class TestStatisticsStamp:
                 in statistics_for(query).twig_domains()] == ["y"]
         assert stats.domain_estimate("y") == 1
 
-    def test_a_document_version_derives_the_paths_again(self):
+    def test_a_document_version_derives_the_domains_again(self):
         doc = XMLDocument(element("r", element("x", text="7"),
                                   element("x", text="8")))
         query = MultiModelQuery([], [TwigBinding(parse_twig("r(/x)"),
                                                  doc)])
         stats = statistics_for(query)
-        first = stats.path_cardinality_estimates()
-        assert statistics_for(query).path_cardinality_estimates() is first
+        first = stats.twig_domains()
+        assert statistics_for(query).twig_domains() is first
         doc.bump_version()
-        again = statistics_for(query).path_cardinality_estimates()
+        again = statistics_for(query).twig_domains()
         assert again is not first and again == first
 
     def test_the_stamp_pins_no_swapped_relation(self):

@@ -14,6 +14,7 @@ import weakref
 
 import pytest
 
+from repro.core.baseline import baseline_join
 from repro.core.multimodel import MultiModelQuery, TwigBinding
 from repro.engine import EncodedInstance, available_algorithms, run_query
 from repro.engine.encoded import relation_artefacts
@@ -77,11 +78,8 @@ class TestInstance:
         assert not hasattr(instance, "query")
         assert (instance.name, instance.attributes) == \
             (query.name, query.attributes)
-        assert instance.relations == query.relations
+        assert not hasattr(instance, "relations")  # it holds no rows
         assert instance.twigs == tuple(query.twigs)
-        reference = EncodedInstance.reference(query)
-        assert (reference.attributes, reference.twigs) == \
-            (query.attributes, tuple(query.twigs))
 
     def test_an_xjoin_arena_ships_no_relation_rows(self):
         """The meta block carries the output attributes, not the query
@@ -100,9 +98,16 @@ class TestInstance:
 class TestFresh:
     """After each change, ``run_query`` answers as a rebuilt query."""
 
+    @staticmethod
+    def evaluate(query, algorithm=None, **call):
+        """``run_query``, or the ``baseline_join`` foil by its name."""
+        if algorithm == "baseline":
+            return baseline_join(query)
+        return run_query(query, algorithm=algorithm, **call)
+
     def check(self, query, **call):
-        result = run_query(query, **call)
-        assert result == run_query(rebuilt(query), **call)
+        result = self.evaluate(query, **call)
+        assert result == self.evaluate(rebuilt(query), **call)
         return result
 
     @pytest.mark.parametrize("write", ["insert", "delete"])
@@ -205,7 +210,7 @@ class TestLifetime:
     def test_del_query_frees_its_inputs(self, algorithm):
         """With the collector off: the query, its relations and their
         artefacts (the tries) die with the query and the read prepared
-        from it, ``baseline``'s included."""
+        from it."""
         query = triangle() if algorithm in ("generic_join", "leapfrog") \
             else bookstore_query()
         prepared = prepare(query, plan_query(query, algorithm=algorithm))
@@ -221,6 +226,26 @@ class TestLifetime:
         try:
             del query, prepared
             assert gone() is None and read() is None
+            assert all(ref() is None for ref in relations + artefacts)
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("make", [triangle, bookstore_query],
+                             ids=["relational", "twig"])
+    def test_the_foil_frees_its_inputs(self, make):
+        """With the collector off: ``baseline_join`` keeps neither the
+        query, nor its relations, nor their artefacts alive."""
+        query = make()
+        for _ in range(2):
+            assert baseline_join(query) == run_query(query)
+        relations = [weakref.ref(relation) for relation in query.relations]
+        artefacts = [planted(relation) for relation in query.relations]
+        gone = weakref.ref(query)
+        gc.collect()
+        gc.disable()
+        try:
+            del query
+            assert gone() is None
             assert all(ref() is None for ref in relations + artefacts)
         finally:
             gc.enable()

@@ -152,8 +152,8 @@ class TestServedReads:
     def test_a_superseded_relation_dies_though_evaluates_ran_on_it(self):
         """A prepared read holds the current version's relations; the
         batch that supersedes them drops it, so after the release of
-        the last pin nothing holds them: not the prepared reads, not
-        the held plans, not the feedback store."""
+        the last pin nothing holds them: not the prepared read, not
+        the held plan, not the feedback store."""
         async def request(service: ReproService, **message) -> dict:
             response = await service.handle_request(message)
             assert response["ok"], response
@@ -164,12 +164,11 @@ class TestServedReads:
             sid = (await request(service, op="open", tenant="t"))["session"]
             snapshot = (await request(service, op="pin", tenant="t",
                                       session=sid))["snapshot"]
-            for fields in ({}, {"algorithm": "xjoin"}):
-                for _ in range(3):
-                    await request(service, op="query", tenant="t",
-                                  session=sid, snapshot=snapshot,
-                                  evaluate=True, **fields)
-            assert any(held.prepared for held in service._plans.values())
+            for _ in range(6):
+                await request(service, op="query", tenant="t",
+                              session=sid, snapshot=snapshot,
+                              evaluate=True)
+            assert service._prepared is not None
             superseded = weakref.ref(service.master.relations["R"].relation)
             artefacts = planted(relation_artefacts(superseded()))
             gc.disable()

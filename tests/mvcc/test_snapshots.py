@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.baseline import baseline_join
 from repro.core.multimodel import MultiModelQuery, TwigBinding
 from repro.data.scenarios import figure1_query
 from repro.engine.planner import run_query
@@ -190,7 +191,7 @@ class TestPlannerDefaultRun:
     def test_run_defaults_to_the_planners_choice(self):
         session = QuerySession(figure1_query())
         default = run_query(session.query)
-        explicit = run_query(session.query, algorithm="baseline")
+        explicit = baseline_join(session.query)
         assert default.sorted_rows() == explicit.sorted_rows()
 
     def test_parity_holds_across_updates(self):
@@ -200,6 +201,5 @@ class TestPlannerDefaultRun:
             "invoices",
             session.document_of("invoices").nodes("price")[0], "55")
         assert run_query(session.query).sorted_rows() \
-            == run_query(session.query,
-                         algorithm="baseline").sorted_rows() \
+            == baseline_join(session.query).sorted_rows() \
             == session.answer().sorted_rows()

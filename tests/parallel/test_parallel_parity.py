@@ -11,6 +11,7 @@ the arena transports (``shm`` / ``mmap``) where they apply.
 
 import pytest
 
+from repro.core.baseline import baseline_join
 from repro.data.random_instances import random_multimodel_instance
 from repro.data.synthetic import agm_tight_triangle, example34_instance
 from repro.engine.encoded import EncodedInstance
@@ -134,17 +135,21 @@ class TestJoinParity:
         assert transport not in available_transports()
 
     @pytest.mark.parametrize("transport", available_transports())
-    def test_baseline_runs_serially_on_every_transport(self, transport):
-        # The foil is never split: every transport makes the serial call.
+    def test_an_unregistered_operator_starts_no_worker(self, transport,
+                                                       monkeypatch):
+        """``baseline`` is the ``baseline_join`` foil, not an operator:
+        every transport refuses the name before it publishes an arena
+        or starts a morsel."""
+        import repro.parallel.executor as module
+
+        def no_morsels(*_args, **_kw):
+            raise AssertionError("a morsel ran")
+
+        monkeypatch.setattr(module, "run_morsels", no_morsels)
         encoded = EncodedInstance.from_relations(
             agm_tight_triangle(30), ("a", "b", "c"))
-        serial = get_algorithm("baseline").run(encoded)
-        stats = JoinStats()
-        parallel = executor(transport).run_join(encoded, "baseline",
-                                                stats=stats, morsels=4)
-        assert parallel == serial
-        assert not [record for record in stats.stages
-                    if record.label.startswith(("segment", "morsel ["))]
+        with pytest.raises(EngineError, match="unknown join algorithm"):
+            executor(transport).run_join(encoded, "baseline", morsels=4)
 
     def test_workers_zero_and_one_run_serially(self):
         instance = EncodedInstance.from_relations(
@@ -173,19 +178,15 @@ class TestQueryParity:
             assert plan.partition_axis == plan.order[0]
         assert plan_query(query).partitions == 1
 
-    @pytest.mark.parametrize("algorithm", ["xjoin", "baseline"])
+    @pytest.mark.parametrize("algorithm", ["xjoin"])
     def test_forced_algorithm_parity(self, algorithm):
         query = example34_instance(4).query
         serial = run_query(query, algorithm=algorithm)
+        assert serial == baseline_join(query)  # the foil as the oracle
         for transport in TRANSPORTS:
-            stats = JoinStats()
             parallel = executor(transport).run_query(
-                query, algorithm=algorithm, stats=stats)
+                query, algorithm=algorithm, stats=JoinStats())
             assert parallel == serial, (algorithm, transport)
-            if algorithm == "baseline":
-                # The foil is never split: no value-segment morsels.
-                assert not [record for record in stats.stages
-                            if record.label.startswith("segment")]
 
 
 # ---------------------------------------------------------------------------

@@ -39,12 +39,13 @@ class TestWeights:
         assert by_value == {0: 3, 5: 1}
 
     def test_weights_sum_over_level0_tries(self):
-        instance = triangle_instance(10)
+        relations = agm_tight_triangle(10)
+        instance = EncodedInstance.from_relations(relations,
+                                                  ("a", "b", "c"))
         weights = top_level_weights(instance)
         # R(a,b) and T(a,c) bind level 0; S(b,c) does not.
         total = sum(weights.values())
-        assert total == len(instance.relations[0]) \
-            + len(instance.relations[2])
+        assert total == len(relations[0]) + len(relations[2])
 
     def test_zero_depth_instance_has_no_weights(self):
         r = Relation("R", (), [()])

@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from repro.core.baseline import baseline_join
 from repro.core.multimodel import MultiModelQuery
 from repro.engine import run_query
 from repro.instrumentation import JoinStats
@@ -104,8 +105,8 @@ EVALUATORS = {
         lambda rels, named: left_deep_plan([r.name for r in rels])),
     "engine_xjoin": lambda rels, attrs: run_query(MultiModelQuery(rels),
                                                   algorithm="xjoin"),
-    "engine_baseline": lambda rels, attrs: run_query(MultiModelQuery(rels),
-                                                     algorithm="baseline"),
+    "engine_baseline": lambda rels, attrs: baseline_join(
+        MultiModelQuery(rels)),
 }
 
 

@@ -1,11 +1,12 @@
-"""Held plans: one plan per query override, dated by the drift epoch.
+"""The held plan: one plan, dated by the drift epoch.
 
-The service holds one entry per override key ``(algorithm, order)``:
-the epoch it was planned at, its plan (which survives batches) and,
-while the pinned version is current, its prepared read. A batch drops
-only the prepared halves; the epoch moving re-plans, and a re-plan that
-keeps the order and algorithm keeps the prepared read. The entries are
-bounded by ``server.HELD_PLANS``, oldest first out.
+The service holds one plan, planned by the adaptive planner: the epoch
+it was planned at, the plan (which survives batches) and, while the
+pinned version is current, its prepared read. A batch drops only the
+prepared read; the epoch moving re-plans, and a re-plan that keeps the
+order and algorithm keeps the prepared read. A ``query`` naming a plan
+of its own (``algorithm`` or ``order``) is refused before anything is
+pinned or planned.
 """
 
 from __future__ import annotations
@@ -13,14 +14,15 @@ from __future__ import annotations
 import asyncio
 import importlib
 import inspect
+import json
 
 import pytest
 
 import repro.service
 from repro.engine import adaptive, planner
 from repro.engine.planner import plan_query, run_query
-from repro.service import server
-from repro.service.protocol import rows_to_wire
+from repro.service import ServiceClient, server
+from repro.service.protocol import decode_message, rows_to_wire
 from repro.service.server import ReproService
 
 CORPUS = "bookstore:orders=20,users=8"
@@ -45,34 +47,20 @@ async def open_pin(service: ReproService, tenant: str) -> tuple[str, str]:
     return sid, pinned["snapshot"]
 
 
-async def evaluate(service: ReproService, sid: str, snapshot: str,
-                   **fields) -> dict:
+async def evaluate(service: ReproService, sid: str, snapshot: str) -> dict:
     return await call(service, op="query", tenant="t", session=sid,
-                      snapshot=snapshot, evaluate=True, **fields)
+                      snapshot=snapshot, evaluate=True)
 
 
 async def counters(service: ReproService) -> dict:
     stats = await call(service, op="stats")
     return dict(stats["plan_cache"], builds=stats["prepared"]["builds"],
-                prepared_hits=stats["prepared"]["hits"])
+                prepared_hits=stats["prepared"]["hits"],
+                queries=stats["queries"])
 
 
 def expected_rows(service: ReproService) -> list:
     return rows_to_wire(run_query(service.master.query).rows)
-
-
-def override(algorithm: "str | None", order: "tuple | None") -> dict:
-    """An override key as the fields of a ``query`` request."""
-    fields: dict = {}
-    if algorithm is not None:
-        fields["algorithm"] = algorithm
-    if order is not None:
-        fields["order"] = list(order)
-    return fields
-
-
-def some_order(service: ReproService) -> tuple:
-    return tuple(reversed(service.master.query.attributes))
 
 
 @pytest.fixture
@@ -91,101 +79,63 @@ def plan_calls(monkeypatch) -> list:
 
 
 class TestLookups:
-    def test_one_override_is_held_once_across_pins(self):
+    def test_the_plan_is_held_once_across_pins(self):
         async def scenario():
             service = ReproService(CORPUS)
+            responses = []
             for _ in range(2):
                 sid, snapshot = await open_pin(service, "t")
-                await evaluate(service, sid, snapshot, algorithm="xjoin")
-            after = await counters(service)
-            assert (after["misses"], after["hits"], after["size"]) \
-                == (1, 1, 1)
-            assert (after["builds"], after["prepared_hits"]) == (1, 1)
-        run(scenario)
-
-    # The operators that evaluate the corpus's twig inputs.
-    @pytest.mark.parametrize("algorithm", ["xjoin", "baseline"])
-    def test_an_algorithm_override_plans_once(self, algorithm):
-        async def scenario():
-            service = ReproService(CORPUS)
-            sid, snapshot = await open_pin(service, "t")
-            responses = [await evaluate(service, sid, snapshot,
-                                        algorithm=algorithm)
-                         for _ in range(4)]
+                for _ in range(2):
+                    responses.append(await evaluate(service, sid, snapshot))
             after = await counters(service)
             assert (after["misses"], after["hits"]) == (1, 3)
             assert (after["builds"], after["prepared_hits"]) == (1, 3)
-            held = service._plans[(algorithm, None)]
-            assert held.plan.algorithm == algorithm
+            assert service._plan.algorithm == "xjoin"
             assert all(response["rows"] == expected_rows(service)
                        for response in responses)
         run(scenario)
 
-    def test_each_override_key_is_held_apart(self):
+    def test_stats_report_the_held_plan(self):
         async def scenario():
             service = ReproService(CORPUS)
             sid, snapshot = await open_pin(service, "t")
-            order = some_order(service)
-            for fields in ({}, {"algorithm": "xjoin"},
-                           {"order": list(order)},
-                           {"algorithm": "xjoin", "order": list(order)}):
-                response = await evaluate(service, sid, snapshot, **fields)
-                assert response["rows"] == expected_rows(service)
-            assert set(service._plans) == {
-                (None, None), ("xjoin", None), (None, order),
-                ("xjoin", order)}
-            assert service._plans[(None, order)].plan.order == order
-        run(scenario)
-
-    def test_stats_report_the_held_plans(self):
-        async def scenario():
-            service = ReproService(CORPUS)
-            sid, snapshot = await open_pin(service, "t")
-            for fields in ({}, {"algorithm": "xjoin"}, {}):
-                await evaluate(service, sid, snapshot, **fields)
+            for _ in range(3):
+                await evaluate(service, sid, snapshot)
             cache = (await call(service, op="stats"))["plan_cache"]
-            assert set(cache) == {"size", "hits", "misses", "rejected"}
-            assert cache["size"] == len(service._plans) == 2
-            assert cache["rejected"] == 0  # every plan is held
+            assert set(cache) == {"hits", "misses", "rejected"}
+            assert cache["rejected"] == 0  # the one plan is always held
             assert cache["hits"] + cache["misses"] == 3
         run(scenario)
 
 
 class TestBatches:
-    def test_a_batch_keeps_every_plan_and_drops_every_prepared_read(self):
+    def test_a_batch_keeps_the_plan_and_drops_the_prepared_read(self):
         async def scenario():
             service = ReproService(CORPUS)
             sid, snapshot = await open_pin(service, "t")
-            for fields in ({"algorithm": "xjoin"},
-                           {"order": list(some_order(service))}):
-                await evaluate(service, sid, snapshot, **fields)
-            before = {key: (held.epoch, held.plan)
-                      for key, held in service._plans.items()}
-            assert all(held.prepared is not None
-                       for held in service._plans.values())
+            await evaluate(service, sid, snapshot)
+            before = (service._plan_epoch, service._plan)
+            assert service._prepared is not None
             await call(service, op="update", tenant="w", ops=[INSERT])
-            assert {key: (held.epoch, held.plan)
-                    for key, held in service._plans.items()} == before
-            assert all(held.prepared is None
-                       for held in service._plans.values())
+            assert (service._plan_epoch, service._plan) == before
+            assert service._prepared is None
         run(scenario)
 
     def test_the_next_version_re_derives_the_held_order(self, plan_calls):
         async def scenario():
             service = ReproService(CORPUS)
-            order = some_order(service)
             sid, snapshot = await open_pin(service, "t")
-            await evaluate(service, sid, snapshot, order=list(order))
+            await evaluate(service, sid, snapshot)
             await call(service, op="update", tenant="w", ops=[INSERT])
-            held = service._plans[(None, order)]
+            held = service._plan
             plan_calls.clear()
             sid, snapshot = await open_pin(service, "t")
-            response = await evaluate(service, sid, snapshot,
-                                      order=list(order))
-            assert plan_calls == [{"algorithm": held.plan.algorithm,
-                                   "order": held.plan.order}]
+            response = await evaluate(service, sid, snapshot)
+            assert plan_calls == [{"algorithm": held.algorithm,
+                                   "order": held.order}]
             assert (await counters(service))["hits"] == 1  # the plan held
-            assert held.prepared is not None
+            assert service._plan is held
+            assert service._prepared is not None
             assert response["rows"] == expected_rows(service)
         run(scenario)
 
@@ -193,48 +143,43 @@ class TestBatches:
         async def scenario():
             service = ReproService(CORPUS)
             sid, snapshot = await open_pin(service, "t")
-            before = await evaluate(service, sid, snapshot,
-                                    algorithm="xjoin")
+            before = await evaluate(service, sid, snapshot)
             await call(service, op="update", tenant="w", ops=[INSERT])
             service.adaptive.store.bump_epoch()
-            stale = await evaluate(service, sid, snapshot,
-                                   algorithm="xjoin")
+            stale = await evaluate(service, sid, snapshot)
             assert stale["rows"] == before["rows"]
-            held = service._plans[("xjoin", None)]
-            assert held.epoch == service.adaptive.epoch  # re-planned
-            assert held.prepared is None  # its version is not current
+            assert service._plan_epoch == service.adaptive.epoch  # re-planned
+            assert service._prepared is None  # its version is not current
         run(scenario)
 
 
 class TestEpochs:
-    def test_a_held_entry_records_the_epoch_it_was_planned_at(self):
+    def test_the_held_plan_records_the_epoch_it_was_planned_at(self):
         async def scenario():
             service = ReproService(CORPUS)
             sid, snapshot = await open_pin(service, "t")
-            await evaluate(service, sid, snapshot, algorithm="xjoin")
-            held = service._plans[("xjoin", None)]
-            assert held.epoch == service.adaptive.epoch
+            await evaluate(service, sid, snapshot)
+            assert service._plan_epoch == service.adaptive.epoch
             planned_at = service.adaptive.store.bump_epoch()
-            await evaluate(service, sid, snapshot, algorithm="xjoin")
-            assert service._plans[("xjoin", None)] is held
-            assert held.epoch == planned_at
+            await evaluate(service, sid, snapshot)
+            assert service._plan_epoch == planned_at
         run(scenario)
 
-    def test_an_override_re_planned_to_the_same_plan_keeps_its_read(self):
+    def test_a_re_race_to_the_same_plan_keeps_its_read(
+            self, rank_decided_races):
         async def scenario():
             service = ReproService(CORPUS)
             sid, snapshot = await open_pin(service, "t")
-            await evaluate(service, sid, snapshot, algorithm="xjoin")
-            prepared = service._plans[("xjoin", None)].prepared
+            await evaluate(service, sid, snapshot)
+            prepared = service._prepared
             before = await counters(service)
             service.adaptive.store.bump_epoch()
-            response = await evaluate(service, sid, snapshot,
-                                      algorithm="xjoin")
+            response = await evaluate(service, sid, snapshot)
             after = await counters(service)
             assert after["misses"] == before["misses"] + 1
             assert after["builds"] == before["builds"]
             assert after["prepared_hits"] == before["prepared_hits"] + 1
-            assert service._plans[("xjoin", None)].prepared is prepared
+            assert service._prepared is prepared
             assert response["rows"] == expected_rows(service)
         run(scenario)
 
@@ -244,27 +189,26 @@ class TestEpochs:
             service = ReproService(CORPUS)
             sid, snapshot = await open_pin(service, "t")
             await evaluate(service, sid, snapshot)
-            held = service._plans[(None, None)]
-            old = held.prepared
-            order = tuple(reversed(held.plan.order))
+            old = service._prepared
+            order = tuple(reversed(service._plan.order))
             monkeypatch.setattr(
                 service.adaptive, "plan",
                 lambda query, **_: plan_query(query, order=order))
             before = await counters(service)
             service.adaptive.store.bump_epoch()
             response = await evaluate(service, sid, snapshot)
-            assert held.plan.order == order
-            assert held.prepared is not old
-            assert held.prepared.plan.order == order
+            assert service._plan.order == order
+            assert service._prepared is not old
+            assert service._prepared.plan.order == order
             assert (await counters(service))["builds"] \
                 == before["builds"] + 1
             assert response["rows"] == expected_rows(service)
         run(scenario)
 
     def test_mixed_traffic_plans_at_most_once_per_epoch(self):
-        """Reads between batches, some of them churn bursts: the one
-        un-overridden key is planned from scratch at most once per
-        epoch and no entry of a dead epoch is held."""
+        """Reads between batches, some of them churn bursts: the plan
+        is planned from scratch at most once per epoch and no plan of a
+        dead epoch is held."""
         async def scenario():
             service = ReproService(CORPUS)
             epochs = set()
@@ -284,84 +228,52 @@ class TestEpochs:
                 await call(service, op="update", tenant="w", ops=ops)
             cache = (await call(service, op="stats"))["plan_cache"]
             assert 1 <= cache["misses"] <= len(epochs)
-            assert cache["size"] == 1
-            assert service._plans[(None, None)].epoch \
-                <= service.adaptive.epoch
-        run(scenario)
-
-
-class TestBound:
-    def test_past_the_bound_the_oldest_goes_first(self, monkeypatch):
-        monkeypatch.setattr(server, "HELD_PLANS", 2)
-
-        async def scenario():
-            service = ReproService(CORPUS)
-            sid, snapshot = await open_pin(service, "t")
-            for key in ((None, None), ("xjoin", None), ("baseline", None)):
-                response = await evaluate(service, sid, snapshot,
-                                          **override(*key))
-                assert response["rows"] == expected_rows(service)
-                assert len(service._plans) <= 2
-            assert list(service._plans) == [("xjoin", None),
-                                            ("baseline", None)]
-        run(scenario)
-
-    def test_an_evicted_key_is_planned_again(self, monkeypatch):
-        monkeypatch.setattr(server, "HELD_PLANS", 1)
-
-        async def scenario():
-            service = ReproService(CORPUS)
-            sid, snapshot = await open_pin(service, "t")
-            for algorithm in ("xjoin", "baseline", "xjoin"):
-                response = await evaluate(service, sid, snapshot,
-                                          algorithm=algorithm)
-                assert response["rows"] == expected_rows(service)
-            after = await counters(service)
-            assert (after["misses"], after["hits"], after["size"]) \
-                == (3, 0, 1)
-            assert after["builds"] == 3
-            assert list(service._plans) == [("xjoin", None)]
+            assert service._plan is not None
+            assert service._plan_epoch <= service.adaptive.epoch
         run(scenario)
 
 
 class TestRefusedOverrides:
-    """An override the planner or a kernel refuses holds nothing: the
-    corpus has twig inputs, which ``leapfrog`` cannot evaluate."""
+    """A ``query`` naming ``algorithm`` or ``order`` is ``bad_request``:
+    it plans nothing, holds nothing and is not counted as served."""
 
-    async def refuse(self, service: ReproService, sid: str,
-                     snapshot: str) -> None:
-        response = await service.handle_request(dict(
-            op="query", tenant="t", session=sid, snapshot=snapshot,
-            evaluate=True, algorithm="leapfrog"))
+    @staticmethod
+    async def refuse(service: ReproService, sid: str, **fields) -> None:
+        line = json.dumps({"op": "query", "tenant": "t", "session": sid,
+                           "evaluate": True, **fields})
+        response = decode_message(await service.handle_line(line))
         assert not response["ok"]
-        assert response["error"] == "bad_request"
+        assert response["error"] == "bad_request", response
 
-    def test_a_refused_override_leaves_no_held_entry(self):
+    @pytest.mark.parametrize("fields", [
+        {"algorithm": "xjoin"}, {"algorithm": "baseline"},
+        {"order": "domain"}, {"order": ["x", "y"]},
+        {"algorithm": "xjoin", "order": "bound"}])
+    def test_an_override_is_refused_through_the_wire(self, fields):
         async def scenario():
             service = ReproService(CORPUS)
             sid, snapshot = await open_pin(service, "t")
-            await evaluate(service, sid, snapshot)
-            before = await counters(service)
-            for _ in range(3):
-                await self.refuse(service, sid, snapshot)
+            await self.refuse(service, sid, **fields)
+            await self.refuse(service, sid, snapshot=snapshot, **fields)
+            assert service._plan is None and service._prepared is None
             after = await counters(service)
-            assert (after["size"], after["builds"]) \
-                == (before["size"], before["builds"]) == (1, 1)
-            assert list(service._plans) == [(None, None)]
+            assert (after["misses"], after["hits"], after["builds"],
+                    after["queries"]) == (0, 0, 0, 0)
+            assert service.master.mvcc.active_count() == 1  # the one pin
         run(scenario)
 
-    def test_refused_overrides_do_not_evict_the_adaptive_plan(
-            self, monkeypatch):
-        monkeypatch.setattr(server, "HELD_PLANS", 1)
-
+    def test_refused_overrides_leave_the_held_plan_alone(self):
         async def scenario():
             service = ReproService(CORPUS)
             sid, snapshot = await open_pin(service, "t")
             await evaluate(service, sid, snapshot)
-            held = service._plans[(None, None)]
-            for _ in range(3):
-                await self.refuse(service, sid, snapshot)
-            assert service._plans == {(None, None): held}
+            held, prepared = service._plan, service._prepared
+            before = await counters(service)
+            for fields in ({"algorithm": "leapfrog"}, {"order": "domain"}):
+                await self.refuse(service, sid, snapshot=snapshot,
+                                  **fields)
+            assert (service._plan, service._prepared) == (held, prepared)
+            assert await counters(service) == before
             response = await evaluate(service, sid, snapshot)
             assert response["rows"] == expected_rows(service)
             assert (await counters(service))["prepared_hits"] == 1
@@ -382,3 +294,9 @@ class TestRemovedKnobs:
         assert sorted(repro.service.__all__) == [
             "ReproService", "ServiceClient", "SessionManager",
             "TenantQuota", "available_corpora", "corpus_query"]
+
+    def test_the_override_machinery_is_gone(self):
+        assert not hasattr(server, "HELD_PLANS")
+        assert not hasattr(ReproService(CORPUS), "_plans")
+        assert list(inspect.signature(ServiceClient.query).parameters) \
+            == ["self", "tenant", "session", "snapshot", "evaluate"]

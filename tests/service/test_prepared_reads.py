@@ -1,16 +1,15 @@
 """Prepared reads: a served query does its per-version work once.
 
-An evaluate's plan is the service's held plan for its overrides; its
-version-bound half — the re-bound query and the encoded instance — is
-kept beside the held plan while the pinned version
-is current, and the next batch drops it. A maintained answer's wire
+An evaluate's plan is the service's one held plan; its version-bound
+half — the re-bound query and the encoded instance — is kept beside the
+held plan while the pinned version is current, and the next batch drops
+it. A maintained answer's wire
 body is made once per answer version and shared by every tenant.
 """
 
 from __future__ import annotations
 
 import asyncio
-import itertools
 
 import pytest
 
@@ -55,12 +54,6 @@ def expected_rows(service: ReproService) -> list:
     return rows_to_wire(run_query(service.master.query).rows)
 
 
-def held_reads(service: ReproService) -> dict:
-    """Override key -> the prepared read held beside its plan."""
-    return {key: held.prepared for key, held in service._plans.items()
-            if held.prepared is not None}
-
-
 @pytest.fixture
 def plan_calls(monkeypatch) -> list:
     """Every ``plan_query`` call, whichever module's name made it."""
@@ -81,13 +74,16 @@ def test_evaluates_at_one_version_plan_once(plan_calls):
         service = ReproService(CORPUS)
         plan_calls.clear()  # the master's first answer planned too
         sid, snapshot = await open_pin(service, "t")
-        responses = [await evaluate(service, "t", sid, snapshot,
-                                    algorithm="xjoin") for _ in range(5)]
-        assert len(plan_calls) == 1
+        responses = [await evaluate(service, "t", sid, snapshot)]
+        planned = len(plan_calls)  # the race's static guard and the plan
+        assert planned == 2
+        responses += [await evaluate(service, "t", sid, snapshot)
+                      for _ in range(4)]
+        assert len(plan_calls) == planned
         assert await prepared_stats(service) == {"builds": 1, "hits": 4}
         # The first request plans; the other four reuse the held plan.
         cache = (await call(service, op="stats"))["plan_cache"]
-        assert (cache["misses"], cache["hits"], cache["size"]) == (1, 4, 1)
+        assert (cache["misses"], cache["hits"]) == (1, 4)
         assert all(response["rows"] == expected_rows(service)
                    for response in responses)
     asyncio.run(scenario())
@@ -117,18 +113,17 @@ def test_a_write_between_two_evaluates_gets_a_new_prepared_read(
         sid, _ = await open_pin(service, "t")
         for _ in range(4):
             first = await evaluate(service, "t", sid)
-        held = held_reads(service)
-        assert held and (await prepared_stats(service))["hits"]
+        held = service._prepared
+        assert held is not None and (await prepared_stats(service))["hits"]
         counts = await prepared_stats(service)
         await call(service, op="update", tenant="w", ops=[INSERT])
-        assert not held_reads(service)  # the batch dropped them
-        assert service._plans  # but not the plans
+        assert service._prepared is None  # the batch dropped it
+        assert service._plan is not None  # but not the plan
         second = await evaluate(service, "t", sid)
         assert await prepared_stats(service) == {
             "builds": counts["builds"] + 1, "hits": counts["hits"]}
-        assert held_reads(service).keys() <= held.keys()  # a plan survived
-        assert not set(map(id, held_reads(service).values())) \
-            & set(map(id, held.values()))
+        assert service._prepared is not None  # the plan survived
+        assert service._prepared is not held
         assert second["rows"] == expected_rows(service)
         assert [10005, "eve"] in [row[:2] for row in second["rows"]]
         assert [10005, "eve"] not in [row[:2] for row in first["rows"]]
@@ -169,7 +164,7 @@ def test_a_superseded_pin_builds_its_own_and_keeps_nothing():
         for _ in range(2):
             stale = await evaluate(service, "t", sid, snapshot)
             assert stale["rows"] == before["rows"]
-            assert not held_reads(service)
+            assert service._prepared is None
         assert await prepared_stats(service) == {
             "builds": counts["builds"] + 2, "hits": counts["hits"]}
     asyncio.run(scenario())
@@ -192,30 +187,6 @@ def test_a_re_race_that_keeps_the_plan_keeps_the_prepared_read(
         assert after["prepared"]["builds"] == before["prepared"]["builds"]
         assert all(response["rows"] == expected_rows(service)
                    for response in responses)
-    asyncio.run(scenario())
-
-
-def test_held_plans_stay_within_their_bound():
-    """Clients choose the override keys: every order permutation is
-    one, and the oldest held plan goes first at the bound."""
-    async def scenario():
-        service = ReproService(CORPUS)
-        sid, snapshot = await open_pin(service, "t")
-        orders = list(itertools.permutations(service.master.query.attributes))
-        assert len(orders) == 120 > server.HELD_PLANS
-        expected = expected_rows(service)
-        assert (await evaluate(service, "t", sid, snapshot))["rows"] \
-            == expected
-        for order in orders:
-            response = await evaluate(service, "t", sid, snapshot,
-                                      order=list(order))
-            assert response["rows"] == expected, order
-            assert len(service._plans) <= server.HELD_PLANS
-        assert (await call(service, op="stats"))["plan_cache"]["size"] \
-            == server.HELD_PLANS
-        assert (None, None) not in service._plans  # the oldest went
-        assert (await evaluate(service, "t", sid, snapshot))["rows"] \
-            == expected
     asyncio.run(scenario())
 
 
@@ -246,10 +217,14 @@ def test_only_answered_queries_are_counted():
     async def scenario():
         service = ReproService(CORPUS)
         sid, snapshot = await open_pin(service, "t")
+        # A query naming a plan of its own is refused, well-formed or not.
         refused = [{"snapshot": "nope"}, {"algorithm": "nope"},
                    {"order": "nope"}, {"order": ["a"]},
                    {"order": [["a"]]}, {"order": {"a": 1}}, {"order": 5},
-                   {"algorithm": ["x"]}, {"evaluate": "yes"}]
+                   {"algorithm": ["x"]}, {"evaluate": "yes"},
+                   {"algorithm": "xjoin"}, {"order": "domain"},
+                   {"algorithm": "xjoin", "evaluate": True,
+                    "snapshot": snapshot}]
         for fields in refused:
             response = await service.handle_request(
                 {"op": "query", "tenant": "t", "session": sid, **fields})

@@ -14,7 +14,7 @@ from repro.service.protocol import (
     encode_message,
     error_response,
     ok_response,
-    query_options,
+    query_evaluate,
     require_field,
     rows_to_wire,
     validate_request,
@@ -149,19 +149,19 @@ class TestUpdateOps:
 
 
 class TestQueryOptions:
-    def test_valid_overrides_pass(self):
-        assert query_options({}) == (None, None, False)
-        assert query_options({"algorithm": "xjoin", "order": ["b", "a"],
-                              "evaluate": True}) \
-            == ("xjoin", ("b", "a"), True)
-        assert query_options({"order": "domain", "evaluate": False}) \
-            == (None, "domain", False)
+    def test_the_evaluate_flag_passes(self):
+        assert query_evaluate({}) is False
+        assert query_evaluate({"evaluate": True}) is True
+        assert query_evaluate({"evaluate": False}) is False
 
     @pytest.mark.parametrize("fields", [
         {"order": [["a"]]}, {"order": {"a": 1}}, {"order": 5},
         {"order": ["a", 1]}, {"algorithm": ["x"]}, {"algorithm": 3},
-        {"evaluate": "yes"}, {"evaluate": 1}])
+        {"evaluate": "yes"}, {"evaluate": 1},
+        # A well-formed override is refused too: one plan serves.
+        {"algorithm": "xjoin"}, {"order": "domain"},
+        {"order": ["b", "a"], "evaluate": True}, {"algorithm": None}])
     def test_bad_shapes_are_bad_request(self, fields):
         with pytest.raises(ServiceError) as info:
-            query_options(fields)
+            query_evaluate(fields)
         assert info.value.code == "bad_request"

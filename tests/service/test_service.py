@@ -13,7 +13,6 @@ import pytest
 
 from repro.engine.interface import available_algorithms
 from repro.engine.planner import run_query
-from repro.errors import EngineError, PlanError
 from repro.service.corpus import corpus_query
 from repro.service.protocol import rows_to_wire
 from repro.service.server import ReproService
@@ -148,25 +147,31 @@ async def through_both_doors(service: ReproService, **overrides):
 
 @pytest.mark.parametrize("corpus", ["figure1", "triangle:n=8"])
 class TestOneReadPath:
-    """A ``query`` takes the same overrides with and without a
-    ``snapshot`` and answers the same — the library's rows, or
-    ``bad_request`` carrying the library's refusal."""
+    """A ``query`` answers the same with and without a ``snapshot``:
+    an evaluate runs the service's one plan, and a request naming a plan
+    of its own (``algorithm`` or ``order``) is ``bad_request``."""
+
+    def test_an_evaluate_runs_the_held_plan(self, corpus):
+        expected = rows_to_wire(run_query(corpus_query(corpus)).rows)
+
+        async def scenario():
+            service = ReproService(corpus)
+            doors = await through_both_doors(service, evaluate=True)
+            for response in doors:
+                assert response["ok"] and response["mode"] == "run"
+                assert response["rows"] == expected
+                assert response["algorithm"] == service._plan.algorithm
+                assert "twigs" not in response
+        run(scenario)
 
     @pytest.mark.parametrize("algorithm", available_algorithms())
     def test_algorithm_override(self, corpus, algorithm):
-        try:
-            expected = {"ok": True, "mode": "run", "algorithm": algorithm,
-                        "rows": rows_to_wire(run_query(
-                            corpus_query(corpus), algorithm=algorithm).rows)}
-        except (PlanError, EngineError) as refusal:
-            expected = {"ok": False, "error": "bad_request",
-                        "message": str(refusal)}
-
         async def scenario():
             doors = await through_both_doors(ReproService(corpus),
                                              algorithm=algorithm)
             for response in doors:
-                assert expected.items() <= response.items(), response
+                assert response["error"] == "bad_request", response
+                assert "'algorithm'" in response["message"]
             assert doors[0] == doors[1]
         run(scenario)
 
@@ -175,14 +180,13 @@ class TestOneReadPath:
 
         async def scenario():
             service = ReproService(corpus)
-            live = await call(service, op="query", tenant="t",
-                              session=await open_session(service))
             for order in ("appearance", attributes[::-1]):
-                first, second = await through_both_doors(service,
-                                                         order=order)
+                first, second = await through_both_doors(
+                    service, order=order, evaluate=True)
                 assert first == second
-                assert first["mode"] == "run"  # the override is honoured
-                assert first["rows"] == live["rows"]
+                assert first["error"] == "bad_request"
+                assert "'order'" in first["message"]
+            assert service._plan is None  # a refusal plans nothing
         run(scenario)
 
     @pytest.mark.parametrize("override", [
@@ -194,8 +198,7 @@ class TestOneReadPath:
                                                      **override)
             assert first == second
             assert first["error"] == "bad_request"
-            assert "choose from" in first["message"] \
-                or "attributes" in first["message"]
+            assert "is not accepted" in first["message"]
         run(scenario)
 
 
@@ -371,7 +374,7 @@ class TestHeldPlans:
             # executed query moves no epoch: miss, then hit, hit, hit —
             # every later tenant-request reuses the one held plan.
             assert (cache["misses"], cache["hits"]) == (1, 3)
-            assert cache["size"] == 1
+            assert service._plan is not None  # the one held plan
             assert stats["adaptive"]["observations"] == 4
         run(scenario)
 

@@ -94,8 +94,12 @@ class TestTcp:
                     corpus = await client.corpus()
                     session = await client.open("alice")
                     answer = await client.query("alice", session,
-                                                evaluate=True,
-                                                algorithm="xjoin")
+                                                evaluate=True)
+                    with pytest.raises(ServiceError) as refused:
+                        await client.request(
+                            "query", tenant="alice", session=session,
+                            evaluate=True, algorithm="xjoin")
+                    assert refused.value.code == "bad_request"
                     stats = await client.stats()
                     with pytest.raises(ServiceError) as info:
                         await client.request("nope")

@@ -43,7 +43,7 @@ class TestCLI:
         assert main(["explain", "figure1"]) == 0
         out = capsys.readouterr().out
         assert "xjoin" in out
-        assert "twig:" in out
+        assert "twig:" not in out  # XJoin runs no twig matcher
         assert "invoices[orderLine/ISBN]" in out and "P-C path" in out
         assert "validation: invoices skipped (implied by join)" in out
 

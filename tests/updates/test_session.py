@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.baseline import baseline_join
 from repro.core.multimodel import MultiModelQuery, TwigBinding
 from repro.engine.planner import run_query
 from repro.errors import UpdateError
@@ -180,4 +181,4 @@ class TestSessionState:
         session.insert("Orders", (9, 7))
         expected = query.naive_join()
         assert run_query(query, algorithm="xjoin") == expected
-        assert run_query(query, algorithm="baseline") == expected
+        assert baseline_join(query) == expected

@@ -5,9 +5,9 @@ place (:mod:`repro.updates.documents`). After every edit the spliced
 view must equal, in canonical form, the view built from a reparse of
 the serialized document. Node ids are document order in both views,
 while tag and path ids are interned in the order each view met them, so
-the form names tags and paths instead. A delete can empty a tag or a
-path, which stays interned in the spliced view; the form keeps the
-non-empty ones, as :func:`~repro.xml.columnar.stats_from_view` does.
+the form names tags and paths instead. A delete that empties a tag or
+a path forgets it, as a fresh build never interns one: the form keeps
+every entry, empty or not, so one left behind is a difference.
 """
 
 from __future__ import annotations
@@ -25,18 +25,12 @@ from harness import UPDATE_SEED, random_subtree, seeded_rng
 
 
 def canonical(view: ColumnarDocument) -> dict:
-    """*view* with tags and paths named, empty ones left out."""
+    """*view* with tags and paths named."""
     tag, path = view.tags.__getitem__, view.paths.__getitem__
     nodes = [(view.starts[nid], view.ends[nid], view.levels[nid],
               view.parents[nid], tag(view.tag_ids[nid]), view.values[nid],
               path(view.path_ids[nid]), view.tag_ranks[nid])
              for nid in range(view.size)]
-    last_tags = {}
-    for tid, pids in view.pids_by_last_tag.items():
-        live = sorted(path(pid) for pid in pids
-                      if len(view.nids_by_path[pid]))
-        if live:
-            last_tags[tag(tid)] = live
     return {
         "nodes": nodes,
         "tree": [(node.start, node.end, node.level, node.tag)
@@ -44,11 +38,16 @@ def canonical(view: ColumnarDocument) -> dict:
         "postings": {name: (list(nids), list(starts), list(ends))
                      for name, nids, starts, ends in zip(
                          view.tags, view.tag_nids, view.tag_starts,
-                         view.tag_ends) if len(nids)},
+                         view.tag_ends)},
+        "tag_index": {name: view.tags[tid]
+                      for name, tid in view.tag_index.items()},
         "paths": {name: list(nids)
-                  for name, nids in zip(view.paths, view.nids_by_path)
-                  if len(nids)},
-        "pids_by_last_tag": last_tags,
+                  for name, nids in zip(view.paths, view.nids_by_path)},
+        "path_table": {(path(parent) if parent >= 0 else None, tag(tid)):
+                       path(pid)
+                       for (parent, tid), pid in view.path_table.items()},
+        "pids_by_last_tag": {tag(tid): sorted(map(path, pids))
+                             for tid, pids in view.pids_by_last_tag.items()},
         "nid_index": view.nid_index,
         "stats": stats_from_view(view),
     }
@@ -131,3 +130,23 @@ def test_a_subtree_larger_than_the_document():
     assert_matches_fresh(document, "insert a subtree larger than the tree")
     editor.delete_subtree(big)
     assert_matches_fresh(document, "delete it again")
+
+
+def test_a_stream_of_fresh_tags_leaves_nothing_behind():
+    """Insert and delete subtrees of tags the document has never held:
+    the view keeps the document's own tags and paths, however long the
+    stream, and equals a fresh build after every edit."""
+    document = XMLDocument(element("r", element("a", text="1"),
+                                   element("b", text="2")))
+    editor = DocumentEditor(document)
+    for step in range(50):
+        subtree = element(f"t{step}", element(f"u{step}", text=str(step)))
+        editor.insert_subtree(document.root, subtree, index=step % 3)
+        assert_matches_fresh(document, f"insert t{step}")
+        editor.delete_subtree(subtree)
+        assert_matches_fresh(document, f"delete t{step}")
+    view = columnar(document)
+    assert view.size == 3
+    assert sorted(view.tags) == ["a", "b", "r"]
+    assert len(view.paths) == len(view.path_table) == 3
+    assert sorted(view.pids_by_last_tag) == [0, 1, 2]

@@ -135,6 +135,5 @@ def test_query_statistics_refresh_not_drop():
     clone = clone_query(query)  # held: the stats entry is a weakref
     fresh = statistics_for(clone)
     assert stats.domain_estimates() == fresh.domain_estimates()
-    assert stats.path_cardinality_estimates() == \
-        fresh.path_cardinality_estimates()
+    assert stats.twig_domains() == fresh.twig_domains()
     del before

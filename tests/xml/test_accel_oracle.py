@@ -47,13 +47,14 @@ def match_set(embeddings):
 
 def planner_fingerprint(document, twig) -> str:
     """Byte-exact snapshot of everything the planner derives for the
-    twig: domain estimates, path cardinalities, and the full plan."""
+    twig: domain estimates, per-node candidate domains, and the full
+    plan."""
     query = MultiModelQuery((), (TwigBinding(twig, document),),
                             name="accel_oracle")
     stats = statistics_for(query)
     plan = plan_query(query)
     return repr((sorted(stats.domain_estimates().items()),
-                 sorted(stats.path_cardinality_estimates().items()),
+                 sorted(stats.twig_domains().items()),
                  plan))
 
 

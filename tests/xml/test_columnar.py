@@ -158,29 +158,6 @@ class TestDocumentStats:
             arena.close()
             arena.unlink()
 
-    def test_chain_count_is_suffix_sum(self):
-        stats = document_stats(sample_document())
-        # c nodes reachable by a b/c parent-child step: a/b/c and a/b/b/c.
-        assert stats.chain_count(["b", "c"]) == 2
-        assert stats.chain_count(["c"]) == 3
-        assert stats.chain_count(["a", "b", "c"]) == 1
-        assert stats.chain_count([]) == 0
-
-    def test_chain_count_bounds_path_cardinality(self):
-        """The planner estimate dominates the true distinct-row count."""
-        from repro.core.decomposition import (
-            decompose,
-            path_relation_cardinality,
-        )
-        from repro.xml.twig_parser import parse_twig
-
-        document = xmark_document(0.1, seed=3)
-        stats = document_stats(document)
-        twig = parse_twig("oa=open_auction(/ir=itemref, //pr=personref)")
-        for path in decompose(twig).paths:
-            estimate = stats.chain_count([n.tag for n in path.nodes])
-            assert estimate >= path_relation_cardinality(document, path)
-
 
 class TestPlannedTwigAlgorithms:
     """One pick for every shape: the matcher matrix supports no other
@@ -218,27 +195,33 @@ class TestPlannedTwigAlgorithms:
         assert choose_twig_algorithm(
             wide, parse_twig("a(//c, //d)")) == "accel"
 
-    def test_plan_query_carries_twig_plan(self):
+    def test_plan_query_carries_an_order_and_an_operator(self):
+        """The matcher pick serves ``baseline_join``, never XJoin: a
+        plan carries none, and the baseline checks a forced one."""
+        from repro.core.baseline import baseline_join
         from repro.core.multimodel import MultiModelQuery, TwigBinding
         from repro.data.scenarios import figure1_query
-        from repro.engine.planner import plan_query
-        from repro.errors import PlanError
+        from repro.engine.planner import QueryPlan, plan_query
+        from repro.errors import TwigError
         from repro.xml.twig_parser import parse_twig
 
         query = figure1_query()
         plan = plan_query(query)
         assert plan.algorithm == "xjoin"
-        assert plan.twig_algorithm("invoices") == "accel"
-        assert dict(plan.path_cardinalities)  # estimates present
-        forced = plan_query(query, twig_algorithm="twigstack")
-        assert forced.twig_algorithm("invoices") == "twigstack"
-        with pytest.raises(PlanError, match="unknown twig algorithm"):
-            plan_query(query, twig_algorithm="nope")
+        assert sorted(plan.order) == sorted(query.attributes)
+        fields = set(QueryPlan.__dataclass_fields__)
+        assert not fields & {"twig_algorithms", "path_cardinalities"}
+        with pytest.raises(TypeError):
+            plan_query(query, twig_algorithm="twigstack")
+        assert baseline_join(query, twig_algorithm="twigstack") \
+            == baseline_join(query)
+        with pytest.raises(TwigError, match="unknown twig algorithm"):
+            baseline_join(query, twig_algorithm="nope")
         branching = MultiModelQuery(
             [], [TwigBinding(parse_twig("a(/b, /c)", name="T"),
                              sample_document())])
-        with pytest.raises(PlanError, match="cannot evaluate"):
-            plan_query(branching, twig_algorithm="pathstack")
+        with pytest.raises(TwigError, match="cannot evaluate"):
+            baseline_join(branching, twig_algorithm="pathstack")
 
 
 class TestTagValues:
